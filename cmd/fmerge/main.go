@@ -114,7 +114,8 @@
 //	                interned/reused, class count) and the merge-family
 //	                histogram (family sizes alive, chains flattened)
 //
-// Profiling knobs (see README "Profiling the pipeline"):
+// Profiling knobs, honoured in every mode, -scale included (see README
+// "Profiling the pipeline"):
 //
 //	-cpuprofile f   write a pprof CPU profile of the whole run to f
 //	-memprofile f   write a pprof allocation profile (after the run,
@@ -179,7 +180,10 @@ func main() {
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		if err := runScale(ctx, strings.Split(*scaleTiers, ","), *lshBudget, *commitJobs, !*noFunnel, *scaleOut, *verbose); err != nil {
+		writeProfiles := startProfiles(*cpuProfile, *memProfile)
+		err := runScale(ctx, strings.Split(*scaleTiers, ","), *lshBudget, *commitJobs, !*noFunnel, *scaleOut, *verbose)
+		writeProfiles()
+		if err != nil {
 			fatal(err)
 		}
 		return
@@ -292,34 +296,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-	}
 	// writeProfiles finalizes both profiles once the pipeline is done
 	// (and before any nonzero exit), so profile data survives cancelled
 	// runs too.
-	writeProfiles := func() {
-		if *cpuProfile != "" {
-			pprof.StopCPUProfile()
-		}
-		if *memProfile != "" {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // materialize the steady-state live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
-		}
-	}
+	writeProfiles := startProfiles(*cpuProfile, *memProfile)
 	// fatalClean is fatal through profile finalization — an unstopped
 	// CPU profile has no trailer and pprof rejects the file.
 	fatalClean := func(err error) {
@@ -573,6 +553,45 @@ func reportModule(rep *repro.Report, label string, verbose bool, finder string) 
 			}
 			fmt.Fprintf(os.Stderr, "families: %d alive (%s), %d chains flattened this run\n",
 				rep.Families, strings.Join(hist, ", "), rep.Flattened)
+		}
+	}
+}
+
+// startProfiles starts the CPU profile (when cpu names a file) and
+// returns the function that finalizes it and writes the allocation
+// profile (when mem names a file). Every mode that does work calls it
+// before the work starts and runs the result before exiting, nonzero
+// exits included.
+func startProfiles(cpu, mem string) (write func()) {
+	var cpuFile *os.File
+	if cpu != "" {
+		var err error
+		if cpuFile, err = os.Create(cpu); err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			fatal(err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fatal(err)
+			}
+		}
+		if mem != "" {
+			f, err := os.Create(mem)
+			if err != nil {
+				fatal(err)
+			}
+			runtime.GC() // materialize the steady-state live set
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
 		}
 	}
 }

@@ -67,13 +67,13 @@ func TestDomFrontierDiamond(t *testing.T) {
 	df := NewDomFrontier(dt)
 	a := blockByName(f, "a")
 	join := blockByName(f, "join")
-	if got := df[a]; len(got) != 1 || got[0] != join {
+	if got := df.of(a); len(got) != 1 || got[0] != join {
 		t.Errorf("DF(a) = %v, want [join]", got)
 	}
-	if got := df[blockByName(f, "entry")]; len(got) != 0 {
+	if got := df.of(blockByName(f, "entry")); len(got) != 0 {
 		t.Errorf("DF(entry) = %v, want empty", got)
 	}
-	idf := df.Iterated([]*ir.Block{a})
+	idf := df.Iterated([]*ir.Block{a}, nil)
 	if len(idf) != 1 || idf[0] != join {
 		t.Errorf("IDF({a}) = %v", idf)
 	}
@@ -129,23 +129,37 @@ func bruteDominates(f *ir.Function, a, b *ir.Block) bool {
 	return true
 }
 
-// randomCFG builds a random single-entry CFG with n blocks.
+// randomCFG builds a random single-entry CFG with n blocks: returns,
+// branches, conditional branches and switches with uniformly drawn
+// targets, so unreachable blocks, self loops, irreducible loops and
+// duplicate edges (br c, X, X; a switch with two cases to one block) all
+// turn up. Nothing branches to the entry, which the verifier forbids.
 func randomCFG(rng *rand.Rand, n int) *ir.Function {
 	f := ir.NewFunction("r", ir.FuncOf(ir.Void))
 	blocks := make([]*ir.Block, n)
 	for i := range blocks {
 		blocks[i] = f.NewBlockIn("")
 	}
-	for i, b := range blocks {
-		switch rng.Intn(3) {
+	pick := func() *ir.Block { return blocks[1+rng.Intn(n-1)] }
+	for _, b := range blocks {
+		kind := rng.Intn(4)
+		if n == 1 {
+			kind = 0
+		}
+		switch kind {
 		case 0:
 			b.Append(ir.NewRet(nil))
 		case 1:
-			b.Append(ir.NewBr(blocks[rng.Intn(n)]))
+			b.Append(ir.NewBr(pick()))
+		case 2:
+			b.Append(ir.NewCondBr(ir.True, pick(), pick()))
 		default:
-			b.Append(ir.NewCondBr(ir.True, blocks[rng.Intn(n)], blocks[rng.Intn(n)]))
+			var cases []ir.SwitchCase
+			for c := rng.Intn(4); c >= 0; c-- {
+				cases = append(cases, ir.SwitchCase{Val: ir.NewConstInt(ir.I32, int64(c)), Dest: pick()})
+			}
+			b.Append(ir.NewSwitch(ir.NewConstInt(ir.I32, 0), pick(), cases...))
 		}
-		_ = i
 	}
 	return f
 }
@@ -157,7 +171,7 @@ func TestDomTreeAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		f := randomCFG(rng, 2+rng.Intn(8))
 		dt := NewDomTree(f)
-		reach := Reachable(f)
+		reach := reachableSet(f)
 		for _, a := range f.Blocks {
 			for _, b := range f.Blocks {
 				if !reach[a] || !reach[b] {
@@ -171,6 +185,82 @@ func TestDomTreeAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRandomCFGsAgainstNaive holds the tree, the frontier and the
+// iterated frontier to the naive set-based reference (reference_test.go)
+// on hostile random shapes.
+func TestRandomCFGsAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	dups, unreachable := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		f := randomCFG(rng, 1+rng.Intn(14))
+		ref := CheckAgainstNaive(t, f, rng)
+		for _, b := range f.Blocks {
+			seen := map[*ir.Block]bool{}
+			for _, s := range b.Succs() {
+				if seen[s] && ref.Reach[b] {
+					dups++
+				}
+				seen[s] = true
+			}
+			if !ref.Reach[b] {
+				unreachable++
+			}
+		}
+	}
+	if dups == 0 || unreachable == 0 {
+		t.Fatalf("random CFGs exercised %d duplicate edges and %d unreachable blocks; want both", dups, unreachable)
+	}
+}
+
+// TestStaleTreeNeverAnswersForAnotherBlock: a tree describes the block
+// list it was built over. A block appended afterwards, a removed block,
+// and the survivors a removal renumbered all read as unreachable —
+// never as whichever block used to sit at their index.
+func TestStaleTreeNeverAnswersForAnotherBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 100; trial++ {
+		f := randomCFG(rng, 3+rng.Intn(10))
+		dt := NewDomTree(f)
+		before := map[*ir.Block]*ir.Block{}
+		for _, b := range f.Blocks {
+			before[b] = dt.IDom(b)
+		}
+		check := func(when string) {
+			for b, idom := range before {
+				got := dt.IDom(b)
+				if got != nil && got != idom {
+					t.Fatalf("trial %d, %s: IDom answers %p for a block whose idom was %p", trial, when, got, idom)
+				}
+				if !dt.IsReachable(b) && (got != nil || dt.Children(b) != nil) {
+					t.Fatalf("trial %d, %s: unreachable block has tree links", trial, when)
+				}
+			}
+		}
+
+		added := f.NewBlockIn("late")
+		added.Append(ir.NewRet(nil))
+		if dt.IsReachable(added) || dt.IDom(added) != nil || dt.Children(added) != nil {
+			t.Fatalf("trial %d: block appended after the build reads as reachable", trial)
+		}
+		if !dt.Dominates(f.Entry(), added) || dt.Dominates(added, f.Entry()) {
+			t.Fatalf("trial %d: appended block must be dominated vacuously and dominate nothing", trial)
+		}
+		check("after append")
+
+		// Detach a middle block the way EraseBlocks would, after cutting
+		// every reference to it.
+		victim := f.Blocks[1+rng.Intn(len(f.Blocks)-2)]
+		for _, u := range append([]ir.Use(nil), ir.UsesOf(victim)...) {
+			u.User.SetOperand(u.Index, added)
+		}
+		f.EraseBlocks([]*ir.Block{victim})
+		if dt.IsReachable(victim) || dt.IDom(victim) != nil {
+			t.Fatalf("trial %d: removed block reads as reachable", trial)
+		}
+		check("after removal")
 	}
 }
 

@@ -84,7 +84,7 @@ func orderBlocks(f *ir.Function) int {
 			break
 		}
 	}
-	copy(f.Blocks, order)
+	f.SetBlockOrder(order)
 	return changed
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/ir"
 )
@@ -20,55 +21,64 @@ type generator struct {
 	opts   Options
 	stats  Stats
 
-	// vmap maps original values (arguments, instructions, blocks) of
-	// each member to their merged counterparts ("value mapping",
-	// §4.1.2).
-	vmap []map[ir.Value]ir.Value
-	// itemBlock maps each original label/instruction to the merged block
-	// created for its alignment row.
-	itemBlock []map[ir.Value]*ir.Block
-	// next chains merged blocks per member: next[j][b] is the merged
-	// block holding the following item of the same original block.
-	next []map[*ir.Block]*ir.Block
+	// num numbers each member's values densely for the run (the members
+	// are read-only while it lasts), and vmap, keyed by those numbers,
+	// maps original values (arguments, instructions, blocks) of each
+	// member to their merged counterparts ("value mapping", §4.1.2); nil
+	// marks a value not mapped yet.
+	num  []numbering
+	vmap [][]ir.Value
 	// origin maps merged blocks back to the original block they came
-	// from, per member ("block mapping", §4.1.2).
-	origin []map[*ir.Block]*ir.Block
+	// from, per member ("block mapping", §4.1.2): the entry for merged
+	// block b and member j sits at b.Index()*k+j. Blocks are only ever
+	// appended to the merged function while the generator runs, so the
+	// table grows at its end.
+	origin []*ir.Block
 
-	// copies records, for each generated instruction, the original
-	// instruction of every member that aligned onto it, in member order:
-	// one tag for exclusive code, two or more for merged instructions.
-	copies map[*ir.Instruction][]taggedInstr
-	// phiOrigin records, for each copied phi, its member and original.
-	phiOrigin map[*ir.Instruction]taggedInstr
 	// padSlot maps original landingpad instructions with uses to the
 	// entry alloca through which their value flows (§4.2.2: landing
 	// blocks are created per invoke, so an original landingpad may have
 	// several merged definitions; the slot + register promotion places
 	// the phis). padSlotList keeps creation order for deterministic
-	// placement.
+	// placement. Both stay nil for functions without landingpads.
 	padSlot     map[*ir.Instruction]*ir.Instruction
 	padSlotList []*ir.Instruction
-	// phis lists copied phis in creation order for deterministic
-	// incoming-value assignment.
-	phis []*ir.Instruction
+	// phis lists copied phis, with the member and original each came
+	// from, in creation order for deterministic incoming-value
+	// assignment.
+	phis []copiedPhi
 	// order lists generated instructions needing operand assignment.
-	order []*ir.Instruction
-	// diamonds memoizes, per instruction, the switch-fed-phi dispatch
-	// built for its first fid-varying operand (k >= 4 families), so
-	// further varying operands of the same instruction add one phi to
-	// the shared join instead of a second dispatch.
-	diamonds map[*ir.Instruction]*diamond
+	order []genInstr
 	// fidEqs memoizes the per-member identifier tests (icmp eq fid, j),
 	// hoisted into the entry block: one comparison per member serves
 	// every select chain and two-way dispatch in the body, so a k-ary
 	// divergence costs the same selects as the nested pairwise chain it
-	// replaces.
-	fidEqs map[int]*ir.Instruction
+	// replaces. Allocated on first use (k >= 3 only).
+	fidEqs []*ir.Instruction
 }
 
 type taggedInstr struct {
 	member int
 	orig   *ir.Instruction
+}
+
+// genInstr is one generated instruction awaiting operand assignment.
+type genInstr struct {
+	in *ir.Instruction
+	// tags records the original instruction of every member that
+	// aligned onto in, in member order: one tag for exclusive code, two
+	// or more for merged instructions.
+	tags []taggedInstr
+	// dia memoizes the switch-fed-phi dispatch built for in's first
+	// fid-varying operand (k >= 4 families), so further varying operands
+	// of the same instruction add one phi to the shared join instead of
+	// a second dispatch.
+	dia *diamond
+}
+
+type copiedPhi struct {
+	np *ir.Instruction
+	taggedInstr
 }
 
 // diamond is one switch-fed-phi dispatch: arms[t] is the arm block of
@@ -79,32 +89,77 @@ type diamond struct {
 	join *ir.Block
 }
 
+// numbering numbers one function's values densely: arguments first,
+// then blocks, then instructions in layout order. It reads the indices
+// ir maintains, so it costs one slice and stays right for as long as the
+// function is not rewritten.
+type numbering struct {
+	nargs int
+	// instrBase[b.Index()] is the number of b's first instruction.
+	instrBase []int32
+	size      int
+}
+
+func newNumbering(f *ir.Function) numbering {
+	x := numbering{nargs: len(f.Params()), instrBase: make([]int32, len(f.Blocks))}
+	x.size = x.nargs + len(f.Blocks)
+	for i, b := range f.Blocks {
+		x.instrBase[i] = int32(x.size)
+		x.size += b.Len()
+	}
+	return x
+}
+
+// of returns v's number; v must be an argument, block or instruction of
+// the numbered function.
+func (x *numbering) of(v ir.Value) int {
+	switch v := v.(type) {
+	case *ir.Argument:
+		return v.Index()
+	case *ir.Block:
+		return x.nargs + v.Index()
+	case *ir.Instruction:
+		return int(x.instrBase[v.Parent().Index()]) + v.Index()
+	}
+	panic(fmt.Sprintf("core: %T has no number", v))
+}
+
 func newGenerator(m *ir.Module, fns []*ir.Function, name string, plan *ParamPlan, opts Options) *generator {
 	k := len(fns)
-	g := &generator{
-		m:         m,
-		fns:       fns,
-		k:         k,
-		opts:      opts,
-		copies:    map[*ir.Instruction][]taggedInstr{},
-		phiOrigin: map[*ir.Instruction]taggedInstr{},
-		padSlot:   map[*ir.Instruction]*ir.Instruction{},
-		diamonds:  map[*ir.Instruction]*diamond{},
-		fidEqs:    map[int]*ir.Instruction{},
-	}
-	merged, fid, amaps := NewMergedShell(m, name, fns, plan)
-	g.merged = merged
-	g.fid = fid
-	g.vmap = amaps
-	g.itemBlock = make([]map[ir.Value]*ir.Block, k)
-	g.next = make([]map[*ir.Block]*ir.Block, k)
-	g.origin = make([]map[*ir.Block]*ir.Block, k)
-	for j := 0; j < k; j++ {
-		g.itemBlock[j] = map[ir.Value]*ir.Block{}
-		g.next[j] = map[*ir.Block]*ir.Block{}
-		g.origin[j] = map[*ir.Block]*ir.Block{}
+	g := &generator{m: m, fns: fns, k: k, opts: opts}
+	g.merged, g.fid = NewMergedShell(m, name, fns, plan)
+	g.num = make([]numbering, k)
+	g.vmap = make([][]ir.Value, k)
+	for j, f := range fns {
+		g.num[j] = newNumbering(f)
+		g.vmap[j] = make([]ir.Value, g.num[j].size)
+		for i, p := range f.Params() {
+			g.setMapped(j, p, g.merged.Param(plan.Maps[j][i]+1))
+		}
 	}
 	return g
+}
+
+// mapped returns the merged counterpart of member j's value v, or nil
+// when none has been recorded.
+func (g *generator) mapped(j int, v ir.Value) ir.Value { return g.vmap[j][g.num[j].of(v)] }
+
+func (g *generator) setMapped(j int, v, mv ir.Value) { g.vmap[j][g.num[j].of(v)] = mv }
+
+// originOf returns the original block of member j that merged block b
+// stands for, or nil.
+func (g *generator) originOf(j int, b *ir.Block) *ir.Block {
+	if i := b.Index()*g.k + j; i < len(g.origin) {
+		return g.origin[i]
+	}
+	return nil
+}
+
+func (g *generator) setOrigin(j int, b, ob *ir.Block) {
+	if need := len(g.merged.Blocks) * g.k; need > len(g.origin) {
+		g.origin = append(g.origin, make([]*ir.Block, need-len(g.origin))...)
+	}
+	g.origin[b.Index()*g.k+j] = ob
 }
 
 // fidBool reports whether the merged function dispatches on the
@@ -115,7 +170,10 @@ func (g *generator) fidBool() bool { return g.k == 2 }
 // member j: one icmp against the member index, hoisted into the entry
 // block (which dominates every use) and shared by all users.
 func (g *generator) fidIs(member int) ir.Value {
-	if c, ok := g.fidEqs[member]; ok {
+	if g.fidEqs == nil {
+		g.fidEqs = make([]*ir.Instruction, g.k)
+	}
+	if c := g.fidEqs[member]; c != nil {
 		return c
 	}
 	c := ir.NewICmp("fid.is", ir.PredEQ, g.fid, ir.NewConstInt(ir.I32, int64(member)))
@@ -158,6 +216,9 @@ func (g *generator) createPadSlots() {
 		g.fns[j].Instrs(func(in *ir.Instruction) bool {
 			if in.Op() == ir.OpLandingPad && ir.HasUses(in) {
 				slot := ir.NewAlloca("lpslot", in.Type())
+				if g.padSlot == nil {
+					g.padSlot = map[*ir.Instruction]*ir.Instruction{}
+				}
 				g.padSlot[in] = slot
 				g.padSlotList = append(g.padSlotList, slot)
 				g.stats.PadSlots++
@@ -175,6 +236,24 @@ func (g *generator) buildCFG(items []famItem) {
 	for _, slot := range g.padSlotList {
 		entry.Append(slot)
 	}
+	// One slab holds every generated instruction's tags.
+	instrRows, ntags := 0, 0
+	for _, row := range items {
+		if !row.ents[row.firstMember()].IsLabel() {
+			instrRows++
+			ntags += row.memberCount()
+		}
+	}
+	g.order = make([]genInstr, 0, instrRows)
+	tagSlab := make([]taggedInstr, 0, ntags)
+	g.origin = make([]*ir.Block, 0, (1+len(items))*g.k) // the entry and a block per row
+	// Exclusive rows are named after their member.
+	labelPrefix := make([]string, g.k)
+	instrName := make([]string, g.k)
+	for j := range labelPrefix {
+		labelPrefix[j] = "f" + strconv.Itoa(j+1) + "."
+		instrName[j] = "i" + strconv.Itoa(j+1)
+	}
 	for _, row := range items {
 		first := row.firstMember()
 		e := row.ents[first]
@@ -187,41 +266,45 @@ func (g *generator) buildCFG(items []famItem) {
 				}
 			}
 		case e.IsLabel():
-			b := g.merged.NewBlockIn(fmt.Sprintf("f%d.%s", first+1, e.Label.Name()))
+			b := g.merged.NewBlockIn(labelPrefix[first] + e.Label.Name())
 			g.placeLabel(first, e.Label, b)
 		case row.memberCount() >= 2:
 			b := g.merged.NewBlockIn("mi")
 			mi := ir.CloneInstruction(e.Instr)
 			mi.SetName(e.Instr.Name())
 			b.Append(mi)
-			tags := make([]taggedInstr, 0, row.memberCount())
+			start := len(tagSlab)
 			for j, re := range row.ents {
 				if re != nil {
-					tags = append(tags, taggedInstr{member: j, orig: re.Instr})
+					tagSlab = append(tagSlab, taggedInstr{member: j, orig: re.Instr})
 					g.placeInstr(j, re.Instr, mi, b)
 				}
 			}
-			g.copies[mi] = tags
-			g.order = append(g.order, mi)
+			g.order = append(g.order, genInstr{in: mi, tags: tagSlab[start:]})
 		default:
-			b := g.merged.NewBlockIn(fmt.Sprintf("i%d", first+1))
+			b := g.merged.NewBlockIn(instrName[first])
 			c := ir.CloneInstruction(e.Instr)
 			b.Append(c)
-			g.copies[c] = []taggedInstr{{member: first, orig: e.Instr}}
-			g.order = append(g.order, c)
+			tagSlab = append(tagSlab, taggedInstr{member: first, orig: e.Instr})
+			g.order = append(g.order, genInstr{in: c, tags: tagSlab[len(tagSlab)-1:]})
 			g.placeInstr(first, e.Instr, c, b)
 		}
 	}
-	// Chain the items of every original block in order.
+	// Chain the items of every original block in order: next holds, for
+	// merged block b and member j (at b.Index()*k+j), the merged block
+	// with the following item of the same original block. Every merged
+	// block so far holds one row, so a mapped instruction's block is its
+	// row's.
+	next := make([]*ir.Block, len(g.merged.Blocks)*g.k)
 	for j := 0; j < g.k; j++ {
 		for _, ob := range g.fns[j].Blocks {
-			prev := g.itemBlock[j][ob]
+			prev := g.mapLabel(j, ob)
 			for _, in := range ob.Instrs() {
 				if in.Op() == ir.OpPhi || in.Op() == ir.OpLandingPad {
 					continue
 				}
-				cur := g.itemBlock[j][in]
-				g.next[j][prev] = cur
+				cur := g.mapped(j, in).(*ir.Instruction).Parent()
+				next[prev.Index()*g.k+j] = cur
 				prev = cur
 			}
 		}
@@ -233,26 +316,26 @@ func (g *generator) buildCFG(items []famItem) {
 		if b == entry || b.Term() != nil {
 			continue
 		}
-		bb := b
-		g.appendDispatch(b, func(j int) *ir.Block { return g.next[j][bb] })
+		g.appendDispatch(b, next[b.Index()*g.k:][:g.k])
 	}
 	// Entry dispatch on the function identifier.
-	g.appendDispatch(entry, func(j int) *ir.Block {
-		return g.itemBlock[j][g.fns[j].Entry()]
-	})
+	starts := next[:g.k] // the entry's own row: nothing chains out of it
+	for j := range starts {
+		starts[j] = g.mapLabel(j, g.fns[j].Entry())
+	}
+	g.appendDispatch(entry, starts)
 }
 
-// appendDispatch terminates b with a branch to each member's target
-// (nil when the member never reaches b): an unconditional branch when
+// appendDispatch terminates b with a branch to each member's target,
+// target[j] (nil when the member never reaches b): an unconditional branch when
 // every routed member agrees, the historical conditional branch on the
 // i1 identifier for two-member families, and a switch on the integer
 // identifier beyond — the Figure 10 dispatch generalized from a 2-way
 // conditional.
-func (g *generator) appendDispatch(b *ir.Block, target func(j int) *ir.Block) {
+func (g *generator) appendDispatch(b *ir.Block, target []*ir.Block) {
 	var first *ir.Block
 	same := true
-	for j := 0; j < g.k; j++ {
-		t := target(j)
+	for _, t := range target {
 		if t == nil {
 			continue
 		}
@@ -270,13 +353,13 @@ func (g *generator) appendDispatch(b *ir.Block, target func(j int) *ir.Block) {
 		return
 	}
 	if g.fidBool() {
-		b.Append(ir.NewCondBr(g.fid, target(0), target(1)))
+		b.Append(ir.NewCondBr(g.fid, target[0], target[1]))
 		return
 	}
 	var members []int
 	var targets []*ir.Block
-	for j := 0; j < g.k; j++ {
-		if t := target(j); t != nil {
+	for j, t := range target {
+		if t != nil {
 			members = append(members, j)
 			targets = append(targets, t)
 		}
@@ -309,24 +392,21 @@ func (g *generator) fidDispatch(members []int, targets []*ir.Block) *ir.Instruct
 // placeLabel registers the merged block for an original label and copies
 // the label's phis into it (phis travel with their labels, §4.1.1).
 func (g *generator) placeLabel(j int, ob *ir.Block, b *ir.Block) {
-	g.itemBlock[j][ob] = b
-	g.vmap[j][ob] = b
-	g.origin[j][b] = ob
+	g.setMapped(j, ob, b)
+	g.setOrigin(j, b, ob)
 	for _, phi := range ob.Phis() {
 		np := ir.NewPhi(phi.Name(), phi.Type())
 		b.Append(np)
-		g.vmap[j][phi] = np
-		g.phiOrigin[np] = taggedInstr{member: j, orig: phi}
-		g.phis = append(g.phis, np)
+		g.setMapped(j, phi, np)
+		g.phis = append(g.phis, copiedPhi{np: np, taggedInstr: taggedInstr{member: j, orig: phi}})
 	}
 }
 
-// placeInstr registers the merged block and value for an original
-// instruction.
+// placeInstr registers the merged value for an original instruction
+// placed in merged block b.
 func (g *generator) placeInstr(j int, orig, merged *ir.Instruction, b *ir.Block) {
-	g.itemBlock[j][orig] = b
-	g.vmap[j][orig] = merged
-	g.origin[j][b] = orig.Parent()
+	g.setMapped(j, orig, merged)
+	g.setOrigin(j, b, orig.Parent())
 }
 
 // resolve maps an original operand of member j to its merged value,
@@ -336,7 +416,7 @@ func (g *generator) placeInstr(j int, orig, merged *ir.Instruction, b *ir.Block)
 func (g *generator) resolve(j int, v ir.Value, user *ir.Instruction) ir.Value {
 	switch v := v.(type) {
 	case *ir.Instruction:
-		if mv, ok := g.vmap[j][v]; ok {
+		if mv := g.mapped(j, v); mv != nil {
 			return mv
 		}
 		if v.Op() == ir.OpLandingPad {
@@ -346,8 +426,8 @@ func (g *generator) resolve(j int, v ir.Value, user *ir.Instruction) ir.Value {
 		}
 		panic(fmt.Sprintf("core: unmapped %v operand from f%d", v.Op(), j+1))
 	case *ir.Argument:
-		mv, ok := g.vmap[j][v]
-		if !ok {
+		mv := g.mapped(j, v)
+		if mv == nil {
 			panic(fmt.Sprintf("core: unmapped argument %%%s", v.Name()))
 		}
 		return mv
@@ -376,8 +456,10 @@ func (g *generator) padLoad(pad *ir.Instruction, insert func(*ir.Instruction)) i
 // switch-fed phi beyond — after trying commutative operand reordering
 // (Figure 9).
 func (g *generator) assignValueOperands() {
-	for _, in := range g.order {
-		tags := g.copies[in]
+	var vals, column []ir.Value
+	for oi := range g.order {
+		gi := &g.order[oi]
+		in, tags := gi.in, gi.tags
 		if len(tags) == 1 {
 			for i := 0; i < in.NumOperands(); i++ {
 				if _, isLabel := in.Operand(i).(*ir.Block); isLabel {
@@ -387,56 +469,55 @@ func (g *generator) assignValueOperands() {
 			}
 			continue
 		}
+		// vals[t*n+i] is tag t's merged value for operand i (nil for a
+		// label operand); the buffer is reused from instruction to
+		// instruction.
 		n := in.NumOperands()
-		vals := make([][]ir.Value, len(tags))
+		vals = append(vals[:0], make([]ir.Value, len(tags)*n)...)
 		for t, tag := range tags {
-			vals[t] = make([]ir.Value, n)
 			for i := 0; i < n; i++ {
 				if _, isLabel := tag.orig.Operand(i).(*ir.Block); isLabel {
 					continue
 				}
-				vals[t][i] = g.resolve(tag.member, tag.orig.Operand(i), in)
+				vals[t*n+i] = g.resolve(tag.member, tag.orig.Operand(i), in)
 			}
 		}
-		if g.opts.ReorderOperands && canReorder(in) && vals[0][0] != nil && vals[0][1] != nil {
+		if g.opts.ReorderOperands && canReorder(in) && vals[0] != nil && vals[1] != nil {
 			// Each later member reorders against member 0's operands
 			// (Figure 9, applied per member).
 			for t := 1; t < len(tags); t++ {
-				straight := btoi(ir.ValuesEqual(vals[0][0], vals[t][0])) + btoi(ir.ValuesEqual(vals[0][1], vals[t][1]))
-				swapped := btoi(ir.ValuesEqual(vals[0][0], vals[t][1])) + btoi(ir.ValuesEqual(vals[0][1], vals[t][0]))
+				vt := vals[t*n:]
+				straight := btoi(ir.ValuesEqual(vals[0], vt[0])) + btoi(ir.ValuesEqual(vals[1], vt[1]))
+				swapped := btoi(ir.ValuesEqual(vals[0], vt[1])) + btoi(ir.ValuesEqual(vals[1], vt[0]))
 				if swapped > straight {
-					vals[t][0], vals[t][1] = vals[t][1], vals[t][0]
+					vt[0], vt[1] = vt[1], vt[0]
 					g.stats.OperandSwaps++
 				}
 			}
 		}
 		for i := 0; i < n; i++ {
-			if vals[0][i] == nil {
+			if vals[i] == nil {
 				continue // label operand
 			}
+			column = column[:0]
 			same := true
-			for t := 1; t < len(tags); t++ {
-				if !ir.ValuesEqual(vals[0][i], vals[t][i]) {
-					same = false
-					break
-				}
+			for t := range tags {
+				column = append(column, vals[t*n+i])
+				same = same && ir.ValuesEqual(vals[i], vals[t*n+i])
 			}
 			if same {
-				in.SetOperand(i, vals[0][i])
+				in.SetOperand(i, vals[i])
 				continue
 			}
-			column := make([]ir.Value, len(tags))
-			for t := range tags {
-				column[t] = vals[t][i]
-			}
-			in.SetOperand(i, g.selectValue(in, tags, column))
+			in.SetOperand(i, g.selectValue(gi, column))
 		}
 	}
 }
 
 // selectValue builds the fid-indexed resolution of one operand whose
 // merged values differ across members and returns the selected value.
-func (g *generator) selectValue(in *ir.Instruction, tags []taggedInstr, vs []ir.Value) ir.Value {
+func (g *generator) selectValue(gi *genInstr, vs []ir.Value) ir.Value {
+	in, tags := gi.in, gi.tags
 	if g.fidBool() {
 		sel := ir.NewSelect("sel", g.fid, vs[0], vs[1])
 		in.Parent().InsertBefore(sel, in)
@@ -466,7 +547,7 @@ func (g *generator) selectValue(in *ir.Instruction, tags []taggedInstr, vs []ir.
 	}
 	// Switch-fed phi: one dispatch diamond per instruction, one phi per
 	// varying operand.
-	d := g.diamondFor(in, tags)
+	d := g.diamondFor(gi)
 	phi := ir.NewPhi("osel", vs[0].Type())
 	d.join.InsertAtFront(phi)
 	for t, arm := range d.arms {
@@ -520,10 +601,11 @@ func loneDissent[V any](vs []V, eq func(a, b V) bool) (lone, other int, ok bool)
 // arm per member tag, rejoining at a block holding in and everything
 // after it. The diamond is built once per instruction and shared by all
 // of its fid-varying operands.
-func (g *generator) diamondFor(in *ir.Instruction, tags []taggedInstr) *diamond {
-	if d, ok := g.diamonds[in]; ok {
-		return d
+func (g *generator) diamondFor(gi *genInstr) *diamond {
+	if gi.dia != nil {
+		return gi.dia
 	}
+	in, tags := gi.in, gi.tags
 	b := in.Parent()
 	join := g.merged.NewBlockIn(b.Name() + ".phi")
 	// Move in and every following instruction (including the chain
@@ -555,9 +637,8 @@ func (g *generator) diamondFor(in *ir.Instruction, tags []taggedInstr) *diamond 
 	}
 	b.Append(g.fidDispatch(members, arms))
 	g.inheritOrigin(join, b)
-	d := &diamond{arms: arms, join: join}
-	g.diamonds[in] = d
-	return d
+	gi.dia = &diamond{arms: arms, join: join}
+	return gi.dia
 }
 
 // canReorder reports whether in's first two operands may be swapped:
@@ -586,23 +667,29 @@ func btoi(b bool) int {
 // two-member conditional branches with swapped labels, which use the
 // xor rewrite (Figure 11).
 func (g *generator) assignLabelOperands() {
-	for _, in := range g.order {
+	var ls []*ir.Block
+	for _, gi := range g.order {
+		in, tags := gi.in, gi.tags
 		if !in.IsTerminator() {
 			continue
 		}
-		tags := g.copies[in]
+		n := in.NumOperands()
 		if len(tags) == 1 {
-			for _, i := range in.LabelOperandIndices() {
-				in.SetOperand(i, g.mapLabel(tags[0].member, in.Operand(i).(*ir.Block)))
+			for i := 0; i < n; i++ {
+				if ob, isLabel := in.Operand(i).(*ir.Block); isLabel {
+					in.SetOperand(i, g.mapLabel(tags[0].member, ob))
+				}
 			}
 			continue
 		}
-		idxs := in.LabelOperandIndices()
-		ls := make([]map[int]*ir.Block, len(tags))
+		// ls[t*n+i] is tag t's merged label for operand i (nil for a
+		// value operand).
+		ls = append(ls[:0], make([]*ir.Block, len(tags)*n)...)
 		for t, tag := range tags {
-			ls[t] = make(map[int]*ir.Block, len(idxs))
-			for _, i := range idxs {
-				ls[t][i] = g.mapLabel(tag.member, tag.orig.Operand(i).(*ir.Block))
+			for i := 0; i < n; i++ {
+				if ob, isLabel := tag.orig.Operand(i).(*ir.Block); isLabel {
+					ls[t*n+i] = g.mapLabel(tag.member, ob)
+				}
 			}
 		}
 		// Figure 11: br c, A, B merged with br c, B, A becomes
@@ -610,36 +697,39 @@ func (g *generator) assignLabelOperands() {
 		// than two label selections. Two-member families only: the
 		// rewrite is an i1 identity.
 		if g.fidBool() && g.opts.XorBranch && in.IsCondBr() &&
-			ls[0][1] == ls[1][2] && ls[0][2] == ls[1][1] && ls[0][1] != ls[0][2] {
+			ls[1] == ls[n+2] && ls[2] == ls[n+1] && ls[1] != ls[2] {
 			x := ir.NewBinary(ir.OpXor, "xsel", in.Operand(0), g.fid)
 			in.Parent().InsertBefore(x, in)
 			in.SetOperand(0, x)
-			in.SetOperand(1, ls[1][1])
-			in.SetOperand(2, ls[1][2])
+			in.SetOperand(1, ls[n+1])
+			in.SetOperand(2, ls[n+2])
 			g.stats.XorRewrites++
 			continue
 		}
-		for _, i := range idxs {
+		for i := 0; i < n; i++ {
+			if ls[i] == nil {
+				continue // value operand
+			}
 			same := true
 			for t := 1; t < len(tags); t++ {
-				if ls[t][i] != ls[0][i] {
+				if ls[t*n+i] != ls[i] {
 					same = false
 					break
 				}
 			}
 			if same {
-				in.SetOperand(i, ls[0][i])
+				in.SetOperand(i, ls[i])
 				continue
 			}
 			sel := g.merged.NewBlockIn("lsel")
 			if g.fidBool() {
-				sel.Append(ir.NewCondBr(g.fid, ls[0][i], ls[1][i]))
+				sel.Append(ir.NewCondBr(g.fid, ls[i], ls[n+i]))
 			} else {
 				members := make([]int, len(tags))
 				targets := make([]*ir.Block, len(tags))
 				for t := range tags {
 					members[t] = tags[t].member
-					targets[t] = ls[t][i]
+					targets[t] = ls[t*n+i]
 				}
 				sel.Append(g.fidDispatch(members, targets))
 			}
@@ -651,8 +741,8 @@ func (g *generator) assignLabelOperands() {
 }
 
 func (g *generator) mapLabel(j int, ob *ir.Block) *ir.Block {
-	b, ok := g.vmap[j][ob]
-	if !ok {
+	b := g.mapped(j, ob)
+	if b == nil {
 		panic(fmt.Sprintf("core: unmapped label %%%s", ob.Name()))
 	}
 	return b.(*ir.Block)
@@ -664,8 +754,8 @@ func (g *generator) mapLabel(j int, ob *ir.Block) *ir.Block {
 // purposes).
 func (g *generator) inheritOrigin(b, src *ir.Block) {
 	for j := 0; j < g.k; j++ {
-		if ob := g.origin[j][src]; ob != nil {
-			g.origin[j][b] = ob
+		if ob := g.originOf(j, src); ob != nil {
+			g.setOrigin(j, b, ob)
 		}
 	}
 }
@@ -675,7 +765,8 @@ func (g *generator) inheritOrigin(b, src *ir.Block) {
 // original landingpads' slots) that branches to the remapped unwind
 // destination.
 func (g *generator) createLandingBlocks() {
-	for _, in := range g.order {
+	for _, gi := range g.order {
+		in := gi.in
 		if in.Op() != ir.OpInvoke {
 			continue
 		}
@@ -684,7 +775,7 @@ func (g *generator) createLandingBlocks() {
 		g.inheritOrigin(pad, in.Parent())
 		cleanup := false
 		var origPads []*ir.Instruction
-		for _, tag := range g.copies[in] {
+		for _, tag := range gi.tags {
 			origPads = append(origPads, origLandingPad(tag.orig))
 		}
 		for _, op := range origPads {
@@ -717,14 +808,13 @@ func origLandingPad(inv *ir.Instruction) *ir.Instruction {
 // predecessor found through the block mapping, or undef when the
 // predecessor belongs only to other members.
 func (g *generator) assignPhiIncomings() {
-	for _, np := range g.phis {
-		tag := g.phiOrigin[np]
-		orig := tag.orig
+	for _, cp := range g.phis {
+		np, orig := cp.np, cp.orig
 		for _, q := range np.Parent().Preds() {
 			var mv ir.Value
-			if c := g.origin[tag.member][q]; c != nil {
+			if c := g.originOf(cp.member, q); c != nil {
 				if v, ok := orig.IncomingFor(c); ok {
-					mv = g.resolveAtBlockEnd(tag.member, v, q)
+					mv = g.resolveAtBlockEnd(cp.member, v, q)
 				}
 			}
 			if mv == nil {
@@ -740,7 +830,7 @@ func (g *generator) assignPhiIncomings() {
 // block).
 func (g *generator) resolveAtBlockEnd(j int, v ir.Value, q *ir.Block) ir.Value {
 	if in, ok := v.(*ir.Instruction); ok {
-		if _, mapped := g.vmap[j][in]; !mapped && in.Op() == ir.OpLandingPad {
+		if in.Op() == ir.OpLandingPad && g.mapped(j, in) == nil {
 			return g.padLoad(in, func(ld *ir.Instruction) {
 				q.InsertBefore(ld, q.Term())
 			})

@@ -179,8 +179,10 @@ func MergeAlignedCtx(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, nam
 // alignment and parameter plan.
 func mergeAligned(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, name string, res *align.Result, plan *ParamPlan, opts Options) (*ir.Function, *Stats, error) {
 	items := make([]famItem, len(res.Pairs))
+	ents := make([]*align.Entry, 2*len(res.Pairs))
 	for i, p := range res.Pairs {
-		items[i] = famItem{ents: []*align.Entry{p.A, p.B}}
+		ents[2*i], ents[2*i+1] = p.A, p.B
+		items[i] = famItem{ents: ents[2*i : 2*i+2 : 2*i+2]}
 	}
 	stats := Stats{
 		Matches:      res.Matches,

@@ -592,7 +592,7 @@ func (g *refGenerator) promoteAndFold() {
 	for {
 		n := transform.RemoveDuplicatePhis(g.merged)
 		n += transform.FoldInstructions(g.merged)
-		n += transform.RemoveTrivialPhisWithDom(g.merged, dt)
+		n += transform.RemoveTrivialPhis(g.merged, dt)
 		if n == 0 {
 			return
 		}

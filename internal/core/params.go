@@ -95,9 +95,9 @@ func FidConst(merged *ir.Function, member int) ir.Value {
 }
 
 // NewMergedShell creates the (empty) merged function for the plan and
-// registers it in m. The returned argument maps send each member's
-// original parameters to their merged counterparts.
-func NewMergedShell(m *ir.Module, name string, fns []*ir.Function, plan *ParamPlan) (merged *ir.Function, fid *ir.Argument, amaps []map[ir.Value]ir.Value) {
+// registers it in m. Member j's i-th parameter becomes the merged
+// function's parameter plan.Maps[j][i]+1, after the identifier fid.
+func NewMergedShell(m *ir.Module, name string, fns []*ir.Function, plan *ParamPlan) (merged *ir.Function, fid *ir.Argument) {
 	sig := ir.FuncOf(plan.Ret, append([]ir.Type{FidType(len(fns))}, plan.Params...)...)
 	names := make([]string, len(sig.Params))
 	names[0] = "fid"
@@ -106,15 +106,7 @@ func NewMergedShell(m *ir.Module, name string, fns []*ir.Function, plan *ParamPl
 	}
 	merged = ir.NewFunction(name, sig, names...)
 	m.AddFunc(merged)
-	fid = merged.Param(0)
-	amaps = make([]map[ir.Value]ir.Value, len(fns))
-	for j, f := range fns {
-		amaps[j] = map[ir.Value]ir.Value{}
-		for i, p := range f.Params() {
-			amaps[j][p] = merged.Param(plan.Maps[j][i] + 1)
-		}
-	}
-	return merged, fid, amaps
+	return merged, merged.Param(0)
 }
 
 // BuildThunk replaces f's body with a forwarding call to merged:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -29,99 +31,132 @@ import (
 // overlap.
 func (g *generator) repairSSA() {
 	f := g.merged
+	// The one dominator tree of this merged body: repair's stores and
+	// loads, register promotion and the phi/select folds all leave the CFG
+	// alone, so it is rebuilt only if an invoke's normal edge gets split.
 	dt := analysis.NewDomTree(f)
 
+	// An offense is one operand slot its definition does not dominate.
+	// Offending definitions are numbered in discovery order (defs), and
+	// ordinal finds a definition's number through the merged body's own
+	// value numbering (0 = not offending, else number+1) — valid for this
+	// scan, which rewrites nothing.
 	type offense struct {
+		def  int32
 		user *ir.Instruction
 		idx  int
 	}
-	offenders := map[*ir.Instruction][]offense{}
-	var defOrder []*ir.Instruction
+	var (
+		defs     []*ir.Instruction
+		offenses []offense
+		num      = newNumbering(f)
+		ordinal  = make([]int32, num.size)
+	)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs() {
 			for i := 0; i < in.NumOperands(); i++ {
 				def, ok := in.Operand(i).(*ir.Instruction)
-				if !ok {
+				if !ok || dt.DominatesUse(def, in, i) {
 					continue
 				}
-				if dt.DominatesUse(def, in, i) {
-					continue
+				o := &ordinal[num.of(def)]
+				if *o == 0 {
+					defs = append(defs, def)
+					*o = int32(len(defs))
 				}
-				if _, seen := offenders[def]; !seen {
-					defOrder = append(defOrder, def)
-				}
-				offenders[def] = append(offenders[def], offense{user: in, idx: i})
+				offenses = append(offenses, offense{def: *o - 1, user: in, idx: i})
 			}
 		}
 	}
-	if len(defOrder) == 0 {
-		g.promoteAndFold()
+	if len(defs) == 0 {
+		g.promoteAndFold(dt)
 		return
 	}
-	g.stats.RepairedDefs = len(defOrder)
+	g.stats.RepairedDefs = len(defs)
+	// Group the offenses by definition, discovery order kept within one:
+	// definition d's are offenses[start[d]:start[d+1]].
+	slices.SortStableFunc(offenses, func(x, y offense) int { return cmp.Compare(x.def, y.def) })
+	start := make([]int32, len(defs)+1)
+	for _, off := range offenses {
+		start[off.def+1]++
+	}
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
 
-	// Group definitions into coalescing classes.
-	classes := g.coalesce(defOrder)
+	// One load per offending use site, found again by a scan of the
+	// class's few loads, so that a fid-indexed resolution whose arms
+	// belong to the same class receives the same load repeatedly and
+	// folds away.
+	type reload struct {
+		at *ir.Block       // for a phi use: the incoming block the load ends
+		by *ir.Instruction // otherwise: the user the load precedes
+		ld *ir.Instruction
+	}
+	var reloads []reload
 
 	entry := f.Entry()
-	for _, class := range classes {
-		slot := ir.NewAlloca("ssa.slot", class[0].Type())
+	for _, class := range g.coalesce(defs) {
+		slot := ir.NewAlloca("ssa.slot", defs[class[0]].Type())
 		entry.InsertAtFront(slot)
 		// One store after each definition in the class.
-		for _, def := range class {
+		for _, d := range class {
+			def := defs[d]
 			st := ir.NewStore(def, slot)
 			if def.Op() == ir.OpInvoke {
 				nb := transform.SplitInvokeNormalEdge(def)
 				nb.InsertAtFront(st)
+				dt = nil
 			} else if def.IsTerminator() {
 				panic("core: repairing a terminator value")
 			} else {
 				def.Parent().InsertAfter(st, def)
 			}
 		}
-		// One load per offending use site, cached so that a fid-indexed
-		// resolution whose arms belong to the same class receives the
-		// same load repeatedly and folds away.
-		loadAt := map[*ir.Block]*ir.Instruction{}        // phi incoming block -> load
-		loadFor := map[*ir.Instruction]*ir.Instruction{} // user -> load
-		for _, def := range class {
-			for _, off := range offenders[def] {
-				var ld *ir.Instruction
+		reloads = reloads[:0]
+		for _, d := range class {
+			for _, off := range offenses[start[d]:start[d+1]] {
+				var site reload
 				if off.user.Op() == ir.OpPhi {
-					q := off.user.IncomingBlock(off.idx / 2)
-					ld = loadAt[q]
-					if ld == nil {
-						ld = ir.NewLoad("ssa.reload", slot)
-						q.InsertBefore(ld, q.Term())
-						loadAt[q] = ld
-					}
+					site.at = off.user.IncomingBlock(off.idx / 2)
 				} else {
-					ld = loadFor[off.user]
-					if ld == nil {
-						ld = ir.NewLoad("ssa.reload", slot)
-						off.user.Parent().InsertBefore(ld, off.user)
-						loadFor[off.user] = ld
+					site.by = off.user
+				}
+				for _, r := range reloads {
+					if r.at == site.at && r.by == site.by {
+						site.ld = r.ld
+						break
 					}
 				}
-				off.user.SetOperand(off.idx, ld)
+				if site.ld == nil {
+					site.ld = ir.NewLoad("ssa.reload", slot)
+					if site.at != nil {
+						site.at.InsertBefore(site.ld, site.at.Term())
+					} else {
+						site.by.Parent().InsertBefore(site.ld, site.by)
+					}
+					reloads = append(reloads, site)
+				}
+				off.user.SetOperand(off.idx, site.ld)
 			}
 		}
 	}
-	g.promoteAndFold()
+	if dt == nil {
+		dt = analysis.NewDomTree(f)
+	}
+	g.promoteAndFold(dt)
 }
 
 // promoteAndFold re-promotes the repair and landingpad slots (standard
 // SSA construction) and folds the selects/phis that coalescing made
-// redundant.
-func (g *generator) promoteAndFold() {
-	transform.Mem2Reg(g.merged)
-	// None of the passes below alter the CFG, so one dominator tree
-	// serves the whole fixpoint loop.
-	dt := analysis.NewDomTree(g.merged)
+// redundant. Nothing here alters the CFG, so the caller's dominator tree
+// dt serves promotion and the whole fixpoint loop.
+func (g *generator) promoteAndFold(dt *analysis.DomTree) {
+	transform.Mem2RegWithDom(g.merged, dt)
 	for {
 		n := transform.RemoveDuplicatePhis(g.merged)
 		n += transform.FoldInstructions(g.merged)
-		n += transform.RemoveTrivialPhisWithDom(g.merged, dt)
+		n += transform.RemoveTrivialPhis(g.merged, dt)
 		if n == 0 {
 			return
 		}
@@ -132,25 +167,32 @@ func (g *generator) promoteAndFold() {
 // pairwise-distinct members (the disjointness invariant), tracked by a
 // member bitmask.
 type slotClass struct {
-	defs    []*ir.Instruction
+	defs    []int
 	members uint64
 	dead    bool // absorbed into an earlier class
 }
 
-// coalesce partitions the offending definitions into slot classes. With
-// PhiCoalescing disabled every definition gets its own class. Otherwise
-// definitions exclusive to distinct members (equal types) are grouped
-// greedily by descending user-block overlap — for two members exactly
-// the paper's disjoint pairing, beyond two a class may collect one def
-// per member (Figure 15 shows zero-overlap groupings are still worth
-// coalescing).
-func (g *generator) coalesce(defs []*ir.Instruction) [][]*ir.Instruction {
+// coalesce partitions the offending definitions into slot classes, each
+// a list of indices into defs. With PhiCoalescing disabled every
+// definition gets its own class. Otherwise definitions exclusive to
+// distinct members (equal types) are grouped greedily by descending
+// user-block overlap — for two members exactly the paper's disjoint
+// pairing, beyond two a class may collect one def per member (Figure 15
+// shows zero-overlap groupings are still worth coalescing).
+func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
+	// Every class is a sub-slice of one backing array; a singleton is its
+	// definition's own cell.
+	cells := make([]int, len(defs))
+	for d := range cells {
+		cells[d] = d
+	}
+	single := func(d int) []int { return cells[d : d+1 : d+1] }
 	// The member bitmask below caps coalescing at 64 members; families
 	// that large get per-def slots (correct, just unoptimized).
 	if !g.opts.PhiCoalescing || g.k > 64 {
-		out := make([][]*ir.Instruction, len(defs))
-		for i, d := range defs {
-			out[i] = []*ir.Instruction{d}
+		out := make([][]int, len(defs))
+		for d := range defs {
+			out[d] = single(d)
 		}
 		return out
 	}
@@ -164,7 +206,7 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]*ir.Instruction {
 		b := d.Parent()
 		owner := -1
 		for j := 0; j < g.k; j++ {
-			if g.origin[j][b] == nil {
+			if g.originOf(j, b) == nil {
 				continue
 			}
 			if owner >= 0 {
@@ -174,43 +216,39 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]*ir.Instruction {
 		}
 		return owner // -1 for generator-introduced blocks too
 	}
-	byMember := make([][]*ir.Instruction, g.k)
-	var shared []*ir.Instruction
-	for _, d := range defs {
-		if s := side(d); s >= 0 {
+	byMember := make([][]int, g.k)
+	memberOf := make([]int, len(defs))
+	var shared []int
+	for d, def := range defs {
+		if s := side(def); s >= 0 {
 			byMember[s] = append(byMember[s], d)
+			memberOf[d] = s
 		} else {
 			shared = append(shared, d)
 		}
 	}
-	userBlocks := func(d *ir.Instruction) map[*ir.Block]bool {
-		ub := map[*ir.Block]bool{}
-		for _, u := range ir.UsesOf(d) {
-			ub[u.User.Parent()] = true
-		}
-		return ub
-	}
-	ub := map[*ir.Instruction]map[*ir.Block]bool{}
-	for j := 0; j < g.k; j++ {
-		for _, d := range byMember[j] {
-			ub[d] = userBlocks(d)
-		}
-	}
+	// usedIn[b.Index()] == mark says the definition being paired, number
+	// mark-1, has a user in merged block b.
+	usedIn := make([]int32, len(g.merged.Blocks))
 	type cand struct {
-		a, b    *ir.Instruction
+		a, b    int
 		overlap int
 	}
 	var cands []cand
 	for mi := 0; mi < g.k; mi++ {
 		for mj := mi + 1; mj < g.k; mj++ {
 			for _, d0 := range byMember[mi] {
+				mark := int32(d0) + 1
+				for _, u := range ir.UsesOf(defs[d0]) {
+					usedIn[u.User.Parent().Index()] = mark
+				}
 				for _, d1 := range byMember[mj] {
-					if !ir.TypesEqual(d0.Type(), d1.Type()) {
+					if !ir.TypesEqual(defs[d0].Type(), defs[d1].Type()) {
 						continue
 					}
 					ov := 0
-					for _, u := range ir.UsesOf(d1) {
-						if ub[d0][u.User.Parent()] {
+					for _, u := range ir.UsesOf(defs[d1]) {
+						if usedIn[u.User.Parent().Index()] == mark {
 							ov++
 						}
 					}
@@ -221,19 +259,13 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]*ir.Instruction {
 	}
 	// Greedy maximum-overlap matching (stable order for determinism).
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].overlap > cands[b].overlap })
-	memberOf := map[*ir.Instruction]int{}
-	for j := 0; j < g.k; j++ {
-		for _, d := range byMember[j] {
-			memberOf[d] = j
-		}
-	}
-	classOf := map[*ir.Instruction]*slotClass{}
+	classOf := make([]*slotClass, len(defs))
 	var accepted []*slotClass
-	classFor := func(d *ir.Instruction) *slotClass {
+	classFor := func(d int) *slotClass {
 		if c := classOf[d]; c != nil {
 			return c
 		}
-		return &slotClass{defs: []*ir.Instruction{d}, members: 1 << uint(memberOf[d])}
+		return &slotClass{defs: single(d), members: 1 << uint(memberOf[d])}
 	}
 	for _, c := range cands {
 		ca, cb := classFor(c.a), classFor(c.b)
@@ -255,7 +287,7 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]*ir.Instruction {
 		}
 		g.stats.CoalescedPairs++
 	}
-	var classes [][]*ir.Instruction
+	var classes [][]int
 	for _, c := range accepted {
 		if !c.dead {
 			classes = append(classes, c.defs)
@@ -264,12 +296,12 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]*ir.Instruction {
 	for j := 0; j < g.k; j++ {
 		for _, d := range byMember[j] {
 			if classOf[d] == nil {
-				classes = append(classes, []*ir.Instruction{d})
+				classes = append(classes, single(d))
 			}
 		}
 	}
 	for _, d := range shared {
-		classes = append(classes, []*ir.Instruction{d})
+		classes = append(classes, single(d))
 	}
 	return classes
 }

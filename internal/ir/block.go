@@ -10,11 +10,14 @@ type Block struct {
 	useList
 	name   string
 	parent *Function
+	// index is the block's position in parent.Blocks, -1 while detached.
+	// Function maintains it (see Index).
+	index  int
 	instrs []*Instruction
 }
 
 // NewBlock returns a detached block with the given name.
-func NewBlock(name string) *Block { return &Block{name: name} }
+func NewBlock(name string) *Block { return &Block{name: name, index: -1} }
 
 // Type returns the label type.
 func (b *Block) Type() Type { return Label }
@@ -27,6 +30,13 @@ func (b *Block) SetName(name string) { b.name = name }
 
 // Parent returns the function containing the block, or nil.
 func (b *Block) Parent() *Function { return b.parent }
+
+// Index returns the block's position in its function's Blocks, or -1
+// for a detached block. The invariant f.Blocks[i].Index() == i is owned
+// by this package: Blocks is only ever written by AddBlock, RemoveBlock,
+// EraseBlock(s), AdoptBody, CloneFunctionInto and Clear, and
+// VerifyFunction checks it. Analyses key their per-block tables by it.
+func (b *Block) Index() int { return b.index }
 
 // Instrs returns the block's instructions in order. The slice is shared;
 // use Append/InsertBefore/Remove to mutate.
@@ -80,6 +90,7 @@ func (b *Block) Append(in *Instruction) *Instruction {
 		panic("ir: appending attached instruction")
 	}
 	in.parent = b
+	in.pos = int32(len(b.instrs))
 	b.instrs = append(b.instrs, in)
 	return in
 }
@@ -94,6 +105,7 @@ func (b *Block) InsertBefore(in, pos *Instruction) *Instruction {
 	b.instrs = append(b.instrs, nil)
 	copy(b.instrs[i+1:], b.instrs[i:])
 	b.instrs[i] = in
+	b.renumber(i)
 	return in
 }
 
@@ -114,6 +126,16 @@ func (b *Block) InsertAtFront(in *Instruction) *Instruction {
 	return b.InsertBefore(in, b.instrs[0])
 }
 
+// TakeInstrs moves every instruction of src, in order, to the end of b,
+// leaving src empty. Operands and uses are untouched.
+func (b *Block) TakeInstrs(src *Block) {
+	for _, in := range src.instrs {
+		in.parent = nil
+		b.Append(in)
+	}
+	src.instrs = nil
+}
+
 // Remove detaches in from the block without touching its operands, so it
 // can be re-inserted elsewhere.
 func (b *Block) Remove(in *Instruction) {
@@ -121,6 +143,7 @@ func (b *Block) Remove(in *Instruction) {
 	copy(b.instrs[i:], b.instrs[i+1:])
 	b.instrs = b.instrs[:len(b.instrs)-1]
 	in.parent = nil
+	b.renumber(i)
 }
 
 // Erase removes in from the block and drops its operand uses. The
@@ -134,30 +157,64 @@ func (b *Block) Erase(in *Instruction) {
 }
 
 func (b *Block) indexOf(in *Instruction) int {
-	for i, x := range b.instrs {
-		if x == in {
-			return i
-		}
+	if in.parent != b {
+		panic("ir: instruction not in block")
 	}
-	panic("ir: instruction not in block")
+	return int(in.pos)
+}
+
+// renumber restores the position invariant from instruction i on.
+func (b *Block) renumber(i int) {
+	for ; i < len(b.instrs); i++ {
+		b.instrs[i].pos = int32(i)
+	}
 }
 
 // Preds returns the distinct predecessor blocks of b, derived from the
 // use list (terminator label operands only, not phi references).
 func (b *Block) Preds() []*Block {
 	var out []*Block
-	seen := map[*Block]bool{}
 	for _, u := range b.uses() {
 		if u.User.op == OpPhi || !u.User.IsTerminator() {
 			continue
 		}
 		p := u.User.parent
-		if p != nil && !seen[p] {
-			seen[p] = true
+		if p == nil {
+			continue
+		}
+		// A block has a handful of predecessors and a terminator names it
+		// at most a few times, so a scan of what is already out beats a set.
+		dup := false
+		for _, q := range out {
+			if q == p {
+				dup = true
+				break
+			}
+		}
+		if !dup {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// UniquePred returns b's only predecessor, or nil when it has none or
+// several: len(b.Preds()) == 1 without building the slice.
+func (b *Block) UniquePred() *Block {
+	var pred *Block
+	for _, u := range b.uses() {
+		if u.User.op == OpPhi || !u.User.IsTerminator() {
+			continue
+		}
+		switch p := u.User.parent; {
+		case p == nil || p == pred:
+		case pred == nil:
+			pred = p
+		default:
+			return nil
+		}
+	}
+	return pred
 }
 
 // HasPred reports whether p is a predecessor of b.

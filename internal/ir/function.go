@@ -74,6 +74,7 @@ func (f *Function) AddBlock(b *Block) *Block {
 		panic("ir: adding attached block")
 	}
 	b.parent = f
+	b.index = len(f.Blocks)
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
@@ -86,15 +87,37 @@ func (f *Function) NewBlockIn(name string) *Block {
 // RemoveBlock detaches b from the function. The caller is responsible
 // for fixing dangling references.
 func (f *Function) RemoveBlock(b *Block) {
-	for i, x := range f.Blocks {
-		if x == b {
-			copy(f.Blocks[i:], f.Blocks[i+1:])
-			f.Blocks = f.Blocks[:len(f.Blocks)-1]
-			b.parent = nil
-			return
-		}
+	if b.parent != f {
+		panic("ir: block not in function")
 	}
-	panic("ir: block not in function")
+	i := b.index
+	copy(f.Blocks[i:], f.Blocks[i+1:])
+	f.Blocks = f.Blocks[:len(f.Blocks)-1]
+	for _, x := range f.Blocks[i:] {
+		x.index--
+	}
+	b.parent, b.index = nil, -1
+}
+
+// SetBlockOrder relays out the function: order must be a permutation of
+// f.Blocks, and order[0] becomes the entry.
+func (f *Function) SetBlockOrder(order []*Block) {
+	if len(order) != len(f.Blocks) {
+		panic("ir: SetBlockOrder is not a permutation of the function's blocks")
+	}
+	for _, b := range order {
+		if b.parent != f {
+			panic("ir: block not in function")
+		}
+		b.index = -1
+	}
+	for i, b := range order {
+		if b.index != -1 {
+			panic("ir: SetBlockOrder lists a block twice")
+		}
+		b.index = i
+		f.Blocks[i] = b
+	}
 }
 
 // EraseBlock removes b and erases all its instructions (dropping operand
@@ -138,8 +161,21 @@ func (f *Function) EraseBlocks(blocks []*Block) {
 		if HasUses(b) {
 			panic(fmt.Sprintf("ir: erased block %s still referenced", b.name))
 		}
-		f.RemoveBlock(b)
+		if b.parent != f {
+			panic("ir: block not in function")
+		}
+		b.parent, b.index = nil, -1
 	}
+	// One compaction for the whole group.
+	kept := f.Blocks[:0]
+	for _, b := range f.Blocks {
+		if b.parent == f {
+			b.index = len(kept)
+			kept = append(kept, b)
+		}
+	}
+	clear(f.Blocks[len(kept):])
+	f.Blocks = kept
 }
 
 // NumInstrs returns the total number of instructions in the function.
@@ -212,7 +248,7 @@ func (f *Function) Clear() {
 		}
 		b.instrs = nil
 		b.useList.us = nil
-		b.parent = nil
+		b.parent, b.index = nil, -1
 	}
 	f.Blocks = nil
 }

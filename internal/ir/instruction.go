@@ -29,7 +29,10 @@ import "fmt"
 //	landingpad     []                (Cleanup)
 type Instruction struct {
 	useList
-	op       Opcode
+	op Opcode
+	// pos is the instruction's position in parent's instruction list;
+	// Block maintains it (see Index).
+	pos      int32
 	name     string
 	typ      Type
 	operands []Value
@@ -45,6 +48,9 @@ type Instruction struct {
 
 func newInstr(op Opcode, name string, typ Type, operands ...Value) *Instruction {
 	in := &Instruction{op: op, name: name, typ: typ}
+	if len(operands) > 0 {
+		in.operands = make([]Value, 0, len(operands))
+	}
 	for _, v := range operands {
 		in.addOperand(v)
 	}
@@ -67,6 +73,13 @@ func (in *Instruction) SetName(name string) { in.name = name }
 // Parent returns the block containing the instruction, or nil if the
 // instruction is detached.
 func (in *Instruction) Parent() *Block { return in.parent }
+
+// Index returns the instruction's position in its block (meaningless for
+// a detached instruction). Like Block.Index it is maintained by this
+// package — only Block's Append, Insert*, Remove, Erase and TakeInstrs
+// reorder a block — and checked by VerifyFunction; together the two let
+// a pass number a function's values densely without a map.
+func (in *Instruction) Index() int { return int(in.pos) }
 
 // NumOperands returns the number of operands.
 func (in *Instruction) NumOperands() int { return len(in.operands) }

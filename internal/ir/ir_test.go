@@ -343,3 +343,91 @@ func TestPredSwapped(t *testing.T) {
 		}
 	}
 }
+
+// indexesHold reports the first position whose block or instruction
+// disagrees with its Index.
+func indexesHold(t *testing.T, f *Function, when string) {
+	t.Helper()
+	for i, b := range f.Blocks {
+		if b.Index() != i || b.Parent() != f {
+			t.Fatalf("%s: block %q at position %d has index %d", when, b.Name(), i, b.Index())
+		}
+		for k, in := range b.Instrs() {
+			if in.Index() != k {
+				t.Fatalf("%s: %v at position %d of %q has index %d", when, in.Op(), k, b.Name(), in.Index())
+			}
+		}
+	}
+}
+
+// TestIndexesMaintained drives every operation that rewrites a block
+// list or an instruction list and checks Block.Index and
+// Instruction.Index after each.
+func TestIndexesMaintained(t *testing.T) {
+	f := NewFunction("f", FuncOf(I32, I32))
+	var bs []*Block
+	for _, name := range []string{"entry", "a", "b", "c", "d", "e"} {
+		b := f.NewBlockIn(name)
+		b.Append(NewRet(f.Param(0)))
+		bs = append(bs, b)
+	}
+	indexesHold(t, f, "after AddBlock")
+	if detached := NewBlock("x"); detached.Index() != -1 {
+		t.Errorf("detached block has index %d, want -1", detached.Index())
+	}
+
+	entry := bs[0]
+	x := NewBinary(OpAdd, "x", f.Param(0), NewConstInt(I32, 1))
+	y := NewBinary(OpMul, "y", x, x)
+	z := NewBinary(OpSub, "z", y, x)
+	entry.InsertAtFront(y)
+	entry.InsertBefore(x, y)
+	entry.InsertAfter(z, y)
+	indexesHold(t, f, "after Insert*")
+	entry.Remove(z)
+	entry.InsertAtFront(z) // ahead of its operands: fine for indexes
+	entry.Erase(z)
+	indexesHold(t, f, "after Remove/Erase")
+	bs[1].Erase(bs[1].Term())
+	bs[1].TakeInstrs(entry)
+	entry.Append(NewBr(bs[1]))
+	indexesHold(t, f, "after TakeInstrs")
+
+	f.RemoveBlock(bs[2])
+	if bs[2].Index() != -1 || bs[2].Parent() != nil {
+		t.Errorf("removed block keeps index %d", bs[2].Index())
+	}
+	indexesHold(t, f, "after RemoveBlock")
+	f.EraseBlocks([]*Block{bs[5], bs[3]})
+	if len(f.Blocks) != 3 || f.Blocks[2] != bs[4] {
+		t.Fatalf("EraseBlocks left %d blocks", len(f.Blocks))
+	}
+	indexesHold(t, f, "after EraseBlocks")
+	f.SetBlockOrder([]*Block{bs[0], bs[4], bs[1]})
+	indexesHold(t, f, "after SetBlockOrder")
+	if err := VerifyFunction(f); err != nil {
+		t.Fatal(err)
+	}
+
+	clone, _ := CloneFunction(f, "g")
+	indexesHold(t, clone, "CloneFunction result")
+	dst := NewFunction("h", f.Sig())
+	CloneFunctionInto(dst, f)
+	indexesHold(t, dst, "after CloneFunctionInto")
+	target := NewFunction("t", f.Sig())
+	target.NewBlockIn("old").Append(NewRet(target.Param(0)))
+	if err := target.AdoptBody(clone); err != nil {
+		t.Fatal(err)
+	}
+	indexesHold(t, target, "after AdoptBody")
+	target.Clear()
+	if len(target.Blocks) != 0 {
+		t.Fatal("Clear left blocks")
+	}
+
+	// The verifier is where every other oracle picks the invariant up.
+	dst.Blocks[1], dst.Blocks[2] = dst.Blocks[2], dst.Blocks[1]
+	if err := VerifyFunction(dst); err == nil || !strings.Contains(err.Error(), "has index") {
+		t.Errorf("VerifyFunction accepts a block list permuted behind ir's back: %v", err)
+	}
+}

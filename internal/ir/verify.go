@@ -35,6 +35,8 @@ func VerifyModule(m *Module) error {
 
 // VerifyFunction checks the structural and SSA well-formedness of f:
 //
+//   - every block's Index is its position in f.Blocks, and every
+//     instruction's Index its position in its block;
 //   - every block is non-empty and ends in exactly one terminator, with no
 //     terminator in the middle;
 //   - phis are grouped at the top of their block and their incoming edges
@@ -77,9 +79,12 @@ func (v *verifier) run() error {
 	v.blocks = map[*Block]bool{}
 	v.defs = map[*Instruction]*Block{}
 	v.pos = map[*Instruction]int{}
-	for _, b := range f.Blocks {
+	for i, b := range f.Blocks {
 		if b.parent != f {
 			return v.errf(b, "block parent link broken")
+		}
+		if b.index != i {
+			return v.errf(b, "block at position %d has index %d", i, b.index)
 		}
 		v.blocks[b] = true
 	}
@@ -90,6 +95,9 @@ func (v *verifier) run() error {
 		for i, in := range b.instrs {
 			if in.parent != b {
 				return v.errf(b, "instruction parent link broken (%v)", in.op)
+			}
+			if int(in.pos) != i {
+				return v.errf(b, "%v at position %d has index %d", in.op, i, in.pos)
 			}
 			v.defs[in] = b
 			v.pos[in] = i

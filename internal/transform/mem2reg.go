@@ -5,6 +5,9 @@
 package transform
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/analysis"
 	"repro/internal/ir"
 )
@@ -38,7 +41,12 @@ func IsPromotable(alloca *ir.Instruction) bool {
 // phi placement on iterated dominance frontiers followed by dominator-
 // tree renaming (Cytron et al.), and returns the number of allocas
 // promoted. Loads with no reaching store yield undef.
-func Mem2Reg(f *ir.Function) int {
+func Mem2Reg(f *ir.Function) int { return Mem2RegWithDom(f, nil) }
+
+// Mem2RegWithDom is Mem2Reg over a caller-owned dominator tree of f
+// (promotion never alters the CFG, so the tree is as valid afterwards as
+// before); nil builds one if anything turns out to be promotable.
+func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 	if f.IsDecl() {
 		return 0
 	}
@@ -52,7 +60,9 @@ func Mem2Reg(f *ir.Function) int {
 	if len(allocas) == 0 {
 		return 0
 	}
-	dt := analysis.NewDomTree(f)
+	if dt == nil {
+		dt = analysis.NewDomTree(f)
+	}
 	df := analysis.NewDomFrontier(dt)
 
 	index := make(map[*ir.Instruction]int, len(allocas))
@@ -66,90 +76,127 @@ func Mem2Reg(f *ir.Function) int {
 		if dt.IsReachable(b) {
 			continue
 		}
-		for _, in := range append([]*ir.Instruction(nil), b.Instrs()...) {
-			if _, ok := allocaAccess(in, index); ok {
-				if in.Op() == ir.OpLoad {
-					ir.ReplaceAllUsesWith(in, ir.NewUndef(in.Type()))
-				}
-				b.Erase(in)
+		for i := 0; i < b.Len(); {
+			in := b.Instrs()[i]
+			if _, ok := allocaAccess(in, index); !ok {
+				i++
+				continue
 			}
+			if in.Op() == ir.OpLoad {
+				ir.ReplaceAllUsesWith(in, ir.NewUndef(in.Type()))
+			}
+			b.Erase(in)
 		}
 	}
 
 	// Phi placement at iterated dominance frontiers of the store blocks.
-	phiFor := map[*ir.Block]map[int]*ir.Instruction{} // block -> alloca index -> phi
+	type placed struct {
+		block, alloca int32
+		phi           *ir.Instruction
+	}
+	var (
+		placements         []placed
+		defBlocks, idf     []*ir.Block
+		nblocks            = len(f.Blocks)
+		slab               = make([]int32, 2*nblocks+1)
+		phiStart, lastSeen = slab[:nblocks+1], slab[nblocks+1:]
+	)
+	// lastSeen[b] == tag says block b was already listed under tag: per
+	// alloca while collecting store blocks, per visited block while adding
+	// phi edges below. Tags are 1-based and never repeat.
+	tag := int32(0)
 	for i, a := range allocas {
-		var defBlocks []*ir.Block
-		seen := map[*ir.Block]bool{}
+		tag++
+		defBlocks = defBlocks[:0]
 		for _, u := range ir.UsesOf(a) {
-			if u.User.Op() == ir.OpStore && !seen[u.User.Parent()] {
-				seen[u.User.Parent()] = true
-				defBlocks = append(defBlocks, u.User.Parent())
+			if u.User.Op() != ir.OpStore {
+				continue
+			}
+			if b := u.User.Parent(); lastSeen[b.Index()] != tag {
+				lastSeen[b.Index()] = tag
+				defBlocks = append(defBlocks, b)
 			}
 		}
-		for _, b := range df.Iterated(defBlocks) {
-			if phiFor[b] == nil {
-				phiFor[b] = map[int]*ir.Instruction{}
-			}
+		idf = df.Iterated(defBlocks, idf[:0])
+		for _, b := range idf {
 			phi := ir.NewPhi(a.Name(), a.AllocTy)
 			b.InsertAtFront(phi)
-			phiFor[b][i] = phi
+			placements = append(placements, placed{block: int32(b.Index()), alloca: int32(i), phi: phi})
+			phiStart[b.Index()+1]++
 		}
 	}
+	// Group the placed phis by block, alloca order kept within one: block
+	// b's are placements[phiStart[b]:phiStart[b+1]].
+	slices.SortStableFunc(placements, func(x, y placed) int { return cmp.Compare(x.block, y.block) })
+	for i := 1; i < len(phiStart); i++ {
+		phiStart[i] += phiStart[i-1]
+	}
+	phisOf := func(b *ir.Block) []placed { return placements[phiStart[b.Index()]:phiStart[b.Index()+1]] }
 
 	// Renaming walk over the dominator tree.
 	type frame struct {
 		b        *ir.Block
 		incoming []ir.Value
 	}
-	undefs := make([]ir.Value, len(allocas))
+	entryVals := make([]ir.Value, len(allocas))
 	for i, a := range allocas {
-		undefs[i] = ir.NewUndef(a.AllocTy)
+		entryVals[i] = ir.NewUndef(a.AllocTy)
 	}
-	stack := []frame{{b: f.Entry(), incoming: append([]ir.Value(nil), undefs...)}}
+	stack := []frame{{b: f.Entry(), incoming: entryVals}}
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		vals := fr.incoming
-		for i, phi := range phiFor[fr.b] {
-			vals[i] = phi
+		for _, p := range phisOf(fr.b) {
+			vals[p.alloca] = p.phi
 		}
-		for _, in := range append([]*ir.Instruction(nil), fr.b.Instrs()...) {
-			i, ok := allocaAccess(in, index)
+		for i := 0; i < fr.b.Len(); {
+			in := fr.b.Instrs()[i]
+			a, ok := allocaAccess(in, index)
 			if !ok {
+				i++
 				continue
 			}
 			switch in.Op() {
 			case ir.OpLoad:
-				ir.ReplaceAllUsesWith(in, vals[i])
-				fr.b.Erase(in)
+				ir.ReplaceAllUsesWith(in, vals[a])
 			case ir.OpStore:
-				vals[i] = in.Operand(0)
-				fr.b.Erase(in)
+				vals[a] = in.Operand(0)
 			}
+			fr.b.Erase(in)
 		}
 		// Add successor phi edges once per predecessor block: a branch with
 		// both edges to the same block contributes a single incoming entry,
 		// matching Preds() dedup semantics.
-		seenSucc := map[*ir.Block]bool{}
-		for _, s := range fr.b.Succs() {
-			if seenSucc[s] {
-				continue
-			}
-			seenSucc[s] = true
-			for i, phi := range phiFor[s] {
-				phi.AddIncoming(vals[i], fr.b)
+		tag++
+		if t := fr.b.Term(); t != nil {
+			for _, op := range t.Operands() {
+				s, ok := op.(*ir.Block)
+				if !ok || lastSeen[s.Index()] == tag {
+					continue
+				}
+				lastSeen[s.Index()] = tag
+				for _, p := range phisOf(s) {
+					p.phi.AddIncoming(vals[p.alloca], fr.b)
+				}
 			}
 		}
-		for _, child := range dt.Children(fr.b) {
-			stack = append(stack, frame{b: child, incoming: append([]ir.Value(nil), vals...)})
+		// Every child starts from this block's outgoing values; the last
+		// one takes the slice itself, the others a copy.
+		kids := dt.Children(fr.b)
+		for k, child := range kids {
+			in := vals
+			if k < len(kids)-1 {
+				in = append([]ir.Value(nil), vals...)
+			}
+			stack = append(stack, frame{b: child, incoming: in})
 		}
 	}
 
 	for _, a := range allocas {
 		a.Parent().Erase(a)
 	}
-	RemoveTrivialPhis(f)
+	RemoveTrivialPhis(f, dt)
 	return len(allocas)
 }
 
@@ -176,65 +223,20 @@ func allocaAccess(in *ir.Instruction, index map[*ir.Instruction]int) (int, bool)
 // common value v — the phi is replaced by v. Phis whose incomings are all
 // undef become undef. When undef edges were skipped, v must dominate the
 // phi for the replacement to preserve SSA dominance (cf. LLVM's
-// simplifyPHINode). Returns the number of phis removed.
-func RemoveTrivialPhis(f *ir.Function) int {
-	return RemoveTrivialPhisWithDom(f, nil)
-}
-
-// RemoveTrivialPhisWithDom is RemoveTrivialPhis reusing a caller-owned
-// dominator tree (phi removal never alters the CFG, so one tree can
-// serve many passes). Pass nil to build one lazily — only the rare
-// undef-refining fold needs dominance.
-func RemoveTrivialPhisWithDom(f *ir.Function, dt *analysis.DomTree) int {
+// simplifyPHINode), which dt — a dominator tree of f's current CFG —
+// answers; phi removal never alters the CFG, so the tree outlives the
+// call. Returns the number of phis removed.
+func RemoveTrivialPhis(f *ir.Function, dt *analysis.DomTree) int {
 	removed := 0
-	domtree := func() *analysis.DomTree {
-		if dt == nil {
-			dt = analysis.NewDomTree(f)
-		}
-		return dt
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
-			for _, phi := range append([]*ir.Instruction(nil), b.Phis()...) {
-				var unique ir.Value
-				trivial := true
-				sawUndef := false
-				for i := 0; i < phi.NumIncoming(); i++ {
-					v := phi.IncomingValue(i)
-					if v == ir.Value(phi) {
-						continue
-					}
-					if _, isUndef := v.(*ir.Undef); isUndef {
-						sawUndef = true
-						continue
-					}
-					if unique == nil {
-						unique = v
-					} else if !ir.ValuesEqual(unique, v) {
-						trivial = false
-						break
-					}
-				}
-				if !trivial {
+			for i := 0; i < b.Len() && b.Instrs()[i].Op() == ir.OpPhi; {
+				phi := b.Instrs()[i]
+				unique, ok := trivialPhiValue(phi, dt)
+				if !ok {
+					i++
 					continue
-				}
-				if unique == nil {
-					unique = ir.NewUndef(phi.Type())
-				}
-				if sawUndef {
-					// With undef edges ignored, v reaches the phi on only some
-					// paths; replacing is sound (undef may be anything) but only
-					// legal when v's definition dominates the phi.
-					if def, ok := unique.(*ir.Instruction); ok {
-						if def.Parent() == b {
-							if def.Op() != ir.OpPhi {
-								continue
-							}
-						} else if !domtree().StrictlyDominates(def.Parent(), b) {
-							continue
-						}
-					}
 				}
 				ir.ReplaceAllUsesWith(phi, unique)
 				b.Erase(phi)
@@ -244,6 +246,46 @@ func RemoveTrivialPhisWithDom(f *ir.Function, dt *analysis.DomTree) int {
 		}
 	}
 	return removed
+}
+
+// trivialPhiValue returns the value a redundant phi may be replaced by.
+func trivialPhiValue(phi *ir.Instruction, dt *analysis.DomTree) (ir.Value, bool) {
+	var unique ir.Value
+	sawUndef := false
+	for i := 0; i < phi.NumIncoming(); i++ {
+		v := phi.IncomingValue(i)
+		if v == ir.Value(phi) {
+			continue
+		}
+		if isUndef(v) {
+			sawUndef = true
+			continue
+		}
+		if unique == nil {
+			unique = v
+		} else if !ir.ValuesEqual(unique, v) {
+			return nil, false
+		}
+	}
+	if unique == nil {
+		return ir.NewUndef(phi.Type()), true
+	}
+	if sawUndef {
+		// With undef edges ignored, v reaches the phi on only some
+		// paths; replacing is sound (undef may be anything) but only
+		// legal when v's definition dominates the phi.
+		if def, ok := unique.(*ir.Instruction); ok {
+			b := phi.Parent()
+			if def.Parent() == b {
+				if def.Op() != ir.OpPhi {
+					return nil, false
+				}
+			} else if !dt.StrictlyDominates(def.Parent(), b) {
+				return nil, false
+			}
+		}
+	}
+	return unique, true
 }
 
 // RemoveDuplicatePhis merges phis within a block that are identical up
@@ -259,6 +301,9 @@ func RemoveDuplicatePhis(f *ir.Function) int {
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
+			if len(b.Phis()) < 2 {
+				continue
+			}
 			phis := append([]*ir.Instruction(nil), b.Phis()...)
 			for i := 0; i < len(phis); i++ {
 				if phis[i].Parent() == nil {

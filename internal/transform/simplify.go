@@ -16,16 +16,33 @@ func Simplify(f *ir.Function) int {
 		return 0
 	}
 	total := 0
+	// dt is a dominator tree of f's current CFG, nil once a pass has
+	// rewritten a terminator or the block list; a round that leaves the
+	// CFG alone hands its tree to the next.
+	var dt *analysis.DomTree
+	cfgPass := func(changes int) int {
+		if changes > 0 {
+			dt = nil
+		}
+		return changes
+	}
 	for {
-		n := 0
-		n += FoldInstructions(f)
-		n += FoldTerminators(f)
-		n += RemoveUnreachable(f)
+		n := FoldInstructions(f)
+		n += cfgPass(FoldTerminators(f))
+		if dt == nil {
+			dt = analysis.NewDomTree(f)
+		}
+		if dead := RemoveUnreachable(f, dt); dead > 0 {
+			n += dead
+			dt = analysis.NewDomTree(f)
+			// Phis in blocks that just lost predecessors may now be trivial.
+			RemoveTrivialPhis(f, dt)
+		}
 		n += foldSinglePredPhis(f)
-		n += RemoveTrivialPhis(f)
+		n += RemoveTrivialPhis(f, dt)
 		n += RemoveDuplicatePhis(f)
-		n += MergeStraightLineBlocks(f)
-		n += ForwardEmptyBlocks(f)
+		n += cfgPass(MergeStraightLineBlocks(f))
+		n += cfgPass(ForwardEmptyBlocks(f))
 		n += DCE(f)
 		total += n
 		if n == 0 {
@@ -48,12 +65,16 @@ func SimplifyModule(m *ir.Module) int {
 func FoldInstructions(f *ir.Function) int {
 	n := 0
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instruction(nil), b.Instrs()...) {
-			if v := foldConstExpr(in); v != nil {
-				ir.ReplaceAllUsesWith(in, v)
-				b.Erase(in)
-				n++
+		for i := 0; i < b.Len(); {
+			in := b.Instrs()[i]
+			v := foldConstExpr(in)
+			if v == nil {
+				i++
+				continue
 			}
+			ir.ReplaceAllUsesWith(in, v)
+			b.Erase(in)
+			n++
 		}
 	}
 	return n
@@ -127,27 +148,28 @@ func removePhiEdgesFromNonPred(b *ir.Block, candidates ...*ir.Block) {
 	}
 }
 
-// RemoveUnreachable deletes blocks not reachable from the entry,
-// updating phis in reachable blocks.
-func RemoveUnreachable(f *ir.Function) int {
-	reach := analysis.Reachable(f)
-	if len(reach) == len(f.Blocks) {
+// RemoveUnreachable deletes the blocks dt — a dominator tree of f's
+// current CFG — finds unreachable from the entry, dropping their edges
+// from the phis of reachable blocks. Removing blocks renumbers the
+// survivors, so dt is stale once this returns non-zero.
+func RemoveUnreachable(f *ir.Function, dt *analysis.DomTree) int {
+	if len(dt.RPO()) == len(f.Blocks) {
 		return 0
 	}
 	var dead []*ir.Block
 	for _, b := range f.Blocks {
-		if !reach[b] {
+		if !dt.IsReachable(b) {
 			dead = append(dead, b)
 		}
 	}
 	// Drop phi edges coming from dead blocks.
 	for _, b := range f.Blocks {
-		if !reach[b] {
+		if !dt.IsReachable(b) {
 			continue
 		}
 		for _, phi := range b.Phis() {
 			for i := phi.NumIncoming() - 1; i >= 0; i-- {
-				if !reach[phi.IncomingBlock(i)] {
+				if !dt.IsReachable(phi.IncomingBlock(i)) {
 					phi.RemoveIncoming(i)
 				}
 			}
@@ -156,8 +178,6 @@ func RemoveUnreachable(f *ir.Function) int {
 	// Erase dead blocks as a group; values defined in them can only be
 	// used inside the group (dominance), so group erasure is safe.
 	f.EraseBlocks(dead)
-	// Phis in blocks that just lost predecessors may now be trivial.
-	RemoveTrivialPhis(f)
 	return len(dead)
 }
 
@@ -166,15 +186,18 @@ func RemoveUnreachable(f *ir.Function) int {
 func foldSinglePredPhis(f *ir.Function) int {
 	n := 0
 	for _, b := range f.Blocks {
-		if len(b.Preds()) != 1 {
+		if len(b.Phis()) == 0 || b.UniquePred() == nil {
 			continue
 		}
-		for _, phi := range append([]*ir.Instruction(nil), b.Phis()...) {
-			if phi.NumIncoming() == 1 {
-				ir.ReplaceAllUsesWith(phi, phi.IncomingValue(0))
-				b.Erase(phi)
-				n++
+		for i := 0; i < b.Len() && b.Instrs()[i].Op() == ir.OpPhi; {
+			phi := b.Instrs()[i]
+			if phi.NumIncoming() != 1 {
+				i++
+				continue
 			}
+			ir.ReplaceAllUsesWith(phi, phi.IncomingValue(0))
+			b.Erase(phi)
+			n++
 		}
 	}
 	return n
@@ -199,23 +222,20 @@ func MergeStraightLineBlocks(f *ir.Function) int {
 			if s == b || s.IsEntry() {
 				break
 			}
-			preds := s.Preds()
-			if len(preds) != 1 || preds[0] != b {
+			if s.UniquePred() != b {
 				break
 			}
 			if lp := s.FirstNonPhi(); lp != nil && lp.Op() == ir.OpLandingPad {
 				break // landingpad blocks must remain invoke targets
 			}
 			// Single-pred phis in S fold to their incoming value.
-			for _, phi := range append([]*ir.Instruction(nil), s.Phis()...) {
+			for len(s.Phis()) > 0 {
+				phi := s.First()
 				ir.ReplaceAllUsesWith(phi, phi.IncomingValue(0))
 				s.Erase(phi)
 			}
 			b.Erase(t)
-			for _, in := range append([]*ir.Instruction(nil), s.Instrs()...) {
-				s.Remove(in)
-				b.Append(in)
-			}
+			b.TakeInstrs(s)
 			// Successor phis referencing S now flow from B.
 			for _, u := range append([]ir.Use(nil), ir.UsesOf(s)...) {
 				u.User.SetOperand(u.Index, b)

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"repro/internal/analysis"
 	"testing"
 
 	"repro/internal/ir"
@@ -206,6 +207,42 @@ e3:
 	}
 }
 
+// TestMergeStraightLineBlocksKeepsIndexes: absorbing a successor moves
+// its instructions and erases a block out of the middle of the list;
+// block and instruction indexes must follow.
+func TestMergeStraightLineBlocksKeepsIndexes(t *testing.T) {
+	f := parseFn(t, `
+define i32 @f(i1 %c, i32 %x) {
+entry:
+  br i1 %c, label %l1, label %r
+l1:
+  %a = add i32 %x, 1
+  br label %l2
+r:
+  br label %join
+l2:
+  %b = mul i32 %a, 2
+  br label %join
+join:
+  %p = phi i32 [ %b, %l2 ], [ %x, %r ]
+  ret i32 %p
+}`, "f")
+	if n := MergeStraightLineBlocks(f); n != 1 {
+		t.Fatalf("merged %d blocks, want 1", n)
+	}
+	for i, b := range f.Blocks {
+		if b.Index() != i {
+			t.Errorf("block %s at position %d has index %d", b.Name(), i, b.Index())
+		}
+		for k, in := range b.Instrs() {
+			if in.Index() != k {
+				t.Errorf("%v at position %d of %s has index %d", in.Op(), k, b.Name(), in.Index())
+			}
+		}
+	}
+	verify(t, f, "after MergeStraightLineBlocks")
+}
+
 func TestSimplifyXorIdentity(t *testing.T) {
 	f := parseFn(t, `
 define i1 @f(i1 %c) {
@@ -245,7 +282,7 @@ live:
   ret i32 %x
 }`, "f")
 	// Phi-less target with a dead predecessor edge.
-	n := RemoveUnreachable(f)
+	n := RemoveUnreachable(f, analysis.NewDomTree(f))
 	verify(t, f, "after RemoveUnreachable")
 	if n != 1 || len(f.Blocks) != 2 {
 		t.Errorf("removed %d blocks (now %d), want 1 (2 left)", n, len(f.Blocks))
