@@ -6,7 +6,7 @@
 //	       [-linear-align] [-max-cells N] [-min-instrs N]
 //	       [-skip-hot f1,f2,...] [-finder exact|lsh] [-dup-fold] [-canon]
 //	       [-max-family N] [-rounds N] [-jobs N] [-commit-jobs N]
-//	       [-lsh-budget N] [-no-funnel] [-cpuprofile f] [-memprofile f]
+//	       [-no-funnel] [-cpuprofile f] [-memprofile f]
 //	       [-plan out.json | -apply plan.json]
 //	       [-v] [-print] [-pair f1,f2] file.ll [file2.ll ...]
 //	fmerge -corpus 10k|100k|1m|N [pipeline flags]
@@ -49,8 +49,9 @@
 //	                (the paper's §5.7 hot-path remedy)
 //	-finder kind    candidate search: "exact" (brute-force ranking,
 //	                bit-identical merges to the original pipeline) or
-//	                "lsh" (sub-linear locality-sensitive index for
-//	                large modules)
+//	                "lsh" (the indexed exact finder: the same lists
+//	                from a size-ordered walk pruned by admissible
+//	                lower bounds; the name is historical)
 //	-dup-fold       fold structurally identical functions into
 //	                forwarding thunks before any alignment runs
 //	-canon          index every function through a private canonical
@@ -83,10 +84,6 @@
 //	                speculatively in parallel and a validated serial
 //	                replay commits their decisions, bit-identical to
 //	                the serial walk at any value
-//	-lsh-budget N   keep at most N LSH band buckets resident, spilling
-//	                the coldest to compact delta-encoded blobs (0 =
-//	                unbounded); candidate lists — and merges — are
-//	                identical at any budget. Ignored by -finder exact
 //	-no-funnel      disable the planning funnel: every candidate pair
 //	                runs the full alignment and builds a trial merge
 //	                instead of being screened by an admissible profit
@@ -101,10 +98,10 @@
 //	                on it, instead of reading input files
 //	-scale TIERS    benchmark mode: for each comma-separated tier,
 //	                stream the corpus batch-by-batch into a session
-//	                (LSH finder), optimize, and record phase wall-clock,
-//	                peak heap, post-index live heap and spill stats —
-//	                once unbounded, once under an LSH budget — as a
-//	                JSON artifact written to -scale-out
+//	                (indexed finder), optimize, and record phase
+//	                wall-clock, peak heap, post-index live heap and
+//	                finder work as a JSON artifact written to
+//	                -scale-out
 //	-v              report per-stage progress on stderr, plus a
 //	                candidate-search summary (pairs tried, plan-cache
 //	                hits, finder query time), the planning-funnel
@@ -161,10 +158,9 @@ func main() {
 	rounds := flag.Int("rounds", 1, "re-optimize each module up to N times through one session (0 = to fixpoint); chains form across rounds, so flattening needs N > 1")
 	jobs := flag.Int("jobs", 1, "parallel planning workers (0 = all CPUs)")
 	commitJobs := flag.Int("commit-jobs", 1, "component-parallel commit workers (0 = all CPUs, 1 = serial walk); committed merges are bit-identical at any value")
-	lshBudget := flag.Int("lsh-budget", 0, "resident LSH band buckets before cold buckets spill to compact blobs (0 = unbounded); candidate lists are identical at any budget")
 	noFunnel := flag.Bool("no-funnel", false, "disable the planning funnel (profit-bound screening, bounded alignment, lazy trial building); committed merges are identical either way")
 	corpusTier := flag.String("corpus", "", "optimize a generated synthetic corpus at this tier (10k, 100k, 1m or a function count) instead of reading input files")
-	scaleTiers := flag.String("scale", "", "benchmark mode: stream each comma-separated corpus tier through a session (unbounded and bounded LSH) and write a JSON artifact")
+	scaleTiers := flag.String("scale", "", "benchmark mode: stream each comma-separated corpus tier through a session and write a JSON artifact")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output file for the -scale artifact (\"-\" = stdout)")
 	verbose := flag.Bool("v", false, "report per-stage progress on stderr")
 	print := flag.Bool("print", false, "print the resulting module(s) to stdout")
@@ -181,7 +177,7 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		writeProfiles := startProfiles(*cpuProfile, *memProfile)
-		err := runScale(ctx, strings.Split(*scaleTiers, ","), *lshBudget, *commitJobs, !*noFunnel, *scaleOut, *verbose)
+		err := runScale(ctx, strings.Split(*scaleTiers, ","), *commitJobs, !*noFunnel, *scaleOut, *verbose)
 		writeProfiles()
 		if err != nil {
 			fatal(err)
@@ -255,7 +251,6 @@ func main() {
 		repro.WithMaxFamily(*maxFamily),
 		repro.WithParallelism(*jobs),
 		repro.WithCommitParallelism(*commitJobs),
-		repro.WithLSHBudget(*lshBudget),
 		repro.WithPlanFunnel(!*noFunnel),
 	}
 	if *skipHot != "" {
@@ -532,8 +527,8 @@ func reportModule(rep *repro.Report, label string, verbose bool, finder string) 
 			fmt.Fprintf(os.Stderr, "funnel: %d pairs screened by profit bound, %d alignments aborted early, %d trials skipped, %d built (screen %v)\n",
 				rep.PairsScreened, rep.DPAborted, rep.TrialsSkipped, rep.TrialsBuilt, rep.ScreenTime.Round(time.Millisecond))
 		}
-		fmt.Fprintf(os.Stderr, "search: %d finder queries scanned %d candidates (avg %.1f/query) in %v\n",
-			rep.Search.Queries, rep.Search.Scanned, rep.Search.AvgScanned(), rep.Search.QueryTime)
+		fmt.Fprintf(os.Stderr, "search: %d finder queries probed %d entries, scored %d (avg %.1f/query) in %v\n",
+			rep.Search.Queries, rep.Search.Probed, rep.Search.Scanned, rep.Search.AvgScanned(), rep.Search.QueryTime)
 		ac := rep.AlignCache
 		fmt.Fprintf(os.Stderr, "align: %d sequences interned (%d classes), %d cache hits\n",
 			ac.Misses, ac.Classes, ac.Hits)

@@ -1,12 +1,10 @@
 // scale.go implements fmerge's -scale benchmark mode: each requested
-// corpus tier is streamed batch-by-batch into a session over the LSH
-// finder, fully optimized, and accounted — wall-clock per phase, peak
-// sampled heap, post-index live heap, bytes saved and the finder's
-// spill statistics. Every tier runs twice, unbounded and under an LSH
-// bucket budget, so one artifact records what bounding the index
-// actually buys in resident memory at that scale. CI runs the 10k tier
-// on every push and archives the JSON as BENCH_scale.json; the 1M tier
-// is a manually-dispatched job.
+// corpus tier is streamed batch-by-batch into a session over the
+// indexed finder, fully optimized, and accounted — wall-clock per
+// phase, peak sampled heap, post-index live heap, bytes saved and the
+// finder's query work — one row per tier. CI runs the 10k tier on
+// every push and archives the JSON as BENCH_scale.json; the 1M tier is
+// a manually-dispatched job.
 package main
 
 import (
@@ -24,11 +22,10 @@ import (
 	"repro/internal/search"
 )
 
-// scaleRun is one (tier, budget) measurement in the artifact.
+// scaleRun is one tier's measurement in the artifact.
 type scaleRun struct {
 	Tier       string `json:"tier"`
 	Funcs      int    `json:"funcs"`
-	LSHBudget  int    `json:"lsh_budget"` // resident-bucket bound; 0 = unbounded
 	CommitJobs int    `json:"commit_jobs"`
 
 	GenerateSecs float64 `json:"generate_secs"`
@@ -36,10 +33,11 @@ type scaleRun struct {
 	OptimizeSecs float64 `json:"optimize_secs"`
 	WallSecs     float64 `json:"wall_secs"`
 
-	// Optimize-phase breakdown: funnel screening, alignment DP, trial
-	// materialization (clone + codegen + simplify) and the commit walk.
-	// Summed across workers, so the parts can exceed OptimizeSecs wall
-	// time at parallelism > 1.
+	// Optimize-phase breakdown: candidate lookup, funnel screening,
+	// alignment DP, trial materialization (clone + codegen + simplify)
+	// and the commit walk. Summed across workers, so the parts can
+	// exceed OptimizeSecs wall time at parallelism > 1.
+	QuerySecs  float64 `json:"query_secs"`
 	ScreenSecs float64 `json:"screen_secs"`
 	AlignSecs  float64 `json:"align_secs"`
 	TrialSecs  float64 `json:"trial_secs"`
@@ -53,17 +51,9 @@ type scaleRun struct {
 
 	// PeakHeapBytes is the maximum sampled runtime.MemStats.HeapInuse
 	// over the whole run; IndexedHeapBytes is HeapAlloc after indexing
-	// completes and a forced GC — live bytes, where the spilled and
-	// unbounded runs differ by the index representation (the module
-	// itself is identical). At scale the module dominates live bytes
-	// and allocator placement adds noise on that baseline, so the
-	// acceptance comparison uses the index's own storage instead:
-	// IndexResidentBytes (hot bucket footprint after indexing) plus
-	// SpillBytes, bounded vs unbounded.
-	PeakHeapBytes      uint64 `json:"peak_heap_bytes"`
-	IndexedHeapBytes   uint64 `json:"indexed_heap_bytes"`
-	IndexResidentBytes int    `json:"index_resident_bytes"`
-	IndexSpillBytes    int    `json:"index_spill_bytes"`
+	// completes and a forced GC — live bytes, module plus indexes.
+	PeakHeapBytes    uint64 `json:"peak_heap_bytes"`
+	IndexedHeapBytes uint64 `json:"indexed_heap_bytes"`
 
 	BaselineBytes int `json:"baseline_bytes"`
 	FinalBytes    int `json:"final_bytes"`
@@ -76,41 +66,29 @@ type scaleRun struct {
 	Transplanted int `json:"transplanted,omitempty"`
 	Repaired     int `json:"repaired,omitempty"`
 
-	// LSH spill accounting at the end of the run.
-	ResidentBuckets int   `json:"resident_buckets"`
-	SpilledBuckets  int   `json:"spilled_buckets"`
-	SpillBytes      int   `json:"spill_bytes"`
-	BucketFaults    int64 `json:"bucket_faults"`
+	// Finder work over the optimize phase: entries the size walk
+	// visited per query, and how many of those were distance-scored.
+	ProbedPerQuery  float64 `json:"probed_per_query"`
+	ScannedPerQuery float64 `json:"scanned_per_query"`
 }
 
 type scaleReport struct {
 	Runs []scaleRun `json:"runs"`
 }
 
-// defaultScaleBudget is the bounded-run bucket budget when -lsh-budget
-// is left at 0: small enough that every tier spills most of its
-// buckets, large enough that the hot working set of a query burst stays
-// resident.
-const defaultScaleBudget = 4096
-
-// runScale executes the benchmark matrix and writes the JSON artifact.
-func runScale(ctx context.Context, tiers []string, budget, commitJobs int, funnel bool, out string, verbose bool) error {
-	if budget <= 0 {
-		budget = defaultScaleBudget
-	}
+// runScale runs each tier once and writes the JSON artifact.
+func runScale(ctx context.Context, tiers []string, commitJobs int, funnel bool, out string, verbose bool) error {
 	var rep scaleReport
 	for _, tier := range tiers {
 		cfg, err := corpus.Tier(tier)
 		if err != nil {
 			return err
 		}
-		for _, b := range []int{0, budget} {
-			run, err := scaleOnce(ctx, tier, cfg, b, commitJobs, funnel, verbose)
-			if err != nil {
-				return err
-			}
-			rep.Runs = append(rep.Runs, *run)
+		run, err := scaleOnce(ctx, tier, cfg, commitJobs, funnel, verbose)
+		if err != nil {
+			return err
 		}
+		rep.Runs = append(rep.Runs, *run)
 	}
 	blob, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -132,7 +110,7 @@ func runScale(ctx context.Context, tiers []string, budget, commitJobs int, funne
 // measuring as it goes. The generate and index phases interleave (that
 // is the point of the streaming generator: no tier-sized scratch), so
 // their times are accumulated separately across batches.
-func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, budget, commitJobs int, funnel, verbose bool) (*scaleRun, error) {
+func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, commitJobs int, funnel, verbose bool) (*scaleRun, error) {
 	lsh, err := search.KindByName("lsh")
 	if err != nil {
 		return nil, err
@@ -140,7 +118,6 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, budget, comm
 	opt, err := repro.New(
 		repro.WithFinder(lsh),
 		repro.WithDupFold(true),
-		repro.WithLSHBudget(budget),
 		repro.WithCommitParallelism(commitJobs),
 		repro.WithParallelism(0),
 		repro.WithPlanFunnel(funnel),
@@ -193,18 +170,10 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, budget, comm
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	indexed := ms.HeapAlloc
-	idxStats, err := s.SearchStats()
-	if err != nil {
-		return nil, err
-	}
 
 	opt0 := time.Now()
 	r, err := s.Optimize(ctx)
 	optDur := time.Since(opt0)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := s.SearchStats()
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +183,6 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, budget, comm
 	run := &scaleRun{
 		Tier:       tier,
 		Funcs:      cfg.Funcs,
-		LSHBudget:  budget,
 		CommitJobs: opt.CommitParallelism(),
 
 		GenerateSecs: genDur.Seconds(),
@@ -222,6 +190,7 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, budget, comm
 		OptimizeSecs: optDur.Seconds(),
 		WallSecs:     wall.Seconds(),
 
+		QuerySecs:  r.Search.QueryTime.Seconds(),
 		ScreenSecs: r.ScreenTime.Seconds(),
 		AlignSecs:  r.AlignTime.Seconds(),
 		TrialSecs:  r.CodegenTime.Seconds(),
@@ -232,10 +201,8 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, budget, comm
 		TrialsBuilt:   r.TrialsBuilt,
 		TrialsSkipped: r.TrialsSkipped,
 
-		PeakHeapBytes:      peak,
-		IndexedHeapBytes:   indexed,
-		IndexResidentBytes: idxStats.ResidentBytes,
-		IndexSpillBytes:    idxStats.SpillBytes,
+		PeakHeapBytes:    peak,
+		IndexedHeapBytes: indexed,
 
 		BaselineBytes: r.BaselineBytes,
 		FinalBytes:    r.FinalBytes,
@@ -247,19 +214,19 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, budget, comm
 		Transplanted: r.Transplanted,
 		Repaired:     r.Repaired,
 
-		ResidentBuckets: stats.ResidentBuckets,
-		SpilledBuckets:  stats.SpilledBuckets,
-		SpillBytes:      stats.SpillBytes,
-		BucketFaults:    stats.BucketFaults,
+		ScannedPerQuery: r.Search.AvgScanned(),
+	}
+	if q := r.Search.Queries; q > 0 {
+		run.ProbedPerQuery = float64(r.Search.Probed) / float64(q)
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr,
-			"scale[%s budget=%d]: gen %.1fs index %.1fs optimize %.1fs (screen %.1fs align %.1fs trial %.1fs commit %.1fs) | funnel %d screened, %d dp-aborted, %d skipped, %d built | index %s resident + %s spilled, live heap %s, peak %s | saved %d bytes (%d merges, %d folds, %d spilled buckets)\n",
-			tier, budget, run.GenerateSecs, run.IndexSecs, run.OptimizeSecs,
-			run.ScreenSecs, run.AlignSecs, run.TrialSecs, run.CommitSecs,
+			"scale[%s]: gen %.1fs index %.1fs optimize %.1fs (query %.1fs screen %.1fs align %.1fs trial %.1fs commit %.1fs) | finder %.0f probed, %.0f scored per query | funnel %d screened, %d dp-aborted, %d skipped, %d built | live heap %s, peak %s | saved %d bytes (%d merges, %d folds)\n",
+			tier, run.GenerateSecs, run.IndexSecs, run.OptimizeSecs,
+			run.QuerySecs, run.ScreenSecs, run.AlignSecs, run.TrialSecs, run.CommitSecs,
+			run.ProbedPerQuery, run.ScannedPerQuery,
 			run.PairsScreened, run.DPAborted, run.TrialsSkipped, run.TrialsBuilt,
-			fmtBytes(uint64(run.IndexResidentBytes)), fmtBytes(uint64(idxStats.SpillBytes)),
-			fmtBytes(indexed), fmtBytes(peak), run.SavedBytes, run.Merges, run.Folds, run.SpilledBuckets)
+			fmtBytes(indexed), fmtBytes(peak), run.SavedBytes, run.Merges, run.Folds)
 	}
 	return run, nil
 }

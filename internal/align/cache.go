@@ -74,13 +74,6 @@ func (c *Cache) CloneSeq(clone, orig *ir.Function) Seq {
 	return Seq{Entries: entries, Classes: classes}
 }
 
-// ClassVector returns the mergeability-class vector of f (labels map to
-// ClassLabel). The slice is shared with the cache; callers must not
-// mutate it.
-func (c *Cache) ClassVector(f *ir.Function) []int32 {
-	return c.Seq(f).Classes
-}
-
 // Invalidate drops f's cached sequence. Must be called when f's body
 // changes (e.g. it was replaced by a thunk); it also releases the
 // entries' instruction pointers for the GC.

@@ -4,7 +4,7 @@ package driver
 //
 // The greedy commit walk is inherently serial: each commit retires two
 // functions, which reshapes every later candidate list. But candidate
-// graphs are usually archipelagos — the LSH finder only surfaces
+// graphs are usually archipelagos — the finder only surfaces
 // near-duplicates, so most functions interact with a small clique and
 // never see the rest of the module. This file exploits that with an
 // optimistic capture / validated replay scheme that is bit-identical to

@@ -8,9 +8,10 @@
 // The pipeline is split into three stages, keyed by a persistent
 // Session (see session.go):
 //
-//   - index build: OpenSession fingerprints, sketches and linearizes
-//     the candidate set once; Update/Remove maintain the indexes
-//     incrementally as callers mutate the module between runs.
+//   - index build: OpenSession fingerprints the candidate set once
+//     (linearizations are cached on first use); Update/Remove maintain
+//     the indexes incrementally as callers mutate the module between
+//     runs.
 //   - planning: alignment and speculative code generation of candidate
 //     pairs. Each trial clones its pair into a private scratch module and
 //     builds the merged function there, so trials are pure with respect
@@ -141,7 +142,7 @@ type Config struct {
 	// Finder selects the candidate-search implementation (default
 	// search.KindExact, which reproduces the original pipeline's
 	// committed merge set bit-for-bit; search.KindLSH serves the same
-	// candidate lists sub-linearly from a locality-sensitive index).
+	// candidate lists sub-linearly from the indexed exact finder).
 	Finder search.Kind
 	// DupFold folds structurally identical functions into forwarding
 	// thunks before any alignment runs: exact clone families are
@@ -149,7 +150,7 @@ type Config struct {
 	// representative stays in the candidate set.
 	DupFold bool
 	// Canon, when enabled, makes every discovery index — fingerprints,
-	// LSH sketches, duplicate-fold hashing — operate on per-function
+	// duplicate-fold hashing — operate on per-function
 	// *canonical views*: private clones normalized by mem2reg, CFG
 	// simplification, constant folding, operand-order normalization and
 	// GVN (internal/canon). Reducible noise between near-clones becomes
@@ -187,7 +188,7 @@ type Config struct {
 	Parallelism int
 	// CommitParallelism, when > 1, runs the commit walk
 	// component-parallel: the candidate graph is partitioned into
-	// connected components of LSH/fingerprint-candidate edges, each
+	// connected components of fingerprint-candidate edges, each
 	// component's greedy walk runs speculatively on its own worker (up
 	// to this many at once) with dry-run overlays, and a serial
 	// validated replay commits the captured decisions in the global
@@ -199,12 +200,6 @@ type Config struct {
 	// CommitFilter fall back to the serial walk; values <= 1 are the
 	// serial walk.
 	CommitParallelism int
-	// LSHBudget, when > 0 under search.KindLSH, bounds the number of
-	// resident LSH band buckets: the least recently written buckets
-	// beyond the budget spill to compact encoded blobs and are decoded
-	// on access. Candidate lists — and therefore the committed merge
-	// set — are identical at any budget; see search.NewIndexedBudget.
-	LSHBudget int
 	// NoPlanFunnel disables the three-stage planning funnel (profit
 	// upper-bound screening, bounded alignment DP, lazy trial
 	// materialization). The funnel is on by default because every stage

@@ -7,10 +7,7 @@
 //
 // Profiles are dropped whenever the underlying body is re-indexed,
 // retired or removed (the same invalidation points as the align cache)
-// and rebuilt lazily on the next screen — or eagerly when the LSH
-// finder re-sketches the function (funnel implements
-// search.ClassObserver), piggybacking the histogram build on the
-// sketch build while the linearization is hot.
+// and rebuilt lazily on the next screen.
 package driver
 
 import (
@@ -23,9 +20,8 @@ import (
 
 // funnel owns the screening profiles of one session. All methods are
 // safe for concurrent use (planning workers and component-capture
-// walks screen concurrently); invalidate and ObserveIndexed only run
-// on the session goroutine or under the finder's write lock, but the
-// RWMutex makes the ordering irrelevant for safety.
+// walks screen concurrently); invalidate only runs on the session
+// goroutine, but the RWMutex makes the ordering irrelevant for safety.
 type funnel struct {
 	target costmodel.Target
 	cache  *align.Cache
@@ -83,17 +79,5 @@ func (fu *funnel) invalidate(f *ir.Function) {
 	}
 	fu.mu.Lock()
 	delete(fu.prof, f)
-	fu.mu.Unlock()
-}
-
-// ObserveIndexed implements search.ClassObserver: when the finder
-// (re-)sketches f, the profile is rebuilt eagerly while f's cached
-// linearization is hot. Only the histogram is built here — the slack
-// term stays lazy (it costs a clone plus a Simplify run, which index
-// time must not pay for functions that are never screened).
-func (fu *funnel) ObserveIndexed(f *ir.Function) {
-	np := costmodel.NewFuncProfile(f, fu.target, fu.cache.Seq(f))
-	fu.mu.Lock()
-	fu.prof[f] = np
 	fu.mu.Unlock()
 }

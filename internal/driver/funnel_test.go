@@ -51,7 +51,7 @@ func TestSavingsUpperBoundAdmissible(t *testing.T) {
 					preSize[f] = costmodel.FuncBytes(f, cfg.Target)
 				}
 				cache := align.NewCache()
-				fnd := search.NewWithClasses(finder, m.Defined(), cache)
+				fnd := search.New(finder, m.Defined())
 				opts := cfg.CoreOptions()
 				pairs := 0
 				for _, f1 := range fnd.Order() {

@@ -55,7 +55,7 @@ func runOneShotReference(ctx context.Context, m *ir.Module, cfg Config) (*Result
 		candidates = referenceFoldDuplicates(candidates, preSize, cfg, res)
 	}
 	cache := align.NewCache()
-	finder := search.NewWithClasses(cfg.Finder, candidates, cache)
+	finder := search.New(cfg.Finder, candidates)
 	opts := cfg.CoreOptions()
 	order := finder.Order()
 

@@ -1,16 +1,16 @@
 // The long-lived merge engine. RunContext's one-shot pipeline is a thin
 // wrapper over a Session: OpenSession builds every index the pipeline
-// needs — the fingerprint/LSH candidate finder and the
+// needs — the fingerprint candidate finder and the
 // linearization/class cache — exactly once, and the per-run stages
 // (plan, commit) reuse them across any number of Optimize / Plan /
 // Apply calls. Callers that mutate or delete functions between runs
 // report the delta through Update / Remove; only the touched functions
-// are re-fingerprinted, re-sketched and re-linearized, so a re-optimize
+// are re-fingerprinted and re-linearized, so a re-optimize
 // after a small edit pays for the edit, not for the module.
 //
 // Three index layers persist across runs:
 //
-//   - the search.Finder (fingerprint ranking or LSH buckets), updated
+//   - the search.Finder (fingerprint ranking or dense index), updated
 //     incrementally through its Add/Remove entry points;
 //   - the align.Cache of linearizations and interned class vectors,
 //     invalidated per function through Invalidate;
@@ -75,8 +75,8 @@ type Session struct {
 	finder search.Finder
 	cands  *candidateCache
 	// lens is the canonical-view layer (nil when Config.Canon is
-	// disabled): every discovery index — fingerprints, sketches,
-	// duplicate-fold hashes — is computed over lens.Body(f) instead of f,
+	// disabled): every discovery index — fingerprints, duplicate-fold
+	// hashes — is computed over lens.Body(f) instead of f,
 	// while merges and folds still commit against the originals. Views
 	// are invalidated whenever the underlying body is.
 	lens    *canon.Lens
@@ -202,15 +202,7 @@ func (s *Session) buildIndexes() {
 		candidates = append(candidates, f)
 		s.index(f)
 	}
-	// The funnel piggybacks profile builds on the finder's sketch pass
-	// (the linearization is hot in cache right then); the indirection
-	// avoids handing the finder a typed-nil interface when screening is
-	// off.
-	var obs search.ClassObserver
-	if s.funnel != nil {
-		obs = s.funnel
-	}
-	s.finder = search.NewIndexedBudgetObserved(s.cfg.Finder, candidates, s.cache, s.bodySource(), s.cfg.LSHBudget, obs)
+	s.finder = search.NewIndexed(s.cfg.Finder, candidates, s.bodySource())
 	s.lastSearch, s.lastCache = search.Stats{}, align.CacheStats{}
 }
 
@@ -277,7 +269,7 @@ func (s *Session) unindex(f *ir.Function) {
 }
 
 // sync applies the pending index updates: each marked function is
-// re-fingerprinted, re-sketched and re-linearized (or dropped), its
+// re-fingerprinted and re-linearized (or dropped), its
 // memoized trial outcomes are discarded, and the candidate-list cache
 // reconciles against the delta. After sync the indexes are exactly what
 // OpenSession would build from the module's current state.
@@ -312,12 +304,9 @@ func (s *Session) sync() {
 		}
 		s.outcomes.invalidate(f)
 		s.cache.Invalidate(f)
-		// Profile before the finder re-indexes: the finder's sketch pass
-		// notifies the funnel observer, which must rebuild from the
-		// fresh linearization, not a stale one.
 		s.funnel.invalidate(f)
 		// The view must be dropped before the finder re-indexes: the
-		// finder fingerprints/sketches through the lens, so a stale view
+		// finder fingerprints through the lens, so a stale view
 		// here would silently re-index the pre-edit body.
 		s.lens.Invalidate(f)
 		s.index(f)
@@ -325,7 +314,7 @@ func (s *Session) sync() {
 	}
 	// One finder pass for the whole delta: a batch-aware finder
 	// re-indexes every changed function under a single rebuild window
-	// (one lock acquisition, one size-list sort) instead of paying a
+	// (one lock acquisition, one walk-order sort) instead of paying a
 	// per-function sorted insertion n times — the difference between a
 	// 100k-function batch being O((n+k) log n) and O(k·n). Results are
 	// identical to sequential Adds; only the work is batched.
@@ -338,7 +327,7 @@ func (s *Session) sync() {
 	}
 	// applyDelta re-fingerprints each *delta* function once more (the
 	// finder keeps its fingerprints private) — one extra instruction
-	// walk, dwarfed by the re-sketch and re-linearization above.
+	// walk, dwarfed by the re-linearization the next trial pays.
 	s.cands.applyDelta(changed, removed)
 	s.pruneFamilies(touched)
 	s.pending = map[*ir.Function]bool{}
@@ -580,7 +569,7 @@ func (s *Session) RemoveBatch(ctx context.Context, names []string) error {
 
 // Flush applies the pending index maintenance now instead of at the
 // next Optimize/Plan/Apply: every function marked by Update, Remove or
-// UpdateBatch since the last sync is re-fingerprinted, re-sketched and
+// UpdateBatch since the last sync is re-fingerprinted and
 // re-linearized (or dropped) in one batched pass. Flush changes when
 // the work happens, never its outcome — callers that prefer paying
 // re-index cost at update time (a serving daemon smoothing query
@@ -610,6 +599,7 @@ func (s *Session) finishStats(res *Result) {
 	res.Search = search.Stats{
 		Queries:   cur.Queries - s.lastSearch.Queries,
 		Scanned:   cur.Scanned - s.lastSearch.Scanned,
+		Probed:    cur.Probed - s.lastSearch.Probed,
 		QueryTime: cur.QueryTime - s.lastSearch.QueryTime,
 		Indexed:   cur.Indexed,
 	}
@@ -708,7 +698,7 @@ func (s *Session) optimizeFMSA(ctx context.Context, start time.Time) (*Result, e
 		candidates = append(candidates, f)
 	}
 	cache := align.NewCache()
-	finder := search.NewWithClasses(s.cfg.Finder, candidates, cache)
+	finder := search.New(s.cfg.Finder, candidates)
 	r := &runner{
 		m: s.m, cfg: s.cfg, cache: cache, finder: finder,
 		sizes: preSize, commitMode: true,

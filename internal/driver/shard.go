@@ -180,6 +180,7 @@ func mergeShardResult(res, sr *Result) {
 	}
 	res.Search.Queries += sr.Search.Queries
 	res.Search.Scanned += sr.Search.Scanned
+	res.Search.Probed += sr.Search.Probed
 	res.Search.QueryTime += sr.Search.QueryTime
 	res.Search.Indexed += sr.Search.Indexed
 	res.AlignCache.Hits += sr.AlignCache.Hits

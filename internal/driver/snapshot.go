@@ -1,14 +1,13 @@
 // On-disk index snapshots. A warm restart of a merge service should not
-// pay the full index rebuild — fingerprinting, sketching and hashing
-// every candidate — when the module it serves is byte-identical to what
+// pay the full index rebuild — fingerprinting and hashing every
+// candidate — when the module it serves is byte-identical to what
 // the previous process saw. Session.Snapshot exports the persistent
 // index layers into a versioned, checksummed, JSON-serializable value;
 // OpenSessionWithSnapshot rebuilds a session from it, validating every
 // function against its recorded structural hash and recomputing only
 // what drifted. The snapshot carries:
 //
-//   - per candidate: the structural hash, the opcode fingerprint and
-//     (for LSH) the minhash band keys;
+//   - per candidate: the structural hash and the opcode fingerprint;
 //   - the unprofitable-pair outcome memo, as index pairs into the
 //     function table (entries touching family heads are excluded — a
 //     flatten verdict depends on the family registry, which is session
@@ -36,10 +35,12 @@ import (
 )
 
 // SnapshotVersion is the current snapshot format version; snapshots
-// recording any other version are rejected. Version 2 added the
-// canonical-view guard (Snapshot.Canon) and per-function canonical
-// hashes (SnapshotFunc.CanonHash).
-const SnapshotVersion = 2
+// recording any other version are rejected, and the caller cold-opens
+// (a snapshot is a cache). Version 2 added the canonical-view guard
+// (Snapshot.Canon) and per-function canonical hashes
+// (SnapshotFunc.CanonHash); version 3 dropped the per-function minhash
+// band keys along with the sketch they belonged to.
+const SnapshotVersion = 3
 
 // Snapshot is the serializable index state of a Session. It round-trips
 // through encoding/json.
@@ -56,7 +57,7 @@ type Snapshot struct {
 	MaxFamily int    `json:"max_family"`
 	MinInstrs int    `json:"min_instrs"`
 	// Canon names the canonicalization pipeline the indexes were computed
-	// under ("" when canon was off). Fingerprints, sketches and canonical
+	// under ("" when canon was off). Fingerprints and canonical
 	// hashes from one pipeline must never seed a session running another:
 	// the two hash spaces are unrelated, so a mismatch is a hard
 	// rejection, not a per-function drift.
@@ -72,7 +73,7 @@ type Snapshot struct {
 type SnapshotFunc struct {
 	Name string `json:"name"`
 	// Hash is the structural hash the function had at snapshot time;
-	// restore trusts the fingerprint and keys only when the current
+	// restore trusts the fingerprint only when the current
 	// body still hashes to it.
 	Hash   uint64 `json:"hash,string"`
 	Blocks int32  `json:"blocks"`
@@ -80,8 +81,6 @@ type SnapshotFunc struct {
 	// Ops is the sparse opcode-count vector: flattened (opcode, count)
 	// pairs, ascending by opcode.
 	Ops []int32 `json:"ops"`
-	// Keys holds the LSH band keys in hex; empty under the exact finder.
-	Keys []string `json:"keys,omitempty"`
 	// CanonHash is the structural hash of the function's canonical view
 	// (0 when canon was off). A warm restart primes the session's lens
 	// with it so duplicate-fold bucketing works without building a single
@@ -178,26 +177,23 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	idx := search.Export(s.finder)
 	pos := make(map[*ir.Function]int, len(idx))
 	for _, f := range s.candidateOrder() {
-		fi, ok := idx[f]
-		if !ok || fi.FP == nil {
+		fp := idx[f]
+		if fp == nil {
 			continue
 		}
 		entry := SnapshotFunc{
 			Name:   f.Name(),
 			Hash:   search.HashFunction(f),
-			Blocks: fi.FP.Blocks,
-			Size:   fi.FP.Size,
+			Blocks: fp.Blocks,
+			Size:   fp.Size,
 		}
 		if s.lens != nil {
 			entry.CanonHash = s.lens.Hash(f)
 		}
-		for op, c := range fi.FP.OpCount {
+		for op, c := range fp.OpCount {
 			if c != 0 {
 				entry.Ops = append(entry.Ops, int32(op), c)
 			}
-		}
-		for _, k := range fi.Keys {
-			entry.Keys = append(entry.Keys, strconv.FormatUint(k, 16))
 		}
 		pos[f] = len(snap.Funcs)
 		snap.Funcs = append(snap.Funcs, entry)
@@ -271,7 +267,7 @@ func validateSnapshot(snap *Snapshot, cfg Config) error {
 
 // OpenSessionWithSnapshot is OpenSession resuming from a snapshot: every
 // candidate whose body still matches its recorded structural hash adopts
-// the snapshot's fingerprint and sketch instead of being recomputed, and
+// the snapshot's fingerprint instead of recomputing it, and
 // the outcome memo is restored for pairs whose both sides matched. A
 // snapshot that fails validation (wrong version, corrupt, or taken under
 // a different configuration) is an error — callers typically fall back
@@ -305,7 +301,7 @@ func (s *Session) buildIndexesFrom(snap *Snapshot) {
 	for i := range snap.Funcs {
 		byName[snap.Funcs[i].Name] = i
 	}
-	prior := map[*ir.Function]search.FuncIndex{}
+	prior := map[*ir.Function]*fingerprint.Fingerprint{}
 	var candidates []*ir.Function
 	for _, f := range s.m.Defined() {
 		if !s.eligible(f) {
@@ -331,20 +327,11 @@ func (s *Session) buildIndexesFrom(snap *Snapshot) {
 			}
 			fp.OpCount[op] = sf.Ops[j+1]
 		}
-		var keys []uint64
-		for _, ks := range sf.Keys {
-			k, err := strconv.ParseUint(ks, 16, 64)
-			if err != nil {
-				bad = true
-				break
-			}
-			keys = append(keys, k)
-		}
 		if bad {
 			continue
 		}
 		matched[i] = f
-		prior[f] = search.FuncIndex{FP: fp, Keys: keys}
+		prior[f] = fp
 		if s.lens != nil && sf.CanonHash != 0 {
 			// The original body is hash-identical to snapshot time, so the
 			// recorded canonical hash is still its view's hash: prime it and
@@ -352,7 +339,7 @@ func (s *Session) buildIndexesFrom(snap *Snapshot) {
 			s.lens.Prime(f, sf.CanonHash)
 		}
 	}
-	s.finder = search.RestoreIndexedBudget(s.cfg.Finder, candidates, s.cache, s.bodySource(), prior, s.cfg.LSHBudget)
+	s.finder = search.Restore(s.cfg.Finder, candidates, s.bodySource(), prior)
 	for _, pair := range snap.Outcomes {
 		i1, i2 := pair[0], pair[1]
 		if i1 < 0 || i1 >= len(matched) || i2 < 0 || i2 >= len(matched) {
@@ -369,7 +356,7 @@ func (s *Session) buildIndexesFrom(snap *Snapshot) {
 
 // SearchStats returns the finder's cumulative accounting since the
 // session opened (not the per-run delta a Result reports). Built counts
-// fingerprint/sketch computations: a session restored from a fully
+// fingerprint computations: a session restored from a fully
 // matching snapshot reports Built == 0 until something drifts, which is
 // how warm restarts are verified to have skipped the index rebuild.
 func (s *Session) SearchStats() (search.Stats, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -220,6 +221,19 @@ func TestSnapshotRejection(t *testing.T) {
 		cp.Version = SnapshotVersion + 1
 		if _, err := OpenSessionWithSnapshot(ctx, m2, cfg, cp); err == nil {
 			t.Fatal("future snapshot version accepted")
+		}
+	}
+	if cp, m2 := fresh(); true {
+		// A correctly sealed file of the previous format (version 2
+		// carried LSH band keys) is refused on its version alone; the
+		// caller cold-opens.
+		cp.Version = 2
+		if err := cp.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenSessionWithSnapshot(ctx, m2, cfg, cp)
+		if err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("version-2 snapshot: got %v, want a version error", err)
 		}
 	}
 	if cp, m2 := fresh(); true {

@@ -57,9 +57,8 @@ func benchFinder(b *testing.B, kind Kind, topT int) {
 // all ~2000 live fingerprints.
 func BenchmarkFinderExact(b *testing.B) { benchFinder(b, KindExact, 5) }
 
-// BenchmarkFinderLSH answers the same queries from banded minhash
-// buckets; the ISSUE's acceptance bar is >= 5x faster than
-// BenchmarkFinderExact on this suite.
+// BenchmarkFinderLSH answers the same queries from the dense
+// bounded-walk index.
 func BenchmarkFinderLSH(b *testing.B) { benchFinder(b, KindLSH, 5) }
 
 // BenchmarkFinderDupFold measures the duplicate-detection pre-pass

@@ -50,6 +50,7 @@ func (e *Exact) Candidates(f *ir.Function, t int) []*ir.Function {
 	e.stats.Queries++
 	if scanned > 0 {
 		e.stats.Scanned += scanned
+		e.stats.Probed += scanned
 	}
 	e.stats.QueryTime += time.Since(start)
 	e.mu.Unlock()

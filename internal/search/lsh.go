@@ -1,527 +1,383 @@
 package search
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/align"
 	"repro/internal/fingerprint"
 	"repro/internal/ir"
 )
 
-// alignClassLabel mirrors align.ClassLabel: the class every block label
-// maps to in a ClassSource vector.
-const alignClassLabel = align.ClassLabel
-
-// LSH tuning. Each function is summarised as a weighted feature set of
-// opcode bigrams (consecutive instructions within a block; occurrences
-// unary-encoded and capped) plus block count, sketched with
-// one-permutation minhash into lshHashes slots, and the sketch is cut
-// into lshBands bands of lshRows rows each. Functions sharing any band
-// key are bucket neighbours. Bigrams — unlike raw opcode counts, which
-// barely differ across a compiler's output — separate unrelated
-// functions sharply while clone families keep near-identical feature
-// sets: a pair with bigram-Jaccard J shares a band with probability
-// 1-(1-J^r)^b, which at r=4, b=8 is >97% for J >= 0.8 and <3% for
-// J <= 0.4.
-const (
-	// lshSlotBits sizes the signature: one-permutation hashing routes
-	// each feature to a slot by its top lshSlotBits bits, so lshHashes
-	// is derived and stays a power of two by construction.
-	lshSlotBits = 5
-	lshHashes   = 1 << lshSlotBits
-	lshRows     = 4
-	lshBands    = lshHashes / lshRows
-	lshCountCap = 8
-)
-
-// LSH is the locality-sensitive Finder: Candidates queries answered
-// from banded minhash buckets plus a size-bounded branch-and-bound,
-// with incremental Add/Remove as merges commit. The returned lists are
-// the exact fingerprint top-t — identical to Exact's — but each query
-// scores only the bucket neighbours and the size window the pruning
-// bound cannot exclude, instead of every live function.
+// LSH is the indexed exact Finder. The name is historical (it once
+// seeded its top-t from minhash buckets; KindLSH and the "lsh" flag
+// value are part of the public surface): today it is a dense
+// bounded-walk index with no sketch and no hashing. Candidates returns
+// exactly Exact's (distance, name) top-t, but a query only visits the
+// functions whose size could still beat the running t-th best, and
+// distance-scores only those a second, cheaper lower bound cannot
+// reject.
+//
+// Every indexed function owns an int32 slot. Fingerprints, the names
+// the functions were indexed under and a packed projection of each
+// fingerprint live in slot-indexed slabs; walk lists the live slots by
+// (size, name). Nothing on the query path touches a map beyond the one
+// lookup of the query's own slot, calls Name() or allocates per visited
+// entry, and nothing depends on insertion order — two indexes over the
+// same functions answer identically and do identical work.
+//
+// Both bounds are admissible (they never exceed fingerprint.Distance),
+// so everything they skip is provably outside the top-t:
+//
+//   - size: Distance(a, b) >= |a.Size - b.Size|, because the opcode
+//     counts sum to the size. The walk moves outward from the query's
+//     position in size order and stops once the gap exceeds the radius.
+//   - projection: the opcode enum is partitioned into projLanes-1 fixed
+//     groups and each group's counts are summed into one saturating
+//     8-bit lane, the block count into the last. |Σa − Σb| <= Σ|a − b|
+//     per group and saturation is 1-Lipschitz, so the L1 distance
+//     between two projections never exceeds the distance between the
+//     fingerprints. It costs eight byte subtractions against the 64-term
+//     sweep of the real metric.
 type LSH struct {
-	// classes, when non-nil, supplies interned mergeability-class
-	// vectors and the sketches are built over class bigrams instead of
-	// opcode bigrams (see NewWithClasses).
-	classes ClassSource
-	// view, when non-nil, resolves the body actually fingerprinted and
-	// sketched for each function (see NewIndexed); the maps, buckets and
-	// size list stay keyed by the original function.
+	// view, when non-nil, resolves the body actually fingerprinted for
+	// each function (see NewIndexed); identity, ordering and removal
+	// stay keyed by the original function.
 	view BodySource
 
-	mu   sync.RWMutex
-	fps  map[*ir.Function]*fingerprint.Fingerprint
-	keys map[*ir.Function][]uint64 // band keys, len lshBands
-	// store holds the band buckets, optionally behind a residency
-	// budget that spills cold buckets to encoded id blobs (see
-	// bucketStore). Spilling never changes a query result — buckets only
-	// seed the exact branch-and-bound below.
-	store *bucketStore
-	// bySize is sorted by (fingerprint size, name): the deterministic
-	// fallback pool when a query's buckets run sparse, exploiting
-	// Distance(a, b) >= |a.Size - b.Size|.
-	bySize []*ir.Function
-	stats  Stats
-	// obs, when non-nil, is notified after every sketch build (see
-	// search.ClassObserver). Adopted snapshot entries skip it — nothing
-	// was linearized for them.
-	obs ClassObserver
+	mu     sync.RWMutex
+	slotOf map[*ir.Function]int32
+	funcs  []*ir.Function // slot -> function; nil while the slot is free
+	// names holds the name each slot was indexed under. Ordering and
+	// tie-breaks read it, never f.Name(): a rename between Add and
+	// Remove must not unsort walk.
+	names []string
+	fps   []fingerprint.Fingerprint
+	proj  []uint64
+	free  []int32
+	// walk holds one entry per live slot, size<<32 | slot, sorted by
+	// (size, indexed name, slot).
+	walk  []uint64
+	built int
+
+	// Query accounting is atomic so concurrent queries share only the
+	// read lock.
+	queries, scanned, probed, queryNS atomic.Int64
 }
 
-// NewLSH indexes every defined function in funcs. The bulk build
-// appends to the size-sorted list and sorts once at the end — O(n log n)
-// — rather than paying Add's per-function sorted insertion, which would
-// make construction quadratic on large modules.
-func NewLSH(funcs []*ir.Function) *LSH { return NewLSHWithClasses(funcs, nil) }
+// projLanes is the number of 8-bit lanes in a packed projection.
+const projLanes = 8
 
-// NewLSHWithClasses is NewLSH with an optional class source for the
-// sketches (see NewWithClasses).
-func NewLSHWithClasses(funcs []*ir.Function, src ClassSource) *LSH {
-	return newLSH(funcs, src, nil, nil, 0, nil)
-}
-
-// newLSH is the bulk constructor behind NewLSH, search.NewIndexed and
-// search.RestoreIndexed: functions covered by prior adopt their snapshot
-// fingerprint and band keys, everything else is sketched from scratch
-// (and counted in Stats.Built) — through the view lens when one is set.
-// budget > 0 bounds the number of resident band buckets; the rest spill
-// (see bucketStore).
-func newLSH(funcs []*ir.Function, src ClassSource, view BodySource, prior map[*ir.Function]FuncIndex, budget int, obs ClassObserver) *LSH {
-	l := &LSH{
-		classes: src,
-		view:    view,
-		fps:     make(map[*ir.Function]*fingerprint.Fingerprint, len(funcs)),
-		keys:    make(map[*ir.Function][]uint64, len(funcs)),
-		store:   newBucketStore(budget),
-		obs:     obs,
+// project packs fp into projLanes saturating byte lanes: opcode op
+// feeds lane op mod (projLanes-1), the block count the top lane.
+// Striding the enum (rather than grouping neighbours) keeps related
+// opcodes — add/sub, load/store — in different lanes, where their
+// differences cannot cancel.
+func project(fp *fingerprint.Fingerprint) uint64 {
+	var lanes [projLanes]int32
+	for op, c := range fp.OpCount {
+		lanes[op%(projLanes-1)] += c
 	}
+	lanes[projLanes-1] = fp.Blocks
+	var p uint64
+	for i, v := range lanes {
+		if v > 0xff {
+			v = 0xff
+		}
+		p |= uint64(v) << (8 * i)
+	}
+	return p
+}
+
+// projDistance is the L1 distance between two packed projections.
+func projDistance(a, b uint64) int32 {
+	var d int32
+	for i := 0; i < projLanes; i++ {
+		x := int32(a&0xff) - int32(b&0xff)
+		m := x >> 31
+		d += (x ^ m) - m
+		a >>= 8
+		b >>= 8
+	}
+	return d
+}
+
+func entrySize(e uint64) int32 { return int32(e >> 32) }
+func entrySlot(e uint64) int32 { return int32(uint32(e)) }
+
+// entry is slot's walk entry under the size it is indexed with.
+func (l *LSH) entry(slot int32) uint64 {
+	return uint64(uint32(l.fps[slot].Size))<<32 | uint64(uint32(slot))
+}
+
+// newLSH is the bulk constructor behind New, NewIndexed and Restore:
+// functions covered by prior adopt their fingerprint, everything else
+// is fingerprinted (through the view lens when one is set) and counted
+// in Stats.Built.
+func newLSH(funcs []*ir.Function, view BodySource, prior map[*ir.Function]*fingerprint.Fingerprint) *LSH {
+	l := &LSH{view: view, slotOf: make(map[*ir.Function]int32, len(funcs))}
 	for _, f := range funcs {
 		if f.IsDecl() {
 			continue
 		}
-		if _, ok := l.fps[f]; ok {
+		if _, ok := l.slotOf[f]; ok {
 			continue // duplicate input entry
 		}
-		if fi, ok := prior[f]; ok && fi.FP != nil && len(fi.Keys) == lshBands {
-			l.adoptLocked(f, fi.FP, fi.Keys)
-		} else {
-			l.indexLocked(f)
-		}
-		l.bySize = append(l.bySize, f)
+		l.indexLocked(f, prior[f])
 	}
-	sort.SliceStable(l.bySize, func(i, j int) bool { return l.sizeLess(l.bySize[i], l.bySize[j]) })
+	l.rebuildWalkLocked()
 	return l
 }
 
-// export copies the per-function index state for snapshotting.
-func (l *LSH) export() map[*ir.Function]FuncIndex {
+// export copies the live fingerprints for snapshotting.
+func (l *LSH) export() map[*ir.Function]*fingerprint.Fingerprint {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make(map[*ir.Function]FuncIndex, len(l.fps))
-	for f, fp := range l.fps {
-		out[f] = FuncIndex{FP: fp, Keys: append([]uint64(nil), l.keys[f]...)}
+	out := make(map[*ir.Function]*fingerprint.Fingerprint, len(l.slotOf))
+	for f, slot := range l.slotOf {
+		fp := l.fps[slot]
+		out[f] = &fp
 	}
 	return out
 }
 
-// adoptLocked installs a precomputed fingerprint and band-key set for f
-// without touching the function body; the caller maintains bySize.
-func (l *LSH) adoptLocked(f *ir.Function, fp *fingerprint.Fingerprint, keys []uint64) {
-	l.fps[f] = fp
-	l.keys[f] = keys
-	for b, k := range keys {
-		l.store.add(b, k, f)
+// indexLocked fills f's slot — its existing one on a re-index, else a
+// recycled or fresh one — with fp (computed here when nil), the name f
+// carries now and the projection. The caller maintains walk.
+func (l *LSH) indexLocked(f *ir.Function, fp *fingerprint.Fingerprint) int32 {
+	if fp == nil {
+		body := f
+		if l.view != nil {
+			body = l.view.IndexBody(f)
+		}
+		fp = fingerprint.New(body)
+		l.built++
 	}
-	l.stats.Indexed++
+	slot, ok := l.slotOf[f]
+	switch {
+	case ok:
+	case len(l.free) > 0:
+		slot = l.free[len(l.free)-1]
+		l.free = l.free[:len(l.free)-1]
+	default:
+		slot = int32(len(l.funcs))
+		l.funcs = append(l.funcs, nil)
+		l.names = append(l.names, "")
+		l.fps = append(l.fps, fingerprint.Fingerprint{})
+		l.proj = append(l.proj, 0)
+	}
+	l.slotOf[f] = slot
+	l.funcs[slot] = f
+	l.names[slot] = f.Name()
+	l.fps[slot] = *fp
+	l.proj[slot] = project(fp)
+	return slot
 }
 
-// splitmix64 finalizer: the feature hash.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// compareEntries is walk's total order: size, then indexed name, then
+// slot (names are unique within a module; the slot only keeps the order
+// total if two stale names ever coincide).
+func (l *LSH) compareEntries(a, b uint64) int {
+	if sa, sb := entrySize(a), entrySize(b); sa != sb {
+		return int(sa) - int(sb)
+	}
+	if c := strings.Compare(l.names[entrySlot(a)], l.names[entrySlot(b)]); c != 0 {
+		return c
+	}
+	return int(entrySlot(a)) - int(entrySlot(b))
 }
 
-// sketch computes the one-permutation minhash signature of f's bigram
-// feature set and folds it into band keys: each feature is hashed once,
-// routed to a signature slot by its top bits, and each slot keeps its
-// minimum. With a ClassSource the bigrams run over interned
-// mergeability classes (reusing the vector the alignment stage computes
-// anyway); without one they run over raw opcodes.
-func (l *LSH) sketch(f *ir.Function) []uint64 {
-	const empty = ^uint64(0)
-	var sig [lshHashes]uint64
-	for i := range sig {
-		sig[i] = empty
-	}
-	feed := func(feature uint64) {
-		h := mix64(feature)
-		slot := h >> (64 - lshSlotBits)
-		if h < sig[slot] {
-			sig[slot] = h
+// rebuildWalkLocked re-derives walk from the slot table: one
+// O(n log n) sort in place of per-function sorted insertions, which is
+// what keeps bulk construction and AddBatch from going quadratic.
+func (l *LSH) rebuildWalkLocked() {
+	l.walk = l.walk[:0]
+	for slot, f := range l.funcs {
+		if f != nil {
+			l.walk = append(l.walk, l.entry(int32(slot)))
 		}
 	}
-	// Bigrams within a block, occurrence-capped so one hot pair cannot
-	// dominate the sketch. Occurrence counts are tracked per bigram key
-	// to keep the set weighted (two of the same pair is a different set
-	// than one).
-	occ := map[uint64]uint64{}
-	bigram := func(key uint64) {
-		n := occ[key]
-		if n >= lshCountCap {
-			return
-		}
-		occ[key] = n + 1
-		feed(key<<8 | n)
-	}
-	blocks := uint64(0)
-	if l.classes != nil {
-		// Class-bigram features: consecutive instruction entries of the
-		// linearized sequence; a label entry is a block boundary, so the
-		// block-final instruction contributes a unigram, mirroring the
-		// opcode path. Class IDs are interner-local, well under 2^27.
-		classes := l.classes.ClassVector(f)
-		for i, c := range classes {
-			if c == alignClassLabel {
-				blocks++
-				continue
-			}
-			key := uint64(uint32(c)) << 28
-			if i+1 < len(classes) && classes[i+1] != alignClassLabel {
-				key |= uint64(uint32(classes[i+1])) & (1<<28 - 1)
-			}
-			bigram(key)
-		}
-	} else {
-		for _, b := range f.Blocks {
-			instrs := b.Instrs()
-			for i := range instrs {
-				key := uint64(instrs[i].Op())
-				if i+1 < len(instrs) {
-					key = key<<8 | uint64(instrs[i+1].Op())
-				} else {
-					key = key << 8 // block-final instruction: unigram feature
-				}
-				bigram(key)
-			}
-		}
-		blocks = uint64(len(f.Blocks))
-	}
-	nb := blocks
-	if nb > lshCountCap {
-		nb = lshCountCap
-	}
-	for i := uint64(0); i < nb; i++ {
-		feed(1<<40 | i)
-	}
-	// Rotation densification: an empty slot borrows the next non-empty
-	// slot's value (mixed with the distance travelled), keeping sketches
-	// of sparse feature sets comparable.
-	for i := range sig {
-		if sig[i] != empty {
-			continue
-		}
-		for d := 1; d < lshHashes; d++ {
-			j := (i + d) % lshHashes
-			if sig[j] != empty {
-				sig[i] = mix64(sig[j] + uint64(d))
-				break
-			}
-		}
-	}
-	keys := make([]uint64, lshBands)
-	for b := 0; b < lshBands; b++ {
-		h := uint64(fnvOffset) ^ uint64(b)
-		for r := 0; r < lshRows; r++ {
-			h ^= sig[b*lshRows+r]
-			h *= fnvPrime
-		}
-		keys[b] = h
-	}
-	return keys
+	slices.SortFunc(l.walk, l.compareEntries)
 }
 
-// sizeLess orders the fallback pool by (size, name).
-func (l *LSH) sizeLess(a, b *ir.Function) bool {
-	sa, sb := l.fps[a].Size, l.fps[b].Size
-	if sa != sb {
-		return sa < sb
-	}
-	return a.Name() < b.Name()
+// positionLocked returns where slot's entry sits in walk, or where it
+// would be inserted.
+func (l *LSH) positionLocked(slot int32) int {
+	i, _ := slices.BinarySearchFunc(l.walk, l.entry(slot), l.compareEntries)
+	return i
 }
 
-// indexLocked fingerprints and sketches f — through the view lens when
-// one is set — into the maps and band buckets; the caller maintains
-// bySize.
-func (l *LSH) indexLocked(f *ir.Function) {
-	body := f
-	if l.view != nil {
-		body = l.view.IndexBody(f)
-	}
-	fp := fingerprint.New(body)
-	l.fps[f] = fp
-	keys := l.sketch(body)
-	l.keys[f] = keys
-	for b, k := range keys {
-		l.store.add(b, k, f)
-	}
-	l.stats.Indexed++
-	l.stats.Built++
-	if l.obs != nil {
-		l.obs.ObserveIndexed(f)
-	}
-}
-
-// Add (re-)indexes f incrementally (a sorted insertion into the size
-// list; bulk construction goes through NewLSH instead).
+// Add (re-)indexes f incrementally: a sorted insertion into walk (bulk
+// construction and AddBatch sort once instead).
 func (l *LSH) Add(f *ir.Function) {
 	if f.IsDecl() {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.fps[f]; ok {
-		l.removeLocked(f)
+	if slot, ok := l.slotOf[f]; ok {
+		// Unlink under the key the slot was indexed with, before
+		// indexLocked overwrites it.
+		i := l.positionLocked(slot)
+		l.walk = slices.Delete(l.walk, i, i+1)
 	}
-	l.indexLocked(f)
-	i := sort.Search(len(l.bySize), func(i int) bool { return !l.sizeLess(l.bySize[i], f) })
-	l.bySize = append(l.bySize, nil)
-	copy(l.bySize[i+1:], l.bySize[i:])
-	l.bySize[i] = f
+	slot := l.indexLocked(f, nil)
+	l.walk = slices.Insert(l.walk, l.positionLocked(slot), l.entry(slot))
 }
 
-// AddBatch (re-)indexes a batch of functions in one pass: every
-// function is removed and re-sketched under a single lock acquisition
-// and the size list is appended to and sorted once — O((n+k) log n) for
-// k additions against Add's O(k·n) of per-function sorted insertions,
-// the difference between a million-function batch being a rebuild and
-// being an afternoon. Results are identical to k sequential Adds.
+// AddBatch (re-)indexes a batch of functions under one lock
+// acquisition and re-sorts walk once — O((n+k) log n) against Add's
+// O(k·n) of sorted insertions. Results are identical to k sequential
+// Adds.
 func (l *LSH) AddBatch(fs []*ir.Function) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, f := range fs {
-		if f.IsDecl() {
-			continue
+		if !f.IsDecl() {
+			l.indexLocked(f, nil)
 		}
-		if _, ok := l.fps[f]; ok {
-			l.removeLocked(f)
-		}
-		l.indexLocked(f)
-		l.bySize = append(l.bySize, f)
 	}
-	sort.SliceStable(l.bySize, func(i, j int) bool { return l.sizeLess(l.bySize[i], l.bySize[j]) })
+	l.rebuildWalkLocked()
 }
 
-// Remove drops f from future candidate lists.
+// Remove drops f from future candidate lists and recycles its slot.
 func (l *LSH) Remove(f *ir.Function) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.removeLocked(f)
-}
-
-func (l *LSH) removeLocked(f *ir.Function) {
-	if _, ok := l.fps[f]; !ok {
+	slot, ok := l.slotOf[f]
+	if !ok {
 		return
 	}
-	for b, k := range l.keys[f] {
-		l.store.remove(b, k, f)
-	}
-	l.store.dropID(f)
-	// The sorted position is computed from f's *current* (size, name);
-	// if f was renamed since it was indexed, its entry sorts elsewhere
-	// in the equal-size run, so fall back to a full scan rather than
-	// leave a stale duplicate behind (which would outlive its
-	// fingerprint and poison later queries).
-	i := sort.Search(len(l.bySize), func(i int) bool { return !l.sizeLess(l.bySize[i], f) })
-	found := -1
-	for j := i; j < len(l.bySize); j++ {
-		if l.bySize[j] == f {
-			found = j
-			break
-		}
-	}
-	if found < 0 {
-		for j := i - 1; j >= 0; j-- {
-			if l.bySize[j] == f {
-				found = j
-				break
-			}
-		}
-	}
-	if found >= 0 {
-		l.bySize = append(l.bySize[:found], l.bySize[found+1:]...)
-	}
-	delete(l.fps, f)
-	delete(l.keys, f)
-	l.stats.Indexed--
+	i := l.positionLocked(slot)
+	l.walk = slices.Delete(l.walk, i, i+1)
+	delete(l.slotOf, f)
+	l.funcs[slot] = nil
+	l.names[slot] = ""
+	l.free = append(l.free, slot)
+}
+
+// scored is one entry of a query's running top-t.
+type scored struct {
+	slot int32
+	d    int32
 }
 
 // Candidates returns up to t candidate partners for f: the true
-// fingerprint top-t, found without a full scan. The band buckets seed
-// the running top-t with near neighbours (clone relatives land there
-// with overwhelming probability), which tightens the pruning radius
-// immediately; a branch-and-bound walk outward through the size-sorted
-// list then scores only functions whose size difference — a lower bound
-// on fingerprint distance — could still beat the current t-th best.
-// Everything skipped is provably worse, so the result matches Exact's
-// list; only the work is sub-linear (on modules with any size spread).
+// fingerprint top-t in Exact's (distance, name) order. The walk starts
+// at f's own position in size order and alternates outward, always
+// taking the side with the smaller size gap; it ends when that gap
+// exceeds the distance of the current t-th best, since the gap
+// lower-bounds the distance of everything beyond. A visited entry is
+// rejected on its projection before the full metric runs. Ties at the
+// radius are still scored — the name tie-break can admit them.
 func (l *LSH) Candidates(f *ir.Function, t int) []*ir.Function {
 	start := time.Now()
-	l.mu.RLock()
-	self := l.fps[f]
 	var out []*ir.Function
-	scanned := 0
-	if self != nil && t > 0 {
-		type scored struct {
-			fn *ir.Function
-			d  int32
+	var probed, scanned int64
+	l.mu.RLock()
+	if self, ok := l.slotOf[f]; ok && t > 0 {
+		var buf [16]scored
+		best := buf[:0]
+		if t >= len(buf) {
+			best = make([]scored, 0, t+1)
 		}
-		// best holds the running top-t ordered by (distance, name) — the
-		// same total order Exact's sort uses.
-		best := make([]scored, 0, t+1)
-		before := func(a, b scored) bool {
-			if a.d != b.d {
-				return a.d < b.d
+		const inf = int32(1<<31 - 1)
+		radius := inf
+		selfFP, selfProj, selfSize := &l.fps[self], l.proj[self], l.fps[self].Size
+		pos := l.positionLocked(self)
+		lo, hi := pos-1, pos+1
+		for lo >= 0 || hi < len(l.walk) {
+			dLo, dHi := inf, inf
+			if lo >= 0 {
+				dLo = selfSize - entrySize(l.walk[lo])
 			}
-			return a.fn.Name() < b.fn.Name()
-		}
-		// seen dedups bucket hits (one function can share several band
-		// buckets with f) and masks them from the size walk below. The
-		// size walk itself visits each index once and runs after the
-		// buckets, so its candidates never need inserting — which keeps
-		// the map at bucket-neighborhood size instead of growing with
-		// every scanned function.
-		seen := map[*ir.Function]bool{f: true}
-		score := func(g *ir.Function) {
-			scanned++
-			// Admission threshold first: a candidate whose distance
-			// provably exceeds the current worst of a full top-t can
-			// never enter, and DistanceWithin stops summing the moment
-			// that is settled. Ties at the radius still score fully —
-			// the name tie-break can still admit them.
-			r := int32(1<<31 - 1)
-			if len(best) >= t {
-				r = best[len(best)-1].d
+			if hi < len(l.walk) {
+				dHi = entrySize(l.walk[hi]) - selfSize
 			}
-			d := fingerprint.DistanceWithin(self, l.fps[g], r)
-			if d > r {
-				return
-			}
-			s := scored{fn: g, d: d}
-			pos := sort.Search(len(best), func(i int) bool { return before(s, best[i]) })
-			if pos == len(best) {
-				if len(best) < t {
-					best = append(best, s)
+			var g int32
+			if dLo <= dHi {
+				if dLo > radius {
+					break
 				}
-				return
+				g = entrySlot(l.walk[lo])
+				lo--
+			} else {
+				if dHi > radius {
+					break
+				}
+				g = entrySlot(l.walk[hi])
+				hi++
 			}
-			best = append(best, scored{})
-			copy(best[pos+1:], best[pos:])
-			best[pos] = s
+			probed++
+			if projDistance(selfProj, l.proj[g]) > radius {
+				continue
+			}
+			scanned++
+			d := fingerprint.DistanceWithin(selfFP, &l.fps[g], radius)
+			if d > radius {
+				continue
+			}
+			// Insert in (distance, name) order; best is at most t+1 long.
+			i := len(best)
+			for i > 0 && (best[i-1].d > d || best[i-1].d == d && l.names[best[i-1].slot] > l.names[g]) {
+				i--
+			}
+			if i == t {
+				continue // a radius tie that loses on name
+			}
+			best = slices.Insert(best, i, scored{slot: g, d: d})
 			if len(best) > t {
 				best = best[:t]
 			}
-		}
-		// Radius beyond which no unscored candidate can enter the top-t.
-		// The walk continues on equality: a tie on distance could still
-		// win on the name tie-break.
-		radius := func() int32 {
-			if len(best) < t {
-				return 1<<31 - 1
-			}
-			return best[len(best)-1].d
-		}
-		for b, k := range l.keys[f] {
-			for _, g := range l.store.peek(b, k) {
-				if !seen[g] {
-					seen[g] = true
-					score(g)
-				}
-			}
-		}
-		i := sort.Search(len(l.bySize), func(i int) bool { return !l.sizeLess(l.bySize[i], f) })
-		lo, hi := i-1, i
-		for lo >= 0 || hi < len(l.bySize) {
-			dLo, dHi := int32(1<<31-1), int32(1<<31-1)
-			if lo >= 0 {
-				dLo = abs32(l.fps[l.bySize[lo]].Size - self.Size)
-			}
-			if hi < len(l.bySize) {
-				dHi = abs32(l.fps[l.bySize[hi]].Size - self.Size)
-			}
-			if dLo <= dHi {
-				if dLo > radius() {
-					break
-				}
-				if g := l.bySize[lo]; !seen[g] {
-					score(g)
-				}
-				lo--
-			} else {
-				if dHi > radius() {
-					break
-				}
-				if g := l.bySize[hi]; !seen[g] {
-					score(g)
-				}
-				hi++
+			if len(best) == t {
+				radius = best[t-1].d
 			}
 		}
 		out = make([]*ir.Function, len(best))
 		for i, s := range best {
-			out[i] = s.fn
+			out[i] = l.funcs[s.slot]
 		}
 	}
 	l.mu.RUnlock()
-
-	l.mu.Lock()
-	l.stats.Queries++
-	l.stats.Scanned += scanned
-	l.stats.QueryTime += time.Since(start)
-	l.mu.Unlock()
+	l.queries.Add(1)
+	l.probed.Add(probed)
+	l.scanned.Add(scanned)
+	l.queryNS.Add(int64(time.Since(start)))
 	return out
-}
-
-func abs32(x int32) int32 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Order returns the indexed functions sorted largest-first by
-// instruction count (ties by name), matching Exact's attempt order.
+// instruction count (ties by indexed name), matching Exact's attempt
+// order: walk's equal-size runs, last run first.
 func (l *LSH) Order() []*ir.Function {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := append([]*ir.Function(nil), l.bySize...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := l.fps[out[i]].Size, l.fps[out[j]].Size
-		if si != sj {
-			return si > sj
+	out := make([]*ir.Function, 0, len(l.walk))
+	for hi := len(l.walk); hi > 0; {
+		lo := hi - 1
+		for lo > 0 && entrySize(l.walk[lo-1]) == entrySize(l.walk[hi-1]) {
+			lo--
 		}
-		return out[i].Name() < out[j].Name()
-	})
+		for _, e := range l.walk[lo:hi] {
+			out = append(out, l.funcs[entrySlot(e)])
+		}
+		hi = lo
+	}
 	return out
 }
 
-// Stats returns the accumulated accounting, including the bucket
-// store's residency split so a bounded index's memory ceiling is
-// observable.
+// Stats returns the accumulated accounting.
 func (l *LSH) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.stats
-	st.ResidentBuckets = len(l.store.hot)
-	st.SpilledBuckets = len(l.store.cold)
-	st.SpillBytes = l.store.spillBytes
-	st.BucketFaults = l.store.faults.Load()
-	st.ResidentBytes = l.store.residentBytes()
-	return st
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return Stats{
+		Queries:   int(l.queries.Load()),
+		Scanned:   int(l.scanned.Load()),
+		Probed:    int(l.probed.Load()),
+		QueryTime: time.Duration(l.queryNS.Load()),
+		Indexed:   len(l.walk),
+		Built:     l.built,
+	}
 }

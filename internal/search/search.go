@@ -5,14 +5,13 @@
 //   - Exact wraps fingerprint.Ranking, scanning every live function per
 //     query. Its candidate lists — and therefore the committed merge set —
 //     are bit-identical to the original pipeline at any parallelism.
-//   - LSH indexes banded minhash sketches over opcode bigrams. A query
-//     seeds its top-t from the sketch buckets (clone relatives land
-//     there with overwhelming probability), then finishes with a
-//     branch-and-bound walk over a size-sorted list — the size
-//     difference lower-bounds the fingerprint distance, so everything
-//     skipped is provably worse. Queries return the exact top-t while
-//     scoring a fraction of the module; candidate discovery stops being
-//     the O(n²) bottleneck.
+//   - LSH — a historical name; it no longer sketches or hashes — is the
+//     indexed exact finder: a dense slot-indexed store walked outward
+//     in size order, pruned by two admissible lower bounds on the
+//     fingerprint distance (size difference, then a packed 8-lane
+//     projection). Queries return the exact top-t while scoring a
+//     fraction of the module; candidate discovery stops being the O(n²)
+//     bottleneck.
 //
 // The package also provides stable structural hashing (HashFunction) and
 // duplicate detection (Families, EqualFunctions, BuildForwarder): exact
@@ -62,36 +61,25 @@ type BatchIndexer interface {
 type Stats struct {
 	// Queries counts Candidates calls.
 	Queries int
-	// Scanned counts candidate fingerprints scored across all queries
-	// (for Exact this is every live function per query; for LSH only
-	// the bucket survivors).
+	// Scanned counts candidate fingerprints distance-scored across all
+	// queries (for Exact this is every live function per query; for the
+	// indexed finder only what its lower bounds could not reject).
 	Scanned int
+	// Probed counts the index entries the queries visited, of which
+	// Scanned were distance-scored: Probed - Scanned is the pruning the
+	// projection bound did, Indexed·Queries - Probed what the size
+	// bound did. Exact visits what it scores, so there the two agree.
+	Probed int
 	// QueryTime accumulates wall-clock time spent inside Candidates.
 	QueryTime time.Duration
 	// Indexed is the number of functions currently indexed.
 	Indexed int
-	// Built counts fingerprint (and, for LSH, sketch) computations the
-	// finder performed — construction plus every re-Add. A finder
+	// Built counts fingerprint computations the finder performed —
+	// construction plus every re-Add. A finder
 	// restored from a snapshot starts with Built equal to only the
 	// functions whose snapshot entries could not be reused, which is how
 	// warm restarts are asserted to skip the rebuild.
 	Built int
-	// ResidentBuckets/SpilledBuckets split a budgeted LSH index's band
-	// buckets into hot (live slices) and cold (spilled to encoded id
-	// blobs of SpillBytes total); BucketFaults counts queries that had
-	// to decode a cold bucket. Spill fields are zero under KindExact or
-	// an unbounded LSH index.
-	ResidentBuckets int
-	SpilledBuckets  int
-	SpillBytes      int
-	BucketFaults    int64
-	// ResidentBytes estimates the live-heap footprint of the hot
-	// buckets (slice payloads plus per-bucket bookkeeping). The
-	// bucket storage a budget governs is ResidentBytes + SpillBytes;
-	// comparing that sum against an unbounded index's ResidentBytes is
-	// the bounded-memory acceptance signal in BENCH_scale.json,
-	// deliberately independent of whole-process heap noise.
-	ResidentBytes int
 }
 
 // AvgScanned returns the mean number of candidates scored per query.
@@ -110,8 +98,9 @@ const (
 	// KindExact is the brute-force fingerprint ranking (the paper's
 	// §5.1 pipeline): exact top-t lists, O(n) scan per query.
 	KindExact Kind = iota
-	// KindLSH is the locality-sensitive index over banded fingerprint
-	// sketches: the same top-t lists from sub-linear query work.
+	// KindLSH is the indexed exact finder (see LSH; the name and the
+	// "lsh" flag value predate the removal of the sketch): the same
+	// top-t lists from sub-linear query work.
 	KindLSH
 )
 
@@ -137,27 +126,7 @@ func KindByName(name string) (Kind, error) {
 // New builds the Finder of the given kind over funcs (declarations are
 // ignored).
 func New(kind Kind, funcs []*ir.Function) Finder {
-	return NewWithClasses(kind, funcs, nil)
-}
-
-// ClassSource provides per-function mergeability-class vectors (one
-// int32 per linearized entry, labels included). align.Cache implements
-// it; the driver hands its per-run cache to the finder so the LSH
-// sketches reuse the class vectors the alignment stage needs anyway —
-// one linearization pass per function serves both subsystems.
-type ClassSource interface {
-	ClassVector(f *ir.Function) []int32
-}
-
-// NewWithClasses is New with an optional ClassSource. A nil src keeps
-// the self-contained opcode-bigram sketches; a non-nil src switches the
-// LSH sketches to class bigrams, which are strictly more discriminating
-// (classes fold in types and constant auxiliaries, so unrelated
-// functions sharing opcode shapes stop colliding). Candidate lists are
-// the exact fingerprint top-t either way — sketches only seed the
-// branch-and-bound — so the committed merge set does not depend on src.
-func NewWithClasses(kind Kind, funcs []*ir.Function, src ClassSource) Finder {
-	return NewIndexed(kind, funcs, src, nil)
+	return NewIndexed(kind, funcs, nil)
 }
 
 // BodySource resolves the body a finder actually indexes for a
@@ -169,103 +138,39 @@ type BodySource interface {
 	IndexBody(f *ir.Function) *ir.Function
 }
 
-// NewIndexed is NewWithClasses with an optional BodySource: fingerprints
-// and sketches are computed over view.IndexBody(f) while candidate
-// identity, ordering and removal stay keyed by the original f. This is
-// how canonical-view sessions make reducible noise (redundant memory
-// traffic, unfolded constants, commuted operands, spurious blocks)
-// invisible to discovery.
-func NewIndexed(kind Kind, funcs []*ir.Function, src ClassSource, view BodySource) Finder {
-	return NewIndexedBudget(kind, funcs, src, view, 0)
+// NewIndexed is New with an optional BodySource: fingerprints are
+// computed over view.IndexBody(f) while candidate identity, ordering
+// and removal stay keyed by the original f. This is how canonical-view
+// sessions make reducible noise (redundant memory traffic, unfolded
+// constants, commuted operands, spurious blocks) invisible to
+// discovery.
+func NewIndexed(kind Kind, funcs []*ir.Function, view BodySource) Finder {
+	return Restore(kind, funcs, view, nil)
 }
 
-// NewIndexedBudget is NewIndexed with a residency budget for the LSH
-// bucket store: budget > 0 keeps at most that many band buckets hot and
-// spills the rest to compact encoded blobs (Stats reports the split).
-// Candidate lists are identical at any budget — buckets only seed the
-// exact branch-and-bound — so the budget trades decode work for
-// resident memory, never recall. Ignored under KindExact.
-func NewIndexedBudget(kind Kind, funcs []*ir.Function, src ClassSource, view BodySource, budget int) Finder {
-	return NewIndexedBudgetObserved(kind, funcs, src, view, budget, nil)
-}
-
-// ClassObserver is notified whenever an LSH finder (re-)sketches a
-// function — at bulk construction and on every incremental Add /
-// AddBatch, but not when a snapshot entry is adopted verbatim (no
-// sketch is built then). The driver's planning funnel piggybacks its
-// per-function class-histogram builds on the notification, while the
-// function's linearization is hot. Observers must tolerate concurrent
-// calls only insofar as the finder's own entry points are called
-// concurrently.
-type ClassObserver interface {
-	ObserveIndexed(f *ir.Function)
-}
-
-// NewIndexedBudgetObserved is NewIndexedBudget with an optional sketch
-// observer. A nil obs (and any KindExact finder, which builds no
-// sketches) behaves exactly like NewIndexedBudget.
-func NewIndexedBudgetObserved(kind Kind, funcs []*ir.Function, src ClassSource, view BodySource, budget int, obs ClassObserver) Finder {
-	if kind == KindLSH {
-		return newLSH(funcs, src, view, nil, budget, obs)
-	}
-	return restoreExact(funcs, view, nil)
-}
-
-// FuncIndex is one function's share of a finder's index: the fingerprint
-// and (for LSH) the band keys of its minhash sketch. It is what a
-// snapshot persists per function so a warm restart can skip recomputing
-// both.
-type FuncIndex struct {
-	FP   *fingerprint.Fingerprint
-	Keys []uint64 // LSH band keys; nil under KindExact
-}
-
-// Export returns the per-function index state of f, keyed by function.
+// Export returns the fingerprint f holds for each indexed function —
+// what a snapshot persists so a warm restart can skip recomputing them.
 // Only the two concrete finders of this package are supported.
-func Export(f Finder) map[*ir.Function]FuncIndex {
+func Export(f Finder) map[*ir.Function]*fingerprint.Fingerprint {
 	switch f := f.(type) {
 	case *Exact:
-		fps := f.r.Fingerprints()
-		out := make(map[*ir.Function]FuncIndex, len(fps))
-		for fn, fp := range fps {
-			out[fn] = FuncIndex{FP: fp}
-		}
-		return out
+		return f.r.Fingerprints()
 	case *LSH:
 		return f.export()
 	}
 	return nil
 }
 
-// Restore builds a Finder of the given kind over funcs, adopting the
-// fingerprints and sketches in prior instead of recomputing them;
-// functions without a prior entry (or with one lacking band keys when
-// kind is KindLSH) are indexed from scratch and counted in Stats.Built.
-// The caller is responsible for only passing prior entries that still
-// describe the function's current body — the driver checks structural
-// hashes before trusting a snapshot.
-func Restore(kind Kind, funcs []*ir.Function, src ClassSource, prior map[*ir.Function]FuncIndex) Finder {
-	return RestoreIndexed(kind, funcs, src, nil, prior)
-}
-
-// RestoreIndexed is Restore through a BodySource lens (see NewIndexed):
-// adopted prior entries must have been computed under the same lens
-// configuration — the driver's snapshot carries the canon config as a
-// validation guard precisely so restored sketches and freshly indexed
-// views share one hash space.
-func RestoreIndexed(kind Kind, funcs []*ir.Function, src ClassSource, view BodySource, prior map[*ir.Function]FuncIndex) Finder {
-	return RestoreIndexedBudget(kind, funcs, src, view, prior, 0)
-}
-
-// RestoreIndexedBudget is RestoreIndexed with an LSH bucket residency
-// budget (see NewIndexedBudget).
-func RestoreIndexedBudget(kind Kind, funcs []*ir.Function, src ClassSource, view BodySource, prior map[*ir.Function]FuncIndex, budget int) Finder {
+// Restore is NewIndexed adopting the fingerprints in prior instead of
+// recomputing them; functions without a prior entry are indexed from
+// scratch and counted in Stats.Built. The caller is responsible for
+// only passing prior entries that still describe the function's current
+// body under the same lens configuration — the driver checks structural
+// hashes, and its snapshot carries the canon config as a guard, before
+// trusting one.
+func Restore(kind Kind, funcs []*ir.Function, view BodySource, prior map[*ir.Function]*fingerprint.Fingerprint) Finder {
 	if kind == KindLSH {
-		return newLSH(funcs, src, view, prior, budget, nil)
+		return newLSH(funcs, view, prior)
 	}
-	fps := make(map[*ir.Function]*fingerprint.Fingerprint, len(prior))
-	for fn, fi := range prior {
-		fps[fn] = fi.FP
-	}
-	return restoreExact(funcs, view, fps)
+	return restoreExact(funcs, view, prior)
 }

@@ -43,10 +43,6 @@ type CreateSession struct {
 	// with this many workers (bit-identical to the serial walk); 0
 	// keeps the serial walk.
 	CommitParallelism int `json:"commit_parallelism,omitempty"`
-	// LSHBudget bounds the LSH finder at this many resident band
-	// buckets, spilling the rest to compact encoded form (identical
-	// candidate lists); 0 is unbounded. Ignored by the exact finder.
-	LSHBudget int `json:"lsh_budget,omitempty"`
 }
 
 // SessionInfo describes one served session; returned by session

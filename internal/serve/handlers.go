@@ -221,12 +221,6 @@ func buildOptimizer(req *api.CreateSession, shards int) (*repro.Optimizer, error
 	if req.CommitParallelism > 0 {
 		opts = append(opts, repro.WithCommitParallelism(req.CommitParallelism))
 	}
-	if req.LSHBudget < 0 {
-		return nil, fmt.Errorf("negative LSH budget %d", req.LSHBudget)
-	}
-	if req.LSHBudget > 0 {
-		opts = append(opts, repro.WithLSHBudget(req.LSHBudget))
-	}
 	_ = shards // recorded on the served session, not an Optimizer option
 	return repro.New(opts...)
 }

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	repro "repro"
@@ -408,6 +411,73 @@ func TestServeWarmRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestServeOldSnapshotColdOpens: an index snapshot of the previous
+// format version on disk (version 2 carried LSH band keys) is a stale
+// cache, not an error — recreating the session restores the module
+// text, rejects the snapshot and rebuilds the index cold.
+func TestServeOldSnapshotColdOpens(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	_, hs := newTestDaemon(t, Config{SnapshotDir: dir})
+	c := client.New(hs.URL, "old")
+	create := client.CreateSession{Name: "old-snap", Module: testCorpus(t, 32), Finder: "lsh", DupFold: true, MaxFamily: 2}
+	sc, err := c.CreateSession(ctx, create)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	coldPlan, err := sc.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Snapshot(ctx); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if err := sc.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "old-snap.snap.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap repro.SessionSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Version = 2
+	if err := snap.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	create.Module = ""
+	sc2, err := c.CreateSession(ctx, create)
+	if err != nil {
+		t.Fatalf("recreate over a version-2 snapshot: %v", err)
+	}
+	info := sc2.CreateInfo()
+	if info.Warm {
+		t.Fatal("version-2 snapshot accepted as warm")
+	}
+	if info.Built == 0 {
+		t.Fatal("cold open built no index entries")
+	}
+	plan, err := sc2.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Merges) != len(coldPlan.Merges) || len(plan.Folds) != len(coldPlan.Folds) {
+		t.Fatalf("plan after fallback %d merges/%d folds, want %d/%d",
+			len(plan.Merges), len(plan.Folds), len(coldPlan.Merges), len(coldPlan.Folds))
 	}
 }
 

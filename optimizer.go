@@ -43,7 +43,6 @@ type Optimizer struct {
 	skipHot     map[string]bool
 	parallelism int
 	commitPar   int
-	lshBudget   int
 	finder      FinderKind
 	dupFold     bool
 	canon       bool
@@ -222,30 +221,14 @@ func WithCommitParallelism(n int) Option {
 	}
 }
 
-// WithLSHBudget bounds the LSH finder at n resident band buckets
-// (default 0 = unbounded): the least recently written buckets beyond
-// the budget are spilled to compact delta-encoded blobs and decoded
-// transparently on access, so index memory stays bounded on
-// million-function modules. Candidate lists — and therefore the
-// committed merge set — are identical at any budget; only query cost
-// changes (a fault decodes one bucket). Ignored by the exact finder.
-func WithLSHBudget(n int) Option {
-	return func(o *Optimizer) error {
-		if n < 0 {
-			return fmt.Errorf("repro: LSH budget must be >= 0, got %d", n)
-		}
-		o.lshBudget = n
-		return nil
-	}
-}
-
 // WithFinder selects the candidate-search implementation (default
 // ExactFinder). ExactFinder reproduces the paper's brute-force
-// fingerprint ranking with an O(n) scan per query; LSHFinder answers
-// the same queries from a locality-sensitive index over banded
-// fingerprint sketches, scoring only the candidates a
-// size-difference bound cannot exclude — the same top-t lists, a
-// fraction of the work on large modules.
+// fingerprint ranking with an O(n) scan per query; LSHFinder (the name
+// is historical: it is the indexed exact finder and no longer sketches)
+// answers the same queries from a dense index walked outward in size
+// order, scoring only the candidates that neither a size-difference nor
+// a projected-fingerprint lower bound can exclude — the same top-t
+// lists, a fraction of the work on large modules.
 func WithFinder(k FinderKind) Option {
 	return func(o *Optimizer) error {
 		switch k {
@@ -360,10 +343,6 @@ func (o *Optimizer) Parallelism() int { return o.parallelism }
 // CommitParallelism returns the configured commit-walk worker count.
 func (o *Optimizer) CommitParallelism() int { return o.commitPar }
 
-// LSHBudget returns the configured resident-bucket bound of the LSH
-// finder (0 = unbounded).
-func (o *Optimizer) LSHBudget() int { return o.lshBudget }
-
 // Finder returns the configured candidate-search implementation.
 func (o *Optimizer) Finder() FinderKind { return o.finder }
 
@@ -398,7 +377,6 @@ func (o *Optimizer) config() driver.Config {
 		Progress:    o.progress,
 
 		CommitParallelism: o.commitPar,
-		LSHBudget:         o.lshBudget,
 		NoPlanFunnel:      o.noPlanFunnel,
 	}
 	if o.canon {

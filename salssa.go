@@ -91,9 +91,10 @@ const (
 	// committed merge set is bit-identical to the historical pipeline
 	// at any parallelism.
 	ExactFinder = search.KindExact
-	// LSHFinder indexes banded minhash sketches of the functions and
-	// answers candidate queries from locality-sensitive buckets plus a
-	// size-bounded branch-and-bound: the same top-t lists as
+	// LSHFinder is the indexed exact finder. The name predates the
+	// removal of its minhash sketch: it now answers candidate queries
+	// from a dense size-ordered index pruned by two admissible lower
+	// bounds on the fingerprint distance — the same top-t lists as
 	// ExactFinder, from sub-linear query work. On large modules
 	// candidate discovery stops being the O(n²) bottleneck.
 	LSHFinder = search.KindLSH

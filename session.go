@@ -9,7 +9,7 @@ import (
 
 // Session is a long-lived merge engine over one module, created by
 // (*Optimizer).Open. Where Optimize rebuilds every index — fingerprint
-// ranking, LSH buckets, linearization/class cache — from scratch on
+// ranking or index, linearization/class cache — from scratch on
 // each call, a Session builds them once and maintains them
 // incrementally, so repeated runs over an evolving module pay only for
 // the delta:
@@ -57,8 +57,8 @@ type PlannedMerge = driver.PlannedMerge
 type PlannedFold = driver.PlannedFold
 
 // SessionSnapshot is the serializable index state of a Session:
-// structural hashes, fingerprints, LSH sketches and the
-// unprofitable-pair memo, versioned and checksummed. Save one to disk
+// structural hashes, fingerprints and the unprofitable-pair
+// memo, versioned and checksummed. Save one to disk
 // with encoding/json and a later process warm-restarts through
 // (*Optimizer).OpenWithSnapshot without rebuilding the indexes.
 type SessionSnapshot = driver.Snapshot
