@@ -26,7 +26,7 @@ type generator struct {
 	// maps original values (arguments, instructions, blocks) of each
 	// member to their merged counterparts ("value mapping", §4.1.2); nil
 	// marks a value not mapped yet.
-	num  []numbering
+	num  []Numbering
 	vmap [][]ir.Value
 	// origin maps merged blocks back to the original block they came
 	// from, per member ("block mapping", §4.1.2): the entry for merged
@@ -89,19 +89,22 @@ type diamond struct {
 	join *ir.Block
 }
 
-// numbering numbers one function's values densely: arguments first,
+// Numbering numbers one function's values densely: arguments first,
 // then blocks, then instructions in layout order. It reads the indices
 // ir maintains, so it costs one slice and stays right for as long as the
-// function is not rewritten.
-type numbering struct {
+// function is not rewritten; callers that meet the same function again
+// and again (the planning funnel's profiles) keep one instead of
+// rebuilding it per pair.
+type Numbering struct {
 	nargs int
 	// instrBase[b.Index()] is the number of b's first instruction.
 	instrBase []int32
 	size      int
 }
 
-func newNumbering(f *ir.Function) numbering {
-	x := numbering{nargs: len(f.Params()), instrBase: make([]int32, len(f.Blocks))}
+// NewNumbering numbers f's current body.
+func NewNumbering(f *ir.Function) Numbering {
+	x := Numbering{nargs: len(f.Params()), instrBase: make([]int32, len(f.Blocks))}
 	x.size = x.nargs + len(f.Blocks)
 	for i, b := range f.Blocks {
 		x.instrBase[i] = int32(x.size)
@@ -112,7 +115,7 @@ func newNumbering(f *ir.Function) numbering {
 
 // of returns v's number; v must be an argument, block or instruction of
 // the numbered function.
-func (x *numbering) of(v ir.Value) int {
+func (x *Numbering) of(v ir.Value) int {
 	switch v := v.(type) {
 	case *ir.Argument:
 		return v.Index()
@@ -128,10 +131,10 @@ func newGenerator(m *ir.Module, fns []*ir.Function, name string, plan *ParamPlan
 	k := len(fns)
 	g := &generator{m: m, fns: fns, k: k, opts: opts}
 	g.merged, g.fid = NewMergedShell(m, name, fns, plan)
-	g.num = make([]numbering, k)
+	g.num = make([]Numbering, k)
 	g.vmap = make([][]ir.Value, k)
 	for j, f := range fns {
-		g.num[j] = newNumbering(f)
+		g.num[j] = NewNumbering(f)
 		g.vmap[j] = make([]ir.Value, g.num[j].size)
 		for i, p := range f.Params() {
 			g.setMapped(j, p, g.merged.Param(plan.Maps[j][i]+1))

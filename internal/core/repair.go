@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/ir"
@@ -49,7 +48,7 @@ func (g *generator) repairSSA() {
 	var (
 		defs     []*ir.Instruction
 		offenses []offense
-		num      = newNumbering(f)
+		num      = NewNumbering(f)
 		ordinal  = make([]int32, num.size)
 	)
 	for _, b := range f.Blocks {
@@ -234,7 +233,22 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
 		a, b    int
 		overlap int
 	}
-	var cands []cand
+	// A candidate is a pair of definitions from two different members that
+	// agree on their type. They are counted before they are collected, so
+	// the list is allocated once.
+	ncands := 0
+	for mi := 0; mi < g.k; mi++ {
+		for mj := mi + 1; mj < g.k; mj++ {
+			for _, d0 := range byMember[mi] {
+				for _, d1 := range byMember[mj] {
+					if ir.TypesEqual(defs[d0].Type(), defs[d1].Type()) {
+						ncands++
+					}
+				}
+			}
+		}
+	}
+	cands := make([]cand, 0, ncands)
 	for mi := 0; mi < g.k; mi++ {
 		for mj := mi + 1; mj < g.k; mj++ {
 			for _, d0 := range byMember[mi] {
@@ -258,7 +272,7 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
 		}
 	}
 	// Greedy maximum-overlap matching (stable order for determinism).
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].overlap > cands[b].overlap })
+	slices.SortStableFunc(cands, func(x, y cand) int { return cmp.Compare(y.overlap, x.overlap) })
 	classOf := make([]*slotClass, len(defs))
 	var accepted []*slotClass
 	classFor := func(d int) *slotClass {

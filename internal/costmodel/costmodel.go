@@ -7,6 +7,7 @@
 package costmodel
 
 import (
+	"repro/internal/core"
 	"repro/internal/ir"
 )
 
@@ -31,16 +32,31 @@ func (t Target) String() string {
 	return "x86-64"
 }
 
+// x86-64 byte costs InstrBytes shares with ForcedBytes: what one
+// branch, one conditional branch (cmp/test fused + jcc) and one select
+// (cmov / it-block) are charged.
+const (
+	brCost     = 2
+	condBrCost = 4
+	selectCost = 4
+)
+
+// narrow converts an x86-64 byte cost to the target's: Thumb's narrow
+// encodings halve it, rounding up.
+func narrow(n int, target Target) int {
+	if target == Thumb {
+		return (n + 1) / 2
+	}
+	return n
+}
+
 // InstrBytes estimates the object-code bytes contributed by one
 // instruction on the target. Phi-nodes are free (they become register
 // copies that the allocator mostly coalesces; a small cost is charged to
 // model the copies that remain). Allocas are frame bookkeeping (free at
 // this granularity); their cost is paid by the loads/stores.
 func InstrBytes(in *ir.Instruction, target Target) int {
-	x86 := func(n int) int { return n }
-	if target == Thumb {
-		x86 = func(n int) int { return (n + 1) / 2 } // narrow encodings
-	}
+	x86 := func(n int) int { return narrow(n, target) }
 	switch in.Op() {
 	case ir.OpPhi:
 		// Phis lower to register copies in predecessors; the allocator
@@ -52,9 +68,9 @@ func InstrBytes(in *ir.Instruction, target Target) int {
 		return x86(2)
 	case ir.OpBr:
 		if in.IsCondBr() {
-			return x86(4) // cmp/test fused + jcc
+			return x86(condBrCost)
 		}
-		return x86(2)
+		return x86(brCost)
 	case ir.OpSwitch:
 		return SwitchBytes(target, len(in.SwitchCases()))
 	case ir.OpUnreachable:
@@ -75,7 +91,7 @@ func InstrBytes(in *ir.Instruction, target Target) int {
 	case ir.OpICmp, ir.OpFCmp:
 		return x86(3)
 	case ir.OpSelect:
-		return x86(4) // cmov / it-block
+		return x86(selectCost)
 	case ir.OpSDiv, ir.OpUDiv, ir.OpSRem, ir.OpURem:
 		return x86(6)
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
@@ -86,6 +102,18 @@ func InstrBytes(in *ir.Instruction, target Target) int {
 		}
 		return x86(4) // integer ALU
 	}
+}
+
+// ForcedBytes prices what core.CountForced counted: selects, the
+// conditional branches on the function identifier that chain dispatch
+// and label selection emit, unconditional branches that became
+// conditional ones, and the branches that rejoin diverged members.
+func ForcedBytes(n core.Forced, target Target) int {
+	br, condBr := narrow(brCost, target), narrow(condBrCost, target)
+	return n.Selects*narrow(selectCost, target) +
+		(n.FidBranches+n.LabelSelections)*condBr +
+		n.BranchUpgrades*(condBr-br) +
+		n.Rejoins*br
 }
 
 // FuncBytes estimates the object-code size of a function body plus its

@@ -12,8 +12,10 @@
 // copy per matched pair, and only adds instructions on top (selects,
 // fid dispatch, extra phis). Simplify can then remove at most what it
 // could already remove from each original alone — merging never makes
-// an original's branch foldable or its blocks emptier, because merged
-// predecessor sets only union the originals' — plus the matched
+// an original's branch foldable, because merged predecessor sets only
+// union the originals', and the one instruction it does expose, an
+// unconditional branch left alone in its block behind a dispatch on
+// the identifier, costs less than the dispatch — plus the matched
 // duplicates already accounted. Hence
 //
 //	FuncBytes(Simplify(merged)) >= overhead + E1 + E2 - matched - slack1 - slack2
@@ -30,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/align"
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/transform"
 )
@@ -72,14 +75,20 @@ type FuncProfile struct {
 
 	fn     *ir.Function
 	target Target
+	// num numbers fn's values for core.CountForced, once per profile
+	// rather than once per pair the function is tried in.
+	num core.Numbering
 
 	// slack is computed lazily: it needs a clone plus a Simplify run,
 	// which is too expensive to pay at index time for functions that
 	// are never screened. sync.Once makes the lazy fill safe under the
 	// planning workers' concurrency; slackKnown lets BoundLazy read an
 	// already-settled value without ever forcing the computation.
+	// reducible, settled by the same run, records whether clean-up finds
+	// anything at all to do to the function.
 	slackOnce  sync.Once
 	slack      int
+	reducible  bool
 	slackKnown atomic.Bool
 }
 
@@ -88,7 +97,7 @@ type FuncProfile struct {
 // O(n) and does not touch the slack term; that is filled lazily on
 // first use (see FuncProfile.Slack).
 func NewFuncProfile(f *ir.Function, target Target, seq align.Seq) *FuncProfile {
-	p := &FuncProfile{fn: f, target: target, Params: len(f.Params())}
+	p := &FuncProfile{fn: f, target: target, Params: len(f.Params()), num: core.NewNumbering(f)}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs() {
 			if op := in.Op(); op == ir.OpPhi || op == ir.OpLandingPad {
@@ -137,13 +146,32 @@ func NewFuncProfile(f *ir.Function, target Target, seq align.Seq) *FuncProfile {
 func (p *FuncProfile) Slack() int {
 	p.slackOnce.Do(func() {
 		c, _ := ir.CloneFunction(p.fn, p.fn.Name())
-		transform.Simplify(c)
+		// Checked on the private clone: use lists of the original may be
+		// written by a concurrent trial.
+		c.Instrs(func(in *ir.Instruction) bool {
+			p.reducible = transform.IsPromotable(in)
+			return !p.reducible
+		})
+		if transform.Simplify(c) > 0 {
+			p.reducible = true
+		}
 		if s := FuncBytes(p.fn, p.target) - FuncBytes(c, p.target); s > 0 {
 			p.slack = s
 		}
 		p.slackKnown.Store(true)
 	})
 	return p.slack
+}
+
+// Irreducible reports whether the clean-up a trial runs on its merged
+// body would leave the profiled function alone: Simplify changes
+// nothing in it (so its Slack is zero) and register promotion has no
+// stack slot to promote. Every instruction of such a function outlives
+// a merge, which is the premise ForcedCut rests on. Settled together
+// with the slack term, at the same one-off cost.
+func (p *FuncProfile) Irreducible() bool {
+	p.Slack()
+	return !p.reducible
 }
 
 // SlackIfKnown returns the slack term without forcing its computation:
@@ -280,6 +308,25 @@ func MatchedPairBytes(pairs []align.Pair, target Target) int {
 		n += ba
 	}
 	return n
+}
+
+// ForcedCut tightens the stage-3 bound once the alignment is known: the
+// bytes the pairwise SalSSA generator is forced to add for it
+// (core.CountForced, priced by ForcedBytes) plus what two thunks of the
+// merged function's exact arity cost over the minimum arity Fixed
+// assumed. Fixed + MatchedPairBytes - ForcedCut bounds the trial's
+// profit from above when both profiles are Irreducible — the counted
+// items are then certain to survive clean-up — and proves nothing for
+// any other pair. pairs must align p1's function (the A entries) with
+// p2's; a pair no plan unifies yields 0.
+func ForcedCut(p1, p2 *FuncProfile, pairs []align.Pair, opts core.Options, target Target) int {
+	plan, err := core.PlanParams(p1.fn, p2.fn)
+	if err != nil {
+		return 0
+	}
+	minArity := 1 + max(p1.Params, p2.Params)
+	return ForcedBytes(core.CountForced(pairs, &p1.num, &p2.num, plan, opts), target) +
+		2*(ThunkBytes(target, 1+len(plan.Params))-ThunkBytes(target, minArity))
 }
 
 // SavingsUpperBound returns an admissible upper bound on the profit of

@@ -368,15 +368,7 @@ func (r *runner) replayRow(ctx context.Context, f1 *ir.Function, consumed map[*i
 			g = trialGate{on: true, bd: bd, gate: gate, p1: p1, p2: p2}
 		}
 		t := planTrialInPlace(ctx, r.m, f1, f2, r.cache, r.sizes, opts, r.cfg, g)
-		res.Attempts++
-		res.AlignTime += t.alignTime
-		res.CodegenTime += t.codegenTime
-		if t.matrixBytes > 0 {
-			res.SumMatrixBytes += t.matrixBytes
-			if t.matrixBytes > res.PeakMatrixBytes {
-				res.PeakMatrixBytes = t.matrixBytes
-			}
-		}
+		res.account(t)
 		if t.err != nil {
 			if err := ctx.Err(); err != nil {
 				discard(best)

@@ -295,11 +295,13 @@ type Result struct {
 	// (Figure 23); TotalTime is the whole run (Figure 24's overhead).
 	// Under parallel planning the phase times are summed across workers,
 	// so they can exceed TotalTime. ScreenTime accumulates the planning
-	// funnel's stage-1 bound computations (including lazily-filled
-	// slack terms); CommitTime is the wall clock of the commit/replay
-	// section — thunk building, index retirement and (for the
-	// component-parallel walk) the validated replay, whose repair
-	// trials are also counted in AlignTime/CodegenTime.
+	// funnel's bound computations — the stage-1 screen and the stage-3
+	// refinement after each alignment, lazily-filled slack terms
+	// included — and, under family tracking, the check whether a pair
+	// flattens; CommitTime is the wall clock of the commit/replay
+	// section — duplicate folding, thunk building, index retirement and
+	// (for the component-parallel walk) the validated replay, whose
+	// repair trials are also counted in AlignTime/CodegenTime.
 	AlignTime, CodegenTime, TotalTime time.Duration
 	ScreenTime, CommitTime            time.Duration
 	// PeakMatrixBytes is the largest alignment matrix (Figure 22's
@@ -418,8 +420,26 @@ type trial struct {
 	dpAborted bool
 	bound     int
 
-	alignTime, codegenTime time.Duration
-	matrixBytes            int64
+	// screenTime is stage 3's share of the trial: the refined bound and
+	// whatever slack terms it had to settle, which neither the alignment
+	// nor the codegen clock covers.
+	alignTime, codegenTime, screenTime time.Duration
+	matrixBytes                        int64
+}
+
+// account folds a consumed trial into the report: one attempt, its
+// phase clocks and its alignment matrix footprint.
+func (res *Result) account(t *trial) {
+	res.Attempts++
+	res.AlignTime += t.alignTime
+	res.CodegenTime += t.codegenTime
+	res.ScreenTime += t.screenTime
+	if t.matrixBytes > 0 {
+		res.SumMatrixBytes += t.matrixBytes
+		if t.matrixBytes > res.PeakMatrixBytes {
+			res.PeakMatrixBytes = t.matrixBytes
+		}
+	}
 }
 
 // trialGate is the funnel verdict a trial is planned under: the stage-1
@@ -523,9 +543,10 @@ func planTrialInPlace(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, ca
 // stage 2 threads the bound-derived score floor through the DP (which
 // aborts with ErrBelowBound the moment the optimum provably falls
 // short) and stage 3 re-checks the refined bound — the fixed terms
-// plus the actual matched bytes of the computed alignment — before any
-// codegen. A nil return means the trial is settled (skipped or erred)
-// and must not materialize.
+// plus the actual matched bytes of the computed alignment, less what
+// that alignment forces the generator to add — before any codegen. A
+// nil return means the trial is settled (skipped or erred) and must not
+// materialize.
 func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Options, cfg Config, g trialGate) *align.Result {
 	aopts := opts.Align
 	// The score floor's byte arithmetic (ScoreNeeded) assumes the
@@ -551,22 +572,33 @@ func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Opti
 		return nil
 	}
 	t.matrixBytes = ares.MatrixBytes
-	if g.on {
-		mpb := costmodel.MatchedPairBytes(ares.Pairs, cfg.Target)
-		if refined := g.bd.Fixed + mpb; refined <= g.gate {
-			// A lazy Fixed underestimates; settle the slack terms and
-			// re-check before ruling the trial out. Survivors never pay
-			// for slack here — only pairs about to be skipped do.
-			if !g.bd.Exact {
-				g.bd = costmodel.Bound(g.p1, g.p2, cfg.Target)
-				refined = g.bd.Fixed + mpb
-			}
-			if refined <= g.gate {
-				t.skipped = true
-				t.bound = refined
-				return nil
-			}
+	if !g.on {
+		return ares
+	}
+	s0 := time.Now()
+	mpb := costmodel.MatchedPairBytes(ares.Pairs, cfg.Target)
+	refined := g.bd.Fixed + mpb
+	if refined <= g.gate && !g.bd.Exact {
+		// A lazy Fixed underestimates; settle the slack terms and
+		// re-check before ruling the trial out. Survivors never pay
+		// for slack here — only pairs about to be skipped do.
+		refined = costmodel.Bound(g.p1, g.p2, cfg.Target).Fixed + mpb
+	}
+	if refined > g.gate {
+		// Count what the alignment forces first; the two clean-up runs
+		// that decide whether the count is a proof are only paid for when
+		// it would settle the trial. Irreducible functions have no slack,
+		// so a lazy Fixed is exact whenever the cut applies.
+		if cut := costmodel.ForcedCut(g.p1, g.p2, ares.Pairs, opts, cfg.Target); refined-cut <= g.gate &&
+			g.p1.Irreducible() && g.p2.Irreducible() {
+			refined -= cut
 		}
+	}
+	t.screenTime = time.Since(s0)
+	if refined <= g.gate {
+		t.skipped = true
+		t.bound = refined
+		return nil
 	}
 	return ares
 }

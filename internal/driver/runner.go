@@ -139,8 +139,12 @@ func (r *runner) mergedName(f1, f2 *ir.Function) string {
 // mode) or a tombstoned PlannedFold (dry mode) and leaves the candidate
 // set, so exact clone families cost zero DP cells. The representative
 // stays a candidate. Families follow candidate (module definition)
-// order, keeping folding deterministic at any parallelism.
+// order, keeping folding deterministic at any parallelism. Folds are
+// commits: finding the families, building the forwarders and retiring
+// the indexes all run on the commit clock.
 func (r *runner) foldStep(candidates []*ir.Function) {
+	c0 := time.Now()
+	defer func() { r.res.CommitTime += time.Since(c0) }()
 	fams := search.Families(candidates)
 	if r.lens != nil {
 		fams = search.FamiliesBy(candidates, r.lens.Hash, r.canonEqual)
@@ -310,7 +314,12 @@ commitLoop:
 				continue
 			}
 			var t *trial
-			if fp := flattenFor(m, r.families, cfg.MaxFamily, f1, f2, extScan); fp != nil {
+			// Deciding whether the pair flattens scans the module for
+			// callers outside the family: a screen like any other.
+			s0 := time.Now()
+			fp := flattenFor(m, r.families, cfg.MaxFamily, f1, f2, extScan)
+			res.ScreenTime += time.Since(s0)
+			if fp != nil {
 				// Family flattening replaces the pairwise trial: merge
 				// the family's original bodies plus the newcomer into
 				// one fresh k-ary candidate. Always planned here, on
@@ -380,15 +389,7 @@ commitLoop:
 					}
 				}
 			}
-			res.Attempts++
-			res.AlignTime += t.alignTime
-			res.CodegenTime += t.codegenTime
-			if t.matrixBytes > 0 {
-				res.SumMatrixBytes += t.matrixBytes
-				if t.matrixBytes > res.PeakMatrixBytes {
-					res.PeakMatrixBytes = t.matrixBytes
-				}
-			}
+			res.account(t)
 			if t.err != nil {
 				if err := ctx.Err(); err != nil {
 					runErr = err

@@ -892,15 +892,7 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 			// no gate to screen against — every trial materializes.
 			t = planTrialInPlace(ctx, s.m, f1, f2, s.cache, s.sizes, opts, s.cfg, noGate)
 		}
-		res.Attempts++
-		res.AlignTime += t.alignTime
-		res.CodegenTime += t.codegenTime
-		if t.matrixBytes > 0 {
-			res.SumMatrixBytes += t.matrixBytes
-			if t.matrixBytes > res.PeakMatrixBytes {
-				res.PeakMatrixBytes = t.matrixBytes
-			}
-		}
+		res.account(t)
 		if t.err != nil {
 			return finish(fmt.Errorf("driver: applying @%s + @%s: %w", pm.F1, pm.F2, t.err))
 		}

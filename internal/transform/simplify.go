@@ -206,13 +206,15 @@ func foldSinglePredPhis(f *ir.Function) int {
 // MergeStraightLineBlocks merges each block pair (B, S) where B's only
 // exit is an unconditional branch to S and B is S's only predecessor.
 func MergeStraightLineBlocks(f *ir.Function) int {
-	n := 0
 	// The merging code generators emit one block per aligned entry, so
 	// whole chains collapse here; after absorbing a successor the same
 	// block is retried immediately, keeping the pass linear in the chain
-	// length instead of one outer pass per merged block.
-	for i := 0; i < len(f.Blocks); i++ {
-		b := f.Blocks[i]
+	// length instead of one outer pass per merged block. For the same
+	// reason an absorbed block is only emptied where it stands — it has no
+	// terminator left, so the walk passes over it — and the whole group
+	// leaves the block list in one compaction at the end.
+	var absorbed []*ir.Block
+	for _, b := range f.Blocks {
 		for {
 			t := b.Term()
 			if t == nil || t.Op() != ir.OpBr || t.IsCondBr() {
@@ -240,14 +242,13 @@ func MergeStraightLineBlocks(f *ir.Function) int {
 			for _, u := range append([]ir.Use(nil), ir.UsesOf(s)...) {
 				u.User.SetOperand(u.Index, b)
 			}
-			f.EraseBlock(s)
-			n++
-			if i >= len(f.Blocks) || f.Blocks[i] != b {
-				i-- // erasing s before b shifted b one slot left
-			}
+			absorbed = append(absorbed, s)
 		}
 	}
-	return n
+	if len(absorbed) > 0 {
+		f.EraseBlocks(absorbed)
+	}
+	return len(absorbed)
 }
 
 // ForwardEmptyBlocks removes blocks that contain only an unconditional
