@@ -233,6 +233,18 @@ func (l *Lens) Prime(f *ir.Function, hash uint64) {
 	l.mu.Unlock()
 }
 
+// ForgetHashes drops every memoized view hash (the views stay). The
+// structural hash names callees by symbol, so a rename reaches the hash
+// of every caller's view: the session calls this when it detects one.
+func (l *Lens) ForgetHashes() {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	clear(l.hashes)
+	l.mu.Unlock()
+}
+
 // Invalidate drops f's memoized view and hash after the original body
 // changed (or the function left the candidate set). Safe on the nil
 // lens and on functions never viewed.

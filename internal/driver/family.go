@@ -40,6 +40,14 @@ type family struct {
 // familySet tracks the merge families of one session, keyed by head.
 type familySet struct {
 	byHead map[*ir.Function]*family
+	// refs is the reference index behind the caller check. It lives for
+	// one run — built by the first check that needs it, kept current at
+	// the run's own mutation points (record, drop, touch) — because
+	// between runs the caller owns the module and unreported edits are
+	// not to be trusted: the reason validMembers re-reads every thunk.
+	refs *refIndex
+	// refBuilds counts index builds, for the tests that pin one per run.
+	refBuilds int
 }
 
 func newFamilySet() *familySet {
@@ -49,11 +57,93 @@ func newFamilySet() *familySet {
 // record registers merged as the head of a family.
 func (s *familySet) record(head *ir.Function, members []familyMember) {
 	s.byHead[head] = &family{head: head, members: members}
+	if s.refs != nil {
+		for _, mb := range members {
+			s.refs.add(mb.clone, true)
+		}
+	}
 }
 
-// drop forgets the family headed by f (no-op for non-heads).
+// drop forgets the family headed by f (no-op for non-heads, nil-safe).
 func (s *familySet) drop(f *ir.Function) {
+	if s == nil {
+		return
+	}
+	if fam := s.byHead[f]; fam != nil && s.refs != nil {
+		for _, mb := range fam.members {
+			s.refs.forget(mb.clone)
+		}
+	}
 	delete(s.byHead, f)
+}
+
+// touch tells the run's reference index that f was rewritten, added to
+// m or removed from it. Nil-safe, and free until an index exists.
+func (s *familySet) touch(m *ir.Module, f *ir.Function) {
+	if s == nil || s.refs == nil {
+		return
+	}
+	s.refs.forget(f)
+	if f.Parent() == m {
+		s.refs.add(f, false)
+	}
+}
+
+// refIndex answers "who holds an operand that is this function" without
+// walking the module (functions do not track their uses):
+// holders[target][holder] exists for every live module function and
+// every stored registry clone (flagged true) with an instruction
+// operand identical to target.
+type refIndex struct {
+	holders map[*ir.Function]map[*ir.Function]bool
+	// targets[holder] lists what holder was indexed under, for forget.
+	targets map[*ir.Function][]*ir.Function
+}
+
+// index returns the run's reference index, building it on first use in
+// one pass over the module and the registry's clones.
+func (s *familySet) index(m *ir.Module) *refIndex {
+	if s.refs == nil {
+		s.refBuilds++
+		s.refs = &refIndex{map[*ir.Function]map[*ir.Function]bool{}, map[*ir.Function][]*ir.Function{}}
+		for _, f := range m.Funcs {
+			s.refs.add(f, false)
+		}
+		for _, fam := range s.byHead {
+			for _, mb := range fam.members {
+				s.refs.add(mb.clone, true)
+			}
+		}
+	}
+	return s.refs
+}
+
+// add indexes every function operand of holder's current body.
+func (x *refIndex) add(holder *ir.Function, clone bool) {
+	holder.Instrs(func(in *ir.Instruction) bool {
+		for _, op := range in.Operands() {
+			target, ok := op.(*ir.Function)
+			if !ok {
+				continue
+			}
+			if x.holders[target] == nil {
+				x.holders[target] = map[*ir.Function]bool{}
+			}
+			if _, seen := x.holders[target][holder]; !seen {
+				x.holders[target][holder] = clone
+				x.targets[holder] = append(x.targets[holder], target)
+			}
+		}
+		return true
+	})
+}
+
+// forget drops holder from the index.
+func (x *refIndex) forget(holder *ir.Function) {
+	for _, target := range x.targets[holder] {
+		delete(x.holders[target], holder)
+	}
+	delete(x.targets, holder)
 }
 
 // isHead reports whether f heads a recorded family.
@@ -116,66 +206,45 @@ func isThunkTo(f, head *ir.Function) bool {
 // generated merged function by hand), or — equally fatal — another
 // family's stored original-body clone, which a later flatten would
 // re-merge into a call of the removed head. Either vetoes flattening
-// for this family. cache, when non-nil, memoizes results per head for
-// one walk row: the module only changes at commits (between rows), and
-// in-flight trial bodies can only duplicate references their live
-// sources or registry clones already carry, so row-scoped reuse cannot
-// miss a caller.
-func hasExternalCallers(m *ir.Module, families *familySet, fam *family, cache map[*ir.Function]bool) bool {
+// for this family. A reference is an operand identical to the head; a
+// live holder is excused iff it is the head or carries a member's name,
+// a clone iff it is the family's own (those predate the head).
+//
+// best is the walk row's retained trial, if any. Built in place, its
+// merged body sits in m without having gone through a commit, and it
+// can carry a head reference copied out of a member thunk — excused by
+// name there, not in the copy — so the index holds it for this check.
+func hasExternalCallers(m *ir.Module, families *familySet, fam *family, best *trial) bool {
 	if fam == nil {
 		return false
 	}
-	if v, ok := cache[fam.head]; ok {
-		return v
-	}
-	memberNames := make(map[string]bool, len(fam.members))
-	for _, mb := range fam.members {
-		memberNames[mb.name] = true
-	}
-	refsHead := func(f *ir.Function) bool {
-		found := false
-		f.Instrs(func(in *ir.Instruction) bool {
-			for _, op := range in.Operands() {
-				if op == ir.Value(fam.head) {
-					found = true
-					return false
-				}
-			}
-			return true
-		})
-		return found
+	refs := families.index(m)
+	if best != nil && best.scratch == nil {
+		refs.add(best.merged, false)
+		defer refs.forget(best.merged)
 	}
 	found := false
-	for _, f := range m.Funcs {
-		if f == fam.head || memberNames[f.Name()] {
+holders:
+	for h, clone := range refs.holders[fam.head] {
+		if !clone && h == fam.head {
 			continue
 		}
-		if refsHead(f) {
-			found = true
-			break
-		}
-	}
-	if !found {
-		// Registry clones of other families (fam's own clones predate
-		// its head and cannot reference it).
-	scanClones:
-		for head, other := range families.byHead {
-			if head == fam.head {
-				continue
-			}
-			for _, mb := range other.members {
-				if refsHead(mb.clone) {
-					found = true
-					break scanClones
-				}
+		for _, mb := range fam.members {
+			if clone && mb.clone == h || !clone && mb.name == h.Name() {
+				continue holders
 			}
 		}
+		found = true
+		break
 	}
-	if cache != nil {
-		cache[fam.head] = found
+	if callerCheckHook != nil {
+		callerCheckHook(m, families, fam, found)
 	}
 	return found
 }
+
+// callerCheckHook, when a test sets it, sees every caller-check verdict.
+var callerCheckHook func(m *ir.Module, families *familySet, fam *family, got bool)
 
 // flattenPlan describes one family flattening: merge srcs (original
 // bodies in fid order) into a fresh k-ary head, rewrite the live
@@ -212,9 +281,9 @@ func familyCandidate(families *familySet, maxFamily int, f1, f2 *ir.Function) bo
 // its own family's partner), the heads must have no callers outside
 // their thunks, and the united signatures must plan. Any miss returns
 // nil and the pair merges pairwise (a head nests, exactly the
-// historical chain). extCache, when non-nil, memoizes the
-// external-caller scans for one walk row.
-func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Function, extCache map[*ir.Function]bool) *flattenPlan {
+// historical chain). best is the row's retained trial, if any (see
+// hasExternalCallers).
+func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Function, best *trial) *flattenPlan {
 	if families == nil || maxFamily < 3 {
 		return nil
 	}
@@ -232,7 +301,7 @@ func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Fun
 	if legs(fam1)+legs(fam2) > maxFamily {
 		return nil
 	}
-	if hasExternalCallers(m, families, fam1, extCache) || hasExternalCallers(m, families, fam2, extCache) {
+	if hasExternalCallers(m, families, fam1, best) || hasExternalCallers(m, families, fam2, best) {
 		return nil
 	}
 	fp := &flattenPlan{}
@@ -373,9 +442,11 @@ func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.
 		rewritten = append(rewritten, live)
 	}
 	for _, h := range fp.heads {
+		// Detached first: retire reports h to the reference index, which
+		// re-reads whatever is still in the module.
+		m.RemoveFunc(h)
 		retire(h)
 		families.drop(h)
-		m.RemoveFunc(h)
 	}
 	families.record(t.merged, members)
 	if markPending != nil {

@@ -102,7 +102,7 @@ func (c goldenCase) run(t *testing.T) goldenDigest {
 	var merges []MergeRecord
 	var folds []FoldRecord
 	for i := 0; i < c.runs; i++ {
-		res, err := s.Optimize(t.Context())
+		res, err := sizedRun(t, s, nil)
 		if err != nil {
 			t.Fatalf("%s: run %d: %v", c.name, i, err)
 		}

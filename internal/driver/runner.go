@@ -39,8 +39,11 @@ type runner struct {
 	// lens, when non-nil, is the session's canonical-view layer: the
 	// finder already indexes through it, and foldStep widens duplicate
 	// folding from syntactic identity to canonical congruence.
-	lens  *canon.Lens
-	sizes map[*ir.Function]int
+	lens *canon.Lens
+	// hashes is the session's fold-hash memo (nil for FMSA's throwaway
+	// runs, which hash every time).
+	hashes hashMemo
+	sizes  map[*ir.Function]int
 	// outcomes, when non-nil, memoizes unprofitable pairs across runs;
 	// pairs found there skip alignment and codegen entirely.
 	outcomes *outcomeCache
@@ -118,7 +121,7 @@ func (r *runner) candidates(f *ir.Function, t int) []*ir.Function {
 // retire takes f out of play the moment a commit or fold rewrites its
 // body; see retireIndexes for the rule.
 func (r *runner) retire(f *ir.Function) {
-	retireIndexes(r.finder, r.cands, r.cache, r.lens, r.funnel, r.markPending, f)
+	retireIndexes(r.finder, r.cands, r.cache, r.lens, r.hashes, r.funnel, r.markPending, f)
 }
 
 // mergedName picks the collision-free name for merging f1 and f2,
@@ -145,11 +148,11 @@ func (r *runner) mergedName(f1, f2 *ir.Function) string {
 func (r *runner) foldStep(candidates []*ir.Function) {
 	c0 := time.Now()
 	defer func() { r.res.CommitTime += time.Since(c0) }()
-	fams := search.Families(candidates)
+	hashOf, eq := r.hashes.of, search.EqualFunctions
 	if r.lens != nil {
-		fams = search.FamiliesBy(candidates, r.lens.Hash, r.canonEqual)
+		hashOf, eq = r.lens.Hash, r.canonEqual
 	}
-	for _, fam := range fams {
+	for _, fam := range search.FamiliesBy(candidates, hashOf, eq) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
 			profit := r.sizes[dup] - costmodel.ForwarderBytes(r.cfg.Target, len(dup.Params()))
@@ -163,7 +166,7 @@ func (r *runner) foldStep(candidates []*ir.Function) {
 				r.tomb[dup] = true
 				r.plan.Folds = append(r.plan.Folds, PlannedFold{
 					Dup: dup.Name(), Rep: rep.Name(), Profit: profit,
-					DupHash: search.HashFunction(dup), RepHash: search.HashFunction(rep),
+					DupHash: r.hashes.of(dup), RepHash: r.hashes.of(rep),
 				})
 			}
 			r.res.Folds = append(r.res.Folds, FoldRecord{Dup: dup.Name(), Rep: rep.Name(), Profit: profit})
@@ -289,13 +292,6 @@ commitLoop:
 			break
 		}
 		var best *trial
-		// Per-row memo for the external-caller scans of flattenFor: the
-		// module only changes at this row's commit, so one scan per
-		// family serves every candidate of the row.
-		var extScan map[*ir.Function]bool
-		if r.families != nil && cfg.MaxFamily >= 3 {
-			extScan = map[*ir.Function]bool{}
-		}
 		row := r.candidates(f1, cfg.Threshold)
 		var snap Result
 		if r.capture != nil {
@@ -314,10 +310,10 @@ commitLoop:
 				continue
 			}
 			var t *trial
-			// Deciding whether the pair flattens scans the module for
-			// callers outside the family: a screen like any other.
+			// Deciding whether the pair flattens asks the reference index
+			// for callers outside the family: a screen like any other.
 			s0 := time.Now()
-			fp := flattenFor(m, r.families, cfg.MaxFamily, f1, f2, extScan)
+			fp := flattenFor(m, r.families, cfg.MaxFamily, f1, f2, best)
 			res.ScreenTime += time.Since(s0)
 			if fp != nil {
 				// Family flattening replaces the pairwise trial: merge
@@ -517,7 +513,7 @@ commitLoop:
 			r.tomb[best.f2] = true
 			pm := PlannedMerge{
 				F1: f1.Name(), F2: best.f2.Name(), Merged: name, Profit: best.profit,
-				Hash1: search.HashFunction(f1), Hash2: search.HashFunction(best.f2),
+				Hash1: r.hashes.of(f1), Hash2: r.hashes.of(best.f2),
 			}
 			pm.Family = rec.Family
 			r.plan.Merges = append(r.plan.Merges, pm)

@@ -79,7 +79,10 @@ type Session struct {
 	// hashes — is computed over lens.Body(f) instead of f,
 	// while merges and folds still commit against the originals. Views
 	// are invalidated whenever the underlying body is.
-	lens    *canon.Lens
+	lens *canon.Lens
+	// hashes memoizes search.HashFunction per original body for the
+	// duplicate-fold bucketing; invalidated where the lens's hashes are.
+	hashes  hashMemo
 	sizes   map[*ir.Function]int
 	indexed map[*ir.Function]bool
 	byName  map[string]*ir.Function
@@ -156,6 +159,7 @@ func (s *Session) initIndexLayers() {
 		cache := s.cache
 		s.lens.DropHook = func(view *ir.Function) { cache.Invalidate(view) }
 	}
+	s.hashes = hashMemo{}
 	s.sizes = map[*ir.Function]int{}
 	s.indexed = map[*ir.Function]bool{}
 	s.byName = map[string]*ir.Function{}
@@ -206,8 +210,27 @@ func (s *Session) buildIndexes() {
 	s.lastSearch, s.lastCache = search.Stats{}, align.CacheStats{}
 }
 
-// markPending schedules f for re-indexing at the next sync.
-func (s *Session) markPending(f *ir.Function) { s.pending[f] = true }
+// markPending schedules f for re-indexing at the next sync. Every
+// function a run rewrites, adds or removes passes through here, which
+// is how the run's reference index (family.go) follows its mutations.
+func (s *Session) markPending(f *ir.Function) {
+	s.pending[f] = true
+	s.families.touch(s.m, f)
+}
+
+// hashMemo memoizes search.HashFunction; the nil memo (FMSA) does not.
+type hashMemo map[*ir.Function]uint64
+
+func (h hashMemo) of(f *ir.Function) uint64 {
+	v, ok := h[f]
+	if !ok {
+		v = search.HashFunction(f)
+		if h != nil {
+			h[f] = v
+		}
+	}
+	return v
+}
 
 // index records f in the session's membership, name and size maps
 // under its current name, retiring any stale alias a rename left
@@ -226,21 +249,22 @@ func (s *Session) index(f *ir.Function) {
 // retire takes f out of play the moment its body is rewritten by a
 // commit or fold; see retireIndexes for the rule.
 func (s *Session) retire(f *ir.Function) {
-	retireIndexes(s.finder, s.cands, s.cache, s.lens, s.funnel, s.markPending, f)
+	retireIndexes(s.finder, s.cands, s.cache, s.lens, s.hashes, s.funnel, s.markPending, f)
 }
 
 // retireIndexes is the session's single index-invalidation rule for a
 // function whose body a commit or fold just rewrote: out of the finder
 // and the candidate-list cache, its cached linearization invalidated
-// (it would pin the dead instructions), its canonical view dropped, and
-// — when an owning session exists — scheduled for re-indexing at the
-// next sync. Session.retire and runner.retire both delegate here so
-// Apply and the walk can never diverge on the rule.
-func retireIndexes(finder search.Finder, cands *candidateCache, cache *align.Cache, lens *canon.Lens, fu *funnel, markPending func(*ir.Function), f *ir.Function) {
+// (it would pin the dead instructions), its canonical view and fold
+// hash dropped, and — when an owning session exists — scheduled for
+// re-indexing at the next sync. Session.retire and runner.retire both
+// delegate here so Apply and the walk can never diverge on the rule.
+func retireIndexes(finder search.Finder, cands *candidateCache, cache *align.Cache, lens *canon.Lens, hashes hashMemo, fu *funnel, markPending func(*ir.Function), f *ir.Function) {
 	finder.Remove(f)
 	cands.remove(f)
 	cache.Invalidate(f)
 	lens.Invalidate(f)
+	delete(hashes, f)
 	fu.invalidate(f)
 	if markPending != nil {
 		markPending(f)
@@ -253,10 +277,9 @@ func (s *Session) unindex(f *ir.Function) {
 	s.outcomes.invalidate(f)
 	s.cache.Invalidate(f)
 	s.lens.Invalidate(f)
+	delete(s.hashes, f)
 	s.funnel.invalidate(f)
-	if s.families != nil {
-		s.families.drop(f)
-	}
+	s.families.drop(f)
 	if s.indexed[f] {
 		s.finder.Remove(f)
 		delete(s.indexed, f)
@@ -282,11 +305,18 @@ func (s *Session) sync() {
 	// loop below rewrites the alias maps: pruneFamilies revalidates
 	// every family they reach.
 	touched := make(map[string]bool, len(s.pending))
+	renamed := false
 	for f := range s.pending {
 		if prev, ok := s.nameOf[f]; ok {
 			touched[prev] = true
+			renamed = renamed || prev != f.Name()
 		}
 		touched[f.Name()] = true
+	}
+	if renamed {
+		// Hashes name callees by symbol: a rename reaches every caller's.
+		clear(s.hashes)
+		s.lens.ForgetHashes()
 	}
 	var changed, removed []*ir.Function
 	for f, reindex := range s.pending {
@@ -309,6 +339,7 @@ func (s *Session) sync() {
 		// finder fingerprints through the lens, so a stale view
 		// here would silently re-index the pre-edit body.
 		s.lens.Invalidate(f)
+		delete(s.hashes, f)
 		s.index(f)
 		changed = append(changed, f)
 	}
@@ -398,6 +429,7 @@ func (s *Session) Close() error {
 	s.finder = nil
 	s.cands = nil
 	s.lens = nil
+	s.hashes = nil
 	s.sizes = nil
 	s.indexed = nil
 	s.byName = nil
@@ -587,14 +619,32 @@ func (s *Session) Flush() error {
 
 // newResult scaffolds a run result with the module's baseline size.
 func (s *Session) newResult() *Result {
-	res := &Result{Algorithm: s.cfg.Algorithm, Threshold: s.cfg.Threshold}
-	res.BaselineBytes = costmodel.ModuleBytes(s.m, s.cfg.Target)
-	return res
+	return &Result{Algorithm: s.cfg.Algorithm, Threshold: s.cfg.Threshold, BaselineBytes: s.moduleBytes()}
+}
+
+// moduleBytes is costmodel.ModuleBytes off the maintained sizes:
+// sizes[f] is current for every indexed function without a pending
+// mark, so only the rest — what the delta or the run touched, and
+// whatever is not a candidate — is priced again.
+func (s *Session) moduleBytes() int {
+	n := 0
+	for _, f := range s.m.Funcs {
+		if _, stale := s.pending[f]; s.indexed[f] && !stale {
+			n += s.sizes[f]
+		} else {
+			n += costmodel.FuncBytes(f, s.cfg.Target)
+		}
+	}
+	return n
 }
 
 // finishStats folds the per-run finder/cache deltas into res and moves
-// the session baselines forward.
+// the session baselines forward. Every run that got as far as its walk
+// ends here, and its reference index (family.go) with it.
 func (s *Session) finishStats(res *Result) {
+	if s.families != nil {
+		s.families.refs = nil
+	}
 	cur := s.finder.Stats()
 	res.Search = search.Stats{
 		Queries:   cur.Queries - s.lastSearch.Queries,
@@ -638,7 +688,7 @@ func (s *Session) Optimize(ctx context.Context) (*Result, error) {
 	s.sync()
 	r := &runner{
 		m: s.m, cfg: s.cfg, cache: s.cache, finder: s.finder,
-		cands: s.cands, lens: s.lens, sizes: s.sizes, outcomes: s.outcomes,
+		cands: s.cands, lens: s.lens, hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
 		funnel: s.funnel, families: s.families, commitMode: true,
 		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
 		markPending: s.markPending,
@@ -646,7 +696,7 @@ func (s *Session) Optimize(ctx context.Context) (*Result, error) {
 	runErr := r.walk(ctx, s.candidateOrder())
 	s.finishStats(res)
 	s.finishFamilies(res)
-	res.FinalBytes = costmodel.ModuleBytes(s.m, s.cfg.Target)
+	res.FinalBytes = s.moduleBytes()
 	res.TotalTime = time.Since(start)
 	return res, runErr
 }
@@ -754,7 +804,7 @@ func (s *Session) planLocked(ctx context.Context) (*Plan, *Result, error) {
 	s.sync()
 	r := &runner{
 		m: s.m, cfg: s.cfg, cache: s.cache, finder: s.finder,
-		cands: s.cands, lens: s.lens, sizes: s.sizes, outcomes: s.outcomes,
+		cands: s.cands, lens: s.lens, hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
 		funnel: s.funnel, families: s.families, commitMode: false,
 		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
 		plan: &Plan{
@@ -816,7 +866,7 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 	finish := func(err error) (*Result, error) {
 		s.finishStats(res)
 		s.finishFamilies(res)
-		res.FinalBytes = costmodel.ModuleBytes(s.m, s.cfg.Target)
+		res.FinalBytes = s.moduleBytes()
 		res.TotalTime = time.Since(start)
 		return res, err
 	}

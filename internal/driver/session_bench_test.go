@@ -11,11 +11,14 @@ package driver
 
 import (
 	"context"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/costmodel"
 	"repro/internal/ir"
+	"repro/internal/irtext"
 	"repro/internal/search"
 	"repro/internal/synth"
 )
@@ -118,4 +121,85 @@ func BenchmarkSessionIncremental(b *testing.B) {
 			b.Fatalf("fixpoint module committed %d merges", len(res.Merges))
 		}
 	}
+}
+
+// churnRound renders one delta of the build-service workload: per
+// functions of the suite, drawn in order's sequence starting at round,
+// each redefined as a freshly mutated clone of its pristine body (which
+// scratch keeps), as the text a client would send.
+func churnRound(scratch *ir.Module, b *synth.Builder, targets []*ir.Function, order []int, round, per int, rate float64) string {
+	var sb strings.Builder
+	for j := 0; j < per; j++ {
+		tmpl := targets[order[(round*per+j)%len(order)]]
+		edit := b.Clone(tmpl, tmpl.Name()+".edit", rate)
+		scratch.RemoveFunc(edit)
+		edit.SetName(tmpl.Name())
+		sb.WriteString(edit.String())
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
+
+// BenchmarkSessionChurnRound is one round of the build-service loop
+// under the build-service configuration — the indexed finder, duplicate
+// folding, families of up to four: a text delta redefining 1% of a
+// 1,000-function suite as mutated clones, UpdateBatch, Optimize. Where
+// BenchmarkSessionIncremental re-reports unchanged bodies at a merge
+// fixpoint with folding and families off, every round here commits
+// folds, merges and flattens, so it is the profiling entry point for
+// what a session round costs (-cpuprofile) and the place to watch the
+// finder queries a round still makes.
+func BenchmarkSessionChurnRound(b *testing.B) {
+	const funcs, per = 1000, 10
+	ctx := context.Background()
+	prof := synth.SuiteProfile(funcs, 42)
+	m := synth.Generate(prof)
+	s, err := OpenSession(ctx, m, Config{
+		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
+		Finder: search.KindLSH, DupFold: true, MaxFamily: 4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	cold, err := s.Optimize(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Redefining one function of a fold group would silently change
+	// the others (they forward to it): the deltas leave them alone.
+	folded := map[string]bool{}
+	for _, f := range cold.Folds {
+		folded[f.Dup], folded[f.Rep] = true, true
+	}
+	scratch := synth.Generate(prof)
+	rng := rand.New(rand.NewSource(7))
+	builder := synth.NewBuilder(scratch, rng, prof)
+	var targets []*ir.Function
+	for _, f := range scratch.Defined() {
+		if !folded[f.Name()] {
+			targets = append(targets, f)
+		}
+	}
+	order := rng.Perm(len(targets))
+	queries := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		frag := churnRound(scratch, builder, targets, order, i, per, prof.MutRate)
+		b.StartTimer()
+		names, err := irtext.ParseInto(m, frag)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.UpdateBatch(ctx, names, nil); err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.Optimize(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries += res.Search.Queries
+	}
+	b.ReportMetric(float64(queries)/float64(b.N), "finder-queries/round")
 }

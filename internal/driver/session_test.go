@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/search"
@@ -32,6 +33,30 @@ func sessionConfigs() []Config {
 
 func configName(cfg Config) string {
 	return fmt.Sprintf("%s-fold=%v-jobs=%d", cfg.Finder, cfg.DupFold, cfg.Parallelism)
+}
+
+// sizedRun is one committing run of s — Apply of p, or Optimize when p
+// is nil — with the report's BaselineBytes and FinalBytes held to
+// costmodel.ModuleBytes of the module before and after: the session
+// sums its maintained sizes instead of re-pricing the module, and the
+// two must never drift.
+func sizedRun(t testing.TB, s *Session, p *Plan) (*Result, error) {
+	t.Helper()
+	before := costmodel.ModuleBytes(s.m, s.cfg.Target)
+	var res *Result
+	var err error
+	if p == nil {
+		res, err = s.Optimize(context.Background())
+	} else {
+		res, err = s.Apply(context.Background(), p)
+	}
+	if res != nil {
+		if after := costmodel.ModuleBytes(s.m, s.cfg.Target); res.BaselineBytes != before || res.FinalBytes != after {
+			t.Errorf("report sizes %d -> %d, costmodel.ModuleBytes says %d -> %d",
+				res.BaselineBytes, res.FinalBytes, before, after)
+		}
+	}
+	return res, err
 }
 
 // TestSessionOptimizeMatchesOneShotReference is differential test (a):
@@ -60,7 +85,7 @@ func TestSessionOptimizeMatchesOneShotReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer s.Close()
-					got, err := s.Optimize(context.Background())
+					got, err := sizedRun(t, s, nil)
 					if err != nil {
 						t.Fatalf("session run failed: %v", err)
 					}
@@ -126,7 +151,7 @@ func TestSessionUpdateEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				if _, err := s.Optimize(context.Background()); err != nil {
+				if _, err := sizedRun(t, s, nil); err != nil {
 					t.Fatal(err)
 				}
 
@@ -139,7 +164,7 @@ func TestSessionUpdateEquivalence(t *testing.T) {
 				// before the incremental session runs again.
 				mFresh := ir.CloneModule(m)
 
-				inc, err := s.Optimize(context.Background())
+				inc, err := sizedRun(t, s, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +174,7 @@ func TestSessionUpdateEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer fresh.Close()
-				scratch, err := fresh.Optimize(context.Background())
+				scratch, err := sizedRun(t, fresh, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +209,7 @@ func TestSessionReplaceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Optimize(context.Background()); err != nil {
+	if _, err := sizedRun(t, s, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Replace a live function with a clone of a different one under
@@ -200,7 +225,7 @@ func TestSessionReplaceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	mFresh := ir.CloneModule(m)
-	inc, err := s.Optimize(context.Background())
+	inc, err := sizedRun(t, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +234,7 @@ func TestSessionReplaceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	scratch, err := fresh.Optimize(context.Background())
+	scratch, err := sizedRun(t, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +249,10 @@ func TestSessionReplaceEquivalence(t *testing.T) {
 
 // TestSessionRenameAlias: renaming a function between runs must retire
 // the stale byName alias — a later Update of a new function under the
-// old name must not unindex the renamed (live) one.
+// old name must not unindex the renamed (live) one — and must reach the
+// memoized hashes of its callers (renamedCalleeFolds).
 func TestSessionRenameAlias(t *testing.T) {
+	renamedCalleeFolds(t)
 	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
 		t.Run(finder.String(), func(t *testing.T) {
 			cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: finder}
@@ -235,7 +262,7 @@ func TestSessionRenameAlias(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if _, err := s.Optimize(context.Background()); err != nil {
+			if _, err := sizedRun(t, s, nil); err != nil {
 				t.Fatal(err)
 			}
 			// Rename a live function, then reuse its old name for a fresh one.
@@ -252,7 +279,7 @@ func TestSessionRenameAlias(t *testing.T) {
 				t.Fatal(err)
 			}
 			mFresh := ir.CloneModule(m)
-			inc, err := s.Optimize(context.Background())
+			inc, err := sizedRun(t, s, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,13 +288,93 @@ func TestSessionRenameAlias(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer scratchSess.Close()
-			scratch, err := scratchSess.Optimize(context.Background())
+			scratch, err := sizedRun(t, scratchSess, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameMerges(t, scratch, inc)
 			if a, b := mFresh.String(), m.String(); a != b {
 				t.Error("incremental module text diverges from the from-scratch module after a rename")
+			}
+		})
+	}
+}
+
+// renamedCalleeFolds is TestSessionRenameAlias's fold-hash half:
+// structural hashes name callees by symbol, so renaming a callee
+// changes the hash of every caller, none of which was edited or
+// reported. A caller hashed before the rename and an identical one
+// added after it must still land in one bucket and fold, exactly as a
+// fresh session folds them — under the plain memo and under the lens's
+// view hashes alike.
+func renamedCalleeFolds(t *testing.T) {
+	for _, canonOn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("callee-folds/canon=%v", canonOn), func(t *testing.T) {
+			cfg := Config{
+				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
+				Finder: search.KindLSH, DupFold: true,
+			}
+			if canonOn {
+				cfg.Canon = canon.Default()
+			}
+			m := testModule(t, 3)
+			defined := m.Defined()
+			callee := defined[0]
+			// A caller of a defined (hence indexed) function: a clone of
+			// another body with a call of the callee in front.
+			caller, _ := ir.CloneFunction(defined[1], "caller.before")
+			args := make([]ir.Value, len(callee.Params()))
+			for i, p := range callee.Params() {
+				args[i] = ir.NewUndef(p.Type())
+			}
+			caller.Entry().InsertAtFront(ir.NewCall("", callee, args...))
+			m.AddFunc(caller)
+			if err := ir.VerifyModule(m); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenSession(context.Background(), m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// A dry run hashes every candidate for the fold bucketing
+			// and touches nothing.
+			if _, err := s.Plan(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			callee.SetName(callee.Name() + ".renamed")
+			twin, _ := ir.CloneFunction(caller, "caller.after")
+			m.AddFunc(twin)
+			if err := s.Update(context.Background(), callee.Name(), twin.Name()); err != nil {
+				t.Fatal(err)
+			}
+			mFresh := ir.CloneModule(m)
+			inc, err := sizedRun(t, s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := OpenSession(context.Background(), mFresh, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			scratch, err := sizedRun(t, fresh, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			folded := false
+			for _, f := range scratch.Folds {
+				folded = folded || f.Dup == twin.Name() && f.Rep == caller.Name()
+			}
+			if !folded {
+				t.Fatalf("the fresh session did not fold @%s into @%s: %+v", twin.Name(), caller.Name(), scratch.Folds)
+			}
+			if !reflect.DeepEqual(inc.Folds, scratch.Folds) {
+				t.Errorf("folds differ after a callee rename:\nincremental %+v\nfresh       %+v", inc.Folds, scratch.Folds)
+			}
+			sameMerges(t, scratch, inc)
+			if a, b := mFresh.String(), m.String(); a != b {
+				t.Error("incremental module text diverges from the from-scratch module after a callee rename")
 			}
 		})
 	}
@@ -283,7 +390,7 @@ func TestSessionRemoveEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Optimize(context.Background()); err != nil {
+	if _, err := sizedRun(t, s, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Delete a function nothing references (merging already thunked some;
@@ -315,7 +422,7 @@ func TestSessionRemoveEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	mFresh := ir.CloneModule(m)
-	inc, err := s.Optimize(context.Background())
+	inc, err := sizedRun(t, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +431,7 @@ func TestSessionRemoveEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	scratch, err := fresh.Optimize(context.Background())
+	scratch, err := sizedRun(t, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +457,7 @@ func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer so.Close()
-				direct, err := so.Optimize(context.Background())
+				direct, err := sizedRun(t, so, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -392,7 +499,7 @@ func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 					t.Error("plan does not round-trip through JSON")
 				}
 
-				applied, err := sp.Apply(context.Background(), &decoded)
+				applied, err := sizedRun(t, sp, &decoded)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -435,7 +542,7 @@ func TestSessionApplyFiltered(t *testing.T) {
 	}
 	kept := plan.Merges[0]
 	plan.Merges = plan.Merges[:1]
-	res, err := s.Apply(context.Background(), plan)
+	res, err := sizedRun(t, s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,12 +584,12 @@ func TestSessionApplyStalePlan(t *testing.T) {
 	if err := s.Update(context.Background(), victimName); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(context.Background(), plan); err == nil {
+	if _, err := sizedRun(t, s, plan); err == nil {
 		t.Fatal("Apply accepted a stale plan")
 	}
 	// A plan for a different algorithm is rejected outright.
 	wrong := &Plan{Algorithm: "FMSA"}
-	if _, err := s.Apply(context.Background(), wrong); err == nil {
+	if _, err := sizedRun(t, s, wrong); err == nil {
 		t.Error("Apply accepted a plan for another algorithm")
 	}
 	// A hand-edited self-fold would build an infinitely recursive
@@ -490,7 +597,7 @@ func TestSessionApplyStalePlan(t *testing.T) {
 	someName := m.Defined()[0].Name()
 	h := search.HashFunction(m.FuncByName(someName))
 	selfFold := &Plan{Folds: []PlannedFold{{Dup: someName, Rep: someName, DupHash: h, RepHash: h}}}
-	if _, err := s.Apply(context.Background(), selfFold); err == nil {
+	if _, err := sizedRun(t, s, selfFold); err == nil {
 		t.Error("Apply accepted a self-fold")
 	}
 }
@@ -507,7 +614,7 @@ func TestSessionOutcomeMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	first, err := s.Optimize(context.Background())
+	first, err := sizedRun(t, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +626,7 @@ func TestSessionOutcomeMemo(t *testing.T) {
 	// them), shifting candidate lists, so the memo only pays once the
 	// module stops changing.
 	for i := 0; i < 5; i++ {
-		res, err := s.Optimize(context.Background())
+		res, err := sizedRun(t, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,7 +635,7 @@ func TestSessionOutcomeMemo(t *testing.T) {
 		}
 	}
 	mFresh := ir.CloneModule(m)
-	steady, err := s.Optimize(context.Background())
+	steady, err := sizedRun(t, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +654,7 @@ func TestSessionOutcomeMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	scratch, err := fresh.Optimize(context.Background())
+	scratch, err := sizedRun(t, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,10 +684,10 @@ func TestSessionFMSA(t *testing.T) {
 	if _, err := s.Plan(context.Background()); err == nil {
 		t.Error("FMSA Plan should error")
 	}
-	if _, err := s.Apply(context.Background(), &Plan{}); err == nil {
+	if _, err := sizedRun(t, s, &Plan{}); err == nil {
 		t.Error("FMSA Apply should error")
 	}
-	got, err := s.Optimize(context.Background())
+	got, err := sizedRun(t, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,7 +863,7 @@ func TestProgressRunID(t *testing.T) {
 	defer s.Close()
 	for run := 0; run < 2; run++ {
 		perEvent = perEvent[:0]
-		if _, err := s.Optimize(context.Background()); err != nil {
+		if _, err := sizedRun(t, s, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(perEvent) == 0 {
