@@ -7,9 +7,9 @@
 // The hot path is allocation-free in steady state: mergeability is
 // decided by comparing interned class IDs (see classes.go) instead of
 // re-walking types per DP cell, linearizations and class vectors are
-// cached per function for a whole run (see cache.go), and the DP
-// score/direction slabs are recycled through capacity-classed pools
-// (see pool.go).
+// cached per function for a whole run (see cache.go), and the DP fills
+// only the cells that can lie on a good enough alignment (see band.go),
+// out of pooled scratch (see pool.go).
 //
 // The DP matrix size is accounted and reported because it dominates the
 // memory profile of function merging (the paper's Figure 22).
@@ -183,25 +183,38 @@ type Options struct {
 	// fail with ErrTooLarge. Zero means no cap.
 	MaxCells int64
 	// Linear selects Hirschberg's divide-and-conquer alignment: the same
-	// optimal score in O(n+m) memory for roughly twice the time. An
-	// extension beyond the paper, which uses the quadratic DP.
+	// optimal score in O(n+m) memory for roughly twice the cells. The
+	// default kernel already spends time and memory only on the band a
+	// similar pair needs; Linear is what keeps an unrelated giant pair,
+	// whose band is the whole matrix, in O(n+m) as well. An extension
+	// beyond the paper, which uses the quadratic DP.
 	Linear bool
-	// MinScore, when positive, floors the useful alignment score: the
-	// solvers abandon the DP with ErrBelowBound as soon as the best
-	// still-achievable score provably falls below MinScore, and also
-	// when the finished score lands below it (sparing the backtrack).
-	// The per-row bound relies on rows being monotone in the column —
-	// true exactly when GapPenalty is 0 (the default scoring) — so the
-	// floor is ignored under a non-zero gap penalty. The driver's
-	// planning funnel derives MinScore from the admissible profit bound
-	// (costmodel.PairBound.ScoreNeeded), making an abort a proof that
-	// the pair cannot clear the profitability gate.
+	// MinScore, when positive, floors the useful alignment score: an
+	// alignment whose optimum is below it fails with ErrBelowBound, and
+	// the solvers use the floor to do less — the default kernel fills only
+	// the cells that can lie on an alignment scoring MinScore or more,
+	// Linear pre-scans with a per-row abort. Both arguments need gaps to
+	// be free, so the floor is ignored under a non-zero GapPenalty. The
+	// driver's planning funnel derives MinScore from the admissible profit
+	// bound (costmodel.PairBound.ScoreNeeded), making ErrBelowBound a
+	// proof that the pair cannot clear the profitability gate.
 	MinScore int32
 }
 
 // DefaultOptions returns the scoring used throughout the evaluation.
 func DefaultOptions() Options {
 	return Options{InstrMatchScore: 2, LabelMatchScore: 1, GapPenalty: 0}
+}
+
+// weight is the score an entry of class c adds when it is matched.
+func (o Options) weight(c int32) int32 {
+	switch c {
+	case ClassLabel:
+		return o.LabelMatchScore
+	case classSolo:
+		return 0
+	}
+	return o.InstrMatchScore
 }
 
 // ErrTooLarge is returned when the DP matrix would exceed Options.MaxCells.
@@ -222,11 +235,16 @@ type Result struct {
 	Matches int
 	// InstrMatches counts matched instruction pairs only.
 	InstrMatches int
-	// MatrixBytes is the memory used by the DP matrices, the dominant
-	// memory cost of merging (quadratic in sequence length). It reports
-	// the logical DP footprint; the backing slabs are pooled and reused
-	// across alignments.
+	// MatrixBytes is the footprint of the paper's DP matrices, the
+	// dominant memory cost of merging (Figure 22): (n+1)(m+1) cells of 5
+	// bytes for the quadratic solver, whatever part of them the kernel
+	// went on to fill, and the peak of rows and base cases for the linear
+	// one.
 	MatrixBytes int64
+
+	// filled counts the DP cells the kernel filled, over all rungs of its
+	// ladder: the work actually done, where MatrixBytes is the paper's.
+	filled int64
 
 	// buf is the reusable backing store of Pairs. The backtrack fills it
 	// from the end and Pairs aliases the tail, so the full capacity must
@@ -242,6 +260,7 @@ func (r *Result) reset() {
 	r.Matches = 0
 	r.InstrMatches = 0
 	r.MatrixBytes = 0
+	r.filled = 0
 }
 
 // Needleman–Wunsch backtrack directions.
@@ -259,7 +278,7 @@ func Align(a, b []Entry, opts Options) (*Result, error) {
 
 // AlignCtx is Align with cancellation: the DP fills row by row and the
 // context is polled between rows, so a cancelled alignment returns
-// ctx.Err() without finishing the quadratic fill.
+// ctx.Err() without finishing the fill.
 //
 // The entries are interned into a transient class universe first; when
 // aligning many pairs, intern once through a Cache (or NewSeq) and use
@@ -281,170 +300,22 @@ func AlignSeqsCtx(ctx context.Context, a, b Seq, opts Options) (*Result, error) 
 	return res, nil
 }
 
-// AlignSeqsBounded is AlignSeqsCtx with a score floor: minScore > 0
-// makes both solvers abandon the DP with ErrBelowBound once the
-// optimal score provably cannot reach the floor (see Options.MinScore
-// for the validity condition). minScore <= 0 is exactly AlignSeqsCtx.
-func AlignSeqsBounded(ctx context.Context, a, b Seq, opts Options, minScore int32) (*Result, error) {
-	opts.MinScore = minScore
-	return AlignSeqsCtx(ctx, a, b, opts)
-}
-
 // AlignSeqsInto is AlignSeqsCtx writing into a caller-owned Result,
-// reusing its Pairs capacity: together with the pooled DP slabs this
-// makes steady-state alignment allocation-free. On error the Result
+// reusing its Pairs capacity: together with the pooled kernel scratch
+// this makes steady-state alignment allocation-free. On error the Result
 // holds no pairs.
 func AlignSeqsInto(ctx context.Context, a, b Seq, opts Options, res *Result) error {
 	res.reset()
 	if opts.Linear {
 		return alignLinearSeqs(ctx, a, b, opts, res)
 	}
-	return alignQuadratic(ctx, a.Entries, b.Entries, a.Classes, b.Classes, opts, res)
-}
-
-// alignQuadratic is the Needleman–Wunsch core: class-vector mergeability
-// tests, pooled score/direction slabs, and an in-place backtrack filling
-// the pair list from the end.
-func alignQuadratic(ctx context.Context, a, b []Entry, ca, cb []int32, opts Options, res *Result) error {
-	n, m := len(a), len(b)
-	cells := int64(n+1) * int64(m+1)
-	if opts.MaxCells > 0 && cells > opts.MaxCells {
-		return ErrTooLarge
-	}
-	// Bounded mode: rem tracks the match score still reachable from the
-	// rows not yet filled. With gap 0 every row is monotone in j, so
-	// row[m] is the best score over all prefixes of b, and any complete
-	// alignment scores at most row[m] + rem — two int ops per row decide
-	// whether the floor is still reachable. A non-zero gap penalty
-	// breaks the monotonicity, so the floor is ignored there.
-	minScore := opts.MinScore
-	if opts.GapPenalty != 0 {
-		minScore = 0
-	}
-	var rem int32
-	if minScore > 0 {
-		rem = classPotential(ca, opts)
-		if rem < minScore || classPotential(cb, opts) < minScore {
-			return ErrBelowBound
-		}
-	}
-	// score uses int32 (4 bytes) and dir one byte per cell, matching the
-	// quadratic footprint the paper measures.
-	slab := getSlab(cells)
-	defer putSlab(slab)
-	score := slab.score
-	dir := slab.dir
-	idx := func(i, j int) int64 { return int64(i)*int64(m+1) + int64(j) }
-
-	gap := opts.GapPenalty
-	for i := 1; i <= n; i++ {
-		score[idx(i, 0)] = score[idx(i-1, 0)] - gap
-		dir[idx(i, 0)] = dirUp
-	}
-	for j := 1; j <= m; j++ {
-		score[idx(0, j)] = score[idx(0, j-1)] - gap
-		dir[idx(0, j)] = dirLeft
-	}
-	for i := 1; i <= n; i++ {
-		if i&cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		cai := ca[i-1]
-		ms := opts.InstrMatchScore
-		if cai == ClassLabel {
-			ms = opts.LabelMatchScore
-		}
-		row := score[idx(i, 0) : idx(i, m)+1]
-		prev := score[idx(i-1, 0) : idx(i-1, m)+1]
-		drow := dir[idx(i, 0) : idx(i, m)+1]
-		matchable := cai != classSolo
-		for j := 1; j <= m; j++ {
-			best := prev[j] - gap
-			d := dirUp
-			if s := row[j-1] - gap; s > best {
-				best, d = s, dirLeft
-			}
-			if matchable && cai == cb[j-1] {
-				if s := prev[j-1] + ms; s >= best {
-					best, d = s, dirDiag
-				}
-			}
-			row[j] = best
-			drow[j] = d
-		}
-		if minScore > 0 {
-			if matchable {
-				rem -= ms
-			}
-			if row[m]+rem < minScore {
-				return ErrBelowBound
-			}
-		}
-	}
-
-	res.Score = score[idx(n, m)]
-	res.MatrixBytes = cells * 5
-	backtrack(a, b, dir, n, m, res)
-	return nil
-}
-
-// backtrack recovers the alignment path from the direction matrix,
-// filling the pair list in place from the end (a path has at most n+m
-// pairs) instead of building a reversed list and copying.
-func backtrack(a, b []Entry, dir []byte, n, m int, res *Result) {
-	need := n + m
-	if cap(res.buf) < need {
-		res.buf = make([]Pair, need)
-	}
-	buf := res.buf[:need]
-	k := need
-	for i, j := n, m; i > 0 || j > 0; {
-		k--
-		switch dir[int64(i)*int64(m+1)+int64(j)] {
-		case dirDiag:
-			buf[k] = Pair{A: &a[i-1], B: &b[j-1]}
-			res.Matches++
-			if !a[i-1].IsLabel() {
-				res.InstrMatches++
-			}
-			i--
-			j--
-		case dirUp:
-			buf[k] = Pair{A: &a[i-1]}
-			i--
-		case dirLeft:
-			buf[k] = Pair{B: &b[j-1]}
-			j--
-		default:
-			panic("align: corrupt backtrack matrix")
-		}
-	}
-	res.Pairs = buf[k:]
+	return alignBanded(ctx, a.Entries, b.Entries, a.Classes, b.Classes, opts, res)
 }
 
 // cancelStride is the row mask between context polls in the DP loops: a
 // poll every 16 rows keeps the overhead unmeasurable while bounding the
 // latency of cancellation by a few thousand cell updates.
 const cancelStride = 0xf
-
-// classPotential is the total match score one side can contribute: the
-// sum of per-entry match scores over entries whose class can match at
-// all. At GapPenalty 0 it upper-bounds any alignment's score, and its
-// suffix sums drive the bounded solvers' per-row abort.
-func classPotential(cs []int32, opts Options) int32 {
-	var p int32
-	for _, c := range cs {
-		switch {
-		case c == ClassLabel:
-			p += opts.LabelMatchScore
-		case c != classSolo:
-			p += opts.InstrMatchScore
-		}
-	}
-	return p
-}
 
 // AlignFunctions linearizes both functions and aligns them with the
 // solver selected by opts.Linear.

@@ -10,6 +10,7 @@ package align
 
 import (
 	"context"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -69,8 +70,9 @@ func benchSuite(b *testing.B) [][2]*ir.Function {
 }
 
 // BenchmarkAlignPair measures one steady-state candidate-pair alignment
-// the way the driver runs it: sequences served by the per-run cache, DP
-// slabs from the pools, the result reused. Steady state is 0 allocs/op.
+// the way the driver runs it: sequences served by the per-run cache,
+// kernel scratch from the pool, the result reused. Steady state is 0
+// allocs/op.
 func BenchmarkAlignPair(b *testing.B) {
 	pairs := benchSuite(b)
 	cache := NewCache()
@@ -92,6 +94,49 @@ func BenchmarkAlignPair(b *testing.B) {
 		}
 	}
 }
+
+// benchClassPair aligns one class-vector pair in steady state and reports
+// logical cells per second: (n+1)(m+1) over the time taken, whatever part
+// of the matrix the kernel filled.
+func benchClassPair(b *testing.B, sa, sb Seq) {
+	ctx := context.Background()
+	opts := DefaultOptions()
+	var res Result
+	if err := AlignSeqsInto(ctx, sa, sb, opts, &res); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := AlignSeqsInto(ctx, sa, sb, opts, &res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cells := float64(len(sa.Classes)+1) * float64(len(sb.Classes)+1)
+	b.ReportMetric(cells*float64(b.N)/1e6/b.Elapsed().Seconds(), "Mcells/s")
+}
+
+// benchClassPairs runs benchClassPair on an n-entry vector against its
+// copy at 5% mutation (the clone pairs that hold most of a run's DP
+// cells) and against an independent vector of the same length (what most
+// candidate pairs are).
+func benchClassPairs(b *testing.B, n int) {
+	b.Run("similar", func(b *testing.B) {
+		sa, sb := mutatedPair(11, n)
+		benchClassPair(b, sa, sb)
+	})
+	b.Run("unrelated", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(12))
+		benchClassPair(b, classSeq(randomClasses(rng, n, 14)), classSeq(randomClasses(rng, n, 14)))
+	})
+}
+
+// BenchmarkAlignLarge is the 4,000-entry pair: 16 M logical cells.
+func BenchmarkAlignLarge(b *testing.B) { benchClassPairs(b, 4000) }
+
+// BenchmarkAlignMid is a 300-entry pair, the size of most alignments the
+// paper's suites make; the probe rungs must not tax the unrelated one.
+func BenchmarkAlignMid(b *testing.B) { benchClassPairs(b, 300) }
 
 // BenchmarkAlignPairReference is the pre-optimization baseline on the
 // same pairs: per-pair linearization, Mergeable per DP cell, fresh

@@ -191,14 +191,15 @@ func samePairs(t *testing.T, tag string, got, want *Result) {
 }
 
 // TestAlignSeqsMatchesReference differentially tests the optimized
-// solver (interned classes, pooled slabs, in-place backtrack, reused
+// solver (interned classes, banded fill, in-place backtrack, reused
 // results) against the retained reference implementation on every
-// function pair of a mixed synth module: the recovered alignment must be
+// function pair of a mixed synth module, sized so that nearly every
+// matrix is past bandMinCells: the recovered alignment must be
 // bit-identical, which is what keeps the committed merge set stable.
 func TestAlignSeqsMatchesReference(t *testing.T) {
 	m := synth.Generate(synth.Profile{
 		Name: "refdiff", Seed: 21, Funcs: 14,
-		MinSize: 6, AvgSize: 30, MaxSize: 90,
+		MinSize: 20, AvgSize: 70, MaxSize: 240,
 		CloneFrac: 0.5, FamilySize: 2, MutRate: 0.08,
 		Loops: 0.5, Switches: 0.5, Floats: 0.3,
 	})
@@ -206,7 +207,7 @@ func TestAlignSeqsMatchesReference(t *testing.T) {
 	cache := NewCache()
 	var res Result
 	ctx := context.Background()
-	pairs := 0
+	pairs, laddered := 0, 0
 	for i, f1 := range funcs {
 		s1 := cache.Seq(f1)
 		for _, f2 := range funcs[i+1:] {
@@ -220,9 +221,15 @@ func TestAlignSeqsMatchesReference(t *testing.T) {
 			}
 			samePairs(t, f1.Name()+"+"+f2.Name(), &res, want)
 			pairs++
+			if want.MatrixBytes/5 >= bandMinCells {
+				laddered++
+			}
 		}
 	}
-	t.Logf("compared %d function pairs", pairs)
+	t.Logf("compared %d function pairs, %d of them past bandMinCells", pairs, laddered)
+	if laddered*2 < pairs {
+		t.Errorf("only %d of %d pairs were large enough for the ladder", laddered, pairs)
+	}
 }
 
 // TestCloneSeqMatchesOriginal: aligning a cloned pair through CloneSeq

@@ -14,7 +14,7 @@ import (
 // it, even demotion-inflated alignments stay small, trading the paper's
 // memory argument for extra time.
 //
-// Like the quadratic solver, the inner loops compare interned class IDs
+// Like the default kernel, the inner loops compare interned class IDs
 // and the row buffers come from the shared pools, so steady-state
 // alignment does no per-pair allocation beyond the recovered path.
 
@@ -46,12 +46,11 @@ func alignLinearSeqs(ctx context.Context, a, b Seq, opts Options, res *Result) e
 	// needs O(n+m) regardless, so the cap is cleared rather than letting
 	// an O(n+m) base case trip it.
 	opts.MaxCells = 0
-	// Bounded mode: one forward linear-space pass with the quadratic
-	// solver's per-row abort decides the floor before the
-	// divide-and-conquer starts (whose recursion has no single frontier
-	// to bound). The scan computes the exact optimal score when it runs
-	// to completion, so a non-aborting pass still settles score <
-	// MinScore without a backtrack.
+	// Bounded mode: one forward linear-space pass with a per-row abort
+	// decides the floor before the divide-and-conquer starts (whose
+	// recursion has no single frontier to bound). The scan computes the
+	// exact optimal score when it runs to completion, so a non-aborting
+	// pass still settles score < MinScore without a backtrack.
 	if ms := opts.MinScore; ms > 0 && opts.GapPenalty == 0 {
 		below, err := boundedScan(ctx, a.Entries, b.Entries, a.Classes, b.Classes, opts, ms)
 		if err != nil {
@@ -105,9 +104,11 @@ func alignLinearSeqs(ctx context.Context, a, b Seq, opts Options, res *Result) e
 	return nil
 }
 
-// boundedScan runs one forward DP pass over pooled rows with the
-// quadratic solver's per-row abort: it reports whether the optimal
-// score of aligning a and b is provably below minScore. Requires
+// boundedScan runs one forward DP pass over pooled rows and reports
+// whether the optimal score of aligning a and b is provably below
+// minScore. rem tracks the match score the rows not yet filled can still
+// add: at gap 0 every row is monotone in j, so cur[m] is the best score
+// over all prefixes of b and no alignment beats cur[m] + rem. Requires
 // GapPenalty == 0 (the rows must be monotone for cur[m] to dominate
 // the row). When the pass completes, cur[m] is the exact optimal
 // score, so the verdict is precise, not just conservative.
@@ -161,6 +162,18 @@ func boundedScan(ctx context.Context, a, b []Entry, ca, cb []int32, opts Options
 	return false, nil
 }
 
+// classPotential is the total match score one side can contribute: the
+// sum of per-entry match scores over entries whose class can match at
+// all. At GapPenalty 0 it upper-bounds any alignment's score, and its
+// suffix sums drive boundedScan's per-row abort.
+func classPotential(cs []int32, opts Options) int32 {
+	var p int32
+	for _, c := range cs {
+		p += opts.weight(c)
+	}
+	return p
+}
+
 // hirschbergPool recycles solver scratch state (most usefully the
 // base-case Result and its pair buffer) across alignments.
 var hirschbergPool sync.Pool
@@ -170,8 +183,7 @@ type hirschberg struct {
 	ctx       context.Context
 	peakBytes int64
 	out       []Pair
-	// scratch is the reusable quadratic-solver result for the O(n+m)
-	// base cases.
+	// scratch is the reusable kernel result for the O(n+m) base cases.
 	scratch Result
 }
 
@@ -254,9 +266,9 @@ func (h *hirschberg) solve(a, b []Entry, ca, cb []int32) {
 		}
 		return
 	case len(a) == 1 || len(b) == 1:
-		// Small enough for the quadratic solver; its matrix is O(n+m).
+		// Small enough for the quadratic kernel; its matrix is O(n+m).
 		h.scratch.reset()
-		if err := alignQuadratic(h.ctx, a, b, ca, cb, h.opts, &h.scratch); err != nil {
+		if err := alignBanded(h.ctx, a, b, ca, cb, h.opts, &h.scratch); err != nil {
 			// The base case cannot exceed MaxCells (no cap applies here);
 			// only cancellation reaches this, and the partial path is
 			// discarded by alignLinearSeqs.

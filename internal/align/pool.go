@@ -1,73 +1,40 @@
 package align
 
-// Pooled DP storage. The score/direction slabs of the quadratic DP and
-// the row buffers of Hirschberg's linear-space variant dominate the
-// allocation profile of a merging run: every candidate-pair trial used
-// to allocate (and garbage) its own matrices. The pools below recycle
-// them across trials and across the planner's workers (sync.Pool is
-// concurrency-safe and per-P sharded), bucketed by power-of-two capacity
-// class so a recycled slab never has less capacity than requested and at
-// most 2x more.
+// Pooled DP storage. Alignment scratch — the banded kernel's prefix sums,
+// row intervals, score rows and direction bytes, and Hirschberg's row
+// buffers — is recycled across trials and across the planner's workers
+// (sync.Pool is concurrency-safe and per-P sharded) rather than garbaged
+// per candidate pair. Nothing pooled points into the IR, and every
+// buffer grows to the largest request its worker has served.
 //
-// Pooling does not change the MatrixBytes accounting: Result.MatrixBytes
-// keeps reporting the logical DP footprint (cells x 5 bytes), which is
-// the quantity the paper's Figure 22 measures. See DESIGN.md "Alignment
-// performance" for how the two relate.
+// Pooling does not touch the MatrixBytes accounting: Result.MatrixBytes
+// reports the paper's footprint, (n+1)(m+1) cells x 5 bytes — what
+// Figure 22 measures and MaxCells caps — not what the kernel holds. See
+// DESIGN.md "Alignment performance" for how the two relate.
 
 import "sync"
 
-// maxPoolClass bounds the pooled capacity classes; slabs above 2^38
-// cells (more than the address space can realistically back) bypass the
-// pools entirely.
-const maxPoolClass = 38
+var bandPool sync.Pool
 
-// dpSlab is one pooled quadratic-DP allocation: 4 score bytes and 1
-// direction byte per cell.
-type dpSlab struct {
-	score []int32
-	dir   []byte
+// getBand returns kernel scratch sized for an n x m alignment; dir and
+// cnt grow on use.
+func getBand(n, m int) *band {
+	s, _ := bandPool.Get().(*band)
+	if s == nil {
+		s = &band{}
+	}
+	s.pa, s.rows = grow(s.pa, n+1), grow(s.rows, n+1)
+	s.pb, s.prev, s.cur = grow(s.pb, m+1), grow(s.prev, m+1), grow(s.cur, m+1)
+	return s
 }
 
-var slabPools [maxPoolClass + 1]sync.Pool
-
-// poolClass returns the smallest c with 2^c >= n.
-func poolClass(n int64) int {
-	c := 0
-	for int64(1)<<c < n {
-		c++
+// grow returns s resliced to n elements, reallocated with a quarter of
+// headroom when its capacity falls short. Contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
 	}
-	return c
-}
-
-// getSlab returns a slab with len(score) == len(dir) == cells. Score
-// cell 0 is zeroed — the only cell the DP reads without writing first
-// (the backtrack never reads dir cell 0).
-func getSlab(cells int64) *dpSlab {
-	c := poolClass(cells)
-	if c > maxPoolClass {
-		return &dpSlab{score: make([]int32, cells), dir: make([]byte, cells)}
-	}
-	if s, ok := slabPools[c].Get().(*dpSlab); ok {
-		s.score = s.score[:cells]
-		s.dir = s.dir[:cells]
-		s.score[0] = 0
-		return s
-	}
-	capacity := int64(1) << c
-	return &dpSlab{
-		score: make([]int32, cells, capacity),
-		dir:   make([]byte, cells, capacity),
-	}
-}
-
-// putSlab recycles s. Slabs above the pooled classes are dropped for the
-// GC to reclaim.
-func putSlab(s *dpSlab) {
-	c := poolClass(int64(cap(s.score)))
-	if int64(1)<<c != int64(cap(s.score)) || c > maxPoolClass {
-		return
-	}
-	slabPools[c].Put(s)
+	return s[:n]
 }
 
 // dpRow is one pooled Hirschberg row buffer. The indirection through a
@@ -75,29 +42,20 @@ func putSlab(s *dpSlab) {
 // the pool's interface value on every Put).
 type dpRow struct{ row []int32 }
 
-var rowPools [maxPoolClass + 1]sync.Pool
+var rowPool sync.Pool
 
 // getRow returns a row buffer with len(row) == n. Element 0 is zeroed —
 // the one element Hirschberg's row initialisation reads without writing
 // first.
 func getRow(n int) *dpRow {
-	c := poolClass(int64(n))
-	if c > maxPoolClass {
-		return &dpRow{row: make([]int32, n)}
+	r, _ := rowPool.Get().(*dpRow)
+	if r == nil {
+		r = &dpRow{}
 	}
-	if r, ok := rowPools[c].Get().(*dpRow); ok {
-		r.row = r.row[:n]
-		r.row[0] = 0
-		return r
-	}
-	return &dpRow{row: make([]int32, n, 1<<c)}
+	r.row = grow(r.row, n)
+	r.row[0] = 0
+	return r
 }
 
 // putRow recycles a row buffer obtained from getRow.
-func putRow(r *dpRow) {
-	c := poolClass(int64(cap(r.row)))
-	if int64(1)<<c != int64(cap(r.row)) || c > maxPoolClass {
-		return
-	}
-	rowPools[c].Put(r)
-}
+func putRow(r *dpRow) { rowPool.Put(r) }

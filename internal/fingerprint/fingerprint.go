@@ -6,6 +6,7 @@
 package fingerprint
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -214,29 +215,44 @@ func (r *Ranking) Candidates(f *ir.Function, t int) []*ir.Function {
 	if self == nil || t <= 0 {
 		return nil
 	}
+	// best holds the t nearest functions seen so far, sorted by (distance,
+	// name) — the order a stable sort of the whole corpus would give them —
+	// so the scan costs one bounded insertion per function that beats the
+	// current t-th, and DistanceWithin cuts the scoring of the rest short.
 	type scored struct {
 		fn *ir.Function
 		d  int32
 	}
-	var list []scored
+	best := make([]scored, 0, min(t, len(r.fps)))
 	for _, g := range r.funcs {
 		fp := r.fps[g]
 		if fp == nil || g == f {
 			continue
 		}
-		list = append(list, scored{fn: g, d: Distance(self, fp)})
-	}
-	sort.SliceStable(list, func(i, j int) bool {
-		if list[i].d != list[j].d {
-			return list[i].d < list[j].d
+		limit := int32(math.MaxInt32)
+		if len(best) == t {
+			limit = best[t-1].d
 		}
-		return list[i].fn.Name() < list[j].fn.Name()
-	})
-	if len(list) > t {
-		list = list[:t]
+		d := DistanceWithin(self, fp, limit)
+		if d > limit {
+			continue
+		}
+		// g goes after every entry it does not strictly precede, so equal
+		// keys keep their order in r.funcs.
+		k := sort.Search(len(best), func(i int) bool {
+			return best[i].d > d || best[i].d == d && best[i].fn.Name() > g.Name()
+		})
+		if k == t {
+			continue
+		}
+		if len(best) < t {
+			best = append(best, scored{})
+		}
+		copy(best[k+1:], best[k:])
+		best[k] = scored{fn: g, d: d}
 	}
-	out := make([]*ir.Function, len(list))
-	for i, s := range list {
+	out := make([]*ir.Function, len(best))
+	for i, s := range best {
 		out[i] = s.fn
 	}
 	return out

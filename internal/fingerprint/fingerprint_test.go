@@ -2,11 +2,13 @@ package fingerprint
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ir"
 	"repro/internal/irtext"
+	"repro/internal/synth"
 )
 
 func fig2(t *testing.T) *ir.Module {
@@ -162,5 +164,83 @@ func TestNewRankingDedupes(t *testing.T) {
 	}
 	if o := r.Order(); len(o) != 2 {
 		t.Fatalf("duplicate input inflated order: %d entries", len(o))
+	}
+}
+
+// candidatesSpec is the specification of Ranking.Candidates: score every
+// other live function, stable-sort all of them by (distance, name), keep
+// the first t.
+func candidatesSpec(r *Ranking, f *ir.Function, t int) []*ir.Function {
+	self := r.fps[f]
+	if self == nil || t <= 0 {
+		return nil
+	}
+	type scored struct {
+		fn *ir.Function
+		d  int32
+	}
+	var list []scored
+	for _, g := range r.funcs {
+		if fp := r.fps[g]; fp != nil && g != f {
+			list = append(list, scored{fn: g, d: Distance(self, fp)})
+		}
+	}
+	sort.SliceStable(list, func(i, j int) bool {
+		if list[i].d != list[j].d {
+			return list[i].d < list[j].d
+		}
+		return list[i].fn.Name() < list[j].fn.Name()
+	})
+	if len(list) > t {
+		list = list[:t]
+	}
+	out := make([]*ir.Function, len(list))
+	for i, s := range list {
+		out[i] = s.fn
+	}
+	return out
+}
+
+// TestCandidatesMatchFullSort: the bounded top-t selection returns the
+// list the full sort does, element for element, on a clone-rich suite
+// (identical and near-identical fingerprints, so distance ties are
+// everywhere), before and after removals, for t from 1 past the corpus.
+func TestCandidatesMatchFullSort(t *testing.T) {
+	m := synth.Generate(synth.Profile{
+		Name: "topt", Seed: 9, Funcs: 160,
+		MinSize: 4, AvgSize: 14, MaxSize: 60,
+		CloneFrac: 0.6, FamilySize: 5, MutRate: 0.02,
+		Loops: 0.4, Switches: 0.3,
+	})
+	funcs := m.Defined()
+	r := NewRanking(funcs)
+	ties := 0
+	check := func() {
+		for _, f := range funcs {
+			for _, tv := range []int{1, 3, 8, len(funcs) + 5} {
+				got, want := r.Candidates(f, tv), candidatesSpec(r, f, tv)
+				if len(got) != len(want) {
+					t.Fatalf("%s t=%d: %d candidates, want %d", f.Name(), tv, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s t=%d: candidate %d is %s, want %s", f.Name(), tv, i, got[i].Name(), want[i].Name())
+					}
+				}
+				if tv == 3 && len(want) == 3 && Distance(r.fps[f], r.fps[want[1]]) == Distance(r.fps[f], r.fps[want[2]]) {
+					ties++
+				}
+			}
+		}
+	}
+	check()
+	for i, f := range funcs {
+		if i%3 == 0 {
+			r.Remove(f)
+		}
+	}
+	check()
+	if ties < 20 {
+		t.Errorf("only %d queries had a distance tie inside their top 3: the suite does not exercise the name tie-break", ties)
 	}
 }

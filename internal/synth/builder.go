@@ -95,14 +95,14 @@ type fnBuilder struct {
 // buildFunction generates a function named name with nparams i32
 // parameters under the given shape. The result is in stack-slot form
 // (callers promote it with transform.Mem2Reg).
-func buildFunction(m *ir.Module, rng *rand.Rand, name string, nparams int, sh shape) *ir.Function {
+func buildFunction(m *ir.Module, rng *rand.Rand, lib [][]*ir.Function, name string, nparams int, sh shape) *ir.Function {
 	params := make([]ir.Type, nparams)
 	for i := range params {
 		params[i] = ir.I32
 	}
 	f := ir.NewFunction(name, ir.FuncOf(ir.I32, params...))
 	m.AddFunc(f)
-	b := &fnBuilder{rng: rng, m: m, f: f, sh: sh, budget: sh.size, lib: libOf(m)}
+	b := &fnBuilder{rng: rng, m: m, f: f, sh: sh, budget: sh.size, lib: lib}
 	b.entry = f.NewBlockIn("entry")
 	b.cur = b.entry
 

@@ -21,13 +21,19 @@ func mutate(rng *rand.Rand, f *ir.Function, lib [][]*ir.Function, rate float64) 
 			edits++
 		}
 	}
+	if edits == 0 {
+		return
+	}
+	// Every edit re-lists the instructions (edits insert and erase them);
+	// the list's storage is shared, or a 4,000-instruction clone garbages
+	// its own length in pointers per edit.
+	instrs := make([]*ir.Instruction, 0, n+edits)
 	for e := 0; e < edits; e++ {
-		applyOneMutation(rng, f, lib)
+		applyOneMutation(rng, f, lib, instrs)
 	}
 }
 
-func applyOneMutation(rng *rand.Rand, f *ir.Function, lib [][]*ir.Function) {
-	var instrs []*ir.Instruction
+func applyOneMutation(rng *rand.Rand, f *ir.Function, lib [][]*ir.Function, instrs []*ir.Instruction) {
 	f.Instrs(func(in *ir.Instruction) bool {
 		instrs = append(instrs, in)
 		return true

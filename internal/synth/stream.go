@@ -66,7 +66,7 @@ func (b *Builder) Build(name string, size int) *ir.Function {
 		excRate:  b.p.ExcRate,
 		switches: 0.08 * b.p.Switches,
 	}
-	f := buildFunction(b.m, b.rng, name, 1+b.rng.Intn(3), sh)
+	f := buildFunction(b.m, b.rng, b.lib, name, 1+b.rng.Intn(3), sh)
 	transform.Mem2Reg(f)
 	transform.Simplify(f)
 	b.cal.observe(sh.size, f.NumInstrs())

@@ -177,7 +177,7 @@ func GenerateWith(rng *rand.Rand, p Profile) *ir.Module {
 	// natural SSA and feeds the measured size back into the calibration.
 	buildPromoted := func(name string, nparams, size int) *ir.Function {
 		s := sh(size)
-		f := buildFunction(m, rng, name, nparams, s)
+		f := buildFunction(m, rng, lib, name, nparams, s)
 		transform.Mem2Reg(f)
 		transform.Simplify(f)
 		cal.observe(s.size, f.NumInstrs())
