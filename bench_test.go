@@ -174,7 +174,7 @@ func BenchmarkMem2Reg(b *testing.B) {
 }
 
 // pipelineModule is the shared input of the whole-module pipeline
-// benchmarks (serial vs parallel planning).
+// benchmarks (the serial loop vs the component scheduler).
 func pipelineModule() *ir.Module {
 	return synth.Generate(synth.Profile{
 		Name: "pipe", Seed: 3, Funcs: 60,

@@ -238,8 +238,7 @@ func (sc *SessionClient) Batch(ctx context.Context, fragment string, remove []st
 	return out, err
 }
 
-// Plan asks the daemon for a merge plan (sharded per the session's
-// configuration) without touching the module.
+// Plan asks the daemon for a merge plan without touching the module.
 func (sc *SessionClient) Plan(ctx context.Context) (*Plan, error) {
 	var plan Plan
 	if err := sc.c.do(ctx, http.MethodPost, sc.path("/plan"), nil, &plan); err != nil {

@@ -5,12 +5,12 @@
 //	fmerge [-algo salssa|salssa-nopc|fmsa] [-t N] [-target x86-64|thumb]
 //	       [-linear-align] [-max-cells N] [-min-instrs N]
 //	       [-skip-hot f1,f2,...] [-finder exact|lsh] [-dup-fold] [-canon]
-//	       [-max-family N] [-rounds N] [-jobs N] [-commit-jobs N]
-//	       [-no-funnel] [-cpuprofile f] [-memprofile f]
+//	       [-max-family N] [-rounds N] [-jobs N]
+//	       [-cpuprofile f] [-memprofile f]
 //	       [-plan out.json | -apply plan.json]
 //	       [-v] [-print] [-pair f1,f2] file.ll [file2.ll ...]
 //	fmerge -corpus 10k|100k|1m|N [pipeline flags]
-//	fmerge -scale 10k,100k [-scale-out BENCH_scale.json]
+//	fmerge -scale 10k,100k [-jobs N] [-scale-out BENCH_scale.json]
 //
 // Without -pair, the whole-module pipeline runs (ranking + cost model);
 // with -pair, the named functions are merged unconditionally by the
@@ -75,20 +75,12 @@
 //	                functions re-enter the ranking between rounds, so
 //	                chains — and with -max-family >= 3, flattened
 //	                families — need N > 1
-//	-jobs N         plan candidate merges with N parallel workers
-//	                (0 = all CPUs); the committed merges are identical
-//	                to a serial run
-//	-commit-jobs N  run the commit walk component-parallel with N
-//	                workers (0 = all CPUs, 1 = the serial walk): the
-//	                candidate graph's connected components walk
-//	                speculatively in parallel and a validated serial
-//	                replay commits their decisions, bit-identical to
-//	                the serial walk at any value
-//	-no-funnel      disable the planning funnel: every candidate pair
-//	                runs the full alignment and builds a trial merge
-//	                instead of being screened by an admissible profit
-//	                bound first. The funnel never changes which merges
-//	                commit — this flag exists for benchmarking it
+//	-jobs N         run the merge loop's rows on N workers (0 = all
+//	                CPUs, 1 = the serial loop): the candidate graph's
+//	                connected components are tried side by side and
+//	                the loop validates each result before using it, so
+//	                merges, plans and the module are bit-identical to
+//	                a serial run at any value
 //
 // Scale modes (see README "Million-function corpora"):
 //
@@ -102,9 +94,9 @@
 //	                wall-clock, peak heap, post-index live heap and
 //	                finder work as a JSON artifact written to
 //	                -scale-out
-//	-v              report per-stage progress on stderr, plus a
-//	                candidate-search summary (pairs tried, plan-cache
-//	                hits, finder query time), the planning-funnel
+//	-v              report every recorded merge on stderr, plus a
+//	                candidate-search summary (pairs tried, memo hits,
+//	                finder query time), the planning-funnel
 //	                summary (pairs screened by the profit bound,
 //	                alignments aborted early, trials skipped vs built),
 //	                the alignment-cache summary (sequences
@@ -156,13 +148,11 @@ func main() {
 	canonFlag := flag.Bool("canon", false, "index through canonical views (normalization + GVN); widens -dup-fold to semantic duplicates")
 	maxFamily := flag.Int("max-family", 4, "flatten merge chains into k-ary families of up to N members (2 = always nest pairwise)")
 	rounds := flag.Int("rounds", 1, "re-optimize each module up to N times through one session (0 = to fixpoint); chains form across rounds, so flattening needs N > 1")
-	jobs := flag.Int("jobs", 1, "parallel planning workers (0 = all CPUs)")
-	commitJobs := flag.Int("commit-jobs", 1, "component-parallel commit workers (0 = all CPUs, 1 = serial walk); committed merges are bit-identical at any value")
-	noFunnel := flag.Bool("no-funnel", false, "disable the planning funnel (profit-bound screening, bounded alignment, lazy trial building); committed merges are identical either way")
+	jobs := flag.Int("jobs", 1, "workers trying independent candidate components side by side (0 = all CPUs, 1 = serial loop); results are bit-identical at any value")
 	corpusTier := flag.String("corpus", "", "optimize a generated synthetic corpus at this tier (10k, 100k, 1m or a function count) instead of reading input files")
 	scaleTiers := flag.String("scale", "", "benchmark mode: stream each comma-separated corpus tier through a session and write a JSON artifact")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output file for the -scale artifact (\"-\" = stdout)")
-	verbose := flag.Bool("v", false, "report per-stage progress on stderr")
+	verbose := flag.Bool("v", false, "report every recorded merge and the run's search, funnel and scheduler summaries on stderr")
 	print := flag.Bool("print", false, "print the resulting module(s) to stdout")
 	pair := flag.String("pair", "", "merge exactly this comma-separated function pair, unconditionally (SalSSA variants only)")
 	planOut := flag.String("plan", "", "dry run: write the proposed merge plan as JSON to this file (\"-\" = stdout) and leave the module untouched")
@@ -177,7 +167,7 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		writeProfiles := startProfiles(*cpuProfile, *memProfile)
-		err := runScale(ctx, strings.Split(*scaleTiers, ","), *commitJobs, !*noFunnel, *scaleOut, *verbose)
+		err := runScale(ctx, strings.Split(*scaleTiers, ","), *jobs, *scaleOut, *verbose)
 		writeProfiles()
 		if err != nil {
 			fatal(err)
@@ -250,25 +240,18 @@ func main() {
 		repro.WithCanon(*canonFlag),
 		repro.WithMaxFamily(*maxFamily),
 		repro.WithParallelism(*jobs),
-		repro.WithCommitParallelism(*commitJobs),
-		repro.WithPlanFunnel(!*noFunnel),
 	}
 	if *skipHot != "" {
 		opts = append(opts, repro.WithSkipHot(strings.Split(*skipHot, ",")...))
 	}
 	if *verbose {
 		opts = append(opts, repro.WithProgress(func(ev repro.Progress) {
-			switch ev.Stage {
-			case repro.StagePlan:
-				fmt.Fprintf(os.Stderr, "plan   [run %d: %d/%d] @%s + @%s\n", ev.RunID, ev.Done, ev.Total, ev.F1, ev.F2)
-			case repro.StageCommit:
-				verb := "->"
-				if !ev.Committed {
-					verb = "~>" // proposed or filtered, not applied
-				}
-				fmt.Fprintf(os.Stderr, "commit [run %d: %d] @%s + @%s %s @%s (profit %d)\n",
-					ev.RunID, ev.Done, ev.F1, ev.F2, verb, ev.Merged, ev.Profit)
+			verb := "->"
+			if !ev.Committed {
+				verb = "~>" // proposed or filtered, not applied
 			}
+			fmt.Fprintf(os.Stderr, "commit [run %d: %d] @%s + @%s %s @%s (profit %d)\n",
+				ev.RunID, ev.Done, ev.F1, ev.F2, verb, ev.Merged, ev.Profit)
 		}))
 	}
 	// One Optimizer serves the whole batch; each module gets its own
@@ -488,12 +471,8 @@ func optimizeRounds(ctx context.Context, opt *repro.Optimizer, m *repro.Module, 
 	}
 }
 func reportModule(rep *repro.Report, label string, verbose bool, finder string) {
-	fmt.Fprintf(os.Stderr, "%s%s[t=%d]: %d merges committed, %d attempts",
+	fmt.Fprintf(os.Stderr, "%s%s[t=%d]: %d merges committed, %d attempts\n",
 		label, rep.Algorithm, rep.Threshold, len(rep.Merges), rep.Attempts)
-	if rep.Planned > 0 {
-		fmt.Fprintf(os.Stderr, " (%d trials planned in parallel)", rep.Planned)
-	}
-	fmt.Fprintln(os.Stderr)
 	for _, rec := range rep.Merges {
 		status := "committed"
 		if !rec.Committed {
@@ -513,13 +492,7 @@ func reportModule(rep *repro.Report, label string, verbose bool, finder string) 
 		}
 	}
 	if verbose {
-		if rep.Planned > 0 {
-			fmt.Fprintf(os.Stderr, "search: finder=%s, %d pairs tried (%d plan-cache hits, %d lazy replans)\n",
-				finder, rep.Attempts, rep.CacheHits, rep.Attempts-rep.CacheHits-rep.OutcomeHits)
-		} else {
-			fmt.Fprintf(os.Stderr, "search: finder=%s, %d pairs tried (serial planning, no cache)\n",
-				finder, rep.Attempts)
-		}
+		fmt.Fprintf(os.Stderr, "search: finder=%s, %d pairs tried\n", finder, rep.Attempts)
 		if rep.OutcomeHits > 0 {
 			fmt.Fprintf(os.Stderr, "search: %d trials served from the session outcome memo\n", rep.OutcomeHits)
 		}
@@ -533,7 +506,7 @@ func reportModule(rep *repro.Report, label string, verbose bool, finder string) 
 		fmt.Fprintf(os.Stderr, "align: %d sequences interned (%d classes), %d cache hits\n",
 			ac.Misses, ac.Classes, ac.Hits)
 		if rep.Components > 0 {
-			fmt.Fprintf(os.Stderr, "commit: %d components walked in parallel, %d rows transplanted, %d repaired\n",
+			fmt.Fprintf(os.Stderr, "scheduler: %d components captured in parallel, %d rows transplanted, %d repaired\n",
 				rep.Components, rep.Transplanted, rep.Repaired)
 		}
 		if rep.Families > 0 {

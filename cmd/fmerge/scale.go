@@ -24,9 +24,9 @@ import (
 
 // scaleRun is one tier's measurement in the artifact.
 type scaleRun struct {
-	Tier       string `json:"tier"`
-	Funcs      int    `json:"funcs"`
-	CommitJobs int    `json:"commit_jobs"`
+	Tier  string `json:"tier"`
+	Funcs int    `json:"funcs"`
+	Jobs  int    `json:"jobs"`
 
 	GenerateSecs float64 `json:"generate_secs"`
 	IndexSecs    float64 `json:"index_secs"`
@@ -35,8 +35,8 @@ type scaleRun struct {
 
 	// Optimize-phase breakdown: candidate lookup, funnel screening,
 	// alignment DP, trial materialization (clone + codegen + simplify)
-	// and the commit walk. Summed across workers, so the parts can
-	// exceed OptimizeSecs wall time at parallelism > 1.
+	// and the commit-steps. Summed across workers, so the parts can
+	// exceed OptimizeSecs wall time at jobs > 1.
 	QuerySecs  float64 `json:"query_secs"`
 	ScreenSecs float64 `json:"screen_secs"`
 	AlignSecs  float64 `json:"align_secs"`
@@ -61,7 +61,7 @@ type scaleRun struct {
 	Merges        int `json:"merges"`
 	Folds         int `json:"folds"`
 
-	// Component-parallel commit accounting (zero when commit_jobs == 1).
+	// Component-scheduler accounting (zero when jobs == 1).
 	Components   int `json:"components,omitempty"`
 	Transplanted int `json:"transplanted,omitempty"`
 	Repaired     int `json:"repaired,omitempty"`
@@ -77,14 +77,14 @@ type scaleReport struct {
 }
 
 // runScale runs each tier once and writes the JSON artifact.
-func runScale(ctx context.Context, tiers []string, commitJobs int, funnel bool, out string, verbose bool) error {
+func runScale(ctx context.Context, tiers []string, jobs int, out string, verbose bool) error {
 	var rep scaleReport
 	for _, tier := range tiers {
 		cfg, err := corpus.Tier(tier)
 		if err != nil {
 			return err
 		}
-		run, err := scaleOnce(ctx, tier, cfg, commitJobs, funnel, verbose)
+		run, err := scaleOnce(ctx, tier, cfg, jobs, verbose)
 		if err != nil {
 			return err
 		}
@@ -110,7 +110,7 @@ func runScale(ctx context.Context, tiers []string, commitJobs int, funnel bool, 
 // measuring as it goes. The generate and index phases interleave (that
 // is the point of the streaming generator: no tier-sized scratch), so
 // their times are accumulated separately across batches.
-func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, commitJobs int, funnel, verbose bool) (*scaleRun, error) {
+func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, jobs int, verbose bool) (*scaleRun, error) {
 	lsh, err := search.KindByName("lsh")
 	if err != nil {
 		return nil, err
@@ -118,12 +118,9 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, commitJobs i
 	opt, err := repro.New(
 		repro.WithFinder(lsh),
 		repro.WithDupFold(true),
-		repro.WithCommitParallelism(commitJobs),
-		repro.WithParallelism(0),
-		repro.WithPlanFunnel(funnel),
-		// Family flattening pins the commit walk to the serial path
-		// (its registry depends on global walk state), so the benchmark
-		// disables it to let -commit-jobs engage.
+		repro.WithParallelism(jobs),
+		// A corpus is optimized once, so nothing would ever flatten:
+		// skip the retention of original bodies that powers it.
 		repro.WithMaxFamily(2),
 	)
 	if err != nil {
@@ -181,9 +178,9 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, commitJobs i
 	peak := sampler.stopPeak()
 
 	run := &scaleRun{
-		Tier:       tier,
-		Funcs:      cfg.Funcs,
-		CommitJobs: opt.CommitParallelism(),
+		Tier:  tier,
+		Funcs: cfg.Funcs,
+		Jobs:  opt.Parallelism(),
 
 		GenerateSecs: genDur.Seconds(),
 		IndexSecs:    idxDur.Seconds(),

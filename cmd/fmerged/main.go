@@ -1,17 +1,17 @@
 // Command fmerged serves function merging over HTTP: named merge
-// sessions, streamed module deltas, sharded planning and optimistic
+// sessions, streamed module deltas and optimistic
 // plan/apply commits, with snapshot-based warm restarts and per-session
 // write-ahead journaling for crash recovery.
 //
 // Usage:
 //
-//	fmerged [-addr :7433] [-shards N] [-snapshot-dir DIR]
+//	fmerged [-addr :7433] [-snapshot-dir DIR]
 //	        [-wal-dir DIR] [-wal-sync commit|batch]
 //	        [-max-sessions N] [-max-inflight N]
 //	        [-client-inflight N] [-client-funcs N] [-max-body BYTES]
 //
 //	fmerged -loadgen [-clients N] [-sessions N] [-funcs N] [-seed N]
-//	        [-finder exact|lsh] [-shards N] [-o BENCH_serve.json]
+//	        [-finder exact|lsh] [-o BENCH_serve.json]
 //
 //	fmerged -wal-bench [-clients N] [-sessions N] [-funcs N] [-seed N]
 //	        [-finder exact|lsh] [-o BENCH_wal.json]
@@ -54,7 +54,6 @@ import (
 func main() {
 	var (
 		addr           = flag.String("addr", ":7433", "listen address")
-		shards         = flag.Int("shards", 1, "default PlanSharded band count per session (1 = exact single-walk plan)")
 		snapshotDir    = flag.String("snapshot-dir", "", "directory for session snapshots (empty disables persistence; defaults to -wal-dir when journaling)")
 		walDir         = flag.String("wal-dir", "", "directory for per-session write-ahead journals (empty disables journaling)")
 		walSync        = flag.String("wal-sync", "commit", "journal fsync policy: commit (fsync per record) or batch (fsync on rotation/close)")
@@ -87,7 +86,6 @@ func main() {
 		Funcs:     *funcs,
 		Seed:      *seed,
 		Finder:    *finder,
-		Shards:    *shards,
 		MaxRounds: *rounds,
 		WALDir:    *walDir,
 		WALSync:   *walSync,
@@ -114,7 +112,6 @@ func main() {
 		SnapshotDir:       *snapshotDir,
 		WALDir:            *walDir,
 		WALSync:           mode,
-		Shards:            *shards,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
@@ -128,8 +125,8 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 
-	log.Printf("fmerged: serving on %s (shards=%d snapshots=%q wal=%q sync=%s)",
-		*addr, *shards, *snapshotDir, *walDir, mode)
+	log.Printf("fmerged: serving on %s (snapshots=%q wal=%q sync=%s)",
+		*addr, *snapshotDir, *walDir, mode)
 	select {
 	case err := <-errc:
 		// The listener died on its own (bad address, port in use, ...).

@@ -8,11 +8,11 @@
 //	repro list                                # available experiment ids
 //
 // -scale divides the suite sizes for quick runs (the committed
-// EXPERIMENTS.md numbers use -scale 1). -jobs plans candidate merges
-// with N parallel workers (0 = all CPUs); the merge decisions — and so
-// every size figure — are identical to a serial run, but keep -jobs 1
-// when regenerating the timing figures (23, 24) so the phase timers
-// measure the serial pipeline the paper describes.
+// EXPERIMENTS.md numbers use -scale 1). -jobs tries independent
+// candidate components on N workers (0 = all CPUs); the merge decisions
+// — and so every size figure — are identical to a serial run, but keep
+// -jobs 1 when regenerating the timing figures (23, 24) so the phase
+// timers measure the serial pipeline the paper describes.
 //
 // -finder selects the candidate search ("exact" or "lsh") and
 // -dup-fold folds identical functions before alignment. Both default to
@@ -34,7 +34,7 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 1, "divide benchmark sizes by N for quicker runs")
-	jobs := flag.Int("jobs", 1, "parallel planning workers (0 = all CPUs)")
+	jobs := flag.Int("jobs", 1, "workers trying independent candidate components side by side (0 = all CPUs)")
 	finder := flag.String("finder", "exact", "candidate search: exact or lsh")
 	dupFold := flag.Bool("dup-fold", false, "fold structurally identical functions before alignment")
 	flag.Parse()

@@ -11,8 +11,8 @@ import (
 // Cache memoizes linearizations and mergeability-class vectors per
 // function for the lifetime of one merging run. Candidate pairing is
 // quadratic in the candidate lists — the same function is aligned
-// against up to threshold partners, and under speculative planning its
-// clones are aligned in parallel workers — so without the cache every
+// against up to threshold partners, and capture workers align its
+// clones in parallel — so without the cache every
 // trial re-linearizes and re-walks types. With it, each function is
 // linearized and interned exactly once; trials reduce to the DP itself.
 //

@@ -2,7 +2,7 @@
 // admissible (never-false-negative) upper bound on the profit any
 // merge trial of a candidate pair can achieve, computed in O(n) from
 // per-function class histograms instead of the O(n·m) alignment DP
-// plus speculative codegen a full trial costs.
+// plus codegen a full trial costs.
 //
 // Derivation. Write FuncBytes(f) = overhead + E(f) + X(f), where E(f)
 // sums InstrBytes over the entries alignment linearizes and X(f) over
@@ -82,7 +82,7 @@ type FuncProfile struct {
 	// slack is computed lazily: it needs a clone plus a Simplify run,
 	// which is too expensive to pay at index time for functions that
 	// are never screened. sync.Once makes the lazy fill safe under the
-	// planning workers' concurrency; slackKnown lets BoundLazy read an
+	// capture workers' concurrency; slackKnown lets BoundLazy read an
 	// already-settled value without ever forcing the computation.
 	// reducible, settled by the same run, records whether clean-up finds
 	// anything at all to do to the function.

@@ -33,7 +33,7 @@ func TestAlignCacheReported(t *testing.T) {
 }
 
 // TestParallelLSHDupFoldMatchesSerial is the full-pipeline equivalence
-// check of the allocation-free alignment core: speculative planning in 8
+// check of the allocation-free alignment core: component capture in 8
 // workers (clone trials riding on copied class vectors), LSH candidate
 // discovery over class-bigram sketches, and duplicate folding must
 // commit exactly the serial exact-finder merge set. Run with -race this

@@ -5,25 +5,25 @@
 // merges and rollback for rejected ones, plus the timing and memory
 // accounting the evaluation figures report.
 //
-// The pipeline is split into three stages, keyed by a persistent
-// Session (see session.go):
+// A run is keyed by a persistent Session (see session.go) and has two
+// parts:
 //
 //   - index build: OpenSession fingerprints the candidate set once
 //     (linearizations are cached on first use); Update/Remove maintain
 //     the indexes incrementally as callers mutate the module between
 //     runs.
-//   - planning: alignment and speculative code generation of candidate
-//     pairs. Each trial clones its pair into a private scratch module and
-//     builds the merged function there, so trials are pure with respect
-//     to the module being optimized and can run in a worker pool
-//     (Config.Parallelism).
-//   - commit: the serial greedy walk over the ranking that applies the
-//     profitability check, adopts winning merged functions into the real
-//     module, replaces the originals with thunks and updates the indexes.
-//     Session.Plan runs the same walk dry, returning a serializable Plan
-//     that Session.Apply can commit later.
+//   - the greedy loop (runner.go): for each function in ranking order
+//     one row-step — screen, align and trial-merge its top-t partners,
+//     keep the most profitable — and, for a profitable row, one
+//     commit-step that adopts the merged function into the module,
+//     replaces the originals with thunks and updates the indexes.
+//     Session.Plan runs the same loop dry, returning a serializable Plan
+//     that Session.Apply can commit later. At Config.Parallelism > 1 the
+//     rows of independent candidate components are captured side by
+//     side first (components.go) and the loop validates each captured
+//     row before using it, so the outcome is the serial loop's.
 //
-// All stages poll a context.Context, so a run can be cancelled mid-way;
+// Everything polls a context.Context, so a run can be cancelled mid-way;
 // committed merges are never rolled back, and the module remains valid.
 package driver
 
@@ -75,24 +75,15 @@ type Stage int
 
 // Pipeline stages.
 const (
-	// StagePlan is the speculative planning stage (alignment + codegen
-	// of candidate pairs, possibly in parallel).
-	StagePlan Stage = iota
-	// StageCommit is the serial commit stage (profitability check, thunk
-	// creation, ranking updates).
-	StageCommit
+	// StageCommit is the commit-step of the greedy loop (thunk creation,
+	// ranking updates): the only stage that reports.
+	StageCommit Stage = iota
 )
 
 // String names the stage.
-func (s Stage) String() string {
-	if s == StageCommit {
-		return "commit"
-	}
-	return "plan"
-}
+func (s Stage) String() string { return "commit" }
 
-// Progress is one observable pipeline event. Plan events report a trial
-// that finished planning; commit events report a profitable merge that
+// Progress is one observable pipeline event: a profitable merge that
 // was recorded (committed, filtered, or — during a dry Session.Plan run —
 // proposed).
 type Progress struct {
@@ -105,17 +96,16 @@ type Progress struct {
 	Stage Stage
 	// F1 and F2 name the candidate pair.
 	F1, F2 string
-	// Merged names the merged function (commit events only).
+	// Merged names the merged function.
 	Merged string
-	// Profit is the estimated byte saving (commit events only).
+	// Profit is the estimated byte saving.
 	Profit int
-	// Committed reports whether the merge was applied (commit events;
-	// always false for dry-run proposals).
+	// Committed reports whether the merge was applied (always false for
+	// dry-run proposals).
 	Committed bool
-	// Done counts events of this stage so far; Total is the number of
-	// planned trials for plan events and 0 for commit events (the total
-	// is not known in advance).
-	Done, Total int
+	// Done counts the run's events so far (the total is not known in
+	// advance).
+	Done int
 }
 
 // Config controls a merging run.
@@ -176,47 +166,34 @@ type Config struct {
 	// CommitFilter, when non-nil, decides whether the i-th profitable
 	// merge is committed (used by the Figure 19 isolation study).
 	CommitFilter func(i int) bool
-	// Parallelism is the worker count of the planning stage. Values <= 1
-	// plan lazily on the committing goroutine (the serial pipeline);
-	// larger values speculatively plan every ranked candidate pair in a
-	// pool of that many workers before the commit stage starts. The
-	// committed merge set is identical either way. Speculation trades
-	// memory for wall clock: up to len(candidates)*Threshold merged
-	// candidates are alive at the commit barrier (freed progressively as
-	// the commit walk passes them); MaxCells bounds the per-trial
-	// alignment matrices.
+	// Parallelism, when > 1, is the worker count of the component
+	// scheduler (components.go): the candidate graph is partitioned into
+	// connected components of top-t candidate edges, each component's
+	// rows are captured on a worker with dry-run overlays, and the
+	// greedy loop uses a captured row only after proving its candidate
+	// list is what the loop sees at that turn, running the row-step
+	// otherwise. Module text, records and plans are bit-identical to
+	// the serial loop's at any value and under every other option;
+	// values <= 1, and runs with fewer than two components, are the
+	// serial loop. Every captured winner stays alive until its turn, so
+	// capture trades memory for wall clock; MaxCells bounds the
+	// per-trial alignment matrices.
 	Parallelism int
-	// CommitParallelism, when > 1, runs the commit walk
-	// component-parallel: the candidate graph is partitioned into
-	// connected components of fingerprint-candidate edges, each
-	// component's greedy walk runs speculatively on its own worker (up
-	// to this many at once) with dry-run overlays, and a serial
-	// validated replay commits the captured decisions in the global
-	// walk order — transplanting a component's decision only after
-	// proving its candidate list matches what the serial walk would see
-	// at that turn, and re-running the row serially otherwise. The
-	// committed module is bit-identical to the serial walk's at any
-	// value. Sessions with family tracking (MaxFamily >= 3) or a
-	// CommitFilter fall back to the serial walk; values <= 1 are the
-	// serial walk.
-	CommitParallelism int
 	// NoPlanFunnel disables the three-stage planning funnel (profit
 	// upper-bound screening, bounded alignment DP, lazy trial
-	// materialization). The funnel is on by default because every stage
-	// is admissible — a pair is only skipped when it provably cannot
-	// beat the current profitability gate — so the committed merge set,
-	// plan contents and module text are bit-identical with the funnel
-	// on or off; the switch exists for differential testing and for
-	// measuring what the funnel buys. Ignored (always off) under
-	// Algorithm FMSA, whose scoring the bound does not model.
+	// materialization). Every stage is admissible — a pair is only
+	// skipped when it provably cannot beat the current profitability
+	// gate — so the committed merge set, plan contents and module text
+	// are bit-identical with the funnel on or off; the switch selects
+	// the reference path the funnel's differential test and benchmark
+	// compare against and has no public counterpart. Ignored (always
+	// off) under Algorithm FMSA, whose scoring the bound does not model.
 	NoPlanFunnel bool
 	// Progress, when non-nil, observes pipeline events. Calls within one
-	// run are always serialized (plan events are emitted under the
-	// planner's lock, commit events from the committing goroutine), but
-	// plan-stage events come from planning workers, so the callback
-	// should not block for long. Events are emitted while the run holds
-	// its session's lock: the callback must not call back into the
-	// Session (Update/Remove/Plan/...), or it deadlocks.
+	// run all come from the goroutine running the loop. Events are
+	// emitted while the run holds its session's lock: the callback must
+	// not call back into the Session (Update/Remove/Plan/...), or it
+	// deadlocks.
 	Progress func(Progress)
 }
 
@@ -252,31 +229,8 @@ type Result struct {
 	// Folds lists the duplicate folds performed before alignment
 	// (Config.DupFold), in fold order.
 	Folds []FoldRecord
-	// Attempts counts merge trials the commit stage consumed (including
-	// unprofitable ones).
-	Attempts int
-	// Planned counts the speculative trials executed by the parallel
-	// planning stage (0 for serial runs).
-	Planned int
-	// CacheHits counts commit-stage trials served from the speculative
-	// plan cache (the rest were replanned lazily).
-	CacheHits int
-	// OutcomeHits counts commit-stage trials served from the session's
-	// cross-run outcome memo: pairs already proven unprofitable on an
-	// earlier run of the same Session, skipped without any alignment or
-	// codegen. Always 0 for one-shot runs.
-	OutcomeHits int
-	// Planning-funnel accounting (all zero when Config.NoPlanFunnel or
-	// under FMSA). PairsScreened counts candidate pairs the stage-1
-	// profit upper bound excluded before any DP; DPAborted counts
-	// alignments the stage-2 bounded DP abandoned mid-matrix; and of
-	// the trials whose alignment completed, TrialsBuilt materialized a
-	// merged body while TrialsSkipped were rejected by the
-	// post-alignment refined bound without any codegen. Screened,
-	// aborted and skipped pairs all stay counted in Attempts — it
-	// remains the number of candidate pairs the walk considered,
-	// however cheaply each was dispatched.
-	PairsScreened, DPAborted, TrialsBuilt, TrialsSkipped int
+	// Counters is what the run's rows and commits cost.
+	Counters
 	// Families counts the merge families alive after the run and
 	// FamilySizes is their size histogram (member count -> families);
 	// both are zero unless Config.MaxFamily enables family tracking.
@@ -291,29 +245,69 @@ type Result struct {
 	// Seq hit is a candidate pair trial that skipped re-linearizing and
 	// re-interning a function.
 	AlignCache align.CacheStats
+	// TotalTime is the whole run (Figure 24's overhead).
+	TotalTime time.Duration
+	// Components, Transplanted and Repaired report the component
+	// scheduler (Config.Parallelism > 1): Components counts the
+	// multi-member candidate components whose rows were captured in
+	// parallel, Transplanted the rows whose captured decision the loop's
+	// validation accepted, and Repaired the captured rows it re-ran
+	// because the live candidate list had shifted. All zero for serial
+	// runs.
+	Components, Transplanted, Repaired int
+}
+
+// Counters is the accounting every row-step and commit-step folds into
+// the run's Result through add — one struct, so a captured row carries
+// its share until the loop accepts it.
+type Counters struct {
+	// Attempts counts the candidate pairs the loop considered (including
+	// unprofitable ones), however cheaply each was dispatched.
+	Attempts int
+	// OutcomeHits counts pairs served from the session's cross-run
+	// outcome memo: already proven unprofitable on an earlier run of the
+	// same Session, skipped without any alignment or codegen. Always 0
+	// for one-shot runs.
+	OutcomeHits int
+	// Planning-funnel accounting (the first, second and fourth all zero
+	// when Config.NoPlanFunnel or under FMSA). PairsScreened counts
+	// candidate pairs the stage-1 profit upper bound excluded before any
+	// DP; DPAborted counts alignments the stage-2 bounded DP abandoned
+	// mid-matrix; and of the trials whose alignment completed,
+	// TrialsBuilt materialized a merged body while TrialsSkipped were
+	// rejected by the post-alignment refined bound without any codegen.
+	// Screened, aborted and skipped pairs all stay counted in Attempts.
+	PairsScreened, DPAborted, TrialsBuilt, TrialsSkipped int
 	// AlignTime and CodegenTime accumulate the two core phases
-	// (Figure 23); TotalTime is the whole run (Figure 24's overhead).
-	// Under parallel planning the phase times are summed across workers,
-	// so they can exceed TotalTime. ScreenTime accumulates the planning
-	// funnel's bound computations — the stage-1 screen and the stage-3
-	// refinement after each alignment, lazily-filled slack terms
-	// included — and, under family tracking, the check whether a pair
-	// flattens; CommitTime is the wall clock of the commit/replay
-	// section — duplicate folding, thunk building, index retirement and
-	// (for the component-parallel walk) the validated replay, whose
-	// repair trials are also counted in AlignTime/CodegenTime.
-	AlignTime, CodegenTime, TotalTime time.Duration
-	ScreenTime, CommitTime            time.Duration
+	// (Figure 23). Captured rows bring their workers' clocks with them,
+	// so at Parallelism > 1 the phase times can exceed TotalTime.
+	// ScreenTime accumulates the planning funnel's bound computations —
+	// the stage-1 screen and the stage-3 refinement after each
+	// alignment, lazily-filled slack terms included — and, under family
+	// tracking, the check whether a pair flattens; CommitTime is the
+	// wall clock of duplicate folding and the commit-steps — thunk
+	// building, index retirement, plan records.
+	AlignTime, CodegenTime time.Duration
+	ScreenTime, CommitTime time.Duration
 	// PeakMatrixBytes is the largest alignment matrix (Figure 22's
 	// peak-memory proxy); SumMatrixBytes accumulates all matrices.
 	PeakMatrixBytes, SumMatrixBytes int64
-	// Components, Transplanted and Repaired report the component-parallel
-	// commit walk (Config.CommitParallelism > 1): Components counts the
-	// multi-member candidate components whose walks ran in parallel,
-	// Transplanted the rows whose captured decision survived replay
-	// validation unchanged, and Repaired the rows re-run serially because
-	// the live candidate list had shifted. All zero for serial commits.
-	Components, Transplanted, Repaired int
+}
+
+// add folds d into c: everything sums except the peak, which is a max.
+func (c *Counters) add(d Counters) {
+	c.Attempts += d.Attempts
+	c.OutcomeHits += d.OutcomeHits
+	c.PairsScreened += d.PairsScreened
+	c.DPAborted += d.DPAborted
+	c.TrialsBuilt += d.TrialsBuilt
+	c.TrialsSkipped += d.TrialsSkipped
+	c.AlignTime += d.AlignTime
+	c.CodegenTime += d.CodegenTime
+	c.ScreenTime += d.ScreenTime
+	c.CommitTime += d.CommitTime
+	c.SumMatrixBytes += d.SumMatrixBytes
+	c.PeakMatrixBytes = max(c.PeakMatrixBytes, d.PeakMatrixBytes)
 }
 
 // Reduction returns the percentage object-size reduction over the
@@ -344,10 +338,7 @@ func (c Config) CoreOptions() core.Options {
 	return opts
 }
 
-// progressFn returns a nil-safe progress callback. No extra locking is
-// needed for serialization: plan events are emitted under the planner's
-// mutex, commit events come from the single committing goroutine, and a
-// worker barrier separates the two stages.
+// progressFn returns a nil-safe progress callback.
 func (c Config) progressFn() func(Progress) {
 	if c.Progress == nil {
 		return func(Progress) {}
@@ -394,9 +385,9 @@ func RunContext(ctx context.Context, m *ir.Module, cfg Config) (*Result, error) 
 }
 
 // trial is the outcome of planning one candidate pair: the merged
-// function speculatively built in a private scratch module, its stats and
-// estimated profit, plus the phase accounting the commit stage folds into
-// the Result when it consumes the trial.
+// function — built in place, or in a private scratch module — its stats
+// and estimated profit, plus the phase accounting its row folds into the
+// Result.
 type trial struct {
 	f1, f2  *ir.Function
 	scratch *ir.Module
@@ -427,19 +418,24 @@ type trial struct {
 	matrixBytes                        int64
 }
 
-// account folds a consumed trial into the report: one attempt, its
-// phase clocks and its alignment matrix footprint.
-func (res *Result) account(t *trial) {
-	res.Attempts++
-	res.AlignTime += t.alignTime
-	res.CodegenTime += t.codegenTime
-	res.ScreenTime += t.screenTime
-	if t.matrixBytes > 0 {
-		res.SumMatrixBytes += t.matrixBytes
-		if t.matrixBytes > res.PeakMatrixBytes {
-			res.PeakMatrixBytes = t.matrixBytes
-		}
+// counters is what one finished trial cost: one attempt, how the funnel
+// dispatched it, its phase clocks and its alignment matrix footprint.
+func (t *trial) counters() Counters {
+	c := Counters{
+		Attempts:  1,
+		AlignTime: t.alignTime, CodegenTime: t.codegenTime, ScreenTime: t.screenTime,
+		PeakMatrixBytes: t.matrixBytes, SumMatrixBytes: t.matrixBytes,
 	}
+	switch {
+	case t.err != nil:
+	case t.dpAborted:
+		c.DPAborted = 1
+	case t.skipped:
+		c.TrialsSkipped = 1
+	default:
+		c.TrialsBuilt = 1
+	}
+	return c
 }
 
 // trialGate is the funnel verdict a trial is planned under: the stage-1
@@ -485,6 +481,7 @@ func putScratch(m *ir.Module) {
 
 // recycle returns a dead trial's scratch module to the pool and drops
 // the references that would otherwise pin the trial's function graphs.
+// A trial built in place has nothing to return.
 func (t *trial) recycle() {
 	if t.scratch == nil {
 		return
@@ -493,8 +490,9 @@ func (t *trial) recycle() {
 	t.scratch, t.merged = nil, nil
 }
 
-// planTrial aligns and — when the alignment clears its gate —
-// speculatively merges one candidate pair in a worker. The alignment
+// planTrial aligns and — when the alignment clears its gate — merges one
+// candidate pair without touching the module (dry runs, capture
+// workers). The alignment
 // runs over the originals' cached sequences; only a surviving trial
 // clones the pair into a scratch module (cloning and operand assignment
 // maintain use-lists on the source values, so merging the originals
@@ -523,10 +521,10 @@ func planTrial(ctx context.Context, f1, f2 *ir.Function, cache *align.Cache, pre
 
 // planTrialInPlace merges the originals directly into m, like the serial
 // pipeline always did — no clones, no scratch module (and none is
-// allocated when the funnel rejects the pair first). Only the commit
-// goroutine may call it (serial runs, and lazy replans after the worker
-// barrier), since it mutates use-lists on the pair and adds the merged
-// function to m; the caller discards the merged function on rejection.
+// allocated when the funnel rejects the pair first). Only the goroutine
+// running a committing loop may call it, since it mutates use-lists on
+// the pair and adds the merged function to m; the caller discards the
+// merged function on rejection.
 func planTrialInPlace(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate) *trial {
 	t := &trial{f1: f1, f2: f2}
 	ares := t.alignStage(ctx, cache.Seq(f1), cache.Seq(f2), opts, cfg, g)

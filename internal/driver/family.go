@@ -19,9 +19,9 @@ import (
 // rewrites every member thunk to target it. The familySet remembers,
 // per merged head, the detached clones of the original bodies that made
 // it (live definitions are thunks by then, so the originals exist
-// nowhere else). Everything here runs serially: the commit walk, the
-// dry walk and Apply all hold the session lock, and the parallel
-// planning stage never plans family pairs.
+// nowhere else). Everything here runs serially: the loop, committing or
+// dry, and Apply all hold the session lock, and capture workers
+// (components.go) leave every row with a family head in it to the loop.
 
 // familyMember is one original behind a merged head: the live (thunk)
 // function's name and a detached clone of the body it had before it was
@@ -266,10 +266,10 @@ type flattenPlan struct {
 }
 
 // familyCandidate reports whether merging f1 and f2 could involve a
-// recorded family, without the validation and module scans flattenFor
-// performs. The speculative planner skips such pairs — the serial walk
-// decides them with the full flattenFor — and a stale headship costs
-// only a plan-cache miss, which the walk covers by lazy replanning.
+// recorded family, without the validation, module reads and reference
+// index build flattenFor performs. Capture workers skip rows with such
+// a pair — the loop decides them with the full flattenFor — and a stale
+// headship costs only an uncaptured row.
 func familyCandidate(families *familySet, maxFamily int, f1, f2 *ir.Function) bool {
 	return families != nil && maxFamily >= 3 && (families.isHead(f1) || families.isHead(f2))
 }

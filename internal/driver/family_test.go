@@ -163,10 +163,10 @@ func TestFlattenSingleHop(t *testing.T) {
 }
 
 // TestFlattenParallelismIndependent: the committed module (including
-// flattenings) is identical at any planning parallelism — family trials
-// always run on the serial commit walk, so speculation cannot reorder
-// them. Run under -race this also proves the family registry is never
-// touched by planning workers.
+// flattenings) is identical at any parallelism — rows with a family
+// head in them are never captured, so flatten trials always run on the
+// loop's own goroutine. Run under -race this also proves the family
+// registry is never written while capture workers read it.
 func TestFlattenParallelismIndependent(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		base := chainModule(t, seed)

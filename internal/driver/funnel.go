@@ -19,8 +19,8 @@ import (
 )
 
 // funnel owns the screening profiles of one session. All methods are
-// safe for concurrent use (planning workers and component-capture
-// walks screen concurrently); invalidate only runs on the session
+// safe for concurrent use (capture workers screen concurrently);
+// invalidate only runs on the session
 // goroutine, but the RWMutex makes the ordering irrelevant for safety.
 type funnel struct {
 	target costmodel.Target

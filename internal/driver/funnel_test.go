@@ -295,7 +295,7 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 // indexing and family flattening. The corpus size follows scaleFuncs
 // (400 under -short, 2k default, SCALE_CORPUS for the acceptance run).
 func TestFunnelDifferential(t *testing.T) {
-	n := scaleFuncs(t)
+	n := scaleFuncs(t, 2000)
 	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
 		for _, dupFold := range []bool{false, true} {
 			for _, useCanon := range []bool{false, true} {

@@ -3,6 +3,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,19 +15,21 @@ import (
 	"repro/internal/search"
 )
 
-// runner executes one pipeline run — the speculative planning stage and
-// the greedy commit walk — against a set of index layers. It serves two
-// modes from one code path:
+// runner executes one pipeline run — the paper's greedy loop (Fig. 16,
+// §5.5): rank, try the top-t partners of a function, commit the best
+// profitable one — against a set of index layers. One loop (walk) calls
+// one row-step (row) and one commit-step (commitStep); it serves two
+// modes from that one code path:
 //
-//   - commit mode (Optimize, RunContext): merges are adopted into the
-//     module, originals become thunks, and the persistent indexes are
-//     updated in place, exactly like the historical one-shot pipeline;
-//   - dry mode (Plan): decisions are identical, but consumed functions
-//     are tombstoned in an overlay instead of being removed from the
-//     finder, merged-function names are claimed in an overlay instead
-//     of the module, trials always run against scratch clones, and the
-//     chosen merges are recorded in a Plan. The module and the
-//     persistent indexes come out untouched.
+//   - commit mode (Optimize, RunContext, Apply): merges are adopted into
+//     the module, originals become thunks, and the persistent indexes
+//     are updated in place;
+//   - dry mode (Plan, and the capture walks of components.go): decisions are
+//     identical, but consumed functions are tombstoned in an overlay
+//     instead of being removed from the finder, merged-function names
+//     are claimed in an overlay instead of the module, trials always run
+//     against scratch clones, and the chosen merges are recorded in a
+//     Plan. The module and the persistent indexes come out untouched.
 type runner struct {
 	m      *ir.Module
 	cfg    Config
@@ -58,7 +61,8 @@ type runner struct {
 	// families, when non-nil, is the session's merge-family registry:
 	// pairs involving a family head flatten (family.go) instead of
 	// nesting, and every pairwise commit records a new two-member
-	// family. Only the (serial) commit stage touches it.
+	// family. Only the loop's own goroutine writes it; capture walks
+	// leave every row that could flatten to the loop.
 	families   *familySet
 	commitMode bool
 	runID      int64
@@ -68,18 +72,18 @@ type runner struct {
 	// functions this run mutated (commit mode only).
 	markPending func(*ir.Function)
 
-	// Dry-mode overlays.
-	plan    *Plan
-	tomb    map[*ir.Function]bool
-	claimed map[string]bool
+	// Walk state: the functions a commit (or dry proposal) took out of
+	// play, and how many profitable merges the commit-step has settled
+	// (CommitFilter's argument).
+	consumed map[*ir.Function]bool
+	mergeIdx int
 
-	// Component-capture mode (components.go): order restricts the walk
-	// to one component's members, and capture records each row's
-	// filtered candidate list and chosen trial — retained, not
-	// committed — for the validated replay. capture implies dry-mode
-	// overlays (tombs) with no plan.
-	order   []*ir.Function
-	capture *captureLog
+	// Dry-mode overlays. base is a capture walk's read-only view of the
+	// tombstones its parent run already holds (a dry run's folded
+	// duplicates); tomb is always private to the runner.
+	plan       *Plan
+	tomb, base map[*ir.Function]bool
+	claimed    map[string]bool
 }
 
 // lookup answers a finder query through the candidate-list cache:
@@ -97,31 +101,49 @@ func (r *runner) lookup(f *ir.Function, t int) []*ir.Function {
 	return l
 }
 
-// candidates is lookup through the dry-mode tombstone overlay:
-// consumed functions are filtered out and the query widened so the
-// surviving list is still the exact top-t among live candidates.
+// candidates is lookup through the dry-mode tombstone overlay: the
+// exact top-t among live candidates. The finder's order is total and
+// prefix-consistent, so the query widens by what it needs — t, 2t, 4t,
+// … up to t plus every tombstone — until t live entries survive or the
+// raw list comes back short; the first probe is the plain-t query the
+// candidate cache serves.
 func (r *runner) candidates(f *ir.Function, t int) []*ir.Function {
-	if r.commitMode || len(r.tomb) == 0 {
+	dead := len(r.tomb) + len(r.base)
+	if r.commitMode || dead == 0 {
 		return r.lookup(f, t)
 	}
-	raw := r.lookup(f, t+len(r.tomb))
-	out := make([]*ir.Function, 0, t)
-	for _, g := range raw {
-		if r.tomb[g] {
-			continue
+	for k := t; ; k = min(2*k, t+dead) {
+		raw := r.lookup(f, k)
+		out := make([]*ir.Function, 0, t)
+		for _, g := range raw {
+			if !r.tomb[g] && !r.base[g] {
+				if out = append(out, g); len(out) == t {
+					break
+				}
+			}
 		}
-		out = append(out, g)
-		if len(out) == t {
-			break
+		if len(out) == t || len(raw) < k {
+			return out
 		}
 	}
-	return out
 }
 
 // retire takes f out of play the moment a commit or fold rewrites its
-// body; see retireIndexes for the rule.
+// body: out of the finder and the candidate-list cache, its cached
+// linearization invalidated (it would pin the dead instructions), its
+// canonical view, fold hash and screening profile dropped, and — when
+// an owning session exists — scheduled for re-indexing at the next
+// sync. Every index layer is nil-safe.
 func (r *runner) retire(f *ir.Function) {
-	retireIndexes(r.finder, r.cands, r.cache, r.lens, r.hashes, r.funnel, r.markPending, f)
+	r.finder.Remove(f)
+	r.cands.remove(f)
+	r.cache.Invalidate(f)
+	r.lens.Invalidate(f)
+	delete(r.hashes, f)
+	r.funnel.invalidate(f)
+	if r.markPending != nil {
+		r.markPending(f)
+	}
 }
 
 // mergedName picks the collision-free name for merging f1 and f2,
@@ -210,32 +232,23 @@ func interpEquivalent(a, b *ir.Function) bool {
 	return true
 }
 
-// walk runs the planning stage and the greedy commit walk over the
-// candidate set. candidates must be the eligible functions in module
-// definition order; the walk itself attempts merges largest-first
-// (finder order, paper §5.5). It returns ctx.Err() when cancelled
-// mid-run; everything committed before that stays.
+// walk is the greedy loop over the candidate set. candidates must be
+// the eligible functions in module definition order; the loop itself
+// attempts merges largest-first (finder order, paper §5.5): one
+// row-step per live function, one commit-step per profitable row. At
+// Config.Parallelism > 1 the rows of independent components are first
+// captured side by side (components.go), and a captured row whose
+// candidate list still matches at its turn stands in for the row-step;
+// the serial loop is that replay with nothing captured. It returns
+// ctx.Err() when cancelled mid-run; everything committed before that
+// stays (a cancelled capture commits nothing but the folds).
 func (r *runner) walk(ctx context.Context, candidates []*ir.Function) error {
-	cfg := r.cfg
-	res := r.res
-	m := r.m
-	if r.commitMode && cfg.CommitParallelism > 1 &&
-		cfg.CommitFilter == nil && r.families == nil {
-		// Component-parallel commit: capture per-component walks in
-		// parallel, then replay them serially with per-row validation
-		// (components.go). Family flattening and commit filters depend on
-		// global walk state, so they stay on the serial path.
-		return r.componentWalk(ctx, candidates)
-	}
+	cfg, res := r.cfg, r.res
 	if cfg.DupFold {
 		r.foldStep(candidates)
 	}
-	opts := cfg.CoreOptions()
-	order := r.order
-	if order == nil {
-		order = r.finder.Order()
-	}
-	if !r.commitMode && len(r.tomb) > 0 {
+	order := r.finder.Order()
+	if len(r.tomb) > 0 {
 		kept := order[:0]
 		for _, f := range order {
 			if !r.tomb[f] {
@@ -244,289 +257,262 @@ func (r *runner) walk(ctx context.Context, candidates []*ir.Function) error {
 		}
 		order = kept
 	}
-
-	// Planning stage: speculatively plan every ranked candidate pair in
-	// a worker pool. Trials are pure (clone + scratch module), so the
-	// only shared state they touch is read-only.
-	var pl *planner
+	var captured map[*ir.Function]capturedRow
 	if cfg.Parallelism > 1 {
-		pl = r.planAll(ctx, order)
-		pl.wait()
-		res.Planned = pl.executed
-	}
-
-	// Commit stage: the serial greedy walk of the paper's pipeline.
-	// Planned trials are consumed where available and recomputed lazily
-	// where a commit shifted a candidate list.
-	consumed := map[*ir.Function]bool{}
-	mergeIdx := 0
-	var runErr error
-	// discard drops a rejected in-place trial's merged function from
-	// the module; a rejected scratch-built trial returns its module to
-	// the trial pool (nothing else references it once rejected).
-	discard := func(t *trial) {
-		if t == nil {
-			return
-		}
-		if t.merged != nil && t.scratch == nil {
-			m.RemoveFunc(t.merged)
-			return
-		}
-		t.recycle()
-	}
-	// release frees f1's speculative trials once the walk is past them,
-	// so the GC can reclaim their scratch modules during the walk.
-	release := func(f1 *ir.Function) {
-		if pl != nil {
-			pl.release(f1)
+		var err error
+		if captured, err = r.capture(ctx, order); err != nil {
+			return err
 		}
 	}
-commitLoop:
 	for _, f1 := range order {
-		if consumed[f1] {
-			release(f1)
+		row, ok := captured[f1]
+		if r.consumed[f1] {
+			r.discard(row.best)
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
+			return err
 		}
+		list := r.candidates(f1, cfg.Threshold)
 		var best *trial
-		row := r.candidates(f1, cfg.Threshold)
-		var snap Result
-		if r.capture != nil {
-			snap = *res
-		}
-		for _, f2 := range row {
-			if consumed[f2] {
-				continue
-			}
-			// Cross-run memo: a pair whose bodies were already proven
-			// unprofitable cannot become the best trial; skip its DP and
-			// codegen entirely.
-			if r.outcomes.has(f1, f2) {
-				res.Attempts++
-				res.OutcomeHits++
-				continue
-			}
-			var t *trial
-			// Deciding whether the pair flattens asks the reference index
-			// for callers outside the family: a screen like any other.
-			s0 := time.Now()
-			fp := flattenFor(m, r.families, cfg.MaxFamily, f1, f2, best)
-			res.ScreenTime += time.Since(s0)
-			if fp != nil {
-				// Family flattening replaces the pairwise trial: merge
-				// the family's original bodies plus the newcomer into
-				// one fresh k-ary candidate. Always planned here, on
-				// the serial walk (planAll skips family pairs).
-				if err := ctx.Err(); err != nil {
-					runErr = err
-					discard(best)
-					break commitLoop
-				}
-				name := familyMergedName(m, fp.names, r.claimed)
-				t = planFlattenTrial(ctx, m, fp, name, r.commitMode, cfg)
-				t.f1, t.f2 = f1, f2
-			} else {
-				if pl != nil {
-					t = pl.take(f1, f2)
-				}
-				if t != nil {
-					res.CacheHits++
-				} else {
-					if err := ctx.Err(); err != nil {
-						runErr = err
-						discard(best)
-						break commitLoop
-					}
-					// Stage 1: screen the pair against the admissible
-					// profit bound before any DP. The gate is the best
-					// profit seen in this row so far — a pair whose bound
-					// cannot clear it cannot become the row's best trial,
-					// so skipping it never changes a decision. A bound
-					// that cannot even clear zero is memoized like any
-					// finished unprofitable trial.
-					g := noGate
-					if r.funnel != nil {
-						gate := 0
-						if best != nil {
-							gate = best.profit
-						}
-						s0 := time.Now()
-						bd, p1, p2 := r.funnel.screen(f1, f2)
-						if bd.UB <= gate && !bd.Exact {
-							// The lazy bound omits unsettled slack, so a
-							// failed gate is only provisional: settle the
-							// slack terms and re-check before skipping.
-							bd = costmodel.Bound(p1, p2, cfg.Target)
-						}
-						res.ScreenTime += time.Since(s0)
-						if bd.UB <= gate {
-							// A screened pair still counts as an attempt
-							// — the walk examined it — keeping Attempts
-							// the count of considered pairs whether a
-							// run skips them via memo, screen or trial.
-							res.Attempts++
-							res.PairsScreened++
-							if bd.UB <= 0 {
-								r.outcomes.put(f1, f2)
-							}
-							continue
-						}
-						g = trialGate{on: true, bd: bd, gate: gate, p1: p1, p2: p2}
-					}
-					if r.commitMode {
-						t = planTrialInPlace(ctx, m, f1, f2, r.cache, r.sizes, opts, cfg, g)
-					} else {
-						// Dry runs must not touch the module: replans use the
-						// same pure scratch-clone trials as the workers.
-						t = planTrial(ctx, f1, f2, r.cache, r.sizes, opts, cfg, g)
-					}
-				}
-			}
-			res.account(t)
-			if t.err != nil {
-				if err := ctx.Err(); err != nil {
-					runErr = err
-					discard(best)
-					break commitLoop
-				}
-				continue
-			}
-			if t.skipped {
-				// Stages 2/3: the DP aborted below the score floor, or
-				// the refined post-alignment bound fell short. Either
-				// way the trial's profit provably cannot beat the gate
-				// it was planned under; memoize only bounds that rule
-				// out any profit at all.
-				if t.dpAborted {
-					res.DPAborted++
-				} else {
-					res.TrialsSkipped++
-				}
-				if t.bound <= 0 {
-					r.outcomes.put(f1, f2)
-				}
-				continue
-			}
-			res.TrialsBuilt++
-			if t.profit > 0 && (best == nil || t.profit > best.profit) {
-				discard(best)
-				best = t
-			} else {
-				if t.profit <= 0 {
-					r.outcomes.put(f1, f2)
-				}
-				discard(t)
-			}
-		}
-		release(f1)
-		if r.capture != nil {
-			// Record the row — the filtered list it saw, the chosen trial
-			// (retained; capture trials are always scratch-built) and the
-			// row's accounting delta — then tombstone as a dry run would.
-			// Nothing is planned, claimed or reported here; the validated
-			// replay re-emits whatever survives.
-			r.capture.rows = append(r.capture.rows, capturedRow{
-				f1: f1, list: row, best: best, stats: rowDelta(&snap, res),
-			})
-			if best != nil {
-				consumed[f1] = true
-				consumed[best.f2] = true
-				r.tomb[f1] = true
-				r.tomb[best.f2] = true
-			}
-			continue
-		}
-		if best == nil {
-			continue
-		}
-		c0 := time.Now()
-		rec := MergeRecord{
-			F1: f1.Name(), F2: best.f2.Name(),
-			Profit: best.profit, Stats: best.stats, Committed: true,
-		}
-		if best.family != nil {
-			rec.Family = append([]string(nil), best.family.names...)
-		}
-		if cfg.CommitFilter != nil && !cfg.CommitFilter(mergeIdx) {
-			rec.Committed = false
-			if best.scratch == nil {
-				rec.Merged = best.merged.Name()
-				discard(best)
-			} else if best.family != nil {
-				rec.Merged = best.merged.Name()
-			} else {
-				rec.Merged = r.mergedName(f1, best.f2)
-			}
-		} else if r.commitMode {
-			if best.scratch != nil {
-				adopt(m, best)
-			}
-			rec.Merged = best.merged.Name()
-			if best.family != nil {
-				// Flatten: rewrite every member thunk onto the fresh
-				// k-ary head and drop the consumed heads; the rewritten
-				// thunks leave the walk with their heads.
-				for _, rw := range commitFlatten(m, best, r.families, r.retire, r.markPending) {
-					consumed[rw] = true
-				}
-				consumed[f1] = true
-				consumed[best.f2] = true
-				res.Flattened++
-			} else {
-				recordPairFamily(r.families, best.merged, f1, best.f2)
-				commit(f1, best.f2, best.merged)
-				consumed[f1] = true
-				consumed[best.f2] = true
-				r.retire(f1)
-				r.retire(best.f2)
-				if r.markPending != nil {
-					r.markPending(best.merged)
-				}
-			}
+		if ok && slices.Equal(row.list, list) {
+			// The captured decision is provably the one this turn would
+			// make (see components.go): transplant it.
+			best = row.best
+			res.add(row.Counters)
+			res.Transplanted++
 		} else {
-			// Dry mode: the merge is a proposal, not an applied change.
-			rec.Committed = false
-			var name string
-			if best.family != nil {
-				name = best.merged.Name()
-				for _, nm := range best.family.names {
-					if live := m.FuncByName(nm); live != nil {
-						r.tomb[live] = true
-						consumed[live] = true
-					}
-				}
-				for _, h := range best.family.heads {
-					r.tomb[h] = true
-					consumed[h] = true
-				}
-			} else {
-				name = r.mergedName(f1, best.f2)
+			if ok {
+				res.Repaired++
+				r.discard(row.best)
 			}
-			r.claimed[name] = true
-			rec.Merged = name
-			consumed[f1] = true
-			consumed[best.f2] = true
-			r.tomb[f1] = true
-			r.tomb[best.f2] = true
-			pm := PlannedMerge{
-				F1: f1.Name(), F2: best.f2.Name(), Merged: name, Profit: best.profit,
-				Hash1: r.hashes.of(f1), Hash2: r.hashes.of(best.f2),
+			var c Counters
+			var err error
+			best, c, err = r.row(ctx, f1, list)
+			res.add(c)
+			if err != nil {
+				return err
 			}
-			pm.Family = rec.Family
-			r.plan.Merges = append(r.plan.Merges, pm)
 		}
-		res.Merges = append(res.Merges, rec)
-		mergeIdx++
-		r.progress(Progress{
-			RunID: r.runID, Stage: StageCommit, F1: rec.F1, F2: rec.F2,
-			Merged: rec.Merged, Profit: rec.Profit, Committed: rec.Committed, Done: mergeIdx,
-		})
-		res.CommitTime += time.Since(c0)
+		if best != nil {
+			r.commitStep(best)
+		}
 	}
-	return runErr
+	return nil
+}
+
+// row is the row-step: f1 against its live candidate list — consumed
+// and memoized partners skipped, then per pair the flatten check, the
+// stage-1 screen, the trial and the decision. It returns the most
+// profitable trial (nil when no partner is profitable; every loser is
+// already discarded) and what the row cost. On cancellation the
+// retained trial is discarded too.
+func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) (best *trial, c Counters, err error) {
+	cfg := r.cfg
+	for _, f2 := range list {
+		if r.consumed[f2] {
+			continue
+		}
+		// Cross-run memo: a pair whose bodies were already proven
+		// unprofitable cannot become the best trial; skip its DP and
+		// codegen entirely.
+		if r.outcomes.has(f1, f2) {
+			c.Attempts++
+			c.OutcomeHits++
+			continue
+		}
+		// Deciding whether the pair flattens asks the reference index
+		// for callers outside the family: a screen like any other.
+		s0 := time.Now()
+		fp := flattenFor(r.m, r.families, cfg.MaxFamily, f1, f2, best)
+		c.ScreenTime += time.Since(s0)
+		if err := ctx.Err(); err != nil {
+			r.discard(best)
+			return nil, c, err
+		}
+		var t *trial
+		if fp != nil {
+			// Family flattening replaces the pairwise trial: merge the
+			// family's original bodies plus the newcomer into one fresh
+			// k-ary candidate.
+			t = r.flattenTrial(ctx, fp, f1, f2)
+		} else {
+			// Stage 1: screen the pair against the admissible profit
+			// bound before any DP. The gate is the best profit seen in
+			// this row so far — a pair whose bound cannot clear it
+			// cannot become the row's best trial, so skipping it never
+			// changes a decision. A bound that cannot even clear zero is
+			// memoized like any finished unprofitable trial.
+			g := noGate
+			if r.funnel != nil {
+				gate := 0
+				if best != nil {
+					gate = best.profit
+				}
+				s0 := time.Now()
+				bd, p1, p2 := r.funnel.screen(f1, f2)
+				if bd.UB <= gate && !bd.Exact {
+					// The lazy bound omits unsettled slack, so a failed
+					// gate is only provisional: settle the slack terms
+					// and re-check before skipping.
+					bd = costmodel.Bound(p1, p2, cfg.Target)
+				}
+				c.ScreenTime += time.Since(s0)
+				if bd.UB <= gate {
+					// A screened pair still counts as an attempt — the
+					// row examined it — keeping Attempts the count of
+					// considered pairs whether a run skips them via
+					// memo, screen or trial.
+					c.Attempts++
+					c.PairsScreened++
+					if bd.UB <= 0 {
+						r.outcomes.put(f1, f2)
+					}
+					continue
+				}
+				g = trialGate{on: true, bd: bd, gate: gate, p1: p1, p2: p2}
+			}
+			t = r.pairTrial(ctx, f1, f2, g)
+		}
+		c.add(t.counters())
+		switch {
+		case t.err != nil:
+			if err := ctx.Err(); err != nil {
+				r.discard(best)
+				return nil, c, err
+			}
+		case t.skipped:
+			// Stages 2/3: the DP aborted below the score floor, or the
+			// refined post-alignment bound fell short. Either way the
+			// trial's profit provably cannot beat the gate it was
+			// planned under; memoize only bounds that rule out any
+			// profit at all.
+			if t.bound <= 0 {
+				r.outcomes.put(f1, f2)
+			}
+		case t.profit > 0 && (best == nil || t.profit > best.profit):
+			r.discard(best)
+			best = t
+		default:
+			if t.profit <= 0 {
+				r.outcomes.put(f1, f2)
+			}
+			r.discard(t)
+		}
+	}
+	return best, c, nil
+}
+
+// pairTrial plans the pairwise trial of f1 and f2 under gate g. Commit
+// runs build in place; dry runs must not touch the module and capture
+// walks share it, so both use the pure scratch-clone trial.
+func (r *runner) pairTrial(ctx context.Context, f1, f2 *ir.Function, g trialGate) *trial {
+	if r.commitMode {
+		return planTrialInPlace(ctx, r.m, f1, f2, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g)
+	}
+	return planTrial(ctx, f1, f2, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g)
+}
+
+// flattenTrial plans the k-ary re-merge fp describes for the pair.
+func (r *runner) flattenTrial(ctx context.Context, fp *flattenPlan, f1, f2 *ir.Function) *trial {
+	name := familyMergedName(r.m, fp.names, r.claimed)
+	t := planFlattenTrial(ctx, r.m, fp, name, r.commitMode, r.cfg)
+	t.f1, t.f2 = f1, f2
+	return t
+}
+
+// discard drops a rejected in-place trial's merged function from the
+// module; a rejected scratch-built trial returns its module to the
+// trial pool (nothing else references it once rejected). Nil-safe.
+func (r *runner) discard(t *trial) {
+	if t == nil {
+		return
+	}
+	if t.merged != nil && t.scratch == nil {
+		r.m.RemoveFunc(t.merged)
+		return
+	}
+	t.recycle()
+}
+
+// commitStep settles a row's winning trial — filtered out, committed
+// into the module, or (dry mode) proposed in the plan — and records it:
+// the MergeRecord, the progress event, the commit clock. Apply commits
+// its re-generated trials through here too.
+func (r *runner) commitStep(t *trial) {
+	c0 := time.Now()
+	res, f1, f2 := r.res, t.f1, t.f2
+	rec := MergeRecord{F1: f1.Name(), F2: f2.Name(), Profit: t.profit, Stats: t.stats}
+	if t.family != nil {
+		rec.Family = append([]string(nil), t.family.names...)
+	}
+	// A trial built in place or as a flatten already carries its
+	// collision-free name; a scratch-built pair is named against the
+	// module (and the dry-mode claims) only now.
+	proposed := func() string {
+		if t.scratch != nil && t.family == nil {
+			return r.mergedName(f1, f2)
+		}
+		return t.merged.Name()
+	}
+	switch {
+	case r.cfg.CommitFilter != nil && !r.cfg.CommitFilter(r.mergeIdx):
+		// Filtered: recorded, not applied; both functions stay in play.
+		rec.Merged = proposed()
+		r.discard(t)
+	case r.commitMode:
+		rec.Committed = true
+		if t.scratch != nil {
+			adopt(r.m, t)
+		}
+		rec.Merged = t.merged.Name()
+		if t.family != nil {
+			// Flatten: rewrite every member thunk onto the fresh k-ary
+			// head and drop the consumed heads; the rewritten thunks
+			// leave the walk with their heads.
+			for _, rw := range commitFlatten(r.m, t, r.families, r.retire, r.markPending) {
+				r.consumed[rw] = true
+			}
+			res.Flattened++
+		} else {
+			recordPairFamily(r.families, t.merged, f1, f2)
+			commit(f1, f2, t.merged)
+			r.retire(f1)
+			r.retire(f2)
+			if r.markPending != nil {
+				r.markPending(t.merged)
+			}
+		}
+		r.consumed[f1], r.consumed[f2] = true, true
+	default:
+		// Dry mode: the merge is a proposal, not an applied change.
+		rec.Merged = proposed()
+		dead := []*ir.Function{f1, f2}
+		if t.family != nil {
+			dead = append(dead, t.family.heads...)
+			for _, nm := range t.family.names {
+				if live := r.m.FuncByName(nm); live != nil {
+					dead = append(dead, live)
+				}
+			}
+		}
+		for _, f := range dead {
+			r.tomb[f], r.consumed[f] = true, true
+		}
+		r.claimed[rec.Merged] = true
+		r.plan.Merges = append(r.plan.Merges, PlannedMerge{
+			F1: rec.F1, F2: rec.F2, Merged: rec.Merged, Family: rec.Family, Profit: t.profit,
+			Hash1: r.hashes.of(f1), Hash2: r.hashes.of(f2),
+		})
+		t.recycle()
+	}
+	res.Merges = append(res.Merges, rec)
+	r.mergeIdx++
+	r.progress(Progress{
+		RunID: r.runID, Stage: StageCommit, F1: rec.F1, F2: rec.F2,
+		Merged: rec.Merged, Profit: rec.Profit, Committed: rec.Committed, Done: r.mergeIdx,
+	})
+	res.CommitTime += time.Since(c0)
 }
 
 // outcomeCache memoizes candidate pairs whose merge trial completed and
@@ -541,12 +527,12 @@ commitLoop:
 // unprofitable flatten would suppress the (possibly profitable)
 // pairwise nest the pair gets once the family is gone. Trials that
 // error (cancellation, matrix caps) are never memoized. The mutex
-// exists for the component-parallel commit walk, whose capture workers
+// exists for the component scheduler, whose capture workers
 // read and write the cache concurrently; every other caller runs on
-// the session goroutine. Within one walk the memo never influences its
-// own rows (each row f1 is processed once and only row f1 touches
-// (f1, *) entries), so the write order across workers cannot affect
-// decisions.
+// the session goroutine. Only row f1 touches (f1, *) entries, so the
+// write order across workers cannot affect decisions; a captured row
+// the loop re-runs meets its own entries, which are facts about the
+// two bodies either way.
 type outcomeCache struct {
 	mu sync.Mutex
 	// pairs[f1][f2] records the directed pair (f1, f2); rev[f2] lists

@@ -184,29 +184,3 @@ func TestLSHFinderMatchesExact(t *testing.T) {
 		sameMerges(t, exact, lsh)
 	}
 }
-
-// TestCacheHitsReported: a parallel run must serve most commit-stage
-// trials from the plan cache and say so.
-func TestCacheHitsReported(t *testing.T) {
-	m := testModule(t, 2)
-	res, err := RunContext(context.Background(), m, Config{
-		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Parallelism: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHits == 0 {
-		t.Error("parallel run reported zero plan-cache hits")
-	}
-	if res.CacheHits > res.Attempts {
-		t.Errorf("cache hits %d exceed attempts %d", res.CacheHits, res.Attempts)
-	}
-	if res.Search.Queries == 0 {
-		t.Error("run reported no finder queries")
-	}
-	if serial := Run(testModule(t, 2), Config{
-		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-	}); serial.CacheHits != 0 {
-		t.Errorf("serial run reported %d cache hits, want 0", serial.CacheHits)
-	}
-}

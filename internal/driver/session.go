@@ -1,9 +1,8 @@
 // The long-lived merge engine. RunContext's one-shot pipeline is a thin
 // wrapper over a Session: OpenSession builds every index the pipeline
 // needs — the fingerprint candidate finder and the
-// linearization/class cache — exactly once, and the per-run stages
-// (plan, commit) reuse them across any number of Optimize / Plan /
-// Apply calls. Callers that mutate or delete functions between runs
+// linearization/class cache — exactly once, and every run's greedy loop
+// reuses them across any number of Optimize / Plan / Apply calls. Callers that mutate or delete functions between runs
 // report the delta through Update / Remove; only the touched functions
 // are re-fingerprinted and re-linearized, so a re-optimize
 // after a small edit pays for the edit, not for the module.
@@ -19,13 +18,13 @@
 //     bodies and the options), so a re-run skips their alignment DP and
 //     codegen entirely. Any edit to either function drops the entry.
 //
-// Runs come in two flavours sharing one walk: a committing run
-// (Optimize, the classic pipeline) mutates the module, while a dry run
-// (Plan) simulates the same greedy walk against tombstone overlays and
-// returns a serializable Plan of the merges it would commit. Apply
-// replays a (possibly filtered) Plan against the live module, verifying
-// each function's structural hash so a stale plan is rejected instead
-// of merging the wrong code.
+// Runs come in two flavours sharing one loop (runner.go): a committing
+// run (Optimize, the classic pipeline) mutates the module, while a dry
+// run (Plan) simulates the same greedy loop against tombstone overlays
+// and returns a serializable Plan of the merges it would commit. Apply
+// replays a (possibly filtered) Plan against the live module through
+// the loop's commit-step, verifying each function's structural hash so
+// a stale plan is rejected instead of merging the wrong code.
 package driver
 
 import (
@@ -54,7 +53,7 @@ func newRunID() int64 { return runIDs.Add(1) }
 
 // Session is a long-lived merge engine over one module. It is created
 // by OpenSession, which builds all candidate and alignment indexes
-// once; Optimize, Plan and Apply then run the pipeline stages against
+// once; Optimize, Plan and Apply then run against
 // the persistent indexes, and Update / Remove re-index only the
 // functions a caller changed. Methods are safe for concurrent use but
 // execute one at a time (the session serializes itself); the module
@@ -244,31 +243,6 @@ func (s *Session) index(f *ir.Function) {
 	s.byName[f.Name()] = f
 	s.nameOf[f] = f.Name()
 	s.sizes[f] = costmodel.FuncBytes(f, s.cfg.Target)
-}
-
-// retire takes f out of play the moment its body is rewritten by a
-// commit or fold; see retireIndexes for the rule.
-func (s *Session) retire(f *ir.Function) {
-	retireIndexes(s.finder, s.cands, s.cache, s.lens, s.hashes, s.funnel, s.markPending, f)
-}
-
-// retireIndexes is the session's single index-invalidation rule for a
-// function whose body a commit or fold just rewrote: out of the finder
-// and the candidate-list cache, its cached linearization invalidated
-// (it would pin the dead instructions), its canonical view and fold
-// hash dropped, and — when an owning session exists — scheduled for
-// re-indexing at the next sync. Session.retire and runner.retire both
-// delegate here so Apply and the walk can never diverge on the rule.
-func retireIndexes(finder search.Finder, cands *candidateCache, cache *align.Cache, lens *canon.Lens, hashes hashMemo, fu *funnel, markPending func(*ir.Function), f *ir.Function) {
-	finder.Remove(f)
-	cands.remove(f)
-	cache.Invalidate(f)
-	lens.Invalidate(f)
-	delete(hashes, f)
-	fu.invalidate(f)
-	if markPending != nil {
-		markPending(f)
-	}
 }
 
 // unindex drops f from every persistent index layer. The byName alias
@@ -591,14 +565,6 @@ func (s *Session) UpdateBatch(ctx context.Context, changed, removed []string) er
 	return nil
 }
 
-// RemoveBatch drops the named functions as one delta. Remove already
-// validates and marks its whole argument list in a single pass, so this
-// is the same operation under the batch-shaped name; it exists for
-// symmetry with UpdateBatch.
-func (s *Session) RemoveBatch(ctx context.Context, names []string) error {
-	return s.Remove(ctx, names...)
-}
-
 // Flush applies the pending index maintenance now instead of at the
 // next Optimize/Plan/Apply: every function marked by Update, Remove or
 // UpdateBatch since the last sync is re-fingerprinted and
@@ -620,6 +586,19 @@ func (s *Session) Flush() error {
 // newResult scaffolds a run result with the module's baseline size.
 func (s *Session) newResult() *Result {
 	return &Result{Algorithm: s.cfg.Algorithm, Threshold: s.cfg.Threshold, BaselineBytes: s.moduleBytes()}
+}
+
+// newRunner binds one run's loop to the session's index layers. Dry
+// runs add their overlays; FMSA runs swap in their throwaway indexes.
+func (s *Session) newRunner(res *Result, commitMode bool) *runner {
+	return &runner{
+		m: s.m, cfg: s.cfg, cache: s.cache, finder: s.finder,
+		cands: s.cands, lens: s.lens, hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
+		funnel: s.funnel, families: s.families, commitMode: commitMode,
+		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
+		markPending: s.markPending,
+		consumed:    map[*ir.Function]bool{},
+	}
 }
 
 // moduleBytes is costmodel.ModuleBytes off the maintained sizes:
@@ -664,9 +643,8 @@ func (s *Session) finishStats(res *Result) {
 	s.lastCache = cc
 }
 
-// Optimize runs the full pipeline — planning and commit — against the
-// persistent indexes, mutating the module in place exactly like the
-// one-shot RunContext. On cancellation it stops between trials, leaves
+// Optimize runs the greedy loop against the persistent indexes,
+// mutating the module in place exactly like the one-shot RunContext. On cancellation it stops between trials, leaves
 // every already-committed merge in place, and returns the partial
 // result together with ctx.Err().
 func (s *Session) Optimize(ctx context.Context) (*Result, error) {
@@ -686,14 +664,7 @@ func (s *Session) Optimize(ctx context.Context) (*Result, error) {
 		return res, err
 	}
 	s.sync()
-	r := &runner{
-		m: s.m, cfg: s.cfg, cache: s.cache, finder: s.finder,
-		cands: s.cands, lens: s.lens, hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
-		funnel: s.funnel, families: s.families, commitMode: true,
-		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
-		markPending: s.markPending,
-	}
-	runErr := r.walk(ctx, s.candidateOrder())
+	runErr := s.newRunner(res, true).walk(ctx, s.candidateOrder())
 	s.finishStats(res)
 	s.finishFamilies(res)
 	res.FinalBytes = s.moduleBytes()
@@ -749,11 +720,8 @@ func (s *Session) optimizeFMSA(ctx context.Context, start time.Time) (*Result, e
 	}
 	cache := align.NewCache()
 	finder := search.New(s.cfg.Finder, candidates)
-	r := &runner{
-		m: s.m, cfg: s.cfg, cache: cache, finder: finder,
-		sizes: preSize, commitMode: true,
-		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
-	}
+	r := s.newRunner(res, true)
+	r.cache, r.finder, r.sizes, r.markPending = cache, finder, preSize, nil
 	runErr := r.walk(ctx, candidates)
 	// Clean-up (Figure 1): re-promote and simplify every demoted
 	// function; whatever cannot be promoted back is the residue.
@@ -766,8 +734,8 @@ func (s *Session) optimizeFMSA(ctx context.Context, start time.Time) (*Result, e
 	return res, runErr
 }
 
-// Plan is the dry run: the same planning stage and greedy commit walk
-// as Optimize, simulated against tombstone overlays so the module is
+// Plan is the dry run: the same greedy loop as Optimize, at the same
+// parallelism, simulated against tombstone overlays so the module is
 // not touched, returning the serializable Plan of merges (and duplicate
 // folds) a commit run would apply. Plans embed each function's
 // structural hash; Apply verifies them, so a plan can be shipped across
@@ -778,18 +746,12 @@ func (s *Session) Plan(ctx context.Context) (*Plan, error) {
 }
 
 // PlanReport is Plan with the dry run's accounting: the Result carries
-// the planning-stage counters (attempts, cache and memo hits, funnel
-// screens and aborts) and timings, with FinalBytes equal to
-// BaselineBytes since a dry run never mutates the module. Sharded
-// planners aggregate these per-shard results into one report.
+// the loop's counters (attempts, memo hits, funnel screens and aborts)
+// and timings, with FinalBytes equal to BaselineBytes since a dry run
+// never mutates the module.
 func (s *Session) PlanReport(ctx context.Context) (*Plan, *Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.planLocked(ctx)
-}
-
-// planLocked is the dry run's body; the caller holds s.mu.
-func (s *Session) planLocked(ctx context.Context) (*Plan, *Result, error) {
 	if s.closed {
 		return nil, nil, errClosed
 	}
@@ -802,19 +764,9 @@ func (s *Session) planLocked(ctx context.Context) (*Plan, *Result, error) {
 		return nil, nil, err
 	}
 	s.sync()
-	r := &runner{
-		m: s.m, cfg: s.cfg, cache: s.cache, finder: s.finder,
-		cands: s.cands, lens: s.lens, hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
-		funnel: s.funnel, families: s.families, commitMode: false,
-		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
-		plan: &Plan{
-			Algorithm: s.cfg.Algorithm.String(),
-			Threshold: s.cfg.Threshold,
-		},
-		tomb:    map[*ir.Function]bool{},
-		claimed: map[string]bool{},
-	}
-	r.plan.RunID = r.runID
+	r := s.newRunner(res, false)
+	r.plan = &Plan{Algorithm: s.cfg.Algorithm.String(), Threshold: s.cfg.Threshold, RunID: r.runID}
+	r.tomb, r.claimed = map[*ir.Function]bool{}, map[string]bool{}
 	runErr := r.walk(ctx, s.candidateOrder())
 	s.finishStats(res)
 	res.FinalBytes = res.BaselineBytes
@@ -860,9 +812,10 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		return res, err
 	}
 	s.sync()
-	runID := newRunID()
-	progress := s.cfg.progressFn()
-	opts := s.cfg.CoreOptions()
+	// Apply commits what it is given: the filter already had its say
+	// when the plan was drawn up.
+	r := s.newRunner(res, true)
+	r.cfg.CommitFilter = nil
 	finish := func(err error) (*Result, error) {
 		s.finishStats(res)
 		s.finishFamilies(res)
@@ -896,11 +849,10 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		}
 		dup, rep := s.m.FuncByName(pf.Dup), s.m.FuncByName(pf.Rep)
 		search.BuildForwarder(dup, rep)
-		s.retire(dup)
+		r.retire(dup)
 		consumed[pf.Dup] = true
 		res.Folds = append(res.Folds, FoldRecord{Dup: pf.Dup, Rep: pf.Rep, Profit: pf.Profit})
 	}
-	mergeIdx := 0
 	for _, pm := range p.Merges {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
@@ -934,43 +886,21 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 			if fp == nil || !sameNames(fp.names, pm.Family) {
 				return finish(fmt.Errorf("driver: %w: family behind @%s + @%s no longer matches %v", ErrStalePlan, pm.F1, pm.F2, pm.Family))
 			}
-			name := familyMergedName(s.m, fp.names, nil)
-			t = planFlattenTrial(ctx, s.m, fp, name, true, s.cfg)
-			t.f1, t.f2 = f1, f2
+			t = r.flattenTrial(ctx, fp, f1, f2)
 		} else {
 			// Apply commits planned merges unconditionally, so there is
 			// no gate to screen against — every trial materializes.
-			t = planTrialInPlace(ctx, s.m, f1, f2, s.cache, s.sizes, opts, s.cfg, noGate)
+			t = r.pairTrial(ctx, f1, f2, noGate)
 		}
-		res.account(t)
+		res.add(t.counters())
 		if t.err != nil {
 			return finish(fmt.Errorf("driver: applying @%s + @%s: %w", pm.F1, pm.F2, t.err))
 		}
-		if t.family != nil {
-			for _, rw := range commitFlatten(s.m, t, s.families, s.retire, s.markPending) {
-				consumed[rw.Name()] = true
-			}
-			res.Flattened++
-		} else {
-			recordPairFamily(s.families, t.merged, f1, f2)
-			commit(f1, f2, t.merged)
-			s.retire(f1)
-			s.retire(f2)
-			s.markPending(t.merged)
+		r.commitStep(t)
+		// The rewritten member thunks of a flatten leave with the pair.
+		for _, name := range append([]string{pm.F1, pm.F2}, pm.Family...) {
+			consumed[name] = true
 		}
-		consumed[pm.F1] = true
-		consumed[pm.F2] = true
-		rec := MergeRecord{
-			F1: pm.F1, F2: pm.F2, Merged: t.merged.Name(),
-			Family: append([]string(nil), pm.Family...),
-			Profit: t.profit, Stats: t.stats, Committed: true,
-		}
-		res.Merges = append(res.Merges, rec)
-		mergeIdx++
-		progress(Progress{
-			RunID: runID, Stage: StageCommit, F1: rec.F1, F2: rec.F2,
-			Merged: rec.Merged, Profit: rec.Profit, Committed: true, Done: mergeIdx,
-		})
 	}
 	return finish(nil)
 }

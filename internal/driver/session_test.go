@@ -861,9 +861,16 @@ func TestProgressRunID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// A dry run, then a committing one: both report the module's merges.
 	for run := 0; run < 2; run++ {
 		perEvent = perEvent[:0]
-		if _, err := sizedRun(t, s, nil); err != nil {
+		var err error
+		if run == 0 {
+			_, err = s.Plan(context.Background())
+		} else {
+			_, err = sizedRun(t, s, nil)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(perEvent) == 0 {

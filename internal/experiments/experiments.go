@@ -109,10 +109,10 @@ type Lab struct {
 	cache map[runKey]*runEntry
 	// Scale divides suite function counts for quick runs (1 = full).
 	Scale int
-	// Jobs is the planning-stage worker count handed to the driver
-	// (<= 1 serial). Parallel planning commits the same merges, so size
-	// figures are unchanged; the paper's timing figures (23, 24) should
-	// be regenerated serially to stay faithful.
+	// Jobs is the worker count handed to the driver's component
+	// scheduler (<= 1 serial). Any value commits the same merges, so
+	// size figures are unchanged; the paper's timing figures (23, 24)
+	// should be regenerated serially to stay faithful.
 	Jobs int
 	// Finder selects the candidate-search implementation. Both kinds
 	// return the same candidate lists (the LSH finder's

@@ -94,10 +94,8 @@ func min32(a, b int32) int32 {
 //
 // Ranking is safe for concurrent use: reads (Candidates, Order) may run
 // concurrently with each other and are serialized against the writes
-// (Add, Remove). Today the driver's planning stage snapshots its
-// candidate pairs on one goroutine before the workers start, so the
-// lock is a contract for concurrent callers (e.g. a streaming planner),
-// not a present-day necessity there.
+// (Add, Remove). The driver's capture workers query concurrently while
+// nothing writes; the write lock is for callers that also update.
 type Ranking struct {
 	mu    sync.RWMutex
 	funcs []*ir.Function

@@ -30,19 +30,14 @@ type CreateSession struct {
 	Canon     bool `json:"canon,omitempty"`
 	MaxFamily int  `json:"max_family,omitempty"`
 	MinInstrs int  `json:"min_instrs,omitempty"`
-	// Parallelism is the planning worker count; 0 (the default) uses
-	// every CPU — the right default for a daemon, where planning
-	// latency is the serving bottleneck. Pass 1 to force serial
-	// planning.
+	// Parallelism is the worker count of Plan's and Optimize's component
+	// scheduler (results are bit-identical at any value); 0, the
+	// default, uses every CPU and 1 forces the serial loop. Measured on
+	// a two-core box (DESIGN.md "Scale architecture") two workers were
+	// 30–40% slower than one on 10k–40k-function modules and a wash on
+	// small ones; whether more cores turn that around is unverified, so
+	// the default stays as it was until it can be measured.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Shards is the PlanSharded band count for this session's Plan
-	// calls; 0 inherits the daemon's -shards flag, 1 forces the exact
-	// single-walk Plan.
-	Shards int `json:"shards,omitempty"`
-	// CommitParallelism runs Optimize's commit walk component-parallel
-	// with this many workers (bit-identical to the serial walk); 0
-	// keeps the serial walk.
-	CommitParallelism int `json:"commit_parallelism,omitempty"`
 }
 
 // SessionInfo describes one served session; returned by session

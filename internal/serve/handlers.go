@@ -181,7 +181,7 @@ func (s *Server) locked(w http.ResponseWriter, r *http.Request, fn func(sv *serv
 }
 
 // buildOptimizer maps the wire options onto the Optimizer.
-func buildOptimizer(req *api.CreateSession, shards int) (*repro.Optimizer, error) {
+func buildOptimizer(req *api.CreateSession) (*repro.Optimizer, error) {
 	var opts []repro.Option
 	switch req.Algorithm {
 	case "", "SalSSA":
@@ -215,13 +215,6 @@ func buildOptimizer(req *api.CreateSession, shards int) (*repro.Optimizer, error
 	opts = append(opts, repro.WithParallelism(req.Parallelism))
 	opts = append(opts, repro.WithDupFold(req.DupFold))
 	opts = append(opts, repro.WithCanon(req.Canon))
-	if req.CommitParallelism < 0 {
-		return nil, fmt.Errorf("negative commit parallelism %d", req.CommitParallelism)
-	}
-	if req.CommitParallelism > 0 {
-		opts = append(opts, repro.WithCommitParallelism(req.CommitParallelism))
-	}
-	_ = shards // recorded on the served session, not an Optimizer option
 	return repro.New(opts...)
 }
 
@@ -234,11 +227,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid session name %q", req.Name))
 		return
 	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.cfg.Shards
-	}
-	opt, err := buildOptimizer(&req, shards)
+	opt, err := buildOptimizer(&req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -298,7 +287,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// Reserve the name and quota before the (slow) index build so a
 	// concurrent create of the same name fails fast; the placeholder is
 	// replaced or deleted below.
-	sv := &served{name: req.Name, owner: id, shards: shards}
+	sv := &served{name: req.Name, owner: id}
 	sv.mu.Lock()
 	s.sessions[req.Name] = sv
 	cs.funcs += funcs
@@ -559,7 +548,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.locked(w, r, func(sv *served) {
-		plan, err := sv.sess.PlanSharded(r.Context(), sv.shards)
+		plan, err := sv.sess.Plan(r.Context())
 		if err != nil {
 			s.writeEngineErr(w, err)
 			return

@@ -36,10 +36,6 @@ type LoadConfig struct {
 	Seed int64 `json:"seed"`
 	// Finder is "exact" or "lsh" (default "lsh").
 	Finder string `json:"finder"`
-	// Shards is the per-session PlanSharded band count (default 1: the
-	// exact single-walk plan, which keeps plan/apply convergence
-	// bit-identical to a local session).
-	Shards int `json:"shards"`
 	// MaxRounds caps each client's plan/apply rounds; 0 means run until
 	// the session reaches its merge fixpoint (empty plan).
 	MaxRounds int `json:"max_rounds,omitempty"`
@@ -66,9 +62,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Finder == "" {
 		c.Finder = "lsh"
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 	return c
 }
@@ -129,7 +122,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig, collectModules bool) (*LoadRep
 		MaxInflight:       4 * cfg.Clients,
 		MaxClientInflight: 8,
 		MaxClientFuncs:    cfg.Sessions*cfg.Funcs + 1,
-		Shards:            cfg.Shards,
 		WALDir:            cfg.WALDir,
 		WALSync:           mode,
 	})
@@ -155,7 +147,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig, collectModules bool) (*LoadRep
 			Module:  corpus,
 			Finder:  cfg.Finder,
 			DupFold: true,
-			Shards:  cfg.Shards,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("creating session %d: %w", i, err)

@@ -21,7 +21,6 @@ func TestLoadSmoke(t *testing.T) {
 		Funcs:    120,
 		Seed:     42,
 		Finder:   "lsh",
-		Shards:   1,
 	}
 	rep, err := RunLoad(ctx, cfg, true)
 	if err != nil {

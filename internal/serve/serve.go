@@ -1,11 +1,10 @@
-// Package serve is merge-as-a-service: a shardable HTTP daemon over
-// long-lived merge Sessions. Each named session owns one module and one
+// Package serve is merge-as-a-service: an HTTP daemon over long-lived
+// merge Sessions. Each named session owns one module and one
 // repro.Session; clients stream module deltas as textual IR, plan
-// merges (optionally sharded across fingerprint bands), and commit
-// plans with optimistic concurrency — a plan whose structural hashes no
-// longer match the module is rejected with 409 Conflict and the client
-// replans, so concurrent clients serialize through hash validation
-// rather than long-held locks.
+// merges, and commit plans with optimistic concurrency — a plan whose
+// structural hashes no longer match the module is rejected with 409
+// Conflict and the client replans, so concurrent clients serialize
+// through hash validation rather than long-held locks.
 //
 // The daemon admits work through three gates: a global in-flight cap
 // (503 when the server is saturated), a per-client in-flight cap (429
@@ -90,9 +89,6 @@ type Config struct {
 	// fsync per record; wal.SyncBatch trades the unsynced tail for
 	// throughput).
 	WALSync wal.SyncMode
-	// Shards is the default PlanSharded band count for /plan (<= 1
-	// plans with the exact single walk).
-	Shards int
 	// FS is the filesystem the durability layer writes through; nil
 	// means the real OS. Tests inject faults here.
 	FS fault.FS
@@ -156,7 +152,6 @@ type served struct {
 	m        *repro.Module
 	sess     *repro.Session
 	j        *wal.Journal
-	shards   int
 	warm     bool
 	funcs    int // defined functions, maintained on update/remove
 	replayed int // journal records replayed at creation

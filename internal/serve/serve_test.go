@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 
 	repro "repro"
 	"repro/client"
+	"repro/internal/serve/api"
 	"repro/internal/synth"
 )
 
@@ -143,35 +146,69 @@ func TestServeDifferential(t *testing.T) {
 	}
 }
 
-// TestServeSharded: a session created with shards > 1 plans through
-// PlanSharded; the banded plans must commit cleanly over HTTP and leave
-// a well-formed, smaller module. (Shard-vs-exact quality is covered at
-// the driver layer; this exercises the wire path.)
-func TestServeSharded(t *testing.T) {
+// TestServeLegacyCreateFields: the wire CreateSession lost "shards" and
+// "commit_parallelism", but clients written against the old contract
+// still send them — notably when they recreate a session by name so a
+// journal the previous daemon wrote replays. The body must be accepted,
+// the fields ignored, and the recovered state must be what was
+// journaled.
+func TestServeLegacyCreateFields(t *testing.T) {
 	ctx := context.Background()
-	_, hs := newTestDaemon(t, Config{})
-	c := client.New(hs.URL, "sharded")
-	sc, err := c.CreateSession(ctx, client.CreateSession{
-		Name: "sharded", Module: testCorpus(t, 48),
-		Threshold: 2, DupFold: true, Shards: 3,
-	})
-	if err != nil {
-		t.Fatalf("create: %v", err)
+	dir := t.TempDir()
+	srvA, hsA := newTestDaemon(t, Config{WALDir: dir})
+	create := func(base, module string) api.SessionInfo {
+		t.Helper()
+		body, err := json.Marshal(map[string]any{
+			"name": "legacy", "module": module, "threshold": 2, "dup_fold": true,
+			"parallelism": 1, "shards": 3, "commit_parallelism": 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/v1/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var info api.SessionInfo
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create with legacy fields: status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+		return info
 	}
-	merges, folds := drainDaemon(t, ctx, sc)
-	if merges+folds == 0 {
-		t.Fatal("sharded daemon session committed nothing")
-	}
-	text, err := sc.Module(ctx)
+	create(hsA.URL, testCorpus(t, 48))
+	sc := client.New(hsA.URL, "").Session("legacy")
+	plan, err := sc.Plan(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := repro.ParseModule(text)
-	if err != nil {
-		t.Fatalf("sharded module does not reparse: %v", err)
+	if _, err := sc.Apply(ctx, plan); err != nil {
+		t.Fatal(err)
 	}
-	if err := repro.VerifyModule(m); err != nil {
-		t.Fatalf("sharded module invalid: %v", err)
+	if _, err := sc.Optimize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want, err := captureState(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hsA.Close()
+	srvA.Close()
+
+	_, hsB := newTestDaemon(t, Config{WALDir: dir})
+	if info := create(hsB.URL, ""); info.Replayed != 2 {
+		t.Fatalf("recovery replayed %d records, want 2", info.Replayed)
+	}
+	got, err := captureState(ctx, client.New(hsB.URL, "").Session("legacy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("recovered state diverged: module %d bytes (want %d), plan %q (want %q)",
+			len(got.module), len(want.module), got.plan, want.plan)
 	}
 }
 

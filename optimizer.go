@@ -21,11 +21,9 @@ type Stage = driver.Stage
 
 // Pipeline stages.
 const (
-	// StagePlan is the (possibly parallel) planning stage: alignment and
-	// speculative code generation of candidate pairs.
-	StagePlan = driver.StagePlan
-	// StageCommit is the serial commit stage: profitability checks,
-	// thunk creation and ranking updates.
+	// StageCommit is the commit-step of the greedy loop — thunk creation
+	// and ranking updates for a profitable merge — and the only stage
+	// that reports.
 	StageCommit = driver.StageCommit
 )
 
@@ -42,15 +40,11 @@ type Optimizer struct {
 	minInstrs   int
 	skipHot     map[string]bool
 	parallelism int
-	commitPar   int
 	finder      FinderKind
 	dupFold     bool
 	canon       bool
 	maxFamily   int
-	// noPlanFunnel inverts WithPlanFunnel so the zero value keeps the
-	// funnel on — the default every caller should want.
-	noPlanFunnel bool
-	progress     func(Progress)
+	progress    func(Progress)
 }
 
 // Option configures an Optimizer under construction; see New.
@@ -59,7 +53,7 @@ type Option func(*Optimizer) error
 // New builds an Optimizer from the given options. Without options the
 // defaults match the paper's main configuration: SalSSA, exploration
 // threshold 1, the x86-64 size model, quadratic alignment, no size or
-// memory limits, serial planning, the exact candidate finder, no
+// memory limits, the serial loop, the exact candidate finder, no
 // duplicate folding.
 func New(opts ...Option) (*Optimizer, error) {
 	o := &Optimizer{
@@ -180,10 +174,17 @@ func WithSkipHot(names ...string) Option {
 	}
 }
 
-// WithParallelism plans candidate merges in n concurrent workers; the
-// commit stage stays serial, so the committed merge set is identical to
-// a serial run. n = 0 selects runtime.NumCPU(); n = 1 disables
-// speculation (default).
+// WithParallelism runs the greedy loop's rows on up to n workers: the
+// candidate graph is partitioned into connected components of candidate
+// edges, each component's rows are captured on a worker with dry-run
+// overlays, and the (serial) loop uses a captured row only after proving
+// its candidate list is what the loop sees at that turn, re-running the
+// row otherwise. Module text, report records and plans are bit-identical
+// to a serial run at any value and under every other option; a module
+// with fewer than two components runs the serial loop whatever n says.
+// Measured on two cores, two workers do not beat one (DESIGN.md "Scale
+// architecture"); the option exists for machines with more. n = 0
+// selects runtime.NumCPU(); n = 1 is the serial loop (default).
 func WithParallelism(n int) Option {
 	return func(o *Optimizer) error {
 		if n < 0 {
@@ -193,30 +194,6 @@ func WithParallelism(n int) Option {
 			n = runtime.NumCPU()
 		}
 		o.parallelism = n
-		return nil
-	}
-}
-
-// WithCommitParallelism runs the commit walk component-parallel with up
-// to n workers: the candidate graph is partitioned into connected
-// components of candidate edges, each component's greedy walk runs
-// speculatively on its own worker with dry-run overlays, and a serial
-// validated replay commits the captured decisions in the global walk
-// order — transplanting a component's decision only after proving its
-// candidate list matches what the serial walk would see at that turn,
-// re-running the row serially otherwise. The committed module is
-// bit-identical to a serial commit at any value. Runs with family
-// flattening (WithMaxFamily >= 3) fall back to the serial walk. n = 0
-// selects runtime.NumCPU(); n = 1 is the serial walk (default).
-func WithCommitParallelism(n int) Option {
-	return func(o *Optimizer) error {
-		if n < 0 {
-			return fmt.Errorf("repro: commit parallelism must be >= 0, got %d", n)
-		}
-		if n == 0 {
-			n = runtime.NumCPU()
-		}
-		o.commitPar = n
 		return nil
 	}
 }
@@ -261,24 +238,6 @@ func WithMaxFamily(k int) Option {
 	}
 }
 
-// WithPlanFunnel toggles the planning funnel (default on). The funnel
-// screens every candidate pair against an admissible profit upper
-// bound before any alignment runs, aborts alignment DPs that provably
-// cannot reach a competitive score, and materializes a merged body
-// only for trials whose alignment still clears the gate. All three
-// stages are conservative — a pruned trial provably could not have
-// been committed — so the merge set, folds and final module bytes are
-// identical with the funnel on or off; only planning time changes.
-// The Report's PairsScreened / DPAborted / TrialsBuilt / TrialsSkipped
-// counters show the funnel's work. Ignored under FMSA, whose trials
-// run over demoted bodies the screening profiles do not model.
-func WithPlanFunnel(on bool) Option {
-	return func(o *Optimizer) error {
-		o.noPlanFunnel = !on
-		return nil
-	}
-}
-
 // WithDupFold folds structurally identical functions into forwarding
 // thunks before any alignment runs (default off). Exact clone families
 // — equal up to local value names, detected by a stable GVN-style
@@ -311,10 +270,10 @@ func WithCanon(on bool) Option {
 	}
 }
 
-// WithProgress installs an observer for pipeline events. Calls are
-// serialized, even across concurrent Optimize calls sharing the
-// Optimizer; plan-stage events may be emitted from planning workers, so
-// fn should not block for long. A nil fn disables observation.
+// WithProgress installs an observer for pipeline events: one per
+// profitable merge a run records. Calls are serialized, even across
+// concurrent Optimize calls sharing the Optimizer. A nil fn disables
+// observation.
 //
 // Concurrent runs sharing one Optimizer (or one Session) interleave
 // their events at the callback; Progress.RunID — fresh and monotonic
@@ -337,11 +296,8 @@ func (o *Optimizer) Threshold() int { return o.threshold }
 // Target returns the configured size-model target.
 func (o *Optimizer) Target() Target { return o.target }
 
-// Parallelism returns the configured planning worker count.
+// Parallelism returns the configured worker count.
 func (o *Optimizer) Parallelism() int { return o.parallelism }
-
-// CommitParallelism returns the configured commit-walk worker count.
-func (o *Optimizer) CommitParallelism() int { return o.commitPar }
 
 // Finder returns the configured candidate-search implementation.
 func (o *Optimizer) Finder() FinderKind { return o.finder }
@@ -354,9 +310,6 @@ func (o *Optimizer) Canon() bool { return o.canon }
 
 // MaxFamily returns the configured merge-family bound.
 func (o *Optimizer) MaxFamily() int { return o.maxFamily }
-
-// PlanFunnel reports whether the planning funnel is enabled.
-func (o *Optimizer) PlanFunnel() bool { return !o.noPlanFunnel }
 
 // config derives the driver configuration. The skip-hot map is shared,
 // not copied: the driver only reads it, and the Optimizer is immutable
@@ -375,9 +328,6 @@ func (o *Optimizer) config() driver.Config {
 		MaxFamily:   o.maxFamily,
 		Parallelism: o.parallelism,
 		Progress:    o.progress,
-
-		CommitParallelism: o.commitPar,
-		NoPlanFunnel:      o.noPlanFunnel,
 	}
 	if o.canon {
 		cfg.Canon = canon.Default()

@@ -138,42 +138,6 @@ func TestWithParallelismZeroMeansNumCPU(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShimEquivalence: the deprecated OptimizeModule must
-// produce exactly the serial Optimizer's result.
-func TestDeprecatedShimEquivalence(t *testing.T) {
-	base := synthModule(7)
-
-	m1 := ir.CloneModule(base)
-	old := OptimizeModule(m1, Options{Algorithm: SalSSA, Threshold: 2, Target: X86_64})
-
-	o, err := New(WithThreshold(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := ir.CloneModule(base)
-	rep, err := o.Optimize(context.Background(), m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(old.Merges) != len(rep.Merges) {
-		t.Fatalf("merge counts differ: shim %d, optimizer %d", len(old.Merges), len(rep.Merges))
-	}
-	for i := range old.Merges {
-		a, b := old.Merges[i], rep.Merges[i]
-		if a.F1 != b.F1 || a.F2 != b.F2 || a.Merged != b.Merged || a.Profit != b.Profit || a.Committed != b.Committed {
-			t.Errorf("merge %d differs: shim %+v, optimizer %+v", i, a, b)
-		}
-	}
-	if old.BaselineBytes != rep.BaselineBytes || old.FinalBytes != rep.FinalBytes {
-		t.Errorf("byte accounting differs: shim %d->%d, optimizer %d->%d",
-			old.BaselineBytes, old.FinalBytes, rep.BaselineBytes, rep.FinalBytes)
-	}
-	if old.Attempts != rep.Attempts {
-		t.Errorf("attempts differ: shim %d, optimizer %d", old.Attempts, rep.Attempts)
-	}
-}
-
 // TestParallelSameCommittedMerges: WithParallelism(4) must commit the
 // same merge set as a serial run and still yield a verifying module.
 // This test is the public-API face of the -race acceptance criterion.

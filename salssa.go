@@ -7,11 +7,12 @@
 //   - ParseModule / FormatModule: the textual IR (an LLVM-like dialect);
 //   - New + Option (WithAlgorithm, WithThreshold, WithTarget,
 //     WithLinearAlign, WithMaxCells, WithMinInstrs, WithSkipHot,
-//     WithFinder, WithDupFold, WithMaxFamily, WithParallelism,
-//     WithProgress): build a reusable, concurrency-safe Optimizer;
+//     WithFinder, WithDupFold, WithCanon, WithMaxFamily,
+//     WithParallelism, WithProgress): build a reusable,
+//     concurrency-safe Optimizer;
 //   - (*Optimizer).Optimize: the whole-module pipeline — candidate
-//     ranking, parallel merge planning, the profitability cost model,
-//     thunk creation — with context cancellation;
+//     ranking, the greedy merge loop under the profitability cost
+//     model, thunk creation — with context cancellation;
 //   - (*Optimizer).Open + Session: the long-lived engine — indexes built
 //     once, maintained incrementally (Update/Remove) as the module
 //     evolves, with a Plan/Apply split for dry runs and deferred,
@@ -22,16 +23,11 @@
 //   - EstimateSize: the per-target object-size model used to decide
 //     profitability and to report reductions.
 //
-// OptimizeModule, Options and MergeFunctions are deprecated shims over
-// the Optimizer, kept for source compatibility with the original facade.
-//
 // See examples/ for runnable end-to-end programs and DESIGN.md for the
 // system inventory.
 package repro
 
 import (
-	"context"
-
 	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -137,69 +133,4 @@ func VerifyModule(m *Module) error { return ir.VerifyModule(m) }
 // target.
 func EstimateSize(m *Module, target Target) int {
 	return costmodel.ModuleBytes(m, target)
-}
-
-// Options configures OptimizeModule.
-//
-// Deprecated: build an Optimizer with New and functional options
-// instead; Options reaches only three of the pipeline's knobs.
-type Options struct {
-	// Algorithm is the merging technique (default SalSSA).
-	Algorithm Algorithm
-	// Threshold is the exploration threshold t: how many ranked
-	// candidate partners are tried per function (default 1).
-	Threshold int
-	// Target selects the size model (default X86_64).
-	Target Target
-}
-
-// OptimizeModule runs function merging over m in place and returns the
-// report (committed merges, size reduction, phase timings).
-//
-// Out-of-range option values are normalized to the defaults rather than
-// rejected: an unknown Algorithm runs SalSSA, an unknown Target prices
-// for X86_64, and a Threshold below 1 becomes 1 — the historical facade
-// never validated, and silently passing unknown enum values through to
-// the pipeline is worse than either erroring or defaulting.
-//
-// Deprecated: use New(...).Optimize(ctx, m), which adds cancellation,
-// parallel planning, progress observation, validation errors and the
-// remaining pipeline knobs. OptimizeModule is equivalent to a serial
-// Optimizer run.
-func OptimizeModule(m *Module, opts Options) *Report {
-	// Start from New's defaults (it cannot fail without options), then
-	// override directly with the normalized values: the old facade's
-	// signature has no error result, so the validating option
-	// constructors cannot be used.
-	o, _ := New()
-	switch opts.Algorithm {
-	case SalSSA, SalSSANoPC, FMSA:
-		o.algorithm = opts.Algorithm
-	default:
-		o.algorithm = SalSSA
-	}
-	switch opts.Target {
-	case X86_64, Thumb:
-		o.target = opts.Target
-	default:
-		o.target = X86_64
-	}
-	o.threshold = opts.Threshold
-	if o.threshold <= 0 {
-		o.threshold = 1
-	}
-	rep, _ := o.Optimize(context.Background(), m)
-	return rep
-}
-
-// MergeFunctions merges the two named functions of m with SalSSA,
-// unconditionally (no profitability check), and replaces the originals
-// with forwarding thunks. It returns the merged function and the
-// generator statistics.
-//
-// Deprecated: use New(...).MergePair(ctx, m, name1, name2), which adds
-// cancellation and honours the Optimizer's alignment options.
-func MergeFunctions(m *Module, name1, name2 string) (*Function, *MergeStats, error) {
-	o, _ := New()
-	return o.MergePair(context.Background(), m, name1, name2)
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,11 @@ func TestFacadeParseMergeVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, stats, err := MergeFunctions(m, "F1", "F2")
+	o, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, stats, err := o.MergePair(context.Background(), m, "F1", "F2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,14 @@ func TestFacadeOptimizeModule(t *testing.T) {
 		CloneFrac: 0.6, FamilySize: 2, MutRate: 0.03, Loops: 0.5,
 	})
 	before := EstimateSize(m, X86_64)
-	rep := OptimizeModule(m, Options{Algorithm: SalSSA, Threshold: 1, Target: X86_64})
+	o, err := New(WithAlgorithm(SalSSA), WithThreshold(1), WithTarget(X86_64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := o.Optimize(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := VerifyModule(m); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -60,7 +72,11 @@ func TestFacadeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := MergeFunctions(m, "only", "missing"); err == nil {
+	o, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := o.MergePair(context.Background(), m, "only", "missing"); err == nil {
 		t.Error("expected error for missing function")
 	}
 }

@@ -26,7 +26,7 @@ import (
 // committing: Plan returns a serializable MergePlan of the merges a run
 // would commit without touching the module, and Apply commits a
 // (possibly filtered) plan later — the shape a build service needs to
-// review, shard or audit merges before applying them.
+// review or audit merges before applying them.
 //
 // Sessions additionally memoize unprofitable candidate pairs across
 // runs (an unprofitable trial depends only on the two bodies and the
@@ -134,29 +134,12 @@ func (s *Session) Plan(ctx context.Context) (*MergePlan, error) {
 }
 
 // PlanReport is Plan with the dry run's accounting: the Report carries
-// the planning-stage counters — attempts, cache and memo hits, and the
-// planning funnel's PairsScreened / DPAborted / TrialsBuilt /
-// TrialsSkipped — plus phase timings, with FinalBytes equal to
-// BaselineBytes since a dry run never mutates the module.
+// the loop's counters — attempts, memo hits, and the planning funnel's
+// PairsScreened / DPAborted / TrialsBuilt / TrialsSkipped — plus phase
+// timings, with FinalBytes equal to BaselineBytes since a dry run never
+// mutates the module.
 func (s *Session) PlanReport(ctx context.Context) (*MergePlan, *Report, error) {
 	return s.s.PlanReport(ctx)
-}
-
-// PlanSharded is Plan split into nshards fingerprint-size bands with a
-// cross-shard second stage: each band plans in isolation (in parallel,
-// over private module clones), then one more pass covers the candidates
-// no band consumed. The result is an ordinary MergePlan for Apply.
-// Sharded plans trade a little merge quality for parallel planning
-// latency and never flatten families; nshards <= 1 is exactly Plan.
-func (s *Session) PlanSharded(ctx context.Context, nshards int) (*MergePlan, error) {
-	return s.s.PlanSharded(ctx, nshards)
-}
-
-// PlanShardedReport is PlanSharded with the aggregated accounting of
-// every band walk and the cross-shard pass summed into one Report (see
-// PlanReport for its shape).
-func (s *Session) PlanShardedReport(ctx context.Context, nshards int) (*MergePlan, *Report, error) {
-	return s.s.PlanShardedReport(ctx, nshards)
 }
 
 // Snapshot exports the session's index state — structural hashes,
@@ -237,12 +220,6 @@ func (s *Session) Remove(ctx context.Context, names ...string) error {
 // and on error nothing is marked.
 func (s *Session) UpdateBatch(ctx context.Context, changed, removed []string) error {
 	return s.s.UpdateBatch(ctx, changed, removed)
-}
-
-// RemoveBatch is Remove over a slice; it exists for symmetry with
-// UpdateBatch (removal marking is already a single pass).
-func (s *Session) RemoveBatch(ctx context.Context, names []string) error {
-	return s.s.RemoveBatch(ctx, names)
 }
 
 // Flush forces the pending re-index window now instead of at the next

@@ -252,30 +252,3 @@ func TestMergePairSelf(t *testing.T) {
 		t.Error("failed self-merge mutated the module")
 	}
 }
-
-// TestOptimizeModuleNormalizes: the deprecated shim must normalize
-// invalid Algorithm/Target values to the defaults instead of passing
-// them through unvalidated.
-func TestOptimizeModuleNormalizes(t *testing.T) {
-	base := synthModule(9)
-
-	m1 := ir.CloneModule(base)
-	bogus := OptimizeModule(m1, Options{Algorithm: Algorithm(97), Threshold: -2, Target: Target(42)})
-
-	m2 := ir.CloneModule(base)
-	def := OptimizeModule(m2, Options{})
-
-	if bogus.Algorithm != SalSSA {
-		t.Errorf("bogus algorithm ran as %v, want SalSSA", bogus.Algorithm)
-	}
-	if len(bogus.Merges) != len(def.Merges) || bogus.FinalBytes != def.FinalBytes {
-		t.Errorf("normalized run differs from defaults: %d merges %d bytes vs %d merges %d bytes",
-			len(bogus.Merges), bogus.FinalBytes, len(def.Merges), def.FinalBytes)
-	}
-	if a, b := FormatModule(m1), FormatModule(m2); a != b {
-		t.Error("normalized shim run diverges from the default run")
-	}
-	if err := VerifyModule(m1); err != nil {
-		t.Fatalf("shim module does not verify: %v", err)
-	}
-}
