@@ -328,6 +328,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  matches=%d (instructions %d), selects=%d, label selections=%d, xor rewrites=%d\n",
 				stats.Matches, stats.InstrMatches, stats.Selects, stats.LabelSelections, stats.XorRewrites)
 			fmt.Fprintf(os.Stderr, "  repaired defs=%d, coalesced pairs=%d\n", stats.RepairedDefs, stats.CoalescedPairs)
+			if *verbose {
+				fmt.Fprintf(os.Stderr, "  build %v, SSA repair %v\n", stats.BuildTime.Round(time.Microsecond), stats.RepairTime.Round(time.Microsecond))
+			}
 
 		case *planOut != "":
 			s, err := opt.Open(ctx, m)
@@ -502,6 +505,10 @@ func reportModule(rep *repro.Report, label string, verbose bool, finder string) 
 		}
 		fmt.Fprintf(os.Stderr, "search: %d finder queries probed %d entries, scored %d (avg %.1f/query) in %v\n",
 			rep.Search.Queries, rep.Search.Probed, rep.Search.Scanned, rep.Search.AvgScanned(), rep.Search.QueryTime)
+		fmt.Fprintf(os.Stderr, "codegen: %v = build %v + SSA repair %v + simplify %v (alignment %v)\n",
+			rep.CodegenTime.Round(time.Millisecond), rep.BuildTime.Round(time.Millisecond),
+			rep.RepairTime.Round(time.Millisecond), rep.SimplifyTime.Round(time.Millisecond),
+			rep.AlignTime.Round(time.Millisecond))
 		ac := rep.AlignCache
 		fmt.Fprintf(os.Stderr, "align: %d sequences interned (%d classes), %d cache hits\n",
 			ac.Misses, ac.Classes, ac.Hits)

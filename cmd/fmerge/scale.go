@@ -42,6 +42,12 @@ type scaleRun struct {
 	AlignSecs  float64 `json:"align_secs"`
 	TrialSecs  float64 `json:"trial_secs"`
 	CommitSecs float64 `json:"commit_secs"`
+	// TrialSecs again, by where it went: SSA repair inside the generator,
+	// the clean-up of the finished body, and everything else (the
+	// generator up to repair, clones, pricing).
+	BuildSecs    float64 `json:"build_secs"`
+	RepairSecs   float64 `json:"repair_secs"`
+	SimplifySecs float64 `json:"simplify_secs"`
 
 	// Planning-funnel counters (zero when the funnel is off).
 	PairsScreened int `json:"pairs_screened,omitempty"`
@@ -193,6 +199,10 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, jobs int, ve
 		TrialSecs:  r.CodegenTime.Seconds(),
 		CommitSecs: r.CommitTime.Seconds(),
 
+		BuildSecs:    r.BuildTime.Seconds(),
+		RepairSecs:   r.RepairTime.Seconds(),
+		SimplifySecs: r.SimplifyTime.Seconds(),
+
 		PairsScreened: r.PairsScreened,
 		DPAborted:     r.DPAborted,
 		TrialsBuilt:   r.TrialsBuilt,
@@ -218,9 +228,10 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, jobs int, ve
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr,
-			"scale[%s]: gen %.1fs index %.1fs optimize %.1fs (query %.1fs screen %.1fs align %.1fs trial %.1fs commit %.1fs) | finder %.0f probed, %.0f scored per query | funnel %d screened, %d dp-aborted, %d skipped, %d built | live heap %s, peak %s | saved %d bytes (%d merges, %d folds)\n",
+			"scale[%s]: gen %.1fs index %.1fs optimize %.1fs (query %.1fs screen %.1fs align %.1fs trial %.1fs = build %.1fs + repair %.1fs + simplify %.1fs, commit %.1fs) | finder %.0f probed, %.0f scored per query | funnel %d screened, %d dp-aborted, %d skipped, %d built | live heap %s, peak %s | saved %d bytes (%d merges, %d folds)\n",
 			tier, run.GenerateSecs, run.IndexSecs, run.OptimizeSecs,
-			run.QuerySecs, run.ScreenSecs, run.AlignSecs, run.TrialSecs, run.CommitSecs,
+			run.QuerySecs, run.ScreenSecs, run.AlignSecs, run.TrialSecs,
+			run.BuildSecs, run.RepairSecs, run.SimplifySecs, run.CommitSecs,
 			run.ProbedPerQuery, run.ScannedPerQuery,
 			run.PairsScreened, run.DPAborted, run.TrialsSkipped, run.TrialsBuilt,
 			fmtBytes(indexed), fmtBytes(peak), run.SavedBytes, run.Merges, run.Folds)

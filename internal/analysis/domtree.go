@@ -260,6 +260,16 @@ func (t *DomTree) RPO() []*ir.Block { return t.rpo }
 // IsReachable reports whether b is reachable from the entry.
 func (t *DomTree) IsReachable(b *ir.Block) bool { return t.number(b) != unreached }
 
+// NumPreds returns how many distinct reachable blocks branch to b (0 for
+// an unreachable b): the incoming edges a phi in b needs.
+func (t *DomTree) NumPreds(b *ir.Block) int {
+	i := t.number(b)
+	if i == unreached {
+		return 0
+	}
+	return int(t.predStart[i+1] - t.predStart[i])
+}
+
 // IDom returns the immediate dominator of b (nil for the entry block and
 // unreachable blocks).
 func (t *DomTree) IDom(b *ir.Block) *ir.Block {

@@ -191,10 +191,19 @@ func CheckAgainstNaive(t testing.TB, f *ir.Function, rng *rand.Rand) *Naive {
 			}
 		}
 		if !nv.Reach[a] {
-			if dt.IDom(a) != nil || dt.Children(a) != nil || df.of(a) != nil {
+			if dt.IDom(a) != nil || dt.Children(a) != nil || df.of(a) != nil || dt.NumPreds(a) != 0 {
 				fail("unreachable block #%d has tree links", a.Index())
 			}
 			continue
+		}
+		preds := 0
+		for _, p := range a.Preds() {
+			if nv.Reach[p] {
+				preds++
+			}
+		}
+		if got := dt.NumPreds(a); got != preds {
+			fail("NumPreds(#%d) = %d, %d reachable blocks branch to it", a.Index(), got, preds)
 		}
 		if got, want := dt.IDom(a), nv.idom(a); got != want {
 			fail("IDom(#%d) = %v, naive %v", a.Index(), got, want)

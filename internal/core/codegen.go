@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"time"
 
 	"repro/internal/ir"
 )
@@ -194,6 +195,7 @@ func (g *generator) fidIs(member int) ir.Value {
 // context between phases so a long merge can be abandoned mid-build. The
 // caller removes the partial function from the module on error.
 func (g *generator) run(ctx context.Context, items []famItem) error {
+	start := time.Now()
 	g.createPadSlots()
 	g.buildCFG(items)
 	phases := []func(){
@@ -201,6 +203,7 @@ func (g *generator) run(ctx context.Context, items []famItem) error {
 		g.assignLabelOperands,
 		g.createLandingBlocks,
 		g.assignPhiIncomings,
+		func() { g.stats.BuildTime = time.Since(start) },
 		g.repairSSA,
 	}
 	for _, phase := range phases {
@@ -209,6 +212,7 @@ func (g *generator) run(ctx context.Context, items []famItem) error {
 		}
 		phase()
 	}
+	g.stats.RepairTime = time.Since(start) - g.stats.BuildTime
 	return nil
 }
 

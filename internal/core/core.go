@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/align"
 	"repro/internal/ir"
@@ -57,6 +58,11 @@ type Stats struct {
 	RepairedDefs   int
 	CoalescedPairs int
 	PadSlots       int
+	// Where the generator's time went: BuildTime up to the last phi
+	// incoming (CFG, operand assignment, landing blocks), RepairTime in
+	// SSA repair — demotion, register promotion and the phi/select folds.
+	// Alignment is on neither clock.
+	BuildTime, RepairTime time.Duration
 }
 
 // Merge builds the SalSSA-merged function of f1 and f2 (in module m)

@@ -29,6 +29,14 @@ import (
 // k defs per slot. Classes are grown greedily by descending user-block
 // overlap.
 func (g *generator) repairSSA() {
+	promoteAndFold(g.merged, g.demoteOffenders())
+}
+
+// demoteOffenders is the first half of repairSSA: every definition that
+// does not dominate all its uses goes through a stack slot, coalesced
+// with the disjoint definitions of its class. It returns the dominator
+// tree of the body it leaves.
+func (g *generator) demoteOffenders() *analysis.DomTree {
 	f := g.merged
 	// The one dominator tree of this merged body: repair's stores and
 	// loads, register promotion and the phi/select folds all leave the CFG
@@ -68,8 +76,7 @@ func (g *generator) repairSSA() {
 		}
 	}
 	if len(defs) == 0 {
-		g.promoteAndFold(dt)
-		return
+		return dt
 	}
 	g.stats.RepairedDefs = len(defs)
 	// Group the offenses by definition, discovery order kept within one:
@@ -143,19 +150,20 @@ func (g *generator) repairSSA() {
 	if dt == nil {
 		dt = analysis.NewDomTree(f)
 	}
-	g.promoteAndFold(dt)
+	return dt
 }
 
-// promoteAndFold re-promotes the repair and landingpad slots (standard
-// SSA construction) and folds the selects/phis that coalescing made
-// redundant. Nothing here alters the CFG, so the caller's dominator tree
-// dt serves promotion and the whole fixpoint loop.
-func (g *generator) promoteAndFold(dt *analysis.DomTree) {
-	transform.Mem2RegWithDom(g.merged, dt)
+// promoteAndFold is the second half of repairSSA: it re-promotes the
+// repair and landingpad slots of f (standard SSA construction) and folds
+// the selects/phis that coalescing made redundant. Nothing here alters
+// the CFG, so the dominator tree dt of f serves promotion and the whole
+// fixpoint loop.
+func promoteAndFold(f *ir.Function, dt *analysis.DomTree) {
+	transform.Mem2RegWithDom(f, dt)
 	for {
-		n := transform.RemoveDuplicatePhis(g.merged)
-		n += transform.FoldInstructions(g.merged)
-		n += transform.RemoveTrivialPhis(g.merged, dt)
+		n := transform.RemoveDuplicatePhis(f)
+		n += transform.FoldInstructions(f)
+		n += transform.RemoveTrivialPhis(f, dt)
 		if n == 0 {
 			return
 		}

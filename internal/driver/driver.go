@@ -281,14 +281,20 @@ type Counters struct {
 	// AlignTime and CodegenTime accumulate the two core phases
 	// (Figure 23). Captured rows bring their workers' clocks with them,
 	// so at Parallelism > 1 the phase times can exceed TotalTime.
+	// CodegenTime is the sum of BuildTime, RepairTime and SimplifyTime:
+	// SSA repair inside the generator (core.Stats.RepairTime), the
+	// clean-up of the finished body (transform.Simplify), and the rest
+	// of building a trial — the generator up to repair, the scratch
+	// clones, pricing, and for a flatten its progressive alignment.
 	// ScreenTime accumulates the planning funnel's bound computations —
 	// the stage-1 screen and the stage-3 refinement after each
 	// alignment, lazily-filled slack terms included — and, under family
 	// tracking, the check whether a pair flattens; CommitTime is the
 	// wall clock of duplicate folding and the commit-steps — thunk
 	// building, index retirement, plan records.
-	AlignTime, CodegenTime time.Duration
-	ScreenTime, CommitTime time.Duration
+	AlignTime, CodegenTime              time.Duration
+	BuildTime, RepairTime, SimplifyTime time.Duration
+	ScreenTime, CommitTime              time.Duration
 	// PeakMatrixBytes is the largest alignment matrix (Figure 22's
 	// peak-memory proxy); SumMatrixBytes accumulates all matrices.
 	PeakMatrixBytes, SumMatrixBytes int64
@@ -304,6 +310,9 @@ func (c *Counters) add(d Counters) {
 	c.TrialsSkipped += d.TrialsSkipped
 	c.AlignTime += d.AlignTime
 	c.CodegenTime += d.CodegenTime
+	c.BuildTime += d.BuildTime
+	c.RepairTime += d.RepairTime
+	c.SimplifyTime += d.SimplifyTime
 	c.ScreenTime += d.ScreenTime
 	c.CommitTime += d.CommitTime
 	c.SumMatrixBytes += d.SumMatrixBytes
@@ -413,8 +422,11 @@ type trial struct {
 
 	// screenTime is stage 3's share of the trial: the refined bound and
 	// whatever slack terms it had to settle, which neither the alignment
-	// nor the codegen clock covers.
+	// nor the codegen clock covers. simplifyTime is the part of
+	// codegenTime spent in transform.Simplify (SSA repair's part is
+	// stats.RepairTime).
 	alignTime, codegenTime, screenTime time.Duration
+	simplifyTime                       time.Duration
 	matrixBytes                        int64
 }
 
@@ -424,6 +436,8 @@ func (t *trial) counters() Counters {
 	c := Counters{
 		Attempts:  1,
 		AlignTime: t.alignTime, CodegenTime: t.codegenTime, ScreenTime: t.screenTime,
+		BuildTime:  t.codegenTime - t.stats.RepairTime - t.simplifyTime,
+		RepairTime: t.stats.RepairTime, SimplifyTime: t.simplifyTime,
 		PeakMatrixBytes: t.matrixBytes, SumMatrixBytes: t.matrixBytes,
 	}
 	switch {
@@ -613,11 +627,12 @@ func (t *trial) codegen(ctx context.Context, dst *ir.Module, a, b *ir.Function, 
 	// The merged function is cleaned before the cost model sees it; for
 	// FMSA this is where register promotion tries (and partially fails)
 	// to undo the demotion inside the merged body.
+	s0 := time.Now()
 	if cfg.Algorithm == FMSA {
 		transform.Mem2Reg(merged)
 	}
 	transform.Simplify(merged)
-
+	t.simplifyTime = time.Since(s0)
 	t.merged = merged
 	t.stats = *stats
 	thunk := costmodel.ThunkBytes(cfg.Target, len(merged.Params()))

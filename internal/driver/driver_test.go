@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -171,6 +172,52 @@ func TestFig2PairThroughDriver(t *testing.T) {
 			if same, why := interp.SameBehavior(oldOut, newOut); !same {
 				t.Fatalf("@%s behaviour changed (seed %d): %s", name, seed, why)
 			}
+		}
+	}
+}
+
+// TestCountersAddFoldsEveryField: add is the one place a row's or a
+// commit's accounting enters a Result, so a field it forgets is a metric
+// that reads zero. Every field sums, except the peak.
+func TestCountersAddFoldsEveryField(t *testing.T) {
+	var unit, sum Counters
+	uv := reflect.ValueOf(&unit).Elem()
+	for i := 0; i < uv.NumField(); i++ {
+		uv.Field(i).SetInt(1)
+	}
+	sum.add(unit)
+	sum.add(unit)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		want := int64(2)
+		if sv.Type().Field(i).Name == "PeakMatrixBytes" {
+			want = 1
+		}
+		if got := sv.Field(i).Int(); got != want {
+			t.Errorf("%s folds to %d over two units, want %d", sv.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
+// TestCodegenClocksSum: the three codegen clocks are a split of
+// CodegenTime, not clocks beside it, and a merge record carries none —
+// records are the same on every run.
+func TestCodegenClocksSum(t *testing.T) {
+	m := testModule(t, 3)
+	res := Run(m, Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64})
+	if res.TrialsBuilt == 0 || len(res.Merges) == 0 {
+		t.Fatalf("%d trials built, %d merges: nothing to time", res.TrialsBuilt, len(res.Merges))
+	}
+	if got := res.BuildTime + res.RepairTime + res.SimplifyTime; got != res.CodegenTime {
+		t.Errorf("build %v + repair %v + simplify %v = %v, CodegenTime is %v",
+			res.BuildTime, res.RepairTime, res.SimplifyTime, got, res.CodegenTime)
+	}
+	if res.BuildTime <= 0 || res.RepairTime <= 0 || res.SimplifyTime <= 0 {
+		t.Errorf("a clock did not run: build %v, repair %v, simplify %v", res.BuildTime, res.RepairTime, res.SimplifyTime)
+	}
+	for _, rec := range res.Merges {
+		if rec.Stats.BuildTime != 0 || rec.Stats.RepairTime != 0 {
+			t.Errorf("record %s+%s carries clocks: %v, %v", rec.F1, rec.F2, rec.Stats.BuildTime, rec.Stats.RepairTime)
 		}
 	}
 }

@@ -396,7 +396,9 @@ func planFlattenTrial(ctx context.Context, m *ir.Module, fp *flattenPlan, name s
 		t.err = err
 		return t
 	}
+	s0 := time.Now()
 	transform.Simplify(merged)
+	t.simplifyTime = time.Since(s0)
 	t.codegenTime = time.Since(t0)
 	t.merged = merged
 	t.stats = *stats

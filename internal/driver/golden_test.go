@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -114,8 +115,10 @@ func (c goldenCase) run(t *testing.T) goldenDigest {
 	}
 	sum := func(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))) }
 	return goldenDigest{
-		Module:    sum(m.String()),
-		Merges:    sum(fmt.Sprintf("%+v", merges)),
+		Module: sum(m.String()),
+		// The digests were recorded before core.Stats had clocks; a
+		// record's are always zero.
+		Merges:    sum(strings.ReplaceAll(fmt.Sprintf("%+v", merges), " BuildTime:0s RepairTime:0s", "")),
 		Folds:     sum(fmt.Sprintf("%+v", folds)),
 		NumMerges: len(merges),
 		NumFolds:  len(folds),

@@ -443,6 +443,9 @@ func (r *runner) commitStep(t *trial) {
 	c0 := time.Now()
 	res, f1, f2 := r.res, t.f1, t.f2
 	rec := MergeRecord{F1: f1.Name(), F2: f2.Name(), Profit: t.profit, Stats: t.stats}
+	// A record says what was merged, the same on every run; what it took
+	// is in the Counters.
+	rec.Stats.BuildTime, rec.Stats.RepairTime = 0, 0
 	if t.family != nil {
 		rec.Family = append([]string(nil), t.family.names...)
 	}

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Block is a basic block: a label followed by a straight-line sequence of
 // instructions ending in exactly one terminator. A Block is itself a
@@ -124,6 +127,20 @@ func (b *Block) InsertAtFront(in *Instruction) *Instruction {
 		return b.Append(in)
 	}
 	return b.InsertBefore(in, b.instrs[0])
+}
+
+// InsertAllAtFront inserts the detached instructions ins, in order,
+// ahead of everything already in the block: one shift and one renumbering
+// however many there are.
+func (b *Block) InsertAllAtFront(ins []*Instruction) {
+	for _, in := range ins {
+		if in.parent != nil {
+			panic("ir: inserting attached instruction")
+		}
+		in.parent = b
+	}
+	b.instrs = slices.Insert(b.instrs, 0, ins...)
+	b.renumber(0)
 }
 
 // TakeInstrs moves every instruction of src, in order, to the end of b,

@@ -329,6 +329,14 @@ func NewPhi(name string, t Type) *Instruction {
 	return newInstr(OpPhi, name, t)
 }
 
+// NewPhiSized is NewPhi with operand room for the given number of
+// incoming pairs, for callers that know the block's predecessor count.
+func NewPhiSized(name string, t Type, incoming int) *Instruction {
+	in := newInstr(OpPhi, name, t)
+	in.operands = make([]Value, 0, 2*incoming)
+	return in
+}
+
 // NewSelect returns a select between ifTrue and ifFalse on cond.
 func NewSelect(name string, cond, ifTrue, ifFalse Value) *Instruction {
 	return newInstr(OpSelect, name, ifTrue.Type(), cond, ifTrue, ifFalse)

@@ -384,6 +384,27 @@ func TestIndexesMaintained(t *testing.T) {
 	entry.InsertBefore(x, y)
 	entry.InsertAfter(z, y)
 	indexesHold(t, f, "after Insert*")
+	p, q := NewPhiSized("p", I32, 2), NewPhiSized("q", I32, 2)
+	entry.InsertAllAtFront([]*Instruction{p, q})
+	indexesHold(t, f, "after InsertAllAtFront")
+	if got := entry.Phis(); len(got) != 2 || got[0] != p || got[1] != q || entry.Instrs()[2] != x {
+		t.Errorf("InsertAllAtFront did not put p, q ahead of x: %v", entry)
+	}
+	// A sized phi is an empty phi with room: filling it to size moves
+	// nothing, and going past it still works.
+	ReserveUses(bs[1], 3)
+	for i, b := range bs[1:4] {
+		room := cap(p.Operands())
+		p.AddIncoming(f.Param(0), b)
+		if i < 2 && cap(p.Operands()) != room {
+			t.Errorf("incoming %d of a phi sized for 2 reallocated its operands", i)
+		}
+	}
+	if p.NumIncoming() != 3 || len(UsesOf(bs[1])) != 1 {
+		t.Errorf("phi has %d incoming, its first block %d uses", p.NumIncoming(), len(UsesOf(bs[1])))
+	}
+	entry.Erase(p)
+	entry.Erase(q)
 	entry.Remove(z)
 	entry.InsertAtFront(z) // ahead of its operands: fine for indexes
 	entry.Erase(z)

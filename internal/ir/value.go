@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Value is any entity that can appear as an instruction operand: results
@@ -26,6 +27,7 @@ type usable interface {
 	addUse(Use)
 	delUse(Use)
 	uses() []Use
+	reserve(n int)
 }
 
 // useList is a small embedded helper maintaining operand back-references.
@@ -47,6 +49,8 @@ func (l *useList) delUse(u Use) {
 
 func (l *useList) uses() []Use { return l.us }
 
+func (l *useList) reserve(n int) { l.us = slices.Grow(l.us, n) }
+
 // UsesOf returns the operand slots currently referring to v. Constants,
 // functions and globals do not track uses and yield nil.
 func UsesOf(v Value) []Use {
@@ -54,6 +58,14 @@ func UsesOf(v Value) []Use {
 		return u.uses()
 	}
 	return nil
+}
+
+// ReserveUses makes room in v's use list for n more uses, for a caller
+// about to add that many operands referring to v.
+func ReserveUses(v Value, n int) {
+	if u, ok := v.(usable); ok {
+		u.reserve(n)
+	}
 }
 
 // HasUses reports whether any instruction currently uses v.

@@ -31,12 +31,13 @@ type CreateSession struct {
 	MaxFamily int  `json:"max_family,omitempty"`
 	MinInstrs int  `json:"min_instrs,omitempty"`
 	// Parallelism is the worker count of Plan's and Optimize's component
-	// scheduler (results are bit-identical at any value); 0, the
-	// default, uses every CPU and 1 forces the serial loop. Measured on
-	// a two-core box (DESIGN.md "Scale architecture") two workers were
-	// 30–40% slower than one on 10k–40k-function modules and a wash on
-	// small ones; whether more cores turn that around is unverified, so
-	// the default stays as it was until it can be measured.
+	// scheduler (results are bit-identical at any value). Absent, 0 or 1
+	// is the serial loop; an explicit n > 1 is honoured. One worker is
+	// the default because it is the faster configuration wherever it has
+	// been measured — on a two-core box (DESIGN.md "Scale architecture")
+	// two workers were 30–40% slower than one on 10k–40k-function
+	// modules and a wash on small ones — and a daemon already runs its
+	// sessions side by side.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 

@@ -214,6 +214,24 @@ func TestServeLegacyCreateFields(t *testing.T) {
 
 // TestServeUpdateRemove: deltas stream as spliced IR fragments; removal
 // drops candidacy; engine name errors surface as 400.
+// TestServeDefaultParallelism: a session created without "parallelism",
+// or with 0, runs the serial loop — the faster configuration on every
+// box it has been measured on — and an explicit n > 1 is honoured.
+func TestServeDefaultParallelism(t *testing.T) {
+	for _, c := range []struct{ wire, want int }{{0, 1}, {1, 1}, {2, 2}, {7, 7}} {
+		opt, err := buildOptimizer(&api.CreateSession{Name: "p", Parallelism: c.wire})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", c.wire, err)
+		}
+		if got := opt.Parallelism(); got != c.want {
+			t.Errorf("wire parallelism %d builds an optimizer with %d workers, want %d", c.wire, got, c.want)
+		}
+	}
+	if _, err := buildOptimizer(&api.CreateSession{Name: "p", Parallelism: -1}); err == nil {
+		t.Error("negative parallelism accepted")
+	}
+}
+
 func TestServeUpdateRemove(t *testing.T) {
 	ctx := context.Background()
 	_, hs := newTestDaemon(t, Config{})

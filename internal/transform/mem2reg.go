@@ -5,9 +5,6 @@
 package transform
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/analysis"
 	"repro/internal/ir"
 )
@@ -89,17 +86,21 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 		}
 	}
 
-	// Phi placement at iterated dominance frontiers of the store blocks.
+	// Phi placement at iterated dominance frontiers of the store blocks:
+	// first where, alloca by alloca, then the phis themselves, grouped by
+	// block with alloca order kept within one — block b's are
+	// placements[phiStart[b]:phiStart[b+1]], a CSR filled as in
+	// analysis.csrStarts.
 	type placed struct {
-		block, alloca int32
-		phi           *ir.Instruction
+		alloca int32
+		phi    *ir.Instruction
 	}
 	var (
-		placements         []placed
+		where              []struct{ block, alloca int32 }
 		defBlocks, idf     []*ir.Block
 		nblocks            = len(f.Blocks)
-		slab               = make([]int32, 2*nblocks+1)
-		phiStart, lastSeen = slab[:nblocks+1], slab[nblocks+1:]
+		slab               = make([]int32, 2*nblocks+2)
+		phiStart, lastSeen = slab[:nblocks+2], slab[nblocks+2:]
 	)
 	// lastSeen[b] == tag says block b was already listed under tag: per
 	// alloca while collecting store blocks, per visited block while adding
@@ -119,36 +120,75 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 		}
 		idf = df.Iterated(defBlocks, idf[:0])
 		for _, b := range idf {
-			phi := ir.NewPhi(a.Name(), a.AllocTy)
-			b.InsertAtFront(phi)
-			placements = append(placements, placed{block: int32(b.Index()), alloca: int32(i), phi: phi})
-			phiStart[b.Index()+1]++
+			where = append(where, struct{ block, alloca int32 }{int32(b.Index()), int32(i)})
+			phiStart[b.Index()+2]++
 		}
 	}
-	// Group the placed phis by block, alloca order kept within one: block
-	// b's are placements[phiStart[b]:phiStart[b+1]].
-	slices.SortStableFunc(placements, func(x, y placed) int { return cmp.Compare(x.block, y.block) })
 	for i := 1; i < len(phiStart); i++ {
 		phiStart[i] += phiStart[i-1]
 	}
+	placements := make([]placed, len(where))
+	for _, at := range where {
+		// Renaming adds one edge per distinct reachable predecessor.
+		a := allocas[at.alloca]
+		phi := ir.NewPhiSized(a.Name(), a.AllocTy, dt.NumPreds(f.Blocks[at.block]))
+		placements[phiStart[at.block+1]] = placed{alloca: at.alloca, phi: phi}
+		phiStart[at.block+1]++
+	}
 	phisOf := func(b *ir.Block) []placed { return placements[phiStart[b.Index()]:phiStart[b.Index()+1]] }
+	// Each block takes its phis in one splice, the last alloca's first
+	// (the order one InsertAtFront per phi used to leave).
+	var front []*ir.Instruction
+	for _, b := range f.Blocks {
+		group := phisOf(b)
+		if len(group) == 0 {
+			continue
+		}
+		front = front[:0]
+		for i := len(group) - 1; i >= 0; i-- {
+			front = append(front, group[i].phi)
+		}
+		b.InsertAllAtFront(front)
+	}
 
-	// Renaming walk over the dominator tree.
+	// Renaming walk over the dominator tree, a block's children last to
+	// first. vals holds every alloca's reaching value at the walk's
+	// position; what a block overwrites is logged, and undone once its
+	// subtree is finished, so that its siblings start from their parent's
+	// values as it did.
+	type overwritten struct {
+		alloca int
+		val    ir.Value
+	}
 	type frame struct {
-		b        *ir.Block
-		incoming []ir.Value
+		b    *ir.Block // nil: the subtree that logged undo[mark:] is finished
+		mark int
 	}
-	entryVals := make([]ir.Value, len(allocas))
+	var (
+		vals  = make([]ir.Value, len(allocas))
+		undo  []overwritten
+		stack = []frame{{b: f.Entry()}}
+	)
 	for i, a := range allocas {
-		entryVals[i] = ir.NewUndef(a.AllocTy)
+		vals[i] = ir.NewUndef(a.AllocTy)
 	}
-	stack := []frame{{b: f.Entry(), incoming: entryVals}}
+	set := func(a int, v ir.Value) {
+		undo = append(undo, overwritten{a, vals[a]})
+		vals[a] = v
+	}
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		vals := fr.incoming
+		if fr.b == nil {
+			for ; len(undo) > fr.mark; undo = undo[:len(undo)-1] {
+				last := undo[len(undo)-1]
+				vals[last.alloca] = last.val
+			}
+			continue
+		}
+		mark := len(undo)
 		for _, p := range phisOf(fr.b) {
-			vals[p.alloca] = p.phi
+			set(int(p.alloca), p.phi)
 		}
 		for i := 0; i < fr.b.Len(); {
 			in := fr.b.Instrs()[i]
@@ -161,7 +201,7 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 			case ir.OpLoad:
 				ir.ReplaceAllUsesWith(in, vals[a])
 			case ir.OpStore:
-				vals[a] = in.Operand(0)
+				set(a, in.Operand(0))
 			}
 			fr.b.Erase(in)
 		}
@@ -176,20 +216,17 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 					continue
 				}
 				lastSeen[s.Index()] = tag
+				ir.ReserveUses(fr.b, len(phisOf(s)))
 				for _, p := range phisOf(s) {
 					p.phi.AddIncoming(vals[p.alloca], fr.b)
 				}
 			}
 		}
-		// Every child starts from this block's outgoing values; the last
-		// one takes the slice itself, the others a copy.
-		kids := dt.Children(fr.b)
-		for k, child := range kids {
-			in := vals
-			if k < len(kids)-1 {
-				in = append([]ir.Value(nil), vals...)
-			}
-			stack = append(stack, frame{b: child, incoming: in})
+		if len(undo) > mark {
+			stack = append(stack, frame{mark: mark})
+		}
+		for _, child := range dt.Children(fr.b) {
+			stack = append(stack, frame{b: child})
 		}
 	}
 
@@ -228,9 +265,12 @@ func allocaAccess(in *ir.Instruction, index map[*ir.Instruction]int) (int, bool)
 // call. Returns the number of phis removed.
 func RemoveTrivialPhis(f *ir.Function, dt *analysis.DomTree) int {
 	removed := 0
-	for changed := true; changed; {
-		changed = false
-		for _, b := range f.Blocks {
+	w := resweep{blocks: len(f.Blocks)}
+	for w.begin() {
+		for bi, b := range f.Blocks {
+			if !w.due(bi) {
+				continue
+			}
 			for i := 0; i < b.Len() && b.Instrs()[i].Op() == ir.OpPhi; {
 				phi := b.Instrs()[i]
 				unique, ok := trivialPhiValue(phi, dt)
@@ -238,10 +278,10 @@ func RemoveTrivialPhis(f *ir.Function, dt *analysis.DomTree) int {
 					i++
 					continue
 				}
+				w.erasing(phi)
 				ir.ReplaceAllUsesWith(phi, unique)
 				b.Erase(phi)
 				removed++
-				changed = true
 			}
 		}
 	}
@@ -286,91 +326,6 @@ func trivialPhiValue(phi *ir.Instruction, dt *analysis.DomTree) (ir.Value, bool)
 		}
 	}
 	return unique, true
-}
-
-// RemoveDuplicatePhis merges phis within a block that are identical up
-// to undef refinement: where one phi has undef for an incoming edge and
-// the other has a concrete value, the concrete value wins (refining an
-// undef is always sound). The paper relies on this clean-up to merge the
-// identical phi-nodes that SalSSA copies from both input functions; the
-// undef refinement additionally collapses the phis introduced by SSA
-// repair into the copied phis they duplicate. Returns the number of phis
-// removed.
-func RemoveDuplicatePhis(f *ir.Function) int {
-	removed := 0
-	for changed := true; changed; {
-		changed = false
-		for _, b := range f.Blocks {
-			if len(b.Phis()) < 2 {
-				continue
-			}
-			phis := append([]*ir.Instruction(nil), b.Phis()...)
-			for i := 0; i < len(phis); i++ {
-				if phis[i].Parent() == nil {
-					continue
-				}
-				for j := i + 1; j < len(phis); j++ {
-					if phis[j].Parent() == nil {
-						continue
-					}
-					if mergePhiPair(b, phis[i], phis[j]) {
-						removed++
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return removed
-}
-
-// mergePhiPair merges redundant phis. Two phis merge when one refines
-// the other *one-directionally*: every incoming of the weaker phi either
-// equals the stronger phi's incoming or is undef. Bidirectional
-// refinement (each phi concrete where the other is undef) is
-// deliberately NOT performed here — that transformation is exactly
-// phi-node coalescing, the paper's §4.4 optimisation, owned by the
-// SalSSA generator so that the SalSSA-NoPC ablation stays meaningful.
-func mergePhiPair(blk *ir.Block, a, b *ir.Instruction) bool {
-	if !ir.TypesEqual(a.Type(), b.Type()) || a.NumIncoming() != b.NumIncoming() {
-		return false
-	}
-	aWeaker, bWeaker := true, true
-	for i := 0; i < a.NumIncoming(); i++ {
-		bv, ok := b.IncomingFor(a.IncomingBlock(i))
-		if !ok {
-			return false
-		}
-		av := a.IncomingValue(i)
-		switch {
-		case ir.ValuesEqual(av, bv):
-		case (av == ir.Value(b) && bv == ir.Value(a)) ||
-			(av == ir.Value(a) && bv == ir.Value(b)):
-			// mutually/self recursive duplicates
-		case isUndef(av):
-			bWeaker = false
-		case isUndef(bv):
-			aWeaker = false
-		default:
-			return false
-		}
-		if !aWeaker && !bWeaker {
-			return false
-		}
-	}
-	weak, strong := b, a
-	if !bWeaker {
-		weak, strong = a, b
-	}
-	// Collapse self/mutual references through the erased phi.
-	for i := 0; i < strong.NumIncoming(); i++ {
-		if strong.IncomingValue(i) == ir.Value(weak) {
-			strong.SetIncomingValue(i, strong)
-		}
-	}
-	ir.ReplaceAllUsesWith(weak, strong)
-	blk.Erase(weak)
-	return true
 }
 
 func isUndef(v ir.Value) bool {
