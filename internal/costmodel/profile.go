@@ -141,22 +141,23 @@ func NewFuncProfile(f *ir.Function, target Target, seq align.Seq) *FuncProfile {
 // profiled function on its own. Trials simplify the merged body before
 // costing it, so savings up to the originals' own simplification slack
 // are reachable without any alignment match; the bound must grant
-// them. Computed once per profile (clone + Simplify, linear in the
-// body) and cached; the clone never joins a module.
+// them. Computed once per profile and cached: a function
+// transform.Settled finds clean has none, and only one it leaves
+// undecided pays for a clone and a Simplify run (the clone never joins
+// a module). Both reads of the original are read-only, and nothing
+// writes a module function while profiles are being settled — capture
+// workers only clone, and CloneFunction is read-only on its source.
 func (p *FuncProfile) Slack() int {
 	p.slackOnce.Do(func() {
-		c, _ := ir.CloneFunction(p.fn, p.fn.Name())
-		// Checked on the private clone: use lists of the original may be
-		// written by a concurrent trial.
-		c.Instrs(func(in *ir.Instruction) bool {
-			p.reducible = transform.IsPromotable(in)
-			return !p.reducible
-		})
-		if transform.Simplify(c) > 0 {
-			p.reducible = true
-		}
-		if s := FuncBytes(p.fn, p.target) - FuncBytes(c, p.target); s > 0 {
-			p.slack = s
+		p.reducible = transform.HasPromotable(p.fn)
+		if !transform.Settled(p.fn) {
+			c, _ := ir.CloneFunction(p.fn, p.fn.Name())
+			if transform.Simplify(c) > 0 {
+				p.reducible = true
+			}
+			if s := FuncBytes(p.fn, p.target) - FuncBytes(c, p.target); s > 0 {
+				p.slack = s
+			}
 		}
 		p.slackKnown.Store(true)
 	})

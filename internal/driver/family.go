@@ -17,18 +17,19 @@ import (
 // and a layer of selects per round — the driver re-merges the family's
 // original bodies plus the newcomer into one fresh k-ary function and
 // rewrites every member thunk to target it. The familySet remembers,
-// per merged head, the detached clones of the original bodies that made
-// it (live definitions are thunks by then, so the originals exist
-// nowhere else). Everything here runs serially: the loop, committing or
-// dry, and Apply all hold the session lock, and capture workers
-// (components.go) leave every row with a family head in it to the loop.
+// per merged head, the original bodies that made it, each moved into a
+// detached function of its own just before its live definition became
+// a thunk (so the originals exist nowhere else). Everything here runs
+// serially: the loop, committing or dry, and Apply all hold the session
+// lock, and capture workers (components.go) leave every row with a
+// family head in it to the loop.
 
 // familyMember is one original behind a merged head: the live (thunk)
-// function's name and a detached clone of the body it had before it was
-// consumed.
+// function's name and the detached function holding the body it had
+// before it was consumed (ir.Function.DetachBody).
 type familyMember struct {
-	name  string
-	clone *ir.Function
+	name string
+	body *ir.Function
 }
 
 // family is the record behind one merged head function.
@@ -59,7 +60,7 @@ func (s *familySet) record(head *ir.Function, members []familyMember) {
 	s.byHead[head] = &family{head: head, members: members}
 	if s.refs != nil {
 		for _, mb := range members {
-			s.refs.add(mb.clone, true)
+			s.refs.add(mb.body, true)
 		}
 	}
 }
@@ -71,7 +72,7 @@ func (s *familySet) drop(f *ir.Function) {
 	}
 	if fam := s.byHead[f]; fam != nil && s.refs != nil {
 		for _, mb := range fam.members {
-			s.refs.forget(mb.clone)
+			s.refs.forget(mb.body)
 		}
 	}
 	delete(s.byHead, f)
@@ -92,7 +93,7 @@ func (s *familySet) touch(m *ir.Module, f *ir.Function) {
 // refIndex answers "who holds an operand that is this function" without
 // walking the module (functions do not track their uses):
 // holders[target][holder] exists for every live module function and
-// every stored registry clone (flagged true) with an instruction
+// every stored registry body (flagged true) with an instruction
 // operand identical to target.
 type refIndex struct {
 	holders map[*ir.Function]map[*ir.Function]bool
@@ -101,7 +102,7 @@ type refIndex struct {
 }
 
 // index returns the run's reference index, building it on first use in
-// one pass over the module and the registry's clones.
+// one pass over the module and the registry's bodies.
 func (s *familySet) index(m *ir.Module) *refIndex {
 	if s.refs == nil {
 		s.refBuilds++
@@ -111,7 +112,7 @@ func (s *familySet) index(m *ir.Module) *refIndex {
 		}
 		for _, fam := range s.byHead {
 			for _, mb := range fam.members {
-				s.refs.add(mb.clone, true)
+				s.refs.add(mb.body, true)
 			}
 		}
 	}
@@ -119,7 +120,7 @@ func (s *familySet) index(m *ir.Module) *refIndex {
 }
 
 // add indexes every function operand of holder's current body.
-func (x *refIndex) add(holder *ir.Function, clone bool) {
+func (x *refIndex) add(holder *ir.Function, stored bool) {
 	holder.Instrs(func(in *ir.Instruction) bool {
 		for _, op := range in.Operands() {
 			target, ok := op.(*ir.Function)
@@ -130,7 +131,7 @@ func (x *refIndex) add(holder *ir.Function, clone bool) {
 				x.holders[target] = map[*ir.Function]bool{}
 			}
 			if _, seen := x.holders[target][holder]; !seen {
-				x.holders[target][holder] = clone
+				x.holders[target][holder] = stored
 				x.targets[holder] = append(x.targets[holder], target)
 			}
 		}
@@ -204,11 +205,11 @@ func isThunkTo(f, head *ir.Function) bool {
 // hasExternalCallers reports whether anything outside fam's own member
 // thunks references fam.head: a stray live caller (user code calling a
 // generated merged function by hand), or — equally fatal — another
-// family's stored original-body clone, which a later flatten would
+// family's stored original body, which a later flatten would
 // re-merge into a call of the removed head. Either vetoes flattening
 // for this family. A reference is an operand identical to the head; a
 // live holder is excused iff it is the head or carries a member's name,
-// a clone iff it is the family's own (those predate the head).
+// a stored body iff it is the family's own (those predate the head).
 //
 // best is the walk row's retained trial, if any. Built in place, its
 // merged body sits in m without having gone through a commit, and it
@@ -225,12 +226,12 @@ func hasExternalCallers(m *ir.Module, families *familySet, fam *family, best *tr
 	}
 	found := false
 holders:
-	for h, clone := range refs.holders[fam.head] {
-		if !clone && h == fam.head {
+	for h, stored := range refs.holders[fam.head] {
+		if !stored && h == fam.head {
 			continue
 		}
 		for _, mb := range fam.members {
-			if clone && mb.clone == h || !clone && mb.name == h.Name() {
+			if stored && mb.body == h || !stored && mb.name == h.Name() {
 				continue holders
 			}
 		}
@@ -251,13 +252,13 @@ var callerCheckHook func(m *ir.Module, families *familySet, fam *family, got boo
 // functions named names to thunk into it, and remove the consumed
 // heads.
 type flattenPlan struct {
-	// srcs are the merge inputs in fid order: stored original-body
-	// clones for existing members, live module functions for newcomers.
+	// srcs are the merge inputs in fid order: stored original bodies
+	// for existing members, live module functions for newcomers.
 	srcs []*ir.Function
 	// names[i] is the live function that becomes srcs[i]'s thunk.
 	names []string
 	// newcomer[i] reports whether srcs[i] is a live newcomer whose body
-	// must be cloned into the registry before it is thunked.
+	// moves into the registry before it is thunked.
 	newcomer []bool
 	// heads are the consumed family heads, removed at commit.
 	heads []*ir.Function
@@ -314,7 +315,7 @@ func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Fun
 		}
 		fp.heads = append(fp.heads, fam.head)
 		for _, mb := range fam.members {
-			fp.srcs = append(fp.srcs, mb.clone)
+			fp.srcs = append(fp.srcs, mb.body)
 			fp.names = append(fp.names, mb.name)
 			fp.newcomer = append(fp.newcomer, false)
 		}
@@ -418,7 +419,7 @@ func planFlattenTrial(ctx context.Context, m *ir.Module, fp *flattenPlan, name s
 	return t
 }
 
-// commitFlatten applies a successful flatten trial: clone the
+// commitFlatten applies a successful flatten trial: move the
 // newcomers' bodies into the registry, rewrite every member's live
 // definition into a thunk on the new head, remove the consumed heads
 // from the module, and re-register the family under the new head. It
@@ -430,10 +431,9 @@ func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.
 	members := make([]familyMember, len(fp.srcs))
 	for i, nm := range fp.names {
 		if fp.newcomer[i] {
-			clone, _ := ir.CloneFunction(fp.srcs[i], nm)
-			members[i] = familyMember{name: nm, clone: clone}
+			members[i] = familyMember{name: nm, body: fp.srcs[i].DetachBody()}
 		} else {
-			members[i] = familyMember{name: nm, clone: fp.srcs[i]}
+			members[i] = familyMember{name: nm, body: fp.srcs[i]}
 		}
 	}
 	rewritten := make([]*ir.Function, 0, len(fp.names))
@@ -458,18 +458,17 @@ func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.
 }
 
 // recordPairFamily registers a plain pairwise merge as a two-member
-// family so a later run can flatten it. The bodies are cloned before
-// the commit turns them into thunks. Nest fallbacks (either side
-// already a head, or tracking off) are not recorded: a nested chain
-// beyond MaxFamily stays a chain.
+// family so a later run can flatten it. It must run just before the
+// commit turns f1 and f2 into thunks: it moves their bodies into the
+// registry, leaving both empty. Nest fallbacks (either side already a
+// head, or tracking off) are not recorded: a nested chain beyond
+// MaxFamily stays a chain.
 func recordPairFamily(families *familySet, merged, f1, f2 *ir.Function) {
 	if families == nil || families.isHead(f1) || families.isHead(f2) {
 		return
 	}
-	c1, _ := ir.CloneFunction(f1, f1.Name())
-	c2, _ := ir.CloneFunction(f2, f2.Name())
 	families.record(merged, []familyMember{
-		{name: f1.Name(), clone: c1},
-		{name: f2.Name(), clone: c2},
+		{name: f1.Name(), body: f1.DetachBody()},
+		{name: f2.Name(), body: f2.DetachBody()},
 	})
 }

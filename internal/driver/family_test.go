@@ -359,7 +359,7 @@ func TestFlattenVetoedByRegistryCloneReference(t *testing.T) {
 		if hasExternalCallers(m, s.families, fam, nil) {
 			t.Fatalf("seed %d: fresh family already vetoed", seed)
 		}
-		// Register a fake family whose stored clone calls the head —
+		// Register a fake family whose stored body calls the head —
 		// the shape recordPairFamily produces when a direct caller of
 		// the head is itself consumed by a merge.
 		caller := ir.NewFunction("ext.caller", ir.FuncOf(head.Sig().Ret, head.Sig().Params...))
@@ -376,9 +376,9 @@ func TestFlattenVetoedByRegistryCloneReference(t *testing.T) {
 			entry.Append(ir.NewRet(call))
 		}
 		fakeHead := ir.NewFunction("fake.head", head.Sig())
-		s.families.record(fakeHead, []familyMember{{name: "ext.caller", clone: caller}})
+		s.families.record(fakeHead, []familyMember{{name: "ext.caller", body: caller}})
 		if !hasExternalCallers(m, s.families, fam, nil) {
-			t.Errorf("seed %d: registry clone referencing the head did not veto flattening", seed)
+			t.Errorf("seed %d: registry body referencing the head did not veto flattening", seed)
 		}
 		s.Close()
 		return

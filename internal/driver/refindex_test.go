@@ -18,7 +18,7 @@ import (
 
 // naiveExternalCallers is the specification of hasExternalCallers: the
 // scan over every instruction operand of the module and of the other
-// families' stored clones that the per-run reference index replaced.
+// families' stored bodies that the per-run reference index replaced.
 // An in-flight in-place trial body is in m.Funcs when a check runs, so
 // the scan needs no parameter for it.
 func naiveExternalCallers(m *ir.Module, families *familySet, fam *family) bool {
@@ -42,7 +42,7 @@ func naiveExternalCallers(m *ir.Module, families *familySet, fam *family) bool {
 	}
 	for head, other := range families.byHead {
 		for _, mb := range other.members {
-			if head != fam.head && refsHead(mb.clone) {
+			if head != fam.head && refsHead(mb.body) {
 				return true
 			}
 		}

@@ -37,7 +37,8 @@ func (b *Block) Parent() *Function { return b.parent }
 // Index returns the block's position in its function's Blocks, or -1
 // for a detached block. The invariant f.Blocks[i].Index() == i is owned
 // by this package: Blocks is only ever written by AddBlock, RemoveBlock,
-// EraseBlock(s), AdoptBody, CloneFunctionInto and Clear, and
+// EraseBlock(s), SetBlockOrder, moveBody (AdoptBody, DetachBody,
+// CloneFunctionInto) and Clear, and
 // VerifyFunction checks it. Analyses key their per-block tables by it.
 func (b *Block) Index() int { return b.index }
 

@@ -129,19 +129,9 @@ func CloneFunctionInto(dst, f *Function) map[Value]Value {
 		panic("ir: CloneFunctionInto signature mismatch")
 	}
 	tmp, vmap := CloneFunction(f, dst.name)
-	// Transfer parameter identities: rewrite uses of tmp params to dst params.
-	for i, p := range tmp.params {
-		ReplaceAllUsesWith(p, dst.params[i])
-		for k, v := range vmap {
-			if v == Value(p) {
-				vmap[k] = dst.params[i]
-			}
-		}
+	moveBody(dst, tmp)
+	for i, p := range f.params {
+		vmap[p] = dst.params[i]
 	}
-	for _, b := range tmp.Blocks {
-		b.parent = dst
-	}
-	dst.Blocks = tmp.Blocks
-	tmp.Blocks = nil
 	return vmap
 }

@@ -219,17 +219,40 @@ func (f *Function) AdoptBody(donor *Function) error {
 		return fmt.Errorf("ir: AdoptBody donor @%s has no body", donor.name)
 	}
 	f.Clear()
-	for i, p := range donor.params {
-		ReplaceAllUsesWith(p, f.params[i])
-		f.params[i].SetName(p.Name())
-	}
-	blocks := donor.Blocks
-	donor.Blocks = nil
-	for _, b := range blocks {
-		b.parent = f
-	}
-	f.Blocks = blocks
+	moveBody(f, donor)
 	return nil
+}
+
+// DetachBody moves f's body into a fresh detached function of f's name
+// and signature and returns it, leaving f an empty declaration — the
+// reverse of AdoptBody, for a caller about to replace f's body (with a
+// thunk, say) that wants to keep the old one. Nothing is copied: the
+// blocks and instructions are f's own, re-parented, so anything that
+// still points at one of them now points into the returned function.
+func (f *Function) DetachBody() *Function {
+	names := make([]string, len(f.params))
+	for i, p := range f.params {
+		names[i] = p.Name()
+	}
+	body := NewFunction(f.name, f.sig, names...)
+	moveBody(body, f)
+	return body
+}
+
+// moveBody is the one body move: src's blocks are re-parented to dst,
+// which must share src's signature and have no body, and every use of a
+// src parameter is re-pointed at dst's (which takes its name). Operands
+// and every other use list stay as they are; src comes out an empty
+// declaration.
+func moveBody(dst, src *Function) {
+	for i, p := range src.params {
+		ReplaceAllUsesWith(p, dst.params[i])
+		dst.params[i].SetName(p.Name())
+	}
+	dst.Blocks, src.Blocks = src.Blocks, nil
+	for _, b := range dst.Blocks {
+		b.parent = dst
+	}
 }
 
 // Clear removes and erases all blocks, turning the function into a

@@ -112,6 +112,15 @@ func TestUseListsMaintained(t *testing.T) {
 	if len(UsesOf(sub)) != 0 {
 		t.Error("dropOperands left stale uses")
 	}
+	// Nor does a list keep a former user reachable past its length: that
+	// pinned whole discarded trial bodies (DESIGN.md "Merge families").
+	for _, l := range []*useList{&add.useList, &sub.useList} {
+		for _, u := range l.us[:cap(l.us)] {
+			if u.User != nil {
+				t.Errorf("a vacated use-list slot still points at %v", u.User.op)
+			}
+		}
+	}
 }
 
 func TestPhiAccessors(t *testing.T) {
@@ -441,6 +450,14 @@ func TestIndexesMaintained(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexesHold(t, target, "after AdoptBody")
+	body := target.DetachBody()
+	indexesHold(t, body, "DetachBody result")
+	if !target.IsDecl() || HasUses(target.Param(0)) || body.Name() != target.Name() {
+		t.Error("DetachBody left the body, or a parameter use, behind")
+	}
+	if err := VerifyFunction(body); err != nil {
+		t.Fatal(err)
+	}
 	target.Clear()
 	if len(target.Blocks) != 0 {
 		t.Fatal("Clear left blocks")

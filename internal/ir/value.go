@@ -40,6 +40,10 @@ func (l *useList) delUse(u Use) {
 		if l.us[i] == u {
 			last := len(l.us) - 1
 			l.us[i] = l.us[last]
+			// The vacated slot stays in the backing array: cleared, or it
+			// would keep the former user — and through its parent links
+			// the whole body it sits in — alive for as long as the list.
+			l.us[last] = Use{}
 			l.us = l.us[:last]
 			return
 		}

@@ -69,22 +69,42 @@ func scanPhis(blk *ir.Block, phis []*ir.Instruction, w *resweep) int {
 // RemoveDuplicatePhis, and what it returns the result after.
 var dupPhiCheck func(f *ir.Function) func(removed int)
 
-// mergePhiPair merges redundant phis. Two phis merge when one refines
-// the other *one-directionally*: every incoming of the weaker phi either
-// equals the stronger phi's incoming or is undef. Bidirectional
-// refinement (each phi concrete where the other is undef) is
-// deliberately NOT performed here — that transformation is exactly
-// phi-node coalescing, the paper's §4.4 optimisation, owned by the
-// SalSSA generator so that the SalSSA-NoPC ablation stays meaningful.
+// mergePhiPair merges redundant phis (see phiMerge), erasing the weaker.
 func mergePhiPair(blk *ir.Block, a, b *ir.Instruction, w *resweep) bool {
-	if !ir.TypesEqual(a.Type(), b.Type()) || a.NumIncoming() != b.NumIncoming() {
+	weak, strong := phiMerge(a, b)
+	if weak == nil {
 		return false
+	}
+	w.erasing(weak)
+	// Collapse self/mutual references through the erased phi.
+	for i := 0; i < strong.NumIncoming(); i++ {
+		if strong.IncomingValue(i) == ir.Value(weak) {
+			strong.SetIncomingValue(i, strong)
+		}
+	}
+	ir.ReplaceAllUsesWith(weak, strong)
+	blk.Erase(weak)
+	return true
+}
+
+// phiMerge is mergePhiPair's decision, RemoveDuplicatePhis' trigger: of
+// two phis of one block, the one that goes (weak) and the one that
+// takes its uses, or nils. Two phis merge when one refines the other
+// *one-directionally*: every incoming of the weaker phi either equals
+// the stronger phi's incoming or is undef. Bidirectional refinement
+// (each phi concrete where the other is undef) is deliberately NOT
+// performed here — that transformation is exactly phi-node coalescing,
+// the paper's §4.4 optimisation, owned by the SalSSA generator so that
+// the SalSSA-NoPC ablation stays meaningful.
+func phiMerge(a, b *ir.Instruction) (weak, strong *ir.Instruction) {
+	if !ir.TypesEqual(a.Type(), b.Type()) || a.NumIncoming() != b.NumIncoming() {
+		return nil, nil
 	}
 	aWeaker, bWeaker := true, true
 	for i := 0; i < a.NumIncoming(); i++ {
 		bv, ok := b.IncomingFor(a.IncomingBlock(i))
 		if !ok {
-			return false
+			return nil, nil
 		}
 		av := a.IncomingValue(i)
 		switch {
@@ -97,26 +117,16 @@ func mergePhiPair(blk *ir.Block, a, b *ir.Instruction, w *resweep) bool {
 		case isUndef(bv):
 			aWeaker = false
 		default:
-			return false
+			return nil, nil
 		}
 		if !aWeaker && !bWeaker {
-			return false
+			return nil, nil
 		}
 	}
-	weak, strong := b, a
 	if !bWeaker {
-		weak, strong = a, b
+		return a, b
 	}
-	w.erasing(weak)
-	// Collapse self/mutual references through the erased phi.
-	for i := 0; i < strong.NumIncoming(); i++ {
-		if strong.IncomingValue(i) == ir.Value(weak) {
-			strong.SetIncomingValue(i, strong)
-		}
-	}
-	ir.ReplaceAllUsesWith(weak, strong)
-	blk.Erase(weak)
-	return true
+	return b, a
 }
 
 // pairwiseMax is the largest block folded by the plain scan: up to here

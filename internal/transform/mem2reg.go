@@ -15,11 +15,17 @@ import (
 // escape). This is the criterion from the paper's Section 3: "to be
 // promotable, a stack location must be always used directly as the
 // immediate argument of the operations that access the location".
-func IsPromotable(alloca *ir.Instruction) bool {
+func IsPromotable(alloca *ir.Instruction) bool { return promotable(alloca, allUses) }
+
+// promotable is IsPromotable over the uses v counts.
+func promotable(alloca *ir.Instruction, v uses) bool {
 	if alloca.Op() != ir.OpAlloca {
 		return false
 	}
 	for _, u := range ir.UsesOf(alloca) {
+		if !v.counts(u) {
+			continue
+		}
 		switch u.User.Op() {
 		case ir.OpLoad:
 			// Always the pointer operand.

@@ -91,48 +91,54 @@ func FoldTerminators(f *ir.Function) int {
 		if t == nil {
 			continue
 		}
-		switch {
-		case t.IsCondBr():
-			ifTrue := t.Operand(1).(*ir.Block)
-			ifFalse := t.Operand(2).(*ir.Block)
-			var keep *ir.Block
-			if ifTrue == ifFalse {
-				keep = ifTrue
-			} else if c, ok := t.Operand(0).(*ir.ConstInt); ok {
-				if c.IsZero() {
-					keep = ifFalse
-				} else {
-					keep = ifTrue
-				}
-			}
-			if keep == nil {
-				continue
-			}
-			b.Erase(t)
-			b.Append(ir.NewBr(keep))
-			removePhiEdgesFromNonPred(b, ifTrue, ifFalse)
-			n++
-		case t.Op() == ir.OpSwitch:
-			c, ok := t.Operand(0).(*ir.ConstInt)
-			if !ok {
-				continue
-			}
-			dest := t.Operand(1).(*ir.Block) // default
-			var abandoned []*ir.Block
-			for _, cs := range t.SwitchCases() {
-				abandoned = append(abandoned, cs.Dest)
-				if cs.Val.V == c.V {
-					dest = cs.Dest
-				}
-			}
-			abandoned = append(abandoned, t.Operand(1).(*ir.Block))
-			b.Erase(t)
-			b.Append(ir.NewBr(dest))
-			removePhiEdgesFromNonPred(b, abandoned...)
-			n++
+		keep := foldedTarget(t)
+		if keep == nil {
+			continue
 		}
+		abandoned := t.Succs()
+		if t.Op() == ir.OpSwitch {
+			// The cases' targets first, then the default's.
+			abandoned = append(abandoned[1:], abandoned[0])
+		}
+		b.Erase(t)
+		b.Append(ir.NewBr(keep))
+		removePhiEdgesFromNonPred(b, abandoned...)
+		n++
 	}
 	return n
+}
+
+// foldedTarget is FoldTerminators' trigger: the block a terminator
+// becomes an unconditional branch to — a conditional branch with one
+// target or on a constant, a switch on a constant — or nil.
+func foldedTarget(t *ir.Instruction) *ir.Block {
+	switch {
+	case t.IsCondBr():
+		ifTrue := t.Operand(1).(*ir.Block)
+		ifFalse := t.Operand(2).(*ir.Block)
+		if ifTrue == ifFalse {
+			return ifTrue
+		}
+		if c, ok := t.Operand(0).(*ir.ConstInt); ok {
+			if c.IsZero() {
+				return ifFalse
+			}
+			return ifTrue
+		}
+	case t.Op() == ir.OpSwitch:
+		c, ok := t.Operand(0).(*ir.ConstInt)
+		if !ok {
+			return nil
+		}
+		dest := t.Operand(1).(*ir.Block) // default
+		for _, cs := range t.SwitchCases() {
+			if cs.Val.V == c.V {
+				dest = cs.Dest
+			}
+		}
+		return dest
+	}
+	return nil
 }
 
 // removePhiEdgesFromNonPred removes phi incoming entries for b in each
@@ -153,7 +159,7 @@ func removePhiEdgesFromNonPred(b *ir.Block, candidates ...*ir.Block) {
 // from the phis of reachable blocks. Removing blocks renumbers the
 // survivors, so dt is stale once this returns non-zero.
 func RemoveUnreachable(f *ir.Function, dt *analysis.DomTree) int {
-	if len(dt.RPO()) == len(f.Blocks) {
+	if !hasUnreachable(f, dt) {
 		return 0
 	}
 	var dead []*ir.Block
@@ -181,12 +187,17 @@ func RemoveUnreachable(f *ir.Function, dt *analysis.DomTree) int {
 	return len(dead)
 }
 
+// hasUnreachable is RemoveUnreachable's trigger.
+func hasUnreachable(f *ir.Function, dt *analysis.DomTree) bool {
+	return len(dt.RPO()) != len(f.Blocks)
+}
+
 // foldSinglePredPhis replaces phis in blocks with exactly one predecessor
 // by their single incoming value.
 func foldSinglePredPhis(f *ir.Function) int {
 	n := 0
 	for _, b := range f.Blocks {
-		if len(b.Phis()) == 0 || b.UniquePred() == nil {
+		if !phisFoldable(b, allUses) {
 			continue
 		}
 		for i := 0; i < b.Len() && b.Instrs()[i].Op() == ir.OpPhi; {
@@ -203,6 +214,12 @@ func foldSinglePredPhis(f *ir.Function) int {
 	return n
 }
 
+// phisFoldable is foldSinglePredPhis' trigger for a block: it has phis
+// and one predecessor, so each of its phis with one edge folds.
+func phisFoldable(b *ir.Block, v uses) bool {
+	return len(b.Phis()) > 0 && v.uniquePred(b) != nil
+}
+
 // MergeStraightLineBlocks merges each block pair (B, S) where B's only
 // exit is an unconditional branch to S and B is S's only predecessor.
 func MergeStraightLineBlocks(f *ir.Function) int {
@@ -216,19 +233,9 @@ func MergeStraightLineBlocks(f *ir.Function) int {
 	var absorbed []*ir.Block
 	for _, b := range f.Blocks {
 		for {
-			t := b.Term()
-			if t == nil || t.Op() != ir.OpBr || t.IsCondBr() {
+			s := absorbable(b, allUses)
+			if s == nil {
 				break
-			}
-			s := t.Operand(0).(*ir.Block)
-			if s == b || s.IsEntry() {
-				break
-			}
-			if s.UniquePred() != b {
-				break
-			}
-			if lp := s.FirstNonPhi(); lp != nil && lp.Op() == ir.OpLandingPad {
-				break // landingpad blocks must remain invoke targets
 			}
 			// Single-pred phis in S fold to their incoming value.
 			for len(s.Phis()) > 0 {
@@ -236,7 +243,7 @@ func MergeStraightLineBlocks(f *ir.Function) int {
 				ir.ReplaceAllUsesWith(phi, phi.IncomingValue(0))
 				s.Erase(phi)
 			}
-			b.Erase(t)
+			b.Erase(b.Term())
 			b.TakeInstrs(s)
 			// Successor phis referencing S now flow from B.
 			for _, u := range append([]ir.Use(nil), ir.UsesOf(s)...) {
@@ -251,6 +258,24 @@ func MergeStraightLineBlocks(f *ir.Function) int {
 	return len(absorbed)
 }
 
+// absorbable is MergeStraightLineBlocks' trigger: the block b absorbs —
+// its unconditional branch's target, if b is that block's only
+// predecessor — or nil.
+func absorbable(b *ir.Block, v uses) *ir.Block {
+	t := b.Term()
+	if t == nil || t.Op() != ir.OpBr || t.IsCondBr() {
+		return nil
+	}
+	s := t.Operand(0).(*ir.Block)
+	if s == b || s.IsEntry() || v.uniquePred(s) != b {
+		return nil
+	}
+	if lp := s.FirstNonPhi(); lp != nil && lp.Op() == ir.OpLandingPad {
+		return nil // landingpad blocks must remain invoke targets
+	}
+	return s
+}
+
 // ForwardEmptyBlocks removes blocks that contain only an unconditional
 // branch by retargeting their predecessors directly to the destination
 // (LLVM's TryToSimplifyUncondBranchFromEmptyBlock). A block is kept when
@@ -260,18 +285,8 @@ func ForwardEmptyBlocks(f *ir.Function) int {
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
-			if b.IsEntry() || b.Len() != 1 {
-				continue
-			}
-			t := b.Term()
-			if t == nil || t.Op() != ir.OpBr || t.IsCondBr() {
-				continue
-			}
-			dest := t.Operand(0).(*ir.Block)
-			if dest == b {
-				continue
-			}
-			if !canForwardEmptyBlock(b, dest) {
+			dest := forwardTarget(b, allUses)
+			if dest == nil {
 				continue
 			}
 			// Fix dest phis: the value that flowed through b now flows
@@ -292,13 +307,6 @@ func ForwardEmptyBlocks(f *ir.Function) int {
 			for _, p := range preds {
 				p.Term().ReplaceSuccessor(b, dest)
 			}
-			// Phi uses of b's label from other blocks (b had no phis itself,
-			// but other blocks' phis may name b as incoming).
-			if ir.HasUses(b) {
-				// Remaining uses must be phis in dest already handled, or
-				// invoke-style references; bail out conservatively.
-				continue
-			}
 			f.EraseBlock(b)
 			n++
 			changed = true
@@ -307,42 +315,62 @@ func ForwardEmptyBlocks(f *ir.Function) int {
 	return n
 }
 
-// canForwardEmptyBlock checks that retargeting all of b's predecessors
-// to dest keeps dest's phis consistent.
-func canForwardEmptyBlock(b, dest *ir.Block) bool {
-	preds := b.Preds()
+// forwardTarget is ForwardEmptyBlocks' trigger: the block b's
+// predecessors are retargeted to — b holds nothing but an unconditional
+// branch there, and retargeting keeps dest's phis consistent — or nil.
+// It also vouches that the rewrite leaves b unused, so that the pass
+// never rewrites a block it then cannot erase (and count).
+func forwardTarget(b *ir.Block, v uses) *ir.Block {
+	if b.IsEntry() || b.Len() != 1 {
+		return nil
+	}
+	t := b.Term()
+	if t == nil || t.Op() != ir.OpBr || t.IsCondBr() {
+		return nil
+	}
+	dest := t.Operand(0).(*ir.Block)
+	if dest == b {
+		return nil
+	}
+	preds := v.preds(b)
 	if len(preds) == 0 {
-		return false
+		return nil
 	}
 	for _, p := range preds {
 		// An invoke's unwind edge must keep pointing at a landingpad
 		// block; forwarding through b is fine only if dest starts with the
 		// landingpad, which MergeStraightLineBlocks handles instead.
 		if p.Term().Op() == ir.OpInvoke {
-			return false
+			return nil
 		}
 	}
 	for _, phi := range dest.Phis() {
 		vb, ok := phi.IncomingFor(b)
 		if !ok {
-			return false // inconsistent phi; leave alone
+			return nil // inconsistent phi; leave alone
 		}
 		for _, p := range preds {
 			if vp, already := phi.IncomingFor(p); already && !ir.ValuesEqual(vp, vb) {
-				return false
+				return nil
 			}
 		}
 	}
-	// If a phi in some OTHER successor-of-pred block lists b, retargeting
-	// would break it; b has exactly one successor so only dest's phis can
-	// reference it as an incoming block — except phis that kept a stale
-	// reference. Check all phi uses of b are from dest.
+	// The rewrite drops b from dest's phis and from its predecessors'
+	// terminators; any other use — a phi elsewhere holding a stale edge,
+	// a detached terminator — would outlive it.
 	for _, u := range ir.UsesOf(b) {
-		if u.User.Op() == ir.OpPhi && u.User.Parent() != dest {
-			return false
+		if !v.counts(u) {
+			continue
+		}
+		if u.User.Op() == ir.OpPhi {
+			if u.User.Parent() != dest {
+				return nil
+			}
+		} else if !u.User.IsTerminator() || u.User.Parent() == nil {
+			return nil
 		}
 	}
-	return true
+	return dest
 }
 
 // DCE erases instructions whose results are unused and whose execution
@@ -356,7 +384,7 @@ func DCE(f *ir.Function) int {
 			instrs := b.Instrs()
 			for i := len(instrs) - 1; i >= 0; i-- {
 				in := instrs[i]
-				if ir.HasUses(in) || !isRemovable(in) {
+				if !dead(in, allUses) {
 					continue
 				}
 				b.Erase(in)
@@ -367,6 +395,11 @@ func DCE(f *ir.Function) int {
 		}
 	}
 	return n
+}
+
+// dead is DCE's trigger: in is unused and removable.
+func dead(in *ir.Instruction, v uses) bool {
+	return isRemovable(in) && !v.has(in)
 }
 
 // isRemovable reports whether an unused in can be deleted.
