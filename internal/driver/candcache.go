@@ -30,10 +30,11 @@ import (
 // Only the session goroutine touches the cache.
 type candidateCache struct {
 	t int
-	// fpOf computes the fingerprint the radius checks compare in. It
-	// must match the space the finder's lists are ordered by: identity
-	// for plain sessions, through the canonical-view lens for canon
-	// sessions. Nil means fingerprint.New on the original body.
+	// fpOf returns the fingerprint the radius checks compare in. It
+	// must match the space the finder's lists are ordered by, so sessions
+	// hand out a copy of the finder's own (see Session.cacheFP); the copy
+	// also keeps the side applyDelta compares against from changing under
+	// a re-index. Nil means fingerprint.New on the original body.
 	fpOf func(*ir.Function) *fingerprint.Fingerprint
 	// fps[g] is only kept while g stays in the finder (see remove).
 	fps   map[*ir.Function]*fingerprint.Fingerprint
@@ -57,10 +58,9 @@ func newCandidateCache(t int, fpOf func(*ir.Function) *fingerprint.Fingerprint) 
 	}
 }
 
-// fp returns f's fingerprint for the radius checks, computing it
-// lazily on first use — index build stays a single fingerprint pass
-// (the finder's); only functions that actually get a cached list pay
-// here, once.
+// fp returns f's fingerprint for the radius checks, fetched lazily on
+// first use: only functions that actually get a cached list pay here,
+// once.
 func (c *candidateCache) fp(f *ir.Function) *fingerprint.Fingerprint {
 	v := c.fps[f]
 	if v == nil {

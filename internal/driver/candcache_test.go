@@ -120,6 +120,79 @@ func TestCandidateCacheReindexedAfterRetire(t *testing.T) {
 	}
 }
 
+// squareFirstInt rewrites f in place so its fingerprint changes, even
+// through a canonical view: the first integer binary result is squared
+// (one more mul, which nothing folds away) and its users take the square.
+func squareFirstInt(t *testing.T, f *ir.Function) {
+	t.Helper()
+	var in *ir.Instruction
+	f.Instrs(func(x *ir.Instruction) bool {
+		if x.Op().IsBinary() && ir.IsInt(x.Type()) && ir.HasUses(x) {
+			in = x
+		}
+		return in == nil
+	})
+	if in == nil {
+		t.Fatalf("@%s has no used integer binary instruction to edit", f.Name())
+	}
+	sq := ir.NewBinary(ir.OpMul, "sq", in, in)
+	in.Parent().InsertAfter(sq, in)
+	ir.ReplaceAllUsesWith(in, sq)
+	sq.SetOperand(0, in)
+	sq.SetOperand(1, in)
+}
+
+// TestCandidateCacheSeesFingerprintChange: the cache's fingerprints are
+// copies of the ones the finder ranks by, so when a sync re-indexes an
+// edited function the copy the cache held from before is the old side
+// of applyDelta's comparison. Were it the finder's own storage, the
+// re-index would overwrite both sides, the change would look like no
+// change, and @b would keep being served the edited @a instead of
+// having its list dropped.
+func TestCandidateCacheSeesFingerprintChange(t *testing.T) {
+	ctx := context.Background()
+	for _, canonOn := range []bool{false, true} {
+		for _, kind := range []search.Kind{search.KindExact, search.KindLSH} {
+			t.Run(fmt.Sprintf("%v/canon=%v", kind, canonOn), func(t *testing.T) {
+				m := cloneFamily(t, "a", "b", "c")
+				cfg := Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, Finder: kind}
+				if canonOn {
+					cfg.Canon = canon.Default()
+				}
+				s, err := OpenSession(ctx, m, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				a, b := m.FuncByName("a"), m.FuncByName("b")
+				s.cands.put(b, s.finder.Candidates(b, 1))
+				if l, _ := s.cands.get(b); len(l) != 1 || l[0] != a {
+					t.Fatalf("@b's nearest is %v, want [a]", funcNames(l))
+				}
+				held := s.cands.fps[a]
+				before := *held
+				squareFirstInt(t, a)
+				if err := s.Update(ctx, "a"); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if *held != before {
+					t.Fatal("re-indexing @a rewrote the fingerprint the cache held")
+				}
+				if now := s.cands.fps[a]; now == nil || *now == before {
+					t.Fatal("the cache did not take @a's new fingerprint")
+				}
+				if l, ok := s.cands.get(b); ok {
+					t.Errorf("after @a's edit @b is still served %v; its member moved, so the list should be gone", funcNames(l))
+				}
+				checkCacheExact(t, s.cands, s.finder, "after the edit")
+			})
+		}
+	}
+}
+
 // TestCandidateCachePatchOrder drives applyDelta's insertion through
 // the cases the (distance, name) order distinguishes: a tie at the
 // radius that wins on name and one that loses, an incomplete list that

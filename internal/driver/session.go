@@ -149,8 +149,7 @@ func (s *Session) eligible(f *ir.Function) bool {
 // the cold build and the snapshot warm restart: the align cache, the
 // canonical-view lens (wired to drop a discarded view's cache entry),
 // the membership/size maps, the outcome memo and the candidate-list
-// cache (fingerprinting through the lens so its radius checks live in
-// the same space as the finder's lists).
+// cache.
 func (s *Session) initIndexLayers() {
 	s.cache = align.NewCache()
 	s.lens = canon.NewLens(s.cfg.Canon, search.HashFunction)
@@ -167,22 +166,33 @@ func (s *Session) initIndexLayers() {
 	if !s.cfg.NoPlanFunnel {
 		s.funnel = newFunnel(s.cfg.Target, s.cache)
 	}
-	s.cands = newCandidateCache(s.cfg.Threshold, s.canonFP())
+	s.cands = newCandidateCache(s.cfg.Threshold, s.cacheFP)
 	if s.cfg.MaxFamily >= 3 {
 		s.families = newFamilySet()
 	}
 }
 
-// canonFP returns the fingerprint function the candidate cache should
-// use: through the lens under canon, nil (original bodies) otherwise.
-func (s *Session) canonFP() func(*ir.Function) *fingerprint.Fingerprint {
-	if s.lens == nil {
-		return nil
+// fingerprintSource is what both search finders offer beyond Finder: a
+// copy of the fingerprint f is indexed with, and whether it is indexed.
+type fingerprintSource interface {
+	Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool)
+}
+
+// cacheFP is the candidate cache's fingerprint function: a copy of the
+// fingerprint the finder ranks f by, so the cache's radius checks live in
+// the space of the finder's lists without fingerprinting f a second
+// time. A function the finder does not index is fingerprinted the way
+// the finder would: through the lens under canon.
+func (s *Session) cacheFP(f *ir.Function) *fingerprint.Fingerprint {
+	if src, ok := s.finder.(fingerprintSource); ok {
+		if fp, ok := src.Fingerprint(f); ok {
+			return &fp
+		}
 	}
-	lens := s.lens
-	return func(f *ir.Function) *fingerprint.Fingerprint {
-		return fingerprint.New(lens.Body(f))
+	if s.lens != nil {
+		return fingerprint.New(s.lens.Body(f))
 	}
+	return fingerprint.New(f)
 }
 
 // bodySource adapts the lens to search.BodySource, avoiding the typed
@@ -319,10 +329,9 @@ func (s *Session) sync() {
 	}
 	// One finder pass for the whole delta: a batch-aware finder
 	// re-indexes every changed function under a single rebuild window
-	// (one lock acquisition, one walk-order sort) instead of paying a
-	// per-function sorted insertion n times — the difference between a
-	// 100k-function batch being O((n+k) log n) and O(k·n). Results are
-	// identical to sequential Adds; only the work is batched.
+	// (one lock acquisition, one sort of the cells it touched and of the
+	// slab) instead of paying a per-function sorted insertion n times.
+	// Results are identical to sequential Adds; only the work is batched.
 	if bi, ok := s.finder.(search.BatchIndexer); ok && len(changed) > 1 {
 		bi.AddBatch(changed)
 	} else {
@@ -330,9 +339,8 @@ func (s *Session) sync() {
 			s.finder.Add(f)
 		}
 	}
-	// applyDelta re-fingerprints each *delta* function once more (the
-	// finder keeps its fingerprints private) — one extra instruction
-	// walk, dwarfed by the re-linearization the next trial pays.
+	// applyDelta compares each delta function's new fingerprint, a copy
+	// of what the finder just indexed, with the copy it held before.
 	s.cands.applyDelta(changed, removed)
 	s.pruneFamilies(touched)
 	s.pending = map[*ir.Function]bool{}

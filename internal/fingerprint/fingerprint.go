@@ -166,6 +166,18 @@ func (r *Ranking) Fingerprints() map[*ir.Function]*Fingerprint {
 	return out
 }
 
+// Fingerprint returns a copy of f's fingerprint, and whether f is a
+// live candidate.
+func (r *Ranking) Fingerprint(f *ir.Function) (Fingerprint, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	fp := r.fps[f]
+	if fp == nil {
+		return Fingerprint{}, false
+	}
+	return *fp, true
+}
+
 // Live returns the number of fingerprinted candidates (functions that
 // would appear in Order and candidate lists).
 func (r *Ranking) Live() int {

@@ -13,6 +13,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -110,9 +111,31 @@ func FuncOf(ret Type, params ...Type) *FuncType {
 	return &FuncType{Ret: ret, Params: params}
 }
 
-func (t *VoidType) String() string    { return "void" }
-func (t *IntType) String() string     { return fmt.Sprintf("i%d", t.Bits) }
-func (t *FloatType) String() string   { return map[int]string{32: "float", 64: "double"}[t.Bits] }
+func (t *VoidType) String() string { return "void" }
+func (t *IntType) String() string {
+	switch t.Bits {
+	case 1:
+		return "i1"
+	case 8:
+		return "i8"
+	case 16:
+		return "i16"
+	case 32:
+		return "i32"
+	case 64:
+		return "i64"
+	}
+	return "i" + strconv.Itoa(t.Bits)
+}
+func (t *FloatType) String() string {
+	switch t.Bits {
+	case 32:
+		return "float"
+	case 64:
+		return "double"
+	}
+	return ""
+}
 func (t *PointerType) String() string { return t.Elem.String() + "*" }
 func (t *ArrayType) String() string {
 	return fmt.Sprintf("[%d x %s]", t.Len, t.Elem)

@@ -61,6 +61,19 @@ func BenchmarkFinderExact(b *testing.B) { benchFinder(b, KindExact, 5) }
 // bounded-walk index.
 func BenchmarkFinderLSH(b *testing.B) { benchFinder(b, KindLSH, 5) }
 
+// BenchmarkHashFunction is the structural hash alone, one pass over the
+// same 2000 functions per iteration.
+func BenchmarkHashFunction(b *testing.B) {
+	funcs := benchFunctions(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range funcs {
+			HashFunction(f)
+		}
+	}
+}
+
 // BenchmarkFinderDupFold measures the duplicate-detection pre-pass
 // (stable hashing + family verification) over the same 2000 functions.
 func BenchmarkFinderDupFold(b *testing.B) {

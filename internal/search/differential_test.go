@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/fingerprint"
 	"repro/internal/ir"
 	"repro/internal/synth"
 )
@@ -43,28 +45,94 @@ func sameList(t testing.TB, want, got Finder, f *ir.Function, topT int, label st
 // of mutations over a fixed pool of functions — the op alphabet the
 // mutation storm and FuzzFinderOps share.
 type finderOps struct {
-	t        testing.TB
-	pool     []*ir.Function
-	live     []bool
-	nLive    int
-	peakLive int
-	renames  int
-	exact    *Exact
-	index    *LSH
+	t    testing.TB
+	pool []*ir.Function
+	// view is the lens both finders index through; an edit points a
+	// function at another's body.
+	view       editView
+	fps        []fingerprint.Fingerprint // pool[i]'s, through view
+	thresholds []int
+	live       []bool
+	nLive      int
+	peakLive   int
+	renames    int
+	exact      *Exact
+	index      *LSH
 }
 
-var diffThresholds = []int{1, 5, 10}
+// editView is a BodySource that stands in for body edits: f is indexed
+// as the body it maps to, or as itself.
+type editView map[*ir.Function]*ir.Function
+
+func (v editView) IndexBody(f *ir.Function) *ir.Function {
+	if body, ok := v[f]; ok {
+		return body
+	}
+	return f
+}
+
+var (
+	diffThresholds = []int{1, 5, 10}
+	// tinyThresholds are the ones the duplicate-heavy tiny shape is
+	// compared at.
+	tinyThresholds = []int{1, 3, 8}
+)
 
 // newFinderOps indexes the first indexed functions of pool in both
 // finders; the rest are a reserve the ops may add later.
-func newFinderOps(t testing.TB, pool []*ir.Function, indexed int) *finderOps {
-	o := &finderOps{t: t, pool: pool, live: make([]bool, len(pool)), nLive: indexed, peakLive: indexed}
+func newFinderOps(t testing.TB, pool []*ir.Function, indexed int, thresholds []int) *finderOps {
+	o := &finderOps{t: t, pool: pool, view: editView{}, thresholds: thresholds,
+		live: make([]bool, len(pool)), nLive: indexed, peakLive: indexed}
 	for i := 0; i < indexed; i++ {
 		o.live[i] = true
 	}
-	o.exact = NewExact(pool[:indexed])
-	o.index = newLSH(pool[:indexed], nil, nil)
+	for _, f := range pool {
+		o.fps = append(o.fps, *fingerprint.New(f))
+	}
+	o.exact = restoreExact(pool[:indexed], o.view, nil)
+	o.index = newLSH(pool[:indexed], o.view, nil)
 	return o
+}
+
+// cellOf lists the pool indices whose fingerprint is pool[a]'s: the
+// members of its cell whenever they are all indexed.
+func (o *finderOps) cellOf(a int) []int {
+	var out []int
+	for i := range o.pool {
+		if o.fps[i] == o.fps[a] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// rename gives f a fresh name, unique across the pool, that sorts
+// before or after every other name of its cell.
+func (o *finderOps) rename(f *ir.Function, last bool) {
+	o.renames++
+	prefix := 'a'
+	if last {
+		prefix = 'z'
+	}
+	f.SetName(fmt.Sprintf("%c%d_%s", prefix, o.renames, f.Name()))
+}
+
+// add re-indexes pool[i] in both finders, alone or as a batch.
+func (o *finderOps) add(batch bool, is ...int) {
+	fs := make([]*ir.Function, len(is))
+	for k, i := range is {
+		fs[k] = o.pool[i]
+		o.setLive(i, true)
+	}
+	if batch {
+		o.exact.AddBatch(fs)
+		o.index.AddBatch(fs)
+		return
+	}
+	for _, f := range fs {
+		o.exact.Add(f)
+		o.index.Add(f)
+	}
 }
 
 func (o *finderOps) setLive(i int, live bool) {
@@ -79,11 +147,15 @@ func (o *finderOps) setLive(i int, live bool) {
 	}
 }
 
-const numFinderOps = 4
+const numFinderOps = 10
 
 // apply runs op kind (mod numFinderOps) on pool[a], with b as the op's
-// parameter: remove, (re-)add, rename then re-add, or AddBatch of up to
-// eight functions starting there.
+// parameter: remove, (re-)add, rename then re-add, AddBatch of up to
+// eight functions starting there, empty pool[a]'s cell, refill it in one
+// batch, rename its first member to sort last, Add pool[a] and then
+// batch it again with its cell (twice over, a duplicate entry) before
+// one more Add, or edit pool[a] into pool[b]'s body and re-index it —
+// in one batch with the cell it leaves, or alone.
 func (o *finderOps) apply(kind, a, b int) {
 	a %= len(o.pool)
 	f := o.pool[a]
@@ -93,26 +165,49 @@ func (o *finderOps) apply(kind, a, b int) {
 		o.index.Remove(f)
 		o.setLive(a, false)
 	case 1:
-		o.exact.Add(f)
-		o.index.Add(f)
-		o.setLive(a, true)
+		o.add(false, a)
 	case 2:
-		// A new name that sorts to alternating ends of its equal-size
-		// run, unique across the pool.
-		o.renames++
-		f.SetName(fmt.Sprintf("%c%d_%s", "az"[o.renames%2], o.renames, f.Name()))
-		o.exact.Add(f)
-		o.index.Add(f)
-		o.setLive(a, true)
+		o.rename(f, o.renames%2 == 1)
+		o.add(false, a)
 	case 3:
-		var batch []*ir.Function
+		var batch []int
 		for i := 0; i <= b%8; i++ {
-			j := (a + i*7) % len(o.pool)
-			batch = append(batch, o.pool[j])
-			o.setLive(j, true)
+			batch = append(batch, (a+i*7)%len(o.pool))
 		}
-		o.exact.AddBatch(batch)
-		o.index.AddBatch(batch)
+		o.add(true, batch...)
+	case 4:
+		for _, i := range o.cellOf(a) {
+			o.exact.Remove(o.pool[i])
+			o.index.Remove(o.pool[i])
+			o.setLive(i, false)
+		}
+	case 5:
+		o.add(true, o.cellOf(a)...)
+	case 6:
+		first := -1
+		for _, i := range o.cellOf(a) {
+			if o.live[i] && (first < 0 || o.pool[i].Name() < o.pool[first].Name()) {
+				first = i
+			}
+		}
+		if first >= 0 {
+			o.rename(o.pool[first], true)
+			o.add(false, first)
+		}
+	case 7:
+		cell := o.cellOf(a)
+		o.add(false, a)
+		o.add(true, append(cell, cell...)...)
+		o.add(false, cell[b%len(cell)])
+	case 8, 9:
+		left := o.cellOf(a)
+		o.view[f] = o.pool[b%len(o.pool)]
+		o.fps[a] = *fingerprint.New(o.view.IndexBody(f))
+		if kind%numFinderOps == 8 {
+			o.add(true, left...)
+		} else {
+			o.add(false, a)
+		}
 	}
 }
 
@@ -120,7 +215,7 @@ func (o *finderOps) apply(kind, a, b int) {
 // not indexed must get nil from both).
 func (o *finderOps) check(i int, label string) {
 	o.t.Helper()
-	for _, topT := range diffThresholds {
+	for _, topT := range o.thresholds {
 		sameList(o.t, o.exact, o.index, o.pool[i%len(o.pool)], topT, label)
 	}
 }
@@ -130,7 +225,7 @@ func (o *finderOps) check(i int, label string) {
 // slabs grow, so the slab length is the peak live count.
 func (o *finderOps) sweep(stride int, label string) {
 	o.t.Helper()
-	for _, topT := range diffThresholds {
+	for _, topT := range o.thresholds {
 		sameLists(o.t, o.exact, o.index, topT, stride, label)
 	}
 	want, got := o.exact.Order(), o.index.Order()
@@ -148,6 +243,63 @@ func (o *finderOps) sweep(stride int, label string) {
 	if got := len(o.index.funcs); got != o.peakLive {
 		o.t.Fatalf("%s: %d slots allocated for a peak of %d live functions (slots not reused)", label, got, o.peakLive)
 	}
+	if err := o.index.checkCells(); err != nil {
+		o.t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// checkCells verifies the cell structure against the slot table: one
+// cell per distinct live fingerprint, holding exactly the slots indexed
+// with it in (indexed name, slot) order and reachable through its hash;
+// one slab entry per cell, carrying its size and projection, in strictly
+// ascending compareSlab order.
+func (l *LSH) checkCells() error {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	members := map[int32][]int32{}
+	for slot, f := range l.funcs {
+		if f == nil {
+			continue
+		}
+		c := l.cellOf[slot]
+		if l.slotOf[f] != int32(slot) {
+			return fmt.Errorf("slot %d holds @%s, which slotOf places in %d", slot, f.Name(), l.slotOf[f])
+		}
+		body := f
+		if l.view != nil {
+			body = l.view.IndexBody(f)
+		}
+		if fp := fingerprint.New(body); l.cells[c].fp != *fp {
+			return fmt.Errorf("@%s sits in a cell of another fingerprint", f.Name())
+		}
+		members[c] = append(members[c], int32(slot))
+	}
+	if len(l.slab) != len(members) || len(l.slab)+len(l.freeCells) != len(l.cells) {
+		return fmt.Errorf("%d slab entries for %d live cells, %d of %d cells free",
+			len(l.slab), len(members), len(l.freeCells), len(l.cells))
+	}
+	for i, e := range l.slab {
+		x := &l.cells[e.cell]
+		want := members[e.cell]
+		slices.SortFunc(want, l.compareMembers)
+		if !slices.Equal(x.members, want) || x.unsorted {
+			return fmt.Errorf("cell %d lists slots %v (unsorted %v), want %v", e.cell, x.members, x.unsorted, want)
+		}
+		if e != x.entry || e.size != x.fp.Size || e.proj != project(&x.fp) {
+			return fmt.Errorf("slab entry %d carries size %d proj %#x for a cell of size %d proj %#x", i, e.size, e.proj, x.fp.Size, project(&x.fp))
+		}
+		if i > 0 && l.compareSlab(l.slab[i-1], e) >= 0 {
+			return fmt.Errorf("slab entries %d and %d out of order", i-1, i)
+		}
+		found := false
+		for c, ok := l.byHash[x.hash]; ok && c >= 0 && !found; c = l.cells[c].next {
+			found = c == e.cell
+		}
+		if !found || x.hash != cellHash(&x.fp) {
+			return fmt.Errorf("cell %d is not reachable through its hash", e.cell)
+		}
+	}
+	return nil
 }
 
 // tinyCorpus is the benchmark's tiny8k shape — accessor-sized bodies
@@ -160,20 +312,23 @@ func tinyCorpus(n int) []*ir.Function {
 }
 
 // TestLSHMatchesExact is exactness as equality: through a seeded storm
-// of Remove / Add / rename+re-add / AddBatch, the indexed finder's
-// lists are element-wise Exact's at t = 1, 5 and 10 after every step,
-// and over the whole index before and after.
+// of the finderOps alphabet — Remove, Add, rename+re-add, AddBatch, and
+// the cell ops that empty, refill and re-order a cell — the indexed
+// finder's lists are element-wise Exact's after every step, and over the
+// whole index before and after: at t = 1, 3 and 8 on the duplicate-heavy
+// tiny shape, at 1, 5 and 10 on the suite shapes.
 func TestLSHMatchesExact(t *testing.T) {
 	tiny, ops, stride := 2000, 400, 3
 	if testing.Short() {
 		tiny, ops = 500, 150
 	}
 	type pool struct {
-		name   string
-		funcs  []*ir.Function
-		stride int // sweep every stride-th function
+		name       string
+		funcs      []*ir.Function
+		stride     int // sweep every stride-th function
+		thresholds []int
 	}
-	pools := []pool{{"tiny", tinyCorpus(tiny), stride}}
+	pools := []pool{{"tiny", tinyCorpus(tiny), stride, tinyThresholds}}
 	for _, p := range []synth.Profile{
 		{Name: "templates", Seed: 101, Funcs: 160, MinSize: 4, AvgSize: 50, MaxSize: 300,
 			CloneFrac: 0.36, FamilySize: 4, MutRate: 0.04, Loops: 0.5, Floats: 0.25},
@@ -182,13 +337,13 @@ func TestLSHMatchesExact(t *testing.T) {
 		{Name: "sparse", Seed: 103, Funcs: 120, MinSize: 6, AvgSize: 48, MaxSize: 260,
 			CloneFrac: 0.05, FamilySize: 2, MutRate: 0.12, Loops: 0.6},
 	} {
-		pools = append(pools, pool{p.Name, synth.Generate(p).Defined(), 1})
+		pools = append(pools, pool{p.Name, synth.Generate(p).Defined(), 1, diffThresholds})
 	}
 	for _, p := range pools {
 		t.Run(p.name, func(t *testing.T) {
 			// A tenth of the pool starts outside the index, so adds land
 			// in slots earlier removals freed.
-			o := newFinderOps(t, p.funcs, len(p.funcs)*9/10)
+			o := newFinderOps(t, p.funcs, len(p.funcs)*9/10, p.thresholds)
 			o.sweep(p.stride, "fresh index")
 			rng := rand.New(rand.NewSource(11))
 			for step := 0; step < ops; step++ {
@@ -208,28 +363,57 @@ func TestLSHMatchesExact(t *testing.T) {
 	}
 }
 
+// TestLSHHashCollisions reruns the op storm with a cell hash that
+// collides for every third size, so cells share hash chains and an
+// emptied cell is unlinked from the middle of one.
+func TestLSHHashCollisions(t *testing.T) {
+	defer func(h func(*fingerprint.Fingerprint) uint64) { cellHash = h }(cellHash)
+	cellHash = func(fp *fingerprint.Fingerprint) uint64 { return uint64(fp.Size % 3) }
+	funcs := tinyCorpus(300)
+	o := newFinderOps(t, funcs, 270, tinyThresholds)
+	o.sweep(1, "fresh index")
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 300; step++ {
+		kind, a, b := rng.Intn(numFinderOps), rng.Intn(len(funcs)), rng.Intn(256)
+		o.apply(kind, a, b)
+		label := fmt.Sprintf("step %d (op %d on %d)", step, kind, a)
+		o.check(a, label)
+		if step%25 == 0 {
+			o.sweep(7, label)
+		}
+	}
+	o.sweep(1, "after the storm")
+}
+
 // FuzzFinderOps feeds the same op alphabet from fuzz input: three bytes
 // an op (kind, function, parameter), a comparison after each and a full
-// sweep at the end.
+// sweep at the end, over a clone-rich suite pool and over the tiny shape,
+// whose cells hold up to six members.
 func FuzzFinderOps(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 3, 0, 2, 3, 0})                     // remove, re-add, rename one function
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 5, 0, 1, 44, 0, 1, 45, 0}) // free slots, then fill them from the reserve
 	f.Add([]byte{2, 9, 0, 2, 9, 0, 0, 9, 0, 3, 9, 7})            // rename twice, remove, batch it back
 	f.Add([]byte{3, 0, 255, 3, 40, 3, 0, 47, 0, 2, 0, 0})        // batches over indexed and reserve functions
+	f.Add([]byte{4, 5, 0, 1, 5, 0, 5, 5, 0, 6, 5, 0, 7, 5, 3})   // empty a cell, re-add one, refill, rename its first, mix
+	f.Add([]byte{6, 1, 0, 6, 1, 0, 4, 1, 0, 7, 1, 1, 0, 1, 0})   // rename the first member twice, empty, mix, remove
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*64 {
 			data = data[:3*64]
 		}
-		pool := synth.Generate(synth.Profile{
+		suite := synth.Generate(synth.Profile{
 			Name: "fz", Seed: 17, Funcs: 48, MinSize: 4, AvgSize: 12, MaxSize: 40,
 			CloneFrac: 0.5, FamilySize: 3, MutRate: 0.05, Loops: 0.3,
 		}).Defined()
-		o := newFinderOps(t, pool, 40)
-		for i := 0; i+2 < len(data); i += 3 {
-			o.apply(int(data[i]), int(data[i+1]), int(data[i+2]))
-			o.check(int(data[i+1]), fmt.Sprintf("op %d", i/3))
+		for _, o := range []*finderOps{
+			newFinderOps(t, suite, 40, diffThresholds),
+			newFinderOps(t, tinyCorpus(64), 56, tinyThresholds),
+		} {
+			for i := 0; i+2 < len(data); i += 3 {
+				o.apply(int(data[i]), int(data[i+1]), int(data[i+2]))
+				o.check(int(data[i+1]), fmt.Sprintf("op %d", i/3))
+			}
+			o.sweep(1, "after the ops")
 		}
-		o.sweep(1, "after the ops")
 	})
 }
 

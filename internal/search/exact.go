@@ -57,6 +57,12 @@ func (e *Exact) Candidates(f *ir.Function, t int) []*ir.Function {
 	return out
 }
 
+// Fingerprint returns a copy of the fingerprint f is indexed with, and
+// whether it is indexed.
+func (e *Exact) Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool) {
+	return e.r.Fingerprint(f)
+}
+
 // Add (re-)indexes f.
 func (e *Exact) Add(f *ir.Function) {
 	if f.IsDecl() {

@@ -5,13 +5,14 @@
 //   - Exact wraps fingerprint.Ranking, scanning every live function per
 //     query. Its candidate lists — and therefore the committed merge set —
 //     are bit-identical to the original pipeline at any parallelism.
-//   - LSH — a historical name; it no longer sketches or hashes — is the
-//     indexed exact finder: a dense slot-indexed store walked outward
-//     in size order, pruned by two admissible lower bounds on the
-//     fingerprint distance (size difference, then a packed 8-lane
-//     projection). Queries return the exact top-t while scoring a
-//     fraction of the module; candidate discovery stops being the O(n²)
-//     bottleneck.
+//   - LSH — a historical name; it no longer sketches — is the indexed
+//     exact finder: one cell per distinct fingerprint, listed in a
+//     packed slab sorted by size and walked outward from the query's
+//     cell, pruned by two admissible lower bounds on the fingerprint
+//     distance (size difference, then a packed 8-lane projection taken
+//     in one SWAR step). A visit scores a cell once for all its members.
+//     Queries return the exact top-t while scoring a fraction of the
+//     module; candidate discovery stops being the O(n²) bottleneck.
 //
 // The package also provides stable structural hashing (HashFunction) and
 // duplicate detection (Families, EqualFunctions, BuildForwarder): exact
@@ -62,13 +63,17 @@ type Stats struct {
 	// Queries counts Candidates calls.
 	Queries int
 	// Scanned counts candidate fingerprints distance-scored across all
-	// queries (for Exact this is every live function per query; for the
-	// indexed finder only what its lower bounds could not reject).
+	// queries. For Exact this is every live function per query; the
+	// indexed finder scores a cell — one distinct fingerprint, however
+	// many functions share it — and only when its lower bounds could not
+	// reject it.
 	Scanned int
 	// Probed counts the index entries the queries visited, of which
 	// Scanned were distance-scored: Probed - Scanned is the pruning the
-	// projection bound did, Indexed·Queries - Probed what the size
-	// bound did. Exact visits what it scores, so there the two agree.
+	// projection bound did. For the indexed finder an entry is a cell
+	// other than the query's own, so the size bound pruned the live
+	// cells times Queries less Probed. Exact visits what it scores, so
+	// there the two agree.
 	Probed int
 	// QueryTime accumulates wall-clock time spent inside Candidates.
 	QueryTime time.Duration

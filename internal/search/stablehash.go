@@ -61,37 +61,27 @@ const (
 	tagOther
 )
 
-// valueNumbers assigns the local value numbering of f: parameters and
-// blocks by position, instruction results by definition order.
-func valueNumbers(f *ir.Function) map[ir.Value]uint64 {
-	vn := make(map[ir.Value]uint64, f.NumInstrs()+len(f.Params())+len(f.Blocks))
-	for i, p := range f.Params() {
-		vn[p] = uint64(i)
-	}
-	for i, b := range f.Blocks {
-		vn[b] = uint64(i)
-	}
-	n := uint64(0)
-	f.Instrs(func(in *ir.Instruction) bool {
-		vn[in] = n
-		n++
-		return true
-	})
-	return vn
-}
-
-// hashOperand folds one operand of an instruction of f into s.
-func hashOperand(s *hasher, f *ir.Function, vn map[ir.Value]uint64, op ir.Value) {
+// hashOperand folds one operand of an instruction of f into s. Locals
+// are numbered from the positions package ir maintains: parameters and
+// blocks by Index(), instruction results by definition order, which is
+// base[b.Index()] — the instruction count of the blocks before their
+// block b — plus Index(). A local of another function, or a detached
+// one, numbers 0.
+func hashOperand(s *hasher, f *ir.Function, base []uint64, op ir.Value) {
 	switch v := op.(type) {
 	case *ir.Instruction:
 		s.word(tagLocal)
-		s.word(vn[v])
+		n := uint64(0)
+		if b := v.Parent(); b != nil && b.Parent() == f {
+			n = base[b.Index()] + uint64(v.Index())
+		}
+		s.word(n)
 	case *ir.Argument:
 		s.word(tagArg)
-		s.word(vn[v])
+		s.word(localNumber(v.Parent() == f, v.Index()))
 	case *ir.Block:
 		s.word(tagBlock)
-		s.word(vn[v])
+		s.word(localNumber(v.Parent() == f, v.Index()))
 	case *ir.ConstInt:
 		s.word(tagConstInt)
 		s.str(v.Type().String())
@@ -121,6 +111,13 @@ func hashOperand(s *hasher, f *ir.Function, vn map[ir.Value]uint64, op ir.Value)
 	}
 }
 
+func localNumber(own bool, index int) uint64 {
+	if !own {
+		return 0
+	}
+	return uint64(index)
+}
+
 // HashFunction returns the stable structural hash of f. Declarations
 // hash their signature only.
 func HashFunction(f *ir.Function) uint64 {
@@ -129,7 +126,13 @@ func HashFunction(f *ir.Function) uint64 {
 	if f.IsDecl() {
 		return s.h
 	}
-	vn := valueNumbers(f)
+	var buf [32]uint64
+	base := buf[:0]
+	n := uint64(0)
+	for _, b := range f.Blocks {
+		base = append(base, n)
+		n += uint64(b.Len())
+	}
 	s.word(uint64(len(f.Blocks)))
 	for _, b := range f.Blocks {
 		s.word(uint64(len(b.Instrs())))
@@ -145,7 +148,7 @@ func HashFunction(f *ir.Function) uint64 {
 			}
 			s.word(uint64(in.NumOperands()))
 			for _, op := range in.Operands() {
-				hashOperand(&s, f, vn, op)
+				hashOperand(&s, f, base, op)
 			}
 		}
 	}
