@@ -172,20 +172,14 @@ func (s *Session) initIndexLayers() {
 	}
 }
 
-// fingerprintSource is what both search finders offer beyond Finder: a
-// copy of the fingerprint f is indexed with, and whether it is indexed.
-type fingerprintSource interface {
-	Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool)
-}
-
 // cacheFP is the candidate cache's fingerprint function: a copy of the
 // fingerprint the finder ranks f by, so the cache's radius checks live in
 // the space of the finder's lists without fingerprinting f a second
 // time. A function the finder does not index is fingerprinted the way
 // the finder would: through the lens under canon.
 func (s *Session) cacheFP(f *ir.Function) *fingerprint.Fingerprint {
-	if src, ok := s.finder.(fingerprintSource); ok {
-		if fp, ok := src.Fingerprint(f); ok {
+	if s.finder != nil {
+		if fp, ok := s.finder.Fingerprint(f); ok {
 			return &fp
 		}
 	}

@@ -74,8 +74,8 @@ func (v editView) IndexBody(f *ir.Function) *ir.Function {
 var (
 	diffThresholds = []int{1, 5, 10}
 	// tinyThresholds are the ones the duplicate-heavy tiny shape is
-	// compared at.
-	tinyThresholds = []int{1, 3, 8}
+	// compared at: the tiny8k shape's own t values plus diffThresholds.
+	tinyThresholds = []int{1, 3, 5, 8, 10}
 )
 
 // newFinderOps indexes the first indexed functions of pool in both

@@ -44,6 +44,9 @@ type Finder interface {
 	Add(f *ir.Function)
 	// Remove drops f from future candidate lists (it was merged away).
 	Remove(f *ir.Function)
+	// Fingerprint returns a copy of the fingerprint f is indexed with,
+	// and whether f is indexed.
+	Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool)
 	// Stats returns the accumulated query accounting.
 	Stats() Stats
 }
