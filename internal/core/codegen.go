@@ -104,8 +104,12 @@ type Numbering struct {
 }
 
 // NewNumbering numbers f's current body.
-func NewNumbering(f *ir.Function) Numbering {
-	x := Numbering{nargs: len(f.Params()), instrBase: make([]int32, len(f.Blocks))}
+func NewNumbering(f *ir.Function) Numbering { return numberInto(f, nil) }
+
+// numberInto is NewNumbering with the table in buf's array when it is
+// large enough.
+func numberInto(f *ir.Function, buf []int32) Numbering {
+	x := Numbering{nargs: len(f.Params()), instrBase: resize(buf, len(f.Blocks))}
 	x.size = x.nargs + len(f.Blocks)
 	for i, b := range f.Blocks {
 		x.instrBase[i] = int32(x.size)

@@ -12,7 +12,8 @@ import (
 // Options configures a SalSSA merge.
 type Options struct {
 	// PhiCoalescing enables the paper's §4.4 optimisation: disjoint
-	// definitions repaired by SSA reconstruction share a slot, removing
+	// definitions repaired by SSA reconstruction share one variable (the
+	// paper's shared slot), removing
 	// superfluous phi-nodes and select instructions. Disable to obtain
 	// the SalSSA-NoPC variant of Figure 20.
 	PhiCoalescing bool
@@ -60,8 +61,9 @@ type Stats struct {
 	PadSlots       int
 	// Where the generator's time went: BuildTime up to the last phi
 	// incoming (CFG, operand assignment, landing blocks), RepairTime in
-	// SSA repair — demotion, register promotion and the phi/select folds.
-	// Alignment is on neither clock.
+	// SSA repair — SSA construction over the offending definitions,
+	// landingpad promotion and the phi/select folds. Alignment is on
+	// neither clock.
 	BuildTime, RepairTime time.Duration
 }
 

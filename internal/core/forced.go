@@ -199,7 +199,7 @@ func operandKind(v ir.Value) int {
 // v1 are certain to stay two different values in the merged function.
 // Values of different kinds always do. Two instructions do unless they
 // are matched to each other (one merged value) or both unmatched: SSA
-// repair may coalesce two exclusive definitions into one slot, after
+// repair may coalesce two exclusive definitions into one variable, after
 // which both arms of their select read one phi and it folds.
 func (c *forcedCounter) differ(v0, v1 ir.Value) bool {
 	k0, k1 := operandKind(v0), operandKind(v1)

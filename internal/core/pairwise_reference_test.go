@@ -7,7 +7,10 @@ package core
 // keep producing bit-identical output to this frozen copy — the family
 // generalization is required to be a strict superset, not a rewrite, of
 // the pairwise path. Only mechanical renames (ref prefixes) distinguish
-// this code from the pre-PR files.
+// this code from the pre-family files, with one exception: SSA repair
+// keeps its own offender scan and coalescing, but builds the SSA over
+// the classes with the family generator's buildSSA (it used to demote to
+// slots and promote them again; see repair_spec_test.go).
 
 import (
 	"context"
@@ -512,11 +515,10 @@ func (g *refGenerator) repairSSA() {
 	f := g.merged
 	dt := analysis.NewDomTree(f)
 
-	type offense struct {
-		user *ir.Instruction
-		idx  int
-	}
+	// Offenses in the shape buildSSA takes: def numbers the definition
+	// in defOrder.
 	offenders := map[*ir.Instruction][]offense{}
+	num := map[*ir.Instruction]int32{}
 	var defOrder []*ir.Instruction
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs() {
@@ -529,9 +531,10 @@ func (g *refGenerator) repairSSA() {
 					continue
 				}
 				if _, seen := offenders[def]; !seen {
+					num[def] = int32(len(defOrder))
 					defOrder = append(defOrder, def)
 				}
-				offenders[def] = append(offenders[def], offense{user: in, idx: i})
+				offenders[def] = append(offenders[def], offense{def: num[def], user: in, idx: i})
 			}
 		}
 	}
@@ -543,46 +546,19 @@ func (g *refGenerator) repairSSA() {
 
 	classes := g.coalesce(defOrder)
 
-	entry := f.Entry()
-	for _, class := range classes {
-		slot := ir.NewAlloca("ssa.slot", class[0].Type())
-		entry.InsertAtFront(slot)
+	// SSA construction over the classes is the family generator's own
+	// (ssaScratch.buildSSA): what this copy pins is everything around it.
+	var offs []offense
+	for _, def := range defOrder {
+		offs = append(offs, offenders[def]...)
+	}
+	byIndex := make([][]int, len(classes))
+	for c, class := range classes {
 		for _, def := range class {
-			st := ir.NewStore(def, slot)
-			if def.Op() == ir.OpInvoke {
-				nb := transform.SplitInvokeNormalEdge(def)
-				nb.InsertAtFront(st)
-			} else if def.IsTerminator() {
-				panic("core: repairing a terminator value")
-			} else {
-				def.Parent().InsertAfter(st, def)
-			}
-		}
-		loadAt := map[*ir.Block]*ir.Instruction{}
-		loadFor := map[*ir.Instruction]*ir.Instruction{}
-		for _, def := range class {
-			for _, off := range offenders[def] {
-				var ld *ir.Instruction
-				if off.user.Op() == ir.OpPhi {
-					q := off.user.IncomingBlock(off.idx / 2)
-					ld = loadAt[q]
-					if ld == nil {
-						ld = ir.NewLoad("ssa.reload", slot)
-						q.InsertBefore(ld, q.Term())
-						loadAt[q] = ld
-					}
-				} else {
-					ld = loadFor[off.user]
-					if ld == nil {
-						ld = ir.NewLoad("ssa.reload", slot)
-						off.user.Parent().InsertBefore(ld, off.user)
-						loadFor[off.user] = ld
-					}
-				}
-				off.user.SetOperand(off.idx, ld)
-			}
+			byIndex[c] = append(byIndex[c], int(num[def]))
 		}
 	}
+	new(ssaScratch).buildSSA(f, dt, defOrder, byIndex, offs)
 	g.promoteAndFold()
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/ir"
@@ -13,52 +15,61 @@ import (
 // (§4.3) and applies phi-node coalescing (§4.4).
 //
 // Interweaving the members' control flow leaves some definitions no
-// longer dominating their uses (Figure 13a). Following the paper, each
-// offending definition is demoted to a fresh stack slot (store after
-// the definition, load at each offending use) and the standard SSA
-// construction algorithm — our Mem2Reg register promotion — re-promotes
-// the slots, placing phi-nodes exactly where needed. Loads on paths with
-// no reaching store become undef, playing the role of the paper's
-// pseudo-definition at the entry.
+// longer dominating their uses (Figure 13a). The paper demotes each
+// offending definition to a stack slot (a store after the definition, a
+// load at each offending use) and re-runs standard SSA construction on
+// the slots; that round trip is kept as the specification in
+// repair_spec_test.go. Here the same SSA is built directly, without the
+// memory: each class of offending definitions is one variable, its phis
+// go at the iterated dominance frontier of its definition blocks —
+// pruned to the blocks where the variable is live-in, so no phi is made
+// that no use can reach — and one dominator-tree walk rewrites every
+// offending operand to the definition reaching it. A use no definition
+// reaches reads undef, the paper's pseudo-definition at the entry.
 //
-// Phi-node coalescing assigns one shared slot to a class of *disjoint*
+// Phi-node coalescing makes one variable of a class of *disjoint*
 // definitions (each exclusive to a different member, same type) instead
-// of one slot each. All arms of a fid-indexed resolution over the class
-// then load the same slot, so the selection folds away along with the
-// redundant phis — exactly Figure 14b, generalized from pairs to up to
-// k defs per slot. Classes are grown greedily by descending user-block
+// of one each. All arms of a fid-indexed resolution over the class then
+// read the same variable, so the selection folds away along with the
+// redundant phis — exactly Figure 14b, generalized from pairs to up to k
+// defs per class. Classes are grown greedily by descending user-block
 // overlap.
 func (g *generator) repairSSA() {
-	promoteAndFold(g.merged, g.demoteOffenders())
+	f := g.merged
+	// The one dominator tree of this merged body: repair, register
+	// promotion and the phi/select folds all leave the CFG alone, so it is
+	// rebuilt only if an invoke's normal edge gets split.
+	dt := analysis.NewDomTree(f)
+	s := ssaPool.Get().(*ssaScratch)
+	defs, offenses := s.findOffenses(f, dt)
+	if len(defs) > 0 {
+		g.stats.RepairedDefs = len(defs)
+		dt = s.buildSSA(f, dt, defs, g.coalesce(defs), offenses)
+	}
+	s.release()
+	promoteAndFold(f, dt)
 }
 
-// demoteOffenders is the first half of repairSSA: every definition that
-// does not dominate all its uses goes through a stack slot, coalesced
-// with the disjoint definitions of its class. It returns the dominator
-// tree of the body it leaves.
-func (g *generator) demoteOffenders() *analysis.DomTree {
-	f := g.merged
-	// The one dominator tree of this merged body: repair's stores and
-	// loads, register promotion and the phi/select folds all leave the CFG
-	// alone, so it is rebuilt only if an invoke's normal edge gets split.
-	dt := analysis.NewDomTree(f)
+// An offense is one operand slot its definition does not dominate:
+// operand idx of user, whose definition is defs[def].
+type offense struct {
+	def  int32
+	user *ir.Instruction
+	idx  int
+}
 
-	// An offense is one operand slot its definition does not dominate.
-	// Offending definitions are numbered in discovery order (defs), and
-	// ordinal finds a definition's number through the merged body's own
-	// value numbering (0 = not offending, else number+1) — valid for this
-	// scan, which rewrites nothing.
-	type offense struct {
-		def  int32
-		user *ir.Instruction
-		idx  int
-	}
-	var (
-		defs     []*ir.Instruction
-		offenses []offense
-		num      = NewNumbering(f)
-		ordinal  = make([]int32, num.size)
-	)
+// findOffenses lists the definitions of f that do not dominate all their
+// uses, in discovery order, and every operand slot they fail to
+// dominate. Both lists live in s.
+func (s *ssaScratch) findOffenses(f *ir.Function, dt *analysis.DomTree) (defs []*ir.Instruction, offenses []offense) {
+	// ordinal finds a definition's number through f's own value numbering
+	// (0 = not offending, else number+1) — valid for this scan, which
+	// rewrites nothing.
+	num := numberInto(f, s.instrBase)
+	s.instrBase = num.instrBase
+	s.ordinal = resize(s.ordinal, num.size)
+	clear(s.ordinal)
+	defs, offenses = s.defs[:0], s.offenses[:0]
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs() {
 			for i := 0; i < in.NumOperands(); i++ {
@@ -66,7 +77,7 @@ func (g *generator) demoteOffenders() *analysis.DomTree {
 				if !ok || dt.DominatesUse(def, in, i) {
 					continue
 				}
-				o := &ordinal[num.of(def)]
+				o := &s.ordinal[num.of(def)]
 				if *o == 0 {
 					defs = append(defs, def)
 					*o = int32(len(defs))
@@ -75,89 +86,14 @@ func (g *generator) demoteOffenders() *analysis.DomTree {
 			}
 		}
 	}
-	if len(defs) == 0 {
-		return dt
-	}
-	g.stats.RepairedDefs = len(defs)
-	// Group the offenses by definition, discovery order kept within one:
-	// definition d's are offenses[start[d]:start[d+1]].
-	slices.SortStableFunc(offenses, func(x, y offense) int { return cmp.Compare(x.def, y.def) })
-	start := make([]int32, len(defs)+1)
-	for _, off := range offenses {
-		start[off.def+1]++
-	}
-	for d := 1; d < len(start); d++ {
-		start[d] += start[d-1]
-	}
-
-	// One load per offending use site, found again by a scan of the
-	// class's few loads, so that a fid-indexed resolution whose arms
-	// belong to the same class receives the same load repeatedly and
-	// folds away.
-	type reload struct {
-		at *ir.Block       // for a phi use: the incoming block the load ends
-		by *ir.Instruction // otherwise: the user the load precedes
-		ld *ir.Instruction
-	}
-	var reloads []reload
-
-	entry := f.Entry()
-	for _, class := range g.coalesce(defs) {
-		slot := ir.NewAlloca("ssa.slot", defs[class[0]].Type())
-		entry.InsertAtFront(slot)
-		// One store after each definition in the class.
-		for _, d := range class {
-			def := defs[d]
-			st := ir.NewStore(def, slot)
-			if def.Op() == ir.OpInvoke {
-				nb := transform.SplitInvokeNormalEdge(def)
-				nb.InsertAtFront(st)
-				dt = nil
-			} else if def.IsTerminator() {
-				panic("core: repairing a terminator value")
-			} else {
-				def.Parent().InsertAfter(st, def)
-			}
-		}
-		reloads = reloads[:0]
-		for _, d := range class {
-			for _, off := range offenses[start[d]:start[d+1]] {
-				var site reload
-				if off.user.Op() == ir.OpPhi {
-					site.at = off.user.IncomingBlock(off.idx / 2)
-				} else {
-					site.by = off.user
-				}
-				for _, r := range reloads {
-					if r.at == site.at && r.by == site.by {
-						site.ld = r.ld
-						break
-					}
-				}
-				if site.ld == nil {
-					site.ld = ir.NewLoad("ssa.reload", slot)
-					if site.at != nil {
-						site.at.InsertBefore(site.ld, site.at.Term())
-					} else {
-						site.by.Parent().InsertBefore(site.ld, site.by)
-					}
-					reloads = append(reloads, site)
-				}
-				off.user.SetOperand(off.idx, site.ld)
-			}
-		}
-	}
-	if dt == nil {
-		dt = analysis.NewDomTree(f)
-	}
-	return dt
+	s.defs, s.offenses = defs, offenses
+	return defs, offenses
 }
 
-// promoteAndFold is the second half of repairSSA: it re-promotes the
-// repair and landingpad slots of f (standard SSA construction) and folds
-// the selects/phis that coalescing made redundant. Nothing here alters
-// the CFG, so the dominator tree dt of f serves promotion and the whole
-// fixpoint loop.
+// promoteAndFold finishes repairSSA: it promotes the slots left in f —
+// the landingpads' — and folds the selects/phis that coalescing made
+// redundant. Nothing here alters the CFG, so the dominator tree dt of f
+// serves promotion and the whole fixpoint loop.
 func promoteAndFold(f *ir.Function, dt *analysis.DomTree) {
 	transform.Mem2RegWithDom(f, dt)
 	for {
@@ -170,6 +106,216 @@ func promoteAndFold(f *ir.Function, dt *analysis.DomTree) {
 	}
 }
 
+// buildSSA puts f back into SSA form over the offending definitions
+// defs, partitioned into classes (indices into defs; each class is one
+// variable), given every operand slot that reads one of them from a
+// place its definition does not dominate. dt is f's dominator tree; the
+// tree returned is f's afterwards, dt itself unless an invoke's normal
+// edge had to be split. It then removes the trivial phis, as register
+// promotion does.
+//
+// The result is what demoting every class to a stack slot and promoting
+// the slots again (transform.Mem2RegWithDom) gives, minus the phis no use
+// can reach: both place and rename through transform.BuildSSA, so the
+// phis keep the slot's name, sizing, order (class order, at the block
+// front) and incoming-edge order.
+func (s *ssaScratch) buildSSA(f *ir.Function, dt *analysis.DomTree, defs []*ir.Instruction, classes [][]int, offenses []offense) *analysis.DomTree {
+	// Class c is variable n-1-c. BuildSSA puts a block's phis at its front
+	// last variable first, so they come in class order, and adds edges to
+	// them in reverse class order: what promoting the slots did, whose
+	// allocas each went to the front of the entry, the last class's first.
+	n := len(classes)
+	// An invoke's value exists only on its normal edge, so it is defined
+	// from the start of a block split into that edge. Splitting retargets
+	// phis, so every invoke is split before any phi's incoming block is
+	// read.
+	s.defBlock = resize(s.defBlock, len(defs))
+	s.varOf = resize(s.varOf, len(defs))
+	s.vars = resize(s.vars, n)
+	s.varDefs = s.varDefs[:0]
+	split := false
+	for c, class := range classes {
+		start := len(s.varDefs)
+		for _, d := range class {
+			def := defs[d]
+			s.varOf[d] = int32(n - 1 - c)
+			switch {
+			case def.Op() == ir.OpInvoke:
+				s.defBlock[d] = transform.SplitInvokeNormalEdge(def)
+				split = true
+			case def.IsTerminator():
+				panic("core: repairing a terminator value")
+			default:
+				s.defBlock[d] = def.Parent()
+			}
+			s.varDefs = append(s.varDefs, s.defBlock[d])
+		}
+		s.vars[n-1-c] = transform.SSAVar{Name: "ssa.slot", Type: defs[class[0]].Type(), Defs: s.varDefs[start:len(s.varDefs):len(s.varDefs)]}
+	}
+	if split {
+		dt = analysis.NewDomTree(f)
+	}
+	nblocks := len(f.Blocks)
+
+	// The events of each block — definitions, and uses of the variables
+	// at offending operand slots — ordered by where they happen: an
+	// invoke's definition first, then by position (a user reads before it
+	// defines), then the phi operands read at the block's end. Uses in
+	// unreachable code read undef at once.
+	s.raw = s.raw[:0]
+	for d, def := range defs {
+		if b := s.defBlock[d]; dt.IsReachable(b) {
+			at := int32(2*def.Index() + 1)
+			if def.Op() == ir.OpInvoke {
+				at = -1
+			}
+			s.raw = append(s.raw, ssaEvent{block: int32(b.Index()), at: at, v: s.varOf[d], idx: -1, in: def})
+		}
+	}
+	for _, off := range offenses {
+		v := s.varOf[off.def]
+		b, at := off.user.Parent(), int32(2*off.user.Index())
+		if off.user.Op() == ir.OpPhi {
+			b, at = off.user.IncomingBlock(off.idx/2), math.MaxInt32
+		}
+		if !dt.IsReachable(b) {
+			off.user.SetOperand(off.idx, ir.NewUndef(s.vars[v].Type))
+			continue
+		}
+		s.raw = append(s.raw, ssaEvent{block: int32(b.Index()), at: at, v: v, idx: int32(off.idx), in: off.user})
+	}
+	// Grouped by block with a counting pass — block b's are
+	// events[evStart[b]:evStart[b+1]], a CSR filled as in
+	// analysis.csrStarts — then put in order within each block, where
+	// there are few.
+	s.evStart = resize(s.evStart, nblocks+2)
+	clear(s.evStart)
+	for _, e := range s.raw {
+		s.evStart[e.block+2]++
+	}
+	for i := 1; i < len(s.evStart); i++ {
+		s.evStart[i] += s.evStart[i-1]
+	}
+	s.events = resize(s.events, len(s.raw))
+	for _, e := range s.raw {
+		s.events[s.evStart[e.block+1]] = e
+		s.evStart[e.block+1]++
+	}
+	eventsOf := func(b *ir.Block) []ssaEvent { return s.events[s.evStart[b.Index()]:s.evStart[b.Index()+1]] }
+	for _, b := range f.Blocks {
+		if evs := eventsOf(b); len(evs) > 1 {
+			slices.SortStableFunc(evs, func(x, y ssaEvent) int { return cmp.Compare(x.at, y.at) })
+		}
+	}
+
+	// Liveness of every variable at once, one bitset row of w words per
+	// block: a block defines a variable if it holds one of its
+	// definitions, and reads it on entry if a use comes before any such
+	// definition. A backward fixpoint in postorder then gives the
+	// variables live at each block's entry, where alone a phi can be
+	// reached by a use.
+	w := (n + 63) / 64
+	s.bits = resize(s.bits, 3*nblocks*w+w)
+	clear(s.bits)
+	defines, reads, live, out := s.bits[:nblocks*w], s.bits[nblocks*w:2*nblocks*w], s.bits[2*nblocks*w:3*nblocks*w], s.bits[3*nblocks*w:]
+	for bi, b := range f.Blocks {
+		for _, e := range eventsOf(b) {
+			word, bit := bi*w+int(e.v/64), uint64(1)<<(e.v%64)
+			if e.idx < 0 {
+				defines[word] |= bit
+			} else if defines[word]&bit == 0 {
+				reads[word] |= bit
+			}
+		}
+	}
+	rpo := dt.RPO()
+	for changed := true; changed; {
+		changed = false
+		for i := len(rpo) - 1; i >= 0; i-- {
+			b := rpo[i]
+			clear(out)
+			if t := b.Term(); t != nil {
+				for _, op := range t.Operands() {
+					if succ, ok := op.(*ir.Block); ok {
+						for x, word := range live[succ.Index()*w:][:w] {
+							out[x] |= word
+						}
+					}
+				}
+			}
+			at := b.Index() * w
+			for x := range out {
+				in := reads[at+x] | out[x]&^defines[at+x]
+				if in != live[at+x] {
+					live[at+x] = in
+					changed = true
+				}
+			}
+		}
+	}
+
+	isLive := func(v int, b *ir.Block) bool { return live[b.Index()*w+v/64]&(1<<(v%64)) != 0 }
+	transform.BuildSSA(f, dt, s.vars, isLive, func(b *ir.Block, r *transform.Reaching) {
+		for _, e := range eventsOf(b) {
+			if e.idx < 0 {
+				r.Set(int(e.v), e.in)
+			} else {
+				e.in.SetOperand(int(e.idx), r.Get(int(e.v)))
+			}
+		}
+	})
+	transform.RemoveTrivialPhis(f, dt)
+	return dt
+}
+
+// ssaEvent is a definition of variable v (idx < 0; in is the
+// definition) or a use of it at operand idx of in, in merged block block
+// at position at.
+type ssaEvent struct {
+	block, at, v, idx int32
+	in                *ir.Instruction
+}
+
+// ssaScratch is repair's working memory. Every trial body needs it for
+// an instant, so repairSSA takes it from a pool rather than allocating
+// it per body.
+type ssaScratch struct {
+	instrBase, ordinal []int32
+	defs               []*ir.Instruction
+	offenses           []offense
+	varOf, evStart     []int32
+	bits               []uint64
+	defBlock, varDefs  []*ir.Block
+	vars               []transform.SSAVar
+	raw, events        []ssaEvent
+}
+
+var ssaPool = sync.Pool{New: func() any { return new(ssaScratch) }}
+
+// release returns s to the pool without the pointers into the body it
+// served: a pooled slice must not keep a discarded trial body alive. Each
+// slice ends a call at its high-water mark, so clearing to its length
+// clears all it was ever given.
+func (s *ssaScratch) release() {
+	clear(s.defs)
+	clear(s.offenses)
+	clear(s.defBlock)
+	clear(s.varDefs)
+	clear(s.vars)
+	clear(s.raw)
+	clear(s.events)
+	ssaPool.Put(s)
+}
+
+// resize returns a slice of length n, reusing s's array when it is large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // slotClass is one coalescing class under construction: defs from
 // pairwise-distinct members (the disjointness invariant), tracked by a
 // member bitmask.
@@ -179,8 +325,8 @@ type slotClass struct {
 	dead    bool // absorbed into an earlier class
 }
 
-// coalesce partitions the offending definitions into slot classes, each
-// a list of indices into defs. With PhiCoalescing disabled every
+// coalesce partitions the offending definitions into classes, each a
+// list of indices into defs. With PhiCoalescing disabled every
 // definition gets its own class. Otherwise definitions exclusive to
 // distinct members (equal types) are grouped greedily by descending
 // user-block overlap — for two members exactly the paper's disjoint
@@ -195,7 +341,7 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
 	}
 	single := func(d int) []int { return cells[d : d+1 : d+1] }
 	// The member bitmask below caps coalescing at 64 members; families
-	// that large get per-def slots (correct, just unoptimized).
+	// that large get per-def classes (correct, just unoptimized).
 	if !g.opts.PhiCoalescing || g.k > 64 {
 		out := make([][]int, len(defs))
 		for d := range defs {
@@ -207,7 +353,7 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
 	// executes solely under that member's identifier. Block exclusivity
 	// is what guarantees disjointness: a phi copied from one member into
 	// a matched-label block still executes (with undef inputs) under
-	// other identifiers, so sharing its slot with another member's
+	// other identifiers, so sharing its variable with another member's
 	// definition would clobber the live value.
 	side := func(d *ir.Instruction) int {
 		b := d.Parent()
@@ -295,7 +441,7 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
 			continue
 		}
 		// Merge cb into ca; record ca as a multi-def class on its first
-		// growth (the acceptance order drives slot creation order).
+		// growth (the acceptance order drives class order).
 		wasSingleton := len(ca.defs) == 1 && classOf[c.a] == nil
 		ca.defs = append(ca.defs, cb.defs...)
 		ca.members |= cb.members

@@ -91,12 +91,16 @@ func BenchmarkTrialBuild(b *testing.B) {
 // TestTrialBuildAllocBudget keeps trial codegen allocation-lean. At the
 // commit before blocks, dominators and the generator's tables became
 // dense (PR 14) the sample cost 3,779 allocs per trial build (196.7 kB);
-// it measures 955 since register promotion sizes its phis and renames
-// through an undo log (PR 21; 1,006 before), and the ceiling is that
-// figure with 5% of slack.
+// it measures 834 since SSA repair builds the SSA of the offending
+// classes directly instead of through stack slots (955 before; 1,006
+// before register promotion sized its phis and renamed through an undo
+// log), and the ceiling is that figure with 5% of slack.
 func TestTrialBuildAllocBudget(t *testing.T) {
 	const parentAllocs = 3779
-	const ceiling = 1000
+	const ceiling = 876
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
 	pairs := trialPairs(t, trialBuildPairs)
 	perSweep := testing.AllocsPerRun(1, func() {
 		for _, p := range pairs {
@@ -110,16 +114,16 @@ func TestTrialBuildAllocBudget(t *testing.T) {
 	}
 }
 
-// unfoldedFamilies returns n merged bodies of three- and four-member
-// synth clone families — of the larger functions, where a session's
-// flatten trials spend their time — as the first half of SSA repair leaves them:
-// offenders demoted to slots, nothing promoted or folded yet.
-func unfoldedFamilies(tb testing.TB, n int) []*ir.Function {
+// unrepairedFamilies returns the generators of n merged bodies of three-
+// and four-member synth clone families — of the larger functions, where
+// a session's flatten trials spend their time — stopped where SSA repair
+// takes over: every phi incoming assigned, no dominance repaired yet.
+func unrepairedFamilies(tb testing.TB, n int) []*generator {
 	tb.Helper()
-	var bodies []*ir.Function
-	for seed := int64(0); len(bodies) < n; seed++ {
+	var gens []*generator
+	for seed := int64(0); len(gens) < n; seed++ {
 		if seed > int64(4*n) {
-			tb.Fatalf("only %d of %d families found", len(bodies), n)
+			tb.Fatalf("only %d of %d families found", len(gens), n)
 		}
 		k := 3 + int(seed%2)
 		m := synth.Generate(synth.Profile{
@@ -136,53 +140,42 @@ func unfoldedFamilies(tb testing.TB, n int) []*ir.Function {
 		for i, name := range names {
 			fns[i] = m.FuncByName(name)
 		}
-		plan, err := PlanParams(fns...)
+		g, err := unrepaired(m, fns, "unrepaired", DefaultOptions())
 		if err != nil {
 			tb.Fatal(err)
 		}
-		var stats Stats
-		items, err := alignFamilyCtx(context.Background(), fns, DefaultOptions(), &stats)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		g := newGenerator(m, fns, "unfolded", plan, DefaultOptions())
-		g.createPadSlots()
-		g.buildCFG(items)
-		g.assignValueOperands()
-		g.assignLabelOperands()
-		g.createLandingBlocks()
-		g.assignPhiIncomings()
-		g.demoteOffenders()
-		bodies = append(bodies, g.merged)
+		gens = append(gens, g)
 	}
-	return bodies
+	return gens
 }
 
-const promoteAndFoldBodies = 50
+const repairBodies = 50
 
-// BenchmarkPromoteAndFold measures the second half of SSA repair —
-// register promotion and the phi/select folds to their fixpoint — on one
-// k-ary family body per op, each a fresh clone made off the clock; run
-// it with -benchtime 50x (or a multiple) for one even sweep.
-func BenchmarkPromoteAndFold(b *testing.B) {
-	bodies := unfoldedFamilies(b, promoteAndFoldBodies)
-	clones := make([]*ir.Function, len(bodies))
-	trees := make([]*analysis.DomTree, len(bodies))
+// BenchmarkRepairSSA measures the whole of SSA repair — the offender
+// scan, SSA construction over the offending classes, landingpad
+// promotion and the phi/select folds to their fixpoint — on one k-ary
+// family body per op, each a fresh copy of the unrepaired body made off
+// the clock; run it with -benchtime 50x (or a multiple) for one even
+// sweep.
+func BenchmarkRepairSSA(b *testing.B) {
+	gens := unrepairedFamilies(b, repairBodies)
+	copies := make([]generator, len(gens))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at := i % len(bodies)
+		at := i % len(gens)
 		if at == 0 {
-			// One sweep's clones at a time: stopping the clock costs more
-			// than a small body does.
+			// One sweep's copies at a time: stopping the clock costs more
+			// than a small body does. Coalescing reads the block-origin
+			// table by block index, which a clone keeps.
 			b.StopTimer()
-			for j, body := range bodies {
-				clones[j], _ = ir.CloneFunction(body, "unfolded")
-				trees[j] = analysis.NewDomTree(clones[j])
+			for j, g := range gens {
+				copies[j] = *g
+				copies[j].merged, _ = ir.CloneFunction(g.merged, "unrepaired")
 			}
 			b.StartTimer()
 		}
-		promoteAndFold(clones[at], trees[at])
+		copies[at].repairSSA()
 	}
 }
 

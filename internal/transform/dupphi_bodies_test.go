@@ -35,7 +35,7 @@ func TestDuplicatePhisMatchSpecOnMergedBodies(t *testing.T) {
 	rand.New(rand.NewSource(1)).Shuffle(len(funcs), func(i, j int) { funcs[i], funcs[j] = funcs[j], funcs[i] })
 	finder := search.New(search.KindLSH, m.Defined())
 	// …and the 50 three- and four-member families its
-	// BenchmarkPromoteAndFold does.
+	// BenchmarkRepairSSA does.
 	type family struct {
 		m   *ir.Module
 		fns []*ir.Function

@@ -5,6 +5,9 @@
 package transform
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/analysis"
 	"repro/internal/ir"
 )
@@ -66,7 +69,6 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 	if dt == nil {
 		dt = analysis.NewDomTree(f)
 	}
-	df := analysis.NewDomFrontier(dt)
 
 	index := make(map[*ir.Instruction]int, len(allocas))
 	for i, a := range allocas {
@@ -92,112 +94,22 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 		}
 	}
 
-	// Phi placement at iterated dominance frontiers of the store blocks:
-	// first where, alloca by alloca, then the phis themselves, grouped by
-	// block with alloca order kept within one — block b's are
-	// placements[phiStart[b]:phiStart[b+1]], a CSR filled as in
-	// analysis.csrStarts.
-	type placed struct {
-		alloca int32
-		phi    *ir.Instruction
-	}
-	var (
-		where              []struct{ block, alloca int32 }
-		defBlocks, idf     []*ir.Block
-		nblocks            = len(f.Blocks)
-		slab               = make([]int32, 2*nblocks+2)
-		phiStart, lastSeen = slab[:nblocks+2], slab[nblocks+2:]
-	)
-	// lastSeen[b] == tag says block b was already listed under tag: per
-	// alloca while collecting store blocks, per visited block while adding
-	// phi edges below. Tags are 1-based and never repeat.
-	tag := int32(0)
+	// One variable per alloca, defined in the blocks that store to it.
+	sb := buildPool.Get().(*ssaBuild)
+	defer sb.release()
+	sb.vars, sb.stores = slices.Grow(sb.vars[:0], len(allocas))[:len(allocas)], sb.stores[:0]
 	for i, a := range allocas {
-		tag++
-		defBlocks = defBlocks[:0]
+		start := len(sb.stores)
 		for _, u := range ir.UsesOf(a) {
-			if u.User.Op() != ir.OpStore {
-				continue
-			}
-			if b := u.User.Parent(); lastSeen[b.Index()] != tag {
-				lastSeen[b.Index()] = tag
-				defBlocks = append(defBlocks, b)
+			if u.User.Op() == ir.OpStore {
+				sb.stores = append(sb.stores, u.User.Parent())
 			}
 		}
-		idf = df.Iterated(defBlocks, idf[:0])
-		for _, b := range idf {
-			where = append(where, struct{ block, alloca int32 }{int32(b.Index()), int32(i)})
-			phiStart[b.Index()+2]++
-		}
+		sb.vars[i] = SSAVar{Name: a.Name(), Type: a.AllocTy, Defs: sb.stores[start:len(sb.stores):len(sb.stores)]}
 	}
-	for i := 1; i < len(phiStart); i++ {
-		phiStart[i] += phiStart[i-1]
-	}
-	placements := make([]placed, len(where))
-	for _, at := range where {
-		// Renaming adds one edge per distinct reachable predecessor.
-		a := allocas[at.alloca]
-		phi := ir.NewPhiSized(a.Name(), a.AllocTy, dt.NumPreds(f.Blocks[at.block]))
-		placements[phiStart[at.block+1]] = placed{alloca: at.alloca, phi: phi}
-		phiStart[at.block+1]++
-	}
-	phisOf := func(b *ir.Block) []placed { return placements[phiStart[b.Index()]:phiStart[b.Index()+1]] }
-	// Each block takes its phis in one splice, the last alloca's first
-	// (the order one InsertAtFront per phi used to leave).
-	var front []*ir.Instruction
-	for _, b := range f.Blocks {
-		group := phisOf(b)
-		if len(group) == 0 {
-			continue
-		}
-		front = front[:0]
-		for i := len(group) - 1; i >= 0; i-- {
-			front = append(front, group[i].phi)
-		}
-		b.InsertAllAtFront(front)
-	}
-
-	// Renaming walk over the dominator tree, a block's children last to
-	// first. vals holds every alloca's reaching value at the walk's
-	// position; what a block overwrites is logged, and undone once its
-	// subtree is finished, so that its siblings start from their parent's
-	// values as it did.
-	type overwritten struct {
-		alloca int
-		val    ir.Value
-	}
-	type frame struct {
-		b    *ir.Block // nil: the subtree that logged undo[mark:] is finished
-		mark int
-	}
-	var (
-		vals  = make([]ir.Value, len(allocas))
-		undo  []overwritten
-		stack = []frame{{b: f.Entry()}}
-	)
-	for i, a := range allocas {
-		vals[i] = ir.NewUndef(a.AllocTy)
-	}
-	set := func(a int, v ir.Value) {
-		undo = append(undo, overwritten{a, vals[a]})
-		vals[a] = v
-	}
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if fr.b == nil {
-			for ; len(undo) > fr.mark; undo = undo[:len(undo)-1] {
-				last := undo[len(undo)-1]
-				vals[last.alloca] = last.val
-			}
-			continue
-		}
-		mark := len(undo)
-		for _, p := range phisOf(fr.b) {
-			set(int(p.alloca), p.phi)
-		}
-		for i := 0; i < fr.b.Len(); {
-			in := fr.b.Instrs()[i]
+	sb.build(f, dt, sb.vars, nil, func(b *ir.Block, r *Reaching) {
+		for i := 0; i < b.Len(); {
+			in := b.Instrs()[i]
 			a, ok := allocaAccess(in, index)
 			if !ok {
 				i++
@@ -205,12 +117,207 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 			}
 			switch in.Op() {
 			case ir.OpLoad:
-				ir.ReplaceAllUsesWith(in, vals[a])
+				ir.ReplaceAllUsesWith(in, r.Get(a))
 			case ir.OpStore:
-				set(a, in.Operand(0))
+				r.Set(a, in.Operand(0))
 			}
-			fr.b.Erase(in)
+			b.Erase(in)
 		}
+	})
+
+	for _, a := range allocas {
+		a.Parent().Erase(a)
+	}
+	RemoveTrivialPhis(f, dt)
+	return len(allocas)
+}
+
+// SSAVar is one variable of BuildSSA: the blocks that assign it (in any
+// order, repeats and unreachable blocks allowed), and the name and type
+// of the phis placed for it.
+type SSAVar struct {
+	Name string
+	Type ir.Type
+	Defs []*ir.Block
+}
+
+// Reaching holds every variable's reaching value at BuildSSA's position
+// in its walk.
+type Reaching struct {
+	vals []ir.Value
+	undo []overwritten
+}
+
+type overwritten struct {
+	v   int
+	val ir.Value
+}
+
+// Get returns variable v's reaching value.
+func (r *Reaching) Get(v int) ir.Value { return r.vals[v] }
+
+// Set makes val variable v's reaching value from here on: for the rest
+// of the block, its successors' phis and the blocks it dominates.
+func (r *Reaching) Set(v int, val ir.Value) {
+	r.undo = append(r.undo, overwritten{v, r.vals[v]})
+	r.vals[v] = val
+}
+
+// BuildSSA is the standard SSA construction algorithm (Cytron et al.)
+// over variables the caller defines. It places a phi for variable v in
+// every block b of the iterated dominance frontier of v.Defs for which
+// live(v, b) holds — every one when live is nil, the minimal placement —
+// and renames in one walk of f's dominator tree dt, a block's children
+// last to first. At each reachable block the block's phis become their
+// variables' reaching values, visit reads and assigns the variables
+// through r, and the values the block leaves flow into its successors'
+// phis, one edge per distinct successor. A variable nothing assigns on
+// the way reads undef.
+//
+// A block's phis go at its front, the last variable's first; each has
+// room for one edge per distinct reachable predecessor. Only phis are
+// added, so dt stays f's tree.
+func BuildSSA(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, live func(v int, b *ir.Block) bool, visit func(b *ir.Block, r *Reaching)) {
+	sb := buildPool.Get().(*ssaBuild)
+	defer sb.release()
+	sb.build(f, dt, vars, live, visit)
+}
+
+// ssaBuild is BuildSSA's working memory. Register promotion runs on
+// every function synth and canon generate, and SSA repair on every trial
+// body, so it is pooled.
+type ssaBuild struct {
+	r              Reaching
+	vars           []SSAVar // Mem2RegWithDom's variables
+	stores         []*ir.Block
+	slab           []int32
+	where          []struct{ block, v int32 }
+	defBlocks, idf []*ir.Block
+	placements     []placedPhi
+	front          []*ir.Instruction
+	stack          []walkFrame
+}
+
+type placedPhi struct {
+	v   int32
+	phi *ir.Instruction
+}
+
+type walkFrame struct {
+	b    *ir.Block // nil: the subtree that logged undo[mark:] is finished
+	mark int
+}
+
+var buildPool = sync.Pool{New: func() any { return new(ssaBuild) }}
+
+// release returns sb to the pool without the pointers into the body it
+// served: a pooled buffer must not keep a discarded body alive. Buffers
+// refilled within a call are cleared before each refill, and the walk's
+// stacks as they pop, so clearing to the length clears all.
+func (sb *ssaBuild) release() {
+	clear(sb.r.vals)
+	clear(sb.vars)
+	clear(sb.stores)
+	clear(sb.defBlocks)
+	clear(sb.idf)
+	clear(sb.placements)
+	clear(sb.front)
+	buildPool.Put(sb)
+}
+
+func (sb *ssaBuild) build(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, live func(v int, b *ir.Block) bool, visit func(b *ir.Block, r *Reaching)) {
+	// Phi placement at iterated dominance frontiers of the definition
+	// blocks: first where, variable by variable, then the phis
+	// themselves, grouped by block with variable order kept within one —
+	// block b's are placements[phiStart[b]:phiStart[b+1]], a CSR filled as
+	// in analysis.csrStarts.
+	df := analysis.NewDomFrontier(dt)
+	nblocks := len(f.Blocks)
+	sb.slab = slices.Grow(sb.slab[:0], 2*nblocks+2)[:2*nblocks+2]
+	clear(sb.slab)
+	phiStart, lastSeen := sb.slab[:nblocks+2], sb.slab[nblocks+2:]
+	sb.where = sb.where[:0]
+	// lastSeen[b] == tag says block b was already listed under tag: per
+	// variable while collecting definition blocks, per visited block
+	// while adding phi edges below. Tags are 1-based and never repeat.
+	tag := int32(0)
+	for v, x := range vars {
+		tag++
+		clear(sb.defBlocks)
+		sb.defBlocks = sb.defBlocks[:0]
+		for _, b := range x.Defs {
+			if lastSeen[b.Index()] != tag {
+				lastSeen[b.Index()] = tag
+				sb.defBlocks = append(sb.defBlocks, b)
+			}
+		}
+		clear(sb.idf)
+		sb.idf = df.Iterated(sb.defBlocks, sb.idf[:0])
+		for _, b := range sb.idf {
+			if live == nil || live(v, b) {
+				sb.where = append(sb.where, struct{ block, v int32 }{int32(b.Index()), int32(v)})
+				phiStart[b.Index()+2]++
+			}
+		}
+	}
+	for i := 1; i < len(phiStart); i++ {
+		phiStart[i] += phiStart[i-1]
+	}
+	sb.placements = slices.Grow(sb.placements[:0], len(sb.where))[:len(sb.where)]
+	for _, at := range sb.where {
+		// Renaming adds one edge per distinct reachable predecessor.
+		x := vars[at.v]
+		phi := ir.NewPhiSized(x.Name, x.Type, dt.NumPreds(f.Blocks[at.block]))
+		sb.placements[phiStart[at.block+1]] = placedPhi{v: at.v, phi: phi}
+		phiStart[at.block+1]++
+	}
+	phisOf := func(b *ir.Block) []placedPhi {
+		return sb.placements[phiStart[b.Index()]:phiStart[b.Index()+1]]
+	}
+	// Each block takes its phis in one splice, the last variable's first
+	// (the order one InsertAtFront per phi used to leave).
+	for _, b := range f.Blocks {
+		group := phisOf(b)
+		if len(group) == 0 {
+			continue
+		}
+		clear(sb.front)
+		sb.front = sb.front[:0]
+		for i := len(group) - 1; i >= 0; i-- {
+			sb.front = append(sb.front, group[i].phi)
+		}
+		b.InsertAllAtFront(sb.front)
+	}
+
+	// Renaming walk over the dominator tree, a block's children last to
+	// first. r holds every variable's reaching value at the walk's
+	// position; what a block overwrites is logged, and undone once its
+	// subtree is finished, so that its siblings start from their parent's
+	// values as it did. Popped entries are zeroed, so the pooled stacks
+	// hold no pointer past their length.
+	r := &sb.r
+	r.vals = slices.Grow(r.vals[:0], len(vars))[:len(vars)]
+	for v, x := range vars {
+		r.vals[v] = ir.NewUndef(x.Type)
+	}
+	sb.stack = append(sb.stack[:0], walkFrame{b: f.Entry()})
+	for len(sb.stack) > 0 {
+		fr := sb.stack[len(sb.stack)-1]
+		sb.stack[len(sb.stack)-1] = walkFrame{}
+		sb.stack = sb.stack[:len(sb.stack)-1]
+		if fr.b == nil {
+			for ; len(r.undo) > fr.mark; r.undo = r.undo[:len(r.undo)-1] {
+				last := &r.undo[len(r.undo)-1]
+				r.vals[last.v] = last.val
+				*last = overwritten{}
+			}
+			continue
+		}
+		mark := len(r.undo)
+		for _, p := range phisOf(fr.b) {
+			r.Set(int(p.v), p.phi)
+		}
+		visit(fr.b, r)
 		// Add successor phi edges once per predecessor block: a branch with
 		// both edges to the same block contributes a single incoming entry,
 		// matching Preds() dedup semantics.
@@ -224,23 +331,17 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 				lastSeen[s.Index()] = tag
 				ir.ReserveUses(fr.b, len(phisOf(s)))
 				for _, p := range phisOf(s) {
-					p.phi.AddIncoming(vals[p.alloca], fr.b)
+					p.phi.AddIncoming(r.vals[p.v], fr.b)
 				}
 			}
 		}
-		if len(undo) > mark {
-			stack = append(stack, frame{mark: mark})
+		if len(r.undo) > mark {
+			sb.stack = append(sb.stack, walkFrame{mark: mark})
 		}
 		for _, child := range dt.Children(fr.b) {
-			stack = append(stack, frame{b: child})
+			sb.stack = append(sb.stack, walkFrame{b: child})
 		}
 	}
-
-	for _, a := range allocas {
-		a.Parent().Erase(a)
-	}
-	RemoveTrivialPhis(f, dt)
-	return len(allocas)
 }
 
 // allocaAccess reports whether in is a load/store accessing one of the
