@@ -91,15 +91,17 @@ func BenchmarkTrialBuild(b *testing.B) {
 // TestTrialBuildAllocBudget keeps trial codegen allocation-lean. At the
 // commit before blocks, dominators and the generator's tables became
 // dense (PR 14) the sample cost 3,779 allocs per trial build (196.7 kB);
-// it measures 834 since SSA repair builds the SSA of the offending
+// it measures 847 since SSA repair builds the SSA of the offending
 // classes directly instead of through stack slots (955 before; 1,006
 // before register promotion sized its phis and renamed through an undo
-// log), and the ceiling is that figure with 5% of slack.
+// log), and the ceiling is that figure with 5% of slack. The race
+// detector drops pooled objects at random, so under it the ceiling stays
+// at 1,000, the budget before direct repair (it measures about 960).
 func TestTrialBuildAllocBudget(t *testing.T) {
 	const parentAllocs = 3779
-	const ceiling = 876
+	ceiling := 890
 	if raceEnabled {
-		t.Skip("the race detector drops pooled scratch at random")
+		ceiling = 1000
 	}
 	pairs := trialPairs(t, trialBuildPairs)
 	perSweep := testing.AllocsPerRun(1, func() {
@@ -109,7 +111,7 @@ func TestTrialBuildAllocBudget(t *testing.T) {
 	})
 	got := perSweep / float64(len(pairs))
 	t.Logf("%.0f allocs per trial build (ceiling %d, parent %d)", got, ceiling, parentAllocs)
-	if got > ceiling {
+	if got > float64(ceiling) {
 		t.Errorf("%.0f allocs per trial build, ceiling %d", got, ceiling)
 	}
 }

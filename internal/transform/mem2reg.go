@@ -5,9 +5,6 @@
 package transform
 
 import (
-	"slices"
-	"sync"
-
 	"repro/internal/analysis"
 	"repro/internal/ir"
 )
@@ -95,19 +92,18 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 	}
 
 	// One variable per alloca, defined in the blocks that store to it.
-	sb := buildPool.Get().(*ssaBuild)
-	defer sb.release()
-	sb.vars, sb.stores = slices.Grow(sb.vars[:0], len(allocas))[:len(allocas)], sb.stores[:0]
+	vars := make([]SSAVar, len(allocas))
+	var stores []*ir.Block
 	for i, a := range allocas {
-		start := len(sb.stores)
+		start := len(stores)
 		for _, u := range ir.UsesOf(a) {
 			if u.User.Op() == ir.OpStore {
-				sb.stores = append(sb.stores, u.User.Parent())
+				stores = append(stores, u.User.Parent())
 			}
 		}
-		sb.vars[i] = SSAVar{Name: a.Name(), Type: a.AllocTy, Defs: sb.stores[start:len(sb.stores):len(sb.stores)]}
+		vars[i] = SSAVar{Name: a.Name(), Type: a.AllocTy, Defs: stores[start:len(stores):len(stores)]}
 	}
-	sb.build(f, dt, sb.vars, nil, func(b *ir.Block, r *Reaching) {
+	BuildSSA(f, dt, vars, nil, func(b *ir.Block, r *Reaching) {
 		for i := 0; i < b.Len(); {
 			in := b.Instrs()[i]
 			a, ok := allocaAccess(in, index)
@@ -178,84 +174,40 @@ func (r *Reaching) Set(v int, val ir.Value) {
 // room for one edge per distinct reachable predecessor. Only phis are
 // added, so dt stays f's tree.
 func BuildSSA(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, live func(v int, b *ir.Block) bool, visit func(b *ir.Block, r *Reaching)) {
-	sb := buildPool.Get().(*ssaBuild)
-	defer sb.release()
-	sb.build(f, dt, vars, live, visit)
-}
-
-// ssaBuild is BuildSSA's working memory. Register promotion runs on
-// every function synth and canon generate, and SSA repair on every trial
-// body, so it is pooled.
-type ssaBuild struct {
-	r              Reaching
-	vars           []SSAVar // Mem2RegWithDom's variables
-	stores         []*ir.Block
-	slab           []int32
-	where          []struct{ block, v int32 }
-	defBlocks, idf []*ir.Block
-	placements     []placedPhi
-	front          []*ir.Instruction
-	stack          []walkFrame
-}
-
-type placedPhi struct {
-	v   int32
-	phi *ir.Instruction
-}
-
-type walkFrame struct {
-	b    *ir.Block // nil: the subtree that logged undo[mark:] is finished
-	mark int
-}
-
-var buildPool = sync.Pool{New: func() any { return new(ssaBuild) }}
-
-// release returns sb to the pool without the pointers into the body it
-// served: a pooled buffer must not keep a discarded body alive. Buffers
-// refilled within a call are cleared before each refill, and the walk's
-// stacks as they pop, so clearing to the length clears all.
-func (sb *ssaBuild) release() {
-	clear(sb.r.vals)
-	clear(sb.vars)
-	clear(sb.stores)
-	clear(sb.defBlocks)
-	clear(sb.idf)
-	clear(sb.placements)
-	clear(sb.front)
-	buildPool.Put(sb)
-}
-
-func (sb *ssaBuild) build(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, live func(v int, b *ir.Block) bool, visit func(b *ir.Block, r *Reaching)) {
 	// Phi placement at iterated dominance frontiers of the definition
 	// blocks: first where, variable by variable, then the phis
 	// themselves, grouped by block with variable order kept within one —
 	// block b's are placements[phiStart[b]:phiStart[b+1]], a CSR filled as
 	// in analysis.csrStarts.
-	df := analysis.NewDomFrontier(dt)
-	nblocks := len(f.Blocks)
-	sb.slab = slices.Grow(sb.slab[:0], 2*nblocks+2)[:2*nblocks+2]
-	clear(sb.slab)
-	phiStart, lastSeen := sb.slab[:nblocks+2], sb.slab[nblocks+2:]
-	sb.where = sb.where[:0]
+	type placed struct {
+		v   int32
+		phi *ir.Instruction
+	}
+	var (
+		where              []struct{ block, v int32 }
+		defBlocks, idf     []*ir.Block
+		df                 = analysis.NewDomFrontier(dt)
+		nblocks            = len(f.Blocks)
+		slab               = make([]int32, 2*nblocks+2)
+		phiStart, lastSeen = slab[:nblocks+2], slab[nblocks+2:]
+	)
 	// lastSeen[b] == tag says block b was already listed under tag: per
 	// variable while collecting definition blocks, per visited block
 	// while adding phi edges below. Tags are 1-based and never repeat.
 	tag := int32(0)
 	for v, x := range vars {
 		tag++
-		clear(sb.defBlocks)
-		sb.defBlocks = sb.defBlocks[:0]
+		defBlocks = defBlocks[:0]
 		for _, b := range x.Defs {
 			if lastSeen[b.Index()] != tag {
 				lastSeen[b.Index()] = tag
-				sb.defBlocks = append(sb.defBlocks, b)
+				defBlocks = append(defBlocks, b)
 			}
 		}
-		clear(sb.idf)
-		sb.idf = df.Iterated(sb.defBlocks, sb.idf[:0])
-		for _, b := range sb.idf {
+		idf = df.Iterated(defBlocks, idf[:0])
+		for _, b := range idf {
 			if live == nil || live(v, b) {
-				sb.where = append(sb.where, struct{ block, v int32 }{int32(b.Index()), int32(v)})
+				where = append(where, struct{ block, v int32 }{int32(b.Index()), int32(v)})
 				phiStart[b.Index()+2]++
 			}
 		}
@@ -263,53 +215,51 @@ func (sb *ssaBuild) build(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, l
 	for i := 1; i < len(phiStart); i++ {
 		phiStart[i] += phiStart[i-1]
 	}
-	sb.placements = slices.Grow(sb.placements[:0], len(sb.where))[:len(sb.where)]
-	for _, at := range sb.where {
+	placements := make([]placed, len(where))
+	for _, at := range where {
 		// Renaming adds one edge per distinct reachable predecessor.
 		x := vars[at.v]
 		phi := ir.NewPhiSized(x.Name, x.Type, dt.NumPreds(f.Blocks[at.block]))
-		sb.placements[phiStart[at.block+1]] = placedPhi{v: at.v, phi: phi}
+		placements[phiStart[at.block+1]] = placed{v: at.v, phi: phi}
 		phiStart[at.block+1]++
 	}
-	phisOf := func(b *ir.Block) []placedPhi {
-		return sb.placements[phiStart[b.Index()]:phiStart[b.Index()+1]]
-	}
+	phisOf := func(b *ir.Block) []placed { return placements[phiStart[b.Index()]:phiStart[b.Index()+1]] }
 	// Each block takes its phis in one splice, the last variable's first
 	// (the order one InsertAtFront per phi used to leave).
+	var front []*ir.Instruction
 	for _, b := range f.Blocks {
 		group := phisOf(b)
 		if len(group) == 0 {
 			continue
 		}
-		clear(sb.front)
-		sb.front = sb.front[:0]
+		front = front[:0]
 		for i := len(group) - 1; i >= 0; i-- {
-			sb.front = append(sb.front, group[i].phi)
+			front = append(front, group[i].phi)
 		}
-		b.InsertAllAtFront(sb.front)
+		b.InsertAllAtFront(front)
 	}
 
 	// Renaming walk over the dominator tree, a block's children last to
 	// first. r holds every variable's reaching value at the walk's
 	// position; what a block overwrites is logged, and undone once its
 	// subtree is finished, so that its siblings start from their parent's
-	// values as it did. Popped entries are zeroed, so the pooled stacks
-	// hold no pointer past their length.
-	r := &sb.r
-	r.vals = slices.Grow(r.vals[:0], len(vars))[:len(vars)]
+	// values as it did.
+	type frame struct {
+		b    *ir.Block // nil: the subtree that logged undo[mark:] is finished
+		mark int
+	}
+	r := &Reaching{vals: make([]ir.Value, len(vars))}
 	for v, x := range vars {
 		r.vals[v] = ir.NewUndef(x.Type)
 	}
-	sb.stack = append(sb.stack[:0], walkFrame{b: f.Entry()})
-	for len(sb.stack) > 0 {
-		fr := sb.stack[len(sb.stack)-1]
-		sb.stack[len(sb.stack)-1] = walkFrame{}
-		sb.stack = sb.stack[:len(sb.stack)-1]
+	stack := []frame{{b: f.Entry()}}
+	for len(stack) > 0 {
+		fr := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		if fr.b == nil {
 			for ; len(r.undo) > fr.mark; r.undo = r.undo[:len(r.undo)-1] {
-				last := &r.undo[len(r.undo)-1]
+				last := r.undo[len(r.undo)-1]
 				r.vals[last.v] = last.val
-				*last = overwritten{}
 			}
 			continue
 		}
@@ -336,10 +286,10 @@ func (sb *ssaBuild) build(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, l
 			}
 		}
 		if len(r.undo) > mark {
-			sb.stack = append(sb.stack, walkFrame{mark: mark})
+			stack = append(stack, frame{mark: mark})
 		}
 		for _, child := range dt.Children(fr.b) {
-			sb.stack = append(sb.stack, walkFrame{b: child})
+			stack = append(stack, frame{b: child})
 		}
 	}
 }
