@@ -6,8 +6,7 @@
 // Every table here is a slice keyed by ir.Block.Index or by a block's
 // reverse-postorder number, and successors are read off terminator
 // operands in place: the merging code generators rebuild these analyses
-// for every trial body, one block per instruction, so construction cost
-// is what matters.
+// for every trial body, so construction cost is what matters.
 package analysis
 
 import (

@@ -47,8 +47,8 @@ func TestSynthCFGsAgainstNaive(t *testing.T) {
 
 // TestMergedBodiesAgainstNaive replays 400 top-1 candidate pairs of the
 // 2k corpus through the code generator and checks the analyses on every
-// merged body, as generated (one block per aligned row, dispatches on
-// the function identifier) and after clean-up.
+// merged body, as generated (one block per straight-line run of aligned
+// rows, dispatches on the function identifier) and after clean-up.
 func TestMergedBodiesAgainstNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 400 merges")

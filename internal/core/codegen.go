@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/ir"
 )
 
@@ -35,6 +37,10 @@ type generator struct {
 	// appended to the merged function while the generator runs, so the
 	// table grows at its end.
 	origin []*ir.Block
+	// rows is the number of alignment rows, and blockNum[i] the row
+	// number (see blockNumber) of the i-th block buildCFG made.
+	rows     int
+	blockNum []int32
 
 	// padSlot maps original landingpad instructions with uses to the
 	// entry alloca through which their value flows (§4.2.2: landing
@@ -70,6 +76,8 @@ type genInstr struct {
 	// aligned onto in, in member order: one tag for exclusive code, two
 	// or more for merged instructions.
 	tags []taggedInstr
+	// row is the row number of in's row: 1 + its index among the rows.
+	row int32
 	// dia memoizes the switch-fed-phi dispatch built for in's first
 	// fid-varying operand (k >= 4 families), so further varying operands
 	// of the same instruction add one phi to the shared join instead of
@@ -84,10 +92,11 @@ type copiedPhi struct {
 
 // diamond is one switch-fed-phi dispatch: arms[t] is the arm block of
 // the instruction's t-th tag, join the block the phis and the
-// instruction itself live in.
+// instruction itself live in, dispatch the branch into the arms.
 type diamond struct {
-	arms []*ir.Block
-	join *ir.Block
+	arms     []*ir.Block
+	join     *ir.Block
+	dispatch *ir.Instruction
 }
 
 // Numbering numbers one function's values densely: arguments first,
@@ -116,6 +125,15 @@ func numberInto(f *ir.Function, buf []int32) Numbering {
 		x.size += b.Len()
 	}
 	return x
+}
+
+// ofEntry returns the number of an alignment entry of the numbered
+// function: its label's or its instruction's.
+func (x *Numbering) ofEntry(e *align.Entry) int {
+	if e.IsLabel() {
+		return x.nargs + e.Label.Index()
+	}
+	return x.of(e.Instr)
 }
 
 // of returns v's number; v must be an argument, block or instruction of
@@ -239,25 +257,43 @@ func (g *generator) createPadSlots() {
 	}
 }
 
-// buildCFG is §4.1: one merged block per alignment row, phis attached
-// to labels, chain branches reproducing each original block's internal
-// order.
+// buildCFG is §4.1 with one merged block per straight-line run of
+// alignment rows (fuseInto decides the runs): phis attached to labels,
+// and each run closed by a dispatch to where its members continue, which
+// keeps every original block's internal order. One block per row would
+// chain a run's rows with unconditional branches that only Simplify's
+// MergeStraightLineBlocks removes, after repair and folding paid for
+// them.
+//
+// The body after Simplify is byte for byte the one-block-per-row body:
+// a run's block is named after its first row, and a diamond's join and a
+// split invoke edge after their instruction's row; the closing dispatches
+// are appended in the order of their runs' last rows, as one block per
+// row appended its branches, so every target's predecessor order is the
+// same; and SSA repair reads row numbers where it used to read blocks
+// (blockNumber, ssaScratch.numberRows).
 func (g *generator) buildCFG(items []famItem) {
+	into := g.fuseInto(items)
 	entry := g.merged.NewBlockIn("entry")
 	for _, slot := range g.padSlotList {
 		entry.Append(slot)
 	}
 	// One slab holds every generated instruction's tags.
-	instrRows, ntags := 0, 0
-	for _, row := range items {
+	instrRows, ntags, heads := 0, 0, 0
+	for t, row := range items {
 		if !row.ents[row.firstMember()].IsLabel() {
 			instrRows++
 			ntags += row.memberCount()
 		}
+		if into[t] < 0 {
+			heads++
+		}
 	}
 	g.order = make([]genInstr, 0, instrRows)
 	tagSlab := make([]taggedInstr, 0, ntags)
-	g.origin = make([]*ir.Block, 0, (1+len(items))*g.k) // the entry and a block per row
+	g.origin = make([]*ir.Block, 0, (1+heads)*g.k) // the entry and a block per run
+	g.rows = len(items)
+	g.blockNum = make([]int32, 1, 1+heads) // the entry is row number 0
 	// Exclusive rows are named after their member.
 	labelPrefix := make([]string, g.k)
 	instrName := make([]string, g.k)
@@ -265,22 +301,31 @@ func (g *generator) buildCFG(items []famItem) {
 		labelPrefix[j] = "f" + strconv.Itoa(j+1) + "."
 		instrName[j] = "i" + strconv.Itoa(j+1)
 	}
-	for _, row := range items {
+	for t, row := range items {
 		first := row.firstMember()
 		e := row.ents[first]
+		merged := row.memberCount() >= 2
+		var b *ir.Block
 		switch {
-		case e.IsLabel() && row.memberCount() >= 2:
-			b := g.merged.NewBlockIn("m." + e.Label.Name())
+		case into[t] >= 0:
+			b = g.rowBlock(items[into[t]])
+		case e.IsLabel() && merged:
+			b = g.newRunBlock(t, "m."+e.Label.Name())
+		case e.IsLabel():
+			b = g.newRunBlock(t, labelPrefix[first]+e.Label.Name())
+		case merged:
+			b = g.newRunBlock(t, "mi")
+		default:
+			b = g.newRunBlock(t, instrName[first])
+		}
+		switch {
+		case e.IsLabel():
 			for j, re := range row.ents {
 				if re != nil {
 					g.placeLabel(j, re.Label, b)
 				}
 			}
-		case e.IsLabel():
-			b := g.merged.NewBlockIn(labelPrefix[first] + e.Label.Name())
-			g.placeLabel(first, e.Label, b)
-		case row.memberCount() >= 2:
-			b := g.merged.NewBlockIn("mi")
+		case merged:
 			mi := ir.CloneInstruction(e.Instr)
 			mi.SetName(e.Instr.Name())
 			b.Append(mi)
@@ -291,50 +336,156 @@ func (g *generator) buildCFG(items []famItem) {
 					g.placeInstr(j, re.Instr, mi, b)
 				}
 			}
-			g.order = append(g.order, genInstr{in: mi, tags: tagSlab[start:]})
+			g.order = append(g.order, genInstr{in: mi, tags: tagSlab[start:], row: int32(1 + t)})
 		default:
-			b := g.merged.NewBlockIn(instrName[first])
 			c := ir.CloneInstruction(e.Instr)
 			b.Append(c)
 			tagSlab = append(tagSlab, taggedInstr{member: first, orig: e.Instr})
-			g.order = append(g.order, genInstr{in: c, tags: tagSlab[len(tagSlab)-1:]})
+			g.order = append(g.order, genInstr{in: c, tags: tagSlab[len(tagSlab)-1:], row: int32(1 + t)})
 			g.placeInstr(first, e.Instr, c, b)
 		}
 	}
-	// Chain the items of every original block in order: next holds, for
-	// merged block b and member j (at b.Index()*k+j), the merged block
-	// with the following item of the same original block. Every merged
-	// block so far holds one row, so a mapped instruction's block is its
-	// row's.
-	next := make([]*ir.Block, len(g.merged.Blocks)*g.k)
-	for j := 0; j < g.k; j++ {
-		for _, ob := range g.fns[j].Blocks {
-			prev := g.mapLabel(j, ob)
-			for _, in := range ob.Instrs() {
-				if in.Op() == ir.OpPhi || in.Op() == ir.OpLandingPad {
-					continue
-				}
-				cur := g.mapped(j, in).(*ir.Instruction).Parent()
-				next[prev.Index()*g.k+j] = cur
-				prev = cur
+	// Close every run that does not end in a terminator, in row order:
+	// unconditionally when every member continues the same way, otherwise
+	// with a dispatch on the function identifier. A member continues at
+	// the next item of its original block, which starts a run of its own —
+	// a row that continued this run would be in b.
+	target := make([]*ir.Block, g.k)
+	for _, row := range items {
+		b := g.rowBlock(row)
+		if b.Term() != nil {
+			continue
+		}
+		for j, e := range row.ents {
+			target[j] = nil
+			if e != nil {
+				target[j] = g.mapped(j, chainNext(e)).(*ir.Instruction).Parent()
+			}
+		}
+		if target[row.firstMember()] != b {
+			g.appendDispatch(b, target)
+		}
+	}
+	// Entry dispatch on the function identifier.
+	for j := range target {
+		target[j] = g.mapLabel(j, g.fns[j].Entry())
+	}
+	g.appendDispatch(entry, target)
+}
+
+// fuseInto decides, from the members' numberings alone, which rows share
+// a merged block: into[t] is the row whose block row t goes into, or -1
+// when t starts a block. Instruction row t goes into row r when r is the
+// chain predecessor — the previous item in the same original block — of
+// every member present in t, and r has no other members; so every member
+// of r continues to t and nothing else reaches t. Label rows always start
+// a block: their phis take one incoming edge per predecessor, which
+// assignPhiIncomings maps back through one original block per member.
+// Merges across original blocks stay with Simplify.
+func (g *generator) fuseInto(items []famItem) []int32 {
+	const apart = -2 // members continue from different rows
+	size := 0
+	for j := range g.num {
+		size = max(size, g.num[j].size)
+	}
+	slab := make([]int32, len(items)+size)
+	into, rowOf := slab[:len(items)], slab[len(items):]
+	for t := range into {
+		into[t] = -1
+	}
+	for j := range g.num {
+		// rowOf[n] is the row of member j's item numbered n.
+		num := &g.num[j]
+		for t, row := range items {
+			if e := row.ents[j]; e != nil {
+				rowOf[num.ofEntry(e)] = int32(t)
+			}
+		}
+		for t, row := range items {
+			e := row.ents[j]
+			if e == nil || e.IsLabel() || into[t] == apart {
+				continue
+			}
+			switch r := rowOf[num.of(chainPrev(e.Instr))]; into[t] {
+			case -1:
+				into[t] = r
+			case r:
+			default:
+				into[t] = apart
 			}
 		}
 	}
-	// Insert chain branches into every block lacking a terminator:
-	// unconditional when every member continues the same way, otherwise
-	// a dispatch on the function identifier.
-	for _, b := range g.merged.Blocks {
-		if b == entry || b.Term() != nil {
-			continue
+	for t, r := range into {
+		if r < 0 || items[r].memberCount() != items[t].memberCount() {
+			into[t] = -1
 		}
-		g.appendDispatch(b, next[b.Index()*g.k:][:g.k])
 	}
-	// Entry dispatch on the function identifier.
-	starts := next[:g.k] // the entry's own row: nothing chains out of it
-	for j := range starts {
-		starts[j] = g.mapLabel(j, g.fns[j].Entry())
+	return into
+}
+
+// chainPrev returns the item before in in its block's linearization: the
+// previous instruction, or the block's label when in comes first.
+func chainPrev(in *ir.Instruction) ir.Value {
+	if i := in.Index(); i > 0 {
+		if p := in.Parent().Instrs()[i-1]; p.Op() != ir.OpPhi && p.Op() != ir.OpLandingPad {
+			return p
+		}
 	}
-	g.appendDispatch(entry, starts)
+	return in.Parent()
+}
+
+// chainNext returns the instruction after e, a label or a non-terminator,
+// in its block's linearization.
+func chainNext(e *align.Entry) *ir.Instruction {
+	if !e.IsLabel() {
+		return e.Instr.Parent().Instrs()[e.Instr.Index()+1]
+	}
+	for _, in := range e.Label.Instrs() {
+		if in.Op() != ir.OpPhi && in.Op() != ir.OpLandingPad {
+			return in
+		}
+	}
+	panic(fmt.Sprintf("core: block %%%s has no terminator", e.Label.Name()))
+}
+
+// newRunBlock appends the block of the run starting at row t.
+func (g *generator) newRunBlock(t int, name string) *ir.Block {
+	g.blockNum = append(g.blockNum, int32(1+t))
+	return g.merged.NewBlockIn(name)
+}
+
+// rowBlock returns the merged block holding row's label or instruction.
+func (g *generator) rowBlock(row famItem) *ir.Block {
+	j := row.firstMember()
+	e := row.ents[j]
+	if e.IsLabel() {
+		return g.mapLabel(j, e.Label)
+	}
+	return g.mapped(j, e.Instr).(*ir.Instruction).Parent()
+}
+
+// blockNumber returns b's row number: the index b would have among the
+// merged blocks if every row had a block of its own — 0 for the entry,
+// 1+t for the block a run starting at row t heads, and for a block made
+// after buildCFG its place after all the rows, in creation order.
+func (g *generator) blockNumber(b *ir.Block) int32 {
+	if i := b.Index(); i < len(g.blockNum) {
+		return g.blockNum[i]
+	}
+	return int32(1 + g.rows + b.Index() - len(g.blockNum))
+}
+
+// rowBlocks returns how many blocks the body would have if every row had
+// a block of its own: one more than the largest blockNumber.
+func (g *generator) rowBlocks() int { return 1 + g.rows + len(g.merged.Blocks) - len(g.blockNum) }
+
+// rowName is the name of the block gi's row starts: "mi" for a merged
+// instruction, "iN" for member N-1's own.
+func rowName(gi *genInstr) string {
+	if len(gi.tags) >= 2 {
+		return "mi"
+	}
+	return "i" + strconv.Itoa(gi.tags[0].member+1)
 }
 
 // appendDispatch terminates b with a branch to each member's target,
@@ -618,21 +769,15 @@ func (g *generator) diamondFor(gi *genInstr) *diamond {
 	}
 	in, tags := gi.in, gi.tags
 	b := in.Parent()
-	join := g.merged.NewBlockIn(b.Name() + ".phi")
-	// Move in and every following instruction (including the chain
-	// terminator) into the join block.
-	var moved []*ir.Instruction
-	seen := false
-	for _, x := range b.Instrs() {
-		if x == in {
-			seen = true
-		}
-		if seen {
-			moved = append(moved, x)
-		}
-	}
-	for _, x := range moved {
-		b.Remove(x)
+	// Named after in's row, not b, which may be a run's block or an
+	// earlier diamond's join.
+	join := g.merged.NewBlockIn(rowName(gi) + ".phi")
+	// Move in and every following instruction (the rest of the run and
+	// its terminator) into the join block, from the end, so that each
+	// removal shifts nothing.
+	moved := slices.Clone(b.Instrs()[in.Index():])
+	for i := len(moved) - 1; i >= 0; i-- {
+		b.Remove(moved[i])
 	}
 	for _, x := range moved {
 		join.Append(x)
@@ -646,9 +791,9 @@ func (g *generator) diamondFor(gi *genInstr) *diamond {
 		arms[t] = arm
 		members[t] = tag.member
 	}
-	b.Append(g.fidDispatch(members, arms))
+	dispatch := b.Append(g.fidDispatch(members, arms))
 	g.inheritOrigin(join, b)
-	gi.dia = &diamond{arms: arms, join: join}
+	gi.dia = &diamond{arms: arms, join: join, dispatch: dispatch}
 	return gi.dia
 }
 

@@ -186,18 +186,23 @@ func MergeAlignedCtx(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, nam
 // mergeAligned runs the code generator over a precomputed pairwise
 // alignment and parameter plan.
 func mergeAligned(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, name string, res *align.Result, plan *ParamPlan, opts Options) (*ir.Function, *Stats, error) {
+	stats := Stats{
+		Matches:      res.Matches,
+		InstrMatches: res.InstrMatches,
+		MatrixBytes:  res.MatrixBytes,
+	}
+	return mergeItems(ctx, m, []*ir.Function{f1, f2}, name, pairItems(res), plan, opts, stats)
+}
+
+// pairItems turns a pairwise alignment into the generator's rows.
+func pairItems(res *align.Result) []famItem {
 	items := make([]famItem, len(res.Pairs))
 	ents := make([]*align.Entry, 2*len(res.Pairs))
 	for i, p := range res.Pairs {
 		ents[2*i], ents[2*i+1] = p.A, p.B
 		items[i] = famItem{ents: ents[2*i : 2*i+2 : 2*i+2]}
 	}
-	stats := Stats{
-		Matches:      res.Matches,
-		InstrMatches: res.InstrMatches,
-		MatrixBytes:  res.MatrixBytes,
-	}
-	return mergeItems(ctx, m, []*ir.Function{f1, f2}, name, items, plan, opts, stats)
+	return items
 }
 
 // mergeItems runs the code generator over an item list (one row per

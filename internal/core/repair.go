@@ -41,13 +41,36 @@ func (g *generator) repairSSA() {
 	// rebuilt only if an invoke's normal edge gets split.
 	dt := analysis.NewDomTree(f)
 	s := ssaPool.Get().(*ssaScratch)
-	defs, offenses := s.findOffenses(f, dt)
+	defs, offenses := s.findOffenses(g, dt)
 	if len(defs) > 0 {
 		g.stats.RepairedDefs = len(defs)
-		dt = s.buildSSA(f, dt, defs, g.coalesce(defs), offenses)
+		nblocks := len(f.Blocks)
+		dt = s.buildSSA(f, dt, defs, g.coalesce(defs, s), offenses)
+		g.nameNormalEdges(nblocks)
 	}
 	s.release()
 	promoteAndFold(f, dt)
+}
+
+// nameNormalEdges names each block that repair put on an invoke's normal
+// edge — those from f.Blocks[from] on — after the invoke's row, as when
+// every row had a block of its own: its row's name, ".phi" if a diamond
+// moved the invoke into its join, then ".normal".
+func (g *generator) nameNormalEdges(from int) {
+	if len(g.merged.Blocks) == from {
+		return
+	}
+	for i := range g.order {
+		gi := &g.order[i]
+		if gi.in.Op() != ir.OpInvoke || gi.in.NormalDest().Index() < from {
+			continue
+		}
+		name := rowName(gi)
+		if gi.dia != nil {
+			name += ".phi"
+		}
+		gi.in.NormalDest().SetName(name + ".normal")
+	}
 }
 
 // An offense is one operand slot its definition does not dominate:
@@ -58,37 +81,113 @@ type offense struct {
 	idx  int
 }
 
-// findOffenses lists the definitions of f that do not dominate all their
-// uses, in discovery order, and every operand slot they fail to
-// dominate. Both lists live in s.
-func (s *ssaScratch) findOffenses(f *ir.Function, dt *analysis.DomTree) (defs []*ir.Instruction, offenses []offense) {
+// findOffenses lists the definitions of g's body that do not dominate
+// all their uses, in discovery order, and every operand slot they fail to
+// dominate. Both lists live in s. Instructions are visited by row number
+// (numberRows) — the order a scan of one block per row met them in — so
+// that the definitions, and with them the classes and their phis, come
+// in the order they always did.
+func (s *ssaScratch) findOffenses(g *generator, dt *analysis.DomTree) (defs []*ir.Instruction, offenses []offense) {
+	f := g.merged
+	s.numberRows(g)
 	// ordinal finds a definition's number through f's own value numbering
 	// (0 = not offending, else number+1) — valid for this scan, which
 	// rewrites nothing.
-	num := numberInto(f, s.instrBase)
-	s.instrBase = num.instrBase
-	s.ordinal = resize(s.ordinal, num.size)
+	s.ordinal = resize(s.ordinal, s.num.size)
 	clear(s.ordinal)
-	defs, offenses = s.defs[:0], s.offenses[:0]
+	// The instructions grouped by row number with a counting pass, block
+	// order kept within a row number — a CSR filled as in
+	// analysis.csrStarts.
+	s.rowStart = resize(s.rowStart, g.rowBlocks()+2)
+	clear(s.rowStart)
+	instrRows := s.rowNum[s.num.instrBase[0]:]
+	for _, n := range instrRows {
+		s.rowStart[n+2]++
+	}
+	for i := 1; i < len(s.rowStart); i++ {
+		s.rowStart[i] += s.rowStart[i-1]
+	}
+	s.visit = resize(s.visit, len(instrRows))
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs() {
-			for i := 0; i < in.NumOperands(); i++ {
-				def, ok := in.Operand(i).(*ir.Instruction)
-				if !ok || dt.DominatesUse(def, in, i) {
-					continue
-				}
-				o := &s.ordinal[num.of(def)]
-				if *o == 0 {
-					defs = append(defs, def)
-					*o = int32(len(defs))
-				}
-				offenses = append(offenses, offense{def: *o - 1, user: in, idx: i})
+			at := &s.rowStart[s.rowOf(in)+1]
+			s.visit[*at] = in
+			*at++
+		}
+	}
+	defs, offenses = s.defs[:0], s.offenses[:0]
+	for _, in := range s.visit {
+		for i := 0; i < in.NumOperands(); i++ {
+			def, ok := in.Operand(i).(*ir.Instruction)
+			if !ok || dt.DominatesUse(def, in, i) {
+				continue
 			}
+			o := &s.ordinal[s.num.of(def)]
+			if *o == 0 {
+				defs = append(defs, def)
+				*o = int32(len(defs))
+			}
+			offenses = append(offenses, offense{def: *o - 1, user: in, idx: i})
 		}
 	}
 	s.defs, s.offenses = defs, offenses
 	return defs, offenses
 }
+
+// numberRows numbers g's body (s.num) and gives every instruction its row
+// number (s.rowNum, read through rowOf): the blockNumber of the block it
+// would be in if every alignment row had a block of its own. Anchors fix
+// it — a row's instruction has its row's number, or its diamond join's
+// once a diamond moved it, and a diamond's dispatch has the row's number
+// — and the rest follows from where an instruction sits among them: a
+// phi has its block's number (a label's phis are its row's), an
+// instruction before an anchor has the anchor's (selects and reloads go
+// right before their user), one after the block's last anchor has that
+// anchor's (a run's closing dispatch, and what goes before it, belongs to
+// its last row), and an instruction of a block without anchors — the
+// entry, and the selection, arm and landing blocks — has the block's.
+func (s *ssaScratch) numberRows(g *generator) {
+	f := g.merged
+	s.num = numberInto(f, s.num.instrBase)
+	s.rowNum = resize(s.rowNum, s.num.size)
+	for i := range s.rowNum {
+		s.rowNum[i] = -1
+	}
+	for i := range g.order {
+		gi := &g.order[i]
+		n := gi.row
+		if gi.dia != nil {
+			s.rowNum[s.num.of(gi.dia.dispatch)] = gi.row
+			n = g.blockNumber(gi.dia.join)
+		}
+		s.rowNum[s.num.of(gi.in)] = n
+	}
+	for _, b := range f.Blocks {
+		base := g.blockNumber(b)
+		rn := s.rowNum[s.num.instrBase[b.Index()]:][:b.Len()]
+		from := len(b.Phis())
+		for i := range rn[:from] {
+			rn[i] = base
+		}
+		last := base
+		for i := from; i < len(rn); i++ {
+			if rn[i] >= 0 {
+				last = rn[i]
+				for w := from; w < i; w++ {
+					rn[w] = last
+				}
+				from = i + 1
+			}
+		}
+		for w := from; w < len(rn); w++ {
+			rn[w] = last
+		}
+	}
+}
+
+// rowOf returns in's row number; s must have numbered in's function
+// since it was last rewritten.
+func (s *ssaScratch) rowOf(in *ir.Instruction) int32 { return s.rowNum[s.num.of(in)] }
 
 // promoteAndFold finishes repairSSA: it promotes the slots left in f —
 // the landingpads' — and folds the selects/phis that coalescing made
@@ -280,14 +379,15 @@ type ssaEvent struct {
 // an instant, so repairSSA takes it from a pool rather than allocating
 // it per body.
 type ssaScratch struct {
-	instrBase, ordinal []int32
-	defs               []*ir.Instruction
-	offenses           []offense
-	varOf, evStart     []int32
-	bits               []uint64
-	defBlock, varDefs  []*ir.Block
-	vars               []transform.SSAVar
-	raw, events        []ssaEvent
+	num                       Numbering
+	rowNum, rowStart, ordinal []int32
+	visit, defs               []*ir.Instruction
+	offenses                  []offense
+	varOf, evStart            []int32
+	bits                      []uint64
+	defBlock, varDefs         []*ir.Block
+	vars                      []transform.SSAVar
+	raw, events               []ssaEvent
 }
 
 var ssaPool = sync.Pool{New: func() any { return new(ssaScratch) }}
@@ -297,6 +397,7 @@ var ssaPool = sync.Pool{New: func() any { return new(ssaScratch) }}
 // slice ends a call at its high-water mark, so clearing to its length
 // clears all it was ever given.
 func (s *ssaScratch) release() {
+	clear(s.visit)
 	clear(s.defs)
 	clear(s.offenses)
 	clear(s.defBlock)
@@ -332,7 +433,7 @@ type slotClass struct {
 // user-block overlap — for two members exactly the paper's disjoint
 // pairing, beyond two a class may collect one def per member (Figure 15
 // shows zero-overlap groupings are still worth coalescing).
-func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
+func (g *generator) coalesce(defs []*ir.Instruction, s *ssaScratch) [][]int {
 	// Every class is a sub-slice of one backing array; a singleton is its
 	// definition's own cell.
 	cells := make([]int, len(defs))
@@ -380,9 +481,10 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
 			shared = append(shared, d)
 		}
 	}
-	// usedIn[b.Index()] == mark says the definition being paired, number
-	// mark-1, has a user in merged block b.
-	usedIn := make([]int32, len(g.merged.Blocks))
+	// usedIn[n] == mark says the definition being paired, number mark-1,
+	// has a user of row number n: overlap counts users' blocks as if every
+	// row had one (numberRows), the blocks it always counted.
+	usedIn := make([]int32, g.rowBlocks())
 	type cand struct {
 		a, b    int
 		overlap int
@@ -408,7 +510,7 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
 			for _, d0 := range byMember[mi] {
 				mark := int32(d0) + 1
 				for _, u := range ir.UsesOf(defs[d0]) {
-					usedIn[u.User.Parent().Index()] = mark
+					usedIn[s.rowOf(u.User)] = mark
 				}
 				for _, d1 := range byMember[mj] {
 					if !ir.TypesEqual(defs[d0].Type(), defs[d1].Type()) {
@@ -416,7 +518,7 @@ func (g *generator) coalesce(defs []*ir.Instruction) [][]int {
 					}
 					ov := 0
 					for _, u := range ir.UsesOf(defs[d1]) {
-						if usedIn[u.User.Parent().Index()] == mark {
+						if usedIn[s.rowOf(u.User)] == mark {
 							ov++
 						}
 					}

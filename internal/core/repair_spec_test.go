@@ -30,7 +30,8 @@ func (g *generator) slotRepair() {
 func (g *generator) demoteOffenders() *analysis.DomTree {
 	f := g.merged
 	dt := analysis.NewDomTree(f)
-	defs, offenses := new(ssaScratch).findOffenses(f, dt)
+	s := new(ssaScratch)
+	defs, offenses := s.findOffenses(g, dt)
 	if len(defs) == 0 {
 		return dt
 	}
@@ -58,7 +59,7 @@ func (g *generator) demoteOffenders() *analysis.DomTree {
 	var reloads []reload
 
 	entry := f.Entry()
-	for _, class := range g.coalesce(defs) {
+	for _, class := range g.coalesce(defs, s) {
 		slot := ir.NewAlloca("ssa.slot", defs[class[0]].Type())
 		entry.InsertAtFront(slot)
 		// One store after each definition in the class.
@@ -133,6 +134,12 @@ func unrepaired(m *ir.Module, fns []*ir.Function, name string, opts Options) (*g
 	if err != nil {
 		return nil, err
 	}
+	return generate(m, fns, name, items, plan, opts), nil
+}
+
+// generate runs the code generator over the rows items of fns up to SSA
+// repair.
+func generate(m *ir.Module, fns []*ir.Function, name string, items []famItem, plan *ParamPlan, opts Options) *generator {
 	g := newGenerator(m, fns, name, plan, opts)
 	g.createPadSlots()
 	g.buildCFG(items)
@@ -140,7 +147,29 @@ func unrepaired(m *ir.Module, fns []*ir.Function, name string, opts Options) (*g
 	g.assignLabelOperands()
 	g.createLandingBlocks()
 	g.assignPhiIncomings()
-	return g, nil
+	return g
+}
+
+// clone returns a copy of g over a clone of its body, named name, with
+// the pointers SSA repair reads — the generated instructions and their
+// diamonds — moved to the clone, so that the copy can be repaired and g
+// stays as it is. The block-origin table, keyed by block index, needs no
+// moving.
+func (g *generator) clone(name string) *generator {
+	c := *g
+	c.merged, _ = ir.CloneFunction(g.merged, name)
+	at := func(in *ir.Instruction) *ir.Instruction {
+		return c.merged.Blocks[in.Parent().Index()].Instrs()[in.Index()]
+	}
+	c.order = slices.Clone(g.order)
+	for i := range c.order {
+		gi := &c.order[i]
+		gi.in = at(gi.in)
+		if d := gi.dia; d != nil {
+			gi.dia = &diamond{join: c.merged.Blocks[d.join.Index()], dispatch: at(d.dispatch)}
+		}
+	}
+	return &c
 }
 
 // MergeBothRepairs builds the merged body of fns twice, into a fresh

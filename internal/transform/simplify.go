@@ -223,13 +223,16 @@ func phisFoldable(b *ir.Block, v uses) bool {
 // MergeStraightLineBlocks merges each block pair (B, S) where B's only
 // exit is an unconditional branch to S and B is S's only predecessor.
 func MergeStraightLineBlocks(f *ir.Function) int {
-	// The merging code generators emit one block per aligned entry, so
-	// whole chains collapse here; after absorbing a successor the same
-	// block is retried immediately, keeping the pass linear in the chain
-	// length instead of one outer pass per merged block. For the same
-	// reason an absorbed block is only emptied where it stands — it has no
-	// terminator left, so the walk passes over it — and the whole group
-	// leaves the block list in one compaction at the end.
+	// The merging code generator emits one block per straight-line run of
+	// aligned rows, so what is left to merge is a label block reached
+	// only from the end of another (its original block's one
+	// predecessor), and what folding exposes; such merges can still chain,
+	// so after absorbing a successor the same block is retried
+	// immediately, keeping the pass linear in the chain length instead of
+	// one outer pass per merged block. For the same reason an absorbed
+	// block is only emptied where it stands — it has no terminator left,
+	// so the walk passes over it — and the whole group leaves the block
+	// list in one compaction at the end.
 	var absorbed []*ir.Block
 	for _, b := range f.Blocks {
 		for {
