@@ -65,14 +65,6 @@ func BenchmarkAblationThreshold5(b *testing.B) {
 	runAblation(b, driver.Config{Algorithm: driver.SalSSA, Threshold: 5, Target: costmodel.X86_64})
 }
 
-// BenchmarkAblationParallel4 plans candidate merges with four workers;
-// the committed merges are identical to BenchmarkAblationSalSSA, only
-// the wall clock changes.
-func BenchmarkAblationParallel4(b *testing.B) {
-	runAblation(b, driver.Config{Algorithm: driver.SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		Parallelism: 4})
-}
-
 // BenchmarkAblationSkipHot excludes the hottest tenth of functions from
 // merging (the paper's §5.7 profile-guided remedy for runtime overhead).
 func BenchmarkAblationSkipHot(b *testing.B) {

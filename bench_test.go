@@ -13,7 +13,6 @@ package repro
 
 import (
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -174,7 +173,7 @@ func BenchmarkMem2Reg(b *testing.B) {
 }
 
 // pipelineModule is the shared input of the whole-module pipeline
-// benchmarks (the serial loop vs the component scheduler).
+// benchmarks.
 func pipelineModule() *ir.Module {
 	return synth.Generate(synth.Profile{
 		Name: "pipe", Seed: 3, Funcs: 60,
@@ -183,26 +182,16 @@ func pipelineModule() *ir.Module {
 	})
 }
 
-func benchModulePipeline(b *testing.B, jobs int) {
+// BenchmarkModulePipeline measures the full driver on a mid-size module.
+func BenchmarkModulePipeline(b *testing.B) {
 	base := pipelineModule()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m := ir.CloneModule(base)
 		b.StartTimer()
-		driver.Run(m, driver.Config{Algorithm: driver.SalSSA, Threshold: 1,
-			Target: costmodel.X86_64, Parallelism: jobs})
+		driver.Run(m, driver.Config{Algorithm: driver.SalSSA, Threshold: 1, Target: costmodel.X86_64})
 	}
-}
-
-// BenchmarkModulePipeline measures the full driver on a mid-size module.
-func BenchmarkModulePipeline(b *testing.B) { benchModulePipeline(b, 1) }
-
-// BenchmarkModulePipelineParallel is the same pipeline with the planning
-// stage fanned out over all CPUs; the committed merge set is identical,
-// so the delta against BenchmarkModulePipeline is pure planning speedup.
-func BenchmarkModulePipelineParallel(b *testing.B) {
-	benchModulePipeline(b, runtime.NumCPU())
 }
 
 // BenchmarkModulePipelineLSH is the serial pipeline with candidate

@@ -5,12 +5,12 @@
 //	fmerge [-algo salssa|salssa-nopc|fmsa] [-t N] [-target x86-64|thumb]
 //	       [-linear-align] [-max-cells N] [-min-instrs N]
 //	       [-skip-hot f1,f2,...] [-finder exact|lsh] [-dup-fold] [-canon]
-//	       [-max-family N] [-rounds N] [-jobs N]
+//	       [-max-family N] [-rounds N]
 //	       [-cpuprofile f] [-memprofile f]
 //	       [-plan out.json | -apply plan.json]
 //	       [-v] [-print] [-pair f1,f2] file.ll [file2.ll ...]
 //	fmerge -corpus 10k|100k|1m|N [pipeline flags]
-//	fmerge -scale 10k,100k [-jobs N] [-scale-out BENCH_scale.json]
+//	fmerge -scale 10k,100k [-scale-out BENCH_scale.json]
 //
 // Without -pair, the whole-module pipeline runs (ranking + cost model);
 // with -pair, the named functions are merged unconditionally by the
@@ -75,12 +75,6 @@
 //	                functions re-enter the ranking between rounds, so
 //	                chains — and with -max-family >= 3, flattened
 //	                families — need N > 1
-//	-jobs N         run the merge loop's rows on N workers (0 = all
-//	                CPUs, 1 = the serial loop): the candidate graph's
-//	                connected components are tried side by side and
-//	                the loop validates each result before using it, so
-//	                merges, plans and the module are bit-identical to
-//	                a serial run at any value
 //
 // Scale modes (see README "Million-function corpora"):
 //
@@ -148,11 +142,10 @@ func main() {
 	canonFlag := flag.Bool("canon", false, "index through canonical views (normalization + GVN); widens -dup-fold to semantic duplicates")
 	maxFamily := flag.Int("max-family", 4, "flatten merge chains into k-ary families of up to N members (2 = always nest pairwise)")
 	rounds := flag.Int("rounds", 1, "re-optimize each module up to N times through one session (0 = to fixpoint); chains form across rounds, so flattening needs N > 1")
-	jobs := flag.Int("jobs", 1, "workers trying independent candidate components side by side (0 = all CPUs, 1 = serial loop); results are bit-identical at any value")
 	corpusTier := flag.String("corpus", "", "optimize a generated synthetic corpus at this tier (10k, 100k, 1m or a function count) instead of reading input files")
 	scaleTiers := flag.String("scale", "", "benchmark mode: stream each comma-separated corpus tier through a session and write a JSON artifact")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output file for the -scale artifact (\"-\" = stdout)")
-	verbose := flag.Bool("v", false, "report every recorded merge and the run's search, funnel and scheduler summaries on stderr")
+	verbose := flag.Bool("v", false, "report every recorded merge and the run's search and funnel summaries on stderr")
 	print := flag.Bool("print", false, "print the resulting module(s) to stdout")
 	pair := flag.String("pair", "", "merge exactly this comma-separated function pair, unconditionally (SalSSA variants only)")
 	planOut := flag.String("plan", "", "dry run: write the proposed merge plan as JSON to this file (\"-\" = stdout) and leave the module untouched")
@@ -167,7 +160,7 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		writeProfiles := startProfiles(*cpuProfile, *memProfile)
-		err := runScale(ctx, strings.Split(*scaleTiers, ","), *jobs, *scaleOut, *verbose)
+		err := runScale(ctx, strings.Split(*scaleTiers, ","), *scaleOut, *verbose)
 		writeProfiles()
 		if err != nil {
 			fatal(err)
@@ -239,7 +232,6 @@ func main() {
 		repro.WithDupFold(*dupFold),
 		repro.WithCanon(*canonFlag),
 		repro.WithMaxFamily(*maxFamily),
-		repro.WithParallelism(*jobs),
 	}
 	if *skipHot != "" {
 		opts = append(opts, repro.WithSkipHot(strings.Split(*skipHot, ",")...))
@@ -512,10 +504,6 @@ func reportModule(rep *repro.Report, label string, verbose bool, finder string) 
 		ac := rep.AlignCache
 		fmt.Fprintf(os.Stderr, "align: %d sequences interned (%d classes), %d cache hits\n",
 			ac.Misses, ac.Classes, ac.Hits)
-		if rep.Components > 0 {
-			fmt.Fprintf(os.Stderr, "scheduler: %d components captured in parallel, %d rows transplanted, %d repaired\n",
-				rep.Components, rep.Transplanted, rep.Repaired)
-		}
 		if rep.Families > 0 {
 			sizes := make([]int, 0, len(rep.FamilySizes))
 			for size := range rep.FamilySizes {

@@ -26,7 +26,6 @@ import (
 type scaleRun struct {
 	Tier  string `json:"tier"`
 	Funcs int    `json:"funcs"`
-	Jobs  int    `json:"jobs"`
 
 	GenerateSecs float64 `json:"generate_secs"`
 	IndexSecs    float64 `json:"index_secs"`
@@ -35,8 +34,7 @@ type scaleRun struct {
 
 	// Optimize-phase breakdown: candidate lookup, funnel screening,
 	// alignment DP, trial materialization (clone + codegen + simplify)
-	// and the commit-steps. Summed across workers, so the parts can
-	// exceed OptimizeSecs wall time at jobs > 1.
+	// and the commit-steps.
 	QuerySecs  float64 `json:"query_secs"`
 	ScreenSecs float64 `json:"screen_secs"`
 	AlignSecs  float64 `json:"align_secs"`
@@ -67,11 +65,6 @@ type scaleRun struct {
 	Merges        int `json:"merges"`
 	Folds         int `json:"folds"`
 
-	// Component-scheduler accounting (zero when jobs == 1).
-	Components   int `json:"components,omitempty"`
-	Transplanted int `json:"transplanted,omitempty"`
-	Repaired     int `json:"repaired,omitempty"`
-
 	// Finder work over the optimize phase: entries the size walk
 	// visited per query, and how many of those were distance-scored.
 	ProbedPerQuery  float64 `json:"probed_per_query"`
@@ -83,14 +76,14 @@ type scaleReport struct {
 }
 
 // runScale runs each tier once and writes the JSON artifact.
-func runScale(ctx context.Context, tiers []string, jobs int, out string, verbose bool) error {
+func runScale(ctx context.Context, tiers []string, out string, verbose bool) error {
 	var rep scaleReport
 	for _, tier := range tiers {
 		cfg, err := corpus.Tier(tier)
 		if err != nil {
 			return err
 		}
-		run, err := scaleOnce(ctx, tier, cfg, jobs, verbose)
+		run, err := scaleOnce(ctx, tier, cfg, verbose)
 		if err != nil {
 			return err
 		}
@@ -116,7 +109,7 @@ func runScale(ctx context.Context, tiers []string, jobs int, out string, verbose
 // measuring as it goes. The generate and index phases interleave (that
 // is the point of the streaming generator: no tier-sized scratch), so
 // their times are accumulated separately across batches.
-func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, jobs int, verbose bool) (*scaleRun, error) {
+func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, verbose bool) (*scaleRun, error) {
 	lsh, err := search.KindByName("lsh")
 	if err != nil {
 		return nil, err
@@ -124,7 +117,6 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, jobs int, ve
 	opt, err := repro.New(
 		repro.WithFinder(lsh),
 		repro.WithDupFold(true),
-		repro.WithParallelism(jobs),
 		// A corpus is optimized once, so nothing would ever flatten:
 		// skip the retention of original bodies that powers it.
 		repro.WithMaxFamily(2),
@@ -186,7 +178,6 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, jobs int, ve
 	run := &scaleRun{
 		Tier:  tier,
 		Funcs: cfg.Funcs,
-		Jobs:  opt.Parallelism(),
 
 		GenerateSecs: genDur.Seconds(),
 		IndexSecs:    idxDur.Seconds(),
@@ -216,10 +207,6 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, jobs int, ve
 		SavedBytes:    r.BaselineBytes - r.FinalBytes,
 		Merges:        len(r.Merges),
 		Folds:         len(r.Folds),
-
-		Components:   r.Components,
-		Transplanted: r.Transplanted,
-		Repaired:     r.Repaired,
 
 		ScannedPerQuery: r.Search.AvgScanned(),
 	}

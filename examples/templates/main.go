@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"runtime"
 
 	repro "repro"
 	"repro/internal/ir"
@@ -45,28 +44,13 @@ func main() {
 			rep.Reduction(), rep.TotalTime.Round(1000000))
 	}
 
-	// The same threshold-1 run with independent clone families tried
-	// side by side: the committed merges are identical, whatever the
-	// worker count.
-	par, err := repro.New(repro.WithParallelism(runtime.NumCPU()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := ir.CloneModule(base)
-	rep, err := par.Optimize(ctx, m)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("SalSSA[t=1, %d jobs]: %2d merges, same result, in %v (%d components side by side)\n",
-		runtime.NumCPU(), len(rep.Merges), rep.TotalTime.Round(1000000), rep.Components)
-
 	fmt.Println()
 	fmsa, err := repro.New(repro.WithAlgorithm(repro.FMSA))
 	if err != nil {
 		log.Fatal(err)
 	}
-	m = ir.CloneModule(base)
-	rep, err = fmsa.Optimize(ctx, m)
+	m := ir.CloneModule(base)
+	rep, err := fmsa.Optimize(ctx, m)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,10 +2,10 @@ package align
 
 // Pooled DP storage. Alignment scratch — the banded kernel's prefix sums,
 // row intervals, score rows and direction bytes, and Hirschberg's row
-// buffers — is recycled across trials and across the planner's workers
-// (sync.Pool is concurrency-safe and per-P sharded) rather than garbaged
-// per candidate pair. Nothing pooled points into the IR, and every
-// buffer grows to the largest request its worker has served.
+// buffers — is recycled across trials, and across sessions running side
+// by side (sync.Pool is concurrency-safe and per-P sharded), rather than
+// garbaged per candidate pair. Nothing pooled points into the IR, and
+// every buffer grows to the largest request it has served.
 //
 // Pooling does not touch the MatrixBytes accounting: Result.MatrixBytes
 // reports the paper's footprint, (n+1)(m+1) cells x 5 bytes — what

@@ -38,8 +38,7 @@ type Forced struct {
 // the two functions numbered by n1 and n2 along pairs — an alignment of
 // their linearizations, A entries from the first — under plan and opts.
 // It reads the alignment and the originals only: nothing is cloned,
-// built or mutated, so it may run concurrently with anything that leaves
-// the two bodies alone. Whatever it cannot prove is left out, so each
+// built or mutated. Whatever it cannot prove is left out, so each
 // count is a lower bound on what Stats reports for the same merge.
 func CountForced(pairs []align.Pair, n1, n2 *Numbering, plan *ParamPlan, opts Options) Forced {
 	// row[j][number] is 1 + the index of the matched row that places

@@ -28,8 +28,6 @@ package costmodel
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/align"
 	"repro/internal/core"
@@ -81,15 +79,14 @@ type FuncProfile struct {
 
 	// slack is computed lazily: it needs a clone plus a Simplify run,
 	// which is too expensive to pay at index time for functions that
-	// are never screened. sync.Once makes the lazy fill safe under the
-	// capture workers' concurrency; slackKnown lets BoundLazy read an
-	// already-settled value without ever forcing the computation.
-	// reducible, settled by the same run, records whether clean-up finds
-	// anything at all to do to the function.
-	slackOnce  sync.Once
+	// are never screened. slackKnown lets BoundLazy read an already
+	// settled value without ever forcing the computation. reducible,
+	// settled by the same run, records whether clean-up finds anything
+	// at all to do to the function. A profile is not safe for concurrent
+	// use: it belongs to one session's funnel.
 	slack      int
 	reducible  bool
-	slackKnown atomic.Bool
+	slackKnown bool
 }
 
 // NewFuncProfile builds the screening profile of f from its interned
@@ -144,23 +141,23 @@ func NewFuncProfile(f *ir.Function, target Target, seq align.Seq) *FuncProfile {
 // them. Computed once per profile and cached: a function
 // transform.Settled finds clean has none, and only one it leaves
 // undecided pays for a clone and a Simplify run (the clone never joins
-// a module). Both reads of the original are read-only, and nothing
-// writes a module function while profiles are being settled — capture
-// workers only clone, and CloneFunction is read-only on its source.
+// a module). Both reads of the original are read-only: CloneFunction
+// never touches its source.
 func (p *FuncProfile) Slack() int {
-	p.slackOnce.Do(func() {
-		p.reducible = transform.HasPromotable(p.fn)
-		if !transform.Settled(p.fn) {
-			c, _ := ir.CloneFunction(p.fn, p.fn.Name())
-			if transform.Simplify(c) > 0 {
-				p.reducible = true
-			}
-			if s := FuncBytes(p.fn, p.target) - FuncBytes(c, p.target); s > 0 {
-				p.slack = s
-			}
+	if p.slackKnown {
+		return p.slack
+	}
+	p.reducible = transform.HasPromotable(p.fn)
+	if !transform.Settled(p.fn) {
+		c, _ := ir.CloneFunction(p.fn, p.fn.Name())
+		if transform.Simplify(c) > 0 {
+			p.reducible = true
 		}
-		p.slackKnown.Store(true)
-	})
+		if s := FuncBytes(p.fn, p.target) - FuncBytes(c, p.target); s > 0 {
+			p.slack = s
+		}
+	}
+	p.slackKnown = true
 	return p.slack
 }
 
@@ -176,14 +173,9 @@ func (p *FuncProfile) Irreducible() bool {
 }
 
 // SlackIfKnown returns the slack term without forcing its computation:
-// (slack, true) once Slack has settled, (0, false) before. The atomic
-// store inside Slack's once-body publishes the value, so a true answer
-// always pairs with the settled slack.
+// (slack, true) once Slack has settled, (0, false) before.
 func (p *FuncProfile) SlackIfKnown() (int, bool) {
-	if p.slackKnown.Load() {
-		return p.slack, true
-	}
-	return 0, false
+	return p.slack, p.slackKnown
 }
 
 // PairBound is the stage-1 screening verdict for one candidate pair.

@@ -32,35 +32,33 @@ func TestAlignCacheReported(t *testing.T) {
 	}
 }
 
-// TestParallelLSHDupFoldMatchesSerial is the full-pipeline equivalence
-// check of the allocation-free alignment core: component capture in 8
-// workers (clone trials riding on copied class vectors), LSH candidate
-// discovery over class-bigram sketches, and duplicate folding must
-// commit exactly the serial exact-finder merge set. Run with -race this
-// also exercises cache/interner concurrency.
-func TestParallelLSHDupFoldMatchesSerial(t *testing.T) {
+// TestLSHDupFoldMatchesExact is the full-pipeline equivalence check of
+// the indexed finder under duplicate folding: with folds tombstoning
+// functions before the loop, the LSH finder's lists must still commit
+// exactly the exact finder's merge set.
+func TestLSHDupFoldMatchesExact(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, threshold := range []int{1, 3} {
 			name := fmt.Sprintf("seed%d-t%d", seed, threshold)
 			base := testModule(t, seed)
 
-			serial := Run(ir.CloneModule(base), Config{
+			exact := Run(ir.CloneModule(base), Config{
 				Algorithm: SalSSA, Threshold: threshold, Target: costmodel.X86_64,
 				DupFold: true,
 			})
 
 			mp := ir.CloneModule(base)
-			parallel, err := RunContext(context.Background(), mp, Config{
+			lsh, err := RunContext(context.Background(), mp, Config{
 				Algorithm: SalSSA, Threshold: threshold, Target: costmodel.X86_64,
-				DupFold: true, Finder: search.KindLSH, Parallelism: 8,
+				DupFold: true, Finder: search.KindLSH,
 			})
 			if err != nil {
-				t.Fatalf("%s: parallel run failed: %v", name, err)
+				t.Fatalf("%s: LSH run failed: %v", name, err)
 			}
-			sameMerges(t, serial, parallel)
-			if len(serial.Folds) != len(parallel.Folds) {
+			sameMerges(t, exact, lsh)
+			if len(exact.Folds) != len(lsh.Folds) {
 				t.Errorf("%s: fold count differs: %d vs %d",
-					name, len(serial.Folds), len(parallel.Folds))
+					name, len(exact.Folds), len(lsh.Folds))
 			}
 			if err := ir.VerifyModule(mp); err != nil {
 				t.Fatalf("%s: merged module does not verify: %v", name, err)

@@ -182,7 +182,7 @@ func (c *candidateCache) applyDelta(changed, removed []*ir.Function) {
 // patch inserts the newly (re-)indexed d, at distance dist inside
 // owner's radius, at its (distance, name) position in owner's list and
 // returns the list's new radius. The patched list is a fresh slice:
-// cached lists are aliased by walk rows and capture logs.
+// cached lists are aliased by walk rows.
 func (c *candidateCache) patch(owner, d *ir.Function, dist int32) int32 {
 	self, old := c.fps[owner], c.lists[owner]
 	i := len(old)

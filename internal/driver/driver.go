@@ -18,10 +18,8 @@
 //     commit-step that adopts the merged function into the module,
 //     replaces the originals with thunks and updates the indexes.
 //     Session.Plan runs the same loop dry, returning a serializable Plan
-//     that Session.Apply can commit later. At Config.Parallelism > 1 the
-//     rows of independent candidate components are captured side by
-//     side first (components.go) and the loop validates each captured
-//     row before using it, so the outcome is the serial loop's.
+//     that Session.Apply can commit later. The loop runs on the caller's
+//     goroutine.
 //
 // Everything polls a context.Context, so a run can be cancelled mid-way;
 // committed merges are never rolled back, and the module remains valid.
@@ -166,19 +164,6 @@ type Config struct {
 	// CommitFilter, when non-nil, decides whether the i-th profitable
 	// merge is committed (used by the Figure 19 isolation study).
 	CommitFilter func(i int) bool
-	// Parallelism, when > 1, is the worker count of the component
-	// scheduler (components.go): the candidate graph is partitioned into
-	// connected components of top-t candidate edges, each component's
-	// rows are captured on a worker with dry-run overlays, and the
-	// greedy loop uses a captured row only after proving its candidate
-	// list is what the loop sees at that turn, running the row-step
-	// otherwise. Module text, records and plans are bit-identical to
-	// the serial loop's at any value and under every other option;
-	// values <= 1, and runs with fewer than two components, are the
-	// serial loop. Every captured winner stays alive until its turn, so
-	// capture trades memory for wall clock; MaxCells bounds the
-	// per-trial alignment matrices.
-	Parallelism int
 	// NoPlanFunnel disables the three-stage planning funnel (profit
 	// upper-bound screening, bounded alignment DP, lazy trial
 	// materialization). Every stage is admissible — a pair is only
@@ -247,19 +232,11 @@ type Result struct {
 	AlignCache align.CacheStats
 	// TotalTime is the whole run (Figure 24's overhead).
 	TotalTime time.Duration
-	// Components, Transplanted and Repaired report the component
-	// scheduler (Config.Parallelism > 1): Components counts the
-	// multi-member candidate components whose rows were captured in
-	// parallel, Transplanted the rows whose captured decision the loop's
-	// validation accepted, and Repaired the captured rows it re-ran
-	// because the live candidate list had shifted. All zero for serial
-	// runs.
-	Components, Transplanted, Repaired int
 }
 
 // Counters is the accounting every row-step and commit-step folds into
-// the run's Result through add — one struct, so a captured row carries
-// its share until the loop accepts it.
+// the run's Result through add — one struct, so a row's share is summed
+// in one place whichever loop (walk, Apply) ran it.
 type Counters struct {
 	// Attempts counts the candidate pairs the loop considered (including
 	// unprofitable ones), however cheaply each was dispatched.
@@ -279,13 +256,12 @@ type Counters struct {
 	// Screened, aborted and skipped pairs all stay counted in Attempts.
 	PairsScreened, DPAborted, TrialsBuilt, TrialsSkipped int
 	// AlignTime and CodegenTime accumulate the two core phases
-	// (Figure 23). Captured rows bring their workers' clocks with them,
-	// so at Parallelism > 1 the phase times can exceed TotalTime.
-	// CodegenTime is the sum of BuildTime, RepairTime and SimplifyTime:
-	// SSA repair inside the generator (core.Stats.RepairTime), the
-	// clean-up of the finished body (transform.Simplify), and the rest
-	// of building a trial — the generator up to repair, the scratch
-	// clones, pricing, and for a flatten its progressive alignment.
+	// (Figure 23). CodegenTime is the sum of BuildTime, RepairTime and
+	// SimplifyTime: SSA repair inside the generator
+	// (core.Stats.RepairTime), the clean-up of the finished body
+	// (transform.Simplify), and the rest of building a trial — the
+	// generator up to repair, the scratch clones, pricing, and for a
+	// flatten its progressive alignment.
 	// ScreenTime accumulates the planning funnel's bound computations —
 	// the stage-1 screen and the stage-3 refinement after each
 	// alignment, lazily-filled slack terms included — and, under family
@@ -469,8 +445,8 @@ type trialGate struct {
 var noGate = trialGate{}
 
 // scratchPool recycles trial scratch modules across trials: with lazy
-// materialization only gate survivors allocate one, and the per-worker
-// reuse keeps the allocator out of the planning hot loop entirely.
+// materialization only gate survivors allocate one, and the reuse keeps
+// the allocator out of the planning hot loop entirely.
 var scratchPool sync.Pool
 
 func getScratch() *ir.Module {
@@ -505,14 +481,12 @@ func (t *trial) recycle() {
 }
 
 // planTrial aligns and — when the alignment clears its gate — merges one
-// candidate pair without touching the module (dry runs, capture
-// workers). The alignment
+// candidate pair without touching the module (dry runs). The alignment
 // runs over the originals' cached sequences; only a surviving trial
-// clones the pair into a scratch module (cloning and operand assignment
-// maintain use-lists on the source values, so merging the originals
-// directly would make concurrent trials sharing a function race) and
-// remaps the alignment onto the clones. The clones are structurally
-// identical to the originals — CloneSeq reuses each original's class
+// clones the pair into a scratch module (merging the originals directly
+// would rewrite use-lists on their values, which a dry run must leave
+// alone) and remaps the alignment onto the clones. The clones are
+// structurally identical to the originals — CloneSeq reuses each original's class
 // vector and panics on divergence — so the merged function (and its
 // profit) matches what merging the originals would produce.
 func planTrial(ctx context.Context, f1, f2 *ir.Function, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate) *trial {

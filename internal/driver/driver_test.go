@@ -53,6 +53,38 @@ func testModule(t *testing.T, seed int64) *ir.Module {
 	return m
 }
 
+// mergeSet summarises a run's committed decisions for equality checks.
+func mergeSet(res *Result) []string {
+	var out []string
+	for _, rec := range res.Merges {
+		out = append(out, fmt.Sprintf("%s+%s->%s profit=%d committed=%v",
+			rec.F1, rec.F2, rec.Merged, rec.Profit, rec.Committed))
+	}
+	return out
+}
+
+// sameMerges requires two runs to record the same merges, end at the
+// same size and consider the same number of pairs.
+func sameMerges(t *testing.T, want, got *Result) {
+	t.Helper()
+	w, g := mergeSet(want), mergeSet(got)
+	if len(w) != len(g) {
+		t.Fatalf("merge count differs: want %d, got %d\nwant: %v\ngot:  %v",
+			len(w), len(g), w, g)
+	}
+	for i := range w {
+		if w[i] != g[i] {
+			t.Errorf("merge %d differs:\n  want: %s\n  got:  %s", i, w[i], g[i])
+		}
+	}
+	if want.FinalBytes != got.FinalBytes {
+		t.Errorf("final bytes differ: want %d, got %d", want.FinalBytes, got.FinalBytes)
+	}
+	if want.Attempts != got.Attempts {
+		t.Errorf("attempts differ: want %d, got %d", want.Attempts, got.Attempts)
+	}
+}
+
 func TestRunSalSSAPreservesBehaviour(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed

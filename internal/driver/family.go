@@ -21,8 +21,7 @@ import (
 // detached function of its own just before its live definition became
 // a thunk (so the originals exist nowhere else). Everything here runs
 // serially: the loop, committing or dry, and Apply all hold the session
-// lock, and capture workers (components.go) leave every row with a
-// family head in it to the loop.
+// lock.
 
 // familyMember is one original behind a merged head: the live (thunk)
 // function's name and the detached function holding the body it had
@@ -264,15 +263,6 @@ type flattenPlan struct {
 	heads []*ir.Function
 	// pplan is the k-ary parameter plan shared by generator and thunks.
 	pplan *core.ParamPlan
-}
-
-// familyCandidate reports whether merging f1 and f2 could involve a
-// recorded family, without the validation, module reads and reference
-// index build flattenFor performs. Capture workers skip rows with such
-// a pair — the loop decides them with the full flattenFor — and a stale
-// headship costs only an uncaptured row.
-func familyCandidate(families *familySet, maxFamily int, f1, f2 *ir.Function) bool {
-	return families != nil && maxFamily >= 3 && (families.isHead(f1) || families.isHead(f2))
 }
 
 // flattenFor decides whether merging f1 and f2 should flatten into a

@@ -162,59 +162,6 @@ func TestFlattenSingleHop(t *testing.T) {
 	t.Skip("no seed flattened")
 }
 
-// TestFlattenParallelismIndependent: the committed module (including
-// flattenings) is identical at any parallelism — rows with a family
-// head in them are never captured, so flatten trials always run on the
-// loop's own goroutine. Run under -race this also proves the family
-// registry is never written while capture workers read it.
-func TestFlattenParallelismIndependent(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		base := chainModule(t, seed)
-		var serialText string
-		var serialMerges []MergeRecord
-		for _, jobs := range []int{1, 8} {
-			m := ir.CloneModule(base)
-			cfg := Config{
-				Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-				MaxFamily: 4, Parallelism: jobs,
-			}
-			s, err := OpenSession(context.Background(), m, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var merges []MergeRecord
-			for i := 0; i < 8; i++ {
-				res, err := s.Optimize(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				merges = append(merges, res.Merges...)
-				if len(res.Merges) == 0 {
-					break
-				}
-			}
-			s.Close()
-			if jobs == 1 {
-				serialText = m.String()
-				serialMerges = merges
-				continue
-			}
-			if m.String() != serialText {
-				t.Errorf("seed %d: module text diverges between jobs=1 and jobs=%d", seed, jobs)
-			}
-			if len(merges) != len(serialMerges) {
-				t.Fatalf("seed %d: merge counts diverge: %d vs %d", seed, len(serialMerges), len(merges))
-			}
-			for i := range merges {
-				a, b := serialMerges[i], merges[i]
-				if a.F1 != b.F1 || a.F2 != b.F2 || a.Merged != b.Merged || a.Profit != b.Profit || !sameNames(a.Family, b.Family) {
-					t.Errorf("seed %d: merge %d diverges: %+v vs %+v", seed, i, a, b)
-				}
-			}
-		}
-	}
-}
-
 // TestFlattenPlanApply: Plan must propose the same flattening Optimize
 // would commit (Family recorded on the planned merge), and Apply must
 // reproduce Optimize's module bit for bit from that plan.

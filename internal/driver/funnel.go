@@ -11,23 +11,17 @@
 package driver
 
 import (
-	"sync"
-
 	"repro/internal/align"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 )
 
-// funnel owns the screening profiles of one session. All methods are
-// safe for concurrent use (capture workers screen concurrently);
-// invalidate only runs on the session
-// goroutine, but the RWMutex makes the ordering irrelevant for safety.
+// funnel owns the screening profiles of one session. Only the session's
+// own calls, which it serializes, touch it.
 type funnel struct {
 	target costmodel.Target
 	cache  *align.Cache
-
-	mu   sync.RWMutex
-	prof map[*ir.Function]*costmodel.FuncProfile
+	prof   map[*ir.Function]*costmodel.FuncProfile
 }
 
 func newFunnel(target costmodel.Target, cache *align.Cache) *funnel {
@@ -39,23 +33,14 @@ func newFunnel(target costmodel.Target, cache *align.Cache) *funnel {
 }
 
 // profile returns f's screening profile, building and memoizing it on
-// first use. Concurrent first uses may build twice; the first insert
-// wins, so every caller shares one profile (and its lazily computed
-// slack term).
+// first use, so every screen of f shares one profile (and its lazily
+// computed slack term).
 func (fu *funnel) profile(f *ir.Function) *costmodel.FuncProfile {
-	fu.mu.RLock()
 	p := fu.prof[f]
-	fu.mu.RUnlock()
-	if p != nil {
-		return p
+	if p == nil {
+		p = costmodel.NewFuncProfile(f, fu.target, fu.cache.Seq(f))
+		fu.prof[f] = p
 	}
-	np := costmodel.NewFuncProfile(f, fu.target, fu.cache.Seq(f))
-	fu.mu.Lock()
-	if p = fu.prof[f]; p == nil {
-		fu.prof[f] = np
-		p = np
-	}
-	fu.mu.Unlock()
 	return p
 }
 
@@ -74,10 +59,7 @@ func (fu *funnel) screen(f1, f2 *ir.Function) (costmodel.PairBound, *costmodel.F
 // current body. Nil-safe, like the other index layers, so funnel-off
 // sessions thread a nil funnel through the shared invalidation rule.
 func (fu *funnel) invalidate(f *ir.Function) {
-	if fu == nil {
-		return
+	if fu != nil {
+		delete(fu.prof, f)
 	}
-	fu.mu.Lock()
-	delete(fu.prof, f)
-	fu.mu.Unlock()
 }

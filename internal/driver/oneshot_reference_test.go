@@ -3,10 +3,8 @@ package driver
 // A verbatim-behavior copy of the pre-Session one-shot pipeline (the
 // serial commit walk RunContext used to inline), retained as the
 // reference implementation for the differential session tests: the
-// committed merge set of Session.Optimize — first run or incremental,
-// at any parallelism — must stay bit-identical to what this function
-// produces. The copy is serial-only (the historical parallel path was
-// already proven equivalent to this serial walk by the PR 1 tests).
+// committed merge set of Session.Optimize — first run or incremental —
+// must stay bit-identical to what this function produces.
 
 import (
 	"context"

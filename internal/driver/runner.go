@@ -3,8 +3,6 @@ package driver
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/align"
@@ -24,12 +22,12 @@ import (
 //   - commit mode (Optimize, RunContext, Apply): merges are adopted into
 //     the module, originals become thunks, and the persistent indexes
 //     are updated in place;
-//   - dry mode (Plan, and the capture walks of components.go): decisions are
-//     identical, but consumed functions are tombstoned in an overlay
-//     instead of being removed from the finder, merged-function names
-//     are claimed in an overlay instead of the module, trials always run
-//     against scratch clones, and the chosen merges are recorded in a
-//     Plan. The module and the persistent indexes come out untouched.
+//   - dry mode (Plan): decisions are identical, but consumed functions
+//     are tombstoned in an overlay instead of being removed from the
+//     finder, merged-function names are claimed in an overlay instead of
+//     the module, trials always run against scratch clones, and the
+//     chosen merges are recorded in a Plan. The module and the
+//     persistent indexes come out untouched.
 type runner struct {
 	m      *ir.Module
 	cfg    Config
@@ -61,8 +59,7 @@ type runner struct {
 	// families, when non-nil, is the session's merge-family registry:
 	// pairs involving a family head flatten (family.go) instead of
 	// nesting, and every pairwise commit records a new two-member
-	// family. Only the loop's own goroutine writes it; capture walks
-	// leave every row that could flatten to the loop.
+	// family.
 	families   *familySet
 	commitMode bool
 	runID      int64
@@ -78,12 +75,10 @@ type runner struct {
 	consumed map[*ir.Function]bool
 	mergeIdx int
 
-	// Dry-mode overlays. base is a capture walk's read-only view of the
-	// tombstones its parent run already holds (a dry run's folded
-	// duplicates); tomb is always private to the runner.
-	plan       *Plan
-	tomb, base map[*ir.Function]bool
-	claimed    map[string]bool
+	// Dry-mode overlays.
+	plan    *Plan
+	tomb    map[*ir.Function]bool
+	claimed map[string]bool
 }
 
 // lookup answers a finder query through the candidate-list cache:
@@ -108,7 +103,7 @@ func (r *runner) lookup(f *ir.Function, t int) []*ir.Function {
 // raw list comes back short; the first probe is the plain-t query the
 // candidate cache serves.
 func (r *runner) candidates(f *ir.Function, t int) []*ir.Function {
-	dead := len(r.tomb) + len(r.base)
+	dead := len(r.tomb)
 	if r.commitMode || dead == 0 {
 		return r.lookup(f, t)
 	}
@@ -116,7 +111,7 @@ func (r *runner) candidates(f *ir.Function, t int) []*ir.Function {
 		raw := r.lookup(f, k)
 		out := make([]*ir.Function, 0, t)
 		for _, g := range raw {
-			if !r.tomb[g] && !r.base[g] {
+			if !r.tomb[g] {
 				if out = append(out, g); len(out) == t {
 					break
 				}
@@ -164,9 +159,9 @@ func (r *runner) mergedName(f1, f2 *ir.Function) string {
 // mode) or a tombstoned PlannedFold (dry mode) and leaves the candidate
 // set, so exact clone families cost zero DP cells. The representative
 // stays a candidate. Families follow candidate (module definition)
-// order, keeping folding deterministic at any parallelism. Folds are
-// commits: finding the families, building the forwarders and retiring
-// the indexes all run on the commit clock.
+// order, keeping folding deterministic. Folds are commits: finding the
+// families, building the forwarders and retiring the indexes all run on
+// the commit clock.
 func (r *runner) foldStep(candidates []*ir.Function) {
 	c0 := time.Now()
 	defer func() { r.res.CommitTime += time.Since(c0) }()
@@ -235,64 +230,26 @@ func interpEquivalent(a, b *ir.Function) bool {
 // walk is the greedy loop over the candidate set. candidates must be
 // the eligible functions in module definition order; the loop itself
 // attempts merges largest-first (finder order, paper §5.5): one
-// row-step per live function, one commit-step per profitable row. At
-// Config.Parallelism > 1 the rows of independent components are first
-// captured side by side (components.go), and a captured row whose
-// candidate list still matches at its turn stands in for the row-step;
-// the serial loop is that replay with nothing captured. It returns
-// ctx.Err() when cancelled mid-run; everything committed before that
-// stays (a cancelled capture commits nothing but the folds).
+// row-step per live function, one commit-step per profitable row, all
+// on the caller's goroutine. The loop is serial by nature: each commit
+// retires two functions and so reshapes every later candidate list. It
+// returns ctx.Err() when cancelled mid-run; everything committed before
+// that stays.
 func (r *runner) walk(ctx context.Context, candidates []*ir.Function) error {
-	cfg, res := r.cfg, r.res
-	if cfg.DupFold {
+	if r.cfg.DupFold {
 		r.foldStep(candidates)
 	}
-	order := r.finder.Order()
-	if len(r.tomb) > 0 {
-		kept := order[:0]
-		for _, f := range order {
-			if !r.tomb[f] {
-				kept = append(kept, f)
-			}
-		}
-		order = kept
-	}
-	var captured map[*ir.Function]capturedRow
-	if cfg.Parallelism > 1 {
-		var err error
-		if captured, err = r.capture(ctx, order); err != nil {
-			return err
-		}
-	}
-	for _, f1 := range order {
-		row, ok := captured[f1]
-		if r.consumed[f1] {
-			r.discard(row.best)
+	for _, f1 := range r.finder.Order() {
+		if r.consumed[f1] || r.tomb[f1] {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		list := r.candidates(f1, cfg.Threshold)
-		var best *trial
-		if ok && slices.Equal(row.list, list) {
-			// The captured decision is provably the one this turn would
-			// make (see components.go): transplant it.
-			best = row.best
-			res.add(row.Counters)
-			res.Transplanted++
-		} else {
-			if ok {
-				res.Repaired++
-				r.discard(row.best)
-			}
-			var c Counters
-			var err error
-			best, c, err = r.row(ctx, f1, list)
-			res.add(c)
-			if err != nil {
-				return err
-			}
+		best, c, err := r.row(ctx, f1, r.candidates(f1, r.cfg.Threshold))
+		r.res.add(c)
+		if err != nil {
+			return err
 		}
 		if best != nil {
 			r.commitStep(best)
@@ -404,8 +361,8 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 }
 
 // pairTrial plans the pairwise trial of f1 and f2 under gate g. Commit
-// runs build in place; dry runs must not touch the module and capture
-// walks share it, so both use the pure scratch-clone trial.
+// runs build in place; dry runs must not touch the module, so they use
+// the pure scratch-clone trial.
 func (r *runner) pairTrial(ctx context.Context, f1, f2 *ir.Function, g trialGate) *trial {
 	if r.commitMode {
 		return planTrialInPlace(ctx, r.m, f1, f2, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g)
@@ -529,15 +486,9 @@ func (r *runner) commitStep(t *trial) {
 // entries whenever its family breaks — without that hook a memoized
 // unprofitable flatten would suppress the (possibly profitable)
 // pairwise nest the pair gets once the family is gone. Trials that
-// error (cancellation, matrix caps) are never memoized. The mutex
-// exists for the component scheduler, whose capture workers
-// read and write the cache concurrently; every other caller runs on
-// the session goroutine. Only row f1 touches (f1, *) entries, so the
-// write order across workers cannot affect decisions; a captured row
-// the loop re-runs meets its own entries, which are facts about the
-// two bodies either way.
+// error (cancellation, matrix caps) are never memoized. Only the
+// session's own calls, which it serializes, touch the cache.
 type outcomeCache struct {
-	mu sync.Mutex
 	// pairs[f1][f2] records the directed pair (f1, f2); rev[f2] lists
 	// the f1 rows an invalidation of f2 must visit.
 	pairs map[*ir.Function]map[*ir.Function]bool
@@ -554,12 +505,7 @@ func newOutcomeCache() *outcomeCache {
 // has reports whether (f1, f2) is memoized as unprofitable. A nil cache
 // (FMSA's throwaway runs) never hits.
 func (c *outcomeCache) has(f1, f2 *ir.Function) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pairs[f1][f2]
+	return c != nil && c.pairs[f1][f2]
 }
 
 // put memoizes (f1, f2) as unprofitable.
@@ -567,8 +513,6 @@ func (c *outcomeCache) put(f1, f2 *ir.Function) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	row := c.pairs[f1]
 	if row == nil {
 		row = map[*ir.Function]bool{}
@@ -588,8 +532,6 @@ func (c *outcomeCache) invalidate(f *ir.Function) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for f2 := range c.pairs[f] {
 		delete(c.rev[f2], f)
 		if len(c.rev[f2]) == 0 {

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"reflect"
 	"strconv"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/canon"
@@ -22,7 +20,7 @@ import (
 // ./...` (which must stay inside Go's default per-package timeout), and
 // whatever SCALE_CORPUS names for the acceptance-criterion run — the
 // workflow_dispatch CI job sets SCALE_CORPUS=10000 with an explicit
-// -timeout to prove the 10k tier under -race.
+// -timeout to prove the 10k tier.
 func scaleFuncs(t *testing.T, moderate int) int {
 	if testing.Short() {
 		return 400
@@ -55,215 +53,6 @@ func optimizeCorpus(t *testing.T, funcs int, cfg Config) (*ir.Module, *Result) {
 		t.Fatalf("Optimize: %v", err)
 	}
 	return m, res
-}
-
-// schedRun is what one cell of the scheduler differential produced:
-// the final module text, a per-round log — merge and fold records for
-// committing rounds, plan JSON for dry ones — and the last round's
-// report.
-type schedRun struct {
-	text string
-	log  []string
-	res  *Result
-}
-
-// runScheduled drives one session over the n-function corpus for
-// rounds rounds, each either one Optimize or a Plan followed by Apply
-// of the unfiltered plan.
-func runScheduled(t *testing.T, n int, cfg Config, rounds int, viaPlan bool) schedRun {
-	t.Helper()
-	ctx := context.Background()
-	m := buildCorpus(t, n)
-	s, err := OpenSession(ctx, m, cfg)
-	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
-	}
-	defer s.Close()
-	var out schedRun
-	for i := 0; i < rounds; i++ {
-		if viaPlan {
-			before := m.String()
-			plan, err := s.Plan(ctx)
-			if err != nil {
-				t.Fatalf("round %d: Plan: %v", i, err)
-			}
-			if m.String() != before {
-				t.Fatalf("round %d: Plan mutated the module", i)
-			}
-			out.log = append(out.log, planJSON(t, plan))
-			if out.res, err = s.Apply(ctx, plan); err != nil {
-				t.Fatalf("round %d: Apply: %v", i, err)
-			}
-		} else {
-			if out.res, err = s.Optimize(ctx); err != nil {
-				t.Fatalf("round %d: Optimize: %v", i, err)
-			}
-			out.log = append(out.log, fmt.Sprintf("%+v\n%+v", out.res.Merges, out.res.Folds))
-		}
-	}
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatalf("module does not verify: %v", err)
-	}
-	out.text = m.String()
-	return out
-}
-
-// TestComponentWalkMatchesSerial is the scheduler differential: at any
-// worker count the loop must produce the serial loop's module text,
-// merge and fold records and plan JSON, whatever else is configured —
-// both finders, commit filters, family flattening across two rounds —
-// and whether it commits (Optimize) or proposes (Plan, then Apply).
-// Plan followed by Apply must also land on Optimize's module. The
-// family cells run at a fifth of the corpus: the package's TestMain
-// re-derives every caller check of theirs by a scan of the module.
-func TestComponentWalkMatchesSerial(t *testing.T) {
-	oddOnly := func(i int) bool { return i%2 == 1 }
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
-		t.Run(fmt.Sprint(finder), func(t *testing.T) {
-			for _, filter := range []func(int) bool{nil, oddOnly} {
-				for _, maxFamily := range []int{2, 4} {
-					t.Run(fmt.Sprintf("filter=%v/family=%d", filter != nil, maxFamily), func(t *testing.T) {
-						t.Parallel()
-						cfg := Config{
-							Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-							Finder: finder, DupFold: true, MaxFamily: maxFamily, CommitFilter: filter,
-						}
-						n, rounds := scaleFuncs(t, 1000), 1
-						if maxFamily > 2 {
-							n, rounds = max(n/5, 200), 2 // families flatten from the second round on
-						}
-						var serial [2]schedRun
-						for _, workers := range []int{1, 2, 4} {
-							cfg.Parallelism = workers
-							for op, viaPlan := range []bool{false, true} {
-								got := runScheduled(t, n, cfg, rounds, viaPlan)
-								engaged := got.res.Components >= 2 && got.res.Transplanted > 0
-								if workers == 1 {
-									serial[op] = got
-									if engaged || got.res.Repaired > 0 {
-										t.Errorf("serial run reports scheduler stats: %+v", got.res)
-									}
-									continue
-								}
-								if !viaPlan && !engaged {
-									t.Errorf("workers=%d: captured %d components, transplanted %d rows",
-										workers, got.res.Components, got.res.Transplanted)
-								}
-								want := serial[op]
-								for i := range want.log {
-									if got.log[i] != want.log[i] {
-										t.Fatalf("workers=%d plan=%v: round %d records diverged from serial:\n%s\nwant\n%s",
-											workers, viaPlan, i, got.log[i], want.log[i])
-									}
-								}
-								if got.text != want.text {
-									t.Fatalf("workers=%d plan=%v: module text diverged from serial (%d vs %d bytes)",
-										workers, viaPlan, len(got.text), len(want.text))
-								}
-								if !viaPlan && workers == 4 {
-									t.Logf("funcs=%d merges=%d flattened=%d components=%d transplanted=%d repaired=%d", n,
-										len(got.res.Merges), got.res.Flattened, got.res.Components, got.res.Transplanted, got.res.Repaired)
-								}
-							}
-						}
-						if serial[0].text != serial[1].text {
-							t.Errorf("Plan+Apply module text diverges from Optimize (%d vs %d bytes)",
-								len(serial[1].text), len(serial[0].text))
-						}
-						if maxFamily > 2 && filter == nil && serial[0].res.Flattened == 0 {
-							t.Error("second round flattened nothing: the family cells no longer reach flattenFor")
-						}
-					})
-				}
-			}
-		})
-	}
-}
-
-// countdownCtx reports cancellation from its n-th Err poll on; every
-// cancellation point of the pipeline polls Err.
-type countdownCtx struct {
-	context.Context
-	left atomic.Int64
-}
-
-func (c *countdownCtx) Err() error {
-	if c.left.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestComponentWalkCancel pins the scheduler's cancellation contract: a
-// cancellation during capture aborts before anything commits (capture
-// is pure, so the module is untouched), one during the loop keeps the
-// committed prefix — the serial run's prefix.
-func TestComponentWalkCancel(t *testing.T) {
-	n := scaleFuncs(t, 1000)
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: search.KindLSH, Parallelism: 2}
-	_, full := optimizeCorpus(t, n, cfg)
-
-	t.Run("capture", func(t *testing.T) {
-		m := buildCorpus(t, n)
-		before := m.String()
-		s, err := OpenSession(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		// Optimize polls once, the partition once per candidate; a few
-		// polls later the capture workers are mid-row.
-		ctx := &countdownCtx{Context: context.Background()}
-		ctx.left.Store(int64(1 + len(s.finder.Order()) + 3))
-		res, err := s.Optimize(ctx)
-		if err != context.Canceled {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-		if res.Components < 2 {
-			t.Fatalf("cancelled before capture started (%d components)", res.Components)
-		}
-		if len(res.Merges) != 0 || res.Transplanted != 0 || res.Repaired != 0 {
-			t.Errorf("cancelled capture reached the loop: %d merges, %d transplanted, %d repaired",
-				len(res.Merges), res.Transplanted, res.Repaired)
-		}
-		if m.String() != before {
-			t.Error("cancelled capture changed the module")
-		}
-	})
-
-	t.Run("replay", func(t *testing.T) {
-		const keep = 3
-		if len(full.Merges) <= keep {
-			t.Skipf("need > %d merges, got %d", keep, len(full.Merges))
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		ccfg := cfg
-		ccfg.Progress = func(ev Progress) {
-			if ev.Done == keep {
-				cancel()
-			}
-		}
-		m := buildCorpus(t, n)
-		s, err := OpenSession(ctx, m, ccfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		res, err := s.Optimize(ctx)
-		if err != context.Canceled {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-		if res.Transplanted+res.Repaired == 0 {
-			t.Error("cancelled run never replayed a captured row")
-		}
-		if got, want := mergeSet(res), mergeSet(full)[:keep]; !reflect.DeepEqual(got, want) {
-			t.Errorf("committed prefix differs from the serial prefix:\n got %v\nwant %v", got, want)
-		}
-		if err := ir.VerifyModule(m); err != nil {
-			t.Fatalf("cancelled run left a broken module: %v", err)
-		}
-	})
 }
 
 // TestPlanCostsWhatOptimizeCosts: the dry run's tombstone overlay must

@@ -57,7 +57,7 @@ func TestDupFoldIdenticalFamilyZeroDP(t *testing.T) {
 
 // TestDupFoldPreservesBehaviour folds duplicates inside the full
 // pipeline (folding plus ordinary merging) and differentially checks
-// every original function, serial and parallel.
+// every original function.
 func TestDupFoldPreservesBehaviour(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		base := synth.Generate(synth.Profile{
@@ -66,55 +66,26 @@ func TestDupFoldPreservesBehaviour(t *testing.T) {
 			CloneFrac: 0.6, FamilySize: 3, MutRate: 0, // identical families
 			Loops: 0.5, Floats: 0.2, Switches: 0.4,
 		})
-		for _, jobs := range []int{1, 4} {
-			m := ir.CloneModule(base)
-			res, err := RunContext(context.Background(), m, Config{
-				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-				DupFold: true, Parallelism: jobs,
-			})
-			if err != nil {
-				t.Fatalf("seed %d jobs %d: %v", seed, jobs, err)
-			}
-			if len(res.Folds) == 0 {
-				t.Fatalf("seed %d jobs %d: no duplicates folded in an identical-clone module", seed, jobs)
-			}
-			if err := ir.VerifyModule(m); err != nil {
-				t.Fatalf("seed %d jobs %d: folded module does not verify: %v", seed, jobs, err)
-			}
-			diffModule(t, base, m, "dup-fold pipeline")
+		m := ir.CloneModule(base)
+		res, err := RunContext(context.Background(), m, Config{
+			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-	}
-}
-
-// TestDupFoldDeterministicAcrossParallelism: folding happens before
-// planning in both serial and parallel runs, so fold records and the
-// committed merge set are identical at any parallelism.
-func TestDupFoldDeterministicAcrossParallelism(t *testing.T) {
-	base := synth.Generate(synth.Profile{
-		Name: "dupdet", Seed: 7, Funcs: 16,
-		MinSize: 8, AvgSize: 40, MaxSize: 100,
-		CloneFrac: 0.5, FamilySize: 2, MutRate: 0,
-		Loops: 0.5,
-	})
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true}
-	serial := Run(ir.CloneModule(base), cfg)
-	pcfg := cfg
-	pcfg.Parallelism = 4
-	parallel := Run(ir.CloneModule(base), pcfg)
-	sameMerges(t, serial, parallel)
-	if len(serial.Folds) != len(parallel.Folds) {
-		t.Fatalf("fold count differs: serial %d, parallel %d", len(serial.Folds), len(parallel.Folds))
-	}
-	for i := range serial.Folds {
-		if serial.Folds[i] != parallel.Folds[i] {
-			t.Errorf("fold %d differs: serial %+v, parallel %+v", i, serial.Folds[i], parallel.Folds[i])
+		if len(res.Folds) == 0 {
+			t.Fatalf("seed %d: no duplicates folded in an identical-clone module", seed)
 		}
+		if err := ir.VerifyModule(m); err != nil {
+			t.Fatalf("seed %d: folded module does not verify: %v", seed, err)
+		}
+		diffModule(t, base, m, "dup-fold pipeline")
 	}
 }
 
 // TestExactFinderMatchesLegacyPipeline: the zero-value config selects
-// the exact finder, and an explicit KindExact at any parallelism
-// commits the identical merge set.
+// the exact finder, and an explicit KindExact commits the identical
+// merge set.
 func TestExactFinderMatchesLegacyPipeline(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		base := testModule(t, seed)
@@ -123,36 +94,32 @@ func TestExactFinderMatchesLegacyPipeline(t *testing.T) {
 		})
 		explicit := Run(ir.CloneModule(base), Config{
 			Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-			Finder: search.KindExact, Parallelism: 4,
+			Finder: search.KindExact,
 		})
 		sameMerges(t, legacy, explicit)
 	}
 }
 
 // TestLSHFinderPipeline: the LSH finder must produce a valid,
-// behaviour-preserving run at any parallelism, with query accounting
-// in the report. (TestLSHFinderMatchesExact separately pins its merge
+// behaviour-preserving run, with query accounting in the report. (TestLSHFinderMatchesExact separately pins its merge
 // set to the exact finder's.)
 func TestLSHFinderPipeline(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		base := testModule(t, seed)
-		for _, jobs := range []int{1, 4} {
-			m := ir.CloneModule(base)
-			res, err := RunContext(context.Background(), m, Config{
-				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-				Finder: search.KindLSH, Parallelism: jobs,
-			})
-			if err != nil {
-				t.Fatalf("seed %d jobs %d: %v", seed, jobs, err)
-			}
-			if res.Search.Queries == 0 {
-				t.Errorf("seed %d jobs %d: LSH run reported no finder queries", seed, jobs)
-			}
-			if err := ir.VerifyModule(m); err != nil {
-				t.Fatalf("seed %d jobs %d: LSH-merged module does not verify: %v", seed, jobs, err)
-			}
-			diffModule(t, base, m, "lsh pipeline")
+		m := ir.CloneModule(base)
+		res, err := RunContext(context.Background(), m, Config{
+			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: search.KindLSH,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		if res.Search.Queries == 0 {
+			t.Errorf("seed %d: LSH run reported no finder queries", seed)
+		}
+		if err := ir.VerifyModule(m); err != nil {
+			t.Fatalf("seed %d: LSH-merged module does not verify: %v", seed, err)
+		}
+		diffModule(t, base, m, "lsh pipeline")
 	}
 }
 

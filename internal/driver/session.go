@@ -736,8 +736,8 @@ func (s *Session) optimizeFMSA(ctx context.Context, start time.Time) (*Result, e
 	return res, runErr
 }
 
-// Plan is the dry run: the same greedy loop as Optimize, at the same
-// parallelism, simulated against tombstone overlays so the module is
+// Plan is the dry run: the same greedy loop as Optimize, simulated
+// against tombstone overlays so the module is
 // not touched, returning the serializable Plan of merges (and duplicate
 // folds) a commit run would apply. Plans embed each function's
 // structural hash; Apply verifies them, so a plan can be shipped across

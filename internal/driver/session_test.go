@@ -32,7 +32,7 @@ func sessionConfigs() []Config {
 }
 
 func configName(cfg Config) string {
-	return fmt.Sprintf("%s-fold=%v-jobs=%d", cfg.Finder, cfg.DupFold, cfg.Parallelism)
+	return fmt.Sprintf("%s-fold=%v", cfg.Finder, cfg.DupFold)
 }
 
 // sizedRun is one committing run of s — Apply of p, or Optimize when p
@@ -60,51 +60,45 @@ func sizedRun(t testing.TB, s *Session, p *Plan) (*Result, error) {
 }
 
 // TestSessionOptimizeMatchesOneShotReference is differential test (a):
-// a Session's first Optimize — serial or parallel — must commit a
-// bit-identical merge set (and therefore an identical module) to the
-// retained pre-Session reference pipeline.
+// a Session's first Optimize must commit a bit-identical merge set (and
+// therefore an identical module) to the retained pre-Session reference
+// pipeline.
 func TestSessionOptimizeMatchesOneShotReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		base := testModule(t, seed)
 		for _, cfg := range sessionConfigs() {
-			for _, jobs := range []int{1, 8} {
-				cfg := cfg
-				cfg.Parallelism = jobs
-				t.Run(fmt.Sprintf("seed%d-%s", seed, configName(cfg)), func(t *testing.T) {
-					mRef := ir.CloneModule(base)
-					refCfg := cfg
-					refCfg.Parallelism = 1
-					ref, err := runOneShotReference(context.Background(), mRef, refCfg)
-					if err != nil {
-						t.Fatalf("reference run failed: %v", err)
-					}
+			t.Run(fmt.Sprintf("seed%d-%s", seed, configName(cfg)), func(t *testing.T) {
+				mRef := ir.CloneModule(base)
+				ref, err := runOneShotReference(context.Background(), mRef, cfg)
+				if err != nil {
+					t.Fatalf("reference run failed: %v", err)
+				}
 
-					mSess := ir.CloneModule(base)
-					s, err := OpenSession(context.Background(), mSess, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer s.Close()
-					got, err := sizedRun(t, s, nil)
-					if err != nil {
-						t.Fatalf("session run failed: %v", err)
-					}
+				mSess := ir.CloneModule(base)
+				s, err := OpenSession(context.Background(), mSess, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				got, err := sizedRun(t, s, nil)
+				if err != nil {
+					t.Fatalf("session run failed: %v", err)
+				}
 
-					sameMerges(t, ref, got)
-					if len(ref.Folds) != len(got.Folds) {
-						t.Errorf("fold count differs: reference %d, session %d", len(ref.Folds), len(got.Folds))
-					}
-					if ref.FinalBytes != got.FinalBytes {
-						t.Errorf("final bytes differ: reference %d, session %d", ref.FinalBytes, got.FinalBytes)
-					}
-					if a, b := mRef.String(), mSess.String(); a != b {
-						t.Error("session module text diverges from the reference module")
-					}
-					if err := ir.VerifyModule(mSess); err != nil {
-						t.Fatalf("session module does not verify: %v", err)
-					}
-				})
-			}
+				sameMerges(t, ref, got)
+				if len(ref.Folds) != len(got.Folds) {
+					t.Errorf("fold count differs: reference %d, session %d", len(ref.Folds), len(got.Folds))
+				}
+				if ref.FinalBytes != got.FinalBytes {
+					t.Errorf("final bytes differ: reference %d, session %d", ref.FinalBytes, got.FinalBytes)
+				}
+				if a, b := mRef.String(), mSess.String(); a != b {
+					t.Error("session module text diverges from the reference module")
+				}
+				if err := ir.VerifyModule(mSess); err != nil {
+					t.Fatalf("session module does not verify: %v", err)
+				}
+			})
 		}
 	}
 }
@@ -848,7 +842,7 @@ func TestProgressRunID(t *testing.T) {
 	var ids []int64
 	var perEvent []int64
 	cfg := Config{
-		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Parallelism: 4,
+		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
 		Progress: func(ev Progress) { perEvent = append(perEvent, ev.RunID) },
 	}
 	m := synth.Generate(synth.Profile{

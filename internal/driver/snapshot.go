@@ -218,7 +218,7 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 			if !ok {
 				continue
 			}
-			if familyCandidate(s.families, s.cfg.MaxFamily, f1, f2) {
+			if s.families != nil && (s.families.isHead(f1) || s.families.isHead(f2)) {
 				continue
 			}
 			snap.Outcomes = append(snap.Outcomes, [2]int{i1, i2})

@@ -109,11 +109,6 @@ type Lab struct {
 	cache map[runKey]*runEntry
 	// Scale divides suite function counts for quick runs (1 = full).
 	Scale int
-	// Jobs is the worker count handed to the driver's component
-	// scheduler (<= 1 serial). Any value commits the same merges, so
-	// size figures are unchanged; the paper's timing figures (23, 24)
-	// should be regenerated serially to stay faithful.
-	Jobs int
 	// Finder selects the candidate-search implementation. Both kinds
 	// return the same candidate lists (the LSH finder's
 	// branch-and-bound is exact), so the figures are unchanged; the
@@ -129,7 +124,7 @@ type Lab struct {
 
 // NewLab returns an empty lab at full scale.
 func NewLab() *Lab {
-	return &Lab{cache: map[runKey]*runEntry{}, Scale: 1, Jobs: 1, seedModules: map[string]*ir.Module{}}
+	return &Lab{cache: map[runKey]*runEntry{}, Scale: 1, seedModules: map[string]*ir.Module{}}
 }
 
 // scaleProfile reduces a profile's function count by the lab scale.
@@ -172,12 +167,11 @@ func (l *Lab) run(suite string, p synth.Profile, algo driver.Algorithm, t int, t
 	baseTime := time.Since(t0)
 
 	res := driver.Run(work, driver.Config{
-		Algorithm:   algo,
-		Threshold:   t,
-		Target:      target,
-		Finder:      l.Finder,
-		DupFold:     l.DupFold,
-		Parallelism: l.Jobs,
+		Algorithm: algo,
+		Threshold: t,
+		Target:    target,
+		Finder:    l.Finder,
+		DupFold:   l.DupFold,
 	})
 	e := &runEntry{res: res, pre: pristine, post: work, baseTime: baseTime}
 	l.cache[key] = e

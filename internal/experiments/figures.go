@@ -92,7 +92,6 @@ func (l *Lab) residue(suite string, p synth.Profile, target costmodel.Target) fl
 		Threshold:    1,
 		Target:       target,
 		CommitFilter: func(int) bool { return false },
-		Parallelism:  l.Jobs,
 	})
 	return res.Reduction()
 }
@@ -185,7 +184,6 @@ func (l *Lab) Fig19() *Table {
 			Threshold:    1,
 			Target:       costmodel.Thumb,
 			CommitFilter: func(j int) bool { return j == i },
-			Parallelism:  l.Jobs,
 		})
 		contribution := 100 * float64(base-res.FinalBytes) / float64(base)
 		rec := full.res.Merges[i]

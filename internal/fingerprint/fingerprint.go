@@ -94,8 +94,8 @@ func min32(a, b int32) int32 {
 //
 // Ranking is safe for concurrent use: reads (Candidates, Order) may run
 // concurrently with each other and are serialized against the writes
-// (Add, Remove). The driver's capture workers query concurrently while
-// nothing writes; the write lock is for callers that also update.
+// (Add, Remove): the contract search.Exact passes on to the callers of
+// its Finder.
 type Ranking struct {
 	mu    sync.RWMutex
 	funcs []*ir.Function

@@ -37,9 +37,10 @@ func RemapOperands(in *Instruction, vmap map[Value]Value) {
 // value map from original values (arguments, blocks, instructions) to
 // their clones.
 //
-// Cloning is strictly read-only on f: the driver's capture workers clone
-// the same function into several scratch modules at once, so no use-list
-// of f may be touched, not even transiently. Cloned instructions are
+// Cloning is strictly read-only on f: the driver's dry-run trials clone
+// live module functions that the run must leave exactly as it found
+// them, so no use-list of f may be touched, not even transiently. Cloned
+// instructions are
 // therefore built with raw (unregistered) operand slices and uses are
 // registered only after every operand has been remapped into the clone's
 // value space.

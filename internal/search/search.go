@@ -4,7 +4,7 @@
 //
 //   - Exact wraps fingerprint.Ranking, scanning every live function per
 //     query. Its candidate lists — and therefore the committed merge set —
-//     are bit-identical to the original pipeline at any parallelism.
+//     are bit-identical to the original pipeline.
 //   - LSH — a historical name; it no longer sketches — is the indexed
 //     exact finder: one cell per distinct fingerprint, listed in a
 //     packed slab sorted by size and walked outward from the query's

@@ -30,14 +30,10 @@ type CreateSession struct {
 	Canon     bool `json:"canon,omitempty"`
 	MaxFamily int  `json:"max_family,omitempty"`
 	MinInstrs int  `json:"min_instrs,omitempty"`
-	// Parallelism is the worker count of Plan's and Optimize's component
-	// scheduler (results are bit-identical at any value). Absent, 0 or 1
-	// is the serial loop; an explicit n > 1 is honoured. One worker is
-	// the default because it is the faster configuration wherever it has
-	// been measured — on a two-core box (DESIGN.md "Scale architecture")
-	// two workers were 30–40% slower than one on 10k–40k-function
-	// modules and a wash on small ones — and a daemon already runs its
-	// sessions side by side.
+	// Parallelism is accepted and ignored, like the removed "shards" and
+	// "commit_parallelism" fields; a negative value is still rejected.
+	// Every session runs the paper's serial greedy loop, and the daemon
+	// runs its sessions side by side.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 

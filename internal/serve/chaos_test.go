@@ -21,13 +21,9 @@ import (
 // acceptable: an acked mutation may never be lost, an unacked one may
 // never half-apply.
 
-// chaosOpts is the session configuration every chaos daemon uses;
-// serial planning keeps the runs deterministic and cheap.
+// chaosOpts is the session configuration every chaos daemon uses.
 func chaosOpts(name, module string) client.CreateSession {
-	return client.CreateSession{
-		Name: name, Module: module,
-		DupFold: true, Parallelism: 1,
-	}
+	return client.CreateSession{Name: name, Module: module, DupFold: true}
 }
 
 const chaosFragDup = `

@@ -208,16 +208,9 @@ func buildOptimizer(req *api.CreateSession) (*repro.Optimizer, error) {
 	if req.MaxFamily > 0 {
 		opts = append(opts, repro.WithMaxFamily(req.MaxFamily))
 	}
-	if req.Parallelism < 0 {
-		return nil, fmt.Errorf("negative parallelism %d", req.Parallelism)
-	}
-	// Absent or 0 is one worker, not WithParallelism's "all CPUs": the
-	// daemon's parallelism is across sessions, and within one the
-	// scheduler has yet to beat the serial loop (DESIGN.md "Scale
-	// architecture"). A client that asks for n > 1 gets n.
-	if req.Parallelism > 1 {
-		opts = append(opts, repro.WithParallelism(req.Parallelism))
-	}
+	// Accepted and ignored, like WithParallelism itself, which still
+	// rejects a negative value.
+	opts = append(opts, repro.WithParallelism(req.Parallelism))
 	opts = append(opts, repro.WithDupFold(req.DupFold))
 	opts = append(opts, repro.WithCanon(req.Canon))
 	return repro.New(opts...)

@@ -147,11 +147,11 @@ func TestServeDifferential(t *testing.T) {
 }
 
 // TestServeLegacyCreateFields: the wire CreateSession lost "shards" and
-// "commit_parallelism", but clients written against the old contract
-// still send them — notably when they recreate a session by name so a
-// journal the previous daemon wrote replays. The body must be accepted,
-// the fields ignored, and the recovered state must be what was
-// journaled.
+// "commit_parallelism" and ignores "parallelism", but clients written
+// against the old contract still send them — notably when they recreate
+// a session by name so a journal the previous daemon wrote replays. The
+// body must be accepted, the fields ignored, and the recovered state
+// must be what was journaled.
 func TestServeLegacyCreateFields(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -160,7 +160,7 @@ func TestServeLegacyCreateFields(t *testing.T) {
 		t.Helper()
 		body, err := json.Marshal(map[string]any{
 			"name": "legacy", "module": module, "threshold": 2, "dup_fold": true,
-			"parallelism": 1, "shards": 3, "commit_parallelism": 2,
+			"parallelism": 4, "shards": 3, "commit_parallelism": 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -214,24 +214,6 @@ func TestServeLegacyCreateFields(t *testing.T) {
 
 // TestServeUpdateRemove: deltas stream as spliced IR fragments; removal
 // drops candidacy; engine name errors surface as 400.
-// TestServeDefaultParallelism: a session created without "parallelism",
-// or with 0, runs the serial loop — the faster configuration on every
-// box it has been measured on — and an explicit n > 1 is honoured.
-func TestServeDefaultParallelism(t *testing.T) {
-	for _, c := range []struct{ wire, want int }{{0, 1}, {1, 1}, {2, 2}, {7, 7}} {
-		opt, err := buildOptimizer(&api.CreateSession{Name: "p", Parallelism: c.wire})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", c.wire, err)
-		}
-		if got := opt.Parallelism(); got != c.want {
-			t.Errorf("wire parallelism %d builds an optimizer with %d workers, want %d", c.wire, got, c.want)
-		}
-	}
-	if _, err := buildOptimizer(&api.CreateSession{Name: "p", Parallelism: -1}); err == nil {
-		t.Error("negative parallelism accepted")
-	}
-}
-
 func TestServeUpdateRemove(t *testing.T) {
 	ctx := context.Background()
 	_, hs := newTestDaemon(t, Config{})
@@ -359,6 +341,9 @@ func TestServeAdmission(t *testing.T) {
 	var se *client.StatusError
 	if _, err := c.CreateSession(ctx, client.CreateSession{Name: "bad/name", Module: small}); !errors.As(err, &se) || se.Code != 400 {
 		t.Fatalf("invalid name: got %v, want 400", err)
+	}
+	if _, err := c.CreateSession(ctx, client.CreateSession{Name: "neg", Module: small, Parallelism: -1}); !errors.As(err, &se) || se.Code != 400 {
+		t.Fatalf("negative parallelism: got %v, want 400", err)
 	}
 	// Duplicate name (after freeing a session slot) is a conflict.
 	if err := sc.Close(ctx); err != nil {

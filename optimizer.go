@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/canon"
@@ -39,7 +38,6 @@ type Optimizer struct {
 	maxCells    int64
 	minInstrs   int
 	skipHot     map[string]bool
-	parallelism int
 	finder      FinderKind
 	dupFold     bool
 	canon       bool
@@ -53,15 +51,13 @@ type Option func(*Optimizer) error
 // New builds an Optimizer from the given options. Without options the
 // defaults match the paper's main configuration: SalSSA, exploration
 // threshold 1, the x86-64 size model, quadratic alignment, no size or
-// memory limits, the serial loop, the exact candidate finder, no
-// duplicate folding.
+// memory limits, the exact candidate finder, no duplicate folding.
 func New(opts ...Option) (*Optimizer, error) {
 	o := &Optimizer{
-		algorithm:   SalSSA,
-		threshold:   1,
-		target:      X86_64,
-		parallelism: 1,
-		maxFamily:   4,
+		algorithm: SalSSA,
+		threshold: 1,
+		target:    X86_64,
+		maxFamily: 4,
 	}
 	for _, opt := range opts {
 		if err := opt(o); err != nil {
@@ -174,26 +170,16 @@ func WithSkipHot(names ...string) Option {
 	}
 }
 
-// WithParallelism runs the greedy loop's rows on up to n workers: the
-// candidate graph is partitioned into connected components of candidate
-// edges, each component's rows are captured on a worker with dry-run
-// overlays, and the (serial) loop uses a captured row only after proving
-// its candidate list is what the loop sees at that turn, re-running the
-// row otherwise. Module text, report records and plans are bit-identical
-// to a serial run at any value and under every other option; a module
-// with fewer than two components runs the serial loop whatever n says.
-// Measured on two cores, two workers do not beat one (DESIGN.md "Scale
-// architecture"); the option exists for machines with more. n = 0
-// selects runtime.NumCPU(); n = 1 is the serial loop (default).
+// WithParallelism is accepted and ignored; n < 0 is still an error. The
+// paper's greedy loop is serial — each commit reshapes every later
+// candidate list — and every run executes it on the caller's goroutine.
+// Run independent modules (or daemon sessions) side by side instead: an
+// Optimizer may be shared by any number of goroutines.
 func WithParallelism(n int) Option {
 	return func(o *Optimizer) error {
 		if n < 0 {
 			return fmt.Errorf("repro: parallelism must be >= 0, got %d", n)
 		}
-		if n == 0 {
-			n = runtime.NumCPU()
-		}
-		o.parallelism = n
 		return nil
 	}
 }
@@ -296,9 +282,6 @@ func (o *Optimizer) Threshold() int { return o.threshold }
 // Target returns the configured size-model target.
 func (o *Optimizer) Target() Target { return o.target }
 
-// Parallelism returns the configured worker count.
-func (o *Optimizer) Parallelism() int { return o.parallelism }
-
 // Finder returns the configured candidate-search implementation.
 func (o *Optimizer) Finder() FinderKind { return o.finder }
 
@@ -326,7 +309,6 @@ func (o *Optimizer) config() driver.Config {
 		Finder:      o.finder,
 		DupFold:     o.dupFold,
 		MaxFamily:   o.maxFamily,
-		Parallelism: o.parallelism,
 		Progress:    o.progress,
 	}
 	if o.canon {

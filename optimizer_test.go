@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -33,9 +32,6 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if o.Target() != X86_64 {
 		t.Errorf("default target = %v, want X86_64", o.Target())
-	}
-	if o.Parallelism() != 1 {
-		t.Errorf("default parallelism = %d, want 1", o.Parallelism())
 	}
 	if o.Finder() != ExactFinder {
 		t.Errorf("default finder = %v, want ExactFinder", o.Finder())
@@ -82,7 +78,7 @@ func TestOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid option set rejected: %v", err)
 	}
-	if o.Algorithm() != SalSSANoPC || o.Threshold() != 5 || o.Target() != Thumb || o.Parallelism() != 3 {
+	if o.Algorithm() != SalSSANoPC || o.Threshold() != 5 || o.Target() != Thumb {
 		t.Errorf("options not applied: %+v", o)
 	}
 	if o.Finder() != LSHFinder || !o.DupFold() {
@@ -127,64 +123,6 @@ func TestWithDupFoldReportsFolds(t *testing.T) {
 	}
 }
 
-func TestWithParallelismZeroMeansNumCPU(t *testing.T) {
-	o, err := New(WithParallelism(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Parallelism() != runtime.NumCPU() {
-		t.Errorf("WithParallelism(0) = %d, want runtime.NumCPU() = %d",
-			o.Parallelism(), runtime.NumCPU())
-	}
-}
-
-// TestParallelSameCommittedMerges: WithParallelism(4) must commit the
-// same merge set as a serial run and still yield a verifying module.
-// This test is the public-API face of the -race acceptance criterion.
-func TestParallelSameCommittedMerges(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		base := synthModule(seed)
-
-		serialM := ir.CloneModule(base)
-		serialOpt, err := New(WithThreshold(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := serialOpt.Optimize(context.Background(), serialM)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		parM := ir.CloneModule(base)
-		parOpt, err := New(WithThreshold(2), WithParallelism(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := parOpt.Optimize(context.Background(), parM)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if len(serial.Merges) != len(par.Merges) {
-			t.Fatalf("seed %d: merge counts differ: serial %d, parallel %d",
-				seed, len(serial.Merges), len(par.Merges))
-		}
-		for i := range serial.Merges {
-			a, b := serial.Merges[i], par.Merges[i]
-			if a.F1 != b.F1 || a.F2 != b.F2 || a.Merged != b.Merged || a.Profit != b.Profit {
-				t.Errorf("seed %d merge %d differs: serial %+v, parallel %+v", seed, i, a, b)
-			}
-		}
-		if serial.FinalBytes != par.FinalBytes {
-			t.Errorf("seed %d: final bytes differ: serial %d, parallel %d",
-				seed, serial.FinalBytes, par.FinalBytes)
-		}
-		if err := VerifyModule(parM); err != nil {
-			t.Fatalf("seed %d: parallel-merged module does not verify: %v", seed, err)
-		}
-	}
-}
-
 // TestOptimizerReusableConcurrently: one Optimizer, many goroutines,
 // each with its own module. The progress callback increments an
 // unsynchronized counter on purpose — WithProgress guarantees calls are
@@ -192,8 +130,7 @@ func TestParallelSameCommittedMerges(t *testing.T) {
 // it.
 func TestOptimizerReusableConcurrently(t *testing.T) {
 	events := 0
-	o, err := New(WithThreshold(2), WithParallelism(2),
-		WithProgress(func(Progress) { events++ }))
+	o, err := New(WithThreshold(2), WithProgress(func(Progress) { events++ }))
 	if err != nil {
 		t.Fatal(err)
 	}

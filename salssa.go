@@ -7,8 +7,8 @@
 //   - ParseModule / FormatModule: the textual IR (an LLVM-like dialect);
 //   - New + Option (WithAlgorithm, WithThreshold, WithTarget,
 //     WithLinearAlign, WithMaxCells, WithMinInstrs, WithSkipHot,
-//     WithFinder, WithDupFold, WithCanon, WithMaxFamily,
-//     WithParallelism, WithProgress): build a reusable,
+//     WithFinder, WithDupFold, WithCanon, WithMaxFamily, WithProgress;
+//     WithParallelism is accepted and ignored): build a reusable,
 //     concurrency-safe Optimizer;
 //   - (*Optimizer).Optimize: the whole-module pipeline — candidate
 //     ranking, the greedy merge loop under the profitability cost
@@ -84,8 +84,7 @@ type FinderKind = search.Kind
 const (
 	// ExactFinder is the paper's §5.1 brute-force fingerprint ranking:
 	// exact top-t candidate lists from an O(n) scan per query. The
-	// committed merge set is bit-identical to the historical pipeline
-	// at any parallelism.
+	// committed merge set is bit-identical to the historical pipeline.
 	ExactFinder = search.KindExact
 	// LSHFinder is the indexed exact finder. The name predates the
 	// removal of its minhash sketch: it now answers candidate queries
