@@ -13,49 +13,54 @@ import (
 // TestSessionOptimizeMatchesOneShot is the public face of the
 // differential criterion: a Session's first Optimize must commit
 // exactly what the one-shot Optimizer.Optimize commits, for both finders
-// with dup-fold on and off.
+// with dup-fold on and off. WithParallelism is accepted and ignored, so
+// the run at 4 must commit exactly what the run at 1 does.
 func TestSessionOptimizeMatchesOneShot(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		base := synthModule(seed)
 		for _, finder := range []FinderKind{ExactFinder, LSHFinder} {
 			for _, fold := range []bool{false, true} {
-				t.Run(fmt.Sprintf("seed%d-%v-fold=%v", seed, finder, fold), func(t *testing.T) {
-					opt, err := New(WithThreshold(2), WithFinder(finder), WithDupFold(fold))
-					if err != nil {
-						t.Fatal(err)
-					}
-					m1 := ir.CloneModule(base)
-					oneShot, err := opt.Optimize(context.Background(), m1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m2 := ir.CloneModule(base)
-					s, err := opt.Open(context.Background(), m2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer s.Close()
-					viaSession, err := s.Optimize(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(oneShot.Merges) != len(viaSession.Merges) {
-						t.Fatalf("merge counts differ: one-shot %d, session %d",
-							len(oneShot.Merges), len(viaSession.Merges))
-					}
-					for i := range oneShot.Merges {
-						a, b := oneShot.Merges[i], viaSession.Merges[i]
-						if a.F1 != b.F1 || a.F2 != b.F2 || a.Merged != b.Merged || a.Profit != b.Profit {
-							t.Errorf("merge %d differs: one-shot %+v, session %+v", i, a, b)
+				for _, jobs := range []int{1, 4} {
+					name := fmt.Sprintf("seed%d-%v-fold=%v-jobs=%d", seed, finder, fold, jobs)
+					t.Run(name, func(t *testing.T) {
+						opt, err := New(WithThreshold(2), WithFinder(finder),
+							WithDupFold(fold), WithParallelism(jobs))
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					if a, b := FormatModule(m1), FormatModule(m2); a != b {
-						t.Error("session module text diverges from one-shot Optimize")
-					}
-					if err := VerifyModule(m2); err != nil {
-						t.Fatalf("session module does not verify: %v", err)
-					}
-				})
+						m1 := ir.CloneModule(base)
+						oneShot, err := opt.Optimize(context.Background(), m1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m2 := ir.CloneModule(base)
+						s, err := opt.Open(context.Background(), m2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer s.Close()
+						viaSession, err := s.Optimize(context.Background())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(oneShot.Merges) != len(viaSession.Merges) {
+							t.Fatalf("merge counts differ: one-shot %d, session %d",
+								len(oneShot.Merges), len(viaSession.Merges))
+						}
+						for i := range oneShot.Merges {
+							a, b := oneShot.Merges[i], viaSession.Merges[i]
+							if a.F1 != b.F1 || a.F2 != b.F2 || a.Merged != b.Merged || a.Profit != b.Profit {
+								t.Errorf("merge %d differs: one-shot %+v, session %+v", i, a, b)
+							}
+						}
+						if a, b := FormatModule(m1), FormatModule(m2); a != b {
+							t.Error("session module text diverges from one-shot Optimize")
+						}
+						if err := VerifyModule(m2); err != nil {
+							t.Fatalf("session module does not verify: %v", err)
+						}
+					})
+				}
 			}
 		}
 	}
