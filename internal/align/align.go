@@ -114,9 +114,9 @@ func Mergeable(a, b Entry) bool {
 	}
 	switch x.Op() {
 	case ir.OpICmp, ir.OpFCmp:
-		return x.Pred == y.Pred
+		return x.Pred() == y.Pred()
 	case ir.OpAlloca:
-		return ir.TypesEqual(x.AllocTy, y.AllocTy)
+		return ir.TypesEqual(x.AllocTy(), y.AllocTy())
 	case ir.OpCall, ir.OpInvoke:
 		// Different callees would need a function-pointer select; like the
 		// prototype, restrict merging to identical callees.

@@ -57,7 +57,7 @@ func TestAlignFig2(t *testing.T) {
 	// icmp slt vs icmp ne must NOT merge (different predicates).
 	for _, p := range res.Pairs {
 		if p.IsMatch() && !p.A.IsLabel() && p.A.Instr.Op() == ir.OpICmp {
-			if p.A.Instr.Pred != p.B.Instr.Pred {
+			if p.A.Instr.Pred() != p.B.Instr.Pred() {
 				t.Error("aligned icmps with different predicates")
 			}
 		}

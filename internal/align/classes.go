@@ -119,9 +119,9 @@ func (it *Interner) classLocked(x *ir.Instruction) int32 {
 	}
 	switch x.Op() {
 	case ir.OpICmp, ir.OpFCmp:
-		b = binary.AppendUvarint(b, uint64(x.Pred))
+		b = binary.AppendUvarint(b, uint64(x.Pred()))
 	case ir.OpAlloca:
-		b = binary.AppendUvarint(b, uint64(it.typeIDLocked(x.AllocTy)))
+		b = binary.AppendUvarint(b, uint64(it.typeIDLocked(x.AllocTy())))
 	case ir.OpCall, ir.OpInvoke:
 		b = binary.AppendUvarint(b, uint64(it.valueIDLocked(x.Callee())))
 	case ir.OpSwitch:

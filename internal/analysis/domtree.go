@@ -250,6 +250,25 @@ func (t *DomTree) number(b *ir.Block) int32 {
 	return r
 }
 
+// Rekey makes t answer for its function's blocks again after a rewrite
+// that only took blocks away — shifting the survivors' indices — and
+// left dominance among the survivors as it was: a block absorbed into
+// its only predecessor, an empty block's predecessors sent straight to
+// its target, unreachable blocks erased. Dominates, StrictlyDominates
+// and IsReachable then answer for the survivors; RPO, IDom, Children and
+// NumPreds still describe the graph the tree was built for.
+func (t *DomTree) Rekey() {
+	for i := range t.num {
+		t.num[i] = unreached
+	}
+	t.num = t.num[:min(len(t.num), len(t.fn.Blocks))]
+	for r, b := range t.rpo {
+		if b.Parent() == t.fn && b.Index() < len(t.num) {
+			t.num[b.Index()] = int32(r)
+		}
+	}
+}
+
 // Func returns the function the tree was built for.
 func (t *DomTree) Func() *ir.Function { return t.fn }
 

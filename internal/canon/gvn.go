@@ -96,7 +96,7 @@ func Reduce(f *ir.Function) int {
 	shapes := make(map[*ir.Instruction]string, len(pure))
 	for _, in := range pure {
 		var sb strings.Builder
-		fmt.Fprintf(&sb, "%d|%s|%d|%d", in.Op(), typeStr(in.Type()), in.Pred, in.NumOperands())
+		fmt.Fprintf(&sb, "%d|%s|%d|%d", in.Op(), typeStr(in.Type()), in.Pred(), in.NumOperands())
 		if in.Op() == ir.OpPhi {
 			fmt.Fprintf(&sb, "|b%d", blockPos[in.Parent()])
 		}

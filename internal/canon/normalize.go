@@ -41,7 +41,7 @@ func Normalize(f *ir.Function) int {
 					a, c := in.Operand(0), in.Operand(1)
 					in.SetOperand(0, c)
 					in.SetOperand(1, a)
-					in.Pred = in.Pred.Swapped()
+					in.SetPred(in.Pred().Swapped())
 					changed++
 				}
 			case in.Op() == ir.OpPhi:

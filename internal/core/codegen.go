@@ -806,7 +806,7 @@ func canReorder(in *ir.Instruction) bool {
 	if in.Op().IsCommutative() {
 		return true
 	}
-	return (in.Op() == ir.OpICmp || in.Op() == ir.OpFCmp) && in.Pred.IsEquality()
+	return (in.Op() == ir.OpICmp || in.Op() == ir.OpFCmp) && in.Pred().IsEquality()
 }
 
 func btoi(b bool) int {

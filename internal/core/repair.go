@@ -192,17 +192,10 @@ func (s *ssaScratch) rowOf(in *ir.Instruction) int32 { return s.rowNum[s.num.of(
 // promoteAndFold finishes repairSSA: it promotes the slots left in f —
 // the landingpads' — and folds the selects/phis that coalescing made
 // redundant. Nothing here alters the CFG, so the dominator tree dt of f
-// serves promotion and the whole fixpoint loop.
+// serves promotion and the whole fixpoint.
 func promoteAndFold(f *ir.Function, dt *analysis.DomTree) {
 	transform.Mem2RegWithDom(f, dt)
-	for {
-		n := transform.RemoveDuplicatePhis(f)
-		n += transform.FoldInstructions(f)
-		n += transform.RemoveTrivialPhis(f, dt)
-		if n == 0 {
-			return
-		}
-	}
+	transform.FoldFixpoint(f, dt)
 }
 
 // buildSSA puts f back into SSA form over the offending definitions

@@ -41,13 +41,19 @@ type family struct {
 type familySet struct {
 	byHead map[*ir.Function]*family
 	// refs is the reference index behind the caller check. It lives for
-	// one run — built by the first check that needs it, kept current at
-	// the run's own mutation points (record, drop, touch) — because
-	// between runs the caller owns the module and unreported edits are
-	// not to be trusted: the reason validMembers re-reads every thunk.
-	refs *refIndex
-	// refBuilds counts index builds, for the tests that pin one per run.
-	refBuilds int
+	// the session — built by the first check that needs it, kept current
+	// at the mutation points (record, drop, touch) — but between runs the
+	// caller owns the module and edits it need not report are not to be
+	// trusted (the reason validMembers re-reads every thunk). So each
+	// run's first check re-reads the module functions whose edit stamp
+	// (ir.Function.Edits) moved since the index last read them, and
+	// forgets those that left the module: O(functions), not O(module
+	// instructions). refsFresh says this run's check did.
+	refs      *refIndex
+	refsFresh bool
+	// refBuilds and refRereads count index builds and the functions
+	// re-read at a run's first check, for the tests that pin them.
+	refBuilds, refRereads int
 }
 
 func newFamilySet() *familySet {
@@ -85,7 +91,7 @@ func (s *familySet) touch(m *ir.Module, f *ir.Function) {
 	}
 	s.refs.forget(f)
 	if f.Parent() == m {
-		s.refs.add(f, false)
+		s.refs.read(f)
 	}
 }
 
@@ -98,24 +104,49 @@ type refIndex struct {
 	holders map[*ir.Function]map[*ir.Function]bool
 	// targets[holder] lists what holder was indexed under, for forget.
 	targets map[*ir.Function][]*ir.Function
+	// stamps[f] is module function f's edit stamp when the index last
+	// read it.
+	stamps map[*ir.Function]uint32
 }
 
-// index returns the run's reference index, building it on first use in
-// one pass over the module and the registry's bodies.
+// index returns the session's reference index: built on first use in
+// one pass over the module and the registry's bodies, and brought up to
+// date with the module's edit stamps at each run's first use.
 func (s *familySet) index(m *ir.Module) *refIndex {
-	if s.refs == nil {
+	switch {
+	case s.refs == nil:
 		s.refBuilds++
-		s.refs = &refIndex{map[*ir.Function]map[*ir.Function]bool{}, map[*ir.Function][]*ir.Function{}}
+		s.refs = &refIndex{map[*ir.Function]map[*ir.Function]bool{}, map[*ir.Function][]*ir.Function{}, map[*ir.Function]uint32{}}
 		for _, f := range m.Funcs {
-			s.refs.add(f, false)
+			s.refs.read(f)
 		}
 		for _, fam := range s.byHead {
 			for _, mb := range fam.members {
 				s.refs.add(mb.body, true)
 			}
 		}
+	case !s.refsFresh:
+		for f := range s.refs.stamps {
+			if f.Parent() != m {
+				s.refs.forget(f)
+			}
+		}
+		for _, f := range m.Funcs {
+			if at, ok := s.refs.stamps[f]; !ok || at != f.Edits() {
+				s.refRereads++
+				s.refs.forget(f)
+				s.refs.read(f)
+			}
+		}
 	}
+	s.refsFresh = true
 	return s.refs
+}
+
+// read indexes module function f as it stands.
+func (x *refIndex) read(f *ir.Function) {
+	x.add(f, false)
+	x.stamps[f] = f.Edits()
 }
 
 // add indexes every function operand of holder's current body.
@@ -144,6 +175,7 @@ func (x *refIndex) forget(holder *ir.Function) {
 		delete(x.holders[target], holder)
 	}
 	delete(x.targets, holder)
+	delete(x.stamps, holder)
 }
 
 // isHead reports whether f heads a recorded family.

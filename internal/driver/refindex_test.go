@@ -14,7 +14,14 @@ import (
 	"repro/internal/irtext"
 	"repro/internal/search"
 	"repro/internal/synth"
+	"repro/internal/transform"
 )
+
+// failSkip fails the package on a clean-up pass that skipped a block its
+// trigger fires at.
+func failSkip(pass string, f *ir.Function, b *ir.Block) {
+	panic(fmt.Sprintf("transform: %s skipped a block of @%s its trigger fires at\n%s", pass, f.Name(), f))
+}
 
 // naiveExternalCallers is the specification of hasExternalCallers: the
 // scan over every instruction operand of the module and of the other
@@ -60,13 +67,16 @@ var callerChecks struct {
 
 // TestMain holds the reference index against the naive scan at every
 // caller check any test of the package reaches — the family tests, the
-// golden grid, the differentials and the storm below alike. Benchmark
-// runs go without: they time the index, not its specification.
+// golden grid, the differentials and the storm below alike — and every
+// clean-up pass to its due filter (transform.SkipCheck). Benchmark runs
+// go without: they time the index and the passes, not their
+// specifications.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if flag.Lookup("test.bench").Value.String() != "" {
 		os.Exit(m.Run())
 	}
+	transform.SkipCheck = failSkip
 	callerCheckHook = func(mod *ir.Module, families *familySet, fam *family, got bool) {
 		want := naiveExternalCallers(mod, families, fam)
 		callerChecks.Lock()
@@ -186,12 +196,16 @@ func TestCallerCheckInflightBody(t *testing.T) {
 	}
 }
 
-// TestCallerCheckIndexOncePerRun: a dry run and an Apply that each
-// decide several flattens build the reference index once, and no run
-// leaves one behind.
-func TestCallerCheckIndexOncePerRun(t *testing.T) {
+// TestCallerCheckIndexOncePerSession: the reference index is built once
+// per session — not by a cold run with no family to flatten, once by the
+// first Plan whose flattens need it, and never again through its Apply
+// and twenty churn rounds of UpdateBatch and Optimize — and each run's
+// first caller check re-reads only the functions whose edit stamps moved
+// since the index last read them.
+func TestCallerCheckIndexOncePerSession(t *testing.T) {
 	ctx := context.Background()
-	m := synth.Generate(synth.SuiteProfile(300, 9))
+	prof := synth.SuiteProfile(300, 9)
+	m := synth.Generate(prof)
 	s, err := OpenSession(ctx, m, Config{
 		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
 		Finder: search.KindLSH, DupFold: true, MaxFamily: 4,
@@ -219,8 +233,8 @@ func TestCallerCheckIndexOncePerRun(t *testing.T) {
 	if flattens < 2 {
 		t.Fatalf("the plan proposes %d flattens; the test needs several", flattens)
 	}
-	if s.families.refBuilds != 1 || s.families.refs != nil {
-		t.Errorf("Plan with %d flattens: %d index builds (want 1), index kept %v", flattens, s.families.refBuilds, s.families.refs != nil)
+	if s.families.refBuilds != 1 {
+		t.Errorf("Plan with %d flattens: %d index builds, want 1", flattens, s.families.refBuilds)
 	}
 	res, err := sizedRun(t, s, plan)
 	if err != nil {
@@ -229,11 +243,63 @@ func TestCallerCheckIndexOncePerRun(t *testing.T) {
 	if res.Flattened != flattens {
 		t.Errorf("Apply flattened %d of the plan's %d", res.Flattened, flattens)
 	}
-	if s.families.refBuilds != 2 || s.families.refs != nil {
-		t.Errorf("Apply with %d flattens: %d index builds since the plan (want 1), index kept %v", flattens, s.families.refBuilds-1, s.families.refs != nil)
+	scratch := synth.Generate(prof)
+	rng := rand.New(rand.NewSource(23))
+	builder := synth.NewBuilder(scratch, rng, prof)
+	targets := scratch.Defined()
+	order := rng.Perm(len(targets))
+	const rounds, per = 20, 6
+	flattened, rereads := 0, s.families.refRereads
+	for round := 0; round < rounds; round++ {
+		names, err := irtext.ParseInto(m, churnRound(scratch, builder, targets, order, round, per, prof.MutRate))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UpdateBatch(ctx, names, nil); err != nil {
+			t.Fatal(err)
+		}
+		if res, err = sizedRun(t, s, nil); err != nil {
+			t.Fatal(err)
+		}
+		flattened += res.Flattened
 	}
+	if s.families.refBuilds != 1 {
+		t.Errorf("%d churn rounds: %d index builds in the session, want 1", rounds, s.families.refBuilds)
+	}
+	// A run's first check re-reads what moved since the index last read
+	// it — the redefined functions, and the run's own rewrites after
+	// their mutation points — not the module.
+	rereads = s.families.refRereads - rereads
+	if flattened == 0 || rereads >= rounds*len(m.Funcs)/10 {
+		t.Errorf("%d churn rounds flattened %d families and re-read %d functions at their first checks, a tenth of the module's per round or more", rounds, flattened, rereads)
+	}
+	t.Logf("%d churn rounds: %d flattens, %d functions re-read, %d index build", rounds, flattened, rereads, s.families.refBuilds)
 	if err := ir.VerifyModule(m); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCallerCheckUnreportedStrayCaller: a caller of a family head added
+// to the module without Update — so that only the index's re-read of
+// the module at the next run's first caller check can see it — must
+// veto that family's flattening at the next Optimize, and the module
+// must verify.
+func TestCallerCheckUnreportedStrayCaller(t *testing.T) {
+	s, m, fam := familySession(t, 1)
+	if hasExternalCallers(m, s.families, fam, nil) {
+		t.Fatal("fresh family already vetoed")
+	}
+	s.finishStats(&Result{}) // that check was a run's
+	m.AddFunc(callerOf(fam.head, "user.stray"))
+	members := fam.members
+	if _, err := sizedRun(t, s, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cur := s.families.byHead[fam.head]; cur == nil || len(cur.members) != len(members) || m.FuncByName(fam.head.Name()) != fam.head {
+		t.Errorf("the family behind @%s was flattened despite an unreported caller", fam.head.Name())
+	}
+	if err := ir.VerifyModule(m); err != nil {
+		t.Fatalf("module does not verify: %v", err)
 	}
 }
 

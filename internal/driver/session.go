@@ -621,10 +621,11 @@ func (s *Session) moduleBytes() int {
 
 // finishStats folds the per-run finder/cache deltas into res and moves
 // the session baselines forward. Every run that got as far as its walk
-// ends here, and its reference index (family.go) with it.
+// ends here, leaving the reference index (family.go) to be brought up to
+// date by the next run's first caller check.
 func (s *Session) finishStats(res *Result) {
 	if s.families != nil {
-		s.families.refs = nil
+		s.families.refsFresh = false
 	}
 	cur := s.finder.Stats()
 	res.Search = search.Stats{

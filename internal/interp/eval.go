@@ -18,16 +18,16 @@ func (env *Env) eval(frame map[ir.Value]Value, f *ir.Function, in *ir.Instructio
 	case op == ir.OpICmp:
 		a := env.operand(frame, in.Operand(0))
 		b := env.operand(frame, in.Operand(1))
-		return evalICmp(in.Pred, a, b, in.Operand(0).Type())
+		return evalICmp(in.Pred(), a, b, in.Operand(0).Type())
 	case op == ir.OpFCmp:
 		a := env.operand(frame, in.Operand(0))
 		b := env.operand(frame, in.Operand(1))
 		if a.IsUndef() || b.IsUndef() {
 			return Undef, nil
 		}
-		return evalFCmp(in.Pred, a.Float, b.Float)
+		return evalFCmp(in.Pred(), a.Float, b.Float)
 	case op == ir.OpAlloca:
-		n := slotCount(in.AllocTy)
+		n := slotCount(in.AllocTy())
 		obj := &Object{Name: in.Name(), Slots: make([]Value, n)}
 		for i := range obj.Slots {
 			obj.Slots[i] = Undef

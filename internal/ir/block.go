@@ -13,10 +13,13 @@ type Block struct {
 	useList
 	name   string
 	parent *Function
+	instrs []*Instruction
 	// index is the block's position in parent.Blocks, -1 while detached.
 	// Function maintains it (see Index).
-	index  int
-	instrs []*Instruction
+	index int32
+	// The stamps and marks: see stamp.go.
+	stamp, phiStamp, operandStamp, useStamp uint32
+	marks                                   [NumMarks]uint32
 }
 
 // NewBlock returns a detached block with the given name.
@@ -40,7 +43,7 @@ func (b *Block) Parent() *Function { return b.parent }
 // EraseBlock(s), SetBlockOrder, moveBody (AdoptBody, DetachBody,
 // CloneFunctionInto) and Clear, and
 // VerifyFunction checks it. Analyses key their per-block tables by it.
-func (b *Block) Index() int { return b.index }
+func (b *Block) Index() int { return int(b.index) }
 
 // Instrs returns the block's instructions in order. The slice is shared;
 // use Append/InsertBefore/Remove to mutate.
@@ -96,6 +99,7 @@ func (b *Block) Append(in *Instruction) *Instruction {
 	in.parent = b
 	in.pos = int32(len(b.instrs))
 	b.instrs = append(b.instrs, in)
+	in.moved(b, true)
 	return in
 }
 
@@ -110,6 +114,7 @@ func (b *Block) InsertBefore(in, pos *Instruction) *Instruction {
 	copy(b.instrs[i+1:], b.instrs[i:])
 	b.instrs[i] = in
 	b.renumber(i)
+	in.moved(b, true)
 	return in
 }
 
@@ -142,6 +147,9 @@ func (b *Block) InsertAllAtFront(ins []*Instruction) {
 	}
 	b.instrs = slices.Insert(b.instrs, 0, ins...)
 	b.renumber(0)
+	for _, in := range ins {
+		in.moved(b, true)
+	}
 }
 
 // TakeInstrs moves every instruction of src, in order, to the end of b,
@@ -150,6 +158,7 @@ func (b *Block) TakeInstrs(src *Block) {
 	for _, in := range src.instrs {
 		in.parent = nil
 		b.Append(in)
+		in.moved(src, false)
 	}
 	src.instrs = nil
 }
@@ -162,6 +171,7 @@ func (b *Block) Remove(in *Instruction) {
 	b.instrs = b.instrs[:len(b.instrs)-1]
 	in.parent = nil
 	b.renumber(i)
+	in.moved(b, false)
 }
 
 // Erase removes in from the block and drops its operand uses. The

@@ -7,7 +7,7 @@ func cloneInstrRaw(in *Instruction) *Instruction {
 	return &Instruction{
 		op: in.op, name: in.name, typ: in.typ,
 		operands: append([]Value(nil), in.operands...),
-		Pred:     in.Pred, AllocTy: in.AllocTy, Cleanup: in.Cleanup,
+		pred:     in.pred, Cleanup: in.Cleanup,
 	}
 }
 
@@ -19,6 +19,7 @@ func CloneInstruction(in *Instruction) *Instruction {
 	for i, v := range c.operands {
 		if u, ok := v.(usable); ok {
 			u.addUse(Use{User: c, Index: i})
+			touchUses(v, false)
 		}
 	}
 	return c

@@ -13,6 +13,8 @@ type Function struct {
 	// declarations.
 	Blocks []*Block
 	parent *Module
+	// edits, cfg and mark: see stamp.go.
+	edits, cfg, mark uint32
 }
 
 // NewFunction returns a detached function with parameters named after
@@ -74,8 +76,12 @@ func (f *Function) AddBlock(b *Block) *Block {
 		panic("ir: adding attached block")
 	}
 	b.parent = f
-	b.index = len(f.Blocks)
+	b.index = int32(len(f.Blocks))
 	f.Blocks = append(f.Blocks, b)
+	// Marks taken in another function mean nothing here.
+	b.marks = [NumMarks]uint32{}
+	b.touch(phisChanged | operandsChanged | usesLost)
+	f.cfgChanged()
 	return b
 }
 
@@ -97,6 +103,8 @@ func (f *Function) RemoveBlock(b *Block) {
 		x.index--
 	}
 	b.parent, b.index = nil, -1
+	f.cfgChanged()
+	f.entryChanged(b)
 }
 
 // SetBlockOrder relays out the function: order must be a permutation of
@@ -115,9 +123,11 @@ func (f *Function) SetBlockOrder(order []*Block) {
 		if b.index != -1 {
 			panic("ir: SetBlockOrder lists a block twice")
 		}
-		b.index = i
+		b.index = int32(i)
 		f.Blocks[i] = b
 	}
+	f.cfgChanged()
+	f.entryChanged(nil)
 }
 
 // EraseBlock removes b and erases all its instructions (dropping operand
@@ -167,15 +177,18 @@ func (f *Function) EraseBlocks(blocks []*Block) {
 		b.parent, b.index = nil, -1
 	}
 	// One compaction for the whole group.
+	entry := f.Entry()
 	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
 		if b.parent == f {
-			b.index = len(kept)
+			b.index = int32(len(kept))
 			kept = append(kept, b)
 		}
 	}
 	clear(f.Blocks[len(kept):])
 	f.Blocks = kept
+	f.cfgChanged()
+	f.entryChanged(entry)
 }
 
 // NumInstrs returns the total number of instructions in the function.
@@ -253,6 +266,11 @@ func moveBody(dst, src *Function) {
 	for _, b := range dst.Blocks {
 		b.parent = dst
 	}
+	// The blocks keep their stamps and marks: dst's counter continues
+	// from src's, so they still tell the truth.
+	dst.edits = max(dst.edits, src.edits)
+	dst.cfgChanged()
+	src.cfgChanged()
 }
 
 // Clear removes and erases all blocks, turning the function into a
@@ -274,6 +292,7 @@ func (f *Function) Clear() {
 		b.parent, b.index = nil, -1
 	}
 	f.Blocks = nil
+	f.cfgChanged()
 }
 
 // Module is a translation unit: a set of functions and global variables.

@@ -4,9 +4,10 @@ import "fmt"
 
 // Instruction is a single IR operation. All instructions share one
 // representation: an opcode, a result type, a uniform operand list and a
-// small amount of auxiliary data (comparison predicate, alloca type,
-// landingpad cleanup flag). Label references (branch targets, invoke
-// successors, phi incoming blocks) are ordinary operands of label type.
+// small amount of auxiliary data (comparison predicate, landingpad
+// cleanup flag; an alloca's element type is its result's pointee). Label
+// references (branch targets, invoke successors, phi incoming blocks)
+// are ordinary operands of label type.
 //
 // Operand layout per opcode:
 //
@@ -18,7 +19,7 @@ import "fmt"
 //	unreachable    []
 //	binary ops     [a, b]
 //	icmp/fcmp      [a, b]            (Pred)
-//	alloca         []                (AllocTy)
+//	alloca         []                (AllocTy, from its type)
 //	load           [ptr]
 //	store          [val, ptr]
 //	getelementptr  [base, indices...]
@@ -30,6 +31,10 @@ import "fmt"
 type Instruction struct {
 	useList
 	op Opcode
+	// pred is the comparison predicate of icmp/fcmp instructions.
+	pred CmpPred
+	// Cleanup marks landingpad instructions with a cleanup clause.
+	Cleanup bool
 	// pos is the instruction's position in parent's instruction list;
 	// Block maintains it (see Index).
 	pos      int32
@@ -37,13 +42,6 @@ type Instruction struct {
 	typ      Type
 	operands []Value
 	parent   *Block
-
-	// Pred is the comparison predicate of icmp/fcmp instructions.
-	Pred CmpPred
-	// AllocTy is the allocated element type of alloca instructions.
-	AllocTy Type
-	// Cleanup marks landingpad instructions with a cleanup clause.
-	Cleanup bool
 }
 
 func newInstr(op Opcode, name string, typ Type, operands ...Value) *Instruction {
@@ -99,10 +97,30 @@ func (in *Instruction) SetOperand(i int, v Value) {
 	}
 	if u, ok := old.(usable); ok {
 		u.delUse(Use{User: in, Index: i})
+		touchUses(old, true)
 	}
 	in.operands[i] = v
 	if u, ok := v.(usable); ok {
 		u.addUse(Use{User: in, Index: i})
+		touchUses(v, false)
+	}
+	in.operandChanged(old, v)
+}
+
+// operandChanged records that an operand of in changed from old to v
+// (either may be nil: an operand added or removed).
+func (in *Instruction) operandChanged(old, v Value) {
+	b := in.parent
+	if b == nil {
+		return
+	}
+	touchUser(in)
+	if in.op != OpPhi && in.op.IsTerminator() {
+		_, wasLabel := old.(*Block)
+		_, isLabel := v.(*Block)
+		if wasLabel || isLabel {
+			b.parent.cfgChanged()
+		}
 	}
 }
 
@@ -114,23 +132,29 @@ func (in *Instruction) addOperand(v Value) {
 	in.operands = append(in.operands, v)
 	if u, ok := v.(usable); ok {
 		u.addUse(Use{User: in, Index: len(in.operands) - 1})
+		touchUses(v, false)
 	}
+	in.operandChanged(nil, v)
 }
 
 // removeOperand deletes the i-th operand, shifting later operands down
 // and re-indexing their uses.
 func (in *Instruction) removeOperand(i int) {
-	if u, ok := in.operands[i].(usable); ok {
+	old := in.operands[i]
+	if u, ok := old.(usable); ok {
 		u.delUse(Use{User: in, Index: i})
+		touchUses(old, true)
 	}
 	for j := i + 1; j < len(in.operands); j++ {
 		if u, ok := in.operands[j].(usable); ok {
 			u.delUse(Use{User: in, Index: j})
 			u.addUse(Use{User: in, Index: j - 1})
+			touchUses(in.operands[j], false)
 		}
 		in.operands[j-1] = in.operands[j]
 	}
 	in.operands = in.operands[:len(in.operands)-1]
+	in.operandChanged(old, nil)
 }
 
 // dropOperands unregisters all operand uses, leaving the instruction
@@ -140,9 +164,11 @@ func (in *Instruction) dropOperands() {
 	for i, v := range in.operands {
 		if u, ok := v.(usable); ok {
 			u.delUse(Use{User: in, Index: i})
+			touchUses(v, true)
 		}
 	}
 	in.operands = nil
+	in.parent.touch(anyChange)
 }
 
 // IsTerminator reports whether the instruction ends its block.
@@ -254,22 +280,40 @@ func NewBinary(op Opcode, name string, a, b Value) *Instruction {
 // NewICmp returns an integer comparison producing i1.
 func NewICmp(name string, pred CmpPred, a, b Value) *Instruction {
 	in := newInstr(OpICmp, name, I1, a, b)
-	in.Pred = pred
+	in.pred = pred
 	return in
 }
 
 // NewFCmp returns a floating-point comparison producing i1.
 func NewFCmp(name string, pred CmpPred, a, b Value) *Instruction {
 	in := newInstr(OpFCmp, name, I1, a, b)
-	in.Pred = pred
+	in.pred = pred
 	return in
 }
 
 // NewAlloca returns a stack allocation of elem, producing elem*.
 func NewAlloca(name string, elem Type) *Instruction {
-	in := newInstr(OpAlloca, name, PtrTo(elem))
-	in.AllocTy = elem
-	return in
+	return newInstr(OpAlloca, name, PtrTo(elem))
+}
+
+// AllocTy returns the element type an alloca allocates (the pointee of
+// its result type), nil for any other instruction.
+func (in *Instruction) AllocTy() Type {
+	if in.op != OpAlloca {
+		return nil
+	}
+	return in.typ.(*PointerType).Elem
+}
+
+// Pred returns the comparison predicate of an icmp/fcmp instruction.
+func (in *Instruction) Pred() CmpPred { return in.pred }
+
+// SetPred replaces the comparison predicate of an icmp/fcmp instruction.
+func (in *Instruction) SetPred(p CmpPred) {
+	if in.pred != p {
+		in.pred = p
+		in.parent.touch(operandsChanged)
+	}
 }
 
 // NewLoad returns a load through ptr (of pointer type).

@@ -131,9 +131,9 @@ func instrString(in *Instruction, t *nameTable) string {
 	case op.IsBinary():
 		fmt.Fprintf(&sb, "%s %s, %s", op, t.typedRef(in.operands[0]), t.ref(in.operands[1]))
 	case op == OpICmp || op == OpFCmp:
-		fmt.Fprintf(&sb, "%s %s %s, %s", op, in.Pred, t.typedRef(in.operands[0]), t.ref(in.operands[1]))
+		fmt.Fprintf(&sb, "%s %s %s, %s", op, in.Pred(), t.typedRef(in.operands[0]), t.ref(in.operands[1]))
 	case op == OpAlloca:
-		fmt.Fprintf(&sb, "alloca %s", in.AllocTy)
+		fmt.Fprintf(&sb, "alloca %s", in.AllocTy())
 	case op == OpLoad:
 		fmt.Fprintf(&sb, "load %s, %s", in.typ, t.typedRef(in.operands[0]))
 	case op == OpStore:

@@ -83,7 +83,7 @@ func (v *verifier) run() error {
 		if b.parent != f {
 			return v.errf(b, "block parent link broken")
 		}
-		if b.index != i {
+		if b.Index() != i {
 			return v.errf(b, "block at position %d has index %d", i, b.index)
 		}
 		v.blocks[b] = true

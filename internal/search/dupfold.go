@@ -51,16 +51,16 @@ func EqualFunctions(f, g *ir.Function) bool {
 }
 
 func equalInstr(f, g *ir.Function, corr map[ir.Value]ir.Value, a, b *ir.Instruction) bool {
-	if a.Op() != b.Op() || a.Pred != b.Pred || a.Cleanup != b.Cleanup {
+	if a.Op() != b.Op() || a.Pred() != b.Pred() || a.Cleanup != b.Cleanup {
 		return false
 	}
 	if !ir.TypesEqual(a.Type(), b.Type()) {
 		return false
 	}
-	if (a.AllocTy == nil) != (b.AllocTy == nil) {
+	if (a.AllocTy() == nil) != (b.AllocTy() == nil) {
 		return false
 	}
-	if a.AllocTy != nil && !ir.TypesEqual(a.AllocTy, b.AllocTy) {
+	if a.AllocTy() != nil && !ir.TypesEqual(a.AllocTy(), b.AllocTy()) {
 		return false
 	}
 	if a.NumOperands() != b.NumOperands() {

@@ -139,9 +139,9 @@ func HashFunction(f *ir.Function) uint64 {
 		for _, in := range b.Instrs() {
 			s.word(uint64(in.Op()))
 			s.str(in.Type().String())
-			s.word(uint64(in.Pred))
-			if in.AllocTy != nil {
-				s.str(in.AllocTy.String())
+			s.word(uint64(in.Pred()))
+			if in.AllocTy() != nil {
+				s.str(in.AllocTy().String())
 			}
 			if in.Cleanup {
 				s.word(1)

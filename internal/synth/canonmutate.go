@@ -49,7 +49,7 @@ func noiseCommute(rng *rand.Rand, f *ir.Function, rate float64) int {
 					a, c := in.Operand(0), in.Operand(1)
 					in.SetOperand(0, c)
 					in.SetOperand(1, a)
-					in.Pred = in.Pred.Swapped()
+					in.SetPred(in.Pred().Swapped())
 					n++
 				}
 			}

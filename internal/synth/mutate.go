@@ -89,7 +89,7 @@ func applyOneMutation(rng *rand.Rand, f *ir.Function, lib [][]*ir.Function, inst
 				continue
 			}
 			preds := []ir.CmpPred{ir.PredSLT, ir.PredSLE, ir.PredSGT, ir.PredSGE, ir.PredEQ, ir.PredNE}
-			in.Pred = preds[rng.Intn(len(preds))]
+			in.SetPred(preds[rng.Intn(len(preds))])
 			return
 		case 4:
 			// Insert a new cross-block value: defined at the end of the

@@ -22,42 +22,50 @@ import (
 // which phi of a pair survives and the order of the erasures are that
 // scan's. What it costs is not: a block of more than a few phis is seen
 // through a phiView, which takes only the pairs that could merge to
-// mergePhiPair, and a resweep revisits only the blocks an erasure touched.
-func RemoveDuplicatePhis(f *ir.Function) (removed int) {
+// mergePhiPair, and a sweep visits only the blocks due (due.go).
+func RemoveDuplicatePhis(f *ir.Function) int {
+	s := newScratch(f, nil)
+	return removeDuplicatePhis(&s)
+}
+
+func removeDuplicatePhis(s *scratch) (removed int) {
+	f, v := s.f, &s.view
 	if dupPhiCheck != nil {
 		done := dupPhiCheck(f)
 		defer func() { done(removed) }()
 	}
-	var v phiView
-	w := resweep{blocks: len(f.Blocks)}
-	for w.begin() {
-		for i, b := range f.Blocks {
-			if !w.due(i) {
+	for {
+		before := removed
+		for _, b := range f.Blocks {
+			if !due(passDuplicatePhis, b, s) {
 				continue
 			}
+			clean(passDuplicatePhis, b)
 			switch phis := b.Phis(); {
 			case len(phis) < 2:
 			case len(phis) <= pairwiseMax:
 				// The common case, kept off the heap.
 				var few [pairwiseMax]*ir.Instruction
-				removed += scanPhis(b, few[:copy(few[:], phis)], &w)
+				removed += scanPhis(b, few[:copy(few[:], phis)])
 			default:
-				removed += v.fold(b, phis, &w)
+				removed += v.fold(b, phis)
 			}
 		}
+		if removed == before || settled(s, passDuplicatePhis) {
+			return removed
+		}
 	}
-	return removed
 }
 
 // scanPhis is the scan itself, over phis — the block's phis as they were
 // when its visit began.
-func scanPhis(blk *ir.Block, phis []*ir.Instruction, w *resweep) int {
+func scanPhis(blk *ir.Block, phis []*ir.Instruction) int {
 	removed := 0
 	for i, a := range phis {
 		// A phi erased mid-scan has dropped its incoming list and matches
 		// nothing from there on.
 		for j := i + 1; j < len(phis) && a.Parent() != nil; j++ {
-			if b := phis[j]; b.Parent() != nil && mergePhiPair(blk, a, b, w) {
+			if b := phis[j]; b.Parent() != nil && mergePhiPair(blk, a, b) {
 				removed++
 			}
 		}
@@ -65,17 +73,38 @@ func scanPhis(blk *ir.Block, phis []*ir.Instruction, w *resweep) int {
 	return removed
 }
 
+// hasDuplicates is RemoveDuplicatePhis' trigger for a block: some pair
+// of its phis merges.
+func (v *phiView) hasDuplicates(blk *ir.Block) bool {
+	phis := blk.Phis()
+	if len(phis) > pairwiseMax {
+		v.dry = true
+		found := v.fold(blk, phis) > 0
+		v.dry = false
+		if found || v.described {
+			return found
+		}
+	}
+	for i, a := range phis {
+		for _, b := range phis[i+1:] {
+			if weak, _ := phiMerge(a, b); weak != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // dupPhiCheck, when a test sets it, gets f before every
 // RemoveDuplicatePhis, and what it returns the result after.
 var dupPhiCheck func(f *ir.Function) func(removed int)
 
 // mergePhiPair merges redundant phis (see phiMerge), erasing the weaker.
-func mergePhiPair(blk *ir.Block, a, b *ir.Instruction, w *resweep) bool {
+func mergePhiPair(blk *ir.Block, a, b *ir.Instruction) bool {
 	weak, strong := phiMerge(a, b)
 	if weak == nil {
 		return false
 	}
-	w.erasing(weak)
 	// Collapse self/mutual references through the erased phi.
 	for i := 0; i < strong.NumIncoming(); i++ {
 		if strong.IncomingValue(i) == ir.Value(weak) {
@@ -157,6 +186,10 @@ type phiView struct {
 	info  []phiInfo
 	heads []int32 // scratch: the first phi of each (undef, sig) bucket, hashed
 	cross []int32 // ascending: the phis with cross set
+	// dry: fold only looks — it stops at the first pair that would merge
+	// and merges nothing. described: the last fold could describe its
+	// block (else it left it to the plain scan, which dry does not run).
+	dry, described bool
 }
 
 type phiInfo struct {
@@ -179,18 +212,24 @@ type phiInfo struct {
 }
 
 // fold is one visit of RemoveDuplicatePhis to a block holding phis; it
-// returns how many it erased.
-func (v *phiView) fold(blk *ir.Block, phis []*ir.Instruction, w *resweep) int {
+// returns how many it erased (dry: 1 if it found a pair, else 0).
+func (v *phiView) fold(blk *ir.Block, phis []*ir.Instruction) int {
 	v.phis = append(v.phis[:0], phis...)
-	if !v.describe(blk) {
-		return scanPhis(blk, v.phis, w)
+	if v.described = v.describe(blk); !v.described {
+		if v.dry {
+			return 0
+		}
+		return scanPhis(blk, v.phis)
 	}
 	removed := 0
 	past := 0 // cross[past:] lie after phi i
 	for i, a := range v.phis {
+		if v.dry && removed > 0 {
+			return removed
+		}
 		if v.info[i].cross {
 			for j := i + 1; j < len(v.phis) && a.Parent() != nil; j++ {
-				removed += v.try(blk, i, j, w)
+				removed += v.try(blk, i, j)
 			}
 			continue
 		}
@@ -209,7 +248,7 @@ func (v *phiView) fold(blk *ir.Block, phis []*ir.Instruction, w *resweep) int {
 			} else {
 				break
 			}
-			removed += v.try(blk, i, int(j), w)
+			removed += v.try(blk, i, int(j))
 		}
 	}
 	return removed
@@ -217,7 +256,7 @@ func (v *phiView) fold(blk *ir.Block, phis []*ir.Instruction, w *resweep) int {
 
 // try is the scan's step for the pair i < j, the first still in the
 // block: 1 if they merged.
-func (v *phiView) try(blk *ir.Block, i, j int, w *resweep) int {
+func (v *phiView) try(blk *ir.Block, i, j int) int {
 	a, b := v.phis[i], v.phis[j]
 	if b.Parent() == nil {
 		return 0
@@ -232,7 +271,13 @@ func (v *phiView) try(blk *ir.Block, i, j int, w *resweep) int {
 			return 0 // each holds undef where the other does not
 		}
 	}
-	if mergePhiPair(blk, a, b, w) {
+	if v.dry {
+		if weak, _ := phiMerge(a, b); weak != nil {
+			return 1
+		}
+		return 0
+	}
+	if mergePhiPair(blk, a, b) {
 		return 1
 	}
 	return 0
@@ -383,66 +428,4 @@ func slotKey(blk *ir.Block, v ir.Value) (key uint64, undef bool) {
 		return kindFloat ^ math.Float64bits(x.V), false
 	}
 	return kindOther, false
-}
-
-// resweep orders the block visits of a phi clean-up pass that must run
-// to a fixpoint. Sweeping every block again after any change finds work
-// only where a phi operand was rewritten since the block's last visit,
-// and these passes rewrite operands only by replacing a phi they erase;
-// so after the first sweep a block is due only if it holds a phi that
-// used an erased one. Blocks come in ascending order and one that falls
-// due ahead of the sweep is taken in the same sweep: the rewrites happen
-// in the order of the full sweeps.
-type resweep struct {
-	blocks int    // in the function
-	dirty  []bool // by block index; allocated by the first erasure
-	sweeps int
-	at     int  // the block being visited
-	again  bool // a block at or behind the sweep's position is due
-}
-
-// begin reports whether another sweep is needed, and starts it.
-func (w *resweep) begin() bool {
-	if w.sweeps > 0 && !w.again {
-		return false
-	}
-	w.sweeps++
-	w.again = false
-	return true
-}
-
-// due reports whether the sweep must visit block i; call it for every
-// block, in order.
-func (w *resweep) due(i int) bool {
-	w.at = i
-	if w.sweeps == 1 {
-		if w.dirty != nil {
-			w.dirty[i] = false
-		}
-		return true
-	}
-	due := w.dirty[i]
-	w.dirty[i] = false
-	return due
-}
-
-// erasing notes that the pass is about to replace phi's uses and erase
-// it.
-func (w *resweep) erasing(phi *ir.Instruction) {
-	for _, u := range ir.UsesOf(phi) {
-		if u.User.Op() != ir.OpPhi {
-			continue
-		}
-		b := u.User.Parent()
-		if b == nil || b.Index() < 0 {
-			continue // not in the function: never visited
-		}
-		if w.dirty == nil {
-			w.dirty = make([]bool, w.blocks)
-		}
-		w.dirty[b.Index()] = true
-		if b.Index() <= w.at {
-			w.again = true
-		}
-	}
 }

@@ -107,7 +107,9 @@ func TestDuplicatePhisMatchSpecOnMergedBodies(t *testing.T) {
 		transform.Simplify(merged)
 	}
 	t.Logf("%d pair and %d family bodies: %d RemoveDuplicatePhis calls replayed, %d phis removed", built, len(families), calls, removed)
-	if calls < 3*(built+len(families)) || removed < built {
+	// One call per round of each body's fold fixpoint and Simplify, and
+	// each has at least one round.
+	if calls < 2*(built+len(families)) || removed < built {
 		t.Errorf("the bodies do not exercise the pass")
 	}
 }

@@ -105,13 +105,14 @@ func mergePhiPairSpec(blk *ir.Block, a, b *ir.Instruction) bool {
 // removeTrivialPhisSpec is RemoveTrivialPhis sweeping every block again
 // after any change.
 func removeTrivialPhisSpec(f *ir.Function, dt *analysis.DomTree) int {
+	s := &scratch{f: f, dt: dt, dtAt: f.CFGStamp()}
 	removed := 0
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
 			for i := 0; i < b.Len() && b.Instrs()[i].Op() == ir.OpPhi; {
 				phi := b.Instrs()[i]
-				unique, ok := trivialPhiValue(phi, dt)
+				unique, ok := trivialPhiValue(phi, s)
 				if !ok {
 					i++
 					continue

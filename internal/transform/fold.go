@@ -159,7 +159,7 @@ func toUnsigned(v int64, bits int) uint64 {
 func foldICmp(in *ir.Instruction) ir.Value {
 	a, b := in.Operand(0), in.Operand(1)
 	if ir.ValuesEqual(a, b) && !ir.IsConstant(a) {
-		switch in.Pred {
+		switch in.Pred() {
 		case ir.PredEQ, ir.PredSLE, ir.PredSGE, ir.PredULE, ir.PredUGE:
 			return ir.True
 		case ir.PredNE, ir.PredSLT, ir.PredSGT, ir.PredULT, ir.PredUGT:
@@ -175,7 +175,7 @@ func foldICmp(in *ir.Instruction) ir.Value {
 	x, y := ca.V, cb.V
 	ux, uy := toUnsigned(x, bits), toUnsigned(y, bits)
 	var r bool
-	switch in.Pred {
+	switch in.Pred() {
 	case ir.PredEQ:
 		r = x == y
 	case ir.PredNE:

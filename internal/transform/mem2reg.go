@@ -101,7 +101,7 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 				stores = append(stores, u.User.Parent())
 			}
 		}
-		vars[i] = SSAVar{Name: a.Name(), Type: a.AllocTy, Defs: stores[start:len(stores):len(stores)]}
+		vars[i] = SSAVar{Name: a.Name(), Type: a.AllocTy(), Defs: stores[start:len(stores):len(stores)]}
 	}
 	BuildSSA(f, dt, vars, nil, func(b *ir.Block, r *Reaching) {
 		for i := 0; i < b.Len(); {
@@ -321,32 +321,42 @@ func allocaAccess(in *ir.Instruction, index map[*ir.Instruction]int) (int, bool)
 // answers; phi removal never alters the CFG, so the tree outlives the
 // call. Returns the number of phis removed.
 func RemoveTrivialPhis(f *ir.Function, dt *analysis.DomTree) int {
+	s := newScratch(f, dt)
+	return removeTrivialPhis(&s)
+}
+
+// removeTrivialPhis sweeps the blocks due until a sweep removes nothing
+// or nothing is left to remove.
+func removeTrivialPhis(s *scratch) int {
 	removed := 0
-	w := resweep{blocks: len(f.Blocks)}
-	for w.begin() {
-		for bi, b := range f.Blocks {
-			if !w.due(bi) {
+	for {
+		before := removed
+		for _, b := range s.f.Blocks {
+			if !due(passTrivialPhis, b, s) {
 				continue
 			}
+			clean(passTrivialPhis, b)
 			for i := 0; i < b.Len() && b.Instrs()[i].Op() == ir.OpPhi; {
 				phi := b.Instrs()[i]
-				unique, ok := trivialPhiValue(phi, dt)
+				unique, ok := trivialPhiValue(phi, s)
 				if !ok {
 					i++
 					continue
 				}
-				w.erasing(phi)
 				ir.ReplaceAllUsesWith(phi, unique)
 				b.Erase(phi)
 				removed++
 			}
 		}
+		if removed == before || settled(s, passTrivialPhis) {
+			return removed
+		}
 	}
-	return removed
 }
 
 // trivialPhiValue returns the value a redundant phi may be replaced by.
-func trivialPhiValue(phi *ir.Instruction, dt *analysis.DomTree) (ir.Value, bool) {
+// s answers dominance, when it comes to that.
+func trivialPhiValue(phi *ir.Instruction, s *scratch) (ir.Value, bool) {
 	var unique ir.Value
 	sawUndef := false
 	for i := 0; i < phi.NumIncoming(); i++ {
@@ -377,7 +387,7 @@ func trivialPhiValue(phi *ir.Instruction, dt *analysis.DomTree) (ir.Value, bool)
 				if def.Op() != ir.OpPhi {
 					return nil, false
 				}
-			} else if !dt.StrictlyDominates(def.Parent(), b) {
+			} else if !s.domTree().StrictlyDominates(def.Parent(), b) {
 				return nil, false
 			}
 		}

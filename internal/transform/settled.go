@@ -1,9 +1,6 @@
 package transform
 
-import (
-	"repro/internal/analysis"
-	"repro/internal/ir"
-)
+import "repro/internal/ir"
 
 // Settled reports whether Simplify would leave f exactly as it is: no
 // clean-up pass finds anything to do in its first round, so Simplify
@@ -26,53 +23,21 @@ func pending(f *ir.Function) string {
 		return ""
 	}
 	v := uses{own: f}
-	hasPhis := false
+	sc := newScratch(f, nil)
+	s := &sc
 	for _, b := range f.Blocks {
-		if t := b.Term(); t != nil && foldedTarget(t) != nil {
-			return "FoldTerminators"
-		}
-		if absorbable(b, v) != nil {
-			return "MergeStraightLineBlocks"
-		}
-		if forwardTarget(b, v) != nil {
-			return "ForwardEmptyBlocks"
-		}
-		phis := b.Phis()
-		hasPhis = hasPhis || len(phis) > 0
-		if phisFoldable(b, v) {
-			for _, phi := range phis {
-				if phi.NumIncoming() == 1 {
-					return "foldSinglePredPhis"
-				}
-			}
-		}
-		for i, a := range phis {
-			for _, c := range phis[i+1:] {
-				if weak, _ := phiMerge(a, c); weak != nil {
-					return "RemoveDuplicatePhis"
-				}
-			}
-		}
-		for _, in := range b.Instrs() {
-			if foldConstExpr(in) != nil {
-				return "FoldInstructions"
-			}
-			if dead(in, v) {
-				return "DCE"
+		for _, p := range [...]pass{passFoldTerminators, passMergeBlocks, passForwardEmpty, passSinglePredPhis, passDuplicatePhis, passFoldInstructions, passDCE} {
+			if fires(p, b, v, s) {
+				return p.String()
 			}
 		}
 	}
-	dt := analysis.NewDomTree(f)
-	if hasUnreachable(f, dt) {
-		return "RemoveUnreachable"
+	if s.hasUnreachable() {
+		return passUnreachable.String()
 	}
-	if hasPhis {
-		for _, b := range f.Blocks {
-			for _, phi := range b.Phis() {
-				if _, ok := trivialPhiValue(phi, dt); ok {
-					return "RemoveTrivialPhis"
-				}
-			}
+	for _, b := range f.Blocks {
+		if fires(passTrivialPhis, b, v, s) {
+			return passTrivialPhis.String()
 		}
 	}
 	return ""

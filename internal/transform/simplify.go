@@ -11,45 +11,72 @@ import (
 // block forwarding and dead-code elimination. This corresponds to the
 // "Simplification" stage of the paper's Figure 1. Returns the total
 // number of changes applied.
+//
+// Its rounds are those of a loop that runs every pass over every block
+// until a round changes nothing (the specification, kept in
+// simplify_spec_test.go), and so are their rewrites; but each pass
+// visits only the blocks due for it (due.go), and the loop stops as soon
+// as no pass has anything left to do, without a round to confirm it.
 func Simplify(f *ir.Function) int {
 	if f.IsDecl() {
 		return 0
 	}
 	total := 0
-	// dt is a dominator tree of f's current CFG, nil once a pass has
-	// rewritten a terminator or the block list; a round that leaves the
-	// CFG alone hands its tree to the next.
-	var dt *analysis.DomTree
-	cfgPass := func(changes int) int {
-		if changes > 0 {
-			dt = nil
-		}
-		return changes
-	}
+	sc := newScratch(f, nil)
+	s := &sc
 	for {
 		n := FoldInstructions(f)
-		n += cfgPass(FoldTerminators(f))
-		if dt == nil {
-			dt = analysis.NewDomTree(f)
-		}
-		if dead := RemoveUnreachable(f, dt); dead > 0 {
+		n += FoldTerminators(f)
+		if dead := removeUnreachable(s); dead > 0 {
 			n += dead
-			dt = analysis.NewDomTree(f)
 			// Phis in blocks that just lost predecessors may now be trivial.
-			RemoveTrivialPhis(f, dt)
+			removeTrivialPhis(s)
 		}
 		n += foldSinglePredPhis(f)
-		n += RemoveTrivialPhis(f, dt)
-		n += RemoveDuplicatePhis(f)
-		n += cfgPass(MergeStraightLineBlocks(f))
-		n += cfgPass(ForwardEmptyBlocks(f))
+		n += removeTrivialPhis(s)
+		n += removeDuplicatePhis(s)
+		n += mergeStraightLineBlocks(s)
+		n += forwardEmptyBlocks(s)
 		n += DCE(f)
 		total += n
-		if n == 0 {
+		if n == 0 || settled(s, simplifyPasses...) {
 			return total
 		}
 	}
 }
+
+// simplifyPasses are Simplify's passes in round order.
+var simplifyPasses = []pass{passFoldInstructions, passFoldTerminators, passUnreachable,
+	passSinglePredPhis, passTrivialPhis, passDuplicatePhis, passMergeBlocks, passForwardEmpty, passDCE}
+
+// FoldFixpoint runs RemoveDuplicatePhis, FoldInstructions and
+// RemoveTrivialPhis, in that order, in rounds until none has anything
+// left to do, and returns how many changes they made: the clean-up SSA
+// repair ends with, folding the selects and phis phi-node coalescing
+// made redundant (paper §4.3–4.4). dt is f's dominator tree, which none
+// of the three alters. Like Simplify it stops without a round to confirm
+// that nothing is left, and the blocks it leaves clean stay clean for
+// Simplify's passes of the same names.
+func FoldFixpoint(f *ir.Function, dt *analysis.DomTree) int {
+	if fixpointEntry != nil {
+		fixpointEntry(f)
+	}
+	sc := newScratch(f, dt)
+	s := &sc
+	total := 0
+	for {
+		n := removeDuplicatePhis(s)
+		n += FoldInstructions(f)
+		n += removeTrivialPhis(s)
+		total += n
+		if n == 0 || settled(s, passDuplicatePhis, passFoldInstructions, passTrivialPhis) {
+			return total
+		}
+	}
+}
+
+// fixpointEntry, when a test sets it, gets f before every FoldFixpoint.
+var fixpointEntry func(f *ir.Function)
 
 // SimplifyModule runs Simplify over every defined function.
 func SimplifyModule(m *ir.Module) int {
@@ -65,6 +92,10 @@ func SimplifyModule(m *ir.Module) int {
 func FoldInstructions(f *ir.Function) int {
 	n := 0
 	for _, b := range f.Blocks {
+		if !due(passFoldInstructions, b, nil) {
+			continue
+		}
+		clean(passFoldInstructions, b)
 		for i := 0; i < b.Len(); {
 			in := b.Instrs()[i]
 			v := foldConstExpr(in)
@@ -87,6 +118,10 @@ func FoldInstructions(f *ir.Function) int {
 func FoldTerminators(f *ir.Function) int {
 	n := 0
 	for _, b := range f.Blocks {
+		if !due(passFoldTerminators, b, nil) {
+			continue
+		}
+		clean(passFoldTerminators, b)
 		t := b.Term()
 		if t == nil {
 			continue
@@ -159,23 +194,37 @@ func removePhiEdgesFromNonPred(b *ir.Block, candidates ...*ir.Block) {
 // from the phis of reachable blocks. Removing blocks renumbers the
 // survivors, so dt is stale once this returns non-zero.
 func RemoveUnreachable(f *ir.Function, dt *analysis.DomTree) int {
-	if !hasUnreachable(f, dt) {
+	s := newScratch(f, dt)
+	return removeUnreachable(&s)
+}
+
+func removeUnreachable(s *scratch) int {
+	f := s.f
+	if !unreachableDue(s) {
 		return 0
 	}
+	// Erasing unreachable blocks leaves none behind.
+	defer func() { f.SetMark(f.Edits()) }()
+	if !s.hasUnreachable() {
+		return 0
+	}
+	s.dominanceChanged()
+	defer s.keptDominance()
+	reach := s.reachable()
 	var dead []*ir.Block
 	for _, b := range f.Blocks {
-		if !dt.IsReachable(b) {
+		if !reach[b.Index()] {
 			dead = append(dead, b)
 		}
 	}
 	// Drop phi edges coming from dead blocks.
 	for _, b := range f.Blocks {
-		if !dt.IsReachable(b) {
+		if !reach[b.Index()] {
 			continue
 		}
 		for _, phi := range b.Phis() {
 			for i := phi.NumIncoming() - 1; i >= 0; i-- {
-				if !dt.IsReachable(phi.IncomingBlock(i)) {
+				if !reach[phi.IncomingBlock(i).Index()] {
 					phi.RemoveIncoming(i)
 				}
 			}
@@ -187,16 +236,15 @@ func RemoveUnreachable(f *ir.Function, dt *analysis.DomTree) int {
 	return len(dead)
 }
 
-// hasUnreachable is RemoveUnreachable's trigger.
-func hasUnreachable(f *ir.Function, dt *analysis.DomTree) bool {
-	return len(dt.RPO()) != len(f.Blocks)
-}
-
 // foldSinglePredPhis replaces phis in blocks with exactly one predecessor
 // by their single incoming value.
 func foldSinglePredPhis(f *ir.Function) int {
 	n := 0
 	for _, b := range f.Blocks {
+		if !due(passSinglePredPhis, b, nil) {
+			continue
+		}
+		clean(passSinglePredPhis, b)
 		if !phisFoldable(b, allUses) {
 			continue
 		}
@@ -223,6 +271,14 @@ func phisFoldable(b *ir.Block, v uses) bool {
 // MergeStraightLineBlocks merges each block pair (B, S) where B's only
 // exit is an unconditional branch to S and B is S's only predecessor.
 func MergeStraightLineBlocks(f *ir.Function) int {
+	s := newScratch(f, nil)
+	return mergeStraightLineBlocks(&s)
+}
+
+func mergeStraightLineBlocks(sc *scratch) int {
+	f := sc.f
+	sc.dominanceChanged()
+	defer sc.keptDominance()
 	// The merging code generator emits one block per straight-line run of
 	// aligned rows, so what is left to merge is a label block reached
 	// only from the end of another (its original block's one
@@ -234,7 +290,12 @@ func MergeStraightLineBlocks(f *ir.Function) int {
 	// so the walk passes over it — and the whole group leaves the block
 	// list in one compaction at the end.
 	var absorbed []*ir.Block
+	var kept []keptClean
 	for _, b := range f.Blocks {
+		if !due(passMergeBlocks, b, nil) {
+			continue
+		}
+		clean(passMergeBlocks, b)
 		for {
 			s := absorbable(b, allUses)
 			if s == nil {
@@ -246,12 +307,20 @@ func MergeStraightLineBlocks(f *ir.Function) int {
 				ir.ReplaceAllUsesWith(phi, phi.IncomingValue(0))
 				s.Erase(phi)
 			}
+			// The rest — B's branch gone, S's instructions moved into B, the
+			// phis that named S naming B — changes nothing any trigger
+			// reads but names, so what was clean stays clean (keepAcross).
+			kept = sc.keepAcross(kept[:0], b, s)
 			b.Erase(b.Term())
 			b.TakeInstrs(s)
 			// Successor phis referencing S now flow from B.
 			for _, u := range append([]ir.Use(nil), ir.UsesOf(s)...) {
 				u.User.SetOperand(u.Index, b)
 			}
+			for _, k := range kept {
+				clean(k.p, k.blk)
+			}
+			sc.keptDominance()
 			absorbed = append(absorbed, s)
 		}
 	}
@@ -284,16 +353,36 @@ func absorbable(b *ir.Block, v uses) *ir.Block {
 // (LLVM's TryToSimplifyUncondBranchFromEmptyBlock). A block is kept when
 // forwarding would create conflicting phi edges in the destination.
 func ForwardEmptyBlocks(f *ir.Function) int {
+	s := newScratch(f, nil)
+	return forwardEmptyBlocks(&s)
+}
+
+func forwardEmptyBlocks(s *scratch) int {
+	f := s.f
+	s.dominanceChanged()
+	defer s.keptDominance()
 	n := 0
-	for changed := true; changed; {
-		changed = false
+	for {
+		changed := false
+		// An erasure shifts the blocks after it down under the range, so
+		// the sweep skips the next one, and sees the last twice.
 		for _, b := range f.Blocks {
+			if !due(passForwardEmpty, b, nil) {
+				continue
+			}
+			clean(passForwardEmpty, b)
 			dest := forwardTarget(b, allUses)
 			if dest == nil {
 				continue
 			}
 			// Fix dest phis: the value that flowed through b now flows
-			// directly from each of b's predecessors.
+			// directly from each of b's predecessors. Each phi trades b's
+			// edge for theirs at b's value, which forwardTarget checked
+			// against any edge one of them already has (and the phis of a
+			// verified function list the same edges), so no two phis come
+			// to merge and none turns trivial that did not before: dest
+			// keeps its verdicts for both.
+			keepDup, keepTrivial := !due(passDuplicatePhis, dest, s), !due(passTrivialPhis, dest, s)
 			preds := b.Preds()
 			for _, phi := range dest.Phis() {
 				v, ok := phi.IncomingFor(b)
@@ -311,11 +400,20 @@ func ForwardEmptyBlocks(f *ir.Function) int {
 				p.Term().ReplaceSuccessor(b, dest)
 			}
 			f.EraseBlock(b)
+			s.keptDominance()
+			if keepDup {
+				clean(passDuplicatePhis, dest)
+			}
+			if keepTrivial {
+				clean(passTrivialPhis, dest)
+			}
 			n++
 			changed = true
 		}
+		if !changed || settled(s, passForwardEmpty) {
+			return n
+		}
 	}
-	return n
 }
 
 // forwardTarget is ForwardEmptyBlocks' trigger: the block b's
@@ -380,10 +478,15 @@ func forwardTarget(b *ir.Block, v uses) *ir.Block {
 // has no observable effect (including unused loads, allocas, phis and
 // pure arithmetic). Returns the number of instructions removed.
 func DCE(f *ir.Function) int {
+	s := newScratch(f, nil)
 	n := 0
-	for changed := true; changed; {
-		changed = false
+	for {
+		changed := false
 		for _, b := range f.Blocks {
+			if !due(passDCE, b, nil) {
+				continue
+			}
+			clean(passDCE, b)
 			instrs := b.Instrs()
 			for i := len(instrs) - 1; i >= 0; i-- {
 				in := instrs[i]
@@ -396,8 +499,10 @@ func DCE(f *ir.Function) int {
 				changed = true
 			}
 		}
+		if !changed || settled(&s, passDCE) {
+			return n
+		}
 	}
-	return n
 }
 
 // dead is DCE's trigger: in is unused and removable.
