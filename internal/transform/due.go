@@ -43,6 +43,9 @@ const (
 // and whose mark is the function's mark slot.
 const passUnreachable = numPasses
 
+// Every per-block pass has a mark slot (this fails to compile if not).
+const _ = uint(ir.NumMarks - numPasses)
+
 var passNames = [...]string{
 	passFoldInstructions: "FoldInstructions",
 	passFoldTerminators:  "FoldTerminators",
