@@ -24,7 +24,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/irtext"
-	"repro/internal/search"
 	"repro/internal/synth"
 	"repro/internal/transform"
 )
@@ -191,23 +190,6 @@ func BenchmarkModulePipeline(b *testing.B) {
 		m := ir.CloneModule(base)
 		b.StartTimer()
 		driver.Run(m, driver.Config{Algorithm: driver.SalSSA, Threshold: 1, Target: costmodel.X86_64})
-	}
-}
-
-// BenchmarkModulePipelineLSH is the serial pipeline with candidate
-// discovery served by the LSH finder instead of the brute-force scan;
-// the committed merge set is identical (the finder returns the same
-// top-t lists), so the delta against BenchmarkModulePipeline is pure
-// candidate-search speedup.
-func BenchmarkModulePipelineLSH(b *testing.B) {
-	base := pipelineModule()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := ir.CloneModule(base)
-		b.StartTimer()
-		driver.Run(m, driver.Config{Algorithm: driver.SalSSA, Threshold: 1,
-			Target: costmodel.X86_64, Finder: search.KindLSH})
 	}
 }
 

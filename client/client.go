@@ -5,7 +5,7 @@
 //
 //	c := client.New("http://127.0.0.1:7433", "ci-worker-3")
 //	sc, _ := c.CreateSession(ctx, client.CreateSession{
-//	    Name: "libfoo", Module: irText, Finder: "lsh", DupFold: true,
+//	    Name: "libfoo", Module: irText, DupFold: true,
 //	})
 //	for {
 //	    plan, _ := sc.Plan(ctx)

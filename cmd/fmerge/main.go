@@ -4,7 +4,7 @@
 //
 //	fmerge [-algo salssa|salssa-nopc|fmsa] [-t N] [-target x86-64|thumb]
 //	       [-linear-align] [-max-cells N] [-min-instrs N]
-//	       [-skip-hot f1,f2,...] [-finder exact|lsh] [-dup-fold] [-canon]
+//	       [-skip-hot f1,f2,...] [-dup-fold] [-canon]
 //	       [-max-family N] [-rounds N]
 //	       [-cpuprofile f] [-memprofile f]
 //	       [-plan out.json | -apply plan.json]
@@ -47,11 +47,6 @@
 //	-min-instrs N   ignore functions smaller than N instructions
 //	-skip-hot list  comma-separated functions excluded from merging
 //	                (the paper's §5.7 hot-path remedy)
-//	-finder kind    candidate search: "exact" (brute-force ranking,
-//	                bit-identical merges to the original pipeline) or
-//	                "lsh" (the indexed exact finder: the same lists
-//	                from a size-ordered walk pruned by admissible
-//	                lower bounds; the name is historical)
 //	-dup-fold       fold structurally identical functions into
 //	                forwarding thunks before any alignment runs
 //	-canon          index every function through a private canonical
@@ -84,7 +79,7 @@
 //	                on it, instead of reading input files
 //	-scale TIERS    benchmark mode: for each comma-separated tier,
 //	                stream the corpus batch-by-batch into a session
-//	                (indexed finder), optimize, and record phase
+//	                (the same pipeline), optimize, and record phase
 //	                wall-clock, peak heap, post-index live heap and
 //	                finder work as a JSON artifact written to
 //	                -scale-out
@@ -126,7 +121,6 @@ import (
 
 	repro "repro"
 	"repro/internal/corpus"
-	"repro/internal/search"
 )
 
 func main() {
@@ -137,7 +131,6 @@ func main() {
 	maxCells := flag.Int64("max-cells", 0, "skip pairs whose alignment matrix exceeds N cells (0 = unlimited)")
 	minInstrs := flag.Int("min-instrs", 0, "ignore functions smaller than N instructions")
 	skipHot := flag.String("skip-hot", "", "comma-separated functions excluded from merging")
-	finder := flag.String("finder", "exact", "candidate search: exact or lsh")
 	dupFold := flag.Bool("dup-fold", false, "fold structurally identical functions into thunks before alignment")
 	canonFlag := flag.Bool("canon", false, "index through canonical views (normalization + GVN); widens -dup-fold to semantic duplicates")
 	maxFamily := flag.Int("max-family", 4, "flatten merge chains into k-ary families of up to N members (2 = always nest pairwise)")
@@ -216,11 +209,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
-	fk, err := search.KindByName(*finder)
-	if err != nil {
-		fatal(err)
-	}
-
 	opts := []repro.Option{
 		repro.WithAlgorithm(alg),
 		repro.WithThreshold(*threshold),
@@ -228,7 +216,6 @@ func main() {
 		repro.WithLinearAlign(*linearAlign),
 		repro.WithMaxCells(*maxCells),
 		repro.WithMinInstrs(*minInstrs),
-		repro.WithFinder(fk),
 		repro.WithDupFold(*dupFold),
 		repro.WithCanon(*canonFlag),
 		repro.WithMaxFamily(*maxFamily),
@@ -374,7 +361,7 @@ func main() {
 			if err != nil {
 				fatalClean(err)
 			}
-			reportModule(rep, label, *verbose, *finder)
+			reportModule(rep, label, *verbose)
 			batchMerges += len(rep.Merges)
 
 		default:
@@ -389,7 +376,7 @@ func main() {
 				sawErr = true
 				fmt.Fprintf(os.Stderr, "fmerge: %spipeline stopped early: %v\n", label, err)
 			}
-			reportModule(rep, label, *verbose, *finder)
+			reportModule(rep, label, *verbose)
 			batchMerges += len(rep.Merges)
 		}
 
@@ -465,7 +452,7 @@ func optimizeRounds(ctx context.Context, opt *repro.Optimizer, m *repro.Module, 
 		}
 	}
 }
-func reportModule(rep *repro.Report, label string, verbose bool, finder string) {
+func reportModule(rep *repro.Report, label string, verbose bool) {
 	fmt.Fprintf(os.Stderr, "%s%s[t=%d]: %d merges committed, %d attempts\n",
 		label, rep.Algorithm, rep.Threshold, len(rep.Merges), rep.Attempts)
 	for _, rec := range rep.Merges {
@@ -487,7 +474,7 @@ func reportModule(rep *repro.Report, label string, verbose bool, finder string) 
 		}
 	}
 	if verbose {
-		fmt.Fprintf(os.Stderr, "search: finder=%s, %d pairs tried\n", finder, rep.Attempts)
+		fmt.Fprintf(os.Stderr, "search: %d pairs tried\n", rep.Attempts)
 		if rep.OutcomeHits > 0 {
 			fmt.Fprintf(os.Stderr, "search: %d trials served from the session outcome memo\n", rep.OutcomeHits)
 		}

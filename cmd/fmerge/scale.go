@@ -1,6 +1,6 @@
 // scale.go implements fmerge's -scale benchmark mode: each requested
-// corpus tier is streamed batch-by-batch into a session over the
-// indexed finder, fully optimized, and accounted — wall-clock per
+// corpus tier is streamed batch-by-batch into a session, fully
+// optimized, and accounted — wall-clock per
 // phase, peak sampled heap, post-index live heap, bytes saved and the
 // finder's query work — one row per tier. CI runs the 10k tier on
 // every push and archives the JSON as BENCH_scale.json; the 1M tier is
@@ -19,7 +19,6 @@ import (
 	repro "repro"
 	"repro/internal/corpus"
 	"repro/internal/ir"
-	"repro/internal/search"
 )
 
 // scaleRun is one tier's measurement in the artifact.
@@ -110,12 +109,7 @@ func runScale(ctx context.Context, tiers []string, out string, verbose bool) err
 // is the point of the streaming generator: no tier-sized scratch), so
 // their times are accumulated separately across batches.
 func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, verbose bool) (*scaleRun, error) {
-	lsh, err := search.KindByName("lsh")
-	if err != nil {
-		return nil, err
-	}
 	opt, err := repro.New(
-		repro.WithFinder(lsh),
 		repro.WithDupFold(true),
 		// A corpus is optimized once, so nothing would ever flatten:
 		// skip the retention of original bodies that powers it.

@@ -11,10 +11,10 @@
 //	        [-client-inflight N] [-client-funcs N] [-max-body BYTES]
 //
 //	fmerged -loadgen [-clients N] [-sessions N] [-funcs N] [-seed N]
-//	        [-finder exact|lsh] [-o BENCH_serve.json]
+//	        [-o BENCH_serve.json]
 //
 //	fmerged -wal-bench [-clients N] [-sessions N] [-funcs N] [-seed N]
-//	        [-finder exact|lsh] [-o BENCH_wal.json]
+//	        [-o BENCH_wal.json]
 //
 // Serve mode mounts the /v1 surface (see internal/serve and the
 // repro/client package) and runs until SIGINT/SIGTERM; on shutdown the
@@ -69,7 +69,6 @@ func main() {
 		sessions = flag.Int("sessions", 4, "loadgen: daemon sessions the clients spread over")
 		funcs    = flag.Int("funcs", 2000, "loadgen: synthetic corpus size per session")
 		seed     = flag.Int64("seed", 42, "loadgen: corpus generation seed")
-		finder   = flag.String("finder", "lsh", "loadgen: candidate finder (exact|lsh)")
 		rounds   = flag.Int("rounds", 0, "loadgen: plan/apply rounds per client (0 = drive every session to its merge fixpoint)")
 		out      = flag.String("o", "", "benchmark report output path (\"-\" for stdout; default BENCH_serve.json / BENCH_wal.json)")
 	)
@@ -85,7 +84,6 @@ func main() {
 		Sessions:  *sessions,
 		Funcs:     *funcs,
 		Seed:      *seed,
-		Finder:    *finder,
 		MaxRounds: *rounds,
 		WALDir:    *walDir,
 		WALSync:   *walSync,

@@ -10,10 +10,9 @@
 // -scale divides the suite sizes for quick runs (the committed
 // EXPERIMENTS.md numbers use -scale 1).
 //
-// -finder selects the candidate search ("exact" or "lsh") and
-// -dup-fold folds identical functions before alignment. Both default to
-// the paper's pipeline (exact, no folding); regenerating figures with
-// either changed measures the extension, not the reproduction.
+// -dup-fold folds identical functions before alignment. It defaults to
+// the paper's pipeline (no folding); regenerating figures with it on
+// measures the extension, not the reproduction.
 package main
 
 import (
@@ -24,22 +23,15 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/search"
 )
 
 func main() {
 	scale := flag.Int("scale", 1, "divide benchmark sizes by N for quicker runs")
-	finder := flag.String("finder", "exact", "candidate search: exact or lsh")
 	dupFold := flag.Bool("dup-fold", false, "fold structurally identical functions before alignment")
 	flag.Parse()
-	kind, err := search.KindByName(*finder)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: repro [-scale N] [-finder exact|lsh] [-dup-fold] all | list | <experiment>...")
+		fmt.Fprintln(os.Stderr, "usage: repro [-scale N] [-dup-fold] all | list | <experiment>...")
 		fmt.Fprintln(os.Stderr, "experiments:", strings.Join(experiments.IDs(), " "))
 		os.Exit(2)
 	}
@@ -49,7 +41,6 @@ func main() {
 	}
 	lab := experiments.NewLab()
 	lab.Scale = *scale
-	lab.Finder = kind
 	lab.DupFold = *dupFold
 	ids := args
 	if args[0] == "all" {

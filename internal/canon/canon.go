@@ -1,8 +1,8 @@
 // Package canon computes immutable canonical views of functions: a
 // private clone of the body run through mem2reg, CFG simplification,
 // constant folding, operand normalization and GVN redundancy
-// elimination. The view is a lens for the discovery stack — fingerprints,
-// LSH sketches and structural hashes are computed over it so that
+// elimination. The view is a lens for the discovery stack — fingerprints
+// and structural hashes are computed over it so that
 // semantically-near-identical functions that differ only in reducible
 // noise (redundant memory traffic, unfolded constants, commuted
 // operands, spurious blocks, duplicated pure computations) index

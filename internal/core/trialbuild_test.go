@@ -23,7 +23,7 @@ type trialPair struct {
 	plan   *ParamPlan
 }
 
-// trialPairs returns the top-1 LSH candidate pairs of the first n
+// trialPairs returns the top-1 candidate pairs of the first n
 // mergeable functions of the seeded 2k corpus, visited in a seeded
 // order — the sample bench/layers.go replays, minus the harness.
 func trialPairs(tb testing.TB, n int) []trialPair {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/ir"
-	"repro/internal/search"
 )
 
 // TestAlignCacheReported: every run must account its linearization
@@ -32,33 +31,30 @@ func TestAlignCacheReported(t *testing.T) {
 	}
 }
 
-// TestLSHDupFoldMatchesExact is the full-pipeline equivalence check of
-// the indexed finder under duplicate folding: with folds tombstoning
-// functions before the loop, the LSH finder's lists must still commit
-// exactly the exact finder's merge set.
+// TestLSHDupFoldMatchesExact is the full-pipeline check of the index
+// under duplicate folding: with folds tombstoning functions before the
+// loop, Run commits the merges and folds of the retained one-shot
+// reference pipeline (whose finder the Exact one was), and the merged
+// module verifies and behaves like the original.
 func TestLSHDupFoldMatchesExact(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, threshold := range []int{1, 3} {
 			name := fmt.Sprintf("seed%d-t%d", seed, threshold)
 			base := testModule(t, seed)
-
-			exact := Run(ir.CloneModule(base), Config{
+			cfg := Config{
 				Algorithm: SalSSA, Threshold: threshold, Target: costmodel.X86_64,
 				DupFold: true,
-			})
-
-			mp := ir.CloneModule(base)
-			lsh, err := RunContext(context.Background(), mp, Config{
-				Algorithm: SalSSA, Threshold: threshold, Target: costmodel.X86_64,
-				DupFold: true, Finder: search.KindLSH,
-			})
-			if err != nil {
-				t.Fatalf("%s: LSH run failed: %v", name, err)
 			}
-			sameMerges(t, exact, lsh)
-			if len(exact.Folds) != len(lsh.Folds) {
+			want, err := runOneShotReference(context.Background(), ir.CloneModule(base), cfg)
+			if err != nil {
+				t.Fatalf("%s: reference run failed: %v", name, err)
+			}
+			mp := ir.CloneModule(base)
+			got := Run(mp, cfg)
+			sameMerges(t, want, got)
+			if len(want.Folds) != len(got.Folds) {
 				t.Errorf("%s: fold count differs: %d vs %d",
-					name, len(exact.Folds), len(lsh.Folds))
+					name, len(want.Folds), len(got.Folds))
 			}
 			if err := ir.VerifyModule(mp); err != nil {
 				t.Fatalf("%s: merged module does not verify: %v", name, err)

@@ -91,33 +91,31 @@ func fillCache(c *candidateCache, finder search.Finder) {
 // function that never moved — the lists cached in its absence get it
 // back.
 func TestCandidateCacheReindexedAfterRetire(t *testing.T) {
-	for _, kind := range []search.Kind{search.KindExact, search.KindLSH} {
-		m := cloneFamily(t, "a", "b", "c")
-		finder := search.New(kind, m.Defined())
-		c := newCandidateCache(1, nil)
-		owner, g := m.FuncByName("b"), m.FuncByName("a")
-		// The first query names g (a distance-0 tie won on name) and
-		// leaves its fingerprint behind.
-		c.put(owner, finder.Candidates(owner, 1))
-		if l, _ := c.get(owner); len(l) != 1 || l[0] != g {
-			t.Fatalf("%v: @b's nearest is %v, want [a]", kind, funcNames(l))
-		}
-		// A commit retires g; a later row of the same walk caches @b's
-		// list without it.
-		c.remove(g)
-		finder.Remove(g)
-		c.put(owner, finder.Candidates(owner, 1))
-		if l, _ := c.get(owner); len(l) != 1 || l[0].Name() != "c" {
-			t.Fatalf("%v: with @a retired @b's nearest is %v, want [c]", kind, funcNames(l))
-		}
-		// The next sync re-indexes g, body unchanged.
-		finder.Add(g)
-		c.applyDelta([]*ir.Function{g}, nil)
-		if l, _ := c.get(owner); len(l) != 1 || l[0] != g {
-			t.Errorf("%v: after @a is re-indexed @b is served %v, want [a]", kind, funcNames(l))
-		}
-		checkCacheExact(t, c, finder, kind.String())
+	m := cloneFamily(t, "a", "b", "c")
+	finder := search.NewIndexed(m.Defined(), nil)
+	c := newCandidateCache(1, nil)
+	owner, g := m.FuncByName("b"), m.FuncByName("a")
+	// The first query names g (a distance-0 tie won on name) and
+	// leaves its fingerprint behind.
+	c.put(owner, finder.Candidates(owner, 1))
+	if l, _ := c.get(owner); len(l) != 1 || l[0] != g {
+		t.Fatalf("@b's nearest is %v, want [a]", funcNames(l))
 	}
+	// A commit retires g; a later row of the same walk caches @b's
+	// list without it.
+	c.remove(g)
+	finder.Remove(g)
+	c.put(owner, finder.Candidates(owner, 1))
+	if l, _ := c.get(owner); len(l) != 1 || l[0].Name() != "c" {
+		t.Fatalf("with @a retired @b's nearest is %v, want [c]", funcNames(l))
+	}
+	// The next sync re-indexes g, body unchanged.
+	finder.Add(g)
+	c.applyDelta([]*ir.Function{g}, nil)
+	if l, _ := c.get(owner); len(l) != 1 || l[0] != g {
+		t.Errorf("after @a is re-indexed @b is served %v, want [a]", funcNames(l))
+	}
+	checkCacheExact(t, c, finder, "after the re-index")
 }
 
 // squareFirstInt rewrites f in place so its fingerprint changes, even
@@ -152,10 +150,10 @@ func squareFirstInt(t *testing.T, f *ir.Function) {
 func TestCandidateCacheSeesFingerprintChange(t *testing.T) {
 	ctx := context.Background()
 	for _, canonOn := range []bool{false, true} {
-		for _, kind := range []search.Kind{search.KindExact, search.KindLSH} {
-			t.Run(fmt.Sprintf("%v/canon=%v", kind, canonOn), func(t *testing.T) {
+		for _, finder := range finderNames {
+			t.Run(fmt.Sprintf("%s/canon=%v", finder, canonOn), func(t *testing.T) {
 				m := cloneFamily(t, "a", "b", "c")
-				cfg := Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, Finder: kind}
+				cfg := Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64}
 				if canonOn {
 					cfg.Canon = canon.Default()
 				}
@@ -199,10 +197,10 @@ func TestCandidateCacheSeesFingerprintChange(t *testing.T) {
 // takes every newcomer at its sorted position until it is full, and a
 // newcomer that evicts the last member of a full list.
 func TestCandidateCachePatchOrder(t *testing.T) {
-	for _, kind := range []search.Kind{search.KindExact, search.KindLSH} {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, name := range finderNames {
+		t.Run(name, func(t *testing.T) {
 			m := cloneFamily(t, "f", "m", "q")
-			finder := search.New(kind, m.Defined())
+			finder := search.NewIndexed(m.Defined(), nil)
 			tmpl := m.FuncByName("f")
 			add := func(c *candidateCache, name string) {
 				t.Helper()
@@ -260,22 +258,23 @@ func TestCandidateCachePatchOrder(t *testing.T) {
 func TestCandidateCacheExactUnderChurn(t *testing.T) {
 	type variant struct {
 		threshold int
-		finder    search.Kind
+		finder    string
 		canon     bool
 	}
+	const exact, lsh = "exact", "lsh"
 	variants := []variant{
-		{1, search.KindLSH, false}, {3, search.KindLSH, false}, {8, search.KindLSH, false},
-		{3, search.KindExact, false}, {3, search.KindLSH, true},
+		{1, lsh, false}, {3, lsh, false}, {8, lsh, false},
+		{3, exact, false}, {3, lsh, true},
 	}
 	for _, v := range variants {
-		t.Run(fmt.Sprintf("t=%d/%v/canon=%v", v.threshold, v.finder, v.canon), func(t *testing.T) {
+		t.Run(fmt.Sprintf("t=%d/%s/canon=%v", v.threshold, v.finder, v.canon), func(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
 			prof := synth.SuiteProfile(160, 5)
 			m := synth.Generate(prof)
 			cfg := Config{
 				Algorithm: SalSSA, Threshold: v.threshold, Target: costmodel.X86_64,
-				Finder: v.finder, DupFold: true, MaxFamily: 4,
+				DupFold: true, MaxFamily: 4,
 			}
 			if v.canon {
 				cfg.Canon = canon.Default()

@@ -15,7 +15,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
-	"repro/internal/search"
 	"repro/internal/synth"
 )
 
@@ -46,7 +45,7 @@ func BenchmarkCanonViewBuild(b *testing.B) {
 func benchmarkCanonOptimize(b *testing.B, canonOn bool) {
 	cfg := Config{
 		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		Finder: search.KindLSH, DupFold: true,
+		DupFold: true,
 	}
 	if canonOn {
 		cfg.Canon = canon.Default()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/irtext"
-	"repro/internal/search"
 	"repro/internal/synth"
 )
 
@@ -21,8 +20,8 @@ func mergeKey(r MergeRecord) string {
 
 // TestCanonOffMatchesReference: a session whose Canon config is the zero
 // value must commit exactly the pre-canon pipeline's merges and folds —
-// the reference one-shot walk — across both finders and dup-fold, and
-// leave a byte-identical module. Canon off means no lens exists at all,
+// the reference one-shot walk — under both finder names, with and
+// without dup-fold, and leave a byte-identical module. Canon off means no lens exists at all,
 // so this pins the "opt-in" contract: nothing changes until asked.
 func TestCanonOffMatchesReference(t *testing.T) {
 	ctx := context.Background()
@@ -32,12 +31,12 @@ func TestCanonOffMatchesReference(t *testing.T) {
 		CloneFrac: 0.5, FamilySize: 3, MutRate: 0.08,
 		Loops: 0.5, Switches: 0.4,
 	}
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
+	for _, finder := range finderNames {
 		for _, fold := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s-fold=%v", finder, fold), func(t *testing.T) {
 				cfg := Config{
 					Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-					Finder: finder, DupFold: fold,
+					DupFold: fold,
 				}
 				mSess := synth.Generate(base)
 				mRef := synth.Generate(base)
@@ -87,13 +86,12 @@ func TestCanonOffMatchesReference(t *testing.T) {
 // verification).
 func TestCanonFoldsSupersetOnMutatedSuite(t *testing.T) {
 	ctx := context.Background()
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
+	for _, finder := range finderNames {
 		for _, fam := range []int{0, 4} {
-			finder, fam := finder, fam
 			t.Run(fmt.Sprintf("%s-fam=%d", finder, fam), func(t *testing.T) {
 				cfg := Config{
 					Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-					Finder: finder, DupFold: true, MaxFamily: fam,
+					DupFold: true, MaxFamily: fam,
 				}
 				canonCfg := cfg
 				canonCfg.Canon = canon.Default()
@@ -173,7 +171,7 @@ func TestCanonPlanApplyOnMutatedSuite(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{
 		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-		Finder: search.KindExact, DupFold: true, Canon: canon.Default(),
+		DupFold: true, Canon: canon.Default(),
 	}
 	mPlan := synth.CanonSuite(30, 13)
 	mOpt := synth.CanonSuite(30, 13)
@@ -218,16 +216,17 @@ func TestCanonPlanApplyOnMutatedSuite(t *testing.T) {
 // TestCanonSnapshotRoundTrip: a canon session's snapshot restores warm —
 // zero finder rebuilds AND zero canonical-view builds up front (the
 // recorded canonical hashes are primed into the lens) — and the first
-// warm Plan matches the cold one bit for bit.
+// warm Plan matches the cold one bit for bit, whichever finder name the
+// snapshot recorded.
 func TestCanonSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	text := synth.CanonSuite(30, 17).String()
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
-		cfg := Config{
-			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-			Finder: finder, DupFold: true, Canon: canon.Default(),
-		}
-		t.Run(finder.String(), func(t *testing.T) {
+	cfg := Config{
+		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
+		DupFold: true, Canon: canon.Default(),
+	}
+	for _, finder := range snapshotFinders {
+		t.Run(finder, func(t *testing.T) {
 			m1, err := irtext.Parse(text)
 			if err != nil {
 				t.Fatal(err)
@@ -257,7 +256,7 @@ func TestCanonSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s2, err := OpenSessionWithSnapshot(ctx, m2, cfg, roundTripSnapshot(t, snap))
+			s2, err := OpenSessionWithSnapshot(ctx, m2, cfg, recordedUnder(t, snap, finder))
 			if err != nil {
 				t.Fatalf("warm open: %v", err)
 			}
@@ -329,7 +328,7 @@ func TestCanonIncrementalInvalidation(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{
 		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-		Finder: search.KindExact, DupFold: true, Canon: canon.Default(),
+		DupFold: true, Canon: canon.Default(),
 	}
 	m := synth.CanonSuite(16, 23)
 	s, err := OpenSession(ctx, m, cfg)

@@ -127,11 +127,6 @@ type Config struct {
 	SkipHot map[string]bool
 	// MinInstrs skips functions smaller than this (0 = keep all).
 	MinInstrs int
-	// Finder selects the candidate-search implementation (default
-	// search.KindExact, which reproduces the original pipeline's
-	// committed merge set bit-for-bit; search.KindLSH serves the same
-	// candidate lists sub-linearly from the indexed exact finder).
-	Finder search.Kind
 	// DupFold folds structurally identical functions into forwarding
 	// thunks before any alignment runs: exact clone families are
 	// deduplicated for free (zero DP cells) and only their
@@ -164,16 +159,6 @@ type Config struct {
 	// CommitFilter, when non-nil, decides whether the i-th profitable
 	// merge is committed (used by the Figure 19 isolation study).
 	CommitFilter func(i int) bool
-	// NoPlanFunnel disables the three-stage planning funnel (profit
-	// upper-bound screening, bounded alignment DP, lazy trial
-	// materialization). Every stage is admissible — a pair is only
-	// skipped when it provably cannot beat the current profitability
-	// gate — so the committed merge set, plan contents and module text
-	// are bit-identical with the funnel on or off; the switch selects
-	// the reference path the funnel's differential test and benchmark
-	// compare against and has no public counterpart. Ignored (always
-	// off) under Algorithm FMSA, whose scoring the bound does not model.
-	NoPlanFunnel bool
 	// Progress, when non-nil, observes pipeline events. Calls within one
 	// run all come from the goroutine running the loop. Events are
 	// emitted while the run holds its session's lock: the callback must
@@ -247,7 +232,7 @@ type Counters struct {
 	// for one-shot runs.
 	OutcomeHits int
 	// Planning-funnel accounting (the first, second and fourth all zero
-	// when Config.NoPlanFunnel or under FMSA). PairsScreened counts
+	// under FMSA, which plans every pair in full). PairsScreened counts
 	// candidate pairs the stage-1 profit upper bound excluded before any
 	// DP; DPAborted counts alignments the stage-2 bounded DP abandoned
 	// mid-matrix; and of the trials whose alignment completed,

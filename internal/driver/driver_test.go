@@ -12,6 +12,12 @@ import (
 	"repro/internal/synth"
 )
 
+// finderNames is the finder axis the differential subtests are named
+// by. Both names run the Index, the one finder since search.Exact was
+// deleted: an "exact" subtest holds it to what the Exact twin was
+// checked against, with the lists the same (search.TestLSHMatchesExact).
+var finderNames = []string{"exact", "lsh"}
+
 // diffModule checks that merging preserved the observable behaviour of
 // every defined function: each original function (now possibly a thunk)
 // is run against its pre-merge clone on several argument seeds.

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/ir"
-	"repro/internal/search"
 	"repro/internal/synth"
 )
 
@@ -30,7 +29,7 @@ func familyBenchModule() *ir.Module {
 func benchFamilyFixpoint(b *testing.B, maxFamily int) {
 	cfg := Config{
 		Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-		Finder: search.KindLSH, MaxFamily: maxFamily,
+		MaxFamily: maxFamily,
 	}
 	base := familyBenchModule()
 	var finalBytes, flattened, merges int

@@ -56,7 +56,7 @@ func (fu *funnel) screen(f1, f2 *ir.Function) (costmodel.PairBound, *costmodel.F
 }
 
 // invalidate drops f's profile; the next screen rebuilds it from the
-// current body. Nil-safe, like the other index layers, so funnel-off
+// current body. Nil-safe, like the other index layers, so FMSA
 // sessions thread a nil funnel through the shared invalidation rule.
 func (fu *funnel) invalidate(f *ir.Function) {
 	if fu != nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
-	"repro/internal/search"
 	"repro/internal/synth"
 )
 
@@ -27,30 +26,36 @@ type goldenCase struct {
 	build func(t *testing.T) *ir.Module
 	cfg   Config
 	runs  int
+	// key names the module and configuration; cells that share it
+	// share one run.
+	key string
 }
 
 // goldenCases is the seeded grid the digests cover: the 2k corpus under
-// both finders × dup-fold × MaxFamily {2, 4} × canon, and three
-// paper-suite programs under the paper's configuration (exact finder,
-// threshold 1, nothing folded).
+// the finder names × dup-fold × MaxFamily {2, 4} × canon, and three
+// paper-suite programs under the paper's configuration (threshold 1,
+// nothing folded). Both finder names run the Index, so the two names'
+// cells share one run; the "exact" cells' digests were recorded under
+// the deleted Exact finder, and equal the "lsh" cells'.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
+	for _, finder := range finderNames {
 		for _, fold := range []bool{false, true} {
 			for _, fam := range []int{2, 4} {
 				for _, canonOn := range []bool{false, true} {
 					cfg := Config{
 						Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-						Finder: finder, DupFold: fold, MaxFamily: fam,
+						DupFold: fold, MaxFamily: fam,
 					}
 					if canonOn {
 						cfg.Canon = canon.Default()
 					}
 					cases = append(cases, goldenCase{
-						name:  fmt.Sprintf("corpus2k/%v/fold=%v/fam=%d/canon=%v", finder, fold, fam, canonOn),
+						name:  fmt.Sprintf("corpus2k/%s/fold=%v/fam=%d/canon=%v", finder, fold, fam, canonOn),
 						build: func(t *testing.T) *ir.Module { return buildCorpus(t, 2000) },
 						cfg:   cfg,
 						runs:  fam / 2,
+						key:   fmt.Sprintf("corpus2k/fold=%v/fam=%d/canon=%v", fold, fam, canonOn),
 					})
 				}
 			}
@@ -73,8 +78,9 @@ func goldenCases() []goldenCase {
 		cases = append(cases, goldenCase{
 			name:  "suite/" + s.name,
 			build: func(*testing.T) *ir.Module { return synth.Generate(p) },
-			cfg:   Config{Algorithm: SalSSA, Threshold: 1, Target: s.target, Finder: search.KindExact},
+			cfg:   Config{Algorithm: SalSSA, Threshold: 1, Target: s.target},
 			runs:  1,
+			key:   "suite/" + s.name,
 		})
 	}
 	return cases
@@ -136,7 +142,7 @@ func (c goldenCase) run(t *testing.T) goldenDigest {
 // file and fails, and passes from then on.
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden grid optimizes nineteen modules")
+		t.Skip("golden grid optimizes eleven modules")
 	}
 	want := map[string]goldenDigest{}
 	data, err := os.ReadFile(goldenDigestFile)
@@ -151,12 +157,23 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	got := map[string]goldenDigest{}
 	var mu sync.Mutex
+	type sharedRun struct {
+		once sync.Once
+		d    goldenDigest
+	}
+	cases := goldenCases()
+	runs := map[string]*sharedRun{}
+	for _, c := range cases {
+		runs[c.key] = &sharedRun{}
+	}
 	// The group returns once its parallel cases have.
 	t.Run("grid", func(t *testing.T) {
-		for _, c := range goldenCases() {
+		for _, c := range cases {
 			t.Run(c.name, func(t *testing.T) {
 				t.Parallel()
-				d := c.run(t)
+				r := runs[c.key]
+				r.once.Do(func() { r.d = c.run(t) })
+				d := r.d
 				mu.Lock()
 				got[c.name] = d
 				mu.Unlock()

@@ -53,7 +53,7 @@ func runOneShotReference(ctx context.Context, m *ir.Module, cfg Config) (*Result
 		candidates = referenceFoldDuplicates(candidates, preSize, cfg, res)
 	}
 	cache := align.NewCache()
-	finder := search.New(cfg.Finder, candidates)
+	finder := search.NewIndexed(candidates, nil)
 	opts := cfg.CoreOptions()
 	order := finder.Order()
 

@@ -208,7 +208,7 @@ func TestCallerCheckIndexOncePerSession(t *testing.T) {
 	m := synth.Generate(prof)
 	s, err := OpenSession(ctx, m, Config{
 		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		Finder: search.KindLSH, DupFold: true, MaxFamily: 4,
+		DupFold: true, MaxFamily: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestCallerCheckStorm(t *testing.T) {
 	m := synth.Generate(prof)
 	s, err := OpenSession(ctx, m, Config{
 		Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-		Finder: search.KindLSH, DupFold: true, MaxFamily: 4,
+		DupFold: true, MaxFamily: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

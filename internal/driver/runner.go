@@ -54,7 +54,9 @@ type runner struct {
 	// hopeless alignments mid-DP, and a trial only materializes (clone
 	// + codegen) once its computed alignment still clears the gate.
 	// Every pruned pair provably could not have changed a decision, so
-	// funnel-on and funnel-off runs commit identical merge sets.
+	// a gated run commits the merge set an ungated one would. Nil for
+	// FMSA, Apply replays and flatten trials, which plan every pair in
+	// full.
 	funnel *funnel
 	// families, when non-nil, is the session's merge-family registry:
 	// pairs involving a family head flatten (family.go) instead of

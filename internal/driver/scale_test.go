@@ -12,7 +12,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
-	"repro/internal/search"
 )
 
 // scaleFuncs picks the corpus size for the scale differentials: a fast
@@ -69,7 +68,7 @@ func TestPlanCostsWhatOptimizeCosts(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{
 		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		Finder: search.KindLSH, DupFold: true,
+		DupFold: true,
 	}
 	mOpt, opt := optimizeCorpus(t, 2000, cfg)
 	mPlan := buildCorpus(t, 2000)
@@ -132,16 +131,16 @@ func mutateCorpus(t *testing.T, m *ir.Module) (changed, removed []string) {
 
 // TestUpdateBatchMatchesSequential: one UpdateBatch of n deltas must
 // leave the session in the same state as n sequential Update/Remove
-// calls — same committed merge set, same module text — across both
+// calls — same committed merge set, same module text — under both test
 // finders and with canonicalization on and off.
 func TestUpdateBatchMatchesSequential(t *testing.T) {
 	ctx := context.Background()
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
+	for _, finder := range finderNames {
 		for _, canonOn := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/canon=%v", finder, canonOn), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/canon=%v", finder, canonOn), func(t *testing.T) {
 				cfg := Config{
 					Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-					Finder: finder, DupFold: true,
+					DupFold: true,
 				}
 				if canonOn {
 					cfg.Canon = canon.Default()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/ir"
-	"repro/internal/search"
 	"repro/internal/synth"
 )
 
@@ -83,71 +82,38 @@ func TestDupFoldPreservesBehaviour(t *testing.T) {
 	}
 }
 
-// TestExactFinderMatchesLegacyPipeline: the zero-value config selects
-// the exact finder, and an explicit KindExact commits the identical
-// merge set.
-func TestExactFinderMatchesLegacyPipeline(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		base := testModule(t, seed)
-		legacy := Run(ir.CloneModule(base), Config{
-			Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-		})
-		explicit := Run(ir.CloneModule(base), Config{
-			Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-			Finder: search.KindExact,
-		})
-		sameMerges(t, legacy, explicit)
-	}
-}
-
-// TestLSHFinderPipeline: the LSH finder must produce a valid,
-// behaviour-preserving run, with query accounting in the report. (TestLSHFinderMatchesExact separately pins its merge
-// set to the exact finder's.)
+// TestLSHFinderPipeline: a run over the finder must be valid and
+// behaviour-preserving, with query accounting in the report. (The
+// finder's lists are held to a full sort in internal/search, and the
+// committed output to recorded digests by TestGoldenDigests.)
 func TestLSHFinderPipeline(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		base := testModule(t, seed)
 		m := ir.CloneModule(base)
 		res, err := RunContext(context.Background(), m, Config{
-			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: search.KindLSH,
+			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if res.Search.Queries == 0 {
-			t.Errorf("seed %d: LSH run reported no finder queries", seed)
+			t.Errorf("seed %d: run reported no finder queries", seed)
 		}
 		if err := ir.VerifyModule(m); err != nil {
-			t.Fatalf("seed %d: LSH-merged module does not verify: %v", seed, err)
+			t.Fatalf("seed %d: merged module does not verify: %v", seed, err)
 		}
-		diffModule(t, base, m, "lsh pipeline")
+		diffModule(t, base, m, "pipeline")
 	}
 }
 
-// TestLSHFinderDeterministic: the LSH finder has no run-to-run
-// randomness — two runs over clones of the same module commit the same
-// merges.
+// TestLSHFinderDeterministic: the finder has no run-to-run randomness —
+// two runs over clones of the same module commit the same merges.
 func TestLSHFinderDeterministic(t *testing.T) {
 	base := testModule(t, 6)
 	cfg := Config{
-		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: search.KindLSH,
+		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
 	}
 	a := Run(ir.CloneModule(base), cfg)
 	b := Run(ir.CloneModule(base), cfg)
 	sameMerges(t, a, b)
-}
-
-// TestLSHFinderMatchesExact: the LSH finder's branch-and-bound returns
-// the exact fingerprint top-t, so today the whole pipeline commits the
-// identical merge set under either finder. (Relax this to a recall
-// bound if the finder ever becomes genuinely approximate.)
-func TestLSHFinderMatchesExact(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		base := testModule(t, seed)
-		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64}
-		exact := Run(ir.CloneModule(base), cfg)
-		lcfg := cfg
-		lcfg.Finder = search.KindLSH
-		lsh := Run(ir.CloneModule(base), lcfg)
-		sameMerges(t, exact, lsh)
-	}
 }

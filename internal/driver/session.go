@@ -9,8 +9,8 @@
 //
 // Three index layers persist across runs:
 //
-//   - the search.Finder (fingerprint ranking or dense index), updated
-//     incrementally through its Add/Remove entry points;
+//   - the search.Finder (the dense fingerprint index), updated
+//     incrementally through its Add/AddBatch/Remove entry points;
 //   - the align.Cache of linearizations and interned class vectors,
 //     invalidated per function through Invalidate;
 //   - the outcome memo: candidate pairs whose trial was unprofitable are
@@ -98,9 +98,8 @@ type Session struct {
 
 	outcomes *outcomeCache
 
-	// funnel is the planning-funnel profile store (funnel.go); nil when
-	// Config.NoPlanFunnel disables screening (and always for FMSA,
-	// whose sessions carry no persistent indexes at all).
+	// funnel is the planning-funnel profile store (funnel.go); nil for
+	// FMSA, whose sessions carry no persistent indexes at all.
 	funnel *funnel
 
 	// families is the merge-family registry behind chain flattening
@@ -148,8 +147,8 @@ func (s *Session) eligible(f *ir.Function) bool {
 // initIndexLayers constructs the empty persistent index layers shared by
 // the cold build and the snapshot warm restart: the align cache, the
 // canonical-view lens (wired to drop a discarded view's cache entry),
-// the membership/size maps, the outcome memo and the candidate-list
-// cache.
+// the membership/size maps, the outcome memo, the planning funnel and
+// the candidate-list cache.
 func (s *Session) initIndexLayers() {
 	s.cache = align.NewCache()
 	s.lens = canon.NewLens(s.cfg.Canon, search.HashFunction)
@@ -163,9 +162,7 @@ func (s *Session) initIndexLayers() {
 	s.byName = map[string]*ir.Function{}
 	s.nameOf = map[*ir.Function]string{}
 	s.outcomes = newOutcomeCache()
-	if !s.cfg.NoPlanFunnel {
-		s.funnel = newFunnel(s.cfg.Target, s.cache)
-	}
+	s.funnel = newFunnel(s.cfg.Target, s.cache)
 	s.cands = newCandidateCache(s.cfg.Threshold, s.cacheFP)
 	if s.cfg.MaxFamily >= 3 {
 		s.families = newFamilySet()
@@ -209,7 +206,7 @@ func (s *Session) buildIndexes() {
 		candidates = append(candidates, f)
 		s.index(f)
 	}
-	s.finder = search.NewIndexed(s.cfg.Finder, candidates, s.bodySource())
+	s.finder = search.NewIndexed(candidates, s.bodySource())
 	s.lastSearch, s.lastCache = search.Stats{}, align.CacheStats{}
 }
 
@@ -321,18 +318,12 @@ func (s *Session) sync() {
 		s.index(f)
 		changed = append(changed, f)
 	}
-	// One finder pass for the whole delta: a batch-aware finder
-	// re-indexes every changed function under a single rebuild window
-	// (one lock acquisition, one sort of the cells it touched and of the
-	// slab) instead of paying a per-function sorted insertion n times.
-	// Results are identical to sequential Adds; only the work is batched.
-	if bi, ok := s.finder.(search.BatchIndexer); ok && len(changed) > 1 {
-		bi.AddBatch(changed)
-	} else {
-		for _, f := range changed {
-			s.finder.Add(f)
-		}
-	}
+	// One finder pass for the whole delta: the index re-indexes every
+	// changed function under a single rebuild window (one lock
+	// acquisition, one sort of the cells it touched and of the slab)
+	// instead of paying a per-function sorted insertion n times. Results
+	// are identical to sequential Adds; only the work is batched.
+	s.finder.AddBatch(changed)
 	// applyDelta compares each delta function's new fingerprint, a copy
 	// of what the finder just indexed, with the copy it held before.
 	s.cands.applyDelta(changed, removed)
@@ -722,7 +713,7 @@ func (s *Session) optimizeFMSA(ctx context.Context, start time.Time) (*Result, e
 		candidates = append(candidates, f)
 	}
 	cache := align.NewCache()
-	finder := search.New(s.cfg.Finder, candidates)
+	finder := search.NewIndexed(candidates, nil)
 	r := s.newRunner(res, true)
 	r.cache, r.finder, r.sizes, r.markPending = cache, finder, preSize, nil
 	runErr := r.walk(ctx, candidates)

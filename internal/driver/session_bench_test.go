@@ -19,7 +19,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/irtext"
-	"repro/internal/search"
 	"repro/internal/synth"
 )
 
@@ -37,7 +36,6 @@ var (
 func sessionBenchConfig() Config {
 	return Config{
 		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		Finder: search.KindLSH,
 	}
 }
 
@@ -156,7 +154,7 @@ func BenchmarkSessionChurnRound(b *testing.B) {
 	m := synth.Generate(prof)
 	s, err := OpenSession(ctx, m, Config{
 		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		Finder: search.KindLSH, DupFold: true, MaxFamily: 4,
+		DupFold: true, MaxFamily: 4,
 	})
 	if err != nil {
 		b.Fatal(err)

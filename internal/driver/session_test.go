@@ -16,23 +16,25 @@ import (
 	"repro/internal/synth"
 )
 
+// sessionConfig is one named cell of the differential session grid.
+type sessionConfig struct {
+	name string
+	cfg  Config
+}
+
 // sessionConfigs is the configuration grid the differential session
-// tests sweep: both finders, duplicate folding on and off.
-func sessionConfigs() []Config {
-	var out []Config
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
+// tests sweep: the finder names × duplicate folding on and off.
+func sessionConfigs() []sessionConfig {
+	var out []sessionConfig
+	for _, finder := range finderNames {
 		for _, fold := range []bool{false, true} {
-			out = append(out, Config{
+			out = append(out, sessionConfig{fmt.Sprintf("%s-fold=%v", finder, fold), Config{
 				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-				Finder: finder, DupFold: fold,
-			})
+				DupFold: fold,
+			}})
 		}
 	}
 	return out
-}
-
-func configName(cfg Config) string {
-	return fmt.Sprintf("%s-fold=%v", cfg.Finder, cfg.DupFold)
 }
 
 // sizedRun is one committing run of s — Apply of p, or Optimize when p
@@ -66,8 +68,9 @@ func sizedRun(t testing.TB, s *Session, p *Plan) (*Result, error) {
 func TestSessionOptimizeMatchesOneShotReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		base := testModule(t, seed)
-		for _, cfg := range sessionConfigs() {
-			t.Run(fmt.Sprintf("seed%d-%s", seed, configName(cfg)), func(t *testing.T) {
+		for _, c := range sessionConfigs() {
+			cfg := c.cfg
+			t.Run(fmt.Sprintf("seed%d-%s", seed, c.name), func(t *testing.T) {
 				mRef := ir.CloneModule(base)
 				ref, err := runOneShotReference(context.Background(), mRef, cfg)
 				if err != nil {
@@ -136,9 +139,9 @@ func mutateForUpdate(t *testing.T, m *ir.Module) []string {
 // would.
 func TestSessionUpdateEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		for _, cfg := range sessionConfigs() {
-			cfg := cfg
-			t.Run(fmt.Sprintf("seed%d-%s", seed, configName(cfg)), func(t *testing.T) {
+		for _, c := range sessionConfigs() {
+			cfg := c.cfg
+			t.Run(fmt.Sprintf("seed%d-%s", seed, c.name), func(t *testing.T) {
 				m := testModule(t, seed)
 				s, err := OpenSession(context.Background(), m, cfg)
 				if err != nil {
@@ -247,9 +250,9 @@ func TestSessionReplaceEquivalence(t *testing.T) {
 // memoized hashes of its callers (renamedCalleeFolds).
 func TestSessionRenameAlias(t *testing.T) {
 	renamedCalleeFolds(t)
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
-		t.Run(finder.String(), func(t *testing.T) {
-			cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: finder}
+	for _, finder := range finderNames {
+		t.Run(finder, func(t *testing.T) {
+			cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
 			m := testModule(t, 3)
 			s, err := OpenSession(context.Background(), m, cfg)
 			if err != nil {
@@ -306,7 +309,7 @@ func renamedCalleeFolds(t *testing.T) {
 		t.Run(fmt.Sprintf("callee-folds/canon=%v", canonOn), func(t *testing.T) {
 			cfg := Config{
 				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-				Finder: search.KindLSH, DupFold: true,
+				DupFold: true,
 			}
 			if canonOn {
 				cfg.Canon = canon.Default()
@@ -377,7 +380,7 @@ func renamedCalleeFolds(t *testing.T) {
 // TestSessionRemoveEquivalence: deleting a function and reporting it
 // through Remove must match a fresh session over the shrunken module.
 func TestSessionRemoveEquivalence(t *testing.T) {
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: search.KindLSH}
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
 	m := testModule(t, 5)
 	s, err := OpenSession(context.Background(), m, cfg)
 	if err != nil {
@@ -440,9 +443,9 @@ func TestSessionRemoveEquivalence(t *testing.T) {
 // Optimize, and Plan itself must not mutate anything.
 func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		for _, cfg := range sessionConfigs() {
-			cfg := cfg
-			t.Run(fmt.Sprintf("seed%d-%s", seed, configName(cfg)), func(t *testing.T) {
+		for _, c := range sessionConfigs() {
+			cfg := c.cfg
+			t.Run(fmt.Sprintf("seed%d-%s", seed, c.name), func(t *testing.T) {
 				base := testModule(t, seed)
 
 				mOpt := ir.CloneModule(base)
@@ -798,7 +801,7 @@ func TestSessionUpdateUnknown(t *testing.T) {
 func TestSessionConcurrentUse(t *testing.T) {
 	m := testModule(t, 6)
 	s, err := OpenSession(context.Background(), m, Config{
-		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: search.KindLSH,
+		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -168,7 +168,7 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		Version:   SnapshotVersion,
 		Algorithm: s.cfg.Algorithm.String(),
 		Threshold: s.cfg.Threshold,
-		Finder:    s.cfg.Finder.String(),
+		Finder:    search.KindLSH.String(),
 		DupFold:   s.cfg.DupFold,
 		MaxFamily: s.cfg.MaxFamily,
 		MinInstrs: s.cfg.MinInstrs,
@@ -251,8 +251,6 @@ func validateSnapshot(snap *Snapshot, cfg Config) error {
 		return fmt.Errorf("driver: snapshot was taken under %s, session runs %s", snap.Algorithm, cfg.Algorithm)
 	case snap.Threshold != cfg.Threshold:
 		return fmt.Errorf("driver: snapshot threshold %d, session %d", snap.Threshold, cfg.Threshold)
-	case snap.Finder != cfg.Finder.String():
-		return fmt.Errorf("driver: snapshot finder %s, session %s", snap.Finder, cfg.Finder)
 	case snap.DupFold != cfg.DupFold:
 		return fmt.Errorf("driver: snapshot dup-fold %v, session %v", snap.DupFold, cfg.DupFold)
 	case snap.MaxFamily != cfg.MaxFamily:
@@ -339,7 +337,7 @@ func (s *Session) buildIndexesFrom(snap *Snapshot) {
 			s.lens.Prime(f, sf.CanonHash)
 		}
 	}
-	s.finder = search.Restore(s.cfg.Finder, candidates, s.bodySource(), prior)
+	s.finder = search.Restore(candidates, s.bodySource(), prior)
 	for _, pair := range snap.Outcomes {
 		i1, i2 := pair[0], pair[1]
 		if i1 < 0 || i1 >= len(matched) || i2 < 0 || i2 >= len(matched) {

@@ -14,22 +14,25 @@ import (
 	"repro/internal/synth"
 )
 
-// snapshotConfigs is the grid the snapshot tests sweep: both finders ×
-// dup-fold × family tracking.
+// snapshotConfigs is the grid the snapshot tests sweep: dup-fold ×
+// family tracking.
 func snapshotConfigs() []Config {
 	var out []Config
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
-		for _, fold := range []bool{false, true} {
-			for _, fam := range []int{0, 4} {
-				out = append(out, Config{
-					Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-					Finder: finder, DupFold: fold, MaxFamily: fam,
-				})
-			}
+	for _, fold := range []bool{false, true} {
+		for _, fam := range []int{0, 4} {
+			out = append(out, Config{
+				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
+				DupFold: fold, MaxFamily: fam,
+			})
 		}
 	}
 	return out
 }
+
+// snapshotFinders are the finder names a snapshot file can record: this
+// code writes "lsh", and data dirs written when "exact" was a separate
+// finder (and the default) hold that name. Both must restore.
+var snapshotFinders = []string{search.KindExact.String(), search.KindLSH.String()}
 
 // snapshotModuleText returns the snapshot tests' module as text — the
 // persisted form a daemon would reload alongside the snapshot.
@@ -72,97 +75,110 @@ func roundTripSnapshot(t *testing.T, snap *Snapshot) *Snapshot {
 	return out
 }
 
+// recordedUnder is roundTripSnapshot for a file that recorded the given
+// finder name, re-sealed so only the name differs.
+func recordedUnder(t *testing.T, snap *Snapshot, finder string) *Snapshot {
+	t.Helper()
+	out := roundTripSnapshot(t, snap)
+	out.Finder = finder
+	if err := out.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestSnapshotRoundTrip is the satellite's save → restart → load
 // differential: a session restored from a snapshot must produce the
 // same Plan, bit for bit, as a cold OpenSession over the same module
 // text — both on a fresh module and after an Optimize has rewritten it —
 // and the restore must not rebuild the index (Built stays 0 through the
-// first Plan).
+// first Plan), whichever finder name the snapshot recorded.
 func TestSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	text := snapshotModuleText(t)
-	for _, cfg := range snapshotConfigs() {
-		cfg := cfg
-		t.Run(fmt.Sprintf("%s-fold=%v-fam=%d", cfg.Finder, cfg.DupFold, cfg.MaxFamily), func(t *testing.T) {
-			// Fresh-module snapshot.
-			m1, err := irtext.Parse(text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s1, err := OpenSession(ctx, m1, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap, err := s1.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			coldPlan, err := s1.Plan(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, finder := range snapshotFinders {
+		for _, cfg := range snapshotConfigs() {
+			t.Run(fmt.Sprintf("%s-fold=%v-fam=%d", finder, cfg.DupFold, cfg.MaxFamily), func(t *testing.T) {
+				// Fresh-module snapshot.
+				m1, err := irtext.Parse(text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s1, err := OpenSession(ctx, m1, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap, err := s1.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				coldPlan, err := s1.Plan(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			m2, err := irtext.Parse(text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2, err := OpenSessionWithSnapshot(ctx, m2, cfg, roundTripSnapshot(t, snap))
-			if err != nil {
-				t.Fatalf("warm open: %v", err)
-			}
-			st, err := s2.SearchStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Built != 0 {
-				t.Fatalf("warm open rebuilt %d index entries, want 0", st.Built)
-			}
-			warmPlan, err := s2.Plan(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st, _ = s2.SearchStats(); st.Built != 0 {
-				t.Fatalf("first warm Plan rebuilt %d index entries, want 0", st.Built)
-			}
-			if got, want := planJSON(t, warmPlan), planJSON(t, coldPlan); got != want {
-				t.Fatalf("warm plan differs from cold plan:\nwarm: %s\ncold: %s", got, want)
-			}
+				m2, err := irtext.Parse(text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s2, err := OpenSessionWithSnapshot(ctx, m2, cfg, recordedUnder(t, snap, finder))
+				if err != nil {
+					t.Fatalf("warm open: %v", err)
+				}
+				st, err := s2.SearchStats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Built != 0 {
+					t.Fatalf("warm open rebuilt %d index entries, want 0", st.Built)
+				}
+				warmPlan, err := s2.Plan(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st, _ = s2.SearchStats(); st.Built != 0 {
+					t.Fatalf("first warm Plan rebuilt %d index entries, want 0", st.Built)
+				}
+				if got, want := planJSON(t, warmPlan), planJSON(t, coldPlan); got != want {
+					t.Fatalf("warm plan differs from cold plan:\nwarm: %s\ncold: %s", got, want)
+				}
 
-			// Post-optimize snapshot: run to a fixpoint, snapshot the
-			// session (outcome memo now populated), persist the mutated
-			// module as text and restart from both artifacts.
-			if _, err := s1.Optimize(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s1.Optimize(ctx); err != nil {
-				t.Fatal(err)
-			}
-			snap2, err := s1.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			optText := m1.String()
-			coldPlan2 := freshPlan(t, ctx, optText, cfg)
+				// Post-optimize snapshot: run to a fixpoint, snapshot the
+				// session (outcome memo now populated), persist the mutated
+				// module as text and restart from both artifacts.
+				if _, err := s1.Optimize(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s1.Optimize(ctx); err != nil {
+					t.Fatal(err)
+				}
+				snap2, err := s1.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				optText := m1.String()
+				coldPlan2 := freshPlan(t, ctx, optText, cfg)
 
-			m3, err := irtext.Parse(optText)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s3, err := OpenSessionWithSnapshot(ctx, m3, cfg, roundTripSnapshot(t, snap2))
-			if err != nil {
-				t.Fatalf("warm open after optimize: %v", err)
-			}
-			if st, _ := s3.SearchStats(); st.Built != 0 {
-				t.Fatalf("warm open after optimize rebuilt %d index entries, want 0", st.Built)
-			}
-			warmPlan2, err := s3.Plan(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := planJSON(t, warmPlan2), planJSON(t, coldPlan2); got != want {
-				t.Fatalf("post-optimize warm plan differs from cold:\nwarm: %s\ncold: %s", got, want)
-			}
-		})
+				m3, err := irtext.Parse(optText)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s3, err := OpenSessionWithSnapshot(ctx, m3, cfg, recordedUnder(t, snap2, finder))
+				if err != nil {
+					t.Fatalf("warm open after optimize: %v", err)
+				}
+				if st, _ := s3.SearchStats(); st.Built != 0 {
+					t.Fatalf("warm open after optimize rebuilt %d index entries, want 0", st.Built)
+				}
+				warmPlan2, err := s3.Plan(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := planJSON(t, warmPlan2), planJSON(t, coldPlan2); got != want {
+					t.Fatalf("post-optimize warm plan differs from cold:\nwarm: %s\ncold: %s", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -244,10 +260,14 @@ func TestSnapshotRejection(t *testing.T) {
 		}
 	}
 	if cp, m2 := fresh(); true {
-		other := cfg
-		other.Finder = search.KindLSH
-		if _, err := OpenSessionWithSnapshot(ctx, m2, other, cp); err == nil {
-			t.Fatal("finder-mismatched snapshot accepted")
+		// The recorded finder name is not part of the guard: a snapshot
+		// recorded under the other name restores.
+		cp.Finder = search.KindExact.String()
+		if err := cp.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSessionWithSnapshot(ctx, m2, cfg, cp); err != nil {
+			t.Fatalf("finder-mismatched snapshot rejected: %v", err)
 		}
 	}
 }
@@ -260,9 +280,9 @@ func TestSnapshotRejection(t *testing.T) {
 func TestSnapshotDriftReindexesOnly(t *testing.T) {
 	ctx := context.Background()
 	text := snapshotModuleText(t)
-	for _, finder := range []search.Kind{search.KindExact, search.KindLSH} {
-		cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: finder}
-		t.Run(finder.String(), func(t *testing.T) {
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
+	for _, finder := range snapshotFinders {
+		t.Run(finder, func(t *testing.T) {
 			m1, err := irtext.Parse(text)
 			if err != nil {
 				t.Fatal(err)
@@ -280,7 +300,7 @@ func TestSnapshotDriftReindexesOnly(t *testing.T) {
 			// longer matches the live body must not be trusted. Flip one
 			// hash and re-seal (so the checksum passes and only the
 			// per-function validation can catch it).
-			stale := roundTripSnapshot(t, snap)
+			stale := recordedUnder(t, snap, finder)
 			stale.Funcs[0].Hash++
 			if err := stale.Seal(); err != nil {
 				t.Fatal(err)
@@ -321,7 +341,7 @@ entry:
 `); err != nil {
 				t.Fatalf("splice: %v", err)
 			}
-			s3, err := OpenSessionWithSnapshot(ctx, m3, cfg, roundTripSnapshot(t, snap))
+			s3, err := OpenSessionWithSnapshot(ctx, m3, cfg, recordedUnder(t, snap, finder))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,7 +365,7 @@ entry:
 // and a re-save over an existing file replaces it completely.
 func TestSnapshotSaveFile(t *testing.T) {
 	ctx := context.Background()
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, Finder: search.KindLSH, DupFold: true}
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true}
 	m, err := irtext.Parse(snapshotModuleText(t))
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/search"
 	"repro/internal/synth"
 	"repro/internal/transform"
 )
@@ -109,12 +108,6 @@ type Lab struct {
 	cache map[runKey]*runEntry
 	// Scale divides suite function counts for quick runs (1 = full).
 	Scale int
-	// Finder selects the candidate-search implementation. Both kinds
-	// return the same candidate lists (the LSH finder's
-	// branch-and-bound is exact), so the figures are unchanged; the
-	// default stays exact because it is the pipeline the paper
-	// describes.
-	Finder search.Kind
 	// DupFold folds structurally identical functions before alignment.
 	// Off by default: the paper's pipeline aligns clone families too.
 	DupFold bool
@@ -170,7 +163,6 @@ func (l *Lab) run(suite string, p synth.Profile, algo driver.Algorithm, t int, t
 		Algorithm: algo,
 		Threshold: t,
 		Target:    target,
-		Finder:    l.Finder,
 		DupFold:   l.DupFold,
 	})
 	e := &runEntry{res: res, pre: pristine, post: work, baseTime: baseTime}

@@ -33,11 +33,11 @@ func benchFunctions(b *testing.B) []*ir.Function {
 // benchFinder measures candidate discovery end to end: build the index,
 // then answer one top-t query per function — the exact work the
 // driver's planning stage does before any alignment runs.
-func benchFinder(b *testing.B, kind Kind, topT int) {
+func benchFinder(b *testing.B, topT int) {
 	funcs := benchFunctions(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fd := New(kind, funcs)
+		fd := newIndex(funcs, nil, nil)
 		for _, f := range fd.Order() {
 			if got := fd.Candidates(f, topT); len(got) == 0 {
 				b.Fatalf("no candidates for @%s", f.Name())
@@ -45,7 +45,7 @@ func benchFinder(b *testing.B, kind Kind, topT int) {
 		}
 	}
 	b.StopTimer()
-	fd := New(kind, funcs)
+	fd := newIndex(funcs, nil, nil)
 	for _, f := range funcs {
 		fd.Candidates(f, topT)
 	}
@@ -53,13 +53,9 @@ func benchFinder(b *testing.B, kind Kind, topT int) {
 	b.ReportMetric(st.AvgScanned(), "scanned/query")
 }
 
-// BenchmarkFinderExact is the brute-force baseline: every query scans
-// all ~2000 live fingerprints.
-func BenchmarkFinderExact(b *testing.B) { benchFinder(b, KindExact, 5) }
-
-// BenchmarkFinderLSH answers the same queries from the dense
-// bounded-walk index.
-func BenchmarkFinderLSH(b *testing.B) { benchFinder(b, KindLSH, 5) }
+// BenchmarkFinderIndex answers one top-5 query per function from the
+// Index.
+func BenchmarkFinderIndex(b *testing.B) { benchFinder(b, 5) }
 
 // BenchmarkHashFunction is the structural hash alone, one pass over the
 // same 2000 functions per iteration.

@@ -41,9 +41,9 @@ func sameList(t testing.TB, want, got Finder, f *ir.Function, topT int, label st
 	}
 }
 
-// finderOps drives an Exact and the indexed finder through one stream
-// of mutations over a fixed pool of functions — the op alphabet the
-// mutation storm and FuzzFinderOps share.
+// finderOps drives the specification finder and the Index through one
+// stream of mutations over a fixed pool of functions — the op alphabet
+// the mutation storm and FuzzFinderOps share.
 type finderOps struct {
 	t    testing.TB
 	pool []*ir.Function
@@ -56,8 +56,8 @@ type finderOps struct {
 	nLive      int
 	peakLive   int
 	renames    int
-	exact      *Exact
-	index      *LSH
+	spec       *specFinder
+	index      *Index
 }
 
 // editView is a BodySource that stands in for body edits: f is indexed
@@ -89,8 +89,8 @@ func newFinderOps(t testing.TB, pool []*ir.Function, indexed int, thresholds []i
 	for _, f := range pool {
 		o.fps = append(o.fps, *fingerprint.New(f))
 	}
-	o.exact = restoreExact(pool[:indexed], o.view, nil)
-	o.index = newLSH(pool[:indexed], o.view, nil)
+	o.spec = newSpec(pool[:indexed], o.view)
+	o.index = newIndex(pool[:indexed], o.view, nil)
 	return o
 }
 
@@ -125,12 +125,12 @@ func (o *finderOps) add(batch bool, is ...int) {
 		o.setLive(i, true)
 	}
 	if batch {
-		o.exact.AddBatch(fs)
+		o.spec.AddBatch(fs)
 		o.index.AddBatch(fs)
 		return
 	}
 	for _, f := range fs {
-		o.exact.Add(f)
+		o.spec.Add(f)
 		o.index.Add(f)
 	}
 }
@@ -161,7 +161,7 @@ func (o *finderOps) apply(kind, a, b int) {
 	f := o.pool[a]
 	switch kind % numFinderOps {
 	case 0:
-		o.exact.Remove(f)
+		o.spec.Remove(f)
 		o.index.Remove(f)
 		o.setLive(a, false)
 	case 1:
@@ -177,7 +177,7 @@ func (o *finderOps) apply(kind, a, b int) {
 		o.add(true, batch...)
 	case 4:
 		for _, i := range o.cellOf(a) {
-			o.exact.Remove(o.pool[i])
+			o.spec.Remove(o.pool[i])
 			o.index.Remove(o.pool[i])
 			o.setLive(i, false)
 		}
@@ -215,8 +215,19 @@ func (o *finderOps) apply(kind, a, b int) {
 // not indexed must get nil from both).
 func (o *finderOps) check(i int, label string) {
 	o.t.Helper()
+	o.checkFunc(o.pool[i%len(o.pool)], label)
+}
+
+// checkFunc compares f's lists at every threshold with the prefixes of
+// one specification list: the specification's top-t is by construction
+// the first t entries of its full sort.
+func (o *finderOps) checkFunc(f *ir.Function, label string) {
+	o.t.Helper()
+	want := o.spec.Candidates(f, slices.Max(o.thresholds))
 	for _, topT := range o.thresholds {
-		sameList(o.t, o.exact, o.index, o.pool[i%len(o.pool)], topT, label)
+		if got, w := o.index.Candidates(f, topT), want[:min(topT, len(want))]; !slices.Equal(got, w) {
+			o.t.Fatalf("%s: %s t=%d: candidates %v, want %v", label, f.Name(), topT, names(got), names(w))
+		}
 	}
 }
 
@@ -225,10 +236,12 @@ func (o *finderOps) check(i int, label string) {
 // slabs grow, so the slab length is the peak live count.
 func (o *finderOps) sweep(stride int, label string) {
 	o.t.Helper()
-	for _, topT := range o.thresholds {
-		sameLists(o.t, o.exact, o.index, topT, stride, label)
+	want, got := o.spec.Order(), o.index.Order()
+	for i, f := range want {
+		if i%stride == 0 {
+			o.checkFunc(f, label)
+		}
 	}
-	want, got := o.exact.Order(), o.index.Order()
 	if len(want) != len(got) {
 		o.t.Fatalf("%s: Order has %d entries, want %d", label, len(got), len(want))
 	}
@@ -253,7 +266,7 @@ func (o *finderOps) sweep(stride int, label string) {
 // with it in (indexed name, slot) order and reachable through its hash;
 // one slab entry per cell, carrying its size and projection, in strictly
 // ascending compareSlab order.
-func (l *LSH) checkCells() error {
+func (l *Index) checkCells() error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	members := map[int32][]int32{}
@@ -313,10 +326,10 @@ func tinyCorpus(n int) []*ir.Function {
 
 // TestLSHMatchesExact is exactness as equality: through a seeded storm
 // of the finderOps alphabet — Remove, Add, rename+re-add, AddBatch, and
-// the cell ops that empty, refill and re-order a cell — the indexed
-// finder's lists are element-wise Exact's after every step, and over the
-// whole index before and after: at t = 1, 3 and 8 on the duplicate-heavy
-// tiny shape, at 1, 5 and 10 on the suite shapes.
+// the cell ops that empty, refill and re-order a cell — the Index's
+// lists are element-wise the specification's full sort after every
+// step, and over the whole index before and after: at t = 1, 3 and 8 on
+// the duplicate-heavy tiny shape, at 1, 5 and 10 on the suite shapes.
 func TestLSHMatchesExact(t *testing.T) {
 	tiny, ops, stride := 2000, 400, 3
 	if testing.Short() {
@@ -433,7 +446,7 @@ func TestLSHOrderIndependent(t *testing.T) {
 	})
 	// Incremental, in another order, with a detour that scrambles the
 	// slot numbering: index a third, drop every other one, add the rest.
-	incr := newLSH(nil, nil, nil)
+	incr := newIndex(nil, nil, nil)
 	for _, f := range shuffled[:n/3] {
 		incr.Add(f)
 	}
@@ -444,8 +457,8 @@ func TestLSHOrderIndependent(t *testing.T) {
 		incr.Add(f)
 	}
 
-	for _, other := range []*LSH{newLSH(shuffled, nil, nil), incr} {
-		ref := newLSH(funcs, nil, nil)
+	for _, other := range []*Index{newIndex(shuffled, nil, nil), incr} {
+		ref := newIndex(funcs, nil, nil)
 		for _, topT := range diffThresholds {
 			sameLists(t, ref, other, topT, 1, "insertion order")
 		}
@@ -462,7 +475,7 @@ func TestLSHOrderIndependent(t *testing.T) {
 // and beside a writer. Meant for -race.
 func TestLSHConcurrentQueries(t *testing.T) {
 	funcs := tinyCorpus(300)
-	l := newLSH(funcs, nil, nil)
+	l := newIndex(funcs, nil, nil)
 	want := make([][]*ir.Function, len(funcs))
 	for i, f := range funcs {
 		want[i] = l.Candidates(f, 5)
@@ -527,33 +540,37 @@ func batchCorpus(t *testing.T) []*ir.Function {
 	return corpus.Build(corpus.Config{Funcs: n, Seed: 5}).Defined()
 }
 
-// TestAddBatchMatchesSequential: for both finders, AddBatch must leave
-// the index in the same state as element-wise Add.
+// TestAddBatchMatchesSequential: AddBatch must leave the Index in the
+// state element-wise Add does ("lsh": lists, order and cells against an
+// Index fed one Add at a time) and agree with the specification's full
+// sort ("exact").
 func TestAddBatchMatchesSequential(t *testing.T) {
 	funcs := batchCorpus(t)
 	split := len(funcs) * 3 / 4
 	base, extra := funcs[:split], funcs[split:]
-	for _, kind := range []Kind{KindExact, KindLSH} {
-		t.Run(kind.String(), func(t *testing.T) {
-			seq, batch := New(kind, base), New(kind, base)
-			for _, f := range extra {
-				seq.Add(f)
+	batch := newIndex(base, nil, nil)
+	batch.AddBatch(extra)
+	t.Run("exact", func(t *testing.T) {
+		spec := newSpec(base, nil)
+		spec.AddBatch(extra)
+		if !slices.Equal(spec.Order(), batch.Order()) {
+			t.Fatal("order after the batch differs from the specification's")
+		}
+		sameLists(t, spec, batch, 2, 7, "batch against the specification")
+	})
+	t.Run("lsh", func(t *testing.T) {
+		seq := newIndex(base, nil, nil)
+		for _, f := range extra {
+			seq.Add(f)
+		}
+		if !slices.Equal(seq.Order(), batch.Order()) {
+			t.Fatal("order after the batch differs from sequential Adds'")
+		}
+		for _, ix := range []*Index{seq, batch} {
+			if err := ix.checkCells(); err != nil {
+				t.Fatal(err)
 			}
-			bi, ok := batch.(BatchIndexer)
-			if !ok {
-				t.Fatalf("%T does not implement BatchIndexer", batch)
-			}
-			bi.AddBatch(extra)
-			wantOrder, gotOrder := seq.Order(), batch.Order()
-			if len(wantOrder) != len(gotOrder) {
-				t.Fatalf("order length %d != %d", len(gotOrder), len(wantOrder))
-			}
-			for i := range wantOrder {
-				if wantOrder[i] != gotOrder[i] {
-					t.Fatalf("order %d is %s, want %s", i, gotOrder[i].Name(), wantOrder[i].Name())
-				}
-			}
-			sameLists(t, seq, batch, 2, 1, kind.String()+" after batch")
-		})
-	}
+		}
+		sameLists(t, seq, batch, 2, 1, "after batch")
+	})
 }

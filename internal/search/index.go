@@ -12,12 +12,11 @@ import (
 	"repro/internal/ir"
 )
 
-// LSH is the indexed exact Finder. The name is historical (it once
-// seeded its top-t from minhash buckets; KindLSH and the "lsh" flag
-// value are part of the public surface): today it is a dense
-// bounded-walk index with no sketch. Candidates returns exactly Exact's
-// (distance, name) top-t, but a query only visits the fingerprints whose
-// size could still beat the running t-th best, and distance-scores only
+// Index is the Finder: a dense bounded-walk index over fingerprints.
+// Candidates returns the exact (distance, name) top-t — what sorting
+// every live fingerprint by distance from the query, ties by name,
+// would give — but a query only visits the fingerprints whose size
+// could still beat the running t-th best, and distance-scores only
 // those a second, cheaper lower bound cannot reject.
 //
 // Every indexed function owns an int32 slot, and every distinct live
@@ -27,8 +26,8 @@ import (
 // fingerprint), so the walk reads it sequentially and touches a cell
 // only to score it. A visit scores the cell once and admits its members
 // by name; they are all at one distance from the query, so the first
-// member that loses on name ends the visit. Nothing on the query path touches a map beyond the one lookup of the
-// query's own slot, calls Name() or allocates per visited cell, and
+// member that loses on name ends the visit. Nothing on the query path
+// touches a map beyond the one lookup of the query's own slot, calls Name() or allocates per visited cell, and
 // nothing depends on insertion order or slot numbers — two indexes over
 // the same functions answer identically and do identical work.
 //
@@ -44,7 +43,7 @@ import (
 //     per group and saturation is 1-Lipschitz, so the L1 distance
 //     between two projections never exceeds the distance between the
 //     fingerprints. projDistance computes it for all eight lanes at once.
-type LSH struct {
+type Index struct {
 	// view, when non-nil, resolves the body actually fingerprinted for
 	// each function (see NewIndexed); identity, ordering and removal
 	// stay keyed by the original function.
@@ -151,12 +150,12 @@ func fpHash(fp *fingerprint.Fingerprint) uint64 {
 	return h
 }
 
-// newLSH is the bulk constructor behind New, NewIndexed and Restore:
+// newIndex is the bulk constructor behind New, NewIndexed and Restore:
 // functions covered by prior adopt their fingerprint, everything else
 // is fingerprinted (through the view lens when one is set) and counted
 // in Stats.Built.
-func newLSH(funcs []*ir.Function, view BodySource, prior map[*ir.Function]*fingerprint.Fingerprint) *LSH {
-	l := &LSH{view: view, slotOf: make(map[*ir.Function]int32, len(funcs)), byHash: map[uint64]int32{}}
+func newIndex(funcs []*ir.Function, view BodySource, prior map[*ir.Function]*fingerprint.Fingerprint) *Index {
+	l := &Index{view: view, slotOf: make(map[*ir.Function]int32, len(funcs)), byHash: map[uint64]int32{}}
 	for _, f := range funcs {
 		if f.IsDecl() {
 			continue
@@ -171,7 +170,7 @@ func newLSH(funcs []*ir.Function, view BodySource, prior map[*ir.Function]*finge
 }
 
 // export copies the live fingerprints for snapshotting.
-func (l *LSH) export() map[*ir.Function]*fingerprint.Fingerprint {
+func (l *Index) export() map[*ir.Function]*fingerprint.Fingerprint {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	out := make(map[*ir.Function]*fingerprint.Fingerprint, len(l.slotOf))
@@ -184,7 +183,7 @@ func (l *LSH) export() map[*ir.Function]*fingerprint.Fingerprint {
 
 // Fingerprint returns a copy of the fingerprint f is indexed with, and
 // whether it is indexed.
-func (l *LSH) Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool) {
+func (l *Index) Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	slot, ok := l.slotOf[f]
@@ -199,7 +198,7 @@ func (l *LSH) Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool) {
 // fp's cell (fp is computed here when nil), creating the cell if fp is
 // new. The caller has unlinked a re-indexed slot from its old cell and
 // links the slot into its new one.
-func (l *LSH) indexLocked(f *ir.Function, fp *fingerprint.Fingerprint) int32 {
+func (l *Index) indexLocked(f *ir.Function, fp *fingerprint.Fingerprint) int32 {
 	if fp == nil {
 		body := f
 		if l.view != nil {
@@ -229,7 +228,7 @@ func (l *LSH) indexLocked(f *ir.Function, fp *fingerprint.Fingerprint) int32 {
 
 // cellFor returns fp's cell, creating an empty one outside the slab if
 // no live cell holds fp.
-func (l *LSH) cellFor(fp *fingerprint.Fingerprint) int32 {
+func (l *Index) cellFor(fp *fingerprint.Fingerprint) int32 {
 	h := cellHash(fp)
 	head, ok := l.byHash[h]
 	if ok {
@@ -260,7 +259,7 @@ func (l *LSH) cellFor(fp *fingerprint.Fingerprint) int32 {
 
 // dropCellLocked frees the empty cell c; its slab entry is the
 // caller's.
-func (l *LSH) dropCellLocked(c int32) {
+func (l *Index) dropCellLocked(c int32) {
 	x := &l.cells[c]
 	if head := l.byHash[x.hash]; head == c {
 		if x.next < 0 {
@@ -282,7 +281,7 @@ func (l *LSH) dropCellLocked(c int32) {
 // compareSlab is the walk's total order over distinct fingerprints:
 // size, projection, then the fingerprint itself — a function of the
 // fingerprints alone.
-func (l *LSH) compareSlab(a, b slabEntry) int {
+func (l *Index) compareSlab(a, b slabEntry) int {
 	if c := cmp.Compare(a.size, b.size); c != 0 {
 		return c
 	}
@@ -298,7 +297,7 @@ func (l *LSH) compareSlab(a, b slabEntry) int {
 
 // positionLocked returns where cell c's entry sits in the slab, or
 // where it would be inserted.
-func (l *LSH) positionLocked(c int32) int {
+func (l *Index) positionLocked(c int32) int {
 	i, _ := slices.BinarySearchFunc(l.slab, l.cells[c].entry, l.compareSlab)
 	return i
 }
@@ -306,7 +305,7 @@ func (l *LSH) positionLocked(c int32) int {
 // compareMembers orders a cell's members: indexed name, then slot
 // (names are unique within a module; the slot only keeps the order
 // total if two stale names ever coincide).
-func (l *LSH) compareMembers(a, b int32) int {
+func (l *Index) compareMembers(a, b int32) int {
 	if c := strings.Compare(l.names[a], l.names[b]); c != 0 {
 		return c
 	}
@@ -317,7 +316,7 @@ func (l *LSH) compareMembers(a, b int32) int {
 // (Add) the member is inserted in name order and a new cell enters the
 // slab at its sorted position; in a batch it is appended, a new cell's
 // entry too, and settleLocked restores both orders once.
-func (l *LSH) linkLocked(slot int32, batch bool) {
+func (l *Index) linkLocked(slot int32, batch bool) {
 	c := l.cellOf[slot]
 	x := &l.cells[c]
 	isNew := len(x.members) == 0 && !x.unsorted
@@ -339,7 +338,7 @@ func (l *LSH) linkLocked(slot int32, batch bool) {
 // unlinkLocked drops slot from its cell. Alone (Add, Remove) an emptied
 // cell leaves the slab at once; in a batch it stays until settleLocked,
 // so a later member of the batch can refill it.
-func (l *LSH) unlinkLocked(slot int32, batch bool) {
+func (l *Index) unlinkLocked(slot int32, batch bool) {
 	c := l.cellOf[slot]
 	x := &l.cells[c]
 	i := slices.Index(x.members, slot)
@@ -355,7 +354,7 @@ func (l *LSH) unlinkLocked(slot int32, batch bool) {
 }
 
 // touch records c in the batch in progress.
-func (l *LSH) touch(c int32) {
+func (l *Index) touch(c int32) {
 	if x := &l.cells[c]; !x.unsorted {
 		x.unsorted = true
 		l.touched = append(l.touched, c)
@@ -364,7 +363,7 @@ func (l *LSH) touch(c int32) {
 
 // settleLocked ends a batch: every touched cell re-sorts its members or,
 // left empty, is dropped, and the slab is compacted and re-sorted once.
-func (l *LSH) settleLocked() {
+func (l *Index) settleLocked() {
 	if len(l.touched) == 0 {
 		return
 	}
@@ -385,7 +384,7 @@ func (l *LSH) settleLocked() {
 // Add (re-)indexes f incrementally: a sorted insertion into its cell,
 // and into the slab when the fingerprint is new (bulk construction and
 // AddBatch sort once instead).
-func (l *LSH) Add(f *ir.Function) {
+func (l *Index) Add(f *ir.Function) {
 	if f.IsDecl() {
 		return
 	}
@@ -400,8 +399,12 @@ func (l *LSH) Add(f *ir.Function) {
 // AddBatch (re-)indexes a batch of functions under one lock
 // acquisition, then settles the touched cells and sorts the slab once —
 // O((n+k) log n) against Add's O(k·n) of sorted insertions. Results are
-// identical to k sequential Adds.
-func (l *LSH) AddBatch(fs []*ir.Function) {
+// identical to k sequential Adds. A batch of one takes Add's path.
+func (l *Index) AddBatch(fs []*ir.Function) {
+	if len(fs) == 1 {
+		l.Add(fs[0])
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, f := range fs {
@@ -417,7 +420,7 @@ func (l *LSH) AddBatch(fs []*ir.Function) {
 }
 
 // Remove drops f from future candidate lists and recycles its slot.
-func (l *LSH) Remove(f *ir.Function) {
+func (l *Index) Remove(f *ir.Function) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	slot, ok := l.slotOf[f]
@@ -439,7 +442,7 @@ type scored struct {
 
 // query is one Candidates call in progress.
 type query struct {
-	l       *LSH
+	l       *Index
 	self    int32
 	t       int
 	fp      *fingerprint.Fingerprint
@@ -490,7 +493,7 @@ func (q *query) admit(c, d int32) {
 func (q *query) within(g int32) bool { return g <= q.radius && q.radius > 0 }
 
 // Candidates returns up to t candidate partners for f: the true
-// fingerprint top-t in Exact's (distance, name) order. The walk starts
+// fingerprint top-t in (distance, name) order. The walk starts
 // at f's own cell, whose other members are at distance 0, and moves
 // outward through the slab one equal-size run at a time, always taking
 // the side with the smaller size gap; it ends when that gap exceeds the
@@ -498,7 +501,7 @@ func (q *query) within(g int32) bool { return g <= q.radius && q.radius > 0 }
 // distance of everything beyond. A visited cell is rejected on its
 // projection before the full metric runs. Ties at the radius are still
 // scored — the name tie-break can admit them.
-func (l *LSH) Candidates(f *ir.Function, t int) []*ir.Function {
+func (l *Index) Candidates(f *ir.Function, t int) []*ir.Function {
 	start := time.Now()
 	var out []*ir.Function
 	var probed, scanned int64
@@ -561,8 +564,8 @@ func (l *LSH) Candidates(f *ir.Function, t int) []*ir.Function {
 }
 
 // Order returns the indexed functions sorted largest-first by
-// instruction count, ties by indexed name — Exact's attempt order.
-func (l *LSH) Order() []*ir.Function {
+// instruction count, ties by indexed name (paper §5.5's attempt order).
+func (l *Index) Order() []*ir.Function {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	slots := make([]int32, 0, len(l.slotOf))
@@ -585,7 +588,7 @@ func (l *LSH) Order() []*ir.Function {
 }
 
 // Stats returns the accumulated accounting.
-func (l *LSH) Stats() Stats {
+func (l *Index) Stats() Stats {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return Stats{

@@ -20,7 +20,7 @@ func TestLSHRenameReindex(t *testing.T) {
 		CloneFrac: 0.8, FamilySize: 3, MutRate: 0, Loops: 0.4,
 	})
 	funcs := m.Defined()
-	l := newLSH(funcs, nil, nil)
+	l := newIndex(funcs, nil, nil)
 	n := l.Stats().Indexed
 	before := make(map[*ir.Function][]*ir.Function, n)
 	for _, g := range funcs {
@@ -40,7 +40,7 @@ func TestLSHRenameReindex(t *testing.T) {
 	}
 
 	// Re-index it, as Session.sync does: same population, and from here
-	// on the lists are Exact's over the renamed state.
+	// on the lists are the specification's over the renamed state.
 	l.Add(f)
 	if got := l.Stats().Indexed; got != n {
 		t.Fatalf("re-add after rename changed index count: %d -> %d", n, got)
@@ -48,7 +48,7 @@ func TestLSHRenameReindex(t *testing.T) {
 	if got := len(l.Order()); got != n {
 		t.Fatalf("Order has %d entries for %d functions (stale duplicate)", got, n)
 	}
-	sameLists(t, NewExact(funcs), l, 3, 1, "after rename and re-add")
+	sameLists(t, newSpec(funcs, nil), l, 3, 1, "after rename and re-add")
 
 	// Rename again and remove without re-indexing: the slot table, not
 	// the live name, locates the entry.
@@ -57,9 +57,9 @@ func TestLSHRenameReindex(t *testing.T) {
 	if got := l.Stats().Indexed; got != n-1 {
 		t.Fatalf("remove after rename: index count %d, want %d", got, n-1)
 	}
-	exact := NewExact(funcs)
-	exact.Remove(f)
-	sameLists(t, exact, l, 3, 1, "after rename and remove")
+	spec := newSpec(funcs, nil)
+	spec.Remove(f)
+	sameLists(t, spec, l, 3, 1, "after rename and remove")
 	for _, g := range l.Order() {
 		if g == f {
 			t.Fatal("removed function still in Order")

@@ -1,18 +1,14 @@
 // Package search supplies merge candidates to the driver: given the
-// module's defined functions, which pairs are worth aligning? Two
-// implementations sit behind the Finder interface:
-//
-//   - Exact wraps fingerprint.Ranking, scanning every live function per
-//     query. Its candidate lists — and therefore the committed merge set —
-//     are bit-identical to the original pipeline.
-//   - LSH — a historical name; it no longer sketches — is the indexed
-//     exact finder: one cell per distinct fingerprint, listed in a
-//     packed slab sorted by size and walked outward from the query's
-//     cell, pruned by two admissible lower bounds on the fingerprint
-//     distance (size difference, then a packed 8-lane projection taken
-//     in one SWAR step). A visit scores a cell once for all its members.
-//     Queries return the exact top-t while scoring a fraction of the
-//     module; candidate discovery stops being the O(n²) bottleneck.
+// module's defined functions, which pairs are worth aligning? Index is
+// the one Finder. It ranks candidates the way the paper's §5.1 does —
+// by fingerprint distance, ties by name — from a dense index: one cell
+// per distinct fingerprint, listed in a packed slab sorted by size and
+// walked outward from the query's cell, pruned by two admissible lower
+// bounds on the fingerprint distance (size difference, then a packed
+// 8-lane projection taken in one SWAR step). A visit scores a cell once
+// for all its members. Queries return the exact top-t while scoring a
+// fraction of the module; candidate discovery stops being the O(n²)
+// bottleneck.
 //
 // The package also provides stable structural hashing (HashFunction) and
 // duplicate detection (Families, EqualFunctions, BuildForwarder): exact
@@ -21,7 +17,6 @@
 package search
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/fingerprint"
@@ -31,7 +26,8 @@ import (
 // Finder answers candidate queries over a set of functions. The driver
 // consumes one Finder per run for both the planning and the commit
 // stage. Implementations are safe for concurrent use (reads may run
-// concurrently; writes are serialized against them).
+// concurrently; writes are serialized against them). Index is the
+// package's one implementation; the tests hold it to a naive one.
 type Finder interface {
 	// Order returns the indexed functions sorted largest-first (the
 	// order in which merging is attempted, paper §5.5).
@@ -42,6 +38,10 @@ type Finder interface {
 	Candidates(f *ir.Function, t int) []*ir.Function
 	// Add (re-)indexes f as a candidate.
 	Add(f *ir.Function)
+	// AddBatch (re-)indexes fs in one pass, with the result of calling
+	// Add on each function in order. The driver's batched session deltas
+	// (Session.UpdateBatch) use it.
+	AddBatch(fs []*ir.Function)
 	// Remove drops f from future candidate lists (it was merged away).
 	Remove(f *ir.Function)
 	// Fingerprint returns a copy of the fingerprint f is indexed with,
@@ -51,32 +51,21 @@ type Finder interface {
 	Stats() Stats
 }
 
-// BatchIndexer is the optional bulk half of Finder: a finder that can
-// (re-)index n functions in one pass implements it, and the driver's
-// batched session deltas (Session.UpdateBatch) prefer it over n
-// sequential Add calls. AddBatch must be equivalent to calling Add on
-// each function in order. Both finders in this package implement it.
-type BatchIndexer interface {
-	AddBatch(fs []*ir.Function)
-}
-
 // Stats accounts for the work a Finder did. The driver folds it into the
 // run report; cmd/fmerge -v prints it.
 type Stats struct {
 	// Queries counts Candidates calls.
 	Queries int
 	// Scanned counts candidate fingerprints distance-scored across all
-	// queries. For Exact this is every live function per query; the
-	// indexed finder scores a cell — one distinct fingerprint, however
-	// many functions share it — and only when its lower bounds could not
-	// reject it.
+	// queries. The index scores a cell — one distinct fingerprint,
+	// however many functions share it — and only when its lower bounds
+	// could not reject it.
 	Scanned int
 	// Probed counts the index entries the queries visited, of which
 	// Scanned were distance-scored: Probed - Scanned is the pruning the
-	// projection bound did. For the indexed finder an entry is a cell
-	// other than the query's own, so the size bound pruned the live
-	// cells times Queries less Probed. Exact visits what it scores, so
-	// there the two agree.
+	// projection bound did. An entry is a cell other than the query's
+	// own, so the size bound pruned the live cells times Queries less
+	// Probed.
 	Probed int
 	// QueryTime accumulates wall-clock time spent inside Candidates.
 	QueryTime time.Duration
@@ -98,21 +87,21 @@ func (s Stats) AvgScanned() float64 {
 	return float64(s.Scanned) / float64(s.Queries)
 }
 
-// Kind selects a Finder implementation.
+// Kind names a finder. Both kinds build the Index: the two names are
+// the values the public option (repro.WithFinder) and the daemon's wire
+// field accept, kept so callers written against them still work.
 type Kind int
 
-// Supported finders.
+// The finder names.
 const (
-	// KindExact is the brute-force fingerprint ranking (the paper's
-	// §5.1 pipeline): exact top-t lists, O(n) scan per query.
+	// KindExact names the paper's §5.1 fingerprint ranking; it builds
+	// the Index, whose lists are that ranking's.
 	KindExact Kind = iota
-	// KindLSH is the indexed exact finder (see LSH; the name and the
-	// "lsh" flag value predate the removal of the sketch): the same
-	// top-t lists from sub-linear query work.
+	// KindLSH names the Index itself.
 	KindLSH
 )
 
-// String names the finder kind as used by the -finder flag.
+// String returns the kind's wire name.
 func (k Kind) String() string {
 	if k == KindLSH {
 		return "lsh"
@@ -120,21 +109,10 @@ func (k Kind) String() string {
 	return "exact"
 }
 
-// KindByName parses a -finder flag value.
-func KindByName(name string) (Kind, error) {
-	switch name {
-	case "exact":
-		return KindExact, nil
-	case "lsh":
-		return KindLSH, nil
-	}
-	return 0, fmt.Errorf("search: unknown finder %q (want exact or lsh)", name)
-}
-
-// New builds the Finder of the given kind over funcs (declarations are
-// ignored).
-func New(kind Kind, funcs []*ir.Function) Finder {
-	return NewIndexed(kind, funcs, nil)
+// New builds the Finder over funcs (declarations are ignored). Every
+// kind builds the Index.
+func New(_ Kind, funcs []*ir.Function) Finder {
+	return NewIndexed(funcs, nil)
 }
 
 // BodySource resolves the body a finder actually indexes for a
@@ -152,19 +130,16 @@ type BodySource interface {
 // sessions make reducible noise (redundant memory traffic, unfolded
 // constants, commuted operands, spurious blocks) invisible to
 // discovery.
-func NewIndexed(kind Kind, funcs []*ir.Function, view BodySource) Finder {
-	return Restore(kind, funcs, view, nil)
+func NewIndexed(funcs []*ir.Function, view BodySource) Finder {
+	return Restore(funcs, view, nil)
 }
 
 // Export returns the fingerprint f holds for each indexed function —
 // what a snapshot persists so a warm restart can skip recomputing them.
-// Only the two concrete finders of this package are supported.
+// Only the Index is supported.
 func Export(f Finder) map[*ir.Function]*fingerprint.Fingerprint {
-	switch f := f.(type) {
-	case *Exact:
-		return f.r.Fingerprints()
-	case *LSH:
-		return f.export()
+	if ix, ok := f.(*Index); ok {
+		return ix.export()
 	}
 	return nil
 }
@@ -176,9 +151,6 @@ func Export(f Finder) map[*ir.Function]*fingerprint.Fingerprint {
 // body under the same lens configuration — the driver checks structural
 // hashes, and its snapshot carries the canon config as a guard, before
 // trusting one.
-func Restore(kind Kind, funcs []*ir.Function, view BodySource, prior map[*ir.Function]*fingerprint.Fingerprint) Finder {
-	if kind == KindLSH {
-		return newLSH(funcs, view, prior)
-	}
-	return restoreExact(funcs, view, prior)
+func Restore(funcs []*ir.Function, view BodySource, prior map[*ir.Function]*fingerprint.Fingerprint) Finder {
+	return newIndex(funcs, view, prior)
 }

@@ -1,8 +1,10 @@
 package search
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/fingerprint"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/irtext"
@@ -194,76 +196,165 @@ func TestForwarderSelfRecursive(t *testing.T) {
 	}
 }
 
-// TestFinderContract exercises Add/Remove/Candidates symmetry on both
-// implementations.
-func TestFinderContract(t *testing.T) {
-	m := synth.Generate(synth.Profile{
+// finderSymmetry is the contract's Add/Remove/Candidates symmetry and
+// accounting on the finder build makes over a clone-rich suite.
+func finderSymmetry(t *testing.T, build func([]*ir.Function) Finder) {
+	funcs := synth.Generate(synth.Profile{
 		Name: "fc", Seed: 9, Funcs: 30, MinSize: 8, AvgSize: 40, MaxSize: 100,
 		CloneFrac: 0.6, FamilySize: 3, MutRate: 0.05, Loops: 0.5,
-	})
-	funcs := m.Defined()
-	for _, kind := range []Kind{KindExact, KindLSH} {
-		t.Run(kind.String(), func(t *testing.T) {
-			fd := New(kind, funcs)
-			order := fd.Order()
-			if len(order) != len(funcs) {
-				t.Fatalf("Order returned %d functions, want %d", len(order), len(funcs))
-			}
-			f := order[0]
-			cands := fd.Candidates(f, 5)
-			if len(cands) == 0 {
-				t.Fatalf("no candidates for @%s", f.Name())
-			}
-			for _, g := range cands {
-				if g == f {
-					t.Fatalf("candidate list for @%s contains itself", f.Name())
-				}
-			}
-			// Removing a candidate must drop it from future lists.
-			gone := cands[0]
-			fd.Remove(gone)
-			for _, g := range fd.Candidates(f, len(funcs)) {
-				if g == gone {
-					t.Fatalf("removed function @%s still returned", gone.Name())
-				}
-			}
-			// Re-adding restores it.
-			fd.Add(gone)
-			found := false
-			for _, g := range fd.Candidates(f, len(funcs)) {
-				if g == gone {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("re-added function @%s not returned", gone.Name())
-			}
-			st := fd.Stats()
-			if st.Queries != 3 {
-				t.Errorf("stats queries = %d, want 3", st.Queries)
-			}
-			if st.Indexed != len(funcs) {
-				t.Errorf("stats indexed = %d, want %d", st.Indexed, len(funcs))
-			}
-			if st.QueryTime <= 0 {
-				t.Errorf("stats query time not accumulated")
-			}
-		})
+	}).Defined()
+	fd := build(funcs)
+	order := fd.Order()
+	if len(order) != len(funcs) {
+		t.Fatalf("Order returned %d functions, want %d", len(order), len(funcs))
+	}
+	f := order[0]
+	cands := fd.Candidates(f, 5)
+	if len(cands) == 0 {
+		t.Fatalf("no candidates for @%s", f.Name())
+	}
+	if slices.Contains(cands, f) {
+		t.Fatalf("candidate list for @%s contains itself", f.Name())
+	}
+	// Removing a candidate must drop it from future lists.
+	gone := cands[0]
+	fd.Remove(gone)
+	if slices.Contains(fd.Candidates(f, len(funcs)), gone) {
+		t.Fatalf("removed function @%s still returned", gone.Name())
+	}
+	// Re-adding restores it.
+	fd.Add(gone)
+	if !slices.Contains(fd.Candidates(f, len(funcs)), gone) {
+		t.Fatalf("re-added function @%s not returned", gone.Name())
+	}
+	st := fd.Stats()
+	if st.Queries != 3 {
+		t.Errorf("stats queries = %d, want 3", st.Queries)
+	}
+	if st.Indexed != len(funcs) {
+		t.Errorf("stats indexed = %d, want %d", st.Indexed, len(funcs))
+	}
+	if st.QueryTime <= 0 {
+		t.Errorf("stats query time not accumulated")
 	}
 }
 
-func TestKindByName(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kind
-		ok   bool
-	}{{"exact", KindExact, true}, {"lsh", KindLSH, true}, {"bogus", 0, false}} {
-		got, err := KindByName(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("KindByName(%q) = %v, %v", tc.in, got, err)
-		}
+// TestFinderContract is the Finder contract, case by case, on the
+// Index: Add/Remove/Candidates symmetry and accounting (held by the
+// specification too: cases "exact" and "lsh" name the two), the attempt
+// order, exclusion of the query and of removed functions, the threshold,
+// no duplicates from a re-Add or a repeated input entry, and — on a
+// tie-rich suite, before and after removals, for t up to past the
+// corpus — the lists of the full sort the specification finder does.
+func TestFinderContract(t *testing.T) {
+	fig2 := parse(t, irtext.Fig2Module)
+	f1, f2 := fig2.FuncByName("F1"), fig2.FuncByName("F2")
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		// The symmetry contract on the specification, then on the Index.
+		{"exact", func(t *testing.T) {
+			finderSymmetry(t, func(funcs []*ir.Function) Finder { return newSpec(funcs, nil) })
+		}},
+		{"lsh", func(t *testing.T) {
+			finderSymmetry(t, func(funcs []*ir.Function) Finder { return New(KindLSH, funcs) })
+		}},
+		{"largest-first", func(t *testing.T) {
+			// F1 (10 instructions) before F2 (9).
+			if order := New(KindLSH, fig2.Defined()).Order(); !slices.Equal(order, []*ir.Function{f1, f2}) {
+				t.Errorf("order = %v, want [F1 F2]", names(order))
+			}
+		}},
+		{"self-and-removed", func(t *testing.T) {
+			fd := New(KindLSH, fig2.Defined())
+			if c := fd.Candidates(f1, 5); !slices.Equal(c, []*ir.Function{f2}) {
+				t.Fatalf("candidates = %v, want [F2]", names(c))
+			}
+			fd.Remove(f2)
+			if c := fd.Candidates(f1, 5); len(c) != 0 {
+				t.Errorf("removed function still a candidate: %v", names(c))
+			}
+			fd.Add(f2)
+			if c := fd.Candidates(f1, 5); len(c) != 1 {
+				t.Errorf("re-added function missing: %v", names(c))
+			}
+		}},
+		{"threshold", func(t *testing.T) {
+			src := ""
+			for _, n := range []string{"a", "b", "c", "d", "e"} {
+				src += "define i32 @" + n + "(i32 %x) {\ne:\n %y = add i32 %x, 1\n ret i32 %y\n}\n"
+			}
+			m := parse(t, src)
+			fd, f := New(KindLSH, m.Defined()), m.FuncByName("a")
+			for _, tv := range []int{1, 2, 4} {
+				if got := len(fd.Candidates(f, tv)); got != tv {
+					t.Errorf("t=%d returned %d candidates", tv, got)
+				}
+			}
+			if got := len(fd.Candidates(f, 100)); got != 4 {
+				t.Errorf("t=100 returned %d candidates, want 4", got)
+			}
+		}},
+		{"add-dedupes", func(t *testing.T) {
+			fd := New(KindLSH, fig2.Defined())
+			for i := 0; i < 3; i++ {
+				fd.Add(f2) // already present
+			}
+			if c := fd.Candidates(f1, 10); len(c) != 1 {
+				t.Fatalf("re-Add duplicated the candidate: %v", names(c))
+			}
+			if o := fd.Order(); len(o) != 2 {
+				t.Fatalf("re-Add duplicated the order: %d entries", len(o))
+			}
+		}},
+		{"build-dedupes", func(t *testing.T) {
+			fd := New(KindLSH, []*ir.Function{f1, f2, f1, f2})
+			if c := fd.Candidates(f1, 10); len(c) != 1 {
+				t.Fatalf("duplicate input inflated candidates: %v", names(c))
+			}
+			if o := fd.Order(); len(o) != 2 {
+				t.Fatalf("duplicate input inflated order: %d entries", len(o))
+			}
+		}},
+		{"full-sort", func(t *testing.T) {
+			funcs := synth.Generate(synth.Profile{
+				Name: "topt", Seed: 9, Funcs: 160,
+				MinSize: 4, AvgSize: 14, MaxSize: 60,
+				CloneFrac: 0.6, FamilySize: 5, MutRate: 0.02,
+				Loops: 0.4, Switches: 0.3,
+			}).Defined()
+			fd, spec := New(KindLSH, funcs), newSpec(funcs, nil)
+			ties := 0
+			check := func() {
+				for _, f := range funcs {
+					for _, tv := range []int{1, 3, 8, len(funcs) + 5} {
+						sameList(t, spec, fd, f, tv, "full sort")
+					}
+					if c := spec.Candidates(f, 3); len(c) == 3 {
+						fp, _ := spec.Fingerprint(f)
+						b, _ := spec.Fingerprint(c[1])
+						d, _ := spec.Fingerprint(c[2])
+						if fingerprint.Distance(&fp, &b) == fingerprint.Distance(&fp, &d) {
+							ties++
+						}
+					}
+				}
+			}
+			check()
+			for i, f := range funcs {
+				if i%3 == 0 {
+					fd.Remove(f)
+					spec.Remove(f)
+				}
+			}
+			check()
+			if ties < 20 {
+				t.Errorf("only %d queries had a distance tie inside their top 3: the suite does not exercise the name tie-break", ties)
+			}
+		}},
 	}
-	if KindExact.String() != "exact" || KindLSH.String() != "lsh" {
-		t.Error("Kind.String mismatch")
+	for _, c := range cases {
+		t.Run(c.name, c.run)
 	}
 }

@@ -14,14 +14,17 @@ import repro "repro"
 // its index snapshot) persisted under the session's name by an earlier
 // Snapshot call — the warm-restart path. Option fields mirror the
 // Optimizer options; zero values mean the daemon defaults (SalSSA,
-// threshold 1, exact finder, no dup-fold, no families).
+// threshold 1, no dup-fold, no families).
 type CreateSession struct {
 	Name      string `json:"name"`
 	Module    string `json:"module,omitempty"`
 	Algorithm string `json:"algorithm,omitempty"` // "SalSSA" | "SalSSA-NoPC"
 	Threshold int    `json:"threshold,omitempty"`
-	Finder    string `json:"finder,omitempty"` // "exact" | "lsh"
-	DupFold   bool   `json:"dup_fold,omitempty"`
+	// Finder is "", "exact" or "lsh", the names clients written against
+	// the two-finder daemon send; any other value is rejected. All three
+	// select the one candidate finder, so the field changes nothing.
+	Finder  string `json:"finder,omitempty"`
+	DupFold bool   `json:"dup_fold,omitempty"`
 	// Canon indexes the session's functions through canonical views
 	// (normalization + GVN): near-clone noise becomes invisible to
 	// candidate search and DupFold widens to semantic duplicates. A
@@ -43,8 +46,8 @@ type SessionInfo struct {
 	Name  string `json:"name"`
 	Funcs int    `json:"funcs"` // defined functions in the module
 	// Warm reports that the session was opened from a persisted index
-	// snapshot; Built is the finder's fingerprint/sketch-computation
-	// count since open (0 after a fully matching warm restart).
+	// snapshot; Built is the finder's fingerprint-computation count
+	// since open (0 after a fully matching warm restart).
 	Warm  bool `json:"warm"`
 	Built int  `json:"built"`
 	// Replayed counts the journal records replayed when the session was

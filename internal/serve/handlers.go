@@ -192,10 +192,7 @@ func buildOptimizer(req *api.CreateSession) (*repro.Optimizer, error) {
 		return nil, fmt.Errorf("unknown algorithm %q (want SalSSA or SalSSA-NoPC)", req.Algorithm)
 	}
 	switch req.Finder {
-	case "", "exact":
-		opts = append(opts, repro.WithFinder(repro.ExactFinder))
-	case "lsh":
-		opts = append(opts, repro.WithFinder(repro.LSHFinder))
+	case "", "exact", "lsh": // both names select the one finder
 	default:
 		return nil, fmt.Errorf("unknown finder %q (want exact or lsh)", req.Finder)
 	}

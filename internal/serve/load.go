@@ -34,8 +34,6 @@ type LoadConfig struct {
 	Funcs int `json:"funcs"`
 	// Seed drives corpus generation (default 42, the sess2k suite).
 	Seed int64 `json:"seed"`
-	// Finder is "exact" or "lsh" (default "lsh").
-	Finder string `json:"finder"`
 	// MaxRounds caps each client's plan/apply rounds; 0 means run until
 	// the session reaches its merge fixpoint (empty plan).
 	MaxRounds int `json:"max_rounds,omitempty"`
@@ -59,9 +57,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.Finder == "" {
-		c.Finder = "lsh"
 	}
 	return c
 }
@@ -145,7 +140,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig, collectModules bool) (*LoadRep
 		sc, err := admin.CreateSession(ctx, client.CreateSession{
 			Name:    fmt.Sprintf("load-%d", i),
 			Module:  corpus,
-			Finder:  cfg.Finder,
 			DupFold: true,
 		})
 		if err != nil {

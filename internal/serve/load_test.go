@@ -20,7 +20,6 @@ func TestLoadSmoke(t *testing.T) {
 		Sessions: 2,
 		Funcs:    120,
 		Seed:     42,
-		Finder:   "lsh",
 	}
 	rep, err := RunLoad(ctx, cfg, true)
 	if err != nil {
@@ -46,7 +45,7 @@ func TestLoadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := repro.New(repro.WithFinder(repro.LSHFinder), repro.WithDupFold(true))
+	opt, err := repro.New(repro.WithDupFold(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@
 // for one greedy client), and a per-client function-count quota (429
 // when a client's sessions grow past its budget). Session index state
 // persists as a checksummed snapshot next to the module text, so a
-// restarted daemon serves its first Plan without rebuilding fingerprint
-// rankings or LSH buckets.
+// restarted daemon serves its first Plan without recomputing its
+// fingerprint index.
 //
 // # Durability
 //

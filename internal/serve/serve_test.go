@@ -87,7 +87,8 @@ func drainLocal(t *testing.T, ctx context.Context, s *repro.Session) (merges, fo
 
 // TestServeDifferential: the daemon's Plan/Apply round-trips over HTTP
 // must converge to exactly the module a local Session produces from the
-// same text and options — for both candidate finders.
+// same text and options — under each finder name the wire accepts, both
+// of which select the one finder.
 func TestServeDifferential(t *testing.T) {
 	ctx := context.Background()
 	corpus := testCorpus(t, 48)
@@ -111,11 +112,7 @@ func TestServeDifferential(t *testing.T) {
 				t.Fatalf("module: %v", err)
 			}
 
-			kind := repro.ExactFinder
-			if finder == "lsh" {
-				kind = repro.LSHFinder
-			}
-			opt, err := repro.New(repro.WithFinder(kind), repro.WithThreshold(2), repro.WithDupFold(true))
+			opt, err := repro.New(repro.WithThreshold(2), repro.WithDupFold(true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,6 +342,9 @@ func TestServeAdmission(t *testing.T) {
 	if _, err := c.CreateSession(ctx, client.CreateSession{Name: "neg", Module: small, Parallelism: -1}); !errors.As(err, &se) || se.Code != 400 {
 		t.Fatalf("negative parallelism: got %v, want 400", err)
 	}
+	if _, err := c.CreateSession(ctx, client.CreateSession{Name: "f", Module: small, Finder: "minhash"}); !errors.As(err, &se) || se.Code != 400 {
+		t.Fatalf("unknown finder: got %v, want 400", err)
+	}
 	// Duplicate name (after freeing a session slot) is a conflict.
 	if err := sc.Close(ctx); err != nil {
 		t.Fatal(err)
@@ -375,11 +375,14 @@ func TestServeAdmission(t *testing.T) {
 // TestServeWarmRestart: snapshot a session, delete it, recreate it by
 // name with no module body — the daemon restores the persisted module,
 // accepts the index snapshot, and serves the first Plan with zero
-// fingerprint/sketch rebuilds (SearchStats.Built == 0 end to end).
+// fingerprint rebuilds (SearchStats.Built == 0 end to end). The recreate
+// sends the other finder name: both select the one finder, so a session
+// created under either restores under the other.
 func TestServeWarmRestart(t *testing.T) {
 	ctx := context.Background()
 	for _, finder := range []string{"exact", "lsh"} {
 		t.Run(finder, func(t *testing.T) {
+			other := map[string]string{"exact": "lsh", "lsh": "exact"}[finder]
 			dir := t.TempDir()
 			_, hs := newTestDaemon(t, Config{SnapshotDir: dir})
 			c := client.New(hs.URL, "warm")
@@ -413,7 +416,7 @@ func TestServeWarmRestart(t *testing.T) {
 			// "Restart": recreate by name only. The corpus travels via
 			// the snapshot directory, the index via the snapshot.
 			sc2, err := c.CreateSession(ctx, client.CreateSession{
-				Name: "warm-" + finder, Finder: finder, DupFold: true, MaxFamily: 2,
+				Name: "warm-" + finder, Finder: other, DupFold: true, MaxFamily: 2,
 			})
 			if err != nil {
 				t.Fatalf("warm create: %v", err)

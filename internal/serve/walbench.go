@@ -125,7 +125,7 @@ func measureRecovery(ctx context.Context, cfg LoadConfig) (coldMs, recoveryMs fl
 		return 0, 0, 0, err
 	}
 	admin := client.New(base, "walbench")
-	create := client.CreateSession{Name: "rec", Module: corpus, Finder: cfg.Finder, DupFold: true}
+	create := client.CreateSession{Name: "rec", Module: corpus, DupFold: true}
 	t0 := time.Now()
 	sc, err := admin.CreateSession(ctx, create)
 	if err != nil {
@@ -153,7 +153,7 @@ func measureRecovery(ctx context.Context, cfg LoadConfig) (coldMs, recoveryMs fl
 	defer stop()
 	admin = client.New(base, "walbench")
 	t0 = time.Now()
-	sc, err = admin.CreateSession(ctx, client.CreateSession{Name: "rec", Finder: cfg.Finder, DupFold: true})
+	sc, err = admin.CreateSession(ctx, client.CreateSession{Name: "rec", DupFold: true})
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("recovery bench recover: %w", err)
 	}

@@ -51,12 +51,13 @@ type Option func(*Optimizer) error
 // New builds an Optimizer from the given options. Without options the
 // defaults match the paper's main configuration: SalSSA, exploration
 // threshold 1, the x86-64 size model, quadratic alignment, no size or
-// memory limits, the exact candidate finder, no duplicate folding.
+// memory limits, no duplicate folding.
 func New(opts ...Option) (*Optimizer, error) {
 	o := &Optimizer{
 		algorithm: SalSSA,
 		threshold: 1,
 		target:    X86_64,
+		finder:    LSHFinder,
 		maxFamily: 4,
 	}
 	for _, opt := range opts {
@@ -184,14 +185,11 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithFinder selects the candidate-search implementation (default
-// ExactFinder). ExactFinder reproduces the paper's brute-force
-// fingerprint ranking with an O(n) scan per query; LSHFinder (the name
-// is historical: it is the indexed exact finder and no longer sketches)
-// answers the same queries from a dense index walked outward in size
-// order, scoring only the candidates that neither a size-difference nor
-// a projected-fingerprint lower bound can exclude — the same top-t
-// lists, a fraction of the work on large modules.
+// WithFinder names the candidate finder (default LSHFinder). Both names
+// select the one finder, a dense fingerprint index whose lists are the
+// paper's §5.1 ranking, so the option changes nothing but what Finder
+// reports; it stays so callers written against it keep compiling. An
+// unknown kind is still an error.
 func WithFinder(k FinderKind) Option {
 	return func(o *Optimizer) error {
 		switch k {
@@ -282,7 +280,7 @@ func (o *Optimizer) Threshold() int { return o.threshold }
 // Target returns the configured size-model target.
 func (o *Optimizer) Target() Target { return o.target }
 
-// Finder returns the configured candidate-search implementation.
+// Finder returns the finder name set by WithFinder (default LSHFinder).
 func (o *Optimizer) Finder() FinderKind { return o.finder }
 
 // DupFold reports whether duplicate folding is enabled.
@@ -306,7 +304,6 @@ func (o *Optimizer) config() driver.Config {
 		LinearAlign: o.linearAlign,
 		SkipHot:     o.skipHot,
 		MinInstrs:   o.minInstrs,
-		Finder:      o.finder,
 		DupFold:     o.dupFold,
 		MaxFamily:   o.maxFamily,
 		Progress:    o.progress,

@@ -33,8 +33,8 @@ func TestNewDefaults(t *testing.T) {
 	if o.Target() != X86_64 {
 		t.Errorf("default target = %v, want X86_64", o.Target())
 	}
-	if o.Finder() != ExactFinder {
-		t.Errorf("default finder = %v, want ExactFinder", o.Finder())
+	if o.Finder() != LSHFinder {
+		t.Errorf("default finder = %v, want LSHFinder", o.Finder())
 	}
 	if o.DupFold() {
 		t.Error("duplicate folding on by default, want off")
@@ -71,7 +71,7 @@ func TestOptionValidation(t *testing.T) {
 		WithMinInstrs(4),
 		WithSkipHot("hot1", "hot2"),
 		WithParallelism(3),
-		WithFinder(LSHFinder),
+		WithFinder(ExactFinder),
 		WithDupFold(true),
 		WithProgress(func(Progress) {}),
 	)
@@ -81,7 +81,7 @@ func TestOptionValidation(t *testing.T) {
 	if o.Algorithm() != SalSSANoPC || o.Threshold() != 5 || o.Target() != Thumb {
 		t.Errorf("options not applied: %+v", o)
 	}
-	if o.Finder() != LSHFinder || !o.DupFold() {
+	if o.Finder() != ExactFinder || !o.DupFold() {
 		t.Errorf("finder options not applied: finder=%v dupFold=%v", o.Finder(), o.DupFold())
 	}
 }
@@ -94,7 +94,7 @@ func TestWithDupFoldReportsFolds(t *testing.T) {
 		MinSize: 10, AvgSize: 50, MaxSize: 120,
 		CloneFrac: 0.7, FamilySize: 3, MutRate: 0, Loops: 0.5,
 	})
-	o, err := New(WithDupFold(true), WithFinder(LSHFinder))
+	o, err := New(WithDupFold(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,22 +76,17 @@ const (
 	FMSA = driver.FMSA
 )
 
-// FinderKind selects the candidate-search implementation (see
-// WithFinder).
+// FinderKind names the candidate finder (see WithFinder).
 type FinderKind = search.Kind
 
-// Supported candidate finders.
+// Candidate finder names. Both select the one finder: a dense
+// size-ordered fingerprint index pruned by two admissible lower bounds
+// on the fingerprint distance, which answers each query with the exact
+// top-t of the paper's §5.1 ranking from sub-linear work.
 const (
-	// ExactFinder is the paper's §5.1 brute-force fingerprint ranking:
-	// exact top-t candidate lists from an O(n) scan per query. The
-	// committed merge set is bit-identical to the historical pipeline.
+	// ExactFinder names the paper's §5.1 fingerprint ranking.
 	ExactFinder = search.KindExact
-	// LSHFinder is the indexed exact finder. The name predates the
-	// removal of its minhash sketch: it now answers candidate queries
-	// from a dense size-ordered index pruned by two admissible lower
-	// bounds on the fingerprint distance — the same top-t lists as
-	// ExactFinder, from sub-linear query work. On large modules
-	// candidate discovery stops being the O(n²) bottleneck.
+	// LSHFinder names the index that serves it (the default).
 	LSHFinder = search.KindLSH
 )
 

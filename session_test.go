@@ -12,9 +12,10 @@ import (
 
 // TestSessionOptimizeMatchesOneShot is the public face of the
 // differential criterion: a Session's first Optimize must commit
-// exactly what the one-shot Optimizer.Optimize commits, for both finders
-// with dup-fold on and off. WithParallelism is accepted and ignored, so
-// the run at 4 must commit exactly what the run at 1 does.
+// exactly what the one-shot Optimizer.Optimize commits, with dup-fold
+// on and off. WithFinder and WithParallelism are accepted and change
+// nothing; the test still runs both finder names and both parallelism
+// settings, so each must leave that equality intact.
 func TestSessionOptimizeMatchesOneShot(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		base := synthModule(seed)
@@ -71,7 +72,7 @@ func TestSessionOptimizeMatchesOneShot(t *testing.T) {
 // the outcome memo kicks in at fixpoint.
 func TestSessionIncrementalWorkflow(t *testing.T) {
 	m := synthModule(5)
-	opt, err := New(WithThreshold(2), WithFinder(LSHFinder))
+	opt, err := New(WithThreshold(2))
 	if err != nil {
 		t.Fatal(err)
 	}
