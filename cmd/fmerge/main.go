@@ -488,6 +488,9 @@ func reportModule(rep *repro.Report, label string, verbose bool) {
 			rep.CodegenTime.Round(time.Millisecond), rep.BuildTime.Round(time.Millisecond),
 			rep.RepairTime.Round(time.Millisecond), rep.SimplifyTime.Round(time.Millisecond),
 			rep.AlignTime.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "alloc: %s allocated, GC %v CPU; trials %s, %s of it discarded (process-wide)\n",
+			fmtBytes(uint64(rep.AllocBytes)), rep.GCTime.Round(time.Millisecond),
+			fmtBytes(uint64(rep.TrialAllocBytes)), fmtBytes(uint64(rep.DiscardedTrialAllocBytes)))
 		ac := rep.AlignCache
 		fmt.Fprintf(os.Stderr, "align: %d sequences interned (%d classes), %d cache hits\n",
 			ac.Misses, ac.Classes, ac.Hits)

@@ -57,6 +57,11 @@ type scaleRun struct {
 	// completes and a forced GC — live bytes, module plus indexes.
 	PeakHeapBytes    uint64 `json:"peak_heap_bytes"`
 	IndexedHeapBytes uint64 `json:"indexed_heap_bytes"`
+	// What the optimize run's trials allocated while being built, and
+	// the collector's CPU time over the run (process-wide deltas; see
+	// driver.Counters).
+	TrialAllocMB float64 `json:"trial_alloc_mb"`
+	GCCPUSecs    float64 `json:"gc_cpu_secs"`
 
 	BaselineBytes int `json:"baseline_bytes"`
 	FinalBytes    int `json:"final_bytes"`
@@ -195,6 +200,8 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, verbose bool
 
 		PeakHeapBytes:    peak,
 		IndexedHeapBytes: indexed,
+		TrialAllocMB:     float64(r.TrialAllocBytes) / (1 << 20),
+		GCCPUSecs:        r.GCTime.Seconds(),
 
 		BaselineBytes: r.BaselineBytes,
 		FinalBytes:    r.FinalBytes,
@@ -209,13 +216,13 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, verbose bool
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr,
-			"scale[%s]: gen %.1fs index %.1fs optimize %.1fs (query %.1fs screen %.1fs align %.1fs trial %.1fs = build %.1fs + repair %.1fs + simplify %.1fs, commit %.1fs) | finder %.0f probed, %.0f scored per query | funnel %d screened, %d dp-aborted, %d skipped, %d built | live heap %s, peak %s | saved %d bytes (%d merges, %d folds)\n",
+			"scale[%s]: gen %.1fs index %.1fs optimize %.1fs (query %.1fs screen %.1fs align %.1fs trial %.1fs = build %.1fs + repair %.1fs + simplify %.1fs, commit %.1fs) | finder %.0f probed, %.0f scored per query | funnel %d screened, %d dp-aborted, %d skipped, %d built | live heap %s, peak %s, trials allocated %.1fMiB, GC %.2fs CPU | saved %d bytes (%d merges, %d folds)\n",
 			tier, run.GenerateSecs, run.IndexSecs, run.OptimizeSecs,
 			run.QuerySecs, run.ScreenSecs, run.AlignSecs, run.TrialSecs,
 			run.BuildSecs, run.RepairSecs, run.SimplifySecs, run.CommitSecs,
 			run.ProbedPerQuery, run.ScannedPerQuery,
 			run.PairsScreened, run.DPAborted, run.TrialsSkipped, run.TrialsBuilt,
-			fmtBytes(indexed), fmtBytes(peak), run.SavedBytes, run.Merges, run.Folds)
+			fmtBytes(indexed), fmtBytes(peak), run.TrialAllocMB, run.GCCPUSecs, run.SavedBytes, run.Merges, run.Folds)
 	}
 	return run, nil
 }

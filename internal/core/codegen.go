@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/align"
@@ -23,6 +24,9 @@ type generator struct {
 	fid    *ir.Argument
 	opts   Options
 	stats  Stats
+	// tables holds the arrays behind vmap, order, its tags, origin and
+	// blockNum, taken from genPool and given back by release.
+	tables *genTables
 
 	// num numbers each member's values densely for the run (the members
 	// are read-only while it lasts), and vmap, keyed by those numbers,
@@ -152,18 +156,55 @@ func (x *Numbering) of(v ir.Value) int {
 
 func newGenerator(m *ir.Module, fns []*ir.Function, name string, plan *ParamPlan, opts Options) *generator {
 	k := len(fns)
-	g := &generator{m: m, fns: fns, k: k, opts: opts}
+	t := genPool.Get().(*genTables)
+	g := &generator{m: m, fns: fns, k: k, opts: opts, tables: t}
 	g.merged, g.fid = NewMergedShell(m, name, fns, plan)
 	g.num = make([]Numbering, k)
 	g.vmap = make([][]ir.Value, k)
+	size := 0
 	for j, f := range fns {
 		g.num[j] = NewNumbering(f)
-		g.vmap[j] = make([]ir.Value, g.num[j].size)
+		size += g.num[j].size
+	}
+	// The pool hands the array back cleared: nil is "not mapped yet".
+	t.vals = resize(t.vals, size)
+	vals := t.vals
+	for j, f := range fns {
+		n := g.num[j].size
+		g.vmap[j], vals = vals[:n:n], vals[n:]
 		for i, p := range f.Params() {
 			g.setMapped(j, p, g.merged.Param(plan.Maps[j][i]+1))
 		}
 	}
 	return g
+}
+
+// genTables is the generator's per-body working memory. Every trial
+// body needs it only while it is generated, so newGenerator takes it
+// from a pool and mergeItems gives it back (release), as repair does its
+// ssaScratch.
+type genTables struct {
+	vals     []ir.Value
+	order    []genInstr
+	tags     []taggedInstr
+	origin   []*ir.Block
+	blockNum []int32
+}
+
+var genPool = sync.Pool{New: func() any { return new(genTables) }}
+
+// release returns g's tables to the pool, cleared to their capacity: a
+// pooled array must not keep a discarded trial body alive, and the next
+// value map must start out all nil. g must not be used afterwards.
+func (g *generator) release() {
+	t := g.tables
+	t.order, t.origin, t.blockNum = g.order[:0], g.origin[:0], g.blockNum[:0]
+	clear(t.vals[:cap(t.vals)])
+	clear(t.order[:cap(t.order)])
+	clear(t.tags[:cap(t.tags)])
+	clear(t.origin[:cap(t.origin)])
+	*g = generator{stats: g.stats}
+	genPool.Put(t)
 }
 
 // mapped returns the merged counterpart of member j's value v, or nil
@@ -289,11 +330,13 @@ func (g *generator) buildCFG(items []famItem) {
 			heads++
 		}
 	}
-	g.order = make([]genInstr, 0, instrRows)
-	tagSlab := make([]taggedInstr, 0, ntags)
-	g.origin = make([]*ir.Block, 0, (1+heads)*g.k) // the entry and a block per run
+	t := g.tables
+	g.order = slices.Grow(t.order[:0], instrRows)
+	tagSlab := slices.Grow(t.tags[:0], ntags)
+	t.tags = tagSlab
+	g.origin = slices.Grow(t.origin[:0], (1+heads)*g.k) // the entry and a block per run
 	g.rows = len(items)
-	g.blockNum = make([]int32, 1, 1+heads) // the entry is row number 0
+	g.blockNum = append(slices.Grow(t.blockNum[:0], 1+heads), 0) // the entry is row number 0
 	// Exclusive rows are named after their member.
 	labelPrefix := make([]string, g.k)
 	instrName := make([]string, g.k)

@@ -209,17 +209,40 @@ func pairItems(res *align.Result) []famItem {
 // aligned label/instruction across the family).
 func mergeItems(ctx context.Context, m *ir.Module, fns []*ir.Function, name string, items []famItem, plan *ParamPlan, opts Options, stats Stats) (*ir.Function, *Stats, error) {
 	g := newGenerator(m, fns, name, plan, opts)
+	defer g.release()
 	g.stats.Matches = stats.Matches
 	g.stats.InstrMatches = stats.InstrMatches
 	g.stats.MatrixBytes = stats.MatrixBytes
 	if err := g.run(ctx, items); err != nil {
 		// The partial function's instructions may still hold operands
 		// from the originals (operand assignment rewires them phase by
-		// phase), so drop its operand uses before detaching — plain
-		// RemoveFunc would leave dangling Use records on the originals.
-		g.merged.Clear()
+		// phase): point those at undef before the body is released, or
+		// the originals would keep Use records of released instructions.
 		m.RemoveFunc(g.merged)
+		g.merged.Instrs(func(in *ir.Instruction) bool {
+			for i, v := range in.Operands() {
+				if !ownedBy(v, g.merged) {
+					in.SetOperand(i, ir.NewUndef(v.Type()))
+				}
+			}
+			return true
+		})
+		ir.Release(g.merged)
 		return nil, nil, err
 	}
 	return g.merged, &g.stats, nil
+}
+
+// ownedBy reports whether v is f's own or tracks no uses: anything but
+// an argument, block or instruction of another function.
+func ownedBy(v ir.Value, f *ir.Function) bool {
+	switch x := v.(type) {
+	case *ir.Instruction:
+		return x.Parent() != nil && x.Parent().Parent() == f
+	case *ir.Argument:
+		return x.Parent() == f
+	case *ir.Block:
+		return x.Parent() == f
+	}
+	return true
 }

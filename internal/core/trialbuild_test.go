@@ -117,6 +117,76 @@ func TestTrialBuildAllocBudget(t *testing.T) {
 	}
 }
 
+// discard takes the pair through a losing trial: generate and clean up
+// the merged body as build does, price it — a walk over every
+// instruction, as costmodel.FuncBytes makes (core cannot import the cost
+// model) — and release the body, without thunks, since a losing trial
+// commits nothing.
+func (p trialPair) discard(tb testing.TB, scratch *ir.Module) int {
+	merged, _, err := MergeAlignedCtx(context.Background(), scratch, p.f1, p.f2, "merged", p.ares, DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	transform.Simplify(merged)
+	price := 0
+	merged.Instrs(func(in *ir.Instruction) bool {
+		price += 1 + in.NumOperands()
+		return true
+	})
+	scratch.RemoveFunc(merged)
+	ir.Release(merged)
+	return price
+}
+
+// BenchmarkTrialDiscard measures one losing trial per op — the build of
+// BenchmarkTrialBuild less the thunks, then pricing and ir.Release —
+// over the same sample; run it with -benchtime 400x (or a multiple).
+// After the first sweep the body comes out of the pools the previous
+// losers went into.
+func BenchmarkTrialDiscard(b *testing.B) {
+	pairs := trialPairs(b, trialBuildPairs)
+	scratch := ir.NewModule()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairs[i%len(pairs)].discard(b, scratch)
+	}
+}
+
+// TestTrialDiscardAllocBudget keeps the losing path lean: a trial that
+// is built, priced and released should reuse what the last loser
+// released — its body, and the generator's tables — instead of
+// allocating its own. Before bodies were released and the tables pooled
+// the sample cost 585 allocs per losing trial (43.5 kB under
+// BenchmarkTrialDiscard); it measures 245 with warm pools (21.9 kB), and
+// the ceiling is that figure with 5% of slack. The race detector drops
+// pooled objects at random, so it has its own ceiling, set the same
+// way: it measures 425.
+func TestTrialDiscardAllocBudget(t *testing.T) {
+	const unreleasedAllocs = 585
+	ceiling := 257
+	if raceEnabled {
+		ceiling = 446
+	}
+	// The package's TestMain poisons released bodies instead of pooling
+	// them; this budget is about the pools.
+	saved := ir.ReleaseCheck
+	ir.ReleaseCheck = nil
+	defer func() { ir.ReleaseCheck = saved }()
+	pairs := trialPairs(t, trialBuildPairs)
+	scratch := ir.NewModule()
+	perSweep := testing.AllocsPerRun(1, func() {
+		for _, p := range pairs {
+			p.discard(t, scratch)
+		}
+	})
+	got := perSweep / float64(len(pairs))
+	t.Logf("%.0f allocs per losing trial (ceiling %d, %d before release)", got, ceiling, unreleasedAllocs)
+	if got > float64(ceiling) {
+		t.Errorf("%.0f allocs per losing trial, ceiling %d", got, ceiling)
+	}
+}
+
 // unrepairedFamilies returns the generators of n merged bodies of three-
 // and four-member synth clone families — of the larger functions, where
 // a session's flatten trials spend their time — stopped where SSA repair

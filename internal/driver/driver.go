@@ -28,6 +28,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -259,6 +260,17 @@ type Counters struct {
 	// PeakMatrixBytes is the largest alignment matrix (Figure 22's
 	// peak-memory proxy); SumMatrixBytes accumulates all matrices.
 	PeakMatrixBytes, SumMatrixBytes int64
+	// AllocBytes is what the run allocated on the heap and GCTime the
+	// CPU time the collector spent meanwhile. TrialAllocBytes sums what
+	// was allocated while each trial's body was built and priced (its
+	// scratch clones included), and DiscardedTrialAllocBytes the part of
+	// that spent on trials the run threw away. All four are deltas of
+	// process-wide runtime counters (runtime/metrics
+	// /gc/heap/allocs:bytes and /cpu/classes/gc/total:cpu-seconds): they
+	// include whatever else the process did meanwhile, other sessions'
+	// runs among it.
+	AllocBytes, TrialAllocBytes, DiscardedTrialAllocBytes int64
+	GCTime                                                time.Duration
 }
 
 // add folds d into c: everything sums except the peak, which is a max.
@@ -278,6 +290,43 @@ func (c *Counters) add(d Counters) {
 	c.CommitTime += d.CommitTime
 	c.SumMatrixBytes += d.SumMatrixBytes
 	c.PeakMatrixBytes = max(c.PeakMatrixBytes, d.PeakMatrixBytes)
+	c.AllocBytes += d.AllocBytes
+	c.TrialAllocBytes += d.TrialAllocBytes
+	c.DiscardedTrialAllocBytes += d.DiscardedTrialAllocBytes
+	c.GCTime += d.GCTime
+}
+
+// readMetric reads one process-wide runtime metric.
+func readMetric(name string) metrics.Value {
+	s := [1]metrics.Sample{{Name: name}}
+	metrics.Read(s[:])
+	return s[0].Value
+}
+
+// heapAllocs is the count of bytes the process has allocated on the
+// heap so far.
+func heapAllocs() int64 { return int64(readMetric("/gc/heap/allocs:bytes").Uint64()) }
+
+// gcCPU is the CPU time the process's collector has spent so far.
+func gcCPU() time.Duration {
+	return time.Duration(readMetric("/cpu/classes/gc/total:cpu-seconds").Float64() * float64(time.Second))
+}
+
+// runClock is what a run's totals are measured from: its start time and
+// the runtime counters at the start.
+type runClock struct {
+	start time.Time
+	alloc int64
+	gc    time.Duration
+}
+
+func startRun() runClock { return runClock{time.Now(), heapAllocs(), gcCPU()} }
+
+// stop records the run's wall clock, allocation and collector time in
+// res.
+func (c runClock) stop(res *Result) {
+	res.TotalTime = time.Since(c.start)
+	res.AllocBytes, res.GCTime = heapAllocs()-c.alloc, gcCPU()-c.gc
 }
 
 // Reduction returns the percentage object-size reduction over the
@@ -341,11 +390,11 @@ func RunContext(ctx context.Context, m *ir.Module, cfg Config) (*Result, error) 
 		// A dead context must still produce the historical stub result
 		// (baseline priced, nothing touched) rather than a nil report.
 		if ctx.Err() != nil && m != nil {
-			start := time.Now()
+			clk := startRun()
 			res := &Result{Algorithm: cfg.Algorithm, Threshold: cfg.Threshold}
 			res.BaselineBytes = costmodel.ModuleBytes(m, cfg.Target)
 			res.FinalBytes = res.BaselineBytes
-			res.TotalTime = time.Since(start)
+			clk.stop(res)
 			return res, err
 		}
 		return nil, err
@@ -389,6 +438,9 @@ type trial struct {
 	alignTime, codegenTime, screenTime time.Duration
 	simplifyTime                       time.Duration
 	matrixBytes                        int64
+	// allocBytes is what building and pricing the body allocated (see
+	// Counters.TrialAllocBytes).
+	allocBytes int64
 }
 
 // counters is what one finished trial cost: one attempt, how the funnel
@@ -400,6 +452,7 @@ func (t *trial) counters() Counters {
 		BuildTime:  t.codegenTime - t.stats.RepairTime - t.simplifyTime,
 		RepairTime: t.stats.RepairTime, SimplifyTime: t.simplifyTime,
 		PeakMatrixBytes: t.matrixBytes, SumMatrixBytes: t.matrixBytes,
+		TrialAllocBytes: t.allocBytes,
 	}
 	switch {
 	case t.err != nil:
@@ -441,22 +494,25 @@ func getScratch() *ir.Module {
 	return ir.NewModule()
 }
 
-// putScratch strips every function out of m and returns it to the
-// pool. The caller must be the last reference holder — nothing may
-// read t.scratch after its trial is discarded, adopted or released.
+// putScratch strips every function out of m, releasing its body
+// (ir.Release), and returns m to the pool. The caller must be the last
+// reference holder — nothing may read t.scratch, or a body in it, after
+// its trial is discarded, adopted or released.
 func putScratch(m *ir.Module) {
 	if m == nil || len(m.Globals) > 0 {
 		return
 	}
 	for len(m.Funcs) > 0 {
-		m.RemoveFunc(m.Funcs[len(m.Funcs)-1])
+		f := m.Funcs[len(m.Funcs)-1]
+		m.RemoveFunc(f)
+		ir.Release(f)
 	}
 	scratchPool.Put(m)
 }
 
-// recycle returns a dead trial's scratch module to the pool and drops
-// the references that would otherwise pin the trial's function graphs.
-// A trial built in place has nothing to return.
+// recycle returns a dead trial's scratch module, and every body in it,
+// to the pools and drops the references that would otherwise pin the
+// trial's function graphs. A trial built in place has nothing to return.
 func (t *trial) recycle() {
 	if t.scratch == nil {
 		return
@@ -480,7 +536,7 @@ func planTrial(ctx context.Context, f1, f2 *ir.Function, cache *align.Cache, pre
 	if ares == nil {
 		return t
 	}
-	t1 := time.Now()
+	t1, a1 := time.Now(), heapAllocs()
 	t.scratch = getScratch()
 	c1, _ := ir.CloneFunction(f1, f1.Name())
 	c2, _ := ir.CloneFunction(f2, f2.Name())
@@ -488,7 +544,7 @@ func planTrial(ctx context.Context, f1, f2 *ir.Function, cache *align.Cache, pre
 	t.scratch.AddFunc(c2)
 	remapPairs(ares.Pairs, cache.CloneSeq(c1, f1), cache.CloneSeq(c2, f2))
 	t.codegen(ctx, t.scratch, c1, c2, mergedBaseName(f1, f2), ares, preSize, opts, cfg)
-	t.codegenTime = time.Since(t1)
+	t.codegenTime, t.allocBytes = time.Since(t1), heapAllocs()-a1
 	return t
 }
 
@@ -504,9 +560,9 @@ func planTrialInPlace(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, ca
 	if ares == nil {
 		return t
 	}
-	t1 := time.Now()
+	t1, a1 := time.Now(), heapAllocs()
 	t.codegen(ctx, m, f1, f2, MergedName(m, f1, f2), ares, preSize, opts, cfg)
-	t.codegenTime = time.Since(t1)
+	t.codegenTime, t.allocBytes = time.Since(t1), heapAllocs()-a1
 	return t
 }
 

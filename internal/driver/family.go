@@ -409,20 +409,20 @@ func planFlattenTrial(ctx context.Context, m *ir.Module, fp *flattenPlan, name s
 	t := &trial{family: fp}
 	dst := m
 	if !inPlace {
-		t.scratch = ir.NewModule()
+		t.scratch = getScratch()
 		dst = t.scratch
 	}
-	t0 := time.Now()
+	t0, a0 := time.Now(), heapAllocs()
 	merged, stats, err := core.MergeFamilyWithPlanCtx(ctx, dst, fp.srcs, name, fp.pplan, cfg.CoreOptions())
 	if err != nil {
-		t.codegenTime = time.Since(t0)
+		t.codegenTime, t.allocBytes = time.Since(t0), heapAllocs()-a0
 		t.err = err
 		return t
 	}
 	s0 := time.Now()
 	transform.Simplify(merged)
 	t.simplifyTime = time.Since(s0)
-	t.codegenTime = time.Since(t0)
+	t.codegenTime, t.allocBytes = time.Since(t0), heapAllocs()-a0
 	t.merged = merged
 	t.stats = *stats
 	t.matrixBytes = stats.MatrixBytes
@@ -467,10 +467,13 @@ func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.
 	}
 	for _, h := range fp.heads {
 		// Detached first: retire reports h to the reference index, which
-		// re-reads whatever is still in the module.
+		// re-reads whatever is still in the module. Once every index has
+		// let go of it, the head's body is dead: its members thunk into
+		// the new head, and no stored body calls it (flattenFor checked).
 		m.RemoveFunc(h)
 		retire(h)
 		families.drop(h)
+		ir.Release(h)
 	}
 	families.record(t.merged, members)
 	if markPending != nil {

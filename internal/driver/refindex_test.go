@@ -68,14 +68,17 @@ var callerChecks struct {
 // TestMain holds the reference index against the naive scan at every
 // caller check any test of the package reaches — the family tests, the
 // golden grid, the differentials and the storm below alike — and every
-// clean-up pass to its due filter (transform.SkipCheck). Benchmark runs
-// go without: they time the index and the passes, not their
-// specifications.
+// clean-up pass to its due filter (transform.SkipCheck), and poisons
+// every body a run releases (ir.ReleaseCheck), so a stale pointer into a
+// dead trial reads garbage instead of a recycled live object. Benchmark
+// runs go without: they time the index, the passes and the pools, not
+// their specifications.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if flag.Lookup("test.bench").Value.String() != "" {
 		os.Exit(m.Run())
 	}
+	ir.ReleaseCheck = func(*ir.Function) {}
 	transform.SkipCheck = failSkip
 	callerCheckHook = func(mod *ir.Module, families *familySet, fam *family, got bool) {
 		want := naiveExternalCallers(mod, families, fam)

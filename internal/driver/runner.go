@@ -381,14 +381,17 @@ func (r *runner) flattenTrial(ctx context.Context, fp *flattenPlan, f1, f2 *ir.F
 }
 
 // discard drops a rejected in-place trial's merged function from the
-// module; a rejected scratch-built trial returns its module to the
-// trial pool (nothing else references it once rejected). Nil-safe.
+// module and releases its body (ir.Release); a rejected scratch-built
+// trial returns its module and bodies to the pools. Nothing else
+// references a rejected trial's bodies. Nil-safe.
 func (r *runner) discard(t *trial) {
 	if t == nil {
 		return
 	}
+	r.res.DiscardedTrialAllocBytes += t.allocBytes
 	if t.merged != nil && t.scratch == nil {
 		r.m.RemoveFunc(t.merged)
+		ir.Release(t.merged)
 		return
 	}
 	t.recycle()

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/align"
 	"repro/internal/canon"
@@ -647,14 +646,14 @@ func (s *Session) Optimize(ctx context.Context) (*Result, error) {
 	if s.closed {
 		return nil, errClosed
 	}
-	start := time.Now()
+	clk := startRun()
 	if s.cfg.Algorithm == FMSA {
-		return s.optimizeFMSA(ctx, start)
+		return s.optimizeFMSA(ctx, clk)
 	}
 	res := s.newResult()
 	if err := ctx.Err(); err != nil {
 		res.FinalBytes = res.BaselineBytes
-		res.TotalTime = time.Since(start)
+		clk.stop(res)
 		return res, err
 	}
 	s.sync()
@@ -662,7 +661,7 @@ func (s *Session) Optimize(ctx context.Context) (*Result, error) {
 	s.finishStats(res)
 	s.finishFamilies(res)
 	res.FinalBytes = s.moduleBytes()
-	res.TotalTime = time.Since(start)
+	clk.stop(res)
 	return res, runErr
 }
 
@@ -682,7 +681,7 @@ func (s *Session) finishFamilies(res *Result) {
 // afterwards, so no index survives the run — the session builds
 // throwaway indexes over the demoted module, exactly like the one-shot
 // pipeline, and keeps none of them.
-func (s *Session) optimizeFMSA(ctx context.Context, start time.Time) (*Result, error) {
+func (s *Session) optimizeFMSA(ctx context.Context, clk runClock) (*Result, error) {
 	// FMSA carries no persistent indexes, so pending marks from
 	// Update/Remove have nothing to reconcile against — drop them, or
 	// they would accumulate and pin deleted function bodies for the
@@ -694,7 +693,7 @@ func (s *Session) optimizeFMSA(ctx context.Context, start time.Time) (*Result, e
 	// must be a true no-op on the module.
 	if err := ctx.Err(); err != nil {
 		res.FinalBytes = res.BaselineBytes
-		res.TotalTime = time.Since(start)
+		clk.stop(res)
 		return res, err
 	}
 	// The cost model must price the originals at their *final*
@@ -724,7 +723,7 @@ func (s *Session) optimizeFMSA(ctx context.Context, start time.Time) (*Result, e
 	res.Search = finder.Stats()
 	res.AlignCache = cache.Stats()
 	res.FinalBytes = costmodel.ModuleBytes(s.m, s.cfg.Target)
-	res.TotalTime = time.Since(start)
+	clk.stop(res)
 	return res, runErr
 }
 
@@ -752,7 +751,7 @@ func (s *Session) PlanReport(ctx context.Context) (*Plan, *Result, error) {
 	if s.cfg.Algorithm == FMSA {
 		return nil, nil, fmt.Errorf("driver: Plan requires a SalSSA variant; FMSA merges need whole-module register demotion (use Optimize)")
 	}
-	start := time.Now()
+	clk := startRun()
 	res := s.newResult()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -764,7 +763,7 @@ func (s *Session) PlanReport(ctx context.Context) (*Plan, *Result, error) {
 	runErr := r.walk(ctx, s.candidateOrder())
 	s.finishStats(res)
 	res.FinalBytes = res.BaselineBytes
-	res.TotalTime = time.Since(start)
+	clk.stop(res)
 	if runErr != nil {
 		return nil, nil, runErr
 	}
@@ -798,11 +797,11 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 	if p.Algorithm != "" && p.Algorithm != s.cfg.Algorithm.String() {
 		return nil, fmt.Errorf("driver: plan was produced for %s, session runs %s", p.Algorithm, s.cfg.Algorithm)
 	}
-	start := time.Now()
+	clk := startRun()
 	res := s.newResult()
 	if err := ctx.Err(); err != nil {
 		res.FinalBytes = res.BaselineBytes
-		res.TotalTime = time.Since(start)
+		clk.stop(res)
 		return res, err
 	}
 	s.sync()
@@ -814,7 +813,7 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		s.finishStats(res)
 		s.finishFamilies(res)
 		res.FinalBytes = s.moduleBytes()
-		res.TotalTime = time.Since(start)
+		clk.stop(res)
 		return res, err
 	}
 	consumed := map[string]bool{}

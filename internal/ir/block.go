@@ -23,7 +23,14 @@ type Block struct {
 }
 
 // NewBlock returns a detached block with the given name.
-func NewBlock(name string) *Block { return &Block{name: name, index: -1} }
+func NewBlock(name string) *Block {
+	b := blockPool.get()
+	if b == nil {
+		return &Block{name: name, index: -1}
+	}
+	b.name = name
+	return b
+}
 
 // Type returns the label type.
 func (b *Block) Type() Type { return Label }
@@ -41,7 +48,7 @@ func (b *Block) Parent() *Function { return b.parent }
 // for a detached block. The invariant f.Blocks[i].Index() == i is owned
 // by this package: Blocks is only ever written by AddBlock, RemoveBlock,
 // EraseBlock(s), SetBlockOrder, moveBody (AdoptBody, DetachBody,
-// CloneFunctionInto) and Clear, and
+// CloneFunctionInto), Clear and Release, and
 // VerifyFunction checks it. Analyses key their per-block tables by it.
 func (b *Block) Index() int { return int(b.index) }
 

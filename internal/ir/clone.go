@@ -4,11 +4,11 @@ package ir
 // values but with NO uses registered — the one place the full field
 // list of a copy lives, shared by both clone paths.
 func cloneInstrRaw(in *Instruction) *Instruction {
-	return &Instruction{
-		op: in.op, name: in.name, typ: in.typ,
-		operands: append([]Value(nil), in.operands...),
-		pred:     in.pred, Cleanup: in.Cleanup,
-	}
+	c := allocInstr(len(in.operands))
+	c.op, c.name, c.typ = in.op, in.name, in.typ
+	c.operands = append(c.operands, in.operands...)
+	c.pred, c.Cleanup = in.pred, in.Cleanup
+	return c
 }
 
 // CloneInstruction returns a detached copy of in referring to the same

@@ -321,10 +321,12 @@ func (m *Module) AddFunc(f *Function) *Function {
 // FuncByName returns the function with the given name, or nil.
 func (m *Module) FuncByName(name string) *Function { return m.funcByName[name] }
 
-// RemoveFunc detaches f from the module.
+// RemoveFunc detaches f from the module. The scan runs from the back:
+// the function removed is most often one just added (a discarded
+// trial's merged body).
 func (m *Module) RemoveFunc(f *Function) {
-	for i, x := range m.Funcs {
-		if x == f {
+	for i := len(m.Funcs) - 1; i >= 0; i-- {
+		if m.Funcs[i] == f {
 			copy(m.Funcs[i:], m.Funcs[i+1:])
 			m.Funcs = m.Funcs[:len(m.Funcs)-1]
 			delete(m.funcByName, f.name)

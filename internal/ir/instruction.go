@@ -45,10 +45,8 @@ type Instruction struct {
 }
 
 func newInstr(op Opcode, name string, typ Type, operands ...Value) *Instruction {
-	in := &Instruction{op: op, name: name, typ: typ}
-	if len(operands) > 0 {
-		in.operands = make([]Value, 0, len(operands))
-	}
+	in := allocInstr(len(operands))
+	in.op, in.name, in.typ = op, name, typ
 	for _, v := range operands {
 		in.addOperand(v)
 	}
@@ -376,8 +374,8 @@ func NewPhi(name string, t Type) *Instruction {
 // NewPhiSized is NewPhi with operand room for the given number of
 // incoming pairs, for callers that know the block's predecessor count.
 func NewPhiSized(name string, t Type, incoming int) *Instruction {
-	in := newInstr(OpPhi, name, t)
-	in.operands = make([]Value, 0, 2*incoming)
+	in := allocInstr(2 * incoming)
+	in.op, in.name, in.typ = OpPhi, name, t
 	return in
 }
 
