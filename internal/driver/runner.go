@@ -33,10 +33,6 @@ type runner struct {
 	cfg    Config
 	cache  *align.Cache
 	finder search.Finder
-	// cands, when non-nil, memoizes finder top-t lists across runs;
-	// fingerprint-radius invalidation keeps every served list exactly
-	// what the finder would return.
-	cands *candidateCache
 	// lens, when non-nil, is the session's canonical-view layer: the
 	// finder already indexes through it, and foldStep widens duplicate
 	// folding from syntactic identity to canonical congruence.
@@ -83,34 +79,19 @@ type runner struct {
 	claimed map[string]bool
 }
 
-// lookup answers a finder query through the candidate-list cache:
-// lists the cache proves unchanged are served without touching the
-// finder; everything else is queried and cached for later runs.
-func (r *runner) lookup(f *ir.Function, t int) []*ir.Function {
-	if r.cands == nil || t != r.cfg.Threshold {
-		return r.finder.Candidates(f, t)
-	}
-	if l, ok := r.cands.get(f); ok {
-		return l
-	}
-	l := r.finder.Candidates(f, t)
-	r.cands.put(f, l)
-	return l
-}
-
-// candidates is lookup through the dry-mode tombstone overlay: the
-// exact top-t among live candidates. The finder's order is total and
-// prefix-consistent, so the query widens by what it needs — t, 2t, 4t,
-// … up to t plus every tombstone — until t live entries survive or the
-// raw list comes back short; the first probe is the plain-t query the
-// candidate cache serves.
+// candidates is the finder's top-t through the dry-mode tombstone
+// overlay: the exact top-t among live candidates. The finder's order is
+// total and prefix-consistent, so the query widens by what it needs —
+// t, 2t, 4t, … up to t plus every tombstone — until t live entries
+// survive or the raw list comes back short; a commit run (or a dry run
+// with nothing tombstoned) asks the finder once.
 func (r *runner) candidates(f *ir.Function, t int) []*ir.Function {
 	dead := len(r.tomb)
 	if r.commitMode || dead == 0 {
-		return r.lookup(f, t)
+		return r.finder.Candidates(f, t)
 	}
 	for k := t; ; k = min(2*k, t+dead) {
-		raw := r.lookup(f, k)
+		raw := r.finder.Candidates(f, k)
 		out := make([]*ir.Function, 0, t)
 		for _, g := range raw {
 			if !r.tomb[g] {
@@ -126,14 +107,13 @@ func (r *runner) candidates(f *ir.Function, t int) []*ir.Function {
 }
 
 // retire takes f out of play the moment a commit or fold rewrites its
-// body: out of the finder and the candidate-list cache, its cached
-// linearization invalidated (it would pin the dead instructions), its
-// canonical view, fold hash and screening profile dropped, and — when
-// an owning session exists — scheduled for re-indexing at the next
-// sync. Every index layer is nil-safe.
+// body: out of the finder, so later queries of the walk no longer list
+// it; its cached linearization invalidated (it would pin the dead
+// instructions); its canonical view, fold hash and screening profile
+// dropped; and — when an owning session exists — scheduled for
+// re-indexing at the next sync. Every index layer is nil-safe.
 func (r *runner) retire(f *ir.Function) {
 	r.finder.Remove(f)
-	r.cands.remove(f)
 	r.cache.Invalidate(f)
 	r.lens.Invalidate(f)
 	delete(r.hashes, f)

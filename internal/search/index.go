@@ -181,18 +181,6 @@ func (l *Index) export() map[*ir.Function]*fingerprint.Fingerprint {
 	return out
 }
 
-// Fingerprint returns a copy of the fingerprint f is indexed with, and
-// whether it is indexed.
-func (l *Index) Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	slot, ok := l.slotOf[f]
-	if !ok {
-		return fingerprint.Fingerprint{}, false
-	}
-	return l.cells[l.cellOf[slot]].fp, true
-}
-
 // indexLocked fills f's slot — its existing one on a re-index, else a
 // recycled or fresh one — with the name f carries now, and points it at
 // fp's cell (fp is computed here when nil), creating the cell if fp is
@@ -469,7 +457,8 @@ func (q *query) admit(c, d int32) {
 		if g == q.self {
 			continue
 		}
-		// Insert in (distance, name) order; best is at most t+1 long.
+		// Insert in (distance, name) order, shifting in place: best never
+		// outgrows its capacity t, and a full list drops its last entry.
 		i := len(q.best)
 		for i > 0 && (q.best[i-1].d > d || q.best[i-1].d == d && names[q.best[i-1].slot] > names[g]) {
 			i--
@@ -477,10 +466,11 @@ func (q *query) admit(c, d int32) {
 		if i == q.t {
 			return // a radius tie that loses on name
 		}
-		q.best = slices.Insert(q.best, i, scored{slot: g, d: d})
-		if len(q.best) > q.t {
-			q.best = q.best[:q.t]
+		if len(q.best) < q.t {
+			q.best = q.best[:len(q.best)+1]
 		}
+		copy(q.best[i+1:], q.best[i:])
+		q.best[i] = scored{slot: g, d: d}
 		if len(q.best) == q.t {
 			q.radius = q.best[q.t-1].d
 		}
@@ -510,8 +500,8 @@ func (l *Index) Candidates(f *ir.Function, t int) []*ir.Function {
 		const inf = int32(1<<31 - 1)
 		var buf [16]scored
 		q := query{l: l, self: self, t: t, radius: inf, best: buf[:0]}
-		if t >= len(buf) {
-			q.best = make([]scored, 0, t+1)
+		if t > len(buf) {
+			q.best = make([]scored, 0, t)
 		}
 		home := l.cellOf[self]
 		q.admit(home, 0)

@@ -44,9 +44,6 @@ type Finder interface {
 	AddBatch(fs []*ir.Function)
 	// Remove drops f from future candidate lists (it was merged away).
 	Remove(f *ir.Function)
-	// Fingerprint returns a copy of the fingerprint f is indexed with,
-	// and whether f is indexed.
-	Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool)
 	// Stats returns the accumulated query accounting.
 	Stats() Stats
 }

@@ -56,6 +56,9 @@ func (s *specFinder) AddBatch(fs []*ir.Function) {
 
 func (s *specFinder) Remove(f *ir.Function) { delete(s.entries, f) }
 
+// Fingerprint returns the fingerprint f is ranked by, and whether f is
+// listed: the full-sort test's tie count reads it. It is the
+// specification's own helper; Finder has no such method.
 func (s *specFinder) Fingerprint(f *ir.Function) (fingerprint.Fingerprint, bool) {
 	e, ok := s.entries[f]
 	return e.fp, ok

@@ -211,13 +211,12 @@ func (s *Session) Remove(ctx context.Context, names ...string) error {
 
 // UpdateBatch applies one coherent delta — changed (or added) function
 // names plus removed names — in a single re-index pass: one finder
-// batch insert, one candidate-cache invalidation sweep, one
-// canonical-view invalidation set, where n sequential Update/Remove
-// calls would pay n. The resulting session state (and every later
-// merge decision) is identical to the sequential calls. The whole
-// batch is validated first: an unknown name fails with
-// ErrUnknownFunction, a name in both lists with ErrConflictingDelta,
-// and on error nothing is marked.
+// batch insert, one canonical-view invalidation set, where n
+// sequential Update/Remove calls would pay n. The resulting session
+// state (and every later merge decision) is identical to the
+// sequential calls. The whole batch is validated first: an unknown
+// name fails with ErrUnknownFunction, a name in both lists with
+// ErrConflictingDelta, and on error nothing is marked.
 func (s *Session) UpdateBatch(ctx context.Context, changed, removed []string) error {
 	return s.s.UpdateBatch(ctx, changed, removed)
 }
