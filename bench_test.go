@@ -7,9 +7,8 @@ package repro
 //
 // The figure benchmarks default to quarter-size suites so a full
 // `go test -bench=.` completes in minutes; set REPRO_BENCH_SCALE=1 for
-// the full-size suites (the committed EXPERIMENTS.md numbers come from
-// `go run ./cmd/repro all`, which always runs at full scale, and are
-// checked into results_full.txt).
+// the full-size suites (`go run ./cmd/repro all` always runs at full
+// scale).
 
 import (
 	"os"

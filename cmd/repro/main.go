@@ -7,8 +7,8 @@
 //	repro [-scale N] fig17a fig22   # selected experiments
 //	repro list                      # available experiment ids
 //
-// -scale divides the suite sizes for quick runs (the committed
-// EXPERIMENTS.md numbers use -scale 1).
+// -scale divides the suite sizes for quick runs; -scale 1 is the full
+// evaluation.
 //
 // -dup-fold folds identical functions before alignment. It defaults to
 // the paper's pipeline (no folding); regenerating figures with it on

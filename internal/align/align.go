@@ -249,12 +249,17 @@ type Result struct {
 	// buf is the reusable backing store of Pairs. The backtrack fills it
 	// from the end and Pairs aliases the tail, so the full capacity must
 	// be remembered here — retaining only the tail slice would shed the
-	// front slots on every reuse.
+	// front slots on every reuse. Outside Pairs it is all nil.
 	buf []Pair
 }
 
-// reset clears the result for reuse, keeping the pair buffer.
-func (r *Result) reset() {
+// Clear empties r for reuse, keeping the pair buffer's storage. The
+// pairs point at the aligned sequences' entries, and through them into
+// the IR; they are the only pointers r holds — the rest of the buffer is
+// nil — so clearing them lets go of everything: a Result kept across
+// alignments pins no body.
+func (r *Result) Clear() {
+	clear(r.Pairs)
 	r.Pairs = nil
 	r.Score = 0
 	r.Matches = 0
@@ -305,7 +310,7 @@ func AlignSeqsCtx(ctx context.Context, a, b Seq, opts Options) (*Result, error) 
 // this makes steady-state alignment allocation-free. On error the Result
 // holds no pairs.
 func AlignSeqsInto(ctx context.Context, a, b Seq, opts Options, res *Result) error {
-	res.reset()
+	res.Clear()
 	if opts.Linear {
 		return alignLinearSeqs(ctx, a, b, opts, res)
 	}

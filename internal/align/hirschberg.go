@@ -84,6 +84,7 @@ func alignLinearSeqs(ctx context.Context, a, b Seq, opts Options, res *Result) e
 	hirschbergPool.Put(h)
 	res.buf = out[:0]
 	if err := ctx.Err(); err != nil {
+		clear(out) // a partial path; the buffer holds nothing outside Pairs
 		return err
 	}
 	res.Pairs = out
@@ -267,7 +268,7 @@ func (h *hirschberg) solve(a, b []Entry, ca, cb []int32) {
 		return
 	case len(a) == 1 || len(b) == 1:
 		// Small enough for the quadratic kernel; its matrix is O(n+m).
-		h.scratch.reset()
+		h.scratch.Clear()
 		if err := alignBanded(h.ctx, a, b, ca, cb, h.opts, &h.scratch); err != nil {
 			// The base case cannot exceed MaxCells (no cap applies here);
 			// only cancellation reaches this, and the partial path is

@@ -43,14 +43,17 @@ const unreached = int32(-1)
 // block index and must come in filled with unreached; on return
 // num[b.Index()] is b's reverse-postorder number. The blocks are written
 // in reverse postorder at the tail of order (len(order) >= len(f.Blocks))
-// and that tail is returned.
-func walk(f *ir.Function, num []int32, order []*ir.Block) []*ir.Block {
+// and that tail is returned. stack is the search's scratch, handed back
+// grown.
+func walk(f *ir.Function, num []int32, order []*ir.Block, stack []dfsFrame) ([]*ir.Block, []dfsFrame) {
 	// Iterative DFS: the generators' block chains would overflow a
 	// recursive one.
-	type frame struct{ block, next int32 }
-	stack := make([]frame, 1, len(f.Blocks))
 	const onStack = int32(-2)
 	num[0] = onStack
+	if cap(stack) < len(f.Blocks) {
+		stack = make([]dfsFrame, 0, len(f.Blocks))
+	}
+	stack = append(stack[:0], dfsFrame{})
 	at := len(order)
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
@@ -63,15 +66,19 @@ func walk(f *ir.Function, num []int32, order []*ir.Block) []*ir.Block {
 			stack = stack[:len(stack)-1]
 		} else if si := s.Index(); num[si] == unreached {
 			num[si] = onStack
-			stack = append(stack, frame{block: int32(si)})
+			stack = append(stack, dfsFrame{block: int32(si)})
 		}
 	}
 	rpo := order[at:]
 	for i, b := range rpo {
 		num[b.Index()] = int32(i)
 	}
-	return rpo
+	return rpo, stack
 }
+
+// dfsFrame is one block on walk's stack and the operand its successor
+// scan resumes at.
+type dfsFrame struct{ block, next int32 }
 
 func newNumbering(n int) []int32 {
 	num := make([]int32, n)
@@ -87,7 +94,8 @@ func ReversePostorder(f *ir.Function) []*ir.Block {
 	if f.IsDecl() {
 		return nil
 	}
-	return walk(f, newNumbering(len(f.Blocks)), make([]*ir.Block, len(f.Blocks)))
+	rpo, _ := walk(f, newNumbering(len(f.Blocks)), make([]*ir.Block, len(f.Blocks)), nil)
+	return rpo
 }
 
 // DomTree is a dominator tree over the reachable blocks of a function.
@@ -107,6 +115,12 @@ type DomTree struct {
 	preds     []int32 // distinct reachable predecessors
 	kidStart  []int32
 	kids      []*ir.Block // dominator-tree children, in reverse postorder
+
+	// The storage the tables above are cut from, kept whole so that
+	// Rebuild can reuse it.
+	slab   []int32
+	blocks []*ir.Block
+	stack  []dfsFrame
 }
 
 var treesBuilt atomic.Int64
@@ -119,11 +133,20 @@ func TreesBuilt() int64 { return treesBuilt.Load() }
 // algorithm of Cooper, Harvey and Kennedy ("A Simple, Fast Dominance
 // Algorithm").
 func NewDomTree(f *ir.Function) *DomTree {
+	t := new(DomTree)
+	t.Rebuild(f)
+	return t
+}
+
+// Rebuild makes t the dominator tree of f as it stands, as NewDomTree
+// would, in the storage t already holds where it is large enough. What t
+// answered before is gone.
+func (t *DomTree) Rebuild(f *ir.Function) {
 	treesBuilt.Add(1)
-	t := &DomTree{fn: f}
+	*t = DomTree{fn: f, slab: t.slab, blocks: t.blocks, stack: t.stack}
 	total := len(f.Blocks)
 	if total == 0 {
-		return t
+		return
 	}
 	edges := 0
 	for _, b := range f.Blocks {
@@ -135,13 +158,15 @@ func NewDomTree(f *ir.Function) *DomTree {
 	}
 	// Sized by the block count before reachability is known; CSR starts
 	// take n+2 entries (see csrStarts).
-	slab := make([]int32, 2*total+2*(total+2)+edges)
+	t.slab = grow(t.slab, 2*total+2*(total+2)+edges)
+	t.blocks = grow(t.blocks, 2*total)
+	slab, blocks := t.slab, t.blocks
+	clear(slab)
 	for i := range slab[:total] {
 		slab[i] = unreached
 	}
-	blocks := make([]*ir.Block, 2*total)
 	t.num = slab[:total]
-	t.rpo = walk(f, t.num, blocks)
+	t.rpo, t.stack = walk(f, t.num, blocks, t.stack)
 	n := len(t.rpo)
 	t.kids = blocks[:n-1]
 	t.idom = slab[total : total+n]
@@ -211,7 +236,23 @@ func NewDomTree(f *ir.Function) *DomTree {
 		t.kidStart[p+1]++
 	}
 	t.kidStart = t.kidStart[:n+1]
-	return t
+}
+
+// Clear drops every pointer t holds into its function, keeping the
+// storage for the next Rebuild: a tree kept across trials must not keep
+// a dead body alive. t answers nothing until it is rebuilt.
+func (t *DomTree) Clear() {
+	clear(t.blocks[:cap(t.blocks)])
+	*t = DomTree{slab: t.slab, blocks: t.blocks, stack: t.stack}
+}
+
+// grow returns s resliced to n elements, reallocated when its capacity
+// falls short. Contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // csrStarts turns per-row counts stored two slots up (start[row+2])
@@ -378,14 +419,26 @@ type DomFrontier struct {
 	mark []int32
 	gen  int32
 	work []int32
+	slab []int32 // start and mark, kept whole for Rebuild
 }
 
 // NewDomFrontier computes the dominance frontier of every reachable
 // block using the algorithm of Cooper, Harvey and Kennedy.
 func NewDomFrontier(t *DomTree) *DomFrontier {
+	df := new(DomFrontier)
+	df.Rebuild(t)
+	return df
+}
+
+// Rebuild makes df the dominance frontier of t's blocks, as
+// NewDomFrontier would, in the storage df already holds where it is
+// large enough.
+func (df *DomFrontier) Rebuild(t *DomTree) {
 	n := len(t.rpo)
-	slab := make([]int32, 2*n+2)
-	df := &DomFrontier{t: t, start: slab[:n+2], mark: slab[n+2:]}
+	df.t = t
+	df.slab = grow(df.slab, 2*n+2)
+	clear(df.slab)
+	df.start, df.mark = df.slab[:n+2], df.slab[n+2:]
 	// Join block b is in the frontier of every block on the idom chains
 	// from its predecessors up to (excluding) idom(b). The chains of one
 	// join share their upper parts: a runner already stamped for b has
@@ -409,15 +462,17 @@ func NewDomFrontier(t *DomTree) *DomFrontier {
 	}
 	eachMember(func(runner, _ int32) { df.start[runner+2]++ })
 	csrStarts(df.start)
-	df.list = make([]int32, df.start[n+1])
+	df.list = grow(df.list, int(df.start[n+1]))
 	eachMember(func(runner, b int32) {
 		df.list[df.start[runner+1]] = b
 		df.start[runner+1]++
 	})
 	df.start = df.start[:n+1]
 	clear(stamp)
-	return df
 }
+
+// Clear drops df's tree, keeping the storage for the next Rebuild.
+func (df *DomFrontier) Clear() { df.t = nil }
 
 // Iterated appends to out the iterated dominance frontier of the given
 // set of blocks — the fixpoint of DF over defs ∪ result, which is where

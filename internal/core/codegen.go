@@ -25,7 +25,8 @@ type generator struct {
 	opts   Options
 	stats  Stats
 	// tables holds the arrays behind vmap, order, its tags, origin and
-	// blockNum, taken from genPool and given back by release.
+	// blockNum, and the rows the generator reads; taken from genPool and
+	// given back by release.
 	tables *genTables
 
 	// num numbers each member's values densely for the run (the members
@@ -154,9 +155,11 @@ func (x *Numbering) of(v ir.Value) int {
 	panic(fmt.Sprintf("core: %T has no number", v))
 }
 
-func newGenerator(m *ir.Module, fns []*ir.Function, name string, plan *ParamPlan, opts Options) *generator {
+// newGenerator starts the merge of fns into a new function name of m,
+// working in t (from getTables), which the generator's release gives
+// back.
+func newGenerator(m *ir.Module, fns []*ir.Function, name string, plan *ParamPlan, opts Options, t *genTables) *generator {
 	k := len(fns)
-	t := genPool.Get().(*genTables)
 	g := &generator{m: m, fns: fns, k: k, opts: opts, tables: t}
 	g.merged, g.fid = NewMergedShell(m, name, fns, plan)
 	g.num = make([]Numbering, k)
@@ -179,9 +182,11 @@ func newGenerator(m *ir.Module, fns []*ir.Function, name string, plan *ParamPlan
 	return g
 }
 
-// genTables is the generator's per-body working memory. Every trial
-// body needs it only while it is generated, so newGenerator takes it
-// from a pool and mergeItems gives it back (release), as repair does its
+// genTables is one merge's working memory: the alignment rows the
+// generator reads (alignFamilyCtx, pairItems) and the generator's own
+// tables. Every trial body needs it only while it is aligned and
+// generated, so a merge takes it from a pool (getTables) and gives it
+// back once the body is generated (release), as repair does its
 // ssaScratch.
 type genTables struct {
 	vals     []ir.Value
@@ -189,21 +194,49 @@ type genTables struct {
 	tags     []taggedInstr
 	origin   []*ir.Block
 	blockNum []int32
+
+	// The rows, the next round's rows while a family is aligned, their
+	// classes, the cells their entries are cut from, and a round's
+	// skeleton and pairwise result.
+	items, next          []famItem
+	classes, nextClasses []int32
+	ents                 []*align.Entry
+	skel                 []align.Entry
+	res                  align.Result
 }
 
 var genPool = sync.Pool{New: func() any { return new(genTables) }}
 
-// release returns g's tables to the pool, cleared to their capacity: a
-// pooled array must not keep a discarded trial body alive, and the next
-// value map must start out all nil. g must not be used afterwards.
+// getTables returns a merge's working memory, with every pointer-bearing
+// array cleared.
+func getTables() *genTables { return genPool.Get().(*genTables) }
+
+// release returns g's tables to the pool (genTables.release). g must not
+// be used afterwards.
 func (g *generator) release() {
 	t := g.tables
-	t.order, t.origin, t.blockNum = g.order[:0], g.origin[:0], g.blockNum[:0]
-	clear(t.vals[:cap(t.vals)])
-	clear(t.order[:cap(t.order)])
-	clear(t.tags[:cap(t.tags)])
-	clear(t.origin[:cap(t.origin)])
+	t.order, t.origin, t.blockNum = g.order, g.origin, g.blockNum[:0]
 	*g = generator{stats: g.stats}
+	t.release()
+}
+
+// release returns t to the pool cleared: a pooled array must not keep a
+// discarded trial body alive, and the next value map must start out all
+// nil. Each array's length is as far as the merge wrote into it, and
+// what lies beyond was cleared by an earlier release, so clearing to the
+// length clears all of it — in proportion to this merge, not to the
+// largest one the tables ever served.
+func (t *genTables) release() {
+	clear(t.vals)
+	clear(t.order)
+	clear(t.tags)
+	clear(t.origin)
+	clear(t.items)
+	clear(t.next)
+	clear(t.ents)
+	clear(t.skel)
+	t.res.Clear()
+	t.order, t.tags, t.origin = t.order[:0], t.tags[:0], t.origin[:0]
 	genPool.Put(t)
 }
 
@@ -333,7 +366,8 @@ func (g *generator) buildCFG(items []famItem) {
 	t := g.tables
 	g.order = slices.Grow(t.order[:0], instrRows)
 	tagSlab := slices.Grow(t.tags[:0], ntags)
-	t.tags = tagSlab
+	// t keeps the tag slab as far as it gets written (genTables.release).
+	defer func() { t.tags = tagSlab }()
 	g.origin = slices.Grow(t.origin[:0], (1+heads)*g.k) // the entry and a block per run
 	g.rows = len(items)
 	g.blockNum = append(slices.Grow(t.blockNum[:0], 1+heads), 0) // the entry is row number 0

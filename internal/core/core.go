@@ -133,11 +133,13 @@ func MergeFamilyWithPlanCtx(ctx context.Context, m *ir.Module, fns []*ir.Functio
 		return nil, nil, err
 	}
 	var stats Stats
-	items, err := alignFamilyCtx(ctx, fns, opts, &stats)
+	t := getTables()
+	items, err := alignFamilyCtx(ctx, fns, opts, &stats, t)
 	if err != nil {
+		t.release()
 		return nil, nil, err
 	}
-	return mergeItems(ctx, m, fns, name, items, plan, opts, stats)
+	return mergeItems(ctx, m, fns, name, items, plan, opts, stats, t)
 }
 
 // checkFamily rejects families no generator path accepts.
@@ -191,13 +193,15 @@ func mergeAligned(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, name s
 		InstrMatches: res.InstrMatches,
 		MatrixBytes:  res.MatrixBytes,
 	}
-	return mergeItems(ctx, m, []*ir.Function{f1, f2}, name, pairItems(res), plan, opts, stats)
+	t := getTables()
+	return mergeItems(ctx, m, []*ir.Function{f1, f2}, name, pairItems(res, t), plan, opts, stats, t)
 }
 
-// pairItems turns a pairwise alignment into the generator's rows.
-func pairItems(res *align.Result) []famItem {
-	items := make([]famItem, len(res.Pairs))
-	ents := make([]*align.Entry, 2*len(res.Pairs))
+// pairItems turns a pairwise alignment into the generator's rows, in t.
+func pairItems(res *align.Result, t *genTables) []famItem {
+	t.items = resize(t.items, len(res.Pairs))
+	t.ents = resize(t.ents, 2*len(res.Pairs))
+	items, ents := t.items, t.ents
 	for i, p := range res.Pairs {
 		ents[2*i], ents[2*i+1] = p.A, p.B
 		items[i] = famItem{ents: ents[2*i : 2*i+2 : 2*i+2]}
@@ -206,9 +210,10 @@ func pairItems(res *align.Result) []famItem {
 }
 
 // mergeItems runs the code generator over an item list (one row per
-// aligned label/instruction across the family).
-func mergeItems(ctx context.Context, m *ir.Module, fns []*ir.Function, name string, items []famItem, plan *ParamPlan, opts Options, stats Stats) (*ir.Function, *Stats, error) {
-	g := newGenerator(m, fns, name, plan, opts)
+// aligned label/instruction across the family), working in t, which it
+// gives back.
+func mergeItems(ctx context.Context, m *ir.Module, fns []*ir.Function, name string, items []famItem, plan *ParamPlan, opts Options, stats Stats, t *genTables) (*ir.Function, *Stats, error) {
+	g := newGenerator(m, fns, name, plan, opts, t)
 	defer g.release()
 	g.stats.Matches = stats.Matches
 	g.stats.InstrMatches = stats.InstrMatches

@@ -45,59 +45,76 @@ func (it famItem) memberCount() int {
 // member's entry; the member's unmatched entries become new exclusive
 // rows, interleaved in alignment order. For two members this is exactly
 // one pairwise alignment. Alignment stats (matches, matrix bytes)
-// accumulate over the rounds into stats.
-func alignFamilyCtx(ctx context.Context, fns []*ir.Function, opts Options, stats *Stats) ([]famItem, error) {
+// accumulate over the rounds into stats. The rows, and every round's
+// skeleton and pairwise result, live in t.
+func alignFamilyCtx(ctx context.Context, fns []*ir.Function, opts Options, stats *Stats, t *genTables) ([]famItem, error) {
 	k := len(fns)
 	it := align.NewInterner()
 	seqs := make([]align.Seq, k)
+	total := 0
 	for j, f := range fns {
 		seqs[j] = align.NewSeq(f, it)
+		total += len(seqs[j].Entries)
 	}
-	items := make([]famItem, len(seqs[0].Entries))
-	classes := make([]int32, len(seqs[0].Entries))
+	// A round adds at most its member's entries as rows, so total rows
+	// bound every round's; each row's entries are the next k cells of
+	// t.ents, nil (getTables) until the row's members are set.
+	t.ents = resize(t.ents, k*total)
+	ents := t.ents
+	newRow := func() famItem {
+		row := famItem{ents: ents[:k:k]}
+		ents = ents[k:]
+		return row
+	}
+	items, classes := t.items[:0], t.classes[:0]
+	next, nextClasses := t.next[:0], t.nextClasses[:0]
+	// The rows go back into t however the alignment ends, each as long as
+	// it was written (genTables.release).
+	defer func() { t.items, t.next, t.classes, t.nextClasses = items, next, classes, nextClasses }()
 	for i := range seqs[0].Entries {
-		ents := make([]*align.Entry, k)
-		ents[0] = &seqs[0].Entries[i]
-		items[i] = famItem{ents: ents}
-		classes[i] = seqs[0].Classes[i]
+		row := newRow()
+		row.ents[0] = &seqs[0].Entries[i]
+		items = append(items, row)
+		classes = append(classes, seqs[0].Classes[i])
 	}
 	for j := 1; j < k; j++ {
-		skel := align.Seq{Entries: make([]align.Entry, len(items)), Classes: classes}
+		t.skel = resize(t.skel, len(items))
 		for i, row := range items {
-			skel.Entries[i] = *row.ents[row.firstMember()]
+			t.skel[i] = *row.ents[row.firstMember()]
 		}
-		res, err := align.AlignSeqsCtx(ctx, skel, seqs[j], opts.Align)
-		if err != nil {
+		skel := align.Seq{Entries: t.skel, Classes: classes}
+		res := &t.res
+		if err := align.AlignSeqsInto(ctx, skel, seqs[j], opts.Align, res); err != nil {
 			return nil, err
 		}
 		stats.Matches += res.Matches
 		stats.InstrMatches += res.InstrMatches
 		stats.MatrixBytes += res.MatrixBytes
-		newItems := make([]famItem, 0, len(res.Pairs))
-		newClasses := make([]int32, 0, len(res.Pairs))
+		next, nextClasses = next[:0], nextClasses[:0]
 		si, mj := 0, 0
 		for _, p := range res.Pairs {
 			switch {
 			case p.IsMatch():
 				row := items[si]
 				row.ents[j] = &seqs[j].Entries[mj]
-				newItems = append(newItems, row)
-				newClasses = append(newClasses, classes[si])
+				next = append(next, row)
+				nextClasses = append(nextClasses, classes[si])
 				si++
 				mj++
 			case p.A != nil:
-				newItems = append(newItems, items[si])
-				newClasses = append(newClasses, classes[si])
+				next = append(next, items[si])
+				nextClasses = append(nextClasses, classes[si])
 				si++
 			default:
-				ents := make([]*align.Entry, k)
-				ents[j] = &seqs[j].Entries[mj]
-				newItems = append(newItems, famItem{ents: ents})
-				newClasses = append(newClasses, seqs[j].Classes[mj])
+				row := newRow()
+				row.ents[j] = &seqs[j].Entries[mj]
+				next = append(next, row)
+				nextClasses = append(nextClasses, seqs[j].Classes[mj])
 				mj++
 			}
 		}
-		items, classes = newItems, newClasses
+		items, next = next, items
+		classes, nextClasses = nextClasses, classes
 	}
 	return items, nil
 }

@@ -36,20 +36,21 @@ import (
 // overlap.
 func (g *generator) repairSSA() {
 	f := g.merged
-	// The one dominator tree of this merged body: repair, register
-	// promotion and the phi/select folds all leave the CFG alone, so it is
-	// rebuilt only if an invoke's normal edge gets split.
-	dt := analysis.NewDomTree(f)
 	s := ssaPool.Get().(*ssaScratch)
+	// The one dominator tree of this merged body, in s's storage: repair,
+	// register promotion and the phi/select folds all leave the CFG alone,
+	// so it is rebuilt only if an invoke's normal edge gets split.
+	dt := &s.dt
+	dt.Rebuild(f)
 	defs, offenses := s.findOffenses(g, dt)
 	if len(defs) > 0 {
 		g.stats.RepairedDefs = len(defs)
 		nblocks := len(f.Blocks)
-		dt = s.buildSSA(f, dt, defs, g.coalesce(defs, s), offenses)
+		s.buildSSA(f, dt, defs, g.coalesce(defs, s), offenses)
 		g.nameNormalEdges(nblocks)
 	}
+	promoteAndFold(f, dt, &s.ssa)
 	s.release()
-	promoteAndFold(f, dt)
 }
 
 // nameNormalEdges names each block that repair put on an invoke's normal
@@ -192,26 +193,26 @@ func (s *ssaScratch) rowOf(in *ir.Instruction) int32 { return s.rowNum[s.num.of(
 // promoteAndFold finishes repairSSA: it promotes the slots left in f —
 // the landingpads' — and folds the selects/phis that coalescing made
 // redundant. Nothing here alters the CFG, so the dominator tree dt of f
-// serves promotion and the whole fixpoint.
-func promoteAndFold(f *ir.Function, dt *analysis.DomTree) {
-	transform.Mem2RegWithDom(f, dt)
+// serves promotion and the whole fixpoint; buf is promotion's SSA
+// construction memory.
+func promoteAndFold(f *ir.Function, dt *analysis.DomTree, buf *transform.SSABuffers) {
+	transform.Mem2RegWithDom(f, dt, buf)
 	transform.FoldFixpoint(f, dt)
 }
 
 // buildSSA puts f back into SSA form over the offending definitions
 // defs, partitioned into classes (indices into defs; each class is one
 // variable), given every operand slot that reads one of them from a
-// place its definition does not dominate. dt is f's dominator tree; the
-// tree returned is f's afterwards, dt itself unless an invoke's normal
-// edge had to be split. It then removes the trivial phis, as register
-// promotion does.
+// place its definition does not dominate. dt is f's dominator tree, and
+// still is afterwards: splitting an invoke's normal edge rebuilds it in
+// place. It then removes the trivial phis, as register promotion does.
 //
 // The result is what demoting every class to a stack slot and promoting
 // the slots again (transform.Mem2RegWithDom) gives, minus the phis no use
 // can reach: both place and rename through transform.BuildSSA, so the
 // phis keep the slot's name, sizing, order (class order, at the block
 // front) and incoming-edge order.
-func (s *ssaScratch) buildSSA(f *ir.Function, dt *analysis.DomTree, defs []*ir.Instruction, classes [][]int, offenses []offense) *analysis.DomTree {
+func (s *ssaScratch) buildSSA(f *ir.Function, dt *analysis.DomTree, defs []*ir.Instruction, classes [][]int, offenses []offense) {
 	// Class c is variable n-1-c. BuildSSA puts a block's phis at its front
 	// last variable first, so they come in class order, and adds edges to
 	// them in reverse class order: what promoting the slots did, whose
@@ -245,7 +246,7 @@ func (s *ssaScratch) buildSSA(f *ir.Function, dt *analysis.DomTree, defs []*ir.I
 		s.vars[n-1-c] = transform.SSAVar{Name: "ssa.slot", Type: defs[class[0]].Type(), Defs: s.varDefs[start:len(s.varDefs):len(s.varDefs)]}
 	}
 	if split {
-		dt = analysis.NewDomTree(f)
+		dt.Rebuild(f)
 	}
 	nblocks := len(f.Blocks)
 
@@ -355,9 +356,8 @@ func (s *ssaScratch) buildSSA(f *ir.Function, dt *analysis.DomTree, defs []*ir.I
 				e.in.SetOperand(int(e.idx), r.Get(int(e.v)))
 			}
 		}
-	})
+	}, &s.ssa)
 	transform.RemoveTrivialPhis(f, dt)
-	return dt
 }
 
 // ssaEvent is a definition of variable v (idx < 0; in is the
@@ -368,9 +368,11 @@ type ssaEvent struct {
 	in                *ir.Instruction
 }
 
-// ssaScratch is repair's working memory. Every trial body needs it for
-// an instant, so repairSSA takes it from a pool rather than allocating
-// it per body.
+// ssaScratch is repair's working memory: the offender scan's and SSA
+// construction's tables, coalescing's, the body's dominator tree and
+// transform.BuildSSA's buffers. Every trial body needs it for an instant,
+// so repairSSA takes it from a pool rather than allocating it per body,
+// and gives it back once the body is repaired and folded.
 type ssaScratch struct {
 	num                       Numbering
 	rowNum, rowStart, ordinal []int32
@@ -381,6 +383,16 @@ type ssaScratch struct {
 	defBlock, varDefs         []*ir.Block
 	vars                      []transform.SSAVar
 	raw, events               []ssaEvent
+	dt                        analysis.DomTree
+	ssa                       transform.SSABuffers
+
+	// coalesce's tables; none points into the body.
+	cands                                     []coalesceCand
+	memberOf, memberStart, memberDefs, usedIn []int32
+	classOf, next                             []int32
+	slots                                     []slotClass
+	cells                                     []int
+	classes                                   [][]int
 }
 
 var ssaPool = sync.Pool{New: func() any { return new(ssaScratch) }}
@@ -398,6 +410,8 @@ func (s *ssaScratch) release() {
 	clear(s.vars)
 	clear(s.raw)
 	clear(s.events)
+	s.dt.Clear()
+	s.ssa.Clear()
 	ssaPool.Put(s)
 }
 
@@ -412,36 +426,45 @@ func resize[T any](s []T, n int) []T {
 
 // slotClass is one coalescing class under construction: defs from
 // pairwise-distinct members (the disjointness invariant), tracked by a
-// member bitmask.
+// member bitmask. Its definitions are a list threaded through
+// ssaScratch.next, from head to tail in the order they joined.
 type slotClass struct {
-	defs    []int
-	members uint64
-	dead    bool // absorbed into an earlier class
+	head, tail int32
+	members    uint64
+	dead       bool // absorbed into an earlier class
+}
+
+// coalesceCand is a pair of definitions coalescing may put in one class,
+// and how many user blocks they share.
+type coalesceCand struct {
+	a, b    int32
+	overlap int
 }
 
 // coalesce partitions the offending definitions into classes, each a
-// list of indices into defs. With PhiCoalescing disabled every
-// definition gets its own class. Otherwise definitions exclusive to
-// distinct members (equal types) are grouped greedily by descending
-// user-block overlap — for two members exactly the paper's disjoint
-// pairing, beyond two a class may collect one def per member (Figure 15
-// shows zero-overlap groupings are still worth coalescing).
+// list of indices into defs; the lists live in s. With PhiCoalescing
+// disabled every definition gets its own class. Otherwise definitions
+// exclusive to distinct members (equal types) are grouped greedily by
+// descending user-block overlap — for two members exactly the paper's
+// disjoint pairing, beyond two a class may collect one def per member
+// (Figure 15 shows zero-overlap groupings are still worth coalescing).
 func (g *generator) coalesce(defs []*ir.Instruction, s *ssaScratch) [][]int {
-	// Every class is a sub-slice of one backing array; a singleton is its
-	// definition's own cell.
-	cells := make([]int, len(defs))
-	for d := range cells {
-		cells[d] = d
+	// Every class is a sub-slice of one backing array, s.cells.
+	s.cells = resize(s.cells, len(defs))
+	s.classes = s.classes[:0]
+	at := 0
+	emit := func(d int) {
+		s.cells[at] = d
+		s.classes = append(s.classes, s.cells[at:at+1:at+1])
+		at++
 	}
-	single := func(d int) []int { return cells[d : d+1 : d+1] }
 	// The member bitmask below caps coalescing at 64 members; families
 	// that large get per-def classes (correct, just unoptimized).
 	if !g.opts.PhiCoalescing || g.k > 64 {
-		out := make([][]int, len(defs))
 		for d := range defs {
-			out[d] = single(d)
+			emit(d)
 		}
-		return out
+		return s.classes
 	}
 	// A definition is exclusive to one member only if its *block*
 	// executes solely under that member's identifier. Block exclusivity
@@ -449,9 +472,9 @@ func (g *generator) coalesce(defs []*ir.Instruction, s *ssaScratch) [][]int {
 	// a matched-label block still executes (with undef inputs) under
 	// other identifiers, so sharing its variable with another member's
 	// definition would clobber the live value.
-	side := func(d *ir.Instruction) int {
+	side := func(d *ir.Instruction) int32 {
 		b := d.Parent()
-		owner := -1
+		owner := int32(-1)
 		for j := 0; j < g.k; j++ {
 			if g.originOf(j, b) == nil {
 				continue
@@ -459,112 +482,131 @@ func (g *generator) coalesce(defs []*ir.Instruction, s *ssaScratch) [][]int {
 			if owner >= 0 {
 				return -1 // shared block: executes for several members
 			}
-			owner = j
+			owner = int32(j)
 		}
 		return owner // -1 for generator-introduced blocks too
 	}
-	byMember := make([][]int, g.k)
-	memberOf := make([]int, len(defs))
-	var shared []int
+	// memberOf[d] is the member d is exclusive to, or -1; member j's
+	// exclusive definitions, in order, are
+	// memberDefs[memberStart[j]:memberStart[j+1]], a CSR filled as in
+	// analysis.csrStarts.
+	s.memberOf = resize(s.memberOf, len(defs))
+	s.memberStart = resize(s.memberStart, g.k+2)
+	clear(s.memberStart)
+	n := 0
 	for d, def := range defs {
-		if s := side(def); s >= 0 {
-			byMember[s] = append(byMember[s], d)
-			memberOf[d] = s
-		} else {
-			shared = append(shared, d)
+		s.memberOf[d] = side(def)
+		if mj := s.memberOf[d]; mj >= 0 {
+			s.memberStart[mj+2]++
+			n++
 		}
 	}
+	for i := 1; i < len(s.memberStart); i++ {
+		s.memberStart[i] += s.memberStart[i-1]
+	}
+	s.memberDefs = resize(s.memberDefs, n)
+	for d, mj := range s.memberOf {
+		if mj >= 0 {
+			s.memberDefs[s.memberStart[mj+1]] = int32(d)
+			s.memberStart[mj+1]++
+		}
+	}
+	byMember := func(j int) []int32 { return s.memberDefs[s.memberStart[j]:s.memberStart[j+1]] }
 	// usedIn[n] == mark says the definition being paired, number mark-1,
 	// has a user of row number n: overlap counts users' blocks as if every
 	// row had one (numberRows), the blocks it always counted.
-	usedIn := make([]int32, g.rowBlocks())
-	type cand struct {
-		a, b    int
-		overlap int
-	}
+	s.usedIn = resize(s.usedIn, g.rowBlocks())
+	clear(s.usedIn)
 	// A candidate is a pair of definitions from two different members that
-	// agree on their type. They are counted before they are collected, so
-	// the list is allocated once.
-	ncands := 0
+	// agree on their type.
+	s.cands = s.cands[:0]
 	for mi := 0; mi < g.k; mi++ {
 		for mj := mi + 1; mj < g.k; mj++ {
-			for _, d0 := range byMember[mi] {
-				for _, d1 := range byMember[mj] {
-					if ir.TypesEqual(defs[d0].Type(), defs[d1].Type()) {
-						ncands++
-					}
-				}
-			}
-		}
-	}
-	cands := make([]cand, 0, ncands)
-	for mi := 0; mi < g.k; mi++ {
-		for mj := mi + 1; mj < g.k; mj++ {
-			for _, d0 := range byMember[mi] {
-				mark := int32(d0) + 1
+			for _, d0 := range byMember(mi) {
+				mark := d0 + 1
 				for _, u := range ir.UsesOf(defs[d0]) {
-					usedIn[s.rowOf(u.User)] = mark
+					s.usedIn[s.rowOf(u.User)] = mark
 				}
-				for _, d1 := range byMember[mj] {
+				for _, d1 := range byMember(mj) {
 					if !ir.TypesEqual(defs[d0].Type(), defs[d1].Type()) {
 						continue
 					}
 					ov := 0
 					for _, u := range ir.UsesOf(defs[d1]) {
-						if usedIn[s.rowOf(u.User)] == mark {
+						if s.usedIn[s.rowOf(u.User)] == mark {
 							ov++
 						}
 					}
-					cands = append(cands, cand{a: d0, b: d1, overlap: ov})
+					s.cands = append(s.cands, coalesceCand{a: d0, b: d1, overlap: ov})
 				}
 			}
 		}
 	}
 	// Greedy maximum-overlap matching (stable order for determinism).
-	slices.SortStableFunc(cands, func(x, y cand) int { return cmp.Compare(y.overlap, x.overlap) })
-	classOf := make([]*slotClass, len(defs))
-	var accepted []*slotClass
-	classFor := func(d int) *slotClass {
-		if c := classOf[d]; c != nil {
-			return c
+	// classOf[d] is 1 + the index in s.slots of the class d has joined, 0
+	// while d is a singleton; a definition's first growth makes it a
+	// class, so the slots come in acceptance order, which is class order.
+	slices.SortStableFunc(s.cands, func(x, y coalesceCand) int { return cmp.Compare(y.overlap, x.overlap) })
+	s.classOf = resize(s.classOf, len(defs))
+	clear(s.classOf)
+	s.next = resize(s.next, len(defs))
+	s.slots = s.slots[:0]
+	members := func(d int32) uint64 {
+		if c := s.classOf[d]; c > 0 {
+			return s.slots[c-1].members
 		}
-		return &slotClass{defs: single(d), members: 1 << uint(memberOf[d])}
+		return 1 << uint(s.memberOf[d])
 	}
-	for _, c := range cands {
-		ca, cb := classFor(c.a), classFor(c.b)
-		if ca == cb || ca.members&cb.members != 0 {
+	for _, c := range s.cands {
+		ca, cb := s.classOf[c.a], s.classOf[c.b]
+		if ca > 0 && ca == cb || members(c.a)&members(c.b) != 0 {
 			continue
 		}
-		// Merge cb into ca; record ca as a multi-def class on its first
-		// growth (the acceptance order drives class order).
-		wasSingleton := len(ca.defs) == 1 && classOf[c.a] == nil
-		ca.defs = append(ca.defs, cb.defs...)
-		ca.members |= cb.members
-		cb.dead = true
-		for _, d := range cb.defs {
-			classOf[d] = ca
+		// Merge cb's definitions into ca, after its own.
+		if ca == 0 {
+			s.slots = append(s.slots, slotClass{head: c.a, tail: c.a, members: members(c.a)})
+			ca = int32(len(s.slots))
+			s.classOf[c.a], s.next[c.a] = ca, -1
 		}
-		classOf[c.a] = ca
-		if wasSingleton {
-			accepted = append(accepted, ca)
+		into := &s.slots[ca-1]
+		head, tail, mb := c.b, c.b, members(c.b)
+		if cb == 0 {
+			s.next[c.b] = -1
+		} else {
+			from := &s.slots[cb-1]
+			head, tail = from.head, from.tail
+			from.dead = true
+		}
+		s.next[into.tail] = head
+		into.tail = tail
+		into.members |= mb
+		for d := head; d >= 0; d = s.next[d] {
+			s.classOf[d] = ca
 		}
 		g.stats.CoalescedPairs++
 	}
-	var classes [][]int
-	for _, c := range accepted {
-		if !c.dead {
-			classes = append(classes, c.defs)
+	for _, c := range s.slots {
+		if c.dead {
+			continue
 		}
+		from := at
+		for d := c.head; d >= 0; d = s.next[d] {
+			s.cells[at] = int(d)
+			at++
+		}
+		s.classes = append(s.classes, s.cells[from:at:at])
 	}
 	for j := 0; j < g.k; j++ {
-		for _, d := range byMember[j] {
-			if classOf[d] == nil {
-				classes = append(classes, single(d))
+		for _, d := range byMember(j) {
+			if s.classOf[d] == 0 {
+				emit(int(d))
 			}
 		}
 	}
-	for _, d := range shared {
-		classes = append(classes, single(d))
+	for d, mj := range s.memberOf {
+		if mj < 0 {
+			emit(d)
+		}
 	}
-	return classes
+	return s.classes
 }

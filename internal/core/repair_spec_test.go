@@ -21,7 +21,7 @@ import (
 
 // slotRepair is repairSSA by the paper: demotion, then promoteAndFold.
 func (g *generator) slotRepair() {
-	promoteAndFold(g.merged, g.demoteOffenders())
+	promoteAndFold(g.merged, g.demoteOffenders(), nil)
 }
 
 // demoteOffenders sends every definition that does not dominate all its
@@ -130,17 +130,18 @@ func unrepaired(m *ir.Module, fns []*ir.Function, name string, opts Options) (*g
 		return nil, err
 	}
 	var stats Stats
-	items, err := alignFamilyCtx(context.Background(), fns, opts, &stats)
+	t := getTables()
+	items, err := alignFamilyCtx(context.Background(), fns, opts, &stats, t)
 	if err != nil {
 		return nil, err
 	}
-	return generate(m, fns, name, items, plan, opts), nil
+	return generate(m, fns, name, items, plan, opts, t), nil
 }
 
 // generate runs the code generator over the rows items of fns up to SSA
-// repair.
-func generate(m *ir.Module, fns []*ir.Function, name string, items []famItem, plan *ParamPlan, opts Options) *generator {
-	g := newGenerator(m, fns, name, plan, opts)
+// repair, in the tables t the rows live in.
+func generate(m *ir.Module, fns []*ir.Function, name string, items []famItem, plan *ParamPlan, opts Options, t *genTables) *generator {
+	g := newGenerator(m, fns, name, plan, opts, t)
 	g.createPadSlots()
 	g.buildCFG(items)
 	g.assignValueOperands()

@@ -41,13 +41,14 @@ func TestOneBlockPerRun(t *testing.T) {
 		}
 	}
 	for _, p := range trialPairs(t, trialBuildPairs) {
-		items := pairItems(p.ares)
-		check(generate(ir.NewModule(), []*ir.Function{p.f1, p.f2}, "merged", items, p.plan, DefaultOptions()), items)
+		tables := getTables()
+		items := pairItems(p.ares, tables)
+		check(generate(ir.NewModule(), []*ir.Function{p.f1, p.f2}, "merged", items, p.plan, DefaultOptions(), tables), items)
 	}
 	t.Logf("%d pairs: buildCFG made %d blocks, %d with one block per row", trialBuildPairs, perRun, perRow)
 	perRow, perRun = 0, 0
 	for _, g := range unrepairedFamilies(t, repairBodies) {
-		items, err := alignFamilyCtx(context.Background(), g.fns, g.opts, new(Stats))
+		items, err := alignFamilyCtx(context.Background(), g.fns, g.opts, new(Stats), new(genTables))
 		if err != nil {
 			t.Fatal(err)
 		}

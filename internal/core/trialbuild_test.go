@@ -91,18 +91,20 @@ func BenchmarkTrialBuild(b *testing.B) {
 // TestTrialBuildAllocBudget keeps trial codegen allocation-lean. At the
 // commit before blocks, dominators and the generator's tables became
 // dense (PR 14) the sample cost 3,779 allocs per trial build (196.7 kB);
-// it measures 635 since the generator builds one block per straight-line
-// run of rows instead of one per row (847 before; 955 before SSA repair
-// built the SSA of the offending classes directly instead of through
-// stack slots; 1,006 before register promotion sized its phis and
-// renamed through an undo log), and the ceiling is that figure with 5%
-// of slack. The race detector drops pooled objects at random, so it has
-// its own ceiling, set the same way: it measures 716 (960 before runs).
+// it measures 577 since the alignment rows, coalescing's tables, the
+// dominator tree and SSA construction's buffers outlive the trial (635
+// before; 847 before the generator built one block per straight-line
+// run of rows; 955 before SSA repair built the SSA of the offending
+// classes directly instead of through stack slots; 1,006 before
+// register promotion sized its phis and renamed through an undo log),
+// and the ceiling is that figure with 5% of slack. The race detector
+// drops pooled objects at random, so it has its own ceiling, set the
+// same way: it measures 674–679 (716 before; 960 before runs).
 func TestTrialBuildAllocBudget(t *testing.T) {
 	const parentAllocs = 3779
-	ceiling := 667
+	ceiling := 606
 	if raceEnabled {
-		ceiling = 752
+		ceiling = 713
 	}
 	pairs := trialPairs(t, trialBuildPairs)
 	perSweep := testing.AllocsPerRun(1, func() {
@@ -155,18 +157,20 @@ func BenchmarkTrialDiscard(b *testing.B) {
 
 // TestTrialDiscardAllocBudget keeps the losing path lean: a trial that
 // is built, priced and released should reuse what the last loser
-// released — its body, and the generator's tables — instead of
-// allocating its own. Before bodies were released and the tables pooled
-// the sample cost 585 allocs per losing trial (43.5 kB under
-// BenchmarkTrialDiscard); it measures 245 with warm pools (21.9 kB), and
-// the ceiling is that figure with 5% of slack. The race detector drops
-// pooled objects at random, so it has its own ceiling, set the same
-// way: it measures 425.
+// released — its body, and the generator's and repair's working
+// memory — instead of allocating its own. Before bodies were released
+// and the tables pooled the sample cost 585 allocs per losing trial
+// (43.5 kB under BenchmarkTrialDiscard); it measures 194 with warm pools
+// (15.2 kB; 245 and 21.9 kB while the alignment rows, coalescing's
+// tables, the dominator tree and SSA construction's buffers died with
+// the trial), and the ceiling is that figure with 5% of slack. The race
+// detector drops pooled objects at random, so it has its own ceiling,
+// set the same way: it measures 385–386 (425 before).
 func TestTrialDiscardAllocBudget(t *testing.T) {
 	const unreleasedAllocs = 585
-	ceiling := 257
+	ceiling := 204
 	if raceEnabled {
-		ceiling = 446
+		ceiling = 406
 	}
 	// The package's TestMain poisons released bodies instead of pooling
 	// them; this budget is about the pools.
@@ -187,16 +191,23 @@ func TestTrialDiscardAllocBudget(t *testing.T) {
 	}
 }
 
-// unrepairedFamilies returns the generators of n merged bodies of three-
-// and four-member synth clone families — of the larger functions, where
-// a session's flatten trials spend their time — stopped where SSA repair
-// takes over: every phi incoming assigned, no dominance repaired yet.
-func unrepairedFamilies(tb testing.TB, n int) []*generator {
+// trialFamily is one family ready for a flatten trial: its members, in
+// the module they live in, and their parameter plan.
+type trialFamily struct {
+	m    *ir.Module
+	fns  []*ir.Function
+	plan *ParamPlan
+}
+
+// trialFamilies returns n three- and four-member synth clone families —
+// of the larger functions, where a session's flatten trials spend their
+// time.
+func trialFamilies(tb testing.TB, n int) []trialFamily {
 	tb.Helper()
-	var gens []*generator
-	for seed := int64(0); len(gens) < n; seed++ {
+	var fams []trialFamily
+	for seed := int64(0); len(fams) < n; seed++ {
 		if seed > int64(4*n) {
-			tb.Fatalf("only %d of %d families found", len(gens), n)
+			tb.Fatalf("only %d of %d families found", len(fams), n)
 		}
 		k := 3 + int(seed%2)
 		m := synth.Generate(synth.Profile{
@@ -213,13 +224,97 @@ func unrepairedFamilies(tb testing.TB, n int) []*generator {
 		for i, name := range names {
 			fns[i] = m.FuncByName(name)
 		}
-		g, err := unrepaired(m, fns, "unrepaired", DefaultOptions())
+		plan, err := PlanParams(fns...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fams = append(fams, trialFamily{m: m, fns: fns, plan: plan})
+	}
+	return fams
+}
+
+// unrepairedFamilies returns the generators of the merged bodies of
+// trialFamilies(n), stopped where SSA repair takes over: every phi
+// incoming assigned, no dominance repaired yet.
+func unrepairedFamilies(tb testing.TB, n int) []*generator {
+	tb.Helper()
+	var gens []*generator
+	for _, fam := range trialFamilies(tb, n) {
+		g, err := unrepaired(fam.m, fam.fns, "unrepaired", DefaultOptions())
 		if err != nil {
 			tb.Fatal(err)
 		}
 		gens = append(gens, g)
 	}
 	return gens
+}
+
+// flatten takes the family through a losing flatten trial, the common
+// case: align the members progressively, generate and clean up the k-ary
+// body, price it (as discard does) and release it.
+func (fam trialFamily) flatten(tb testing.TB, scratch *ir.Module) int {
+	merged, _, err := MergeFamilyWithPlanCtx(context.Background(), scratch, fam.fns, "merged", fam.plan, DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	transform.Simplify(merged)
+	price := 0
+	merged.Instrs(func(in *ir.Instruction) bool {
+		price += 1 + in.NumOperands()
+		return true
+	})
+	scratch.RemoveFunc(merged)
+	ir.Release(merged)
+	return price
+}
+
+// BenchmarkFlattenTrial measures one losing flatten trial per op over
+// the families of BenchmarkRepairSSA; run it with -benchtime 50x (or a
+// multiple) for even sweeps.
+func BenchmarkFlattenTrial(b *testing.B) {
+	fams := trialFamilies(b, repairBodies)
+	scratch := ir.NewModule()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fams[i%len(fams)].flatten(b, scratch)
+	}
+}
+
+// TestFlattenTrialAllocBudget keeps the flatten trial allocation-lean:
+// flattens are more than half the trials a churning session builds. Before
+// the alignment rows, coalescing's tables, the dominator tree and SSA
+// construction's buffers outlived the trial it measured 3,203 allocs per
+// trial (278.6 kB under BenchmarkFlattenTrial); it measures 2,830
+// (180.9 kB), and the ceiling is that figure with 5% of slack. The race
+// detector drops pooled objects at random, so it has its own ceiling,
+// set the same way: it measures 3,969–3,986.
+func TestFlattenTrialAllocBudget(t *testing.T) {
+	const parentAllocs = 3203
+	ceiling := 2972
+	if raceEnabled {
+		ceiling = 4186
+	}
+	// The package's TestMain poisons released bodies instead of pooling
+	// them; this budget is about the pools.
+	saved := ir.ReleaseCheck
+	ir.ReleaseCheck = nil
+	defer func() { ir.ReleaseCheck = saved }()
+	fams := trialFamilies(t, repairBodies)
+	scratch := ir.NewModule()
+	for _, fam := range fams {
+		fam.flatten(t, scratch) // warm the pools
+	}
+	perSweep := testing.AllocsPerRun(1, func() {
+		for _, fam := range fams {
+			fam.flatten(t, scratch)
+		}
+	})
+	got := perSweep / float64(len(fams))
+	t.Logf("%.0f allocs per flatten trial (ceiling %d, parent %d)", got, ceiling, parentAllocs)
+	if got > float64(ceiling) {
+		t.Errorf("%.0f allocs per flatten trial, ceiling %d", got, ceiling)
+	}
 }
 
 const repairBodies = 50

@@ -141,7 +141,8 @@ func NewFuncProfile(f *ir.Function, target Target, seq align.Seq) *FuncProfile {
 // them. Computed once per profile and cached: a function
 // transform.Settled finds clean has none, and only one it leaves
 // undecided pays for a clone and a Simplify run (the clone never joins
-// a module). Both reads of the original are read-only: CloneFunction
+// a module, and goes back to the pools through ir.Release once it is
+// priced). Both reads of the original are read-only: CloneFunction
 // never touches its source.
 func (p *FuncProfile) Slack() int {
 	if p.slackKnown {
@@ -156,6 +157,7 @@ func (p *FuncProfile) Slack() int {
 		if s := FuncBytes(p.fn, p.target) - FuncBytes(c, p.target); s > 0 {
 			p.slack = s
 		}
+		ir.Release(c)
 	}
 	p.slackKnown = true
 	return p.slack

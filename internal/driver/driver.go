@@ -246,8 +246,9 @@ type Counters struct {
 	// SimplifyTime: SSA repair inside the generator
 	// (core.Stats.RepairTime), the clean-up of the finished body
 	// (transform.Simplify), and the rest of building a trial — the
-	// generator up to repair, the scratch clones, pricing, and for a
-	// flatten its progressive alignment.
+	// generator up to repair, the scratch clones, pricing, for a
+	// flatten its progressive alignment, and disposing of the body once
+	// the trial loses (ir.Release).
 	// ScreenTime accumulates the planning funnel's bound computations —
 	// the stage-1 screen and the stage-3 refinement after each
 	// alignment, lazily-filled slack terms included — and, under family
@@ -529,10 +530,12 @@ func (t *trial) recycle() {
 // alone) and remaps the alignment onto the clones. The clones are
 // structurally identical to the originals — CloneSeq reuses each original's class
 // vector and panics on divergence — so the merged function (and its
-// profit) matches what merging the originals would produce.
-func planTrial(ctx context.Context, f1, f2 *ir.Function, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate) *trial {
+// profit) matches what merging the originals would produce. The
+// alignment goes into buf (nil: a fresh Result), which the trial is done
+// with once planTrial returns.
+func planTrial(ctx context.Context, f1, f2 *ir.Function, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate, buf *align.Result) *trial {
 	t := &trial{f1: f1, f2: f2}
-	ares := t.alignStage(ctx, cache.Seq(f1), cache.Seq(f2), opts, cfg, g)
+	ares := t.alignStage(ctx, cache.Seq(f1), cache.Seq(f2), opts, cfg, g, buf)
 	if ares == nil {
 		return t
 	}
@@ -553,10 +556,10 @@ func planTrial(ctx context.Context, f1, f2 *ir.Function, cache *align.Cache, pre
 // allocated when the funnel rejects the pair first). Only the goroutine
 // running a committing loop may call it, since it mutates use-lists on
 // the pair and adds the merged function to m; the caller discards the
-// merged function on rejection.
-func planTrialInPlace(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate) *trial {
+// merged function on rejection. buf is as for planTrial.
+func planTrialInPlace(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate, buf *align.Result) *trial {
 	t := &trial{f1: f1, f2: f2}
-	ares := t.alignStage(ctx, cache.Seq(f1), cache.Seq(f2), opts, cfg, g)
+	ares := t.alignStage(ctx, cache.Seq(f1), cache.Seq(f2), opts, cfg, g, buf)
 	if ares == nil {
 		return t
 	}
@@ -571,10 +574,10 @@ func planTrialInPlace(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, ca
 // aborts with ErrBelowBound the moment the optimum provably falls
 // short) and stage 3 re-checks the refined bound — the fixed terms
 // plus the actual matched bytes of the computed alignment, less what
-// that alignment forces the generator to add — before any codegen. A
-// nil return means the trial is settled (skipped or erred) and must not
-// materialize.
-func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Options, cfg Config, g trialGate) *align.Result {
+// that alignment forces the generator to add — before any codegen. The
+// alignment goes into ares (nil: a fresh Result), which is returned. A nil return means the
+// trial is settled (skipped or erred) and must not materialize.
+func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Options, cfg Config, g trialGate, ares *align.Result) *align.Result {
 	aopts := opts.Align
 	// The score floor's byte arithmetic (ScoreNeeded) assumes the
 	// default 2/1/0 scoring; every funnel-eligible configuration uses
@@ -586,8 +589,11 @@ func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Opti
 	if g.on && g.bd.Exact && aopts.InstrMatchScore == 2 && aopts.LabelMatchScore == 1 && aopts.GapPenalty == 0 {
 		aopts.MinScore = g.bd.ScoreNeeded(g.gate)
 	}
+	if ares == nil {
+		ares = new(align.Result)
+	}
 	t0 := time.Now()
-	ares, err := align.AlignSeqsCtx(ctx, sa, sb, aopts)
+	err := align.AlignSeqsInto(ctx, sa, sb, aopts, ares)
 	t.alignTime = time.Since(t0)
 	if err != nil {
 		if err == align.ErrBelowBound {

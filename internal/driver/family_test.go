@@ -360,7 +360,7 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 		// Seed a memoized outcome against the head, as an unprofitable
 		// flatten trial would.
 		other := m.Defined()[0]
-		s.outcomes.put(head, other)
+		s.outcomes.put(head, other, flattenOutcome)
 		// Break the family: gut one member so it no longer thunks into
 		// the head, and report the edit.
 		member := m.FuncByName(fam.members[0].name)
@@ -384,6 +384,73 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 		return
 	}
 	t.Skip("no seed produced a family")
+}
+
+// TestFamilyBreakKeepsPairOutcomes: a family break forgets only the
+// memo entries it can change. A pair outcome between the broken head and
+// a function that heads no family stays — neither side can flatten, so
+// its trial is the same pure function of two unchanged bodies — while a
+// pair outcome against a partner that still heads a family goes, since
+// the two may flatten now.
+func TestFamilyBreakKeepsPairOutcomes(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		m := chainModule(t, seed)
+		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
+		s, err := OpenSession(context.Background(), m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		optimizeToFixpoint(t, s)
+		var heads []*ir.Function
+		for _, f := range m.Defined() {
+			if s.families.isHead(f) {
+				heads = append(heads, f)
+			}
+		}
+		if len(heads) < 2 {
+			s.Close()
+			continue
+		}
+		head, partner := heads[0], heads[1]
+		fam := s.families.byHead[head]
+		member := m.FuncByName(fam.members[0].name)
+		var loner *ir.Function
+		for _, f := range m.Defined() {
+			if !s.families.isHead(f) && f != member {
+				loner = f
+				break
+			}
+		}
+		if loner == nil {
+			t.Fatal("every function heads a family")
+		}
+		for _, f := range []*ir.Function{loner, partner} {
+			s.outcomes.put(head, f, pairOutcome)
+			s.outcomes.put(f, head, pairOutcome)
+		}
+		member.Clear()
+		if err := s.Update(context.Background(), member.Name()); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		s.sync()
+		s.mu.Unlock()
+		if s.families.isHead(head) {
+			t.Fatal("broken family still registered after sync")
+		}
+		if !s.families.isHead(partner) {
+			t.Fatal("the partner's intact family was dropped")
+		}
+		if !s.outcomes.has(head, loner) || !s.outcomes.has(loner, head) {
+			t.Error("the family break forgot a pair outcome against a function that heads no family")
+		}
+		if s.outcomes.has(head, partner) || s.outcomes.has(partner, head) {
+			t.Error("the family break kept a pair outcome against a family head")
+		}
+		s.Close()
+		return
+	}
+	t.Skip("no seed produced two families")
 }
 
 // TestFamilyOutcomeMemoSteadyState: once a family reaches fixpoint, the

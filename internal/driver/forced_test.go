@@ -431,7 +431,7 @@ func TestForcedCutTable(t *testing.T) {
 				g := trialGate{on: true, bd: costmodel.BoundLazy(p1, p2, target), p1: p1, p2: p2}
 				tr := &trial{f1: f1, f2: f2}
 				cfg := Config{Target: target}
-				if got := tr.alignStage(t.Context(), cache.Seq(f1), cache.Seq(f2), opts, cfg, g) == nil; got != (bound <= 0) {
+				if got := tr.alignStage(t.Context(), cache.Seq(f1), cache.Seq(f2), opts, cfg, g, nil) == nil; got != (bound <= 0) {
 					t.Errorf("alignStage skipped = %v under bound %d", got, bound)
 				}
 			})

@@ -187,7 +187,7 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	}
 
 	// Ground truth: the ungated trial's profit.
-	ref := planTrialInPlace(ctx, m, f1, f2, cache, ck.preSize, ck.opts, cfg, noGate)
+	ref := planTrialInPlace(ctx, m, f1, f2, cache, ck.preSize, ck.opts, cfg, noGate, nil)
 	profit := ref.profit
 	failed := ref.err != nil
 	discard(ref)
@@ -254,7 +254,7 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	q1 := costmodel.NewFuncProfile(f1, cfg.Target, cache.Seq(f1))
 	q2 := costmodel.NewFuncProfile(f2, cfg.Target, cache.Seq(f2))
 	g := trialGate{on: true, bd: costmodel.BoundLazy(q1, q2, cfg.Target), gate: 0, p1: q1, p2: q2}
-	gated := planTrialInPlace(ctx, m, f1, f2, cache, ck.preSize, ck.opts, cfg, g)
+	gated := planTrialInPlace(ctx, m, f1, f2, cache, ck.preSize, ck.opts, cfg, g, nil)
 	defer discard(gated)
 	if gated.err != nil {
 		t.Fatalf("%s/%s: gated trial errored: %v", f1.Name(), f2.Name(), gated.err)

@@ -84,7 +84,7 @@ commitLoop:
 				discard(best)
 				break commitLoop
 			}
-			t := planTrialInPlace(ctx, m, f1, f2, cache, preSize, opts, cfg, noGate)
+			t := planTrialInPlace(ctx, m, f1, f2, cache, preSize, opts, cfg, noGate, nil)
 			res.Attempts++
 			res.AlignTime += t.alignTime
 			res.CodegenTime += t.codegenTime

@@ -73,6 +73,10 @@ type runner struct {
 	consumed map[*ir.Function]bool
 	mergeIdx int
 
+	// ares is the pair trials' alignment, reused trial after trial and
+	// cleared once each trial is built (pairTrial).
+	ares align.Result
+
 	// Dry-mode overlays.
 	plan    *Plan
 	tomb    map[*ir.Function]bool
@@ -270,7 +274,9 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			return nil, c, err
 		}
 		var t *trial
+		kind := pairOutcome
 		if fp != nil {
+			kind = flattenOutcome
 			// Family flattening replaces the pairwise trial: merge the
 			// family's original bodies plus the newcomer into one fresh
 			// k-ary candidate.
@@ -305,7 +311,7 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 					c.Attempts++
 					c.PairsScreened++
 					if bd.UB <= 0 {
-						r.outcomes.put(f1, f2)
+						r.outcomes.put(f1, f2, pairOutcome)
 					}
 					continue
 				}
@@ -327,14 +333,14 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			// planned under; memoize only bounds that rule out any
 			// profit at all.
 			if t.bound <= 0 {
-				r.outcomes.put(f1, f2)
+				r.outcomes.put(f1, f2, kind)
 			}
 		case t.profit > 0 && (best == nil || t.profit > best.profit):
 			r.discard(best)
 			best = t
 		default:
 			if t.profit <= 0 {
-				r.outcomes.put(f1, f2)
+				r.outcomes.put(f1, f2, kind)
 			}
 			r.discard(t)
 		}
@@ -344,12 +350,15 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 
 // pairTrial plans the pairwise trial of f1 and f2 under gate g. Commit
 // runs build in place; dry runs must not touch the module, so they use
-// the pure scratch-clone trial.
+// the pure scratch-clone trial. The alignment is the trial's only until
+// its body is built; then the runner takes it back cleared, so that it
+// pins no body, for the next trial.
 func (r *runner) pairTrial(ctx context.Context, f1, f2 *ir.Function, g trialGate) *trial {
+	defer r.ares.Clear()
 	if r.commitMode {
-		return planTrialInPlace(ctx, r.m, f1, f2, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g)
+		return planTrialInPlace(ctx, r.m, f1, f2, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g, &r.ares)
 	}
-	return planTrial(ctx, f1, f2, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g)
+	return planTrial(ctx, f1, f2, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g, &r.ares)
 }
 
 // flattenTrial plans the k-ary re-merge fp describes for the pair.
@@ -363,18 +372,24 @@ func (r *runner) flattenTrial(ctx context.Context, fp *flattenPlan, f1, f2 *ir.F
 // discard drops a rejected in-place trial's merged function from the
 // module and releases its body (ir.Release); a rejected scratch-built
 // trial returns its module and bodies to the pools. Nothing else
-// references a rejected trial's bodies. Nil-safe.
+// references a rejected trial's bodies. A built body is codegen's to
+// dispose of, so the time goes on the codegen clock (as build time).
+// Nil-safe.
 func (r *runner) discard(t *trial) {
 	if t == nil {
 		return
 	}
+	d0 := time.Now()
 	r.res.DiscardedTrialAllocBytes += t.allocBytes
 	if t.merged != nil && t.scratch == nil {
 		r.m.RemoveFunc(t.merged)
 		ir.Release(t.merged)
-		return
+	} else {
+		t.recycle()
 	}
-	t.recycle()
+	d := time.Since(d0)
+	r.res.CodegenTime += d
+	r.res.BuildTime += d
 }
 
 // commitStep settles a row's winning trial — filtered out, committed
@@ -403,8 +418,11 @@ func (r *runner) commitStep(t *trial) {
 	switch {
 	case r.cfg.CommitFilter != nil && !r.cfg.CommitFilter(r.mergeIdx):
 		// Filtered: recorded, not applied; both functions stay in play.
+		// The discard is on the codegen clock, not the commit clock.
 		rec.Merged = proposed()
+		d0 := time.Now()
 		r.discard(t)
+		c0 = c0.Add(time.Since(d0))
 	case r.commitMode:
 		rec.Committed = true
 		if t.scratch != nil {
@@ -467,22 +485,34 @@ func (r *runner) commitStep(t *trial) {
 // makes a re-optimize after a small delta pay only for the delta.
 // Entries are dropped whenever either function is re-indexed, removed
 // or thunked. A *flatten* trial additionally depends on the family
-// registry behind its head, so Session.pruneFamilies drops a head's
-// entries whenever its family breaks — without that hook a memoized
-// unprofitable flatten would suppress the (possibly profitable)
-// pairwise nest the pair gets once the family is gone. Trials that
-// error (cancellation, matrix caps) are never memoized. Only the
-// session's own calls, which it serializes, touch the cache.
+// registry behind its head, so when a family breaks
+// Session.pruneFamilies drops what its head memoized that the break can
+// change (forgetFamily) — without that hook a memoized unprofitable
+// flatten would suppress the (possibly profitable) pairwise nest the
+// pair gets once the family is gone. Trials that error (cancellation,
+// matrix caps) are never memoized. Only the session's own calls, which
+// it serializes, touch the cache.
 type outcomeCache struct {
-	// pairs[f1][f2] records the directed pair (f1, f2); rev[f2] lists
-	// the f1 rows an invalidation of f2 must visit.
-	pairs map[*ir.Function]map[*ir.Function]bool
+	// pairs[f1][f2] records the directed pair (f1, f2) and the trial it
+	// stands for; rev[f2] lists the f1 rows an invalidation of f2 must
+	// visit.
+	pairs map[*ir.Function]map[*ir.Function]outcomeKind
 	rev   map[*ir.Function]map[*ir.Function]bool
 }
 
+// outcomeKind is the trial a memo entry stands for.
+type outcomeKind uint8
+
+const (
+	// pairOutcome is a pairwise trial, or the bound that ruled one out.
+	pairOutcome outcomeKind = iota + 1
+	// flattenOutcome is a flatten trial (family.go).
+	flattenOutcome
+)
+
 func newOutcomeCache() *outcomeCache {
 	return &outcomeCache{
-		pairs: map[*ir.Function]map[*ir.Function]bool{},
+		pairs: map[*ir.Function]map[*ir.Function]outcomeKind{},
 		rev:   map[*ir.Function]map[*ir.Function]bool{},
 	}
 }
@@ -490,20 +520,20 @@ func newOutcomeCache() *outcomeCache {
 // has reports whether (f1, f2) is memoized as unprofitable. A nil cache
 // (FMSA's throwaway runs) never hits.
 func (c *outcomeCache) has(f1, f2 *ir.Function) bool {
-	return c != nil && c.pairs[f1][f2]
+	return c != nil && c.pairs[f1][f2] != 0
 }
 
-// put memoizes (f1, f2) as unprofitable.
-func (c *outcomeCache) put(f1, f2 *ir.Function) {
+// put memoizes (f1, f2) as unprofitable, found by a trial of kind.
+func (c *outcomeCache) put(f1, f2 *ir.Function, kind outcomeKind) {
 	if c == nil {
 		return
 	}
 	row := c.pairs[f1]
 	if row == nil {
-		row = map[*ir.Function]bool{}
+		row = map[*ir.Function]outcomeKind{}
 		c.pairs[f1] = row
 	}
-	row[f2] = true
+	row[f2] = kind
 	back := c.rev[f2]
 	if back == nil {
 		back = map[*ir.Function]bool{}
@@ -512,23 +542,50 @@ func (c *outcomeCache) put(f1, f2 *ir.Function) {
 	back[f1] = true
 }
 
+// drop forgets the directed pair (f1, f2).
+func (c *outcomeCache) drop(f1, f2 *ir.Function) {
+	delete(c.pairs[f1], f2)
+	if len(c.pairs[f1]) == 0 {
+		delete(c.pairs, f1)
+	}
+	delete(c.rev[f2], f1)
+	if len(c.rev[f2]) == 0 {
+		delete(c.rev, f2)
+	}
+}
+
 // invalidate drops every memoized pair involving f.
 func (c *outcomeCache) invalidate(f *ir.Function) {
 	if c == nil {
 		return
 	}
 	for f2 := range c.pairs[f] {
-		delete(c.rev[f2], f)
-		if len(c.rev[f2]) == 0 {
-			delete(c.rev, f2)
-		}
+		c.drop(f, f2)
 	}
-	delete(c.pairs, f)
 	for f1 := range c.rev[f] {
-		delete(c.pairs[f1], f)
-		if len(c.pairs[f1]) == 0 {
-			delete(c.pairs, f1)
+		c.drop(f1, f)
+	}
+}
+
+// forgetFamily drops what head memoized that the break of its family
+// can change: its flatten outcomes, and its pair outcomes against a
+// partner that heads a family (isHead), which head may now flatten
+// with. Its other pair outcomes stand: neither side heads a family, and
+// only a freshly merged function ever becomes a head, so the pair can
+// never start to flatten — its trial stays the pure function of two
+// unchanged bodies it was.
+func (c *outcomeCache) forgetFamily(head *ir.Function, isHead func(*ir.Function) bool) {
+	if c == nil {
+		return
+	}
+	for f2, kind := range c.pairs[head] {
+		if kind == flattenOutcome || isHead(f2) {
+			c.drop(head, f2)
 		}
 	}
-	delete(c.rev, f)
+	for f1 := range c.rev[head] {
+		if c.pairs[f1][head] == flattenOutcome || isHead(f1) {
+			c.drop(f1, head)
+		}
+	}
 }

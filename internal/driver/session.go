@@ -302,18 +302,22 @@ func (s *Session) sync() {
 }
 
 // pruneFamilies revalidates every family a just-synced change touches
-// (by head or member name): a broken family is dropped and the
-// memoized trial outcomes of its head forgotten. A flatten trial's
-// profit depends on the family registry, not just the two bodies, so a
-// head's unprofitable-pair memo entries must not outlive the family
-// they were recorded against — otherwise a later (possibly profitable)
-// pairwise nest of the same pair would be suppressed forever. Families
-// that still validate — including ones a commit just recorded, whose
-// members are pending as freshly rewritten thunks — are untouched.
+// (by head or member name): a broken family is dropped and what its head
+// memoized that the break can change is forgotten
+// (outcomeCache.forgetFamily). A flatten trial's profit depends on the
+// family registry, not just the two bodies, so a head's unprofitable
+// flatten entries must not outlive the family they were recorded
+// against — otherwise a later (possibly profitable) pairwise nest of the
+// same pair would be suppressed forever. The memo is pruned once every
+// broken family is gone, so that which partners still head a family does
+// not depend on the order the families are visited in. Families that
+// still validate — including ones a commit just recorded, whose members
+// are pending as freshly rewritten thunks — are untouched.
 func (s *Session) pruneFamilies(touched map[string]bool) {
 	if s.families == nil {
 		return
 	}
+	var broken []*ir.Function
 	for head, fam := range s.families.byHead {
 		relevant := touched[head.Name()]
 		for _, mb := range fam.members {
@@ -323,8 +327,11 @@ func (s *Session) pruneFamilies(touched map[string]bool) {
 			relevant = touched[mb.name]
 		}
 		if relevant && s.families.validMembers(s.m, head) == nil {
-			s.outcomes.invalidate(head)
+			broken = append(broken, head)
 		}
+	}
+	for _, head := range broken {
+		s.outcomes.forgetFamily(head, s.families.isHead)
 	}
 }
 

@@ -211,7 +211,7 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 			continue
 		}
 		for _, f2 := range s.candidateOrder() {
-			if !row[f2] {
+			if row[f2] == 0 {
 				continue
 			}
 			i2, ok := pos[f2]
@@ -347,7 +347,9 @@ func (s *Session) buildIndexesFrom(snap *Snapshot) {
 		if f1 == nil || f2 == nil || f1 == f2 {
 			continue
 		}
-		s.outcomes.put(f1, f2)
+		// Export skips every pair that could flatten, so what comes back
+		// is pairwise.
+		s.outcomes.put(f1, f2, pairOutcome)
 	}
 	s.lastSearch, s.lastCache = search.Stats{}, align.CacheStats{}
 }

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§3 Figure 5, §5 Figures 17-25 and Table 1) on the
 // synthetic benchmark suites. Each experiment returns a Table whose rows
-// mirror the series the paper plots; cmd/repro prints them and
-// EXPERIMENTS.md records paper-versus-measured values.
+// mirror the series the paper plots; cmd/repro prints them.
 package experiments
 
 import (

@@ -77,8 +77,8 @@ func MiBench() []Profile {
 		{Name: "dijkstra", Seed: 9110, Funcs: 6, MinSize: 2, AvgSize: 32, MaxSize: 83, Loops: 0.6},
 		{Name: "djpeg", Seed: 9111, Funcs: 310, MinSize: 1, AvgSize: 91, MaxSize: 1198, CloneFrac: 0.10, FamilySize: 2, MutRate: 0.088, Loops: 0.6, Switches: 0.4},
 		// ghostscript is scaled 5x down (3452 functions in Table 1) to keep
-		// the full evaluation tractable; EXPERIMENTS.md compares merge counts
-		// against the paper/5.
+		// the full evaluation tractable, so its merge counts compare against
+		// the paper's divided by 5.
 		{Name: "ghostscript", Seed: 9112, Funcs: 690, MinSize: 1, AvgSize: 50, MaxSize: 3749, CloneFrac: 0.11, FamilySize: 2, MutRate: 0.080, Loops: 0.5, Switches: 0.5},
 		{Name: "gsm", Seed: 9113, Funcs: 69, MinSize: 1, AvgSize: 92, MaxSize: 696, CloneFrac: 0.15, FamilySize: 2, MutRate: 0.080, Loops: 0.7},
 		{Name: "ispell", Seed: 9114, Funcs: 84, MinSize: 1, AvgSize: 97, MaxSize: 1004, CloneFrac: 0.11, FamilySize: 2, MutRate: 0.088, Loops: 0.6},
@@ -95,7 +95,7 @@ func MiBench() []Profile {
 }
 
 // PaperMiBenchMerges maps MiBench program names to the (FMSA, SalSSA)
-// merge counts of Table 1 at t=1, used by EXPERIMENTS.md comparisons.
+// merge counts of Table 1 at t=1.
 var PaperMiBenchMerges = map[string][2]int{
 	"CRC32": {0, 0}, "FFT": {0, 0}, "adpcm_c": {0, 0}, "adpcm_d": {0, 0},
 	"basicmath": {0, 0}, "bitcount": {3, 3}, "blowfish_d": {0, 1},

@@ -44,12 +44,13 @@ func promotable(alloca *ir.Instruction, v uses) bool {
 // phi placement on iterated dominance frontiers followed by dominator-
 // tree renaming (Cytron et al.), and returns the number of allocas
 // promoted. Loads with no reaching store yield undef.
-func Mem2Reg(f *ir.Function) int { return Mem2RegWithDom(f, nil) }
+func Mem2Reg(f *ir.Function) int { return Mem2RegWithDom(f, nil, nil) }
 
 // Mem2RegWithDom is Mem2Reg over a caller-owned dominator tree of f
 // (promotion never alters the CFG, so the tree is as valid afterwards as
-// before); nil builds one if anything turns out to be promotable.
-func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
+// before); nil builds one if anything turns out to be promotable. buf is
+// SSA construction's working memory, as for BuildSSA.
+func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree, buf *SSABuffers) int {
 	if f.IsDecl() {
 		return 0
 	}
@@ -119,7 +120,7 @@ func Mem2RegWithDom(f *ir.Function, dt *analysis.DomTree) int {
 			}
 			b.Erase(in)
 		}
-	})
+	}, buf)
 
 	for _, a := range allocas {
 		a.Parent().Erase(a)
@@ -173,24 +174,25 @@ func (r *Reaching) Set(v int, val ir.Value) {
 // A block's phis go at its front, the last variable's first; each has
 // room for one edge per distinct reachable predecessor. Only phis are
 // added, so dt stays f's tree.
-func BuildSSA(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, live func(v int, b *ir.Block) bool, visit func(b *ir.Block, r *Reaching)) {
+//
+// buf is the working memory; nil takes fresh. A caller that builds SSA
+// body after body keeps one SSABuffers and clears it (Clear) once the
+// body is done with.
+func BuildSSA(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, live func(v int, b *ir.Block) bool, visit func(b *ir.Block, r *Reaching), buf *SSABuffers) {
+	if buf == nil {
+		buf = new(SSABuffers)
+	}
 	// Phi placement at iterated dominance frontiers of the definition
 	// blocks: first where, variable by variable, then the phis
 	// themselves, grouped by block with variable order kept within one —
 	// block b's are placements[phiStart[b]:phiStart[b+1]], a CSR filled as
 	// in analysis.csrStarts.
-	type placed struct {
-		v   int32
-		phi *ir.Instruction
-	}
-	var (
-		where              []struct{ block, v int32 }
-		defBlocks, idf     []*ir.Block
-		df                 = analysis.NewDomFrontier(dt)
-		nblocks            = len(f.Blocks)
-		slab               = make([]int32, 2*nblocks+2)
-		phiStart, lastSeen = slab[:nblocks+2], slab[nblocks+2:]
-	)
+	buf.df.Rebuild(dt)
+	nblocks := len(f.Blocks)
+	buf.slab = resize(buf.slab, 2*nblocks+2)
+	clear(buf.slab)
+	phiStart, lastSeen := buf.slab[:nblocks+2], buf.slab[nblocks+2:]
+	where, defBlocks, idf := buf.where[:0], buf.defBlocks, buf.idf
 	// lastSeen[b] == tag says block b was already listed under tag: per
 	// variable while collecting definition blocks, per visited block
 	// while adding phi edges below. Tags are 1-based and never repeat.
@@ -204,29 +206,31 @@ func BuildSSA(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, live func(v i
 				defBlocks = append(defBlocks, b)
 			}
 		}
-		idf = df.Iterated(defBlocks, idf[:0])
+		idf = buf.df.Iterated(defBlocks, idf[:0])
 		for _, b := range idf {
 			if live == nil || live(v, b) {
-				where = append(where, struct{ block, v int32 }{int32(b.Index()), int32(v)})
+				where = append(where, phiSite{int32(b.Index()), int32(v)})
 				phiStart[b.Index()+2]++
 			}
 		}
 	}
+	buf.where, buf.defBlocks, buf.idf = where, defBlocks, idf
 	for i := 1; i < len(phiStart); i++ {
 		phiStart[i] += phiStart[i-1]
 	}
-	placements := make([]placed, len(where))
+	buf.placements = resize(buf.placements, len(where))
+	placements := buf.placements
 	for _, at := range where {
 		// Renaming adds one edge per distinct reachable predecessor.
 		x := vars[at.v]
 		phi := ir.NewPhiSized(x.Name, x.Type, dt.NumPreds(f.Blocks[at.block]))
-		placements[phiStart[at.block+1]] = placed{v: at.v, phi: phi}
+		placements[phiStart[at.block+1]] = placedPhi{v: at.v, phi: phi}
 		phiStart[at.block+1]++
 	}
-	phisOf := func(b *ir.Block) []placed { return placements[phiStart[b.Index()]:phiStart[b.Index()+1]] }
+	phisOf := func(b *ir.Block) []placedPhi { return placements[phiStart[b.Index()]:phiStart[b.Index()+1]] }
 	// Each block takes its phis in one splice, the last variable's first
 	// (the order one InsertAtFront per phi used to leave).
-	var front []*ir.Instruction
+	front := buf.front
 	for _, b := range f.Blocks {
 		group := phisOf(b)
 		if len(group) == 0 {
@@ -238,21 +242,19 @@ func BuildSSA(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, live func(v i
 		}
 		b.InsertAllAtFront(front)
 	}
+	buf.front = front
 
 	// Renaming walk over the dominator tree, a block's children last to
 	// first. r holds every variable's reaching value at the walk's
 	// position; what a block overwrites is logged, and undone once its
 	// subtree is finished, so that its siblings start from their parent's
 	// values as it did.
-	type frame struct {
-		b    *ir.Block // nil: the subtree that logged undo[mark:] is finished
-		mark int
-	}
-	r := &Reaching{vals: make([]ir.Value, len(vars))}
+	r := &buf.r
+	r.vals, r.undo = resize(r.vals, len(vars)), r.undo[:0]
 	for v, x := range vars {
 		r.vals[v] = ir.NewUndef(x.Type)
 	}
-	stack := []frame{{b: f.Entry()}}
+	stack := append(buf.stack[:0], ssaFrame{b: f.Entry()})
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -270,28 +272,90 @@ func BuildSSA(f *ir.Function, dt *analysis.DomTree, vars []SSAVar, live func(v i
 		visit(fr.b, r)
 		// Add successor phi edges once per predecessor block: a branch with
 		// both edges to the same block contributes a single incoming entry,
-		// matching Preds() dedup semantics.
-		tag++
+		// matching Preds() dedup semantics. The block's use list is grown
+		// once, for the edges of all its distinct successors: a first pass
+		// counts them, a second (under a fresh tag) adds them.
 		if t := fr.b.Term(); t != nil {
+			tag++
+			edges := 0
 			for _, op := range t.Operands() {
-				s, ok := op.(*ir.Block)
-				if !ok || lastSeen[s.Index()] == tag {
-					continue
+				if s, ok := op.(*ir.Block); ok && lastSeen[s.Index()] != tag {
+					lastSeen[s.Index()] = tag
+					edges += len(phisOf(s))
 				}
-				lastSeen[s.Index()] = tag
-				ir.ReserveUses(fr.b, len(phisOf(s)))
-				for _, p := range phisOf(s) {
-					p.phi.AddIncoming(r.vals[p.v], fr.b)
+			}
+			ir.ReserveUses(fr.b, edges)
+			tag++
+			for _, op := range t.Operands() {
+				if s, ok := op.(*ir.Block); ok && lastSeen[s.Index()] != tag {
+					lastSeen[s.Index()] = tag
+					for _, p := range phisOf(s) {
+						p.phi.AddIncoming(r.vals[p.v], fr.b)
+					}
 				}
 			}
 		}
 		if len(r.undo) > mark {
-			stack = append(stack, frame{mark: mark})
+			stack = append(stack, ssaFrame{mark: mark})
 		}
 		for _, child := range dt.Children(fr.b) {
-			stack = append(stack, frame{b: child})
+			stack = append(stack, ssaFrame{b: child})
 		}
 	}
+	buf.stack = stack
+}
+
+// SSABuffers is BuildSSA's working memory: the dominance frontier, the
+// phi placement tables, the reaching values and the walk's stack. It
+// grows to the largest body it has served.
+type SSABuffers struct {
+	df             analysis.DomFrontier
+	slab           []int32 // phiStart and lastSeen
+	where          []phiSite
+	placements     []placedPhi
+	defBlocks, idf []*ir.Block
+	front          []*ir.Instruction
+	r              Reaching
+	stack          []ssaFrame
+}
+
+// Clear drops every pointer buf holds into the bodies it served,
+// keeping the storage: buffers kept across bodies must not keep a dead
+// one alive.
+func (buf *SSABuffers) Clear() {
+	buf.df.Clear()
+	clear(buf.placements[:cap(buf.placements)])
+	clear(buf.defBlocks[:cap(buf.defBlocks)])
+	clear(buf.idf[:cap(buf.idf)])
+	clear(buf.front[:cap(buf.front)])
+	clear(buf.r.vals[:cap(buf.r.vals)])
+	clear(buf.r.undo[:cap(buf.r.undo)])
+	clear(buf.stack[:cap(buf.stack)])
+}
+
+// phiSite is a phi BuildSSA places: variable v's, in block number block.
+type phiSite struct{ block, v int32 }
+
+// placedPhi is a placed phi and its variable.
+type placedPhi struct {
+	v   int32
+	phi *ir.Instruction
+}
+
+// ssaFrame is one entry of BuildSSA's walk: a block to visit, or (b nil)
+// the end of the subtree that logged undo[mark:].
+type ssaFrame struct {
+	b    *ir.Block
+	mark int
+}
+
+// resize returns a slice of length n, reusing s's array when it is large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // allocaAccess reports whether in is a load/store accessing one of the
