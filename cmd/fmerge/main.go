@@ -4,7 +4,7 @@
 //
 //	fmerge [-algo salssa|salssa-nopc|fmsa] [-t N] [-target x86-64|thumb]
 //	       [-linear-align] [-max-cells N] [-min-instrs N]
-//	       [-skip-hot f1,f2,...] [-dup-fold] [-canon]
+//	       [-skip-hot f1,f2,...] [-dup-fold]
 //	       [-max-family N] [-rounds N]
 //	       [-cpuprofile f] [-memprofile f]
 //	       [-plan out.json | -apply plan.json]
@@ -49,15 +49,6 @@
 //	                (the paper's §5.7 hot-path remedy)
 //	-dup-fold       fold structurally identical functions into
 //	                forwarding thunks before any alignment runs
-//	-canon          index every function through a private canonical
-//	                view (mem2reg + CFG simplification + constant
-//	                folding + operand normalization + GVN): candidate
-//	                search sees through reducible noise between
-//	                near-clones, and -dup-fold widens to canonical
-//	                congruence with an interpreter check per fold.
-//	                Merges still rewrite the original bodies; without
-//	                the flag the pipeline is the historical one,
-//	                bit-for-bit. Ignored under -algo fmsa
 //	-max-family N   flatten merge chains into k-ary families of up to
 //	                N members (default 4): when a merged function finds
 //	                another profitable partner, the family's original
@@ -132,7 +123,6 @@ func main() {
 	minInstrs := flag.Int("min-instrs", 0, "ignore functions smaller than N instructions")
 	skipHot := flag.String("skip-hot", "", "comma-separated functions excluded from merging")
 	dupFold := flag.Bool("dup-fold", false, "fold structurally identical functions into thunks before alignment")
-	canonFlag := flag.Bool("canon", false, "index through canonical views (normalization + GVN); widens -dup-fold to semantic duplicates")
 	maxFamily := flag.Int("max-family", 4, "flatten merge chains into k-ary families of up to N members (2 = always nest pairwise)")
 	rounds := flag.Int("rounds", 1, "re-optimize each module up to N times through one session (0 = to fixpoint); chains form across rounds, so flattening needs N > 1")
 	corpusTier := flag.String("corpus", "", "optimize a generated synthetic corpus at this tier (10k, 100k, 1m or a function count) instead of reading input files")
@@ -217,7 +207,6 @@ func main() {
 		repro.WithMaxCells(*maxCells),
 		repro.WithMinInstrs(*minInstrs),
 		repro.WithDupFold(*dupFold),
-		repro.WithCanon(*canonFlag),
 		repro.WithMaxFamily(*maxFamily),
 	}
 	if *skipHot != "" {

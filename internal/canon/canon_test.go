@@ -152,78 +152,6 @@ func TestNoiseHidesDuplicates(t *testing.T) {
 	t.Logf("hidden %d, still-exposed %d", hidden, exposed)
 }
 
-// TestLensMemoizesAndInvalidates: Body returns one pointer until
-// Invalidate, the nil lens is the identity, and DropHook observes
-// discarded views.
-func TestLensMemoizesAndInvalidates(t *testing.T) {
-	m := synth.CanonSuite(8, 9)
-	f := m.Defined()[0]
-
-	var nilLens *canon.Lens
-	if nilLens.Body(f) != f {
-		t.Fatal("nil lens must return the original body")
-	}
-	nilLens.Invalidate(f) // must not panic
-	if nilLens.Enabled() {
-		t.Fatal("nil lens reports enabled")
-	}
-
-	lens := canon.NewLens(canon.Default(), search.HashFunction)
-	var dropped []*ir.Function
-	lens.DropHook = func(v *ir.Function) { dropped = append(dropped, v) }
-	v1 := lens.Body(f)
-	if v1 == f {
-		t.Fatal("enabled lens returned the original body")
-	}
-	if lens.Body(f) != v1 {
-		t.Fatal("lens did not memoize the view")
-	}
-	h := lens.Hash(f)
-	if h != search.HashFunction(v1) {
-		t.Fatal("lens hash is not the view hash")
-	}
-	lens.Invalidate(f)
-	if len(dropped) != 1 || dropped[0] != v1 {
-		t.Fatalf("DropHook saw %v, want the dropped view", dropped)
-	}
-	if lens.Body(f) == v1 {
-		t.Fatal("Invalidate did not drop the memoized view")
-	}
-
-	// Priming serves hashes without building views.
-	lens2 := canon.NewLens(canon.Default(), search.HashFunction)
-	lens2.Prime(f, 42)
-	if lens2.Hash(f) != 42 {
-		t.Fatal("primed hash not served")
-	}
-
-	if canon.NewLens(canon.Config{}, search.HashFunction) != nil {
-		t.Fatal("disabled config must yield the nil lens")
-	}
-}
-
-// TestConfigString: the snapshot guard string distinguishes configs and
-// is empty exactly when disabled.
-func TestConfigString(t *testing.T) {
-	if got := (canon.Config{}).String(); got != "" {
-		t.Fatalf("zero config string = %q, want empty", got)
-	}
-	if (canon.Config{}).Enabled() {
-		t.Fatal("zero config reports enabled")
-	}
-	full := canon.Default()
-	if !full.Enabled() || full.String() != "mem2reg+simplify+normalize+gvn" {
-		t.Fatalf("default config string = %q", full.String())
-	}
-	partial := canon.Config{Mem2Reg: true, GVN: true}
-	if partial.String() != "mem2reg+gvn" {
-		t.Fatalf("partial config string = %q", partial.String())
-	}
-	if partial.String() == full.String() {
-		t.Fatal("distinct configs share a guard string")
-	}
-}
-
 // TestReduceErasesDuplicatedPure: a hand-built function with a
 // re-materialized add folds to a single add under Reduce.
 func TestReduceErasesDuplicatedPure(t *testing.T) {

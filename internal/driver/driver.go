@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/align"
-	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/fmsa"
@@ -133,19 +132,6 @@ type Config struct {
 	// deduplicated for free (zero DP cells) and only their
 	// representative stays in the candidate set.
 	DupFold bool
-	// Canon, when enabled, makes every discovery index — fingerprints,
-	// duplicate-fold hashing — operate on per-function
-	// *canonical views*: private clones normalized by mem2reg, CFG
-	// simplification, constant folding, operand-order normalization and
-	// GVN (internal/canon). Reducible noise between near-clones becomes
-	// invisible to candidate search, and DupFold widens from syntactic
-	// identity to canonical congruence (verified by an interpreter
-	// differential before any fold commits). Merges and folds still
-	// rewrite the ORIGINAL bodies; views never leak into the module.
-	// The zero value disables canonicalization, reproducing the
-	// historical pipeline bit-for-bit. Ignored under Algorithm FMSA,
-	// whose register demotion rewrites the module around each run.
-	Canon canon.Config
 	// MaxFamily bounds merge families: when >= 3, every committed merge
 	// records its members' original bodies, and a merged function that
 	// finds another profitable partner is *flattened* — the family's

@@ -34,7 +34,7 @@ func funnelSeeds(t *testing.T) []int64 {
 
 // TestSavingsUpperBoundAdmissible fuzzes the funnel's profit bounds
 // against the ground truth: for candidate pairs drawn by the index
-// (once per finder name) from randomized corpora, from SPEC2006 and MiBench programs on their
+// from randomized corpora, from SPEC2006 and MiBench programs on their
 // own targets, and from mutated clones, the real (ungated) trial profit
 // must never exceed SavingsUpperBound, the cache-profile Bound, the
 // stage-3 refinement of the computed alignment, or — when the trial was
@@ -43,12 +43,11 @@ func funnelSeeds(t *testing.T) []int64 {
 // agree exactly.
 func TestSavingsUpperBoundAdmissible(t *testing.T) {
 	for _, seed := range funnelSeeds(t) {
-		for _, finder := range finderNames {
-			t.Run(fmt.Sprintf("seed=%d/%s", seed, finder), func(t *testing.T) {
-				m := corpus.Build(corpus.Config{Funcs: 200, Seed: seed})
-				checkCandidatesAdmissible(t, m, costmodel.X86_64, 50)
-			})
-		}
+		// The suffix names the finder kind the Index answers to.
+		t.Run(fmt.Sprintf("seed=%d/lsh", seed), func(t *testing.T) {
+			m := corpus.Build(corpus.Config{Funcs: 200, Seed: seed})
+			checkCandidatesAdmissible(t, m, costmodel.X86_64, 50)
+		})
 	}
 	t.Run("thumb", func(t *testing.T) {
 		m := corpus.Build(corpus.Config{Funcs: 200, Seed: funnelSeeds(t)[0]})
@@ -93,7 +92,7 @@ func TestSavingsUpperBoundAdmissible(t *testing.T) {
 func checkCandidatesAdmissible(t *testing.T, m *ir.Module, target costmodel.Target, minPairs int) {
 	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: target}
 	ck := newAdmissibilityCheck(m, cfg)
-	fnd := search.NewIndexed(m.Defined(), nil)
+	fnd := search.New(search.KindLSH, m.Defined())
 	for _, f1 := range fnd.Order() {
 		for _, f2 := range fnd.Candidates(f1, cfg.Threshold) {
 			ck.pair(t, f1, f2)

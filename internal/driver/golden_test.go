@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/canon"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/synth"
@@ -26,39 +25,24 @@ type goldenCase struct {
 	build func(t *testing.T) *ir.Module
 	cfg   Config
 	runs  int
-	// key names the module and configuration; cells that share it
-	// share one run.
-	key string
 }
 
 // goldenCases is the seeded grid the digests cover: the 2k corpus under
-// the finder names × dup-fold × MaxFamily {2, 4} × canon, and three
-// paper-suite programs under the paper's configuration (threshold 1,
-// nothing folded). Both finder names run the Index, so the two names'
-// cells share one run; the "exact" cells' digests were recorded under
-// the deleted Exact finder, and equal the "lsh" cells'.
+// dup-fold × MaxFamily {2, 4}, and three paper-suite programs under the
+// paper's configuration (threshold 1, nothing folded).
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	for _, finder := range finderNames {
-		for _, fold := range []bool{false, true} {
-			for _, fam := range []int{2, 4} {
-				for _, canonOn := range []bool{false, true} {
-					cfg := Config{
-						Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-						DupFold: fold, MaxFamily: fam,
-					}
-					if canonOn {
-						cfg.Canon = canon.Default()
-					}
-					cases = append(cases, goldenCase{
-						name:  fmt.Sprintf("corpus2k/%s/fold=%v/fam=%d/canon=%v", finder, fold, fam, canonOn),
-						build: func(t *testing.T) *ir.Module { return buildCorpus(t, 2000) },
-						cfg:   cfg,
-						runs:  fam / 2,
-						key:   fmt.Sprintf("corpus2k/fold=%v/fam=%d/canon=%v", fold, fam, canonOn),
-					})
-				}
-			}
+	for _, fold := range []bool{false, true} {
+		for _, fam := range []int{2, 4} {
+			cases = append(cases, goldenCase{
+				name:  fmt.Sprintf("corpus2k/fold=%v/fam=%d", fold, fam),
+				build: func(t *testing.T) *ir.Module { return buildCorpus(t, 2000) },
+				cfg: Config{
+					Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
+					DupFold: fold, MaxFamily: fam,
+				},
+				runs: fam / 2,
+			})
 		}
 	}
 	suites := []struct {
@@ -80,7 +64,6 @@ func goldenCases() []goldenCase {
 			build: func(*testing.T) *ir.Module { return synth.Generate(p) },
 			cfg:   Config{Algorithm: SalSSA, Threshold: 1, Target: s.target},
 			runs:  1,
-			key:   "suite/" + s.name,
 		})
 	}
 	return cases
@@ -142,7 +125,7 @@ func (c goldenCase) run(t *testing.T) goldenDigest {
 // file and fails, and passes from then on.
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden grid optimizes eleven modules")
+		t.Skip("golden grid optimizes seven modules")
 	}
 	want := map[string]goldenDigest{}
 	data, err := os.ReadFile(goldenDigestFile)
@@ -157,23 +140,12 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	got := map[string]goldenDigest{}
 	var mu sync.Mutex
-	type sharedRun struct {
-		once sync.Once
-		d    goldenDigest
-	}
-	cases := goldenCases()
-	runs := map[string]*sharedRun{}
-	for _, c := range cases {
-		runs[c.key] = &sharedRun{}
-	}
 	// The group returns once its parallel cases have.
 	t.Run("grid", func(t *testing.T) {
-		for _, c := range cases {
+		for _, c := range goldenCases() {
 			t.Run(c.name, func(t *testing.T) {
 				t.Parallel()
-				r := runs[c.key]
-				r.once.Do(func() { r.d = c.run(t) })
-				d := r.d
+				d := c.run(t)
 				mu.Lock()
 				got[c.name] = d
 				mu.Unlock()

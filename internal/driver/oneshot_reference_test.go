@@ -53,7 +53,7 @@ func runOneShotReference(ctx context.Context, m *ir.Module, cfg Config) (*Result
 		candidates = referenceFoldDuplicates(candidates, preSize, cfg, res)
 	}
 	cache := align.NewCache()
-	finder := search.NewIndexed(candidates, nil)
+	finder := search.New(search.KindLSH, candidates)
 	opts := cfg.CoreOptions()
 	order := finder.Order()
 

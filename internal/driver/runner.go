@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/align"
-	"repro/internal/canon"
 	"repro/internal/costmodel"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/search"
 )
@@ -33,10 +31,6 @@ type runner struct {
 	cfg    Config
 	cache  *align.Cache
 	finder search.Finder
-	// lens, when non-nil, is the session's canonical-view layer: the
-	// finder already indexes through it, and foldStep widens duplicate
-	// folding from syntactic identity to canonical congruence.
-	lens *canon.Lens
 	// hashes is the session's fold-hash memo (nil for FMSA's throwaway
 	// runs, which hash every time).
 	hashes hashMemo
@@ -113,13 +107,12 @@ func (r *runner) candidates(f *ir.Function, t int) []*ir.Function {
 // retire takes f out of play the moment a commit or fold rewrites its
 // body: out of the finder, so later queries of the walk no longer list
 // it; its cached linearization invalidated (it would pin the dead
-// instructions); its canonical view, fold hash and screening profile
-// dropped; and — when an owning session exists — scheduled for
-// re-indexing at the next sync. Every index layer is nil-safe.
+// instructions); its fold hash and screening profile dropped; and —
+// when an owning session exists — scheduled for re-indexing at the next
+// sync. Every index layer is nil-safe.
 func (r *runner) retire(f *ir.Function) {
 	r.finder.Remove(f)
 	r.cache.Invalidate(f)
-	r.lens.Invalidate(f)
 	delete(r.hashes, f)
 	r.funnel.invalidate(f)
 	if r.markPending != nil {
@@ -151,11 +144,7 @@ func (r *runner) mergedName(f1, f2 *ir.Function) string {
 func (r *runner) foldStep(candidates []*ir.Function) {
 	c0 := time.Now()
 	defer func() { r.res.CommitTime += time.Since(c0) }()
-	hashOf, eq := r.hashes.of, search.EqualFunctions
-	if r.lens != nil {
-		hashOf, eq = r.lens.Hash, r.canonEqual
-	}
-	for _, fam := range search.FamiliesBy(candidates, hashOf, eq) {
+	for _, fam := range search.FamiliesBy(candidates, r.hashes.of) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
 			profit := r.sizes[dup] - costmodel.ForwarderBytes(r.cfg.Target, len(dup.Params()))
@@ -175,42 +164,6 @@ func (r *runner) foldStep(candidates []*ir.Function) {
 			r.res.Folds = append(r.res.Folds, FoldRecord{Dup: dup.Name(), Rep: rep.Name(), Profit: profit})
 		}
 	}
-}
-
-// canonEqual is the duplicate-fold equivalence of canonical-view
-// sessions: the two canonical views must be structurally identical (GVN
-// congruence — commuted operands, unfolded constants, redundant memory
-// traffic and spurious blocks all canonicalize away), and, because the
-// fold rewrites the ORIGINAL duplicate into a forwarder, a pair whose
-// originals are not already syntactically identical must additionally
-// pass an interpreter differential before it is trusted. Canonical
-// congruence is sound by construction; the interp check is a cheap
-// independent witness that the originals really do agree observably.
-func (r *runner) canonEqual(a, b *ir.Function) bool {
-	if !search.EqualFunctions(r.lens.Body(a), r.lens.Body(b)) {
-		return false
-	}
-	if search.EqualFunctions(a, b) {
-		return true
-	}
-	return interpEquivalent(a, b)
-}
-
-// interpEquivalent runs a and b on a spread of deterministic argument
-// seeds and compares outcomes (return value, termination, observable
-// trace). Functions the interpreter cannot execute (unsupported ops,
-// required externals) yield matching error outcomes only when both fail
-// identically, so unsupported pairs are rejected rather than folded.
-func interpEquivalent(a, b *ir.Function) bool {
-	proto := interp.NewEnv()
-	for seed := int64(1); seed <= 5; seed++ {
-		oa := interp.Run(proto, a, interp.ArgsFor(a, seed))
-		ob := interp.Run(proto, b, interp.ArgsFor(b, seed))
-		if same, _ := interp.SameBehavior(oa, ob); !same {
-			return false
-		}
-	}
-	return true
 }
 
 // walk is the greedy loop over the candidate set. candidates must be

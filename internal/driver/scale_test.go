@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/canon"
 	"repro/internal/corpus"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
@@ -131,70 +130,66 @@ func mutateCorpus(t *testing.T, m *ir.Module) (changed, removed []string) {
 
 // TestUpdateBatchMatchesSequential: one UpdateBatch of n deltas must
 // leave the session in the same state as n sequential Update/Remove
-// calls — same committed merge set, same module text — under both test
-// finders and with canonicalization on and off.
+// calls — same committed merge set, same module text.
 func TestUpdateBatchMatchesSequential(t *testing.T) {
-	ctx := context.Background()
-	for _, finder := range finderNames {
-		for _, canonOn := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/canon=%v", finder, canonOn), func(t *testing.T) {
-				cfg := Config{
-					Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-					DupFold: true,
+	// The case keeps the name it had when the finder and canonical-view
+	// indexing were axes; only the LSH index without canon remains.
+	t.Run("lsh", func(t *testing.T) {
+		t.Run("canon=false", func(t *testing.T) {
+			ctx := context.Background()
+			cfg := Config{
+				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
+				DupFold: true,
+			}
+			run := func(batch bool) (*ir.Module, *Result) {
+				m := corpus.Build(corpus.Config{Funcs: 150, Seed: 11})
+				s, err := OpenSession(ctx, m, cfg)
+				if err != nil {
+					t.Fatalf("OpenSession: %v", err)
 				}
-				if canonOn {
-					cfg.Canon = canon.Default()
+				defer s.Close()
+				if _, err := s.Optimize(ctx); err != nil {
+					t.Fatalf("first Optimize: %v", err)
 				}
-				run := func(batch bool) (*ir.Module, *Result) {
-					m := corpus.Build(corpus.Config{Funcs: 150, Seed: 11})
-					s, err := OpenSession(ctx, m, cfg)
-					if err != nil {
-						t.Fatalf("OpenSession: %v", err)
+				changed, removed := mutateCorpus(t, m)
+				if batch {
+					if err := s.UpdateBatch(ctx, changed, removed); err != nil {
+						t.Fatalf("UpdateBatch: %v", err)
 					}
-					defer s.Close()
-					if _, err := s.Optimize(ctx); err != nil {
-						t.Fatalf("first Optimize: %v", err)
-					}
-					changed, removed := mutateCorpus(t, m)
-					if batch {
-						if err := s.UpdateBatch(ctx, changed, removed); err != nil {
-							t.Fatalf("UpdateBatch: %v", err)
-						}
-					} else {
-						for _, name := range changed {
-							if err := s.Update(ctx, name); err != nil {
-								t.Fatalf("Update(%q): %v", name, err)
-							}
-						}
-						for _, name := range removed {
-							if err := s.Remove(ctx, name); err != nil {
-								t.Fatalf("Remove(%q): %v", name, err)
-							}
+				} else {
+					for _, name := range changed {
+						if err := s.Update(ctx, name); err != nil {
+							t.Fatalf("Update(%q): %v", name, err)
 						}
 					}
-					res, err := s.Optimize(ctx)
-					if err != nil {
-						t.Fatalf("second Optimize: %v", err)
-					}
-					return m, res
-				}
-				m1, res1 := run(false)
-				m2, res2 := run(true)
-				if len(res1.Merges) != len(res2.Merges) {
-					t.Fatalf("merge count diverged: sequential %d, batch %d", len(res1.Merges), len(res2.Merges))
-				}
-				for i := range res1.Merges {
-					a, b := res1.Merges[i], res2.Merges[i]
-					if a.F1 != b.F1 || a.F2 != b.F2 || a.Merged != b.Merged || a.Profit != b.Profit {
-						t.Fatalf("merge %d diverged:\nsequential %+v\nbatch      %+v", i, a, b)
+					for _, name := range removed {
+						if err := s.Remove(ctx, name); err != nil {
+							t.Fatalf("Remove(%q): %v", name, err)
+						}
 					}
 				}
-				if s1, s2 := m1.String(), m2.String(); s1 != s2 {
-					t.Fatalf("module text diverged (sequential %d bytes, batch %d bytes)", len(s1), len(s2))
+				res, err := s.Optimize(ctx)
+				if err != nil {
+					t.Fatalf("second Optimize: %v", err)
 				}
-			})
-		}
-	}
+				return m, res
+			}
+			m1, res1 := run(false)
+			m2, res2 := run(true)
+			if len(res1.Merges) != len(res2.Merges) {
+				t.Fatalf("merge count diverged: sequential %d, batch %d", len(res1.Merges), len(res2.Merges))
+			}
+			for i := range res1.Merges {
+				a, b := res1.Merges[i], res2.Merges[i]
+				if a.F1 != b.F1 || a.F2 != b.F2 || a.Merged != b.Merged || a.Profit != b.Profit {
+					t.Fatalf("merge %d diverged:\nsequential %+v\nbatch      %+v", i, a, b)
+				}
+			}
+			if s1, s2 := m1.String(), m2.String(); s1 != s2 {
+				t.Fatalf("module text diverged (sequential %d bytes, batch %d bytes)", len(s1), len(s2))
+			}
+		})
+	})
 }
 
 // TestUpdateBatchConflict: a batch naming the same function as both

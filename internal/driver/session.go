@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/align"
-	"repro/internal/canon"
 	"repro/internal/costmodel"
 	"repro/internal/fmsa"
 	"repro/internal/ir"
@@ -70,14 +69,8 @@ type Session struct {
 	// the whole module around each run).
 	cache  *align.Cache
 	finder search.Finder
-	// lens is the canonical-view layer (nil when Config.Canon is
-	// disabled): every discovery index — fingerprints, duplicate-fold
-	// hashes — is computed over lens.Body(f) instead of f,
-	// while merges and folds still commit against the originals. Views
-	// are invalidated whenever the underlying body is.
-	lens *canon.Lens
 	// hashes memoizes search.HashFunction per original body for the
-	// duplicate-fold bucketing; invalidated where the lens's hashes are.
+	// duplicate-fold bucketing.
 	hashes  hashMemo
 	sizes   map[*ir.Function]int
 	indexed map[*ir.Function]bool
@@ -143,17 +136,11 @@ func (s *Session) eligible(f *ir.Function) bool {
 
 // initIndexLayers constructs the empty persistent index layers shared by
 // the cold build and the snapshot warm restart: the align cache, the
-// canonical-view lens (wired to drop a discarded view's cache entry),
-// the membership/size maps, the outcome memo, the planning funnel and
+// membership/size maps, the outcome memo, the planning funnel and
 // the family registry. The finder is built by the caller: from the
 // module at Open, from the snapshot at a warm restart.
 func (s *Session) initIndexLayers() {
 	s.cache = align.NewCache()
-	s.lens = canon.NewLens(s.cfg.Canon, search.HashFunction)
-	if s.lens != nil {
-		cache := s.cache
-		s.lens.DropHook = func(view *ir.Function) { cache.Invalidate(view) }
-	}
 	s.hashes = hashMemo{}
 	s.sizes = map[*ir.Function]int{}
 	s.indexed = map[*ir.Function]bool{}
@@ -164,15 +151,6 @@ func (s *Session) initIndexLayers() {
 	if s.cfg.MaxFamily >= 3 {
 		s.families = newFamilySet()
 	}
-}
-
-// bodySource adapts the lens to search.BodySource, avoiding the typed
-// nil-interface trap when canon is off.
-func (s *Session) bodySource() search.BodySource {
-	if s.lens == nil {
-		return nil
-	}
-	return s.lens
 }
 
 // buildIndexes constructs the persistent index layers from scratch.
@@ -186,7 +164,7 @@ func (s *Session) buildIndexes() {
 		candidates = append(candidates, f)
 		s.index(f)
 	}
-	s.finder = search.NewIndexed(candidates, s.bodySource())
+	s.finder = search.New(search.KindLSH, candidates)
 	s.lastSearch, s.lastCache = search.Stats{}, align.CacheStats{}
 }
 
@@ -231,7 +209,6 @@ func (s *Session) index(f *ir.Function) {
 func (s *Session) unindex(f *ir.Function) {
 	s.outcomes.invalidate(f)
 	s.cache.Invalidate(f)
-	s.lens.Invalidate(f)
 	delete(s.hashes, f)
 	s.funnel.invalidate(f)
 	s.families.drop(f)
@@ -272,7 +249,6 @@ func (s *Session) sync() {
 	if renamed {
 		// Hashes name callees by symbol: a rename reaches every caller's.
 		clear(s.hashes)
-		s.lens.ForgetHashes()
 	}
 	var changed []*ir.Function
 	for f, reindex := range s.pending {
@@ -283,10 +259,6 @@ func (s *Session) sync() {
 		s.outcomes.invalidate(f)
 		s.cache.Invalidate(f)
 		s.funnel.invalidate(f)
-		// The view must be dropped before the finder re-indexes: the
-		// finder fingerprints through the lens, so a stale view
-		// here would silently re-index the pre-edit body.
-		s.lens.Invalidate(f)
 		delete(s.hashes, f)
 		s.index(f)
 		changed = append(changed, f)
@@ -371,7 +343,6 @@ func (s *Session) Close() error {
 	s.closed = true
 	s.cache = nil
 	s.finder = nil
-	s.lens = nil
 	s.hashes = nil
 	s.sizes = nil
 	s.indexed = nil
@@ -477,10 +448,9 @@ var ErrConflictingDelta = fmt.Errorf("conflicting delta")
 // differences: a name in both sets fails with an error wrapping
 // ErrConflictingDelta, and the whole batch is validated before any name
 // takes effect. All marks then share the next sync's single re-index
-// window: one batched finder rebuild pass, one lens invalidation set,
-// no matter how many deltas the batch carried. That window is what
-// makes streaming a 100k-function corpus into a session linear instead
-// of quadratic.
+// window: one batched finder rebuild pass, no matter how many deltas
+// the batch carried. That window is what makes streaming a
+// 100k-function corpus into a session linear instead of quadratic.
 func (s *Session) UpdateBatch(ctx context.Context, changed, removed []string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -562,7 +532,7 @@ func (s *Session) newResult() *Result {
 func (s *Session) newRunner(res *Result, commitMode bool) *runner {
 	return &runner{
 		m: s.m, cfg: s.cfg, cache: s.cache, finder: s.finder,
-		lens: s.lens, hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
+		hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
 		funnel: s.funnel, families: s.families, commitMode: commitMode,
 		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
 		markPending: s.markPending,
@@ -689,7 +659,7 @@ func (s *Session) optimizeFMSA(ctx context.Context, clk runClock) (*Result, erro
 		candidates = append(candidates, f)
 	}
 	cache := align.NewCache()
-	finder := search.NewIndexed(candidates, nil)
+	finder := search.New(search.KindLSH, candidates)
 	r := s.newRunner(res, true)
 	r.cache, r.finder, r.sizes, r.markPending = cache, finder, preSize, nil
 	runErr := r.walk(ctx, candidates)

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/canon"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/search"
@@ -23,16 +22,15 @@ type sessionConfig struct {
 }
 
 // sessionConfigs is the configuration grid the differential session
-// tests sweep: the finder names × duplicate folding on and off.
+// tests sweep: duplicate folding on and off. The "lsh-" prefix names
+// the finder kind the Index answers to (search.KindLSH).
 func sessionConfigs() []sessionConfig {
 	var out []sessionConfig
-	for _, finder := range finderNames {
-		for _, fold := range []bool{false, true} {
-			out = append(out, sessionConfig{fmt.Sprintf("%s-fold=%v", finder, fold), Config{
-				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-				DupFold: fold,
-			}})
-		}
+	for _, fold := range []bool{false, true} {
+		out = append(out, sessionConfig{fmt.Sprintf("lsh-fold=%v", fold), Config{
+			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
+			DupFold: fold,
+		}})
 	}
 	return out
 }
@@ -247,134 +245,122 @@ func TestSessionReplaceEquivalence(t *testing.T) {
 // TestSessionRenameAlias: renaming a function between runs must retire
 // the stale byName alias — a later Update of a new function under the
 // old name must not unindex the renamed (live) one — and must reach the
-// memoized hashes of its callers (renamedCalleeFolds).
+// memoized hashes of its callers.
 func TestSessionRenameAlias(t *testing.T) {
-	renamedCalleeFolds(t)
-	for _, finder := range finderNames {
-		t.Run(finder, func(t *testing.T) {
-			cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
-			m := testModule(t, 3)
-			s, err := OpenSession(context.Background(), m, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if _, err := sizedRun(t, s, nil); err != nil {
-				t.Fatal(err)
-			}
-			// Rename a live function, then reuse its old name for a fresh one.
-			defined := m.Defined()
-			renamed, donor := defined[0], defined[1]
-			oldName := renamed.Name()
-			renamed.SetName(oldName + ".renamed")
-			if err := s.Update(context.Background(), renamed.Name()); err != nil {
-				t.Fatal(err)
-			}
-			fresh, _ := ir.CloneFunction(donor, oldName)
-			m.AddFunc(fresh)
-			if err := s.Update(context.Background(), oldName); err != nil {
-				t.Fatal(err)
-			}
-			mFresh := ir.CloneModule(m)
-			inc, err := sizedRun(t, s, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scratchSess, err := OpenSession(context.Background(), mFresh, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer scratchSess.Close()
-			scratch, err := sizedRun(t, scratchSess, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMerges(t, scratch, inc)
-			if a, b := mFresh.String(), m.String(); a != b {
-				t.Error("incremental module text diverges from the from-scratch module after a rename")
-			}
-		})
-	}
-}
-
-// renamedCalleeFolds is TestSessionRenameAlias's fold-hash half:
-// structural hashes name callees by symbol, so renaming a callee
-// changes the hash of every caller, none of which was edited or
-// reported. A caller hashed before the rename and an identical one
-// added after it must still land in one bucket and fold, exactly as a
-// fresh session folds them — under the plain memo and under the lens's
-// view hashes alike.
-func renamedCalleeFolds(t *testing.T) {
-	for _, canonOn := range []bool{false, true} {
-		t.Run(fmt.Sprintf("callee-folds/canon=%v", canonOn), func(t *testing.T) {
-			cfg := Config{
-				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-				DupFold: true,
-			}
-			if canonOn {
-				cfg.Canon = canon.Default()
-			}
-			m := testModule(t, 3)
-			defined := m.Defined()
-			callee := defined[0]
-			// A caller of a defined (hence indexed) function: a clone of
-			// another body with a call of the callee in front.
-			caller, _ := ir.CloneFunction(defined[1], "caller.before")
-			args := make([]ir.Value, len(callee.Params()))
-			for i, p := range callee.Params() {
-				args[i] = ir.NewUndef(p.Type())
-			}
-			caller.Entry().InsertAtFront(ir.NewCall("", callee, args...))
-			m.AddFunc(caller)
-			if err := ir.VerifyModule(m); err != nil {
-				t.Fatal(err)
-			}
-			s, err := OpenSession(context.Background(), m, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			// A dry run hashes every candidate for the fold bucketing
-			// and touches nothing.
-			if _, err := s.Plan(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			callee.SetName(callee.Name() + ".renamed")
-			twin, _ := ir.CloneFunction(caller, "caller.after")
-			m.AddFunc(twin)
-			if err := s.Update(context.Background(), callee.Name(), twin.Name()); err != nil {
-				t.Fatal(err)
-			}
-			mFresh := ir.CloneModule(m)
-			inc, err := sizedRun(t, s, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := OpenSession(context.Background(), mFresh, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fresh.Close()
-			scratch, err := sizedRun(t, fresh, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			folded := false
-			for _, f := range scratch.Folds {
-				folded = folded || f.Dup == twin.Name() && f.Rep == caller.Name()
-			}
-			if !folded {
-				t.Fatalf("the fresh session did not fold @%s into @%s: %+v", twin.Name(), caller.Name(), scratch.Folds)
-			}
-			if !reflect.DeepEqual(inc.Folds, scratch.Folds) {
-				t.Errorf("folds differ after a callee rename:\nincremental %+v\nfresh       %+v", inc.Folds, scratch.Folds)
-			}
-			sameMerges(t, scratch, inc)
-			if a, b := mFresh.String(), m.String(); a != b {
-				t.Error("incremental module text diverges from the from-scratch module after a callee rename")
-			}
-		})
-	}
+	// The fold-hash half: structural hashes name callees by symbol, so
+	// renaming a callee changes the hash of every caller, none of which
+	// was edited or reported. A caller hashed before the rename and an
+	// identical one added after it must still land in one bucket and
+	// fold, exactly as a fresh session folds them.
+	t.Run("callee-folds", func(t *testing.T) {
+		cfg := Config{
+			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
+			DupFold: true,
+		}
+		m := testModule(t, 3)
+		defined := m.Defined()
+		callee := defined[0]
+		// A caller of a defined (hence indexed) function: a clone of
+		// another body with a call of the callee in front.
+		caller, _ := ir.CloneFunction(defined[1], "caller.before")
+		args := make([]ir.Value, len(callee.Params()))
+		for i, p := range callee.Params() {
+			args[i] = ir.NewUndef(p.Type())
+		}
+		caller.Entry().InsertAtFront(ir.NewCall("", callee, args...))
+		m.AddFunc(caller)
+		if err := ir.VerifyModule(m); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSession(context.Background(), m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		// A dry run hashes every candidate for the fold bucketing
+		// and touches nothing.
+		if _, err := s.Plan(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		callee.SetName(callee.Name() + ".renamed")
+		twin, _ := ir.CloneFunction(caller, "caller.after")
+		m.AddFunc(twin)
+		if err := s.Update(context.Background(), callee.Name(), twin.Name()); err != nil {
+			t.Fatal(err)
+		}
+		mFresh := ir.CloneModule(m)
+		inc, err := sizedRun(t, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := OpenSession(context.Background(), mFresh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		scratch, err := sizedRun(t, fresh, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		folded := false
+		for _, f := range scratch.Folds {
+			folded = folded || f.Dup == twin.Name() && f.Rep == caller.Name()
+		}
+		if !folded {
+			t.Fatalf("the fresh session did not fold @%s into @%s: %+v", twin.Name(), caller.Name(), scratch.Folds)
+		}
+		if !reflect.DeepEqual(inc.Folds, scratch.Folds) {
+			t.Errorf("folds differ after a callee rename:\nincremental %+v\nfresh       %+v", inc.Folds, scratch.Folds)
+		}
+		sameMerges(t, scratch, inc)
+		if a, b := mFresh.String(), m.String(); a != b {
+			t.Error("incremental module text diverges from the from-scratch module after a callee rename")
+		}
+	})
+	// The byName half, on the session's LSH index.
+	t.Run("lsh", func(t *testing.T) {
+		cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
+		m := testModule(t, 3)
+		s, err := OpenSession(context.Background(), m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := sizedRun(t, s, nil); err != nil {
+			t.Fatal(err)
+		}
+		// Rename a live function, then reuse its old name for a fresh one.
+		defined := m.Defined()
+		renamed, donor := defined[0], defined[1]
+		oldName := renamed.Name()
+		renamed.SetName(oldName + ".renamed")
+		if err := s.Update(context.Background(), renamed.Name()); err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := ir.CloneFunction(donor, oldName)
+		m.AddFunc(fresh)
+		if err := s.Update(context.Background(), oldName); err != nil {
+			t.Fatal(err)
+		}
+		mFresh := ir.CloneModule(m)
+		inc, err := sizedRun(t, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratchSess, err := OpenSession(context.Background(), mFresh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer scratchSess.Close()
+		scratch, err := sizedRun(t, scratchSess, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMerges(t, scratch, inc)
+		if a, b := mFresh.String(), m.String(); a != b {
+			t.Error("incremental module text diverges from the from-scratch module after a rename")
+		}
+	})
 }
 
 // TestSessionRemoveEquivalence: deleting a function and reporting it

@@ -36,10 +36,12 @@ import (
 
 // SnapshotVersion is the current snapshot format version; snapshots
 // recording any other version are rejected, and the caller cold-opens
-// (a snapshot is a cache). Version 2 added the canonical-view guard
-// (Snapshot.Canon) and per-function canonical hashes
-// (SnapshotFunc.CanonHash); version 3 dropped the per-function minhash
-// band keys along with the sketch they belonged to.
+// (a snapshot is a cache). Version 2 added canonical-view indexing's
+// guard (Snapshot.Canon) and per-function hashes; version 3 dropped the
+// per-function minhash band keys along with the sketch they belonged
+// to. Canonical-view indexing has since left the pipeline without a
+// version bump: a version-3 snapshot taken without it restores as
+// before, and one taken with it is rejected by the guard.
 const SnapshotVersion = 3
 
 // Snapshot is the serializable index state of a Session. It round-trips
@@ -56,11 +58,10 @@ type Snapshot struct {
 	DupFold   bool   `json:"dup_fold"`
 	MaxFamily int    `json:"max_family"`
 	MinInstrs int    `json:"min_instrs"`
-	// Canon names the canonicalization pipeline the indexes were computed
-	// under ("" when canon was off). Fingerprints and canonical
-	// hashes from one pipeline must never seed a session running another:
-	// the two hash spaces are unrelated, so a mismatch is a hard
-	// rejection, not a per-function drift.
+	// Canon is the canonicalization pipeline a snapshot of an older
+	// build was taken under. Its indexes were computed over canonical
+	// views, which this build no longer has, so any non-empty value
+	// rejects the snapshot. It is never written.
 	Canon string `json:"canon,omitempty"`
 
 	Funcs []SnapshotFunc `json:"funcs"`
@@ -81,11 +82,6 @@ type SnapshotFunc struct {
 	// Ops is the sparse opcode-count vector: flattened (opcode, count)
 	// pairs, ascending by opcode.
 	Ops []int32 `json:"ops"`
-	// CanonHash is the structural hash of the function's canonical view
-	// (0 when canon was off). A warm restart primes the session's lens
-	// with it so duplicate-fold bucketing works without building a single
-	// view; views are then only materialized inside hash-equal buckets.
-	CanonHash uint64 `json:"canon_hash,string,omitempty"`
 }
 
 // fnv1a64 matches the search package's FNV-1a parameters.
@@ -172,7 +168,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		DupFold:   s.cfg.DupFold,
 		MaxFamily: s.cfg.MaxFamily,
 		MinInstrs: s.cfg.MinInstrs,
-		Canon:     s.cfg.Canon.String(),
 	}
 	idx := search.Export(s.finder)
 	pos := make(map[*ir.Function]int, len(idx))
@@ -186,9 +181,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 			Hash:   search.HashFunction(f),
 			Blocks: fp.Blocks,
 			Size:   fp.Size,
-		}
-		if s.lens != nil {
-			entry.CanonHash = s.lens.Hash(f)
 		}
 		for op, c := range fp.OpCount {
 			if c != 0 {
@@ -231,13 +223,16 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 }
 
 // validateSnapshot checks the parts of a snapshot that do not depend on
-// the module: version, checksum and the config guard.
+// the module: version, the canon guard, checksum and the config guard.
 func validateSnapshot(snap *Snapshot, cfg Config) error {
 	if snap == nil {
 		return fmt.Errorf("driver: nil snapshot")
 	}
 	if snap.Version != SnapshotVersion {
 		return fmt.Errorf("driver: snapshot version %d, want %d", snap.Version, SnapshotVersion)
+	}
+	if snap.Canon != "" {
+		return fmt.Errorf("driver: snapshot was indexed through canonical views (%q), which this build does not support", snap.Canon)
 	}
 	sum, err := snap.checksum()
 	if err != nil {
@@ -257,8 +252,6 @@ func validateSnapshot(snap *Snapshot, cfg Config) error {
 		return fmt.Errorf("driver: snapshot max-family %d, session %d", snap.MaxFamily, cfg.MaxFamily)
 	case snap.MinInstrs != cfg.MinInstrs:
 		return fmt.Errorf("driver: snapshot min-instrs %d, session %d", snap.MinInstrs, cfg.MinInstrs)
-	case snap.Canon != cfg.Canon.String():
-		return fmt.Errorf("driver: snapshot canon pipeline %q, session %q", snap.Canon, cfg.Canon.String())
 	}
 	return nil
 }
@@ -330,14 +323,8 @@ func (s *Session) buildIndexesFrom(snap *Snapshot) {
 		}
 		matched[i] = f
 		prior[f] = fp
-		if s.lens != nil && sf.CanonHash != 0 {
-			// The original body is hash-identical to snapshot time, so the
-			// recorded canonical hash is still its view's hash: prime it and
-			// the warm restart builds zero views up front.
-			s.lens.Prime(f, sf.CanonHash)
-		}
 	}
-	s.finder = search.Restore(candidates, s.bodySource(), prior)
+	s.finder = search.Restore(candidates, prior)
 	for _, pair := range snap.Outcomes {
 		i1, i2 := pair[0], pair[1]
 		if i1 < 0 || i1 >= len(matched) || i2 < 0 || i2 >= len(matched) {

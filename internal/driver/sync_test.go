@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/canon"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/irtext"
@@ -25,17 +24,12 @@ func funcNames(fs []*ir.Function) []string {
 }
 
 // checkFinderFresh holds the session's finder to a fresh index over the
-// current candidates, built through a fresh lens when canon is on: for
-// every candidate, the top-t lists must agree element for element. It
-// returns how many non-empty lists it compared.
+// current candidates: for every candidate, the top-t lists must agree
+// element for element. It returns how many non-empty lists it compared.
 func checkFinderFresh(t *testing.T, s *Session, when string) int {
 	t.Helper()
 	cands := s.candidateOrder()
-	var view search.BodySource
-	if lens := canon.NewLens(s.cfg.Canon, search.HashFunction); lens != nil {
-		view = lens
-	}
-	fresh := search.NewIndexed(cands, view)
+	fresh := search.New(search.KindLSH, cands)
 	compared := 0
 	for _, f := range cands {
 		got, want := s.finder.Candidates(f, s.cfg.Threshold), fresh.Candidates(f, s.cfg.Threshold)
@@ -63,15 +57,11 @@ func checkFinderFresh(t *testing.T, s *Session, when string) int {
 func TestFinderExactAfterSync(t *testing.T) {
 	type variant struct {
 		threshold int
-		canon     bool
 		pairs     bool
 	}
-	variants := []variant{
-		{1, false, false}, {3, false, false}, {8, false, false},
-		{3, true, false}, {3, false, true},
-	}
+	variants := []variant{{1, false}, {3, false}, {8, false}, {3, true}}
 	for _, v := range variants {
-		name := fmt.Sprintf("t=%d/canon=%v", v.threshold, v.canon)
+		name := fmt.Sprintf("t=%d", v.threshold)
 		if v.pairs {
 			name += "/pairs"
 		}
@@ -86,9 +76,6 @@ func TestFinderExactAfterSync(t *testing.T) {
 			}
 			if v.pairs {
 				cfg.DupFold, cfg.MaxFamily = false, 0
-			}
-			if v.canon {
-				cfg.Canon = canon.Default()
 			}
 			s, err := OpenSession(ctx, m, cfg)
 			if err != nil {

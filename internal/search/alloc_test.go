@@ -20,7 +20,7 @@ func TestCandidatesAllocatesOnlyTheList(t *testing.T) {
 		CloneFrac: 0.4, FamilySize: 4, MutRate: 0.05,
 		Loops: 0.4, Switches: 0.3,
 	}).Defined()
-	ix := NewIndexed(funcs, nil)
+	ix := New(KindLSH, funcs)
 	for _, topT := range []int{1, 5, 16} {
 		for _, f := range funcs[:20] {
 			if len(ix.Candidates(f, topT)) == 0 {

@@ -45,12 +45,9 @@ func sameList(t testing.TB, want, got Finder, f *ir.Function, topT int, label st
 // stream of mutations over a fixed pool of functions — the op alphabet
 // the mutation storm and FuzzFinderOps share.
 type finderOps struct {
-	t    testing.TB
-	pool []*ir.Function
-	// view is the lens both finders index through; an edit points a
-	// function at another's body.
-	view       editView
-	fps        []fingerprint.Fingerprint // pool[i]'s, through view
+	t          testing.TB
+	pool       []*ir.Function
+	fps        []fingerprint.Fingerprint // pool[i]'s
 	thresholds []int
 	live       []bool
 	nLive      int
@@ -58,17 +55,6 @@ type finderOps struct {
 	renames    int
 	spec       *specFinder
 	index      *Index
-}
-
-// editView is a BodySource that stands in for body edits: f is indexed
-// as the body it maps to, or as itself.
-type editView map[*ir.Function]*ir.Function
-
-func (v editView) IndexBody(f *ir.Function) *ir.Function {
-	if body, ok := v[f]; ok {
-		return body
-	}
-	return f
 }
 
 var (
@@ -81,7 +67,7 @@ var (
 // newFinderOps indexes the first indexed functions of pool in both
 // finders; the rest are a reserve the ops may add later.
 func newFinderOps(t testing.TB, pool []*ir.Function, indexed int, thresholds []int) *finderOps {
-	o := &finderOps{t: t, pool: pool, view: editView{}, thresholds: thresholds,
+	o := &finderOps{t: t, pool: pool, thresholds: thresholds,
 		live: make([]bool, len(pool)), nLive: indexed, peakLive: indexed}
 	for i := 0; i < indexed; i++ {
 		o.live[i] = true
@@ -89,8 +75,8 @@ func newFinderOps(t testing.TB, pool []*ir.Function, indexed int, thresholds []i
 	for _, f := range pool {
 		o.fps = append(o.fps, *fingerprint.New(f))
 	}
-	o.spec = newSpec(pool[:indexed], o.view)
-	o.index = newIndex(pool[:indexed], o.view, nil)
+	o.spec = newSpec(pool[:indexed])
+	o.index = newIndex(pool[:indexed], nil)
 	return o
 }
 
@@ -135,6 +121,19 @@ func (o *finderOps) add(batch bool, is ...int) {
 	}
 }
 
+// edit rewrites f's body into a copy of the first pool function from
+// pool[b] on that shares f's signature (f's own body when none does).
+func (o *finderOps) edit(f *ir.Function, b int) {
+	for k := range o.pool {
+		donor := o.pool[(b+k)%len(o.pool)]
+		if donor != f && ir.TypesEqual(donor.Sig(), f.Sig()) {
+			f.Clear()
+			ir.CloneFunctionInto(f, donor)
+			return
+		}
+	}
+}
+
 func (o *finderOps) setLive(i int, live bool) {
 	if o.live[i] != live {
 		o.live[i] = live
@@ -154,8 +153,9 @@ const numFinderOps = 10
 // eight functions starting there, empty pool[a]'s cell, refill it in one
 // batch, rename its first member to sort last, Add pool[a] and then
 // batch it again with its cell (twice over, a duplicate entry) before
-// one more Add, or edit pool[a] into pool[b]'s body and re-index it —
-// in one batch with the cell it leaves, or alone.
+// one more Add, or rewrite pool[a]'s body into a copy of another's
+// (edit) and re-index it — in one batch with the cell it leaves, or
+// alone.
 func (o *finderOps) apply(kind, a, b int) {
 	a %= len(o.pool)
 	f := o.pool[a]
@@ -201,8 +201,8 @@ func (o *finderOps) apply(kind, a, b int) {
 		o.add(false, cell[b%len(cell)])
 	case 8, 9:
 		left := o.cellOf(a)
-		o.view[f] = o.pool[b%len(o.pool)]
-		o.fps[a] = *fingerprint.New(o.view.IndexBody(f))
+		o.edit(f, b)
+		o.fps[a] = *fingerprint.New(f)
 		if kind%numFinderOps == 8 {
 			o.add(true, left...)
 		} else {
@@ -278,11 +278,7 @@ func (l *Index) checkCells() error {
 		if l.slotOf[f] != int32(slot) {
 			return fmt.Errorf("slot %d holds @%s, which slotOf places in %d", slot, f.Name(), l.slotOf[f])
 		}
-		body := f
-		if l.view != nil {
-			body = l.view.IndexBody(f)
-		}
-		if fp := fingerprint.New(body); l.cells[c].fp != *fp {
+		if fp := fingerprint.New(f); l.cells[c].fp != *fp {
 			return fmt.Errorf("@%s sits in a cell of another fingerprint", f.Name())
 		}
 		members[c] = append(members[c], int32(slot))
@@ -446,7 +442,7 @@ func TestLSHOrderIndependent(t *testing.T) {
 	})
 	// Incremental, in another order, with a detour that scrambles the
 	// slot numbering: index a third, drop every other one, add the rest.
-	incr := newIndex(nil, nil, nil)
+	incr := newIndex(nil, nil)
 	for _, f := range shuffled[:n/3] {
 		incr.Add(f)
 	}
@@ -457,8 +453,8 @@ func TestLSHOrderIndependent(t *testing.T) {
 		incr.Add(f)
 	}
 
-	for _, other := range []*Index{newIndex(shuffled, nil, nil), incr} {
-		ref := newIndex(funcs, nil, nil)
+	for _, other := range []*Index{newIndex(shuffled, nil), incr} {
+		ref := newIndex(funcs, nil)
 		for _, topT := range diffThresholds {
 			sameLists(t, ref, other, topT, 1, "insertion order")
 		}
@@ -475,7 +471,7 @@ func TestLSHOrderIndependent(t *testing.T) {
 // and beside a writer. Meant for -race.
 func TestLSHConcurrentQueries(t *testing.T) {
 	funcs := tinyCorpus(300)
-	l := newIndex(funcs, nil, nil)
+	l := newIndex(funcs, nil)
 	want := make([][]*ir.Function, len(funcs))
 	for i, f := range funcs {
 		want[i] = l.Candidates(f, 5)
@@ -548,10 +544,10 @@ func TestAddBatchMatchesSequential(t *testing.T) {
 	funcs := batchCorpus(t)
 	split := len(funcs) * 3 / 4
 	base, extra := funcs[:split], funcs[split:]
-	batch := newIndex(base, nil, nil)
+	batch := newIndex(base, nil)
 	batch.AddBatch(extra)
 	t.Run("exact", func(t *testing.T) {
-		spec := newSpec(base, nil)
+		spec := newSpec(base)
 		spec.AddBatch(extra)
 		if !slices.Equal(spec.Order(), batch.Order()) {
 			t.Fatal("order after the batch differs from the specification's")
@@ -559,7 +555,7 @@ func TestAddBatchMatchesSequential(t *testing.T) {
 		sameLists(t, spec, batch, 2, 7, "batch against the specification")
 	})
 	t.Run("lsh", func(t *testing.T) {
-		seq := newIndex(base, nil, nil)
+		seq := newIndex(base, nil)
 		for _, f := range extra {
 			seq.Add(f)
 		}

@@ -94,15 +94,13 @@ func equalInstr(f, g *ir.Function, corr map[ir.Value]ir.Value, a, b *ir.Instruct
 // first. Families and members keep the order of funcs, so the result is
 // deterministic.
 func Families(funcs []*ir.Function) [][]*ir.Function {
-	return FamiliesBy(funcs, HashFunction, EqualFunctions)
+	return FamiliesBy(funcs, HashFunction)
 }
 
-// FamiliesBy is Families under a caller-chosen equivalence: hashOf
-// buckets, eq verifies. Canonical-view sessions pass the view hash and a
-// GVN-congruence + interp check, widening folding from syntactic
-// identity to semantic duplicates while the bucket-and-peel structure —
-// and therefore determinism — stays identical.
-func FamiliesBy(funcs []*ir.Function, hashOf func(*ir.Function) uint64, eq func(a, b *ir.Function) bool) [][]*ir.Function {
+// FamiliesBy is Families bucketing by a caller-supplied hashOf, which
+// must return HashFunction's value (the driver passes its per-session
+// memo of it). Verification is always EqualFunctions.
+func FamiliesBy(funcs []*ir.Function, hashOf func(*ir.Function) uint64) [][]*ir.Function {
 	buckets := make(map[uint64][]*ir.Function, len(funcs))
 	var order []uint64
 	for _, f := range funcs {
@@ -125,7 +123,7 @@ func FamiliesBy(funcs []*ir.Function, hashOf func(*ir.Function) uint64, eq func(
 			fam := []*ir.Function{rep}
 			rest := bucket[:0:0]
 			for _, f := range bucket[1:] {
-				if eq(rep, f) {
+				if EqualFunctions(rep, f) {
 					fam = append(fam, f)
 				} else {
 					rest = append(rest, f)

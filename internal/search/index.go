@@ -44,11 +44,6 @@ import (
 //     between two projections never exceeds the distance between the
 //     fingerprints. projDistance computes it for all eight lanes at once.
 type Index struct {
-	// view, when non-nil, resolves the body actually fingerprinted for
-	// each function (see NewIndexed); identity, ordering and removal
-	// stay keyed by the original function.
-	view BodySource
-
 	mu     sync.RWMutex
 	slotOf map[*ir.Function]int32
 	funcs  []*ir.Function // slot -> function; nil while the slot is free
@@ -150,12 +145,11 @@ func fpHash(fp *fingerprint.Fingerprint) uint64 {
 	return h
 }
 
-// newIndex is the bulk constructor behind New, NewIndexed and Restore:
-// functions covered by prior adopt their fingerprint, everything else
-// is fingerprinted (through the view lens when one is set) and counted
-// in Stats.Built.
-func newIndex(funcs []*ir.Function, view BodySource, prior map[*ir.Function]*fingerprint.Fingerprint) *Index {
-	l := &Index{view: view, slotOf: make(map[*ir.Function]int32, len(funcs)), byHash: map[uint64]int32{}}
+// newIndex is the bulk constructor behind New and Restore: functions
+// covered by prior adopt their fingerprint, everything else is
+// fingerprinted and counted in Stats.Built.
+func newIndex(funcs []*ir.Function, prior map[*ir.Function]*fingerprint.Fingerprint) *Index {
+	l := &Index{slotOf: make(map[*ir.Function]int32, len(funcs)), byHash: map[uint64]int32{}}
 	for _, f := range funcs {
 		if f.IsDecl() {
 			continue
@@ -188,11 +182,7 @@ func (l *Index) export() map[*ir.Function]*fingerprint.Fingerprint {
 // links the slot into its new one.
 func (l *Index) indexLocked(f *ir.Function, fp *fingerprint.Fingerprint) int32 {
 	if fp == nil {
-		body := f
-		if l.view != nil {
-			body = l.view.IndexBody(f)
-		}
-		fp = fingerprint.New(body)
+		fp = fingerprint.New(f)
 		l.built++
 	}
 	slot, ok := l.slotOf[f]

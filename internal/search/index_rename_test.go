@@ -20,7 +20,7 @@ func TestLSHRenameReindex(t *testing.T) {
 		CloneFrac: 0.8, FamilySize: 3, MutRate: 0, Loops: 0.4,
 	})
 	funcs := m.Defined()
-	l := newIndex(funcs, nil, nil)
+	l := newIndex(funcs, nil)
 	n := l.Stats().Indexed
 	before := make(map[*ir.Function][]*ir.Function, n)
 	for _, g := range funcs {
@@ -48,7 +48,7 @@ func TestLSHRenameReindex(t *testing.T) {
 	if got := len(l.Order()); got != n {
 		t.Fatalf("Order has %d entries for %d functions (stale duplicate)", got, n)
 	}
-	sameLists(t, newSpec(funcs, nil), l, 3, 1, "after rename and re-add")
+	sameLists(t, newSpec(funcs), l, 3, 1, "after rename and re-add")
 
 	// Rename again and remove without re-indexing: the slot table, not
 	// the live name, locates the entry.
@@ -57,7 +57,7 @@ func TestLSHRenameReindex(t *testing.T) {
 	if got := l.Stats().Indexed; got != n-1 {
 		t.Fatalf("remove after rename: index count %d, want %d", got, n-1)
 	}
-	spec := newSpec(funcs, nil)
+	spec := newSpec(funcs)
 	spec.Remove(f)
 	sameLists(t, spec, l, 3, 1, "after rename and remove")
 	for _, g := range l.Order() {

@@ -109,26 +109,7 @@ func (k Kind) String() string {
 // New builds the Finder over funcs (declarations are ignored). Every
 // kind builds the Index.
 func New(_ Kind, funcs []*ir.Function) Finder {
-	return NewIndexed(funcs, nil)
-}
-
-// BodySource resolves the body a finder actually indexes for a
-// function — the canonical-view lens. IndexBody(f) must be
-// deterministic for an unchanged f; the driver's canon.Lens implements
-// it by memoizing canonical views. A nil BodySource indexes original
-// bodies.
-type BodySource interface {
-	IndexBody(f *ir.Function) *ir.Function
-}
-
-// NewIndexed is New with an optional BodySource: fingerprints are
-// computed over view.IndexBody(f) while candidate identity, ordering
-// and removal stay keyed by the original f. This is how canonical-view
-// sessions make reducible noise (redundant memory traffic, unfolded
-// constants, commuted operands, spurious blocks) invisible to
-// discovery.
-func NewIndexed(funcs []*ir.Function, view BodySource) Finder {
-	return Restore(funcs, view, nil)
+	return newIndex(funcs, nil)
 }
 
 // Export returns the fingerprint f holds for each indexed function —
@@ -141,13 +122,11 @@ func Export(f Finder) map[*ir.Function]*fingerprint.Fingerprint {
 	return nil
 }
 
-// Restore is NewIndexed adopting the fingerprints in prior instead of
+// Restore is New adopting the fingerprints in prior instead of
 // recomputing them; functions without a prior entry are indexed from
 // scratch and counted in Stats.Built. The caller is responsible for
 // only passing prior entries that still describe the function's current
-// body under the same lens configuration — the driver checks structural
-// hashes, and its snapshot carries the canon config as a guard, before
-// trusting one.
-func Restore(funcs []*ir.Function, view BodySource, prior map[*ir.Function]*fingerprint.Fingerprint) Finder {
-	return newIndex(funcs, view, prior)
+// body — the driver checks structural hashes before trusting one.
+func Restore(funcs []*ir.Function, prior map[*ir.Function]*fingerprint.Fingerprint) Finder {
+	return newIndex(funcs, prior)
 }

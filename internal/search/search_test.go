@@ -255,7 +255,7 @@ func TestFinderContract(t *testing.T) {
 	}{
 		// The symmetry contract on the specification, then on the Index.
 		{"exact", func(t *testing.T) {
-			finderSymmetry(t, func(funcs []*ir.Function) Finder { return newSpec(funcs, nil) })
+			finderSymmetry(t, func(funcs []*ir.Function) Finder { return newSpec(funcs) })
 		}},
 		{"lsh", func(t *testing.T) {
 			finderSymmetry(t, func(funcs []*ir.Function) Finder { return New(KindLSH, funcs) })
@@ -324,7 +324,7 @@ func TestFinderContract(t *testing.T) {
 				CloneFrac: 0.6, FamilySize: 5, MutRate: 0.02,
 				Loops: 0.4, Switches: 0.3,
 			}).Defined()
-			fd, spec := New(KindLSH, funcs), newSpec(funcs, nil)
+			fd, spec := New(KindLSH, funcs), newSpec(funcs)
 			ties := 0
 			check := func() {
 				for _, f := range funcs {

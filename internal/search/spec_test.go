@@ -18,7 +18,6 @@ import (
 // pruned, bucketed or kept sorted between calls. It is not safe for
 // concurrent use.
 type specFinder struct {
-	view      BodySource
 	entries   map[*ir.Function]specEntry
 	queries   int
 	queryTime time.Duration
@@ -29,10 +28,9 @@ type specEntry struct {
 	name string
 }
 
-// newSpec indexes every defined function of funcs through view (nil
-// indexes the functions themselves).
-func newSpec(funcs []*ir.Function, view BodySource) *specFinder {
-	s := &specFinder{view: view, entries: map[*ir.Function]specEntry{}}
+// newSpec indexes every defined function of funcs.
+func newSpec(funcs []*ir.Function) *specFinder {
+	s := &specFinder{entries: map[*ir.Function]specEntry{}}
 	s.AddBatch(funcs)
 	return s
 }
@@ -41,11 +39,7 @@ func (s *specFinder) Add(f *ir.Function) {
 	if f.IsDecl() {
 		return
 	}
-	body := f
-	if s.view != nil {
-		body = s.view.IndexBody(f)
-	}
-	s.entries[f] = specEntry{fp: *fingerprint.New(body), name: f.Name()}
+	s.entries[f] = specEntry{fp: *fingerprint.New(f), name: f.Name()}
 }
 
 func (s *specFinder) AddBatch(fs []*ir.Function) {

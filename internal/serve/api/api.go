@@ -25,11 +25,9 @@ type CreateSession struct {
 	// select the one candidate finder, so the field changes nothing.
 	Finder  string `json:"finder,omitempty"`
 	DupFold bool   `json:"dup_fold,omitempty"`
-	// Canon indexes the session's functions through canonical views
-	// (normalization + GVN): near-clone noise becomes invisible to
-	// candidate search and DupFold widens to semantic duplicates. A
-	// session's snapshots record the canon pipeline, so a warm restart
-	// must request the same Canon value or the restore is rejected.
+	// Canon is accepted and ignored: canonical-view indexing has left
+	// the engine, and clients that recreate a session by name still
+	// send the field. Every session indexes the original bodies.
 	Canon     bool `json:"canon,omitempty"`
 	MaxFamily int  `json:"max_family,omitempty"`
 	MinInstrs int  `json:"min_instrs,omitempty"`

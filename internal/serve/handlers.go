@@ -209,7 +209,6 @@ func buildOptimizer(req *api.CreateSession) (*repro.Optimizer, error) {
 	// rejects a negative value.
 	opts = append(opts, repro.WithParallelism(req.Parallelism))
 	opts = append(opts, repro.WithDupFold(req.DupFold))
-	opts = append(opts, repro.WithCanon(req.Canon))
 	return repro.New(opts...)
 }
 

@@ -144,9 +144,10 @@ func TestServeDifferential(t *testing.T) {
 }
 
 // TestServeLegacyCreateFields: the wire CreateSession lost "shards" and
-// "commit_parallelism" and ignores "parallelism", but clients written
-// against the old contract still send them — notably when they recreate
-// a session by name so a journal the previous daemon wrote replays. The
+// "commit_parallelism" and ignores "parallelism" and "canon", but
+// clients written against the old contract still send them — notably
+// when they recreate a session by name so a journal the previous daemon
+// wrote replays. The
 // body must be accepted, the fields ignored, and the recovered state
 // must be what was journaled.
 func TestServeLegacyCreateFields(t *testing.T) {
@@ -157,7 +158,7 @@ func TestServeLegacyCreateFields(t *testing.T) {
 		t.Helper()
 		body, err := json.Marshal(map[string]any{
 			"name": "legacy", "module": module, "threshold": 2, "dup_fold": true,
-			"parallelism": 4, "shards": 3, "commit_parallelism": 2,
+			"parallelism": 4, "shards": 3, "commit_parallelism": 2, "canon": true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -457,10 +458,12 @@ func TestServeWarmRestart(t *testing.T) {
 	}
 }
 
-// TestServeOldSnapshotColdOpens: an index snapshot of the previous
-// format version on disk (version 2 carried LSH band keys) is a stale
-// cache, not an error — recreating the session restores the module
-// text, rejects the snapshot and rebuilds the index cold.
+// TestServeOldSnapshotColdOpens: an index snapshot an older build wrote
+// and this one cannot use is a stale cache, not an error — recreating
+// the session restores the module text, rejects the snapshot and
+// rebuilds the index cold. Two such snapshots: one of the previous
+// format version (version 2 carried LSH band keys), and one indexed
+// through canonical views, which this build no longer has.
 func TestServeOldSnapshotColdOpens(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -483,44 +486,53 @@ func TestServeOldSnapshotColdOpens(t *testing.T) {
 	}
 
 	path := filepath.Join(dir, "old-snap.snap.json")
-	data, err := os.ReadFile(path)
+	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap repro.SessionSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.Version = 2
-	if err := snap.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if data, err = json.Marshal(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	create.Module = ""
-	sc2, err := c.CreateSession(ctx, create)
-	if err != nil {
-		t.Fatalf("recreate over a version-2 snapshot: %v", err)
-	}
-	info := sc2.CreateInfo()
-	if info.Warm {
-		t.Fatal("version-2 snapshot accepted as warm")
-	}
-	if info.Built == 0 {
-		t.Fatal("cold open built no index entries")
-	}
-	plan, err := sc2.Plan(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Merges) != len(coldPlan.Merges) || len(plan.Folds) != len(coldPlan.Folds) {
-		t.Fatalf("plan after fallback %d merges/%d folds, want %d/%d",
-			len(plan.Merges), len(plan.Folds), len(coldPlan.Merges), len(coldPlan.Folds))
+	for name, stale := range map[string]func(*repro.SessionSnapshot){
+		"version-2": func(s *repro.SessionSnapshot) { s.Version = 2 },
+		"canon":     func(s *repro.SessionSnapshot) { s.Canon = "mem2reg+simplify+normalize+gvn" },
+	} {
+		var snap repro.SessionSnapshot
+		if err := json.Unmarshal(orig, &snap); err != nil {
+			t.Fatal(err)
+		}
+		stale(&snap)
+		if err := snap.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		sc2, err := c.CreateSession(ctx, create)
+		if err != nil {
+			t.Fatalf("recreate over a %s snapshot: %v", name, err)
+		}
+		info := sc2.CreateInfo()
+		if info.Warm {
+			t.Fatalf("%s snapshot accepted as warm", name)
+		}
+		if info.Built == 0 {
+			t.Fatalf("%s: cold open built no index entries", name)
+		}
+		plan, err := sc2.Plan(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Merges) != len(coldPlan.Merges) || len(plan.Folds) != len(coldPlan.Folds) {
+			t.Fatalf("%s: plan after fallback %d merges/%d folds, want %d/%d", name,
+				len(plan.Merges), len(plan.Folds), len(coldPlan.Merges), len(coldPlan.Folds))
+		}
+		if err := sc2.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

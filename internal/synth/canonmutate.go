@@ -218,12 +218,12 @@ func noiseDeadBlocks(rng *rand.Rand, f *ir.Function, rate float64) int {
 	return n
 }
 
-// CanonSuite generates the mutated-clone benchmark corpus for canon
-// recall measurement: the standard suite shape with exact clone families
-// (MutRate 0), then independent semantics-preserving CanonNoise on every
+// CanonSuite generates a noise-mutated suite for the transform and canon
+// tests: the standard suite shape with exact clone families (MutRate
+// 0), then independent semantics-preserving CanonNoise on every
 // function. Family members are behaviorally identical but structurally
-// divergent, so the recall recovered by canonical-view indexing is
-// exactly the duplicate structure the noise hid.
+// divergent, and the noise plants exactly the shapes the clean-up and
+// canonicalization passes rewrite.
 func CanonSuite(funcs int, seed int64) *ir.Module {
 	p := SuiteProfile(funcs, seed)
 	p.Name = "canon"

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/transform"
@@ -40,7 +39,6 @@ type Optimizer struct {
 	skipHot     map[string]bool
 	finder      FinderKind
 	dupFold     bool
-	canon       bool
 	maxFamily   int
 	progress    func(Progress)
 }
@@ -235,25 +233,6 @@ func WithDupFold(on bool) Option {
 	}
 }
 
-// WithCanon indexes every function through a private *canonical view*
-// (default off): a clone normalized by register promotion, CFG
-// simplification, constant folding, operand-order normalization and
-// global value numbering. Candidate search — fingerprints, sketches,
-// duplicate-fold hashes — then sees through reducible noise between
-// near-clones (redundant memory traffic, unfolded constants, commuted
-// operands, spurious blocks), and duplicate folding (WithDupFold) widens
-// from syntactic identity to canonical congruence, with each
-// non-syntactic fold verified by an interpreter differential before it
-// commits. Merges and folds still rewrite the original bodies; views
-// never appear in the module. With canon off the pipeline is
-// bit-for-bit the historical one. FMSA runs ignore the option.
-func WithCanon(on bool) Option {
-	return func(o *Optimizer) error {
-		o.canon = on
-		return nil
-	}
-}
-
 // WithProgress installs an observer for pipeline events: one per
 // profitable merge a run records. Calls are serialized, even across
 // concurrent Optimize calls sharing the Optimizer. A nil fn disables
@@ -286,9 +265,6 @@ func (o *Optimizer) Finder() FinderKind { return o.finder }
 // DupFold reports whether duplicate folding is enabled.
 func (o *Optimizer) DupFold() bool { return o.dupFold }
 
-// Canon reports whether canonical-view indexing is enabled.
-func (o *Optimizer) Canon() bool { return o.canon }
-
 // MaxFamily returns the configured merge-family bound.
 func (o *Optimizer) MaxFamily() int { return o.maxFamily }
 
@@ -296,7 +272,7 @@ func (o *Optimizer) MaxFamily() int { return o.maxFamily }
 // not copied: the driver only reads it, and the Optimizer is immutable
 // after New.
 func (o *Optimizer) config() driver.Config {
-	cfg := driver.Config{
+	return driver.Config{
 		Algorithm:   o.algorithm,
 		Threshold:   o.threshold,
 		Target:      o.target,
@@ -308,10 +284,6 @@ func (o *Optimizer) config() driver.Config {
 		MaxFamily:   o.maxFamily,
 		Progress:    o.progress,
 	}
-	if o.canon {
-		cfg.Canon = canon.Default()
-	}
-	return cfg
 }
 
 // Optimize runs function merging over m in place and returns the report

@@ -7,7 +7,7 @@
 //   - ParseModule / FormatModule: the textual IR (an LLVM-like dialect);
 //   - New + Option (WithAlgorithm, WithThreshold, WithTarget,
 //     WithLinearAlign, WithMaxCells, WithMinInstrs, WithSkipHot,
-//     WithFinder, WithDupFold, WithCanon, WithMaxFamily, WithProgress;
+//     WithFinder, WithDupFold, WithMaxFamily, WithProgress;
 //     WithParallelism is accepted and ignored): build a reusable,
 //     concurrency-safe Optimizer;
 //   - (*Optimizer).Optimize: the whole-module pipeline — candidate

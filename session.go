@@ -211,8 +211,7 @@ func (s *Session) Remove(ctx context.Context, names ...string) error {
 
 // UpdateBatch applies one coherent delta — changed (or added) function
 // names plus removed names — in a single re-index pass: one finder
-// batch insert, one canonical-view invalidation set, where n
-// sequential Update/Remove calls would pay n. The resulting session
+// batch insert, where n sequential Update/Remove calls would pay n. The resulting session
 // state (and every later merge decision) is identical to the
 // sequential calls. The whole batch is validated first: an unknown
 // name fails with ErrUnknownFunction, a name in both lists with
