@@ -52,14 +52,6 @@ func BenchmarkAblationFMSA(b *testing.B) {
 	runAblation(b, driver.Config{Algorithm: driver.FMSA, Threshold: 1, Target: costmodel.X86_64})
 }
 
-// BenchmarkAblationLinearAlign swaps in Hirschberg linear-space
-// alignment (same reductions, tiny peak memory, roughly double the
-// alignment time).
-func BenchmarkAblationLinearAlign(b *testing.B) {
-	runAblation(b, driver.Config{Algorithm: driver.SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		LinearAlign: true})
-}
-
 // BenchmarkAblationThreshold5 raises the exploration threshold.
 func BenchmarkAblationThreshold5(b *testing.B) {
 	runAblation(b, driver.Config{Algorithm: driver.SalSSA, Threshold: 5, Target: costmodel.X86_64})

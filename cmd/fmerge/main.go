@@ -3,7 +3,7 @@
 // Usage:
 //
 //	fmerge [-algo salssa|salssa-nopc|fmsa] [-t N] [-target x86-64|thumb]
-//	       [-linear-align] [-max-cells N] [-min-instrs N]
+//	       [-max-cells N] [-min-instrs N]
 //	       [-skip-hot f1,f2,...] [-dup-fold]
 //	       [-max-family N] [-rounds N]
 //	       [-cpuprofile f] [-memprofile f]
@@ -40,10 +40,9 @@
 //
 //	-t N            exploration threshold: ranked candidates tried per
 //	                function (paper uses 1, 5, 10)
-//	-linear-align   Hirschberg linear-space alignment: same merges in
-//	                O(n+m) memory for roughly twice the time
 //	-max-cells N    skip pairs whose alignment matrix would exceed N
-//	                cells (0 = unlimited)
+//	                cells (0 = unlimited): the guard against an
+//	                unrelated giant pair that clears the screen
 //	-min-instrs N   ignore functions smaller than N instructions
 //	-skip-hot list  comma-separated functions excluded from merging
 //	                (the paper's §5.7 hot-path remedy)
@@ -118,7 +117,6 @@ func main() {
 	algo := flag.String("algo", "salssa", "merging algorithm: salssa, salssa-nopc or fmsa")
 	threshold := flag.Int("t", 1, "exploration threshold (candidates tried per function)")
 	target := flag.String("target", "x86-64", "size-model target: x86-64 or thumb")
-	linearAlign := flag.Bool("linear-align", false, "use Hirschberg linear-space alignment")
 	maxCells := flag.Int64("max-cells", 0, "skip pairs whose alignment matrix exceeds N cells (0 = unlimited)")
 	minInstrs := flag.Int("min-instrs", 0, "ignore functions smaller than N instructions")
 	skipHot := flag.String("skip-hot", "", "comma-separated functions excluded from merging")
@@ -203,7 +201,6 @@ func main() {
 		repro.WithAlgorithm(alg),
 		repro.WithThreshold(*threshold),
 		repro.WithTarget(tgt),
-		repro.WithLinearAlign(*linearAlign),
 		repro.WithMaxCells(*maxCells),
 		repro.WithMinInstrs(*minInstrs),
 		repro.WithDupFold(*dupFold),

@@ -180,24 +180,20 @@ type Options struct {
 	// matched entries).
 	GapPenalty int32
 	// MaxCells caps the DP matrix size; alignments needing more cells
-	// fail with ErrTooLarge. Zero means no cap.
+	// fail with ErrTooLarge. Zero means no cap. The kernel fills only the
+	// band a similar pair needs, and the driver screens unrelated pairs
+	// before any DP, so the cap matters for one case: an unrelated giant
+	// pair that clears the screen, whose band is the whole matrix.
 	MaxCells int64
-	// Linear selects Hirschberg's divide-and-conquer alignment: the same
-	// optimal score in O(n+m) memory for roughly twice the cells. The
-	// default kernel already spends time and memory only on the band a
-	// similar pair needs; Linear is what keeps an unrelated giant pair,
-	// whose band is the whole matrix, in O(n+m) as well. An extension
-	// beyond the paper, which uses the quadratic DP.
-	Linear bool
 	// MinScore, when positive, floors the useful alignment score: an
 	// alignment whose optimum is below it fails with ErrBelowBound, and
-	// the solvers use the floor to do less — the default kernel fills only
-	// the cells that can lie on an alignment scoring MinScore or more,
-	// Linear pre-scans with a per-row abort. Both arguments need gaps to
-	// be free, so the floor is ignored under a non-zero GapPenalty. The
-	// driver's planning funnel derives MinScore from the admissible profit
-	// bound (costmodel.PairBound.ScoreNeeded), making ErrBelowBound a
-	// proof that the pair cannot clear the profitability gate.
+	// the kernel uses the floor to do less, filling only the cells that
+	// can lie on an alignment scoring MinScore or more. That argument
+	// needs gaps to be free, so the floor is ignored under a non-zero
+	// GapPenalty. The driver's planning funnel derives MinScore from the
+	// admissible profit bound (costmodel.PairBound.ScoreNeeded), making
+	// ErrBelowBound a proof that the pair cannot clear the profitability
+	// gate.
 	MinScore int32
 }
 
@@ -237,9 +233,7 @@ type Result struct {
 	InstrMatches int
 	// MatrixBytes is the footprint of the paper's DP matrices, the
 	// dominant memory cost of merging (Figure 22): (n+1)(m+1) cells of 5
-	// bytes for the quadratic solver, whatever part of them the kernel
-	// went on to fill, and the peak of rows and base cases for the linear
-	// one.
+	// bytes, whatever part of them the kernel went on to fill.
 	MatrixBytes int64
 
 	// filled counts the DP cells the kernel filled, over all rungs of its
@@ -295,8 +289,8 @@ func AlignCtx(ctx context.Context, a, b []Entry, opts Options) (*Result, error) 
 	return AlignSeqsCtx(ctx, sa, sb, opts)
 }
 
-// AlignSeqsCtx aligns two interned sequences with the solver selected by
-// opts.Linear. Both Seqs must come from the same Interner.
+// AlignSeqsCtx aligns two interned sequences. Both Seqs must come from
+// the same Interner.
 func AlignSeqsCtx(ctx context.Context, a, b Seq, opts Options) (*Result, error) {
 	res := &Result{}
 	if err := AlignSeqsInto(ctx, a, b, opts, res); err != nil {
@@ -311,9 +305,6 @@ func AlignSeqsCtx(ctx context.Context, a, b Seq, opts Options) (*Result, error) 
 // holds no pairs.
 func AlignSeqsInto(ctx context.Context, a, b Seq, opts Options, res *Result) error {
 	res.Clear()
-	if opts.Linear {
-		return alignLinearSeqs(ctx, a, b, opts, res)
-	}
 	return alignBanded(ctx, a.Entries, b.Entries, a.Classes, b.Classes, opts, res)
 }
 
@@ -322,15 +313,14 @@ func AlignSeqsInto(ctx context.Context, a, b Seq, opts Options, res *Result) err
 // latency of cancellation by a few thousand cell updates.
 const cancelStride = 0xf
 
-// AlignFunctions linearizes both functions and aligns them with the
-// solver selected by opts.Linear.
+// AlignFunctions linearizes both functions and aligns them.
 func AlignFunctions(f1, f2 *ir.Function, opts Options) (*Result, error) {
 	return AlignFunctionsCtx(context.Background(), f1, f2, opts)
 }
 
 // AlignFunctionsCtx is AlignFunctions with cancellation plumbed into the
-// DP loops of both solvers. Linearizations and class vectors are
-// computed transiently; batch callers should hold a Cache instead.
+// DP loop. Linearizations and class vectors are computed transiently;
+// batch callers should hold a Cache instead.
 func AlignFunctionsCtx(ctx context.Context, f1, f2 *ir.Function, opts Options) (*Result, error) {
 	it := NewInterner()
 	return AlignSeqsCtx(ctx, NewSeq(f1, it), NewSeq(f2, it), opts)

@@ -41,8 +41,7 @@ type bandRow struct {
 }
 
 // alignBanded computes the optimal alignment of a and b, filling the pair
-// list in place from the end. It is the only quadratic solver: Hirschberg's
-// base cases call it too.
+// list in place from the end. It is the only solver.
 func alignBanded(ctx context.Context, a, b []Entry, ca, cb []int32, opts Options, res *Result) error {
 	n, m := len(a), len(b)
 	cells := int64(n+1) * int64(m+1)

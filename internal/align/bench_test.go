@@ -154,30 +154,6 @@ func BenchmarkAlignPairReference(b *testing.B) {
 	}
 }
 
-// BenchmarkAlignPairLinear is the steady-state Hirschberg variant:
-// same cached sequences, pooled row buffers.
-func BenchmarkAlignPairLinear(b *testing.B) {
-	pairs := benchSuite(b)
-	cache := NewCache()
-	ctx := context.Background()
-	opts := DefaultOptions()
-	opts.Linear = true
-	var res Result
-	for _, p := range pairs {
-		if err := AlignSeqsInto(ctx, cache.Seq(p[0]), cache.Seq(p[1]), opts, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		if err := AlignSeqsInto(ctx, cache.Seq(p[0]), cache.Seq(p[1]), opts, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkClassIntern measures interning the whole 2000-function suite
 // from scratch: the one-time per-run cost the cache pays so that every
 // subsequent trial compares ints.

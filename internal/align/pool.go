@@ -1,11 +1,11 @@
 package align
 
 // Pooled DP storage. Alignment scratch — the banded kernel's prefix sums,
-// row intervals, score rows and direction bytes, and Hirschberg's row
-// buffers — is recycled across trials, and across sessions running side
-// by side (sync.Pool is concurrency-safe and per-P sharded), rather than
-// garbaged per candidate pair. Nothing pooled points into the IR, and
-// every buffer grows to the largest request it has served.
+// row intervals, score rows and direction bytes — is recycled across
+// trials, and across sessions running side by side (sync.Pool is
+// concurrency-safe and per-P sharded), rather than garbaged per candidate
+// pair. Nothing pooled points into the IR, and every buffer grows to the
+// largest request it has served.
 //
 // Pooling does not touch the MatrixBytes accounting: Result.MatrixBytes
 // reports the paper's footprint, (n+1)(m+1) cells x 5 bytes — what
@@ -36,26 +36,3 @@ func grow[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// dpRow is one pooled Hirschberg row buffer. The indirection through a
-// struct keeps Get/Put allocation-free (a bare slice would escape into
-// the pool's interface value on every Put).
-type dpRow struct{ row []int32 }
-
-var rowPool sync.Pool
-
-// getRow returns a row buffer with len(row) == n. Element 0 is zeroed —
-// the one element Hirschberg's row initialisation reads without writing
-// first.
-func getRow(n int) *dpRow {
-	r, _ := rowPool.Get().(*dpRow)
-	if r == nil {
-		r = &dpRow{}
-	}
-	r.row = grow(r.row, n)
-	r.row[0] = 0
-	return r
-}
-
-// putRow recycles a row buffer obtained from getRow.
-func putRow(r *dpRow) { rowPool.Put(r) }

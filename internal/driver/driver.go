@@ -115,11 +115,9 @@ type Config struct {
 	Threshold int
 	// Target selects the size model.
 	Target costmodel.Target
-	// MaxCells caps alignment matrices (0 = none).
+	// MaxCells caps alignment matrices (0 = none): the guard against an
+	// unrelated giant pair that clears the screen (align.Options.MaxCells).
 	MaxCells int64
-	// LinearAlign switches to Hirschberg linear-space alignment (an
-	// extension; see the ablation benchmarks).
-	LinearAlign bool
 	// SkipHot excludes the named functions from merging. This is the
 	// paper's §5.7 remedy for runtime overhead: "profiling information
 	// could be used to avoid adding overhead when mergeable code is in
@@ -340,7 +338,6 @@ func (c Config) CoreOptions() core.Options {
 		opts = core.DefaultOptions()
 	}
 	opts.Align.MaxCells = c.MaxCells
-	opts.Align.Linear = c.LinearAlign
 	return opts
 }
 

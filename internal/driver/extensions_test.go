@@ -1,38 +1,79 @@
 package driver
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/align"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/synth"
 )
 
-// TestLinearAlignSameMergesLessMemory: the Hirschberg option must find
-// the same profitable merges (same optimal scores) with a far smaller
-// peak matrix, and the result must still pass differential testing.
-func TestLinearAlignSameMergesLessMemory(t *testing.T) {
+// TestMaxCellsBoundsARun: MaxCells is the one guard against an unrelated
+// giant pair, so a run under a cap must hold every alignment matrix to
+// it, still produce a module that verifies and behaves like the
+// original, and never memoize a pair whose trial the cap refused
+// (ErrTooLarge says nothing about profit). A pair too large to align can
+// enter the memo only through the stage-1 screen, whose exact bound then
+// rules out any profit.
+func TestMaxCellsBoundsARun(t *testing.T) {
+	ctx := context.Background()
 	profile := synth.Profile{
-		Name: "lin", Seed: 77, Funcs: 24,
-		MinSize: 10, AvgSize: 60, MaxSize: 200,
-		CloneFrac: 0.6, FamilySize: 2, MutRate: 0.04, Loops: 0.6,
+		Name: "cap", Seed: 5, Funcs: 60,
+		MinSize: 4, AvgSize: 30, MaxSize: 120,
+		CloneFrac: 0.5, FamilySize: 3, MutRate: 0.15,
 	}
-	m1 := synth.Generate(profile)
-	m2 := synth.Generate(profile)
-	orig := ir.CloneModule(m2)
-	rq := Run(m1, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
-	rl := Run(m2, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, LinearAlign: true})
-	if err := ir.VerifyModule(m2); err != nil {
-		t.Fatalf("verify: %v", err)
+	for _, cells := range []int64{400, 4000} {
+		m := synth.Generate(profile)
+		orig := ir.CloneModule(m)
+		cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, MaxCells: cells}
+		s, err := OpenSession(ctx, m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Optimize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := res.Attempts - res.OutcomeHits - res.PairsScreened -
+			res.DPAborted - res.TrialsBuilt - res.TrialsSkipped
+		t.Logf("cap %d cells: %d merges, %d trials refused, peak matrix %d bytes",
+			cells, len(res.Merges), refused, res.PeakMatrixBytes)
+		if refused == 0 {
+			t.Fatalf("cap %d: no trial hit the cap", cells)
+		}
+		if res.PeakMatrixBytes > 5*cells {
+			t.Errorf("cap %d: peak matrix %d bytes exceeds %d", cells, res.PeakMatrixBytes, 5*cells)
+		}
+		cache := align.NewCache()
+		tooLarge := 0
+		for f1, row := range s.outcomes.pairs {
+			for f2, kind := range row {
+				sa, sb := cache.Seq(f1), cache.Seq(f2)
+				n1, n2 := len(sa.Entries), len(sb.Entries)
+				if kind != pairOutcome || int64(n1+1)*int64(n2+1) <= cells {
+					continue
+				}
+				tooLarge++
+				p1 := costmodel.NewFuncProfile(f1, cfg.Target, sa)
+				p2 := costmodel.NewFuncProfile(f2, cfg.Target, sb)
+				if bd := costmodel.Bound(p1, p2, cfg.Target); bd.UB > 0 {
+					t.Errorf("cap %d: %s/%s (%dx%d entries, bound %d) memoized after the cap refused its trial",
+						cells, f1.Name(), f2.Name(), n1, n2, bd.UB)
+				}
+			}
+		}
+		t.Logf("cap %d: %d memoized pairs past the cap", cells, tooLarge)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ir.VerifyModule(m); err != nil {
+			t.Fatalf("cap %d: verify: %v", cells, err)
+		}
+		diffModule(t, orig, m, fmt.Sprintf("max-cells=%d", cells))
 	}
-	if len(rq.Merges) != len(rl.Merges) {
-		t.Errorf("quadratic found %d merges, linear %d", len(rq.Merges), len(rl.Merges))
-	}
-	if rl.PeakMatrixBytes*4 > rq.PeakMatrixBytes {
-		t.Errorf("linear peak %d not clearly below quadratic %d",
-			rl.PeakMatrixBytes, rq.PeakMatrixBytes)
-	}
-	diffModule(t, orig, m2, "linear-align")
 }
 
 // TestSkipHotExcludesFunctions: hot functions are never merged away.

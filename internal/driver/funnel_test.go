@@ -75,14 +75,16 @@ func TestSavingsUpperBoundAdmissible(t *testing.T) {
 			})
 		}
 	}
-	// The linear solver breaks ties its own way and SalSSA-NoPC keeps the
-	// selects coalescing would fold; the bound must hold for both.
+	// Thumb prices bytes its own way and SalSSA-NoPC keeps the selects
+	// coalescing would fold; the bound must hold for both. The
+	// "linear=false" suffix is kept from when the linear-space solver was
+	// an axis, so the x86-64 cells keep their names.
 	for _, cfg := range []Config{
 		{Algorithm: SalSSA, Target: costmodel.X86_64},
-		{Algorithm: SalSSA, Target: costmodel.Thumb, LinearAlign: true},
+		{Algorithm: SalSSA, Target: costmodel.Thumb},
 		{Algorithm: SalSSANoPC, Target: costmodel.X86_64},
 	} {
-		t.Run(fmt.Sprintf("clones/%v/%v/linear=%v", cfg.Algorithm, cfg.Target, cfg.LinearAlign), func(t *testing.T) {
+		t.Run(fmt.Sprintf("clones/%v/%v/linear=false", cfg.Algorithm, cfg.Target), func(t *testing.T) {
 			checkClonesAdmissible(t, funnelSeeds(t)[0], cfg)
 		})
 	}

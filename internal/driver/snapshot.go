@@ -40,9 +40,11 @@ import (
 // guard (Snapshot.Canon) and per-function hashes; version 3 dropped the
 // per-function minhash band keys along with the sketch they belonged
 // to. Canonical-view indexing has since left the pipeline without a
-// version bump: a version-3 snapshot taken without it restores as
-// before, and one taken with it is rejected by the guard.
-const SnapshotVersion = 3
+// version bump: a snapshot taken with it is rejected by the guard.
+// Version 4 added the size-model target to the config guard: the memo
+// holds verdicts priced under one target, and a version-3 snapshot
+// never recorded which, so it is refused on its version alone.
+const SnapshotVersion = 4
 
 // Snapshot is the serializable index state of a Session. It round-trips
 // through encoding/json.
@@ -54,6 +56,7 @@ type Snapshot struct {
 	// identically for every field the indexes depend on.
 	Algorithm string `json:"algorithm"`
 	Threshold int    `json:"threshold"`
+	Target    string `json:"target"`
 	Finder    string `json:"finder"`
 	DupFold   bool   `json:"dup_fold"`
 	MaxFamily int    `json:"max_family"`
@@ -164,6 +167,7 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		Version:   SnapshotVersion,
 		Algorithm: s.cfg.Algorithm.String(),
 		Threshold: s.cfg.Threshold,
+		Target:    s.cfg.Target.String(),
 		Finder:    search.KindLSH.String(),
 		DupFold:   s.cfg.DupFold,
 		MaxFamily: s.cfg.MaxFamily,
@@ -246,6 +250,8 @@ func validateSnapshot(snap *Snapshot, cfg Config) error {
 		return fmt.Errorf("driver: snapshot was taken under %s, session runs %s", snap.Algorithm, cfg.Algorithm)
 	case snap.Threshold != cfg.Threshold:
 		return fmt.Errorf("driver: snapshot threshold %d, session %d", snap.Threshold, cfg.Threshold)
+	case snap.Target != cfg.Target.String():
+		return fmt.Errorf("driver: snapshot target %s, session %s", snap.Target, cfg.Target)
 	case snap.DupFold != cfg.DupFold:
 		return fmt.Errorf("driver: snapshot dup-fold %v, session %v", snap.DupFold, cfg.DupFold)
 	case snap.MaxFamily != cfg.MaxFamily:

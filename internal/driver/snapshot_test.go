@@ -260,6 +260,17 @@ func TestSnapshotRejection(t *testing.T) {
 		}
 	}
 	if cp, m2 := fresh(); true {
+		// The outcome memo holds verdicts priced under the snapshot's
+		// size model; a pair unprofitable on one target may pay on the
+		// other.
+		other := cfg
+		other.Target = costmodel.Thumb
+		_, err := OpenSessionWithSnapshot(ctx, m2, other, cp)
+		if err == nil || !strings.Contains(err.Error(), "target") {
+			t.Fatalf("target-mismatched snapshot: got %v, want a target error", err)
+		}
+	}
+	if cp, m2 := fresh(); true {
 		// The recorded finder name is not part of the guard: a snapshot
 		// recorded under the other name restores.
 		cp.Finder = search.KindExact.String()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,6 +80,63 @@ func TestFig20OrderingHolds(t *testing.T) {
 	}
 	if salssa <= fmsa {
 		t.Errorf("SalSSA (%.1f%%) must beat FMSA (%.1f%%)", salssa, fmsa)
+	}
+}
+
+// TestPaperClaimsHold checks the paper's qualitative claims on the
+// scaled-down suites: SalSSA reduces size more than FMSA at every
+// exploration threshold on both SPEC suites (Figure 17), needs a smaller
+// peak alignment matrix (Figure 22: FMSA/SalSSA above 1) and slows the
+// merged programs by at most 10% (Figure 25).
+func TestPaperClaimsHold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for _, table := range []*Table{testLab.Fig17a(), testLab.Fig17b()} {
+		g := gmeans(t, table)
+		for _, th := range []int{1, 5, 10} {
+			salssa := g(fmt.Sprintf("SalSSA[t=%d]", th))
+			fmsa := g(fmt.Sprintf("FMSA[t=%d]", th))
+			t.Logf("%s t=%d: SalSSA %.1f%%, FMSA %.1f%%", table.ID, th, salssa, fmsa)
+			if salssa < fmsa {
+				t.Errorf("%s t=%d: SalSSA (%.1f%%) below FMSA (%.1f%%)", table.ID, th, salssa, fmsa)
+			}
+		}
+	}
+	if r := gmeans(t, testLab.Fig22())("ratio"); r <= 1 {
+		t.Errorf("fig22: FMSA/SalSSA peak-matrix GMean %.2f, want > 1", r)
+	} else {
+		t.Logf("fig22: FMSA/SalSSA peak-matrix GMean %.2f", r)
+	}
+	if s := gmeans(t, testLab.Fig25())("SalSSA[t=1]"); s > 1.10 {
+		t.Errorf("fig25: SalSSA normalized runtime GMean %.2f, want <= 1.10", s)
+	} else {
+		t.Logf("fig25: SalSSA normalized runtime GMean %.2f", s)
+	}
+}
+
+// gmeans returns a lookup of table's GMean row by column header; an
+// unknown column fails the test.
+func gmeans(t *testing.T, table *Table) func(col string) float64 {
+	t.Helper()
+	last := table.Rows[len(table.Rows)-1]
+	if last[0] != "GMean" {
+		t.Fatalf("%s: last row is %q, want GMean", table.ID, last[0])
+	}
+	return func(col string) float64 {
+		t.Helper()
+		for i, h := range table.Header {
+			if h != col || i >= len(last) {
+				continue
+			}
+			v, err := strconv.ParseFloat(last[i], 64)
+			if err != nil {
+				t.Fatalf("%s: bad GMean cell %q under %s", table.ID, last[i], col)
+			}
+			return v
+		}
+		t.Fatalf("%s: no GMean column %s", table.ID, col)
+		return 0
 	}
 }
 

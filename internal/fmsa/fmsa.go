@@ -15,7 +15,6 @@
 package fmsa
 
 import (
-	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/transform"
@@ -31,13 +30,9 @@ func Options() core.Options {
 	return opts
 }
 
-// Prepare applies register demotion to f, FMSA's mandatory
-// preprocessing. Returns the number of demoted values.
-func Prepare(f *ir.Function) int { return transform.RegToMem(f) }
-
-// PrepareModule demotes every defined function in m; FMSA cannot attempt
-// any merge without this, which is what leaves residue on unmerged
-// functions.
+// PrepareModule demotes every defined function in m (register demotion,
+// FMSA's mandatory preprocessing); FMSA cannot attempt any merge without
+// this, which is what leaves residue on unmerged functions.
 func PrepareModule(m *ir.Module) {
 	for _, f := range m.Defined() {
 		transform.RegToMem(f)
@@ -68,11 +63,4 @@ func MergePair(m *ir.Module, f1, f2 *ir.Function, name string) (*ir.Function, *c
 	}
 	Cleanup(merged)
 	return merged, stats, nil
-}
-
-// Align aligns two demoted functions under FMSA's scoring.
-func Align(f1, f2 *ir.Function, maxCells int64) (*align.Result, error) {
-	opts := Options().Align
-	opts.MaxCells = maxCells
-	return align.AlignFunctions(f1, f2, opts)
 }

@@ -461,9 +461,10 @@ func TestServeWarmRestart(t *testing.T) {
 // TestServeOldSnapshotColdOpens: an index snapshot an older build wrote
 // and this one cannot use is a stale cache, not an error — recreating
 // the session restores the module text, rejects the snapshot and
-// rebuilds the index cold. Two such snapshots: one of the previous
-// format version (version 2 carried LSH band keys), and one indexed
-// through canonical views, which this build no longer has.
+// rebuilds the index cold. Three such snapshots: two of earlier format
+// versions (version 2 carried LSH band keys, version 3 did not record
+// its size-model target), and one indexed through canonical views,
+// which this build no longer has.
 func TestServeOldSnapshotColdOpens(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -493,6 +494,7 @@ func TestServeOldSnapshotColdOpens(t *testing.T) {
 	create.Module = ""
 	for name, stale := range map[string]func(*repro.SessionSnapshot){
 		"version-2": func(s *repro.SessionSnapshot) { s.Version = 2 },
+		"version-3": func(s *repro.SessionSnapshot) { s.Version, s.Target = 3, "" },
 		"canon":     func(s *repro.SessionSnapshot) { s.Canon = "mem2reg+simplify+normalize+gvn" },
 	} {
 		var snap repro.SessionSnapshot

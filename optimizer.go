@@ -30,17 +30,16 @@ const (
 // Optimizer may be reused for any number of modules, from any number of
 // goroutines concurrently (each call works only on its own module).
 type Optimizer struct {
-	algorithm   Algorithm
-	threshold   int
-	target      Target
-	linearAlign bool
-	maxCells    int64
-	minInstrs   int
-	skipHot     map[string]bool
-	finder      FinderKind
-	dupFold     bool
-	maxFamily   int
-	progress    func(Progress)
+	algorithm Algorithm
+	threshold int
+	target    Target
+	maxCells  int64
+	minInstrs int
+	skipHot   map[string]bool
+	finder    FinderKind
+	dupFold   bool
+	maxFamily int
+	progress  func(Progress)
 }
 
 // Option configures an Optimizer under construction; see New.
@@ -117,18 +116,12 @@ func WithTarget(t Target) Option {
 	}
 }
 
-// WithLinearAlign switches alignment to Hirschberg's linear-space
-// algorithm: the same optimal score in O(n+m) memory for roughly twice
-// the time (default off, matching the paper's quadratic DP).
-func WithLinearAlign(on bool) Option {
-	return func(o *Optimizer) error {
-		o.linearAlign = on
-		return nil
-	}
-}
-
 // WithMaxCells caps alignment DP matrices at n cells; pairs needing more
-// are skipped rather than aligned (default 0 = unlimited).
+// are skipped rather than aligned (default 0 = unlimited). It is the one
+// guard against an unrelated giant pair: the screen turns most unrelated
+// pairs away before any DP and the kernel fills only the band a similar
+// pair needs, but a giant pair that clears the screen and then aligns
+// badly fills its whole matrix.
 func WithMaxCells(n int64) Option {
 	return func(o *Optimizer) error {
 		if n < 0 {
@@ -273,16 +266,15 @@ func (o *Optimizer) MaxFamily() int { return o.maxFamily }
 // after New.
 func (o *Optimizer) config() driver.Config {
 	return driver.Config{
-		Algorithm:   o.algorithm,
-		Threshold:   o.threshold,
-		Target:      o.target,
-		MaxCells:    o.maxCells,
-		LinearAlign: o.linearAlign,
-		SkipHot:     o.skipHot,
-		MinInstrs:   o.minInstrs,
-		DupFold:     o.dupFold,
-		MaxFamily:   o.maxFamily,
-		Progress:    o.progress,
+		Algorithm: o.algorithm,
+		Threshold: o.threshold,
+		Target:    o.target,
+		MaxCells:  o.maxCells,
+		SkipHot:   o.skipHot,
+		MinInstrs: o.minInstrs,
+		DupFold:   o.dupFold,
+		MaxFamily: o.maxFamily,
+		Progress:  o.progress,
 	}
 }
 

@@ -66,7 +66,6 @@ func TestOptionValidation(t *testing.T) {
 		WithAlgorithm(SalSSANoPC),
 		WithThreshold(5),
 		WithTarget(Thumb),
-		WithLinearAlign(true),
 		WithMaxCells(1<<20),
 		WithMinInstrs(4),
 		WithSkipHot("hot1", "hot2"),

@@ -6,10 +6,10 @@
 //
 //   - ParseModule / FormatModule: the textual IR (an LLVM-like dialect);
 //   - New + Option (WithAlgorithm, WithThreshold, WithTarget,
-//     WithLinearAlign, WithMaxCells, WithMinInstrs, WithSkipHot,
-//     WithFinder, WithDupFold, WithMaxFamily, WithProgress;
-//     WithParallelism is accepted and ignored): build a reusable,
-//     concurrency-safe Optimizer;
+//     WithMaxCells, WithMinInstrs, WithSkipHot, WithFinder,
+//     WithDupFold, WithMaxFamily, WithProgress; WithParallelism is
+//     accepted and ignored): build a reusable, concurrency-safe
+//     Optimizer;
 //   - (*Optimizer).Optimize: the whole-module pipeline — candidate
 //     ranking, the greedy merge loop under the profitability cost
 //     model, thunk creation — with context cancellation;
