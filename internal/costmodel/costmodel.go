@@ -1,9 +1,9 @@
 // Package costmodel estimates the final object-code size of IR and
-// decides merge profitability. The paper measures linked-object size
-// after the LLVM back end; here IR is lowered to per-opcode byte
-// estimates for two targets (x86-64 and ARM Thumb), which preserves the
-// quantity function merging optimises — the number and kind of
-// instructions that survive to the binary.
+// prices merges. The paper measures linked-object size after the LLVM
+// back end; here IR is lowered to per-opcode byte estimates for two
+// targets (x86-64 and ARM Thumb), which preserves the quantity function
+// merging optimises — the number and kind of instructions that survive
+// to the binary.
 package costmodel
 
 import (
@@ -32,13 +32,14 @@ func (t Target) String() string {
 	return "x86-64"
 }
 
-// x86-64 byte costs InstrBytes shares with ForcedBytes: what one
-// branch, one conditional branch (cmp/test fused + jcc) and one select
-// (cmov / it-block) are charged.
+// x86-64 byte costs InstrBytes shares with ForcedBytes and ThunkBytes:
+// what one branch, one conditional branch (cmp/test fused + jcc), one
+// select (cmov / it-block) and one return are charged.
 const (
 	brCost     = 2
 	condBrCost = 4
 	selectCost = 4
+	retCost    = 2
 )
 
 // narrow converts an x86-64 byte cost to the target's: Thumb's narrow
@@ -48,6 +49,12 @@ func narrow(n int, target Target) int {
 		return (n + 1) / 2
 	}
 	return n
+}
+
+// callBytes is the call rule InstrBytes and ThunkBytes share: the call
+// itself plus a byte per argument moved into place.
+func callBytes(numArgs int, target Target) int {
+	return narrow(5+numArgs, target)
 }
 
 // InstrBytes estimates the object-code bytes contributed by one
@@ -65,7 +72,7 @@ func InstrBytes(in *ir.Instruction, target Target) int {
 	case ir.OpAlloca:
 		return 0
 	case ir.OpRet:
-		return x86(2)
+		return x86(retCost)
 	case ir.OpBr:
 		if in.IsCondBr() {
 			return x86(condBrCost)
@@ -76,9 +83,9 @@ func InstrBytes(in *ir.Instruction, target Target) int {
 	case ir.OpUnreachable:
 		return x86(1)
 	case ir.OpCall:
-		return x86(5 + len(in.Args()))
+		return callBytes(len(in.Args()), target)
 	case ir.OpInvoke:
-		return x86(5+len(in.Args())) + x86(4) // call + unwind table slice
+		return callBytes(len(in.Args()), target) + x86(4) // call + unwind table slice
 	case ir.OpLandingPad:
 		return x86(4)
 	case ir.OpResume:
@@ -116,17 +123,22 @@ func ForcedBytes(n core.Forced, target Target) int {
 		n.Rejoins*br
 }
 
+// funcOverhead is the fixed prologue/epilogue and alignment padding
+// FuncBytes charges per defined function.
+func funcOverhead(target Target) int {
+	if target == Thumb {
+		return 4
+	}
+	return 8
+}
+
 // FuncBytes estimates the object-code size of a function body plus its
 // fixed prologue/epilogue and symbol overhead.
 func FuncBytes(f *ir.Function, target Target) int {
 	if f.IsDecl() {
 		return 0
 	}
-	overhead := 8 // prologue/epilogue, alignment padding
-	if target == Thumb {
-		overhead = 4
-	}
-	n := overhead
+	n := funcOverhead(target)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs() {
 			n += InstrBytes(in, target)
@@ -150,34 +162,6 @@ func ModuleBytes(m *ir.Module, target Target) int {
 // Table 1: the number of IR instructions.
 func FuncSize(f *ir.Function) int { return f.NumInstrs() }
 
-// MergeCost summarises the profitability comparison for a candidate
-// merge operation.
-type MergeCost struct {
-	// Before is the estimated size of the two original functions.
-	Before int
-	// After is the estimated size of the merged function plus the thunks
-	// that replace the originals.
-	After int
-}
-
-// Profit returns Before - After (positive when merging shrinks code).
-func (c MergeCost) Profit() int { return c.Before - c.After }
-
-// Profitable applies the cost model's acceptance test. The paper's
-// prototype requires a strictly positive saving; like it, the model is
-// deliberately local (later passes can still change the outcome, which
-// is the source of the false positives discussed around Figure 19).
-func (c MergeCost) Profitable() bool { return c.Profit() > 0 }
-
-// EvaluateMerge computes the cost comparison for replacing f1 and f2 by
-// merged plus per-function thunks.
-func EvaluateMerge(f1, f2, merged *ir.Function, target Target, thunkBytes int) MergeCost {
-	return MergeCost{
-		Before: FuncBytes(f1, target) + FuncBytes(f2, target),
-		After:  FuncBytes(merged, target) + 2*thunkBytes,
-	}
-}
-
 // SwitchBytes estimates the object-code bytes of a switch dispatch with
 // the given case count: a compare-and-branch chain or table, charged per
 // case plus base. It is the single switch-pricing rule, shared between
@@ -185,35 +169,15 @@ func EvaluateMerge(f1, f2, merged *ir.Function, target Target, thunkBytes int) M
 // (the switch-on-fid blocks the k-ary generator emits are real OpSwitch
 // instructions, so both paths price them identically by construction).
 func SwitchBytes(target Target, cases int) int {
-	n := 4 + 4*cases
-	if target == Thumb {
-		n = (n + 1) / 2
-	}
-	return n
+	return narrow(4+4*cases, target)
 }
 
-// ThunkBytes is the estimated size of a forwarding thunk into a merged
-// function: materialize the function identifier, forward the arguments
-// (numArgs counts the merged function's parameters, identifier
-// included), tail-call. The identifier is a real argument on every
-// thunk — an immediate move the register-forwarding estimate used to
-// ignore — so it is charged explicitly on top of its argument slot.
+// ThunkBytes is the size of a forwarding body: one block holding a call
+// with numArgs arguments and a return, priced by the rules FuncBytes
+// measures it with. Merge thunks (core.BuildThunk; numArgs counts the
+// merged function's parameters, identifier included) and duplicate-fold
+// forwarders (search.BuildForwarder) are both such bodies, so a merge
+// or fold priced with it changes ModuleBytes by exactly its profit.
 func ThunkBytes(target Target, numArgs int) int {
-	n := 8 + numArgs + 2
-	if target == Thumb {
-		n = 4 + (numArgs+1)/2 + 1
-	}
-	return n
-}
-
-// ForwarderBytes is the estimated size of a plain forwarder (forward
-// the arguments unchanged, tail-call a same-signature function): a
-// thunk without an identifier to materialize. Duplicate folding prices
-// its forwarders with this.
-func ForwarderBytes(target Target, numArgs int) int {
-	n := 8 + numArgs
-	if target == Thumb {
-		n = 4 + (numArgs+1)/2
-	}
-	return n
+	return funcOverhead(target) + callBytes(numArgs, target) + narrow(retCost, target)
 }

@@ -3,8 +3,10 @@ package costmodel
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/irtext"
+	"repro/internal/search"
 )
 
 func TestThumbSmallerThanX86(t *testing.T) {
@@ -58,34 +60,6 @@ func TestInstrBytesOrdering(t *testing.T) {
 	}
 }
 
-func TestMergeCostProfitability(t *testing.T) {
-	c := MergeCost{Before: 100, After: 90}
-	if !c.Profitable() || c.Profit() != 10 {
-		t.Error("positive saving should be profitable")
-	}
-	c = MergeCost{Before: 100, After: 100}
-	if c.Profitable() {
-		t.Error("break-even must not be profitable")
-	}
-	c = MergeCost{Before: 100, After: 130}
-	if c.Profitable() {
-		t.Error("regression must not be profitable")
-	}
-}
-
-func TestEvaluateMerge(t *testing.T) {
-	m := irtext.MustParse(irtext.Fig2Module)
-	f1, f2 := m.FuncByName("F1"), m.FuncByName("F2")
-	cost := EvaluateMerge(f1, f2, f1, X86_64, 10) // pretend f1 is "merged"
-	want := FuncBytes(f1, X86_64) + FuncBytes(f2, X86_64)
-	if cost.Before != want {
-		t.Errorf("Before = %d, want %d", cost.Before, want)
-	}
-	if cost.After != FuncBytes(f1, X86_64)+20 {
-		t.Errorf("After = %d", cost.After)
-	}
-}
-
 func TestThunkBytesGrowsWithArgs(t *testing.T) {
 	if ThunkBytes(X86_64, 8) <= ThunkBytes(X86_64, 0) {
 		t.Error("thunk size must grow with the argument count")
@@ -95,13 +69,37 @@ func TestThunkBytesGrowsWithArgs(t *testing.T) {
 	}
 }
 
-func TestThunkBytesChargesFid(t *testing.T) {
-	// A merge thunk materializes the function identifier on top of
-	// forwarding its arguments; a plain forwarder does not.
+func TestThunkBytesIsBuiltBody(t *testing.T) {
+	// ThunkBytes prices the bodies core.BuildThunk and
+	// search.BuildForwarder build, so it must be what FuncBytes measures
+	// of them: any gap is a saving the merge gate records and the module
+	// never makes.
 	for _, target := range []Target{X86_64, Thumb} {
-		if ThunkBytes(target, 4) <= ForwarderBytes(target, 4) {
-			t.Errorf("%v: thunk (%d) must cost more than a forwarder (%d)",
-				target, ThunkBytes(target, 4), ForwarderBytes(target, 4))
+		for _, ret := range []ir.Type{ir.Void, ir.I32} {
+			for n := 0; n <= 8; n++ {
+				params := make([]ir.Type, n)
+				for i := range params {
+					params[i] = ir.I32
+				}
+				sig := ir.FuncOf(ret, params...)
+				m := ir.NewModule()
+				f1, f2 := ir.NewFunction("f1", sig), ir.NewFunction("f2", sig)
+				plan, err := core.PlanParams(f1, f2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				merged, _ := core.NewMergedShell(m, "merged", []*ir.Function{f1, f2}, plan)
+				core.BuildThunk(f1, merged, 0, plan.Maps[0], plan)
+				if got, want := ThunkBytes(target, len(merged.Params())), FuncBytes(f1, target); got != want {
+					t.Errorf("%v ret %v arity %d: ThunkBytes = %d, the built thunk measures %d",
+						target, ret, len(merged.Params()), got, want)
+				}
+				search.BuildForwarder(f2, f1)
+				if got, want := ThunkBytes(target, n), FuncBytes(f2, target); got != want {
+					t.Errorf("%v ret %v arity %d: ThunkBytes = %d, the built forwarder measures %d",
+						target, ret, n, got, want)
+				}
+			}
 		}
 	}
 }

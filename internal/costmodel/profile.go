@@ -35,15 +35,6 @@ import (
 	"repro/internal/transform"
 )
 
-// funcOverhead is the fixed prologue/epilogue overhead FuncBytes
-// charges per defined function.
-func funcOverhead(target Target) int {
-	if target == Thumb {
-		return 4
-	}
-	return 8
-}
-
 // FuncProfile is one function's share of the stage-1 screening state:
 // the byte-weighted histogram of its self-matchable instruction
 // classes plus the fixed terms of the profit bound. Profiles are

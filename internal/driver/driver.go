@@ -96,7 +96,8 @@ type Progress struct {
 	F1, F2 string
 	// Merged names the merged function.
 	Merged string
-	// Profit is the estimated byte saving.
+	// Profit is the byte saving: exactly what committing the merge takes
+	// off costmodel.ModuleBytes.
 	Profit int
 	// Committed reports whether the merge was applied (always false for
 	// dry-run proposals).
@@ -155,7 +156,9 @@ type Config struct {
 // MergeRecord describes one committed (or filtered) profitable merge.
 // A non-empty Family marks a flattening: the named originals (in fid
 // order) were re-merged into one k-ary body and their thunks rewritten,
-// replacing the previous merged head(s).
+// replacing the previous merged head(s). Profit is exactly the commit's
+// change to costmodel.ModuleBytes (for a filtered merge, what the
+// commit would have taken off).
 type MergeRecord struct {
 	F1, F2, Merged string
 	Family         []string
@@ -165,8 +168,9 @@ type MergeRecord struct {
 }
 
 // FoldRecord describes one duplicate fold: Dup's body was replaced by a
-// forwarder to the structurally identical Rep, saving Profit bytes
-// without spending a single alignment DP cell.
+// forwarder to the structurally identical Rep without spending a single
+// alignment DP cell. Profit is exactly the fold's change to
+// costmodel.ModuleBytes.
 type FoldRecord struct {
 	Dup, Rep string
 	Profit   int
@@ -389,7 +393,7 @@ func RunContext(ctx context.Context, m *ir.Module, cfg Config) (*Result, error) 
 
 // trial is the outcome of planning one candidate pair: the merged
 // function — built in place, or in a private scratch module — its stats
-// and estimated profit, plus the phase accounting its row folds into the
+// and profit, plus the phase accounting its row folds into the
 // Result.
 type trial struct {
 	f1, f2  *ir.Function
@@ -639,12 +643,11 @@ func (t *trial) codegen(ctx context.Context, dst *ir.Module, a, b *ir.Function, 
 	t.simplifyTime = time.Since(s0)
 	t.merged = merged
 	t.stats = *stats
-	thunk := costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
-	cost := costmodel.MergeCost{
-		Before: preSize[t.f1] + preSize[t.f2],
-		After:  costmodel.FuncBytes(merged, cfg.Target) + 2*thunk,
-	}
-	t.profit = cost.Profit()
+	// The originals become thunks, so the profit is exactly what the
+	// commit takes off ModuleBytes.
+	after := costmodel.FuncBytes(merged, cfg.Target) +
+		2*costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
+	t.profit = preSize[t.f1] + preSize[t.f2] - after
 }
 
 // remapPairs rewrites an alignment computed over the originals' cached

@@ -91,10 +91,20 @@ func (c goldenCase) run(t *testing.T) goldenDigest {
 	defer s.Close()
 	var merges []MergeRecord
 	var folds []FoldRecord
+	folded := map[string]bool{}
 	for i := 0; i < c.runs; i++ {
 		res, err := sizedRun(t, s, nil)
 		if err != nil {
 			t.Fatalf("%s: run %d: %v", c.name, i, err)
+		}
+		// Nothing changes between runs, so an earlier run's duplicate is
+		// still a forwarder, and folding it onto an identical forwarder
+		// saves nothing.
+		for _, fr := range res.Folds {
+			if folded[fr.Dup] {
+				t.Errorf("%s: run %d folds the forwarder @%s again", c.name, i, fr.Dup)
+			}
+			folded[fr.Dup] = true
 		}
 		merges = append(merges, res.Merges...)
 		folds = append(folds, res.Folds...)

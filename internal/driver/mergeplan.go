@@ -29,7 +29,7 @@ type Plan struct {
 }
 
 // PlannedMerge is one proposed merge: F1 and F2 become thunks into a
-// new function named Merged, saving an estimated Profit bytes. Merged
+// new function named Merged, saving Profit bytes of ModuleBytes. Merged
 // is the name the merge will get if the module's name space is as it
 // was at planning time; Apply re-derives it against the live module
 // (collision suffixes may differ) and the Result records the actual

@@ -150,7 +150,7 @@ func referenceFoldDuplicates(candidates []*ir.Function, preSize map[*ir.Function
 	for _, fam := range search.Families(candidates) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
-			profit := preSize[dup] - costmodel.ForwarderBytes(cfg.Target, len(dup.Params()))
+			profit := preSize[dup] - costmodel.ThunkBytes(cfg.Target, len(dup.Params()))
 			if profit <= 0 {
 				continue
 			}

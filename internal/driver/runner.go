@@ -147,7 +147,7 @@ func (r *runner) foldStep(candidates []*ir.Function) {
 	for _, fam := range search.FamiliesBy(candidates, r.hashes.of) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
-			profit := r.sizes[dup] - costmodel.ForwarderBytes(r.cfg.Target, len(dup.Params()))
+			profit := r.sizes[dup] - costmodel.ThunkBytes(r.cfg.Target, len(dup.Params()))
 			if profit <= 0 {
 				continue
 			}

@@ -39,7 +39,10 @@ func sessionConfigs() []sessionConfig {
 // is nil — with the report's BaselineBytes and FinalBytes held to
 // costmodel.ModuleBytes of the module before and after: the session
 // sums its maintained sizes instead of re-pricing the module, and the
-// two must never drift.
+// two must never drift. A run that returns no error must also save
+// exactly what its records claim: the committed merges' and the folds'
+// profits sum to BaselineBytes - FinalBytes, so no gate decision rests
+// on a saving the module never makes.
 func sizedRun(t testing.TB, s *Session, p *Plan) (*Result, error) {
 	t.Helper()
 	before := costmodel.ModuleBytes(s.m, s.cfg.Target)
@@ -54,6 +57,20 @@ func sizedRun(t testing.TB, s *Session, p *Plan) (*Result, error) {
 		if after := costmodel.ModuleBytes(s.m, s.cfg.Target); res.BaselineBytes != before || res.FinalBytes != after {
 			t.Errorf("report sizes %d -> %d, costmodel.ModuleBytes says %d -> %d",
 				res.BaselineBytes, res.FinalBytes, before, after)
+		}
+	}
+	if err == nil {
+		claimed := 0
+		for _, mr := range res.Merges {
+			if mr.Committed {
+				claimed += mr.Profit
+			}
+		}
+		for _, fr := range res.Folds {
+			claimed += fr.Profit
+		}
+		if saved := res.BaselineBytes - res.FinalBytes; claimed != saved {
+			t.Errorf("records claim %d bytes saved, the module shrank by %d", claimed, saved)
 		}
 	}
 	return res, err
