@@ -55,24 +55,6 @@ func (c *Cache) Seq(f *ir.Function) Seq {
 	return s
 }
 
-// CloneSeq returns the sequence for clone, a structural copy of orig
-// produced by ir.CloneFunction: the clone is linearized (its entries are
-// its own), but the class vector is shared with orig's cached one.
-// Cloning preserves block and instruction order, opcodes, types,
-// auxiliary constants and module-level callee identity, so the copied
-// vector decides mergeability for the clone exactly as orig's does —
-// and, crucially, a pair of clones reproduces the alignment of the pair
-// of originals bit for bit. The clone itself is not cached: trial clones
-// die with their scratch module.
-func (c *Cache) CloneSeq(clone, orig *ir.Function) Seq {
-	classes := c.Seq(orig).Classes
-	entries := Linearize(clone)
-	if len(entries) != len(classes) {
-		panic("align: clone linearization diverges from its original")
-	}
-	return Seq{Entries: entries, Classes: classes}
-}
-
 // Invalidate drops f's cached sequence. Must be called when f's body
 // changes (e.g. it was replaced by a thunk); it also releases the
 // entries' instruction pointers for the GC.

@@ -232,40 +232,6 @@ func TestAlignSeqsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCloneSeqMatchesOriginal: aligning a cloned pair through CloneSeq
-// (the parallel planner's path: clone entries, original class vectors)
-// must reproduce the alignment of the originals index for index.
-func TestCloneSeqMatchesOriginal(t *testing.T) {
-	m := irtext.MustParse(irtext.Fig2Module + auxModule)
-	cache := NewCache()
-	funcs := m.Defined()
-	for i, f1 := range funcs {
-		for _, f2 := range funcs[i+1:] {
-			orig, err := cache.AlignFunctionsCtx(context.Background(), f1, f2, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			c1, _ := ir.CloneFunction(f1, f1.Name()+".c")
-			c2, _ := ir.CloneFunction(f2, f2.Name()+".c")
-			s1, s2 := cache.CloneSeq(c1, f1), cache.CloneSeq(c2, f2)
-			cloned, err := AlignSeqsCtx(context.Background(), s1, s2, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cloned.Score != orig.Score || len(cloned.Pairs) != len(orig.Pairs) {
-				t.Fatalf("%s+%s: clone alignment diverges: score %d vs %d, %d vs %d pairs",
-					f1.Name(), f2.Name(), cloned.Score, orig.Score, len(cloned.Pairs), len(orig.Pairs))
-			}
-			for k := range cloned.Pairs {
-				if (cloned.Pairs[k].A == nil) != (orig.Pairs[k].A == nil) ||
-					(cloned.Pairs[k].B == nil) != (orig.Pairs[k].B == nil) {
-					t.Fatalf("%s+%s: pair %d shape differs", f1.Name(), f2.Name(), k)
-				}
-			}
-		}
-	}
-}
-
 // TestCacheInvalidate: a cached sequence must be recomputed after
 // Invalidate, and the stats must reflect hits and misses.
 func TestCacheInvalidate(t *testing.T) {

@@ -161,9 +161,6 @@ func NewStream(m *ir.Module, cfg Config) *Stream {
 // Total returns the number of functions the stream will generate.
 func (s *Stream) Total() int { return s.cfg.Funcs }
 
-// Generated returns the number of functions generated so far.
-func (s *Stream) Generated() int { return s.next }
-
 // Next generates the next batch of at most BatchSize functions into the
 // module and returns them, or nil when the corpus is complete. Clone
 // families never span a batch boundary (a batch may run slightly over

@@ -15,10 +15,11 @@
 //   - the greedy loop (runner.go): for each function in ranking order
 //     one row-step — screen, align and trial-merge its top-t partners,
 //     keep the most profitable — and, for a profitable row, one
-//     commit-step that adopts the merged function into the module,
-//     replaces the originals with thunks and updates the indexes.
-//     Session.Plan runs the same loop dry, returning a serializable Plan
-//     that Session.Apply can commit later. The loop runs on the caller's
+//     commit-step that keeps the merged function, replaces the originals
+//     with thunks and updates the indexes. Session.Plan runs the same
+//     loop dry — every trial built in place and discarded, the module
+//     coming back as found — returning a serializable Plan that
+//     Session.Apply can commit later. The loop runs on the caller's
 //     goroutine.
 //
 // Everything polls a context.Context, so a run can be cancelled mid-way;
@@ -29,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/metrics"
-	"sync"
 	"time"
 
 	"repro/internal/align"
@@ -234,9 +234,9 @@ type Counters struct {
 	// SimplifyTime: SSA repair inside the generator
 	// (core.Stats.RepairTime), the clean-up of the finished body
 	// (transform.Simplify), and the rest of building a trial — the
-	// generator up to repair, the scratch clones, pricing, for a
-	// flatten its progressive alignment, and disposing of the body once
-	// the trial loses (ir.Release).
+	// generator up to repair, pricing, for a flatten its progressive
+	// alignment, and disposing of the body once the run does not commit
+	// it (ir.Release).
 	// ScreenTime accumulates the planning funnel's bound computations —
 	// the stage-1 screen and the stage-3 refinement after each
 	// alignment, lazily-filled slack terms included — and, under family
@@ -251,9 +251,9 @@ type Counters struct {
 	PeakMatrixBytes, SumMatrixBytes int64
 	// AllocBytes is what the run allocated on the heap and GCTime the
 	// CPU time the collector spent meanwhile. TrialAllocBytes sums what
-	// was allocated while each trial's body was built and priced (its
-	// scratch clones included), and DiscardedTrialAllocBytes the part of
-	// that spent on trials the run threw away. All four are deltas of
+	// was allocated while each trial's body was built and priced, and
+	// DiscardedTrialAllocBytes the part of that spent on trials the run
+	// threw away — every trial of a dry run. All four are deltas of
 	// process-wide runtime counters (runtime/metrics
 	// /gc/heap/allocs:bytes and /cpu/classes/gc/total:cpu-seconds): they
 	// include whatever else the process did meanwhile, other sessions'
@@ -392,16 +392,16 @@ func RunContext(ctx context.Context, m *ir.Module, cfg Config) (*Result, error) 
 }
 
 // trial is the outcome of planning one candidate pair: the merged
-// function — built in place, or in a private scratch module — its stats
-// and profit, plus the phase accounting its row folds into the
-// Result.
+// function, built in place in the module, its stats and profit, plus
+// the phase accounting its row folds into the Result. Committing and
+// dry runs build alike; a trial the run does not commit is discarded
+// (runner.discard), which leaves the module as the trial found it.
 type trial struct {
-	f1, f2  *ir.Function
-	scratch *ir.Module
-	merged  *ir.Function
-	stats   core.Stats
-	profit  int
-	err     error
+	f1, f2 *ir.Function
+	merged *ir.Function
+	stats  core.Stats
+	profit int
+	err    error
 	// family marks a flatten trial (see family.go): the merged function
 	// is a k-ary body over the plan's sources instead of a pairwise
 	// merge of f1 and f2, and committing rewrites every member thunk.
@@ -470,89 +470,44 @@ type trialGate struct {
 
 var noGate = trialGate{}
 
-// scratchPool recycles trial scratch modules across trials: with lazy
-// materialization only gate survivors allocate one, and the reuse keeps
-// the allocator out of the planning hot loop entirely.
-var scratchPool sync.Pool
-
-func getScratch() *ir.Module {
-	if m, _ := scratchPool.Get().(*ir.Module); m != nil {
-		return m
-	}
-	return ir.NewModule()
-}
-
-// putScratch strips every function out of m, releasing its body
-// (ir.Release), and returns m to the pool. The caller must be the last
-// reference holder — nothing may read t.scratch, or a body in it, after
-// its trial is discarded, adopted or released.
-func putScratch(m *ir.Module) {
-	if m == nil || len(m.Globals) > 0 {
-		return
-	}
-	for len(m.Funcs) > 0 {
-		f := m.Funcs[len(m.Funcs)-1]
-		m.RemoveFunc(f)
-		ir.Release(f)
-	}
-	scratchPool.Put(m)
-}
-
-// recycle returns a dead trial's scratch module, and every body in it,
-// to the pools and drops the references that would otherwise pin the
-// trial's function graphs. A trial built in place has nothing to return.
-func (t *trial) recycle() {
-	if t.scratch == nil {
-		return
-	}
-	putScratch(t.scratch)
-	t.scratch, t.merged = nil, nil
-}
-
 // planTrial aligns and — when the alignment clears its gate — merges one
-// candidate pair without touching the module (dry runs). The alignment
-// runs over the originals' cached sequences; only a surviving trial
-// clones the pair into a scratch module (merging the originals directly
-// would rewrite use-lists on their values, which a dry run must leave
-// alone) and remaps the alignment onto the clones. The clones are
-// structurally identical to the originals — CloneSeq reuses each original's class
-// vector and panics on divergence — so the merged function (and its
-// profit) matches what merging the originals would produce. The
-// alignment goes into buf (nil: a fresh Result), which the trial is done
-// with once planTrial returns.
-func planTrial(ctx context.Context, f1, f2 *ir.Function, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate, buf *align.Result) *trial {
+// candidate pair directly into m, named by freshName from
+// "merged.<f1>.<f2>" against m and the names a dry run has claimed
+// (nil: none). No body exists when the funnel rejects the pair first. The generator only appends uses to the originals' use
+// lists and takes them off again before it returns, so discarding the
+// merged function (runner.discard) gives every list back as it was.
+// Only the goroutine running the loop may call it. The alignment goes
+// into buf (nil: a fresh Result), which the trial is done with once
+// planTrial returns.
+func planTrial(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, claimed map[string]bool, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate, buf *align.Result) *trial {
 	t := &trial{f1: f1, f2: f2}
 	ares := t.alignStage(ctx, cache.Seq(f1), cache.Seq(f2), opts, cfg, g, buf)
 	if ares == nil {
 		return t
 	}
 	t1, a1 := time.Now(), heapAllocs()
-	t.scratch = getScratch()
-	c1, _ := ir.CloneFunction(f1, f1.Name())
-	c2, _ := ir.CloneFunction(f2, f2.Name())
-	t.scratch.AddFunc(c1)
-	t.scratch.AddFunc(c2)
-	remapPairs(ares.Pairs, cache.CloneSeq(c1, f1), cache.CloneSeq(c2, f2))
-	t.codegen(ctx, t.scratch, c1, c2, mergedBaseName(f1, f2), ares, preSize, opts, cfg)
-	t.codegenTime, t.allocBytes = time.Since(t1), heapAllocs()-a1
-	return t
-}
-
-// planTrialInPlace merges the originals directly into m, like the serial
-// pipeline always did — no clones, no scratch module (and none is
-// allocated when the funnel rejects the pair first). Only the goroutine
-// running a committing loop may call it, since it mutates use-lists on
-// the pair and adds the merged function to m; the caller discards the
-// merged function on rejection. buf is as for planTrial.
-func planTrialInPlace(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate, buf *align.Result) *trial {
-	t := &trial{f1: f1, f2: f2}
-	ares := t.alignStage(ctx, cache.Seq(f1), cache.Seq(f2), opts, cfg, g, buf)
-	if ares == nil {
+	defer func() { t.codegenTime, t.allocBytes = time.Since(t1), heapAllocs()-a1 }()
+	merged, stats, err := core.MergeAlignedCtx(ctx, m, f1, f2, freshName(m, mergedBaseName(f1, f2), claimed), ares, opts)
+	if err != nil {
+		t.err = err
 		return t
 	}
-	t1, a1 := time.Now(), heapAllocs()
-	t.codegen(ctx, m, f1, f2, MergedName(m, f1, f2), ares, preSize, opts, cfg)
-	t.codegenTime, t.allocBytes = time.Since(t1), heapAllocs()-a1
+	// The merged function is cleaned before the cost model sees it; for
+	// FMSA this is where register promotion tries (and partially fails)
+	// to undo the demotion inside the merged body.
+	s0 := time.Now()
+	if cfg.Algorithm == FMSA {
+		transform.Mem2Reg(merged)
+	}
+	transform.Simplify(merged)
+	t.simplifyTime = time.Since(s0)
+	t.merged = merged
+	t.stats = *stats
+	// The originals become thunks, so the profit is exactly what the
+	// commit takes off ModuleBytes.
+	after := costmodel.FuncBytes(merged, cfg.Target) +
+		2*costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
+	t.profit = preSize[f1] + preSize[f2] - after
 	return t
 }
 
@@ -623,67 +578,6 @@ func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Opti
 	return ares
 }
 
-// codegen generates the merged function named name in dst from a
-// settled alignment, filling the trial's stats and profit. The caller
-// owns the codegen timing (clone and remap cost belongs to it too).
-func (t *trial) codegen(ctx context.Context, dst *ir.Module, a, b *ir.Function, name string, ares *align.Result, preSize map[*ir.Function]int, opts core.Options, cfg Config) {
-	merged, stats, err := core.MergeAlignedCtx(ctx, dst, a, b, name, ares, opts)
-	if err != nil {
-		t.err = err
-		return
-	}
-	// The merged function is cleaned before the cost model sees it; for
-	// FMSA this is where register promotion tries (and partially fails)
-	// to undo the demotion inside the merged body.
-	s0 := time.Now()
-	if cfg.Algorithm == FMSA {
-		transform.Mem2Reg(merged)
-	}
-	transform.Simplify(merged)
-	t.simplifyTime = time.Since(s0)
-	t.merged = merged
-	t.stats = *stats
-	// The originals become thunks, so the profit is exactly what the
-	// commit takes off ModuleBytes.
-	after := costmodel.FuncBytes(merged, cfg.Target) +
-		2*costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
-	t.profit = preSize[t.f1] + preSize[t.f2] - after
-}
-
-// remapPairs rewrites an alignment computed over the originals' cached
-// sequences onto the clones' sequences, in place. A global alignment
-// visits every entry of both sides exactly once, in order, so the
-// remap is two running cursors; the trailing assertion (together with
-// CloneSeq's length check) guarantees the clone sequences describe the
-// same linearization the DP saw.
-func remapPairs(pairs []align.Pair, sa, sb align.Seq) {
-	i, j := 0, 0
-	for k := range pairs {
-		if pairs[k].A != nil {
-			pairs[k].A = &sa.Entries[i]
-			i++
-		}
-		if pairs[k].B != nil {
-			pairs[k].B = &sb.Entries[j]
-			j++
-		}
-	}
-	if i != len(sa.Entries) || j != len(sb.Entries) {
-		panic("driver: alignment does not cover the cloned sequences")
-	}
-}
-
-// adopt moves a trial's merged function out of its scratch module into m
-// under a collision-free name; the emptied scratch module returns to
-// the trial pool.
-func adopt(m *ir.Module, t *trial) {
-	t.scratch.RemoveFunc(t.merged)
-	t.merged.SetName(MergedName(m, t.f1, t.f2))
-	m.AddFunc(t.merged)
-	putScratch(t.scratch)
-	t.scratch = nil
-}
-
 // commit replaces both originals with thunks into the merged function.
 func commit(f1, f2, merged *ir.Function) {
 	plan, err := core.PlanParams(f1, f2)
@@ -698,15 +592,21 @@ func mergedBaseName(f1, f2 *ir.Function) string {
 	return fmt.Sprintf("merged.%s.%s", f1.Name(), f2.Name())
 }
 
-// MergedName returns the collision-free name for merging f1 and f2 into
-// m: the base "merged.<f1>.<f2>" scheme with a numeric suffix when
-// taken. The facade's MergePair shares it so pair merges and
-// whole-module runs never diverge on naming.
-func MergedName(m *ir.Module, f1, f2 *ir.Function) string {
-	base := mergedBaseName(f1, f2)
+// freshName returns base, or base with the first numeric suffix, that
+// names no function in m and is not in claimed (a dry run's proposals;
+// nil for none). Every merged function the driver builds is named here.
+func freshName(m *ir.Module, base string, claimed map[string]bool) string {
 	name := base
-	for i := 1; m.FuncByName(name) != nil; i++ {
+	for i := 1; m.FuncByName(name) != nil || claimed[name]; i++ {
 		name = fmt.Sprintf("%s.%d", base, i)
 	}
 	return name
+}
+
+// MergedName returns the collision-free name for merging f1 and f2 into
+// m, "merged.<f1>.<f2>" with a numeric suffix when taken. The facade's
+// MergePair shares it so pair merges and whole-module runs never
+// diverge on naming.
+func MergedName(m *ir.Module, f1, f2 *ir.Function) string {
+	return freshName(m, mergedBaseName(f1, f2), nil)
 }

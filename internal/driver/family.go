@@ -2,7 +2,6 @@ package driver
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"time"
 
@@ -242,16 +241,17 @@ func isThunkTo(f, head *ir.Function) bool {
 // live holder is excused iff it is the head or carries a member's name,
 // a stored body iff it is the family's own (those predate the head).
 //
-// best is the walk row's retained trial, if any. Built in place, its
-// merged body sits in m without having gone through a commit, and it
-// can carry a head reference copied out of a member thunk — excused by
-// name there, not in the copy — so the index holds it for this check.
+// best is the walk row's retained trial, if any. Built in place — in a
+// dry run as in a committing one — its merged body sits in m without
+// having gone through a commit, and it can carry a head reference
+// copied out of a member thunk — excused by name there, not in the
+// copy — so the index holds it for this check.
 func hasExternalCallers(m *ir.Module, families *familySet, fam *family, best *trial) bool {
 	if fam == nil {
 		return false
 	}
 	refs := families.index(m)
-	if best != nil && best.scratch == nil {
+	if best != nil {
 		refs.add(best.merged, false)
 		defer refs.forget(best.merged)
 	}
@@ -380,40 +380,23 @@ func familyBaseName(names []string) string {
 	return "merged." + strings.Join(names, ".")
 }
 
-// familyMergedName picks the collision-free name for the flattened
-// head, consulting the dry-mode claimed overlay alongside the module.
-func familyMergedName(m *ir.Module, names []string, claimed map[string]bool) string {
-	base := familyBaseName(names)
-	name := base
-	for i := 1; m.FuncByName(name) != nil || claimed[name]; i++ {
-		name = fmt.Sprintf("%s.%d", base, i)
-	}
-	return name
-}
-
 // MergedFamilyName returns the collision-free name for merging the
 // named family into m: "merged.<n0>.<n1>..." with a numeric suffix when
 // taken. The facade's MergeFamily shares it so hand-picked families and
 // driver flattenings never diverge on naming.
 func MergedFamilyName(m *ir.Module, names []string) string {
-	return familyMergedName(m, names, nil)
+	return freshName(m, familyBaseName(names), nil)
 }
 
 // planFlattenTrial builds the k-ary merged function for a flatten plan
-// and prices it: profit compares every live function the flatten
-// touches (heads, member thunks, newcomers) against the fresh body plus
-// k int-fid thunks. Commit-mode trials build in place (the runner
-// discards the function on rejection); dry-mode trials build into a
-// private scratch module so the real module stays untouched.
-func planFlattenTrial(ctx context.Context, m *ir.Module, fp *flattenPlan, name string, inPlace bool, cfg Config) *trial {
+// in m, like a pair trial (planTrial), and prices it: profit compares
+// every live function the flatten touches (heads, member thunks,
+// newcomers) against the fresh body plus k int-fid thunks. The runner
+// discards the function unless it commits it.
+func planFlattenTrial(ctx context.Context, m *ir.Module, fp *flattenPlan, name string, cfg Config) *trial {
 	t := &trial{family: fp}
-	dst := m
-	if !inPlace {
-		t.scratch = getScratch()
-		dst = t.scratch
-	}
 	t0, a0 := time.Now(), heapAllocs()
-	merged, stats, err := core.MergeFamilyWithPlanCtx(ctx, dst, fp.srcs, name, fp.pplan, cfg.CoreOptions())
+	merged, stats, err := core.MergeFamilyWithPlanCtx(ctx, m, fp.srcs, name, fp.pplan, cfg.CoreOptions())
 	if err != nil {
 		t.codegenTime, t.allocBytes = time.Since(t0), heapAllocs()-a0
 		t.err = err

@@ -182,13 +182,13 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	m, cfg, cache := ck.m, ck.cfg, ck.cache
 	ck.pairs++
 	discard := func(tr *trial) {
-		if tr.merged != nil && tr.scratch == nil {
+		if tr.merged != nil {
 			m.RemoveFunc(tr.merged)
 		}
 	}
 
 	// Ground truth: the ungated trial's profit.
-	ref := planTrialInPlace(ctx, m, f1, f2, cache, ck.preSize, ck.opts, cfg, noGate, nil)
+	ref := planTrial(ctx, m, f1, f2, nil, cache, ck.preSize, ck.opts, cfg, noGate, nil)
 	profit := ref.profit
 	failed := ref.err != nil
 	discard(ref)
@@ -255,7 +255,7 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	q1 := costmodel.NewFuncProfile(f1, cfg.Target, cache.Seq(f1))
 	q2 := costmodel.NewFuncProfile(f2, cfg.Target, cache.Seq(f2))
 	g := trialGate{on: true, bd: costmodel.BoundLazy(q1, q2, cfg.Target), gate: 0, p1: q1, p2: q2}
-	gated := planTrialInPlace(ctx, m, f1, f2, cache, ck.preSize, ck.opts, cfg, g, nil)
+	gated := planTrial(ctx, m, f1, f2, nil, cache, ck.preSize, ck.opts, cfg, g, nil)
 	defer discard(gated)
 	if gated.err != nil {
 		t.Fatalf("%s/%s: gated trial errored: %v", f1.Name(), f2.Name(), gated.err)

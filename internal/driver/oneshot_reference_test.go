@@ -61,7 +61,7 @@ func runOneShotReference(ctx context.Context, m *ir.Module, cfg Config) (*Result
 	mergeIdx := 0
 	var runErr error
 	discard := func(t *trial) {
-		if t != nil && t.merged != nil && t.scratch == nil {
+		if t != nil && t.merged != nil {
 			m.RemoveFunc(t.merged)
 		}
 	}
@@ -84,7 +84,7 @@ commitLoop:
 				discard(best)
 				break commitLoop
 			}
-			t := planTrialInPlace(ctx, m, f1, f2, cache, preSize, opts, cfg, noGate, nil)
+			t := planTrial(ctx, m, f1, f2, nil, cache, preSize, opts, cfg, noGate, nil)
 			res.Attempts++
 			res.AlignTime += t.alignTime
 			res.CodegenTime += t.codegenTime

@@ -85,10 +85,10 @@ func churnSession(seed int64, rounds int, after func(s *Session, res *Result)) (
 	return digests, nil
 }
 
-// TestReleasedBodiesUnreachable: every body a run releases — losing
-// pair and flatten trials built in place, a Plan's scratch clones and
-// merged bodies, the heads a flatten consumes — is dead when it is
-// released. Under the package's poison hook, twenty churn rounds of
+// TestReleasedBodiesUnreachable: every body a run releases — the pair
+// and flatten trials it does not commit (all of a Plan's, winners
+// included), built in place and discarded, and the heads a flatten
+// consumes — is dead when it is released. Under the package's poison hook, twenty churn rounds of
 // Optimize, Plan/Apply and flattening record every released block and
 // instruction, and after each run no live function and no body the
 // family registry keeps reaches one: not as a block or instruction, an

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/align"
@@ -17,15 +16,16 @@ import (
 // one row-step (row) and one commit-step (commitStep); it serves two
 // modes from that one code path:
 //
-//   - commit mode (Optimize, RunContext, Apply): merges are adopted into
+//   - commit mode (Optimize, RunContext, Apply): merged functions stay in
 //     the module, originals become thunks, and the persistent indexes
 //     are updated in place;
 //   - dry mode (Plan): decisions are identical, but consumed functions
 //     are tombstoned in an overlay instead of being removed from the
 //     finder, merged-function names are claimed in an overlay instead of
-//     the module, trials always run against scratch clones, and the
-//     chosen merges are recorded in a Plan. The module and the
-//     persistent indexes come out untouched.
+//     the module, and the chosen merges are recorded in a Plan. Both
+//     modes build every trial in place, the same way; a dry run
+//     discards its winners too, so the module comes back as found and
+//     the persistent indexes untouched.
 type runner struct {
 	m      *ir.Module
 	cfg    Config
@@ -41,8 +41,8 @@ type runner struct {
 	// funnel, when non-nil, is the session's planning funnel
 	// (funnel.go): candidate pairs are screened against an admissible
 	// profit bound before any DP, the bound's score floor aborts
-	// hopeless alignments mid-DP, and a trial only materializes (clone
-	// + codegen) once its computed alignment still clears the gate.
+	// hopeless alignments mid-DP, and a trial only materializes (its
+	// codegen) once its computed alignment still clears the gate.
 	// Every pruned pair provably could not have changed a decision, so
 	// a gated run commits the merge set an ungated one would. Nil for
 	// FMSA, Apply replays and flatten trials, which plan every pair in
@@ -118,18 +118,6 @@ func (r *runner) retire(f *ir.Function) {
 	if r.markPending != nil {
 		r.markPending(f)
 	}
-}
-
-// mergedName picks the collision-free name for merging f1 and f2,
-// consulting the dry-mode claimed overlay alongside the module so a dry
-// run names its proposals exactly as a commit run would.
-func (r *runner) mergedName(f1, f2 *ir.Function) string {
-	base := mergedBaseName(f1, f2)
-	name := base
-	for i := 1; r.m.FuncByName(name) != nil || r.claimed[name]; i++ {
-		name = fmt.Sprintf("%s.%d", base, i)
-	}
-	return name
 }
 
 // foldStep collapses families of structurally identical candidates
@@ -301,44 +289,36 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 	return best, c, nil
 }
 
-// pairTrial plans the pairwise trial of f1 and f2 under gate g. Commit
-// runs build in place; dry runs must not touch the module, so they use
-// the pure scratch-clone trial. The alignment is the trial's only until
-// its body is built; then the runner takes it back cleared, so that it
-// pins no body, for the next trial.
+// pairTrial plans the pairwise trial of f1 and f2 under gate g, in
+// place. The alignment is the trial's only until its body is built;
+// then the runner takes it back cleared, so that it pins no body, for
+// the next trial.
 func (r *runner) pairTrial(ctx context.Context, f1, f2 *ir.Function, g trialGate) *trial {
 	defer r.ares.Clear()
-	if r.commitMode {
-		return planTrialInPlace(ctx, r.m, f1, f2, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g, &r.ares)
-	}
-	return planTrial(ctx, f1, f2, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g, &r.ares)
+	return planTrial(ctx, r.m, f1, f2, r.claimed, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g, &r.ares)
 }
 
 // flattenTrial plans the k-ary re-merge fp describes for the pair.
 func (r *runner) flattenTrial(ctx context.Context, fp *flattenPlan, f1, f2 *ir.Function) *trial {
-	name := familyMergedName(r.m, fp.names, r.claimed)
-	t := planFlattenTrial(ctx, r.m, fp, name, r.commitMode, r.cfg)
+	t := planFlattenTrial(ctx, r.m, fp, freshName(r.m, familyBaseName(fp.names), r.claimed), r.cfg)
 	t.f1, t.f2 = f1, f2
 	return t
 }
 
-// discard drops a rejected in-place trial's merged function from the
-// module and releases its body (ir.Release); a rejected scratch-built
-// trial returns its module and bodies to the pools. Nothing else
-// references a rejected trial's bodies. A built body is codegen's to
-// dispose of, so the time goes on the codegen clock (as build time).
-// Nil-safe.
+// discard drops a trial the run does not commit — a loser, a filtered
+// winner, every dry-run winner — from the module and releases its body
+// (ir.Release). Nothing else references the body. A built body is
+// codegen's to dispose of, so the time goes on the codegen clock (as
+// build time). Nil-safe.
 func (r *runner) discard(t *trial) {
 	if t == nil {
 		return
 	}
 	d0 := time.Now()
 	r.res.DiscardedTrialAllocBytes += t.allocBytes
-	if t.merged != nil && t.scratch == nil {
+	if t.merged != nil {
 		r.m.RemoveFunc(t.merged)
 		ir.Release(t.merged)
-	} else {
-		t.recycle()
 	}
 	d := time.Since(d0)
 	r.res.CodegenTime += d
@@ -352,36 +332,18 @@ func (r *runner) discard(t *trial) {
 func (r *runner) commitStep(t *trial) {
 	c0 := time.Now()
 	res, f1, f2 := r.res, t.f1, t.f2
-	rec := MergeRecord{F1: f1.Name(), F2: f2.Name(), Profit: t.profit, Stats: t.stats}
+	rec := MergeRecord{F1: f1.Name(), F2: f2.Name(), Merged: t.merged.Name(), Profit: t.profit, Stats: t.stats}
 	// A record says what was merged, the same on every run; what it took
 	// is in the Counters.
 	rec.Stats.BuildTime, rec.Stats.RepairTime = 0, 0
 	if t.family != nil {
 		rec.Family = append([]string(nil), t.family.names...)
 	}
-	// A trial built in place or as a flatten already carries its
-	// collision-free name; a scratch-built pair is named against the
-	// module (and the dry-mode claims) only now.
-	proposed := func() string {
-		if t.scratch != nil && t.family == nil {
-			return r.mergedName(f1, f2)
-		}
-		return t.merged.Name()
-	}
 	switch {
 	case r.cfg.CommitFilter != nil && !r.cfg.CommitFilter(r.mergeIdx):
 		// Filtered: recorded, not applied; both functions stay in play.
-		// The discard is on the codegen clock, not the commit clock.
-		rec.Merged = proposed()
-		d0 := time.Now()
-		r.discard(t)
-		c0 = c0.Add(time.Since(d0))
 	case r.commitMode:
 		rec.Committed = true
-		if t.scratch != nil {
-			adopt(r.m, t)
-		}
-		rec.Merged = t.merged.Name()
 		if t.family != nil {
 			// Flatten: rewrite every member thunk onto the fresh k-ary
 			// head and drop the consumed heads; the rewritten thunks
@@ -402,7 +364,6 @@ func (r *runner) commitStep(t *trial) {
 		r.consumed[f1], r.consumed[f2] = true, true
 	default:
 		// Dry mode: the merge is a proposal, not an applied change.
-		rec.Merged = proposed()
 		dead := []*ir.Function{f1, f2}
 		if t.family != nil {
 			dead = append(dead, t.family.heads...)
@@ -420,7 +381,13 @@ func (r *runner) commitStep(t *trial) {
 			F1: rec.F1, F2: rec.F2, Merged: rec.Merged, Family: rec.Family, Profit: t.profit,
 			Hash1: r.hashes.of(f1), Hash2: r.hashes.of(f2),
 		})
-		t.recycle()
+	}
+	if !rec.Committed {
+		// A filtered or proposed merge leaves the module as it was. The
+		// discard is on the codegen clock, not the commit clock.
+		d0 := time.Now()
+		r.discard(t)
+		c0 = c0.Add(time.Since(d0))
 	}
 	res.Merges = append(res.Merges, rec)
 	r.mergeIdx++

@@ -20,8 +20,9 @@
 //
 // Runs come in two flavours sharing one loop (runner.go): a committing
 // run (Optimize, the classic pipeline) mutates the module, while a dry
-// run (Plan) simulates the same greedy loop against tombstone overlays
-// and returns a serializable Plan of the merges it would commit. Apply
+// run (Plan) runs the same greedy loop against tombstone overlays —
+// every trial built in place and discarded, so the module comes back as
+// found — and returns a serializable Plan of the merges it would commit. Apply
 // replays a (possibly filtered) Plan against the live module through
 // the loop's commit-step, verifying each function's structural hash so
 // a stale plan is rejected instead of merging the wrong code.
@@ -53,8 +54,10 @@ func newRunID() int64 { return runIDs.Add(1) }
 // once; Optimize, Plan and Apply then run against
 // the persistent indexes, and Update / Remove re-index only the
 // functions a caller changed. Methods are safe for concurrent use but
-// execute one at a time (the session serializes itself); the module
-// must not be mutated by the caller while a session method runs.
+// execute one at a time (the session serializes itself). While a
+// session method runs, the caller must not access the module at all,
+// not even read it: every run, Plan included, builds its trial bodies
+// in the module and takes them out again.
 type Session struct {
 	// mu serializes every public method: sessions are safe for
 	// concurrent use, but calls execute one at a time.
@@ -653,10 +656,9 @@ func (s *Session) optimizeFMSA(ctx context.Context, clk runClock) (*Result, erro
 	fmsa.PrepareModule(s.m)
 	var candidates []*ir.Function
 	for _, f := range s.m.Defined() {
-		if f.NumInstrs() < s.cfg.MinInstrs || s.cfg.SkipHot[f.Name()] {
-			continue
+		if s.eligible(f) {
+			candidates = append(candidates, f)
 		}
-		candidates = append(candidates, f)
 	}
 	cache := align.NewCache()
 	finder := search.New(search.KindLSH, candidates)
@@ -674,10 +676,12 @@ func (s *Session) optimizeFMSA(ctx context.Context, clk runClock) (*Result, erro
 	return res, runErr
 }
 
-// Plan is the dry run: the same greedy loop as Optimize, simulated
-// against tombstone overlays so the module is
-// not touched, returning the serializable Plan of merges (and duplicate
-// folds) a commit run would apply. Plans embed each function's
+// Plan is the dry run: the same greedy loop as Optimize, run against
+// tombstone overlays, returning the serializable Plan of merges (and
+// duplicate folds) a commit run would apply. Its trials are built in
+// place exactly as Optimize builds them and all discarded, so the module
+// comes back as found — every function, body and use list as it was —
+// but it is not left alone meanwhile (see Session). Plans embed each function's
 // structural hash; Apply verifies them, so a plan can be shipped across
 // a process boundary and applied later — or filtered first.
 func (s *Session) Plan(ctx context.Context) (*Plan, error) {
@@ -686,9 +690,10 @@ func (s *Session) Plan(ctx context.Context) (*Plan, error) {
 }
 
 // PlanReport is Plan with the dry run's accounting: the Result carries
-// the loop's counters (attempts, memo hits, funnel screens and aborts)
-// and timings, with FinalBytes equal to BaselineBytes since a dry run
-// never mutates the module.
+// the loop's counters (attempts, memo hits, funnel screens and aborts,
+// trials built and skipped — those Optimize would count on the same
+// module) and timings, with FinalBytes equal to BaselineBytes since a
+// dry run leaves the module as it found it.
 func (s *Session) PlanReport(ctx context.Context) (*Plan, *Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

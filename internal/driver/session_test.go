@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -469,12 +470,43 @@ func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 				}
 				defer sp.Close()
 				before := mPlan.String()
-				plan, err := sp.Plan(context.Background())
+				// Plan builds its trials in place and discards them all, so
+				// every use list must come back as found, users and order.
+				type useList struct {
+					v     ir.Value
+					owner string
+					uses  []ir.Use
+				}
+				var lists []useList
+				for _, f := range mPlan.Funcs {
+					for _, a := range f.Params() {
+						lists = append(lists, useList{a, f.Name(), slices.Clone(ir.UsesOf(a))})
+					}
+					f.Instrs(func(in *ir.Instruction) bool {
+						lists = append(lists, useList{in, f.Name(), slices.Clone(ir.UsesOf(in))})
+						return true
+					})
+				}
+				plan, planned, err := sp.PlanReport(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
 				if after := mPlan.String(); after != before {
 					t.Fatal("Plan mutated the module")
+				}
+				for _, l := range lists {
+					if got := ir.UsesOf(l.v); !slices.Equal(got, l.uses) {
+						t.Fatalf("Plan changed the use list of a %T in @%s (%d uses, %d before)", l.v, l.owner, len(got), len(l.uses))
+					}
+				}
+				// The dry run runs Optimize's trials, so its funnel counts
+				// are Optimize's.
+				type funnelCounts struct{ Attempts, OutcomeHits, PairsScreened, DPAborted, TrialsBuilt, TrialsSkipped int }
+				count := func(c Counters) funnelCounts {
+					return funnelCounts{c.Attempts, c.OutcomeHits, c.PairsScreened, c.DPAborted, c.TrialsBuilt, c.TrialsSkipped}
+				}
+				if got, want := count(planned.Counters), count(direct.Counters); got != want {
+					t.Errorf("Plan counted %+v, Optimize %+v", got, want)
 				}
 				if len(plan.Merges) != len(direct.Merges) {
 					t.Fatalf("plan proposes %d merges, Optimize committed %d", len(plan.Merges), len(direct.Merges))

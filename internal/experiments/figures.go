@@ -369,24 +369,6 @@ func (l *Lab) Fig25() *Table {
 	return t
 }
 
-// All runs every experiment in paper order.
-func (l *Lab) All() []*Table {
-	return []*Table{
-		l.Fig5(),
-		l.Fig17a(),
-		l.Fig17b(),
-		l.Fig18(),
-		l.Table1(),
-		l.Fig19(),
-		l.Fig20(),
-		l.Fig21(),
-		l.Fig22(),
-		l.Fig23(),
-		l.Fig24(),
-		l.Fig25(),
-	}
-}
-
 // ByID returns the experiment with the given id.
 func (l *Lab) ByID(id string) (*Table, bool) {
 	switch id {

@@ -51,12 +51,6 @@ func NewEnv() *Env {
 	}
 }
 
-// Reset clears the trace and step counter, keeping globals and externals.
-func (env *Env) Reset() {
-	env.Trace = env.Trace[:0]
-	env.Steps = 0
-}
-
 // Exception is a thrown exception unwinding through invokes.
 type Exception struct {
 	// Payload is the landingpad value observed at catch sites.

@@ -59,9 +59,6 @@ func (b *Block) Instrs() []*Instruction { return b.instrs }
 // Len returns the number of instructions in the block.
 func (b *Block) Len() int { return len(b.instrs) }
 
-// Empty reports whether the block has no instructions.
-func (b *Block) Empty() bool { return len(b.instrs) == 0 }
-
 // First returns the first instruction, or nil.
 func (b *Block) First() *Instruction {
 	if len(b.instrs) == 0 {

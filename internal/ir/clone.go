@@ -25,23 +25,13 @@ func CloneInstruction(in *Instruction) *Instruction {
 	return c
 }
 
-// RemapOperands rewrites every operand of in that has an entry in vmap.
-func RemapOperands(in *Instruction, vmap map[Value]Value) {
-	for i, op := range in.operands {
-		if nv, ok := vmap[op]; ok {
-			in.SetOperand(i, nv)
-		}
-	}
-}
-
 // CloneFunction returns a deep copy of f named name, together with the
 // value map from original values (arguments, blocks, instructions) to
 // their clones.
 //
-// Cloning is strictly read-only on f: the driver's dry-run trials clone
-// live module functions that the run must leave exactly as it found
-// them, so no use-list of f may be touched, not even transiently. Cloned
-// instructions are
+// Cloning is strictly read-only on f: the cost model's slack probe
+// clones live candidates in the middle of a run, so no use-list of f
+// may be touched, not even transiently. Cloned instructions are
 // therefore built with raw (unregistered) operand slices and uses are
 // registered only after every operand has been remapped into the clone's
 // value space.

@@ -86,12 +86,6 @@ func (t *nameTable) typedRef(v Value) string {
 	return v.Type().String() + " " + t.ref(v)
 }
 
-// FormatInstr renders a single instruction using f's name table. Intended
-// for debugging output and error messages.
-func FormatInstr(f *Function, in *Instruction) string {
-	return instrString(in, buildNames(f))
-}
-
 func instrString(in *Instruction, t *nameTable) string {
 	var sb strings.Builder
 	if !IsVoid(in.typ) {

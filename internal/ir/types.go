@@ -218,23 +218,8 @@ func IsVoid(t Type) bool { _, ok := t.(*VoidType); return ok }
 // IsInt reports whether t is an integer type.
 func IsInt(t Type) bool { _, ok := t.(*IntType); return ok }
 
-// IsFloat reports whether t is a floating-point type.
-func IsFloat(t Type) bool { _, ok := t.(*FloatType); return ok }
-
-// IsPointer reports whether t is a pointer type.
-func IsPointer(t Type) bool { _, ok := t.(*PointerType); return ok }
-
 // IsLabel reports whether t is the label type.
 func IsLabel(t Type) bool { _, ok := t.(*LabelType); return ok }
-
-// IsFirstClass reports whether t can be the type of an SSA register.
-func IsFirstClass(t Type) bool {
-	switch t.(type) {
-	case *VoidType, *LabelType, *FuncType:
-		return false
-	}
-	return true
-}
 
 // LandingPadResultType is the result type of landingpad instructions,
 // modelling LLVM's canonical {i8*, i32} personality result.

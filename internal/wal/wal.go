@@ -122,7 +122,6 @@ func Hash(data []byte) uint64 {
 // concurrent use; the daemon serializes all operations on a session.
 type Journal struct {
 	fs   fault.FS
-	path string
 	mode SyncMode
 	f    fault.File
 	base uint64
@@ -130,9 +129,6 @@ type Journal struct {
 
 // Base returns the module hash the journal's begin record is bound to.
 func (j *Journal) Base() uint64 { return j.base }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 func encodeFrame(rec *Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
@@ -184,7 +180,7 @@ func Create(fsys fault.FS, path string, base uint64, mode SyncMode) (*Journal, e
 		f.Close()
 		return nil, err
 	}
-	return &Journal{fs: fsys, path: path, mode: mode, f: f, base: base}, nil
+	return &Journal{fs: fsys, mode: mode, f: f, base: base}, nil
 }
 
 // Append journals one record. In SyncCommit mode the record is fsynced
@@ -317,5 +313,5 @@ func Open(fsys fault.FS, path string, mode SyncMode) (j *Journal, base uint64, r
 		f.Close()
 		return nil, 0, nil, torn, err
 	}
-	return &Journal{fs: fsys, path: path, mode: mode, f: f, base: base}, base, recs, torn, nil
+	return &Journal{fs: fsys, mode: mode, f: f, base: base}, base, recs, torn, nil
 }

@@ -24,7 +24,7 @@ import (
 //
 // Beyond incremental Optimize, a Session splits planning from
 // committing: Plan returns a serializable MergePlan of the merges a run
-// would commit without touching the module, and Apply commits a
+// would commit and leaves the module as it found it, and Apply commits a
 // (possibly filtered) plan later — the shape a build service needs to
 // review or audit merges before applying them.
 //
@@ -34,7 +34,9 @@ import (
 // already failed the cost model; see Report.OutcomeHits.
 //
 // Session methods are safe for concurrent use but execute one at a
-// time; the module must not be mutated while a session method runs.
+// time. While a session method runs the module must not be accessed at
+// all, not even read: every run, Plan included, builds its trial bodies
+// in the module and takes them out again.
 // The FMSA baseline is supported for Optimize only (register demotion
 // rewrites the whole module around each run, so nothing can be carried
 // over); Plan and Apply require a SalSSA variant.
@@ -125,19 +127,21 @@ func (s *Session) Optimize(ctx context.Context) (*Report, error) {
 	return s.s.Optimize(ctx)
 }
 
-// Plan is the dry run: the same candidate walk as Optimize, simulated
-// without touching the module, returning the MergePlan of merges (and
-// duplicate folds) a commit run would apply. Plan requires a SalSSA
-// variant.
+// Plan is the dry run: the same candidate walk as Optimize, returning
+// the MergePlan of merges (and duplicate folds) a commit run would
+// apply. Its trials are built in place exactly as Optimize builds them
+// and all discarded, so the module comes back as found. Plan requires a
+// SalSSA variant.
 func (s *Session) Plan(ctx context.Context) (*MergePlan, error) {
 	return s.s.Plan(ctx)
 }
 
 // PlanReport is Plan with the dry run's accounting: the Report carries
 // the loop's counters — attempts, memo hits, and the planning funnel's
-// PairsScreened / DPAborted / TrialsBuilt / TrialsSkipped — plus phase
-// timings, with FinalBytes equal to BaselineBytes since a dry run never
-// mutates the module.
+// PairsScreened / DPAborted / TrialsBuilt / TrialsSkipped, the counts
+// Optimize would report on the same module — plus phase timings, with
+// FinalBytes equal to BaselineBytes since a dry run leaves the module
+// as it found it.
 func (s *Session) PlanReport(ctx context.Context) (*MergePlan, *Report, error) {
 	return s.s.PlanReport(ctx)
 }
