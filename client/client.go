@@ -177,8 +177,9 @@ func (c *Client) Stats(ctx context.Context) (ServerStats, error) {
 // CreateSession opens a named session on the daemon. With a non-empty
 // Module the daemon parses and indexes it; with an empty Module the
 // daemon restores the module persisted under this name by an earlier
-// Snapshot — the warm-restart path (Info.Warm reports whether the index
-// snapshot was accepted).
+// Snapshot — the warm-restart path (Info.Warm reports whether the
+// snapshot was accepted and its outcome memo restored; the first
+// Optimize's OutcomeHits counts the trials it spared).
 func (c *Client) CreateSession(ctx context.Context, req CreateSession) (*SessionClient, error) {
 	var info SessionInfo
 	if err := c.do(ctx, http.MethodPost, "/v1/sessions", req, &info); err != nil {
@@ -269,8 +270,8 @@ func (sc *SessionClient) Module(ctx context.Context) (string, error) {
 	return string(raw), err
 }
 
-// Snapshot persists the session's module text and index snapshot under
-// the daemon's snapshot directory, enabling a later warm restart.
+// Snapshot persists the session's module text and outcome-memo snapshot
+// under the daemon's snapshot directory, enabling a later warm restart.
 func (sc *SessionClient) Snapshot(ctx context.Context) error {
 	return sc.c.do(ctx, http.MethodPost, sc.path("/snapshot"), nil, nil)
 }

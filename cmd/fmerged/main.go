@@ -18,7 +18,7 @@
 //
 // Serve mode mounts the /v1 surface (see internal/serve and the
 // repro/client package) and runs until SIGINT/SIGTERM; on shutdown the
-// listener drains, then every live session's module text and index
+// listener drains, then every live session's module text and memo
 // snapshot are persisted under -snapshot-dir (when set), so the next
 // start warm-restarts them. With -wal-dir set, every committed mutation
 // is additionally journaled before its client is acknowledged; a daemon

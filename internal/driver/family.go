@@ -177,8 +177,12 @@ func (x *refIndex) forget(holder *ir.Function) {
 	delete(x.stamps, holder)
 }
 
-// isHead reports whether f heads a recorded family.
+// isHead reports whether f heads a recorded family (never, in the nil
+// set of a session without family tracking).
 func (s *familySet) isHead(f *ir.Function) bool {
+	if s == nil {
+		return false
+	}
 	_, ok := s.byHead[f]
 	return ok
 }

@@ -137,12 +137,10 @@ func (s *Session) eligible(f *ir.Function) bool {
 	return f.NumInstrs() >= s.cfg.MinInstrs && !s.cfg.SkipHot[f.Name()]
 }
 
-// initIndexLayers constructs the empty persistent index layers shared by
-// the cold build and the snapshot warm restart: the align cache, the
-// membership/size maps, the outcome memo, the planning funnel and
-// the family registry. The finder is built by the caller: from the
-// module at Open, from the snapshot at a warm restart.
-func (s *Session) initIndexLayers() {
+// buildIndexes constructs the persistent index layers from the module:
+// the finder, the align cache, the membership/size maps, the outcome
+// memo, the planning funnel and the family registry.
+func (s *Session) buildIndexes() {
 	s.cache = align.NewCache()
 	s.hashes = hashMemo{}
 	s.sizes = map[*ir.Function]int{}
@@ -154,11 +152,6 @@ func (s *Session) initIndexLayers() {
 	if s.cfg.MaxFamily >= 3 {
 		s.families = newFamilySet()
 	}
-}
-
-// buildIndexes constructs the persistent index layers from scratch.
-func (s *Session) buildIndexes() {
-	s.initIndexLayers()
 	var candidates []*ir.Function
 	for _, f := range s.m.Defined() {
 		if !s.eligible(f) {
@@ -168,7 +161,6 @@ func (s *Session) buildIndexes() {
 		s.index(f)
 	}
 	s.finder = search.New(search.KindLSH, candidates)
-	s.lastSearch, s.lastCache = search.Stats{}, align.CacheStats{}
 }
 
 // markPending schedules f for re-indexing at the next sync. Every
@@ -367,41 +359,7 @@ func (s *Session) Close() error {
 // diverged. The whole call is validated before anything is marked, so
 // on error no name took effect.
 func (s *Session) Update(ctx context.Context, changed ...string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, name := range changed {
-		if s.m.FuncByName(name) == nil && s.byName[name] == nil {
-			return fmt.Errorf("driver: Update(%q): %w", name, ErrUnknownFunction)
-		}
-	}
-	for _, name := range changed {
-		if f := s.m.FuncByName(name); f != nil {
-			// The session knows a different object under this name: the
-			// caller either replaced the function (remove + add — the old
-			// object must leave the index or later runs would merge its
-			// dead body) or renamed it and reused the name. Mark the old
-			// object for re-evaluation; sync's eligibility check keeps a
-			// live renamed function (under its new name) and unindexes a
-			// detached one. An explicit earlier Remove mark is respected.
-			if old := s.byName[name]; old != nil && old != f {
-				if _, seen := s.pending[old]; !seen {
-					s.pending[old] = true
-				}
-			}
-			s.pending[f] = true
-			continue
-		}
-		if f := s.byName[name]; f != nil {
-			s.pending[f] = false
-		}
-	}
-	return nil
+	return s.delta(ctx, "Update", changed, nil)
 }
 
 // Remove drops the named functions from the candidate set, typically
@@ -412,29 +370,7 @@ func (s *Session) Update(ctx context.Context, changed ...string) error {
 // whole call is validated before anything is marked, so on error no
 // name took effect.
 func (s *Session) Remove(ctx context.Context, names ...string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, name := range names {
-		if s.byName[name] == nil && s.m.FuncByName(name) == nil {
-			return fmt.Errorf("driver: Remove(%q): %w", name, ErrUnknownFunction)
-		}
-	}
-	for _, name := range names {
-		f := s.byName[name]
-		if f == nil {
-			f = s.m.FuncByName(name)
-		}
-		if f != nil {
-			s.pending[f] = false
-		}
-	}
-	return nil
+	return s.delta(ctx, "Remove", nil, names)
 }
 
 // ErrConflictingDelta is wrapped by UpdateBatch when one batch asks to
@@ -455,6 +391,12 @@ var ErrConflictingDelta = fmt.Errorf("conflicting delta")
 // the batch carried. That window is what makes streaming a
 // 100k-function corpus into a session linear instead of quadratic.
 func (s *Session) UpdateBatch(ctx context.Context, changed, removed []string) error {
+	return s.delta(ctx, "UpdateBatch", changed, removed)
+}
+
+// delta is Update, Remove and UpdateBatch: it validates the whole delta,
+// then marks it. op names the method in errors.
+func (s *Session) delta(ctx context.Context, op string, changed, removed []string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -469,20 +411,30 @@ func (s *Session) UpdateBatch(ctx context.Context, changed, removed []string) er
 	}
 	for _, name := range changed {
 		if rm[name] {
-			return fmt.Errorf("driver: UpdateBatch(%q): update and remove in one batch: %w", name, ErrConflictingDelta)
+			return fmt.Errorf("driver: %s(%q): update and remove in one batch: %w", op, name, ErrConflictingDelta)
 		}
 		if s.m.FuncByName(name) == nil && s.byName[name] == nil {
-			return fmt.Errorf("driver: UpdateBatch(%q): %w", name, ErrUnknownFunction)
+			return fmt.Errorf("driver: %s(%q): %w", op, name, ErrUnknownFunction)
 		}
+	}
+	rmTag := "remove "
+	if op == "Remove" {
+		rmTag = ""
 	}
 	for _, name := range removed {
 		if s.byName[name] == nil && s.m.FuncByName(name) == nil {
-			return fmt.Errorf("driver: UpdateBatch(remove %q): %w", name, ErrUnknownFunction)
+			return fmt.Errorf("driver: %s(%s%q): %w", op, rmTag, name, ErrUnknownFunction)
 		}
 	}
 	for _, name := range changed {
 		if f := s.m.FuncByName(name); f != nil {
-			// Same rename/replace routing as Update: see the comment there.
+			// The session knows a different object under this name: the
+			// caller either replaced the function (remove + add — the old
+			// object must leave the index or later runs would merge its
+			// dead body) or renamed it and reused the name. Mark the old
+			// object for re-evaluation; sync's eligibility check keeps a
+			// live renamed function (under its new name) and unindexes a
+			// detached one. An explicit earlier Remove mark is respected.
 			if old := s.byName[name]; old != nil && old != f {
 				if _, seen := s.pending[old]; !seen {
 					s.pending[old] = true

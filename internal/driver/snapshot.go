@@ -1,14 +1,18 @@
-// On-disk index snapshots. A warm restart of a merge service should not
-// pay the full index rebuild — fingerprinting and hashing every
-// candidate — when the module it serves is byte-identical to what
-// the previous process saw. Session.Snapshot exports the persistent
-// index layers into a versioned, checksummed, JSON-serializable value;
-// OpenSessionWithSnapshot rebuilds a session from it, validating every
-// function against its recorded structural hash and recomputing only
-// what drifted. The snapshot carries:
+// On-disk outcome memos. What a restarted merge service cannot rebuild
+// cheaply is the set of candidate pairs already proven unprofitable:
+// each verdict cost an alignment and often a trial build (the greedy
+// loop of the paper's Fig. 16). Session.Snapshot exports that memo into
+// a versioned, checksummed, JSON-serializable value;
+// OpenSessionWithSnapshot opens the session cold — the finder and every
+// other index layer are rebuilt from the module, which costs less than
+// checking stored fingerprints would, since a stored fingerprint can
+// only be trusted after its function is hashed — and restores the memo
+// pairs whose two functions still hash as they did. The snapshot
+// carries:
 //
-//   - per candidate: the structural hash and the opcode fingerprint;
-//   - the unprofitable-pair outcome memo, as index pairs into the
+//   - per function that appears in the memo: its name and structural
+//     hash;
+//   - the unprofitable-pair outcome memo, as index pairs into that
 //     function table (entries touching family heads are excluded — a
 //     flatten verdict depends on the family registry, which is session
 //     state and not snapshotted).
@@ -16,8 +20,8 @@
 // What is NOT carried: the family registry (original member bodies are
 // unserializable session state — a restored session nests where the old
 // one would have flattened, exactly like any fresh session over an
-// already-merged module) and the align.Cache linearizations, which are
-// rebuilt lazily per pair.
+// already-merged module), the finder's fingerprints and the align.Cache
+// linearizations, which are rebuilt at open and lazily per pair.
 package driver
 
 import (
@@ -25,66 +29,55 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 
-	"repro/internal/align"
 	"repro/internal/fault"
-	"repro/internal/fingerprint"
 	"repro/internal/ir"
 	"repro/internal/search"
 )
 
 // SnapshotVersion is the current snapshot format version; snapshots
 // recording any other version are rejected, and the caller cold-opens
-// (a snapshot is a cache). Version 2 added canonical-view indexing's
-// guard (Snapshot.Canon) and per-function hashes; version 3 dropped the
-// per-function minhash band keys along with the sketch they belonged
-// to. Canonical-view indexing has since left the pipeline without a
-// version bump: a snapshot taken with it is rejected by the guard.
-// Version 4 added the size-model target to the config guard: the memo
-// holds verdicts priced under one target, and a version-3 snapshot
-// never recorded which, so it is refused on its version alone.
-const SnapshotVersion = 4
+// (a snapshot is a cache). Version 2 added per-function hashes; version
+// 3 dropped the per-function minhash band keys along with the sketch
+// they belonged to. Version 4 added the size-model target to the config
+// guard: the memo holds verdicts priced under one target, and a
+// version-3 snapshot never recorded which. Version 5 reduced the
+// snapshot to the outcome memo: the per-candidate fingerprints and the
+// finder name went.
+const SnapshotVersion = 5
 
-// Snapshot is the serializable index state of a Session. It round-trips
-// through encoding/json.
+// Snapshot is the serializable outcome memo of a Session. It
+// round-trips through encoding/json.
 type Snapshot struct {
 	Version  int    `json:"version"`
 	Checksum string `json:"checksum"` // FNV-1a 64 over the JSON with this field empty
 
 	// Config guard: a snapshot only restores into a session configured
-	// identically for every field the indexes depend on.
+	// identically for every field the memo's verdicts depend on.
 	Algorithm string `json:"algorithm"`
 	Threshold int    `json:"threshold"`
 	Target    string `json:"target"`
-	Finder    string `json:"finder"`
 	DupFold   bool   `json:"dup_fold"`
 	MaxFamily int    `json:"max_family"`
 	MinInstrs int    `json:"min_instrs"`
-	// Canon is the canonicalization pipeline a snapshot of an older
-	// build was taken under. Its indexes were computed over canonical
-	// views, which this build no longer has, so any non-empty value
-	// rejects the snapshot. It is never written.
-	Canon string `json:"canon,omitempty"`
 
+	// Funcs lists each function that appears in Outcomes once, in module
+	// definition order.
 	Funcs []SnapshotFunc `json:"funcs"`
 	// Outcomes lists the memoized-unprofitable pairs as index pairs
 	// into Funcs, in deterministic order.
 	Outcomes [][2]int `json:"outcomes,omitempty"`
 }
 
-// SnapshotFunc is one candidate's index state.
+// SnapshotFunc is one memo function.
 type SnapshotFunc struct {
 	Name string `json:"name"`
 	// Hash is the structural hash the function had at snapshot time;
-	// restore trusts the fingerprint only when the current
+	// restore trusts the function's memo pairs only when its current
 	// body still hashes to it.
-	Hash   uint64 `json:"hash,string"`
-	Blocks int32  `json:"blocks"`
-	Size   int32  `json:"size"`
-	// Ops is the sparse opcode-count vector: flattened (opcode, count)
-	// pairs, ascending by opcode.
-	Ops []int32 `json:"ops"`
+	Hash uint64 `json:"hash,string"`
 }
 
 // fnv1a64 matches the search package's FNV-1a parameters.
@@ -149,9 +142,9 @@ func LoadSnapshotFile(path string) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// Snapshot exports the session's index state. The pending delta is
+// Snapshot exports the session's outcome memo. The pending delta is
 // synced first, so the snapshot describes the module as the next run
-// would see it. FMSA sessions carry no persistent indexes and cannot be
+// would see it. FMSA sessions carry no persistent memo and cannot be
 // snapshotted.
 func (s *Session) Snapshot() (*Snapshot, error) {
 	s.mu.Lock()
@@ -168,57 +161,45 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		Algorithm: s.cfg.Algorithm.String(),
 		Threshold: s.cfg.Threshold,
 		Target:    s.cfg.Target.String(),
-		Finder:    search.KindLSH.String(),
 		DupFold:   s.cfg.DupFold,
 		MaxFamily: s.cfg.MaxFamily,
 		MinInstrs: s.cfg.MinInstrs,
 	}
-	idx := search.Export(s.finder)
-	pos := make(map[*ir.Function]int, len(idx))
-	for _, f := range s.candidateOrder() {
-		fp := idx[f]
-		if fp == nil {
-			continue
-		}
-		entry := SnapshotFunc{
-			Name:   f.Name(),
-			Hash:   search.HashFunction(f),
-			Blocks: fp.Blocks,
-			Size:   fp.Size,
-		}
-		for op, c := range fp.OpCount {
-			if c != 0 {
-				entry.Ops = append(entry.Ops, int32(op), c)
-			}
-		}
-		pos[f] = len(snap.Funcs)
-		snap.Funcs = append(snap.Funcs, entry)
+	order := s.candidateOrder()
+	pos := make(map[*ir.Function]int, len(order))
+	for i, f := range order {
+		pos[f] = i
 	}
-	// The outcome memo, in candidate order for determinism. Pairs where
-	// either side could flatten are skipped: their verdicts were taken
-	// against the family registry, which does not survive the snapshot.
-	for _, f1 := range s.candidateOrder() {
-		i1, ok := pos[f1]
-		if !ok {
+	// The memo as pairs of candidate positions, rows and each row's
+	// partners in candidate order. Pairs where either side could flatten
+	// are skipped: their verdicts were taken against the family
+	// registry, which does not survive the snapshot.
+	var pairs [][2]int
+	for i1, f1 := range order {
+		if s.families.isHead(f1) {
 			continue
 		}
-		row := s.outcomes.pairs[f1]
-		if len(row) == 0 {
-			continue
+		row := len(pairs)
+		for f2 := range s.outcomes.pairs[f1] {
+			if i2, ok := pos[f2]; ok && !s.families.isHead(f2) {
+				pairs = append(pairs, [2]int{i1, i2})
+			}
 		}
-		for _, f2 := range s.candidateOrder() {
-			if row[f2] == 0 {
-				continue
-			}
-			i2, ok := pos[f2]
-			if !ok {
-				continue
-			}
-			if s.families != nil && (s.families.isHead(f1) || s.families.isHead(f2)) {
-				continue
-			}
-			snap.Outcomes = append(snap.Outcomes, [2]int{i1, i2})
+		slices.SortFunc(pairs[row:], func(a, b [2]int) int { return a[1] - b[1] })
+	}
+	// Renumber the positions the pairs use into the function table.
+	slot := make([]int, len(order))
+	for _, p := range pairs {
+		slot[p[0]], slot[p[1]] = 1, 1
+	}
+	for i, f := range order {
+		if slot[i] != 0 {
+			slot[i] = len(snap.Funcs)
+			snap.Funcs = append(snap.Funcs, SnapshotFunc{Name: f.Name(), Hash: s.hashes.of(f)})
 		}
+	}
+	for _, p := range pairs {
+		snap.Outcomes = append(snap.Outcomes, [2]int{slot[p[0]], slot[p[1]]})
 	}
 	if err := snap.Seal(); err != nil {
 		return nil, err
@@ -227,16 +208,13 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 }
 
 // validateSnapshot checks the parts of a snapshot that do not depend on
-// the module: version, the canon guard, checksum and the config guard.
+// the module: version, checksum and the config guard.
 func validateSnapshot(snap *Snapshot, cfg Config) error {
 	if snap == nil {
 		return fmt.Errorf("driver: nil snapshot")
 	}
 	if snap.Version != SnapshotVersion {
 		return fmt.Errorf("driver: snapshot version %d, want %d", snap.Version, SnapshotVersion)
-	}
-	if snap.Canon != "" {
-		return fmt.Errorf("driver: snapshot was indexed through canonical views (%q), which this build does not support", snap.Canon)
 	}
 	sum, err := snap.checksum()
 	if err != nil {
@@ -262,14 +240,14 @@ func validateSnapshot(snap *Snapshot, cfg Config) error {
 	return nil
 }
 
-// OpenSessionWithSnapshot is OpenSession resuming from a snapshot: every
-// candidate whose body still matches its recorded structural hash adopts
-// the snapshot's fingerprint instead of recomputing it, and
-// the outcome memo is restored for pairs whose both sides matched. A
-// snapshot that fails validation (wrong version, corrupt, or taken under
-// a different configuration) is an error — callers typically fall back
-// to a cold OpenSession. Functions that drifted are simply re-indexed;
-// that is a per-function cost, not an error.
+// OpenSessionWithSnapshot is OpenSession resuming from a snapshot: the
+// session is opened cold, then each memo pair is restored when both its
+// names resolve to distinct candidates whose current bodies still hash
+// to the recorded values. A snapshot that fails validation (wrong
+// version, corrupt, or taken under a different configuration) is an
+// error — callers typically fall back to a cold OpenSession. Functions
+// that drifted simply lose their memo pairs; that is a per-function
+// cost, not an error.
 func OpenSessionWithSnapshot(ctx context.Context, m *ir.Module, cfg Config, snap *Snapshot) (*Session, error) {
 	if m == nil {
 		return nil, fmt.Errorf("driver: open session on nil module")
@@ -284,74 +262,34 @@ func OpenSessionWithSnapshot(ctx context.Context, m *ir.Module, cfg Config, snap
 		return nil, err
 	}
 	s := &Session{m: m, cfg: cfg, pending: map[*ir.Function]bool{}}
-	s.buildIndexesFrom(snap)
-	return s, nil
-}
-
-// buildIndexesFrom is buildIndexes seeded by a validated snapshot.
-func (s *Session) buildIndexesFrom(snap *Snapshot) {
-	s.initIndexLayers()
-	// matched[i] is the live function whose current structural hash
-	// equals snap.Funcs[i].Hash, or nil.
+	s.buildIndexes()
+	// matched[i] is the candidate named snap.Funcs[i].Name whose current
+	// structural hash equals the recorded one, or nil. Hashing through
+	// the session's memo hands the first fold step these hashes.
 	matched := make([]*ir.Function, len(snap.Funcs))
-	byName := make(map[string]int, len(snap.Funcs))
-	for i := range snap.Funcs {
-		byName[snap.Funcs[i].Name] = i
+	for i, sf := range snap.Funcs {
+		if f := s.byName[sf.Name]; f != nil && s.hashes.of(f) == sf.Hash {
+			matched[i] = f
+		}
 	}
-	prior := map[*ir.Function]*fingerprint.Fingerprint{}
-	var candidates []*ir.Function
-	for _, f := range s.m.Defined() {
-		if !s.eligible(f) {
-			continue
-		}
-		candidates = append(candidates, f)
-		s.index(f)
-		i, ok := byName[f.Name()]
-		if !ok {
-			continue
-		}
-		sf := &snap.Funcs[i]
-		if search.HashFunction(f) != sf.Hash {
-			continue
-		}
-		fp := &fingerprint.Fingerprint{Blocks: sf.Blocks, Size: sf.Size}
-		bad := false
-		for j := 0; j+1 < len(sf.Ops); j += 2 {
-			op := sf.Ops[j]
-			if op < 0 || int(op) >= len(fp.OpCount) {
-				bad = true
-				break
-			}
-			fp.OpCount[op] = sf.Ops[j+1]
-		}
-		if bad {
-			continue
-		}
-		matched[i] = f
-		prior[f] = fp
-	}
-	s.finder = search.Restore(candidates, prior)
 	for _, pair := range snap.Outcomes {
 		i1, i2 := pair[0], pair[1]
 		if i1 < 0 || i1 >= len(matched) || i2 < 0 || i2 >= len(matched) {
 			continue
 		}
-		f1, f2 := matched[i1], matched[i2]
-		if f1 == nil || f2 == nil || f1 == f2 {
-			continue
+		// Snapshot skips every pair that could flatten, so what comes
+		// back is pairwise.
+		if f1, f2 := matched[i1], matched[i2]; f1 != nil && f2 != nil && f1 != f2 {
+			s.outcomes.put(f1, f2, pairOutcome)
 		}
-		// Export skips every pair that could flatten, so what comes back
-		// is pairwise.
-		s.outcomes.put(f1, f2, pairOutcome)
 	}
-	s.lastSearch, s.lastCache = search.Stats{}, align.CacheStats{}
+	return s, nil
 }
 
 // SearchStats returns the finder's cumulative accounting since the
 // session opened (not the per-run delta a Result reports). Built counts
-// fingerprint computations: a session restored from a fully
-// matching snapshot reports Built == 0 until something drifts, which is
-// how warm restarts are verified to have skipped the index rebuild.
+// fingerprint computations: every candidate at open, warm or cold, plus
+// every re-index since.
 func (s *Session) SearchStats() (search.Stats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -4,13 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/irtext"
-	"repro/internal/search"
 	"repro/internal/synth"
 )
 
@@ -28,11 +29,6 @@ func snapshotConfigs() []Config {
 	}
 	return out
 }
-
-// snapshotFinders are the finder names a snapshot file can record: this
-// code writes "lsh", and data dirs written when "exact" was a separate
-// finder (and the default) hold that name. Both must restore.
-var snapshotFinders = []string{search.KindExact.String(), search.KindLSH.String()}
 
 // snapshotModuleText returns the snapshot tests' module as text — the
 // persisted form a daemon would reload alongside the snapshot.
@@ -75,115 +71,146 @@ func roundTripSnapshot(t *testing.T, snap *Snapshot) *Snapshot {
 	return out
 }
 
-// recordedUnder is roundTripSnapshot for a file that recorded the given
-// finder name, re-sealed so only the name differs.
-func recordedUnder(t *testing.T, snap *Snapshot, finder string) *Snapshot {
-	t.Helper()
-	out := roundTripSnapshot(t, snap)
-	out.Finder = finder
-	if err := out.Seal(); err != nil {
-		t.Fatal(err)
+// memoPairs counts the pairs in s's outcome memo.
+func memoPairs(s *Session) int {
+	n := 0
+	for _, row := range s.outcomes.pairs {
+		n += len(row)
 	}
-	return out
+	return n
 }
 
-// TestSnapshotRoundTrip is the satellite's save → restart → load
-// differential: a session restored from a snapshot must produce the
-// same Plan, bit for bit, as a cold OpenSession over the same module
-// text — both on a fresh module and after an Optimize has rewritten it —
-// and the restore must not rebuild the index (Built stays 0 through the
-// first Plan), whichever finder name the snapshot recorded.
+// optimizedSnapshot runs a session over text to its second Optimize and
+// returns the session (its memo populated), its snapshot and the
+// module text the snapshot describes.
+func optimizedSnapshot(t *testing.T, text string, cfg Config) (*Session, *Snapshot, string) {
+	t.Helper()
+	ctx := context.Background()
+	m, err := irtext.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSession(ctx, m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := s.Optimize(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Outcomes) == 0 {
+		t.Fatal("snapshot after Optimize carries no memo pairs")
+	}
+	return s, snap, m.String()
+}
+
+// TestSnapshotRoundTrip is the save → restart → load differential: a
+// session restored from a snapshot must produce the same Plan, bit for
+// bit, as a cold OpenSession over the same module text — both on a
+// fresh module and after an Optimize has rewritten it. A warm restart
+// is proven by its memo: the first warm PlanReport serves pairs from
+// the restored memo where the cold one serves none, and without family
+// tracking (whose head pairs a snapshot leaves out) it equals what the
+// original session, continued, would have reported.
 func TestSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	text := snapshotModuleText(t)
-	for _, finder := range snapshotFinders {
-		for _, cfg := range snapshotConfigs() {
-			t.Run(fmt.Sprintf("%s-fold=%v-fam=%d", finder, cfg.DupFold, cfg.MaxFamily), func(t *testing.T) {
-				// Fresh-module snapshot.
-				m1, err := irtext.Parse(text)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s1, err := OpenSession(ctx, m1, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap, err := s1.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				coldPlan, err := s1.Plan(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
+	for _, cfg := range snapshotConfigs() {
+		t.Run(fmt.Sprintf("fold=%v-fam=%d", cfg.DupFold, cfg.MaxFamily), func(t *testing.T) {
+			// Fresh-module snapshot: an empty memo restores into a
+			// session that plans like a cold one.
+			m1, err := irtext.Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1, err := OpenSession(ctx, m1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := s1.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Funcs) != 0 || len(snap.Outcomes) != 0 {
+				t.Fatalf("fresh snapshot carries %d functions and %d pairs, want none", len(snap.Funcs), len(snap.Outcomes))
+			}
+			m2, err := irtext.Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := OpenSessionWithSnapshot(ctx, m2, cfg, roundTripSnapshot(t, snap))
+			if err != nil {
+				t.Fatalf("warm open: %v", err)
+			}
+			warmPlan, err := s2.Plan(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := planJSON(t, warmPlan), planJSON(t, freshPlan(t, ctx, text, cfg)); got != want {
+				t.Fatalf("warm plan differs from cold plan:\nwarm: %s\ncold: %s", got, want)
+			}
 
-				m2, err := irtext.Parse(text)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s2, err := OpenSessionWithSnapshot(ctx, m2, cfg, recordedUnder(t, snap, finder))
-				if err != nil {
-					t.Fatalf("warm open: %v", err)
-				}
-				st, err := s2.SearchStats()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Built != 0 {
-					t.Fatalf("warm open rebuilt %d index entries, want 0", st.Built)
-				}
-				warmPlan, err := s2.Plan(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st, _ = s2.SearchStats(); st.Built != 0 {
-					t.Fatalf("first warm Plan rebuilt %d index entries, want 0", st.Built)
-				}
-				if got, want := planJSON(t, warmPlan), planJSON(t, coldPlan); got != want {
-					t.Fatalf("warm plan differs from cold plan:\nwarm: %s\ncold: %s", got, want)
-				}
-
-				// Post-optimize snapshot: run to a fixpoint, snapshot the
-				// session (outcome memo now populated), persist the mutated
-				// module as text and restart from both artifacts.
-				if _, err := s1.Optimize(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s1.Optimize(ctx); err != nil {
-					t.Fatal(err)
-				}
-				snap2, err := s1.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				optText := m1.String()
-				coldPlan2 := freshPlan(t, ctx, optText, cfg)
-
-				m3, err := irtext.Parse(optText)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s3, err := OpenSessionWithSnapshot(ctx, m3, cfg, recordedUnder(t, snap2, finder))
-				if err != nil {
-					t.Fatalf("warm open after optimize: %v", err)
-				}
-				if st, _ := s3.SearchStats(); st.Built != 0 {
-					t.Fatalf("warm open after optimize rebuilt %d index entries, want 0", st.Built)
-				}
-				warmPlan2, err := s3.Plan(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := planJSON(t, warmPlan2), planJSON(t, coldPlan2); got != want {
-					t.Fatalf("post-optimize warm plan differs from cold:\nwarm: %s\ncold: %s", got, want)
-				}
-			})
-		}
+			// Post-optimize snapshot: the memo is populated; persist the
+			// mutated module as text and restart from both artifacts.
+			orig, snap2, optText := optimizedSnapshot(t, text, cfg)
+			coldPlan, cold := freshPlanReport(t, ctx, optText, cfg)
+			if cold.OutcomeHits != 0 {
+				t.Fatalf("cold open served %d pairs from a memo, want 0", cold.OutcomeHits)
+			}
+			m3, err := irtext.Parse(optText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s3, err := OpenSessionWithSnapshot(ctx, m3, cfg, roundTripSnapshot(t, snap2))
+			if err != nil {
+				t.Fatalf("warm open after optimize: %v", err)
+			}
+			if got, want := memoPairs(s3), len(snap2.Outcomes); got != want {
+				t.Fatalf("warm open restored %d memo pairs, snapshot carries %d", got, want)
+			}
+			warmPlan2, warm, err := s3.PlanReport(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.OutcomeHits == 0 {
+				t.Fatal("first warm PlanReport served no pairs from the restored memo")
+			}
+			if got, want := planJSON(t, warmPlan2), planJSON(t, coldPlan); got != want {
+				t.Fatalf("post-optimize warm plan differs from cold:\nwarm: %s\ncold: %s", got, want)
+			}
+			if cfg.MaxFamily >= 3 {
+				return
+			}
+			contPlan, cont, err := orig.PlanReport(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := planJSON(t, warmPlan2), planJSON(t, contPlan); got != want {
+				t.Fatalf("warm plan differs from the continued session's:\nwarm: %s\ncont: %s", got, want)
+			}
+			if warm.Attempts != cont.Attempts || warm.OutcomeHits != cont.OutcomeHits {
+				t.Fatalf("warm PlanReport %d attempts / %d outcome hits, continued session %d / %d",
+					warm.Attempts, warm.OutcomeHits, cont.Attempts, cont.OutcomeHits)
+			}
+		})
 	}
 }
 
 // freshPlan cold-opens a session over text and returns its first Plan.
 func freshPlan(t *testing.T, ctx context.Context, text string, cfg Config) *Plan {
+	t.Helper()
+	p, _ := freshPlanReport(t, ctx, text, cfg)
+	return p
+}
+
+// freshPlanReport cold-opens a session over text and returns its first
+// PlanReport.
+func freshPlanReport(t *testing.T, ctx context.Context, text string, cfg Config) (*Plan, *Result) {
 	t.Helper()
 	m, err := irtext.Parse(text)
 	if err != nil {
@@ -193,11 +220,11 @@ func freshPlan(t *testing.T, ctx context.Context, text string, cfg Config) *Plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.Plan(ctx)
+	p, res, err := s.PlanReport(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return p, res
 }
 
 // TestSnapshotRejection covers the failure modes restore must catch:
@@ -228,9 +255,12 @@ func TestSnapshotRejection(t *testing.T) {
 	}
 
 	if cp, m2 := fresh(); true {
-		cp.Funcs[0].Hash++
-		if _, err := OpenSessionWithSnapshot(ctx, m2, cfg, cp); err == nil {
-			t.Fatal("tampered snapshot accepted")
+		// Edited without re-sealing: the checksum catches it before the
+		// config guard would.
+		cp.DupFold = !cp.DupFold
+		_, err := OpenSessionWithSnapshot(ctx, m2, cfg, cp)
+		if err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("tampered snapshot: got %v, want a checksum error", err)
 		}
 	}
 	if cp, m2 := fresh(); true {
@@ -270,79 +300,95 @@ func TestSnapshotRejection(t *testing.T) {
 			t.Fatalf("target-mismatched snapshot: got %v, want a target error", err)
 		}
 	}
-	if cp, m2 := fresh(); true {
-		// The recorded finder name is not part of the guard: a snapshot
-		// recorded under the other name restores.
-		cp.Finder = search.KindExact.String()
+}
+
+// TestSnapshotDriftReindexesOnly verifies partial reuse: when a
+// function drifted between snapshot and restart — its recorded hash no
+// longer matches, its body was redefined, or it is new and has no
+// snapshot entry at all — only its own memo pairs are lost, the rest
+// are restored, and the restored session still plans exactly like a
+// cold one over the current module.
+func TestSnapshotDriftReindexesOnly(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
+	_, snap, text := optimizedSnapshot(t, snapshotModuleText(t), cfg)
+	first := snap.Outcomes[0][0]
+	// touching counts the snapshot pairs that name snap.Funcs[i].
+	touching := func(i int) int {
+		n := 0
+		for _, p := range snap.Outcomes {
+			if p[0] == i || p[1] == i {
+				n++
+			}
+		}
+		return n
+	}
+	// open restores snap (after edit) over m and checks that the memo
+	// kept every pair but those naming drifted, and that the first
+	// PlanReport serves the rest and plans like a cold open.
+	open := func(name string, m *ir.Module, edit func(*Snapshot), drifted int) {
+		t.Helper()
+		cp := roundTripSnapshot(t, snap)
+		edit(cp)
 		if err := cp.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenSessionWithSnapshot(ctx, m2, cfg, cp); err != nil {
-			t.Fatalf("finder-mismatched snapshot rejected: %v", err)
+		s, err := OpenSessionWithSnapshot(ctx, m, cfg, cp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := len(snap.Outcomes)
+		if drifted >= 0 {
+			f := m.FuncByName(snap.Funcs[drifted].Name)
+			if len(s.outcomes.pairs[f])+len(s.outcomes.rev[f]) != 0 {
+				t.Fatalf("%s: drifted @%s kept memo pairs", name, f.Name())
+			}
+			want -= touching(drifted)
+		}
+		if got := memoPairs(s); got != want {
+			t.Fatalf("%s: restored %d memo pairs, want %d", name, got, want)
+		}
+		warm, res, err := s.PlanReport(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OutcomeHits == 0 {
+			t.Fatalf("%s: first warm PlanReport served no pairs from the memo", name)
+		}
+		if got, want := planJSON(t, warm), planJSON(t, freshPlan(t, ctx, m.String(), cfg)); got != want {
+			t.Fatalf("%s: warm plan differs from cold plan:\nwarm: %s\ncold: %s", name, got, want)
 		}
 	}
-}
+	parse := func() *ir.Module {
+		t.Helper()
+		m, err := irtext.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 
-// TestSnapshotDriftReindexesOnly verifies partial reuse: when one
-// function drifted between snapshot and restart — its recorded hash no
-// longer matches, or it is new and has no snapshot entry at all — only
-// it is rebuilt (Built counts it) and the restored session still plans
-// exactly like a cold one over the current module.
-func TestSnapshotDriftReindexesOnly(t *testing.T) {
-	ctx := context.Background()
-	text := snapshotModuleText(t)
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
-	for _, finder := range snapshotFinders {
-		t.Run(finder, func(t *testing.T) {
-			m1, err := irtext.Parse(text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s1, err := OpenSession(ctx, m1, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap, err := s1.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
+	// Hash-mismatch path: an entry whose recorded hash no longer matches
+	// the live body must not be trusted. Flip one hash and re-seal, so
+	// the checksum passes and only the per-function check can catch it.
+	open("stale hash", parse(), func(cp *Snapshot) { cp.Funcs[first].Hash++ }, first)
 
-			// Hash-mismatch path: a snapshot entry whose recorded hash no
-			// longer matches the live body must not be trusted. Flip one
-			// hash and re-seal (so the checksum passes and only the
-			// per-function validation can catch it).
-			stale := recordedUnder(t, snap, finder)
-			stale.Funcs[0].Hash++
-			if err := stale.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			m2, err := irtext.Parse(text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2, err := OpenSessionWithSnapshot(ctx, m2, cfg, stale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st, _ := s2.SearchStats(); st.Built != 1 {
-				t.Fatalf("Built = %d after one stale hash, want 1", st.Built)
-			}
-			warm, err := s2.Plan(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold := freshPlan(t, ctx, text, cfg)
-			if got, want := planJSON(t, warm), planJSON(t, cold); got != want {
-				t.Fatalf("stale-hash warm plan differs from cold plan:\nwarm: %s\ncold: %s", got, want)
-			}
+	// Redefined body: a memo function becomes a copy of one of its
+	// recorded partners, so the pair the memo calls unprofitable now
+	// merges. Restoring the stale verdict would hide that merge from the
+	// warm plan.
+	m := parse()
+	f, g := drift(t, m, snap)
+	if _, err := irtext.ParseInto(m, strings.Replace(g.String(), "@"+g.Name()+"(", "@"+f.Name()+"(", 1)); err != nil {
+		t.Fatalf("redefining @%s: %v", f.Name(), err)
+	}
+	fi := slices.IndexFunc(snap.Funcs, func(sf SnapshotFunc) bool { return sf.Name == f.Name() })
+	open("redefined body", m, func(*Snapshot) {}, fi)
 
-			// Prior-miss path: a function added after the snapshot has no
-			// entry and is indexed from scratch; everything else is reused.
-			m3, err := irtext.Parse(text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := irtext.ParseInto(m3, `
+	// Prior-miss path: a function added after the snapshot has no entry;
+	// every recorded pair is restored.
+	m = parse()
+	if _, err := irtext.ParseInto(m, `
 define i32 @snapdrift(i32 %x) {
 entry:
   %a = add i32 %x, 41
@@ -350,25 +396,24 @@ entry:
   ret i32 %b
 }
 `); err != nil {
-				t.Fatalf("splice: %v", err)
-			}
-			s3, err := OpenSessionWithSnapshot(ctx, m3, cfg, recordedUnder(t, snap, finder))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st, _ := s3.SearchStats(); st.Built != 1 {
-				t.Fatalf("Built = %d after one new function, want 1", st.Built)
-			}
-			warm3, err := s3.Plan(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold3 := freshPlan(t, ctx, m3.String(), cfg)
-			if got, want := planJSON(t, warm3), planJSON(t, cold3); got != want {
-				t.Fatalf("new-function warm plan differs from cold plan:\nwarm: %s\ncold: %s", got, want)
-			}
-		})
+		t.Fatalf("splice: %v", err)
 	}
+	open("new function", m, func(*Snapshot) {}, -1)
+}
+
+// drift picks a memo pair (f, g) of snap whose two functions in m share
+// a signature and whose partner g is big enough that merging a copy of
+// it pays.
+func drift(t *testing.T, m *ir.Module, snap *Snapshot) (f, g *ir.Function) {
+	t.Helper()
+	for _, p := range snap.Outcomes {
+		f, g := m.FuncByName(snap.Funcs[p[0]].Name), m.FuncByName(snap.Funcs[p[1]].Name)
+		if f.Sig().String() == g.Sig().String() && g.NumInstrs() >= 20 {
+			return f, g
+		}
+	}
+	t.Fatal("no memo pair of matching signatures")
+	return nil, nil
 }
 
 // TestSnapshotSaveFile: the atomic file round-trip — SaveFile writes a
@@ -377,19 +422,8 @@ entry:
 func TestSnapshotSaveFile(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true}
-	m, err := irtext.Parse(snapshotModuleText(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenSession(ctx, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, snap, text := optimizedSnapshot(t, snapshotModuleText(t), cfg)
 	defer s.Close()
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	path := t.TempDir() + "/s.snap.json"
 	if err := snap.SaveFile(path); err != nil {
@@ -399,7 +433,7 @@ func TestSnapshotSaveFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	m2, err := irtext.Parse(snapshotModuleText(t))
+	m2, err := irtext.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,12 +442,8 @@ func TestSnapshotSaveFile(t *testing.T) {
 		t.Fatalf("restore from loaded file: %v", err)
 	}
 	defer warm.Close()
-	st, err := warm.SearchStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Built != 0 {
-		t.Fatalf("file round-trip rebuilt %d index entries, want 0", st.Built)
+	if got, want := memoPairs(warm), len(snap.Outcomes); got != want {
+		t.Fatalf("file round-trip restored %d memo pairs, snapshot carries %d", got, want)
 	}
 
 	// Re-save over the existing file: the replacement is complete (the
@@ -432,4 +462,97 @@ func TestSnapshotSaveFile(t *testing.T) {
 	if _, err := LoadSnapshotFile(t.TempDir() + "/absent.json"); err == nil {
 		t.Fatal("loading a missing snapshot succeeded")
 	}
+}
+
+// TestSnapshotLinear: Snapshot's allocation grows with the candidates
+// and memo pairs it writes, not with memo rows × candidates, which is
+// what walking candidate order once per memo row costs.
+func TestSnapshotLinear(t *testing.T) {
+	ctx := context.Background()
+	m := synth.Generate(synth.SuiteProfile(600, 7))
+	s, err := OpenSession(ctx, m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Optimize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	cands, rows := len(s.candidateOrder()), len(s.outcomes.pairs)
+	bytes, items := after.TotalAlloc-before.TotalAlloc, uint64(cands+len(snap.Outcomes))
+	t.Logf("%d candidates, %d memo rows, %d pairs over %d functions: %d B allocated (%d B per candidate or pair)",
+		cands, rows, len(snap.Outcomes), len(snap.Funcs), bytes, bytes/items)
+	if bytes > 512*items {
+		t.Fatalf("Snapshot allocated %d B for %d candidates + %d pairs, want at most 512 B each", bytes, cands, len(snap.Outcomes))
+	}
+}
+
+// FuzzSnapshotOpen feeds hostile snapshot files through the daemon's
+// path — decode, re-seal so the checksum holds, open — over a fixed
+// module. Opening must never panic, and an accepted snapshot must leave
+// a session whose Optimize yields a verifying module: a restored memo
+// can only withhold trials, never corrupt a merge.
+func FuzzSnapshotOpen(f *testing.F) {
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true}
+	text := synth.Generate(synth.Profile{
+		Name: "snapfuzz", Seed: 5, Funcs: 16,
+		MinSize: 6, AvgSize: 30, MaxSize: 80,
+		CloneFrac: 0.5, FamilySize: 3, MutRate: 0.1,
+		Loops: 0.5, Switches: 0.4,
+	}).String()
+	m, err := irtext.Parse(text)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := OpenSession(context.Background(), m, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Optimize(context.Background()); err != nil {
+		f.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(snap.Outcomes) == 0 {
+		f.Fatal("seed snapshot carries no memo pairs")
+	}
+	text = m.String()
+	seed, err := json.Marshal(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"version":5,"algorithm":"SalSSA","threshold":2,"target":"x86-64","dup_fold":true,` +
+		`"funcs":[{"name":"","hash":"0"}],"outcomes":[[0,0],[0,-1],[1,0],[9223372036854775807,0]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap Snapshot
+		if json.Unmarshal(data, &snap) != nil || snap.Seal() != nil {
+			return
+		}
+		m, err := irtext.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSessionWithSnapshot(context.Background(), m, cfg, &snap)
+		if err != nil {
+			return
+		}
+		if _, err := s.Optimize(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := ir.VerifyModule(m); err != nil {
+			t.Fatalf("Optimize after an accepted snapshot broke the module: %v", err)
+		}
+	})
 }

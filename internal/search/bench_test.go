@@ -37,7 +37,7 @@ func benchFinder(b *testing.B, topT int) {
 	funcs := benchFunctions(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fd := newIndex(funcs, nil)
+		fd := newIndex(funcs)
 		for _, f := range fd.Order() {
 			if got := fd.Candidates(f, topT); len(got) == 0 {
 				b.Fatalf("no candidates for @%s", f.Name())
@@ -45,7 +45,7 @@ func benchFinder(b *testing.B, topT int) {
 		}
 	}
 	b.StopTimer()
-	fd := newIndex(funcs, nil)
+	fd := newIndex(funcs)
 	for _, f := range funcs {
 		fd.Candidates(f, topT)
 	}

@@ -76,7 +76,7 @@ func newFinderOps(t testing.TB, pool []*ir.Function, indexed int, thresholds []i
 		o.fps = append(o.fps, *fingerprint.New(f))
 	}
 	o.spec = newSpec(pool[:indexed])
-	o.index = newIndex(pool[:indexed], nil)
+	o.index = newIndex(pool[:indexed])
 	return o
 }
 
@@ -442,7 +442,7 @@ func TestLSHOrderIndependent(t *testing.T) {
 	})
 	// Incremental, in another order, with a detour that scrambles the
 	// slot numbering: index a third, drop every other one, add the rest.
-	incr := newIndex(nil, nil)
+	incr := newIndex(nil)
 	for _, f := range shuffled[:n/3] {
 		incr.Add(f)
 	}
@@ -453,8 +453,8 @@ func TestLSHOrderIndependent(t *testing.T) {
 		incr.Add(f)
 	}
 
-	for _, other := range []*Index{newIndex(shuffled, nil), incr} {
-		ref := newIndex(funcs, nil)
+	for _, other := range []*Index{newIndex(shuffled), incr} {
+		ref := newIndex(funcs)
 		for _, topT := range diffThresholds {
 			sameLists(t, ref, other, topT, 1, "insertion order")
 		}
@@ -471,7 +471,7 @@ func TestLSHOrderIndependent(t *testing.T) {
 // and beside a writer. Meant for -race.
 func TestLSHConcurrentQueries(t *testing.T) {
 	funcs := tinyCorpus(300)
-	l := newIndex(funcs, nil)
+	l := newIndex(funcs)
 	want := make([][]*ir.Function, len(funcs))
 	for i, f := range funcs {
 		want[i] = l.Candidates(f, 5)
@@ -544,7 +544,7 @@ func TestAddBatchMatchesSequential(t *testing.T) {
 	funcs := batchCorpus(t)
 	split := len(funcs) * 3 / 4
 	base, extra := funcs[:split], funcs[split:]
-	batch := newIndex(base, nil)
+	batch := newIndex(base)
 	batch.AddBatch(extra)
 	t.Run("exact", func(t *testing.T) {
 		spec := newSpec(base)
@@ -555,7 +555,7 @@ func TestAddBatchMatchesSequential(t *testing.T) {
 		sameLists(t, spec, batch, 2, 7, "batch against the specification")
 	})
 	t.Run("lsh", func(t *testing.T) {
-		seq := newIndex(base, nil)
+		seq := newIndex(base)
 		for _, f := range extra {
 			seq.Add(f)
 		}

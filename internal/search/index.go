@@ -145,10 +145,9 @@ func fpHash(fp *fingerprint.Fingerprint) uint64 {
 	return h
 }
 
-// newIndex is the bulk constructor behind New and Restore: functions
-// covered by prior adopt their fingerprint, everything else is
+// newIndex is the bulk constructor behind New: every function is
 // fingerprinted and counted in Stats.Built.
-func newIndex(funcs []*ir.Function, prior map[*ir.Function]*fingerprint.Fingerprint) *Index {
+func newIndex(funcs []*ir.Function) *Index {
 	l := &Index{slotOf: make(map[*ir.Function]int32, len(funcs)), byHash: map[uint64]int32{}}
 	for _, f := range funcs {
 		if f.IsDecl() {
@@ -157,34 +156,20 @@ func newIndex(funcs []*ir.Function, prior map[*ir.Function]*fingerprint.Fingerpr
 		if _, ok := l.slotOf[f]; ok {
 			continue // duplicate input entry
 		}
-		l.linkLocked(l.indexLocked(f, prior[f]), true)
+		l.linkLocked(l.indexLocked(f), true)
 	}
 	l.settleLocked()
 	return l
 }
 
-// export copies the live fingerprints for snapshotting.
-func (l *Index) export() map[*ir.Function]*fingerprint.Fingerprint {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make(map[*ir.Function]*fingerprint.Fingerprint, len(l.slotOf))
-	for f, slot := range l.slotOf {
-		fp := l.cells[l.cellOf[slot]].fp
-		out[f] = &fp
-	}
-	return out
-}
-
 // indexLocked fills f's slot — its existing one on a re-index, else a
 // recycled or fresh one — with the name f carries now, and points it at
-// fp's cell (fp is computed here when nil), creating the cell if fp is
+// the cell of f's fingerprint, creating the cell if the fingerprint is
 // new. The caller has unlinked a re-indexed slot from its old cell and
 // links the slot into its new one.
-func (l *Index) indexLocked(f *ir.Function, fp *fingerprint.Fingerprint) int32 {
-	if fp == nil {
-		fp = fingerprint.New(f)
-		l.built++
-	}
+func (l *Index) indexLocked(f *ir.Function) int32 {
+	fp := fingerprint.New(f)
+	l.built++
 	slot, ok := l.slotOf[f]
 	switch {
 	case ok:
@@ -371,7 +356,7 @@ func (l *Index) Add(f *ir.Function) {
 	if slot, ok := l.slotOf[f]; ok {
 		l.unlinkLocked(slot, false)
 	}
-	l.linkLocked(l.indexLocked(f, nil), false)
+	l.linkLocked(l.indexLocked(f), false)
 }
 
 // AddBatch (re-)indexes a batch of functions under one lock
@@ -392,7 +377,7 @@ func (l *Index) AddBatch(fs []*ir.Function) {
 		if slot, ok := l.slotOf[f]; ok {
 			l.unlinkLocked(slot, true)
 		}
-		l.linkLocked(l.indexLocked(f, nil), true)
+		l.linkLocked(l.indexLocked(f), true)
 	}
 	l.settleLocked()
 }

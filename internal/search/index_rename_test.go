@@ -20,7 +20,7 @@ func TestLSHRenameReindex(t *testing.T) {
 		CloneFrac: 0.8, FamilySize: 3, MutRate: 0, Loops: 0.4,
 	})
 	funcs := m.Defined()
-	l := newIndex(funcs, nil)
+	l := newIndex(funcs)
 	n := l.Stats().Indexed
 	before := make(map[*ir.Function][]*ir.Function, n)
 	for _, g := range funcs {

@@ -19,7 +19,6 @@ package search
 import (
 	"time"
 
-	"repro/internal/fingerprint"
 	"repro/internal/ir"
 )
 
@@ -69,10 +68,7 @@ type Stats struct {
 	// Indexed is the number of functions currently indexed.
 	Indexed int
 	// Built counts fingerprint computations the finder performed —
-	// construction plus every re-Add. A finder
-	// restored from a snapshot starts with Built equal to only the
-	// functions whose snapshot entries could not be reused, which is how
-	// warm restarts are asserted to skip the rebuild.
+	// construction plus every re-Add.
 	Built int
 }
 
@@ -109,24 +105,5 @@ func (k Kind) String() string {
 // New builds the Finder over funcs (declarations are ignored). Every
 // kind builds the Index.
 func New(_ Kind, funcs []*ir.Function) Finder {
-	return newIndex(funcs, nil)
-}
-
-// Export returns the fingerprint f holds for each indexed function —
-// what a snapshot persists so a warm restart can skip recomputing them.
-// Only the Index is supported.
-func Export(f Finder) map[*ir.Function]*fingerprint.Fingerprint {
-	if ix, ok := f.(*Index); ok {
-		return ix.export()
-	}
-	return nil
-}
-
-// Restore is New adopting the fingerprints in prior instead of
-// recomputing them; functions without a prior entry are indexed from
-// scratch and counted in Stats.Built. The caller is responsible for
-// only passing prior entries that still describe the function's current
-// body — the driver checks structural hashes before trusting one.
-func Restore(funcs []*ir.Function, prior map[*ir.Function]*fingerprint.Fingerprint) Finder {
-	return newIndex(funcs, prior)
+	return newIndex(funcs)
 }

@@ -11,7 +11,7 @@ import repro "repro"
 
 // CreateSession is the body of POST /v1/sessions. Module is the initial
 // module in textual IR; when empty the daemon restores the module (and
-// its index snapshot) persisted under the session's name by an earlier
+// its outcome-memo snapshot) persisted under the session's name by an earlier
 // Snapshot call — the warm-restart path. Option fields mirror the
 // Optimizer options; zero values mean the daemon defaults (SalSSA,
 // threshold 1, no dup-fold, no families).
@@ -43,9 +43,10 @@ type CreateSession struct {
 type SessionInfo struct {
 	Name  string `json:"name"`
 	Funcs int    `json:"funcs"` // defined functions in the module
-	// Warm reports that the session was opened from a persisted index
-	// snapshot; Built is the finder's fingerprint-computation count
-	// since open (0 after a fully matching warm restart).
+	// Warm reports that the session was opened from a persisted
+	// snapshot (its outcome memo restored); Built is the finder's
+	// fingerprint-computation count since open, which counts every
+	// candidate after a warm open as after a cold one.
 	Warm  bool `json:"warm"`
 	Built int  `json:"built"`
 	// Replayed counts the journal records replayed when the session was

@@ -9,10 +9,10 @@
 // The daemon admits work through three gates: a global in-flight cap
 // (503 when the server is saturated), a per-client in-flight cap (429
 // for one greedy client), and a per-client function-count quota (429
-// when a client's sessions grow past its budget). Session index state
-// persists as a checksummed snapshot next to the module text, so a
-// restarted daemon serves its first Plan without recomputing its
-// fingerprint index.
+// when a client's sessions grow past its budget). A session's outcome
+// memo persists as a checksummed snapshot next to the module text, so a
+// restarted daemon's first run skips the trials the previous process
+// already found unprofitable.
 //
 // # Durability
 //
@@ -22,7 +22,7 @@
 // records, fsync per WALSync). Session creation persists the module
 // text immediately, so recovery always has a base: a crashed daemon
 // recreating a session by name loads the last persisted module (and
-// index snapshot, when it validates), replays the journal tail on top
+// memo snapshot, when it validates), replays the journal tail on top
 // of it — truncating at the first torn record — and re-persists, so
 // every acknowledged mutation survives kill -9. Snapshot and module
 // files are written atomically (temp + fsync + rename + dir fsync); a
@@ -76,7 +76,7 @@ type Config struct {
 	// MaxBodyBytes caps a request body (default 64 MiB).
 	MaxBodyBytes int64
 	// SnapshotDir, when non-empty, enables persistence: POST
-	// /v1/sessions/{name}/snapshot writes the module text and index
+	// /v1/sessions/{name}/snapshot writes the module text and memo
 	// snapshot there, and session creation warm-restarts from it.
 	// Defaults to WALDir when only journaling was configured.
 	SnapshotDir string
@@ -299,7 +299,7 @@ func (s *Server) walPath(name string) string {
 	return filepath.Join(s.cfg.WALDir, name+".wal")
 }
 
-// persist writes the module text and the index snapshot for sv, each
+// persist writes the module text and the memo snapshot for sv, each
 // atomically (temp + fsync + rename + dir fsync), then rotates the
 // journal: the persisted module now contains every journaled record,
 // so the journal restarts empty, bound to the new module hash. Caller
@@ -307,7 +307,7 @@ func (s *Server) walPath(name string) string {
 // module file is always either the old or the new complete text, and a
 // stale journal is detected by its base hash and skipped.
 //
-// The module text is written first: a module without a fresh index
+// The module text is written first: a module without a fresh memo
 // snapshot cold-starts (the snapshot is a cache, invalidated
 // per-function by hash), while a snapshot without its module would be
 // useless.

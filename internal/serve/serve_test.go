@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	repro "repro"
@@ -375,10 +377,15 @@ func TestServeAdmission(t *testing.T) {
 
 // TestServeWarmRestart: snapshot a session, delete it, recreate it by
 // name with no module body — the daemon restores the persisted module,
-// accepts the index snapshot, and serves the first Plan with zero
-// fingerprint rebuilds (SearchStats.Built == 0 end to end). The recreate
-// sends the other finder name: both select the one finder, so a session
-// created under either restores under the other.
+// accepts the snapshot and restores its outcome memo. The proof is the
+// memo: the first warm Optimize serves pairs from it (outcome_hits > 0)
+// where a cold session over the same text serves none, it reports and
+// plans exactly what the original session, continued, did, and it
+// produces the module the cold session produces. A function redefined
+// on disk behind the snapshot's back loses its memo pairs, so the
+// restart still optimizes like a cold open. The recreate sends the
+// other finder name: both select the one finder, so a session created
+// under either restores under the other.
 func TestServeWarmRestart(t *testing.T) {
 	ctx := context.Background()
 	for _, finder := range []string{"exact", "lsh"} {
@@ -387,13 +394,11 @@ func TestServeWarmRestart(t *testing.T) {
 			dir := t.TempDir()
 			_, hs := newTestDaemon(t, Config{SnapshotDir: dir})
 			c := client.New(hs.URL, "warm")
-			corpus := testCorpus(t, 32)
-			// MaxFamily 2 keeps plans flatten-free: the family registry
-			// is session state that a snapshot intentionally drops, so a
-			// flattening plan would differ across the restart by design.
-			sc, err := c.CreateSession(ctx, client.CreateSession{
-				Name: "warm-" + finder, Module: corpus, Finder: finder, DupFold: true, MaxFamily: 2,
-			})
+			// MaxFamily 2 keeps runs flatten-free: the family registry is
+			// session state that a snapshot intentionally drops, so a
+			// flattening run would differ across the restart by design.
+			create := client.CreateSession{Name: "warm", Module: testCorpus(t, 32), Finder: finder, DupFold: true, MaxFamily: 2}
+			sc, err := c.CreateSession(ctx, create)
 			if err != nil {
 				t.Fatalf("create: %v", err)
 			}
@@ -403,68 +408,166 @@ func TestServeWarmRestart(t *testing.T) {
 			if _, err := sc.Optimize(ctx); err != nil {
 				t.Fatal(err)
 			}
-			coldPlan, err := sc.Plan(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if err := sc.Snapshot(ctx); err != nil {
 				t.Fatalf("snapshot: %v", err)
 			}
+			text, err := sc.Module(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cont := captureRun(t, ctx, sc)
 			if err := sc.Close(ctx); err != nil {
 				t.Fatal(err)
 			}
 
-			// "Restart": recreate by name only. The corpus travels via
-			// the snapshot directory, the index via the snapshot.
-			sc2, err := c.CreateSession(ctx, client.CreateSession{
-				Name: "warm-" + finder, Finder: other, DupFold: true, MaxFamily: 2,
-			})
-			if err != nil {
-				t.Fatalf("warm create: %v", err)
+			// "Restart": recreate by name only. The module travels via
+			// the snapshot directory, the memo via the snapshot.
+			create.Module, create.Finder = "", other
+			warm := warmRun(t, ctx, c, create)
+			if warm.rep.OutcomeHits == 0 {
+				t.Fatal("first warm Optimize served no pairs from the restored memo")
 			}
-			info := sc2.CreateInfo()
-			if !info.Warm {
-				t.Fatal("recreate from snapshot not reported warm")
+			// The continued session's module text differs in value names
+			// only: its bodies were never reparsed.
+			if warm.rep != cont.rep || warm.plan != cont.plan {
+				t.Fatalf("warm restart diverged from the continued session:\nwarm: %+v %s\ncont: %+v %s", warm.rep, warm.plan, cont.rep, cont.plan)
 			}
-			if info.Built != 0 {
-				t.Fatalf("warm restart rebuilt %d index entries, want 0", info.Built)
+			cold := coldRun(t, ctx, c, "cold", text)
+			if cold.rep.OutcomeHits != 0 {
+				t.Fatalf("cold open served %d pairs from a memo, want 0", cold.rep.OutcomeHits)
 			}
-			warmPlan, err := sc2.Plan(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(warmPlan.Merges) != len(coldPlan.Merges) || len(warmPlan.Folds) != len(coldPlan.Folds) {
-				t.Fatalf("warm plan %d merges/%d folds, cold plan %d/%d",
-					len(warmPlan.Merges), len(warmPlan.Folds), len(coldPlan.Merges), len(coldPlan.Folds))
-			}
-			after, err := sc2.Info(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after.Built != 0 {
-				t.Fatalf("first warm Plan built %d index entries, want 0", after.Built)
+			warm.rep.OutcomeHits = 0
+			if warm != cold {
+				t.Fatalf("warm restart diverged from a cold open:\nwarm: %+v\ncold: %+v", warm.rep, cold.rep)
 			}
 
-			// Drift tolerance: redefine one function, snapshot-restart
-			// again — only the drifted function rebuilds.
-			frag := fmt.Sprintf("define i32 @%s(i32 %%x) {\nentry:\n  %%r = mul i32 %%x, 3\n  ret i32 %%r\n}\n", "serve_drift")
-			if _, err := sc2.Update(ctx, frag); err != nil {
-				t.Fatalf("splicing drift: %v", err)
-			}
-			if err := sc2.Snapshot(ctx); err != nil {
+			// Drift: redefine a memo function on disk as a near copy of
+			// its recorded partner. The snapshot still validates, but the
+			// pair it calls unprofitable now merges; restoring that
+			// verdict would keep the warm run from finding the merge a
+			// cold run finds.
+			drifted := driftModule(t, text, filepath.Join(dir, "warm.snap.json"))
+			if err := os.WriteFile(filepath.Join(dir, "warm.ir"), []byte(drifted), 0o644); err != nil {
 				t.Fatal(err)
+			}
+			warm = warmRun(t, ctx, c, create)
+			if warm.rep.OutcomeHits == 0 {
+				t.Fatal("warm Optimize over a drifted module served no pairs from the memo")
+			}
+			cold = coldRun(t, ctx, c, "drift-cold", drifted)
+			warm.rep.OutcomeHits = 0
+			if warm != cold {
+				t.Fatalf("warm restart over a drifted module diverged from a cold open:\nwarm: %+v\ncold: %+v", warm.rep, cold.rep)
 			}
 		})
 	}
 }
 
-// TestServeOldSnapshotColdOpens: an index snapshot an older build wrote
-// and this one cannot use is a stale cache, not an error — recreating
-// the session restores the module text, rejects the snapshot and
-// rebuilds the index cold. Three such snapshots: two of earlier format
-// versions (version 2 carried LSH band keys, version 3 did not record
-// its size-model target), and one indexed through canonical views,
-// which this build no longer has.
+// run is what one Optimize reported and produced, and the plan after it.
+type run struct {
+	rep          client.Report
+	module, plan string
+}
+
+// captureRun optimizes sc once and captures the result.
+func captureRun(t *testing.T, ctx context.Context, sc *client.SessionClient) run {
+	t.Helper()
+	rep, err := sc.Optimize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	module, err := sc.Module(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sc.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.RunID = 0
+	data, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run{rep, module, string(data)}
+}
+
+// warmRun recreates the persisted session, checks it opened warm, and
+// captures its first Optimize.
+func warmRun(t *testing.T, ctx context.Context, c *client.Client, create client.CreateSession) run {
+	t.Helper()
+	sc, err := c.CreateSession(ctx, create)
+	if err != nil {
+		t.Fatalf("warm create: %v", err)
+	}
+	if !sc.CreateInfo().Warm {
+		t.Fatal("recreate from snapshot not reported warm")
+	}
+	defer sc.Close(ctx)
+	return captureRun(t, ctx, sc)
+}
+
+// coldRun opens a session over text under name and captures its first
+// Optimize.
+func coldRun(t *testing.T, ctx context.Context, c *client.Client, name, text string) run {
+	t.Helper()
+	sc, err := c.CreateSession(ctx, client.CreateSession{Name: name, Module: text, DupFold: true, MaxFamily: 2})
+	if err != nil {
+		t.Fatalf("cold create: %v", err)
+	}
+	defer sc.Close(ctx)
+	return captureRun(t, ctx, sc)
+}
+
+// driftModule returns text with one function of the snapshot's memo
+// redefined as its recorded partner's body under its own signature
+// (arguments it lacks read its first one instead): a near copy, so the
+// pair the memo calls unprofitable now merges.
+func driftModule(t *testing.T, text, snapPath string) string {
+	t.Helper()
+	data, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap repro.SessionSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	m, err := repro.ParseModule(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arg := regexp.MustCompile(`%arg(\d+)\b`)
+	for _, p := range snap.Outcomes {
+		f, g := m.FuncByName(snap.Funcs[p[0]].Name), m.FuncByName(snap.Funcs[p[1]].Name)
+		if g.NumInstrs() < 40 {
+			continue
+		}
+		head, _, _ := strings.Cut(f.String(), "\n")
+		_, body, _ := strings.Cut(g.String(), "\n")
+		body = arg.ReplaceAllStringFunc(body, func(a string) string {
+			if n, _ := strconv.Atoi(a[len("%arg"):]); n >= len(f.Params()) {
+				return "%arg0"
+			}
+			return a
+		})
+		if _, err := repro.SpliceModule(m, head+"\n"+body); err != nil {
+			t.Fatalf("redefining @%s: %v", f.Name(), err)
+		}
+		return repro.FormatModule(m)
+	}
+	t.Fatal("no memo pair to drift")
+	return ""
+}
+
+// TestServeOldSnapshotColdOpens: a snapshot an older build wrote and
+// this one cannot use is a stale cache, not an error — recreating the
+// session restores the module text, rejects the snapshot and opens
+// cold. Four such snapshots, each sealed so that only its version can
+// refuse it: three of earlier format versions (version 2 carried LSH
+// band keys, version 3 did not record its size-model target, version 4
+// carried every candidate's fingerprint and the finder name), and one
+// indexed through canonical views, which this build no longer has.
 func TestServeOldSnapshotColdOpens(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -474,6 +577,10 @@ func TestServeOldSnapshotColdOpens(t *testing.T) {
 	sc, err := c.CreateSession(ctx, create)
 	if err != nil {
 		t.Fatalf("create: %v", err)
+	}
+	// An Optimize fills the memo, so the files below carry functions.
+	if _, err := sc.Optimize(ctx); err != nil {
+		t.Fatal(err)
 	}
 	coldPlan, err := sc.Plan(ctx)
 	if err != nil {
@@ -492,21 +599,37 @@ func TestServeOldSnapshotColdOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	create.Module = ""
-	for name, stale := range map[string]func(*repro.SessionSnapshot){
-		"version-2": func(s *repro.SessionSnapshot) { s.Version = 2 },
-		"version-3": func(s *repro.SessionSnapshot) { s.Version, s.Target = 3, "" },
-		"canon":     func(s *repro.SessionSnapshot) { s.Canon = "mem2reg+simplify+normalize+gvn" },
+	for name, stale := range map[string]func(map[string]any){
+		"version-2": func(s map[string]any) { s["version"] = 2 },
+		"version-3": func(s map[string]any) { s["version"] = 3; delete(s, "target") },
+		"version-4": func(s map[string]any) {
+			s["version"], s["finder"] = 4, "lsh"
+			for _, f := range s["funcs"].([]any) {
+				f := f.(map[string]any)
+				f["blocks"], f["size"], f["ops"] = 1, 4, []int{1, 3, 9, 1}
+			}
+		},
+		"canon": func(s map[string]any) { s["version"], s["canon"] = 3, "mem2reg+simplify+normalize+gvn" },
 	} {
-		var snap repro.SessionSnapshot
-		if err := json.Unmarshal(orig, &snap); err != nil {
+		var raw map[string]any
+		if err := json.Unmarshal(orig, &raw); err != nil {
 			t.Fatal(err)
 		}
-		stale(&snap)
+		stale(raw)
+		data, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Seal it as this build reads it, so the checksum holds.
+		var snap repro.SessionSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
 		if err := snap.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.Marshal(&snap)
-		if err != nil {
+		raw["checksum"] = snap.Checksum
+		if data, err = json.Marshal(raw); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {

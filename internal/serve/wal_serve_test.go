@@ -62,7 +62,7 @@ func TestServeWALRecovery(t *testing.T) {
 	}
 
 	// Recovery converged: delete and recreate replays nothing and is
-	// warm (the re-persist wrote a fresh index snapshot too).
+	// warm (the re-persist wrote a fresh snapshot too).
 	if err := scB.Close(ctx); err != nil {
 		t.Fatal(err)
 	}

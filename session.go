@@ -58,11 +58,11 @@ type PlannedMerge = driver.PlannedMerge
 // PlannedFold is one proposed duplicate fold within a MergePlan.
 type PlannedFold = driver.PlannedFold
 
-// SessionSnapshot is the serializable index state of a Session:
-// structural hashes, fingerprints and the unprofitable-pair
-// memo, versioned and checksummed. Save one to disk
-// with encoding/json and a later process warm-restarts through
-// (*Optimizer).OpenWithSnapshot without rebuilding the indexes.
+// SessionSnapshot is the serializable outcome memo of a Session: the
+// candidate pairs already proven unprofitable, with the structural hash
+// of each function they name, versioned and checksummed. Save one to
+// disk with encoding/json and a later process warm-restarts through
+// (*Optimizer).OpenWithSnapshot without re-proving those verdicts.
 type SessionSnapshot = driver.Snapshot
 
 // ErrUnknownFunction is wrapped by Session.Update and Session.Remove
@@ -99,12 +99,13 @@ func (o *Optimizer) Open(ctx context.Context, m *Module) (*Session, error) {
 }
 
 // OpenWithSnapshot is Open resuming from a SessionSnapshot taken by an
-// earlier Session over the same (persisted) module: every function
-// whose body still matches its snapshot hash adopts the recorded
-// fingerprint and sketch instead of being recomputed, so a warm restart
-// serves its first Plan without rebuilding the indexes. A snapshot that
-// fails validation — wrong version, corrupt, or taken under a different
-// configuration — is an error; callers typically fall back to Open.
+// earlier Session over the same (persisted) module: the indexes are
+// built as Open builds them, then every memo pair whose two functions
+// still match their snapshot hashes is restored, so the first run skips
+// the trials the earlier session already found unprofitable (Report.
+// OutcomeHits counts them). A snapshot that fails validation — wrong
+// version, corrupt, or taken under a different configuration — is an
+// error; callers typically fall back to Open.
 func (o *Optimizer) OpenWithSnapshot(ctx context.Context, m *Module, snap *SessionSnapshot) (*Session, error) {
 	if m == nil {
 		return nil, fmt.Errorf("repro: OpenWithSnapshot on nil module")
@@ -146,16 +147,16 @@ func (s *Session) PlanReport(ctx context.Context) (*MergePlan, *Report, error) {
 	return s.s.PlanReport(ctx)
 }
 
-// Snapshot exports the session's index state — structural hashes,
-// fingerprints, sketches and the unprofitable-pair memo — as a
-// serializable, checksummed SessionSnapshot. Persist it alongside the
-// module text and a later process resumes through OpenWithSnapshot
-// without rebuilding the indexes. Requires a SalSSA variant.
+// Snapshot exports the session's unprofitable-pair memo, with the
+// structural hash of every function it names, as a serializable,
+// checksummed SessionSnapshot. Persist it alongside the module text and
+// a later process resumes through OpenWithSnapshot without re-proving
+// those verdicts. Requires a SalSSA variant.
 func (s *Session) Snapshot() (*SessionSnapshot, error) {
 	return s.s.Snapshot()
 }
 
-// SaveSnapshot exports the session's index state and writes it to path
+// SaveSnapshot exports the session's outcome memo and writes it to path
 // atomically (temp file + fsync + rename), so a crash mid-save leaves
 // either the previous snapshot or the complete new one.
 func (s *Session) SaveSnapshot(path string) error {
@@ -175,9 +176,9 @@ func LoadSessionSnapshot(path string) (*SessionSnapshot, error) {
 }
 
 // SearchStats returns the candidate finder's cumulative accounting
-// since the session opened. Built counts fingerprint/sketch
-// computations: a session opened through OpenWithSnapshot from a fully
-// matching snapshot reports Built == 0.
+// since the session opened. Built counts fingerprint computations:
+// every candidate at open — through OpenWithSnapshot too — plus every
+// re-index since.
 func (s *Session) SearchStats() (SearchStats, error) {
 	return s.s.SearchStats()
 }
