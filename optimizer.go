@@ -118,10 +118,9 @@ func WithTarget(t Target) Option {
 
 // WithMaxCells caps alignment DP matrices at n cells; pairs needing more
 // are skipped rather than aligned (default 0 = unlimited). It is the one
-// guard against an unrelated giant pair: the screen turns most unrelated
-// pairs away before any DP and the kernel fills only the band a similar
-// pair needs, but a giant pair that clears the screen and then aligns
-// badly fills its whole matrix.
+// guard against a giant pair: the screen turns most unrelated pairs away
+// before any DP, but a giant pair that clears it still costs its whole
+// matrix, a bit per expanded cell.
 func WithMaxCells(n int64) Option {
 	return func(o *Optimizer) error {
 		if n < 0 {
