@@ -139,7 +139,7 @@ func BenchmarkSalSSACodegen(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		merged, _, err := core.MergeAligned(m, f1, f2, "m", res, core.DefaultOptions())
+		merged, _, err := core.MergeAlignedCtx(b.Context(), m, f1, f2, "m", res, core.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

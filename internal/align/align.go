@@ -286,7 +286,7 @@ func AlignFunctions(f1, f2 *ir.Function, opts Options) (*Result, error) {
 
 // AlignFunctionsCtx is AlignFunctions with cancellation plumbed into the
 // DP loop. Linearizations and class vectors are computed transiently;
-// batch callers should hold a Cache instead.
+// batch callers build each function's Seq once, all with one Interner.
 func AlignFunctionsCtx(ctx context.Context, f1, f2 *ir.Function, opts Options) (*Result, error) {
 	it := NewInterner()
 	return AlignSeqsCtx(ctx, NewSeq(f1, it), NewSeq(f2, it), opts)

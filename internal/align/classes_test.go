@@ -205,14 +205,18 @@ func TestAlignSeqsMatchesReference(t *testing.T) {
 		Loops: 0.5, Switches: 0.5, Floats: 0.3,
 	})
 	funcs := m.Defined()
-	cache := NewCache()
+	it := NewInterner()
+	seqs := make([]Seq, len(funcs))
+	for i, f := range funcs {
+		seqs[i] = NewSeq(f, it)
+	}
 	var res Result
 	ctx := context.Background()
 	pairs := 0
 	for i, f1 := range funcs {
-		s1 := cache.Seq(f1)
-		for _, f2 := range funcs[i+1:] {
-			s2 := cache.Seq(f2)
+		s1 := seqs[i]
+		for j, f2 := range funcs[i+1:] {
+			s2 := seqs[i+1+j]
 			want := alignSpec(s1.Entries, s2.Entries, s1.Classes, s2.Classes)
 			if err := AlignSeqsInto(ctx, s1, s2, DefaultOptions(), &res); err != nil {
 				t.Fatal(err)
@@ -222,32 +226,4 @@ func TestAlignSeqsMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("compared %d function pairs", pairs)
-}
-
-// TestCacheInvalidate: a cached sequence must be recomputed after
-// Invalidate, and the stats must reflect hits and misses.
-func TestCacheInvalidate(t *testing.T) {
-	m := irtext.MustParse(irtext.Fig2Module)
-	f := m.FuncByName("F1")
-	cache := NewCache()
-	s1 := cache.Seq(f)
-	s2 := cache.Seq(f)
-	if &s1.Entries[0] != &s2.Entries[0] {
-		t.Fatal("second Seq did not hit the cache")
-	}
-	st := cache.Stats()
-	if st.Misses != 1 || st.Hits != 1 || st.Functions != 1 {
-		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 1 function", st)
-	}
-	cache.Invalidate(f)
-	if got := cache.Stats().Functions; got != 0 {
-		t.Fatalf("functions after invalidate = %d", got)
-	}
-	s3 := cache.Seq(f)
-	if &s3.Entries[0] == &s1.Entries[0] {
-		t.Fatal("Seq after Invalidate returned the stale sequence")
-	}
-	if st := cache.Stats(); st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2", st.Misses)
-	}
 }

@@ -53,8 +53,10 @@ func checkNoDanglingUses(t *testing.T, m *ir.Module, k int) {
 	}
 }
 
-// TestMergeCtxCancelLeavesCleanModule aborts MergeCtx after every
-// possible number of context polls: whatever the phase reached, the
+// TestMergeCtxCancelLeavesCleanModule aborts a pair merge (the
+// driver's entry, MergeFamilyWithPlanCtx of two, which polls in the
+// alignment and in code generation) after every possible number of
+// context polls: whatever the phase reached, the
 // partial merged function must be fully removed — no leftover function,
 // no dangling use records on the originals — and once the poll budget
 // exceeds the merge's needs, the merge must succeed.
@@ -66,7 +68,11 @@ func TestMergeCtxCancelLeavesCleanModule(t *testing.T) {
 			t.Fatal(err)
 		}
 		f1, f2 := m.FuncByName("F1"), m.FuncByName("F2")
-		merged, _, err := MergeCtx(&stepCtx{remaining: k}, m, f1, f2, "merged.F1.F2", DefaultOptions())
+		plan, err := PlanParams(f1, f2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, _, err := MergeFamilyWithPlanCtx(&stepCtx{remaining: k}, m, []*ir.Function{f1, f2}, "merged.F1.F2", plan, DefaultOptions())
 		if err == nil {
 			completed = true
 			if merged == nil {

@@ -74,14 +74,6 @@ type Stats struct {
 // merged function — SalSSA needs no other bookkeeping, unlike FMSA whose
 // demotion residue affects every function it touches).
 func Merge(m *ir.Module, f1, f2 *ir.Function, name string, opts Options) (*ir.Function, *Stats, error) {
-	return MergeCtx(context.Background(), m, f1, f2, name, opts)
-}
-
-// MergeCtx is Merge with cancellation: the context is polled inside the
-// alignment DP and between code-generation phases. On cancellation the
-// partially built merged function is removed from m and ctx.Err() is
-// returned.
-func MergeCtx(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, name string, opts Options) (*ir.Function, *Stats, error) {
 	// Check signature compatibility before paying for the quadratic
 	// alignment; the plan is threaded through to the generator so it is
 	// computed exactly once.
@@ -89,16 +81,10 @@ func MergeCtx(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, name strin
 	if err != nil {
 		return nil, nil, err
 	}
-	return MergeWithPlanCtx(ctx, m, f1, f2, name, plan, opts)
-}
-
-// MergeWithPlanCtx is MergeCtx for callers that already hold the pair's
-// ParamPlan (the facade's MergePair plans it for thunk construction
-// anyway): alignment plus code generation without replanning.
-func MergeWithPlanCtx(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, name string, plan *ParamPlan, opts Options) (*ir.Function, *Stats, error) {
 	if err := checkPair(f1, f2); err != nil {
 		return nil, nil, err
 	}
+	ctx := context.Background()
 	res, err := align.AlignFunctionsCtx(ctx, f1, f2, opts.Align)
 	if err != nil {
 		return nil, nil, err
@@ -112,22 +98,17 @@ func MergeWithPlanCtx(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, na
 // beyond two the members are aligned progressively and dispatched on an
 // integer identifier. fns are left untouched.
 func MergeFamily(m *ir.Module, fns []*ir.Function, name string, opts Options) (*ir.Function, *Stats, error) {
-	return MergeFamilyCtx(context.Background(), m, fns, name, opts)
-}
-
-// MergeFamilyCtx is MergeFamily with cancellation, polled inside every
-// alignment round and between code-generation phases.
-func MergeFamilyCtx(ctx context.Context, m *ir.Module, fns []*ir.Function, name string, opts Options) (*ir.Function, *Stats, error) {
 	plan, err := PlanParams(fns...)
 	if err != nil {
 		return nil, nil, err
 	}
-	return MergeFamilyWithPlanCtx(ctx, m, fns, name, plan, opts)
+	return MergeFamilyWithPlanCtx(context.Background(), m, fns, name, plan, opts)
 }
 
-// MergeFamilyWithPlanCtx is MergeFamilyCtx for callers that already
-// hold the family's ParamPlan (the driver plans it for thunk
-// construction anyway).
+// MergeFamilyWithPlanCtx is MergeFamily for callers that already hold
+// the family's ParamPlan (the driver and the facade plan it for thunk
+// construction anyway), with cancellation polled inside every alignment
+// round and between code-generation phases.
 func MergeFamilyWithPlanCtx(ctx context.Context, m *ir.Module, fns []*ir.Function, name string, plan *ParamPlan, opts Options) (*ir.Function, *Stats, error) {
 	if err := checkFamily(fns); err != nil {
 		return nil, nil, err
@@ -165,15 +146,10 @@ func checkPair(f1, f2 *ir.Function) error {
 	return checkFamily([]*ir.Function{f1, f2})
 }
 
-// MergeAligned is Merge with a precomputed alignment (used by the
-// benchmark harness to time alignment and code generation separately).
-func MergeAligned(m *ir.Module, f1, f2 *ir.Function, name string, res *align.Result, opts Options) (*ir.Function, *Stats, error) {
-	return MergeAlignedCtx(context.Background(), m, f1, f2, name, res, opts)
-}
-
-// MergeAlignedCtx is MergeAligned with cancellation between the code
-// generator's phases; on cancellation the partial merged function is
-// removed from m.
+// MergeAlignedCtx is Merge with a precomputed alignment (the benchmark
+// harness times alignment and code generation separately) and with
+// cancellation between the code generator's phases; on cancellation the
+// partial merged function is removed from m.
 func MergeAlignedCtx(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, name string, res *align.Result, opts Options) (*ir.Function, *Stats, error) {
 	if err := checkPair(f1, f2); err != nil {
 		return nil, nil, err

@@ -159,7 +159,7 @@ func TestMergeAlignedAgreesWithMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := MergeAligned(m1, m1.FuncByName("F1"), m1.FuncByName("F2"), "ab", res, DefaultOptions())
+	a, _, err := MergeAlignedCtx(t.Context(), m1, m1.FuncByName("F1"), m1.FuncByName("F2"), "ab", res, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestMergeAlignedAgreesWithMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Error("MergeAligned and Merge disagree")
+		t.Error("MergeAlignedCtx and Merge disagree")
 	}
 }
 

@@ -151,3 +151,50 @@ func TestMergeFamilyRejectsInvalid(t *testing.T) {
 		t.Error("expected error for a declaration member")
 	}
 }
+
+// TestPairIsFamilyOfTwo: the pair entry (Merge) and a two-member family
+// (MergeFamily) are one generator path — same errors, same module text,
+// same stats — which is what lets the facade's MergePair be MergeFamily
+// of two. Every function pair of each module is tried, and a refusal
+// must come from both or neither.
+func TestPairIsFamilyOfTwo(t *testing.T) {
+	pairs, failed := 0, 0
+	for seed := int64(1); seed <= 10; seed++ {
+		m := synth.Generate(synth.Profile{
+			Name: "pairfam", Seed: seed, Funcs: 8,
+			MinSize: 6, AvgSize: 40, MaxSize: 120,
+			CloneFrac: 0.5, FamilySize: 3, MutRate: 0.10,
+			Loops: 0.5, Switches: 0.4, ExcRate: 0.05, Floats: 0.2,
+		})
+		defined := m.Defined()
+		for i := range defined {
+			for j := i + 1; j < len(defined); j++ {
+				n1, n2 := defined[i].Name(), defined[j].Name()
+				mp, mf := ir.CloneModule(m), ir.CloneModule(m)
+				pm, ps, perr := Merge(mp, mp.FuncByName(n1), mp.FuncByName(n2), "merged", DefaultOptions())
+				fm, fs, ferr := MergeFamily(mf, []*ir.Function{mf.FuncByName(n1), mf.FuncByName(n2)}, "merged", DefaultOptions())
+				pairs++
+				if (perr == nil) != (ferr == nil) {
+					t.Fatalf("seed %d @%s+@%s: pair error %v, family error %v", seed, n1, n2, perr, ferr)
+				}
+				if perr != nil {
+					failed++
+					continue
+				}
+				transform.Simplify(pm)
+				transform.Simplify(fm)
+				if got, want := mf.String(), mp.String(); got != want {
+					t.Fatalf("seed %d @%s+@%s: family of two diverges from the pair\n--- pair ---\n%s\n--- family ---\n%s", seed, n1, n2, pm, fm)
+				}
+				ps.BuildTime, ps.RepairTime, fs.BuildTime, fs.RepairTime = 0, 0, 0, 0
+				if *ps != *fs {
+					t.Fatalf("seed %d @%s+@%s: stats diverge: pair %+v, family %+v", seed, n1, n2, *ps, *fs)
+				}
+			}
+		}
+	}
+	if pairs-failed < 100 {
+		t.Fatalf("only %d of %d pairs merged; the sample is too small", pairs-failed, pairs)
+	}
+	t.Logf("%d pairs, %d merged identically, %d refused by both", pairs, pairs-failed, failed)
+}

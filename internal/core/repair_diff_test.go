@@ -10,6 +10,7 @@ package core_test
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -156,13 +157,21 @@ func families(m *ir.Module, k int) [][]*ir.Function {
 	return out
 }
 
+// TestRepairMatchesSlotSpec holds repair to the slot specification over
+// every pair and the k = 3/4 families of sixteen small modules. Plain
+// `go test` checks one body in four of each module (a quarter of the
+// sweep, about 2,500 bodies); SCALE_CORPUS=1 checks every body against
+// a 10,000-body floor, and -short every body of two modules.
 func TestRepairMatchesSlotSpec(t *testing.T) {
 	// Many small modules rather than a few large ones: the interpreter
 	// runs every callee too, and a larger module's call chains are
 	// deeper.
-	modules, want := 16, 10000
-	if testing.Short() {
-		modules, want = 2, 1000
+	modules, stride, want := 16, 4, 2400
+	switch {
+	case os.Getenv("SCALE_CORPUS") != "":
+		stride, want = 1, 10000
+	case testing.Short():
+		modules, stride, want = 2, 1, 1000
 	}
 	nopc := core.DefaultOptions()
 	nopc.PhiCoalescing = false
@@ -174,17 +183,22 @@ func TestRepairMatchesSlotSpec(t *testing.T) {
 				t.Parallel()
 				m := synth.Generate(repairProfile(int64(i+1), 24))
 				proto, defined := repairEnv(m), m.Defined()
+				// sampled reports whether the next body is one the sweep
+				// checks: every stride-th, starting at the module's own
+				// offset so the modules cover different positions.
+				n := i
+				sampled := func() bool { n++; return n%stride == 0 }
 				for _, opts := range []core.Options{core.DefaultOptions(), nopc} {
 					for i, f := range defined {
 						for _, g := range defined[i+1:] {
-							if !checkRepair(t, proto, []*ir.Function{f, g}, opts, tally) {
+							if sampled() && !checkRepair(t, proto, []*ir.Function{f, g}, opts, tally) {
 								return
 							}
 						}
 					}
 					for _, k := range []int{3, 4} {
 						for _, fam := range families(m, k) {
-							if !checkRepair(t, proto, fam, opts, tally) {
+							if sampled() && !checkRepair(t, proto, fam, opts, tally) {
 								return
 							}
 						}

@@ -39,9 +39,9 @@ import (
 // the byte-weighted histogram of its self-matchable instruction
 // classes plus the fixed terms of the profit bound. Profiles are
 // interner-scoped — two profiles may only be combined by Bound when
-// their sequences were interned by the same align.Interner (one
-// align.Cache), since class IDs are only comparable within one
-// universe.
+// their sequences were interned by the same align.Interner (a driver
+// session holds one for every function it indexes), since class IDs are
+// only comparable within one universe.
 type FuncProfile struct {
 	// Elastic sums the InstrBytes of the entries Linearize excludes
 	// (phis and landingpads): bytes FuncBytes charges but no alignment

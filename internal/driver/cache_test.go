@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/ir"
+	"repro/internal/irtext"
 )
 
 // TestAlignCacheReported: every run must account its linearization
@@ -61,5 +62,44 @@ func TestLSHDupFoldMatchesExact(t *testing.T) {
 			}
 			diffModule(t, base, mp, name)
 		}
+	}
+}
+
+// TestRecordReset: a record builds its sequence once and serves it from
+// then on; reset drops the sequence, profile and hash but keeps the name
+// and size, and the next request builds from the current body; drop
+// removes the record. The stats count every request.
+func TestRecordReset(t *testing.T) {
+	m := irtext.MustParse(irtext.Fig2Module)
+	f := m.FuncByName("F1")
+	recs := newRecords(costmodel.X86_64, 1)
+	recs.put(f, costmodel.FuncBytes(f, costmodel.X86_64))
+	r := recs.of[f]
+	s1, s2 := recs.seqOf(r), recs.seqOf(r)
+	if &s1.Entries[0] != &s2.Entries[0] {
+		t.Fatal("second request rebuilt the sequence")
+	}
+	recs.profile(r)
+	recs.hash(f)
+	if st := recs.cacheStats(); st.Misses != 1 || st.Hits != 2 || st.Functions != 1 {
+		t.Fatalf("stats = %+v, want 1 miss, 2 hits (one the profile's), 1 function", st)
+	}
+	size := r.size
+	recs.reset(f)
+	if r.hashed || r.seqOK || r.prof != nil || recs.cacheStats().Functions != 0 {
+		t.Fatalf("reset kept facts of the old body: %+v", *r)
+	}
+	if r.name != "F1" || r.size != size {
+		t.Fatalf("reset lost the name or size: %q, %d", r.name, r.size)
+	}
+	if s3 := recs.seqOf(r); &s3.Entries[0] == &s1.Entries[0] {
+		t.Fatal("a request after reset returned the stale sequence")
+	}
+	if st := recs.cacheStats(); st.Misses != 2 || st.Functions != 1 {
+		t.Fatalf("stats = %+v, want 2 misses, 1 function", st)
+	}
+	recs.drop(f)
+	if recs.of[f] != nil || recs.cacheStats().Functions != 0 {
+		t.Fatal("drop left the record or its sequence counted")
 	}
 }

@@ -200,10 +200,10 @@ type Result struct {
 	Flattened   int
 	// Search reports the candidate finder's query accounting.
 	Search search.Stats
-	// AlignCache reports the per-run linearization/class cache: every
-	// Seq hit is a candidate pair trial that skipped re-linearizing and
-	// re-interning a function.
-	AlignCache align.CacheStats
+	// AlignCache reports the run's sequence requests: every hit is a
+	// candidate pair trial or screen that found a function's sequence in
+	// its record instead of re-linearizing and re-interning it.
+	AlignCache CacheStats
 	// TotalTime is the whole run (Figure 24's overhead).
 	TotalTime time.Duration
 }
@@ -328,8 +328,8 @@ func (r *Result) Reduction() float64 {
 }
 
 // CoreOptions derives the generator options for the algorithm; the
-// facade's MergePair shares it so pair merges and whole-module runs
-// never diverge on generator knobs.
+// facade's MergeFamily shares it so hand-picked merges and whole-module
+// runs never diverge on generator knobs.
 func (c Config) CoreOptions() core.Options {
 	var opts core.Options
 	switch c.Algorithm {
@@ -470,24 +470,26 @@ type trialGate struct {
 
 var noGate = trialGate{}
 
-// planTrial aligns and — when the alignment clears its gate — merges one
-// candidate pair directly into m, named by freshName from
+// planTrial aligns and — when the alignment clears its gate — merges the
+// functions of records r1 and r2, aligned on the records' sequences and
+// priced at their sizes, directly into m, named by freshName from
 // "merged.<f1>.<f2>" against m and the names a dry run has claimed
-// (nil: none). No body exists when the funnel rejects the pair first. The generator only appends uses to the originals' use
-// lists and takes them off again before it returns, so discarding the
-// merged function (runner.discard) gives every list back as it was.
-// Only the goroutine running the loop may call it. The alignment goes
-// into buf (nil: a fresh Result), which the trial is done with once
-// planTrial returns.
-func planTrial(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, claimed map[string]bool, cache *align.Cache, preSize map[*ir.Function]int, opts core.Options, cfg Config, g trialGate, buf *align.Result) *trial {
+// (nil: none). No body exists when the funnel rejects the pair first.
+// The generator only appends uses to the originals' use lists and takes
+// them off again before it returns, so discarding the merged function
+// (runner.discard) gives every list back as it was. Only the goroutine
+// running the loop may call it. The alignment goes into buf (nil: a
+// fresh Result), which the trial is done with once planTrial returns.
+func planTrial(ctx context.Context, m *ir.Module, recs *records, r1, r2 *record, claimed map[string]bool, opts core.Options, cfg Config, g trialGate, buf *align.Result) *trial {
+	f1, f2 := r1.fn, r2.fn
 	t := &trial{f1: f1, f2: f2}
-	ares := t.alignStage(ctx, cache.Seq(f1), cache.Seq(f2), opts, cfg, g, buf)
+	ares := t.alignStage(ctx, recs.seqOf(r1), recs.seqOf(r2), opts, cfg, g, buf)
 	if ares == nil {
 		return t
 	}
 	t1, a1 := time.Now(), heapAllocs()
 	defer func() { t.codegenTime, t.allocBytes = time.Since(t1), heapAllocs()-a1 }()
-	merged, stats, err := core.MergeAlignedCtx(ctx, m, f1, f2, freshName(m, mergedBaseName(f1, f2), claimed), ares, opts)
+	merged, stats, err := core.MergeAlignedCtx(ctx, m, f1, f2, freshName(m, "merged."+f1.Name()+"."+f2.Name(), claimed), ares, opts)
 	if err != nil {
 		t.err = err
 		return t
@@ -507,7 +509,7 @@ func planTrial(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, claimed m
 	// commit takes off ModuleBytes.
 	after := costmodel.FuncBytes(merged, cfg.Target) +
 		2*costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
-	t.profit = preSize[f1] + preSize[f2] - after
+	t.profit = r1.size + r2.size - after
 	return t
 }
 
@@ -584,10 +586,6 @@ func commit(f1, f2, merged *ir.Function) {
 	core.BuildThunk(f2, merged, 1, plan.Maps[1], plan)
 }
 
-func mergedBaseName(f1, f2 *ir.Function) string {
-	return fmt.Sprintf("merged.%s.%s", f1.Name(), f2.Name())
-}
-
 // freshName returns base, or base with the first numeric suffix, that
 // names no function in m and is not in claimed (a dry run's proposals;
 // nil for none). Every merged function the driver builds is named here.
@@ -597,12 +595,4 @@ func freshName(m *ir.Module, base string, claimed map[string]bool) string {
 		name = fmt.Sprintf("%s.%d", base, i)
 	}
 	return name
-}
-
-// MergedName returns the collision-free name for merging f1 and f2 into
-// m, "merged.<f1>.<f2>" with a numeric suffix when taken. The facade's
-// MergePair shares it so pair merges and whole-module runs never
-// diverge on naming.
-func MergedName(m *ir.Module, f1, f2 *ir.Function) string {
-	return freshName(m, mergedBaseName(f1, f2), nil)
 }

@@ -47,11 +47,11 @@ func TestMaxCellsBoundsARun(t *testing.T) {
 		if res.PeakMatrixBytes > 5*cells {
 			t.Errorf("cap %d: peak matrix %d bytes exceeds %d", cells, res.PeakMatrixBytes, 5*cells)
 		}
-		cache := align.NewCache()
+		it := align.NewInterner()
 		tooLarge := 0
 		for f1, row := range s.outcomes.pairs {
 			for f2, kind := range row {
-				sa, sb := cache.Seq(f1), cache.Seq(f2)
+				sa, sb := align.NewSeq(f1, it), align.NewSeq(f2, it)
 				n1, n2 := len(sa.Entries), len(sb.Entries)
 				if kind != pairOutcome || int64(n1+1)*int64(n2+1) <= cells {
 					continue

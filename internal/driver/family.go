@@ -433,8 +433,7 @@ func planFlattenTrial(ctx context.Context, m *ir.Module, fp *flattenPlan, name s
 // definition into a thunk on the new head, remove the consumed heads
 // from the module, and re-register the family under the new head. It
 // returns the live functions it rewrote so the walk can mark them
-// consumed. retire is the index-invalidation hook (runner.retire or
-// Session.retire).
+// consumed. retire is the index-invalidation hook (runner.retire).
 func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.Function), markPending func(*ir.Function)) []*ir.Function {
 	fp := t.family
 	members := make([]familyMember, len(fp.srcs))
@@ -463,9 +462,7 @@ func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.
 		ir.Release(h)
 	}
 	families.record(t.merged, members)
-	if markPending != nil {
-		markPending(t.merged)
-	}
+	markPending(t.merged)
 	return rewritten
 }
 

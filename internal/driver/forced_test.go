@@ -382,9 +382,10 @@ func TestForcedCutTable(t *testing.T) {
 			t.Run(target.String()+"/"+tc.name, func(t *testing.T) {
 				m := irtext.MustParse(forcedPrelude + tc.src)
 				f1, f2 := m.FuncByName("f1"), m.FuncByName("f2")
-				cache := align.NewCache()
+				it := align.NewInterner()
+				s1, s2 := align.NewSeq(f1, it), align.NewSeq(f2, it)
 				opts := core.DefaultOptions()
-				ares, err := align.AlignSeqsCtx(t.Context(), cache.Seq(f1), cache.Seq(f2), opts.Align)
+				ares, err := align.AlignSeqsCtx(t.Context(), s1, s2, opts.Align)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -397,8 +398,8 @@ func TestForcedCutTable(t *testing.T) {
 					t.Errorf("CountForced = %+v, want %+v", got, tc.want)
 				}
 
-				p1 := costmodel.NewFuncProfile(f1, target, cache.Seq(f1))
-				p2 := costmodel.NewFuncProfile(f2, target, cache.Seq(f2))
+				p1 := costmodel.NewFuncProfile(f1, target, s1)
+				p2 := costmodel.NewFuncProfile(f2, target, s2)
 				if got := !(p1.Irreducible() && p2.Irreducible()); got != tc.reducible {
 					t.Fatalf("pair reducible = %v, want %v", got, tc.reducible)
 				}
@@ -411,7 +412,7 @@ func TestForcedCutTable(t *testing.T) {
 				}
 
 				before := costmodel.FuncBytes(f1, target) + costmodel.FuncBytes(f2, target)
-				merged, _, err := core.MergeAligned(m, f1, f2, "merged", ares, opts)
+				merged, _, err := core.MergeAlignedCtx(t.Context(), m, f1, f2, "merged", ares, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -431,7 +432,7 @@ func TestForcedCutTable(t *testing.T) {
 				g := trialGate{on: true, bd: costmodel.BoundLazy(p1, p2, target), p1: p1, p2: p2}
 				tr := &trial{f1: f1, f2: f2}
 				cfg := Config{Target: target}
-				if got := tr.alignStage(t.Context(), cache.Seq(f1), cache.Seq(f2), opts, cfg, g, nil) == nil; got != (bound <= 0) {
+				if got := tr.alignStage(t.Context(), s1, s2, opts, cfg, g, nil) == nil; got != (bound <= 0) {
 					t.Errorf("alignStage skipped = %v under bound %d", got, bound)
 				}
 			})

@@ -150,19 +150,18 @@ func checkClonesAdmissible(t *testing.T, seed int64, cfg Config) {
 // admissibilityCheck holds what checking one module's pairs shares, and
 // counts how often each stage-3 path was exercised.
 type admissibilityCheck struct {
-	m       *ir.Module
-	cfg     Config
-	opts    core.Options
-	cache   *align.Cache
-	preSize map[*ir.Function]int
+	m    *ir.Module
+	cfg  Config
+	opts core.Options
+	recs *records
 
 	pairs, cut, plain, tight int
 }
 
 func newAdmissibilityCheck(m *ir.Module, cfg Config) *admissibilityCheck {
-	ck := &admissibilityCheck{m: m, cfg: cfg, opts: cfg.CoreOptions(), cache: align.NewCache(), preSize: map[*ir.Function]int{}}
+	ck := &admissibilityCheck{m: m, cfg: cfg, opts: cfg.CoreOptions(), recs: newRecords(cfg.Target, 0)}
 	for _, f := range m.Defined() {
-		ck.preSize[f] = costmodel.FuncBytes(f, cfg.Target)
+		ck.recs.put(f, costmodel.FuncBytes(f, cfg.Target))
 	}
 	return ck
 }
@@ -179,7 +178,8 @@ func (ck *admissibilityCheck) report(t *testing.T, minPairs int) {
 func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	t.Helper()
 	ctx := context.Background()
-	m, cfg, cache := ck.m, ck.cfg, ck.cache
+	m, cfg, recs := ck.m, ck.cfg, ck.recs
+	r1, r2 := recs.of[f1], recs.of[f2]
 	ck.pairs++
 	discard := func(tr *trial) {
 		if tr.merged != nil {
@@ -188,15 +188,15 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	}
 
 	// Ground truth: the ungated trial's profit.
-	ref := planTrial(ctx, m, f1, f2, nil, cache, ck.preSize, ck.opts, cfg, noGate, nil)
+	ref := planTrial(ctx, m, recs, r1, r2, nil, ck.opts, cfg, noGate, nil)
 	profit := ref.profit
 	failed := ref.err != nil
 	discard(ref)
 
 	// Lazy profiles, before any slack settles: never above the exact
 	// bound, and marked inexact.
-	p1 := costmodel.NewFuncProfile(f1, cfg.Target, cache.Seq(f1))
-	p2 := costmodel.NewFuncProfile(f2, cfg.Target, cache.Seq(f2))
+	p1 := costmodel.NewFuncProfile(f1, cfg.Target, recs.seqOf(r1))
+	p2 := costmodel.NewFuncProfile(f2, cfg.Target, recs.seqOf(r2))
 	lazy := costmodel.BoundLazy(p1, p2, cfg.Target)
 	if lazy.Exact {
 		t.Fatalf("%s/%s: fresh profiles report an exact bound", f1.Name(), f2.Name())
@@ -227,7 +227,7 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	// Stage 3: the refined bound of the alignment the trial was built
 	// from, tightened by the forced term exactly when neither function
 	// can be simplified on its own.
-	ares, err := align.AlignSeqsCtx(ctx, cache.Seq(f1), cache.Seq(f2), ck.opts.Align)
+	ares, err := align.AlignSeqsCtx(ctx, recs.seqOf(r1), recs.seqOf(r2), ck.opts.Align)
 	if err != nil {
 		t.Fatalf("%s/%s: align: %v", f1.Name(), f2.Name(), err)
 	}
@@ -252,10 +252,10 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	// carries the identical profit. Gate 0 mirrors the runner's
 	// memoization criterion. Fresh lazy profiles exercise the stage-3
 	// slack-confirmation path.
-	q1 := costmodel.NewFuncProfile(f1, cfg.Target, cache.Seq(f1))
-	q2 := costmodel.NewFuncProfile(f2, cfg.Target, cache.Seq(f2))
+	q1 := costmodel.NewFuncProfile(f1, cfg.Target, recs.seqOf(r1))
+	q2 := costmodel.NewFuncProfile(f2, cfg.Target, recs.seqOf(r2))
 	g := trialGate{on: true, bd: costmodel.BoundLazy(q1, q2, cfg.Target), gate: 0, p1: q1, p2: q2}
-	gated := planTrial(ctx, m, f1, f2, nil, cache, ck.preSize, ck.opts, cfg, g, nil)
+	gated := planTrial(ctx, m, recs, r1, r2, nil, ck.opts, cfg, g, nil)
 	defer discard(gated)
 	if gated.err != nil {
 		t.Fatalf("%s/%s: gated trial errored: %v", f1.Name(), f2.Name(), gated.err)

@@ -10,7 +10,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/align"
 	"repro/internal/costmodel"
 	"repro/internal/fmsa"
 	"repro/internal/ir"
@@ -52,7 +51,10 @@ func runOneShotReference(ctx context.Context, m *ir.Module, cfg Config) (*Result
 	if cfg.DupFold {
 		candidates = referenceFoldDuplicates(candidates, preSize, cfg, res)
 	}
-	cache := align.NewCache()
+	recs := newRecords(cfg.Target, len(candidates))
+	for _, f := range candidates {
+		recs.put(f, preSize[f])
+	}
 	finder := search.New(search.KindLSH, candidates)
 	opts := cfg.CoreOptions()
 	order := finder.Order()
@@ -84,7 +86,7 @@ commitLoop:
 				discard(best)
 				break commitLoop
 			}
-			t := planTrial(ctx, m, f1, f2, nil, cache, preSize, opts, cfg, noGate, nil)
+			t := planTrial(ctx, m, recs, recs.of[f1], recs.of[f2], nil, opts, cfg, noGate, nil)
 			res.Attempts++
 			res.AlignTime += t.alignTime
 			res.CodegenTime += t.codegenTime
@@ -127,8 +129,8 @@ commitLoop:
 			consumed[best.f2] = true
 			finder.Remove(f1)
 			finder.Remove(best.f2)
-			cache.Invalidate(f1)
-			cache.Invalidate(best.f2)
+			recs.reset(f1)
+			recs.reset(best.f2)
 		}
 		res.Merges = append(res.Merges, rec)
 		mergeIdx++
@@ -138,7 +140,7 @@ commitLoop:
 		fmsa.CleanupModule(m)
 	}
 	res.Search = finder.Stats()
-	res.AlignCache = cache.Stats()
+	res.AlignCache = recs.cacheStats()
 	res.FinalBytes = costmodel.ModuleBytes(m, cfg.Target)
 	res.TotalTime = time.Since(start)
 	return res, runErr

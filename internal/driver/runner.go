@@ -29,25 +29,13 @@ import (
 type runner struct {
 	m      *ir.Module
 	cfg    Config
-	cache  *align.Cache
 	finder search.Finder
-	// hashes is the session's fold-hash memo (nil for FMSA's throwaway
-	// runs, which hash every time).
-	hashes hashMemo
-	sizes  map[*ir.Function]int
+	// recs holds every candidate's record (records.go): its size, fold
+	// hash, sequence and screening profile.
+	recs *records
 	// outcomes, when non-nil, memoizes unprofitable pairs across runs;
 	// pairs found there skip alignment and codegen entirely.
 	outcomes *outcomeCache
-	// funnel, when non-nil, is the session's planning funnel
-	// (funnel.go): candidate pairs are screened against an admissible
-	// profit bound before any DP, the bound's score floor aborts
-	// hopeless alignments mid-DP, and a trial only materializes (its
-	// codegen) once its computed alignment still clears the gate.
-	// Every pruned pair provably could not have changed a decision, so
-	// a gated run commits the merge set an ungated one would. Nil for
-	// FMSA, Apply replays and flatten trials, which plan every pair in
-	// full.
-	funnel *funnel
 	// families, when non-nil, is the session's merge-family registry:
 	// pairs involving a family head flatten (family.go) instead of
 	// nesting, and every pairwise commit records a new two-member
@@ -57,8 +45,8 @@ type runner struct {
 	runID      int64
 	res        *Result
 	progress   func(Progress)
-	// markPending, when non-nil, tells the owning session which
-	// functions this run mutated (commit mode only).
+	// markPending tells the owning session which functions this run
+	// mutated (commit mode only).
 	markPending func(*ir.Function)
 
 	// Walk state: the functions a commit (or dry proposal) took out of
@@ -106,18 +94,11 @@ func (r *runner) candidates(f *ir.Function, t int) []*ir.Function {
 
 // retire takes f out of play the moment a commit or fold rewrites its
 // body: out of the finder, so later queries of the walk no longer list
-// it; its cached linearization invalidated (it would pin the dead
-// instructions); its fold hash and screening profile dropped; and —
-// when an owning session exists — scheduled for re-indexing at the next
-// sync. Every index layer is nil-safe.
+// it; its record reset; and scheduled for re-indexing at the next sync.
 func (r *runner) retire(f *ir.Function) {
 	r.finder.Remove(f)
-	r.cache.Invalidate(f)
-	delete(r.hashes, f)
-	r.funnel.invalidate(f)
-	if r.markPending != nil {
-		r.markPending(f)
-	}
+	r.recs.reset(f)
+	r.markPending(f)
 }
 
 // foldStep collapses families of structurally identical candidates
@@ -132,10 +113,10 @@ func (r *runner) retire(f *ir.Function) {
 func (r *runner) foldStep(candidates []*ir.Function) {
 	c0 := time.Now()
 	defer func() { r.res.CommitTime += time.Since(c0) }()
-	for _, fam := range search.FamiliesBy(candidates, r.hashes.of) {
+	for _, fam := range search.FamiliesBy(candidates, r.recs.hash) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
-			profit := r.sizes[dup] - costmodel.ThunkBytes(r.cfg.Target, len(dup.Params()))
+			profit := r.recs.of[dup].size - costmodel.ThunkBytes(r.cfg.Target, len(dup.Params()))
 			if profit <= 0 {
 				continue
 			}
@@ -146,7 +127,7 @@ func (r *runner) foldStep(candidates []*ir.Function) {
 				r.tomb[dup] = true
 				r.plan.Folds = append(r.plan.Folds, PlannedFold{
 					Dup: dup.Name(), Rep: rep.Name(), Profit: profit,
-					DupHash: r.hashes.of(dup), RepHash: r.hashes.of(rep),
+					DupHash: r.recs.hash(dup), RepHash: r.recs.hash(rep),
 				})
 			}
 			r.res.Folds = append(r.res.Folds, FoldRecord{Dup: dup.Name(), Rep: rep.Name(), Profit: profit})
@@ -193,6 +174,7 @@ func (r *runner) walk(ctx context.Context, candidates []*ir.Function) error {
 // retained trial is discarded too.
 func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) (best *trial, c Counters, err error) {
 	cfg := r.cfg
+	rec1 := r.recs.of[f1]
 	for _, f2 := range list {
 		if r.consumed[f2] {
 			continue
@@ -228,15 +210,18 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			// this row so far — a pair whose bound cannot clear it
 			// cannot become the row's best trial, so skipping it never
 			// changes a decision. A bound that cannot even clear zero is
-			// memoized like any finished unprofitable trial.
+			// memoized like any finished unprofitable trial. FMSA, the
+			// paper's baseline, plans every pair in full.
+			rec2 := r.recs.of[f2]
 			g := noGate
-			if r.funnel != nil {
+			if cfg.Algorithm != FMSA {
 				gate := 0
 				if best != nil {
 					gate = best.profit
 				}
 				s0 := time.Now()
-				bd, p1, p2 := r.funnel.screen(f1, f2)
+				p1, p2 := r.recs.profile(rec1), r.recs.profile(rec2)
+				bd := costmodel.BoundLazy(p1, p2, cfg.Target)
 				if bd.UB <= gate && !bd.Exact {
 					// The lazy bound omits unsettled slack, so a failed
 					// gate is only provisional: settle the slack terms
@@ -258,7 +243,7 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 				}
 				g = trialGate{on: true, bd: bd, gate: gate, p1: p1, p2: p2}
 			}
-			t = r.pairTrial(ctx, f1, f2, g)
+			t = r.pairTrial(ctx, rec1, rec2, g)
 		}
 		c.add(t.counters())
 		switch {
@@ -289,13 +274,13 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 	return best, c, nil
 }
 
-// pairTrial plans the pairwise trial of f1 and f2 under gate g, in
-// place. The alignment is the trial's only until its body is built;
-// then the runner takes it back cleared, so that it pins no body, for
-// the next trial.
-func (r *runner) pairTrial(ctx context.Context, f1, f2 *ir.Function, g trialGate) *trial {
+// pairTrial plans the pairwise trial of two records' functions under
+// gate g, in place. The alignment is the trial's only until its body is
+// built; then the runner takes it back cleared, so that it pins no body,
+// for the next trial.
+func (r *runner) pairTrial(ctx context.Context, r1, r2 *record, g trialGate) *trial {
 	defer r.ares.Clear()
-	return planTrial(ctx, r.m, f1, f2, r.claimed, r.cache, r.sizes, r.cfg.CoreOptions(), r.cfg, g, &r.ares)
+	return planTrial(ctx, r.m, r.recs, r1, r2, r.claimed, r.cfg.CoreOptions(), r.cfg, g, &r.ares)
 }
 
 // flattenTrial plans the k-ary re-merge fp describes for the pair.
@@ -357,9 +342,7 @@ func (r *runner) commitStep(t *trial) {
 			commit(f1, f2, t.merged)
 			r.retire(f1)
 			r.retire(f2)
-			if r.markPending != nil {
-				r.markPending(t.merged)
-			}
+			r.markPending(t.merged)
 		}
 		r.consumed[f1], r.consumed[f2] = true, true
 	default:
@@ -379,7 +362,7 @@ func (r *runner) commitStep(t *trial) {
 		r.claimed[rec.Merged] = true
 		r.plan.Merges = append(r.plan.Merges, PlannedMerge{
 			F1: rec.F1, F2: rec.F2, Merged: rec.Merged, Family: rec.Family, Profit: t.profit,
-			Hash1: r.hashes.of(f1), Hash2: r.hashes.of(f2),
+			Hash1: r.recs.hash(f1), Hash2: r.recs.hash(f2),
 		})
 	}
 	if !rec.Committed {

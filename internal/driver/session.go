@@ -1,18 +1,20 @@
 // The long-lived merge engine. RunContext's one-shot pipeline is a thin
 // wrapper over a Session: OpenSession builds every index the pipeline
-// needs — the fingerprint candidate finder and the
-// linearization/class cache — exactly once, and every run's greedy loop
-// reuses them across any number of Optimize / Plan / Apply calls. Callers that mutate or delete functions between runs
-// report the delta through Update / Remove; only the touched functions
-// are re-fingerprinted and re-linearized, so a re-optimize
-// after a small edit pays for the edit, not for the module.
+// needs — the fingerprint candidate finder and one record per candidate
+// — exactly once, and every run's greedy loop reuses them across any
+// number of Optimize / Plan / Apply calls. Callers that mutate or delete
+// functions between runs report the delta through Update / Remove; only
+// the touched functions are re-fingerprinted and re-linearized, so a
+// re-optimize after a small edit pays for the edit, not for the module.
 //
 // Three index layers persist across runs:
 //
 //   - the search.Finder (the dense fingerprint index), updated
 //     incrementally through its Add/AddBatch/Remove entry points;
-//   - the align.Cache of linearizations and interned class vectors,
-//     invalidated per function through Invalidate;
+//   - the records (records.go): per indexed function its name, its size
+//     and, built on first use, its fold hash, alignment sequence and
+//     screening profile. A record exists exactly while its function is
+//     indexed, and resetting it is the one way what it knows dies;
 //   - the outcome memo: candidate pairs whose trial was unprofitable are
 //     remembered (an unprofitable trial is a pure function of the two
 //     bodies and the options), so a re-run skips their alignment DP and
@@ -34,7 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/align"
 	"repro/internal/costmodel"
 	"repro/internal/fmsa"
 	"repro/internal/ir"
@@ -67,21 +68,15 @@ type Session struct {
 
 	closed bool
 
-	// Persistent indexes (nil for FMSA sessions, which rebuild their
-	// state inside every Optimize because register demotion rewrites
-	// the whole module around each run).
-	cache  *align.Cache
+	// Persistent indexes (nil for FMSA sessions, which build their
+	// state inside every Optimize and drop it afterwards because register
+	// demotion rewrites the whole module around each run).
 	finder search.Finder
-	// hashes memoizes search.HashFunction per original body for the
-	// duplicate-fold bucketing.
-	hashes  hashMemo
-	sizes   map[*ir.Function]int
-	indexed map[*ir.Function]bool
-	byName  map[string]*ir.Function
-	// nameOf remembers the name each function was indexed under, so a
-	// rename between runs retires the stale byName alias instead of
-	// leaving it to misdirect a later Update/Remove.
-	nameOf map[*ir.Function]string
+	recs   *records
+	// byName resolves the names functions were indexed under (a
+	// record's name), so a rename between runs retires the stale alias
+	// instead of leaving it to misdirect a later Update/Remove.
+	byName map[string]*ir.Function
 
 	// pending records functions whose index entries are stale: true
 	// means "re-evaluate against the current body" (Update, commits),
@@ -91,10 +86,6 @@ type Session struct {
 
 	outcomes *outcomeCache
 
-	// funnel is the planning-funnel profile store (funnel.go); nil for
-	// FMSA, whose sessions carry no persistent indexes at all.
-	funnel *funnel
-
 	// families is the merge-family registry behind chain flattening
 	// (family.go); nil unless Config.MaxFamily enables tracking. It is
 	// session state, not module state: a fresh session over an
@@ -102,12 +93,12 @@ type Session struct {
 	// therefore nests where this session flattens.
 	families *familySet
 
-	// Per-run stat baselines: the finder and cache accumulate across
-	// the session's lifetime, so each run reports the delta since the
-	// previous one (the first run's delta includes the index build,
+	// Per-run stat baselines: the finder and the records accumulate
+	// across the session's lifetime, so each run reports the delta since
+	// the previous one (the first run's delta includes the index build,
 	// matching the one-shot pipeline's accounting).
 	lastSearch search.Stats
-	lastCache  align.CacheStats
+	lastCache  CacheStats
 }
 
 // OpenSession builds a session over m: all candidate and alignment
@@ -138,22 +129,17 @@ func (s *Session) eligible(f *ir.Function) bool {
 }
 
 // buildIndexes constructs the persistent index layers from the module:
-// the finder, the align cache, the membership/size maps, the outcome
-// memo, the planning funnel and the family registry.
+// the finder, the records, the outcome memo and the family registry.
 func (s *Session) buildIndexes() {
-	s.cache = align.NewCache()
-	s.hashes = hashMemo{}
-	s.sizes = map[*ir.Function]int{}
-	s.indexed = map[*ir.Function]bool{}
-	s.byName = map[string]*ir.Function{}
-	s.nameOf = map[*ir.Function]string{}
+	defined := s.m.Defined()
+	s.recs = newRecords(s.cfg.Target, len(defined))
+	s.byName = make(map[string]*ir.Function, len(defined))
 	s.outcomes = newOutcomeCache()
-	s.funnel = newFunnel(s.cfg.Target, s.cache)
 	if s.cfg.MaxFamily >= 3 {
 		s.families = newFamilySet()
 	}
 	var candidates []*ir.Function
-	for _, f := range s.m.Defined() {
+	for _, f := range defined {
 		if !s.eligible(f) {
 			continue
 		}
@@ -171,51 +157,29 @@ func (s *Session) markPending(f *ir.Function) {
 	s.families.touch(s.m, f)
 }
 
-// hashMemo memoizes search.HashFunction; the nil memo (FMSA) does not.
-type hashMemo map[*ir.Function]uint64
-
-func (h hashMemo) of(f *ir.Function) uint64 {
-	v, ok := h[f]
-	if !ok {
-		v = search.HashFunction(f)
-		if h != nil {
-			h[f] = v
-		}
-	}
-	return v
-}
-
-// index records f in the session's membership, name and size maps
-// under its current name, retiring any stale alias a rename left
-// behind. The finder is updated by the caller (bulk at Open,
-// incrementally at sync).
+// index gives f a record of its current body under its current name,
+// retiring any stale alias a rename left behind. The finder is updated
+// by the caller (bulk at Open, incrementally at sync).
 func (s *Session) index(f *ir.Function) {
-	if prev, ok := s.nameOf[f]; ok && prev != f.Name() && s.byName[prev] == f {
-		delete(s.byName, prev)
+	if r := s.recs.of[f]; r != nil && r.name != f.Name() && s.byName[r.name] == f {
+		delete(s.byName, r.name)
 	}
-	s.indexed[f] = true
+	s.recs.put(f, costmodel.FuncBytes(f, s.cfg.Target))
 	s.byName[f.Name()] = f
-	s.nameOf[f] = f.Name()
-	s.sizes[f] = costmodel.FuncBytes(f, s.cfg.Target)
 }
 
 // unindex drops f from every persistent index layer. The byName alias
 // is removed under the name f was indexed as, which survives renames.
 func (s *Session) unindex(f *ir.Function) {
 	s.outcomes.invalidate(f)
-	s.cache.Invalidate(f)
-	delete(s.hashes, f)
-	s.funnel.invalidate(f)
 	s.families.drop(f)
-	if s.indexed[f] {
+	if r := s.recs.of[f]; r != nil {
 		s.finder.Remove(f)
-		delete(s.indexed, f)
-		delete(s.sizes, f)
-		if prev, ok := s.nameOf[f]; ok && s.byName[prev] == f {
-			delete(s.byName, prev)
+		if s.byName[r.name] == f {
+			delete(s.byName, r.name)
 		}
+		s.recs.drop(f)
 	}
-	delete(s.nameOf, f)
 }
 
 // sync applies the pending index updates: each marked function is
@@ -235,15 +199,17 @@ func (s *Session) sync() {
 	touched := make(map[string]bool, len(s.pending))
 	renamed := false
 	for f := range s.pending {
-		if prev, ok := s.nameOf[f]; ok {
-			touched[prev] = true
-			renamed = renamed || prev != f.Name()
+		if r := s.recs.of[f]; r != nil {
+			touched[r.name] = true
+			renamed = renamed || r.name != f.Name()
 		}
 		touched[f.Name()] = true
 	}
 	if renamed {
 		// Hashes name callees by symbol: a rename reaches every caller's.
-		clear(s.hashes)
+		for _, r := range s.recs.of {
+			r.hashed = false
+		}
 	}
 	var changed []*ir.Function
 	for f, reindex := range s.pending {
@@ -252,9 +218,6 @@ func (s *Session) sync() {
 			continue
 		}
 		s.outcomes.invalidate(f)
-		s.cache.Invalidate(f)
-		s.funnel.invalidate(f)
-		delete(s.hashes, f)
 		s.index(f)
 		changed = append(changed, f)
 	}
@@ -308,7 +271,7 @@ func (s *Session) pruneFamilies(touched map[string]bool) {
 func (s *Session) candidateOrder() []*ir.Function {
 	var out []*ir.Function
 	for _, f := range s.m.Defined() {
-		if s.indexed[f] {
+		if s.recs.of[f] != nil {
 			out = append(out, f)
 		}
 	}
@@ -336,16 +299,11 @@ func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	s.cache = nil
 	s.finder = nil
-	s.hashes = nil
-	s.sizes = nil
-	s.indexed = nil
+	s.recs = nil
 	s.byName = nil
-	s.nameOf = nil
 	s.pending = nil
 	s.outcomes = nil
-	s.funnel = nil
 	s.families = nil
 	return nil
 }
@@ -483,27 +441,31 @@ func (s *Session) newResult() *Result {
 }
 
 // newRunner binds one run's loop to the session's index layers. Dry
-// runs add their overlays; FMSA runs swap in their throwaway indexes.
+// runs add their overlays.
 func (s *Session) newRunner(res *Result, commitMode bool) *runner {
 	return &runner{
-		m: s.m, cfg: s.cfg, cache: s.cache, finder: s.finder,
-		hashes: s.hashes, sizes: s.sizes, outcomes: s.outcomes,
-		funnel: s.funnel, families: s.families, commitMode: commitMode,
+		m: s.m, cfg: s.cfg, finder: s.finder, recs: s.recs,
+		outcomes: s.outcomes, families: s.families, commitMode: commitMode,
 		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
 		markPending: s.markPending,
 		consumed:    map[*ir.Function]bool{},
 	}
 }
 
-// moduleBytes is costmodel.ModuleBytes off the maintained sizes:
-// sizes[f] is current for every indexed function without a pending
+// moduleBytes is costmodel.ModuleBytes off the records' sizes: a
+// record's size is current for every indexed function without a pending
 // mark, so only the rest — what the delta or the run touched, and
-// whatever is not a candidate — is priced again.
+// whatever is not a candidate — is priced again. An FMSA session keeps
+// no records between runs.
 func (s *Session) moduleBytes() int {
+	if s.recs == nil {
+		return costmodel.ModuleBytes(s.m, s.cfg.Target)
+	}
 	n := 0
 	for _, f := range s.m.Funcs {
-		if _, stale := s.pending[f]; s.indexed[f] && !stale {
-			n += s.sizes[f]
+		r := s.recs.of[f]
+		if _, stale := s.pending[f]; r != nil && !stale {
+			n += r.size
 		} else {
 			n += costmodel.FuncBytes(f, s.cfg.Target)
 		}
@@ -511,10 +473,10 @@ func (s *Session) moduleBytes() int {
 	return n
 }
 
-// finishStats folds the per-run finder/cache deltas into res and moves
-// the session baselines forward. Every run that got as far as its walk
-// ends here, leaving the reference index (family.go) to be brought up to
-// date by the next run's first caller check.
+// finishStats folds the per-run finder and sequence-request deltas
+// into res and moves the session baselines forward. Every run that got
+// as far as its walk ends here, leaving the reference index (family.go)
+// to be brought up to date by the next run's first caller check.
 func (s *Session) finishStats(res *Result) {
 	if s.families != nil {
 		s.families.refsFresh = false
@@ -528,13 +490,10 @@ func (s *Session) finishStats(res *Result) {
 		Indexed:   cur.Indexed,
 	}
 	s.lastSearch = cur
-	cc := s.cache.Stats()
-	res.AlignCache = align.CacheStats{
-		Hits:      cc.Hits - s.lastCache.Hits,
-		Misses:    cc.Misses - s.lastCache.Misses,
-		Functions: cc.Functions,
-		Classes:   cc.Classes,
-	}
+	cc := s.recs.cacheStats()
+	res.AlignCache = cc
+	res.AlignCache.Hits -= s.lastCache.Hits
+	res.AlignCache.Misses -= s.lastCache.Misses
 	s.lastCache = cc
 }
 
@@ -580,9 +539,9 @@ func (s *Session) finishFamilies(res *Result) {
 
 // optimizeFMSA is the FMSA run: register demotion rewrites every
 // candidate before merging and register promotion rewrites them back
-// afterwards, so no index survives the run — the session builds
-// throwaway indexes over the demoted module, exactly like the one-shot
-// pipeline, and keeps none of them.
+// afterwards, so no index survives the run — the session indexes the
+// demoted module for the run, exactly like the one-shot pipeline, and
+// drops every index afterwards.
 func (s *Session) optimizeFMSA(ctx context.Context, clk runClock) (*Result, error) {
 	// FMSA carries no persistent indexes, so pending marks from
 	// Update/Remove have nothing to reconcile against — drop them, or
@@ -601,28 +560,28 @@ func (s *Session) optimizeFMSA(ctx context.Context, clk runClock) (*Result, erro
 	// The cost model must price the originals at their *final*
 	// (promoted) size — unmerged functions are promoted back during
 	// clean-up — so record sizes before any demotion.
-	preSize := map[*ir.Function]int{}
-	for _, f := range s.m.Defined() {
+	defined := s.m.Defined()
+	preSize := make(map[*ir.Function]int, len(defined))
+	for _, f := range defined {
 		preSize[f] = costmodel.FuncBytes(f, s.cfg.Target)
 	}
 	fmsa.PrepareModule(s.m)
+	s.recs = newRecords(s.cfg.Target, len(defined))
 	var candidates []*ir.Function
 	for _, f := range s.m.Defined() {
 		if s.eligible(f) {
 			candidates = append(candidates, f)
+			s.recs.put(f, preSize[f])
 		}
 	}
-	cache := align.NewCache()
-	finder := search.New(search.KindLSH, candidates)
-	r := s.newRunner(res, true)
-	r.cache, r.finder, r.sizes, r.markPending = cache, finder, preSize, nil
-	runErr := r.walk(ctx, candidates)
+	s.finder = search.New(search.KindLSH, candidates)
+	runErr := s.newRunner(res, true).walk(ctx, candidates)
 	// Clean-up (Figure 1): re-promote and simplify every demoted
 	// function; whatever cannot be promoted back is the residue.
 	// Clean-up runs even on cancellation so the module stays consistent.
 	fmsa.CleanupModule(s.m)
-	res.Search = finder.Stats()
-	res.AlignCache = cache.Stats()
+	res.Search, res.AlignCache = s.finder.Stats(), s.recs.cacheStats()
+	s.finder, s.recs = nil, nil
 	res.FinalBytes = costmodel.ModuleBytes(s.m, s.cfg.Target)
 	clk.stop(res)
 	return res, runErr
@@ -721,13 +680,18 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		return res, err
 	}
 	consumed := map[string]bool{}
+	// stale refuses a function that is gone, changed since planning, or
+	// not a candidate of this session (skip-hot, under MinInstrs,
+	// Removed): its own Plan would never have proposed it.
 	stale := func(name string, want uint64) error {
 		f := s.m.FuncByName(name)
-		if f == nil {
+		switch {
+		case f == nil:
 			return fmt.Errorf("driver: %w: function @%s is gone", ErrStalePlan, name)
-		}
-		if search.HashFunction(f) != want {
+		case search.HashFunction(f) != want:
 			return fmt.Errorf("driver: %w: @%s changed since planning", ErrStalePlan, name)
+		case s.recs.of[f] == nil:
+			return fmt.Errorf("driver: %w: @%s is not a merge candidate of this session", ErrStalePlan, name)
 		}
 		return nil
 	}
@@ -767,12 +731,6 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 			return finish(err)
 		}
 		f1, f2 := s.m.FuncByName(pm.F1), s.m.FuncByName(pm.F2)
-		if _, ok := s.sizes[f1]; !ok {
-			s.sizes[f1] = costmodel.FuncBytes(f1, s.cfg.Target)
-		}
-		if _, ok := s.sizes[f2]; !ok {
-			s.sizes[f2] = costmodel.FuncBytes(f2, s.cfg.Target)
-		}
 		var t *trial
 		if len(pm.Family) > 0 {
 			// A planned flattening: re-derive it from the live family
@@ -787,7 +745,7 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		} else {
 			// Apply commits planned merges unconditionally, so there is
 			// no gate to screen against — every trial materializes.
-			t = r.pairTrial(ctx, f1, f2, noGate)
+			t = r.pairTrial(ctx, s.recs.of[f1], s.recs.of[f2], noGate)
 		}
 		res.add(t.counters())
 		if t.err != nil {

@@ -727,6 +727,20 @@ func TestSessionFMSA(t *testing.T) {
 	if a, b := mRef.String(), m.String(); a != b {
 		t.Error("FMSA session module diverges from the reference")
 	}
+	// Nothing an FMSA run indexes outlives it: a record priced before
+	// demotion would misprice the next run's baseline. (A second run is
+	// not a sizedRun: the demotion round trip may grow the module.)
+	if s.recs != nil || s.finder != nil {
+		t.Fatal("the FMSA session kept its run's records or finder")
+	}
+	before := costmodel.ModuleBytes(m, cfg.Target)
+	again, err := s.Optimize(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.BaselineBytes != before {
+		t.Errorf("second FMSA run's baseline is %d bytes, ModuleBytes says %d", again.BaselineBytes, before)
+	}
 }
 
 // TestSessionClosed: every method of a closed session fails cleanly,

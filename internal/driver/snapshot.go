@@ -20,8 +20,8 @@
 // What is NOT carried: the family registry (original member bodies are
 // unserializable session state — a restored session nests where the old
 // one would have flattened, exactly like any fresh session over an
-// already-merged module), the finder's fingerprints and the align.Cache
-// linearizations, which are rebuilt at open and lazily per pair.
+// already-merged module), the finder's fingerprints and what the
+// records build on first use, which are rebuilt at open and lazily.
 package driver
 
 import (
@@ -195,7 +195,7 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	for i, f := range order {
 		if slot[i] != 0 {
 			slot[i] = len(snap.Funcs)
-			snap.Funcs = append(snap.Funcs, SnapshotFunc{Name: f.Name(), Hash: s.hashes.of(f)})
+			snap.Funcs = append(snap.Funcs, SnapshotFunc{Name: f.Name(), Hash: s.recs.hash(f)})
 		}
 	}
 	for _, p := range pairs {
@@ -265,10 +265,10 @@ func OpenSessionWithSnapshot(ctx context.Context, m *ir.Module, cfg Config, snap
 	s.buildIndexes()
 	// matched[i] is the candidate named snap.Funcs[i].Name whose current
 	// structural hash equals the recorded one, or nil. Hashing through
-	// the session's memo hands the first fold step these hashes.
+	// the records hands the first fold step these hashes.
 	matched := make([]*ir.Function, len(snap.Funcs))
 	for i, sf := range snap.Funcs {
-		if f := s.byName[sf.Name]; f != nil && s.hashes.of(f) == sf.Hash {
+		if f := s.byName[sf.Name]; f != nil && s.recs.hash(f) == sf.Hash {
 			matched[i] = f
 		}
 	}

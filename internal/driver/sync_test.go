@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/align"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/irtext"
@@ -44,6 +45,46 @@ func checkFinderFresh(t *testing.T, s *Session, when string) int {
 	return compared
 }
 
+// checkRecords holds the session's records to what they describe. The
+// records are keyed by exactly the functions the finder indexes, less
+// those a committing run retired since the last sync (pending, out of
+// the finder, their bodies rewritten); every other record's size is
+// what costmodel.FuncBytes measures now, its memoized hash what
+// search.HashFunction computes now and its sequence the linearization
+// of its body now; a retired function's record keeps nothing built from
+// its old body.
+func checkRecords(t *testing.T, s *Session, when string) {
+	t.Helper()
+	inFinder := map[*ir.Function]bool{}
+	for _, f := range s.finder.Order() {
+		inFinder[f] = true
+		if s.recs.of[f] == nil {
+			t.Errorf("%s: the finder indexes @%s, which has no record", when, f.Name())
+		}
+	}
+	for f, r := range s.recs.of {
+		if _, pending := s.pending[f]; pending && !inFinder[f] {
+			if r.hashed || r.seqOK || r.prof != nil {
+				t.Errorf("%s: retired @%s keeps facts built from its old body", when, r.name)
+			}
+			continue
+		}
+		if !inFinder[f] {
+			t.Errorf("%s: @%s has a record but is not indexed", when, r.name)
+			continue
+		}
+		if want := costmodel.FuncBytes(f, s.cfg.Target); r.size != want {
+			t.Errorf("%s: @%s's record prices it at %d bytes, FuncBytes at %d", when, r.name, r.size, want)
+		}
+		if r.hashed && r.hash != search.HashFunction(f) {
+			t.Errorf("%s: @%s's memoized hash is stale", when, r.name)
+		}
+		if r.seqOK && !slices.Equal(r.seq.Entries, align.Linearize(f)) {
+			t.Errorf("%s: @%s's sequence is not its body's", when, r.name)
+		}
+	}
+}
+
 // TestFinderExactAfterSync: twenty rounds of what a build service sends
 // a session — mutated-clone redefinitions, new functions, removals,
 // re-admissions, renames — each followed by a sync and an Optimize with
@@ -52,8 +93,11 @@ func checkFinderFresh(t *testing.T, s *Session, when string) int {
 // what a fresh index over the current candidates answers: edited
 // fingerprints re-ranked, functions a commit retired mid-walk back in
 // the lists they left, removals gone, renamed ties re-ordered by name.
-// The pairs variant turns folding and families off, so every commit is
-// a pair merge that retires two functions and indexes their merge.
+// Odd rounds Plan and Apply instead of Optimizing; after every sync,
+// Plan and committing run the records must describe what they say
+// (checkRecords). The pairs variant turns folding and families off, so
+// every commit is a pair merge that retires two functions and indexes
+// their merge.
 func TestFinderExactAfterSync(t *testing.T) {
 	type variant struct {
 		threshold int
@@ -116,7 +160,7 @@ func TestFinderExactAfterSync(t *testing.T) {
 				// rename a third.
 				names = append(names, sidelined...)
 				sidelined = nil
-				if f := m.FuncByName(rest[round].Name()); f != nil && s.indexed[f] {
+				if f := m.FuncByName(rest[round].Name()); f != nil && s.recs.of[f] != nil {
 					sidelined = append(sidelined, f.Name())
 				}
 				if f := m.FuncByName(rest[20+round].Name()); f != nil {
@@ -136,13 +180,22 @@ func TestFinderExactAfterSync(t *testing.T) {
 					t.Fatal(err)
 				}
 				compared += checkFinderFresh(t, s, fmt.Sprintf("round %d after sync", round))
+				checkRecords(t, s, fmt.Sprintf("round %d after sync", round))
 				if t.Failed() {
 					t.FailNow()
 				}
-				res, err := sizedRun(t, s, nil)
+				var p *Plan
+				if round%2 == 1 {
+					if p, err = s.Plan(ctx); err != nil {
+						t.Fatal(err)
+					}
+					checkRecords(t, s, fmt.Sprintf("round %d after Plan", round))
+				}
+				res, err := sizedRun(t, s, p)
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkRecords(t, s, fmt.Sprintf("round %d after the run", round))
 				merged += len(res.Merges) + len(res.Folds)
 			}
 			if err := ir.VerifyModule(m); err != nil {

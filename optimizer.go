@@ -298,6 +298,7 @@ func (o *Optimizer) Optimize(ctx context.Context, m *Module) (*Report, error) {
 // MergePair merges the two named functions of m unconditionally (no
 // profitability check) and replaces the originals with forwarding
 // thunks. It returns the merged function and the generator statistics.
+// It is MergeFamily of two.
 //
 // The SalSSA generator variants are supported; an FMSA-configured
 // Optimizer returns an error because FMSA merges require whole-module
@@ -309,24 +310,7 @@ func (o *Optimizer) MergePair(ctx context.Context, m *Module, name1, name2 strin
 	if name1 == name2 {
 		return nil, nil, fmt.Errorf("repro: cannot merge function %q with itself", name1)
 	}
-	f1, f2 := m.FuncByName(name1), m.FuncByName(name2)
-	if f1 == nil || f2 == nil {
-		return nil, nil, fmt.Errorf("repro: function %q or %q not found", name1, name2)
-	}
-	plan, err := core.PlanParams(f1, f2)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The plan is shared between the generator and the thunks below, so
-	// parameter unification runs once per pair.
-	merged, stats, err := core.MergeWithPlanCtx(ctx, m, f1, f2, driver.MergedName(m, f1, f2), plan, o.config().CoreOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	transform.Simplify(merged)
-	core.BuildThunk(f1, merged, 0, plan.Maps[0], plan)
-	core.BuildThunk(f2, merged, 1, plan.Maps[1], plan)
-	return merged, stats, nil
+	return o.MergeFamily(ctx, m, name1, name2)
 }
 
 // MergeFamily merges the k named functions of m unconditionally (no

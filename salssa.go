@@ -28,7 +28,6 @@
 package repro
 
 import (
-	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/driver"
@@ -56,10 +55,10 @@ type (
 	// SearchStats reports the candidate finder's query accounting
 	// within a Report.
 	SearchStats = search.Stats
-	// AlignCacheStats reports the per-run linearization/class cache
-	// within a Report: alignment trials reuse one interned sequence per
-	// function instead of re-walking types per candidate pair.
-	AlignCacheStats = align.CacheStats
+	// AlignCacheStats reports a run's sequence requests within a
+	// Report: alignment trials reuse one interned sequence per function
+	// instead of re-walking types per candidate pair.
+	AlignCacheStats = driver.CacheStats
 )
 
 // Algorithm selects the merging technique.

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -184,6 +185,68 @@ func TestSessionPlanApplyPublic(t *testing.T) {
 	}
 	if err := VerifyModule(m); err != nil {
 		t.Fatalf("applied module does not verify: %v", err)
+	}
+}
+
+// TestApplyRefusesExcludedFunctions: a plan drawn up by a session that
+// indexes every function must not merge, on a session that excludes one
+// of its functions — skip-hot or Removed — what that session's own Plan
+// would never propose. Apply refuses with ErrStalePlan and leaves the
+// excluded function as it was.
+func TestApplyRefusesExcludedFunctions(t *testing.T) {
+	ctx := context.Background()
+	base := synthModule(7)
+	opt, err := New(WithThreshold(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := opt.Open(ctx, ir.CloneModule(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.Plan(ctx)
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Merges) == 0 {
+		t.Fatal("no merges proposed on this module")
+	}
+	hot := plan.Merges[0].F1
+	hotOpt, err := New(WithThreshold(2), WithSkipHot(hot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opt  *Optimizer
+		prep func(*Session) error
+	}{
+		{"skip-hot", hotOpt, func(*Session) error { return nil }},
+		{"removed", opt, func(s *Session) error { return s.Remove(ctx, hot) }},
+	} {
+		m := ir.CloneModule(base)
+		before := m.FuncByName(hot).String()
+		s, err := c.opt.Open(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.prep(s); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Apply(ctx, plan)
+		s.Close()
+		if !errors.Is(err, ErrStalePlan) {
+			t.Errorf("%s: Apply of a plan merging @%s returned %v, want ErrStalePlan", c.name, hot, err)
+		}
+		for _, r := range rep.Merges {
+			if r.F1 == hot || r.F2 == hot {
+				t.Errorf("%s: Apply merged the excluded @%s into @%s", c.name, hot, r.Merged)
+			}
+		}
+		if got := m.FuncByName(hot).String(); got != before {
+			t.Errorf("%s: Apply rewrote the excluded @%s", c.name, hot)
+		}
 	}
 }
 
