@@ -721,7 +721,7 @@ func (g *generator) assignValueOperands() {
 				vals[t*n+i] = g.resolve(tag.member, tag.orig.Operand(i), in)
 			}
 		}
-		if g.opts.ReorderOperands && canReorder(in) && vals[0] != nil && vals[1] != nil {
+		if canReorder(in) && vals[0] != nil && vals[1] != nil {
 			// Each later member reorders against member 0's operands
 			// (Figure 9, applied per member).
 			for t := 1; t < len(tags); t++ {

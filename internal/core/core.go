@@ -22,8 +22,6 @@ type Options struct {
 	// xor). It applies to two-member families only — the rewrite is
 	// specific to the i1 identifier.
 	XorBranch bool
-	// ReorderOperands enables commutative operand reordering (Figure 9).
-	ReorderOperands bool
 	// Align configures the sequence alignment.
 	Align align.Options
 }
@@ -31,10 +29,9 @@ type Options struct {
 // DefaultOptions enables every SalSSA feature.
 func DefaultOptions() Options {
 	return Options{
-		PhiCoalescing:   true,
-		XorBranch:       true,
-		ReorderOperands: true,
-		Align:           align.DefaultOptions(),
+		PhiCoalescing: true,
+		XorBranch:     true,
+		Align:         align.DefaultOptions(),
 	}
 }
 

@@ -36,11 +36,11 @@ type Forced struct {
 
 // CountForced counts what the generator is forced to add when it merges
 // the two functions numbered by n1 and n2 along pairs — an alignment of
-// their linearizations, A entries from the first — under plan and opts.
+// their linearizations, A entries from the first — under plan.
 // It reads the alignment and the originals only: nothing is cloned,
 // built or mutated. Whatever it cannot prove is left out, so each
 // count is a lower bound on what Stats reports for the same merge.
-func CountForced(pairs []align.Pair, n1, n2 *Numbering, plan *ParamPlan, opts Options) Forced {
+func CountForced(pairs []align.Pair, n1, n2 *Numbering, plan *ParamPlan) Forced {
 	// row[j][number] is 1 + the index of the matched row that places
 	// member j's label or instruction, 0 for anything unmatched. Two
 	// values are matched to each other exactly when their entries are
@@ -72,7 +72,7 @@ func CountForced(pairs []align.Pair, n1, n2 *Numbering, plan *ParamPlan, opts Op
 				out.dispatch(next, pairs, nextMatch)
 			}
 			if a, b := p.A.Instr, p.B.Instr; a != nil {
-				out.Selects += c.selects(a, b, opts)
+				out.Selects += c.selects(a, b)
 				if a.Op() == ir.OpBr && c.labelSelection(a, b) {
 					if a.IsCondBr() {
 						out.LabelSelections++
@@ -154,8 +154,8 @@ func isUncondBr(in *ir.Instruction) bool {
 // selects counts the operands of the matched pair (a, b) that need a
 // select nothing can fold. A reorderable pair is counted under the
 // cheaper of its two operand orders, whichever the generator picks.
-func (c *forcedCounter) selects(a, b *ir.Instruction, opts Options) int {
-	if opts.ReorderOperands && canReorder(a) {
+func (c *forcedCounter) selects(a, b *ir.Instruction) int {
+	if canReorder(a) {
 		straight := btoi(c.differ(a.Operand(0), b.Operand(0))) + btoi(c.differ(a.Operand(1), b.Operand(1)))
 		swapped := btoi(c.differ(a.Operand(0), b.Operand(1))) + btoi(c.differ(a.Operand(1), b.Operand(0)))
 		return min(straight, swapped)

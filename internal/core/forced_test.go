@@ -33,7 +33,7 @@ func checkForcedAgainstGenerator(t *testing.T, p trialPair) (counted Forced, hel
 	t.Helper()
 	opts := DefaultOptions()
 	n1, n2 := NewNumbering(p.f1), NewNumbering(p.f2)
-	got := CountForced(p.ares.Pairs, &n1, &n2, p.plan, opts)
+	got := CountForced(p.ares.Pairs, &n1, &n2, p.plan)
 	merged, stats, err := MergeAlignedCtx(context.Background(), ir.NewModule(), p.f1, p.f2, "merged", p.ares, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,6 @@ func TestPairwiseBitIdenticalToReference(t *testing.T) {
 		{"default", DefaultOptions()},
 		{"nopc", func() Options { o := DefaultOptions(); o.PhiCoalescing = false; return o }()},
 		{"noxor", func() Options { o := DefaultOptions(); o.XorBranch = false; return o }()},
-		{"noreorder", func() Options { o := DefaultOptions(); o.ReorderOperands = false; return o }()},
 	}
 	for seed := int64(40); seed < 46; seed++ {
 		m := synth.Generate(synth.Profile{

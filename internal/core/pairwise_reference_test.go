@@ -367,7 +367,7 @@ func (g *refGenerator) assignValueOperands() {
 			v1[i] = g.resolve(0, i1.Operand(i), in)
 			v2[i] = g.resolve(1, i2.Operand(i), in)
 		}
-		if g.opts.ReorderOperands && canReorder(in) && v1[0] != nil && v1[1] != nil {
+		if canReorder(in) && v1[0] != nil && v1[1] != nil {
 			straight := btoi(ir.ValuesEqual(v1[0], v2[0])) + btoi(ir.ValuesEqual(v1[1], v2[1]))
 			swapped := btoi(ir.ValuesEqual(v1[0], v2[1])) + btoi(ir.ValuesEqual(v1[1], v2[0]))
 			if swapped > straight {

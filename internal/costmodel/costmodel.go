@@ -158,10 +158,6 @@ func ModuleBytes(m *ir.Module, target Target) int {
 	return n
 }
 
-// FuncSize is the IR-level size measure used by the paper's Figure 5 and
-// Table 1: the number of IR instructions.
-func FuncSize(f *ir.Function) int { return f.NumInstrs() }
-
 // SwitchBytes estimates the object-code bytes of a switch dispatch with
 // the given case count: a compare-and-branch chain or table, charged per
 // case plus base. It is the single switch-pricing rule, shared between

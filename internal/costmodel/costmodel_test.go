@@ -124,10 +124,3 @@ func TestSwitchBytesSharedWithInstrBytes(t *testing.T) {
 		}
 	}
 }
-
-func TestFuncSizeIsInstructionCount(t *testing.T) {
-	m := irtext.MustParse(irtext.Fig2Module)
-	if got := FuncSize(m.FuncByName("F1")); got != 10 {
-		t.Errorf("FuncSize(F1) = %d, want 10", got)
-	}
-}

@@ -305,13 +305,13 @@ func MatchedPairBytes(pairs []align.Pair, target Target) int {
 // items are then certain to survive clean-up — and proves nothing for
 // any other pair. pairs must align p1's function (the A entries) with
 // p2's; a pair no plan unifies yields 0.
-func ForcedCut(p1, p2 *FuncProfile, pairs []align.Pair, opts core.Options, target Target) int {
+func ForcedCut(p1, p2 *FuncProfile, pairs []align.Pair, target Target) int {
 	plan, err := core.PlanParams(p1.fn, p2.fn)
 	if err != nil {
 		return 0
 	}
 	minArity := 1 + max(p1.Params, p2.Params)
-	return ForcedBytes(core.CountForced(pairs, &p1.num, &p2.num, plan, opts), target) +
+	return ForcedBytes(core.CountForced(pairs, &p1.num, &p2.num, plan), target) +
 		2*(ThunkBytes(target, 1+len(plan.Params))-ThunkBytes(target, minArity))
 }
 

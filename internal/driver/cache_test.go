@@ -33,7 +33,7 @@ func TestAlignCacheReported(t *testing.T) {
 }
 
 // TestLSHDupFoldMatchesExact is the full-pipeline check of the index
-// under duplicate folding: with folds tombstoning functions before the
+// under duplicate folding: with folds retiring functions before the
 // loop, Run commits the merges and folds of the retained one-shot
 // reference pipeline (whose finder the Exact one was), and the merged
 // module verifies and behaves like the original.

@@ -562,7 +562,7 @@ func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Opti
 		// that decide whether the count is a proof are only paid for when
 		// it would settle the trial. Irreducible functions have no slack,
 		// so a lazy Fixed is exact whenever the cut applies.
-		if cut := costmodel.ForcedCut(g.p1, g.p2, ares.Pairs, opts, cfg.Target); refined-cut <= g.gate &&
+		if cut := costmodel.ForcedCut(g.p1, g.p2, ares.Pairs, cfg.Target); refined-cut <= g.gate &&
 			g.p1.Irreducible() && g.p2.Irreducible() {
 			refined -= cut
 		}

@@ -431,10 +431,10 @@ func planFlattenTrial(ctx context.Context, m *ir.Module, fp *flattenPlan, name s
 // commitFlatten applies a successful flatten trial: move the
 // newcomers' bodies into the registry, rewrite every member's live
 // definition into a thunk on the new head, remove the consumed heads
-// from the module, and re-register the family under the new head. It
-// returns the live functions it rewrote so the walk can mark them
-// consumed. retire is the index-invalidation hook (runner.retire).
-func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.Function), markPending func(*ir.Function)) []*ir.Function {
+// from the module, and re-register the family under the new head.
+// retire takes every rewritten thunk and removed head out of play
+// (runner.retire).
+func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.Function), markPending func(*ir.Function)) {
 	fp := t.family
 	members := make([]familyMember, len(fp.srcs))
 	for i, nm := range fp.names {
@@ -444,12 +444,10 @@ func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.
 			members[i] = familyMember{name: nm, body: fp.srcs[i]}
 		}
 	}
-	rewritten := make([]*ir.Function, 0, len(fp.names))
 	for i, nm := range fp.names {
 		live := m.FuncByName(nm)
 		core.BuildThunk(live, t.merged, i, fp.pplan.Maps[i], fp.pplan)
 		retire(live)
-		rewritten = append(rewritten, live)
 	}
 	for _, h := range fp.heads {
 		// Detached first: retire reports h to the reference index, which
@@ -463,7 +461,6 @@ func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.
 	}
 	families.record(t.merged, members)
 	markPending(t.merged)
-	return rewritten
 }
 
 // recordPairFamily registers a plain pairwise merge as a two-member

@@ -394,7 +394,7 @@ func TestForcedCutTable(t *testing.T) {
 					t.Fatal(err)
 				}
 				n1, n2 := core.NewNumbering(f1), core.NewNumbering(f2)
-				if got := core.CountForced(ares.Pairs, &n1, &n2, plan, opts); got != tc.want {
+				if got := core.CountForced(ares.Pairs, &n1, &n2, plan); got != tc.want {
 					t.Errorf("CountForced = %+v, want %+v", got, tc.want)
 				}
 
@@ -404,7 +404,7 @@ func TestForcedCutTable(t *testing.T) {
 					t.Fatalf("pair reducible = %v, want %v", got, tc.reducible)
 				}
 				bound := costmodel.Bound(p1, p2, target).Fixed + costmodel.MatchedPairBytes(ares.Pairs, target)
-				cut := costmodel.ForcedCut(p1, p2, ares.Pairs, opts, target)
+				cut := costmodel.ForcedCut(p1, p2, ares.Pairs, target)
 				if want := costmodel.ForcedBytes(tc.want, target); cut != want {
 					// Every pair of the table unifies to the minimum arity,
 					// so the cut is the forced bytes alone.

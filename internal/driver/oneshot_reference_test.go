@@ -149,7 +149,7 @@ commitLoop:
 // referenceFoldDuplicates is the pre-PR duplicate-folding pre-pass.
 func referenceFoldDuplicates(candidates []*ir.Function, preSize map[*ir.Function]int, cfg Config, res *Result) []*ir.Function {
 	folded := map[*ir.Function]bool{}
-	for _, fam := range search.Families(candidates) {
+	for _, fam := range search.FamiliesBy(candidates, search.HashFunction) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
 			profit := preSize[dup] - costmodel.ThunkBytes(cfg.Target, len(dup.Params()))

@@ -19,13 +19,14 @@ import (
 //   - commit mode (Optimize, RunContext, Apply): merged functions stay in
 //     the module, originals become thunks, and the persistent indexes
 //     are updated in place;
-//   - dry mode (Plan): decisions are identical, but consumed functions
-//     are tombstoned in an overlay instead of being removed from the
-//     finder, merged-function names are claimed in an overlay instead of
-//     the module, and the chosen merges are recorded in a Plan. Both
-//     modes build every trial in place, the same way; a dry run
-//     discards its winners too, so the module comes back as found and
-//     the persistent indexes untouched.
+//   - dry mode (Plan, the runner has a plan): decisions are identical —
+//     whatever a proposal or fold consumes is retired from the finder
+//     exactly as a commit retires it — but the module is not changed:
+//     merged-function names are claimed in an overlay instead of the
+//     module, every winning trial is discarded like every loser, and the
+//     chosen merges are recorded in the Plan. When the walk returns, the
+//     finder gets back what it gave (giveBack), so the module and the
+//     persistent indexes come back as found.
 type runner struct {
 	m      *ir.Module
 	cfg    Config
@@ -40,17 +41,16 @@ type runner struct {
 	// pairs involving a family head flatten (family.go) instead of
 	// nesting, and every pairwise commit records a new two-member
 	// family.
-	families   *familySet
-	commitMode bool
-	runID      int64
-	res        *Result
-	progress   func(Progress)
+	families *familySet
+	runID    int64
+	res      *Result
+	progress func(Progress)
 	// markPending tells the owning session which functions this run
 	// mutated (commit mode only).
 	markPending func(*ir.Function)
 
-	// Walk state: the functions a commit (or dry proposal) took out of
-	// play, and how many profitable merges the commit-step has settled
+	// Walk state: the functions a commit, fold or dry proposal retired,
+	// and how many profitable merges the commit-step has settled
 	// (CommitFilter's argument).
 	consumed map[*ir.Function]bool
 	mergeIdx int
@@ -59,57 +59,46 @@ type runner struct {
 	// cleared once each trial is built (pairTrial).
 	ares align.Result
 
-	// Dry-mode overlays.
+	// Dry mode: the plan being drawn up, the merged names it claims, and
+	// the indexed functions it took out of the finder, in retire order.
 	plan    *Plan
-	tomb    map[*ir.Function]bool
 	claimed map[string]bool
+	taken   []*ir.Function
 }
 
-// candidates is the finder's top-t through the dry-mode tombstone
-// overlay: the exact top-t among live candidates. The finder's order is
-// total and prefix-consistent, so the query widens by what it needs —
-// t, 2t, 4t, … up to t plus every tombstone — until t live entries
-// survive or the raw list comes back short; a commit run (or a dry run
-// with nothing tombstoned) asks the finder once.
-func (r *runner) candidates(f *ir.Function, t int) []*ir.Function {
-	dead := len(r.tomb)
-	if r.commitMode || dead == 0 {
-		return r.finder.Candidates(f, t)
-	}
-	for k := t; ; k = min(2*k, t+dead) {
-		raw := r.finder.Candidates(f, k)
-		out := make([]*ir.Function, 0, t)
-		for _, g := range raw {
-			if !r.tomb[g] {
-				if out = append(out, g); len(out) == t {
-					break
-				}
-			}
-		}
-		if len(out) == t || len(raw) < k {
-			return out
-		}
-	}
-}
-
-// retire takes f out of play the moment a commit or fold rewrites its
-// body: out of the finder, so later queries of the walk no longer list
-// it; its record reset; and scheduled for re-indexing at the next sync.
+// retire takes f out of play the moment a commit, fold or dry proposal
+// consumes it: out of the finder, so later queries of the walk no longer
+// list it, and out of the walk. A commit has rewritten f's body, so its
+// record is reset and f is scheduled for re-indexing at the next sync; a
+// dry run changed nothing and only remembers an indexed f for giveBack.
 func (r *runner) retire(f *ir.Function) {
 	r.finder.Remove(f)
-	r.recs.reset(f)
-	r.markPending(f)
+	switch {
+	case r.plan == nil:
+		r.recs.reset(f)
+		r.markPending(f)
+	case r.recs.of[f] != nil && !r.consumed[f]:
+		r.taken = append(r.taken, f)
+	}
+	r.consumed[f] = true
+}
+
+// giveBack re-indexes, in one batch, every function a dry run retired.
+// The finder's lists are the (distance, name) top-t of the indexed set
+// whatever the insertion order, so it answers again exactly what it
+// answered before the run.
+func (r *runner) giveBack() {
+	r.finder.AddBatch(r.taken)
 }
 
 // foldStep collapses families of structurally identical candidates
 // before any alignment runs (Config.DupFold): every profitable
-// duplicate becomes a forwarder to its family representative (commit
-// mode) or a tombstoned PlannedFold (dry mode) and leaves the candidate
-// set, so exact clone families cost zero DP cells. The representative
-// stays a candidate. Families follow candidate (module definition)
-// order, keeping folding deterministic. Folds are commits: finding the
-// families, building the forwarders and retiring the indexes all run on
-// the commit clock.
+// duplicate is folded onto its family representative (fold) and leaves
+// the candidate set, so exact clone families cost zero DP cells. The
+// representative stays a candidate. Families follow candidate (module
+// definition) order, keeping folding deterministic. Folds are commits:
+// finding the families, building the forwarders and retiring the
+// indexes all run on the commit clock.
 func (r *runner) foldStep(candidates []*ir.Function) {
 	c0 := time.Now()
 	defer func() { r.res.CommitTime += time.Since(c0) }()
@@ -117,22 +106,26 @@ func (r *runner) foldStep(candidates []*ir.Function) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
 			profit := r.recs.of[dup].size - costmodel.ThunkBytes(r.cfg.Target, len(dup.Params()))
-			if profit <= 0 {
-				continue
+			if profit > 0 {
+				r.fold(dup, rep, profit)
 			}
-			if r.commitMode {
-				search.BuildForwarder(dup, rep)
-				r.retire(dup)
-			} else {
-				r.tomb[dup] = true
-				r.plan.Folds = append(r.plan.Folds, PlannedFold{
-					Dup: dup.Name(), Rep: rep.Name(), Profit: profit,
-					DupHash: r.recs.hash(dup), RepHash: r.recs.hash(rep),
-				})
-			}
-			r.res.Folds = append(r.res.Folds, FoldRecord{Dup: dup.Name(), Rep: rep.Name(), Profit: profit})
 		}
 	}
+}
+
+// fold makes dup a forwarder to rep (commit mode) or a PlannedFold (dry
+// mode), retires dup and records the fold. Apply folds through here too.
+func (r *runner) fold(dup, rep *ir.Function, profit int) {
+	if r.plan == nil {
+		search.BuildForwarder(dup, rep)
+	} else {
+		r.plan.Folds = append(r.plan.Folds, PlannedFold{
+			Dup: dup.Name(), Rep: rep.Name(), Profit: profit,
+			DupHash: r.recs.hash(dup), RepHash: r.recs.hash(rep),
+		})
+	}
+	r.retire(dup)
+	r.res.Folds = append(r.res.Folds, FoldRecord{Dup: dup.Name(), Rep: rep.Name(), Profit: profit})
 }
 
 // walk is the greedy loop over the candidate set. candidates must be
@@ -148,13 +141,13 @@ func (r *runner) walk(ctx context.Context, candidates []*ir.Function) error {
 		r.foldStep(candidates)
 	}
 	for _, f1 := range r.finder.Order() {
-		if r.consumed[f1] || r.tomb[f1] {
+		if r.consumed[f1] {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		best, c, err := r.row(ctx, f1, r.candidates(f1, r.cfg.Threshold))
+		best, c, err := r.row(ctx, f1, r.finder.Candidates(f1, r.cfg.Threshold))
 		r.res.add(c)
 		if err != nil {
 			return err
@@ -166,19 +159,16 @@ func (r *runner) walk(ctx context.Context, candidates []*ir.Function) error {
 	return nil
 }
 
-// row is the row-step: f1 against its live candidate list — consumed
-// and memoized partners skipped, then per pair the flatten check, the
-// stage-1 screen, the trial and the decision. It returns the most
-// profitable trial (nil when no partner is profitable; every loser is
-// already discarded) and what the row cost. On cancellation the
-// retained trial is discarded too.
+// row is the row-step: f1 against its candidate list (the finder lists
+// only functions still in play) — memoized partners skipped, then per
+// pair the flatten check, the stage-1 screen, the trial and the
+// decision. It returns the most profitable trial (nil when no partner is
+// profitable; every loser is already discarded) and what the row cost.
+// On cancellation the retained trial is discarded too.
 func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) (best *trial, c Counters, err error) {
 	cfg := r.cfg
 	rec1 := r.recs.of[f1]
 	for _, f2 := range list {
-		if r.consumed[f2] {
-			continue
-		}
 		// Cross-run memo: a pair whose bodies were already proven
 		// unprofitable cannot become the best trial; skip its DP and
 		// codegen entirely.
@@ -327,15 +317,13 @@ func (r *runner) commitStep(t *trial) {
 	switch {
 	case r.cfg.CommitFilter != nil && !r.cfg.CommitFilter(r.mergeIdx):
 		// Filtered: recorded, not applied; both functions stay in play.
-	case r.commitMode:
+	case r.plan == nil:
 		rec.Committed = true
 		if t.family != nil {
 			// Flatten: rewrite every member thunk onto the fresh k-ary
-			// head and drop the consumed heads; the rewritten thunks
-			// leave the walk with their heads.
-			for _, rw := range commitFlatten(r.m, t, r.families, r.retire, r.markPending) {
-				r.consumed[rw] = true
-			}
+			// head and drop the consumed heads; the rewritten thunks are
+			// retired with their heads.
+			commitFlatten(r.m, t, r.families, r.retire, r.markPending)
 			res.Flattened++
 		} else {
 			recordPairFamily(r.families, t.merged, f1, f2)
@@ -344,20 +332,20 @@ func (r *runner) commitStep(t *trial) {
 			r.retire(f2)
 			r.markPending(t.merged)
 		}
-		r.consumed[f1], r.consumed[f2] = true, true
 	default:
-		// Dry mode: the merge is a proposal, not an applied change.
-		dead := []*ir.Function{f1, f2}
+		// Dry mode: the merge is a proposal, not an applied change; it
+		// retires what the commit would.
+		r.retire(f1)
+		r.retire(f2)
 		if t.family != nil {
-			dead = append(dead, t.family.heads...)
+			for _, h := range t.family.heads {
+				r.retire(h)
+			}
 			for _, nm := range t.family.names {
 				if live := r.m.FuncByName(nm); live != nil {
-					dead = append(dead, live)
+					r.retire(live)
 				}
 			}
-		}
-		for _, f := range dead {
-			r.tomb[f], r.consumed[f] = true, true
 		}
 		r.claimed[rec.Merged] = true
 		r.plan.Merges = append(r.plan.Merges, PlannedMerge{

@@ -22,12 +22,14 @@
 //
 // Runs come in two flavours sharing one loop (runner.go): a committing
 // run (Optimize, the classic pipeline) mutates the module, while a dry
-// run (Plan) runs the same greedy loop against tombstone overlays —
-// every trial built in place and discarded, so the module comes back as
-// found — and returns a serializable Plan of the merges it would commit. Apply
-// replays a (possibly filtered) Plan against the live module through
-// the loop's commit-step, verifying each function's structural hash so
-// a stale plan is rejected instead of merging the wrong code.
+// run (Plan) runs the same greedy loop, retiring what it consumes from
+// the finder as a commit does and giving it all back when the walk
+// returns — every trial built in place and discarded, so the module
+// comes back as found — and returns a serializable Plan of the merges
+// it would commit. Apply replays a (possibly filtered) Plan against the
+// live module through the loop's commit-step, verifying each function's
+// structural hash so a stale plan is rejected instead of merging the
+// wrong code.
 package driver
 
 import (
@@ -440,12 +442,12 @@ func (s *Session) newResult() *Result {
 	return &Result{Algorithm: s.cfg.Algorithm, Threshold: s.cfg.Threshold, BaselineBytes: s.moduleBytes()}
 }
 
-// newRunner binds one run's loop to the session's index layers. Dry
-// runs add their overlays.
-func (s *Session) newRunner(res *Result, commitMode bool) *runner {
+// newRunner binds one run's loop to the session's index layers. A dry
+// run adds its plan and name overlay.
+func (s *Session) newRunner(res *Result) *runner {
 	return &runner{
 		m: s.m, cfg: s.cfg, finder: s.finder, recs: s.recs,
-		outcomes: s.outcomes, families: s.families, commitMode: commitMode,
+		outcomes: s.outcomes, families: s.families,
 		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
 		markPending: s.markPending,
 		consumed:    map[*ir.Function]bool{},
@@ -518,7 +520,7 @@ func (s *Session) Optimize(ctx context.Context) (*Result, error) {
 		return res, err
 	}
 	s.sync()
-	runErr := s.newRunner(res, true).walk(ctx, s.candidateOrder())
+	runErr := s.newRunner(res).walk(ctx, s.candidateOrder())
 	s.finishStats(res)
 	s.finishFamilies(res)
 	res.FinalBytes = s.moduleBytes()
@@ -575,7 +577,7 @@ func (s *Session) optimizeFMSA(ctx context.Context, clk runClock) (*Result, erro
 		}
 	}
 	s.finder = search.New(search.KindLSH, candidates)
-	runErr := s.newRunner(res, true).walk(ctx, candidates)
+	runErr := s.newRunner(res).walk(ctx, candidates)
 	// Clean-up (Figure 1): re-promote and simplify every demoted
 	// function; whatever cannot be promoted back is the residue.
 	// Clean-up runs even on cancellation so the module stays consistent.
@@ -587,14 +589,17 @@ func (s *Session) optimizeFMSA(ctx context.Context, clk runClock) (*Result, erro
 	return res, runErr
 }
 
-// Plan is the dry run: the same greedy loop as Optimize, run against
-// tombstone overlays, returning the serializable Plan of merges (and
-// duplicate folds) a commit run would apply. Its trials are built in
-// place exactly as Optimize builds them and all discarded, so the module
-// comes back as found — every function, body and use list as it was —
-// but it is not left alone meanwhile (see Session). Plans embed each function's
-// structural hash; Apply verifies them, so a plan can be shipped across
-// a process boundary and applied later — or filtered first.
+// Plan is the dry run: the same greedy loop as Optimize, returning the
+// serializable Plan of merges (and duplicate folds) a commit run would
+// apply. What a proposal or fold consumes leaves the finder exactly as
+// in a commit, so Plan asks the finder what Optimize asks; when the walk
+// returns — finished, failed or cancelled — the finder gets it all back.
+// Its trials are built in place exactly as Optimize builds them and all
+// discarded, so the module comes back as found — every function, body
+// and use list as it was — but it is not left alone meanwhile (see
+// Session). Plans embed each function's structural hash; Apply verifies
+// them, so a plan can be shipped across a process boundary and applied
+// later — or filtered first.
 func (s *Session) Plan(ctx context.Context) (*Plan, error) {
 	p, _, err := s.PlanReport(ctx)
 	return p, err
@@ -620,10 +625,11 @@ func (s *Session) PlanReport(ctx context.Context) (*Plan, *Result, error) {
 		return nil, nil, err
 	}
 	s.sync()
-	r := s.newRunner(res, false)
+	r := s.newRunner(res)
 	r.plan = &Plan{Algorithm: s.cfg.Algorithm.String(), Threshold: s.cfg.Threshold, RunID: r.runID}
-	r.tomb, r.claimed = map[*ir.Function]bool{}, map[string]bool{}
+	r.claimed = map[string]bool{}
 	runErr := r.walk(ctx, s.candidateOrder())
+	r.giveBack()
 	s.finishStats(res)
 	res.FinalBytes = res.BaselineBytes
 	clk.stop(res)
@@ -670,7 +676,7 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 	s.sync()
 	// Apply commits what it is given: the filter already had its say
 	// when the plan was drawn up.
-	r := s.newRunner(res, true)
+	r := s.newRunner(res)
 	r.cfg.CommitFilter = nil
 	finish := func(err error) (*Result, error) {
 		s.finishStats(res)
@@ -708,11 +714,8 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		if err := stale(pf.Rep, pf.RepHash); err != nil {
 			return finish(err)
 		}
-		dup, rep := s.m.FuncByName(pf.Dup), s.m.FuncByName(pf.Rep)
-		search.BuildForwarder(dup, rep)
-		r.retire(dup)
+		r.fold(s.m.FuncByName(pf.Dup), s.m.FuncByName(pf.Rep), pf.Profit)
 		consumed[pf.Dup] = true
-		res.Folds = append(res.Folds, FoldRecord{Dup: pf.Dup, Rep: pf.Rep, Profit: pf.Profit})
 	}
 	for _, pm := range p.Merges {
 		if err := ctx.Err(); err != nil {

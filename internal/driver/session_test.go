@@ -472,21 +472,7 @@ func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 				before := mPlan.String()
 				// Plan builds its trials in place and discards them all, so
 				// every use list must come back as found, users and order.
-				type useList struct {
-					v     ir.Value
-					owner string
-					uses  []ir.Use
-				}
-				var lists []useList
-				for _, f := range mPlan.Funcs {
-					for _, a := range f.Params() {
-						lists = append(lists, useList{a, f.Name(), slices.Clone(ir.UsesOf(a))})
-					}
-					f.Instrs(func(in *ir.Instruction) bool {
-						lists = append(lists, useList{in, f.Name(), slices.Clone(ir.UsesOf(in))})
-						return true
-					})
-				}
+				lists := takeUseLists(mPlan)
 				plan, planned, err := sp.PlanReport(context.Background())
 				if err != nil {
 					t.Fatal(err)
@@ -494,11 +480,7 @@ func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 				if after := mPlan.String(); after != before {
 					t.Fatal("Plan mutated the module")
 				}
-				for _, l := range lists {
-					if got := ir.UsesOf(l.v); !slices.Equal(got, l.uses) {
-						t.Fatalf("Plan changed the use list of a %T in @%s (%d uses, %d before)", l.v, l.owner, len(got), len(l.uses))
-					}
-				}
+				checkUseLists(t, lists, "Plan")
 				// The dry run runs Optimize's trials, so its funnel counts
 				// are Optimize's.
 				type funnelCounts struct{ Attempts, OutcomeHits, PairsScreened, DPAborted, TrialsBuilt, TrialsSkipped int }
@@ -551,6 +533,162 @@ func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 					t.Fatalf("applied module does not verify: %v", err)
 				}
 			})
+		}
+	}
+}
+
+// useList is one value's use list as it was when taken.
+type useList struct {
+	v     ir.Value
+	owner string
+	uses  []ir.Use
+}
+
+// takeUseLists copies the use list of every argument and instruction
+// of m.
+func takeUseLists(m *ir.Module) []useList {
+	var lists []useList
+	for _, f := range m.Funcs {
+		for _, a := range f.Params() {
+			lists = append(lists, useList{a, f.Name(), slices.Clone(ir.UsesOf(a))})
+		}
+		f.Instrs(func(in *ir.Instruction) bool {
+			lists = append(lists, useList{in, f.Name(), slices.Clone(ir.UsesOf(in))})
+			return true
+		})
+	}
+	return lists
+}
+
+// checkUseLists holds every use list to the copy taken: same users, in
+// the same order.
+func checkUseLists(t *testing.T, lists []useList, when string) {
+	t.Helper()
+	for _, l := range lists {
+		if got := ir.UsesOf(l.v); !slices.Equal(got, l.uses) {
+			t.Fatalf("%s changed the use list of a %T in @%s (%d uses, %d before)", when, l.v, l.owner, len(got), len(l.uses))
+		}
+	}
+}
+
+// TestPlanGivesBack: a dry run retires what it consumes from the
+// session's finder, as a commit does, and gives it all back when the
+// walk returns — cancelled or not. Twin sessions open over one synth
+// module and run two rounds. In each, one of them runs a Plan cancelled
+// from its Progress callback after k proposals and then a Plan run to
+// completion; after each Plan every indexed function's candidate list,
+// the indexed count, the records, the module text and every use list
+// must be as before it. Then both Optimize, and the planning session
+// must commit what its twin, which never planned, commits. The first
+// round plans folds and pair merges on a fresh session, the second
+// flattens the families the first round's Optimize recorded.
+func TestPlanGivesBack(t *testing.T) {
+	const k = 3
+	ctx := context.Background()
+	var onCommit func()
+	cfg := Config{
+		Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
+		DupFold: true, MaxFamily: 4,
+		Progress: func(Progress) {
+			if onCommit != nil {
+				onCommit()
+			}
+		},
+	}
+	m := synth.Generate(synth.SuiteProfile(160, 5))
+	mTwin := ir.CloneModule(m)
+	s, err := OpenSession(ctx, m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	twin, err := OpenSession(ctx, mTwin, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	indexedNow := func() int {
+		st, err := s.SearchStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Indexed
+	}
+	for round := range 2 {
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		order := s.finder.Order()
+		lists := make([][]*ir.Function, len(order))
+		for i, f := range order {
+			lists[i] = s.finder.Candidates(f, cfg.Threshold)
+		}
+		indexed := indexedNow()
+		text := m.String()
+		uses := takeUseLists(m)
+		check := func(when string) {
+			t.Helper()
+			when = fmt.Sprintf("round %d: %s", round, when)
+			if got := indexedNow(); got != indexed {
+				t.Errorf("%s: the finder indexes %d functions, %d before", when, got, indexed)
+			}
+			for i, f := range order {
+				if got := s.finder.Candidates(f, cfg.Threshold); !slices.Equal(got, lists[i]) {
+					t.Errorf("%s: the finder lists %v for @%s, %v before", when, funcNames(got), f.Name(), funcNames(lists[i]))
+				}
+			}
+			checkRecords(t, s, when)
+			if m.String() != text {
+				t.Fatalf("%s: the module changed", when)
+			}
+			checkUseLists(t, uses, when)
+		}
+
+		cctx, cancel := context.WithCancel(ctx)
+		proposed := 0
+		onCommit = func() {
+			if proposed++; proposed == k {
+				cancel()
+			}
+		}
+		_, _, err = s.PlanReport(cctx)
+		onCommit = nil
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: cancelled Plan returned %v", round, err)
+		}
+		check("cancelled Plan")
+
+		plan, err := s.Plan(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Merges) <= k {
+			t.Fatalf("round %d: the full plan proposes %d merges; the cancelled one must stop short of it", round, len(plan.Merges))
+		}
+		flattens := 0
+		for _, pm := range plan.Merges {
+			if len(pm.Family) > 0 {
+				flattens++
+			}
+		}
+		t.Logf("round %d: full plan proposes %d merges (%d flatten) and %d folds", round, len(plan.Merges), flattens, len(plan.Folds))
+		check("full Plan")
+
+		got, err := sizedRun(t, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sizedRun(t, twin, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(mergeSet(got), mergeSet(want)) || !reflect.DeepEqual(got.Folds, want.Folds) {
+			t.Errorf("round %d: Optimize after the Plans committed %d merges and %d folds, the twin %d and %d",
+				round, len(got.Merges), len(got.Folds), len(want.Merges), len(want.Folds))
+		}
+		if m.String() != mTwin.String() {
+			t.Errorf("round %d: Optimize after the Plans diverges from the twin's module", round)
 		}
 	}
 }

@@ -58,27 +58,9 @@ func DistanceWithin(a, b *Fingerprint, limit int32) int32 {
 	return d + abs32(a.Blocks-b.Blocks)
 }
 
-// UpperBoundMatches returns an upper bound on the number of alignment
-// matches between functions with these fingerprints: min per-opcode
-// counts plus min block counts.
-func UpperBoundMatches(a, b *Fingerprint) int32 {
-	var n int32
-	for i := range a.OpCount {
-		n += min32(a.OpCount[i], b.OpCount[i])
-	}
-	return n + min32(a.Blocks, b.Blocks)
-}
-
 func abs32(x int32) int32 {
 	if x < 0 {
 		return -x
 	}
 	return x
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -71,16 +71,3 @@ func TestDistanceMetricAxioms(t *testing.T) {
 		}
 	}
 }
-
-// TestUpperBound: matches can never exceed the per-opcode minimum.
-func TestUpperBound(t *testing.T) {
-	m := fig2(t)
-	a := New(m.FuncByName("F1"))
-	b := New(m.FuncByName("F2"))
-	ub := UpperBoundMatches(a, b)
-	// F1 and F2 share at most min(calls)=3 + min(brs)=3(F1 has 3, F2 3)
-	// + min(icmp)=1 + min(ret)=1 + min(phi)=1 + min(blocks)=4.
-	if ub < 8 || ub > 13 {
-		t.Errorf("upper bound %d out of plausible range", ub)
-	}
-}

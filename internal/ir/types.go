@@ -218,9 +218,6 @@ func IsVoid(t Type) bool { _, ok := t.(*VoidType); return ok }
 // IsInt reports whether t is an integer type.
 func IsInt(t Type) bool { _, ok := t.(*IntType); return ok }
 
-// IsLabel reports whether t is the label type.
-func IsLabel(t Type) bool { _, ok := t.(*LabelType); return ok }
-
 // LandingPadResultType is the result type of landingpad instructions,
 // modelling LLVM's canonical {i8*, i32} personality result.
 var LandingPadResultType = StructOf(PtrTo(I8), I32)

@@ -76,7 +76,7 @@ func BenchmarkFinderDupFold(b *testing.B) {
 	funcs := benchFunctions(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if fams := Families(funcs); len(fams) == 0 {
+		if fams := FamiliesBy(funcs, HashFunction); len(fams) == 0 {
 			b.Fatal("no duplicate families in a clone-heavy module")
 		}
 	}

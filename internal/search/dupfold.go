@@ -87,19 +87,13 @@ func equalInstr(f, g *ir.Function, corr map[ir.Value]ir.Value, a, b *ir.Instruct
 	return true
 }
 
-// Families groups structurally identical defined functions: hash
-// bucketing by HashFunction, then pairwise verification against each
-// family's representative (hash equality alone is never trusted). Each
-// returned family has at least two members; the representative comes
-// first. Families and members keep the order of funcs, so the result is
-// deterministic.
-func Families(funcs []*ir.Function) [][]*ir.Function {
-	return FamiliesBy(funcs, HashFunction)
-}
-
-// FamiliesBy is Families bucketing by a caller-supplied hashOf, which
-// must return HashFunction's value (the driver passes its per-session
-// memo of it). Verification is always EqualFunctions.
+// FamiliesBy groups structurally identical defined functions: hash
+// bucketing by hashOf, which must return HashFunction's value (the
+// driver passes its per-function memo of it), then pairwise verification
+// by EqualFunctions against each family's representative (hash equality
+// alone is never trusted). Each returned family has at least two
+// members; the representative comes first. Families and members keep
+// the order of funcs, so the result is deterministic.
 func FamiliesBy(funcs []*ir.Function, hashOf func(*ir.Function) uint64) [][]*ir.Function {
 	buckets := make(map[uint64][]*ir.Function, len(funcs))
 	var order []uint64

@@ -65,6 +65,10 @@ type Index struct {
 	// flagged unsorted until settleLocked.
 	touched []int32
 	built   int
+	// fp is indexLocked's scratch: the fingerprint of the function being
+	// indexed, which cellFor copies into a new cell. Kept here, not
+	// allocated per call.
+	fp fingerprint.Fingerprint
 
 	// Query accounting is atomic so concurrent queries share only the
 	// read lock.
@@ -168,7 +172,7 @@ func newIndex(funcs []*ir.Function) *Index {
 // new. The caller has unlinked a re-indexed slot from its old cell and
 // links the slot into its new one.
 func (l *Index) indexLocked(f *ir.Function) int32 {
-	fp := fingerprint.New(f)
+	l.fp = *fingerprint.New(f)
 	l.built++
 	slot, ok := l.slotOf[f]
 	switch {
@@ -185,7 +189,7 @@ func (l *Index) indexLocked(f *ir.Function) int32 {
 	l.slotOf[f] = slot
 	l.funcs[slot] = f
 	l.names[slot] = f.Name()
-	l.cellOf[slot] = l.cellFor(fp)
+	l.cellOf[slot] = l.cellFor(&l.fp)
 	return slot
 }
 

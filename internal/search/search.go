@@ -11,7 +11,7 @@
 // bottleneck.
 //
 // The package also provides stable structural hashing (HashFunction) and
-// duplicate detection (Families, EqualFunctions, BuildForwarder): exact
+// duplicate detection (FamiliesBy, EqualFunctions, BuildForwarder): exact
 // clones are folded into forwarding thunks before any alignment runs, so
 // identical-function families cost zero DP cells.
 package search

@@ -143,7 +143,7 @@ func TestHashStableUnderClone(t *testing.T) {
 func TestFamilies(t *testing.T) {
 	m := parse(t, twoRenamed)
 	a, b, c := m.FuncByName("a"), m.FuncByName("b"), m.FuncByName("c")
-	fams := Families([]*ir.Function{a, b, c})
+	fams := FamiliesBy([]*ir.Function{a, b, c}, HashFunction)
 	if len(fams) != 1 {
 		t.Fatalf("got %d families, want 1", len(fams))
 	}

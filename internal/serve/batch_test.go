@@ -120,3 +120,49 @@ func TestServeBatch(t *testing.T) {
 		t.Fatalf("recovered state diverged: module %d bytes (want %d)", len(got.module), len(want.module))
 	}
 }
+
+// TestServeDeltaQuota: update and batch run the function-quota precheck
+// before they splice, so a rejected delta leaves the module as it was;
+// remove never runs it, so a client at or past its quota can still
+// shrink.
+func TestServeDeltaQuota(t *testing.T) {
+	ctx := context.Background()
+	srv, hs := newTestDaemon(t, Config{MaxClientFuncs: 17})
+	c := client.New(hs.URL, "quota")
+	sc, err := c.CreateSession(ctx, client.CreateSession{Name: "q", Module: testCorpus(t, 16)})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	before, err := sc.Module(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Update(ctx, batchFragDup); !client.IsThrottled(err) {
+		t.Fatalf("update of 2 defines past the quota: got %v, want 429", err)
+	}
+	if _, err := sc.Batch(ctx, batchFragDup, nil); !client.IsThrottled(err) {
+		t.Fatalf("batch of 2 defines past the quota: got %v, want 429", err)
+	}
+	if after, err := sc.Module(ctx); err != nil || after != before {
+		t.Fatalf("a rejected delta changed the module (err %v)", err)
+	}
+	if _, err := sc.Update(ctx, batchFragMore); err != nil {
+		t.Fatalf("update within the quota: %v", err)
+	}
+
+	// Past the quota (only a bug or a lowered limit gets a client here),
+	// update and batch are refused even when they add nothing; remove is
+	// not.
+	srv.mu.Lock()
+	srv.clients["quota"].funcs++
+	srv.mu.Unlock()
+	if _, err := sc.Update(ctx, ""); !client.IsThrottled(err) {
+		t.Fatalf("empty update past the quota: got %v, want 429", err)
+	}
+	if _, err := sc.Batch(ctx, "", []string{"batch_c"}); !client.IsThrottled(err) {
+		t.Fatalf("removal-only batch past the quota: got %v, want 429", err)
+	}
+	if err := sc.Remove(ctx, "batch_c"); err != nil {
+		t.Fatalf("remove past the quota: %v", err)
+	}
+}

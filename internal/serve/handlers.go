@@ -428,43 +428,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.locked(w, r, func(sv *served) {
-		// Quota precheck on an upper bound (every "define" in the fragment
-		// could be a new function) so a rejected update touches nothing;
-		// the actual growth, accounted after the splice, is never larger.
-		bound := strings.Count(req.Fragment, "define ")
-		s.mu.Lock()
-		cs := s.clients[sv.owner]
-		if cs != nil && cs.funcs+bound > s.cfg.MaxClientFuncs {
-			s.mu.Unlock()
-			s.rejected429.Add(1)
-			writeErr(w, http.StatusTooManyRequests,
-				fmt.Errorf("function quota exceeded: %d indexed + up to %d defined > %d", cs.funcs, bound, s.cfg.MaxClientFuncs))
-			return
+		if names, ok := s.delta(w, r, sv, wal.Record{Op: wal.OpUpdate, Fragment: req.Fragment}); ok {
+			writeJSON(w, http.StatusOK, api.Updated{Funcs: names})
 		}
-		s.mu.Unlock()
-		before := len(sv.m.Defined())
-		names, err := repro.SpliceModule(sv.m, req.Fragment)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("splicing fragment: %w", err))
-			return
-		}
-		if grown := len(sv.m.Defined()) - before; grown > 0 {
-			s.mu.Lock()
-			if cs != nil {
-				cs.funcs += grown
-			}
-			s.mu.Unlock()
-			sv.funcs += grown
-		}
-		if err := sv.sess.Update(r.Context(), names...); err != nil {
-			s.writeEngineErr(w, err)
-			return
-		}
-		if err := s.journal(sv, wal.Record{Op: wal.OpUpdate, Fragment: req.Fragment}); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, api.Updated{Funcs: names})
 	})
 }
 
@@ -474,15 +440,9 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.locked(w, r, func(sv *served) {
-		if err := sv.sess.Remove(r.Context(), req.Names...); err != nil {
-			s.writeEngineErr(w, err)
-			return
+		if _, ok := s.delta(w, r, sv, wal.Record{Op: wal.OpRemove, Names: req.Names}); ok {
+			writeJSON(w, http.StatusOK, map[string]int{"removed": len(req.Names)})
 		}
-		if err := s.journal(sv, wal.Record{Op: wal.OpRemove, Names: req.Names}); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"removed": len(req.Names)})
 	})
 }
 
@@ -497,47 +457,62 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.locked(w, r, func(sv *served) {
-		// Same quota precheck as update: bound the growth by the
-		// fragment's define count so a rejected batch touches nothing.
-		bound := strings.Count(req.Fragment, "define ")
+		if names, ok := s.delta(w, r, sv, wal.Record{Op: wal.OpBatch, Fragment: req.Fragment, Names: req.Remove}); ok {
+			writeJSON(w, http.StatusOK, api.Batched{Funcs: names, Removed: len(req.Remove)})
+		}
+	})
+}
+
+// delta is update, remove and batch, given as the record it journals:
+// the function-quota precheck and the splice with its growth accounting
+// (update and batch), the session's marks, then the journal record. On
+// failure it answers the request itself. It returns the names the
+// fragment defined and whether the delta took.
+func (s *Server) delta(w http.ResponseWriter, r *http.Request, sv *served, rec wal.Record) ([]string, bool) {
+	grows := rec.Op != wal.OpRemove
+	var cs *clientState
+	before := 0
+	if grows {
+		// Quota precheck on an upper bound (every "define" in the fragment
+		// could be a new function) so a rejected delta touches nothing;
+		// the actual growth, accounted after the splice, is never larger.
+		bound := strings.Count(rec.Fragment, "define ")
 		s.mu.Lock()
-		cs := s.clients[sv.owner]
+		cs = s.clients[sv.owner]
 		if cs != nil && cs.funcs+bound > s.cfg.MaxClientFuncs {
 			s.mu.Unlock()
 			s.rejected429.Add(1)
 			writeErr(w, http.StatusTooManyRequests,
 				fmt.Errorf("function quota exceeded: %d indexed + up to %d defined > %d", cs.funcs, bound, s.cfg.MaxClientFuncs))
-			return
+			return nil, false
 		}
 		s.mu.Unlock()
-		var names []string
-		if req.Fragment != "" {
-			before := len(sv.m.Defined())
-			var err error
-			names, err = repro.SpliceModule(sv.m, req.Fragment)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("splicing fragment: %w", err))
-				return
+		before = len(sv.m.Defined())
+	}
+	names, err := splice(sv.m, rec)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("splicing fragment: %w", err))
+		return nil, false
+	}
+	if grows {
+		if grown := len(sv.m.Defined()) - before; grown > 0 {
+			s.mu.Lock()
+			if cs != nil {
+				cs.funcs += grown
 			}
-			if grown := len(sv.m.Defined()) - before; grown > 0 {
-				s.mu.Lock()
-				if cs != nil {
-					cs.funcs += grown
-				}
-				s.mu.Unlock()
-				sv.funcs += grown
-			}
+			s.mu.Unlock()
+			sv.funcs += grown
 		}
-		if err := sv.sess.UpdateBatch(r.Context(), names, req.Remove); err != nil {
-			s.writeEngineErr(w, err)
-			return
-		}
-		if err := s.journal(sv, wal.Record{Op: wal.OpBatch, Fragment: req.Fragment, Names: req.Remove}); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, api.Batched{Funcs: names, Removed: len(req.Remove)})
-	})
+	}
+	if err := mark(r.Context(), sv.sess, rec, names); err != nil {
+		s.writeEngineErr(w, err)
+		return nil, false
+	}
+	if err := s.journal(sv, rec); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return nil, false
+	}
+	return names, true
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {

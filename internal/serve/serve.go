@@ -452,24 +452,12 @@ type Record = wal.Record
 
 func (s *Server) replayRecord(ctx context.Context, sv *served, rec Record) error {
 	switch rec.Op {
-	case wal.OpUpdate:
-		names, err := repro.SpliceModule(sv.m, rec.Fragment)
+	case wal.OpUpdate, wal.OpRemove, wal.OpBatch:
+		names, err := splice(sv.m, rec)
 		if err != nil {
 			return err
 		}
-		return sv.sess.Update(ctx, names...)
-	case wal.OpRemove:
-		return sv.sess.Remove(ctx, rec.Names...)
-	case wal.OpBatch:
-		var names []string
-		if rec.Fragment != "" {
-			var err error
-			names, err = repro.SpliceModule(sv.m, rec.Fragment)
-			if err != nil {
-				return err
-			}
-		}
-		return sv.sess.UpdateBatch(ctx, names, rec.Names)
+		return mark(ctx, sv.sess, rec, names)
 	case wal.OpApply:
 		var plan repro.MergePlan
 		if err := json.Unmarshal(rec.Plan, &plan); err != nil {
@@ -482,5 +470,28 @@ func (s *Server) replayRecord(ctx context.Context, sv *served, rec Record) error
 		return err
 	default:
 		return fmt.Errorf("unknown journal op %q", rec.Op)
+	}
+}
+
+// splice adds a delta record's fragment to the module and returns the
+// names it defines: always for an update, for a batch that carries a
+// fragment, never for a remove.
+func splice(m *repro.Module, rec Record) ([]string, error) {
+	if rec.Op == wal.OpRemove || rec.Op == wal.OpBatch && rec.Fragment == "" {
+		return nil, nil
+	}
+	return repro.SpliceModule(m, rec.Fragment)
+}
+
+// mark hands a spliced delta record to the session: the names its
+// fragment defined as updates, its Names as removals.
+func mark(ctx context.Context, sess *repro.Session, rec Record, names []string) error {
+	switch rec.Op {
+	case wal.OpUpdate:
+		return sess.Update(ctx, names...)
+	case wal.OpRemove:
+		return sess.Remove(ctx, rec.Names...)
+	default:
+		return sess.UpdateBatch(ctx, names, rec.Names)
 	}
 }
