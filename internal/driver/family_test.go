@@ -359,8 +359,14 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 		}
 		// Seed a memoized outcome against the head, as an unprofitable
 		// flatten trial would.
-		other := m.Defined()[0]
-		s.outcomes.put(head, other, flattenOutcome)
+		var other *ir.Function
+		for _, f := range m.Defined() {
+			if f != head && s.recs.of[f] != nil {
+				other = f
+				break
+			}
+		}
+		memoPut(s, head, other, flattenOutcome)
 		// Break the family: gut one member so it no longer thunks into
 		// the head, and report the edit.
 		member := m.FuncByName(fam.members[0].name)
@@ -377,7 +383,7 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 		if s.families.isHead(head) {
 			t.Error("broken family still registered after sync")
 		}
-		if s.outcomes.has(head, other) {
+		if memoHas(s, head, other) {
 			t.Error("head's memoized outcome survived the family break")
 		}
 		s.Close()
@@ -416,7 +422,7 @@ func TestFamilyBreakKeepsPairOutcomes(t *testing.T) {
 		member := m.FuncByName(fam.members[0].name)
 		var loner *ir.Function
 		for _, f := range m.Defined() {
-			if !s.families.isHead(f) && f != member {
+			if !s.families.isHead(f) && f != member && s.recs.of[f] != nil {
 				loner = f
 				break
 			}
@@ -425,8 +431,8 @@ func TestFamilyBreakKeepsPairOutcomes(t *testing.T) {
 			t.Fatal("every function heads a family")
 		}
 		for _, f := range []*ir.Function{loner, partner} {
-			s.outcomes.put(head, f, pairOutcome)
-			s.outcomes.put(f, head, pairOutcome)
+			memoPut(s, head, f, pairOutcome)
+			memoPut(s, f, head, pairOutcome)
 		}
 		member.Clear()
 		if err := s.Update(context.Background(), member.Name()); err != nil {
@@ -441,10 +447,10 @@ func TestFamilyBreakKeepsPairOutcomes(t *testing.T) {
 		if !s.families.isHead(partner) {
 			t.Fatal("the partner's intact family was dropped")
 		}
-		if !s.outcomes.has(head, loner) || !s.outcomes.has(loner, head) {
+		if !memoHas(s, head, loner) || !memoHas(s, loner, head) {
 			t.Error("the family break forgot a pair outcome against a function that heads no family")
 		}
-		if s.outcomes.has(head, partner) || s.outcomes.has(partner, head) {
+		if memoHas(s, head, partner) || memoHas(s, partner, head) {
 			t.Error("the family break kept a pair outcome against a family head")
 		}
 		s.Close()

@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"slices"
+
 	"repro/internal/align"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
@@ -8,11 +10,22 @@ import (
 )
 
 // record is what a session knows about one indexed function: the name
-// it was indexed under, its size, and three facts built from its body
-// on first use — the fold hash that buckets duplicates, the sequence
-// the alignment runs on and the profile the funnel screens with (the
+// it was indexed under, its size, three facts built from its body on
+// first use — the fold hash that buckets duplicates, the sequence the
+// alignment runs on and the profile the funnel screens with (the
 // paper's Fig. 16 needs a fingerprint to rank a candidate, which is the
-// finder's, a linearization to align it and a size to price it).
+// finder's, a linearization to align it and a size to price it) — and
+// its row of the outcome memo.
+//
+// The memo holds the candidate pairs whose trial finished unprofitable,
+// or whose bound ruled any profit out. A pairwise trial is a pure
+// function of the two bodies and the generator options, so while
+// neither body changes the pair is skipped on every later run — this is
+// what makes a re-optimize after a small delta pay only for the delta.
+// memo lists the partners of the directed pairs (fn, partner) with the
+// kind of trial that ruled each out; back lists the records whose rows
+// name this one, so that reset can unlink both directions. Trials that
+// error (cancellation, matrix caps) are never memoized.
 type record struct {
 	fn     *ir.Function
 	name   string
@@ -22,14 +35,87 @@ type record struct {
 	seqOK  bool
 	seq    align.Seq
 	prof   *costmodel.FuncProfile
+	memo   []memoEntry
+	back   []*record
+}
+
+// memoEntry is one memoized pair: the partner's record and the trial
+// that ruled the pair out.
+type memoEntry struct {
+	to   *record
+	kind outcomeKind
+}
+
+// outcomeKind is the trial a memo entry stands for.
+type outcomeKind uint8
+
+const (
+	// pairOutcome is a pairwise trial, or the bound that ruled one out.
+	pairOutcome outcomeKind = iota + 1
+	// flattenOutcome is a flatten trial (family.go).
+	flattenOutcome
+)
+
+// memoized reports whether the pair (r, to) is memoized as unprofitable.
+func (r *record) memoized(to *record) bool {
+	for _, e := range r.memo {
+		if e.to == to {
+			return true
+		}
+	}
+	return false
+}
+
+// remember memoizes the pair (r, to), which must not be memoized yet,
+// as unprofitable, found by a trial of kind.
+func (r *record) remember(to *record, kind outcomeKind) {
+	r.memo = append(r.memo, memoEntry{to, kind})
+	to.back = append(to.back, r)
+}
+
+// forget drops every memoized pair between r and another record, in
+// either direction, that drop selects by the pair's trial and the other
+// record.
+func (r *record) forget(drop func(kind outcomeKind, other *record) bool) {
+	r.memo = slices.DeleteFunc(r.memo, func(e memoEntry) bool {
+		if !drop(e.kind, e.to) {
+			return false
+		}
+		i := slices.Index(e.to.back, r)
+		e.to.back = slices.Delete(e.to.back, i, i+1)
+		return true
+	})
+	r.back = slices.DeleteFunc(r.back, func(b *record) bool {
+		i := slices.IndexFunc(b.memo, func(e memoEntry) bool { return e.to == r })
+		if !drop(b.memo[i].kind, b) {
+			return false
+		}
+		b.memo = slices.Delete(b.memo, i, i+1)
+		return true
+	})
+}
+
+// forgetFamily drops what r, the head of a family that just broke,
+// memoized that the break can change: its flatten outcomes, and its pair
+// outcomes against a partner that heads a family (isHead), which r may
+// now flatten with. Its other pair outcomes stand: neither side heads a
+// family, and only a freshly merged function ever becomes a head, so the
+// pair can never start to flatten — its trial stays the pure function of
+// two unchanged bodies it was.
+func (r *record) forgetFamily(isHead func(*ir.Function) bool) {
+	r.forget(func(kind outcomeKind, other *record) bool {
+		return kind == flattenOutcome || isHead(other.fn)
+	})
 }
 
 // records is a session's one per-function table: a record exists
 // exactly while its function is indexed, and reset is the one rule by
-// which what it knows dies. Every sequence is interned by one Interner,
-// so the class IDs of any two records are comparable — the precondition
-// of costmodel.Bound. Only the session's own calls, which it
-// serializes, touch it.
+// which what it knows dies, its memo pairs included: a re-index, an
+// unindex and a commit's retire invalidate the memo through it, and
+// only a family break (forgetFamily) drops an entry any other way.
+// Every sequence is interned by one Interner, so the class IDs of any
+// two records are comparable — the precondition of costmodel.Bound.
+// Only the session's own calls, which it serializes, touch it.
 type records struct {
 	of     map[*ir.Function]*record
 	in     *align.Interner
@@ -57,9 +143,9 @@ func (t *records) put(f *ir.Function, size int) {
 
 // reset is the one invalidation rule: f's body changed — a commit or a
 // fold rewrote it, or the caller edited it — so every fact built from
-// the old body goes (the sequence would pin its dead instructions).
-// The name and size stay until the next sync re-indexes f (put) or
-// drops it.
+// the old body goes (the sequence would pin its dead instructions), and
+// so does every memoized pair naming f, in either direction. The name
+// and size stay until the next sync re-indexes f (put) or drops it.
 func (t *records) reset(f *ir.Function) {
 	r := t.of[f]
 	if r == nil {
@@ -68,6 +154,7 @@ func (t *records) reset(f *ir.Function) {
 	if r.seqOK {
 		t.stats.Functions--
 	}
+	r.forget(func(outcomeKind, *record) bool { return true })
 	*r = record{fn: r.fn, name: r.name, size: r.size}
 }
 

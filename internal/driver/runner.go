@@ -12,9 +12,13 @@ import (
 
 // runner executes one pipeline run — the paper's greedy loop (Fig. 16,
 // §5.5): rank, try the top-t partners of a function, commit the best
-// profitable one — against a set of index layers. One loop (walk) calls
-// one row-step (row) and one commit-step (commitStep); it serves two
-// modes from that one code path:
+// profitable one — against the session's two index layers: the finder,
+// which lists a row's partners, and the records, which hold what the row
+// reads of each function, its outcome memo row included. A row skips
+// the pairs the memo holds and adds the ones it proves unprofitable; a
+// commit's retire resets what it consumed, memo entries and all. One
+// loop (walk) calls one row-step (row) and one commit-step (commitStep);
+// it serves two modes from that one code path:
 //
 //   - commit mode (Optimize, RunContext, Apply): merged functions stay in
 //     the module, originals become thunks, and the persistent indexes
@@ -32,11 +36,9 @@ type runner struct {
 	cfg    Config
 	finder search.Finder
 	// recs holds every candidate's record (records.go): its size, fold
-	// hash, sequence and screening profile.
+	// hash, sequence, screening profile and outcome memo row, whose
+	// pairs skip alignment and codegen entirely.
 	recs *records
-	// outcomes, when non-nil, memoizes unprofitable pairs across runs;
-	// pairs found there skip alignment and codegen entirely.
-	outcomes *outcomeCache
 	// families, when non-nil, is the session's merge-family registry:
 	// pairs involving a family head flatten (family.go) instead of
 	// nesting, and every pairwise commit records a new two-member
@@ -69,8 +71,9 @@ type runner struct {
 // retire takes f out of play the moment a commit, fold or dry proposal
 // consumes it: out of the finder, so later queries of the walk no longer
 // list it, and out of the walk. A commit has rewritten f's body, so its
-// record is reset and f is scheduled for re-indexing at the next sync; a
-// dry run changed nothing and only remembers an indexed f for giveBack.
+// record is reset, memo pairs and all, and f is scheduled for
+// re-indexing at the next sync; a dry run changed nothing and only
+// remembers an indexed f for giveBack.
 func (r *runner) retire(f *ir.Function) {
 	r.finder.Remove(f)
 	switch {
@@ -169,10 +172,11 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 	cfg := r.cfg
 	rec1 := r.recs.of[f1]
 	for _, f2 := range list {
+		rec2 := r.recs.of[f2]
 		// Cross-run memo: a pair whose bodies were already proven
 		// unprofitable cannot become the best trial; skip its DP and
 		// codegen entirely.
-		if r.outcomes.has(f1, f2) {
+		if rec1.memoized(rec2) {
 			c.Attempts++
 			c.OutcomeHits++
 			continue
@@ -202,7 +206,6 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			// changes a decision. A bound that cannot even clear zero is
 			// memoized like any finished unprofitable trial. FMSA, the
 			// paper's baseline, plans every pair in full.
-			rec2 := r.recs.of[f2]
 			g := noGate
 			if cfg.Algorithm != FMSA {
 				gate := 0
@@ -227,7 +230,7 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 					c.Attempts++
 					c.PairsScreened++
 					if bd.UB <= 0 {
-						r.outcomes.put(f1, f2, pairOutcome)
+						rec1.remember(rec2, pairOutcome)
 					}
 					continue
 				}
@@ -249,14 +252,14 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			// planned under; memoize only bounds that rule out any
 			// profit at all.
 			if t.bound <= 0 {
-				r.outcomes.put(f1, f2, kind)
+				rec1.remember(rec2, kind)
 			}
 		case t.profit > 0 && (best == nil || t.profit > best.profit):
 			r.discard(best)
 			best = t
 		default:
 			if t.profit <= 0 {
-				r.outcomes.put(f1, f2, kind)
+				rec1.remember(rec2, kind)
 			}
 			r.discard(t)
 		}
@@ -367,116 +370,4 @@ func (r *runner) commitStep(t *trial) {
 		Merged: rec.Merged, Profit: rec.Profit, Committed: rec.Committed, Done: r.mergeIdx,
 	})
 	res.CommitTime += time.Since(c0)
-}
-
-// outcomeCache memoizes candidate pairs whose merge trial completed and
-// was unprofitable. A pairwise trial is a pure function of the two
-// function bodies and the generator options, so as long as neither body
-// changes the pair can be skipped on every later run — this is what
-// makes a re-optimize after a small delta pay only for the delta.
-// Entries are dropped whenever either function is re-indexed, removed
-// or thunked. A *flatten* trial additionally depends on the family
-// registry behind its head, so when a family breaks
-// Session.pruneFamilies drops what its head memoized that the break can
-// change (forgetFamily) — without that hook a memoized unprofitable
-// flatten would suppress the (possibly profitable) pairwise nest the
-// pair gets once the family is gone. Trials that error (cancellation,
-// matrix caps) are never memoized. Only the session's own calls, which
-// it serializes, touch the cache.
-type outcomeCache struct {
-	// pairs[f1][f2] records the directed pair (f1, f2) and the trial it
-	// stands for; rev[f2] lists the f1 rows an invalidation of f2 must
-	// visit.
-	pairs map[*ir.Function]map[*ir.Function]outcomeKind
-	rev   map[*ir.Function]map[*ir.Function]bool
-}
-
-// outcomeKind is the trial a memo entry stands for.
-type outcomeKind uint8
-
-const (
-	// pairOutcome is a pairwise trial, or the bound that ruled one out.
-	pairOutcome outcomeKind = iota + 1
-	// flattenOutcome is a flatten trial (family.go).
-	flattenOutcome
-)
-
-func newOutcomeCache() *outcomeCache {
-	return &outcomeCache{
-		pairs: map[*ir.Function]map[*ir.Function]outcomeKind{},
-		rev:   map[*ir.Function]map[*ir.Function]bool{},
-	}
-}
-
-// has reports whether (f1, f2) is memoized as unprofitable. A nil cache
-// (FMSA's throwaway runs) never hits.
-func (c *outcomeCache) has(f1, f2 *ir.Function) bool {
-	return c != nil && c.pairs[f1][f2] != 0
-}
-
-// put memoizes (f1, f2) as unprofitable, found by a trial of kind.
-func (c *outcomeCache) put(f1, f2 *ir.Function, kind outcomeKind) {
-	if c == nil {
-		return
-	}
-	row := c.pairs[f1]
-	if row == nil {
-		row = map[*ir.Function]outcomeKind{}
-		c.pairs[f1] = row
-	}
-	row[f2] = kind
-	back := c.rev[f2]
-	if back == nil {
-		back = map[*ir.Function]bool{}
-		c.rev[f2] = back
-	}
-	back[f1] = true
-}
-
-// drop forgets the directed pair (f1, f2).
-func (c *outcomeCache) drop(f1, f2 *ir.Function) {
-	delete(c.pairs[f1], f2)
-	if len(c.pairs[f1]) == 0 {
-		delete(c.pairs, f1)
-	}
-	delete(c.rev[f2], f1)
-	if len(c.rev[f2]) == 0 {
-		delete(c.rev, f2)
-	}
-}
-
-// invalidate drops every memoized pair involving f.
-func (c *outcomeCache) invalidate(f *ir.Function) {
-	if c == nil {
-		return
-	}
-	for f2 := range c.pairs[f] {
-		c.drop(f, f2)
-	}
-	for f1 := range c.rev[f] {
-		c.drop(f1, f)
-	}
-}
-
-// forgetFamily drops what head memoized that the break of its family
-// can change: its flatten outcomes, and its pair outcomes against a
-// partner that heads a family (isHead), which head may now flatten
-// with. Its other pair outcomes stand: neither side heads a family, and
-// only a freshly merged function ever becomes a head, so the pair can
-// never start to flatten — its trial stays the pure function of two
-// unchanged bodies it was.
-func (c *outcomeCache) forgetFamily(head *ir.Function, isHead func(*ir.Function) bool) {
-	if c == nil {
-		return
-	}
-	for f2, kind := range c.pairs[head] {
-		if kind == flattenOutcome || isHead(f2) {
-			c.drop(head, f2)
-		}
-	}
-	for f1 := range c.rev[head] {
-		if c.pairs[f1][head] == flattenOutcome || isHead(f1) {
-			c.drop(f1, head)
-		}
-	}
 }

@@ -7,18 +7,19 @@
 // the touched functions are re-fingerprinted and re-linearized, so a
 // re-optimize after a small edit pays for the edit, not for the module.
 //
-// Three index layers persist across runs:
+// Two index layers persist across runs:
 //
 //   - the search.Finder (the dense fingerprint index), updated
 //     incrementally through its Add/AddBatch/Remove entry points;
-//   - the records (records.go): per indexed function its name, its size
-//     and, built on first use, its fold hash, alignment sequence and
-//     screening profile. A record exists exactly while its function is
-//     indexed, and resetting it is the one way what it knows dies;
-//   - the outcome memo: candidate pairs whose trial was unprofitable are
-//     remembered (an unprofitable trial is a pure function of the two
-//     bodies and the options), so a re-run skips their alignment DP and
-//     codegen entirely. Any edit to either function drops the entry.
+//   - the records (records.go): per indexed function its name, its size,
+//     its row of the outcome memo and, built on first use, its fold
+//     hash, alignment sequence and screening profile. The memo remembers
+//     the candidate pairs whose trial was unprofitable (an unprofitable
+//     trial is a pure function of the two bodies and the options), so a
+//     re-run skips their alignment DP and codegen entirely. A record
+//     exists exactly while its function is indexed, and resetting it is
+//     the one way what it knows dies: any edit to either function of a
+//     memoized pair drops the pair.
 //
 // Runs come in two flavours sharing one loop (runner.go): a committing
 // run (Optimize, the classic pipeline) mutates the module, while a dry
@@ -86,8 +87,6 @@ type Session struct {
 	// marking wins; sync applies them at the start of the next run.
 	pending map[*ir.Function]bool
 
-	outcomes *outcomeCache
-
 	// families is the merge-family registry behind chain flattening
 	// (family.go); nil unless Config.MaxFamily enables tracking. It is
 	// session state, not module state: a fresh session over an
@@ -131,12 +130,11 @@ func (s *Session) eligible(f *ir.Function) bool {
 }
 
 // buildIndexes constructs the persistent index layers from the module:
-// the finder, the records, the outcome memo and the family registry.
+// the finder, the records and the family registry.
 func (s *Session) buildIndexes() {
 	defined := s.m.Defined()
 	s.recs = newRecords(s.cfg.Target, len(defined))
 	s.byName = make(map[string]*ir.Function, len(defined))
-	s.outcomes = newOutcomeCache()
 	if s.cfg.MaxFamily >= 3 {
 		s.families = newFamilySet()
 	}
@@ -173,7 +171,6 @@ func (s *Session) index(f *ir.Function) {
 // unindex drops f from every persistent index layer. The byName alias
 // is removed under the name f was indexed as, which survives renames.
 func (s *Session) unindex(f *ir.Function) {
-	s.outcomes.invalidate(f)
 	s.families.drop(f)
 	if r := s.recs.of[f]; r != nil {
 		s.finder.Remove(f)
@@ -185,8 +182,8 @@ func (s *Session) unindex(f *ir.Function) {
 }
 
 // sync applies the pending index updates: each marked function is
-// re-fingerprinted and re-linearized (or dropped) and its memoized
-// trial outcomes are discarded. After sync the indexes are exactly what
+// re-fingerprinted and re-linearized (or dropped), and its record's
+// reset discards its memoized trial outcomes. After sync the indexes are exactly what
 // OpenSession would build from the module's current state, so every
 // finder query of the next run answers what a fresh index over the
 // current candidates would.
@@ -219,7 +216,6 @@ func (s *Session) sync() {
 			s.unindex(f)
 			continue
 		}
-		s.outcomes.invalidate(f)
 		s.index(f)
 		changed = append(changed, f)
 	}
@@ -236,7 +232,7 @@ func (s *Session) sync() {
 // pruneFamilies revalidates every family a just-synced change touches
 // (by head or member name): a broken family is dropped and what its head
 // memoized that the break can change is forgotten
-// (outcomeCache.forgetFamily). A flatten trial's profit depends on the
+// (record.forgetFamily). A flatten trial's profit depends on the
 // family registry, not just the two bodies, so a head's unprofitable
 // flatten entries must not outlive the family they were recorded
 // against — otherwise a later (possibly profitable) pairwise nest of the
@@ -263,7 +259,9 @@ func (s *Session) pruneFamilies(touched map[string]bool) {
 		}
 	}
 	for _, head := range broken {
-		s.outcomes.forgetFamily(head, s.families.isHead)
+		if r := s.recs.of[head]; r != nil {
+			r.forgetFamily(s.families.isHead)
+		}
 	}
 }
 
@@ -305,7 +303,6 @@ func (s *Session) Close() error {
 	s.recs = nil
 	s.byName = nil
 	s.pending = nil
-	s.outcomes = nil
 	s.families = nil
 	return nil
 }
@@ -446,8 +443,7 @@ func (s *Session) newResult() *Result {
 // run adds its plan and name overlay.
 func (s *Session) newRunner(res *Result) *runner {
 	return &runner{
-		m: s.m, cfg: s.cfg, finder: s.finder, recs: s.recs,
-		outcomes: s.outcomes, families: s.families,
+		m: s.m, cfg: s.cfg, finder: s.finder, recs: s.recs, families: s.families,
 		runID: newRunID(), res: res, progress: s.cfg.progressFn(),
 		markPending: s.markPending,
 		consumed:    map[*ir.Function]bool{},

@@ -180,8 +180,8 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 			continue
 		}
 		row := len(pairs)
-		for f2 := range s.outcomes.pairs[f1] {
-			if i2, ok := pos[f2]; ok && !s.families.isHead(f2) {
+		for _, e := range s.recs.of[f1].memo {
+			if i2, ok := pos[e.to.fn]; ok && !s.families.isHead(e.to.fn) {
 				pairs = append(pairs, [2]int{i1, i2})
 			}
 		}
@@ -278,9 +278,11 @@ func OpenSessionWithSnapshot(ctx context.Context, m *ir.Module, cfg Config, snap
 			continue
 		}
 		// Snapshot skips every pair that could flatten, so what comes
-		// back is pairwise.
+		// back is pairwise. A pair listed twice is restored once.
 		if f1, f2 := matched[i1], matched[i2]; f1 != nil && f2 != nil && f1 != f2 {
-			s.outcomes.put(f1, f2, pairOutcome)
+			if r1, r2 := s.recs.of[f1], s.recs.of[f2]; !r1.memoized(r2) {
+				r1.remember(r2, pairOutcome)
+			}
 		}
 	}
 	return s, nil

@@ -74,8 +74,8 @@ func roundTripSnapshot(t *testing.T, snap *Snapshot) *Snapshot {
 // memoPairs counts the pairs in s's outcome memo.
 func memoPairs(s *Session) int {
 	n := 0
-	for _, row := range s.outcomes.pairs {
-		n += len(row)
+	for _, r := range s.recs.of {
+		n += len(r.memo)
 	}
 	return n
 }
@@ -340,7 +340,7 @@ func TestSnapshotDriftReindexesOnly(t *testing.T) {
 		want := len(snap.Outcomes)
 		if drifted >= 0 {
 			f := m.FuncByName(snap.Funcs[drifted].Name)
-			if len(s.outcomes.pairs[f])+len(s.outcomes.rev[f]) != 0 {
+			if r := s.recs.of[f]; len(r.memo)+len(r.back) != 0 {
 				t.Fatalf("%s: drifted @%s kept memo pairs", name, f.Name())
 			}
 			want -= touching(drifted)
@@ -487,7 +487,12 @@ func TestSnapshotLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	cands, rows := len(s.candidateOrder()), len(s.outcomes.pairs)
+	cands, rows := len(s.candidateOrder()), 0
+	for _, r := range s.recs.of {
+		if len(r.memo) > 0 {
+			rows++
+		}
+	}
 	bytes, items := after.TotalAlloc-before.TotalAlloc, uint64(cands+len(snap.Outcomes))
 	t.Logf("%d candidates, %d memo rows, %d pairs over %d functions: %d B allocated (%d B per candidate or pair)",
 		cands, rows, len(snap.Outcomes), len(snap.Funcs), bytes, bytes/items)

@@ -52,7 +52,9 @@ func checkFinderFresh(t *testing.T, s *Session, when string) int {
 // what costmodel.FuncBytes measures now, its memoized hash what
 // search.HashFunction computes now and its sequence the linearization
 // of its body now; a retired function's record keeps nothing built from
-// its old body.
+// its old body, no memoized pair included. The memo is linked both
+// ways: every entry of a row names another live record, once, whose
+// back list names the row, and every back entry is matched by one.
 func checkRecords(t *testing.T, s *Session, when string) {
 	t.Helper()
 	inFinder := map[*ir.Function]bool{}
@@ -63,9 +65,13 @@ func checkRecords(t *testing.T, s *Session, when string) {
 		}
 	}
 	for f, r := range s.recs.of {
+		checkMemo(t, s, r, when)
 		if _, pending := s.pending[f]; pending && !inFinder[f] {
 			if r.hashed || r.seqOK || r.prof != nil {
 				t.Errorf("%s: retired @%s keeps facts built from its old body", when, r.name)
+			}
+			if len(r.memo)+len(r.back) != 0 {
+				t.Errorf("%s: retired @%s keeps %d memo and %d back entries", when, r.name, len(r.memo), len(r.back))
 			}
 			continue
 		}
@@ -83,6 +89,71 @@ func checkRecords(t *testing.T, s *Session, when string) {
 			t.Errorf("%s: @%s's sequence is not its body's", when, r.name)
 		}
 	}
+}
+
+// checkMemo holds r's memo row and back list to each other's: a
+// partner is another live record, named once in r's row, and names r in
+// its back list as often; a back entry is a live record whose row names
+// r once.
+func checkMemo(t *testing.T, s *Session, r *record, when string) {
+	t.Helper()
+	for _, e := range r.memo {
+		switch {
+		case e.to == r:
+			t.Errorf("%s: @%s's memo pairs it with itself", when, r.name)
+		case s.recs.of[e.to.fn] != e.to:
+			t.Errorf("%s: @%s's memo names @%s, which has no live record", when, r.name, e.to.name)
+		case countMemo(r, e.to) != 1 || countBack(e.to, r) != 1:
+			t.Errorf("%s: @%s's memo names @%s %d times, whose back list names it %d times",
+				when, r.name, e.to.name, countMemo(r, e.to), countBack(e.to, r))
+		}
+	}
+	for _, b := range r.back {
+		if s.recs.of[b.fn] != b || countMemo(b, r) != 1 {
+			t.Errorf("%s: @%s's back list names @%s, whose live row does not name it once", when, r.name, b.name)
+		}
+	}
+}
+
+// countMemo counts the entries of r's memo row naming to.
+func countMemo(r, to *record) int {
+	n := 0
+	for _, e := range r.memo {
+		if e.to == to {
+			n++
+		}
+	}
+	return n
+}
+
+// countBack counts the entries of to's back list naming r.
+func countBack(to, r *record) int {
+	n := 0
+	for _, x := range to.back {
+		if x == r {
+			n++
+		}
+	}
+	return n
+}
+
+// memoHas reports whether s memoizes the directed pair (f1, f2).
+func memoHas(s *Session, f1, f2 *ir.Function) bool {
+	r1, r2 := s.recs.of[f1], s.recs.of[f2]
+	return r1 != nil && r2 != nil && r1.memoized(r2)
+}
+
+// memoPut memoizes (f1, f2) as found by a trial of kind, whether or not
+// the pair is memoized already, as a test seeding the memo needs.
+func memoPut(s *Session, f1, f2 *ir.Function, kind outcomeKind) {
+	r1, r2 := s.recs.of[f1], s.recs.of[f2]
+	for i := range r1.memo {
+		if r1.memo[i].to == r2 {
+			r1.memo[i].kind = kind
+			return
+		}
+	}
+	r1.remember(r2, kind)
 }
 
 // TestFinderExactAfterSync: twenty rounds of what a build service sends

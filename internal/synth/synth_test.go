@@ -91,14 +91,18 @@ func TestCloneFamiliesAreSimilar(t *testing.T) {
 	}
 }
 
+// TestSuitesGenerate generates every program of the three suites at full
+// size: each must verify, and each has been through the clean-up passes
+// under the failing SkipCheck (TestMain).
 func TestSuitesGenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite generation is slow in -short mode")
 	}
-	for _, p := range SPEC2006()[:3] {
-		m := Generate(p)
-		if err := ir.VerifyModule(m); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
+	for _, suite := range [][]Profile{SPEC2006(), SPEC2017(), MiBench()} {
+		for _, p := range suite {
+			if err := ir.VerifyModule(Generate(p)); err != nil {
+				t.Errorf("%s: %v", p.Name, err)
+			}
 		}
 	}
 }

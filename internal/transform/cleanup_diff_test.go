@@ -204,8 +204,8 @@ func BenchmarkCleanup(b *testing.B) {
 }
 
 // FuzzCleanup runs the TestCleanupMatchesSpec comparison over parsed
-// modules: every function that verifies, through the fold fixpoint and
-// Simplify.
+// modules: every function that verifies, through Simplify alone and
+// through the fold fixpoint and Simplify.
 func FuzzCleanup(f *testing.F) {
 	f.Add(irtext.Fig2Module)
 	f.Add(`define i32 @f(i1 %c, i32 %x) {
@@ -224,6 +224,24 @@ j:
   ret i32 %r
 }
 `)
+	// b absorbs s, which branches back to b: b's own branch is a use of
+	// s, and b is a successor of s, but neither makes b's instructions
+	// (which s's fold changes) clean.
+	f.Add(`define i32 @h(i32 %x, i1 %c) {
+entry:
+  br label %b
+b:
+  %i = phi i32 [ 0, %entry ], [ %n, %s ]
+  br label %s
+s:
+  %q = phi i32 [ 7, %b ]
+  %k = xor i32 %q, 29
+  %n = add i32 %i, %k
+  br i1 %c, label %b, label %out
+out:
+  ret i32 %n
+}
+`)
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := irtext.Parse(src)
 		if err != nil {
@@ -233,8 +251,10 @@ j:
 			if ir.VerifyFunction(fn) != nil {
 				continue
 			}
-			if diff, _ := cleanBoth(fn, true); diff != "" {
-				t.Fatalf("@%s: %s", fn.Name(), diff)
+			for _, fold := range []bool{false, true} {
+				if diff, _ := cleanBoth(fn, fold); diff != "" {
+					t.Fatalf("@%s (fold fixpoint %v): %s", fn.Name(), fold, diff)
+				}
 			}
 		}
 	})

@@ -311,7 +311,9 @@ type keptClean struct {
 // phi naming s is renamed alike, and what dominated s's instructions'
 // users dominates them from b (b strictly dominates exactly the blocks s
 // did, and b itself). A block whose phis name b already is left out for
-// the duplicate pass: the renaming could pair its phis up.
+// the duplicate pass: the renaming could pair its phis up. b is none of
+// the others — not when s branches back to b, nor as the user of s that
+// b's own branch is — since only the first rule keeps b's verdicts.
 func (sc *scratch) keepAcross(out []keptClean, b, s *ir.Block) []keptClean {
 	instrPasses := [...]pass{passFoldInstructions, passFoldTerminators, passSinglePredPhis, passDCE}
 	for _, p := range instrPasses {
@@ -320,7 +322,7 @@ func (sc *scratch) keepAcross(out []keptClean, b, s *ir.Block) []keptClean {
 		}
 	}
 	for _, op := range s.Term().Operands() {
-		if c, ok := op.(*ir.Block); ok && c != s {
+		if c, ok := op.(*ir.Block); ok && c != s && c != b {
 			for _, p := range instrPasses {
 				if !due(p, c, sc) {
 					out = append(out, keptClean{c, p})
@@ -342,7 +344,7 @@ func (sc *scratch) keepAcross(out []keptClean, b, s *ir.Block) []keptClean {
 // keepUser is keepAcross for one user of s or its instructions.
 func (sc *scratch) keepUser(out []keptClean, user *ir.Instruction, b *ir.Block) []keptClean {
 	c := user.Parent()
-	if c == nil || len(out) > 0 && out[len(out)-1].blk == c {
+	if c == nil || c == b || len(out) > 0 && out[len(out)-1].blk == c {
 		return out
 	}
 	if user.Op() != ir.OpPhi {
