@@ -77,7 +77,7 @@
 //	                candidate-search summary (pairs tried, memo hits,
 //	                finder query time), the planning-funnel
 //	                summary (pairs screened by the profit bound,
-//	                alignments aborted early, trials skipped vs built),
+//	                trials skipped vs built),
 //	                the alignment-cache summary (sequences
 //	                interned/reused, class count) and the merge-family
 //	                histogram (family sizes alive, chains flattened)
@@ -464,9 +464,9 @@ func reportModule(rep *repro.Report, label string, verbose bool) {
 		if rep.OutcomeHits > 0 {
 			fmt.Fprintf(os.Stderr, "search: %d trials served from the session outcome memo\n", rep.OutcomeHits)
 		}
-		if rep.PairsScreened > 0 || rep.DPAborted > 0 || rep.TrialsSkipped > 0 {
-			fmt.Fprintf(os.Stderr, "funnel: %d pairs screened by profit bound, %d alignments aborted early, %d trials skipped, %d built (screen %v)\n",
-				rep.PairsScreened, rep.DPAborted, rep.TrialsSkipped, rep.TrialsBuilt, rep.ScreenTime.Round(time.Millisecond))
+		if rep.PairsScreened > 0 || rep.TrialsSkipped > 0 {
+			fmt.Fprintf(os.Stderr, "funnel: %d pairs screened by profit bound, %d trials skipped, %d built (screen %v)\n",
+				rep.PairsScreened, rep.TrialsSkipped, rep.TrialsBuilt, rep.ScreenTime.Round(time.Millisecond))
 		}
 		fmt.Fprintf(os.Stderr, "search: %d finder queries probed %d entries, scored %d (avg %.1f/query) in %v\n",
 			rep.Search.Queries, rep.Search.Probed, rep.Search.Scanned, rep.Search.AvgScanned(), rep.Search.QueryTime)

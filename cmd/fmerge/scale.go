@@ -48,7 +48,6 @@ type scaleRun struct {
 
 	// Planning-funnel counters (zero when the funnel is off).
 	PairsScreened int `json:"pairs_screened,omitempty"`
-	DPAborted     int `json:"dp_aborted,omitempty"`
 	TrialsBuilt   int `json:"trials_built,omitempty"`
 	TrialsSkipped int `json:"trials_skipped,omitempty"`
 
@@ -194,7 +193,6 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, verbose bool
 		SimplifySecs: r.SimplifyTime.Seconds(),
 
 		PairsScreened: r.PairsScreened,
-		DPAborted:     r.DPAborted,
 		TrialsBuilt:   r.TrialsBuilt,
 		TrialsSkipped: r.TrialsSkipped,
 
@@ -216,12 +214,12 @@ func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, verbose bool
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr,
-			"scale[%s]: gen %.1fs index %.1fs optimize %.1fs (query %.1fs screen %.1fs align %.1fs trial %.1fs = build %.1fs + repair %.1fs + simplify %.1fs, commit %.1fs) | finder %.0f probed, %.0f scored per query | funnel %d screened, %d dp-aborted, %d skipped, %d built | live heap %s, peak %s, trials allocated %.1fMiB, GC %.2fs CPU | saved %d bytes (%d merges, %d folds)\n",
+			"scale[%s]: gen %.1fs index %.1fs optimize %.1fs (query %.1fs screen %.1fs align %.1fs trial %.1fs = build %.1fs + repair %.1fs + simplify %.1fs, commit %.1fs) | finder %.0f probed, %.0f scored per query | funnel %d screened, %d skipped, %d built | live heap %s, peak %s, trials allocated %.1fMiB, GC %.2fs CPU | saved %d bytes (%d merges, %d folds)\n",
 			tier, run.GenerateSecs, run.IndexSecs, run.OptimizeSecs,
 			run.QuerySecs, run.ScreenSecs, run.AlignSecs, run.TrialSecs,
 			run.BuildSecs, run.RepairSecs, run.SimplifySecs, run.CommitSecs,
 			run.ProbedPerQuery, run.ScannedPerQuery,
-			run.PairsScreened, run.DPAborted, run.TrialsSkipped, run.TrialsBuilt,
+			run.PairsScreened, run.TrialsSkipped, run.TrialsBuilt,
 			fmtBytes(indexed), fmtBytes(peak), run.TrialAllocMB, run.GCCPUSecs, run.SavedBytes, run.Merges, run.Folds)
 	}
 	return run, nil

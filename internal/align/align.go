@@ -7,8 +7,8 @@
 //
 // The hot path is allocation-free in steady state: mergeability is
 // decided by comparing interned class IDs (see classes.go) instead of
-// re-walking types per DP cell, linearizations and class vectors are
-// cached per function for a whole run (see cache.go), and the score
+// re-walking types per DP cell, a caller builds each function's Seq once
+// and keeps it for as long as the body is unchanged, and the score
 // matrix is computed 64 cells per machine word by a bit-parallel LCS
 // kernel (see kernel.go), out of pooled scratch (see pool.go).
 //
@@ -73,7 +73,7 @@ func Linearize(f *ir.Function) []Entry {
 
 // Seq is a linearized function together with its mergeability-class
 // vector: Classes[i] is the Interner class of Entries[i]. Seqs sharing
-// one Interner (one Cache) are alignable against each other.
+// one Interner are alignable against each other.
 type Seq struct {
 	Entries []Entry
 	Classes []int32
@@ -178,27 +178,14 @@ type Options struct {
 	// driver screens unrelated pairs before any DP, so the cap matters
 	// for one case: a giant pair that clears the screen.
 	MaxCells int64
-	// MinScore, when positive, floors the useful alignment score: an
-	// alignment whose optimum is below it fails with ErrBelowBound,
-	// decided after the fill and before the backtrack. The driver's
-	// planning funnel derives MinScore from the admissible profit bound
-	// (costmodel.PairBound.ScoreNeeded), making ErrBelowBound a proof
-	// that the pair cannot clear the profitability gate.
-	MinScore int32
 }
 
 // DefaultOptions returns the options used throughout the evaluation: no
-// cap, no floor.
+// cap.
 func DefaultOptions() Options { return Options{} }
 
 // ErrTooLarge is returned when the DP matrix would exceed Options.MaxCells.
 var ErrTooLarge = fmt.Errorf("align: sequences too large")
-
-// ErrBelowBound is returned by a bounded alignment (Options.MinScore >
-// 0) that proved the optimal score falls below the floor. No pairs are
-// produced; with an admissibly derived floor the caller may treat the
-// pair as unprofitable without aligning it.
-var ErrBelowBound = fmt.Errorf("align: optimal score below MinScore")
 
 // Result is the outcome of an alignment.
 type Result struct {
@@ -246,7 +233,7 @@ func Align(a, b []Entry, opts Options) (*Result, error) {
 // ctx.Err() without finishing the fill.
 //
 // The entries are interned into a transient class universe first; when
-// aligning many pairs, intern once through a Cache (or NewSeq) and use
+// aligning many pairs, intern once through NewSeq with one Interner and use
 // AlignSeqsCtx instead.
 func AlignCtx(ctx context.Context, a, b []Entry, opts Options) (*Result, error) {
 	it := NewInterner()

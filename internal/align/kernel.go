@@ -66,11 +66,7 @@ func alignBits(ctx context.Context, a, b []Entry, ca, cb []int32, opts Options, 
 	if err := k.fill(ctx, ca); err != nil {
 		return err
 	}
-	score := k.pos[m] - k.below(n, k.pos[m])
-	if score < opts.MinScore {
-		return ErrBelowBound
-	}
-	res.Score = score
+	res.Score = k.pos[m] - k.below(n, k.pos[m])
 	res.MatrixBytes = cells * 5
 	k.backtrack(a, b, ca, cb, res)
 	return nil

@@ -183,17 +183,12 @@ type PairBound struct {
 	// post-alignment refinement Fixed + MatchedPairBytes(pairs) is a
 	// tighter admissible bound once the true alignment is known.
 	Fixed int
-	// MaxMatchBytes is the largest per-entry byte cost among the
-	// classes the two histograms share (0 if they share none). It
-	// converts alignment score into bytes for the stage-2 DP floor:
-	// matched bytes <= MaxMatchBytes * InstrMatches.
-	MaxMatchBytes int
 	// Exact reports whether both slack terms were included. A lazy
 	// bound with Exact false omits unknown slack, so UB and Fixed sit
 	// AT OR BELOW their admissible values: UB > gate still proves
 	// survival (the exact bound is no smaller), but a skip — and the
-	// stage-2/3 floors, which need Fixed from above actual slack — must
-	// first be confirmed through the exact Bound.
+	// stage-3 refinement, which needs Fixed from above actual slack —
+	// must first be confirmed through the exact Bound.
 	Exact bool
 }
 
@@ -221,7 +216,7 @@ func BoundLazy(p1, p2 *FuncProfile, target Target) PairBound {
 	s2, ok2 := p2.SlackIfKnown()
 	fixed := funcOverhead(target) + p1.Elastic + p2.Elastic +
 		s1 + s2 - 2*ThunkBytes(target, np+1)
-	matched, maxB := 0, 0
+	matched := 0
 	for i, j := 0, 0; i < len(p1.Classes) && j < len(p2.Classes); {
 		c1, c2 := p1.Classes[i], p2.Classes[j]
 		switch {
@@ -239,41 +234,11 @@ func BoundLazy(p1, p2 *FuncProfile, target Target) PairBound {
 				nb = p2.ClassBytes[j]
 			}
 			matched += int(n) * int(nb)
-			if int(nb) > maxB {
-				maxB = int(nb)
-			}
 			i++
 			j++
 		}
 	}
-	return PairBound{UB: fixed + matched, Fixed: fixed, MaxMatchBytes: maxB, Exact: ok1 && ok2}
-}
-
-// ScoreNeeded translates the bound into the minimum alignment score a
-// trial must reach before its profit can exceed gate, for use as the
-// bounded DP's floor (align.Options.MinScore). Under align's
-// match-or-gap scoring (instruction match 2, label match 1, gap 0) an
-// alignment with score s has at most s/2 instruction matches, so
-// matched bytes <= MaxMatchBytes*s/2 and profit <= Fixed +
-// MaxMatchBytes*s/2. The returned floor is the smallest s that keeps
-// profit > gate possible; 0 disables the floor (every score could
-// still pass, or no class is shared so the DP is pointless anyway and
-// stage 1 already decided). Only admissible on an Exact bound — an
-// inexact Fixed underestimates, which would raise the floor past
-// soundness.
-func (b PairBound) ScoreNeeded(gate int) int32 {
-	if b.MaxMatchBytes <= 0 {
-		return 0
-	}
-	need := gate - b.Fixed
-	if need < 0 {
-		return 0
-	}
-	sn := 2*need/b.MaxMatchBytes + 1
-	if sn > 1<<30 {
-		sn = 1 << 30
-	}
-	return int32(sn)
+	return PairBound{UB: fixed + matched, Fixed: fixed, Exact: ok1 && ok2}
 }
 
 // MatchedPairBytes sums the per-entry byte costs of the matched
@@ -313,16 +278,4 @@ func ForcedCut(p1, p2 *FuncProfile, pairs []align.Pair, target Target) int {
 	minArity := 1 + max(p1.Params, p2.Params)
 	return ForcedBytes(core.CountForced(pairs, &p1.num, &p2.num, plan), target) +
 		2*(ThunkBytes(target, 1+len(plan.Params))-ThunkBytes(target, minArity))
-}
-
-// SavingsUpperBound returns an admissible upper bound on the profit of
-// merging f1 and f2: the real trial's cost-model profit (align, merge,
-// simplify, price thunks) never exceeds it. One-shot form over a
-// private interner; batch callers (the driver's funnel) hold profiles
-// keyed by their session cache instead.
-func SavingsUpperBound(f1, f2 *ir.Function, target Target) int {
-	it := align.NewInterner()
-	p1 := NewFuncProfile(f1, target, align.NewSeq(f1, it))
-	p2 := NewFuncProfile(f2, target, align.NewSeq(f2, it))
-	return Bound(p1, p2, target).UB
 }

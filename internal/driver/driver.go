@@ -220,15 +220,19 @@ type Counters struct {
 	// same Session, skipped without any alignment or codegen. Always 0
 	// for one-shot runs.
 	OutcomeHits int
-	// Planning-funnel accounting (the first, second and fourth all zero
-	// under FMSA, which plans every pair in full). PairsScreened counts
-	// candidate pairs the stage-1 profit upper bound excluded before any
-	// DP; DPAborted counts alignments the stage-2 bounded DP rejected
-	// before their backtrack; and of the trials whose alignment completed,
-	// TrialsBuilt materialized a merged body while TrialsSkipped were
-	// rejected by the post-alignment refined bound without any codegen.
-	// Screened, aborted and skipped pairs all stay counted in Attempts.
-	PairsScreened, DPAborted, TrialsBuilt, TrialsSkipped int
+	// Planning-funnel accounting (the first and third zero under FMSA,
+	// which plans every pair in full). PairsScreened counts candidate
+	// pairs the stage-1 profit upper bound excluded before any DP; of
+	// the trials whose alignment completed, TrialsBuilt materialized a
+	// merged body while TrialsSkipped were rejected by the stage-3
+	// refined bound without any codegen. Screened and skipped pairs both
+	// stay counted in Attempts.
+	PairsScreened, TrialsBuilt, TrialsSkipped int
+	// DPAborted is always 0. It counted alignments a score floor derived
+	// from the profit bound rejected before their backtrack; the DP now
+	// always runs to the end and stage 3 skips every pair that floor
+	// rejected. The field stays because the benchmark in bench/ reads it.
+	DPAborted int
 	// AlignTime and CodegenTime accumulate the two core phases
 	// (Figure 23). CodegenTime is the sum of BuildTime, RepairTime and
 	// SimplifyTime: SSA repair inside the generator
@@ -407,16 +411,14 @@ type trial struct {
 	// merge of f1 and f2, and committing rewrites every member thunk.
 	family *flattenPlan
 
-	// skipped marks a funnel rejection: the trial was never
+	// skipped marks a stage-3 funnel rejection: the trial was never
 	// materialized because its profit provably cannot exceed the gate
-	// it was planned under. bound carries the admissible upper bound
-	// that proved it (the gate itself for a stage-2 DP abort, flagged
-	// by dpAborted; the refined post-alignment bound for a stage-3
-	// skip) — the consumer memoizes the pair only when bound <= 0,
-	// exactly when a full trial would have been unprofitable.
-	skipped   bool
-	dpAborted bool
-	bound     int
+	// it was planned under. bound carries the refined post-alignment
+	// bound that proved it — the consumer memoizes the pair only when
+	// bound <= 0, exactly when a full trial would have been
+	// unprofitable.
+	skipped bool
+	bound   int
 
 	// screenTime is stage 3's share of the trial: the refined bound and
 	// whatever slack terms it had to settle, which neither the alignment
@@ -444,8 +446,6 @@ func (t *trial) counters() Counters {
 	}
 	switch {
 	case t.err != nil:
-	case t.dpAborted:
-		c.DPAborted = 1
 	case t.skipped:
 		c.TrialsSkipped = 1
 	default:
@@ -456,7 +456,7 @@ func (t *trial) counters() Counters {
 
 // trialGate is the funnel verdict a trial is planned under: the stage-1
 // pair bound and the profit gate (the best profit seen so far in the
-// row, or 0) that stages 2 and 3 prune against. The profiles ride along
+// row, or 0) that stage 3 prunes against. The profiles ride along
 // so stage 3 can settle a lazy bound's slack terms (costmodel.Bound)
 // when — and only when — it is about to rule the trial out. The zero
 // value (off) plans the trial unconditionally — FMSA, Apply replays and
@@ -513,34 +513,21 @@ func planTrial(ctx context.Context, m *ir.Module, recs *records, r1, r2 *record,
 	return t
 }
 
-// alignStage aligns the pair's pre-interned sequences under the gate:
-// stage 2 threads the bound-derived score floor through the DP (which
-// rejects with ErrBelowBound after the fill, before the backtrack, when
-// the optimum falls short) and stage 3 re-checks the refined bound — the
-// fixed terms plus the actual matched bytes of the computed alignment, less what
+// alignStage aligns the pair's pre-interned sequences and, under a
+// gate, runs stage 3: it re-checks the refined bound — the fixed terms
+// plus the actual matched bytes of the computed alignment, less what
 // that alignment forces the generator to add — before any codegen. The
-// alignment goes into ares (nil: a fresh Result), which is returned. A nil return means the
-// trial is settled (skipped or erred) and must not materialize.
+// alignment goes into ares (nil: a fresh Result), which is returned. A
+// nil return means the trial is settled (skipped or erred) and must not
+// materialize.
 func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Options, cfg Config, g trialGate, ares *align.Result) *align.Result {
-	aopts := opts.Align
-	// A lazy bound with unknown slack terms cannot arm the floor — its
-	// Fixed sits below the admissible value, which would raise the floor
-	// past soundness — so the DP just runs unbounded for those pairs.
-	if g.on && g.bd.Exact {
-		aopts.MinScore = g.bd.ScoreNeeded(g.gate)
-	}
 	if ares == nil {
 		ares = new(align.Result)
 	}
 	t0 := time.Now()
-	err := align.AlignSeqsInto(ctx, sa, sb, aopts, ares)
+	err := align.AlignSeqsInto(ctx, sa, sb, opts.Align, ares)
 	t.alignTime = time.Since(t0)
 	if err != nil {
-		if err == align.ErrBelowBound {
-			t.skipped, t.dpAborted = true, true
-			t.bound = g.gate
-			return nil
-		}
 		t.err = err
 		return nil
 	}

@@ -38,7 +38,7 @@ func TestMaxCellsBoundsARun(t *testing.T) {
 			t.Fatal(err)
 		}
 		refused := res.Attempts - res.OutcomeHits - res.PairsScreened -
-			res.DPAborted - res.TrialsBuilt - res.TrialsSkipped
+			res.TrialsBuilt - res.TrialsSkipped
 		t.Logf("cap %d cells: %d merges, %d trials refused, peak matrix %d bytes",
 			cells, len(res.Merges), refused, res.PeakMatrixBytes)
 		if refused == 0 {

@@ -108,12 +108,17 @@ func (r *runner) foldStep(candidates []*ir.Function) {
 	for _, fam := range search.FamiliesBy(candidates, r.recs.hash) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
-			profit := r.recs.of[dup].size - costmodel.ThunkBytes(r.cfg.Target, len(dup.Params()))
-			if profit > 0 {
+			if profit := r.foldProfit(dup); profit > 0 {
 				r.fold(dup, rep, profit)
 			}
 		}
 	}
+}
+
+// foldProfit is what folding dup saves: its size less the forwarder
+// that replaces its body.
+func (r *runner) foldProfit(dup *ir.Function) int {
+	return r.recs.of[dup].size - costmodel.ThunkBytes(r.cfg.Target, len(dup.Params()))
 }
 
 // fold makes dup a forwarder to rep (commit mode) or a PlannedFold (dry
@@ -246,9 +251,8 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 				return nil, c, err
 			}
 		case t.skipped:
-			// Stages 2/3: the DP aborted below the score floor, or the
-			// refined post-alignment bound fell short. Either way the
-			// trial's profit provably cannot beat the gate it was
+			// Stage 3: the refined post-alignment bound fell short, so
+			// the trial's profit provably cannot beat the gate it was
 			// planned under; memoize only bounds that rule out any
 			// profit at all.
 			if t.bound <= 0 {

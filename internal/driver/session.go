@@ -288,7 +288,8 @@ var errClosed = fmt.Errorf("driver: session is closed")
 var ErrUnknownFunction = fmt.Errorf("unknown function")
 
 // ErrStalePlan is wrapped by Apply when a plan's structural hashes no
-// longer match the module — the code changed between Plan and Apply.
+// longer match the module — the code changed between Plan and Apply —
+// or when a fold names two functions that are not duplicates.
 // It is the optimistic-concurrency signal: a service maps it to a
 // conflict response and the client replans against the current module.
 var ErrStalePlan = fmt.Errorf("plan is stale")
@@ -602,8 +603,8 @@ func (s *Session) Plan(ctx context.Context) (*Plan, error) {
 }
 
 // PlanReport is Plan with the dry run's accounting: the Result carries
-// the loop's counters (attempts, memo hits, funnel screens and aborts,
-// trials built and skipped — those Optimize would count on the same
+// the loop's counters (attempts, memo hits, funnel screens, trials
+// built and skipped — those Optimize would count on the same
 // module) and timings, with FinalBytes equal to BaselineBytes since a
 // dry run leaves the module as it found it.
 func (s *Session) PlanReport(ctx context.Context) (*Plan, *Result, error) {
@@ -640,9 +641,11 @@ func (s *Session) PlanReport(ctx context.Context) (*Plan, *Result, error) {
 // referenced function is verified against the plan's structural hash
 // first: if the module changed underneath the plan, Apply fails with an
 // error naming the stale function instead of merging the wrong code.
-// Merges are re-generated from the current bodies (hash equality makes
-// this reproduce the planned merge) and committed unconditionally, in
-// plan order. The merged-function name is re-derived against the live
+// A fold must also name two structurally identical functions, and its
+// profit is priced from the live body as Optimize prices it, whatever
+// the plan says. Merges are re-generated from the current bodies (hash
+// equality makes this reproduce the planned merge) and committed
+// unconditionally, in plan order. The merged-function name is re-derived against the live
 // module, so it matches the plan's Merged name unless the module
 // gained a colliding name since planning — the Result records the name
 // actually used. On failure or cancellation the already-committed
@@ -710,7 +713,14 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		if err := stale(pf.Rep, pf.RepHash); err != nil {
 			return finish(err)
 		}
-		r.fold(s.m.FuncByName(pf.Dup), s.m.FuncByName(pf.Rep), pf.Profit)
+		// The hashes only say each side is as planned; a plan naming two
+		// different functions would turn @dup into a call of the wrong
+		// body.
+		dup, rep := s.m.FuncByName(pf.Dup), s.m.FuncByName(pf.Rep)
+		if !search.EqualFunctions(dup, rep) {
+			return finish(fmt.Errorf("driver: %w: @%s is not a duplicate of @%s", ErrStalePlan, pf.Dup, pf.Rep))
+		}
+		r.fold(dup, rep, r.foldProfit(dup))
 		consumed[pf.Dup] = true
 	}
 	for _, pm := range p.Merges {

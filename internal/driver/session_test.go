@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/ir"
+	"repro/internal/irtext"
 	"repro/internal/search"
 	"repro/internal/synth"
 )
@@ -483,9 +484,9 @@ func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 				checkUseLists(t, lists, "Plan")
 				// The dry run runs Optimize's trials, so its funnel counts
 				// are Optimize's.
-				type funnelCounts struct{ Attempts, OutcomeHits, PairsScreened, DPAborted, TrialsBuilt, TrialsSkipped int }
+				type funnelCounts struct{ Attempts, OutcomeHits, PairsScreened, TrialsBuilt, TrialsSkipped int }
 				count := func(c Counters) funnelCounts {
-					return funnelCounts{c.Attempts, c.OutcomeHits, c.PairsScreened, c.DPAborted, c.TrialsBuilt, c.TrialsSkipped}
+					return funnelCounts{c.Attempts, c.OutcomeHits, c.PairsScreened, c.TrialsBuilt, c.TrialsSkipped}
 				}
 				if got, want := count(planned.Counters), count(direct.Counters); got != want {
 					t.Errorf("Plan counted %+v, Optimize %+v", got, want)
@@ -769,6 +770,93 @@ func TestSessionApplyStalePlan(t *testing.T) {
 	selfFold := &Plan{Folds: []PlannedFold{{Dup: someName, Rep: someName, DupHash: h, RepHash: h}}}
 	if _, err := sizedRun(t, s, selfFold); err == nil {
 		t.Error("Apply accepted a self-fold")
+	}
+}
+
+// forgedFoldModule has a genuine duplicate pair (@a, @d), a function of
+// @a's signature with another body (@b) and one of another signature
+// (@c).
+const forgedFoldModule = `
+define i32 @a(i32 %x, i32 %y) {
+entry:
+  %s = add i32 %x, %y
+  %m = mul i32 %s, 3
+  %r = xor i32 %m, %x
+  ret i32 %r
+}
+define i32 @b(i32 %x, i32 %y) {
+entry:
+  %s = sub i32 %x, %y
+  %m = mul i32 %s, 5
+  %r = or i32 %m, %y
+  ret i32 %r
+}
+define i64 @c(i64 %x) {
+entry:
+  %s = add i64 %x, 1
+  %m = mul i64 %s, 7
+  ret i64 %m
+}
+define i32 @d(i32 %x, i32 %y) {
+entry:
+  %s = add i32 %x, %y
+  %m = mul i32 %s, 3
+  %r = xor i32 %m, %x
+  ret i32 %r
+}
+`
+
+// TestSessionApplyForgedFold: the hashes in a fold only say each side
+// is as planned. A hand-edited fold of two different functions of one
+// signature would make @a call @b's body, and one across signatures
+// cannot be built at all; Apply refuses both as stale plans and leaves
+// @a as it was, and the session keeps working. A genuine fold carrying
+// a made-up Profit is applied and priced as Plan priced it.
+func TestSessionApplyForgedFold(t *testing.T) {
+	ctx := context.Background()
+	m, err := irtext.Parse(forgedFoldModule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true}
+	s, err := OpenSession(ctx, m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hash := func(name string) uint64 { return search.HashFunction(m.FuncByName(name)) }
+	before := m.FuncByName("a").String()
+	for _, rep := range []string{"c", "b"} {
+		forged := &Plan{Folds: []PlannedFold{{Dup: "a", Rep: rep, Profit: 1, DupHash: hash("a"), RepHash: hash(rep)}}}
+		if _, err := sizedRun(t, s, forged); !errors.Is(err, ErrStalePlan) {
+			t.Errorf("fold of @a into @%s: got %v, want ErrStalePlan", rep, err)
+		}
+		if got := m.FuncByName("a").String(); got != before {
+			t.Fatalf("a refused fold into @%s rewrote @a:\n%s", rep, got)
+		}
+	}
+
+	plan, err := s.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Folds) != 1 {
+		t.Fatalf("plan folds %+v, want the one fold of @a and @d", plan.Folds)
+	}
+	want := plan.Folds[0]
+	plan.Folds[0].Profit = 1 << 20
+	res, err := sizedRun(t, s, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Folds) != 1 || res.Folds[0] != (FoldRecord{Dup: want.Dup, Rep: want.Rep, Profit: want.Profit}) {
+		t.Errorf("Apply recorded folds %+v, want %s -> %s at %d bytes", res.Folds, want.Dup, want.Rep, want.Profit)
+	}
+	if _, err := sizedRun(t, s, nil); err != nil {
+		t.Fatalf("Optimize after the refused folds: %v", err)
+	}
+	if err := ir.VerifyModule(m); err != nil {
+		t.Fatal(err)
 	}
 }
 

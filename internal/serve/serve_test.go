@@ -16,6 +16,8 @@ import (
 
 	repro "repro"
 	"repro/client"
+	"repro/internal/irtext"
+	"repro/internal/search"
 	"repro/internal/serve/api"
 	"repro/internal/synth"
 )
@@ -318,6 +320,61 @@ func TestServeStalePlan(t *testing.T) {
 	}
 	// Replan-and-retry converges.
 	drainDaemon(t, ctx, sc)
+}
+
+// TestServeForgedFold: a POSTed plan whose fold names two different
+// functions — one of the same signature, one of another — is a stale
+// plan (409), not a miscompile or a panic: the session is not
+// quarantined and answers the next plan.
+func TestServeForgedFold(t *testing.T) {
+	const module = `
+define i32 @a(i32 %x, i32 %y) {
+entry:
+  %s = add i32 %x, %y
+  %m = mul i32 %s, 3
+  ret i32 %m
+}
+define i32 @b(i32 %x, i32 %y) {
+entry:
+  %s = sub i32 %x, %y
+  %m = mul i32 %s, 5
+  ret i32 %m
+}
+define i64 @c(i64 %x) {
+entry:
+  %s = add i64 %x, 1
+  %m = mul i64 %s, 7
+  ret i64 %m
+}
+`
+	m, err := irtext.Parse(module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := func(name string) uint64 { return search.HashFunction(m.FuncByName(name)) }
+	ctx := context.Background()
+	_, hs := newTestDaemon(t, Config{})
+	c := client.New(hs.URL, "forged")
+	sc, err := c.CreateSession(ctx, client.CreateSession{Name: "forged", Module: module, Threshold: 2})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	for _, rep := range []string{"c", "b"} {
+		forged := &client.Plan{Folds: []repro.PlannedFold{{Dup: "a", Rep: rep, Profit: 1, DupHash: hash("a"), RepHash: hash(rep)}}}
+		if _, err := sc.Apply(ctx, forged); !client.IsConflict(err) {
+			t.Fatalf("fold of @a into @%s: got %v, want 409 conflict", rep, err)
+		}
+		info, err := sc.Info(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Quarantined {
+			t.Fatalf("fold of @a into @%s quarantined the session", rep)
+		}
+		if _, err := sc.Plan(ctx); err != nil {
+			t.Fatalf("plan after the refused fold into @%s: %v", rep, err)
+		}
+	}
 }
 
 // TestServeAdmission: the session cap, the function quota and the

@@ -78,8 +78,9 @@ var ErrUnknownFunction = driver.ErrUnknownFunction
 var ErrConflictingDelta = driver.ErrConflictingDelta
 
 // ErrStalePlan is wrapped by Session.Apply when a plan's structural
-// hashes no longer match the module. Test with errors.Is; the standard
-// reaction is to Plan again and retry.
+// hashes no longer match the module, or when a fold names two functions
+// that are not duplicates. Test with errors.Is; the standard reaction is
+// to Plan again and retry.
 var ErrStalePlan = driver.ErrStalePlan
 
 // Open builds a Session over m: every candidate and alignment index is
@@ -139,7 +140,7 @@ func (s *Session) Plan(ctx context.Context) (*MergePlan, error) {
 
 // PlanReport is Plan with the dry run's accounting: the Report carries
 // the loop's counters — attempts, memo hits, and the planning funnel's
-// PairsScreened / DPAborted / TrialsBuilt / TrialsSkipped, the counts
+// PairsScreened / TrialsBuilt / TrialsSkipped, the counts
 // Optimize would report on the same module — plus phase timings, with
 // FinalBytes equal to BaselineBytes since a dry run leaves the module
 // as it found it.
@@ -186,8 +187,10 @@ func (s *Session) SearchStats() (SearchStats, error) {
 // Apply commits a plan — typically a possibly-filtered result of Plan —
 // against the module. Every referenced function is verified against the
 // plan's structural hash first; if the module changed underneath the
-// plan, Apply fails with an error naming the stale function. On failure
-// or cancellation the already-committed prefix stays in place.
+// plan, Apply fails with an error naming the stale function. A fold is
+// applied only between structurally identical functions, and priced
+// from the live body. On failure or cancellation the already-committed
+// prefix stays in place.
 func (s *Session) Apply(ctx context.Context, plan *MergePlan) (*Report, error) {
 	return s.s.Apply(ctx, plan)
 }
