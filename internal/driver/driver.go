@@ -408,8 +408,8 @@ type trial struct {
 	err    error
 	// family marks a flatten trial (see family.go): the merged function
 	// is a k-ary body over the plan's sources instead of a pairwise
-	// merge of f1 and f2, and committing rewrites every member thunk.
-	family *flattenPlan
+	// merge of f1 and f2, whose commit rewrites every member thunk.
+	family *memberPlan
 
 	// skipped marks a stage-3 funnel rejection: the trial was never
 	// materialized because its profit provably cannot exceed the gate
@@ -561,16 +561,6 @@ func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Opti
 		return nil
 	}
 	return ares
-}
-
-// commit replaces both originals with thunks into the merged function.
-func commit(f1, f2, merged *ir.Function) {
-	plan, err := core.PlanParams(f1, f2)
-	if err != nil {
-		panic(fmt.Sprintf("driver: committed merge has invalid plan: %v", err))
-	}
-	core.BuildThunk(f1, merged, 0, plan.Maps[0], plan)
-	core.BuildThunk(f2, merged, 1, plan.Maps[1], plan)
 }
 
 // freshName returns base, or base with the first numeric suffix, that

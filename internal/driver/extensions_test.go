@@ -50,11 +50,11 @@ func TestMaxCellsBoundsARun(t *testing.T) {
 		it := align.NewInterner()
 		tooLarge := 0
 		for _, r := range s.recs.of {
-			for _, e := range r.memo {
-				f1, f2, kind := r.fn, e.to.fn, e.kind
+			for _, to := range r.memo {
+				f1, f2 := r.fn, to.fn
 				sa, sb := align.NewSeq(f1, it), align.NewSeq(f2, it)
 				n1, n2 := len(sa.Entries), len(sb.Entries)
-				if kind != pairOutcome || int64(n1+1)*int64(n2+1) <= cells {
+				if int64(n1+1)*int64(n2+1) <= cells {
 					continue
 				}
 				tooLarge++

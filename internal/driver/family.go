@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"time"
 
@@ -282,23 +283,49 @@ holders:
 // callerCheckHook, when a test sets it, sees every caller-check verdict.
 var callerCheckHook func(m *ir.Module, families *familySet, fam *family, got bool)
 
-// flattenPlan describes one family flattening: merge srcs (original
-// bodies in fid order) into a fresh k-ary head, rewrite the live
+// memberPlan describes the members one merge commits: merge srcs
+// (original bodies in fid order) into a fresh head, rewrite the live
 // functions named names to thunk into it, and remove the consumed
-// heads.
-type flattenPlan struct {
+// heads. A flatten (flattenFor) unites a family's stored bodies with a
+// newcomer or another family; a pairwise merge is a family of two live
+// newcomers with no heads (pairPlan).
+type memberPlan struct {
 	// srcs are the merge inputs in fid order: stored original bodies
 	// for existing members, live module functions for newcomers.
 	srcs []*ir.Function
 	// names[i] is the live function that becomes srcs[i]'s thunk.
 	names []string
-	// newcomer[i] reports whether srcs[i] is a live newcomer whose body
+	// newcomer[i] reports whether srcs[i] is a live newcomer, whose body
 	// moves into the registry before it is thunked.
 	newcomer []bool
 	// heads are the consumed family heads, removed at commit.
 	heads []*ir.Function
-	// pplan is the k-ary parameter plan shared by generator and thunks.
+	// pplan is the parameter plan shared by generator and thunks.
 	pplan *core.ParamPlan
+}
+
+// pairPlan is the member plan of the pairwise merge of f1 and f2.
+func pairPlan(f1, f2 *ir.Function) *memberPlan {
+	pplan, err := core.PlanParams(f1, f2)
+	if err != nil {
+		panic(fmt.Sprintf("driver: committed merge has invalid plan: %v", err))
+	}
+	return &memberPlan{
+		srcs:     []*ir.Function{f1, f2},
+		names:    []string{f1.Name(), f2.Name()},
+		newcomer: []bool{true, true},
+		pplan:    pplan,
+	}
+}
+
+// member returns the live function that becomes member i's thunk: a
+// newcomer is its own source, an existing member's thunk is found by
+// name (validMembers checked it is there).
+func (mp *memberPlan) member(m *ir.Module, i int) *ir.Function {
+	if mp.newcomer[i] {
+		return mp.srcs[i]
+	}
+	return m.FuncByName(mp.names[i])
 }
 
 // flattenFor decides whether merging f1 and f2 should flatten into a
@@ -310,7 +337,7 @@ type flattenPlan struct {
 // nil and the pair merges pairwise (a head nests, exactly the
 // historical chain). best is the row's retained trial, if any (see
 // hasExternalCallers).
-func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Function, best *trial) *flattenPlan {
+func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Function, best *trial) *memberPlan {
 	if families == nil || maxFamily < 3 {
 		return nil
 	}
@@ -331,7 +358,7 @@ func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Fun
 	if hasExternalCallers(m, families, fam1, best) || hasExternalCallers(m, families, fam2, best) {
 		return nil
 	}
-	fp := &flattenPlan{}
+	fp := &memberPlan{}
 	add := func(f *ir.Function, fam *family) {
 		if fam == nil {
 			fp.srcs = append(fp.srcs, f)
@@ -397,7 +424,7 @@ func MergedFamilyName(m *ir.Module, names []string) string {
 // every live function the flatten touches (heads, member thunks,
 // newcomers) against the fresh body plus k int-fid thunks. The runner
 // discards the function unless it commits it.
-func planFlattenTrial(ctx context.Context, m *ir.Module, fp *flattenPlan, name string, cfg Config) *trial {
+func planFlattenTrial(ctx context.Context, m *ir.Module, fp *memberPlan, name string, cfg Config) *trial {
 	t := &trial{family: fp}
 	t0, a0 := time.Now(), heapAllocs()
 	merged, stats, err := core.MergeFamilyWithPlanCtx(ctx, m, fp.srcs, name, fp.pplan, cfg.CoreOptions())
@@ -426,55 +453,4 @@ func planFlattenTrial(ctx context.Context, m *ir.Module, fp *flattenPlan, name s
 		len(fp.srcs)*costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
 	t.profit = before - after
 	return t
-}
-
-// commitFlatten applies a successful flatten trial: move the
-// newcomers' bodies into the registry, rewrite every member's live
-// definition into a thunk on the new head, remove the consumed heads
-// from the module, and re-register the family under the new head.
-// retire takes every rewritten thunk and removed head out of play
-// (runner.retire).
-func commitFlatten(m *ir.Module, t *trial, families *familySet, retire func(*ir.Function), markPending func(*ir.Function)) {
-	fp := t.family
-	members := make([]familyMember, len(fp.srcs))
-	for i, nm := range fp.names {
-		if fp.newcomer[i] {
-			members[i] = familyMember{name: nm, body: fp.srcs[i].DetachBody()}
-		} else {
-			members[i] = familyMember{name: nm, body: fp.srcs[i]}
-		}
-	}
-	for i, nm := range fp.names {
-		live := m.FuncByName(nm)
-		core.BuildThunk(live, t.merged, i, fp.pplan.Maps[i], fp.pplan)
-		retire(live)
-	}
-	for _, h := range fp.heads {
-		// Detached first: retire reports h to the reference index, which
-		// re-reads whatever is still in the module. Once every index has
-		// let go of it, the head's body is dead: its members thunk into
-		// the new head, and no stored body calls it (flattenFor checked).
-		m.RemoveFunc(h)
-		retire(h)
-		families.drop(h)
-		ir.Release(h)
-	}
-	families.record(t.merged, members)
-	markPending(t.merged)
-}
-
-// recordPairFamily registers a plain pairwise merge as a two-member
-// family so a later run can flatten it. It must run just before the
-// commit turns f1 and f2 into thunks: it moves their bodies into the
-// registry, leaving both empty. Nest fallbacks (either side already a
-// head, or tracking off) are not recorded: a nested chain beyond
-// MaxFamily stays a chain.
-func recordPairFamily(families *familySet, merged, f1, f2 *ir.Function) {
-	if families == nil || families.isHead(f1) || families.isHead(f2) {
-		return
-	}
-	families.record(merged, []familyMember{
-		{name: f1.Name(), body: f1.DetachBody()},
-		{name: f2.Name(), body: f2.DetachBody()},
-	})
 }

@@ -3,10 +3,12 @@ package driver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/costmodel"
 	"repro/internal/ir"
+	"repro/internal/search"
 	"repro/internal/synth"
 )
 
@@ -307,8 +309,8 @@ func TestFlattenVetoedByRegistryCloneReference(t *testing.T) {
 			t.Fatalf("seed %d: fresh family already vetoed", seed)
 		}
 		// Register a fake family whose stored body calls the head —
-		// the shape recordPairFamily produces when a direct caller of
-		// the head is itself consumed by a merge.
+		// the shape a tracked pair commit produces when a direct caller
+		// of the head is itself consumed by a merge.
 		caller := ir.NewFunction("ext.caller", ir.FuncOf(head.Sig().Ret, head.Sig().Params...))
 		entry := caller.NewBlockIn("entry")
 		args := make([]ir.Value, len(caller.Params()))
@@ -366,7 +368,7 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 				break
 			}
 		}
-		memoPut(s, head, other, flattenOutcome)
+		memoPut(s, head, other)
 		// Break the family: gut one member so it no longer thunks into
 		// the head, and report the edit.
 		member := m.FuncByName(fam.members[0].name)
@@ -392,13 +394,11 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 	t.Skip("no seed produced a family")
 }
 
-// TestFamilyBreakKeepsPairOutcomes: a family break forgets only the
-// memo entries it can change. A pair outcome between the broken head and
-// a function that heads no family stays — neither side can flatten, so
-// its trial is the same pure function of two unchanged bodies — while a
-// pair outcome against a partner that still heads a family goes, since
-// the two may flatten now.
-func TestFamilyBreakKeepsPairOutcomes(t *testing.T) {
+// TestFamilyBreakForgetsHeadPairs: a family break forgets every memo
+// pair naming the broken head, in either direction and whoever the
+// partner — a plain function or another head — and keeps every pair
+// that does not name it.
+func TestFamilyBreakForgetsHeadPairs(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		m := chainModule(t, seed)
 		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
@@ -407,10 +407,13 @@ func TestFamilyBreakKeepsPairOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 		optimizeToFixpoint(t, s)
-		var heads []*ir.Function
+		var heads, plain []*ir.Function
 		for _, f := range m.Defined() {
-			if s.families.isHead(f) {
+			switch {
+			case s.families.isHead(f):
 				heads = append(heads, f)
+			case s.recs.of[f] != nil:
+				plain = append(plain, f)
 			}
 		}
 		if len(heads) < 2 {
@@ -418,21 +421,19 @@ func TestFamilyBreakKeepsPairOutcomes(t *testing.T) {
 			continue
 		}
 		head, partner := heads[0], heads[1]
-		fam := s.families.byHead[head]
-		member := m.FuncByName(fam.members[0].name)
-		var loner *ir.Function
-		for _, f := range m.Defined() {
-			if !s.families.isHead(f) && f != member && s.recs.of[f] != nil {
-				loner = f
-				break
-			}
+		member := m.FuncByName(s.families.byHead[head].members[0].name)
+		plain = slices.DeleteFunc(plain, func(f *ir.Function) bool { return f == member })
+		if len(plain) < 2 {
+			t.Fatal("fewer than two indexed functions head no family")
 		}
-		if loner == nil {
-			t.Fatal("every function heads a family")
-		}
+		loner, other := plain[0], plain[1]
 		for _, f := range []*ir.Function{loner, partner} {
-			memoPut(s, head, f, pairOutcome)
-			memoPut(s, f, head, pairOutcome)
+			memoPut(s, head, f)
+			memoPut(s, f, head)
+		}
+		kept := [][2]*ir.Function{{loner, other}, {other, loner}, {partner, loner}, {other, partner}}
+		for _, p := range kept {
+			memoPut(s, p[0], p[1])
 		}
 		member.Clear()
 		if err := s.Update(context.Background(), member.Name()); err != nil {
@@ -447,16 +448,154 @@ func TestFamilyBreakKeepsPairOutcomes(t *testing.T) {
 		if !s.families.isHead(partner) {
 			t.Fatal("the partner's intact family was dropped")
 		}
-		if !memoHas(s, head, loner) || !memoHas(s, loner, head) {
-			t.Error("the family break forgot a pair outcome against a function that heads no family")
+		if r := s.recs.of[head]; len(r.memo)+len(r.back) != 0 {
+			t.Errorf("the broken head keeps %d memo and %d back entries", len(r.memo), len(r.back))
 		}
-		if memoHas(s, head, partner) || memoHas(s, partner, head) {
-			t.Error("the family break kept a pair outcome against a family head")
+		for _, f := range []*ir.Function{loner, partner} {
+			if memoHas(s, head, f) || memoHas(s, f, head) {
+				t.Errorf("the family break kept a pair between the head and @%s", f.Name())
+			}
+		}
+		for _, p := range kept {
+			if !memoHas(s, p[0], p[1]) {
+				t.Errorf("the family break forgot (@%s, @%s), which does not name the head", p[0].Name(), p[1].Name())
+			}
+		}
+		for _, r := range s.recs.of {
+			checkMemo(t, s, r, "after the break")
 		}
 		s.Close()
 		return
 	}
 	t.Skip("no seed produced two families")
+}
+
+// TestCommitShapes pins what one commit path registers for each shape
+// of merge under family tracking: a pairwise merge of two plain
+// functions records a two-member family holding the originals' bodies;
+// a pairwise merge with a head on one side (a nest) records nothing and
+// leaves that head's family as it was; a flatten re-registers the
+// united members under the new head, keeps the stored bodies of the
+// members it already had, and drops the heads it consumed.
+func TestCommitShapes(t *testing.T) {
+	ctx := context.Background()
+	sawPair, sawFlatten, sawNest := false, false, false
+	for seed := int64(1); seed <= 6; seed++ {
+		base := chainModule(t, seed)
+		m := ir.CloneModule(base)
+		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
+		s, err := OpenSession(ctx, m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A tracked pair: two members, in merge order, each holding the
+		// body its original had before the run.
+		first, err := s.Optimize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range first.Merges {
+			if !rec.Committed {
+				continue
+			}
+			sawPair = true
+			fam := s.families.byHead[m.FuncByName(rec.Merged)]
+			if fam == nil || len(fam.members) != 2 {
+				t.Fatalf("seed %d: pair @%s + @%s registered %v, want a two-member family", seed, rec.F1, rec.F2, fam)
+			}
+			for i, name := range []string{rec.F1, rec.F2} {
+				mb := fam.members[i]
+				if mb.name != name || mb.body.String() != base.FuncByName(name).String() {
+					t.Errorf("seed %d: member %d of @%s is @%s, not @%s's original body", seed, i, rec.Merged, mb.name, name)
+				}
+			}
+		}
+		// A flatten: the registry before the run says which stored
+		// bodies the new head must keep and which heads must go.
+		stored := map[string]*ir.Function{}
+		headOf := map[string]*ir.Function{}
+		for head, fam := range s.families.byHead {
+			for _, mb := range fam.members {
+				stored[mb.name], headOf[mb.name] = mb.body, head
+			}
+		}
+		texts := map[string]string{}
+		for _, f := range m.Defined() {
+			texts[f.Name()] = f.String()
+		}
+		second, err := s.Optimize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range second.Merges {
+			if !rec.Committed || len(rec.Family) == 0 {
+				continue
+			}
+			sawFlatten = true
+			fam := s.families.byHead[m.FuncByName(rec.Merged)]
+			if fam == nil || len(fam.members) != len(rec.Family) {
+				t.Fatalf("seed %d: flatten into @%s registered %v, want %v", seed, rec.Merged, fam, rec.Family)
+			}
+			for i, name := range rec.Family {
+				mb := fam.members[i]
+				switch old := stored[name]; {
+				case mb.name != name:
+					t.Errorf("seed %d: member %d of @%s is @%s, want @%s", seed, i, rec.Merged, mb.name, name)
+				case old != nil && mb.body != old:
+					t.Errorf("seed %d: flatten into @%s replaced @%s's stored body", seed, rec.Merged, name)
+				case old == nil && mb.body.String() != texts[name]:
+					t.Errorf("seed %d: newcomer @%s's stored body is not its body before the run", seed, name)
+				}
+				if h := headOf[name]; h != nil && (s.families.isHead(h) || h.Parent() != nil) {
+					t.Errorf("seed %d: consumed head @%s survived the flatten into @%s", seed, h.Name(), rec.Merged)
+				}
+			}
+		}
+		// A nest: merge a head pairwise with a plain function through
+		// Apply, which commits a plan entry without a member list as a
+		// pair whatever flattenFor would say.
+		for head, fam := range s.families.byHead {
+			var plain *ir.Function
+			for _, f := range m.Defined() {
+				if _, member := headOf[f.Name()]; f != head && !member && !s.families.isHead(f) &&
+					s.recs.of[f] != nil && ir.TypesEqual(f.Sig().Ret, head.Sig().Ret) && !f.Sig().Variadic {
+					plain = f
+					break
+				}
+			}
+			if plain == nil {
+				continue
+			}
+			sawNest = true
+			members, families := fam.members, len(s.families.byHead)
+			applied, err := s.Apply(ctx, &Plan{Merges: []PlannedMerge{{
+				F1: head.Name(), F2: plain.Name(),
+				Hash1: search.HashFunction(head), Hash2: search.HashFunction(plain),
+			}}})
+			if err != nil {
+				t.Fatalf("seed %d: Apply: %v", seed, err)
+			}
+			merged := m.FuncByName(applied.Merges[0].Merged)
+			if s.families.isHead(merged) || len(s.families.byHead) != families {
+				t.Errorf("seed %d: nesting @%s registered a family", seed, head.Name())
+			}
+			if cur := s.families.byHead[head]; cur == nil || !slices.Equal(cur.members, members) {
+				t.Errorf("seed %d: nesting @%s changed its own family", seed, head.Name())
+			}
+			if !isThunkTo(head, merged) || !isThunkTo(plain, merged) {
+				t.Errorf("seed %d: the nest did not thunk both sides into @%s", seed, merged.Name())
+			}
+			break
+		}
+		if err := ir.VerifyModule(m); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		diffModule(t, base, m, fmt.Sprintf("seed %d", seed))
+		s.Close()
+	}
+	if !sawPair || !sawFlatten || !sawNest {
+		t.Fatalf("the chain suite no longer exercises every shape: pair %v, flatten %v, nest %v", sawPair, sawFlatten, sawNest)
+	}
 }
 
 // TestFamilyOutcomeMemoSteadyState: once a family reaches fixpoint, the

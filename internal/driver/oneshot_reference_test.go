@@ -10,6 +10,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/fmsa"
 	"repro/internal/ir"
@@ -124,7 +125,12 @@ commitLoop:
 			discard(best)
 		} else {
 			rec.Merged = best.merged.Name()
-			commit(f1, best.f2, best.merged)
+			plan, err := core.PlanParams(f1, best.f2)
+			if err != nil {
+				panic(err)
+			}
+			core.BuildThunk(f1, best.merged, 0, plan.Maps[0], plan)
+			core.BuildThunk(best.f2, best.merged, 1, plan.Maps[1], plan)
 			consumed[f1] = true
 			consumed[best.f2] = true
 			finder.Remove(f1)

@@ -17,15 +17,16 @@ import (
 // finder's, a linearization to align it and a size to price it) — and
 // its row of the outcome memo.
 //
-// The memo holds the candidate pairs whose trial finished unprofitable,
-// or whose bound ruled any profit out. A pairwise trial is a pure
-// function of the two bodies and the generator options, so while
-// neither body changes the pair is skipped on every later run — this is
-// what makes a re-optimize after a small delta pay only for the delta.
-// memo lists the partners of the directed pairs (fn, partner) with the
-// kind of trial that ruled each out; back lists the records whose rows
-// name this one, so that reset can unlink both directions. Trials that
-// error (cancellation, matrix caps) are never memoized.
+// The memo holds the candidate pairs for which every trial the row ran
+// finished unprofitable, or whose bound ruled any profit out. A trial
+// is a pure function of the two bodies, the generator options and, for
+// a flatten, the families behind them, so while none of these changes
+// the pair is skipped on every later run — this is what makes a
+// re-optimize after a small delta pay only for the delta. memo lists
+// the partners of the directed pairs (fn, partner); back lists the
+// records whose rows name this one, so that forget can unlink both
+// directions. Trials that error (cancellation, matrix caps) are never
+// memoized.
 type record struct {
 	fn     *ir.Function
 	name   string
@@ -35,84 +36,43 @@ type record struct {
 	seqOK  bool
 	seq    align.Seq
 	prof   *costmodel.FuncProfile
-	memo   []memoEntry
+	memo   []*record
 	back   []*record
 }
 
-// memoEntry is one memoized pair: the partner's record and the trial
-// that ruled the pair out.
-type memoEntry struct {
-	to   *record
-	kind outcomeKind
-}
-
-// outcomeKind is the trial a memo entry stands for.
-type outcomeKind uint8
-
-const (
-	// pairOutcome is a pairwise trial, or the bound that ruled one out.
-	pairOutcome outcomeKind = iota + 1
-	// flattenOutcome is a flatten trial (family.go).
-	flattenOutcome
-)
-
 // memoized reports whether the pair (r, to) is memoized as unprofitable.
 func (r *record) memoized(to *record) bool {
-	for _, e := range r.memo {
-		if e.to == to {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(r.memo, to)
 }
 
 // remember memoizes the pair (r, to), which must not be memoized yet,
-// as unprofitable, found by a trial of kind.
-func (r *record) remember(to *record, kind outcomeKind) {
-	r.memo = append(r.memo, memoEntry{to, kind})
+// as unprofitable.
+func (r *record) remember(to *record) {
+	r.memo = append(r.memo, to)
 	to.back = append(to.back, r)
 }
 
-// forget drops every memoized pair between r and another record, in
-// either direction, that drop selects by the pair's trial and the other
-// record.
-func (r *record) forget(drop func(kind outcomeKind, other *record) bool) {
-	r.memo = slices.DeleteFunc(r.memo, func(e memoEntry) bool {
-		if !drop(e.kind, e.to) {
-			return false
-		}
-		i := slices.Index(e.to.back, r)
-		e.to.back = slices.Delete(e.to.back, i, i+1)
-		return true
-	})
-	r.back = slices.DeleteFunc(r.back, func(b *record) bool {
-		i := slices.IndexFunc(b.memo, func(e memoEntry) bool { return e.to == r })
-		if !drop(b.memo[i].kind, b) {
-			return false
-		}
+// forget drops every memoized pair naming r, in either direction: r's
+// body changed (reset), or the family r headed broke, and a pair's
+// verdict stands only while the bodies and families it was taken
+// against do.
+func (r *record) forget() {
+	for _, to := range r.memo {
+		i := slices.Index(to.back, r)
+		to.back = slices.Delete(to.back, i, i+1)
+	}
+	for _, b := range r.back {
+		i := slices.Index(b.memo, r)
 		b.memo = slices.Delete(b.memo, i, i+1)
-		return true
-	})
-}
-
-// forgetFamily drops what r, the head of a family that just broke,
-// memoized that the break can change: its flatten outcomes, and its pair
-// outcomes against a partner that heads a family (isHead), which r may
-// now flatten with. Its other pair outcomes stand: neither side heads a
-// family, and only a freshly merged function ever becomes a head, so the
-// pair can never start to flatten — its trial stays the pure function of
-// two unchanged bodies it was.
-func (r *record) forgetFamily(isHead func(*ir.Function) bool) {
-	r.forget(func(kind outcomeKind, other *record) bool {
-		return kind == flattenOutcome || isHead(other.fn)
-	})
+	}
+	r.memo, r.back = nil, nil
 }
 
 // records is a session's one per-function table: a record exists
 // exactly while its function is indexed, and reset is the one rule by
 // which what it knows dies, its memo pairs included: a re-index, an
-// unindex and a commit's retire invalidate the memo through it, and
-// only a family break (forgetFamily) drops an entry any other way.
+// unindex and a commit's retire invalidate the memo through it, and a
+// family break drops the pairs naming its head with the same forget.
 // Every sequence is interned by one Interner, so the class IDs of any
 // two records are comparable — the precondition of costmodel.Bound.
 // Only the session's own calls, which it serializes, touch it.
@@ -154,7 +114,7 @@ func (t *records) reset(f *ir.Function) {
 	if r.seqOK {
 		t.stats.Functions--
 	}
-	r.forget(func(outcomeKind, *record) bool { return true })
+	r.forget()
 	*r = record{fn: r.fn, name: r.name, size: r.size}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/align"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/search"
@@ -41,8 +42,8 @@ type runner struct {
 	recs *records
 	// families, when non-nil, is the session's merge-family registry:
 	// pairs involving a family head flatten (family.go) instead of
-	// nesting, and every pairwise commit records a new two-member
-	// family.
+	// nesting, and every commit registers its members behind the new
+	// head unless it nests (commitMerge).
 	families *familySet
 	runID    int64
 	res      *Result
@@ -196,9 +197,7 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			return nil, c, err
 		}
 		var t *trial
-		kind := pairOutcome
 		if fp != nil {
-			kind = flattenOutcome
 			// Family flattening replaces the pairwise trial: merge the
 			// family's original bodies plus the newcomer into one fresh
 			// k-ary candidate.
@@ -235,7 +234,7 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 					c.Attempts++
 					c.PairsScreened++
 					if bd.UB <= 0 {
-						rec1.remember(rec2, pairOutcome)
+						rec1.remember(rec2)
 					}
 					continue
 				}
@@ -256,14 +255,14 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			// planned under; memoize only bounds that rule out any
 			// profit at all.
 			if t.bound <= 0 {
-				rec1.remember(rec2, kind)
+				rec1.remember(rec2)
 			}
 		case t.profit > 0 && (best == nil || t.profit > best.profit):
 			r.discard(best)
 			best = t
 		default:
 			if t.profit <= 0 {
-				rec1.remember(rec2, kind)
+				rec1.remember(rec2)
 			}
 			r.discard(t)
 		}
@@ -281,7 +280,7 @@ func (r *runner) pairTrial(ctx context.Context, r1, r2 *record, g trialGate) *tr
 }
 
 // flattenTrial plans the k-ary re-merge fp describes for the pair.
-func (r *runner) flattenTrial(ctx context.Context, fp *flattenPlan, f1, f2 *ir.Function) *trial {
+func (r *runner) flattenTrial(ctx context.Context, fp *memberPlan, f1, f2 *ir.Function) *trial {
 	t := planFlattenTrial(ctx, r.m, fp, freshName(r.m, familyBaseName(fp.names), r.claimed), r.cfg)
 	t.f1, t.f2 = f1, f2
 	return t
@@ -318,41 +317,29 @@ func (r *runner) commitStep(t *trial) {
 	// A record says what was merged, the same on every run; what it took
 	// is in the Counters.
 	rec.Stats.BuildTime, rec.Stats.RepairTime = 0, 0
-	if t.family != nil {
-		rec.Family = append([]string(nil), t.family.names...)
+	mp := t.family
+	if mp != nil {
+		rec.Family = append([]string(nil), mp.names...)
+	} else {
+		mp = pairPlan(f1, f2)
 	}
 	switch {
 	case r.cfg.CommitFilter != nil && !r.cfg.CommitFilter(r.mergeIdx):
 		// Filtered: recorded, not applied; both functions stay in play.
 	case r.plan == nil:
 		rec.Committed = true
+		r.commitMerge(mp, t.merged)
 		if t.family != nil {
-			// Flatten: rewrite every member thunk onto the fresh k-ary
-			// head and drop the consumed heads; the rewritten thunks are
-			// retired with their heads.
-			commitFlatten(r.m, t, r.families, r.retire, r.markPending)
 			res.Flattened++
-		} else {
-			recordPairFamily(r.families, t.merged, f1, f2)
-			commit(f1, f2, t.merged)
-			r.retire(f1)
-			r.retire(f2)
-			r.markPending(t.merged)
 		}
 	default:
 		// Dry mode: the merge is a proposal, not an applied change; it
 		// retires what the commit would.
-		r.retire(f1)
-		r.retire(f2)
-		if t.family != nil {
-			for _, h := range t.family.heads {
-				r.retire(h)
-			}
-			for _, nm := range t.family.names {
-				if live := r.m.FuncByName(nm); live != nil {
-					r.retire(live)
-				}
-			}
+		for i := range mp.names {
+			r.retire(mp.member(r.m, i))
+		}
+		for _, h := range mp.heads {
+			r.retire(h)
 		}
 		r.claimed[rec.Merged] = true
 		r.plan.Merges = append(r.plan.Merges, PlannedMerge{
@@ -374,4 +361,46 @@ func (r *runner) commitStep(t *trial) {
 		Merged: rec.Merged, Profit: rec.Profit, Committed: rec.Committed, Done: r.mergeIdx,
 	})
 	res.CommitTime += time.Since(c0)
+}
+
+// commitMerge applies a winning trial, whose merged function heads the
+// members mp describes — a pairwise merge is a family of two newcomers
+// (pairPlan). Every member's live definition becomes a thunk into the
+// head and is retired, the consumed heads leave the module, and under
+// family tracking the members' original bodies are registered behind
+// the head, each newcomer's moved out of its live definition first. A
+// newcomer that already heads a family nests instead and registers
+// nothing: a nested chain beyond MaxFamily stays a chain.
+func (r *runner) commitMerge(mp *memberPlan, merged *ir.Function) {
+	track := r.families != nil
+	for i, src := range mp.srcs {
+		track = track && !(mp.newcomer[i] && r.families.isHead(src))
+	}
+	var members []familyMember
+	for i, nm := range mp.names {
+		live := mp.member(r.m, i)
+		if track {
+			body := mp.srcs[i]
+			if mp.newcomer[i] {
+				body = live.DetachBody()
+			}
+			members = append(members, familyMember{name: nm, body: body})
+		}
+		core.BuildThunk(live, merged, i, mp.pplan.Maps[i], mp.pplan)
+		r.retire(live)
+	}
+	for _, h := range mp.heads {
+		// Detached first: retire reports h to the reference index, which
+		// re-reads whatever is still in the module. Once every index has
+		// let go of it, the head's body is dead: its members thunk into
+		// the new head, and no stored body calls it (flattenFor checked).
+		r.m.RemoveFunc(h)
+		r.retire(h)
+		r.families.drop(h)
+		ir.Release(h)
+	}
+	if track {
+		r.families.record(merged, members)
+	}
+	r.markPending(merged)
 }

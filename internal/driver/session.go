@@ -230,22 +230,18 @@ func (s *Session) sync() {
 }
 
 // pruneFamilies revalidates every family a just-synced change touches
-// (by head or member name): a broken family is dropped and what its head
-// memoized that the break can change is forgotten
-// (record.forgetFamily). A flatten trial's profit depends on the
-// family registry, not just the two bodies, so a head's unprofitable
-// flatten entries must not outlive the family they were recorded
-// against — otherwise a later (possibly profitable) pairwise nest of the
-// same pair would be suppressed forever. The memo is pruned once every
-// broken family is gone, so that which partners still head a family does
-// not depend on the order the families are visited in. Families that
+// (by head or member name): a broken family is dropped and every memo
+// pair naming its head is forgotten (record.forget, as reset does). A
+// trial with a head on either side ran against the family registry —
+// as a flatten, or as a nest where flattenFor declined — so its verdict
+// must not outlive the family it was taken against: the pair may
+// flatten, or nest profitably, now. Families that
 // still validate — including ones a commit just recorded, whose members
 // are pending as freshly rewritten thunks — are untouched.
 func (s *Session) pruneFamilies(touched map[string]bool) {
 	if s.families == nil {
 		return
 	}
-	var broken []*ir.Function
 	for head, fam := range s.families.byHead {
 		relevant := touched[head.Name()]
 		for _, mb := range fam.members {
@@ -255,12 +251,9 @@ func (s *Session) pruneFamilies(touched map[string]bool) {
 			relevant = touched[mb.name]
 		}
 		if relevant && s.families.validMembers(s.m, head) == nil {
-			broken = append(broken, head)
-		}
-	}
-	for _, head := range broken {
-		if r := s.recs.of[head]; r != nil {
-			r.forgetFamily(s.families.isHead)
+			if r := s.recs.of[head]; r != nil {
+				r.forget()
+			}
 		}
 	}
 }

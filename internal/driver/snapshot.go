@@ -180,8 +180,8 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 			continue
 		}
 		row := len(pairs)
-		for _, e := range s.recs.of[f1].memo {
-			if i2, ok := pos[e.to.fn]; ok && !s.families.isHead(e.to.fn) {
+		for _, to := range s.recs.of[f1].memo {
+			if i2, ok := pos[to.fn]; ok && !s.families.isHead(to.fn) {
 				pairs = append(pairs, [2]int{i1, i2})
 			}
 		}
@@ -281,7 +281,7 @@ func OpenSessionWithSnapshot(ctx context.Context, m *ir.Module, cfg Config, snap
 		// back is pairwise. A pair listed twice is restored once.
 		if f1, f2 := matched[i1], matched[i2]; f1 != nil && f2 != nil && f1 != f2 {
 			if r1, r2 := s.recs.of[f1], s.recs.of[f2]; !r1.memoized(r2) {
-				r1.remember(r2, pairOutcome)
+				r1.remember(r2)
 			}
 		}
 	}

@@ -97,15 +97,15 @@ func checkRecords(t *testing.T, s *Session, when string) {
 // r once.
 func checkMemo(t *testing.T, s *Session, r *record, when string) {
 	t.Helper()
-	for _, e := range r.memo {
+	for _, to := range r.memo {
 		switch {
-		case e.to == r:
+		case to == r:
 			t.Errorf("%s: @%s's memo pairs it with itself", when, r.name)
-		case s.recs.of[e.to.fn] != e.to:
-			t.Errorf("%s: @%s's memo names @%s, which has no live record", when, r.name, e.to.name)
-		case countMemo(r, e.to) != 1 || countBack(e.to, r) != 1:
+		case s.recs.of[to.fn] != to:
+			t.Errorf("%s: @%s's memo names @%s, which has no live record", when, r.name, to.name)
+		case countMemo(r, to) != 1 || countBack(to, r) != 1:
 			t.Errorf("%s: @%s's memo names @%s %d times, whose back list names it %d times",
-				when, r.name, e.to.name, countMemo(r, e.to), countBack(e.to, r))
+				when, r.name, to.name, countMemo(r, to), countBack(to, r))
 		}
 	}
 	for _, b := range r.back {
@@ -118,8 +118,8 @@ func checkMemo(t *testing.T, s *Session, r *record, when string) {
 // countMemo counts the entries of r's memo row naming to.
 func countMemo(r, to *record) int {
 	n := 0
-	for _, e := range r.memo {
-		if e.to == to {
+	for _, x := range r.memo {
+		if x == to {
 			n++
 		}
 	}
@@ -143,17 +143,12 @@ func memoHas(s *Session, f1, f2 *ir.Function) bool {
 	return r1 != nil && r2 != nil && r1.memoized(r2)
 }
 
-// memoPut memoizes (f1, f2) as found by a trial of kind, whether or not
-// the pair is memoized already, as a test seeding the memo needs.
-func memoPut(s *Session, f1, f2 *ir.Function, kind outcomeKind) {
-	r1, r2 := s.recs.of[f1], s.recs.of[f2]
-	for i := range r1.memo {
-		if r1.memo[i].to == r2 {
-			r1.memo[i].kind = kind
-			return
-		}
+// memoPut memoizes (f1, f2), whether or not the pair is memoized
+// already, as a test seeding the memo needs.
+func memoPut(s *Session, f1, f2 *ir.Function) {
+	if r1, r2 := s.recs.of[f1], s.recs.of[f2]; !r1.memoized(r2) {
+		r1.remember(r2)
 	}
-	r1.remember(r2, kind)
 }
 
 // TestFinderExactAfterSync: twenty rounds of what a build service sends

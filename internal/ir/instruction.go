@@ -336,9 +336,26 @@ func NewGEP(name string, base Value, indices ...Value) *Instruction {
 }
 
 func gepResultType(base Type, indices []Value) Type {
+	t, err := GEPType(base, indices)
+	if err != nil {
+		panic("ir: " + err.Error())
+	}
+	return t
+}
+
+// GEPType returns the pointer type a getelementptr over a base of type
+// base with the given indices yields, or why there is none: the base
+// must be a pointer, there must be at least one index, and each index
+// after the first must step into an array or, as a constant in range,
+// into a struct. NewGEP panics where GEPType errs; a parser checks here
+// first.
+func GEPType(base Type, indices []Value) (Type, error) {
 	pt, ok := base.(*PointerType)
 	if !ok {
-		panic("ir: gep base is not a pointer")
+		return nil, fmt.Errorf("gep base is not a pointer")
+	}
+	if len(indices) == 0 {
+		return nil, fmt.Errorf("gep without an index")
 	}
 	t := pt.Elem
 	for _, idx := range indices[1:] {
@@ -347,15 +364,15 @@ func gepResultType(base Type, indices []Value) Type {
 			t = cur.Elem
 		case *StructType:
 			ci, ok := idx.(*ConstInt)
-			if !ok || int(ci.V) < 0 || int(ci.V) >= len(cur.Fields) {
-				panic("ir: gep struct index must be a valid constant")
+			if !ok || ci.V < 0 || ci.V >= int64(len(cur.Fields)) {
+				return nil, fmt.Errorf("gep struct index must be a valid constant")
 			}
 			t = cur.Fields[ci.V]
 		default:
-			panic(fmt.Sprintf("ir: gep cannot index into %v", t))
+			return nil, fmt.Errorf("gep cannot index into %v", t)
 		}
 	}
-	return PtrTo(t)
+	return PtrTo(t), nil
 }
 
 // NewCast returns a conversion of v to the target type using opcode op.

@@ -1,6 +1,8 @@
 package irtext
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/synth"
@@ -49,17 +51,33 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzParseInto splices arbitrary fragments into a fixed base module: no
-// panic, and a failed splice must leave the module untouched.
+// FuzzParseInto splices arbitrary fragments into a fixed base module
+// under a check that refuses any fragment redefining @twice, as a
+// session refuses a batch that also removes a name it defines: no
+// panic, a failed or refused splice leaves the printed module
+// byte-identical, and an accepted one prints a module that parses.
 func FuzzParseInto(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Add("define i32 @inc(i32 %y) {\nentry:\n  %r = add i32 %y, 3\n  ret i32 %r\n}\n")
+	f.Add("define i32 @inc(i32 %y) {\nentry:\n  ret i32 %y\n}\ndefine i32 @twice(i32 %x) {\nentry:\n  ret i32 %x\n}\n")
+	f.Add("define i32 @inc(i32 %y) {\nentry:\n  ret i32 %y\n}\ndefine i32 @fresh(i32 %x) {\n}\n")
+	for _, depth := range []int{MaxTypeDepth, MaxTypeDepth + 1} {
+		f.Add("@deep = external global " + nested(depth, false) + "\n")
+		f.Add("define void @deep(" + nested(depth, true) + "* %p) {\nentry:\n  ret void\n}\n")
+	}
+	refuse := errors.New("batch also removes @twice")
 	f.Fuzz(func(t *testing.T, src string) {
 		m := MustParse(spliceBase)
 		before := m.String()
-		if _, err := ParseInto(m, src); err != nil {
+		_, err := ParseIntoChecked(m, src, func(names []string) error {
+			if slices.Contains(names, "twice") {
+				return refuse
+			}
+			return nil
+		})
+		if err != nil {
 			if got := m.String(); got != before {
 				t.Fatalf("failed splice mutated module:\n--- before\n%s\n--- after\n%s", before, got)
 			}

@@ -22,6 +22,17 @@ import (
 // The returned names are the functions src defined (new or redefined),
 // in fragment order — the set a driver.Session needs passed to Update.
 func ParseInto(m *ir.Module, src string) ([]string, error) {
+	return ParseIntoChecked(m, src, nil)
+}
+
+// ParseIntoChecked is ParseInto with a veto: once the whole fragment has
+// parsed, and before any body is grafted, check (when non-nil) is given
+// the names src defines. If it fails, the module is rolled back exactly
+// as on a parse error and check's error is returned as is; if it
+// succeeds, the bodies are grafted, which cannot fail. A caller that
+// must record the delta elsewhere (a session's marks) does it in check,
+// so that the module changes only if the record took.
+func ParseIntoChecked(m *ir.Module, src string, check func(defined []string) error) ([]string, error) {
 	if m == nil {
 		return nil, fmt.Errorf("irtext: ParseInto on nil module")
 	}
@@ -31,7 +42,15 @@ func ParseInto(m *ir.Module, src string) ([]string, error) {
 	}
 	baseFuncs, baseGlobals := len(m.Funcs), len(m.Globals)
 	p := &parser{toks: toks, m: m, into: true}
-	if err := p.parseModule(); err != nil {
+	err = p.parseModule()
+	names := make([]string, 0, len(p.definedOrder))
+	for _, f := range p.definedOrder {
+		names = append(names, f.Name())
+	}
+	if err == nil && check != nil {
+		err = check(names)
+	}
+	if err != nil {
 		// Roll back everything the fragment added. Bodies only ever
 		// landed in detached donors, and module-level values (functions,
 		// globals) are not use-tracked, so dropping the additions cannot
@@ -44,9 +63,12 @@ func ParseInto(m *ir.Module, src string) ([]string, error) {
 		m.Globals = m.Globals[:baseGlobals]
 		return nil, err
 	}
-	names := make([]string, 0, len(p.definedOrder))
-	for _, f := range p.definedOrder {
-		names = append(names, f.Name())
+	for _, b := range p.bodies {
+		if err := b.fn.AdoptBody(b.donor); err != nil {
+			// Unreachable by construction: header parsing pinned the
+			// signature and the donor is detached and defined.
+			panic(fmt.Sprintf("irtext: splicing @%s: %v", b.fn.Name(), err))
+		}
 	}
 	return names, nil
 }

@@ -1,6 +1,8 @@
 package irtext
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -243,5 +245,112 @@ entry:
 `)
 	if err == nil || !strings.Contains(err.Error(), "defined twice") {
 		t.Fatalf("err = %v, want duplicate define", err)
+	}
+}
+
+// nested returns a struct (or, with array, an array) type nested depth
+// levels deep around i32.
+func nested(depth int, array bool) string {
+	if array {
+		return strings.Repeat("[1 x ", depth) + "i32" + strings.Repeat("]", depth)
+	}
+	return strings.Repeat("{", depth) + "i32" + strings.Repeat("}", depth)
+}
+
+// TestTypeDepthCap: types nest up to MaxTypeDepth levels and no
+// deeper, through Parse and through ParseInto, whose module a refused
+// fragment leaves byte-identical. Without the cap a deep enough type
+// overflows the parser's stack, which kills the process.
+func TestTypeDepthCap(t *testing.T) {
+	for _, array := range []bool{false, true} {
+		for _, depth := range []int{MaxTypeDepth, MaxTypeDepth + 1} {
+			ty := nested(depth, array)
+			src := "@deep = external global " + ty + "\n" +
+				"define void @deep_fn(" + ty + "* %p) {\nentry:\n  ret void\n}\n"
+			ok := depth <= MaxTypeDepth
+			if _, err := Parse(src); (err == nil) != ok {
+				t.Errorf("Parse of a type %d deep (array %v): err %v", depth, array, err)
+			}
+			m := MustParse(spliceBase)
+			before := m.String()
+			_, err := ParseInto(m, src)
+			switch {
+			case (err == nil) != ok:
+				t.Errorf("ParseInto of a type %d deep (array %v): err %v", depth, array, err)
+			case err != nil && m.String() != before:
+				t.Errorf("a refused ParseInto of a type %d deep changed the module", depth)
+			case err == nil && m.FuncByName("deep_fn") == nil:
+				t.Errorf("ParseInto of a type %d deep did not define @deep_fn", depth)
+			}
+		}
+	}
+}
+
+// TestParseIntoCheckedVeto: check sees the names the fragment defines,
+// in order, before anything is grafted; its refusal rolls the module
+// back and comes back as is, its consent grafts every body.
+func TestParseIntoCheckedVeto(t *testing.T) {
+	frag := `
+define i32 @inc(i32 %y) {
+entry:
+  %r = add i32 %y, 2
+  ret i32 %r
+}
+
+define i32 @fresh(i32 %x) {
+entry:
+  ret i32 %x
+}
+`
+	m := MustParse(spliceBase)
+	before := m.String()
+	veto := errors.New("vetoed")
+	var seen []string
+	_, err := ParseIntoChecked(m, frag, func(names []string) error {
+		seen = names
+		if !strings.Contains(m.String(), "add i32 %x, 1") {
+			t.Error("a body was grafted before check ran")
+		}
+		return veto
+	})
+	if err != veto {
+		t.Fatalf("err = %v, want the check's own error", err)
+	}
+	if !slices.Equal(seen, []string{"inc", "fresh"}) {
+		t.Fatalf("check saw %v, want [inc fresh]", seen)
+	}
+	if m.String() != before || m.FuncByName("fresh") != nil {
+		t.Fatalf("a vetoed splice changed the module:\n%s", m.String())
+	}
+	names, err := ParseIntoChecked(m, frag, func([]string) error { return nil })
+	if err != nil || !slices.Equal(names, seen) {
+		t.Fatalf("consented splice: names %v, err %v", names, err)
+	}
+	if !strings.Contains(m.String(), "add i32 %y, 2") {
+		t.Fatalf("consented splice did not graft @inc:\n%s", m.String())
+	}
+}
+
+// TestParseIntoEmptyBodyGraftsNothing: a definition without a block is
+// a parse error before anything is grafted, even when an earlier body
+// in the same fragment parsed cleanly.
+func TestParseIntoEmptyBodyGraftsNothing(t *testing.T) {
+	m := MustParse(spliceBase)
+	before := m.String()
+	_, err := ParseInto(m, `
+define i32 @inc(i32 %y) {
+entry:
+  %r = add i32 %y, 2
+  ret i32 %r
+}
+
+define i32 @twice(i32 %x) {
+}
+`)
+	if err == nil || !strings.Contains(err.Error(), "without a block") {
+		t.Fatalf("err = %v, want a definition without a block", err)
+	}
+	if got := m.String(); got != before {
+		t.Fatalf("module changed across a failed splice:\n%s", got)
 	}
 }

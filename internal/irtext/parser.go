@@ -60,6 +60,13 @@ type parser struct {
 	// ParseInto's result.
 	definedHere  map[*ir.Function]bool
 	definedOrder []*ir.Function
+	// bodies are the functions src defines, in source order; in splice
+	// mode each is staged in its donor until ParseIntoChecked grafts it.
+	bodies []pendingBody
+
+	// depth is how many struct and array types enclose the type being
+	// parsed (parseNested).
+	depth int
 
 	// Per-function state.
 	fn     *ir.Function
@@ -118,7 +125,6 @@ func (p *parser) expectIdent(s string) error {
 // signatures) then function bodies, so that calls may reference functions
 // defined later in the file.
 func (p *parser) parseModule() error {
-	var bodies []pendingBody
 	for p.peek().kind != tokEOF {
 		switch t := p.peek(); {
 		case t.kind == tokGlobal:
@@ -154,7 +160,7 @@ func (p *parser) parseModule() error {
 			if err := p.expectPunct("{"); err != nil {
 				return err
 			}
-			bodies = append(bodies, pendingBody{fn: fn, start: p.pos, donor: donor})
+			p.bodies = append(p.bodies, pendingBody{fn: fn, start: p.pos, donor: donor})
 			if err := p.skipBody(); err != nil {
 				return err
 			}
@@ -162,7 +168,7 @@ func (p *parser) parseModule() error {
 			return p.errf("expected global, declare or define, found %s", t)
 		}
 	}
-	for _, b := range bodies {
+	for _, b := range p.bodies {
 		p.pos = b.start
 		target := b.fn
 		if b.donor != nil {
@@ -170,16 +176,6 @@ func (p *parser) parseModule() error {
 		}
 		if err := p.parseBody(target); err != nil {
 			return err
-		}
-	}
-	for _, b := range bodies {
-		if b.donor == nil {
-			continue
-		}
-		if err := b.fn.AdoptBody(b.donor); err != nil {
-			// Unreachable by construction: header parsing pinned the
-			// signature and the donor is detached and defined.
-			return fmt.Errorf("irtext: splicing @%s: %w", b.fn.Name(), err)
 		}
 	}
 	return nil
@@ -359,7 +355,7 @@ func (p *parser) parseType() (ir.Type, error) {
 					return nil, err
 				}
 			}
-			ft, err := p.parseType()
+			ft, err := p.parseNested()
 			if err != nil {
 				return nil, err
 			}
@@ -375,7 +371,7 @@ func (p *parser) parseType() (ir.Type, error) {
 		if err := p.expectIdent("x"); err != nil {
 			return nil, err
 		}
-		elem, err := p.parseType()
+		elem, err := p.parseNested()
 		if err != nil {
 			return nil, err
 		}
@@ -390,4 +386,21 @@ func (p *parser) parseType() (ir.Type, error) {
 		ty = ir.PtrTo(ty)
 	}
 	return ty, nil
+}
+
+// MaxTypeDepth is how deeply struct and array types may nest. The
+// parser recurses once per level, and a stack overflow ends a Go
+// process instead of panicking, so deeper input is a parse error.
+const MaxTypeDepth = 256
+
+// parseNested parses a struct field or array element type, one level
+// deeper than the type that holds it.
+func (p *parser) parseNested() (ir.Type, error) {
+	if p.depth == MaxTypeDepth {
+		return nil, p.errf("type nests deeper than %d levels", MaxTypeDepth)
+	}
+	p.depth++
+	ty, err := p.parseType()
+	p.depth--
+	return ty, err
 }

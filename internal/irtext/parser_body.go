@@ -48,6 +48,11 @@ func (p *parser) parseBody(fn *ir.Function) error {
 }
 
 func (p *parser) finishBody() error {
+	if len(p.fn.Blocks) == 0 {
+		// A definition needs a block; an empty one would read back as a
+		// declaration, and a splice could not graft it.
+		return p.errf("@%s is defined without a block", p.fn.Name())
+	}
 	for name, b := range p.blocks {
 		if b.Parent() == nil {
 			return p.errf("undefined block label %%%s in @%s", name, p.fn.Name())
@@ -391,6 +396,9 @@ func (p *parser) parseInstrBody(op ir.Opcode) (*ir.Instruction, error) {
 				return nil, err
 			}
 			indices = append(indices, idx)
+		}
+		if _, err := ir.GEPType(base.Type(), indices); err != nil {
+			return nil, p.errf("%v", err)
 		}
 		return ir.NewGEP("", base, indices...), nil
 

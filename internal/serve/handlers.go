@@ -447,10 +447,10 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch is update and remove as one journaled delta: the
-// fragment is spliced, then the whole batch is validated and marked by
-// a single UpdateBatch pass — one finder rebuild window, one
-// invalidation sweep — and one WAL record covers it, so recovery
-// replays it as one pass too.
+// fragment is parsed and staged, the whole batch is validated and
+// marked by a single UpdateBatch pass — one finder rebuild window, one
+// invalidation sweep — and only then grafted, and one WAL record covers
+// it, so recovery replays it as one pass too.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.Batch
 	if !readJSON(w, r, &req) {
@@ -464,10 +464,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // delta is update, remove and batch, given as the record it journals:
-// the function-quota precheck and the splice with its growth accounting
-// (update and batch), the session's marks, then the journal record. On
-// failure it answers the request itself. It returns the names the
-// fragment defined and whether the delta took.
+// the function-quota precheck, the splice and the session's marks as
+// one step (applyDelta), the growth accounting (update and batch), then
+// the journal record. On failure it answers the request itself. It
+// returns the names the fragment defined and whether the delta took.
 func (s *Server) delta(w http.ResponseWriter, r *http.Request, sv *served, rec wal.Record) ([]string, bool) {
 	grows := rec.Op != wal.OpRemove
 	var cs *clientState
@@ -489,8 +489,12 @@ func (s *Server) delta(w http.ResponseWriter, r *http.Request, sv *served, rec w
 		s.mu.Unlock()
 		before = len(sv.m.Defined())
 	}
-	names, err := splice(sv.m, rec)
-	if err != nil {
+	names, refused, err := applyDelta(r.Context(), sv, rec)
+	switch {
+	case refused != nil:
+		s.writeEngineErr(w, refused)
+		return nil, false
+	case err != nil:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("splicing fragment: %w", err))
 		return nil, false
 	}
@@ -503,10 +507,6 @@ func (s *Server) delta(w http.ResponseWriter, r *http.Request, sv *served, rec w
 			s.mu.Unlock()
 			sv.funcs += grown
 		}
-	}
-	if err := mark(r.Context(), sv.sess, rec, names); err != nil {
-		s.writeEngineErr(w, err)
-		return nil, false
 	}
 	if err := s.journal(sv, rec); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)

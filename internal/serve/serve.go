@@ -52,6 +52,7 @@ import (
 
 	repro "repro"
 	"repro/internal/fault"
+	"repro/internal/irtext"
 	"repro/internal/serve/api"
 	"repro/internal/wal"
 )
@@ -453,11 +454,11 @@ type Record = wal.Record
 func (s *Server) replayRecord(ctx context.Context, sv *served, rec Record) error {
 	switch rec.Op {
 	case wal.OpUpdate, wal.OpRemove, wal.OpBatch:
-		names, err := splice(sv.m, rec)
-		if err != nil {
-			return err
+		_, refused, err := applyDelta(ctx, sv, rec)
+		if refused != nil {
+			return refused
 		}
-		return mark(ctx, sv.sess, rec, names)
+		return err
 	case wal.OpApply:
 		var plan repro.MergePlan
 		if err := json.Unmarshal(rec.Plan, &plan); err != nil {
@@ -473,25 +474,33 @@ func (s *Server) replayRecord(ctx context.Context, sv *served, rec Record) error
 	}
 }
 
-// splice adds a delta record's fragment to the module and returns the
-// names it defines: always for an update, for a batch that carries a
-// fragment, never for a remove.
-func splice(m *repro.Module, rec Record) ([]string, error) {
+// applyDelta splices a delta record's fragment into the session's
+// module and marks the session, as one step: the marks are taken once
+// the whole fragment has parsed and before any body is grafted
+// (irtext.ParseIntoChecked), so a delta the session refuses — a batch
+// that removes a name it also defines, an unknown removal, a cancelled
+// request — leaves the module as it was. It returns the names the
+// fragment defined (always for an update, for a batch that carries a
+// fragment, never for a remove) and the session's refusal apart from a
+// malformed fragment.
+func applyDelta(ctx context.Context, sv *served, rec Record) (names []string, refused, err error) {
+	mark := func(names []string) error {
+		switch rec.Op {
+		case wal.OpUpdate:
+			refused = sv.sess.Update(ctx, names...)
+		case wal.OpRemove:
+			refused = sv.sess.Remove(ctx, rec.Names...)
+		default:
+			refused = sv.sess.UpdateBatch(ctx, names, rec.Names)
+		}
+		return refused
+	}
 	if rec.Op == wal.OpRemove || rec.Op == wal.OpBatch && rec.Fragment == "" {
-		return nil, nil
+		return nil, mark(nil), nil
 	}
-	return repro.SpliceModule(m, rec.Fragment)
-}
-
-// mark hands a spliced delta record to the session: the names its
-// fragment defined as updates, its Names as removals.
-func mark(ctx context.Context, sess *repro.Session, rec Record, names []string) error {
-	switch rec.Op {
-	case wal.OpUpdate:
-		return sess.Update(ctx, names...)
-	case wal.OpRemove:
-		return sess.Remove(ctx, rec.Names...)
-	default:
-		return sess.UpdateBatch(ctx, names, rec.Names)
+	names, err = irtext.ParseIntoChecked(sv.m, rec.Fragment, mark)
+	if refused != nil {
+		return nil, refused, nil
 	}
+	return names, nil, err
 }
