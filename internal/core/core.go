@@ -78,7 +78,8 @@ func Merge(m *ir.Module, f1, f2 *ir.Function, name string, opts Options) (*ir.Fu
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := checkPair(f1, f2); err != nil {
+	pair := []*ir.Function{f1, f2}
+	if err := checkFamily(pair); err != nil {
 		return nil, nil, err
 	}
 	ctx := context.Background()
@@ -86,7 +87,7 @@ func Merge(m *ir.Module, f1, f2 *ir.Function, name string, opts Options) (*ir.Fu
 	if err != nil {
 		return nil, nil, err
 	}
-	return mergeAligned(ctx, m, f1, f2, name, res, plan, opts)
+	return MergePairWithPlanCtx(ctx, m, pair, name, res, plan, opts)
 }
 
 // MergeFamily builds one merged function serving every member of fns
@@ -138,36 +139,33 @@ func checkFamily(fns []*ir.Function) error {
 	return nil
 }
 
-// checkPair rejects pairs no generator path accepts.
-func checkPair(f1, f2 *ir.Function) error {
-	return checkFamily([]*ir.Function{f1, f2})
-}
-
 // MergeAlignedCtx is Merge with a precomputed alignment (the benchmark
 // harness times alignment and code generation separately) and with
 // cancellation between the code generator's phases; on cancellation the
 // partial merged function is removed from m.
 func MergeAlignedCtx(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, name string, res *align.Result, opts Options) (*ir.Function, *Stats, error) {
-	if err := checkPair(f1, f2); err != nil {
-		return nil, nil, err
-	}
 	plan, err := PlanParams(f1, f2)
 	if err != nil {
 		return nil, nil, err
 	}
-	return mergeAligned(ctx, m, f1, f2, name, res, plan, opts)
+	return MergePairWithPlanCtx(ctx, m, []*ir.Function{f1, f2}, name, res, plan, opts)
 }
 
-// mergeAligned runs the code generator over a precomputed pairwise
-// alignment and parameter plan.
-func mergeAligned(ctx context.Context, m *ir.Module, f1, f2 *ir.Function, name string, res *align.Result, plan *ParamPlan, opts Options) (*ir.Function, *Stats, error) {
+// MergePairWithPlanCtx is MergeAlignedCtx for callers that already hold
+// the pair, as a two-function slice the generator keeps, and its
+// ParamPlan (the driver plans it once for the generator and the
+// thunks).
+func MergePairWithPlanCtx(ctx context.Context, m *ir.Module, pair []*ir.Function, name string, res *align.Result, plan *ParamPlan, opts Options) (*ir.Function, *Stats, error) {
+	if err := checkFamily(pair); err != nil {
+		return nil, nil, err
+	}
 	stats := Stats{
 		Matches:      res.Matches,
 		InstrMatches: res.InstrMatches,
 		MatrixBytes:  res.MatrixBytes,
 	}
 	t := getTables()
-	return mergeItems(ctx, m, []*ir.Function{f1, f2}, name, pairItems(res, t), plan, opts, stats, t)
+	return mergeItems(ctx, m, pair, name, pairItems(res, t), plan, opts, stats, t)
 }
 
 // pairItems turns a pairwise alignment into the generator's rows, in t.

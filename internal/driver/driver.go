@@ -82,8 +82,7 @@ const (
 func (s Stage) String() string { return "commit" }
 
 // Progress is one observable pipeline event: a profitable merge that
-// was recorded (committed, filtered, or — during a dry Session.Plan run —
-// proposed).
+// was committed or, during a dry Session.Plan run, proposed.
 type Progress struct {
 	// RunID identifies the run emitting the event: every Optimize,
 	// Plan and Apply call gets a fresh, process-globally monotonic ID,
@@ -142,9 +141,6 @@ type Config struct {
 	// disable family tracking entirely: every merge is pairwise and
 	// nothing extra is retained.
 	MaxFamily int
-	// CommitFilter, when non-nil, decides whether the i-th profitable
-	// merge is committed (used by the Figure 19 isolation study).
-	CommitFilter func(i int) bool
 	// Progress, when non-nil, observes pipeline events. Calls within one
 	// run all come from the goroutine running the loop. Events are
 	// emitted while the run holds its session's lock: the callback must
@@ -153,12 +149,12 @@ type Config struct {
 	Progress func(Progress)
 }
 
-// MergeRecord describes one committed (or filtered) profitable merge.
-// A non-empty Family marks a flattening: the named originals (in fid
-// order) were re-merged into one k-ary body and their thunks rewritten,
-// replacing the previous merged head(s). Profit is exactly the commit's
-// change to costmodel.ModuleBytes (for a filtered merge, what the
-// commit would have taken off).
+// MergeRecord describes one committed (or, in a dry run, proposed)
+// profitable merge. A non-empty Family marks a flattening: the named
+// originals (in fid order) were re-merged into one k-ary body and their
+// thunks rewritten, replacing the previous merged head(s). Profit is
+// exactly the commit's change to costmodel.ModuleBytes (for a proposal,
+// what the commit would take off).
 type MergeRecord struct {
 	F1, F2, Merged string
 	Family         []string
@@ -406,10 +402,10 @@ type trial struct {
 	stats  core.Stats
 	profit int
 	err    error
-	// family marks a flatten trial (see family.go): the merged function
-	// is a k-ary body over the plan's sources instead of a pairwise
-	// merge of f1 and f2, whose commit rewrites every member thunk.
-	family *memberPlan
+	// mp is the member plan the merged function was built from and its
+	// commit applies: a pair's own (pairPlan) or a flatten's
+	// (flattenFor). A pair trial settled before codegen has none.
+	mp *memberPlan
 
 	// skipped marks a stage-3 funnel rejection: the trial was never
 	// materialized because its profit provably cannot exceed the gate
@@ -470,26 +466,41 @@ type trialGate struct {
 
 var noGate = trialGate{}
 
-// planTrial aligns and — when the alignment clears its gate — merges the
-// functions of records r1 and r2, aligned on the records' sequences and
-// priced at their sizes, directly into m, named by freshName from
-// "merged.<f1>.<f2>" against m and the names a dry run has claimed
-// (nil: none). No body exists when the funnel rejects the pair first.
-// The generator only appends uses to the originals' use lists and takes
-// them off again before it returns, so discarding the merged function
-// (runner.discard) gives every list back as it was. Only the goroutine
-// running the loop may call it. The alignment goes into buf (nil: a
-// fresh Result), which the trial is done with once planTrial returns.
-func planTrial(ctx context.Context, m *ir.Module, recs *records, r1, r2 *record, claimed map[string]bool, opts core.Options, cfg Config, g trialGate, buf *align.Result) *trial {
-	f1, f2 := r1.fn, r2.fn
+// planTrial builds one trial in place in m. With mp nil it is the pair
+// trial of f1 and f2: aligned on their records' sequences in buf, which
+// it is done with once planTrial returns, under the funnel gate g; only
+// a pair that stage 3 lets through gets its member plan (pairPlan), so a
+// skipped trial costs no plan and no name. Otherwise mp is the flatten
+// flattenFor planned for the pair, whose sources the generator aligns
+// itself. Either way the merged function is named by freshName from
+// "merged.<member>..." against m and the names a dry run has claimed
+// (nil: none), cleaned, and priced by the one rule: what the live
+// members and consumed heads weigh now, less the body and one thunk per
+// member. The generator only appends uses to the sources' use lists and
+// takes them off again before it returns, so discarding the merged
+// function (runner.discard) gives every list back as it was. Only the
+// goroutine running the loop may call it.
+func planTrial(ctx context.Context, m *ir.Module, recs *records, mp *memberPlan, f1, f2 *ir.Function, claimed map[string]bool, cfg Config, g trialGate, buf *align.Result) *trial {
 	t := &trial{f1: f1, f2: f2}
-	ares := t.alignStage(ctx, recs.seqOf(r1), recs.seqOf(r2), opts, cfg, g, buf)
-	if ares == nil {
-		return t
+	opts := cfg.CoreOptions()
+	if mp == nil {
+		defer buf.Clear()
+		if t.alignStage(ctx, recs.seqOf(recs.of[f1]), recs.seqOf(recs.of[f2]), opts, cfg, g, buf) == nil {
+			return t
+		}
 	}
-	t1, a1 := time.Now(), heapAllocs()
-	defer func() { t.codegenTime, t.allocBytes = time.Since(t1), heapAllocs()-a1 }()
-	merged, stats, err := core.MergeAlignedCtx(ctx, m, f1, f2, freshName(m, "merged."+f1.Name()+"."+f2.Name(), claimed), ares, opts)
+	t0, a0 := time.Now(), heapAllocs()
+	defer func() { t.codegenTime, t.allocBytes = time.Since(t0), heapAllocs()-a0 }()
+	var merged *ir.Function
+	var stats *core.Stats
+	var err error
+	if mp == nil {
+		if mp, err = pairPlan(f1, f2); err == nil {
+			merged, stats, err = core.MergePairWithPlanCtx(ctx, m, mp.srcs, freshName(m, familyBaseName(mp.names), claimed), buf, mp.pplan, opts)
+		}
+	} else {
+		merged, stats, err = core.MergeFamilyWithPlanCtx(ctx, m, mp.srcs, freshName(m, familyBaseName(mp.names), claimed), mp.pplan, opts)
+	}
 	if err != nil {
 		t.err = err
 		return t
@@ -503,13 +514,19 @@ func planTrial(ctx context.Context, m *ir.Module, recs *records, r1, r2 *record,
 	}
 	transform.Simplify(merged)
 	t.simplifyTime = time.Since(s0)
-	t.merged = merged
-	t.stats = *stats
-	// The originals become thunks, so the profit is exactly what the
-	// commit takes off ModuleBytes.
-	after := costmodel.FuncBytes(merged, cfg.Target) +
-		2*costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
-	t.profit = r1.size + r2.size - after
+	t.merged, t.mp = merged, mp
+	t.stats, t.matrixBytes = *stats, stats.MatrixBytes
+	// The members become thunks and the heads leave, so the profit is
+	// exactly what the commit takes off ModuleBytes.
+	before := 0
+	for i := range mp.names {
+		before += recs.sizeOf(mp.member(m, i))
+	}
+	for _, h := range mp.heads {
+		before += recs.sizeOf(h)
+	}
+	t.profit = before - costmodel.FuncBytes(merged, cfg.Target) -
+		len(mp.srcs)*costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
 	return t
 }
 
@@ -517,13 +534,9 @@ func planTrial(ctx context.Context, m *ir.Module, recs *records, r1, r2 *record,
 // gate, runs stage 3: it re-checks the refined bound — the fixed terms
 // plus the actual matched bytes of the computed alignment, less what
 // that alignment forces the generator to add — before any codegen. The
-// alignment goes into ares (nil: a fresh Result), which is returned. A
-// nil return means the trial is settled (skipped or erred) and must not
-// materialize.
+// alignment goes into ares, which is returned. A nil return means the
+// trial is settled (skipped or erred) and must not materialize.
 func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Options, cfg Config, g trialGate, ares *align.Result) *align.Result {
-	if ares == nil {
-		ares = new(align.Result)
-	}
 	t0 := time.Now()
 	err := align.AlignSeqsInto(ctx, sa, sb, opts.Align, ares)
 	t.alignTime = time.Since(t0)

@@ -1,15 +1,10 @@
 package driver
 
 import (
-	"context"
-	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/ir"
-	"repro/internal/transform"
 )
 
 // The merge-family machinery: instead of nesting — re-merging a merged
@@ -288,7 +283,8 @@ var callerCheckHook func(m *ir.Module, families *familySet, fam *family, got boo
 // functions named names to thunk into it, and remove the consumed
 // heads. A flatten (flattenFor) unites a family's stored bodies with a
 // newcomer or another family; a pairwise merge is a family of two live
-// newcomers with no heads (pairPlan).
+// newcomers with no heads (pairPlan). The plan a trial was built from
+// rides on it into the commit-step.
 type memberPlan struct {
 	// srcs are the merge inputs in fid order: stored original bodies
 	// for existing members, live module functions for newcomers.
@@ -304,19 +300,28 @@ type memberPlan struct {
 	pplan *core.ParamPlan
 }
 
-// pairPlan is the member plan of the pairwise merge of f1 and f2.
-func pairPlan(f1, f2 *ir.Function) *memberPlan {
+// pairPlan is the member plan of the pairwise merge of f1 and f2, or
+// the error saying their signatures do not merge.
+func pairPlan(f1, f2 *ir.Function) (*memberPlan, error) {
 	pplan, err := core.PlanParams(f1, f2)
 	if err != nil {
-		panic(fmt.Sprintf("driver: committed merge has invalid plan: %v", err))
+		return nil, err
 	}
-	return &memberPlan{
-		srcs:     []*ir.Function{f1, f2},
-		names:    []string{f1.Name(), f2.Name()},
-		newcomer: []bool{true, true},
-		pplan:    pplan,
-	}
+	// Every built pair trial plans, so the plan and its lists are one
+	// allocation.
+	p := &struct {
+		memberPlan
+		srcs     [2]*ir.Function
+		names    [2]string
+		newcomer [2]bool
+	}{srcs: [2]*ir.Function{f1, f2}, names: [2]string{f1.Name(), f2.Name()}, newcomer: [2]bool{true, true}}
+	p.memberPlan = memberPlan{srcs: p.srcs[:], names: p.names[:], newcomer: p.newcomer[:], pplan: pplan}
+	return &p.memberPlan, nil
 }
+
+// flattens reports whether the plan re-merges a family, consuming its
+// head, rather than pairing two newcomers.
+func (mp *memberPlan) flattens() bool { return len(mp.heads) > 0 }
 
 // member returns the live function that becomes member i's thunk: a
 // newcomer is its own source, an existing member's thunk is found by
@@ -329,16 +334,16 @@ func (mp *memberPlan) member(m *ir.Module, i int) *ir.Function {
 }
 
 // flattenFor decides whether merging f1 and f2 should flatten into a
-// k-ary family rather than nest: family tracking must be on, at least
-// one side must head an intact family, the member union must fit
-// MaxFamily and contain no function twice (a member thunk can rank as
-// its own family's partner), the heads must have no callers outside
-// their thunks, and the united signatures must plan. Any miss returns
-// nil and the pair merges pairwise (a head nests, exactly the
-// historical chain). best is the row's retained trial, if any (see
-// hasExternalCallers).
+// k-ary family rather than nest: family tracking must be on (families
+// is non-nil exactly when MaxFamily >= 3), at least one side must head
+// an intact family, the member union must fit MaxFamily and contain no
+// function twice (a member thunk can rank as its own family's partner),
+// the heads must have no callers outside their thunks, and the united
+// signatures must plan. Any miss returns nil and the pair merges
+// pairwise (a head nests, exactly the historical chain). best is the
+// row's retained trial, if any (see hasExternalCallers).
 func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Function, best *trial) *memberPlan {
-	if families == nil || maxFamily < 3 {
+	if families == nil {
 		return nil
 	}
 	fam1 := families.validMembers(m, f1)
@@ -406,9 +411,22 @@ func sameNames(a, b []string) bool {
 	return true
 }
 
-// familyBaseName is the merged-function name for a flattened family.
+// familyBaseName is the merged-function name for merging the named
+// members, "merged.<n0>.<n1>...", built in one allocation: every built
+// trial names its body.
 func familyBaseName(names []string) string {
-	return "merged." + strings.Join(names, ".")
+	n := len("merged")
+	for _, nm := range names {
+		n += 1 + len(nm)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("merged")
+	for _, nm := range names {
+		b.WriteByte('.')
+		b.WriteString(nm)
+	}
+	return b.String()
 }
 
 // MergedFamilyName returns the collision-free name for merging the
@@ -417,40 +435,4 @@ func familyBaseName(names []string) string {
 // driver flattenings never diverge on naming.
 func MergedFamilyName(m *ir.Module, names []string) string {
 	return freshName(m, familyBaseName(names), nil)
-}
-
-// planFlattenTrial builds the k-ary merged function for a flatten plan
-// in m, like a pair trial (planTrial), and prices it: profit compares
-// every live function the flatten touches (heads, member thunks,
-// newcomers) against the fresh body plus k int-fid thunks. The runner
-// discards the function unless it commits it.
-func planFlattenTrial(ctx context.Context, m *ir.Module, fp *memberPlan, name string, cfg Config) *trial {
-	t := &trial{family: fp}
-	t0, a0 := time.Now(), heapAllocs()
-	merged, stats, err := core.MergeFamilyWithPlanCtx(ctx, m, fp.srcs, name, fp.pplan, cfg.CoreOptions())
-	if err != nil {
-		t.codegenTime, t.allocBytes = time.Since(t0), heapAllocs()-a0
-		t.err = err
-		return t
-	}
-	s0 := time.Now()
-	transform.Simplify(merged)
-	t.simplifyTime = time.Since(s0)
-	t.codegenTime, t.allocBytes = time.Since(t0), heapAllocs()-a0
-	t.merged = merged
-	t.stats = *stats
-	t.matrixBytes = stats.MatrixBytes
-	before := 0
-	for _, nm := range fp.names {
-		if live := m.FuncByName(nm); live != nil {
-			before += costmodel.FuncBytes(live, cfg.Target)
-		}
-	}
-	for _, h := range fp.heads {
-		before += costmodel.FuncBytes(h, cfg.Target)
-	}
-	after := costmodel.FuncBytes(merged, cfg.Target) +
-		len(fp.srcs)*costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
-	t.profit = before - after
-	return t
 }

@@ -187,7 +187,7 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	}
 
 	// Ground truth: the ungated trial's profit.
-	ref := planTrial(ctx, m, recs, r1, r2, nil, ck.opts, cfg, noGate, nil)
+	ref := planTrial(ctx, m, recs, nil, f1, f2, nil, cfg, noGate, new(align.Result))
 	profit := ref.profit
 	failed := ref.err != nil
 	discard(ref)
@@ -251,7 +251,7 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	q1 := costmodel.NewFuncProfile(f1, cfg.Target, recs.seqOf(r1))
 	q2 := costmodel.NewFuncProfile(f2, cfg.Target, recs.seqOf(r2))
 	g := trialGate{on: true, bd: costmodel.BoundLazy(q1, q2, cfg.Target), gate: 0, p1: q1, p2: q2}
-	gated := planTrial(ctx, m, recs, r1, r2, nil, ck.opts, cfg, g, nil)
+	gated := planTrial(ctx, m, recs, nil, f1, f2, nil, cfg, g, new(align.Result))
 	defer discard(gated)
 	if gated.err != nil {
 		t.Fatalf("%s/%s: gated trial errored: %v", f1.Name(), f2.Name(), gated.err)

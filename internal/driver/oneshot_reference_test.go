@@ -10,6 +10,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/fmsa"
@@ -57,11 +58,9 @@ func runOneShotReference(ctx context.Context, m *ir.Module, cfg Config) (*Result
 		recs.put(f, preSize[f])
 	}
 	finder := search.New(search.KindLSH, candidates)
-	opts := cfg.CoreOptions()
 	order := finder.Order()
 
 	consumed := map[*ir.Function]bool{}
-	mergeIdx := 0
 	var runErr error
 	discard := func(t *trial) {
 		if t != nil && t.merged != nil {
@@ -87,7 +86,7 @@ commitLoop:
 				discard(best)
 				break commitLoop
 			}
-			t := planTrial(ctx, m, recs, recs.of[f1], recs.of[f2], nil, opts, cfg, noGate, nil)
+			t := planTrial(ctx, m, recs, nil, f1, f2, nil, cfg, noGate, new(align.Result))
 			res.Attempts++
 			res.AlignTime += t.alignTime
 			res.CodegenTime += t.codegenTime
@@ -116,30 +115,22 @@ commitLoop:
 			continue
 		}
 		rec := MergeRecord{
-			F1: f1.Name(), F2: best.f2.Name(),
+			F1: f1.Name(), F2: best.f2.Name(), Merged: best.merged.Name(),
 			Profit: best.profit, Stats: best.stats, Committed: true,
 		}
-		if cfg.CommitFilter != nil && !cfg.CommitFilter(mergeIdx) {
-			rec.Committed = false
-			rec.Merged = best.merged.Name()
-			discard(best)
-		} else {
-			rec.Merged = best.merged.Name()
-			plan, err := core.PlanParams(f1, best.f2)
-			if err != nil {
-				panic(err)
-			}
-			core.BuildThunk(f1, best.merged, 0, plan.Maps[0], plan)
-			core.BuildThunk(best.f2, best.merged, 1, plan.Maps[1], plan)
-			consumed[f1] = true
-			consumed[best.f2] = true
-			finder.Remove(f1)
-			finder.Remove(best.f2)
-			recs.reset(f1)
-			recs.reset(best.f2)
+		plan, err := core.PlanParams(f1, best.f2)
+		if err != nil {
+			panic(err)
 		}
+		core.BuildThunk(f1, best.merged, 0, plan.Maps[0], plan)
+		core.BuildThunk(best.f2, best.merged, 1, plan.Maps[1], plan)
+		consumed[f1] = true
+		consumed[best.f2] = true
+		finder.Remove(f1)
+		finder.Remove(best.f2)
+		recs.reset(f1)
+		recs.reset(best.f2)
 		res.Merges = append(res.Merges, rec)
-		mergeIdx++
 	}
 
 	if cfg.Algorithm == FMSA {

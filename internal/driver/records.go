@@ -124,6 +124,15 @@ func (t *records) drop(f *ir.Function) {
 	delete(t.of, f)
 }
 
+// sizeOf is f's size: its record's for an indexed f, priced now for any
+// other (a family head or member thunk that is not a candidate).
+func (t *records) sizeOf(f *ir.Function) int {
+	if r := t.of[f]; r != nil {
+		return r.size
+	}
+	return costmodel.FuncBytes(f, t.target)
+}
+
 // hash is search.HashFunction of indexed f's body, built on first use.
 func (t *records) hash(f *ir.Function) uint64 {
 	r := t.of[f]

@@ -52,14 +52,12 @@ type runner struct {
 	// mutated (commit mode only).
 	markPending func(*ir.Function)
 
-	// Walk state: the functions a commit, fold or dry proposal retired,
-	// and how many profitable merges the commit-step has settled
-	// (CommitFilter's argument).
+	// consumed holds the functions a commit, fold or dry proposal
+	// retired.
 	consumed map[*ir.Function]bool
-	mergeIdx int
 
 	// ares is the pair trials' alignment, reused trial after trial and
-	// cleared once each trial is built (pairTrial).
+	// cleared once each trial is built (planTrial).
 	ares align.Result
 
 	// Dry mode: the plan being drawn up, the merged names it claims, and
@@ -196,52 +194,45 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			r.discard(best)
 			return nil, c, err
 		}
-		var t *trial
-		if fp != nil {
-			// Family flattening replaces the pairwise trial: merge the
-			// family's original bodies plus the newcomer into one fresh
-			// k-ary candidate.
-			t = r.flattenTrial(ctx, fp, f1, f2)
-		} else {
-			// Stage 1: screen the pair against the admissible profit
-			// bound before any DP. The gate is the best profit seen in
-			// this row so far — a pair whose bound cannot clear it
-			// cannot become the row's best trial, so skipping it never
-			// changes a decision. A bound that cannot even clear zero is
-			// memoized like any finished unprofitable trial. FMSA, the
-			// paper's baseline, plans every pair in full.
-			g := noGate
-			if cfg.Algorithm != FMSA {
-				gate := 0
-				if best != nil {
-					gate = best.profit
-				}
-				s0 := time.Now()
-				p1, p2 := r.recs.profile(rec1), r.recs.profile(rec2)
-				bd := costmodel.BoundLazy(p1, p2, cfg.Target)
-				if bd.UB <= gate && !bd.Exact {
-					// The lazy bound omits unsettled slack, so a failed
-					// gate is only provisional: settle the slack terms
-					// and re-check before skipping.
-					bd = costmodel.Bound(p1, p2, cfg.Target)
-				}
-				c.ScreenTime += time.Since(s0)
-				if bd.UB <= gate {
-					// A screened pair still counts as an attempt — the
-					// row examined it — keeping Attempts the count of
-					// considered pairs whether a run skips them via
-					// memo, screen or trial.
-					c.Attempts++
-					c.PairsScreened++
-					if bd.UB <= 0 {
-						rec1.remember(rec2)
-					}
-					continue
-				}
-				g = trialGate{on: true, bd: bd, gate: gate, p1: p1, p2: p2}
+		// Stage 1: screen the pair against the admissible profit bound
+		// before any DP. The gate is the best profit seen in this row so
+		// far — a pair whose bound cannot clear it cannot become the row's
+		// best trial, so skipping it never changes a decision. A bound
+		// that cannot even clear zero is memoized like any finished
+		// unprofitable trial. FMSA, the paper's baseline, plans every pair
+		// in full, and a flatten, which re-merges the family's original
+		// bodies plus the newcomer into one fresh k-ary candidate, is
+		// planned ungated.
+		g := noGate
+		if fp == nil && cfg.Algorithm != FMSA {
+			gate := 0
+			if best != nil {
+				gate = best.profit
 			}
-			t = r.pairTrial(ctx, rec1, rec2, g)
+			s0 := time.Now()
+			p1, p2 := r.recs.profile(rec1), r.recs.profile(rec2)
+			bd := costmodel.BoundLazy(p1, p2, cfg.Target)
+			if bd.UB <= gate && !bd.Exact {
+				// The lazy bound omits unsettled slack, so a failed gate is
+				// only provisional: settle the slack terms and re-check
+				// before skipping.
+				bd = costmodel.Bound(p1, p2, cfg.Target)
+			}
+			c.ScreenTime += time.Since(s0)
+			if bd.UB <= gate {
+				// A screened pair still counts as an attempt — the row
+				// examined it — keeping Attempts the count of considered
+				// pairs whether a run skips them via memo, screen or trial.
+				c.Attempts++
+				c.PairsScreened++
+				if bd.UB <= 0 {
+					rec1.remember(rec2)
+				}
+				continue
+			}
+			g = trialGate{on: true, bd: bd, gate: gate, p1: p1, p2: p2}
 		}
+		t := planTrial(ctx, r.m, r.recs, fp, f1, f2, r.claimed, cfg, g, &r.ares)
 		c.add(t.counters())
 		switch {
 		case t.err != nil:
@@ -270,24 +261,8 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 	return best, c, nil
 }
 
-// pairTrial plans the pairwise trial of two records' functions under
-// gate g, in place. The alignment is the trial's only until its body is
-// built; then the runner takes it back cleared, so that it pins no body,
-// for the next trial.
-func (r *runner) pairTrial(ctx context.Context, r1, r2 *record, g trialGate) *trial {
-	defer r.ares.Clear()
-	return planTrial(ctx, r.m, r.recs, r1, r2, r.claimed, r.cfg.CoreOptions(), r.cfg, g, &r.ares)
-}
-
-// flattenTrial plans the k-ary re-merge fp describes for the pair.
-func (r *runner) flattenTrial(ctx context.Context, fp *memberPlan, f1, f2 *ir.Function) *trial {
-	t := planFlattenTrial(ctx, r.m, fp, freshName(r.m, familyBaseName(fp.names), r.claimed), r.cfg)
-	t.f1, t.f2 = f1, f2
-	return t
-}
-
-// discard drops a trial the run does not commit — a loser, a filtered
-// winner, every dry-run winner — from the module and releases its body
+// discard drops a trial the run does not commit — a loser, every
+// dry-run winner — from the module and releases its body
 // (ir.Release). Nothing else references the body. A built body is
 // codegen's to dispose of, so the time goes on the codegen clock (as
 // build time). Nil-safe.
@@ -306,35 +281,29 @@ func (r *runner) discard(t *trial) {
 	r.res.BuildTime += d
 }
 
-// commitStep settles a row's winning trial — filtered out, committed
-// into the module, or (dry mode) proposed in the plan — and records it:
-// the MergeRecord, the progress event, the commit clock. Apply commits
-// its re-generated trials through here too.
+// commitStep settles a row's winning trial — committed into the module
+// or, in dry mode, proposed in the plan — and records it: the
+// MergeRecord, the progress event, the commit clock. Apply commits its
+// re-generated trials through here too.
 func (r *runner) commitStep(t *trial) {
 	c0 := time.Now()
-	res, f1, f2 := r.res, t.f1, t.f2
+	res, f1, f2, mp := r.res, t.f1, t.f2, t.mp
 	rec := MergeRecord{F1: f1.Name(), F2: f2.Name(), Merged: t.merged.Name(), Profit: t.profit, Stats: t.stats}
 	// A record says what was merged, the same on every run; what it took
 	// is in the Counters.
 	rec.Stats.BuildTime, rec.Stats.RepairTime = 0, 0
-	mp := t.family
-	if mp != nil {
+	if mp.flattens() {
 		rec.Family = append([]string(nil), mp.names...)
-	} else {
-		mp = pairPlan(f1, f2)
 	}
-	switch {
-	case r.cfg.CommitFilter != nil && !r.cfg.CommitFilter(r.mergeIdx):
-		// Filtered: recorded, not applied; both functions stay in play.
-	case r.plan == nil:
+	if r.plan == nil {
 		rec.Committed = true
 		r.commitMerge(mp, t.merged)
-		if t.family != nil {
+		if mp.flattens() {
 			res.Flattened++
 		}
-	default:
+	} else {
 		// Dry mode: the merge is a proposal, not an applied change; it
-		// retires what the commit would.
+		// retires what the commit would and leaves the module as it was.
 		for i := range mp.names {
 			r.retire(mp.member(r.m, i))
 		}
@@ -346,19 +315,15 @@ func (r *runner) commitStep(t *trial) {
 			F1: rec.F1, F2: rec.F2, Merged: rec.Merged, Family: rec.Family, Profit: t.profit,
 			Hash1: r.recs.hash(f1), Hash2: r.recs.hash(f2),
 		})
-	}
-	if !rec.Committed {
-		// A filtered or proposed merge leaves the module as it was. The
-		// discard is on the codegen clock, not the commit clock.
+		// The discard is on the codegen clock, not the commit clock.
 		d0 := time.Now()
 		r.discard(t)
 		c0 = c0.Add(time.Since(d0))
 	}
 	res.Merges = append(res.Merges, rec)
-	r.mergeIdx++
 	r.progress(Progress{
 		RunID: r.runID, Stage: StageCommit, F1: rec.F1, F2: rec.F2,
-		Merged: rec.Merged, Profit: rec.Profit, Committed: rec.Committed, Done: r.mergeIdx,
+		Merged: rec.Merged, Profit: rec.Profit, Committed: rec.Committed, Done: len(res.Merges),
 	})
 	res.CommitTime += time.Since(c0)
 }

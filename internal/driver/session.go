@@ -666,10 +666,7 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		return res, err
 	}
 	s.sync()
-	// Apply commits what it is given: the filter already had its say
-	// when the plan was drawn up.
 	r := s.newRunner(res)
-	r.cfg.CommitFilter = nil
 	finish := func(err error) (*Result, error) {
 		s.finishStats(res)
 		s.finishFamilies(res)
@@ -733,22 +730,18 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 			return finish(err)
 		}
 		f1, f2 := s.m.FuncByName(pm.F1), s.m.FuncByName(pm.F2)
-		var t *trial
+		// A planned flattening is re-derived from the live family
+		// registry and must name the same members: the plan carries only
+		// names, the original bodies live in this session's registry.
+		var fp *memberPlan
 		if len(pm.Family) > 0 {
-			// A planned flattening: re-derive it from the live family
-			// registry and insist on the same member list — the plan
-			// carries only names, the original bodies live in this
-			// session's registry.
-			fp := flattenFor(s.m, s.families, s.cfg.MaxFamily, f1, f2, nil)
-			if fp == nil || !sameNames(fp.names, pm.Family) {
+			if fp = flattenFor(s.m, s.families, s.cfg.MaxFamily, f1, f2, nil); fp == nil || !sameNames(fp.names, pm.Family) {
 				return finish(fmt.Errorf("driver: %w: family behind @%s + @%s no longer matches %v", ErrStalePlan, pm.F1, pm.F2, pm.Family))
 			}
-			t = r.flattenTrial(ctx, fp, f1, f2)
-		} else {
-			// Apply commits planned merges unconditionally, so there is
-			// no gate to screen against — every trial materializes.
-			t = r.pairTrial(ctx, s.recs.of[f1], s.recs.of[f2], noGate)
 		}
+		// Apply commits planned merges unconditionally, so there is no
+		// gate to screen against — every trial materializes.
+		t := planTrial(ctx, s.m, s.recs, fp, f1, f2, nil, s.cfg, noGate, &r.ares)
 		res.add(t.counters())
 		if t.err != nil {
 			return finish(fmt.Errorf("driver: applying @%s + @%s: %w", pm.F1, pm.F2, t.err))

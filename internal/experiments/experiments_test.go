@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/costmodel"
+	"repro/internal/driver"
+	"repro/internal/ir"
 	"repro/internal/synth"
 )
 
@@ -164,5 +168,49 @@ func TestLabCaching(t *testing.T) {
 	e2 := l.run("mibench", p, 0, 1, 0)
 	if e1 != e2 {
 		t.Error("identical runs not cached")
+	}
+}
+
+// TestFig19IsolatesEachMerge: Fig. 19's rows are djpeg's plan entries
+// in plan order, each applied alone, so no pair shows twice (either way
+// round) and each row's contribution is exactly its planned profit over
+// the baseline.
+func TestFig19IsolatesEachMerge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	// Full scale: scaled down, djpeg plans too few merges to tell.
+	l := NewLab()
+	table := l.Fig19()
+	p, _ := synth.ByName(synth.MiBench(), "djpeg")
+	pristine := l.module("mibench", p)
+	base := costmodel.ModuleBytes(pristine, costmodel.Thumb)
+	cfg := driver.Config{Algorithm: driver.SalSSA, Threshold: 1, Target: costmodel.Thumb}
+	s, err := driver.OpenSession(context.Background(), ir.CloneModule(pristine), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	plan, err := s.Plan(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := min(len(plan.Merges), 16); len(table.Rows) != want || want < 2 {
+		t.Fatalf("%d rows for %d plan entries, want min(entries, 16) and at least 2", len(table.Rows), len(plan.Merges))
+	}
+	seen := map[[2]string]bool{}
+	for i, row := range table.Rows {
+		pm := plan.Merges[i]
+		if row[0] != fmt.Sprint(i) || row[1] != pm.F1+"+"+pm.F2 {
+			t.Errorf("row %d is %v, want plan entry %d (%s+%s)", i, row, i, pm.F1, pm.F2)
+		}
+		key := [2]string{min(pm.F1, pm.F2), max(pm.F1, pm.F2)}
+		if seen[key] {
+			t.Errorf("row %d repeats the pair %s+%s", i, pm.F1, pm.F2)
+		}
+		seen[key] = true
+		if want := pct2(100 * float64(pm.Profit) / float64(base)); row[2] != want {
+			t.Errorf("row %d (%s+%s) contributes %s%%, planned profit %d B is %s%%", i, pm.F1, pm.F2, row[2], pm.Profit, want)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/costmodel"
 	"repro/internal/driver"
+	"repro/internal/fmsa"
 	"repro/internal/ir"
 	"repro/internal/synth"
 	"repro/internal/transform"
@@ -83,16 +85,15 @@ func (l *Lab) reductionTable(id, title, suite string, profiles []synth.Profile, 
 	return t
 }
 
-// residue measures the FMSA Residue: run the FMSA pipeline but commit no
-// merge; the size delta is the demote/promote round-trip residue.
+// residue measures the FMSA Residue: the size delta of FMSA's
+// demote/promote round trip alone, what an FMSA run that commits no
+// merge leaves behind.
 func (l *Lab) residue(suite string, p synth.Profile, target costmodel.Target) float64 {
 	m := ir.CloneModule(l.module(suite, p))
-	res := driver.Run(m, driver.Config{
-		Algorithm:    driver.FMSA,
-		Threshold:    1,
-		Target:       target,
-		CommitFilter: func(int) bool { return false },
-	})
+	res := driver.Result{BaselineBytes: costmodel.ModuleBytes(m, target)}
+	fmsa.PrepareModule(m)
+	fmsa.CleanupModule(m)
+	res.FinalBytes = costmodel.ModuleBytes(m, target)
 	return res.Reduction()
 }
 
@@ -138,8 +139,8 @@ func (l *Lab) Table1() *Table {
 			p.Name,
 			fmt.Sprint(st.Funcs),
 			fmt.Sprintf("%d/%.1f/%d", st.MinSize, st.AvgSize, st.MaxSize),
-			fmt.Sprint(countCommitted(ef.res)),
-			fmt.Sprint(countCommitted(es.res)),
+			fmt.Sprint(len(ef.res.Merges)),
+			fmt.Sprint(len(es.res.Merges)),
 			fmt.Sprint(paper[0]),
 			fmt.Sprint(paper[1]),
 		})
@@ -147,18 +148,10 @@ func (l *Lab) Table1() *Table {
 	return t
 }
 
-func countCommitted(r *driver.Result) int {
-	n := 0
-	for _, m := range r.Merges {
-		if m.Committed {
-			n++
-		}
-	}
-	return n
-}
-
 // Fig19 reproduces Figure 19: each profitable SalSSA[t=1] merge on djpeg
 // committed in isolation, and its individual contribution to final size.
+// djpeg is planned once; each of the first plan entries is then applied
+// alone to a fresh copy of the module.
 func (l *Lab) Fig19() *Table {
 	t := &Table{
 		ID:     "fig19",
@@ -169,31 +162,37 @@ func (l *Lab) Fig19() *Table {
 	if !ok {
 		return t
 	}
-	full := l.run("mibench", p, driver.SalSSA, 1, costmodel.Thumb)
-	n := len(full.res.Merges)
-	if n > 16 {
-		n = 16 // bound the isolation study; the paper plots ~28 bars
-	}
 	pristine := l.module("mibench", p)
 	base := costmodel.ModuleBytes(pristine, costmodel.Thumb)
-	for i := 0; i < n; i++ {
-		m := ir.CloneModule(pristine)
-		i := i
-		res := driver.Run(m, driver.Config{
-			Algorithm:    driver.SalSSA,
-			Threshold:    1,
-			Target:       costmodel.Thumb,
-			CommitFilter: func(j int) bool { return j == i },
+	cfg := driver.Config{Algorithm: driver.SalSSA, Threshold: 1, Target: costmodel.Thumb, DupFold: l.DupFold}
+	plan := mustSession(pristine, cfg, func(s *driver.Session) (*driver.Plan, error) {
+		return s.Plan(context.Background())
+	})
+	// Bound the isolation study; the paper plots ~28 bars.
+	for i, pm := range plan.Merges[:min(len(plan.Merges), 16)] {
+		one := &driver.Plan{Algorithm: plan.Algorithm, Threshold: plan.Threshold, Merges: []driver.PlannedMerge{pm}}
+		res := mustSession(pristine, cfg, func(s *driver.Session) (*driver.Result, error) {
+			return s.Apply(context.Background(), one)
 		})
 		contribution := 100 * float64(base-res.FinalBytes) / float64(base)
-		rec := full.res.Merges[i]
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(i),
-			rec.F1 + "+" + rec.F2,
-			pct2(contribution),
-		})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(i), pm.F1 + "+" + pm.F2, pct2(contribution)})
 	}
 	return t
+}
+
+// mustSession runs fn on a session over a fresh copy of m. Nothing but
+// a driver bug fails a session over an untouched copy, so an error
+// panics.
+func mustSession[T any](m *ir.Module, cfg driver.Config, fn func(*driver.Session) (T, error)) T {
+	s, err := driver.OpenSession(context.Background(), ir.CloneModule(m), cfg)
+	if err == nil {
+		defer s.Close()
+		var out T
+		if out, err = fn(s); err == nil {
+			return out
+		}
+	}
+	panic(fmt.Sprintf("experiments: %v", err))
 }
 
 // Fig20 reproduces Figure 20: the impact of phi-node coalescing (FMSA vs
@@ -232,7 +231,7 @@ func (l *Lab) Fig21() *Table {
 	for _, p := range synth.SPEC2006() {
 		ef := l.run("spec2006", p, driver.FMSA, 1, costmodel.X86_64)
 		es := l.run("spec2006", p, driver.SalSSA, 1, costmodel.X86_64)
-		nf, ns := countCommitted(ef.res), countCommitted(es.res)
+		nf, ns := len(ef.res.Merges), len(es.res.Merges)
 		totalF += nf
 		totalS += ns
 		t.Rows = append(t.Rows, []string{p.Name, fmt.Sprint(nf), fmt.Sprint(ns)})

@@ -180,6 +180,19 @@ func TestParseErrors(t *testing.T) {
 		{"bad char", "define void @f() { $ }", "unexpected character"},
 		{"named void", "define void @f() {\ne:\n %x = store i32 1, i32* null\n ret void\n}", "void instruction"},
 		{"sig conflict", "declare void @g()\ndeclare i32 @g()", "different signature"},
+		// The verifier's type rules (ir.VerifyModule), each refused at parse.
+		{"select arms differ", "define i32 @f(i1 %c) {\ne:\n %x = select i1 %c, i32 1, i64 2\n ret i32 %x\n}", "select arms"},
+		{"select cond", "define i32 @f(i32 %c) {\ne:\n %x = select i32 %c, i32 1, i32 2\n ret i32 %x\n}", "select condition"},
+		{"branch cond", "define void @f(i32 %c) {\ne:\n br i32 %c, label %e, label %e\n}", "branch condition"},
+		{"store pointee", "define void @f(i64* %p) {\ne:\n store i32 1, i64* %p\n ret void\n}", "store pointer/value"},
+		{"ret type", "define i32 @f(i64 %a) {\ne:\n ret i64 %a\n}", "ret i64"},
+		{"ret void", "define i32 @f() {\ne:\n ret void\n}", "ret void"},
+		{"call arity", "declare void @g(i32)\ndefine void @f() {\ne:\n call void @g(i32 1, i32 2)\n ret void\n}", "passes 2 arguments"},
+		{"call too few to variadic", "declare void @g(i32, ...)\ndefine void @f() {\ne:\n call void @g()\n ret void\n}", "passes 0 arguments"},
+		{"invoke arity", "declare void @g(i32)\ndefine void @f() {\ne:\n invoke void @g() to label %n unwind label %n\nn:\n ret void\n}", "passes 0 arguments"},
+		{"call arg type", "declare void @g(i32)\ndefine void @f() {\ne:\n call void @g(i64 1)\n ret void\n}", "argument 0 of type i64"},
+		{"global type", "@g = global i32 7\ndefine i32 @f(i32 %x) {\ne:\n %y = add i32 %x, @g\n ret i32 %y\n}", "@g used with type i32"},
+		{"call vs synthesized decl", "define void @f() {\ne:\n call void @h(i32 1)\n call void @h(i64 1)\n ret void\n}", "argument 0 of type i64"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -117,13 +117,18 @@ func (p *parser) parseValueOf(ty ir.Type) (ir.Value, error) {
 	case t.kind == tokLocal:
 		return p.localRef(t.text, ty)
 	case t.kind == tokGlobal:
+		var v ir.Value
 		if f := p.m.FuncByName(t.text); f != nil {
-			return f, nil
+			v = f
+		} else if g := p.m.GlobalByName(t.text); g != nil {
+			v = g
+		} else {
+			return nil, &parseError{line: t.line, msg: fmt.Sprintf("undefined global @%s", t.text)}
 		}
-		if g := p.m.GlobalByName(t.text); g != nil {
-			return g, nil
+		if !ir.TypesEqual(v.Type(), ty) {
+			return nil, &parseError{line: t.line, msg: fmt.Sprintf("@%s used with type %v but has %v", t.text, ty, v.Type())}
 		}
-		return nil, &parseError{line: t.line, msg: fmt.Sprintf("undefined global @%s", t.text)}
+		return v, nil
 	case t.kind == tokInt:
 		v, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
@@ -217,12 +222,19 @@ func (p *parser) parseInstr() (*ir.Instruction, error) {
 func (p *parser) parseInstrBody(op ir.Opcode) (*ir.Instruction, error) {
 	switch {
 	case op == ir.OpRet:
+		want := p.fn.Sig().Ret
 		if p.acceptIdent("void") {
+			if !ir.IsVoid(want) {
+				return nil, p.errf("ret void in @%s returning %v", p.fn.Name(), want)
+			}
 			return ir.NewRet(nil), nil
 		}
 		v, err := p.parseTypedValue()
 		if err != nil {
 			return nil, err
+		}
+		if !ir.TypesEqual(v.Type(), want) {
+			return nil, p.errf("ret %v in @%s returning %v", v.Type(), p.fn.Name(), want)
 		}
 		return ir.NewRet(v), nil
 
@@ -251,6 +263,9 @@ func (p *parser) parseInstrBody(op ir.Opcode) (*ir.Instruction, error) {
 		f, err := p.parseLabelRef()
 		if err != nil {
 			return nil, err
+		}
+		if !ir.TypesEqual(cond.Type(), ir.I1) {
+			return nil, p.errf("branch condition of type %v", cond.Type())
 		}
 		return ir.NewCondBr(cond, t, f), nil
 
@@ -376,6 +391,9 @@ func (p *parser) parseInstrBody(op ir.Opcode) (*ir.Instruction, error) {
 		if err != nil {
 			return nil, err
 		}
+		if pt, ok := ptr.Type().(*ir.PointerType); !ok || !ir.TypesEqual(pt.Elem, val.Type()) {
+			return nil, p.errf("store pointer/value type mismatch")
+		}
 		return ir.NewStore(val, ptr), nil
 
 	case op == ir.OpGEP:
@@ -463,6 +481,12 @@ func (p *parser) parseInstrBody(op ir.Opcode) (*ir.Instruction, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !ir.TypesEqual(cond.Type(), ir.I1) {
+			return nil, p.errf("select condition of type %v", cond.Type())
+		}
+		if !ir.TypesEqual(a.Type(), b.Type()) {
+			return nil, p.errf("select arms of types %v and %v", a.Type(), b.Type())
+		}
 		return ir.NewSelect("", cond, a, b), nil
 
 	case op == ir.OpLandingPad:
@@ -509,8 +533,17 @@ func (p *parser) parseCallLike(op ir.Opcode) (*ir.Instruction, error) {
 			f = ir.NewFunction(calleeTok.text, ir.FuncOf(ret, argTypes...))
 			p.m.AddFunc(f)
 		}
-		if !ir.TypesEqual(f.Sig().Ret, ret) {
-			return nil, p.errf("call return type %v, @%s returns %v", ret, f.Name(), f.Sig().Ret)
+		sig := f.Sig()
+		if !ir.TypesEqual(sig.Ret, ret) {
+			return nil, p.errf("call return type %v, @%s returns %v", ret, f.Name(), sig.Ret)
+		}
+		if len(args) < len(sig.Params) || len(args) > len(sig.Params) && !sig.Variadic {
+			return nil, p.errf("%v passes %d arguments, @%s takes %d", op, len(args), f.Name(), len(sig.Params))
+		}
+		for i, want := range sig.Params {
+			if !ir.TypesEqual(argTypes[i], want) {
+				return nil, p.errf("%v argument %d of type %v, @%s takes %v", op, i, argTypes[i], f.Name(), want)
+			}
 		}
 		callee = f
 	} else {

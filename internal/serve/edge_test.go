@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -132,4 +133,107 @@ func TestServeRejectedDeltaLeavesModule(t *testing.T) {
 	if got, err := scB.Module(ctx); err != nil || got != want {
 		t.Fatalf("the recovered module differs from the live one (err %v)", err)
 	}
+}
+
+// illTyped are fragments ir.VerifyModule rejects, one per type rule the
+// parser enforces: a select with differing arms, a store of a value
+// that is not the pointee, a ret of the wrong type, a direct call or
+// invoke with the wrong argument count, one whose argument type
+// contradicts the declaration an earlier call site synthesized, and a
+// global used as an operand of another type.
+var illTyped = []struct{ name, frag string }{
+	{"select", "define i32 @ill_select(i1 %c) {\nentry:\n  %x = select i1 %c, i32 1, i64 2\n  ret i32 %x\n}\n"},
+	{"store", "define void @ill_store(i64* %p) {\nentry:\n  store i32 1, i64* %p\n  ret void\n}\n"},
+	{"ret", "define i32 @ill_ret(i64 %a) {\nentry:\n  ret i64 %a\n}\n"},
+	{"arity", "declare void @ill_callee(i32)\ndefine void @ill_arity() {\nentry:\n" +
+		"  invoke void @ill_callee(i32 1, i32 2) to label %ok unwind label %ok\nok:\n  ret void\n}\n"},
+	{"argtype", "define void @ill_argtype() {\nentry:\n  call void @ill_ext(i32 1)\n" +
+		"  call void @ill_ext(i64 1)\n  ret void\n}\n"},
+	{"global", "@ill_g = global i32 7\ndefine i32 @ill_global(i32 %x) {\nentry:\n" +
+		"  %y = add i32 %x, @ill_g\n  ret i32 %y\n}\n"},
+}
+
+// TestServeIllTypedIR: a module or fragment the verifier would reject
+// is a 400 at session creation and at update, and a refused update
+// leaves the module as it was with nothing quarantined.
+func TestServeIllTypedIR(t *testing.T) {
+	ctx := context.Background()
+	_, hs := newTestDaemon(t, Config{WALDir: t.TempDir()})
+	c := client.New(hs.URL, "ill")
+	corpus := testCorpus(t, 8)
+	sc, err := c.CreateSession(ctx, chaosOpts("ill", corpus))
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	before, err := sc.Module(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se *client.StatusError
+	for _, tc := range illTyped {
+		if _, err := c.CreateSession(ctx, chaosOpts("ill-"+tc.name, corpus+tc.frag)); !errors.As(err, &se) || se.Code != 400 {
+			t.Errorf("%s: create got %v, want 400", tc.name, err)
+		}
+		if _, err := sc.Update(ctx, tc.frag); !errors.As(err, &se) || se.Code != 400 {
+			t.Errorf("%s: update got %v, want 400", tc.name, err)
+		}
+		if after, err := sc.Module(ctx); err != nil || after != before {
+			t.Fatalf("%s: a refused update changed the module (err %v)", tc.name, err)
+		}
+	}
+	if info, err := sc.Info(ctx); err != nil || info.Quarantined {
+		t.Fatalf("session after refused updates: %+v, %v", info, err)
+	}
+	if h, err := c.Health(ctx); err != nil || !h.OK || h.Quarantined != 0 {
+		t.Fatalf("health %+v (err %v), want OK with nothing quarantined", h, err)
+	}
+}
+
+// FuzzServeUpdate posts arbitrary fragments to /v1/sessions/{name}/update
+// on a session seeded with a small corpus, fresh for each input: the
+// answer is 200 or 4xx, never 5xx; the session is never quarantined;
+// and a 4xx leaves the module text byte-identical.
+func FuzzServeUpdate(f *testing.F) {
+	for _, tc := range illTyped {
+		f.Add(tc.frag)
+	}
+	f.Add(chaosFragDup)
+	f.Add(batchFragRedefine)
+	f.Add(nestedFunc("deep", irtext.MaxTypeDepth+1))
+	ctx := context.Background()
+	srv := New(Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		srv.Close()
+	}()
+	c := client.New(hs.URL, "fuzz")
+	corpus := testCorpus(f, 6)
+	f.Fuzz(func(t *testing.T, frag string) {
+		sc, err := c.CreateSession(ctx, chaosOpts("fuzz", corpus))
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		defer sc.Close(ctx)
+		before, err := sc.Module(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sc.Update(ctx, frag)
+		var se *client.StatusError
+		switch {
+		case err == nil:
+		case !errors.As(err, &se):
+			t.Fatalf("update: %v", err)
+		case se.Code/100 != 4:
+			t.Fatalf("update answered %d: %s", se.Code, se.Message)
+		default:
+			if after, err := sc.Module(ctx); err != nil || after != before {
+				t.Fatalf("a %d update changed the module (err %v)", se.Code, err)
+			}
+		}
+		if info, err := sc.Info(ctx); err != nil || info.Quarantined {
+			t.Fatalf("session after update: %+v, %v", info, err)
+		}
+	})
 }

@@ -24,7 +24,7 @@ import (
 
 // testCorpus is a clone-heavy synthetic module, rendered as text: the
 // daemon and the local reference session both parse the same bytes.
-func testCorpus(t *testing.T, funcs int) string {
+func testCorpus(t testing.TB, funcs int) string {
 	t.Helper()
 	m := synth.Generate(synth.Profile{
 		Name: "servetest", Seed: 23, Funcs: funcs,
