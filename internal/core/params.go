@@ -109,13 +109,11 @@ func NewMergedShell(m *ir.Module, name string, fns []*ir.Function, plan *ParamPl
 	return merged, merged.Param(0)
 }
 
-// BuildThunk replaces f's body with a forwarding call to merged:
-// f(args...) becomes merged(fid, unified args...), passing undef for
-// parameters exclusive to other members and the identifier constant
-// selecting member (see FidConst).
+// BuildThunk replaces f's body with a forwarding call to merged
+// (ir.BuildForwarder): f(args...) becomes merged(fid, unified args...),
+// passing undef for parameters exclusive to other members and the
+// identifier constant selecting member (see FidConst).
 func BuildThunk(f, merged *ir.Function, member int, slotOf []int, plan *ParamPlan) {
-	f.Clear()
-	entry := f.NewBlockIn("entry")
 	args := make([]ir.Value, 1+len(plan.Params))
 	args[0] = FidConst(merged, member)
 	for i, t := range plan.Params {
@@ -124,11 +122,5 @@ func BuildThunk(f, merged *ir.Function, member int, slotOf []int, plan *ParamPla
 	for i, p := range f.Params() {
 		args[slotOf[i]+1] = p
 	}
-	call := ir.NewCall("", merged, args...)
-	entry.Append(call)
-	if ir.IsVoid(plan.Ret) {
-		entry.Append(ir.NewRet(nil))
-	} else {
-		entry.Append(ir.NewRet(call))
-	}
+	ir.BuildForwarder(f, merged, args)
 }

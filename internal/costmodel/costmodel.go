@@ -172,8 +172,8 @@ func SwitchBytes(target Target, cases int) int {
 // with numArgs arguments and a return, priced by the rules FuncBytes
 // measures it with. Merge thunks (core.BuildThunk; numArgs counts the
 // merged function's parameters, identifier included) and duplicate-fold
-// forwarders (search.BuildForwarder) are both such bodies, so a merge
-// or fold priced with it changes ModuleBytes by exactly its profit.
+// forwarders are both such bodies (ir.BuildForwarder), so a merge or
+// fold priced with it changes ModuleBytes by exactly its profit.
 func ThunkBytes(target Target, numArgs int) int {
 	return funcOverhead(target) + callBytes(numArgs, target) + narrow(retCost, target)
 }

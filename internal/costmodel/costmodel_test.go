@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/irtext"
-	"repro/internal/search"
 )
 
 func TestThumbSmallerThanX86(t *testing.T) {
@@ -70,10 +69,11 @@ func TestThunkBytesGrowsWithArgs(t *testing.T) {
 }
 
 func TestThunkBytesIsBuiltBody(t *testing.T) {
-	// ThunkBytes prices the bodies core.BuildThunk and
-	// search.BuildForwarder build, so it must be what FuncBytes measures
-	// of them: any gap is a saving the merge gate records and the module
-	// never makes.
+	// ThunkBytes prices the forwarding bodies ir.BuildForwarder builds —
+	// a merge thunk (core.BuildThunk hands it the merged function's
+	// argument list) and a fold forwarder (dup's own parameters) — so it
+	// must be what FuncBytes measures of them: any gap is a saving the
+	// merge gate records and the module never makes.
 	for _, target := range []Target{X86_64, Thumb} {
 		for _, ret := range []ir.Type{ir.Void, ir.I32} {
 			for n := 0; n <= 8; n++ {
@@ -90,11 +90,17 @@ func TestThunkBytesIsBuiltBody(t *testing.T) {
 				}
 				merged, _ := core.NewMergedShell(m, "merged", []*ir.Function{f1, f2}, plan)
 				core.BuildThunk(f1, merged, 0, plan.Maps[0], plan)
+				if ir.Forwardee(f1) != merged {
+					t.Fatalf("ret %v arity %d: the thunk is not a forwarding body into @merged", ret, n)
+				}
 				if got, want := ThunkBytes(target, len(merged.Params())), FuncBytes(f1, target); got != want {
 					t.Errorf("%v ret %v arity %d: ThunkBytes = %d, the built thunk measures %d",
 						target, ret, len(merged.Params()), got, want)
 				}
-				search.BuildForwarder(f2, f1)
+				ir.BuildForwarder(f2, f1, f2.ParamValues())
+				if ir.Forwardee(f2) != f1 {
+					t.Fatalf("ret %v arity %d: the fold forwarder is not a forwarding body into @f1", ret, n)
+				}
 				if got, want := ThunkBytes(target, n), FuncBytes(f2, target); got != want {
 					t.Errorf("%v ret %v arity %d: ThunkBytes = %d, the built forwarder measures %d",
 						target, ret, n, got, want)

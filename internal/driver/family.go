@@ -199,7 +199,7 @@ func (s *familySet) validMembers(m *ir.Module, f *ir.Function) *family {
 	}
 	for _, mb := range fam.members {
 		live := m.FuncByName(mb.name)
-		if live == nil || !isThunkTo(live, f) {
+		if live == nil || ir.Forwardee(live) != f {
 			s.drop(f)
 			return nil
 		}
@@ -219,19 +219,6 @@ func (s *familySet) sizes() map[int]int {
 	return out
 }
 
-// isThunkTo reports whether f's body is a single-block forward to head.
-func isThunkTo(f, head *ir.Function) bool {
-	if len(f.Blocks) != 1 {
-		return false
-	}
-	for _, in := range f.Blocks[0].Instrs() {
-		if in.Op() == ir.OpCall && in.Callee() == ir.Value(head) {
-			return true
-		}
-	}
-	return false
-}
-
 // hasExternalCallers reports whether anything outside fam's own member
 // thunks references fam.head: a stray live caller (user code calling a
 // generated merged function by hand), or — equally fatal — another
@@ -240,21 +227,12 @@ func isThunkTo(f, head *ir.Function) bool {
 // for this family. A reference is an operand identical to the head; a
 // live holder is excused iff it is the head or carries a member's name,
 // a stored body iff it is the family's own (those predate the head).
-//
-// best is the walk row's retained trial, if any. Built in place — in a
-// dry run as in a committing one — its merged body sits in m without
-// having gone through a commit, and it can carry a head reference
-// copied out of a member thunk — excused by name there, not in the
-// copy — so the index holds it for this check.
-func hasExternalCallers(m *ir.Module, families *familySet, fam *family, best *trial) bool {
+// A row's retained trial needs no entry: no trial input is a member thunk.
+func hasExternalCallers(m *ir.Module, families *familySet, fam *family) bool {
 	if fam == nil {
 		return false
 	}
 	refs := families.index(m)
-	if best != nil {
-		refs.add(best.merged, false)
-		defer refs.forget(best.merged)
-	}
 	found := false
 holders:
 	for h, stored := range refs.holders[fam.head] {
@@ -336,13 +314,13 @@ func (mp *memberPlan) member(m *ir.Module, i int) *ir.Function {
 // flattenFor decides whether merging f1 and f2 should flatten into a
 // k-ary family rather than nest: family tracking must be on (families
 // is non-nil exactly when MaxFamily >= 3), at least one side must head
-// an intact family, the member union must fit MaxFamily and contain no
-// function twice (a member thunk can rank as its own family's partner),
-// the heads must have no callers outside their thunks, and the united
-// signatures must plan. Any miss returns nil and the pair merges
-// pairwise (a head nests, exactly the historical chain). best is the
-// row's retained trial, if any (see hasExternalCallers).
-func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Function, best *trial) *memberPlan {
+// an intact family, the member union must fit MaxFamily, the heads must
+// have no callers outside their thunks, and the united signatures must
+// plan. Any miss returns nil and the pair merges pairwise (a head nests,
+// exactly the historical chain). Neither side is a member thunk — a
+// forwarding body is never a merge partner — so the union names no
+// function twice.
+func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Function) *memberPlan {
 	if families == nil {
 		return nil
 	}
@@ -360,7 +338,7 @@ func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Fun
 	if legs(fam1)+legs(fam2) > maxFamily {
 		return nil
 	}
-	if hasExternalCallers(m, families, fam1, best) || hasExternalCallers(m, families, fam2, best) {
+	if hasExternalCallers(m, families, fam1) || hasExternalCallers(m, families, fam2) {
 		return nil
 	}
 	fp := &memberPlan{}
@@ -380,16 +358,6 @@ func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Fun
 	}
 	add(f1, fam1)
 	add(f2, fam2)
-	// A duplicate name means one side's newcomer is the other side's
-	// member thunk: flattening would rewrite that function twice and
-	// bake a call to the removed head into the merged body. Nest.
-	seen := make(map[string]bool, len(fp.names))
-	for _, nm := range fp.names {
-		if seen[nm] {
-			return nil
-		}
-		seen[nm] = true
-	}
 	pplan, err := core.PlanParams(fp.srcs...)
 	if err != nil {
 		return nil

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -155,7 +156,7 @@ func TestFlattenSingleHop(t *testing.T) {
 			if thunk == nil {
 				t.Fatalf("family member @%s missing", name)
 			}
-			if !isThunkTo(thunk, head) {
+			if ir.Forwardee(thunk) != head {
 				t.Errorf("member @%s does not thunk directly into @%s:\n%s", name, famRec.Merged, thunk)
 			}
 		}
@@ -251,29 +252,45 @@ func TestFlattenDisabledMatchesHistoricalChains(t *testing.T) {
 	}
 }
 
-// TestFlattenRejectsMemberNewcomer: a member thunk ranking as its own
-// family's partner must not flatten — the member list would contain
+// TestFlattenRejectsMemberNewcomer: a member thunk must never meet its
+// own family's head as a merge partner — the member list would contain
 // the function twice and the merged body would call the removed head.
-// The pair nests instead (flattenFor returns nil).
+// A member thunk is a forwarding body, so the finder never lists it, and
+// Apply refuses a hand-written merge of a head with its own member,
+// either way round, leaving the module as it was.
 func TestFlattenRejectsMemberNewcomer(t *testing.T) {
+	ctx := context.Background()
 	for seed := int64(1); seed <= 6; seed++ {
 		m := chainModule(t, seed)
 		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
-		s, err := OpenSession(context.Background(), m, cfg)
+		s, err := OpenSession(ctx, m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		optimizeToFixpoint(t, s)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		for head, fam := range s.families.byHead {
 			member := m.FuncByName(fam.members[0].name)
 			if member == nil {
 				t.Fatal("family member missing from module")
 			}
-			if fp := flattenFor(m, s.families, cfg.MaxFamily, head, member, nil); fp != nil {
-				t.Errorf("seed %d: flattenFor accepted the head's own member thunk: %v", seed, fp.names)
+			if slices.Contains(s.finder.Order(), member) || slices.Contains(s.finder.Candidates(head, len(m.Funcs)), member) {
+				t.Errorf("seed %d: the finder lists member thunk @%s", seed, member.Name())
 			}
-			if fp := flattenFor(m, s.families, cfg.MaxFamily, member, head, nil); fp != nil {
-				t.Errorf("seed %d: flattenFor accepted a member as f1 against its head: %v", seed, fp.names)
+			text := m.String()
+			for _, pair := range [][2]*ir.Function{{head, member}, {member, head}} {
+				_, err := s.Apply(ctx, &Plan{Merges: []PlannedMerge{{
+					F1: pair[0].Name(), F2: pair[1].Name(),
+					Hash1: search.HashFunction(pair[0]), Hash2: search.HashFunction(pair[1]),
+				}}})
+				if !errors.Is(err, ErrStalePlan) {
+					t.Errorf("seed %d: Apply of @%s + @%s returned %v, want ErrStalePlan", seed, pair[0].Name(), pair[1].Name(), err)
+				}
+			}
+			if m.String() != text {
+				t.Fatalf("seed %d: a refused Apply changed the module", seed)
 			}
 		}
 		s.Close()
@@ -305,28 +322,17 @@ func TestFlattenVetoedByRegistryCloneReference(t *testing.T) {
 			s.Close()
 			continue
 		}
-		if hasExternalCallers(m, s.families, fam, nil) {
+		if hasExternalCallers(m, s.families, fam) {
 			t.Fatalf("seed %d: fresh family already vetoed", seed)
 		}
 		// Register a fake family whose stored body calls the head —
 		// the shape a tracked pair commit produces when a direct caller
 		// of the head is itself consumed by a merge.
 		caller := ir.NewFunction("ext.caller", ir.FuncOf(head.Sig().Ret, head.Sig().Params...))
-		entry := caller.NewBlockIn("entry")
-		args := make([]ir.Value, len(caller.Params()))
-		for i, p := range caller.Params() {
-			args[i] = p
-		}
-		call := ir.NewCall("", head, args...)
-		entry.Append(call)
-		if ir.IsVoid(head.Sig().Ret) {
-			entry.Append(ir.NewRet(nil))
-		} else {
-			entry.Append(ir.NewRet(call))
-		}
+		ir.BuildForwarder(caller, head, caller.ParamValues())
 		fakeHead := ir.NewFunction("fake.head", head.Sig())
 		s.families.record(fakeHead, []familyMember{{name: "ext.caller", body: caller}})
-		if !hasExternalCallers(m, s.families, fam, nil) {
+		if !hasExternalCallers(m, s.families, fam) {
 			t.Errorf("seed %d: registry body referencing the head did not veto flattening", seed)
 		}
 		s.Close()
@@ -553,18 +559,14 @@ func TestCommitShapes(t *testing.T) {
 		}
 		// A nest: merge a head pairwise with a plain function through
 		// Apply, which commits a plan entry without a member list as a
-		// pair whatever flattenFor would say.
+		// pair whatever flattenFor would say. Two runs leave the chain
+		// suite nothing plain but thunks, which never pair, so the plain
+		// function is a fresh copy of one of the head's original bodies.
 		for head, fam := range s.families.byHead {
-			var plain *ir.Function
-			for _, f := range m.Defined() {
-				if _, member := headOf[f.Name()]; f != head && !member && !s.families.isHead(f) &&
-					s.recs.of[f] != nil && ir.TypesEqual(f.Sig().Ret, head.Sig().Ret) && !f.Sig().Variadic {
-					plain = f
-					break
-				}
-			}
-			if plain == nil {
-				continue
+			plain, _ := ir.CloneFunction(fam.members[0].body, "plain."+fam.members[0].name)
+			m.AddFunc(plain)
+			if err := s.Update(ctx, plain.Name()); err != nil {
+				t.Fatal(err)
 			}
 			sawNest = true
 			members, families := fam.members, len(s.families.byHead)
@@ -582,7 +584,7 @@ func TestCommitShapes(t *testing.T) {
 			if cur := s.families.byHead[head]; cur == nil || !slices.Equal(cur.members, members) {
 				t.Errorf("seed %d: nesting @%s changed its own family", seed, head.Name())
 			}
-			if !isThunkTo(head, merged) || !isThunkTo(plain, merged) {
+			if ir.Forwardee(head) != merged || ir.Forwardee(plain) != merged {
 				t.Errorf("seed %d: the nest did not thunk both sides into @%s", seed, merged.Name())
 			}
 			break

@@ -153,7 +153,7 @@ func referenceFoldDuplicates(candidates []*ir.Function, preSize map[*ir.Function
 			if profit <= 0 {
 				continue
 			}
-			search.BuildForwarder(dup, rep)
+			ir.BuildForwarder(dup, rep, dup.ParamValues())
 			folded[dup] = true
 			res.Folds = append(res.Folds, FoldRecord{Dup: dup.Name(), Rep: rep.Name(), Profit: profit})
 		}

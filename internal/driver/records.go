@@ -9,7 +9,7 @@ import (
 	"repro/internal/search"
 )
 
-// record is what a session knows about one indexed function: the name
+// record is what a session knows about one candidate function: the name
 // it was indexed under, its size, three facts built from its body on
 // first use — the fold hash that buckets duplicates, the sequence the
 // alignment runs on and the profile the funnel screens with (the
@@ -69,10 +69,11 @@ func (r *record) forget() {
 }
 
 // records is a session's one per-function table: a record exists
-// exactly while its function is indexed, and reset is the one rule by
-// which what it knows dies, its memo pairs included: a re-index, an
-// unindex and a commit's retire invalidate the memo through it, and a
-// family break drops the pairs naming its head with the same forget.
+// exactly while its function is a candidate (which the finder lists
+// unless it is a forwarding body, one that may fold but never pair),
+// and reset is the one rule by which what it knows dies, its memo pairs
+// included: a re-index, an unindex and a commit's retire invalidate the
+// memo through it, and a family break drops the pairs naming its head.
 // Every sequence is interned by one Interner, so the class IDs of any
 // two records are comparable — the precondition of costmodel.Bound.
 // Only the session's own calls, which it serializes, touch it.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/irtext"
-	"repro/internal/search"
 	"repro/internal/synth"
 	"repro/internal/transform"
 )
@@ -27,7 +26,8 @@ func failSkip(pass string, f *ir.Function, b *ir.Block) {
 // scan over every instruction operand of the module and of the other
 // families' stored bodies that the per-run reference index replaced.
 // An in-flight in-place trial body is in m.Funcs when a check runs, so
-// the scan needs no parameter for it.
+// the scan reads it too, which the index does not: the two agree only
+// while no trial copies a head reference out of an excused holder.
 func naiveExternalCallers(m *ir.Module, families *familySet, fam *family) bool {
 	refsHead := func(f *ir.Function) (found bool) {
 		f.Instrs(func(in *ir.Instruction) bool {
@@ -124,11 +124,10 @@ func familySession(t *testing.T, threshold int) (*Session, *ir.Module, *family) 
 }
 
 // callerOf returns a detached function of head's signature whose body
-// is a call of head, the shape of a hand-written caller and of what a
-// trial copies out of a member thunk.
+// is a call of head, the shape of a hand-written caller.
 func callerOf(head *ir.Function, name string) *ir.Function {
 	f := ir.NewFunction(name, head.Sig())
-	search.BuildForwarder(f, head)
+	ir.BuildForwarder(f, head, f.ParamValues())
 	return f
 }
 
@@ -139,63 +138,38 @@ func callerOf(head *ir.Function, name string) *ir.Function {
 func TestCallerCheckStrayLiveCaller(t *testing.T) {
 	s, m, fam := familySession(t, 3)
 	defer func() { s.families.refs = nil }()
-	if hasExternalCallers(m, s.families, fam, nil) {
+	if hasExternalCallers(m, s.families, fam) {
 		t.Fatal("fresh family already vetoed")
 	}
 	// Arrives after the build, reported the way a commit reports it.
 	stray := m.AddFunc(callerOf(fam.head, "user.caller"))
 	s.markPending(stray)
-	if !hasExternalCallers(m, s.families, fam, nil) {
+	if !hasExternalCallers(m, s.families, fam) {
 		t.Error("a live caller added during the run did not veto flattening")
 	}
 	// Rewritten so it no longer calls the head: the veto lifts.
 	stray.Clear()
 	s.markPending(stray)
-	if hasExternalCallers(m, s.families, fam, nil) {
+	if hasExternalCallers(m, s.families, fam) {
 		t.Error("a caller rewritten away from the head still vetoes")
 	}
 	// Present at the next run's build.
-	search.BuildForwarder(stray, fam.head)
+	ir.BuildForwarder(stray, fam.head, stray.ParamValues())
 	s.families.refs = nil
-	if !hasExternalCallers(m, s.families, fam, nil) {
+	if !hasExternalCallers(m, s.families, fam) {
 		t.Error("a live caller present at the index build did not veto flattening")
 	}
 	// A member's name excuses the holder; the head excuses itself.
 	stray.SetName("renamed.caller")
 	own := *fam
 	own.members = append(own.members[:len(own.members):len(own.members)], familyMember{name: "renamed.caller"})
-	if hasExternalCallers(m, s.families, &own, nil) {
+	if hasExternalCallers(m, s.families, &own) {
 		t.Error("a holder carrying a member's name was not excused")
 	}
 	m.RemoveFunc(stray)
 	s.markPending(stray)
-	if hasExternalCallers(m, s.families, fam, nil) {
+	if hasExternalCallers(m, s.families, fam) {
 		t.Error("a removed caller still vetoes")
-	}
-}
-
-// TestCallerCheckInflightBody: at Threshold > 1 the row's retained
-// in-place trial body is in the module when the next candidate's caller
-// check runs, and it can hold a head reference copied out of a member
-// thunk — excused there by name, not in the copy. The index must see it
-// for that check and must not remember it afterwards (a rejected trial
-// leaves the module without passing a mutation point), whichever of the
-// two came first: the body or the run's index.
-func TestCallerCheckInflightBody(t *testing.T) {
-	for _, builtFirst := range []bool{false, true} {
-		s, m, fam := familySession(t, 3)
-		if builtFirst && hasExternalCallers(m, s.families, fam, nil) {
-			t.Fatal("fresh family already vetoed")
-		}
-		body := m.AddFunc(callerOf(fam.head, "merged.x."+fam.members[0].name))
-		if !hasExternalCallers(m, s.families, fam, &trial{merged: body}) {
-			t.Errorf("index built first %v: the in-flight body's reference did not veto flattening", builtFirst)
-		}
-		m.RemoveFunc(body) // the trial was rejected
-		if hasExternalCallers(m, s.families, fam, nil) {
-			t.Errorf("index built first %v: a discarded in-flight body still vetoes", builtFirst)
-		}
-		s.families.refs = nil
 	}
 }
 
@@ -289,7 +263,7 @@ func TestCallerCheckIndexOncePerSession(t *testing.T) {
 // must verify.
 func TestCallerCheckUnreportedStrayCaller(t *testing.T) {
 	s, m, fam := familySession(t, 1)
-	if hasExternalCallers(m, s.families, fam, nil) {
+	if hasExternalCallers(m, s.families, fam) {
 		t.Fatal("fresh family already vetoed")
 	}
 	s.finishStats(&Result{}) // that check was a run's

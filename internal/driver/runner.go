@@ -124,7 +124,7 @@ func (r *runner) foldProfit(dup *ir.Function) int {
 // mode), retires dup and records the fold. Apply folds through here too.
 func (r *runner) fold(dup, rep *ir.Function, profit int) {
 	if r.plan == nil {
-		search.BuildForwarder(dup, rep)
+		ir.BuildForwarder(dup, rep, dup.ParamValues())
 	} else {
 		r.plan.Folds = append(r.plan.Folds, PlannedFold{
 			Dup: dup.Name(), Rep: rep.Name(), Profit: profit,
@@ -188,7 +188,7 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 		// Deciding whether the pair flattens asks the reference index
 		// for callers outside the family: a screen like any other.
 		s0 := time.Now()
-		fp := flattenFor(r.m, r.families, cfg.MaxFamily, f1, f2, best)
+		fp := flattenFor(r.m, r.families, cfg.MaxFamily, f1, f2)
 		c.ScreenTime += time.Since(s0)
 		if err := ctx.Err(); err != nil {
 			r.discard(best)

@@ -9,16 +9,16 @@
 //
 // Two index layers persist across runs:
 //
-//   - the search.Finder (the dense fingerprint index), updated
-//     incrementally through its Add/AddBatch/Remove entry points;
-//   - the records (records.go): per indexed function its name, its size,
+//   - the search.Finder (the dense fingerprint index) of every candidate
+//     but a forwarding body, updated through Add/AddBatch/Remove;
+//   - the records (records.go): per candidate its name, its size,
 //     its row of the outcome memo and, built on first use, its fold
 //     hash, alignment sequence and screening profile. The memo remembers
 //     the candidate pairs whose trial was unprofitable (an unprofitable
 //     trial is a pure function of the two bodies and the options), so a
 //     re-run skips their alignment DP and codegen entirely. A record
-//     exists exactly while its function is indexed, and resetting it is
-//     the one way what it knows dies: any edit to either function of a
+//     exists exactly while its function is a candidate, and resetting it
+//     is the one way what it knows dies: any edit to either function of a
 //     memoized pair drops the pair.
 //
 // Runs come in two flavours sharing one loop (runner.go): a committing
@@ -282,7 +282,8 @@ var ErrUnknownFunction = fmt.Errorf("unknown function")
 
 // ErrStalePlan is wrapped by Apply when a plan's structural hashes no
 // longer match the module — the code changed between Plan and Apply —
-// or when a fold names two functions that are not duplicates.
+// when a fold names two functions that are not duplicates, or when a
+// merge names a forwarding body (a thunk or a fold forwarder).
 // It is the optimistic-concurrency signal: a service maps it to a
 // conflict response and the client replans against the current module.
 var ErrStalePlan = fmt.Errorf("plan is stale")
@@ -636,7 +637,8 @@ func (s *Session) PlanReport(ctx context.Context) (*Plan, *Result, error) {
 // error naming the stale function instead of merging the wrong code.
 // A fold must also name two structurally identical functions, and its
 // profit is priced from the live body as Optimize prices it, whatever
-// the plan says. Merges are re-generated from the current bodies (hash
+// the plan says; no merge may name a forwarding body. Merges are
+// re-generated from the current bodies (hash
 // equality makes this reproduce the planned merge) and committed
 // unconditionally, in plan order. The merged-function name is re-derived against the live
 // module, so it matches the plan's Merged name unless the module
@@ -730,12 +732,15 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 			return finish(err)
 		}
 		f1, f2 := s.m.FuncByName(pm.F1), s.m.FuncByName(pm.F2)
+		if ir.Forwardee(f1) != nil || ir.Forwardee(f2) != nil {
+			return finish(fmt.Errorf("driver: %w: @%s + @%s names a forwarding body, never a merge partner", ErrStalePlan, pm.F1, pm.F2))
+		}
 		// A planned flattening is re-derived from the live family
 		// registry and must name the same members: the plan carries only
 		// names, the original bodies live in this session's registry.
 		var fp *memberPlan
 		if len(pm.Family) > 0 {
-			if fp = flattenFor(s.m, s.families, s.cfg.MaxFamily, f1, f2, nil); fp == nil || !sameNames(fp.names, pm.Family) {
+			if fp = flattenFor(s.m, s.families, s.cfg.MaxFamily, f1, f2); fp == nil || !sameNames(fp.names, pm.Family) {
 				return finish(fmt.Errorf("driver: %w: family behind @%s + @%s no longer matches %v", ErrStalePlan, pm.F1, pm.F2, pm.Family))
 			}
 		}

@@ -146,7 +146,7 @@ func mutateForUpdate(t *testing.T, m *ir.Module) []string {
 	if edited == nil {
 		return []string{clone.Name()}
 	}
-	search.BuildForwarder(edited, src)
+	ir.BuildForwarder(edited, src, edited.ParamValues())
 	return []string{clone.Name(), edited.Name()}
 }
 
@@ -751,7 +751,7 @@ func TestSessionApplyStalePlan(t *testing.T) {
 	victim := m.FuncByName(victimName)
 	// Any structural change flips the hash; forward the victim to its
 	// planned partner.
-	search.BuildForwarder(victim, m.FuncByName(plan.Merges[0].F2))
+	ir.BuildForwarder(victim, m.FuncByName(plan.Merges[0].F2), victim.ParamValues())
 	if err := s.Update(context.Background(), victimName); err != nil {
 		t.Fatal(err)
 	}

@@ -46,15 +46,18 @@ func checkFinderFresh(t *testing.T, s *Session, when string) int {
 }
 
 // checkRecords holds the session's records to what they describe. The
-// records are keyed by exactly the functions the finder indexes, less
-// those a committing run retired since the last sync (pending, out of
-// the finder, their bodies rewritten); every other record's size is
-// what costmodel.FuncBytes measures now, its memoized hash what
-// search.HashFunction computes now and its sequence the linearization
-// of its body now; a retired function's record keeps nothing built from
-// its old body, no memoized pair included. The memo is linked both
-// ways: every entry of a row names another live record, once, whose
-// back list names the row, and every back entry is matched by one.
+// finder indexes only functions with a record, and a record's function
+// is listed by the finder exactly when it is not a forwarding body
+// (ir.Forwardee), less those a committing run retired since the last
+// sync (pending, out of the finder, their bodies rewritten); every
+// other record's size is what costmodel.FuncBytes measures now, its
+// memoized hash what search.HashFunction computes now and its sequence
+// the linearization of its body now; a retired function's record keeps
+// nothing built from its old body, no memoized pair included, and a
+// forwarding body, which no row walks and no list names, takes part in
+// no memoized pair. The memo is linked both ways: every entry of a row
+// names another live record, once, whose back list names the row, and
+// every back entry is matched by one.
 func checkRecords(t *testing.T, s *Session, when string) {
 	t.Helper()
 	inFinder := map[*ir.Function]bool{}
@@ -75,9 +78,13 @@ func checkRecords(t *testing.T, s *Session, when string) {
 			}
 			continue
 		}
-		if !inFinder[f] {
+		switch forwarder := ir.Forwardee(f) != nil; {
+		case forwarder && inFinder[f]:
+			t.Errorf("%s: the finder lists @%s, a forwarding body", when, r.name)
+		case forwarder && len(r.memo)+len(r.back) != 0:
+			t.Errorf("%s: forwarding body @%s takes part in %d memo and %d back entries", when, r.name, len(r.memo), len(r.back))
+		case !forwarder && !inFinder[f]:
 			t.Errorf("%s: @%s has a record but is not indexed", when, r.name)
-			continue
 		}
 		if want := costmodel.FuncBytes(f, s.cfg.Target); r.size != want {
 			t.Errorf("%s: @%s's record prices it at %d bytes, FuncBytes at %d", when, r.name, r.size, want)

@@ -276,6 +276,21 @@ func TestVerifyCatchesBrokenIR(t *testing.T) {
 	})
 }
 
+// TestVerifyRefusesNameClash: a function and a global variable of one
+// name are two symbols the printer emits side by side.
+func TestVerifyRefusesNameClash(t *testing.T) {
+	m := NewModule()
+	m.AddGlobal(NewGlobalVar("g", I32, NewConstInt(I32, 7)))
+	m.AddFunc(NewFunction("f", FuncOf(Void)))
+	if err := VerifyModule(m); err != nil {
+		t.Fatal(err)
+	}
+	m.AddFunc(NewFunction("g", FuncOf(Void)))
+	if err := VerifyModule(m); err == nil || !strings.Contains(err.Error(), "share the name") {
+		t.Fatalf("VerifyModule = %v, want the name clash", err)
+	}
+}
+
 func wantErr(t *testing.T, f *Function, frag string) {
 	t.Helper()
 	err := VerifyFunction(f)

@@ -20,8 +20,14 @@ func (e *VerifyError) Error() string {
 }
 
 // VerifyModule checks every defined function in m (see VerifyFunction)
-// and returns the first error found.
+// and that no function shares a global's name, and returns the first
+// error found.
 func VerifyModule(m *Module) error {
+	for _, g := range m.Globals {
+		if m.FuncByName(g.name) != nil {
+			return &VerifyError{Func: g.name, Msg: "function and global variable share the name"}
+		}
+	}
 	for _, f := range m.Funcs {
 		if f.IsDecl() {
 			continue

@@ -192,6 +192,10 @@ func TestParseErrors(t *testing.T) {
 		{"invoke arity", "declare void @g(i32)\ndefine void @f() {\ne:\n invoke void @g() to label %n unwind label %n\nn:\n ret void\n}", "passes 0 arguments"},
 		{"call arg type", "declare void @g(i32)\ndefine void @f() {\ne:\n call void @g(i64 1)\n ret void\n}", "argument 0 of type i64"},
 		{"global type", "@g = global i32 7\ndefine i32 @f(i32 %x) {\ne:\n %y = add i32 %x, @g\n ret i32 %y\n}", "@g used with type i32"},
+		{"call of a global", "@g = global i32 7\ndefine void @f() {\ne:\n call void @g()\n ret void\n}", "call of @g, a global variable"},
+		{"invoke of a global", "@g = global i32 7\ndefine void @f() {\ne:\n invoke void @g() to label %n unwind label %n\nn:\n ret void\n}", "invoke of @g, a global variable"},
+		{"function named like a global", "@g = global i32 7\ndeclare void @g()", "@g is already a global variable"},
+		{"global named like a function", "declare void @g()\n@g = global i32 7", "@g is already a function"},
 		{"call vs synthesized decl", "define void @f() {\ne:\n call void @h(i32 1)\n call void @h(i64 1)\n ret void\n}", "argument 0 of type i64"},
 	}
 	for _, tc := range cases {

@@ -249,6 +249,9 @@ func (p *parser) parseGlobal() error {
 			return p.errf("expected global initializer, found %s", t)
 		}
 	}
+	if p.m.FuncByName(name) != nil {
+		return &parseError{line: nameLine, msg: fmt.Sprintf("@%s is already a function", name)}
+	}
 	if existing := p.m.GlobalByName(name); existing != nil {
 		// A re-mention is fine as long as the type agrees; the original
 		// definition (and its initializer) wins. Fragments spliced by
@@ -317,6 +320,10 @@ func (p *parser) parseFuncHeader() (*ir.Function, []string, error) {
 		names = append(names, pn)
 	}
 	sig := &ir.FuncType{Ret: ret, Params: params, Variadic: variadic}
+	if p.m.GlobalByName(nameTok.text) != nil {
+		return nil, nil, &parseError{line: nameTok.line,
+			msg: fmt.Sprintf("@%s is already a global variable", nameTok.text)}
+	}
 	if existing := p.m.FuncByName(nameTok.text); existing != nil {
 		if !ir.TypesEqual(existing.Sig(), sig) {
 			return nil, nil, &parseError{line: nameTok.line,

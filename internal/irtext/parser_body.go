@@ -528,6 +528,9 @@ func (p *parser) parseCallLike(op ir.Opcode) (*ir.Instruction, error) {
 	if calleeTok.kind == tokGlobal {
 		f := p.m.FuncByName(calleeTok.text)
 		if f == nil {
+			if p.m.GlobalByName(calleeTok.text) != nil {
+				return nil, p.errf("%v of @%s, a global variable", op, calleeTok.text)
+			}
 			// Synthesize a declaration from the call-site types: the paper's
 			// examples call externals (start, body, end) without declaring them.
 			f = ir.NewFunction(calleeTok.text, ir.FuncOf(ret, argTypes...))

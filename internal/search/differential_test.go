@@ -50,11 +50,14 @@ type finderOps struct {
 	fps        []fingerprint.Fingerprint // pool[i]'s
 	thresholds []int
 	live       []bool
-	nLive      int
-	peakLive   int
-	renames    int
-	spec       *specFinder
-	index      *Index
+	// saved[i] is pool[i]'s body from before op forward rewrote it into
+	// a forwarder; nil when it has not.
+	saved    []*ir.Function
+	nLive    int
+	peakLive int
+	renames  int
+	spec     *specFinder
+	index    *Index
 }
 
 var (
@@ -68,9 +71,9 @@ var (
 // finders; the rest are a reserve the ops may add later.
 func newFinderOps(t testing.TB, pool []*ir.Function, indexed int, thresholds []int) *finderOps {
 	o := &finderOps{t: t, pool: pool, thresholds: thresholds,
-		live: make([]bool, len(pool)), nLive: indexed, peakLive: indexed}
+		live: make([]bool, len(pool)), saved: make([]*ir.Function, len(pool))}
 	for i := 0; i < indexed; i++ {
-		o.live[i] = true
+		o.setLive(i, listed(pool[i]))
 	}
 	for _, f := range pool {
 		o.fps = append(o.fps, *fingerprint.New(f))
@@ -103,12 +106,13 @@ func (o *finderOps) rename(f *ir.Function, last bool) {
 	f.SetName(fmt.Sprintf("%c%d_%s", prefix, o.renames, f.Name()))
 }
 
-// add re-indexes pool[i] in both finders, alone or as a batch.
+// add re-indexes pool[i] in both finders, alone or as a batch. A
+// declaration or a forwarding body comes out unlisted.
 func (o *finderOps) add(batch bool, is ...int) {
 	fs := make([]*ir.Function, len(is))
 	for k, i := range is {
 		fs[k] = o.pool[i]
-		o.setLive(i, true)
+		o.setLive(i, listed(o.pool[i]))
 	}
 	if batch {
 		o.spec.AddBatch(fs)
@@ -124,14 +128,37 @@ func (o *finderOps) add(batch bool, is ...int) {
 // edit rewrites f's body into a copy of the first pool function from
 // pool[b] on that shares f's signature (f's own body when none does).
 func (o *finderOps) edit(f *ir.Function, b int) {
+	if donor := o.sameSig(f, b); donor != f {
+		f.Clear()
+		ir.CloneFunctionInto(f, donor)
+	}
+}
+
+// sameSig is the first pool function from pool[b] on that shares f's
+// signature, or f itself when none does.
+func (o *finderOps) sameSig(f *ir.Function, b int) *ir.Function {
 	for k := range o.pool {
-		donor := o.pool[(b+k)%len(o.pool)]
-		if donor != f && ir.TypesEqual(donor.Sig(), f.Sig()) {
-			f.Clear()
-			ir.CloneFunctionInto(f, donor)
-			return
+		if g := o.pool[(b+k)%len(o.pool)]; g != f && ir.TypesEqual(g.Sig(), f.Sig()) {
+			return g
 		}
 	}
+	return f
+}
+
+// forward rewrites pool[a] into a forwarder to another pool function
+// of its signature, saving its body, or — when it already was — gives
+// it its saved body back.
+func (o *finderOps) forward(a, b int) {
+	f := o.pool[a]
+	if body := o.saved[a]; body != nil {
+		f.Clear()
+		ir.CloneFunctionInto(f, body)
+		o.saved[a] = nil
+	} else {
+		o.saved[a], _ = ir.CloneFunction(f, f.Name())
+		ir.BuildForwarder(f, o.sameSig(f, b), f.ParamValues())
+	}
+	o.fps[a] = *fingerprint.New(f)
 }
 
 func (o *finderOps) setLive(i int, live bool) {
@@ -146,7 +173,7 @@ func (o *finderOps) setLive(i int, live bool) {
 	}
 }
 
-const numFinderOps = 10
+const numFinderOps = 11
 
 // apply runs op kind (mod numFinderOps) on pool[a], with b as the op's
 // parameter: remove, (re-)add, rename then re-add, AddBatch of up to
@@ -155,7 +182,9 @@ const numFinderOps = 10
 // batch it again with its cell (twice over, a duplicate entry) before
 // one more Add, or rewrite pool[a]'s body into a copy of another's
 // (edit) and re-index it — in one batch with the cell it leaves, or
-// alone.
+// alone — or rewrite pool[a] into a forwarding body and, the next time,
+// back (forward) and re-index it, alone or in one batch with the cell it
+// left or joins.
 func (o *finderOps) apply(kind, a, b int) {
 	a %= len(o.pool)
 	f := o.pool[a]
@@ -205,6 +234,14 @@ func (o *finderOps) apply(kind, a, b int) {
 		o.fps[a] = *fingerprint.New(f)
 		if kind%numFinderOps == 8 {
 			o.add(true, left...)
+		} else {
+			o.add(false, a)
+		}
+	case 10:
+		left := o.cellOf(a)
+		o.forward(a, b)
+		if b%2 == 0 {
+			o.add(true, append(left, o.cellOf(a)...)...)
 		} else {
 			o.add(false, a)
 		}
@@ -399,12 +436,13 @@ func TestLSHHashCollisions(t *testing.T) {
 // sweep at the end, over a clone-rich suite pool and over the tiny shape,
 // whose cells hold up to six members.
 func FuzzFinderOps(f *testing.F) {
-	f.Add([]byte{0, 3, 0, 1, 3, 0, 2, 3, 0})                     // remove, re-add, rename one function
-	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 5, 0, 1, 44, 0, 1, 45, 0}) // free slots, then fill them from the reserve
-	f.Add([]byte{2, 9, 0, 2, 9, 0, 0, 9, 0, 3, 9, 7})            // rename twice, remove, batch it back
-	f.Add([]byte{3, 0, 255, 3, 40, 3, 0, 47, 0, 2, 0, 0})        // batches over indexed and reserve functions
-	f.Add([]byte{4, 5, 0, 1, 5, 0, 5, 5, 0, 6, 5, 0, 7, 5, 3})   // empty a cell, re-add one, refill, rename its first, mix
-	f.Add([]byte{6, 1, 0, 6, 1, 0, 4, 1, 0, 7, 1, 1, 0, 1, 0})   // rename the first member twice, empty, mix, remove
+	f.Add([]byte{0, 3, 0, 1, 3, 0, 2, 3, 0})                       // remove, re-add, rename one function
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 5, 0, 1, 44, 0, 1, 45, 0})   // free slots, then fill them from the reserve
+	f.Add([]byte{2, 9, 0, 2, 9, 0, 0, 9, 0, 3, 9, 7})              // rename twice, remove, batch it back
+	f.Add([]byte{3, 0, 255, 3, 40, 3, 0, 47, 0, 2, 0, 0})          // batches over indexed and reserve functions
+	f.Add([]byte{4, 5, 0, 1, 5, 0, 5, 5, 0, 6, 5, 0, 7, 5, 3})     // empty a cell, re-add one, refill, rename its first, mix
+	f.Add([]byte{6, 1, 0, 6, 1, 0, 4, 1, 0, 7, 1, 1, 0, 1, 0})     // rename the first member twice, empty, mix, remove
+	f.Add([]byte{10, 2, 1, 10, 2, 0, 10, 3, 0, 5, 3, 0, 10, 3, 1}) // forward and back, alone and batched with a cell
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*64 {
 			data = data[:3*64]

@@ -131,25 +131,3 @@ func FamiliesBy(funcs []*ir.Function, hashOf func(*ir.Function) uint64) [][]*ir.
 	}
 	return fams
 }
-
-// BuildForwarder replaces dup's body with a tail forwarder to rep:
-// dup(args...) becomes "return rep(args...)". The signatures must be
-// equal (the duplicate-fold caller guarantees it via EqualFunctions).
-func BuildForwarder(dup, rep *ir.Function) {
-	if !ir.TypesEqual(dup.Sig(), rep.Sig()) {
-		panic("search: BuildForwarder signature mismatch")
-	}
-	dup.Clear()
-	entry := dup.NewBlockIn("entry")
-	args := make([]ir.Value, len(dup.Params()))
-	for i, p := range dup.Params() {
-		args[i] = p
-	}
-	call := ir.NewCall("", rep, args...)
-	entry.Append(call)
-	if ir.IsVoid(rep.Sig().Ret) {
-		entry.Append(ir.NewRet(nil))
-	} else {
-		entry.Append(ir.NewRet(call))
-	}
-}

@@ -149,18 +149,17 @@ func fpHash(fp *fingerprint.Fingerprint) uint64 {
 	return h
 }
 
-// newIndex is the bulk constructor behind New: every function is
-// fingerprinted and counted in Stats.Built.
+// listed reports whether the index lists f: a definition whose body is
+// not a forwarding one (a thunk never pays to pair).
+func listed(f *ir.Function) bool {
+	return !f.IsDecl() && ir.Forwardee(f) == nil
+}
+
+// newIndex is the bulk constructor behind New: one batch of Adds.
 func newIndex(funcs []*ir.Function) *Index {
 	l := &Index{slotOf: make(map[*ir.Function]int32, len(funcs)), byHash: map[uint64]int32{}}
 	for _, f := range funcs {
-		if f.IsDecl() {
-			continue
-		}
-		if _, ok := l.slotOf[f]; ok {
-			continue // duplicate input entry
-		}
-		l.linkLocked(l.indexLocked(f), true)
+		l.addLocked(f, true)
 	}
 	l.settleLocked()
 	return l
@@ -352,15 +351,9 @@ func (l *Index) settleLocked() {
 // and into the slab when the fingerprint is new (bulk construction and
 // AddBatch sort once instead).
 func (l *Index) Add(f *ir.Function) {
-	if f.IsDecl() {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if slot, ok := l.slotOf[f]; ok {
-		l.unlinkLocked(slot, false)
-	}
-	l.linkLocked(l.indexLocked(f), false)
+	l.addLocked(f, false)
 }
 
 // AddBatch (re-)indexes a batch of functions under one lock
@@ -375,26 +368,38 @@ func (l *Index) AddBatch(fs []*ir.Function) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, f := range fs {
-		if f.IsDecl() {
-			continue
-		}
-		if slot, ok := l.slotOf[f]; ok {
-			l.unlinkLocked(slot, true)
-		}
-		l.linkLocked(l.indexLocked(f), true)
+		l.addLocked(f, true)
 	}
 	l.settleLocked()
+}
+
+// addLocked re-links f into the cell of its current fingerprint, or
+// frees its slot when f is no longer listed.
+func (l *Index) addLocked(f *ir.Function, batch bool) {
+	if !listed(f) {
+		l.removeLocked(f, batch)
+		return
+	}
+	if slot, ok := l.slotOf[f]; ok {
+		l.unlinkLocked(slot, batch)
+	}
+	l.linkLocked(l.indexLocked(f), batch)
 }
 
 // Remove drops f from future candidate lists and recycles its slot.
 func (l *Index) Remove(f *ir.Function) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.removeLocked(f, false)
+}
+
+// removeLocked unlinks f's slot, if it has one, and frees it.
+func (l *Index) removeLocked(f *ir.Function, batch bool) {
 	slot, ok := l.slotOf[f]
 	if !ok {
 		return
 	}
-	l.unlinkLocked(slot, false)
+	l.unlinkLocked(slot, batch)
 	delete(l.slotOf, f)
 	l.funcs[slot] = nil
 	l.names[slot] = ""

@@ -11,8 +11,8 @@
 // bottleneck.
 //
 // The package also provides stable structural hashing (HashFunction) and
-// duplicate detection (FamiliesBy, EqualFunctions, BuildForwarder): exact
-// clones are folded into forwarding thunks before any alignment runs, so
+// duplicate detection (FamiliesBy, EqualFunctions): exact clones are
+// folded into forwarding thunks before any alignment runs, so
 // identical-function families cost zero DP cells.
 package search
 
@@ -35,7 +35,7 @@ type Finder interface {
 	// promising first. f itself and removed functions are never
 	// returned.
 	Candidates(f *ir.Function, t int) []*ir.Function
-	// Add (re-)indexes f as a candidate.
+	// Add (re-)indexes f; a declaration or forwarding body is dropped.
 	Add(f *ir.Function)
 	// AddBatch (re-)indexes fs in one pass, with the result of calling
 	// Add on each function in order. The driver's batched session deltas
@@ -102,8 +102,8 @@ func (k Kind) String() string {
 	return "exact"
 }
 
-// New builds the Finder over funcs (declarations are ignored). Every
-// kind builds the Index.
+// New builds the Finder over funcs (declarations and forwarding bodies
+// are ignored). Every kind builds the Index.
 func New(_ Kind, funcs []*ir.Function) Finder {
 	return newIndex(funcs)
 }

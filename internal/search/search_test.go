@@ -165,7 +165,8 @@ func names(fs []*ir.Function) []string {
 func TestForwarderPreservesBehaviour(t *testing.T) {
 	orig := parse(t, twoRenamed)
 	folded := parse(t, twoRenamed)
-	BuildForwarder(folded.FuncByName("b"), folded.FuncByName("a"))
+	b := folded.FuncByName("b")
+	ir.BuildForwarder(b, folded.FuncByName("a"), b.ParamValues())
 	if err := ir.VerifyModule(folded); err != nil {
 		t.Fatalf("folded module does not verify: %v", err)
 	}
@@ -182,7 +183,8 @@ func TestForwarderPreservesBehaviour(t *testing.T) {
 func TestForwarderSelfRecursive(t *testing.T) {
 	orig := parse(t, selfRecursive)
 	folded := parse(t, selfRecursive)
-	BuildForwarder(folded.FuncByName("fact2"), folded.FuncByName("fact"))
+	fact2 := folded.FuncByName("fact2")
+	ir.BuildForwarder(fact2, folded.FuncByName("fact"), fact2.ParamValues())
 	if err := ir.VerifyModule(folded); err != nil {
 		t.Fatalf("folded module does not verify: %v", err)
 	}

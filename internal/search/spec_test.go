@@ -15,8 +15,9 @@ import (
 // indexed function's fingerprint and the name it was indexed under, and
 // answers a query by scoring every other live function and sorting them
 // all by (distance, name) — the paper's §5.1 ranking, with nothing
-// pruned, bucketed or kept sorted between calls. It is not safe for
-// concurrent use.
+// pruned, bucketed or kept sorted between calls. Like the Index it lists
+// no declaration and no forwarding body (ir.Forwardee): adding one drops
+// it. It is not safe for concurrent use.
 type specFinder struct {
 	entries   map[*ir.Function]specEntry
 	queries   int
@@ -36,7 +37,8 @@ func newSpec(funcs []*ir.Function) *specFinder {
 }
 
 func (s *specFinder) Add(f *ir.Function) {
-	if f.IsDecl() {
+	if f.IsDecl() || ir.Forwardee(f) != nil {
+		delete(s.entries, f)
 		return
 	}
 	s.entries[f] = specEntry{fp: *fingerprint.New(f), name: f.Name()}

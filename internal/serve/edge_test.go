@@ -151,6 +151,8 @@ var illTyped = []struct{ name, frag string }{
 		"  call void @ill_ext(i64 1)\n  ret void\n}\n"},
 	{"global", "@ill_g = global i32 7\ndefine i32 @ill_global(i32 %x) {\nentry:\n" +
 		"  %y = add i32 %x, @ill_g\n  ret i32 %y\n}\n"},
+	{"call of a global", "@ill_cg = global i32 7\ndefine void @ill_callglobal() {\nentry:\n" +
+		"  call void @ill_cg()\n  ret void\n}\n"},
 }
 
 // TestServeIllTypedIR: a module or fragment the verifier would reject

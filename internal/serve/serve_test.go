@@ -16,6 +16,7 @@ import (
 
 	repro "repro"
 	"repro/client"
+	"repro/internal/ir"
 	"repro/internal/irtext"
 	"repro/internal/search"
 	"repro/internal/serve/api"
@@ -374,6 +375,62 @@ entry:
 		if _, err := sc.Plan(ctx); err != nil {
 			t.Fatalf("plan after the refused fold into @%s: %v", rep, err)
 		}
+	}
+}
+
+// TestServeApplyRefusesForwarder: a forwarding body is never a merge
+// partner, so a hand-written plan that merges a member thunk the
+// session's own Optimize left behind is a 409 conflict — the module
+// unchanged, nothing quarantined — like any other stale plan.
+func TestServeApplyRefusesForwarder(t *testing.T) {
+	ctx := context.Background()
+	_, hs := newTestDaemon(t, Config{})
+	c := client.New(hs.URL, "fwd")
+	sc, err := c.CreateSession(ctx, client.CreateSession{Name: "fwd", Module: testCorpus(t, 24), Threshold: 2})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	plan, err := sc.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Merges) == 0 {
+		t.Fatal("the corpus plans no merge: no member thunk to name")
+	}
+	if _, err := sc.Apply(ctx, plan); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sc.Module(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := irtext.Parse(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thunk := m.FuncByName(plan.Merges[0].F1)
+	var plain string
+	for _, f := range m.Defined() {
+		if ir.Forwardee(f) == nil && !strings.HasPrefix(f.Name(), "merged.") {
+			plain = f.Name()
+			break
+		}
+	}
+	if ir.Forwardee(thunk) == nil || plain == "" {
+		t.Fatalf("@%s is not a thunk, or no plain function is left (%q)", thunk.Name(), plain)
+	}
+	hash := func(name string) uint64 { return search.HashFunction(m.FuncByName(name)) }
+	forged := &client.Plan{Merges: []repro.PlannedMerge{{
+		F1: thunk.Name(), F2: plain, Hash1: hash(thunk.Name()), Hash2: hash(plain),
+	}}}
+	if _, err := sc.Apply(ctx, forged); !client.IsConflict(err) {
+		t.Fatalf("merge of thunk @%s with @%s: got %v, want 409 conflict", thunk.Name(), plain, err)
+	}
+	if after, err := sc.Module(ctx); err != nil || after != before {
+		t.Fatalf("the refused Apply changed the module (err %v)", err)
+	}
+	if info, err := sc.Info(ctx); err != nil || info.Quarantined {
+		t.Fatalf("session after the refused Apply: %+v, %v", info, err)
 	}
 }
 
