@@ -180,7 +180,8 @@ func pipelineModule() *ir.Module {
 	})
 }
 
-// BenchmarkModulePipeline measures the full driver on a mid-size module.
+// BenchmarkModulePipeline measures the full driver, duplicate folding
+// included, on a mid-size module.
 func BenchmarkModulePipeline(b *testing.B) {
 	base := pipelineModule()
 	b.ResetTimer()
@@ -189,21 +190,6 @@ func BenchmarkModulePipeline(b *testing.B) {
 		m := ir.CloneModule(base)
 		b.StartTimer()
 		driver.Run(m, driver.Config{Algorithm: driver.SalSSA, Threshold: 1, Target: costmodel.X86_64})
-	}
-}
-
-// BenchmarkModulePipelineDupFold is the serial pipeline with duplicate
-// folding: identical clone families are collapsed into forwarders
-// before any alignment runs.
-func BenchmarkModulePipelineDupFold(b *testing.B) {
-	base := pipelineModule()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := ir.CloneModule(base)
-		b.StartTimer()
-		driver.Run(m, driver.Config{Algorithm: driver.SalSSA, Threshold: 1,
-			Target: costmodel.X86_64, DupFold: true})
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 //	fmerge [-algo salssa|salssa-nopc|fmsa] [-t N] [-target x86-64|thumb]
 //	       [-max-cells N] [-min-instrs N]
-//	       [-skip-hot f1,f2,...] [-dup-fold]
+//	       [-skip-hot f1,f2,...]
 //	       [-max-family N] [-rounds N]
 //	       [-cpuprofile f] [-memprofile f]
 //	       [-plan out.json | -apply plan.json]
@@ -12,7 +12,8 @@
 //	fmerge -corpus 10k|100k|1m|N [pipeline flags]
 //	fmerge -scale 10k,100k [-scale-out BENCH_scale.json]
 //
-// Without -pair, the whole-module pipeline runs (ranking + cost model);
+// Without -pair, the whole-module pipeline runs (duplicate folding,
+// ranking + cost model);
 // with -pair, the named functions are merged unconditionally by the
 // SalSSA generator (combining -pair with -algo fmsa is rejected: FMSA
 // merges need whole-module register demotion). -print writes the
@@ -46,8 +47,6 @@
 //	-min-instrs N   ignore functions smaller than N instructions
 //	-skip-hot list  comma-separated functions excluded from merging
 //	                (the paper's §5.7 hot-path remedy)
-//	-dup-fold       fold structurally identical functions into
-//	                forwarding thunks before any alignment runs
 //	-max-family N   flatten merge chains into k-ary families of up to
 //	                N members (default 4): when a merged function finds
 //	                another profitable partner, the family's original
@@ -120,7 +119,6 @@ func main() {
 	maxCells := flag.Int64("max-cells", 0, "skip pairs whose alignment matrix exceeds N cells (0 = unlimited)")
 	minInstrs := flag.Int("min-instrs", 0, "ignore functions smaller than N instructions")
 	skipHot := flag.String("skip-hot", "", "comma-separated functions excluded from merging")
-	dupFold := flag.Bool("dup-fold", false, "fold structurally identical functions into thunks before alignment")
 	maxFamily := flag.Int("max-family", 4, "flatten merge chains into k-ary families of up to N members (2 = always nest pairwise)")
 	rounds := flag.Int("rounds", 1, "re-optimize each module up to N times through one session (0 = to fixpoint); chains form across rounds, so flattening needs N > 1")
 	corpusTier := flag.String("corpus", "", "optimize a generated synthetic corpus at this tier (10k, 100k, 1m or a function count) instead of reading input files")
@@ -203,7 +201,6 @@ func main() {
 		repro.WithTarget(tgt),
 		repro.WithMaxCells(*maxCells),
 		repro.WithMinInstrs(*minInstrs),
-		repro.WithDupFold(*dupFold),
 		repro.WithMaxFamily(*maxFamily),
 	}
 	if *skipHot != "" {

@@ -114,7 +114,6 @@ func runScale(ctx context.Context, tiers []string, out string, verbose bool) err
 // their times are accumulated separately across batches.
 func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, verbose bool) (*scaleRun, error) {
 	opt, err := repro.New(
-		repro.WithDupFold(true),
 		// A corpus is optimized once, so nothing would ever flatten:
 		// skip the retention of original bodies that powers it.
 		repro.WithMaxFamily(2),

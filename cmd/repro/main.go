@@ -8,11 +8,8 @@
 //	repro list                      # available experiment ids
 //
 // -scale divides the suite sizes for quick runs; -scale 1 is the full
-// evaluation.
-//
-// -dup-fold folds identical functions before alignment. It defaults to
-// the paper's pipeline (no folding); regenerating figures with it on
-// measures the extension, not the reproduction.
+// evaluation. Every run folds structurally identical functions before
+// alignment, FMSA's included, so the algorithms compare like for like.
 package main
 
 import (
@@ -27,11 +24,10 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 1, "divide benchmark sizes by N for quicker runs")
-	dupFold := flag.Bool("dup-fold", false, "fold structurally identical functions before alignment")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: repro [-scale N] [-dup-fold] all | list | <experiment>...")
+		fmt.Fprintln(os.Stderr, "usage: repro [-scale N] all | list | <experiment>...")
 		fmt.Fprintln(os.Stderr, "experiments:", strings.Join(experiments.IDs(), " "))
 		os.Exit(2)
 	}
@@ -41,7 +37,6 @@ func main() {
 	}
 	lab := experiments.NewLab()
 	lab.Scale = *scale
-	lab.DupFold = *dupFold
 	ids := args
 	if args[0] == "all" {
 		ids = experiments.IDs()

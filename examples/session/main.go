@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := repro.New(repro.WithThreshold(2), repro.WithDupFold(true))
+	opt, err := repro.New(repro.WithThreshold(2))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,19 +32,18 @@ func TestAlignCacheReported(t *testing.T) {
 	}
 }
 
-// TestLSHDupFoldMatchesExact is the full-pipeline check of the index
+// TestLSHFoldMatchesExact is the full-pipeline check of the index
 // under duplicate folding: with folds retiring functions before the
 // loop, Run commits the merges and folds of the retained one-shot
 // reference pipeline (whose finder the Exact one was), and the merged
 // module verifies and behaves like the original.
-func TestLSHDupFoldMatchesExact(t *testing.T) {
+func TestLSHFoldMatchesExact(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, threshold := range []int{1, 3} {
 			name := fmt.Sprintf("seed%d-t%d", seed, threshold)
 			base := testModule(t, seed)
 			cfg := Config{
 				Algorithm: SalSSA, Threshold: threshold, Target: costmodel.X86_64,
-				DupFold: true,
 			}
 			want, err := runOneShotReference(context.Background(), ir.CloneModule(base), cfg)
 			if err != nil {

@@ -12,8 +12,9 @@
 //     (linearizations are cached on first use); Update/Remove maintain
 //     the indexes incrementally as callers mutate the module between
 //     runs.
-//   - the greedy loop (runner.go): for each function in ranking order
-//     one row-step — screen, align and trial-merge its top-t partners,
+//   - the greedy loop (runner.go): a fold step that makes every
+//     profitable duplicate a forwarder, then for each function in
+//     ranking order one row-step — screen, align and trial-merge its top-t partners,
 //     keep the most profitable — and, for a profitable row, one
 //     commit-step that keeps the merged function, replaces the originals
 //     with thunks and updates the indexes. Session.Plan runs the same
@@ -125,11 +126,6 @@ type Config struct {
 	SkipHot map[string]bool
 	// MinInstrs skips functions smaller than this (0 = keep all).
 	MinInstrs int
-	// DupFold folds structurally identical functions into forwarding
-	// thunks before any alignment runs: exact clone families are
-	// deduplicated for free (zero DP cells) and only their
-	// representative stays in the candidate set.
-	DupFold bool
 	// MaxFamily bounds merge families: when >= 3, every committed merge
 	// records its members' original bodies, and a merged function that
 	// finds another profitable partner is *flattened* — the family's
@@ -181,8 +177,8 @@ type Result struct {
 	BaselineBytes, FinalBytes int
 	// Merges lists profitable merge operations in commit order.
 	Merges []MergeRecord
-	// Folds lists the duplicate folds performed before alignment
-	// (Config.DupFold), in fold order.
+	// Folds lists the duplicate folds performed before alignment, in
+	// fold order.
 	Folds []FoldRecord
 	// Counters is what the run's rows and commits cost.
 	Counters

@@ -52,7 +52,7 @@ func TestFinderListsNoForwarder(t *testing.T) {
 	m := synth.Generate(prof)
 	cfg := Config{
 		Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-		DupFold: true, MaxFamily: 4,
+		MaxFamily: 4,
 	}
 	s, err := OpenSession(ctx, m, cfg)
 	if err != nil {

@@ -28,22 +28,22 @@ type goldenCase struct {
 }
 
 // goldenCases is the seeded grid the digests cover: the 2k corpus under
-// dup-fold × MaxFamily {2, 4}, and three paper-suite programs under the
-// paper's configuration (threshold 1, nothing folded).
+// MaxFamily {2, 4}, and three paper-suite programs under the paper's
+// configuration (threshold 1). Every run folds duplicates; the corpus
+// cells keep the fold=true in their names from when folding was
+// optional, so their digests stay comparable across that change.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	for _, fold := range []bool{false, true} {
-		for _, fam := range []int{2, 4} {
-			cases = append(cases, goldenCase{
-				name:  fmt.Sprintf("corpus2k/fold=%v/fam=%d", fold, fam),
-				build: func(t *testing.T) *ir.Module { return buildCorpus(t, 2000) },
-				cfg: Config{
-					Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-					DupFold: fold, MaxFamily: fam,
-				},
-				runs: fam / 2,
-			})
-		}
+	for _, fam := range []int{2, 4} {
+		cases = append(cases, goldenCase{
+			name:  fmt.Sprintf("corpus2k/fold=true/fam=%d", fam),
+			build: func(t *testing.T) *ir.Module { return buildCorpus(t, 2000) },
+			cfg: Config{
+				Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
+				MaxFamily: fam,
+			},
+			runs: fam / 2,
+		})
 	}
 	suites := []struct {
 		profiles []synth.Profile

@@ -18,7 +18,7 @@ type Plan struct {
 	Threshold int `json:"threshold"`
 	// RunID is the Progress run identifier of the planning run.
 	RunID int64 `json:"run_id"`
-	// Folds lists the duplicate folds (Config.DupFold), in fold order;
+	// Folds lists the duplicate folds, in fold order;
 	// they are applied before any merge.
 	Folds []PlannedFold `json:"folds,omitempty"`
 	// Merges lists the proposed merges in commit order. Later entries

@@ -50,9 +50,7 @@ func runOneShotReference(ctx context.Context, m *ir.Module, cfg Config) (*Result
 		}
 		candidates = kept
 	}
-	if cfg.DupFold {
-		candidates = referenceFoldDuplicates(candidates, preSize, cfg, res)
-	}
+	candidates = referenceFoldDuplicates(candidates, preSize, cfg, res)
 	recs := newRecords(cfg.Target, len(candidates))
 	for _, f := range candidates {
 		recs.put(f, preSize[f])
@@ -143,7 +141,8 @@ commitLoop:
 	return res, runErr
 }
 
-// referenceFoldDuplicates is the pre-PR duplicate-folding pre-pass.
+// referenceFoldDuplicates is the original duplicate-folding pre-pass:
+// it hashes every candidate, with no size pre-filter.
 func referenceFoldDuplicates(candidates []*ir.Function, preSize map[*ir.Function]int, cfg Config, res *Result) []*ir.Function {
 	folded := map[*ir.Function]bool{}
 	for _, fam := range search.FamiliesBy(candidates, search.HashFunction) {

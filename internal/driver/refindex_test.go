@@ -185,7 +185,7 @@ func TestCallerCheckIndexOncePerSession(t *testing.T) {
 	m := synth.Generate(prof)
 	s, err := OpenSession(ctx, m, Config{
 		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		DupFold: true, MaxFamily: 4,
+		MaxFamily: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestCallerCheckStorm(t *testing.T) {
 	m := synth.Generate(prof)
 	s, err := OpenSession(ctx, m, Config{
 		Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-		DupFold: true, MaxFamily: 4,
+		MaxFamily: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

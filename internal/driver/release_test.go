@@ -27,7 +27,7 @@ func churnSession(seed int64, rounds int, after func(s *Session, res *Result)) (
 	m := synth.Generate(prof)
 	s, err := OpenSession(ctx, m, Config{
 		Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-		DupFold: true, MaxFamily: 4,
+		MaxFamily: 4,
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/align"
@@ -94,17 +95,23 @@ func (r *runner) giveBack() {
 }
 
 // foldStep collapses families of structurally identical candidates
-// before any alignment runs (Config.DupFold): every profitable
-// duplicate is folded onto its family representative (fold) and leaves
-// the candidate set, so exact clone families cost zero DP cells. The
-// representative stays a candidate. Families follow candidate (module
-// definition) order, keeping folding deterministic. Folds are commits:
+// before any alignment runs: every profitable duplicate is folded onto
+// its family representative (fold) and leaves the candidate set, so
+// exact clone families cost zero DP cells. The representative stays a
+// candidate. Families follow candidate (module definition) order,
+// keeping folding deterministic. Duplicates have equal sizes, so only
+// candidates whose size another one shares are hashed. Folds are commits:
 // finding the families, building the forwarders and retiring the
 // indexes all run on the commit clock.
 func (r *runner) foldStep(candidates []*ir.Function) {
 	c0 := time.Now()
 	defer func() { r.res.CommitTime += time.Since(c0) }()
-	for _, fam := range search.FamiliesBy(candidates, r.recs.hash) {
+	bySize := make(map[int]int, len(candidates))
+	for _, f := range candidates {
+		bySize[r.recs.of[f].size]++
+	}
+	shared := slices.DeleteFunc(slices.Clone(candidates), func(f *ir.Function) bool { return bySize[r.recs.of[f].size] < 2 })
+	for _, fam := range search.FamiliesBy(shared, r.recs.hash) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
 			if profit := r.foldProfit(dup); profit > 0 {
@@ -144,9 +151,7 @@ func (r *runner) fold(dup, rep *ir.Function, profit int) {
 // returns ctx.Err() when cancelled mid-run; everything committed before
 // that stays.
 func (r *runner) walk(ctx context.Context, candidates []*ir.Function) error {
-	if r.cfg.DupFold {
-		r.foldStep(candidates)
-	}
+	r.foldStep(candidates)
 	for _, f1 := range r.finder.Order() {
 		if r.consumed[f1] {
 			continue

@@ -65,7 +65,6 @@ func TestPlanCostsWhatOptimizeCosts(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{
 		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		DupFold: true,
 	}
 	mOpt, opt := optimizeCorpus(t, 2000, cfg)
 	mPlan := buildCorpus(t, 2000)
@@ -140,7 +139,6 @@ func TestUpdateBatchMatchesSequential(t *testing.T) {
 			ctx := context.Background()
 			cfg := Config{
 				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-				DupFold: true,
 			}
 			run := func(batch bool) (*ir.Module, *Result) {
 				m := corpus.Build(corpus.Config{Funcs: 150, Seed: 11})

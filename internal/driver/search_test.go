@@ -25,15 +25,15 @@ func cloneFamilyModule(t *testing.T, seed int64, funcs, familySize int) *ir.Modu
 	return m
 }
 
-// TestDupFoldIdenticalFamilyZeroDP checks the headline property of
+// TestFoldIdenticalFamilyZeroDP checks the headline property of
 // duplicate folding: a family of identical clones is deduplicated with
 // zero alignment DP cells spent — every duplicate becomes a forwarder
 // and the merging pipeline has nothing left to align.
-func TestDupFoldIdenticalFamilyZeroDP(t *testing.T) {
+func TestFoldIdenticalFamilyZeroDP(t *testing.T) {
 	base := cloneFamilyModule(t, 11, 6, 6) // one family of six identical functions
 	m := ir.CloneModule(base)
 	res := Run(m, Config{
-		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true,
+		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
 	})
 	if got, want := len(res.Folds), 5; got != want {
 		t.Fatalf("folded %d duplicates, want %d (folds: %+v)", got, want, res.Folds)
@@ -51,13 +51,13 @@ func TestDupFoldIdenticalFamilyZeroDP(t *testing.T) {
 	if err := ir.VerifyModule(m); err != nil {
 		t.Fatalf("folded module does not verify: %v", err)
 	}
-	diffModule(t, base, m, "dup-fold")
+	diffModule(t, base, m, "fold")
 }
 
-// TestDupFoldPreservesBehaviour folds duplicates inside the full
+// TestFoldPreservesBehaviour folds duplicates inside the full
 // pipeline (folding plus ordinary merging) and differentially checks
 // every original function.
-func TestDupFoldPreservesBehaviour(t *testing.T) {
+func TestFoldPreservesBehaviour(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		base := synth.Generate(synth.Profile{
 			Name: "dupmix", Seed: seed, Funcs: 18,
@@ -67,7 +67,7 @@ func TestDupFoldPreservesBehaviour(t *testing.T) {
 		})
 		m := ir.CloneModule(base)
 		res, err := RunContext(context.Background(), m, Config{
-			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true,
+			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -78,7 +78,7 @@ func TestDupFoldPreservesBehaviour(t *testing.T) {
 		if err := ir.VerifyModule(m); err != nil {
 			t.Fatalf("seed %d: folded module does not verify: %v", seed, err)
 		}
-		diffModule(t, base, m, "dup-fold pipeline")
+		diffModule(t, base, m, "fold pipeline")
 	}
 }
 

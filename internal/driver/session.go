@@ -36,6 +36,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -282,8 +283,7 @@ var ErrUnknownFunction = fmt.Errorf("unknown function")
 
 // ErrStalePlan is wrapped by Apply when a plan's structural hashes no
 // longer match the module — the code changed between Plan and Apply —
-// when a fold names two functions that are not duplicates, or when a
-// merge names a forwarding body (a thunk or a fold forwarder).
+// or the plan is otherwise one it cannot commit in full (checkPlan).
 // It is the optimistic-concurrency signal: a service maps it to a
 // conflict response and the client replans against the current module.
 var ErrStalePlan = fmt.Errorf("plan is stale")
@@ -632,19 +632,14 @@ func (s *Session) PlanReport(ctx context.Context) (*Plan, *Result, error) {
 
 // Apply commits a plan — typically one returned by Plan, possibly with
 // entries filtered out by the caller — against the live module. Every
-// referenced function is verified against the plan's structural hash
-// first: if the module changed underneath the plan, Apply fails with an
-// error naming the stale function instead of merging the wrong code.
-// A fold must also name two structurally identical functions, and its
-// profit is priced from the live body as Optimize prices it, whatever
-// the plan says; no merge may name a forwarding body. Merges are
-// re-generated from the current bodies (hash
-// equality makes this reproduce the planned merge) and committed
-// unconditionally, in plan order. The merged-function name is re-derived against the live
-// module, so it matches the plan's Merged name unless the module
-// gained a colliding name since planning — the Result records the name
-// actually used. On failure or cancellation the already-committed
-// prefix stays in place, mirroring Optimize's cancellation contract.
+// entry is checked first (checkPlan), so a refused plan, stale or
+// malformed, commits nothing. A fold is priced from the live body as
+// Optimize prices it; merges are re-generated from the current bodies
+// (hash equality makes this reproduce the planned merge) and committed
+// unconditionally, in plan order, under names re-derived against the
+// live module (the Result records them). A cancellation or a trial
+// error leaves the committed prefix in place — every fold and the first
+// len(Result.Merges) merges — as Optimize's cancellation does.
 func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -658,7 +653,7 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		return nil, fmt.Errorf("driver: Apply on nil plan")
 	}
 	if p.Algorithm != "" && p.Algorithm != s.cfg.Algorithm.String() {
-		return nil, fmt.Errorf("driver: plan was produced for %s, session runs %s", p.Algorithm, s.cfg.Algorithm)
+		return nil, fmt.Errorf("driver: %w: plan was produced for %s, session runs %s", ErrStalePlan, p.Algorithm, s.cfg.Algorithm)
 	}
 	clk := startRun()
 	res := s.newResult()
@@ -676,86 +671,103 @@ func (s *Session) Apply(ctx context.Context, p *Plan) (*Result, error) {
 		clk.stop(res)
 		return res, err
 	}
-	consumed := map[string]bool{}
-	// stale refuses a function that is gone, changed since planning, or
-	// not a candidate of this session (skip-hot, under MinInstrs,
-	// Removed): its own Plan would never have proposed it.
-	stale := func(name string, want uint64) error {
-		f := s.m.FuncByName(name)
-		switch {
-		case f == nil:
-			return fmt.Errorf("driver: %w: function @%s is gone", ErrStalePlan, name)
-		case search.HashFunction(f) != want:
-			return fmt.Errorf("driver: %w: @%s changed since planning", ErrStalePlan, name)
-		case s.recs.of[f] == nil:
-			return fmt.Errorf("driver: %w: @%s is not a merge candidate of this session", ErrStalePlan, name)
-		}
-		return nil
+	fps, err := s.checkPlan(p)
+	if err != nil {
+		return finish(err)
 	}
 	for _, pf := range p.Folds {
-		if pf.Dup == pf.Rep {
-			return finish(fmt.Errorf("driver: plan folds @%s into itself", pf.Dup))
-		}
-		if consumed[pf.Dup] || consumed[pf.Rep] {
-			return finish(fmt.Errorf("driver: plan folds @%s twice", pf.Dup))
-		}
-		if err := stale(pf.Dup, pf.DupHash); err != nil {
-			return finish(err)
-		}
-		if err := stale(pf.Rep, pf.RepHash); err != nil {
-			return finish(err)
-		}
-		// The hashes only say each side is as planned; a plan naming two
-		// different functions would turn @dup into a call of the wrong
-		// body.
-		dup, rep := s.m.FuncByName(pf.Dup), s.m.FuncByName(pf.Rep)
-		if !search.EqualFunctions(dup, rep) {
-			return finish(fmt.Errorf("driver: %w: @%s is not a duplicate of @%s", ErrStalePlan, pf.Dup, pf.Rep))
-		}
-		r.fold(dup, rep, r.foldProfit(dup))
-		consumed[pf.Dup] = true
+		dup := s.m.FuncByName(pf.Dup)
+		r.fold(dup, s.m.FuncByName(pf.Rep), r.foldProfit(dup))
 	}
-	for _, pm := range p.Merges {
+	for i, pm := range p.Merges {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
-		if pm.F1 == pm.F2 {
-			return finish(fmt.Errorf("driver: plan merges @%s with itself", pm.F1))
-		}
-		if consumed[pm.F1] || consumed[pm.F2] {
-			return finish(fmt.Errorf("driver: plan consumes @%s or @%s twice", pm.F1, pm.F2))
-		}
-		if err := stale(pm.F1, pm.Hash1); err != nil {
-			return finish(err)
-		}
-		if err := stale(pm.F2, pm.Hash2); err != nil {
-			return finish(err)
-		}
-		f1, f2 := s.m.FuncByName(pm.F1), s.m.FuncByName(pm.F2)
-		if ir.Forwardee(f1) != nil || ir.Forwardee(f2) != nil {
-			return finish(fmt.Errorf("driver: %w: @%s + @%s names a forwarding body, never a merge partner", ErrStalePlan, pm.F1, pm.F2))
-		}
-		// A planned flattening is re-derived from the live family
-		// registry and must name the same members: the plan carries only
-		// names, the original bodies live in this session's registry.
-		var fp *memberPlan
-		if len(pm.Family) > 0 {
-			if fp = flattenFor(s.m, s.families, s.cfg.MaxFamily, f1, f2); fp == nil || !sameNames(fp.names, pm.Family) {
-				return finish(fmt.Errorf("driver: %w: family behind @%s + @%s no longer matches %v", ErrStalePlan, pm.F1, pm.F2, pm.Family))
-			}
-		}
 		// Apply commits planned merges unconditionally, so there is no
 		// gate to screen against — every trial materializes.
-		t := planTrial(ctx, s.m, s.recs, fp, f1, f2, nil, s.cfg, noGate, &r.ares)
+		t := planTrial(ctx, s.m, s.recs, fps[i], s.m.FuncByName(pm.F1), s.m.FuncByName(pm.F2), nil, s.cfg, noGate, &r.ares)
 		res.add(t.counters())
 		if t.err != nil {
 			return finish(fmt.Errorf("driver: applying @%s + @%s: %w", pm.F1, pm.F2, t.err))
 		}
 		r.commitStep(t)
-		// The rewritten member thunks of a flatten leave with the pair.
-		for _, name := range append([]string{pm.F1, pm.F2}, pm.Family...) {
+	}
+	return finish(nil)
+}
+
+// checkPlan refuses, wrapping ErrStalePlan, a plan Apply could not
+// commit in full: a function gone, changed since planning, not a
+// candidate or named twice (a self-fold or self-merge too); a fold of
+// two different functions; a merge with a forwarding body or a partner
+// the generator cannot pair; a flattening the family registry no longer
+// matches or whose head a fold would leave called. It returns each
+// merge's flattening (nil for a pair). A fold rewrites only its
+// duplicate and a merge only what it consumes, so no commit changes
+// what a later entry was checked against.
+func (s *Session) checkPlan(p *Plan) ([]*memberPlan, error) {
+	consumed, reps := map[string]bool{}, map[*ir.Function]bool{}
+	live := func(name string, want uint64) (*ir.Function, error) {
+		f := s.m.FuncByName(name)
+		switch {
+		case consumed[name]:
+			return nil, fmt.Errorf("driver: %w: plan consumes @%s twice", ErrStalePlan, name)
+		case f == nil:
+			return nil, fmt.Errorf("driver: %w: function @%s is gone", ErrStalePlan, name)
+		case search.HashFunction(f) != want:
+			return nil, fmt.Errorf("driver: %w: @%s changed since planning", ErrStalePlan, name)
+		case s.recs.of[f] == nil:
+			return nil, fmt.Errorf("driver: %w: @%s is not a merge candidate of this session", ErrStalePlan, name)
+		}
+		return f, nil
+	}
+	for _, pf := range p.Folds {
+		dup, err := live(pf.Dup, pf.DupHash)
+		if err != nil {
+			return nil, err
+		}
+		consumed[pf.Dup] = true
+		rep, err := live(pf.Rep, pf.RepHash)
+		if err != nil {
+			return nil, err
+		}
+		// The hashes only say each side is as planned; a plan naming two
+		// different functions would turn @dup into a call of the wrong
+		// body.
+		if !search.EqualFunctions(dup, rep) {
+			return nil, fmt.Errorf("driver: %w: @%s is not a duplicate of @%s", ErrStalePlan, pf.Dup, pf.Rep)
+		}
+		reps[rep] = true
+	}
+	fps := make([]*memberPlan, len(p.Merges))
+	for i, pm := range p.Merges {
+		f1, err := live(pm.F1, pm.Hash1)
+		if err != nil {
+			return nil, err
+		}
+		consumed[pm.F1] = true
+		f2, err := live(pm.F2, pm.Hash2)
+		if err != nil {
+			return nil, err
+		}
+		if ir.Forwardee(f1) != nil || ir.Forwardee(f2) != nil {
+			return nil, fmt.Errorf("driver: %w: @%s + @%s names a forwarding body, never a merge partner", ErrStalePlan, pm.F1, pm.F2)
+		}
+		if len(pm.Family) > 0 {
+			fps[i] = flattenFor(s.m, s.families, s.cfg.MaxFamily, f1, f2)
+			if fps[i] == nil || !sameNames(fps[i].names, pm.Family) || slices.ContainsFunc(fps[i].heads, func(h *ir.Function) bool { return reps[h] }) {
+				return nil, fmt.Errorf("driver: %w: family behind @%s + @%s no longer matches %v", ErrStalePlan, pm.F1, pm.F2, pm.Family)
+			}
+		} else if _, err := pairPlan(f1, f2); err != nil {
+			return nil, fmt.Errorf("driver: %w: @%s + @%s cannot merge: %v", ErrStalePlan, pm.F1, pm.F2, err)
+		}
+		// A flatten's member thunks leave with the pair; Family names the newcomer too.
+		consumed[pm.F2] = true
+		for _, name := range pm.Family {
+			if consumed[name] && name != pm.F1 && name != pm.F2 {
+				return nil, fmt.Errorf("driver: %w: plan consumes @%s twice", ErrStalePlan, name)
+			}
 			consumed[name] = true
 		}
 	}
-	return finish(nil)
+	return fps, nil
 }

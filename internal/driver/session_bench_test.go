@@ -141,11 +141,11 @@ func churnRound(scratch *ir.Module, b *synth.Builder, targets []*ir.Function, or
 }
 
 // BenchmarkSessionChurnRound is one round of the build-service loop
-// under the build-service configuration — the indexed finder, duplicate
-// folding, families of up to four: a text delta redefining 1% of a
-// 1,000-function suite as mutated clones, UpdateBatch, Optimize. Where
+// under the build-service configuration — the indexed finder, families
+// of up to four: a text delta redefining 1% of a 1,000-function suite
+// as mutated clones, UpdateBatch, Optimize. Where
 // BenchmarkSessionIncremental re-reports unchanged bodies at a merge
-// fixpoint with folding and families off, every round here commits
+// fixpoint with families off, every round here commits
 // folds, merges and flattens, so it is the profiling entry point for
 // what a session round costs (-cpuprofile) and the place to watch the
 // finder queries a round still makes.
@@ -156,7 +156,7 @@ func BenchmarkSessionChurnRound(b *testing.B) {
 	m := synth.Generate(prof)
 	s, err := OpenSession(ctx, m, Config{
 		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		DupFold: true, MaxFamily: 4,
+		MaxFamily: 4,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,17 +25,13 @@ type sessionConfig struct {
 }
 
 // sessionConfigs is the configuration grid the differential session
-// tests sweep: duplicate folding on and off. The "lsh-" prefix names
-// the finder kind the Index answers to (search.KindLSH).
+// tests sweep. The "lsh-" prefix names the finder kind the Index
+// answers to (search.KindLSH); every session folds, and the cell keeps
+// the fold=true in its name from when folding was optional.
 func sessionConfigs() []sessionConfig {
-	var out []sessionConfig
-	for _, fold := range []bool{false, true} {
-		out = append(out, sessionConfig{fmt.Sprintf("lsh-fold=%v", fold), Config{
-			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-			DupFold: fold,
-		}})
-	}
-	return out
+	return []sessionConfig{{"lsh-fold=true", Config{
+		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
+	}}}
 }
 
 // sizedRun is one committing run of s — Apply of p, or Optimize when p
@@ -274,7 +271,6 @@ func TestSessionRenameAlias(t *testing.T) {
 	t.Run("callee-folds", func(t *testing.T) {
 		cfg := Config{
 			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-			DupFold: true,
 		}
 		m := testModule(t, 3)
 		defined := m.Defined()
@@ -589,7 +585,7 @@ func TestPlanGivesBack(t *testing.T) {
 	var onCommit func()
 	cfg := Config{
 		Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-		DupFold: true, MaxFamily: 4,
+		MaxFamily: 4,
 		Progress: func(Progress) {
 			if onCommit != nil {
 				onCommit()
@@ -818,7 +814,7 @@ func TestSessionApplyForgedFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true}
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
 	s, err := OpenSession(ctx, m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -854,6 +850,151 @@ func TestSessionApplyForgedFold(t *testing.T) {
 	}
 	if _, err := sizedRun(t, s, nil); err != nil {
 		t.Fatalf("Optimize after the refused folds: %v", err)
+	}
+	if err := ir.VerifyModule(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSessionApplyMalformedPlanCommitsNothing: Apply checks every entry
+// of a plan before it commits any, so a genuine plan with one malformed
+// entry appended — a self-fold, a self-merge, a function named twice, a
+// stale hash, a function that is gone or not a candidate, a fold of two
+// different functions, an incompatible pair, a plan of another
+// algorithm — is refused as a stale plan with the module byte-identical,
+// and the genuine plan still applies afterwards.
+func TestSessionApplyMalformedPlanCommitsNothing(t *testing.T) {
+	ctx := context.Background()
+	// @odd returns what no generated function returns, so it pairs with
+	// none of them; @twin.b folds into @twin.a.
+	m, err := irtext.Parse(synth.Generate(synth.Profile{
+		Name: "malformed", Seed: 2, Funcs: 18,
+		MinSize: 8, AvgSize: 45, MaxSize: 120,
+		CloneFrac: 0.6, FamilySize: 3, MutRate: 0.02,
+		Loops: 0.5, Floats: 0.2, Switches: 0.4,
+	}).String() + `
+define i1 @odd(i1 %x) {
+entry:
+  %y = xor i1 %x, true
+  %z = and i1 %y, %x
+  ret i1 %z
+}
+define i64 @twin.a(i64 %x, i64 %y) {
+entry:
+  %a = add i64 %x, %y
+  %b = mul i64 %a, %x
+  %c = sub i64 %b, %y
+  %d = xor i64 %c, %a
+  %e = mul i64 %d, %d
+  %f = add i64 %e, %b
+  ret i64 %f
+}
+define i64 @twin.b(i64 %x, i64 %y) {
+entry:
+  %a = add i64 %x, %y
+  %b = mul i64 %a, %x
+  %c = sub i64 %b, %y
+  %d = xor i64 %c, %a
+  %e = mul i64 %d, %d
+  %f = add i64 %e, %b
+  ret i64 %f
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One function the session does not index.
+	hot := m.Defined()[0]
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, MaxFamily: 4, SkipHot: map[string]bool{hot.Name(): true}}
+	s, err := OpenSession(ctx, m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Commit the first plan's merges alone, so the next plan flattens
+	// the families they made and still folds.
+	first, err := s.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply(ctx, &Plan{Algorithm: first.Algorithm, Merges: first.Merges}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams := 0
+	for _, pm := range plan.Merges {
+		if len(pm.Family) > 0 {
+			fams++
+		}
+	}
+	if len(plan.Folds) == 0 || fams == 0 {
+		t.Fatalf("plan has %d folds and %d flattens, want both", len(plan.Folds), fams)
+	}
+	hash := func(f *ir.Function) uint64 { return search.HashFunction(f) }
+	f0, m0 := plan.Folds[0], plan.Merges[0]
+	// odd2 is a plain candidate no plan entry names.
+	named := map[string]bool{hot.Name(): true, "odd": true, "twin.a": true, "twin.b": true}
+	for _, pf := range plan.Folds {
+		named[pf.Dup], named[pf.Rep] = true, true
+	}
+	for _, pm := range plan.Merges {
+		named[pm.F1], named[pm.F2] = true, true
+	}
+	var odd2 *ir.Function
+	for _, f := range m.Defined() {
+		if !named[f.Name()] && ir.Forwardee(f) == nil && odd2 == nil {
+			odd2 = f
+		}
+	}
+	if odd2 == nil {
+		t.Fatal("the plan names every function")
+	}
+	odd1 := m.FuncByName("odd")
+	with := func(folds []PlannedFold, merges []PlannedMerge) *Plan {
+		return &Plan{
+			Algorithm: plan.Algorithm, Threshold: plan.Threshold,
+			Folds:  append(slices.Clone(plan.Folds), folds...),
+			Merges: append(slices.Clone(plan.Merges), merges...),
+		}
+	}
+	other := with(nil, nil)
+	other.Algorithm = SalSSANoPC.String()
+	cases := []struct {
+		name, why string
+		p         *Plan
+	}{
+		{"self-fold", "twice", with([]PlannedFold{{Dup: f0.Dup, Rep: f0.Dup, DupHash: f0.DupHash, RepHash: f0.DupHash}}, nil)},
+		{"self-merge", "twice", with(nil, []PlannedMerge{{F1: m0.F2, F2: m0.F2, Hash1: m0.Hash2, Hash2: m0.Hash2}})},
+		{"merge-twice", "twice", with(nil, []PlannedMerge{m0})},
+		{"fold-twice", "twice", with([]PlannedFold{f0}, nil)},
+		{"merge-folded", "twice", with(nil, []PlannedMerge{{F1: f0.Dup, F2: odd2.Name(), Hash1: f0.DupHash, Hash2: hash(odd2)}})},
+		{"stale-hash", "changed since planning", with(nil, []PlannedMerge{{F1: odd1.Name(), F2: odd2.Name(), Hash1: hash(odd1) + 1, Hash2: hash(odd2)}})},
+		{"gone", "is gone", with(nil, []PlannedMerge{{F1: "no.such.function", F2: odd2.Name(), Hash2: hash(odd2)}})},
+		{"not-candidate", "not a merge candidate", with(nil, []PlannedMerge{{F1: hot.Name(), F2: odd2.Name(), Hash1: hash(hot), Hash2: hash(odd2)}})},
+		{"not-duplicate", "not a duplicate", with([]PlannedFold{{Dup: odd1.Name(), Rep: odd2.Name(), DupHash: hash(odd1), RepHash: hash(odd2)}}, nil)},
+		{"cannot-pair", "cannot merge", with(nil, []PlannedMerge{{F1: odd1.Name(), F2: odd2.Name(), Hash1: hash(odd1), Hash2: hash(odd2)}})},
+		{"other-algorithm", "produced for", other},
+	}
+	before := m.String()
+	for _, tc := range cases {
+		_, err := s.Apply(ctx, tc.p)
+		if !errors.Is(err, ErrStalePlan) || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: got %v, want ErrStalePlan saying %q", tc.name, err, tc.why)
+		}
+		if m.String() != before {
+			t.Fatalf("%s: the refused plan changed the module", tc.name)
+		}
+	}
+	res, err := sizedRun(t, s, plan)
+	if err != nil {
+		t.Fatalf("the genuine plan after the refusals: %v", err)
+	}
+	if len(res.Folds) != len(plan.Folds) || len(res.Merges) != len(plan.Merges) {
+		t.Fatalf("applied %d folds and %d merges, plan has %d and %d",
+			len(res.Folds), len(res.Merges), len(plan.Folds), len(plan.Merges))
 	}
 	if err := ir.VerifyModule(m); err != nil {
 		t.Fatal(err)

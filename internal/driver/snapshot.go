@@ -45,8 +45,9 @@ import (
 // guard: the memo holds verdicts priced under one target, and a
 // version-3 snapshot never recorded which. Version 5 reduced the
 // snapshot to the outcome memo: the per-candidate fingerprints and the
-// finder name went.
-const SnapshotVersion = 5
+// finder name went. Version 6 dropped the fold-switch guard: every
+// session folds, and a version-5 memo may come from one that did not.
+const SnapshotVersion = 6
 
 // Snapshot is the serializable outcome memo of a Session. It
 // round-trips through encoding/json.
@@ -59,7 +60,6 @@ type Snapshot struct {
 	Algorithm string `json:"algorithm"`
 	Threshold int    `json:"threshold"`
 	Target    string `json:"target"`
-	DupFold   bool   `json:"dup_fold"`
 	MaxFamily int    `json:"max_family"`
 	MinInstrs int    `json:"min_instrs"`
 
@@ -161,7 +161,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		Algorithm: s.cfg.Algorithm.String(),
 		Threshold: s.cfg.Threshold,
 		Target:    s.cfg.Target.String(),
-		DupFold:   s.cfg.DupFold,
 		MaxFamily: s.cfg.MaxFamily,
 		MinInstrs: s.cfg.MinInstrs,
 	}
@@ -230,8 +229,6 @@ func validateSnapshot(snap *Snapshot, cfg Config) error {
 		return fmt.Errorf("driver: snapshot threshold %d, session %d", snap.Threshold, cfg.Threshold)
 	case snap.Target != cfg.Target.String():
 		return fmt.Errorf("driver: snapshot target %s, session %s", snap.Target, cfg.Target)
-	case snap.DupFold != cfg.DupFold:
-		return fmt.Errorf("driver: snapshot dup-fold %v, session %v", snap.DupFold, cfg.DupFold)
 	case snap.MaxFamily != cfg.MaxFamily:
 		return fmt.Errorf("driver: snapshot max-family %d, session %d", snap.MaxFamily, cfg.MaxFamily)
 	case snap.MinInstrs != cfg.MinInstrs:

@@ -15,17 +15,15 @@ import (
 	"repro/internal/synth"
 )
 
-// snapshotConfigs is the grid the snapshot tests sweep: dup-fold ×
-// family tracking.
+// snapshotConfigs is the grid the snapshot tests sweep: family tracking
+// off and on.
 func snapshotConfigs() []Config {
 	var out []Config
-	for _, fold := range []bool{false, true} {
-		for _, fam := range []int{0, 4} {
-			out = append(out, Config{
-				Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-				DupFold: fold, MaxFamily: fam,
-			})
-		}
+	for _, fam := range []int{0, 4} {
+		out = append(out, Config{
+			Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
+			MaxFamily: fam,
+		})
 	}
 	return out
 }
@@ -121,7 +119,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	text := snapshotModuleText(t)
 	for _, cfg := range snapshotConfigs() {
-		t.Run(fmt.Sprintf("fold=%v-fam=%d", cfg.DupFold, cfg.MaxFamily), func(t *testing.T) {
+		// Every session folds; the cells keep the fold=true in their
+		// names from when folding was optional.
+		t.Run(fmt.Sprintf("fold=true-fam=%d", cfg.MaxFamily), func(t *testing.T) {
 			// Fresh-module snapshot: an empty memo restores into a
 			// session that plans like a cold one.
 			m1, err := irtext.Parse(text)
@@ -257,7 +257,7 @@ func TestSnapshotRejection(t *testing.T) {
 	if cp, m2 := fresh(); true {
 		// Edited without re-sealing: the checksum catches it before the
 		// config guard would.
-		cp.DupFold = !cp.DupFold
+		cp.MinInstrs++
 		_, err := OpenSessionWithSnapshot(ctx, m2, cfg, cp)
 		if err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("tampered snapshot: got %v, want a checksum error", err)
@@ -280,6 +280,19 @@ func TestSnapshotRejection(t *testing.T) {
 		_, err := OpenSessionWithSnapshot(ctx, m2, cfg, cp)
 		if err == nil || !strings.Contains(err.Error(), "version 2") {
 			t.Fatalf("version-2 snapshot: got %v, want a version error", err)
+		}
+	}
+	if cp, m2 := fresh(); true {
+		// Version 5 guarded on a fold switch; its memo may hold verdicts of a
+		// session that folded nothing, so it is refused on its version
+		// even though every other field would pass.
+		cp.Version = 5
+		if err := cp.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenSessionWithSnapshot(ctx, m2, cfg, cp)
+		if err == nil || !strings.Contains(err.Error(), "version 5") {
+			t.Fatalf("version-5 snapshot: got %v, want a version error", err)
 		}
 	}
 	if cp, m2 := fresh(); true {
@@ -421,7 +434,7 @@ func drift(t *testing.T, m *ir.Module, snap *Snapshot) (f, g *ir.Function) {
 // and a re-save over an existing file replaces it completely.
 func TestSnapshotSaveFile(t *testing.T) {
 	ctx := context.Background()
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true}
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
 	s, snap, text := optimizedSnapshot(t, snapshotModuleText(t), cfg)
 	defer s.Close()
 
@@ -507,7 +520,7 @@ func TestSnapshotLinear(t *testing.T) {
 // a session whose Optimize yields a verifying module: a restored memo
 // can only withhold trials, never corrupt a merge.
 func FuzzSnapshotOpen(f *testing.F) {
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, DupFold: true}
+	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
 	text := synth.Generate(synth.Profile{
 		Name: "snapfuzz", Seed: 5, Funcs: 16,
 		MinSize: 6, AvgSize: 30, MaxSize: 80,
@@ -538,7 +551,7 @@ func FuzzSnapshotOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"version":5,"algorithm":"SalSSA","threshold":2,"target":"x86-64","dup_fold":true,` +
+	f.Add([]byte(`{"version":6,"algorithm":"SalSSA","threshold":2,"target":"x86-64",` +
 		`"funcs":[{"name":"","hash":"0"}],"outcomes":[[0,0],[0,-1],[1,0],[9223372036854775807,0]]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var snap Snapshot

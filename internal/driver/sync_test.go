@@ -161,16 +161,15 @@ func memoPut(s *Session, f1, f2 *ir.Function) {
 // TestFinderExactAfterSync: twenty rounds of what a build service sends
 // a session — mutated-clone redefinitions, new functions, removals,
 // re-admissions, renames — each followed by a sync and an Optimize with
-// duplicate folding and families on. Every run asks the session's
+// families on. Every run asks the session's
 // finder for its lists, so after every sync that finder must answer
 // what a fresh index over the current candidates answers: edited
 // fingerprints re-ranked, functions a commit retired mid-walk back in
 // the lists they left, removals gone, renamed ties re-ordered by name.
 // Odd rounds Plan and Apply instead of Optimizing; after every sync,
 // Plan and committing run the records must describe what they say
-// (checkRecords). The pairs variant turns folding and families off, so
-// every commit is a pair merge that retires two functions and indexes
-// their merge.
+// (checkRecords). The pairs variant turns families off, so every merge
+// is a pair merge that retires two functions and indexes their merge.
 func TestFinderExactAfterSync(t *testing.T) {
 	type variant struct {
 		threshold int
@@ -189,10 +188,10 @@ func TestFinderExactAfterSync(t *testing.T) {
 			m := synth.Generate(prof)
 			cfg := Config{
 				Algorithm: SalSSA, Threshold: v.threshold, Target: costmodel.X86_64,
-				DupFold: true, MaxFamily: 4,
+				MaxFamily: 4,
 			}
 			if v.pairs {
-				cfg.DupFold, cfg.MaxFamily = false, 0
+				cfg.MaxFamily = 0
 			}
 			s, err := OpenSession(ctx, m, cfg)
 			if err != nil {

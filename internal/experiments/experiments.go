@@ -107,9 +107,6 @@ type Lab struct {
 	cache map[runKey]*runEntry
 	// Scale divides suite function counts for quick runs (1 = full).
 	Scale int
-	// DupFold folds structurally identical functions before alignment.
-	// Off by default: the paper's pipeline aligns clone families too.
-	DupFold bool
 	// Target for SPEC experiments (x86-64); MiBench uses Thumb.
 	seedModules map[string]*ir.Module
 }
@@ -162,7 +159,6 @@ func (l *Lab) run(suite string, p synth.Profile, algo driver.Algorithm, t int, t
 		Algorithm: algo,
 		Threshold: t,
 		Target:    target,
-		DupFold:   l.DupFold,
 	})
 	e := &runEntry{res: res, pre: pristine, post: work, baseTime: baseTime}
 	l.cache[key] = e

@@ -164,7 +164,7 @@ func (l *Lab) Fig19() *Table {
 	}
 	pristine := l.module("mibench", p)
 	base := costmodel.ModuleBytes(pristine, costmodel.Thumb)
-	cfg := driver.Config{Algorithm: driver.SalSSA, Threshold: 1, Target: costmodel.Thumb, DupFold: l.DupFold}
+	cfg := driver.Config{Algorithm: driver.SalSSA, Threshold: 1, Target: costmodel.Thumb}
 	plan := mustSession(pristine, cfg, func(s *driver.Session) (*driver.Plan, error) {
 		return s.Plan(context.Background())
 	})

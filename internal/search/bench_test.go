@@ -70,9 +70,9 @@ func BenchmarkHashFunction(b *testing.B) {
 	}
 }
 
-// BenchmarkFinderDupFold measures the duplicate-detection pre-pass
-// (stable hashing + family verification) over the same 2000 functions.
-func BenchmarkFinderDupFold(b *testing.B) {
+// BenchmarkFamiliesBy measures the duplicate-detection pre-pass (stable
+// hashing + family verification) over the same 2000 functions.
+func BenchmarkFamiliesBy(b *testing.B) {
 	funcs := benchFunctions(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

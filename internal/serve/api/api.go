@@ -14,7 +14,7 @@ import repro "repro"
 // its outcome-memo snapshot) persisted under the session's name by an earlier
 // Snapshot call — the warm-restart path. Option fields mirror the
 // Optimizer options; zero values mean the daemon defaults (SalSSA,
-// threshold 1, no dup-fold, no families).
+// threshold 1, families of up to 4 members); every session folds.
 type CreateSession struct {
 	Name      string `json:"name"`
 	Module    string `json:"module,omitempty"`
@@ -23,8 +23,10 @@ type CreateSession struct {
 	// Finder is "", "exact" or "lsh", the names clients written against
 	// the two-finder daemon send; any other value is rejected. All three
 	// select the one candidate finder, so the field changes nothing.
-	Finder  string `json:"finder,omitempty"`
-	DupFold bool   `json:"dup_fold,omitempty"`
+	Finder string `json:"finder,omitempty"`
+	// DupFold is accepted and ignored: every session folds duplicates,
+	// and older clients still send the field.
+	DupFold bool `json:"dup_fold,omitempty"`
 	// Canon is accepted and ignored: canonical-view indexing has left
 	// the engine, and clients that recreate a session by name still
 	// send the field. Every session indexes the original bodies.

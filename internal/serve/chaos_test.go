@@ -23,7 +23,7 @@ import (
 
 // chaosOpts is the session configuration every chaos daemon uses.
 func chaosOpts(name, module string) client.CreateSession {
-	return client.CreateSession{Name: name, Module: module, DupFold: true}
+	return client.CreateSession{Name: name, Module: module}
 }
 
 const chaosFragDup = `

@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
+	repro "repro"
 	"repro/client"
 	"repro/internal/irtext"
 	"repro/internal/wal"
@@ -236,6 +242,90 @@ func FuzzServeUpdate(f *testing.F) {
 		}
 		if info, err := sc.Info(ctx); err != nil || info.Quarantined {
 			t.Fatalf("session after update: %+v, %v", info, err)
+		}
+	})
+}
+
+// FuzzServeApply posts arbitrary plan bodies to
+// /v1/sessions/{name}/apply on a journaled session seeded with a small
+// corpus, fresh for each input: the answer is 200 or 4xx, never 5xx;
+// the session is never quarantined; and a 4xx leaves the module text
+// and the journal byte-identical — a refused plan commits nothing.
+func FuzzServeApply(f *testing.F) {
+	ctx := context.Background()
+	srv := New(Config{WALDir: f.TempDir()})
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		srv.Close()
+	}()
+	c := client.New(hs.URL, "fuzz")
+	corpus := testCorpus(f, 24)
+	sc, err := c.CreateSession(ctx, chaosOpts("fuzz", corpus))
+	if err != nil {
+		f.Fatalf("create: %v", err)
+	}
+	plan, err := sc.Plan(ctx)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(plan.Folds) == 0 || len(plan.Merges) < 2 {
+		f.Fatalf("seed plan has %d folds and %d merges, want a fold and two merges", len(plan.Folds), len(plan.Merges))
+	}
+	// Short seeds: the engine minimizes every seed that finds new
+	// coverage, one session per try.
+	plan.Folds, plan.Merges = plan.Folds[:1], plan.Merges[:2]
+	genuine, err := json.Marshal(plan)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(genuine)
+	malformed := *plan
+	malformed.Merges = []repro.PlannedMerge{plan.Merges[0], plan.Merges[0]}
+	twice, err := json.Marshal(&malformed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(twice)
+	f.Add([]byte(`{"algorithm":"FMSA"}`))
+	f.Add([]byte(`{"folds":[{"dup":"a","rep":"a"}],"merges":[{"f1":"a","f2":"b","family":["a","a"]}]}`))
+	if err := sc.Close(ctx); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sc, err := c.CreateSession(ctx, chaosOpts("fuzz", corpus))
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		defer sc.Close(ctx)
+		before, err := sc.Module(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal, err := os.ReadFile(srv.walPath("fuzz"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/v1/sessions/fuzz/apply", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode / 100 {
+		case 2:
+		case 4:
+			if after, err := sc.Module(ctx); err != nil || after != before {
+				t.Fatalf("a %d apply changed the module (err %v)", resp.StatusCode, err)
+			}
+			if after, err := os.ReadFile(srv.walPath("fuzz")); err != nil || !bytes.Equal(after, journal) {
+				t.Fatalf("a %d apply changed the journal (err %v)", resp.StatusCode, err)
+			}
+		default:
+			t.Fatalf("apply answered %d: %s", resp.StatusCode, msg)
+		}
+		if info, err := sc.Info(ctx); err != nil || info.Quarantined {
+			t.Fatalf("session after apply: %+v, %v", info, err)
 		}
 	})
 }

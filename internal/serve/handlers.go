@@ -206,9 +206,9 @@ func buildOptimizer(req *api.CreateSession) (*repro.Optimizer, error) {
 		opts = append(opts, repro.WithMaxFamily(req.MaxFamily))
 	}
 	// Accepted and ignored, like WithParallelism itself, which still
-	// rejects a negative value.
+	// rejects a negative value. req.DupFold is ignored too: every
+	// session folds.
 	opts = append(opts, repro.WithParallelism(req.Parallelism))
-	opts = append(opts, repro.WithDupFold(req.DupFold))
 	return repro.New(opts...)
 }
 
@@ -534,16 +534,24 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	s.locked(w, r, func(sv *served) {
 		rep, err := sv.sess.Apply(r.Context(), &plan)
 		if err != nil {
-			s.writeEngineErr(w, err)
+			if rep == nil || len(rep.Folds)+len(rep.Merges) == 0 {
+				s.writeEngineErr(w, err)
+				return
+			}
+			// A cancellation or trial error keeps a committed prefix;
+			// journal it, or the live module runs ahead of the journal.
+			plan.Folds, plan.Merges = plan.Folds[:len(rep.Folds)], plan.Merges[:len(rep.Merges)]
+		}
+		data, jerr := json.Marshal(&plan)
+		if jerr == nil {
+			jerr = s.journal(sv, wal.Record{Op: wal.OpApply, Plan: data})
+		}
+		if jerr != nil {
+			writeErr(w, http.StatusInternalServerError, jerr)
 			return
 		}
-		data, err := json.Marshal(&plan)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		if err := s.journal(sv, wal.Record{Op: wal.OpApply, Plan: data}); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			s.writeEngineErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, wireReport(rep))

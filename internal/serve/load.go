@@ -138,9 +138,8 @@ func RunLoad(ctx context.Context, cfg LoadConfig, collectModules bool) (*LoadRep
 	sessions := make([]*client.SessionClient, cfg.Sessions)
 	for i := range sessions {
 		sc, err := admin.CreateSession(ctx, client.CreateSession{
-			Name:    fmt.Sprintf("load-%d", i),
-			Module:  corpus,
-			DupFold: true,
+			Name:   fmt.Sprintf("load-%d", i),
+			Module: corpus,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("creating session %d: %w", i, err)

@@ -45,7 +45,7 @@ func TestLoadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := repro.New(repro.WithDupFold(true))
+	opt, err := repro.New()
 	if err != nil {
 		t.Fatal(err)
 	}

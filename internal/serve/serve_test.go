@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,7 +104,7 @@ func TestServeDifferential(t *testing.T) {
 			c := client.New(hs.URL, "differential")
 			sc, err := c.CreateSession(ctx, client.CreateSession{
 				Name: "diff-" + finder, Module: corpus,
-				Finder: finder, Threshold: 2, DupFold: true,
+				Finder: finder, Threshold: 2,
 			})
 			if err != nil {
 				t.Fatalf("create: %v", err)
@@ -117,7 +118,7 @@ func TestServeDifferential(t *testing.T) {
 				t.Fatalf("module: %v", err)
 			}
 
-			opt, err := repro.New(repro.WithThreshold(2), repro.WithDupFold(true))
+			opt, err := repro.New(repro.WithThreshold(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +150,8 @@ func TestServeDifferential(t *testing.T) {
 }
 
 // TestServeLegacyCreateFields: the wire CreateSession lost "shards" and
-// "commit_parallelism" and ignores "parallelism" and "canon", but
+// "commit_parallelism" and ignores "parallelism", "canon" and
+// "dup_fold", but
 // clients written against the old contract still send them — notably
 // when they recreate a session by name so a journal the previous daemon
 // wrote replays. The
@@ -222,7 +224,7 @@ func TestServeUpdateRemove(t *testing.T) {
 	_, hs := newTestDaemon(t, Config{})
 	c := client.New(hs.URL, "deltas")
 	sc, err := c.CreateSession(ctx, client.CreateSession{
-		Name: "deltas", Module: testCorpus(t, 24), DupFold: true,
+		Name: "deltas", Module: testCorpus(t, 24),
 	})
 	if err != nil {
 		t.Fatalf("create: %v", err)
@@ -232,7 +234,7 @@ func TestServeUpdateRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Splice two fresh identical functions; dup-fold must catch them.
+	// Splice two fresh identical functions; the fold step must catch them.
 	frag := `
 define i32 @serve_delta_a(i32 %x) {
 entry:
@@ -299,7 +301,7 @@ func TestServeStalePlan(t *testing.T) {
 	_, hs := newTestDaemon(t, Config{})
 	c := client.New(hs.URL, "stale")
 	sc, err := c.CreateSession(ctx, client.CreateSession{
-		Name: "stale", Module: testCorpus(t, 48), Threshold: 2, DupFold: true,
+		Name: "stale", Module: testCorpus(t, 48), Threshold: 2,
 	})
 	if err != nil {
 		t.Fatalf("create: %v", err)
@@ -434,6 +436,58 @@ func TestServeApplyRefusesForwarder(t *testing.T) {
 	}
 }
 
+// TestServeMalformedPlan: a genuine plan with a self-fold appended is
+// malformed, and the daemon answers it with 409 before committing any
+// of it — the genuine folds included: nothing quarantined, the module
+// and the journal byte-identical, and the next plan applies with 200.
+func TestServeMalformedPlan(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	srv, hs := newTestDaemon(t, Config{WALDir: dir})
+	c := client.New(hs.URL, "malformed")
+	sc, err := c.CreateSession(ctx, client.CreateSession{Name: "malformed", Module: testCorpus(t, 24), Threshold: 2})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	plan, err := sc.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Folds) == 0 {
+		t.Fatal("the corpus plans no fold")
+	}
+	before, err := sc.Module(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(srv.walPath("malformed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0 := plan.Folds[0]
+	malformed := *plan
+	malformed.Folds = append(slices.Clone(plan.Folds), repro.PlannedFold{Dup: f0.Dup, Rep: f0.Dup, DupHash: f0.DupHash, RepHash: f0.DupHash})
+	if _, err := sc.Apply(ctx, &malformed); !client.IsConflict(err) {
+		t.Fatalf("self-fold of @%s: got %v, want 409 conflict", f0.Dup, err)
+	}
+	if info, err := sc.Info(ctx); err != nil || info.Quarantined {
+		t.Fatalf("session after the malformed plan: %+v, %v", info, err)
+	}
+	if after, err := sc.Module(ctx); err != nil || after != before {
+		t.Fatalf("the refused plan changed the module (err %v)", err)
+	}
+	if after, err := os.ReadFile(srv.walPath("malformed")); err != nil || !bytes.Equal(after, journal) {
+		t.Fatalf("the refused plan changed the journal (err %v)", err)
+	}
+	next, err := sc.Plan(ctx)
+	if err != nil {
+		t.Fatalf("plan after the refusal: %v", err)
+	}
+	if _, err := sc.Apply(ctx, next); err != nil {
+		t.Fatalf("apply after the refusal: %v", err)
+	}
+}
+
 // TestServeAdmission: the session cap, the function quota and the
 // global in-flight gate reject with the documented status codes.
 func TestServeAdmission(t *testing.T) {
@@ -511,7 +565,7 @@ func TestServeWarmRestart(t *testing.T) {
 			// MaxFamily 2 keeps runs flatten-free: the family registry is
 			// session state that a snapshot intentionally drops, so a
 			// flattening run would differ across the restart by design.
-			create := client.CreateSession{Name: "warm", Module: testCorpus(t, 32), Finder: finder, DupFold: true, MaxFamily: 2}
+			create := client.CreateSession{Name: "warm", Module: testCorpus(t, 32), Finder: finder, MaxFamily: 2}
 			sc, err := c.CreateSession(ctx, create)
 			if err != nil {
 				t.Fatalf("create: %v", err)
@@ -625,7 +679,7 @@ func warmRun(t *testing.T, ctx context.Context, c *client.Client, create client.
 // Optimize.
 func coldRun(t *testing.T, ctx context.Context, c *client.Client, name, text string) run {
 	t.Helper()
-	sc, err := c.CreateSession(ctx, client.CreateSession{Name: name, Module: text, DupFold: true, MaxFamily: 2})
+	sc, err := c.CreateSession(ctx, client.CreateSession{Name: name, Module: text, MaxFamily: 2})
 	if err != nil {
 		t.Fatalf("cold create: %v", err)
 	}
@@ -677,17 +731,18 @@ func driftModule(t *testing.T, text, snapPath string) string {
 // TestServeOldSnapshotColdOpens: a snapshot an older build wrote and
 // this one cannot use is a stale cache, not an error — recreating the
 // session restores the module text, rejects the snapshot and opens
-// cold. Four such snapshots, each sealed so that only its version can
-// refuse it: three of earlier format versions (version 2 carried LSH
+// cold. Five such snapshots, each sealed so that only its version can
+// refuse it: four of earlier format versions (version 2 carried LSH
 // band keys, version 3 did not record its size-model target, version 4
-// carried every candidate's fingerprint and the finder name), and one
-// indexed through canonical views, which this build no longer has.
+// carried every candidate's fingerprint and the finder name, version 5
+// guarded on a fold switch every session now has on), and one indexed
+// through canonical views, which this build no longer has.
 func TestServeOldSnapshotColdOpens(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	_, hs := newTestDaemon(t, Config{SnapshotDir: dir})
 	c := client.New(hs.URL, "old")
-	create := client.CreateSession{Name: "old-snap", Module: testCorpus(t, 32), Finder: "lsh", DupFold: true, MaxFamily: 2}
+	create := client.CreateSession{Name: "old-snap", Module: testCorpus(t, 32), Finder: "lsh", MaxFamily: 2}
 	sc, err := c.CreateSession(ctx, create)
 	if err != nil {
 		t.Fatalf("create: %v", err)
@@ -723,7 +778,8 @@ func TestServeOldSnapshotColdOpens(t *testing.T) {
 				f["blocks"], f["size"], f["ops"] = 1, 4, []int{1, 3, 9, 1}
 			}
 		},
-		"canon": func(s map[string]any) { s["version"], s["canon"] = 3, "mem2reg+simplify+normalize+gvn" },
+		"version-5": func(s map[string]any) { s["version"], s["dup_fold"] = 5, true },
+		"canon":     func(s map[string]any) { s["version"], s["canon"] = 3, "mem2reg+simplify+normalize+gvn" },
 	} {
 		var raw map[string]any
 		if err := json.Unmarshal(orig, &raw); err != nil {

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"os"
@@ -10,6 +12,7 @@ import (
 
 	"repro/client"
 	"repro/internal/fault"
+	"repro/internal/ir"
 )
 
 // TestServeWALRecovery is the straight-line recovery story over HTTP:
@@ -76,6 +79,99 @@ func TestServeWALRecovery(t *testing.T) {
 	}
 	if !info.Warm {
 		t.Fatal("second recovery not warm despite the re-persisted snapshot")
+	}
+}
+
+// tripCtx is a request context that reads as cancelled once tripped
+// says so. The engine polls Err on the goroutine serving the request,
+// so tripped may inspect the session's module.
+type tripCtx struct {
+	context.Context
+	tripped func() bool
+}
+
+func (c tripCtx) Err() error {
+	if c.tripped() {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestServeApplyJournalsCommittedPrefix: an Apply cancelled after its
+// first merge keeps the folds and that merge in the live module, so the
+// daemon journals them before answering the error; a daemon recovering
+// from the journal alone then holds the live module byte for byte, and
+// a plan applied after the failure replays on top of it.
+func TestServeApplyJournalsCommittedPrefix(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	srvA, hsA := newTestDaemon(t, Config{WALDir: dir})
+	c := client.New(hsA.URL, "prefix")
+	sc, err := c.CreateSession(ctx, client.CreateSession{Name: "prefix", Module: testCorpus(t, 48), Threshold: 2})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	plan, err := sc.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Folds) == 0 || len(plan.Merges) < 2 {
+		t.Fatalf("plan has %d folds and %d merges, want folds and two merges", len(plan.Folds), len(plan.Merges))
+	}
+	// Cancel as soon as the first merge has made @F1 a thunk: Apply
+	// sees it before the second merge.
+	m := srvA.sessions["prefix"].m
+	first := plan.Merges[0].F1
+	trip := tripCtx{Context: ctx, tripped: func() bool { return ir.Forwardee(m.FuncByName(first)) != nil }}
+	body, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/v1/sessions/prefix/apply", bytes.NewReader(body)).WithContext(trip)
+	rec := httptest.NewRecorder()
+	srvA.Handler().ServeHTTP(rec, req)
+	if rec.Code/100 == 2 {
+		t.Fatalf("cancelled apply answered %d", rec.Code)
+	}
+	live, err := sc.Module(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ir.Forwardee(m.FuncByName(first)) == nil || m.FuncByName(plan.Merges[1].F1) == nil || ir.Forwardee(m.FuncByName(plan.Merges[1].F1)) != nil {
+		t.Fatal("the cancelled apply did not stop after its first merge")
+	}
+	// A later journaled apply must replay on top of the prefix.
+	next, err := sc.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Apply(ctx, next); err != nil {
+		t.Fatalf("apply after the cancelled one: %v", err)
+	}
+	want, err := sc.Module(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == live {
+		t.Fatal("the second apply committed nothing")
+	}
+	hsA.Close()
+	srvA.Close()
+
+	_, hsB := newTestDaemon(t, Config{WALDir: dir})
+	scB, err := client.New(hsB.URL, "prefix").CreateSession(ctx, client.CreateSession{Name: "prefix", Threshold: 2})
+	if err != nil {
+		t.Fatalf("recovery create: %v", err)
+	}
+	if got := scB.CreateInfo().Replayed; got != 2 {
+		t.Fatalf("recovery replayed %d records, want 2 (the prefix and the second apply)", got)
+	}
+	got, err := scB.Module(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("recovered module diverged from the live one (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -200,7 +296,7 @@ func TestServeWALOffIdentical(t *testing.T) {
 		_, hs := newTestDaemon(t, cfg)
 		c := client.New(hs.URL, "waloff")
 		sc, err := c.CreateSession(ctx, client.CreateSession{
-			Name: name, Module: corpus, Threshold: 2, DupFold: true,
+			Name: name, Module: corpus, Threshold: 2,
 		})
 		if err != nil {
 			t.Fatalf("create: %v", err)

@@ -37,7 +37,6 @@ type Optimizer struct {
 	minInstrs int
 	skipHot   map[string]bool
 	finder    FinderKind
-	dupFold   bool
 	maxFamily int
 	progress  func(Progress)
 }
@@ -48,7 +47,8 @@ type Option func(*Optimizer) error
 // New builds an Optimizer from the given options. Without options the
 // defaults match the paper's main configuration: SalSSA, exploration
 // threshold 1, the x86-64 size model, quadratic alignment, no size or
-// memory limits, no duplicate folding.
+// memory limits. Every run folds structurally identical functions into
+// forwarders before any alignment runs (see FoldRecord).
 func New(opts ...Option) (*Optimizer, error) {
 	o := &Optimizer{
 		algorithm: SalSSA,
@@ -212,17 +212,14 @@ func WithMaxFamily(k int) Option {
 	}
 }
 
-// WithDupFold folds structurally identical functions into forwarding
-// thunks before any alignment runs (default off). Exact clone families
-// — equal up to local value names, detected by a stable GVN-style
-// structural hash — are deduplicated for free: each duplicate becomes
+// WithDupFold is accepted and ignored: every run folds duplicates,
+// whatever on says. Exact clone families — equal up to local value
+// names, detected by a stable structural hash — are deduplicated before
+// any alignment runs: each profitable duplicate becomes
 // "return representative(args...)" and leaves the candidate set, so no
 // alignment DP cells are spent on them. The Report lists the folds.
 func WithDupFold(on bool) Option {
-	return func(o *Optimizer) error {
-		o.dupFold = on
-		return nil
-	}
+	return func(*Optimizer) error { return nil }
 }
 
 // WithProgress installs an observer for pipeline events: one per
@@ -254,9 +251,6 @@ func (o *Optimizer) Target() Target { return o.target }
 // Finder returns the finder name set by WithFinder (default LSHFinder).
 func (o *Optimizer) Finder() FinderKind { return o.finder }
 
-// DupFold reports whether duplicate folding is enabled.
-func (o *Optimizer) DupFold() bool { return o.dupFold }
-
 // MaxFamily returns the configured merge-family bound.
 func (o *Optimizer) MaxFamily() int { return o.maxFamily }
 
@@ -271,7 +265,6 @@ func (o *Optimizer) config() driver.Config {
 		MaxCells:  o.maxCells,
 		SkipHot:   o.skipHot,
 		MinInstrs: o.minInstrs,
-		DupFold:   o.dupFold,
 		MaxFamily: o.maxFamily,
 		Progress:  o.progress,
 	}

@@ -36,9 +36,6 @@ func TestNewDefaults(t *testing.T) {
 	if o.Finder() != LSHFinder {
 		t.Errorf("default finder = %v, want LSHFinder", o.Finder())
 	}
-	if o.DupFold() {
-		t.Error("duplicate folding on by default, want off")
-	}
 }
 
 func TestOptionValidation(t *testing.T) {
@@ -80,20 +77,21 @@ func TestOptionValidation(t *testing.T) {
 	if o.Algorithm() != SalSSANoPC || o.Threshold() != 5 || o.Target() != Thumb {
 		t.Errorf("options not applied: %+v", o)
 	}
-	if o.Finder() != ExactFinder || !o.DupFold() {
-		t.Errorf("finder options not applied: finder=%v dupFold=%v", o.Finder(), o.DupFold())
+	if o.Finder() != ExactFinder {
+		t.Errorf("finder option not applied: finder=%v", o.Finder())
 	}
 }
 
 // TestWithDupFoldReportsFolds: the public pipeline must surface fold
-// records and finder accounting in the Report.
+// records and finder accounting in the Report, and WithDupFold, which
+// is accepted and ignored, must not change them: every run folds.
 func TestWithDupFoldReportsFolds(t *testing.T) {
 	base := synth.Generate(synth.Profile{
 		Name: "apifold", Seed: 3, Funcs: 12,
 		MinSize: 10, AvgSize: 50, MaxSize: 120,
 		CloneFrac: 0.7, FamilySize: 3, MutRate: 0, Loops: 0.5,
 	})
-	o, err := New(WithDupFold(true))
+	o, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +102,17 @@ func TestWithDupFoldReportsFolds(t *testing.T) {
 	}
 	if len(rep.Folds) == 0 {
 		t.Fatal("no folds reported on an identical-clone module")
+	}
+	off, err := New(WithDupFold(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mOff := ir.CloneModule(base)
+	if _, err := off.Optimize(context.Background(), mOff); err != nil {
+		t.Fatal(err)
+	}
+	if FormatModule(mOff) != FormatModule(m) {
+		t.Error("WithDupFold(false) changed the output; it must be ignored")
 	}
 	if rep.Search.Queries == 0 {
 		t.Error("no finder queries reported")

@@ -7,7 +7,7 @@
 //   - ParseModule / FormatModule: the textual IR (an LLVM-like dialect);
 //   - New + Option (WithAlgorithm, WithThreshold, WithTarget,
 //     WithMaxCells, WithMinInstrs, WithSkipHot, WithFinder,
-//     WithDupFold, WithMaxFamily, WithProgress; WithParallelism is
+//     WithMaxFamily, WithProgress; WithParallelism and WithDupFold are
 //     accepted and ignored): build a reusable, concurrency-safe
 //     Optimizer;
 //   - (*Optimizer).Optimize: the whole-module pipeline — candidate
@@ -49,8 +49,8 @@ type (
 	Report = driver.Result
 	// MergeRecord describes one committed merge within a Report.
 	MergeRecord = driver.MergeRecord
-	// FoldRecord describes one duplicate fold within a Report (see
-	// WithDupFold).
+	// FoldRecord describes one duplicate fold within a Report: every
+	// run folds structurally identical functions before alignment.
 	FoldRecord = driver.FoldRecord
 	// SearchStats reports the candidate finder's query accounting
 	// within a Report.

@@ -78,9 +78,9 @@ var ErrUnknownFunction = driver.ErrUnknownFunction
 var ErrConflictingDelta = driver.ErrConflictingDelta
 
 // ErrStalePlan is wrapped by Session.Apply when a plan's structural
-// hashes no longer match the module, or when a fold names two functions
-// that are not duplicates. Test with errors.Is; the standard reaction is
-// to Plan again and retry.
+// hashes no longer match the module, or the plan is malformed (a fold
+// of two different functions, a function named twice, ...). Test with
+// errors.Is; the standard reaction is to Plan again and retry.
 var ErrStalePlan = driver.ErrStalePlan
 
 // Open builds a Session over m: every candidate and alignment index is
@@ -185,12 +185,11 @@ func (s *Session) SearchStats() (SearchStats, error) {
 }
 
 // Apply commits a plan — typically a possibly-filtered result of Plan —
-// against the module. Every referenced function is verified against the
-// plan's structural hash first; if the module changed underneath the
-// plan, Apply fails with an error naming the stale function. A fold is
-// applied only between structurally identical functions, and priced
-// from the live body. On failure or cancellation the already-committed
-// prefix stays in place.
+// against the module. Every entry is checked before any is committed,
+// so a refused plan (ErrStalePlan) commits nothing. A fold is priced
+// from the live body. On cancellation or a trial error the committed
+// prefix stays in place: every fold and the first len(Report.Merges)
+// merges.
 func (s *Session) Apply(ctx context.Context, plan *MergePlan) (*Report, error) {
 	return s.s.Apply(ctx, plan)
 }

@@ -13,10 +13,12 @@ import (
 
 // TestSessionOptimizeMatchesOneShot is the public face of the
 // differential criterion: a Session's first Optimize must commit
-// exactly what the one-shot Optimizer.Optimize commits, with dup-fold
-// on and off. WithFinder and WithParallelism are accepted and change
-// nothing; the test still runs both finder names and both parallelism
-// settings, so each must leave that equality intact.
+// exactly what the one-shot Optimizer.Optimize commits. WithFinder,
+// WithDupFold and WithParallelism are accepted and change nothing: the
+// one-shot reference is built with none of them, and the session runs
+// both finder names, both WithDupFold values and both parallelism
+// settings, so each must leave that equality intact (a session under
+// WithDupFold(false) still folds).
 func TestSessionOptimizeMatchesOneShot(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		base := synthModule(seed)
@@ -25,13 +27,17 @@ func TestSessionOptimizeMatchesOneShot(t *testing.T) {
 				for _, jobs := range []int{1, 4} {
 					name := fmt.Sprintf("seed%d-%v-fold=%v-jobs=%d", seed, finder, fold, jobs)
 					t.Run(name, func(t *testing.T) {
+						ref, err := New(WithThreshold(2))
+						if err != nil {
+							t.Fatal(err)
+						}
 						opt, err := New(WithThreshold(2), WithFinder(finder),
 							WithDupFold(fold), WithParallelism(jobs))
 						if err != nil {
 							t.Fatal(err)
 						}
 						m1 := ir.CloneModule(base)
-						oneShot, err := opt.Optimize(context.Background(), m1)
+						oneShot, err := ref.Optimize(context.Background(), m1)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -44,6 +50,10 @@ func TestSessionOptimizeMatchesOneShot(t *testing.T) {
 						viaSession, err := s.Optimize(context.Background())
 						if err != nil {
 							t.Fatal(err)
+						}
+						if len(oneShot.Folds) != len(viaSession.Folds) {
+							t.Fatalf("fold counts differ: one-shot %d, session %d",
+								len(oneShot.Folds), len(viaSession.Folds))
 						}
 						if len(oneShot.Merges) != len(viaSession.Merges) {
 							t.Fatalf("merge counts differ: one-shot %d, session %d",
