@@ -18,7 +18,7 @@ package align
 // for every pair of entries interned by the same Interner.
 
 import (
-	"encoding/binary"
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
@@ -43,28 +43,51 @@ func ClassesMatch(ca, cb int32) bool { return ca == cb && ca != classSolo }
 // by every function participating in one alignment universe (a whole
 // Optimize run): class IDs from different Interners are not comparable.
 // All methods are safe for concurrent use.
+//
+// Keys are sequences of 32-bit words, and the interner numbers every
+// prefix of every key it has seen as one node of a trie held in a single
+// map from (parent node, word) to child node: node 0 is the empty key,
+// and two keys end at one node exactly when they are equal. A type's ID
+// is the node its structural key ends at (kind tag, then widths, lengths
+// and the IDs of its element types), so the interner's state is bounded
+// by the distinct types, classes and callees it has seen, whatever
+// objects carry the types — a parser or ir.PtrTo allocating a fresh
+// type on every call costs nothing more.
 type Interner struct {
-	mu sync.Mutex
-	// typeByPtr is the pointer-identity fast path over typeByKey; the ir
-	// package shares singleton types, so most lookups end here.
-	typeByPtr map[ir.Type]int32
-	typeByKey map[string]int32
+	mu   sync.Mutex
+	trie map[uint64]int32
+	// lead[w] caches the node of the one-word key w, 0 until first met:
+	// every key starts with a kind tag or an opcode. scalar[k][bits]
+	// caches the ID of the integer (k = 0) or float (k = 1) type of that
+	// width. Between them they spare the trie most lookups.
+	lead   [classTag + 1<<8]int32
+	scalar [2][65]int32
+	// classOf[n] is the class of the key ending at node n, 0 while no
+	// class key ends there. Classes are numbered densely, in the order
+	// they are first seen.
+	classOf    []int32
+	numClasses int32
 	// valueID tracks callee identity: Mergeable compares callees by
 	// pointer equality, so every distinct callee value gets its own ID.
 	valueID map[ir.Value]int32
-	classes map[string]int32
-	buf     []byte
-	tbuf    []byte
 }
 
 // NewInterner returns an empty Interner.
 func NewInterner() *Interner {
-	return &Interner{
-		typeByPtr: make(map[ir.Type]int32),
-		typeByKey: make(map[string]int32),
-		valueID:   make(map[ir.Value]int32),
-		classes:   make(map[string]int32),
-	}
+	return &Interner{trie: make(map[uint64]int32), valueID: make(map[ir.Value]int32)}
+}
+
+// Reset empties it for reuse as a new universe, keeping its storage:
+// a caller that interns many short-lived universes (a family trial's
+// members) pools one Interner instead of growing a fresh one each time.
+// It lets go of every callee it held.
+func (it *Interner) Reset() {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	clear(it.trie)
+	clear(it.valueID)
+	clear(it.classOf)
+	it.lead, it.scalar, it.numClasses = [len(it.lead)]int32{}, [2][65]int32{}, 0
 }
 
 // Class returns the mergeability class of one entry.
@@ -80,11 +103,7 @@ func (it *Interner) Class(e Entry) int32 {
 // Classes interns every entry of seq, appending the class IDs to dst
 // (which may be nil) and returning the extended slice.
 func (it *Interner) Classes(seq []Entry, dst []int32) []int32 {
-	if cap(dst)-len(dst) < len(seq) {
-		grown := make([]int32, len(dst), len(dst)+len(seq))
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, len(seq))
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	for _, e := range seq {
@@ -102,72 +121,121 @@ func (it *Interner) Classes(seq []Entry, dst []int32) []int32 {
 func (it *Interner) NumClasses() int {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	return len(it.classes)
+	return int(it.numClasses)
 }
 
-// classLocked builds the structural key of x and interns it. Every field
-// Mergeable inspects — and nothing else — goes into the key, so key
-// equality coincides with mergeability.
+// Key words. A type key starts with its kind tag; a class key starts
+// with classTag plus the opcode, so no class key is a type key.
+const (
+	tagVoid uint32 = iota + 1
+	tagInt
+	tagFloat
+	tagPtr
+	tagArray
+	tagStruct
+	tagFunc
+	tagLabel
+	classTag uint32 = 16
+)
+
+// step returns the node of key prefix n extended by the word w.
+func (it *Interner) step(n int32, w uint32) int32 {
+	k := uint64(uint32(n))<<32 | uint64(w)
+	c, ok := it.trie[k]
+	if !ok {
+		c = int32(len(it.trie)) + 1
+		it.trie[k] = c
+	}
+	return c
+}
+
+// leadLocked returns the node of the one-word key w.
+func (it *Interner) leadLocked(w uint32) int32 {
+	if it.lead[w] == 0 {
+		it.lead[w] = it.step(0, w)
+	}
+	return it.lead[w]
+}
+
+// scalarLocked returns the ID of the integer (k = 0) or float (k = 1)
+// type of the given width, whose kind tag is tag.
+func (it *Interner) scalarLocked(k int, tag uint32, bits int) int32 {
+	if bits < 0 || bits >= len(it.scalar[k]) {
+		return it.stepInt(it.leadLocked(tag), int64(bits))
+	}
+	if it.scalar[k][bits] == 0 {
+		it.scalar[k][bits] = it.stepInt(it.leadLocked(tag), int64(bits))
+	}
+	return it.scalar[k][bits]
+}
+
+// stepInt extends n by a 64-bit integer, low word first.
+func (it *Interner) stepInt(n int32, v int64) int32 {
+	return it.step(it.step(n, uint32(v)), uint32(uint64(v)>>32))
+}
+
+// classLocked walks the structural key of x through the trie and
+// returns the class it ends at. Every field Mergeable inspects — and
+// nothing else — goes into the key, so key equality coincides with
+// mergeability.
 func (it *Interner) classLocked(x *ir.Instruction) int32 {
-	b := it.buf[:0]
-	b = binary.AppendUvarint(b, uint64(x.Op()))
-	b = binary.AppendUvarint(b, uint64(it.typeIDLocked(x.Type())))
+	k := it.leadLocked(classTag + uint32(x.Op()))
+	k = it.step(k, uint32(it.typeIDLocked(x.Type())))
 	n := x.NumOperands()
-	b = binary.AppendUvarint(b, uint64(n))
+	k = it.step(k, uint32(n))
 	for i := 0; i < n; i++ {
-		b = binary.AppendUvarint(b, uint64(it.typeIDLocked(x.Operand(i).Type())))
+		k = it.step(k, uint32(it.typeIDLocked(x.Operand(i).Type())))
 	}
 	switch x.Op() {
 	case ir.OpICmp, ir.OpFCmp:
-		b = binary.AppendUvarint(b, uint64(x.Pred()))
+		k = it.step(k, uint32(x.Pred()))
 	case ir.OpAlloca:
-		b = binary.AppendUvarint(b, uint64(it.typeIDLocked(x.AllocTy())))
+		k = it.step(k, uint32(it.typeIDLocked(x.AllocTy())))
 	case ir.OpCall, ir.OpInvoke:
-		b = binary.AppendUvarint(b, uint64(it.valueIDLocked(x.Callee())))
+		k = it.step(k, uint32(it.valueIDLocked(x.Callee())))
 	case ir.OpSwitch:
 		// Case values must be identical; the case count is already pinned
 		// by the operand count ([v, default, c0, d0, ...]).
 		for i := 2; i+1 < n; i += 2 {
-			b = binary.AppendVarint(b, x.Operand(i).(*ir.ConstInt).V)
+			k = it.stepInt(k, x.Operand(i).(*ir.ConstInt).V)
 		}
 	case ir.OpGEP:
 		var solo bool
-		b, solo = appendGEPKey(b, x)
-		if solo {
-			it.buf = b
+		if k, solo = it.gepKeyLocked(k, x); solo {
 			return classSolo
 		}
 	}
-	it.buf = b
-	id, ok := it.classes[string(b)]
-	if !ok {
-		// IDs start at 1: 0 is ClassLabel, -1 is classSolo.
-		id = int32(len(it.classes)) + 1
-		it.classes[string(b)] = id
+	if int(k) >= len(it.classOf) {
+		it.classOf = append(it.classOf, make([]int32, int(k)+1-len(it.classOf))...)
 	}
-	return id
+	if it.classOf[k] == 0 {
+		// IDs start at 1: 0 is ClassLabel, -1 is classSolo.
+		it.numClasses++
+		it.classOf[k] = it.numClasses
+	}
+	return it.classOf[k]
 }
 
-// appendGEPKey mirrors Mergeable's GEP walk: stepping through the
+// gepKeyLocked mirrors Mergeable's GEP walk: stepping through the
 // indexed type, every index at a struct level must be an integer
 // constant and goes into the key. A GEP failing the walk's structural
 // requirements is solo — Mergeable rejects it against any partner.
 // The walk of a mergeability partner is identical by induction: equal
 // operand-type vectors pin the starting type, and equal constants at
 // every struct level pin each step.
-func appendGEPKey(b []byte, x *ir.Instruction) ([]byte, bool) {
+func (it *Interner) gepKeyLocked(k int32, x *ir.Instruction) (int32, bool) {
 	tx, ok := x.Operand(0).Type().(*ir.PointerType)
 	if !ok {
-		return b, true
+		return k, true
 	}
 	cur := tx.Elem
 	for i := 2; i < x.NumOperands(); i++ {
 		if st, isStruct := cur.(*ir.StructType); isStruct {
 			ix, okx := x.Operand(i).(*ir.ConstInt)
 			if !okx {
-				return b, true
+				return k, true
 			}
-			b = binary.AppendVarint(b, ix.V)
+			k = it.stepInt(k, ix.V)
 			cur = st.Fields[ix.V]
 			continue
 		}
@@ -175,25 +243,45 @@ func appendGEPKey(b []byte, x *ir.Instruction) ([]byte, bool) {
 			cur = at.Elem
 		}
 	}
-	return b, false
+	return k, false
 }
 
-// typeIDLocked interns t structurally. The pointer map shortcuts the
-// common case (the ir package hands out singleton scalar types); the
-// structural key matches TypesEqual exactly, so two structurally equal
-// types always map to one ID.
+// typeIDLocked interns t structurally: its ID is the node its key ends
+// at, the kind tag followed by widths, lengths and element type IDs.
+// Tags and counts make the encoding injective, so two types share an ID
+// exactly when TypesEqual holds.
 func (it *Interner) typeIDLocked(t ir.Type) int32 {
-	if id, ok := it.typeByPtr[t]; ok {
-		return id
+	switch t := t.(type) {
+	case *ir.VoidType:
+		return it.leadLocked(tagVoid)
+	case *ir.IntType:
+		return it.scalarLocked(0, tagInt, t.Bits)
+	case *ir.FloatType:
+		return it.scalarLocked(1, tagFloat, t.Bits)
+	case *ir.PointerType:
+		elem := it.typeIDLocked(t.Elem)
+		return it.step(it.leadLocked(tagPtr), uint32(elem))
+	case *ir.ArrayType:
+		elem := it.typeIDLocked(t.Elem)
+		return it.step(it.stepInt(it.leadLocked(tagArray), int64(t.Len)), uint32(elem))
+	case *ir.StructType:
+		k := it.step(it.leadLocked(tagStruct), uint32(len(t.Fields)))
+		for _, f := range t.Fields {
+			k = it.step(k, uint32(it.typeIDLocked(f)))
+		}
+		return k
+	case *ir.FuncType:
+		k := it.step(it.leadLocked(tagFunc), uint32(btoi(t.Variadic)))
+		k = it.step(k, uint32(it.typeIDLocked(t.Ret)))
+		k = it.step(k, uint32(len(t.Params)))
+		for _, p := range t.Params {
+			k = it.step(k, uint32(it.typeIDLocked(p)))
+		}
+		return k
+	case *ir.LabelType:
+		return it.leadLocked(tagLabel)
 	}
-	it.tbuf = appendTypeKey(it.tbuf[:0], t)
-	id, ok := it.typeByKey[string(it.tbuf)]
-	if !ok {
-		id = int32(len(it.typeByKey)) + 1
-		it.typeByKey[string(it.tbuf)] = id
-	}
-	it.typeByPtr[t] = id
-	return id
+	panic("align: unknown type in class key")
 }
 
 func (it *Interner) valueIDLocked(v ir.Value) int32 {
@@ -205,41 +293,9 @@ func (it *Interner) valueIDLocked(v ir.Value) int32 {
 	return id
 }
 
-// appendTypeKey writes an injective structural encoding of t: distinct
-// kind tags plus varint length prefixes make the key prefix-free, so key
-// equality is exactly TypesEqual.
-func appendTypeKey(b []byte, t ir.Type) []byte {
-	switch t := t.(type) {
-	case *ir.VoidType:
-		return append(b, 'v')
-	case *ir.IntType:
-		return binary.AppendUvarint(append(b, 'i'), uint64(t.Bits))
-	case *ir.FloatType:
-		return binary.AppendUvarint(append(b, 'f'), uint64(t.Bits))
-	case *ir.PointerType:
-		return appendTypeKey(append(b, 'p'), t.Elem)
-	case *ir.ArrayType:
-		b = binary.AppendUvarint(append(b, 'a'), uint64(t.Len))
-		return appendTypeKey(b, t.Elem)
-	case *ir.StructType:
-		b = binary.AppendUvarint(append(b, 's'), uint64(len(t.Fields)))
-		for _, f := range t.Fields {
-			b = appendTypeKey(b, f)
-		}
-		return b
-	case *ir.FuncType:
-		b = append(b, 'F')
-		if t.Variadic {
-			b = append(b, '+')
-		}
-		b = appendTypeKey(b, t.Ret)
-		b = binary.AppendUvarint(b, uint64(len(t.Params)))
-		for _, p := range t.Params {
-			b = appendTypeKey(b, p)
-		}
-		return b
-	case *ir.LabelType:
-		return append(b, 'l')
+func btoi(b bool) int {
+	if b {
+		return 1
 	}
-	panic("align: unknown type in class key")
+	return 0
 }

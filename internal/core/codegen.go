@@ -118,11 +118,11 @@ type Numbering struct {
 }
 
 // NewNumbering numbers f's current body.
-func NewNumbering(f *ir.Function) Numbering { return numberInto(f, nil) }
+func NewNumbering(f *ir.Function) Numbering { return NumberInto(f, nil) }
 
-// numberInto is NewNumbering with the table in buf's array when it is
-// large enough.
-func numberInto(f *ir.Function, buf []int32) Numbering {
+// NumberInto is NewNumbering with the table in buf's array when it is
+// large enough: len(f.Blocks) entries.
+func NumberInto(f *ir.Function, buf []int32) Numbering {
 	x := Numbering{nargs: len(f.Params()), instrBase: resize(buf, len(f.Blocks))}
 	x.size = x.nargs + len(f.Blocks)
 	for i, b := range f.Blocks {
@@ -203,6 +203,8 @@ type genTables struct {
 	ents                 []*align.Entry
 	skel                 []align.Entry
 	res                  align.Result
+	// in interns a family's members, emptied for the next family.
+	in *align.Interner
 }
 
 var genPool = sync.Pool{New: func() any { return new(genTables) }}
@@ -236,6 +238,9 @@ func (t *genTables) release() {
 	clear(t.ents)
 	clear(t.skel)
 	t.res.Clear()
+	if t.in != nil {
+		t.in.Reset()
+	}
 	t.order, t.tags, t.origin = t.order[:0], t.tags[:0], t.origin[:0]
 	genPool.Put(t)
 }

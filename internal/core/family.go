@@ -49,7 +49,10 @@ func (it famItem) memberCount() int {
 // skeleton and pairwise result, live in t.
 func alignFamilyCtx(ctx context.Context, fns []*ir.Function, opts Options, stats *Stats, t *genTables) ([]famItem, error) {
 	k := len(fns)
-	it := align.NewInterner()
+	if t.in == nil {
+		t.in = align.NewInterner()
+	}
+	it := t.in
 	seqs := make([]align.Seq, k)
 	total := 0
 	for j, f := range fns {

@@ -41,11 +41,39 @@ type Forced struct {
 // built or mutated. Whatever it cannot prove is left out, so each
 // count is a lower bound on what Stats reports for the same merge.
 func CountForced(pairs []align.Pair, n1, n2 *Numbering, plan *ParamPlan) Forced {
+	return new(CutScratch).Count(pairs, n1, n2, plan)
+}
+
+// CutScratch is the storage of one stage-3 cut — the pair's throwaway
+// parameter plan and CountForced's row table — kept by the caller from
+// pair to pair, so that once it has grown a cut allocates nothing. It
+// holds no pointer into a body, only the plan's parameter types.
+type CutScratch struct {
+	plan ParamPlan
+	used []bool
+	slab []int32
+}
+
+// Plan is PlanParams(f1, f2) into the scratch, or false when the two
+// signatures do not unify. The plan is valid until the next Plan.
+func (s *CutScratch) Plan(f1, f2 *ir.Function) (*ParamPlan, bool) {
+	fns := [2]*ir.Function{f1, f2}
+	if mismatch(fns[:]) >= 0 {
+		return nil, false
+	}
+	s.used = s.plan.fill(fns[:], s.used)
+	return &s.plan, true
+}
+
+// Count is CountForced with its row table in the scratch.
+func (s *CutScratch) Count(pairs []align.Pair, n1, n2 *Numbering, plan *ParamPlan) Forced {
 	// row[j][number] is 1 + the index of the matched row that places
 	// member j's label or instruction, 0 for anything unmatched. Two
 	// values are matched to each other exactly when their entries are
 	// equal and non-zero.
-	slab := make([]int32, n1.size+n2.size)
+	s.slab = resize(s.slab, n1.size+n2.size)
+	clear(s.slab)
+	slab := s.slab
 	c := forcedCounter{
 		num:  [2]*Numbering{n1, n2},
 		row:  [2][]int32{slab[:n1.size], slab[n1.size:]},

@@ -41,19 +41,42 @@ func PlanParams(fns ...*ir.Function) (*ParamPlan, error) {
 	if len(fns) < 2 {
 		return nil, fmt.Errorf("core: a merge family needs at least two functions")
 	}
-	s0 := fns[0].Sig()
-	p := &ParamPlan{Ret: s0.Ret, Maps: make([][]int, len(fns))}
-	for j, f := range fns {
-		sj := f.Sig()
-		if !ir.TypesEqual(s0.Ret, sj.Ret) {
+	if j := mismatch(fns); j >= 0 {
+		if s0, sj := fns[0].Sig(), fns[j].Sig(); !ir.TypesEqual(s0.Ret, sj.Ret) {
 			return nil, fmt.Errorf("core: return types differ (%v vs %v)", s0.Ret, sj.Ret)
 		}
-		if sj.Variadic {
-			return nil, fmt.Errorf("core: variadic functions are not merged")
+		return nil, fmt.Errorf("core: variadic functions are not merged")
+	}
+	p := &ParamPlan{}
+	p.fill(fns, nil)
+	return p, nil
+}
+
+// mismatch returns the first member whose signature no plan can unify
+// with member 0's — a different return type, or variadic — or -1.
+func mismatch(fns []*ir.Function) int {
+	ret := fns[0].Sig().Ret
+	for j, f := range fns {
+		if sj := f.Sig(); !ir.TypesEqual(ret, sj.Ret) || sj.Variadic {
+			return j
 		}
-		used := make([]bool, len(p.Params))
-		p.Maps[j] = make([]int, len(sj.Params))
-		for i, t := range sj.Params {
+	}
+	return -1
+}
+
+// fill makes p the plan of fns, whose signatures unify, reusing the
+// storage of p's slices and of used, the per-member table of claimed
+// slots, which it returns.
+func (p *ParamPlan) fill(fns []*ir.Function, used []bool) []bool {
+	p.Ret = fns[0].Sig().Ret
+	p.Params = p.Params[:0]
+	p.Maps = resize(p.Maps, len(fns))
+	for j, f := range fns {
+		params := f.Sig().Params
+		used = resize(used, len(p.Params))
+		clear(used)
+		p.Maps[j] = resize(p.Maps[j], len(params))
+		for i, t := range params {
 			slot := -1
 			for s, ts := range p.Params {
 				if !used[s] && ir.TypesEqual(t, ts) {
@@ -70,7 +93,7 @@ func PlanParams(fns ...*ir.Function) (*ParamPlan, error) {
 			p.Maps[j][i] = slot
 		}
 	}
-	return p, nil
+	return used
 }
 
 // FidType returns the function-identifier type for a family of k

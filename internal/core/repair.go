@@ -149,7 +149,7 @@ func (s *ssaScratch) findOffenses(g *generator, dt *analysis.DomTree) (defs []*i
 // entry, and the selection, arm and landing blocks — has the block's.
 func (s *ssaScratch) numberRows(g *generator) {
 	f := g.merged
-	s.num = numberInto(f, s.num.instrBase)
+	s.num = NumberInto(f, s.num.instrBase)
 	s.rowNum = resize(s.rowNum, s.num.size)
 	for i := range s.rowNum {
 		s.rowNum[i] = -1

@@ -79,7 +79,7 @@ func InstrBytes(in *ir.Instruction, target Target) int {
 		}
 		return x86(brCost)
 	case ir.OpSwitch:
-		return SwitchBytes(target, len(in.SwitchCases()))
+		return SwitchBytes(target, in.NumSwitchCases())
 	case ir.OpUnreachable:
 		return x86(1)
 	case ir.OpCall:

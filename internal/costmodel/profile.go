@@ -27,7 +27,8 @@
 package costmodel
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/align"
 	"repro/internal/core"
@@ -81,48 +82,131 @@ type FuncProfile struct {
 }
 
 // NewFuncProfile builds the screening profile of f from its interned
-// sequence (cache.Seq(f), or align.NewSeq for one-shot use). It is
-// O(n) and does not touch the slack term; that is filled lazily on
-// first use (see FuncProfile.Slack).
+// sequence (align.NewSeq for one-shot use; a session builds both in one
+// walk, Touch). It is O(n) and does not touch the slack term; that is
+// filled lazily on first use (see FuncProfile.Slack).
 func NewFuncProfile(f *ir.Function, target Target, seq align.Seq) *FuncProfile {
-	p := &FuncProfile{fn: f, target: target, Params: len(f.Params()), num: core.NewNumbering(f)}
+	sc, _ := profileScratch.Get().(*TouchScratch)
+	if sc == nil {
+		sc = new(TouchScratch)
+	}
+	defer profileScratch.Put(sc)
+	sc.bytes = sc.bytes[:0]
+	elastic := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs() {
 			if op := in.Op(); op == ir.OpPhi || op == ir.OpLandingPad {
-				p.Elastic += InstrBytes(in, target)
+				elastic += InstrBytes(in, target)
 			}
 		}
 	}
-	// One flat (class, bytes) list, sorted then run-length encoded: a
-	// profile is built for every indexed function, so this stays a
-	// couple of slice allocations instead of two maps' worth of churn.
-	type classEntry struct{ c, nb int32 }
-	tmp := make([]classEntry, 0, len(seq.Entries))
-	for i, e := range seq.Entries {
-		c := seq.Classes[i]
+	for _, e := range seq.Entries {
+		sc.bytes = append(sc.bytes, entryBytes(e, target))
+	}
+	p, _ := sc.profile(f, target, elastic, seq.Classes, 0)
+	return p
+}
+
+// profileScratch recycles NewFuncProfile's scratch, which, unlike a
+// session's, has no owner to keep it.
+var profileScratch sync.Pool
+
+// TouchScratch is what the first-touch walk (Touch) collects on its way
+// through a body: kept by the caller from function to function, so that
+// a walk allocates only what it returns.
+type TouchScratch struct {
+	entries []align.Entry
+	classes []int32
+	// bytes[i] is InstrBytes of entry i, 0 for a label.
+	bytes []int32
+	// distinct lists the body's matchable classes as first met, and
+	// count[c] and width[c] are class c's entries and largest InstrBytes
+	// (zero again once the profile is built). Class IDs are dense, so
+	// the two tables grow to the interner's class count at most.
+	distinct     []int32
+	count, width []int32
+}
+
+// Touch is a function's first touch: one walk over f's body builds its
+// sequence, interned by it (what align.NewSeq builds), and its
+// screening profile with its core.Numbering (what NewFuncProfile
+// builds). The walk collects into sc and then allocates each fact once,
+// at its exact size: the entries, the profile, and one int32 array that
+// holds the class vector, the profile's three histogram columns and the
+// numbering's block table.
+func Touch(f *ir.Function, target Target, it *align.Interner, sc *TouchScratch) (align.Seq, *FuncProfile) {
+	sc.entries, sc.bytes = sc.entries[:0], sc.bytes[:0]
+	elastic := 0
+	for _, b := range f.Blocks {
+		sc.entries = append(sc.entries, align.Entry{Label: b})
+		sc.bytes = append(sc.bytes, 0)
+		for _, in := range b.Instrs() {
+			nb := InstrBytes(in, target)
+			if op := in.Op(); op == ir.OpPhi || op == ir.OpLandingPad {
+				elastic += nb
+				continue
+			}
+			sc.entries = append(sc.entries, align.Entry{Instr: in})
+			sc.bytes = append(sc.bytes, int32(nb))
+		}
+	}
+	sc.classes = it.Classes(sc.entries, sc.classes[:0])
+	n := len(sc.entries)
+	p, head := sc.profile(f, target, elastic, sc.classes, n)
+	seq := align.Seq{Entries: slices.Clone(sc.entries), Classes: head}
+	copy(seq.Classes, sc.classes)
+	clear(sc.entries)
+	return seq, p
+}
+
+// entryBytes is InstrBytes of an entry, 0 for a label.
+func entryBytes(e align.Entry, target Target) int32 {
+	if e.IsLabel() {
+		return 0
+	}
+	return int32(InstrBytes(e.Instr, target))
+}
+
+// profile builds f's profile from its entries' classes, with sc.bytes
+// parallel to them, and the elastic bytes. The profile's int32 columns
+// and its numbering share one allocation, whose first head elements,
+// left zero, are returned for the caller.
+func (sc *TouchScratch) profile(f *ir.Function, target Target, elastic int, classes []int32, head int) (*FuncProfile, []int32) {
+	// A histogram over the dense class IDs, its distinct classes counted
+	// and sorted before the columns are allocated.
+	sc.distinct = sc.distinct[:0]
+	for i, c := range classes {
 		// A class that cannot match itself is solo: no partner exists
 		// anywhere in the interner's universe, so it can never save
 		// bytes. ClassesMatch(c, c) is exactly that test.
-		if e.IsLabel() || !align.ClassesMatch(c, c) {
+		if c == align.ClassLabel || !align.ClassesMatch(c, c) {
 			continue
 		}
-		tmp = append(tmp, classEntry{c, int32(InstrBytes(e.Instr, target))})
-	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i].c < tmp[j].c })
-	for i := 0; i < len(tmp); {
-		j, nb := i+1, tmp[i].nb
-		for j < len(tmp) && tmp[j].c == tmp[i].c {
-			if tmp[j].nb > nb {
-				nb = tmp[j].nb
-			}
-			j++
+		if int(c) >= len(sc.count) {
+			n := 2 * (int(c) + 1)
+			sc.count = append(sc.count, make([]int32, n-len(sc.count))...)
+			sc.width = append(sc.width, make([]int32, n-len(sc.width))...)
 		}
-		p.Classes = append(p.Classes, tmp[i].c)
-		p.Counts = append(p.Counts, int32(j-i))
-		p.ClassBytes = append(p.ClassBytes, nb)
-		i = j
+		if sc.count[c] == 0 {
+			sc.distinct = append(sc.distinct, c)
+		}
+		sc.count[c]++
+		sc.width[c] = max(sc.width[c], sc.bytes[i])
 	}
-	return p
+	slices.Sort(sc.distinct)
+	d := len(sc.distinct)
+	slab := make([]int32, head+3*d+len(f.Blocks))
+	p := &FuncProfile{fn: f, target: target, Params: len(f.Params()), Elastic: elastic,
+		Classes:    slab[head : head+d : head+d],
+		Counts:     slab[head+d : head+2*d : head+2*d],
+		ClassBytes: slab[head+2*d : head+3*d : head+3*d],
+		num:        core.NumberInto(f, slab[head+3*d:]),
+	}
+	for k, c := range sc.distinct {
+		p.Classes[k], p.Counts[k], p.ClassBytes[k] = c, sc.count[c], sc.width[c]
+		sc.count[c], sc.width[c] = 0, 0
+	}
+	return p, slab[:head:head]
 }
 
 // Slack is the number of bytes Simplify would already strip from the
@@ -270,12 +354,18 @@ func MatchedPairBytes(pairs []align.Pair, target Target) int {
 // items are then certain to survive clean-up — and proves nothing for
 // any other pair. pairs must align p1's function (the A entries) with
 // p2's; a pair no plan unifies yields 0.
-func ForcedCut(p1, p2 *FuncProfile, pairs []align.Pair, target Target) int {
-	plan, err := core.PlanParams(p1.fn, p2.fn)
-	if err != nil {
+// The plan and the count's table live in sc, the caller's scratch (nil:
+// a one-off cut's own), so that a pair the cut settles leaves nothing
+// allocated behind.
+func ForcedCut(p1, p2 *FuncProfile, pairs []align.Pair, target Target, sc *core.CutScratch) int {
+	if sc == nil {
+		sc = new(core.CutScratch)
+	}
+	plan, ok := sc.Plan(p1.fn, p2.fn)
+	if !ok {
 		return 0
 	}
 	minArity := 1 + max(p1.Params, p2.Params)
-	return ForcedBytes(core.CountForced(pairs, &p1.num, &p2.num, plan), target) +
+	return ForcedBytes(sc.Count(pairs, &p1.num, &p2.num, plan), target) +
 		2*(ThunkBytes(target, 1+len(plan.Params))-ThunkBytes(target, minArity))
 }

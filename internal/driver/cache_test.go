@@ -64,10 +64,11 @@ func TestLSHFoldMatchesExact(t *testing.T) {
 	}
 }
 
-// TestRecordReset: a record builds its sequence once and serves it from
-// then on; reset drops the sequence, profile and hash but keeps the name
-// and size, and the next request builds from the current body; drop
-// removes the record. The stats count every request.
+// TestRecordReset: a record builds its sequence and profile once, in
+// one walk, and serves them from then on; reset drops the sequence,
+// profile and hash but keeps the name and size, and the next request
+// builds from the current body; drop removes the record. The stats
+// count every sequence request.
 func TestRecordReset(t *testing.T) {
 	m := irtext.MustParse(irtext.Fig2Module)
 	f := m.FuncByName("F1")
@@ -80,12 +81,15 @@ func TestRecordReset(t *testing.T) {
 	}
 	recs.profile(r)
 	recs.hash(f)
-	if st := recs.cacheStats(); st.Misses != 1 || st.Hits != 2 || st.Functions != 1 {
-		t.Fatalf("stats = %+v, want 1 miss, 2 hits (one the profile's), 1 function", st)
+	if r.prof == nil || &recs.profile(r).Classes[0] != &r.prof.Classes[0] {
+		t.Fatal("the first touch built no profile, or a request rebuilt it")
+	}
+	if st := recs.cacheStats(); st.Misses != 1 || st.Hits != 1 || st.Functions != 1 {
+		t.Fatalf("stats = %+v, want 1 miss (the first touch), 1 hit, 1 function", st)
 	}
 	size := r.size
 	recs.reset(f)
-	if r.hashed || r.seqOK || r.prof != nil || recs.cacheStats().Functions != 0 {
+	if r.hashed || r.seq.Entries != nil || r.prof != nil || recs.cacheStats().Functions != 0 {
 		t.Fatalf("reset kept facts of the old body: %+v", *r)
 	}
 	if r.name != "F1" || r.size != size {

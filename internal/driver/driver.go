@@ -239,9 +239,14 @@ type Counters struct {
 	// tracking, the check whether a pair flattens; CommitTime is the
 	// wall clock of duplicate folding and the commit-steps — thunk
 	// building, index retirement, plan records.
+	// TouchTime is the part of ScreenTime spent on first touches: the
+	// one walk per function that builds the sequence, class vector,
+	// numbering and profile a screen reads (records.touch). A run that
+	// never screens (FMSA) or an Apply replay touches its functions as it
+	// aligns them, on no clock and not counted here.
 	AlignTime, CodegenTime              time.Duration
 	BuildTime, RepairTime, SimplifyTime time.Duration
-	ScreenTime, CommitTime              time.Duration
+	ScreenTime, CommitTime, TouchTime   time.Duration
 	// PeakMatrixBytes is the largest alignment matrix (Figure 22's
 	// peak-memory proxy); SumMatrixBytes accumulates all matrices.
 	PeakMatrixBytes, SumMatrixBytes int64
@@ -273,6 +278,7 @@ func (c *Counters) add(d Counters) {
 	c.SimplifyTime += d.SimplifyTime
 	c.ScreenTime += d.ScreenTime
 	c.CommitTime += d.CommitTime
+	c.TouchTime += d.TouchTime
 	c.SumMatrixBytes += d.SumMatrixBytes
 	c.PeakMatrixBytes = max(c.PeakMatrixBytes, d.PeakMatrixBytes)
 	c.AllocBytes += d.AllocBytes
@@ -458,6 +464,9 @@ type trialGate struct {
 	bd     costmodel.PairBound
 	gate   int
 	p1, p2 *costmodel.FuncProfile
+	// cut is the runner's stage-3 scratch (nil: the cut allocates its
+	// own).
+	cut *core.CutScratch
 }
 
 var noGate = trialGate{}
@@ -477,12 +486,21 @@ var noGate = trialGate{}
 // function (runner.discard) gives every list back as it was. Only the
 // goroutine running the loop may call it.
 func planTrial(ctx context.Context, m *ir.Module, recs *records, mp *memberPlan, f1, f2 *ir.Function, claimed map[string]bool, cfg Config, g trialGate, buf *align.Result) *trial {
-	t := &trial{f1: f1, f2: f2}
+	t := new(trial)
+	t.plan(ctx, m, recs, mp, f1, f2, claimed, cfg, g, buf)
+	return t
+}
+
+// plan is planTrial into t, which the caller owns: a row plans in a
+// trial of its own and copies out only the one it keeps, so a trial
+// that stage 3 settles leaves nothing allocated behind.
+func (t *trial) plan(ctx context.Context, m *ir.Module, recs *records, mp *memberPlan, f1, f2 *ir.Function, claimed map[string]bool, cfg Config, g trialGate, buf *align.Result) {
+	*t = trial{f1: f1, f2: f2}
 	opts := cfg.CoreOptions()
 	if mp == nil {
 		defer buf.Clear()
 		if t.alignStage(ctx, recs.seqOf(recs.of[f1]), recs.seqOf(recs.of[f2]), opts, cfg, g, buf) == nil {
-			return t
+			return
 		}
 	}
 	t0, a0 := time.Now(), heapAllocs()
@@ -499,7 +517,7 @@ func planTrial(ctx context.Context, m *ir.Module, recs *records, mp *memberPlan,
 	}
 	if err != nil {
 		t.err = err
-		return t
+		return
 	}
 	// The merged function is cleaned before the cost model sees it; for
 	// FMSA this is where register promotion tries (and partially fails)
@@ -523,7 +541,6 @@ func planTrial(ctx context.Context, m *ir.Module, recs *records, mp *memberPlan,
 	}
 	t.profit = before - costmodel.FuncBytes(merged, cfg.Target) -
 		len(mp.srcs)*costmodel.ThunkBytes(cfg.Target, len(merged.Params()))
-	return t
 }
 
 // alignStage aligns the pair's pre-interned sequences and, under a
@@ -558,7 +575,7 @@ func (t *trial) alignStage(ctx context.Context, sa, sb align.Seq, opts core.Opti
 		// that decide whether the count is a proof are only paid for when
 		// it would settle the trial. Irreducible functions have no slack,
 		// so a lazy Fixed is exact whenever the cut applies.
-		if cut := costmodel.ForcedCut(g.p1, g.p2, ares.Pairs, cfg.Target); refined-cut <= g.gate &&
+		if cut := costmodel.ForcedCut(g.p1, g.p2, ares.Pairs, cfg.Target, g.cut); refined-cut <= g.gate &&
 			g.p1.Irreducible() && g.p2.Irreducible() {
 			refined -= cut
 		}

@@ -404,7 +404,7 @@ func TestForcedCutTable(t *testing.T) {
 					t.Fatalf("pair reducible = %v, want %v", got, tc.reducible)
 				}
 				bound := costmodel.Bound(p1, p2, target).Fixed + costmodel.MatchedPairBytes(ares.Pairs, target)
-				cut := costmodel.ForcedCut(p1, p2, ares.Pairs, target)
+				cut := costmodel.ForcedCut(p1, p2, ares.Pairs, target, nil)
 				if want := costmodel.ForcedBytes(tc.want, target); cut != want {
 					// Every pair of the table unifies to the minimum arity,
 					// so the cut is the forced bytes alone.

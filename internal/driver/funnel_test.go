@@ -230,7 +230,7 @@ func (ck *admissibilityCheck) pair(t *testing.T, f1, f2 *ir.Function) {
 	refined := exact.Fixed + costmodel.MatchedPairBytes(ares.Pairs, cfg.Target)
 	stage3 := refined
 	if p1.Irreducible() && p2.Irreducible() {
-		stage3 -= costmodel.ForcedCut(p1, p2, ares.Pairs, cfg.Target)
+		stage3 -= costmodel.ForcedCut(p1, p2, ares.Pairs, cfg.Target, nil)
 		ck.cut++
 	} else {
 		ck.plain++

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"slices"
+	"time"
 
 	"repro/internal/align"
 	"repro/internal/costmodel"
@@ -10,12 +11,14 @@ import (
 )
 
 // record is what a session knows about one candidate function: the name
-// it was indexed under, its size, three facts built from its body on
-// first use — the fold hash that buckets duplicates, the sequence the
-// alignment runs on and the profile the funnel screens with (the
-// paper's Fig. 16 needs a fingerprint to rank a candidate, which is the
-// finder's, a linearization to align it and a size to price it) — and
-// its row of the outcome memo.
+// it was indexed under, its size, the facts built from its body on
+// first use — the fold hash that buckets duplicates, and, from one walk
+// over the body (costmodel.Touch), the sequence the alignment runs on
+// and the profile the funnel screens with (the paper's Fig. 16 needs a
+// fingerprint to rank a candidate, which is the finder's, a
+// linearization to align it and a size to price it) — and its row of
+// the outcome memo. The fold hash is built apart: the fold step hashes
+// duplicates that it retires before any row reads their sequence.
 //
 // The memo holds the candidate pairs for which every trial the row ran
 // finished unprofitable, or whose bound ruled any profit out. A trial
@@ -33,11 +36,11 @@ type record struct {
 	size   int
 	hash   uint64
 	hashed bool
-	seqOK  bool
-	seq    align.Seq
-	prof   *costmodel.FuncProfile
-	memo   []*record
-	back   []*record
+	// seq and prof are the first touch's facts, both set or neither.
+	seq  align.Seq
+	prof *costmodel.FuncProfile
+	memo []*record
+	back []*record
 }
 
 // memoized reports whether the pair (r, to) is memoized as unprofitable.
@@ -76,14 +79,18 @@ func (r *record) forget() {
 // memo through it, and a family break drops the pairs naming its head.
 // Every sequence is interned by one Interner, so the class IDs of any
 // two records are comparable — the precondition of costmodel.Bound.
-// Only the session's own calls, which it serializes, touch it.
+// Only the session's own calls, which it serializes, touch it — the
+// first-touch walk's scratch included.
 type records struct {
-	of     map[*ir.Function]*record
-	in     *align.Interner
-	target costmodel.Target
+	of      map[*ir.Function]*record
+	in      *align.Interner
+	target  costmodel.Target
+	scratch costmodel.TouchScratch
 	// stats counts sequence requests: Hits served from a record, Misses
 	// built; Functions is how many records hold a sequence now.
 	stats CacheStats
+	// touchTime accumulates the first touches' wall clock.
+	touchTime time.Duration
 }
 
 func newRecords(target costmodel.Target, n int) *records {
@@ -112,7 +119,7 @@ func (t *records) reset(f *ir.Function) {
 	if r == nil {
 		return
 	}
-	if r.seqOK {
+	if r.prof != nil {
 		t.stats.Functions--
 	}
 	r.forget()
@@ -143,15 +150,25 @@ func (t *records) hash(f *ir.Function) uint64 {
 	return r.hash
 }
 
-// seqOf returns r's sequence, building it on first use.
-func (t *records) seqOf(r *record) align.Seq {
-	if r.seqOK {
-		t.stats.Hits++
-		return r.seq
+// touch builds r's sequence and profile in one walk, unless an earlier
+// request did.
+func (t *records) touch(r *record) {
+	if r.prof != nil {
+		return
 	}
+	t0 := time.Now()
+	r.seq, r.prof = costmodel.Touch(r.fn, t.target, t.in, &t.scratch)
+	t.touchTime += time.Since(t0)
 	t.stats.Misses++
 	t.stats.Functions++
-	r.seq, r.seqOK = align.NewSeq(r.fn, t.in), true
+}
+
+// seqOf returns r's sequence, building it on first use.
+func (t *records) seqOf(r *record) align.Seq {
+	if r.prof != nil {
+		t.stats.Hits++
+	}
+	t.touch(r)
 	return r.seq
 }
 
@@ -159,9 +176,7 @@ func (t *records) seqOf(r *record) align.Seq {
 // every screen of the function shares one profile and its lazily
 // settled slack.
 func (t *records) profile(r *record) *costmodel.FuncProfile {
-	if r.prof == nil {
-		r.prof = costmodel.NewFuncProfile(r.fn, t.target, t.seqOf(r))
-	}
+	t.touch(r)
 	return r.prof
 }
 
@@ -175,8 +190,8 @@ func (t *records) cacheStats() CacheStats {
 // CacheStats is what a run's sequence requests cost, reported per run.
 type CacheStats struct {
 	// Hits counts sequence requests served from a function's record and
-	// Misses the sequences built (a miss linearizes and interns one
-	// function).
+	// Misses the first touches (a miss linearizes, interns and profiles
+	// one function).
 	Hits, Misses int64
 	// Functions is the number of records holding a sequence.
 	Functions int

@@ -58,8 +58,10 @@ type runner struct {
 	consumed map[*ir.Function]bool
 
 	// ares is the pair trials' alignment, reused trial after trial and
-	// cleared once each trial is built (planTrial).
+	// cleared once each trial is built (planTrial), and cut the stage-3
+	// cut's plan and table, reused pair after pair.
 	ares align.Result
+	cut  core.CutScratch
 
 	// Dry mode: the plan being drawn up, the merged names it claims, and
 	// the indexed functions it took out of the finder, in retire order.
@@ -214,8 +216,9 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			if best != nil {
 				gate = best.profit
 			}
-			s0 := time.Now()
+			s0, touched := time.Now(), r.recs.touchTime
 			p1, p2 := r.recs.profile(rec1), r.recs.profile(rec2)
+			c.TouchTime += r.recs.touchTime - touched
 			bd := costmodel.BoundLazy(p1, p2, cfg.Target)
 			if bd.UB <= gate && !bd.Exact {
 				// The lazy bound omits unsettled slack, so a failed gate is
@@ -235,9 +238,10 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 				}
 				continue
 			}
-			g = trialGate{on: true, bd: bd, gate: gate, p1: p1, p2: p2}
+			g = trialGate{on: true, bd: bd, gate: gate, p1: p1, p2: p2, cut: &r.cut}
 		}
-		t := planTrial(ctx, r.m, r.recs, fp, f1, f2, r.claimed, cfg, g, &r.ares)
+		var t trial
+		t.plan(ctx, r.m, r.recs, fp, f1, f2, r.claimed, cfg, g, &r.ares)
 		c.add(t.counters())
 		switch {
 		case t.err != nil:
@@ -255,12 +259,13 @@ func (r *runner) row(ctx context.Context, f1 *ir.Function, list []*ir.Function) 
 			}
 		case t.profit > 0 && (best == nil || t.profit > best.profit):
 			r.discard(best)
-			best = t
+			kept := t
+			best = &kept
 		default:
 			if t.profit <= 0 {
 				rec1.remember(rec2)
 			}
-			r.discard(t)
+			r.discard(&t)
 		}
 	}
 	return best, c, nil

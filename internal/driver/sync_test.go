@@ -70,7 +70,7 @@ func checkRecords(t *testing.T, s *Session, when string) {
 	for f, r := range s.recs.of {
 		checkMemo(t, s, r, when)
 		if _, pending := s.pending[f]; pending && !inFinder[f] {
-			if r.hashed || r.seqOK || r.prof != nil {
+			if r.hashed || r.seq.Entries != nil || r.prof != nil {
 				t.Errorf("%s: retired @%s keeps facts built from its old body", when, r.name)
 			}
 			if len(r.memo)+len(r.back) != 0 {
@@ -92,7 +92,7 @@ func checkRecords(t *testing.T, s *Session, when string) {
 		if r.hashed && r.hash != search.HashFunction(f) {
 			t.Errorf("%s: @%s's memoized hash is stale", when, r.name)
 		}
-		if r.seqOK && !slices.Equal(r.seq.Entries, align.Linearize(f)) {
+		if r.prof != nil && !slices.Equal(r.seq.Entries, align.Linearize(f)) {
 			t.Errorf("%s: @%s's sequence is not its body's", when, r.name)
 		}
 	}

@@ -6,8 +6,11 @@ import "fmt"
 // of basic blocks, the first of which is the entry block. A Function is a
 // Value of pointer-to-function type so it can appear as a call target.
 type Function struct {
-	name   string
-	sig    *FuncType
+	name string
+	sig  *FuncType
+	// typ is the function's pointer type, built once: Type is asked for
+	// every call operand a pass reads.
+	typ    *PointerType
 	params []*Argument
 	// Blocks is the block list; Blocks[0] is the entry. Empty for
 	// declarations.
@@ -20,7 +23,7 @@ type Function struct {
 // NewFunction returns a detached function with parameters named after
 // paramNames (padded with generated names when too short).
 func NewFunction(name string, sig *FuncType, paramNames ...string) *Function {
-	f := &Function{name: name, sig: sig}
+	f := &Function{name: name, sig: sig, typ: PtrTo(sig)}
 	for i, pt := range sig.Params {
 		pn := fmt.Sprintf("arg%d", i)
 		if i < len(paramNames) && paramNames[i] != "" {
@@ -32,7 +35,7 @@ func NewFunction(name string, sig *FuncType, paramNames ...string) *Function {
 }
 
 // Type returns the pointer-to-function type of the function value.
-func (f *Function) Type() Type { return PtrTo(f.sig) }
+func (f *Function) Type() Type { return f.typ }
 
 // Sig returns the function's signature.
 func (f *Function) Sig() *FuncType { return f.sig }

@@ -553,3 +553,9 @@ func (in *Instruction) SwitchCases() []SwitchCase {
 	}
 	return out
 }
+
+// NumSwitchCases is len(in.SwitchCases()), without building the list.
+func (in *Instruction) NumSwitchCases() int {
+	in.assertOp(OpSwitch)
+	return (len(in.operands) - 2) / 2
+}

@@ -155,14 +155,38 @@ func listed(f *ir.Function) bool {
 	return !f.IsDecl() && ir.Forwardee(f) == nil
 }
 
-// newIndex is the bulk constructor behind New: one batch of Adds.
+// newIndex is the bulk constructor behind New: one batch of Adds, into
+// tables sized once for the batch.
 func newIndex(funcs []*ir.Function) *Index {
-	l := &Index{slotOf: make(map[*ir.Function]int32, len(funcs)), byHash: map[uint64]int32{}}
+	l := &Index{slotOf: make(map[*ir.Function]int32, len(funcs)), byHash: make(map[uint64]int32, len(funcs))}
+	l.reserveLocked(funcs)
 	for _, f := range funcs {
 		l.addLocked(f, true)
 	}
 	l.settleLocked()
 	return l
+}
+
+// reserveLocked grows the slot and cell tables once for a batch: each
+// function the index does not hold yet may take a fresh slot and create
+// a cell, beyond what the free lists hold, which enters the slab and is
+// touched. A re-indexed function keeps its slot, and the cell it may
+// need is left to append: its old cell is freed only as the batch
+// settles.
+func (l *Index) reserveLocked(fs []*ir.Function) {
+	k := 0
+	for _, f := range fs {
+		if _, ok := l.slotOf[f]; !ok {
+			k++
+		}
+	}
+	slots, cells := max(0, k-len(l.free)), max(0, k-len(l.freeCells))
+	l.funcs = slices.Grow(l.funcs, slots)
+	l.names = slices.Grow(l.names, slots)
+	l.cellOf = slices.Grow(l.cellOf, slots)
+	l.cells = slices.Grow(l.cells, cells)
+	l.slab = slices.Grow(l.slab, k)
+	l.touched = slices.Grow(l.touched, k)
 }
 
 // indexLocked fills f's slot — its existing one on a re-index, else a
@@ -357,7 +381,8 @@ func (l *Index) Add(f *ir.Function) {
 }
 
 // AddBatch (re-)indexes a batch of functions under one lock
-// acquisition, then settles the touched cells and sorts the slab once —
+// acquisition, growing the tables once for its newcomers, then settles
+// the touched cells and sorts the slab once —
 // O((n+k) log n) against Add's O(k·n) of sorted insertions. Results are
 // identical to k sequential Adds. A batch of one takes Add's path.
 func (l *Index) AddBatch(fs []*ir.Function) {
@@ -367,6 +392,7 @@ func (l *Index) AddBatch(fs []*ir.Function) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.reserveLocked(fs)
 	for _, f := range fs {
 		l.addLocked(f, true)
 	}
