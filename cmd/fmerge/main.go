@@ -461,10 +461,11 @@ func reportModule(rep *repro.Report, label string, verbose bool) {
 		if rep.OutcomeHits > 0 {
 			fmt.Fprintf(os.Stderr, "search: %d trials served from the session outcome memo\n", rep.OutcomeHits)
 		}
-		if rep.PairsScreened > 0 || rep.TrialsSkipped > 0 {
-			fmt.Fprintf(os.Stderr, "funnel: %d pairs screened by profit bound, %d trials skipped, %d built (screen %v, of it first touch %v)\n",
+		if rep.PairsScreened > 0 || rep.TrialsSkipped > 0 || rep.FoldHashed > 0 {
+			fmt.Fprintf(os.Stderr, "funnel: %d pairs screened by profit bound, %d trials skipped, %d built (screen %v, of it first touch %v); fold step hashed %d candidates (commit %v, of it fold step %v)\n",
 				rep.PairsScreened, rep.TrialsSkipped, rep.TrialsBuilt, rep.ScreenTime.Round(time.Millisecond),
-				rep.TouchTime.Round(time.Millisecond))
+				rep.TouchTime.Round(time.Millisecond), rep.FoldHashed, rep.CommitTime.Round(time.Millisecond),
+				rep.FoldTime.Round(time.Millisecond))
 		}
 		fmt.Fprintf(os.Stderr, "search: %d finder queries probed %d entries, scored %d (avg %.1f/query) in %v\n",
 			rep.Search.Queries, rep.Search.Probed, rep.Search.Scanned, rep.Search.AvgScanned(), rep.Search.QueryTime)

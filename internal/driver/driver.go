@@ -244,9 +244,17 @@ type Counters struct {
 	// numbering and profile a screen reads (records.touch). A run that
 	// never screens (FMSA) or an Apply replay touches its functions as it
 	// aligns them, on no clock and not counted here.
+	// FoldTime is the part of CommitTime spent in the fold step (finding
+	// duplicate families and folding them); an Apply replays its plan's
+	// folds outside it.
 	AlignTime, CodegenTime              time.Duration
 	BuildTime, RepairTime, SimplifyTime time.Duration
 	ScreenTime, CommitTime, TouchTime   time.Duration
+	FoldTime                            time.Duration
+	// FoldHashed counts the candidates the fold step hashed: those that
+	// share a fingerprint with another listed candidate, and forwarding
+	// bodies whose size another forwarding candidate has.
+	FoldHashed int
 	// PeakMatrixBytes is the largest alignment matrix (Figure 22's
 	// peak-memory proxy); SumMatrixBytes accumulates all matrices.
 	PeakMatrixBytes, SumMatrixBytes int64
@@ -279,6 +287,8 @@ func (c *Counters) add(d Counters) {
 	c.ScreenTime += d.ScreenTime
 	c.CommitTime += d.CommitTime
 	c.TouchTime += d.TouchTime
+	c.FoldTime += d.FoldTime
+	c.FoldHashed += d.FoldHashed
 	c.SumMatrixBytes += d.SumMatrixBytes
 	c.PeakMatrixBytes = max(c.PeakMatrixBytes, d.PeakMatrixBytes)
 	c.AllocBytes += d.AllocBytes

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"repro/internal/align"
@@ -100,20 +99,17 @@ func (r *runner) giveBack() {
 // before any alignment runs: every profitable duplicate is folded onto
 // its family representative (fold) and leaves the candidate set, so
 // exact clone families cost zero DP cells. The representative stays a
-// candidate. Families follow candidate (module definition) order,
-// keeping folding deterministic. Duplicates have equal sizes, so only
-// candidates whose size another one shares are hashed. Folds are commits:
-// finding the families, building the forwarders and retiring the
-// indexes all run on the commit clock.
+// candidate. Folds are commits: finding the families, building the
+// forwarders and retiring the indexes all run on the commit clock, and
+// FoldTime says how much of it was this step.
 func (r *runner) foldStep(candidates []*ir.Function) {
 	c0 := time.Now()
-	defer func() { r.res.CommitTime += time.Since(c0) }()
-	bySize := make(map[int]int, len(candidates))
-	for _, f := range candidates {
-		bySize[r.recs.of[f].size]++
-	}
-	shared := slices.DeleteFunc(slices.Clone(candidates), func(f *ir.Function) bool { return bySize[r.recs.of[f].size] < 2 })
-	for _, fam := range search.FamiliesBy(shared, r.recs.hash) {
+	defer func() {
+		d := time.Since(c0)
+		r.res.CommitTime += d
+		r.res.FoldTime += d
+	}()
+	for _, fam := range r.foldFamilies(candidates) {
 		rep := fam[0]
 		for _, dup := range fam[1:] {
 			if profit := r.foldProfit(dup); profit > 0 {
@@ -121,6 +117,38 @@ func (r *runner) foldStep(candidates []*ir.Function) {
 			}
 		}
 	}
+}
+
+// foldFamilies returns the duplicate families among candidates, in
+// candidate (module definition) order, keeping folding deterministic.
+// Only a candidate that can have a duplicate is hashed, and FoldHashed
+// counts them: duplicates share a fingerprint, so a listed candidate is
+// hashed when the finder holds another of its fingerprint
+// (Finder.Shares), and a forwarding body — never listed, and equal only
+// to another forwarding body — when another forwarding candidate has
+// its size.
+func (r *runner) foldFamilies(candidates []*ir.Function) [][]*ir.Function {
+	var fwdSizes map[int]int
+	for _, f := range candidates {
+		if ir.Forwardee(f) != nil {
+			if fwdSizes == nil {
+				fwdSizes = map[int]int{}
+			}
+			fwdSizes[r.recs.of[f].size]++
+		}
+	}
+	var shared []*ir.Function
+	for _, f := range candidates {
+		if fwdSizes == nil || ir.Forwardee(f) == nil {
+			if r.finder.Shares(f) {
+				shared = append(shared, f)
+			}
+		} else if fwdSizes[r.recs.of[f].size] > 1 {
+			shared = append(shared, f)
+		}
+	}
+	r.res.FoldHashed += len(shared)
+	return search.FamiliesBy(shared, r.recs.hash)
 }
 
 // foldProfit is what folding dup saves: its size less the forwarder

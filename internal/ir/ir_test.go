@@ -1,6 +1,9 @@
 package ir
 
 import (
+	"fmt"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,6 +50,87 @@ func TestTypeStrings(t *testing.T) {
 	for want, ty := range cases {
 		if got := ty.String(); got != want {
 			t.Errorf("%v.String() = %q, want %q", ty, got, want)
+		}
+	}
+}
+
+// specTypeString is the fmt-based printer AppendType replaced: its
+// output is persisted through the structural hash, so the two must
+// agree byte for byte.
+func specTypeString(t Type) string {
+	switch t := t.(type) {
+	case *VoidType:
+		return "void"
+	case *IntType:
+		return "i" + strconv.Itoa(t.Bits)
+	case *FloatType:
+		return map[int]string{32: "float", 64: "double"}[t.Bits]
+	case *PointerType:
+		return specTypeString(t.Elem) + "*"
+	case *ArrayType:
+		return fmt.Sprintf("[%d x %s]", t.Len, specTypeString(t.Elem))
+	case *StructType:
+		parts := make([]string, len(t.Fields))
+		for i, f := range t.Fields {
+			parts[i] = specTypeString(f)
+		}
+		return "{" + strings.Join(parts, ", ") + "}"
+	case *FuncType:
+		parts := make([]string, len(t.Params))
+		for i, p := range t.Params {
+			parts[i] = specTypeString(p)
+		}
+		if t.Variadic {
+			parts = append(parts, "...")
+		}
+		return fmt.Sprintf("%s (%s)", specTypeString(t.Ret), strings.Join(parts, ", "))
+	case *LabelType:
+		return "label"
+	}
+	return ""
+}
+
+// randType draws a type of nesting depth at most depth.
+func randType(rng *rand.Rand, depth int) Type {
+	leaves := []Type{Void, I1, I8, I16, I32, I64, F32, F64, Label, IntN(7), &FloatType{Bits: 16}}
+	if depth == 0 || rng.Intn(3) == 0 {
+		return leaves[rng.Intn(len(leaves))]
+	}
+	list := func() []Type {
+		ts := make([]Type, rng.Intn(4))
+		for i := range ts {
+			ts[i] = randType(rng, depth-1)
+		}
+		return ts
+	}
+	switch rng.Intn(4) {
+	case 0:
+		return PtrTo(randType(rng, depth-1))
+	case 1:
+		return ArrayOf(rng.Intn(300), randType(rng, depth-1))
+	case 2:
+		return StructOf(list()...)
+	}
+	return &FuncType{Ret: randType(rng, depth-1), Params: list(), Variadic: rng.Intn(2) == 0}
+}
+
+// TestAppendTypeMatchesSpec holds the one printer to the fmt-based one
+// it replaced over 5,000 random types, and checks that printing into a
+// buffer with room allocates nothing.
+func TestAppendTypeMatchesSpec(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 0, 4096)
+	for i := 0; i < 5000; i++ {
+		ty := randType(rng, 4)
+		want := specTypeString(ty)
+		if got := string(AppendType(buf[:0], ty)); got != want {
+			t.Fatalf("AppendType = %q, want %q", got, want)
+		}
+		if got := ty.String(); got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
+		if n := testing.AllocsPerRun(2, func() { AppendType(buf[:0], ty) }); n != 0 {
+			t.Fatalf("AppendType(%s) allocates %v times", want, n)
 		}
 	}
 }

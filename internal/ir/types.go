@@ -11,11 +11,7 @@
 // merging code generators remap value and label operands uniformly.
 package ir
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Type is the interface implemented by all IR types.
 type Type interface {
@@ -111,53 +107,91 @@ func FuncOf(ret Type, params ...Type) *FuncType {
 	return &FuncType{Ret: ret, Params: params}
 }
 
-func (t *VoidType) String() string { return "void" }
-func (t *IntType) String() string {
-	switch t.Bits {
-	case 1:
-		return "i1"
-	case 8:
-		return "i8"
-	case 16:
-		return "i16"
-	case 32:
-		return "i32"
-	case 64:
-		return "i64"
+// AppendType appends the textual form of t ("i32", "i8*",
+// "{i8*, i32}", "i32 (i8*, ...)") to dst and returns the extended
+// buffer: the package's one type printer, which every String method
+// calls. Hashing code prints into a buffer it owns and so allocates
+// nothing.
+func AppendType(dst []byte, t Type) []byte {
+	switch t := t.(type) {
+	case *VoidType:
+		return append(dst, "void"...)
+	case *IntType:
+		return strconv.AppendInt(append(dst, 'i'), int64(t.Bits), 10)
+	case *FloatType:
+		switch t.Bits {
+		case 32:
+			return append(dst, "float"...)
+		case 64:
+			return append(dst, "double"...)
+		}
+		return dst
+	case *PointerType:
+		return append(AppendType(dst, t.Elem), '*')
+	case *ArrayType:
+		dst = strconv.AppendInt(append(dst, '['), int64(t.Len), 10)
+		return append(AppendType(append(dst, " x "...), t.Elem), ']')
+	case *StructType:
+		return append(appendTypeList(append(dst, '{'), t.Fields, false), '}')
+	case *FuncType:
+		dst = append(AppendType(dst, t.Ret), " ("...)
+		return append(appendTypeList(dst, t.Params, t.Variadic), ')')
+	case *LabelType:
+		return append(dst, "label"...)
 	}
-	return "i" + strconv.Itoa(t.Bits)
+	return dst
 }
-func (t *FloatType) String() string {
-	switch t.Bits {
-	case 32:
-		return "float"
-	case 64:
-		return "double"
+
+// appendTypeList appends ts separated by ", ", then "..." when
+// variadic.
+func appendTypeList(dst []byte, ts []Type, variadic bool) []byte {
+	for i, t := range ts {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = AppendType(dst, t)
 	}
-	return ""
-}
-func (t *PointerType) String() string { return t.Elem.String() + "*" }
-func (t *ArrayType) String() string {
-	return fmt.Sprintf("[%d x %s]", t.Len, t.Elem)
-}
-func (t *StructType) String() string {
-	parts := make([]string, len(t.Fields))
-	for i, f := range t.Fields {
-		parts[i] = f.String()
+	if variadic {
+		if len(ts) > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, "..."...)
 	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	return dst
 }
-func (t *FuncType) String() string {
-	parts := make([]string, len(t.Params))
-	for i, p := range t.Params {
-		parts[i] = p.String()
+
+// singletons are the shared leaf types, whose texts singletonText
+// prints once so that the printer's commonest String calls allocate
+// nothing.
+var singletons = [...]Type{Void, I1, I8, I16, I32, I64, F32, F64, Label}
+
+var singletonText = func() (texts [len(singletons)]string) {
+	for i, t := range singletons {
+		texts[i] = string(AppendType(nil, t))
 	}
-	if t.Variadic {
-		parts = append(parts, "...")
+	return texts
+}()
+
+// typeString is every type's String: a singleton's stored text, else
+// AppendType into a stack buffer.
+func typeString(t Type) string {
+	for i, u := range singletons {
+		if t == u {
+			return singletonText[i]
+		}
 	}
-	return fmt.Sprintf("%s (%s)", t.Ret, strings.Join(parts, ", "))
+	var buf [64]byte
+	return string(AppendType(buf[:0], t))
 }
-func (t *LabelType) String() string { return "label" }
+
+func (t *VoidType) String() string    { return typeString(t) }
+func (t *IntType) String() string     { return typeString(t) }
+func (t *FloatType) String() string   { return typeString(t) }
+func (t *PointerType) String() string { return typeString(t) }
+func (t *ArrayType) String() string   { return typeString(t) }
+func (t *StructType) String() string  { return typeString(t) }
+func (t *FuncType) String() string    { return typeString(t) }
+func (t *LabelType) String() string   { return typeString(t) }
 
 // TypesEqual reports whether a and b are structurally identical types.
 func TypesEqual(a, b Type) bool {

@@ -249,10 +249,20 @@ func (o *finderOps) apply(kind, a, b int) {
 }
 
 // check compares pool[i]'s lists at every threshold (a function that is
-// not indexed must get nil from both).
+// not indexed must get nil from both) and whether it shares its
+// fingerprint.
 func (o *finderOps) check(i int, label string) {
 	o.t.Helper()
 	o.checkFunc(o.pool[i%len(o.pool)], label)
+	o.checkShares(o.pool[i%len(o.pool)], label)
+}
+
+// checkShares compares f's Shares answer with the specification's.
+func (o *finderOps) checkShares(f *ir.Function, label string) {
+	o.t.Helper()
+	if got, want := o.index.Shares(f), o.spec.Shares(f); got != want {
+		o.t.Fatalf("%s: Shares(@%s) = %v, want %v", label, f.Name(), got, want)
+	}
 }
 
 // checkFunc compares f's lists at every threshold with the prefixes of
@@ -277,6 +287,7 @@ func (o *finderOps) sweep(stride int, label string) {
 	for i, f := range want {
 		if i%stride == 0 {
 			o.checkFunc(f, label)
+			o.checkShares(f, label)
 		}
 	}
 	if len(want) != len(got) {
@@ -341,7 +352,7 @@ func (l *Index) checkCells() error {
 		for c, ok := l.byHash[x.hash]; ok && c >= 0 && !found; c = l.cells[c].next {
 			found = c == e.cell
 		}
-		if !found || x.hash != cellHash(&x.fp) {
+		if !found || x.hash != CellHash(&x.fp) {
 			return fmt.Errorf("cell %d is not reachable through its hash", e.cell)
 		}
 	}
@@ -413,8 +424,8 @@ func TestLSHMatchesExact(t *testing.T) {
 // collides for every third size, so cells share hash chains and an
 // emptied cell is unlinked from the middle of one.
 func TestLSHHashCollisions(t *testing.T) {
-	defer func(h func(*fingerprint.Fingerprint) uint64) { cellHash = h }(cellHash)
-	cellHash = func(fp *fingerprint.Fingerprint) uint64 { return uint64(fp.Size % 3) }
+	defer func(h func(*fingerprint.Fingerprint) uint64) { CellHash = h }(CellHash)
+	CellHash = func(fp *fingerprint.Fingerprint) uint64 { return uint64(fp.Size % 3) }
 	funcs := tinyCorpus(300)
 	o := newFinderOps(t, funcs, 270, tinyThresholds)
 	o.sweep(1, "fresh index")
@@ -432,8 +443,9 @@ func TestLSHHashCollisions(t *testing.T) {
 }
 
 // FuzzFinderOps feeds the same op alphabet from fuzz input: three bytes
-// an op (kind, function, parameter), a comparison after each and a full
-// sweep at the end, over a clone-rich suite pool and over the tiny shape,
+// an op (kind, function, parameter), a comparison after each — the
+// op's function's lists, and Shares for every pool function — and a
+// full sweep at the end, over a clone-rich suite pool and over the tiny shape,
 // whose cells hold up to six members.
 func FuzzFinderOps(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 3, 0, 2, 3, 0})                       // remove, re-add, rename one function
@@ -458,6 +470,9 @@ func FuzzFinderOps(f *testing.F) {
 			for i := 0; i+2 < len(data); i += 3 {
 				o.apply(int(data[i]), int(data[i+1]), int(data[i+2]))
 				o.check(int(data[i+1]), fmt.Sprintf("op %d", i/3))
+				for _, f := range o.pool {
+					o.checkShares(f, fmt.Sprintf("op %d", i/3))
+				}
 			}
 			o.sweep(1, "after the ops")
 		}

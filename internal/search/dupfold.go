@@ -6,11 +6,13 @@ import (
 
 // EqualFunctions reports whether f and g are structurally identical up
 // to local value names: same signature, same block/instruction shape,
-// and operands that correspond under the positional value numbering.
-// References to the enclosing function correspond to each other, so
-// renamed recursive clones compare equal. The comparison is strict on
-// operand order (no commutativity), so a true result means g's body
-// computes exactly what f's does.
+// and operands that correspond under the positional value numbering —
+// a local of f (parameter, block or instruction result) matches the
+// local of g at the same position, as HashFunction numbers them, so the
+// comparison allocates nothing. References to the enclosing function
+// correspond to each other, so renamed recursive clones compare equal.
+// The comparison is strict on operand order (no commutativity), so a
+// true result means g's body computes exactly what f's does.
 func EqualFunctions(f, g *ir.Function) bool {
 	if f == g {
 		return true
@@ -24,25 +26,15 @@ func EqualFunctions(f, g *ir.Function) bool {
 	if len(f.Blocks) != len(g.Blocks) {
 		return false
 	}
-	// Positional correspondence f-value -> g-value.
-	corr := make(map[ir.Value]ir.Value, f.NumInstrs()+len(f.Params())+len(f.Blocks))
-	for i, p := range f.Params() {
-		corr[p] = g.Param(i)
-	}
 	for i, fb := range f.Blocks {
-		gb := g.Blocks[i]
-		if len(fb.Instrs()) != len(gb.Instrs()) {
+		if fb.Len() != g.Blocks[i].Len() {
 			return false
 		}
-		corr[fb] = gb
-		for j, fin := range fb.Instrs() {
-			corr[fin] = gb.Instrs()[j]
-		}
 	}
 	for i, fb := range f.Blocks {
 		gb := g.Blocks[i]
 		for j, fin := range fb.Instrs() {
-			if !equalInstr(f, g, corr, fin, gb.Instrs()[j]) {
+			if !equalInstr(f, g, fin, gb.Instrs()[j]) {
 				return false
 			}
 		}
@@ -50,7 +42,33 @@ func EqualFunctions(f, g *ir.Function) bool {
 	return true
 }
 
-func equalInstr(f, g *ir.Function, corr map[ir.Value]ir.Value, a, b *ir.Instruction) bool {
+// counterpart returns the local of g at v's position in f, or nil when
+// v is not a local of f. f and g have the same shape.
+func counterpart(f, g *ir.Function, v ir.Value) ir.Value {
+	switch v := v.(type) {
+	case *ir.Instruction:
+		b := v.Parent()
+		if b == nil || b.Parent() != f {
+			return nil
+		}
+		i, j := b.Index(), v.Index()
+		if i < 0 || i >= len(f.Blocks) || f.Blocks[i] != b || j < 0 || j >= b.Len() || b.Instrs()[j] != v {
+			return nil
+		}
+		return g.Blocks[i].Instrs()[j]
+	case *ir.Argument:
+		if i := v.Index(); v.Parent() == f && i < len(f.Params()) && f.Param(i) == v {
+			return g.Param(i)
+		}
+	case *ir.Block:
+		if i := v.Index(); v.Parent() == f && i >= 0 && i < len(f.Blocks) && f.Blocks[i] == v {
+			return g.Blocks[i]
+		}
+	}
+	return nil
+}
+
+func equalInstr(f, g *ir.Function, a, b *ir.Instruction) bool {
 	if a.Op() != b.Op() || a.Pred() != b.Pred() || a.Cleanup != b.Cleanup {
 		return false
 	}
@@ -68,7 +86,7 @@ func equalInstr(f, g *ir.Function, corr map[ir.Value]ir.Value, a, b *ir.Instruct
 	}
 	for i := 0; i < a.NumOperands(); i++ {
 		oa, ob := a.Operand(i), b.Operand(i)
-		if want, ok := corr[oa]; ok {
+		if want := counterpart(f, g, oa); want != nil {
 			if want != ob {
 				return false
 			}

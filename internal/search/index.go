@@ -135,8 +135,11 @@ func projDistance(a, b uint64) int32 {
 	return int32(((ve ^ ne*0x1ff) + ne + (vo ^ no*0x1ff) + no) * one >> 48)
 }
 
-// cellHash keys a fingerprint in byHash; tests swap in a colliding one.
-var cellHash = fpHash
+// CellHash keys a fingerprint in byHash. Tests swap in a colliding one
+// (this package's and the driver's fold-step differential); an Index
+// must not outlive a swap. Cells are told apart by their fingerprints,
+// so a collision may cost time, never an answer.
+var CellHash = fpHash
 
 // fpHash mixes a fingerprint into 64 bits.
 func fpHash(fp *fingerprint.Fingerprint) uint64 {
@@ -219,7 +222,7 @@ func (l *Index) indexLocked(f *ir.Function) int32 {
 // cellFor returns fp's cell, creating an empty one outside the slab if
 // no live cell holds fp.
 func (l *Index) cellFor(fp *fingerprint.Fingerprint) int32 {
-	h := cellHash(fp)
+	h := CellHash(fp)
 	head, ok := l.byHash[h]
 	if ok {
 		for c := head; c >= 0; c = l.cells[c].next {
@@ -561,6 +564,15 @@ func (l *Index) Candidates(f *ir.Function, t int) []*ir.Function {
 	l.scanned.Add(scanned)
 	l.queryNS.Add(int64(time.Since(start)))
 	return out
+}
+
+// Shares reports whether f's cell has another member: O(1) from the
+// cell's member list.
+func (l *Index) Shares(f *ir.Function) bool {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	slot, ok := l.slotOf[f]
+	return ok && len(l.cells[l.cellOf[slot]].members) > 1
 }
 
 // Order returns the indexed functions sorted largest-first by

@@ -13,7 +13,9 @@
 // The package also provides stable structural hashing (HashFunction) and
 // duplicate detection (FamiliesBy, EqualFunctions): exact clones are
 // folded into forwarding thunks before any alignment runs, so
-// identical-function families cost zero DP cells.
+// identical-function families cost zero DP cells. Duplicates share a
+// fingerprint, so only a function whose cell has another member
+// (Finder.Shares) needs hashing at all.
 package search
 
 import (
@@ -43,6 +45,11 @@ type Finder interface {
 	AddBatch(fs []*ir.Function)
 	// Remove drops f from future candidate lists (it was merged away).
 	Remove(f *ir.Function)
+	// Shares reports whether another indexed function has f's
+	// fingerprint. Structurally identical bodies have equal
+	// fingerprints, so an f that shares with none has no duplicate
+	// among the indexed functions. An unindexed f shares with none.
+	Shares(f *ir.Function) bool
 	// Stats returns the accumulated query accounting.
 	Stats() Stats
 }

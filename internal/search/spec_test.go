@@ -79,6 +79,20 @@ func (s *specFinder) Candidates(f *ir.Function, t int) []*ir.Function {
 	return all[:min(t, len(all))]
 }
 
+// Shares scans every other live function for f's fingerprint.
+func (s *specFinder) Shares(f *ir.Function) bool {
+	self, ok := s.entries[f]
+	if !ok {
+		return false
+	}
+	for g, e := range s.entries {
+		if g != f && e.fp == self.fp {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *specFinder) Order() []*ir.Function {
 	return slices.SortedFunc(maps.Keys(s.entries), func(a, b *ir.Function) int {
 		ea, eb := s.entries[a], s.entries[b]

@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/ir"
 )
@@ -25,24 +26,47 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-type hasher struct{ h uint64 }
+// hasher is an FNV-1a state. HashFunction's also owns scratch: base,
+// the block numbering, and text, the buffer each type is printed into.
+type hasher struct {
+	h    uint64
+	base []uint64
+	text []byte
+}
 
 func newHasher() hasher { return hasher{h: fnvOffset} }
 
+// hashers recycles HashFunction's hashers, scratch and all, so a hash
+// allocates nothing once the scratch has grown to fit.
+var hashers = sync.Pool{New: func() any { return new(hasher) }}
+
+// word hashes x's eight bytes, low first. The state stays in a local
+// for the whole word, so the multiply chain runs in registers.
 func (s *hasher) word(x uint64) {
+	h := s.h
 	for i := 0; i < 8; i++ {
-		s.h ^= x & 0xff
-		s.h *= fnvPrime
+		h = (h ^ x&0xff) * fnvPrime
 		x >>= 8
 	}
+	s.h = h
 }
 
-func (s *hasher) str(str string) {
-	for i := 0; i < len(str); i++ {
-		s.h ^= uint64(str[i])
-		s.h *= fnvPrime
+func (s *hasher) str(str string) { write(s, str) }
+
+// typ hashes t's text as str would hash t.String().
+func (s *hasher) typ(t ir.Type) {
+	s.text = ir.AppendType(s.text[:0], t)
+	write(s, s.text)
+}
+
+// write hashes b's bytes, then its length.
+func write[T string | []byte](s *hasher, b T) {
+	h := s.h
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * fnvPrime
 	}
-	s.word(uint64(len(str)))
+	s.h = h
+	s.word(uint64(len(b)))
 }
 
 // Operand tags: the leading word of every operand hash names the operand
@@ -64,16 +88,16 @@ const (
 // hashOperand folds one operand of an instruction of f into s. Locals
 // are numbered from the positions package ir maintains: parameters and
 // blocks by Index(), instruction results by definition order, which is
-// base[b.Index()] — the instruction count of the blocks before their
+// s.base[b.Index()] — the instruction count of the blocks before their
 // block b — plus Index(). A local of another function, or a detached
 // one, numbers 0.
-func hashOperand(s *hasher, f *ir.Function, base []uint64, op ir.Value) {
+func hashOperand(s *hasher, f *ir.Function, op ir.Value) {
 	switch v := op.(type) {
 	case *ir.Instruction:
 		s.word(tagLocal)
 		n := uint64(0)
 		if b := v.Parent(); b != nil && b.Parent() == f {
-			n = base[b.Index()] + uint64(v.Index())
+			n = s.base[b.Index()] + uint64(v.Index())
 		}
 		s.word(n)
 	case *ir.Argument:
@@ -84,18 +108,18 @@ func hashOperand(s *hasher, f *ir.Function, base []uint64, op ir.Value) {
 		s.word(localNumber(v.Parent() == f, v.Index()))
 	case *ir.ConstInt:
 		s.word(tagConstInt)
-		s.str(v.Type().String())
+		s.typ(v.Type())
 		s.word(uint64(v.V))
 	case *ir.ConstFloat:
 		s.word(tagConstFloat)
-		s.str(v.Type().String())
+		s.typ(v.Type())
 		s.word(math.Float64bits(v.V))
 	case *ir.ConstNull:
 		s.word(tagConstNull)
-		s.str(v.Type().String())
+		s.typ(v.Type())
 	case *ir.Undef:
 		s.word(tagUndef)
-		s.str(v.Type().String())
+		s.typ(v.Type())
 	case *ir.GlobalVar:
 		s.word(tagGlobal)
 		s.str(v.Name())
@@ -121,16 +145,17 @@ func localNumber(own bool, index int) uint64 {
 // HashFunction returns the stable structural hash of f. Declarations
 // hash their signature only.
 func HashFunction(f *ir.Function) uint64 {
-	s := newHasher()
-	s.str(f.Sig().String())
+	s := hashers.Get().(*hasher)
+	defer hashers.Put(s)
+	s.h = fnvOffset
+	s.typ(f.Sig())
 	if f.IsDecl() {
 		return s.h
 	}
-	var buf [32]uint64
-	base := buf[:0]
+	s.base = s.base[:0]
 	n := uint64(0)
 	for _, b := range f.Blocks {
-		base = append(base, n)
+		s.base = append(s.base, n)
 		n += uint64(b.Len())
 	}
 	s.word(uint64(len(f.Blocks)))
@@ -138,17 +163,17 @@ func HashFunction(f *ir.Function) uint64 {
 		s.word(uint64(len(b.Instrs())))
 		for _, in := range b.Instrs() {
 			s.word(uint64(in.Op()))
-			s.str(in.Type().String())
+			s.typ(in.Type())
 			s.word(uint64(in.Pred()))
 			if in.AllocTy() != nil {
-				s.str(in.AllocTy().String())
+				s.typ(in.AllocTy())
 			}
 			if in.Cleanup {
 				s.word(1)
 			}
 			s.word(uint64(in.NumOperands()))
 			for _, op := range in.Operands() {
-				hashOperand(&s, f, base, op)
+				hashOperand(s, f, op)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package search
 import (
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/synth"
 )
 
@@ -86,4 +87,38 @@ func TestHashGolden(t *testing.T) {
 		}
 	}
 	t.Logf("%d functions over %d profiles", total, len(profiles))
+}
+
+// paperSuites generates every profile of SPEC2006, SPEC2017 and
+// MiBench.
+func paperSuites() []*ir.Module {
+	var out []*ir.Module
+	for _, suite := range [][]synth.Profile{synth.SPEC2006(), synth.SPEC2017(), synth.MiBench()} {
+		for _, p := range suite {
+			out = append(out, synth.Generate(p))
+		}
+	}
+	return out
+}
+
+// TestHashFunctionAllocatesNothing: HashFunction prints types into its
+// hasher's own buffer and numbers blocks in its own table, both
+// recycled, so hashing every function of the three paper suites
+// allocates nothing once the scratch has grown to fit the largest.
+func TestHashFunctionAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects at random")
+	}
+	var funcs []*ir.Function
+	for _, m := range paperSuites() {
+		funcs = append(funcs, m.Funcs...)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		for _, f := range funcs {
+			HashFunction(f)
+		}
+	}); n != 0 {
+		t.Fatalf("hashing %d suite functions allocates %v times, want 0", len(funcs), n)
+	}
+	t.Logf("%d functions hashed without allocating", len(funcs))
 }
