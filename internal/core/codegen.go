@@ -74,7 +74,9 @@ type taggedInstr struct {
 	orig   *ir.Instruction
 }
 
-// genInstr is one generated instruction awaiting operand assignment.
+// genInstr is one generated instruction awaiting operand assignment:
+// until assignValueOperands and assignLabelOperands set them, its
+// operands are unset.
 type genInstr struct {
 	in *ir.Instruction
 	// tags records the original instruction of every member that
@@ -408,8 +410,7 @@ func (g *generator) buildCFG(items []famItem) {
 				}
 			}
 		case merged:
-			mi := ir.CloneInstruction(e.Instr)
-			mi.SetName(e.Instr.Name())
+			mi := ir.CloneShape(e.Instr)
 			b.Append(mi)
 			start := len(tagSlab)
 			for j, re := range row.ents {
@@ -420,7 +421,7 @@ func (g *generator) buildCFG(items []famItem) {
 			}
 			g.order = append(g.order, genInstr{in: mi, tags: tagSlab[start:], row: int32(1 + t)})
 		default:
-			c := ir.CloneInstruction(e.Instr)
+			c := ir.CloneShape(e.Instr)
 			b.Append(c)
 			tagSlab = append(tagSlab, taggedInstr{member: first, orig: e.Instr})
 			g.order = append(g.order, genInstr{in: c, tags: tagSlab[len(tagSlab)-1:], row: int32(1 + t)})
@@ -692,8 +693,12 @@ func (g *generator) padLoad(pad *ir.Instruction, insert func(*ir.Instruction)) i
 	return ld
 }
 
-// assignValueOperands is the non-label half of §4.2: exclusive copies
-// get their operands remapped through the value mapping; merged
+// assignValueOperands is the non-label half of §4.2. Every generated
+// instruction is a copy of its first tag's original without operands
+// (ir.CloneShape, in buildCFG), and each operand is read from the
+// originals and set once, so a trial never adds a use to, or takes one
+// off, a value of the functions it merges. Exclusive copies take their
+// original's operands through the value mapping; merged
 // instructions take the common value where every member agrees and a
 // fid-indexed resolution where they differ — the historical select for
 // two members, a select chain of identifier tests for three, a
@@ -705,11 +710,12 @@ func (g *generator) assignValueOperands() {
 		gi := &g.order[oi]
 		in, tags := gi.in, gi.tags
 		if len(tags) == 1 {
+			orig := tags[0].orig
 			for i := 0; i < in.NumOperands(); i++ {
-				if _, isLabel := in.Operand(i).(*ir.Block); isLabel {
+				if _, isLabel := orig.Operand(i).(*ir.Block); isLabel {
 					continue
 				}
-				in.SetOperand(i, g.resolve(tags[0].member, in.Operand(i), in))
+				in.SetOperand(i, g.resolve(tags[0].member, orig.Operand(i), in))
 			}
 			continue
 		}
@@ -898,12 +904,12 @@ func btoi(b bool) int {
 	return 0
 }
 
-// assignLabelOperands is §4.2.1: label operands of exclusive
-// terminators are remapped directly; merged terminators whose mapped
-// labels differ get a label-selection block — Figure 10's conditional
-// for two-member families, a switch on the identifier beyond — except
-// two-member conditional branches with swapped labels, which use the
-// xor rewrite (Figure 11).
+// assignLabelOperands is §4.2.1: exclusive terminators take their
+// original's label operands, remapped directly; merged terminators
+// whose mapped labels differ get a label-selection block — Figure 10's
+// conditional for two-member families, a switch on the identifier
+// beyond — except two-member conditional branches with swapped labels,
+// which use the xor rewrite (Figure 11).
 func (g *generator) assignLabelOperands() {
 	var ls []*ir.Block
 	for _, gi := range g.order {
@@ -914,7 +920,7 @@ func (g *generator) assignLabelOperands() {
 		n := in.NumOperands()
 		if len(tags) == 1 {
 			for i := 0; i < n; i++ {
-				if ob, isLabel := in.Operand(i).(*ir.Block); isLabel {
+				if ob, isLabel := tags[0].orig.Operand(i).(*ir.Block); isLabel {
 					in.SetOperand(i, g.mapLabel(tags[0].member, ob))
 				}
 			}

@@ -190,10 +190,11 @@ func mergeItems(ctx context.Context, m *ir.Module, fns []*ir.Function, name stri
 	g.stats.InstrMatches = stats.InstrMatches
 	g.stats.MatrixBytes = stats.MatrixBytes
 	if err := g.run(ctx, items); err != nil {
-		// The partial function's instructions may still hold operands
-		// from the originals (operand assignment rewires them phase by
-		// phase): point those at undef before the body is released, or
-		// the originals would keep Use records of released instructions.
+		// The partial body holds no operand of the originals — buildCFG
+		// copies instructions without operands, and the pad slots sit in
+		// the entry before any phase can be cancelled — but Release
+		// panics on a body that is not self-contained, so any operand
+		// the body does not own is still pointed at undef first.
 		m.RemoveFunc(g.merged)
 		g.merged.Instrs(func(in *ir.Instruction) bool {
 			for i, v := range in.Operands() {

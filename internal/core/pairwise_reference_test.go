@@ -87,7 +87,7 @@ func refNewMergedShell(m *ir.Module, name string, f1, f2 *ir.Function, plan *ref
 }
 
 func refBuildThunk(f, merged *ir.Function, fid bool, slotOf []int, plan *refParamPlan) {
-	f.Clear()
+	f.EraseBlocks(f.Blocks)
 	entry := f.NewBlockIn("entry")
 	args := make([]ir.Value, 1+len(plan.Params))
 	args[0] = ir.Bool(fid)
@@ -128,7 +128,7 @@ func refMerge(m *ir.Module, f1, f2 *ir.Function, name string, opts Options) (*ir
 	g.stats.InstrMatches = res.InstrMatches
 	g.stats.MatrixBytes = res.MatrixBytes
 	if err := g.run(res); err != nil {
-		g.merged.Clear()
+		g.merged.EraseBlocks(g.merged.Blocks)
 		m.RemoveFunc(g.merged)
 		return nil, nil, err
 	}
@@ -210,6 +210,17 @@ func (g *refGenerator) createPadSlots() {
 	}
 }
 
+// refClone is the frozen generator's copy of an original: the same
+// operands, with their uses registered on the originals' values until
+// operand assignment rewires them.
+func refClone(in *ir.Instruction) *ir.Instruction {
+	c := ir.CloneShape(in)
+	for i, v := range in.Operands() {
+		c.SetOperand(i, v)
+	}
+	return c
+}
+
 func (g *refGenerator) buildCFG(res *align.Result) {
 	entry := g.merged.NewBlockIn("entry")
 	for _, slot := range g.padSlotList {
@@ -223,8 +234,7 @@ func (g *refGenerator) buildCFG(res *align.Result) {
 			g.placeLabel(1, p.B.Label, b)
 		case p.IsMatch():
 			b := g.merged.NewBlockIn("mi")
-			mi := ir.CloneInstruction(p.A.Instr)
-			mi.SetName(p.A.Instr.Name())
+			mi := refClone(p.A.Instr)
 			b.Append(mi)
 			g.mergedFrom[mi] = [2]*ir.Instruction{p.A.Instr, p.B.Instr}
 			g.order = append(g.order, mi)
@@ -238,14 +248,14 @@ func (g *refGenerator) buildCFG(res *align.Result) {
 			g.placeLabel(1, p.B.Label, b)
 		case p.A != nil:
 			b := g.merged.NewBlockIn("i1")
-			c := ir.CloneInstruction(p.A.Instr)
+			c := refClone(p.A.Instr)
 			b.Append(c)
 			g.clonedFrom[c] = refTaggedInstr{side: 0, orig: p.A.Instr}
 			g.order = append(g.order, c)
 			g.placeInstr(0, p.A.Instr, c, b)
 		default:
 			b := g.merged.NewBlockIn("i2")
-			c := ir.CloneInstruction(p.B.Instr)
+			c := refClone(p.B.Instr)
 			b.Append(c)
 			g.clonedFrom[c] = refTaggedInstr{side: 1, orig: p.B.Instr}
 			g.order = append(g.order, c)

@@ -90,19 +90,23 @@ func BenchmarkTrialBuild(b *testing.B) {
 
 // TestTrialBuildAllocBudget keeps trial codegen allocation-lean. At the
 // commit before blocks, dominators and the generator's tables became
-// dense (PR 14) the sample cost 3,779 allocs per trial build (196.7 kB);
-// it measures 577 since the alignment rows, coalescing's tables, the
-// dominator tree and SSA construction's buffers outlive the trial (635
+// dense the sample cost 3,779 allocs per trial build (196.7 kB); it
+// measures 576 since the generator stopped copying operands onto the
+// originals' use lists (577 before: AllocsPerRun's warm-up sweep had
+// already grown those lists, so only a first sweep saw the regrowth —
+// BenchmarkTrialBuild, one sweep at 400x, fell from 607 to 573), 577
+// since the alignment rows, coalescing's tables, the dominator tree and
+// SSA construction's buffers outlive the trial (635
 // before; 847 before the generator built one block per straight-line
 // run of rows; 955 before SSA repair built the SSA of the offending
 // classes directly instead of through stack slots; 1,006 before
 // register promotion sized its phis and renamed through an undo log),
 // and the ceiling is that figure with 5% of slack. The race detector
 // drops pooled objects at random, so it has its own ceiling, set the
-// same way: it measures 674–679 (716 before; 960 before runs).
+// same way: it measures 674–683 (716 before; 960 before runs).
 func TestTrialBuildAllocBudget(t *testing.T) {
 	const parentAllocs = 3779
-	ceiling := 606
+	ceiling := 605
 	if raceEnabled {
 		ceiling = 713
 	}

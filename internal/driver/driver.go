@@ -491,10 +491,11 @@ var noGate = trialGate{}
 // "merged.<member>..." against m and the names a dry run has claimed
 // (nil: none), cleaned, and priced by the one rule: what the live
 // members and consumed heads weigh now, less the body and one thunk per
-// member. The generator only appends uses to the sources' use lists and
-// takes them off again before it returns, so discarding the merged
-// function (runner.discard) gives every list back as it was. Only the
-// goroutine running the loop may call it.
+// member. The generator writes nothing of the sources: it copies their
+// instructions without operands (ir.CloneShape) and sets each operand
+// once, to a value of the merged body, so no source's use list or stamp
+// moves, and discarding the merged function (runner.discard) leaves the
+// module as it was. Only the goroutine running the loop may call it.
 func planTrial(ctx context.Context, m *ir.Module, recs *records, mp *memberPlan, f1, f2 *ir.Function, claimed map[string]bool, cfg Config, g trialGate, buf *align.Result) *trial {
 	t := new(trial)
 	t.plan(ctx, m, recs, mp, f1, f2, claimed, cfg, g, buf)

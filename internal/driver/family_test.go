@@ -378,7 +378,7 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 		// Break the family: gut one member so it no longer thunks into
 		// the head, and report the edit.
 		member := m.FuncByName(fam.members[0].name)
-		member.Clear()
+		member.DetachBody()
 		if err := s.Update(context.Background(), member.Name()); err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +441,7 @@ func TestFamilyBreakForgetsHeadPairs(t *testing.T) {
 		for _, p := range kept {
 			memoPut(s, p[0], p[1])
 		}
-		member.Clear()
+		member.DetachBody()
 		if err := s.Update(context.Background(), member.Name()); err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,7 @@ func TestCallerCheckStrayLiveCaller(t *testing.T) {
 		t.Error("a live caller added during the run did not veto flattening")
 	}
 	// Rewritten so it no longer calls the head: the veto lifts.
-	stray.Clear()
+	stray.DetachBody()
 	s.markPending(stray)
 	if hasExternalCallers(m, s.families, fam) {
 		t.Error("a caller rewritten away from the head still vetoes")

@@ -392,6 +392,12 @@ func (s *Session) delta(ctx context.Context, op string, changed, removed []strin
 					s.pending[old] = true
 				}
 			}
+			// A body redefined in place (irtext.ParseInto) was released:
+			// nothing built from it may outlive this report, sequences
+			// included, even until the next sync re-indexes f.
+			if s.recs != nil {
+				s.recs.reset(f)
+			}
 			s.pending[f] = true
 			continue
 		}

@@ -48,7 +48,7 @@ func (b *Block) Parent() *Function { return b.parent }
 // for a detached block. The invariant f.Blocks[i].Index() == i is owned
 // by this package: Blocks is only ever written by AddBlock, RemoveBlock,
 // EraseBlock(s), SetBlockOrder, moveBody (AdoptBody, DetachBody,
-// CloneFunctionInto), Clear and Release, and
+// CloneFunctionInto) and releaseBody, and
 // VerifyFunction checks it. Analyses key their per-block tables by it.
 func (b *Block) Index() int { return int(b.index) }
 

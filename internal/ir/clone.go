@@ -1,27 +1,19 @@
 package ir
 
-// cloneInstrRaw returns a detached copy of in sharing its operand
-// values but with NO uses registered — the one place the full field
-// list of a copy lives, shared by both clone paths.
-func cloneInstrRaw(in *Instruction) *Instruction {
+// CloneShape returns a detached copy of in without its operands: the
+// same opcode, name, type, predicate and flags, and as many operand
+// slots as in has, every one unset (nil) for the caller to set once
+// (SetOperand). It is the one place the full field list of a copy
+// lives. No use list anywhere is touched, in's operands' included: the
+// code generator builds every merged instruction this way, so a trial
+// never writes to the functions it merges.
+func CloneShape(in *Instruction) *Instruction {
 	c := allocInstr(len(in.operands))
 	c.op, c.name, c.typ = in.op, in.name, in.typ
-	c.operands = append(c.operands, in.operands...)
+	// A fresh or released operand array is cleared, so every slot reads
+	// nil.
+	c.operands = c.operands[:len(in.operands)]
 	c.pred, c.Cleanup = in.pred, in.Cleanup
-	return c
-}
-
-// CloneInstruction returns a detached copy of in referring to the same
-// operands (uses registered). Auxiliary data (predicate, alloca type,
-// cleanup flag) is preserved.
-func CloneInstruction(in *Instruction) *Instruction {
-	c := cloneInstrRaw(in)
-	for i, v := range c.operands {
-		if u, ok := v.(usable); ok {
-			u.addUse(Use{User: c, Index: i})
-			touchUses(v, false)
-		}
-	}
 	return c
 }
 
@@ -51,7 +43,8 @@ func CloneFunction(f *Function, name string) (*Function, map[Value]Value) {
 	for _, b := range f.Blocks {
 		nb := vmap[b].(*Block)
 		for _, in := range b.instrs {
-			c := cloneInstrRaw(in)
+			c := CloneShape(in)
+			copy(c.operands, in.operands)
 			nb.Append(c)
 			vmap[in] = c
 		}

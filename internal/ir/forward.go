@@ -3,9 +3,11 @@ package ir
 // BuildForwarder replaces f's body with one block holding a direct call
 // of callee with args and a ret of its result (ret void when callee
 // returns void): the one builder of forwarding bodies, merge thunks
-// (core.BuildThunk) and fold forwarders alike.
+// (core.BuildThunk) and fold forwarders alike. The body it replaces is
+// released (releaseBody), so nothing may point into it: a caller that
+// keeps the old body moves it out first (DetachBody).
 func BuildForwarder(f, callee *Function, args []Value) {
-	f.Clear()
+	f.releaseBody()
 	entry := f.NewBlockIn("entry")
 	call := entry.Append(NewCall("", callee, args...))
 	if IsVoid(callee.sig.Ret) {

@@ -220,8 +220,9 @@ func (f *Function) Instrs(fn func(*Instruction) bool) {
 // object (functions do not track uses, so a swap of the Function value
 // itself could never be repaired), while f's blocks, instructions and
 // parameter uses become donor's. The signatures must be equal; donor
-// must be a detached definition and comes out an empty declaration. The
-// textual-IR splicer (irtext.ParseInto) is the intended caller: it
+// must be a detached definition and comes out an empty declaration.
+// f's old body is released (releaseBody), so nothing may point into it.
+// The textual-IR splicer (irtext.ParseInto) is the intended caller: it
 // parses a redefined function's new body into a staging donor and
 // grafts it here only once the whole fragment parsed cleanly.
 func (f *Function) AdoptBody(donor *Function) error {
@@ -234,7 +235,7 @@ func (f *Function) AdoptBody(donor *Function) error {
 	if donor.IsDecl() {
 		return fmt.Errorf("ir: AdoptBody donor @%s has no body", donor.name)
 	}
-	f.Clear()
+	f.releaseBody()
 	moveBody(f, donor)
 	return nil
 }
@@ -274,28 +275,6 @@ func moveBody(dst, src *Function) {
 	dst.edits = max(dst.edits, src.edits)
 	dst.cfgChanged()
 	src.cfgChanged()
-}
-
-// Clear removes and erases all blocks, turning the function into a
-// declaration; used when replacing a merged function's body with a thunk.
-func (f *Function) Clear() {
-	// Drop all operand uses first, then detach.
-	for _, b := range f.Blocks {
-		for _, in := range b.instrs {
-			in.dropOperands()
-		}
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.instrs {
-			in.useList.us = nil
-			in.parent = nil
-		}
-		b.instrs = nil
-		b.useList.us = nil
-		b.parent, b.index = nil, -1
-	}
-	f.Blocks = nil
-	f.cfgChanged()
 }
 
 // Module is a translation unit: a set of functions and global variables.

@@ -7,12 +7,15 @@ import (
 )
 
 // Dead bodies are recycled. The merger builds many bodies it throws
-// away — every trial that does not pay — and Release hands the
-// instructions and blocks of such a body back for the constructors to
-// reuse, operand, use and instruction arrays included, instead of
-// leaving them to the collector. The pools are sync.Pools, so any
-// goroutine may release and build; a pooled object holds no pointer
-// into any body (every array is cleared), so the pools pin nothing.
+// away — every trial that does not pay — and replaces many more: every
+// body a fold forwarder or merge thunk takes the place of
+// (BuildForwarder), every body a textual redefinition supersedes
+// (AdoptBody). Each goes through releaseBody, which hands its
+// instructions and blocks back for the constructors to reuse, operand,
+// use and instruction arrays included, instead of leaving them to the
+// collector. The pools are sync.Pools, so any goroutine may release and
+// build; a pooled object holds no pointer into any body (every array is
+// cleared), so the pools pin nothing.
 
 var (
 	instrPool pool[Instruction]
@@ -50,10 +53,11 @@ func (p *pool[T]) get() *T {
 	return x
 }
 
-// ReleaseCheck, when a test sets it, sees every body Release is about
-// to take apart, and the released objects are then poisoned instead of
-// pooled: a stale pointer into a dead body reads an object no
-// constructor will ever hand out again, whose opcode indexes no table.
+// ReleaseCheck, when a test sets it, sees every body about to be taken
+// apart (releaseBody), and the released objects are then poisoned
+// instead of pooled: a stale pointer into a dead body reads an object
+// no constructor will ever hand out again, whose opcode indexes no
+// table.
 // Set it only while nothing else runs; it is nil in production.
 var ReleaseCheck func(f *Function)
 
@@ -62,13 +66,8 @@ var ReleaseCheck func(f *Function)
 const poisonOp Opcode = 0xff
 
 // Release takes apart the body of f, a function no module holds, and
-// returns its instructions and blocks for reuse; f comes out an empty
-// declaration whose arguments have no uses. The body must be
-// self-contained: every use-tracked operand of its instructions is one
-// of f's arguments, blocks or instructions, and every use of those comes
-// from an instruction in f's body. Release panics otherwise — it would
-// hand out objects something else still points at — and checks on
-// every call, which costs one pass over the body.
+// returns its instructions and blocks for reuse (releaseBody); f comes
+// out an empty declaration whose arguments have no uses.
 //
 // The caller must hold the last reference to the body: nothing may read
 // one of its blocks or instructions afterwards.
@@ -76,6 +75,19 @@ func Release(f *Function) {
 	if f.parent != nil {
 		panic(fmt.Sprintf("ir: Release of @%s, which a module holds", f.name))
 	}
+	f.releaseBody()
+}
+
+// releaseBody is the one way a body dies: Release's, and that of the
+// body BuildForwarder or AdoptBody replaces in a function a module may
+// hold. It hands f's instructions and blocks to the pools and leaves f
+// an empty declaration whose arguments have no uses. The body must be
+// self-contained: every use-tracked operand of its instructions is one
+// of f's arguments, blocks or instructions, and every use of those comes
+// from an instruction in f's body. releaseBody panics otherwise — it
+// would hand out objects something else still points at — and checks on
+// every call, which costs one pass over the body.
+func (f *Function) releaseBody() {
 	checkSelfContained(f)
 	if ReleaseCheck != nil {
 		ReleaseCheck(f)
@@ -110,7 +122,7 @@ func Release(f *Function) {
 }
 
 // checkSelfContained panics unless f's body is closed under operands
-// and uses (see Release).
+// and uses (see releaseBody).
 func checkSelfContained(f *Function) {
 	owned := func(v Value) bool {
 		switch x := v.(type) {

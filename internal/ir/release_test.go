@@ -3,6 +3,7 @@ package ir
 import (
 	"flag"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -121,7 +122,7 @@ func TestReleasedObjectsReset(t *testing.T) {
 			b := NewBlock("fresh")
 			in := NewBinary(OpSub, "y", NewConstInt(I32, 3), NewConstInt(I32, 4))
 			phi := NewPhiSized("q", I32, 3)
-			c := cloneInstrRaw(in)
+			c := CloneShape(in)
 			for _, x := range []*Instruction{in, phi, c} {
 				if !instrs[x] {
 					continue
@@ -133,6 +134,9 @@ func TestReleasedObjectsReset(t *testing.T) {
 			}
 			if len(in.operands) != 2 || len(phi.operands) != 0 || len(c.operands) != 2 {
 				t.Errorf("constructors hand out %d/%d/%d operands, want 2/0/2", len(in.operands), len(phi.operands), len(c.operands))
+			}
+			if c.operands[0] != nil || c.operands[1] != nil {
+				t.Errorf("a shape-only clone holds operands %v", c.operands)
 			}
 			if cap(phi.operands) < 6 {
 				t.Errorf("NewPhiSized(3) has room for %d operands, want 6", cap(phi.operands))
@@ -182,6 +186,129 @@ func TestReleasePoisons(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if x := NewRet(nil); x == seen[0] {
 			t.Fatal("a poisoned instruction was handed out again")
+		}
+	}
+}
+
+// TestReplacedBodiesReleased: the body BuildForwarder or AdoptBody
+// replaces dies the way a discarded trial does — handed to ReleaseCheck
+// whole, then poisoned — in a function a module holds, which comes out
+// with only its new body's uses on its arguments. A replaced body that
+// is not self-contained is refused before anything changes.
+func TestReplacedBodiesReleased(t *testing.T) {
+	var seen []*Instruction
+	saved := ReleaseCheck
+	ReleaseCheck = func(g *Function) {
+		g.Instrs(func(in *Instruction) bool {
+			seen = append(seen, in)
+			return true
+		})
+	}
+	defer func() { ReleaseCheck = saved }()
+	replaced := func(what string, f *Function, replace func()) {
+		t.Helper()
+		seen = nil
+		old := f.NumInstrs()
+		replace()
+		if len(seen) != old {
+			t.Errorf("%s: ReleaseCheck saw %d instructions of a %d-instruction body", what, len(seen), old)
+		}
+		for _, in := range seen {
+			if in.op != poisonOp || in.parent != nil || in.operands != nil {
+				t.Errorf("%s: the replaced body's %s is not poisoned", what, in.name)
+			}
+		}
+		if err := VerifyFunction(f); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+		for _, p := range f.Params() {
+			for _, u := range UsesOf(p) {
+				if u.User.Parent() == nil || u.User.Parent().Parent() != f {
+					t.Errorf("%s: %%%s keeps a use from outside the new body", what, p.Name())
+				}
+			}
+		}
+	}
+
+	m := NewModule()
+	callee := m.AddFunc(diamond("callee"))
+	fwd := m.AddFunc(diamond("fwd"))
+	replaced("BuildForwarder", fwd, func() { BuildForwarder(fwd, callee, fwd.ParamValues()) })
+	if Forwardee(fwd) != callee {
+		t.Errorf("BuildForwarder built no forwarder:\n%s", fwd)
+	}
+	// A forwarder replaced by a forwarder releases the first one.
+	replaced("BuildForwarder over a forwarder", fwd, func() { BuildForwarder(fwd, callee, fwd.ParamValues()) })
+
+	target := m.AddFunc(diamond("target"))
+	donor := diamond("target")
+	replaced("AdoptBody", target, func() {
+		if err := target.AdoptBody(donor); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !donor.IsDecl() || target.NumInstrs() != 6 {
+		t.Errorf("AdoptBody left the donor with %d blocks and the target with %d instructions", len(donor.Blocks), target.NumInstrs())
+	}
+
+	// An outside user of the old body: refused, and nothing moves.
+	held := m.AddFunc(diamond("held"))
+	stray := NewBinary(OpMul, "stray", held.Blocks[1].First(), NewConstInt(I32, 2))
+	mustPanic(t, "BuildForwarder over a used body", "used outside the body", func() {
+		BuildForwarder(held, callee, held.ParamValues())
+	})
+	if held.NumInstrs() != 6 || stray.Operand(0) != held.Blocks[1].First() {
+		t.Error("a refused BuildForwarder changed the body")
+	}
+}
+
+// TestReplaceAllUsesWithGrowsOnce: moving n uses onto a value grows its
+// use list once, not once per append — as many allocations for 512 uses
+// as for 8 — and the moved uses arrive in the order they always have:
+// the first, then the rest from the back, as each removal moves the
+// last use into the vacated slot.
+func TestReplaceAllUsesWithGrowsOnce(t *testing.T) {
+	sig := FuncOf(Void, I32)
+	withUsers := func(n int) (*Function, []*Instruction) {
+		f := NewFunction("f", sig)
+		entry := f.NewBlockIn("entry")
+		users := make([]*Instruction, n)
+		for i := range users {
+			users[i] = entry.Append(NewBinary(OpAdd, "u", f.Param(0), NewConstInt(I32, int64(i))))
+		}
+		entry.Append(NewRet(nil))
+		return f, users
+	}
+	moveAllocs := func(n int) float64 {
+		const runs = 20
+		f, _ := withUsers(n)
+		// Each run moves every use onto a fresh argument with an empty
+		// list.
+		targets := make([]Value, runs+2)
+		targets[0] = f.Param(0)
+		for i := 1; i < len(targets); i++ {
+			targets[i] = NewFunction("t", sig).Param(0)
+		}
+		at := 0
+		return testing.AllocsPerRun(runs, func() {
+			ReplaceAllUsesWith(targets[at], targets[at+1])
+			at++
+		})
+	}
+	if few, many := moveAllocs(8), moveAllocs(512); many != few || many > 2 {
+		t.Errorf("ReplaceAllUsesWith allocated %.0f times for 8 uses and %.0f for 512; want one growth either way", few, many)
+	}
+	f, users := withUsers(64)
+	to := NewFunction("to", sig).Param(0)
+	ReplaceAllUsesWith(f.Param(0), to)
+	want := slices.Clone(users)
+	slices.Reverse(want[1:])
+	if len(UsesOf(to)) != len(want) {
+		t.Fatalf("%d uses moved, want %d", len(UsesOf(to)), len(want))
+	}
+	for i, u := range UsesOf(to) {
+		if u.User != want[i] || u.Index != 0 {
+			t.Fatalf("use %d of the moved list is {%p, %d}, want {%p, 0}", i, u.User, u.Index, want[i])
 		}
 	}
 }

@@ -77,7 +77,8 @@ func HasUses(v Value) bool { return len(UsesOf(v)) > 0 }
 
 // ReplaceAllUsesWith rewrites every operand referring to old so that it
 // refers to new instead. old must be a use-tracked value (instruction,
-// argument or block).
+// argument or block). new's use list grows once, by as many uses as old
+// has, before they move.
 func ReplaceAllUsesWith(old, new Value) {
 	u, ok := old.(usable)
 	if !ok {
@@ -86,6 +87,7 @@ func ReplaceAllUsesWith(old, new Value) {
 	if old == new {
 		return
 	}
+	ReserveUses(new, len(u.uses()))
 	for len(u.uses()) > 0 {
 		use := u.uses()[0]
 		use.User.SetOperand(use.Index, new)

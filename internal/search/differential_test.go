@@ -129,7 +129,7 @@ func (o *finderOps) add(batch bool, is ...int) {
 // pool[b] on that shares f's signature (f's own body when none does).
 func (o *finderOps) edit(f *ir.Function, b int) {
 	if donor := o.sameSig(f, b); donor != f {
-		f.Clear()
+		f.DetachBody()
 		ir.CloneFunctionInto(f, donor)
 	}
 }
@@ -151,7 +151,7 @@ func (o *finderOps) sameSig(f *ir.Function, b int) *ir.Function {
 func (o *finderOps) forward(a, b int) {
 	f := o.pool[a]
 	if body := o.saved[a]; body != nil {
-		f.Clear()
+		f.DetachBody()
 		ir.CloneFunctionInto(f, body)
 		o.saved[a] = nil
 	} else {
