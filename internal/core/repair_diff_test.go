@@ -10,6 +10,7 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -158,20 +159,16 @@ func families(m *ir.Module, k int) [][]*ir.Function {
 }
 
 // TestRepairMatchesSlotSpec holds repair to the slot specification over
-// every pair and the k = 3/4 families of sixteen small modules. Plain
-// `go test` checks one body in four of each module (a quarter of the
-// sweep, about 2,500 bodies); SCALE_CORPUS=1 checks every body against
-// a 10,000-body floor, and -short every body of two modules.
+// every pair and the k = 3/4 families of sixteen small modules: a seeded
+// sample of one body in sixteen of each module, and under SCALE_CORPUS
+// every body, against a 10,000-body floor.
 func TestRepairMatchesSlotSpec(t *testing.T) {
 	// Many small modules rather than a few large ones: the interpreter
 	// runs every callee too, and a larger module's call chains are
 	// deeper.
-	modules, stride, want := 16, 4, 2400
-	switch {
-	case os.Getenv("SCALE_CORPUS") != "":
+	modules, stride, want := 16, 16, 500
+	if os.Getenv("SCALE_CORPUS") != "" {
 		stride, want = 1, 10000
-	case testing.Short():
-		modules, stride, want = 2, 1, 1000
 	}
 	nopc := core.DefaultOptions()
 	nopc.PhiCoalescing = false
@@ -184,10 +181,9 @@ func TestRepairMatchesSlotSpec(t *testing.T) {
 				m := synth.Generate(repairProfile(int64(i+1), 24))
 				proto, defined := repairEnv(m), m.Defined()
 				// sampled reports whether the next body is one the sweep
-				// checks: every stride-th, starting at the module's own
-				// offset so the modules cover different positions.
-				n := i
-				sampled := func() bool { n++; return n%stride == 0 }
+				// checks, one in stride, seeded by the module.
+				rng := rand.New(rand.NewSource(int64(i + 1)))
+				sampled := func() bool { return rng.Intn(stride) == 0 }
 				for _, opts := range []core.Options{core.DefaultOptions(), nopc} {
 					for i, f := range defined {
 						for _, g := range defined[i+1:] {

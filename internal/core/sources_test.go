@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"os"
 	"slices"
 	"testing"
 	"unsafe"
@@ -59,15 +61,14 @@ func sourcesState(fns []*ir.Function) (map[ir.Value]valueState, []uint32) {
 // its use slice as it was (length, capacity, backing array and slots),
 // every block its stamps, every function its edit counter. The pairs
 // are each SPEC2006 and MiBench function with its nearest candidate,
-// the flattens each function with its two nearest (one function in four
-// under -short).
+// the flattens each function with its two nearest: a seeded sample of
+// half the programs and one function in eight of theirs, and every
+// function under SCALE_CORPUS.
 func TestTrialLeavesSourcesAlone(t *testing.T) {
 	ctx := context.Background()
 	opts := DefaultOptions()
-	step := 1
-	if testing.Short() {
-		step = 4
-	}
+	full, rng := os.Getenv("SCALE_CORPUS") != "", rand.New(rand.NewSource(1))
+	sampled := func(n int) bool { return full || rng.Intn(n) == 0 }
 	trials, failed := [2]int{}, 0
 	check := func(kind int, m *ir.Module, fns []*ir.Function, build func() (*ir.Function, error)) {
 		t.Helper()
@@ -97,11 +98,14 @@ func TestTrialLeavesSourcesAlone(t *testing.T) {
 		}
 	}
 	for _, prof := range append(synth.SPEC2006(), synth.MiBench()...) {
+		if !sampled(2) {
+			continue
+		}
 		m := synth.Generate(prof)
 		defined := m.Defined()
 		finder := search.New(search.KindExact, defined)
-		for i, f := range defined {
-			if i%step != 0 {
+		for _, f := range defined {
+			if !sampled(8) {
 				continue
 			}
 			got := finder.Candidates(f, 2)

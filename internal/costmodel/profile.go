@@ -217,8 +217,8 @@ func (sc *TouchScratch) profile(f *ir.Function, target Target, elastic int, clas
 // transform.Settled finds clean has none, and only one it leaves
 // undecided pays for a clone and a Simplify run (the clone never joins
 // a module, and goes back to the pools through ir.Release once it is
-// priced). Both reads of the original are read-only: CloneFunction
-// never touches its source.
+// priced). Both reads of the original are read-only: neither Settled
+// nor CloneFunction moves a use list or a stamp of its source.
 func (p *FuncProfile) Slack() int {
 	if p.slackKnown {
 		return p.slack

@@ -1,10 +1,13 @@
 package costmodel
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/align"
 	"repro/internal/corpus"
+	"repro/internal/ir"
+	"repro/internal/transform"
 )
 
 var slackSink int
@@ -34,5 +37,32 @@ func BenchmarkProfileSlack(b *testing.B) {
 			b.StartTimer()
 		}
 		slackSink += profiles[k].Slack()
+	}
+}
+
+// TestSlackMovesNoStamp: the slack term is a read of its function, the
+// clone it simplifies included, so over the 2k corpus it moves neither
+// the function's edit counter, nor its CFG stamp, nor a block's stamps.
+func TestSlackMovesNoStamp(t *testing.T) {
+	stamps := func(f *ir.Function) []uint32 {
+		s := []uint32{f.Edits(), f.CFGStamp()}
+		for _, b := range f.Blocks {
+			s = append(s, b.Stamp(), b.PhiStamp(), b.OperandStamp(), b.UseStamp())
+		}
+		return s
+	}
+	it, cloned := align.NewInterner(), 0
+	for _, f := range corpus.Build(corpus.Config{Funcs: 2000, Seed: 7}).Defined() {
+		p := NewFuncProfile(f, X86_64, align.NewSeq(f, it))
+		if !transform.Settled(f) {
+			cloned++
+		}
+		was := stamps(f)
+		if p.Slack(); !slices.Equal(stamps(f), was) {
+			t.Fatalf("Slack of @%s moved its stamps", f.Name())
+		}
+	}
+	if cloned == 0 {
+		t.Error("no function was cloned and simplified")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -78,6 +79,74 @@ type goldenDigest struct {
 	// The counts make a mismatch readable without the module text.
 	NumMerges int `json:"num_merges"`
 	NumFolds  int `json:"num_folds"`
+	// A single run's digest (resultDigest) also pins its size and how
+	// many pairs it tried; the grid's cells were recorded without them.
+	FinalBytes int `json:"final_bytes,omitempty"`
+	Attempts   int `json:"attempts,omitempty"`
+}
+
+func sum(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))) }
+
+// digestOf digests the module text and the records of the runs that
+// produced it.
+func digestOf(m *ir.Module, merges []MergeRecord, folds []FoldRecord) goldenDigest {
+	return goldenDigest{
+		Module: sum(m.String()),
+		// The digests were recorded before core.Stats had clocks; a
+		// record's are always zero.
+		Merges:    sum(strings.ReplaceAll(fmt.Sprintf("%+v", merges), " BuildTime:0s RepairTime:0s", "")),
+		Folds:     sum(fmt.Sprintf("%+v", folds)),
+		NumMerges: len(merges),
+		NumFolds:  len(folds),
+	}
+}
+
+// resultDigest is digestOf one run's result, with its final size and
+// attempt count.
+func resultDigest(m *ir.Module, res *Result) goldenDigest {
+	d := digestOf(m, res.Merges, res.Folds)
+	d.FinalBytes, d.Attempts = res.FinalBytes, res.Attempts
+	return d
+}
+
+// golden is goldenDigestFile, read on first use; checkGolden adds to
+// it.
+var golden struct {
+	sync.Mutex
+	want map[string]goldenDigest
+}
+
+// checkGolden holds d to the digest recorded under key in
+// goldenDigestFile. A key with no digest yet is recorded, and the test
+// fails; it passes from the next run on. To re-record after an intended
+// output change, delete the keys that moved (or the file) and run the
+// tests that own them once.
+func checkGolden(t *testing.T, key string, d goldenDigest) {
+	t.Helper()
+	golden.Lock()
+	defer golden.Unlock()
+	if golden.want == nil {
+		golden.want = map[string]goldenDigest{}
+		data, err := os.ReadFile(goldenDigestFile)
+		if err == nil {
+			err = json.Unmarshal(data, &golden.want)
+		}
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatalf("%s: %v", goldenDigestFile, err)
+		}
+	}
+	if w, ok := golden.want[key]; ok {
+		if d != w {
+			t.Errorf("%s: output diverged from the golden digest\n got %+v\nwant %+v", key, d, w)
+		}
+		return
+	}
+	golden.want[key] = d
+	out, _ := json.MarshalIndent(golden.want, "", "  ")
+	if err := os.WriteFile(goldenDigestFile, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("%s: no golden digest was recorded; recorded %+v, run again to compare", key, d)
 }
 
 // run optimizes the case's module in one session and digests the
@@ -112,75 +181,35 @@ func (c goldenCase) run(t *testing.T) goldenDigest {
 	if err := ir.VerifyModule(m); err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	sum := func(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))) }
-	return goldenDigest{
-		Module: sum(m.String()),
-		// The digests were recorded before core.Stats had clocks; a
-		// record's are always zero.
-		Merges:    sum(strings.ReplaceAll(fmt.Sprintf("%+v", merges), " BuildTime:0s RepairTime:0s", "")),
-		Folds:     sum(fmt.Sprintf("%+v", folds)),
-		NumMerges: len(merges),
-		NumFolds:  len(folds),
-	}
+	return digestOf(m, merges, folds)
 }
 
 // TestGoldenDigests holds the pipeline's output to digests recorded at
-// the commit before the dense-index codegen rewrite. The retained-
-// generator differentials (core/pairwise_reference_test.go,
-// oneshot_reference_test.go) share internal/analysis and
-// internal/transform with the code under test, so a wrong dominator
-// tree would pass them; a digest recorded by other code cannot be
-// fooled that way. To re-record after an intended output change, delete
-// testdata/golden_digests.json and run the test once: it writes the
-// file and fails, and passes from then on.
+// the commit before the dense-index codegen rewrite. Digests recorded by
+// other code are the oracle here: a wrong dominator tree in
+// internal/analysis, which every merge shares, would pass any
+// differential between two generators, but not a recorded digest. The
+// digests of single runs (resultDigest) that the session tests check
+// share the file; a grid cell's key is its case name.
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden grid optimizes seven modules")
 	}
-	want := map[string]goldenDigest{}
-	data, err := os.ReadFile(goldenDigestFile)
-	record := os.IsNotExist(err)
-	if err != nil && !record {
-		t.Fatal(err)
-	}
-	if !record {
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatalf("%s: %v", goldenDigestFile, err)
-		}
-	}
-	got := map[string]goldenDigest{}
-	var mu sync.Mutex
+	cases := goldenCases()
 	// The group returns once its parallel cases have.
 	t.Run("grid", func(t *testing.T) {
-		for _, c := range goldenCases() {
+		for _, c := range cases {
 			t.Run(c.name, func(t *testing.T) {
 				t.Parallel()
-				d := c.run(t)
-				mu.Lock()
-				got[c.name] = d
-				mu.Unlock()
-				if record {
-					return
-				}
-				if w, ok := want[c.name]; !ok {
-					t.Error("no golden digest recorded")
-				} else if d != w {
-					t.Errorf("output diverged from the golden digest\n got %+v\nwant %+v", d, w)
-				}
+				checkGolden(t, c.name, c.run(t))
 			})
 		}
 	})
-	if record {
-		out, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
+	// Every recorded cell is still a case of the grid.
+	for key := range golden.want {
+		ns, _, _ := strings.Cut(key, "/")
+		if (ns == "corpus2k" || ns == "suite") && !slices.ContainsFunc(cases, func(c goldenCase) bool { return c.name == key }) {
+			t.Errorf("%s records %q, which is no case of the grid", goldenDigestFile, key)
 		}
-		if err := os.WriteFile(goldenDigestFile, append(out, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("recorded %d golden digests in %s; run again to compare", len(got), goldenDigestFile)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s holds %d digests, the grid has %d cases", goldenDigestFile, len(want), len(got))
 	}
 }

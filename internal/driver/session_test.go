@@ -18,21 +18,11 @@ import (
 	"repro/internal/synth"
 )
 
-// sessionConfig is one named cell of the differential session grid.
-type sessionConfig struct {
-	name string
-	cfg  Config
-}
-
-// sessionConfigs is the configuration grid the differential session
-// tests sweep. The "lsh-" prefix names the finder kind the Index
-// answers to (search.KindLSH); every session folds, and the cell keeps
-// the fold=true in its name from when folding was optional.
-func sessionConfigs() []sessionConfig {
-	return []sessionConfig{{"lsh-fold=true", Config{
-		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-	}}}
-}
+// sessionCfg is the configuration the differential session tests run
+// under. Their subtests are named seedN-lsh-fold=true: "lsh-" names the
+// finder kind the Index answers to (search.KindLSH), and the fold=true
+// is kept from when folding was optional; every session folds.
+var sessionCfg = Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
 
 // sizedRun is one committing run of s — Apply of p, or Optimize when p
 // is nil — with the report's BaselineBytes and FinalBytes held to
@@ -76,47 +66,31 @@ func sizedRun(t testing.TB, s *Session, p *Plan) (*Result, error) {
 }
 
 // TestSessionOptimizeMatchesOneShotReference is differential test (a):
-// a Session's first Optimize must commit a bit-identical merge set (and
-// therefore an identical module) to the retained pre-Session reference
-// pipeline.
+// a Session's first Optimize must commit the merge set, and leave the
+// module, that the pre-Session one-shot pipeline did. That pipeline is
+// gone; its output, recorded while it still stood beside the session,
+// is held as golden digests.
 func TestSessionOptimizeMatchesOneShotReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		base := testModule(t, seed)
-		for _, c := range sessionConfigs() {
-			cfg := c.cfg
-			t.Run(fmt.Sprintf("seed%d-%s", seed, c.name), func(t *testing.T) {
-				mRef := ir.CloneModule(base)
-				ref, err := runOneShotReference(context.Background(), mRef, cfg)
-				if err != nil {
-					t.Fatalf("reference run failed: %v", err)
-				}
-
-				mSess := ir.CloneModule(base)
-				s, err := OpenSession(context.Background(), mSess, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				got, err := sizedRun(t, s, nil)
-				if err != nil {
-					t.Fatalf("session run failed: %v", err)
-				}
-
-				sameMerges(t, ref, got)
-				if len(ref.Folds) != len(got.Folds) {
-					t.Errorf("fold count differs: reference %d, session %d", len(ref.Folds), len(got.Folds))
-				}
-				if ref.FinalBytes != got.FinalBytes {
-					t.Errorf("final bytes differ: reference %d, session %d", ref.FinalBytes, got.FinalBytes)
-				}
-				if a, b := mRef.String(), mSess.String(); a != b {
-					t.Error("session module text diverges from the reference module")
-				}
-				if err := ir.VerifyModule(mSess); err != nil {
-					t.Fatalf("session module does not verify: %v", err)
-				}
-			})
-		}
+		cfg := sessionCfg
+		name := fmt.Sprintf("seed%d-lsh-fold=true", seed)
+		t.Run(name, func(t *testing.T) {
+			mSess := ir.CloneModule(base)
+			s, err := OpenSession(context.Background(), mSess, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			got, err := sizedRun(t, s, nil)
+			if err != nil {
+				t.Fatalf("session run failed: %v", err)
+			}
+			if err := ir.VerifyModule(mSess); err != nil {
+				t.Fatalf("session module does not verify: %v", err)
+			}
+			checkGolden(t, "oneshot/"+name, resultDigest(mSess, got))
+		})
 	}
 }
 
@@ -153,58 +127,56 @@ func mutateForUpdate(t *testing.T, m *ir.Module) []string {
 // would.
 func TestSessionUpdateEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		for _, c := range sessionConfigs() {
-			cfg := c.cfg
-			t.Run(fmt.Sprintf("seed%d-%s", seed, c.name), func(t *testing.T) {
-				m := testModule(t, seed)
-				s, err := OpenSession(context.Background(), m, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				if _, err := sizedRun(t, s, nil); err != nil {
-					t.Fatal(err)
-				}
+		cfg := sessionCfg
+		t.Run(fmt.Sprintf("seed%d-lsh-fold=true", seed), func(t *testing.T) {
+			m := testModule(t, seed)
+			s, err := OpenSession(context.Background(), m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := sizedRun(t, s, nil); err != nil {
+				t.Fatal(err)
+			}
 
-				names := mutateForUpdate(t, m)
-				if err := s.Update(context.Background(), names...); err != nil {
-					t.Fatal(err)
-				}
+			names := mutateForUpdate(t, m)
+			if err := s.Update(context.Background(), names...); err != nil {
+				t.Fatal(err)
+			}
 
-				// Snapshot the post-edit state for the from-scratch twin
-				// before the incremental session runs again.
-				mFresh := ir.CloneModule(m)
+			// Snapshot the post-edit state for the from-scratch twin
+			// before the incremental session runs again.
+			mFresh := ir.CloneModule(m)
 
-				inc, err := sizedRun(t, s, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+			inc, err := sizedRun(t, s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				fresh, err := OpenSession(context.Background(), mFresh, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer fresh.Close()
-				scratch, err := sizedRun(t, fresh, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+			fresh, err := OpenSession(context.Background(), mFresh, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			scratch, err := sizedRun(t, fresh, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				sameMerges(t, scratch, inc)
-				if len(scratch.Folds) != len(inc.Folds) {
-					t.Errorf("fold count differs: scratch %d, incremental %d", len(scratch.Folds), len(inc.Folds))
-				}
-				if inc.Attempts != scratch.Attempts {
-					t.Errorf("attempts differ: scratch %d, incremental %d", scratch.Attempts, inc.Attempts)
-				}
-				if a, b := mFresh.String(), m.String(); a != b {
-					t.Error("incremental module text diverges from the from-scratch module")
-				}
-				if err := ir.VerifyModule(m); err != nil {
-					t.Fatalf("incremental module does not verify: %v", err)
-				}
-			})
-		}
+			sameMerges(t, scratch, inc)
+			if len(scratch.Folds) != len(inc.Folds) {
+				t.Errorf("fold count differs: scratch %d, incremental %d", len(scratch.Folds), len(inc.Folds))
+			}
+			if inc.Attempts != scratch.Attempts {
+				t.Errorf("attempts differ: scratch %d, incremental %d", scratch.Attempts, inc.Attempts)
+			}
+			if a, b := mFresh.String(), m.String(); a != b {
+				t.Error("incremental module text diverges from the from-scratch module")
+			}
+			if err := ir.VerifyModule(m); err != nil {
+				t.Fatalf("incremental module does not verify: %v", err)
+			}
+		})
 	}
 }
 
@@ -444,93 +416,91 @@ func TestSessionRemoveEquivalence(t *testing.T) {
 // Optimize, and Plan itself must not mutate anything.
 func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		for _, c := range sessionConfigs() {
-			cfg := c.cfg
-			t.Run(fmt.Sprintf("seed%d-%s", seed, c.name), func(t *testing.T) {
-				base := testModule(t, seed)
+		cfg := sessionCfg
+		t.Run(fmt.Sprintf("seed%d-lsh-fold=true", seed), func(t *testing.T) {
+			base := testModule(t, seed)
 
-				mOpt := ir.CloneModule(base)
-				so, err := OpenSession(context.Background(), mOpt, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer so.Close()
-				direct, err := sizedRun(t, so, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+			mOpt := ir.CloneModule(base)
+			so, err := OpenSession(context.Background(), mOpt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer so.Close()
+			direct, err := sizedRun(t, so, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				mPlan := ir.CloneModule(base)
-				sp, err := OpenSession(context.Background(), mPlan, cfg)
-				if err != nil {
-					t.Fatal(err)
+			mPlan := ir.CloneModule(base)
+			sp, err := OpenSession(context.Background(), mPlan, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sp.Close()
+			before := mPlan.String()
+			// Plan builds its trials in place and discards them all, so
+			// every use list must come back as found, users and order.
+			lists := takeUseLists(mPlan)
+			plan, planned, err := sp.PlanReport(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := mPlan.String(); after != before {
+				t.Fatal("Plan mutated the module")
+			}
+			checkUseLists(t, lists, "Plan")
+			// The dry run runs Optimize's trials, so its funnel counts
+			// are Optimize's.
+			type funnelCounts struct{ Attempts, OutcomeHits, PairsScreened, TrialsBuilt, TrialsSkipped int }
+			count := func(c Counters) funnelCounts {
+				return funnelCounts{c.Attempts, c.OutcomeHits, c.PairsScreened, c.TrialsBuilt, c.TrialsSkipped}
+			}
+			if got, want := count(planned.Counters), count(direct.Counters); got != want {
+				t.Errorf("Plan counted %+v, Optimize %+v", got, want)
+			}
+			if len(plan.Merges) != len(direct.Merges) {
+				t.Fatalf("plan proposes %d merges, Optimize committed %d", len(plan.Merges), len(direct.Merges))
+			}
+			for i, pm := range plan.Merges {
+				d := direct.Merges[i]
+				if pm.F1 != d.F1 || pm.F2 != d.F2 || pm.Merged != d.Merged || pm.Profit != d.Profit {
+					t.Errorf("plan entry %d = %+v, Optimize committed %+v", i, pm, d)
 				}
-				defer sp.Close()
-				before := mPlan.String()
-				// Plan builds its trials in place and discards them all, so
-				// every use list must come back as found, users and order.
-				lists := takeUseLists(mPlan)
-				plan, planned, err := sp.PlanReport(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if after := mPlan.String(); after != before {
-					t.Fatal("Plan mutated the module")
-				}
-				checkUseLists(t, lists, "Plan")
-				// The dry run runs Optimize's trials, so its funnel counts
-				// are Optimize's.
-				type funnelCounts struct{ Attempts, OutcomeHits, PairsScreened, TrialsBuilt, TrialsSkipped int }
-				count := func(c Counters) funnelCounts {
-					return funnelCounts{c.Attempts, c.OutcomeHits, c.PairsScreened, c.TrialsBuilt, c.TrialsSkipped}
-				}
-				if got, want := count(planned.Counters), count(direct.Counters); got != want {
-					t.Errorf("Plan counted %+v, Optimize %+v", got, want)
-				}
-				if len(plan.Merges) != len(direct.Merges) {
-					t.Fatalf("plan proposes %d merges, Optimize committed %d", len(plan.Merges), len(direct.Merges))
-				}
-				for i, pm := range plan.Merges {
-					d := direct.Merges[i]
-					if pm.F1 != d.F1 || pm.F2 != d.F2 || pm.Merged != d.Merged || pm.Profit != d.Profit {
-						t.Errorf("plan entry %d = %+v, Optimize committed %+v", i, pm, d)
-					}
-				}
+			}
 
-				// The plan must survive a JSON round trip bit-for-bit.
-				blob, err := json.Marshal(plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var decoded Plan
-				if err := json.Unmarshal(blob, &decoded); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(*plan, decoded) {
-					t.Error("plan does not round-trip through JSON")
-				}
+			// The plan must survive a JSON round trip bit-for-bit.
+			blob, err := json.Marshal(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded Plan
+			if err := json.Unmarshal(blob, &decoded); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*plan, decoded) {
+				t.Error("plan does not round-trip through JSON")
+			}
 
-				applied, err := sizedRun(t, sp, &decoded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Apply's Attempts only cover the planned merges (the dry
-				// run already filtered the unprofitable trials out), so
-				// compare the committed records, not the work accounting.
-				if got, want := mergeSet(applied), mergeSet(direct); !reflect.DeepEqual(got, want) {
-					t.Errorf("applied merges differ:\n  optimize: %v\n  applied:  %v", want, got)
-				}
-				if applied.FinalBytes != direct.FinalBytes {
-					t.Errorf("final bytes differ: optimize %d, applied %d", direct.FinalBytes, applied.FinalBytes)
-				}
-				if a, b := mOpt.String(), mPlan.String(); a != b {
-					t.Error("Apply(Plan()) module text diverges from Optimize")
-				}
-				if err := ir.VerifyModule(mPlan); err != nil {
-					t.Fatalf("applied module does not verify: %v", err)
-				}
-			})
-		}
+			applied, err := sizedRun(t, sp, &decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Apply's Attempts only cover the planned merges (the dry
+			// run already filtered the unprofitable trials out), so
+			// compare the committed records, not the work accounting.
+			if got, want := mergeSet(applied), mergeSet(direct); !reflect.DeepEqual(got, want) {
+				t.Errorf("applied merges differ:\n  optimize: %v\n  applied:  %v", want, got)
+			}
+			if applied.FinalBytes != direct.FinalBytes {
+				t.Errorf("final bytes differ: optimize %d, applied %d", direct.FinalBytes, applied.FinalBytes)
+			}
+			if a, b := mOpt.String(), mPlan.String(); a != b {
+				t.Error("Apply(Plan()) module text diverges from Optimize")
+			}
+			if err := ir.VerifyModule(mPlan); err != nil {
+				t.Fatalf("applied module does not verify: %v", err)
+			}
+		})
 	}
 }
 
@@ -1063,17 +1033,11 @@ func TestSessionOutcomeMemo(t *testing.T) {
 	}
 }
 
-// TestSessionFMSA: FMSA sessions support Optimize (identical to the
-// reference one-shot) but refuse the Plan/Apply split.
+// TestSessionFMSA: FMSA sessions support Optimize (output held to the
+// one-shot pipeline's golden digest) but refuse the Plan/Apply split.
 func TestSessionFMSA(t *testing.T) {
 	cfg := Config{Algorithm: FMSA, Threshold: 2, Target: costmodel.X86_64}
 	base := testModule(t, 12)
-
-	mRef := ir.CloneModule(base)
-	ref, err := runOneShotReference(context.Background(), mRef, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := ir.CloneModule(base)
 	s, err := OpenSession(context.Background(), m, cfg)
 	if err != nil {
@@ -1090,10 +1054,7 @@ func TestSessionFMSA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMerges(t, ref, got)
-	if a, b := mRef.String(), m.String(); a != b {
-		t.Error("FMSA session module diverges from the reference")
-	}
+	checkGolden(t, "fmsa/seed12", resultDigest(m, got))
 	// Nothing an FMSA run indexes outlives it: a record priced before
 	// demotion would misprice the next run's baseline. (A second run is
 	// not a sizedRun: the demotion round trip may grow the module.)

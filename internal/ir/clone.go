@@ -22,11 +22,13 @@ func CloneShape(in *Instruction) *Instruction {
 // their clones.
 //
 // Cloning is strictly read-only on f: the cost model's slack probe
-// clones live candidates in the middle of a run, so no use-list of f
-// may be touched, not even transiently. Cloned instructions are
-// therefore built with raw (unregistered) operand slices and uses are
-// registered only after every operand has been remapped into the clone's
-// value space.
+// clones live candidates in the middle of a run, and sessions decide
+// what to re-read from edit counters and block stamps, so neither f's
+// use lists nor its stamps may move, not even transiently. Every copy
+// is therefore built detached (CloneShape) first; then, block by block,
+// each copy's operands are set in the clone's value space and only then
+// is it appended, so nothing of f is ever an operand of an attached
+// instruction.
 func CloneFunction(f *Function, name string) (*Function, map[Value]Value) {
 	clone := NewFunction(name, f.sig)
 	vmap := make(map[Value]Value, f.NumInstrs()+len(f.params))
@@ -35,33 +37,29 @@ func CloneFunction(f *Function, name string) (*Function, map[Value]Value) {
 		vmap[p] = clone.params[i]
 	}
 	for _, b := range f.Blocks {
-		nb := clone.NewBlockIn(b.name)
-		vmap[b] = nb
+		vmap[b] = clone.NewBlockIn(b.name)
 	}
-	// First pass: raw copies holding the original operands, with no use
-	// bookkeeping anywhere.
+	for _, b := range f.Blocks {
+		for _, in := range b.instrs {
+			vmap[in] = CloneShape(in)
+		}
+	}
+	// Operands without a mapping are constants, globals or functions,
+	// which do not track uses.
 	for _, b := range f.Blocks {
 		nb := vmap[b].(*Block)
 		for _, in := range b.instrs {
-			c := CloneShape(in)
-			copy(c.operands, in.operands)
-			nb.Append(c)
-			vmap[in] = c
-		}
-	}
-	// Second pass: remap operands into the clone's value space and
-	// register the uses on the clone's values. Operands without a mapping
-	// are constants, globals or functions, which do not track uses.
-	for _, b := range clone.Blocks {
-		for _, in := range b.instrs {
+			c := vmap[in].(*Instruction)
 			for i, op := range in.operands {
 				if nv, ok := vmap[op]; ok {
-					in.operands[i] = nv
+					op = nv
 				}
-				if u, ok := in.operands[i].(usable); ok {
-					u.addUse(Use{User: in, Index: i})
+				c.operands[i] = op
+				if u, ok := op.(usable); ok {
+					u.addUse(Use{User: c, Index: i})
 				}
 			}
+			nb.Append(c)
 		}
 	}
 	return clone, vmap

@@ -374,10 +374,12 @@ func tinyCorpus(n int) []*ir.Function {
 // lists are element-wise the specification's full sort after every
 // step, and over the whole index before and after: at t = 1, 3 and 8 on
 // the duplicate-heavy tiny shape, at 1, 5 and 10 on the suite shapes.
+// The tiny pool holds 500 functions and the storm is 150 seeded steps,
+// or 2,000 functions and 400 steps under SCALE_CORPUS.
 func TestLSHMatchesExact(t *testing.T) {
-	tiny, ops, stride := 2000, 400, 3
-	if testing.Short() {
-		tiny, ops = 500, 150
+	tiny, ops, stride := 500, 150, 3
+	if os.Getenv("SCALE_CORPUS") != "" {
+		tiny, ops = 2000, 400
 	}
 	type pool struct {
 		name       string

@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/ir"
@@ -106,17 +107,19 @@ func selfCalling(f *ir.Function, name string) (*ir.Function, int) {
 }
 
 // TestEqualFunctionsMatchesSpec holds the map-free EqualFunctions to the
-// map-based specification, both ways round, over every function of the
+// map-based specification, both ways round, over the functions of the
 // three paper suites against: a renamed clone, a mutated clone (the
-// suites' own mutation operators at rate 0.2), a later function of the
-// same structural hash, the next function of the same instruction
-// count, and — for each function that calls anything — two renamed
-// clones whose every callee is the clone itself, against each other and
-// against a plain clone. It then checks that all those comparisons
-// together allocate nothing.
+// suites' own mutation operators at rate 0.2), an earlier function of
+// the same structural hash, the previous function of the same
+// instruction count, and — for each function that calls anything — two
+// renamed clones whose every callee is the clone itself, against each
+// other and against a plain clone. It checks a seeded sample of one
+// function in eight, and every function under SCALE_CORPUS. It then
+// checks that all those comparisons together allocate nothing.
 func TestEqualFunctionsMatchesSpec(t *testing.T) {
 	type pair struct{ a, b *ir.Function }
 	var pairs []pair
+	full, rng := os.Getenv("SCALE_CORPUS") != "", rand.New(rand.NewSource(1))
 	for _, suite := range [][]synth.Profile{synth.SPEC2006(), synth.SPEC2017(), synth.MiBench()} {
 		for _, p := range suite {
 			m := synth.Generate(p)
@@ -125,17 +128,20 @@ func TestEqualFunctionsMatchesSpec(t *testing.T) {
 			byHash := map[uint64]*ir.Function{}
 			bySize := map[int]*ir.Function{}
 			for i, f := range defined {
+				h, size := HashFunction(f), f.NumInstrs()
+				g1, g2 := byHash[h], bySize[size]
+				byHash[h], bySize[size] = f, f
+				if !full && rng.Intn(8) != 0 {
+					continue
+				}
+				if g1 != nil {
+					pairs = append(pairs, pair{g1, f})
+				}
+				if g2 != nil {
+					pairs = append(pairs, pair{g2, f})
+				}
 				clone, _ := ir.CloneFunction(f, fmt.Sprintf("%s.c%d", f.Name(), i))
 				pairs = append(pairs, pair{f, clone}, pair{f, b.Clone(f, fmt.Sprintf("%s.m%d", f.Name(), i), 0.2)})
-				h := HashFunction(f)
-				if g := byHash[h]; g != nil {
-					pairs = append(pairs, pair{g, f})
-				}
-				byHash[h] = f
-				if g := bySize[f.NumInstrs()]; g != nil {
-					pairs = append(pairs, pair{g, f})
-				}
-				bySize[f.NumInstrs()] = f
 				if s1, n := selfCalling(f, f.Name()+".s1"); n > 0 {
 					s2, _ := selfCalling(f, f.Name()+".s2")
 					pairs = append(pairs, pair{s1, s2}, pair{s1, clone})

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -97,20 +98,21 @@ func cleanBoth(f *ir.Function, fold bool) (diff string, changes int) {
 	return "", changes + n
 }
 
-// TestCleanupMatchesSpec: on two repair-differential modules (a third of
-// their pairs, and families) and a third of the SPEC2006 and MiBench
-// profiles' modules (one pair in 400, and families), plus the clean-up
-// shapes; -short takes a third of the bodies, MiBench's alone of the
-// suites', drops the shapes clean-up leaves alone and takes 150 functions
-// of each other. SCALE_CORPUS=1 takes the sweep to
-// all sixteen repair modules, every pair, and one suite pair in ten.
+// TestCleanupMatchesSpec, as a seeded sample: two repair-differential
+// modules (a ninth of their pairs, and families), the MiBench profiles
+// at a third of their size (one pair in 1,200, and families; bodies of
+// up to 4,000 instructions) and 100 functions of each clean-up shape.
+// SCALE_CORPUS takes the sweep to all sixteen repair modules and every
+// pair, every MiBench and SPEC2006 profile at a third of its size with
+// one pair in ten and every body, and every function of the shapes.
 func TestCleanupMatchesSpec(t *testing.T) {
-	repairModules, keep, suiteKeep := 2, 0.33, 0.0025
-	switch {
-	case os.Getenv("SCALE_CORPUS") != "":
+	full := os.Getenv("SCALE_CORPUS") != ""
+	repairModules, keep, suiteKeep := 2, 0.11, 0.00083
+	profileSets := [][]synth.Profile{synth.SPEC2006(), synth.MiBench()}
+	if full {
 		repairModules, keep, suiteKeep = 16, 1, 0.1
-	case testing.Short():
-		keep, suiteKeep = keep/3, suiteKeep/3
+	} else {
+		profileSets = profileSets[1:] // MiBench's functions are the smaller
 	}
 	var modules []*ir.Module
 	for seed := 1; seed <= repairModules; seed++ {
@@ -119,17 +121,17 @@ func TestCleanupMatchesSpec(t *testing.T) {
 	bodies := fixpointBodies(t, modules, keep)
 	repair := len(bodies)
 	var suites []*ir.Module
-	profileSets := [][]synth.Profile{synth.SPEC2006(), synth.MiBench()}
-	if testing.Short() {
-		profileSets = profileSets[1:] // MiBench's functions are the smaller
-	}
 	for _, profiles := range profileSets {
 		for _, p := range profiles {
 			p.Funcs = max(2, p.Funcs/3)
 			suites = append(suites, synth.Generate(p))
 		}
 	}
-	bodies = append(bodies, fixpointBodies(t, suites, suiteKeep)...)
+	for _, f := range fixpointBodies(t, suites, suiteKeep) {
+		if full || f.NumInstrs() <= 4000 {
+			bodies = append(bodies, f)
+		}
+	}
 	if repair < 50 || len(bodies)-repair < 50 {
 		t.Fatalf("captured %d repair and %d suite bodies; the sample is too small", repair, len(bodies)-repair)
 	}
@@ -146,13 +148,13 @@ func TestCleanupMatchesSpec(t *testing.T) {
 		}
 	}
 	t.Logf("%d repair and %d suite bodies through the fold fixpoint and Simplify, %d of them changed: identical to the specification", repair, len(bodies)-repair, changed)
+	rng := rand.New(rand.NewSource(3))
 	for _, sh := range cleanupShapes(t) {
 		fns := sh.fns
-		if testing.Short() {
-			if sh.name == "tiny8k" || sh.name == "merged-simplified" {
-				continue // clean-up changes none of these
-			}
-			fns = fns[:min(len(fns), 150)]
+		if !full && len(fns) > 100 {
+			fns = slices.Clone(fns)
+			rng.Shuffle(len(fns), func(i, j int) { fns[i], fns[j] = fns[j], fns[i] })
+			fns = fns[:100]
 		}
 		changed := 0
 		for _, f := range fns {
