@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
-	"repro/internal/ir"
 	"repro/internal/irtext"
 )
 
@@ -14,7 +13,7 @@ import (
 // function aligned against several candidates reuses its sequence).
 func TestAlignCacheReported(t *testing.T) {
 	m := testModule(t, 6)
-	res := Run(m, Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64})
+	res := newOracle(t).runOnce(m, Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64}, nil)
 	ac := res.AlignCache
 	if ac.Misses == 0 {
 		t.Fatal("run interned no sequences")
@@ -39,18 +38,9 @@ func TestAlignCacheReported(t *testing.T) {
 func TestLSHFoldMatchesExact(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, threshold := range []int{1, 3} {
-			name := fmt.Sprintf("seed%d-t%d", seed, threshold)
-			base := testModule(t, seed)
-			cfg := Config{
-				Algorithm: SalSSA, Threshold: threshold, Target: costmodel.X86_64,
-			}
-			mp := ir.CloneModule(base)
-			got := Run(mp, cfg)
-			if err := ir.VerifyModule(mp); err != nil {
-				t.Fatalf("%s: merged module does not verify: %v", name, err)
-			}
-			checkGolden(t, "lshfold/"+name, resultDigest(mp, got))
-			diffModule(t, base, mp, name)
+			c := seedCell(seed, Config{Algorithm: SalSSA, Threshold: threshold, Target: costmodel.X86_64}, oneShot)
+			c.key = fmt.Sprintf("lshfold/seed%d-t%d", seed, threshold)
+			c.run(&labelled{t, c.key})
 		}
 	}
 }

@@ -12,34 +12,7 @@ import (
 	"repro/internal/synth"
 )
 
-// diffModule checks that merging preserved the observable behaviour of
-// every defined function: each original function (now possibly a thunk)
-// is run against its pre-merge clone on several argument seeds.
-func diffModule(t *testing.T, orig, merged *ir.Module, label string) {
-	t.Helper()
-	proto := interp.NewEnv()
-	for _, of := range orig.Funcs {
-		if of.IsDecl() {
-			continue
-		}
-		nf := merged.FuncByName(of.Name())
-		if nf == nil || nf.IsDecl() {
-			t.Errorf("%s: function @%s vanished after merging", label, of.Name())
-			continue
-		}
-		for seed := int64(1); seed <= 5; seed++ {
-			oldOut := interp.Run(proto, of, interp.ArgsFor(of, seed))
-			newOut := interp.Run(proto, nf, interp.ArgsFor(nf, seed))
-			if same, why := interp.SameBehavior(oldOut, newOut); !same {
-				t.Errorf("%s: behaviour of @%s changed (seed %d): %s",
-					label, of.Name(), seed, why)
-				return
-			}
-		}
-	}
-}
-
-func testModule(t *testing.T, seed int64) *ir.Module {
+func testModule(t testing.TB, seed int64) *ir.Module {
 	t.Helper()
 	m := synth.Generate(synth.Profile{
 		Name: "diff", Seed: seed, Funcs: 20,
@@ -53,79 +26,31 @@ func testModule(t *testing.T, seed int64) *ir.Module {
 	return m
 }
 
-// mergeSet summarises a run's committed decisions for equality checks.
-func mergeSet(res *Result) []string {
-	var out []string
-	for _, rec := range res.Merges {
-		out = append(out, fmt.Sprintf("%s+%s->%s profit=%d committed=%v",
-			rec.F1, rec.F2, rec.Merged, rec.Profit, rec.Committed))
-	}
-	return out
-}
-
-// sameMerges requires two runs to record the same merges, end at the
-// same size and consider the same number of pairs.
-func sameMerges(t *testing.T, want, got *Result) {
-	t.Helper()
-	w, g := mergeSet(want), mergeSet(got)
-	if len(w) != len(g) {
-		t.Fatalf("merge count differs: want %d, got %d\nwant: %v\ngot:  %v",
-			len(w), len(g), w, g)
-	}
-	for i := range w {
-		if w[i] != g[i] {
-			t.Errorf("merge %d differs:\n  want: %s\n  got:  %s", i, w[i], g[i])
-		}
-	}
-	if want.FinalBytes != got.FinalBytes {
-		t.Errorf("final bytes differ: want %d, got %d", want.FinalBytes, got.FinalBytes)
-	}
-	if want.Attempts != got.Attempts {
-		t.Errorf("attempts differ: want %d, got %d", want.Attempts, got.Attempts)
-	}
-}
-
+// TestRunSalSSAPreservesBehaviour: the one-shot Run commits what a
+// session's first Optimize commits, and the oracle holds both runs'
+// rewritten functions to their original behaviour.
 func TestRunSalSSAPreservesBehaviour(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			m := testModule(t, seed)
-			orig := ir.CloneModule(m)
-			res := Run(m, Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64})
-			if err := ir.VerifyModule(m); err != nil {
-				t.Fatalf("merged module invalid: %v", err)
-			}
-			if len(res.Merges) == 0 {
-				t.Log("no profitable merges found (acceptable but unusual)")
-			}
-			diffModule(t, orig, m, "SalSSA")
+			seedCell(seed, Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}, oneShot).run(t)
 		})
 	}
 }
 
+// TestRunFMSAPreservesBehaviour is TestRunSalSSAPreservesBehaviour for
+// the FMSA baseline.
 func TestRunFMSAPreservesBehaviour(t *testing.T) {
 	for seed := int64(11); seed <= 14; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			m := testModule(t, seed)
-			orig := ir.CloneModule(m)
-			Run(m, Config{Algorithm: FMSA, Threshold: 2, Target: costmodel.X86_64})
-			if err := ir.VerifyModule(m); err != nil {
-				t.Fatalf("merged module invalid: %v", err)
-			}
-			diffModule(t, orig, m, "FMSA")
+			seedCell(seed, Config{Algorithm: FMSA, Threshold: 2, Target: costmodel.X86_64}, oneShot).run(t)
 		})
 	}
 }
 
+// TestRunSalSSANoPCPreservesBehaviour is TestRunSalSSAPreservesBehaviour
+// without phi-node coalescing.
 func TestRunSalSSANoPCPreservesBehaviour(t *testing.T) {
-	m := testModule(t, 21)
-	orig := ir.CloneModule(m)
-	Run(m, Config{Algorithm: SalSSANoPC, Threshold: 2, Target: costmodel.X86_64})
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatalf("merged module invalid: %v", err)
-	}
-	diffModule(t, orig, m, "SalSSA-NoPC")
+	seedCell(21, Config{Algorithm: SalSSANoPC, Threshold: 2, Target: costmodel.X86_64}, oneShot).run(t)
 }
 
 func TestSalSSAReducesCloneHeavyModule(t *testing.T) {
@@ -135,7 +60,7 @@ func TestSalSSAReducesCloneHeavyModule(t *testing.T) {
 		CloneFrac: 0.8, FamilySize: 2, MutRate: 0.02,
 		Loops: 0.5,
 	})
-	res := Run(m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
+	res := newOracle(t).runOnce(m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64}, nil)
 	if res.Reduction() <= 0 {
 		t.Errorf("SalSSA got %.2f%% reduction on a clone-heavy module, want > 0", res.Reduction())
 	}
@@ -153,8 +78,8 @@ func TestSalSSABeatsFMSAOnPhiHeavyCode(t *testing.T) {
 	}
 	m1 := synth.Generate(profile)
 	m2 := synth.Generate(profile)
-	rs := Run(m1, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
-	rf := Run(m2, Config{Algorithm: FMSA, Threshold: 1, Target: costmodel.X86_64})
+	rs := newOracle(t).runOnce(m1, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64}, nil)
+	rf := newOracle(t).runOnce(m2, Config{Algorithm: FMSA, Threshold: 1, Target: costmodel.X86_64}, nil)
 	if rs.Reduction() <= rf.Reduction() {
 		t.Errorf("SalSSA %.2f%% <= FMSA %.2f%% on phi-heavy module (paper: SalSSA ~2x better)",
 			rs.Reduction(), rf.Reduction())
@@ -175,7 +100,7 @@ func TestThresholdMonotonicity(t *testing.T) {
 	var prev float64 = -1
 	for _, th := range []int{1, 5, 10} {
 		m := synth.Generate(profile)
-		res := Run(m, Config{Algorithm: SalSSA, Threshold: th, Target: costmodel.X86_64})
+		res := newOracle(t).runOnce(m, Config{Algorithm: SalSSA, Threshold: th, Target: costmodel.X86_64}, nil)
 		if res.Reduction() < prev-1.0 { // allow 1pp of greedy-ordering noise
 			t.Errorf("t=%d reduction %.2f%% much worse than smaller threshold (%.2f%%)",
 				th, res.Reduction(), prev)
@@ -187,10 +112,7 @@ func TestThresholdMonotonicity(t *testing.T) {
 func TestFig2PairThroughDriver(t *testing.T) {
 	m := irtext.MustParse(irtext.Fig2Module)
 	orig := ir.CloneModule(m)
-	Run(m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatalf("merged module invalid: %v", err)
-	}
+	newOracle(t).runOnce(m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64}, nil)
 	// Regardless of whether the cost model accepted the merge, behaviour
 	// must be preserved. Bound body's loop for F2.
 	proto := interp.NewEnv()
@@ -236,7 +158,7 @@ func TestCountersAddFoldsEveryField(t *testing.T) {
 // records are the same on every run.
 func TestCodegenClocksSum(t *testing.T) {
 	m := testModule(t, 3)
-	res := Run(m, Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64})
+	res := newOracle(t).runOnce(m, sessionCfg, nil)
 	if res.TrialsBuilt == 0 || len(res.Merges) == 0 {
 		t.Fatalf("%d trials built, %d merges: nothing to time", res.TrialsBuilt, len(res.Merges))
 	}

@@ -1,13 +1,10 @@
 package driver
 
 import (
-	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/align"
 	"repro/internal/costmodel"
-	"repro/internal/ir"
 	"repro/internal/synth"
 )
 
@@ -19,24 +16,15 @@ import (
 // enter the memo only through the stage-1 screen, whose exact bound then
 // rules out any profit.
 func TestMaxCellsBoundsARun(t *testing.T) {
-	ctx := context.Background()
 	profile := synth.Profile{
 		Name: "cap", Seed: 5, Funcs: 60,
 		MinSize: 4, AvgSize: 30, MaxSize: 120,
 		CloneFrac: 0.5, FamilySize: 3, MutRate: 0.15,
 	}
 	for _, cells := range []int64{400, 4000} {
-		m := synth.Generate(profile)
-		orig := ir.CloneModule(m)
 		cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, MaxCells: cells}
-		s, err := OpenSession(ctx, m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Optimize(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := open(t, synth.Generate(profile), cfg)
+		res := mustRun(t, s, nil)
 		refused := res.Attempts - res.OutcomeHits - res.PairsScreened -
 			res.TrialsBuilt - res.TrialsSkipped
 		t.Logf("cap %d cells: %d merges, %d trials refused, peak matrix %d bytes",
@@ -70,10 +58,6 @@ func TestMaxCellsBoundsARun(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ir.VerifyModule(m); err != nil {
-			t.Fatalf("cap %d: verify: %v", cells, err)
-		}
-		diffModule(t, orig, m, fmt.Sprintf("max-cells=%d", cells))
 	}
 }
 
@@ -86,13 +70,13 @@ func TestSkipHotExcludesFunctions(t *testing.T) {
 	}
 	// First find out what merges without the hint.
 	m0 := synth.Generate(profile)
-	r0 := Run(m0, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
+	r0 := newOracle(t).runOnce(m0, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64}, nil)
 	if len(r0.Merges) == 0 {
 		t.Skip("module produced no merges")
 	}
 	hot := map[string]bool{r0.Merges[0].F1: true}
 	m1 := synth.Generate(profile)
-	r1 := Run(m1, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, SkipHot: hot})
+	r1 := newOracle(t).runOnce(m1, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, SkipHot: hot}, nil)
 	for _, rec := range r1.Merges {
 		if hot[rec.F1] || hot[rec.F2] {
 			t.Errorf("hot function merged: %s + %s", rec.F1, rec.F2)

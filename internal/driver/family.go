@@ -366,19 +366,6 @@ func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Fun
 	return fp
 }
 
-// sameNames reports element-wise equality of two name lists.
-func sameNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // familyBaseName is the merged-function name for merging the named
 // members, "merged.<n0>.<n1>...", built in one allocation: every built
 // trial names its body.

@@ -17,7 +17,7 @@ import (
 // one low-divergence clone family of three, so the greedy walk merges a
 // pair on the first run and the merged function finds the third member
 // on the next — the chain scenario flattening exists for.
-func chainModule(t *testing.T, seed int64) *ir.Module {
+func chainModule(t testing.TB, seed int64) *ir.Module {
 	t.Helper()
 	m := synth.Generate(synth.Profile{
 		Name: "chain", Seed: seed, Funcs: 9,
@@ -31,24 +31,30 @@ func chainModule(t *testing.T, seed int64) *ir.Module {
 	return m
 }
 
-// optimizeToFixpoint re-optimizes until a run commits nothing,
-// accumulating flatten counts, and returns the total flattenings and
-// the last run's report.
-func optimizeToFixpoint(t *testing.T, s *Session) (flattened int, last *Result) {
-	t.Helper()
-	for i := 0; i < 8; i++ {
-		res, err := s.Optimize(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		flattened += res.Flattened
-		last = res
-		if len(res.Merges) == 0 {
-			return flattened, last
-		}
+// chainCell is the chain module of seed under the threshold-3 SalSSA
+// configuration with maxFamily, optimized up to runs times.
+func chainCell(seed int64, maxFamily, runs int, p paths) cell {
+	return cell{
+		build: func(t testing.TB) *ir.Module { return chainModule(t, seed) },
+		cfg:   Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: maxFamily},
+		runs:  runs, paths: p,
 	}
-	t.Fatal("no fixpoint after 8 runs")
-	return 0, nil
+}
+
+// chainFixpoint optimizes the chain module of seed under maxFamily
+// until a run merges nothing, within 8 runs, and returns the session,
+// that run's report and the runs' flattenings.
+func chainFixpoint(t testing.TB, seed int64, maxFamily int) (s *Session, last *Result, flattened int) {
+	t.Helper()
+	s, refs := chainCell(seed, maxFamily, 8, 0).run(t)
+	last = refs[len(refs)-1].res
+	if len(last.Merges) != 0 {
+		t.Fatalf("no fixpoint after %d runs", len(refs))
+	}
+	for _, r := range refs {
+		flattened += r.res.Flattened
+	}
+	return s, last, flattened
 }
 
 // TestFlattenBeatsNesting is the PR's driver acceptance test: on the
@@ -61,45 +67,14 @@ func TestFlattenBeatsNesting(t *testing.T) {
 	sawFlatten := false
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			base := chainModule(t, seed)
-			cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64}
-
-			mNest := ir.CloneModule(base)
-			cfgNest := cfg
-			cfgNest.MaxFamily = 2
-			sNest, err := OpenSession(context.Background(), mNest, cfgNest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sNest.Close()
-			optimizeToFixpoint(t, sNest)
-
-			mFlat := ir.CloneModule(base)
-			cfgFlat := cfg
-			cfgFlat.MaxFamily = 4
-			sFlat, err := OpenSession(context.Background(), mFlat, cfgFlat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sFlat.Close()
-			flattened, last := optimizeToFixpoint(t, sFlat)
-
-			if err := ir.VerifyModule(mFlat); err != nil {
-				t.Fatalf("flattened module does not verify: %v", err)
-			}
-			if err := ir.VerifyModule(mNest); err != nil {
-				t.Fatalf("nested module does not verify: %v", err)
-			}
-			diffModule(t, base, mFlat, "flattened")
-
+			_, nested, _ := chainFixpoint(t, seed, 2)
+			_, last, flattened := chainFixpoint(t, seed, 4)
 			if flattened == 0 {
 				return // this seed never chained; the cross-seed check below guards vacuity
 			}
 			sawFlatten = true
-			nested := costmodel.ModuleBytes(mNest, cfg.Target)
-			flat := costmodel.ModuleBytes(mFlat, cfg.Target)
-			if flat >= nested {
-				t.Errorf("flattened module is not smaller: flattened %d bytes, nested %d bytes", flat, nested)
+			if last.FinalBytes >= nested.FinalBytes {
+				t.Errorf("flattened module is not smaller: flattened %d bytes, nested %d bytes", last.FinalBytes, nested.FinalBytes)
 			}
 			if last.Families == 0 || len(last.FamilySizes) == 0 {
 				t.Errorf("family stats missing from report: %+v families, sizes %v", last.Families, last.FamilySizes)
@@ -125,14 +100,8 @@ func TestFlattenBeatsNesting(t *testing.T) {
 // accumulates must not exist.
 func TestFlattenSingleHop(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		m := chainModule(t, seed)
-		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
-		s, err := OpenSession(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flattened, last := optimizeToFixpoint(t, s)
-		s.Close()
+		s, last, flattened := chainFixpoint(t, seed, 4)
+		m := s.m
 		if flattened == 0 {
 			continue
 		}
@@ -171,59 +140,9 @@ func TestFlattenSingleHop(t *testing.T) {
 func TestFlattenPlanApply(t *testing.T) {
 	sawFamilyPlan := false
 	for seed := int64(1); seed <= 6; seed++ {
-		base := chainModule(t, seed)
-		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
-
-		// Twin A: Optimize, then Plan+Apply for the second round.
-		mA := ir.CloneModule(base)
-		sA, err := OpenSession(context.Background(), mA, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sA.Optimize(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		plan, err := sA.Plan(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		famPlans := 0
-		for _, pm := range plan.Merges {
-			if len(pm.Family) > 0 {
-				famPlans++
-			}
-		}
-		applied, err := sA.Apply(context.Background(), plan)
-		if err != nil {
-			t.Fatalf("Apply: %v", err)
-		}
-		if applied.Flattened != famPlans {
-			t.Errorf("seed %d: Apply flattened %d, plan proposed %d", seed, applied.Flattened, famPlans)
-		}
-		sA.Close()
-
-		// Twin B: two Optimize runs.
-		mB := ir.CloneModule(base)
-		sB, err := OpenSession(context.Background(), mB, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sB.Optimize(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sB.Optimize(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		sB.Close()
-
-		if mA.String() != mB.String() {
-			t.Errorf("seed %d: Plan+Apply module diverges from Optimize", seed)
-		}
-		if err := ir.VerifyModule(mA); err != nil {
-			t.Fatalf("seed %d: applied module does not verify: %v", seed, err)
-		}
-		if famPlans > 0 {
-			sawFamilyPlan = true
+		_, refs := chainCell(seed, 4, 2, planApply).run(&labelled{t, fmt.Sprintf("seed %d", seed)})
+		for _, mr := range refs[len(refs)-1].res.Merges {
+			sawFamilyPlan = sawFamilyPlan || len(mr.Family) > 0
 		}
 	}
 	if !sawFamilyPlan {
@@ -234,22 +153,10 @@ func TestFlattenPlanApply(t *testing.T) {
 // TestFlattenDisabledMatchesHistoricalChains: with MaxFamily at its
 // driver zero value, multi-run sessions must keep producing the nested
 // pairwise chains of the pre-family pipeline (no registry, no
-// flattening, Report family fields zero).
+// flattening, Report family fields zero — the oracle holds every run
+// to that) up to a run that merges nothing.
 func TestFlattenDisabledMatchesHistoricalChains(t *testing.T) {
-	m := chainModule(t, 2)
-	cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64}
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	flattened, last := optimizeToFixpoint(t, s)
-	if flattened != 0 {
-		t.Errorf("flattening happened with family tracking off")
-	}
-	if last.Families != 0 || last.FamilySizes != nil {
-		t.Errorf("family stats reported with tracking off: %d, %v", last.Families, last.FamilySizes)
-	}
+	chainFixpoint(t, 2, 0)
 }
 
 // TestFlattenRejectsMemberNewcomer: a member thunk must never meet its
@@ -261,13 +168,8 @@ func TestFlattenDisabledMatchesHistoricalChains(t *testing.T) {
 func TestFlattenRejectsMemberNewcomer(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 6; seed++ {
-		m := chainModule(t, seed)
-		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
-		s, err := OpenSession(ctx, m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optimizeToFixpoint(t, s)
+		s, _, _ := chainFixpoint(t, seed, 4)
+		m := s.m
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +195,6 @@ func TestFlattenRejectsMemberNewcomer(t *testing.T) {
 				t.Fatalf("seed %d: a refused Apply changed the module", seed)
 			}
 		}
-		s.Close()
 	}
 }
 
@@ -303,15 +204,8 @@ func TestFlattenRejectsMemberNewcomer(t *testing.T) {
 // function on its own family's next flatten.
 func TestFlattenVetoedByRegistryCloneReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		m := chainModule(t, seed)
-		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
-		s, err := OpenSession(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Optimize(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		s, _ := chainCell(seed, 4, 1, 0).run(t)
+		m := s.m
 		var head *ir.Function
 		var fam *family
 		for h, f := range s.families.byHead {
@@ -319,7 +213,6 @@ func TestFlattenVetoedByRegistryCloneReference(t *testing.T) {
 			break
 		}
 		if head == nil {
-			s.Close()
 			continue
 		}
 		if hasExternalCallers(m, s.families, fam) {
@@ -335,7 +228,6 @@ func TestFlattenVetoedByRegistryCloneReference(t *testing.T) {
 		if !hasExternalCallers(m, s.families, fam) {
 			t.Errorf("seed %d: registry body referencing the head did not veto flattening", seed)
 		}
-		s.Close()
 		return
 	}
 	t.Skip("no seed produced a family on the first run")
@@ -348,13 +240,8 @@ func TestFlattenVetoedByRegistryCloneReference(t *testing.T) {
 // entry must not suppress the pairwise nest the pair would now get.
 func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		m := chainModule(t, seed)
-		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
-		s, err := OpenSession(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optimizeToFixpoint(t, s)
+		s, _, _ := chainFixpoint(t, seed, 4)
+		m := s.m
 		var head *ir.Function
 		var fam *family
 		for h, f := range s.families.byHead {
@@ -362,7 +249,6 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 			break
 		}
 		if head == nil {
-			s.Close()
 			continue
 		}
 		// Seed a memoized outcome against the head, as an unprofitable
@@ -394,7 +280,6 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 		if memoHas(s, head, other) {
 			t.Error("head's memoized outcome survived the family break")
 		}
-		s.Close()
 		return
 	}
 	t.Skip("no seed produced a family")
@@ -406,13 +291,8 @@ func TestFamilyBreakInvalidatesOutcomes(t *testing.T) {
 // that does not name it.
 func TestFamilyBreakForgetsHeadPairs(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		m := chainModule(t, seed)
-		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
-		s, err := OpenSession(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optimizeToFixpoint(t, s)
+		s, _, _ := chainFixpoint(t, seed, 4)
+		m := s.m
 		var heads, plain []*ir.Function
 		for _, f := range m.Defined() {
 			switch {
@@ -423,7 +303,6 @@ func TestFamilyBreakForgetsHeadPairs(t *testing.T) {
 			}
 		}
 		if len(heads) < 2 {
-			s.Close()
 			continue
 		}
 		head, partner := heads[0], heads[1]
@@ -470,7 +349,6 @@ func TestFamilyBreakForgetsHeadPairs(t *testing.T) {
 		for _, r := range s.recs.of {
 			checkMemo(t, s, r, "after the break")
 		}
-		s.Close()
 		return
 	}
 	t.Skip("no seed produced two families")
@@ -490,16 +368,10 @@ func TestCommitShapes(t *testing.T) {
 		base := chainModule(t, seed)
 		m := ir.CloneModule(base)
 		cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
-		s, err := OpenSession(ctx, m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := open(t, m, cfg)
 		// A tracked pair: two members, in merge order, each holding the
 		// body its original had before the run.
-		first, err := s.Optimize(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		first := mustRun(t, s, nil)
 		for _, rec := range first.Merges {
 			if !rec.Committed {
 				continue
@@ -529,10 +401,7 @@ func TestCommitShapes(t *testing.T) {
 		for _, f := range m.Defined() {
 			texts[f.Name()] = f.String()
 		}
-		second, err := s.Optimize(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		second := mustRun(t, s, nil)
 		for _, rec := range second.Merges {
 			if !rec.Committed || len(rec.Family) == 0 {
 				continue
@@ -570,13 +439,10 @@ func TestCommitShapes(t *testing.T) {
 			}
 			sawNest = true
 			members, families := fam.members, len(s.families.byHead)
-			applied, err := s.Apply(ctx, &Plan{Merges: []PlannedMerge{{
+			applied := mustRun(t, s, &Plan{Merges: []PlannedMerge{{
 				F1: head.Name(), F2: plain.Name(),
 				Hash1: search.HashFunction(head), Hash2: search.HashFunction(plain),
 			}}})
-			if err != nil {
-				t.Fatalf("seed %d: Apply: %v", seed, err)
-			}
 			merged := m.FuncByName(applied.Merges[0].Merged)
 			if s.families.isHead(merged) || len(s.families.byHead) != families {
 				t.Errorf("seed %d: nesting @%s registered a family", seed, head.Name())
@@ -589,11 +455,7 @@ func TestCommitShapes(t *testing.T) {
 			}
 			break
 		}
-		if err := ir.VerifyModule(m); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		diffModule(t, base, m, fmt.Sprintf("seed %d", seed))
-		s.Close()
 	}
 	if !sawPair || !sawFlatten || !sawNest {
 		t.Fatalf("the chain suite no longer exercises every shape: pair %v, flatten %v, nest %v", sawPair, sawFlatten, sawNest)
@@ -604,18 +466,8 @@ func TestCommitShapes(t *testing.T) {
 // next run must serve every attempt from the outcome memo — family
 // trials are memoized like pairwise ones.
 func TestFamilyOutcomeMemoSteadyState(t *testing.T) {
-	m := chainModule(t, 1)
-	cfg := Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4}
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	optimizeToFixpoint(t, s)
-	steady, err := s.Optimize(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _, _ := chainFixpoint(t, 1, 4)
+	steady := mustRun(t, s, nil)
 	if len(steady.Merges) != 0 {
 		t.Fatalf("post-fixpoint run still merged %d", len(steady.Merges))
 	}

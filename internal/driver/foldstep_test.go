@@ -77,29 +77,18 @@ func checkFoldFamilies(t *testing.T, s *Session, when string) (hashed, families 
 func TestFoldFamiliesMatchSizeBuckets(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, MaxFamily: 4}
-	open := func(t *testing.T, m *ir.Module) *Session {
-		s, err := OpenSession(ctx, m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-
 	t.Run("suites", func(t *testing.T) {
 		hashed, candidates, families := 0, 0, 0
 		for _, suite := range [][]synth.Profile{synth.SPEC2006(), synth.SPEC2017(), synth.MiBench()} {
 			for _, p := range suite {
-				s := open(t, synth.Generate(p))
+				s := open(t, synth.Generate(p), cfg)
 				h, n := checkFoldFamilies(t, s, p.Name)
 				hashed, families = hashed+h, families+n
 				candidates += len(s.candidateOrder())
 				if testing.Short() {
 					continue
 				}
-				if _, err := sizedRun(t, s, nil); err != nil {
-					t.Fatal(err)
-				}
+				mustRun(t, s, nil)
 				checkFoldFamilies(t, s, p.Name+" after a run")
 			}
 		}
@@ -108,7 +97,7 @@ func TestFoldFamiliesMatchSizeBuckets(t *testing.T) {
 
 	t.Run("corpus2k", func(t *testing.T) {
 		const wantHashed = 734
-		s := open(t, corpus.Build(corpus.Config{Funcs: 2000, Seed: 5}))
+		s := open(t, corpus.Build(corpus.Config{Funcs: 2000, Seed: 5}), cfg)
 		if hashed, _ := checkFoldFamilies(t, s, "corpus2k"); hashed != wantHashed {
 			t.Errorf("the fold step hashed %d candidates, want %d", hashed, wantHashed)
 		}
@@ -116,14 +105,14 @@ func TestFoldFamiliesMatchSizeBuckets(t *testing.T) {
 
 	t.Run("tiny", func(t *testing.T) {
 		s := open(t, corpus.Build(corpus.Config{Funcs: 2000, Seed: 7,
-			CloneFrac: 1e-9, LibDupFrac: 1e-9, AvgSize: 8, MaxSize: 14}))
+			CloneFrac: 1e-9, LibDupFrac: 1e-9, AvgSize: 8, MaxSize: 14}), cfg)
 		checkFoldFamilies(t, s, "tiny")
 	})
 
 	t.Run("churn", func(t *testing.T) {
 		prof := synth.SuiteProfile(160, 5)
 		m := synth.Generate(prof)
-		s := open(t, m)
+		s := open(t, m, cfg)
 		scratch := synth.Generate(prof)
 		rng := rand.New(rand.NewSource(3))
 		builder := synth.NewBuilder(scratch, rng, prof)
@@ -163,7 +152,7 @@ func TestFoldFamiliesMatchSizeBuckets(t *testing.T) {
 	t.Run("collision", func(t *testing.T) {
 		defer func(h func(*fingerprint.Fingerprint) uint64) { search.CellHash = h }(search.CellHash)
 		search.CellHash = func(fp *fingerprint.Fingerprint) uint64 { return uint64(fp.Size % 3) }
-		s := open(t, corpus.Build(corpus.Config{Funcs: 2000, Seed: 5}))
+		s := open(t, corpus.Build(corpus.Config{Funcs: 2000, Seed: 5}), cfg)
 		checkFoldFamilies(t, s, "collision")
 	})
 }

@@ -54,11 +54,7 @@ func TestFinderListsNoForwarder(t *testing.T) {
 		Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
 		MaxFamily: 4,
 	}
-	s, err := OpenSession(ctx, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := open(t, m, cfg)
 	scratch := synth.Generate(prof)
 	rng := rand.New(rand.NewSource(3))
 	builder := synth.NewBuilder(scratch, rng, prof)
@@ -84,14 +80,10 @@ func TestFinderListsNoForwarder(t *testing.T) {
 			}
 			checkNoForwarderListed(t, s, fmt.Sprintf("round %d after Plan", round))
 		}
-		res, err := sizedRun(t, s, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, s, p)
 		folds += len(res.Folds)
 		flattened += res.Flattened
 		checkNoForwarderListed(t, s, fmt.Sprintf("round %d after the run", round))
-		checkRecords(t, s, fmt.Sprintf("round %d after the run", round))
 		if t.Failed() {
 			t.FailNow()
 		}

@@ -5,9 +5,10 @@ package driver
 // against real trial profits on randomized corpora (a screened pair
 // really is unprofitable; a gated trial never loses profit an ungated
 // one would find). The end-to-end consequence — the funnel changes what
-// is built, never what is committed — is pinned by TestGoldenDigests:
-// a run with the funnel switched off reproduced its digests before the
-// switch was removed.
+// is built, never what is committed — is pinned by the recorded digests
+// of the grid and the oracle's cells (oracle_test.go): a run with the
+// funnel switched off reproduced the grid's before the switch was
+// removed.
 
 import (
 	"context"

@@ -106,15 +106,9 @@ func familySession(t *testing.T, threshold int) (*Session, *ir.Module, *family) 
 	for seed := int64(1); seed <= 6; seed++ {
 		m := chainModule(t, seed)
 		cfg := Config{Algorithm: SalSSA, Threshold: threshold, Target: costmodel.X86_64, MaxFamily: 4}
-		s, err := OpenSession(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sizedRun(t, s, nil); err != nil {
-			t.Fatal(err)
-		}
+		s := open(t, m, cfg)
+		mustRun(t, s, nil)
 		for _, fam := range s.families.byHead {
-			t.Cleanup(func() { s.Close() })
 			return s, m, fam
 		}
 		s.Close()
@@ -183,17 +177,8 @@ func TestCallerCheckIndexOncePerSession(t *testing.T) {
 	ctx := context.Background()
 	prof := synth.SuiteProfile(300, 9)
 	m := synth.Generate(prof)
-	s, err := OpenSession(ctx, m, Config{
-		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64,
-		MaxFamily: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := sizedRun(t, s, nil); err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, MaxFamily: 4})
+	mustRun(t, s, nil)
 	if s.families.refBuilds != 0 || s.families.refs != nil {
 		t.Fatalf("a cold run with no family to flatten built %d reference indexes", s.families.refBuilds)
 	}
@@ -213,10 +198,7 @@ func TestCallerCheckIndexOncePerSession(t *testing.T) {
 	if s.families.refBuilds != 1 {
 		t.Errorf("Plan with %d flattens: %d index builds, want 1", flattens, s.families.refBuilds)
 	}
-	res, err := sizedRun(t, s, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, s, plan)
 	if res.Flattened != flattens {
 		t.Errorf("Apply flattened %d of the plan's %d", res.Flattened, flattens)
 	}
@@ -252,9 +234,6 @@ func TestCallerCheckIndexOncePerSession(t *testing.T) {
 		t.Errorf("%d churn rounds flattened %d families and re-read %d functions at their first checks, want 106", rounds, flattened, rereads)
 	}
 	t.Logf("%d churn rounds: %d flattens, %d functions re-read, %d index build", rounds, flattened, rereads, s.families.refBuilds)
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCallerCheckUnreportedStrayCaller: a caller of a family head added
@@ -270,14 +249,9 @@ func TestCallerCheckUnreportedStrayCaller(t *testing.T) {
 	s.finishStats(&Result{}) // that check was a run's
 	m.AddFunc(callerOf(fam.head, "user.stray"))
 	members := fam.members
-	if _, err := sizedRun(t, s, nil); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, s, nil)
 	if cur := s.families.byHead[fam.head]; cur == nil || len(cur.members) != len(members) || m.FuncByName(fam.head.Name()) != fam.head {
 		t.Errorf("the family behind @%s was flattened despite an unreported caller", fam.head.Name())
-	}
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatalf("module does not verify: %v", err)
 	}
 }
 
@@ -293,17 +267,8 @@ func TestCallerCheckStorm(t *testing.T) {
 	callerChecks.Unlock()
 	prof := synth.SuiteProfile(200, 3)
 	m := synth.Generate(prof)
-	s, err := OpenSession(ctx, m, Config{
-		Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64,
-		MaxFamily: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := sizedRun(t, s, nil); err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, m, Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4})
+	mustRun(t, s, nil)
 	scratch := synth.Generate(prof)
 	rng := rand.New(rand.NewSource(17))
 	builder := synth.NewBuilder(scratch, rng, prof)
@@ -334,17 +299,11 @@ func TestCallerCheckStorm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err = sizedRun(t, s, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res = mustRun(t, s, plan)
 		} else if res, err = sizedRun(t, s, nil); err != nil {
 			t.Fatal(err)
 		}
 		flattened += res.Flattened
-	}
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatalf("module does not verify after the storm: %v", err)
 	}
 	callerChecks.Lock()
 	checks := callerChecks.n - before

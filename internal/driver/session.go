@@ -760,7 +760,7 @@ func (s *Session) checkPlan(p *Plan) ([]*memberPlan, error) {
 		}
 		if len(pm.Family) > 0 {
 			fps[i] = flattenFor(s.m, s.families, s.cfg.MaxFamily, f1, f2)
-			if fps[i] == nil || !sameNames(fps[i].names, pm.Family) || slices.ContainsFunc(fps[i].heads, func(h *ir.Function) bool { return reps[h] }) {
+			if fps[i] == nil || !slices.Equal(fps[i].names, pm.Family) || slices.ContainsFunc(fps[i].heads, func(h *ir.Function) bool { return reps[h] }) {
 				return nil, fmt.Errorf("driver: %w: family behind @%s + @%s no longer matches %v", ErrStalePlan, pm.F1, pm.F2, pm.Family)
 			}
 		} else if _, err := pairPlan(f1, f2); err != nil {

@@ -2,10 +2,8 @@ package driver
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -24,158 +22,31 @@ import (
 // is kept from when folding was optional; every session folds.
 var sessionCfg = Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
 
-// sizedRun is one committing run of s — Apply of p, or Optimize when p
-// is nil — with the report's BaselineBytes and FinalBytes held to
-// costmodel.ModuleBytes of the module before and after: the session
-// sums its maintained sizes instead of re-pricing the module, and the
-// two must never drift. A run that returns no error must also save
-// exactly what its records claim: the committed merges' and the folds'
-// profits sum to BaselineBytes - FinalBytes, so no gate decision rests
-// on a saving the module never makes.
-func sizedRun(t testing.TB, s *Session, p *Plan) (*Result, error) {
-	t.Helper()
-	before := costmodel.ModuleBytes(s.m, s.cfg.Target)
-	var res *Result
-	var err error
-	if p == nil {
-		res, err = s.Optimize(context.Background())
-	} else {
-		res, err = s.Apply(context.Background(), p)
-	}
-	if res != nil {
-		if after := costmodel.ModuleBytes(s.m, s.cfg.Target); res.BaselineBytes != before || res.FinalBytes != after {
-			t.Errorf("report sizes %d -> %d, costmodel.ModuleBytes says %d -> %d",
-				res.BaselineBytes, res.FinalBytes, before, after)
-		}
-	}
-	if err == nil {
-		claimed := 0
-		for _, mr := range res.Merges {
-			if mr.Committed {
-				claimed += mr.Profit
-			}
-		}
-		for _, fr := range res.Folds {
-			claimed += fr.Profit
-		}
-		if saved := res.BaselineBytes - res.FinalBytes; claimed != saved {
-			t.Errorf("records claim %d bytes saved, the module shrank by %d", claimed, saved)
-		}
-	}
-	return res, err
-}
-
 // TestSessionOptimizeMatchesOneShotReference is differential test (a):
 // a Session's first Optimize must commit the merge set, and leave the
 // module, that the pre-Session one-shot pipeline did. That pipeline is
 // gone; its output, recorded while it still stood beside the session,
-// is held as golden digests.
+// is held as golden digests, and RunContext, the session-backed one-shot
+// of today, must match the session.
 func TestSessionOptimizeMatchesOneShotReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		base := testModule(t, seed)
-		cfg := sessionCfg
 		name := fmt.Sprintf("seed%d-lsh-fold=true", seed)
 		t.Run(name, func(t *testing.T) {
-			mSess := ir.CloneModule(base)
-			s, err := OpenSession(context.Background(), mSess, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			got, err := sizedRun(t, s, nil)
-			if err != nil {
-				t.Fatalf("session run failed: %v", err)
-			}
-			if err := ir.VerifyModule(mSess); err != nil {
-				t.Fatalf("session module does not verify: %v", err)
-			}
-			checkGolden(t, "oneshot/"+name, resultDigest(mSess, got))
+			c := seedCell(seed, sessionCfg, oneShot)
+			c.key = "oneshot/" + name
+			c.run(t)
 		})
 	}
 }
 
-// mutateForUpdate applies a deterministic mid-session edit to m: one
-// function gains a clone under a new name, and one existing function is
-// replaced by a forwarder to another. It returns the names to report
-// through Update.
-func mutateForUpdate(t *testing.T, m *ir.Module) []string {
-	t.Helper()
-	defined := m.Defined()
-	if len(defined) < 4 {
-		t.Skip("module too small to mutate")
-	}
-	src := defined[1]
-	clone, _ := ir.CloneFunction(src, src.Name()+".edit")
-	m.AddFunc(clone)
-	var edited *ir.Function
-	for _, f := range defined[2:] {
-		if f != src && len(f.Params()) == len(src.Params()) && f.Sig().String() == src.Sig().String() {
-			edited = f
-			break
-		}
-	}
-	if edited == nil {
-		return []string{clone.Name()}
-	}
-	ir.BuildForwarder(edited, src, edited.ParamValues())
-	return []string{clone.Name(), edited.Name()}
-}
-
 // TestSessionUpdateEquivalence is differential test (b): after the
-// caller edits the module mid-session, Update-then-Optimize must commit
-// exactly what a fresh Open-from-scratch on the same module state
-// would.
+// caller edits the module mid-session (updateEdit),
+// Update-then-Optimize must commit exactly what a fresh
+// Open-from-scratch on the same module state would.
 func TestSessionUpdateEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		cfg := sessionCfg
 		t.Run(fmt.Sprintf("seed%d-lsh-fold=true", seed), func(t *testing.T) {
-			m := testModule(t, seed)
-			s, err := OpenSession(context.Background(), m, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if _, err := sizedRun(t, s, nil); err != nil {
-				t.Fatal(err)
-			}
-
-			names := mutateForUpdate(t, m)
-			if err := s.Update(context.Background(), names...); err != nil {
-				t.Fatal(err)
-			}
-
-			// Snapshot the post-edit state for the from-scratch twin
-			// before the incremental session runs again.
-			mFresh := ir.CloneModule(m)
-
-			inc, err := sizedRun(t, s, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			fresh, err := OpenSession(context.Background(), mFresh, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fresh.Close()
-			scratch, err := sizedRun(t, fresh, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			sameMerges(t, scratch, inc)
-			if len(scratch.Folds) != len(inc.Folds) {
-				t.Errorf("fold count differs: scratch %d, incremental %d", len(scratch.Folds), len(inc.Folds))
-			}
-			if inc.Attempts != scratch.Attempts {
-				t.Errorf("attempts differ: scratch %d, incremental %d", scratch.Attempts, inc.Attempts)
-			}
-			if a, b := mFresh.String(), m.String(); a != b {
-				t.Error("incremental module text diverges from the from-scratch module")
-			}
-			if err := ir.VerifyModule(m); err != nil {
-				t.Fatalf("incremental module does not verify: %v", err)
-			}
+			seedCell(seed, sessionCfg, update).run(t)
 		})
 	}
 }
@@ -185,49 +56,7 @@ func TestSessionUpdateEquivalence(t *testing.T) {
 // must retire the old object from every index — later runs must match
 // a fresh session over the current module state, not merge dead code.
 func TestSessionReplaceEquivalence(t *testing.T) {
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
-	m := testModule(t, 2)
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := sizedRun(t, s, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Replace a live function with a clone of a different one under
-	// the same name: the old object is gone from the module but would
-	// linger in the indexes without Update's replacement handling.
-	defined := m.Defined()
-	victim, donor := defined[0], defined[1]
-	name := victim.Name()
-	m.RemoveFunc(victim)
-	repl, _ := ir.CloneFunction(donor, name)
-	m.AddFunc(repl)
-	if err := s.Update(context.Background(), name); err != nil {
-		t.Fatal(err)
-	}
-	mFresh := ir.CloneModule(m)
-	inc, err := sizedRun(t, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := OpenSession(context.Background(), mFresh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	scratch, err := sizedRun(t, fresh, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMerges(t, scratch, inc)
-	if a, b := mFresh.String(), m.String(); a != b {
-		t.Error("incremental module text diverges from the from-scratch module after a replace")
-	}
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatalf("module does not verify: %v", err)
-	}
+	seedCell(2, sessionCfg, replace).run(t)
 }
 
 // TestSessionRenameAlias: renaming a function between runs must retire
@@ -259,11 +88,7 @@ func TestSessionRenameAlias(t *testing.T) {
 		if err := ir.VerifyModule(m); err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenSession(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
+		s := open(t, m, cfg)
 		// A dry run hashes every candidate for the fold bucketing
 		// and touches nothing.
 		if _, err := s.Plan(context.Background()); err != nil {
@@ -275,20 +100,7 @@ func TestSessionRenameAlias(t *testing.T) {
 		if err := s.Update(context.Background(), callee.Name(), twin.Name()); err != nil {
 			t.Fatal(err)
 		}
-		mFresh := ir.CloneModule(m)
-		inc, err := sizedRun(t, s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := OpenSession(context.Background(), mFresh, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fresh.Close()
-		scratch, err := sizedRun(t, fresh, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, scratch := matchesFresh(newOracle(t), s)
 		folded := false
 		for _, f := range scratch.Folds {
 			folded = folded || f.Dup == twin.Name() && f.Rep == caller.Name()
@@ -296,119 +108,24 @@ func TestSessionRenameAlias(t *testing.T) {
 		if !folded {
 			t.Fatalf("the fresh session did not fold @%s into @%s: %+v", twin.Name(), caller.Name(), scratch.Folds)
 		}
-		if !reflect.DeepEqual(inc.Folds, scratch.Folds) {
-			t.Errorf("folds differ after a callee rename:\nincremental %+v\nfresh       %+v", inc.Folds, scratch.Folds)
-		}
-		sameMerges(t, scratch, inc)
-		if a, b := mFresh.String(), m.String(); a != b {
-			t.Error("incremental module text diverges from the from-scratch module after a callee rename")
-		}
 	})
-	// The byName half, on the session's LSH index.
+	// The byName half, on the session's LSH index: rename a live
+	// function, then reuse its old name for a fresh one.
 	t.Run("lsh", func(t *testing.T) {
-		cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
-		m := testModule(t, 3)
-		s, err := OpenSession(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := sizedRun(t, s, nil); err != nil {
-			t.Fatal(err)
-		}
-		// Rename a live function, then reuse its old name for a fresh one.
-		defined := m.Defined()
-		renamed, donor := defined[0], defined[1]
-		oldName := renamed.Name()
-		renamed.SetName(oldName + ".renamed")
-		if err := s.Update(context.Background(), renamed.Name()); err != nil {
-			t.Fatal(err)
-		}
-		fresh, _ := ir.CloneFunction(donor, oldName)
-		m.AddFunc(fresh)
-		if err := s.Update(context.Background(), oldName); err != nil {
-			t.Fatal(err)
-		}
-		mFresh := ir.CloneModule(m)
-		inc, err := sizedRun(t, s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratchSess, err := OpenSession(context.Background(), mFresh, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer scratchSess.Close()
-		scratch, err := sizedRun(t, scratchSess, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameMerges(t, scratch, inc)
-		if a, b := mFresh.String(), m.String(); a != b {
-			t.Error("incremental module text diverges from the from-scratch module after a rename")
-		}
+		deltaCheck(func(s *Session) (changed, removed []string) {
+			defined := s.m.Defined()
+			renamed, oldName := defined[0], defined[0].Name()
+			renamed.SetName(oldName + ".renamed")
+			cloneAs(s.m, defined[1], oldName)
+			return []string{renamed.Name(), oldName}, nil
+		}, false)(newOracle(t), testModule(t, 3), sessionCfg, nil)
 	})
 }
 
 // TestSessionRemoveEquivalence: deleting a function and reporting it
 // through Remove must match a fresh session over the shrunken module.
 func TestSessionRemoveEquivalence(t *testing.T) {
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
-	m := testModule(t, 5)
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := sizedRun(t, s, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Delete a function nothing references (merging already thunked some;
-	// pick a defined function no instruction operand mentions).
-	referenced := map[*ir.Function]bool{}
-	for _, f := range m.Funcs {
-		f.Instrs(func(in *ir.Instruction) bool {
-			for _, op := range in.Operands() {
-				if g, ok := op.(*ir.Function); ok {
-					referenced[g] = true
-				}
-			}
-			return true
-		})
-	}
-	var victim *ir.Function
-	for _, f := range m.Defined() {
-		if !referenced[f] {
-			victim = f
-			break
-		}
-	}
-	if victim == nil {
-		t.Skip("no unreferenced function to delete")
-	}
-	name := victim.Name()
-	m.RemoveFunc(victim)
-	if err := s.Remove(context.Background(), name); err != nil {
-		t.Fatal(err)
-	}
-	mFresh := ir.CloneModule(m)
-	inc, err := sizedRun(t, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := OpenSession(context.Background(), mFresh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	scratch, err := sizedRun(t, fresh, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMerges(t, scratch, inc)
-	if a, b := mFresh.String(), m.String(); a != b {
-		t.Error("incremental module text diverges from the from-scratch module")
-	}
+	seedCell(5, sessionCfg, remove).run(t)
 }
 
 // TestSessionPlanApplyMatchesOptimize: a dry Plan followed by Apply of
@@ -416,90 +133,8 @@ func TestSessionRemoveEquivalence(t *testing.T) {
 // Optimize, and Plan itself must not mutate anything.
 func TestSessionPlanApplyMatchesOptimize(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		cfg := sessionCfg
 		t.Run(fmt.Sprintf("seed%d-lsh-fold=true", seed), func(t *testing.T) {
-			base := testModule(t, seed)
-
-			mOpt := ir.CloneModule(base)
-			so, err := OpenSession(context.Background(), mOpt, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer so.Close()
-			direct, err := sizedRun(t, so, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			mPlan := ir.CloneModule(base)
-			sp, err := OpenSession(context.Background(), mPlan, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sp.Close()
-			before := mPlan.String()
-			// Plan builds its trials in place and discards them all, so
-			// every use list must come back as found, users and order.
-			lists := takeUseLists(mPlan)
-			plan, planned, err := sp.PlanReport(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after := mPlan.String(); after != before {
-				t.Fatal("Plan mutated the module")
-			}
-			checkUseLists(t, lists, "Plan")
-			// The dry run runs Optimize's trials, so its funnel counts
-			// are Optimize's.
-			type funnelCounts struct{ Attempts, OutcomeHits, PairsScreened, TrialsBuilt, TrialsSkipped int }
-			count := func(c Counters) funnelCounts {
-				return funnelCounts{c.Attempts, c.OutcomeHits, c.PairsScreened, c.TrialsBuilt, c.TrialsSkipped}
-			}
-			if got, want := count(planned.Counters), count(direct.Counters); got != want {
-				t.Errorf("Plan counted %+v, Optimize %+v", got, want)
-			}
-			if len(plan.Merges) != len(direct.Merges) {
-				t.Fatalf("plan proposes %d merges, Optimize committed %d", len(plan.Merges), len(direct.Merges))
-			}
-			for i, pm := range plan.Merges {
-				d := direct.Merges[i]
-				if pm.F1 != d.F1 || pm.F2 != d.F2 || pm.Merged != d.Merged || pm.Profit != d.Profit {
-					t.Errorf("plan entry %d = %+v, Optimize committed %+v", i, pm, d)
-				}
-			}
-
-			// The plan must survive a JSON round trip bit-for-bit.
-			blob, err := json.Marshal(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var decoded Plan
-			if err := json.Unmarshal(blob, &decoded); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(*plan, decoded) {
-				t.Error("plan does not round-trip through JSON")
-			}
-
-			applied, err := sizedRun(t, sp, &decoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Apply's Attempts only cover the planned merges (the dry
-			// run already filtered the unprofitable trials out), so
-			// compare the committed records, not the work accounting.
-			if got, want := mergeSet(applied), mergeSet(direct); !reflect.DeepEqual(got, want) {
-				t.Errorf("applied merges differ:\n  optimize: %v\n  applied:  %v", want, got)
-			}
-			if applied.FinalBytes != direct.FinalBytes {
-				t.Errorf("final bytes differ: optimize %d, applied %d", direct.FinalBytes, applied.FinalBytes)
-			}
-			if a, b := mOpt.String(), mPlan.String(); a != b {
-				t.Error("Apply(Plan()) module text diverges from Optimize")
-			}
-			if err := ir.VerifyModule(mPlan); err != nil {
-				t.Fatalf("applied module does not verify: %v", err)
-			}
+			seedCell(seed, sessionCfg, planApply).run(t)
 		})
 	}
 }
@@ -529,7 +164,7 @@ func takeUseLists(m *ir.Module) []useList {
 
 // checkUseLists holds every use list to the copy taken: same users, in
 // the same order.
-func checkUseLists(t *testing.T, lists []useList, when string) {
+func checkUseLists(t testing.TB, lists []useList, when string) {
 	t.Helper()
 	for _, l := range lists {
 		if got := ir.UsesOf(l.v); !slices.Equal(got, l.uses) {
@@ -564,16 +199,8 @@ func TestPlanGivesBack(t *testing.T) {
 	}
 	m := synth.Generate(synth.SuiteProfile(160, 5))
 	mTwin := ir.CloneModule(m)
-	s, err := OpenSession(ctx, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	twin, err := OpenSession(ctx, mTwin, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
+	s := open(t, m, cfg)
+	twin := open(t, mTwin, cfg)
 	indexedNow := func() int {
 		st, err := s.SearchStats()
 		if err != nil {
@@ -618,7 +245,7 @@ func TestPlanGivesBack(t *testing.T) {
 				cancel()
 			}
 		}
-		_, _, err = s.PlanReport(cctx)
+		_, _, err := s.PlanReport(cctx)
 		onCommit = nil
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -642,21 +269,11 @@ func TestPlanGivesBack(t *testing.T) {
 		t.Logf("round %d: full plan proposes %d merges (%d flatten) and %d folds", round, len(plan.Merges), flattens, len(plan.Folds))
 		check("full Plan")
 
-		got, err := sizedRun(t, s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sizedRun(t, twin, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(mergeSet(got), mergeSet(want)) || !reflect.DeepEqual(got.Folds, want.Folds) {
-			t.Errorf("round %d: Optimize after the Plans committed %d merges and %d folds, the twin %d and %d",
-				round, len(got.Merges), len(got.Folds), len(want.Merges), len(want.Folds))
-		}
-		if m.String() != mTwin.String() {
-			t.Errorf("round %d: Optimize after the Plans diverges from the twin's module", round)
-		}
+		got := mustRun(t, s, nil)
+		want := mustRun(t, twin, nil)
+		// The Plans memoized pairs the twin has yet to try.
+		sameRun(&labelled{t, fmt.Sprintf("round %d: Optimize after the Plans, against the twin", round)},
+			&run{mTwin.String(), want}, &run{m.String(), got}, false)
 	}
 }
 
@@ -665,11 +282,7 @@ func TestPlanGivesBack(t *testing.T) {
 func TestSessionApplyFiltered(t *testing.T) {
 	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
 	m := testModule(t, 2)
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := open(t, m, cfg)
 	plan, err := s.Plan(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -679,19 +292,13 @@ func TestSessionApplyFiltered(t *testing.T) {
 	}
 	kept := plan.Merges[0]
 	plan.Merges = plan.Merges[:1]
-	res, err := sizedRun(t, s, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, s, plan)
 	if len(res.Merges) != 1 {
 		t.Fatalf("filtered apply committed %d merges, want 1", len(res.Merges))
 	}
 	got := res.Merges[0]
 	if got.F1 != kept.F1 || got.F2 != kept.F2 || got.Merged != kept.Merged || got.Profit != kept.Profit {
 		t.Errorf("filtered apply committed %+v, plan said %+v", got, kept)
-	}
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatalf("module does not verify after filtered apply: %v", err)
 	}
 }
 
@@ -701,11 +308,7 @@ func TestSessionApplyFiltered(t *testing.T) {
 func TestSessionApplyStalePlan(t *testing.T) {
 	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
 	m := testModule(t, 3)
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := open(t, m, cfg)
 	plan, err := s.Plan(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -785,11 +388,7 @@ func TestSessionApplyForgedFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
-	s, err := OpenSession(ctx, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := open(t, m, cfg)
 	hash := func(name string) uint64 { return search.HashFunction(m.FuncByName(name)) }
 	before := m.FuncByName("a").String()
 	for _, rep := range []string{"c", "b"} {
@@ -811,18 +410,12 @@ func TestSessionApplyForgedFold(t *testing.T) {
 	}
 	want := plan.Folds[0]
 	plan.Folds[0].Profit = 1 << 20
-	res, err := sizedRun(t, s, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, s, plan)
 	if len(res.Folds) != 1 || res.Folds[0] != (FoldRecord{Dup: want.Dup, Rep: want.Rep, Profit: want.Profit}) {
 		t.Errorf("Apply recorded folds %+v, want %s -> %s at %d bytes", res.Folds, want.Dup, want.Rep, want.Profit)
 	}
 	if _, err := sizedRun(t, s, nil); err != nil {
 		t.Fatalf("Optimize after the refused folds: %v", err)
-	}
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -876,20 +469,14 @@ entry:
 	// One function the session does not index.
 	hot := m.Defined()[0]
 	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64, MaxFamily: 4, SkipHot: map[string]bool{hot.Name(): true}}
-	s, err := OpenSession(ctx, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := open(t, m, cfg)
 	// Commit the first plan's merges alone, so the next plan flattens
 	// the families they made and still folds.
 	first, err := s.Plan(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(ctx, &Plan{Algorithm: first.Algorithm, Merges: first.Merges}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, s, &Plan{Algorithm: first.Algorithm, Merges: first.Merges})
 	plan, err := s.Plan(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -958,16 +545,10 @@ entry:
 			t.Fatalf("%s: the refused plan changed the module", tc.name)
 		}
 	}
-	res, err := sizedRun(t, s, plan)
-	if err != nil {
-		t.Fatalf("the genuine plan after the refusals: %v", err)
-	}
+	res := mustRun(t, s, plan)
 	if len(res.Folds) != len(plan.Folds) || len(res.Merges) != len(plan.Merges) {
 		t.Fatalf("applied %d folds and %d merges, plan has %d and %d",
 			len(res.Folds), len(res.Merges), len(plan.Folds), len(plan.Merges))
-	}
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -976,38 +557,17 @@ entry:
 // cross-run memo instead of re-running alignment — and still decide
 // identically to a fresh session.
 func TestSessionOutcomeMemo(t *testing.T) {
-	cfg := Config{Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64}
-	m := testModule(t, 4)
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	first, err := sizedRun(t, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.OutcomeHits != 0 {
-		t.Errorf("first run reported %d outcome hits, want 0", first.OutcomeHits)
-	}
 	// Drive to fixpoint: each commit re-admits its thunks and merged
 	// function as candidates (exactly as a fresh session would see
 	// them), shifting candidate lists, so the memo only pays once the
 	// module stops changing.
-	for i := 0; i < 5; i++ {
-		res, err := sizedRun(t, s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Merges) == 0 {
-			break
-		}
+	c := seedCell(4, sessionCfg, 0)
+	c.runs = 6
+	s, refs := c.run(t)
+	if hits := refs[0].res.OutcomeHits; hits != 0 {
+		t.Errorf("first run reported %d outcome hits, want 0", hits)
 	}
-	mFresh := ir.CloneModule(m)
-	steady, err := sizedRun(t, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	steady, _ := matchesFresh(newOracle(t), s)
 	if len(steady.Merges) != 0 {
 		t.Skip("module did not reach fixpoint")
 	}
@@ -1018,54 +578,31 @@ func TestSessionOutcomeMemo(t *testing.T) {
 		t.Errorf("steady-state run re-planned %d of %d trials, want all served from the memo",
 			steady.Attempts-steady.OutcomeHits, steady.Attempts)
 	}
-	fresh, err := OpenSession(context.Background(), mFresh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	scratch, err := sizedRun(t, fresh, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMerges(t, scratch, steady)
-	if a, b := mFresh.String(), m.String(); a != b {
-		t.Error("memo-served re-optimize diverges from a fresh run")
-	}
 }
 
 // TestSessionFMSA: FMSA sessions support Optimize (output held to the
 // one-shot pipeline's golden digest) but refuse the Plan/Apply split.
 func TestSessionFMSA(t *testing.T) {
-	cfg := Config{Algorithm: FMSA, Threshold: 2, Target: costmodel.X86_64}
-	base := testModule(t, 12)
-	m := ir.CloneModule(base)
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
+	c := seedCell(12, Config{Algorithm: FMSA, Threshold: 2, Target: costmodel.X86_64}, 0)
+	c.key = "fmsa/seed12"
+	s, refs := c.run(t)
+	if got := refs[0].res; claimedBytes(got) != got.BaselineBytes-got.FinalBytes {
+		t.Errorf("records claim %d bytes saved, the module shrank by %d", claimedBytes(got), got.BaselineBytes-got.FinalBytes)
 	}
-	defer s.Close()
 	if _, err := s.Plan(context.Background()); err == nil {
 		t.Error("FMSA Plan should error")
 	}
 	if _, err := sizedRun(t, s, &Plan{}); err == nil {
 		t.Error("FMSA Apply should error")
 	}
-	got, err := sizedRun(t, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fmsa/seed12", resultDigest(m, got))
 	// Nothing an FMSA run indexes outlives it: a record priced before
 	// demotion would misprice the next run's baseline. (A second run is
 	// not a sizedRun: the demotion round trip may grow the module.)
 	if s.recs != nil || s.finder != nil {
 		t.Fatal("the FMSA session kept its run's records or finder")
 	}
-	before := costmodel.ModuleBytes(m, cfg.Target)
-	again, err := s.Optimize(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := costmodel.ModuleBytes(s.m, s.cfg.Target)
+	again := mustRun(t, s, nil)
 	if again.BaselineBytes != before {
 		t.Errorf("second FMSA run's baseline is %d bytes, ModuleBytes says %d", again.BaselineBytes, before)
 	}
@@ -1075,10 +612,7 @@ func TestSessionFMSA(t *testing.T) {
 // and Close is idempotent.
 func TestSessionClosed(t *testing.T) {
 	m := testModule(t, 1)
-	s, err := OpenSession(context.Background(), m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -1118,13 +652,7 @@ func TestSessionUpdateUnknown(t *testing.T) {
 			small = f
 		}
 	}
-	s, err := OpenSession(context.Background(), m, Config{
-		Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, MinInstrs: small.NumInstrs() + 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := open(t, m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64, MinInstrs: small.NumInstrs() + 1})
 	ctx := context.Background()
 	if err := s.Update(ctx, "no-such-function"); !errors.Is(err, ErrUnknownFunction) {
 		t.Errorf("Update of unknown name: err = %v, want ErrUnknownFunction", err)
@@ -1161,12 +689,7 @@ func TestSessionUpdateUnknown(t *testing.T) {
 	if err := s.Update(ctx, name); err != nil {
 		t.Errorf("Update of a deleted indexed function: %v", err)
 	}
-	if _, err := s.Optimize(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := ir.VerifyModule(m); err != nil {
-		t.Fatalf("module does not verify: %v", err)
-	}
+	mustRun(t, s, nil)
 	// After the sync dropped it from the index, its name is gone for good.
 	if err := s.Update(ctx, name); !errors.Is(err, ErrUnknownFunction) {
 		t.Errorf("Update of a fully retired name: err = %v, want ErrUnknownFunction", err)
@@ -1177,16 +700,8 @@ func TestSessionUpdateUnknown(t *testing.T) {
 // goroutines; the session serializes them. Run with -race.
 func TestSessionConcurrentUse(t *testing.T) {
 	m := testModule(t, 6)
-	s, err := OpenSession(context.Background(), m, Config{
-		Algorithm: SalSSA, Threshold: 2, Target: costmodel.X86_64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Optimize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, m, sessionCfg)
+	mustRun(t, s, nil)
 	names := make([]string, 0, 4)
 	for _, f := range m.Defined()[:4] {
 		names = append(names, f.Name())
@@ -1230,11 +745,7 @@ func TestProgressRunID(t *testing.T) {
 		MinSize: 8, AvgSize: 50, MaxSize: 120,
 		CloneFrac: 0.7, FamilySize: 2, MutRate: 0.02, Loops: 0.5,
 	})
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := open(t, m, cfg)
 	// A dry run, then a committing one: both report the module's merges.
 	for run := 0; run < 2; run++ {
 		perEvent = perEvent[:0]

@@ -83,19 +83,13 @@ func memoPairs(s *Session) int {
 // module text the snapshot describes.
 func optimizedSnapshot(t *testing.T, text string, cfg Config) (*Session, *Snapshot, string) {
 	t.Helper()
-	ctx := context.Background()
 	m, err := irtext.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenSession(ctx, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, m, cfg)
 	for range 2 {
-		if _, err := s.Optimize(ctx); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, s, nil)
 	}
 	snap, err := s.Snapshot()
 	if err != nil {
@@ -128,10 +122,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s1, err := OpenSession(ctx, m1, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s1 := open(t, m1, cfg)
 			snap, err := s1.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -216,10 +207,7 @@ func freshPlanReport(t *testing.T, ctx context.Context, text string, cfg Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenSession(ctx, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, m, cfg)
 	p, res, err := s.PlanReport(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -237,10 +225,7 @@ func TestSnapshotRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenSession(ctx, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, m, cfg)
 	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -481,15 +466,9 @@ func TestSnapshotSaveFile(t *testing.T) {
 // and memo pairs it writes, not with memo rows × candidates, which is
 // what walking candidate order once per memo row costs.
 func TestSnapshotLinear(t *testing.T) {
-	ctx := context.Background()
 	m := synth.Generate(synth.SuiteProfile(600, 7))
-	s, err := OpenSession(ctx, m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Optimize(ctx); err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, m, Config{Algorithm: SalSSA, Threshold: 1, Target: costmodel.X86_64})
+	mustRun(t, s, nil)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -531,13 +510,8 @@ func FuzzSnapshotOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := OpenSession(context.Background(), m, cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := s.Optimize(context.Background()); err != nil {
-		f.Fatal(err)
-	}
+	s := open(f, m, cfg)
+	mustRun(f, s, nil)
 	snap, err := s.Snapshot()
 	if err != nil {
 		f.Fatal(err)
@@ -566,11 +540,6 @@ func FuzzSnapshotOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := s.Optimize(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if err := ir.VerifyModule(m); err != nil {
-			t.Fatalf("Optimize after an accepted snapshot broke the module: %v", err)
-		}
+		mustRun(t, s, nil)
 	})
 }

@@ -58,7 +58,7 @@ func checkFinderFresh(t *testing.T, s *Session, when string) int {
 // no memoized pair. The memo is linked both ways: every entry of a row
 // names another live record, once, whose back list names the row, and
 // every back entry is matched by one.
-func checkRecords(t *testing.T, s *Session, when string) {
+func checkRecords(t testing.TB, s *Session, when string) {
 	t.Helper()
 	inFinder := map[*ir.Function]bool{}
 	for _, f := range s.finder.Order() {
@@ -102,7 +102,7 @@ func checkRecords(t *testing.T, s *Session, when string) {
 // partner is another live record, named once in r's row, and names r in
 // its back list as often; a back entry is a live record whose row names
 // r once.
-func checkMemo(t *testing.T, s *Session, r *record, when string) {
+func checkMemo(t testing.TB, s *Session, r *record, when string) {
 	t.Helper()
 	for _, to := range r.memo {
 		switch {
@@ -193,14 +193,8 @@ func TestFinderExactAfterSync(t *testing.T) {
 			if v.pairs {
 				cfg.MaxFamily = 0
 			}
-			s, err := OpenSession(ctx, m, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if _, err := sizedRun(t, s, nil); err != nil {
-				t.Fatal(err)
-			}
+			s := open(t, m, cfg)
+			mustRun(t, s, nil)
 
 			scratch := synth.Generate(prof)
 			rng := rand.New(rand.NewSource(int64(v.threshold)))
@@ -263,15 +257,8 @@ func TestFinderExactAfterSync(t *testing.T) {
 					}
 					checkRecords(t, s, fmt.Sprintf("round %d after Plan", round))
 				}
-				res, err := sizedRun(t, s, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkRecords(t, s, fmt.Sprintf("round %d after the run", round))
+				res := mustRun(t, s, p)
 				merged += len(res.Merges) + len(res.Folds)
-			}
-			if err := ir.VerifyModule(m); err != nil {
-				t.Fatalf("module does not verify after the churn: %v", err)
 			}
 			// Vacuity guards: the runs retired functions for the syncs to
 			// bring back, and the syncs left lists to compare.
