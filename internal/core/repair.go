@@ -389,6 +389,7 @@ type ssaScratch struct {
 	// coalesce's tables; none points into the body.
 	cands                                     []coalesceCand
 	memberOf, memberStart, memberDefs, usedIn []int32
+	useStart, useDefs, shared, touched        []int32
 	classOf, next                             []int32
 	slots                                     []slotClass
 	cells                                     []int
@@ -435,7 +436,7 @@ type slotClass struct {
 }
 
 // coalesceCand is a pair of definitions coalescing may put in one class,
-// and how many user blocks they share.
+// and how many of the second's uses sit in rows the first's users do.
 type coalesceCand struct {
 	a, b    int32
 	overlap int
@@ -448,6 +449,14 @@ type coalesceCand struct {
 // descending user-block overlap — for two members exactly the paper's
 // disjoint pairing, beyond two a class may collect one def per member
 // (Figure 15 shows zero-overlap groupings are still worth coalescing).
+//
+// The greedy order is every type-equal pair from two members, in
+// generation order — members mi < mj, then their definitions d0 and d1
+// in order — stably sorted by overlap. Only the pairs that share a user
+// row are listed and sorted; the rest, overlap 0, keep generation order
+// at the tail, so a second sweep over the pairs in that order gives them
+// the same test. It also meets the pairs the first pass tested, and
+// fails them again: classes only merge and member masks only grow.
 func (g *generator) coalesce(defs []*ir.Instruction, s *ssaScratch) [][]int {
 	// Every class is a sub-slice of one backing array, s.cells.
 	s.cells = resize(s.cells, len(defs))
@@ -512,33 +521,70 @@ func (g *generator) coalesce(defs []*ir.Instruction, s *ssaScratch) [][]int {
 		}
 	}
 	byMember := func(j int) []int32 { return s.memberDefs[s.memberStart[j]:s.memberStart[j+1]] }
-	// usedIn[n] == mark says the definition being paired, number mark-1,
-	// has a user of row number n: overlap counts users' blocks as if every
-	// row had one (numberRows), the blocks it always counted.
-	s.usedIn = resize(s.usedIn, g.rowBlocks())
+	// Overlap counts users' blocks as if every row had one (numberRows),
+	// the blocks it always counted. The exclusive definitions with a user
+	// of row number r, once per such use, are
+	// useDefs[useStart[r]:useStart[r+1]], a CSR filled as in
+	// analysis.csrStarts: from d0's rows it gives the definitions d0
+	// overlaps, and how much, without visiting the rest.
+	rows := g.rowBlocks()
+	s.useStart = resize(s.useStart, rows+2)
+	clear(s.useStart)
+	for _, d := range s.memberDefs {
+		for _, u := range ir.UsesOf(defs[d]) {
+			s.useStart[s.rowOf(u.User)+2]++
+		}
+	}
+	for i := 1; i < len(s.useStart); i++ {
+		s.useStart[i] += s.useStart[i-1]
+	}
+	s.useDefs = resize(s.useDefs, int(s.useStart[rows+1]))
+	for _, d := range s.memberDefs {
+		for _, u := range ir.UsesOf(defs[d]) {
+			at := &s.useStart[s.rowOf(u.User)+1]
+			s.useDefs[*at] = d
+			*at++
+		}
+	}
+	// The pairs that share a row, in generation order. usedIn[r] == mark
+	// says row r was visited for the d0 being paired (one mark per d0 and
+	// mj); shared[d1] counts d1's uses in d0's rows, for the definitions
+	// listed in touched.
+	s.usedIn = resize(s.usedIn, rows)
 	clear(s.usedIn)
-	// A candidate is a pair of definitions from two different members that
-	// agree on their type.
+	s.shared = resize(s.shared, len(defs))
+	clear(s.shared)
+	mark := int32(0)
 	s.cands = s.cands[:0]
 	for mi := 0; mi < g.k; mi++ {
-		for mj := mi + 1; mj < g.k; mj++ {
+		for mj := int32(mi + 1); mj < int32(g.k); mj++ {
 			for _, d0 := range byMember(mi) {
-				mark := d0 + 1
+				mark++
+				touched := s.touched[:0]
 				for _, u := range ir.UsesOf(defs[d0]) {
-					s.usedIn[s.rowOf(u.User)] = mark
-				}
-				for _, d1 := range byMember(mj) {
-					if !ir.TypesEqual(defs[d0].Type(), defs[d1].Type()) {
+					r := s.rowOf(u.User)
+					if s.usedIn[r] == mark {
 						continue
 					}
-					ov := 0
-					for _, u := range ir.UsesOf(defs[d1]) {
-						if s.usedIn[s.rowOf(u.User)] == mark {
-							ov++
+					s.usedIn[r] = mark
+					for _, d1 := range s.useDefs[s.useStart[r]:s.useStart[r+1]] {
+						if s.memberOf[d1] != mj {
+							continue
 						}
+						if s.shared[d1] == 0 {
+							touched = append(touched, d1)
+						}
+						s.shared[d1]++
 					}
-					s.cands = append(s.cands, coalesceCand{a: d0, b: d1, overlap: ov})
 				}
+				slices.Sort(touched)
+				for _, d1 := range touched {
+					if ir.TypesEqual(defs[d0].Type(), defs[d1].Type()) {
+						s.cands = append(s.cands, coalesceCand{a: d0, b: d1, overlap: int(s.shared[d1])})
+					}
+					s.shared[d1] = 0
+				}
+				s.touched = touched
 			}
 		}
 	}
@@ -557,21 +603,23 @@ func (g *generator) coalesce(defs []*ir.Instruction, s *ssaScratch) [][]int {
 		}
 		return 1 << uint(s.memberOf[d])
 	}
-	for _, c := range s.cands {
-		ca, cb := s.classOf[c.a], s.classOf[c.b]
-		if ca > 0 && ca == cb || members(c.a)&members(c.b) != 0 {
-			continue
+	// join puts a and b in one class if they are in different ones whose
+	// members are disjoint.
+	join := func(a, b int32) {
+		ca, cb := s.classOf[a], s.classOf[b]
+		if ca > 0 && ca == cb || members(a)&members(b) != 0 {
+			return
 		}
 		// Merge cb's definitions into ca, after its own.
 		if ca == 0 {
-			s.slots = append(s.slots, slotClass{head: c.a, tail: c.a, members: members(c.a)})
+			s.slots = append(s.slots, slotClass{head: a, tail: a, members: members(a)})
 			ca = int32(len(s.slots))
-			s.classOf[c.a], s.next[c.a] = ca, -1
+			s.classOf[a], s.next[a] = ca, -1
 		}
 		into := &s.slots[ca-1]
-		head, tail, mb := c.b, c.b, members(c.b)
+		head, tail, mb := b, b, members(b)
 		if cb == 0 {
-			s.next[c.b] = -1
+			s.next[b] = -1
 		} else {
 			from := &s.slots[cb-1]
 			head, tail = from.head, from.tail
@@ -584,6 +632,30 @@ func (g *generator) coalesce(defs []*ir.Instruction, s *ssaScratch) [][]int {
 			s.classOf[d] = ca
 		}
 		g.stats.CoalescedPairs++
+	}
+	for _, c := range s.cands {
+		join(c.a, c.b)
+	}
+	// The sweep. A definition of mj whose class has a member of mi fails
+	// with every d0, so a leading run of them is passed over for good, and
+	// d0 meets no partner once its class has a member of mj.
+	for mi := 0; mi < g.k; mi++ {
+		for mj := mi + 1; mj < g.k; mj++ {
+			d1s := byMember(mj)
+			for _, d0 := range byMember(mi) {
+				for len(d1s) > 0 && members(d1s[0])&(1<<uint(mi)) != 0 {
+					d1s = d1s[1:]
+				}
+				for _, d1 := range d1s {
+					if members(d0)&(1<<uint(mj)) != 0 {
+						break
+					}
+					if ir.TypesEqual(defs[d0].Type(), defs[d1].Type()) {
+						join(d0, d1)
+					}
+				}
+			}
+		}
 	}
 	for _, c := range s.slots {
 		if c.dead {

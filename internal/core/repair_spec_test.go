@@ -12,10 +12,13 @@ package core
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"slices"
+	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/ir"
+	"repro/internal/synth"
 	"repro/internal/transform"
 )
 
@@ -59,7 +62,8 @@ func (g *generator) demoteOffenders() *analysis.DomTree {
 	var reloads []reload
 
 	entry := f.Entry()
-	for _, class := range g.coalesce(defs, s) {
+	classes, _, _ := g.coalesceSpec(defs, s)
+	for _, class := range classes {
 		slot := ir.NewAlloca("ssa.slot", defs[class[0]].Type())
 		entry.InsertAtFront(slot)
 		// One store after each definition in the class.
@@ -121,6 +125,172 @@ func (g *generator) demoteOffenders() *analysis.DomTree {
 	return dt
 }
 
+// coalesceSpec is coalesce stated naively, the specification it is held
+// to: every pair of same-typed definitions exclusive to two different
+// members, members mi < mj and then their definitions in order, stably
+// sorted by descending overlap — how many of the second's uses sit in a
+// row one of the first's users does — and taken greedily: a pair joins
+// its two classes if they are different and have no member in common.
+// It returns the classes (those made, in the order they were made, then
+// the definitions left alone, member by member, then those exclusive to
+// no member), the pairs it took and the pairs that share a row. s is a
+// numbered scan of g's body (findOffenses), read through rowOf.
+func (g *generator) coalesceSpec(defs []*ir.Instruction, s *ssaScratch) (classes [][]int, taken, sharing int) {
+	if !g.opts.PhiCoalescing || g.k > 64 {
+		for d := range defs {
+			classes = append(classes, []int{d})
+		}
+		return classes, 0, 0
+	}
+	// member[d] is the one member whose code alone runs d's block, or -1.
+	member := make([]int, len(defs))
+	for d, def := range defs {
+		var owners []int
+		for j := 0; j < g.k; j++ {
+			if g.originOf(j, def.Parent()) != nil {
+				owners = append(owners, j)
+			}
+		}
+		member[d] = -1
+		if len(owners) == 1 {
+			member[d] = owners[0]
+		}
+	}
+	type pair struct{ a, b, overlap int }
+	var pairs []pair
+	for mi := 0; mi < g.k; mi++ {
+		for mj := mi + 1; mj < g.k; mj++ {
+			for a := range defs {
+				if member[a] != mi {
+					continue
+				}
+				rows := map[int32]bool{}
+				for _, u := range ir.UsesOf(defs[a]) {
+					rows[s.rowOf(u.User)] = true
+				}
+				for b := range defs {
+					if member[b] != mj || !ir.TypesEqual(defs[a].Type(), defs[b].Type()) {
+						continue
+					}
+					ov := 0
+					for _, u := range ir.UsesOf(defs[b]) {
+						if rows[s.rowOf(u.User)] {
+							ov++
+						}
+					}
+					if ov > 0 {
+						sharing++
+					}
+					pairs = append(pairs, pair{a, b, ov})
+				}
+			}
+		}
+	}
+	slices.SortStableFunc(pairs, func(x, y pair) int { return cmp.Compare(y.overlap, x.overlap) })
+	type class struct {
+		defs    []int
+		members uint64
+		dead    bool
+	}
+	var made []*class
+	classOf := make([]*class, len(defs))
+	members := func(d int) uint64 {
+		if c := classOf[d]; c != nil {
+			return c.members
+		}
+		return 1 << member[d]
+	}
+	for _, p := range pairs {
+		ca, cb := classOf[p.a], classOf[p.b]
+		if ca != nil && ca == cb || members(p.a)&members(p.b) != 0 {
+			continue
+		}
+		if ca == nil {
+			ca = &class{defs: []int{p.a}, members: members(p.a)}
+			classOf[p.a] = ca
+			made = append(made, ca)
+		}
+		joining := []int{p.b}
+		if cb != nil {
+			joining = cb.defs
+			cb.dead = true
+		}
+		ca.members |= members(p.b)
+		ca.defs = append(ca.defs, joining...)
+		for _, d := range joining {
+			classOf[d] = ca
+		}
+		taken++
+	}
+	for _, c := range made {
+		if !c.dead {
+			classes = append(classes, c.defs)
+		}
+	}
+	for j := 0; j < g.k; j++ {
+		for d := range defs {
+			if member[d] == j && classOf[d] == nil {
+				classes = append(classes, []int{d})
+			}
+		}
+	}
+	for d := range defs {
+		if member[d] < 0 {
+			classes = append(classes, []int{d})
+		}
+	}
+	return classes, taken, sharing
+}
+
+// checkCoalesce holds coalesce to coalesceSpec on g's unrepaired body:
+// the same classes, in the same order, from as many pairs taken. It
+// returns the scratch coalesce ran in.
+func (g *generator) checkCoalesce() (*ssaScratch, error) {
+	s := new(ssaScratch)
+	defs, _ := s.findOffenses(g, analysis.NewDomTree(g.merged))
+	stats := g.stats
+	got := slices.Clone(g.coalesce(defs, s))
+	taken := g.stats.CoalescedPairs - stats.CoalescedPairs
+	g.stats = stats
+	want, wantTaken, _ := g.coalesceSpec(defs, s)
+	if !slices.EqualFunc(got, want, slices.Equal[[]int]) || taken != wantTaken {
+		return s, fmt.Errorf("coalesce took %d pairs into classes %v, the specification %d into %v", taken, got, wantTaken, want)
+	}
+	return s, nil
+}
+
+// typesetPair returns the unrepaired body of the pair of paper-suites'
+// typeset program (MiBench's profile, its function count divided by 3)
+// with the most offending definitions: 827, where every type-equal pair
+// of two members numbers 113,446 and 257 share a user row.
+func typesetPair(tb testing.TB) *generator {
+	tb.Helper()
+	p, _ := synth.ByName(synth.MiBench(), "typeset")
+	p.Funcs /= 3
+	m := synth.Generate(p)
+	g, err := unrepaired(m, []*ir.Function{m.FuncByName("typeset_u074"), m.FuncByName("typeset_t01_m1")}, "merged", DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// TestCoalesceTypeset holds coalesce to its specification on the typeset
+// pair, and its candidate list to the pairs that share a row: the list
+// of every type-equal pair was 440 times as long.
+func TestCoalesceTypeset(t *testing.T) {
+	g := typesetPair(t)
+	s, err := g.checkCoalesce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, taken, sharing := g.coalesceSpec(s.defs, s)
+	t.Logf("%d offending definitions, %d pairs taken, %d share a row; candidate list capacity %d", len(s.defs), taken, sharing, cap(s.cands))
+	if cap(s.cands) > 2*sharing {
+		t.Errorf("candidate list capacity %d, want at most twice the %d pairs that share a row", cap(s.cands), sharing)
+	}
+}
+
 // unrepaired runs the code generator over fns up to SSA repair: the
 // merged body is complete but for the dominance repair. The merged
 // function joins m under name.
@@ -175,11 +345,15 @@ func (g *generator) clone(name string) *generator {
 
 // MergeBothRepairs builds the merged body of fns twice, into a fresh
 // module each: once repaired by repairSSA and once by the slot
-// specification. fns must be mergeable (same return type, not
-// variadic).
+// specification. Before the first repair it holds coalescing to its
+// specification (checkCoalesce). fns must be mergeable (same return
+// type, not variadic).
 func MergeBothRepairs(fns []*ir.Function, opts Options) (got, spec *ir.Function, err error) {
 	g, err := unrepaired(ir.NewModule(), fns, "merged", opts)
 	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := g.checkCoalesce(); err != nil {
 		return nil, nil, err
 	}
 	g.repairSSA()

@@ -325,28 +325,42 @@ const repairBodies = 50
 
 // BenchmarkRepairSSA measures the whole of SSA repair — the offender
 // scan, SSA construction over the offending classes, landingpad
-// promotion and the phi/select folds to their fixpoint — on one k-ary
-// family body per op, each a fresh copy of the unrepaired body made off
-// the clock; run it with -benchtime 50x (or a multiple) for one even
-// sweep.
+// promotion and the phi/select folds to their fixpoint — one body per
+// op, each a fresh copy of the unrepaired body made off the clock:
+// families, one k-ary family body per op (run it with -benchtime 50x, or
+// a multiple, for one even sweep), and typeset, the typeset pair's 827
+// offending definitions (typesetPair).
 func BenchmarkRepairSSA(b *testing.B) {
-	gens := unrepairedFamilies(b, repairBodies)
-	copies := make([]*generator, len(gens))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := i % len(gens)
-		if at == 0 {
-			// One sweep's copies at a time: stopping the clock costs more
-			// than a small body does.
-			b.StopTimer()
-			for j, g := range gens {
-				copies[j] = g.clone("unrepaired")
+	b.Run("families", func(b *testing.B) {
+		gens := unrepairedFamilies(b, repairBodies)
+		copies := make([]*generator, len(gens))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := i % len(gens)
+			if at == 0 {
+				// One sweep's copies at a time: stopping the clock costs
+				// more than a small body does.
+				b.StopTimer()
+				for j, g := range gens {
+					copies[j] = g.clone("unrepaired")
+				}
+				b.StartTimer()
 			}
-			b.StartTimer()
+			copies[at].repairSSA()
 		}
-		copies[at].repairSSA()
-	}
+	})
+	b.Run("typeset", func(b *testing.B) {
+		g := typesetPair(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := g.clone("unrepaired")
+			b.StartTimer()
+			c.repairSSA()
+		}
+	})
 }
 
 // TestOneDomTreePerMergedBody: SSA repair, register promotion and the

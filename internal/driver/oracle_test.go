@@ -48,11 +48,11 @@ const (
 	// function, merged or not, so the module's change is not the sum of
 	// the records' profits: check logs the gap instead of failing.
 	knownFMSAProfitDrift = true
-	// Session.Remove fails with ErrUnknownFunction for a function the
-	// session never indexed (every function of an FMSA session between
-	// runs, and one SkipHot or MinInstrs keeps out): the remove path
-	// deletes only an indexed function and does not run on FMSA.
-	knownRemoveUnindexed = true
+	// Set, the remove path deletes only an indexed function and does not
+	// run on FMSA: the workaround for a Session.Remove that refuses a
+	// deleted function the session never indexed (every function of an
+	// FMSA session, one SkipHot or MinInstrs keeps out).
+	knownRemoveUnindexed = false
 )
 
 // oracle checks runs: see check. left is how many more functions its
@@ -220,11 +220,7 @@ func rewritten(res *Result, pristine *ir.Module) []string {
 // oracle has left, in pristine and in m on every argument seed, and
 // requires the same observable behaviour. Under refine an original
 // execution that exhausts its budget (smaller than the rewrite's) is
-// skipped, and two executions that both observe an undef value agree
-// even though each error names the function it was observed in (a
-// merged function called with an identifier out of its family's range,
-// when a later run merges it again). Otherwise two executions that
-// exhaust the same budget agree.
+// skipped. Otherwise two executions that exhaust the same budget agree.
 func (o *oracle) behaves(pristine, m *ir.Module, names []string) {
 	t := o.t
 	t.Helper()
@@ -246,19 +242,12 @@ func (o *oracle) behaves(pristine, m *ir.Module, names []string) {
 				continue
 			}
 			b := interp.Run(after, nf, interp.ArgsFor(nf, seed))
-			if o.refine && undef(a) && undef(b) {
-				continue
-			}
 			if same, why := interp.SameBehavior(a, b); !same {
 				t.Errorf("behaviour of @%s changed (seed %d): %s", name, seed, why)
 				return
 			}
 		}
 	}
-}
-
-func undef(out interp.Outcome) bool {
-	return strings.HasPrefix(out.Err, interp.ErrUndefObserved.Error())
 }
 
 // diffModule holds every function defined in orig to its behaviour in

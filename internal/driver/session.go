@@ -81,6 +81,13 @@ type Session struct {
 	// record's name), so a rename between runs retires the stale alias
 	// instead of leaving it to misdirect a later Update/Remove.
 	byName map[string]*ir.Function
+	// seen and byName together hold the name of every function the
+	// session has seen defined: at Open, in a run (everything a run
+	// adds, rewrites or removes passes markPending) and through Update
+	// and Remove. seen holds those byName does not resolve, so an
+	// indexed name joins it only when unindexed. Remove accepts a name
+	// in it whose function is gone as a no-op.
+	seen map[string]bool
 
 	// pending records functions whose index entries are stale: true
 	// means "re-evaluate against the current body" (Update, commits),
@@ -113,10 +120,11 @@ func OpenSession(ctx context.Context, m *ir.Module, cfg Config) (*Session, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := &Session{m: m, cfg: cfg, pending: map[*ir.Function]bool{}}
+	s := &Session{m: m, cfg: cfg, pending: map[*ir.Function]bool{}, seen: map[string]bool{}}
 	if cfg.Algorithm != FMSA {
 		s.buildIndexes()
 	}
+	s.noteDefined()
 	return s, nil
 }
 
@@ -155,6 +163,7 @@ func (s *Session) buildIndexes() {
 // is how the run's reference index (family.go) follows its mutations.
 func (s *Session) markPending(f *ir.Function) {
 	s.pending[f] = true
+	s.saw(f.Name(), f)
 	s.families.touch(s.m, f)
 }
 
@@ -170,15 +179,34 @@ func (s *Session) index(f *ir.Function) {
 }
 
 // unindex drops f from every persistent index layer. The byName alias
-// is removed under the name f was indexed as, which survives renames.
+// is removed under the name f was indexed as, which survives renames,
+// and that name joins seen.
 func (s *Session) unindex(f *ir.Function) {
 	s.families.drop(f)
 	if r := s.recs.of[f]; r != nil {
 		s.finder.Remove(f)
 		if s.byName[r.name] == f {
 			delete(s.byName, r.name)
+			s.seen[r.name] = true
 		}
 		s.recs.drop(f)
+	}
+}
+
+// noteDefined records every function the module defines as seen.
+func (s *Session) noteDefined() {
+	for _, f := range s.m.Funcs {
+		if !f.IsDecl() {
+			s.saw(f.Name(), f)
+		}
+	}
+}
+
+// saw records that the session has seen f defined under name: in seen,
+// unless byName already resolves name to f.
+func (s *Session) saw(name string, f *ir.Function) {
+	if s.byName[name] != f {
+		s.seen[name] = true
 	}
 }
 
@@ -275,10 +303,11 @@ func (s *Session) candidateOrder() []*ir.Function {
 // errClosed is returned by every method of a closed session.
 var errClosed = fmt.Errorf("driver: session is closed")
 
-// ErrUnknownFunction is wrapped by Update and Remove when a name
-// resolves to neither a function in the module nor an indexed
-// candidate: the caller's view of the module has diverged from the
-// session's, which a merge service must surface, not swallow.
+// ErrUnknownFunction is wrapped by Update when a name resolves to
+// neither a function in the module nor an indexed candidate, and by
+// Remove when the session has never seen the name defined: the caller's
+// view of the module has diverged from the session's, which a merge
+// service must surface, not swallow.
 var ErrUnknownFunction = fmt.Errorf("unknown function")
 
 // ErrStalePlan is wrapped by Apply when a plan's structural hashes no
@@ -297,6 +326,7 @@ func (s *Session) Close() error {
 	s.finder = nil
 	s.recs = nil
 	s.byName = nil
+	s.seen = nil
 	s.pending = nil
 	s.families = nil
 	return nil
@@ -317,10 +347,12 @@ func (s *Session) Update(ctx context.Context, changed ...string) error {
 // Remove drops the named functions from the candidate set, typically
 // after the caller deleted them from the module. A function that is
 // still defined simply stops being considered until a later Update
-// re-admits it. A name that resolves to neither an indexed candidate
-// nor a module function is an error wrapping ErrUnknownFunction; the
-// whole call is validated before anything is marked, so on error no
-// name took effect.
+// re-admits it. A name the session has seen defined but no longer
+// finds — one it never indexed (every function of an FMSA session, one
+// SkipHot or MinInstrs keeps out), or one already retired — is a no-op.
+// A name it has never seen defined is an error wrapping
+// ErrUnknownFunction; the whole call is validated before anything is
+// marked, so on error no name took effect.
 func (s *Session) Remove(ctx context.Context, names ...string) error {
 	return s.delta(ctx, "Remove", nil, names)
 }
@@ -335,7 +367,8 @@ var ErrConflictingDelta = fmt.Errorf("conflicting delta")
 
 // UpdateBatch marks n updates and m removals as one delta. Semantically
 // it is Update(changed...) followed by Remove(removed...) — same
-// validation, same ErrUnknownFunction on a diverged name — with two
+// validation, same ErrUnknownFunction on a diverged name, same no-op
+// removal of a name seen defined but gone — with two
 // differences: a name in both sets fails with an error wrapping
 // ErrConflictingDelta, and the whole batch is validated before any name
 // takes effect. All marks then share the next sync's single re-index
@@ -374,12 +407,15 @@ func (s *Session) delta(ctx context.Context, op string, changed, removed []strin
 		rmTag = ""
 	}
 	for _, name := range removed {
-		if s.byName[name] == nil && s.m.FuncByName(name) == nil {
+		if s.byName[name] == nil && s.m.FuncByName(name) == nil && !s.seen[name] {
 			return fmt.Errorf("driver: %s(%s%q): %w", op, rmTag, name, ErrUnknownFunction)
 		}
 	}
 	for _, name := range changed {
 		if f := s.m.FuncByName(name); f != nil {
+			if !f.IsDecl() {
+				s.saw(name, f)
+			}
 			// The session knows a different object under this name: the
 			// caller either replaced the function (remove + add — the old
 			// object must leave the index or later runs would merge its
@@ -412,6 +448,7 @@ func (s *Session) delta(ctx context.Context, op string, changed, removed []strin
 		}
 		if f != nil {
 			s.pending[f] = false
+			s.saw(name, f)
 		}
 	}
 	return nil

@@ -258,8 +258,9 @@ func OpenSessionWithSnapshot(ctx context.Context, m *ir.Module, cfg Config, snap
 	if err := validateSnapshot(snap, cfg); err != nil {
 		return nil, err
 	}
-	s := &Session{m: m, cfg: cfg, pending: map[*ir.Function]bool{}}
+	s := &Session{m: m, cfg: cfg, pending: map[*ir.Function]bool{}, seen: map[string]bool{}}
 	s.buildIndexes()
+	s.noteDefined()
 	// matched[i] is the candidate named snap.Funcs[i].Name whose current
 	// structural hash equals the recorded one, or nil. Hashing through
 	// the records hands the first fold step these hashes.

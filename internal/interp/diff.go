@@ -19,6 +19,10 @@ type Outcome struct {
 	Trace []TraceEvent
 	// Steps is the dynamic instruction count.
 	Steps int
+	// undef says the execution stopped on observing an undef value
+	// (ErrUndefObserved). Err then names the function it happened in, so
+	// two such ends are one termination class whatever Err says.
+	undef bool
 }
 
 // Run executes f on args in a fresh environment derived from proto
@@ -51,15 +55,17 @@ func Run(proto *Env, f *ir.Function, args []Value) Outcome {
 		out.Err = "exception"
 	default:
 		out.Err = err.Error()
+		out.undef = errors.Is(err, ErrUndefObserved)
 	}
 	return out
 }
 
 // SameBehavior reports whether two outcomes are observationally equal:
 // same return value, same termination class and same external trace.
-// Step counts are performance, not behaviour, and are ignored.
+// Step counts are performance, not behaviour, and are ignored. Every
+// undef observation is one termination class, wherever it happened.
 func SameBehavior(a, b Outcome) (bool, string) {
-	if a.Err != b.Err {
+	if a.undef != b.undef || !a.undef && a.Err != b.Err {
 		return false, fmt.Sprintf("termination differs: %q vs %q", a.Err, b.Err)
 	}
 	if a.Err != "" && strings.Contains(a.Err, "step limit") {

@@ -193,6 +193,50 @@ b:
 	}
 }
 
+// TestUndefObservationsAgree: the same execution up to an undef
+// observation, in two functions of different names, is the same
+// behaviour though the error texts name the functions; the external
+// calls made before it still count.
+func TestUndefObservationsAgree(t *testing.T) {
+	const src = `
+declare i32 @ext(i32)
+define i32 @NAME(i32 %x) {
+entry:
+  %e = call i32 @ext(i32 %x)
+  %u = alloca i32
+  %v = load i32, i32* %u
+  %cmp = icmp eq i32 %v, 0
+  br i1 %cmp, label %a, label %b
+a:
+  ret i32 1
+b:
+  ret i32 2
+}`
+	f := fn(t, strings.ReplaceAll(src, "NAME", "f"), "f")
+	g := fn(t, strings.ReplaceAll(src, "NAME", "g"), "g")
+	a, b := Run(nil, f, []Value{IntV(3)}), Run(nil, g, []Value{IntV(3)})
+	if a.Err == b.Err || !strings.Contains(a.Err, "@f") {
+		t.Fatalf("errors %q and %q: want undef observations naming their functions", a.Err, b.Err)
+	}
+	if same, why := SameBehavior(a, b); !same {
+		t.Errorf("same undefined execution under two names differs: %s", why)
+	}
+	c := Run(nil, g, []Value{IntV(4)})
+	if same, _ := SameBehavior(a, c); same {
+		t.Error("undef observations after different external calls agree")
+	}
+	ret := Run(nil, fn(t, `
+declare i32 @ext(i32)
+define i32 @h(i32 %x) {
+entry:
+  %e = call i32 @ext(i32 %x)
+  ret i32 %e
+}`, "h"), []Value{IntV(3)})
+	if same, _ := SameBehavior(a, ret); same {
+		t.Error("an undef observation agrees with a normal return")
+	}
+}
+
 func TestSwitchDispatch(t *testing.T) {
 	f := fn(t, `
 define i32 @sw(i32 %x) {

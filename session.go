@@ -65,9 +65,10 @@ type PlannedFold = driver.PlannedFold
 // (*Optimizer).OpenWithSnapshot without re-proving those verdicts.
 type SessionSnapshot = driver.Snapshot
 
-// ErrUnknownFunction is wrapped by Session.Update and Session.Remove
-// when a name resolves to neither a module function nor an indexed
-// candidate. Test with errors.Is.
+// ErrUnknownFunction is wrapped by Session.Update when a name resolves
+// to neither a module function nor an indexed candidate, and by
+// Session.Remove when the session has never seen the name defined. Test
+// with errors.Is.
 var ErrUnknownFunction = driver.ErrUnknownFunction
 
 // ErrConflictingDelta is wrapped by Session.UpdateBatch when one batch
@@ -209,9 +210,12 @@ func (s *Session) Update(ctx context.Context, changed ...string) error {
 // Remove drops the named functions from the candidate set, typically
 // after the caller deleted them from the module. A function that is
 // still defined simply stops being considered until a later Update
-// re-admits it. A name resolving to neither an indexed candidate nor a
-// module function fails with an error wrapping ErrUnknownFunction; like
-// Update, the call validates every name before marking any.
+// re-admits it. Removing a deleted function the session never indexed
+// (every function of an FMSA session, one WithSkipHot or WithMinInstrs
+// keeps out) or already dropped succeeds and does nothing: the session
+// remembers every name it has seen defined. A name it has never seen
+// fails with an error wrapping ErrUnknownFunction; like Update, the
+// call validates every name before marking any.
 func (s *Session) Remove(ctx context.Context, names ...string) error {
 	return s.s.Remove(ctx, names...)
 }
@@ -220,9 +224,9 @@ func (s *Session) Remove(ctx context.Context, names ...string) error {
 // names plus removed names — in a single re-index pass: one finder
 // batch insert, where n sequential Update/Remove calls would pay n. The resulting session
 // state (and every later merge decision) is identical to the
-// sequential calls. The whole batch is validated first: an unknown
-// name fails with ErrUnknownFunction, a name in both lists with
-// ErrConflictingDelta, and on error nothing is marked.
+// sequential calls. The whole batch is validated first: a name Update
+// or Remove would refuse fails with ErrUnknownFunction, a name in both
+// lists with ErrConflictingDelta, and on error nothing is marked.
 func (s *Session) UpdateBatch(ctx context.Context, changed, removed []string) error {
 	return s.s.UpdateBatch(ctx, changed, removed)
 }
