@@ -489,8 +489,8 @@ func reportModule(rep *repro.Report, label string, verbose bool) {
 			for _, size := range sizes {
 				hist = append(hist, fmt.Sprintf("%d-way x%d", size, rep.FamilySizes[size]))
 			}
-			fmt.Fprintf(os.Stderr, "families: %d alive (%s), %d chains flattened this run\n",
-				rep.Families, strings.Join(hist, ", "), rep.Flattened)
+			fmt.Fprintf(os.Stderr, "families: %d alive (%s), originals frozen in %s, %d chains flattened this run\n",
+				rep.Families, strings.Join(hist, ", "), fmtBytes(uint64(rep.FamilyBytes)), rep.Flattened)
 		}
 	}
 }

@@ -113,11 +113,7 @@ func runScale(ctx context.Context, tiers []string, out string, verbose bool) err
 // is the point of the streaming generator: no tier-sized scratch), so
 // their times are accumulated separately across batches.
 func scaleOnce(ctx context.Context, tier string, cfg corpus.Config, verbose bool) (*scaleRun, error) {
-	opt, err := repro.New(
-		// A corpus is optimized once, so nothing would ever flatten:
-		// skip the retention of original bodies that powers it.
-		repro.WithMaxFamily(2),
-	)
+	opt, err := repro.New()
 	if err != nil {
 		return nil, err
 	}

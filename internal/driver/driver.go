@@ -182,13 +182,16 @@ type Result struct {
 	Folds []FoldRecord
 	// Counters is what the run's rows and commits cost.
 	Counters
-	// Families counts the merge families alive after the run and
-	// FamilySizes is their size histogram (member count -> families);
-	// both are zero unless Config.MaxFamily enables family tracking.
-	// Flattened counts the commits of this run that replaced a family
-	// head with a re-merged k-ary body instead of nesting.
+	// Families counts the merge families alive after the run,
+	// FamilySizes is their size histogram (member count -> families) and
+	// FamilyBytes what the frozen records of their originals hold
+	// (ir.Frozen.Bytes); all are zero unless Config.MaxFamily enables
+	// family tracking. Flattened counts the commits of this run that
+	// replaced a family head with a re-merged k-ary body instead of
+	// nesting.
 	Families    int
 	FamilySizes map[int]int
+	FamilyBytes int
 	Flattened   int
 	// Search reports the candidate finder's query accounting.
 	Search search.Stats
@@ -380,11 +383,6 @@ func Run(m *ir.Module, cfg Config) *Result {
 // Session open instead and report deltas through Update/Remove, which
 // turns the per-run index build into incremental maintenance.
 func RunContext(ctx context.Context, m *ir.Module, cfg Config) (*Result, error) {
-	// A one-shot session can never re-optimize, so chains cannot form
-	// and family tracking would only clone original bodies that die
-	// unused at Close: force it off. Callers that want flattening hold
-	// a Session open across runs.
-	cfg.MaxFamily = 0
 	s, err := OpenSession(ctx, m, cfg)
 	if err != nil {
 		// A dead context must still produce the historical stub result

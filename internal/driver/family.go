@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -12,29 +13,73 @@ import (
 // and a layer of selects per round — the driver re-merges the family's
 // original bodies plus the newcomer into one fresh k-ary function and
 // rewrites every member thunk to target it. The familySet remembers,
-// per merged head, the original bodies that made it, each moved into a
-// detached function of its own just before its live definition became
-// a thunk (so the originals exist nowhere else). Everything here runs
-// serially: the loop, committing or dry, and Apply all hold the session
-// lock.
+// per merged head, the original bodies that made it, each frozen
+// (ir.Freeze) just before its live definition became a thunk, which
+// released the body itself; a run's first flatten trial of a family
+// thaws them (familySet.bodies), and the run's end or the family's
+// death releases them. Everything here runs serially: the loop,
+// committing or dry, and Apply all hold the session lock.
 
 // familyMember is one original behind a merged head: the live (thunk)
-// function's name and the detached function holding the body it had
-// before it was consumed (ir.Function.DetachBody).
+// function's name and the record of the body it had before it was
+// consumed.
 type familyMember struct {
 	name string
-	body *ir.Function
+	rec  *ir.Frozen
 }
 
-// family is the record behind one merged head function.
+// family is the record behind one merged head function. thawed, once a
+// flatten of this run has needed them, holds the members' bodies thawed
+// in member order.
 type family struct {
 	head    *ir.Function
 	members []familyMember
+	thawed  []*ir.Function
+}
+
+// bodies returns the members' original bodies, thawed on the run's
+// first need: detached functions that flatten trials read and never
+// write.
+func (s *familySet) bodies(fam *family) []*ir.Function {
+	if fam.thawed == nil {
+		fam.thawed = make([]*ir.Function, len(fam.members))
+		for i, mb := range fam.members {
+			fam.thawed[i] = mb.rec.Thaw()
+		}
+		s.thawed = append(s.thawed, fam)
+	}
+	return fam.thawed
+}
+
+// release gives a family's thawed bodies, if any, back to the pools.
+func (fam *family) release() {
+	for _, body := range fam.thawed {
+		ir.Release(body)
+	}
+	fam.thawed = nil
+}
+
+// runDone releases every body the run thawed (nil-safe): a trial keeps
+// nothing of its sources, so they are dead once the run is over, and
+// the next run's trials and thaws draw them from the pools.
+func (s *familySet) runDone() {
+	if s == nil {
+		return
+	}
+	for _, fam := range s.thawed {
+		fam.release()
+	}
+	clear(s.thawed)
+	s.thawed = s.thawed[:0]
+	s.refsFresh = false
 }
 
 // familySet tracks the merge families of one session, keyed by head.
 type familySet struct {
 	byHead map[*ir.Function]*family
+	// thawed lists the families whose bodies this run thawed (a family
+	// dropped since has released them already).
+	thawed []*family
 	// refs is the reference index behind the caller check. It lives for
 	// the session — built by the first check that needs it, kept current
 	// at the mutation points (record, drop, touch) — but between runs the
@@ -60,22 +105,39 @@ func (s *familySet) record(head *ir.Function, members []familyMember) {
 	s.byHead[head] = &family{head: head, members: members}
 	if s.refs != nil {
 		for _, mb := range members {
-			s.refs.add(mb.body, true)
+			s.refs.addStored(mb.rec)
 		}
 	}
 }
 
-// drop forgets the family headed by f (no-op for non-heads, nil-safe).
+// drop forgets the family headed by f (no-op for non-heads, nil-safe)
+// and releases its thawed bodies.
 func (s *familySet) drop(f *ir.Function) {
 	if s == nil {
 		return
 	}
-	if fam := s.byHead[f]; fam != nil && s.refs != nil {
+	fam := s.byHead[f]
+	if fam == nil {
+		return
+	}
+	if s.refs != nil {
 		for _, mb := range fam.members {
-			s.refs.forget(mb.body)
+			s.refs.forgetStored(mb.rec)
 		}
 	}
+	fam.release()
 	delete(s.byHead, f)
+}
+
+// bytes returns what the registry's records hold (ir.Frozen.Bytes).
+func (s *familySet) bytes() int {
+	n := 0
+	for _, fam := range s.byHead {
+		for _, mb := range fam.members {
+			n += mb.rec.Bytes()
+		}
+	}
+	return n
 }
 
 // touch tells the run's reference index that f was rewritten, added to
@@ -92,12 +154,14 @@ func (s *familySet) touch(m *ir.Module, f *ir.Function) {
 
 // refIndex answers "who holds an operand that is this function" without
 // walking the module (functions do not track their uses):
-// holders[target][holder] exists for every live module function and
-// every stored registry body (flagged true) with an instruction
-// operand identical to target.
+// holders[target][holder] exists for every live module function with
+// an instruction operand identical to target, and stored[target] counts
+// the stored records with one.
 type refIndex struct {
 	holders map[*ir.Function]map[*ir.Function]bool
-	// targets[holder] lists what holder was indexed under, for forget.
+	stored  map[*ir.Function]int
+	// targets[holder] lists what live holder was indexed under, for
+	// forget (a record lists its own, Values).
 	targets map[*ir.Function][]*ir.Function
 	// stamps[f] is module function f's edit stamp when the index last
 	// read it.
@@ -111,13 +175,13 @@ func (s *familySet) index(m *ir.Module) *refIndex {
 	switch {
 	case s.refs == nil:
 		s.refBuilds++
-		s.refs = &refIndex{map[*ir.Function]map[*ir.Function]bool{}, map[*ir.Function][]*ir.Function{}, map[*ir.Function]uint32{}}
+		s.refs = &refIndex{map[*ir.Function]map[*ir.Function]bool{}, map[*ir.Function]int{}, map[*ir.Function][]*ir.Function{}, map[*ir.Function]uint32{}}
 		for _, f := range m.Funcs {
 			s.refs.read(f)
 		}
 		for _, fam := range s.byHead {
 			for _, mb := range fam.members {
-				s.refs.add(mb.body, true)
+				s.refs.addStored(mb.rec)
 			}
 		}
 	case !s.refsFresh:
@@ -138,15 +202,10 @@ func (s *familySet) index(m *ir.Module) *refIndex {
 	return s.refs
 }
 
-// read indexes module function f as it stands.
+// read indexes every function operand of module function f as it
+// stands.
 func (x *refIndex) read(f *ir.Function) {
-	x.add(f, false)
-	x.stamps[f] = f.Edits()
-}
-
-// add indexes every function operand of holder's current body.
-func (x *refIndex) add(holder *ir.Function, stored bool) {
-	holder.Instrs(func(in *ir.Instruction) bool {
+	f.Instrs(func(in *ir.Instruction) bool {
 		for _, op := range in.Operands() {
 			target, ok := op.(*ir.Function)
 			if !ok {
@@ -155,22 +214,44 @@ func (x *refIndex) add(holder *ir.Function, stored bool) {
 			if x.holders[target] == nil {
 				x.holders[target] = map[*ir.Function]bool{}
 			}
-			if _, seen := x.holders[target][holder]; !seen {
-				x.holders[target][holder] = stored
-				x.targets[holder] = append(x.targets[holder], target)
+			if !x.holders[target][f] {
+				x.holders[target][f] = true
+				x.targets[f] = append(x.targets[f], target)
 			}
 		}
 		return true
 	})
+	x.stamps[f] = f.Edits()
 }
 
-// forget drops holder from the index.
-func (x *refIndex) forget(holder *ir.Function) {
-	for _, target := range x.targets[holder] {
-		delete(x.holders[target], holder)
+// forget drops live holder f from the index.
+func (x *refIndex) forget(f *ir.Function) {
+	for _, target := range x.targets[f] {
+		delete(x.holders[target], f)
 	}
-	delete(x.targets, holder)
-	delete(x.stamps, holder)
+	delete(x.targets, f)
+	delete(x.stamps, f)
+}
+
+// addStored indexes a stored record, which lists its untracked operands
+// — functions among them — once each.
+func (x *refIndex) addStored(rec *ir.Frozen) {
+	for _, v := range rec.Values() {
+		if target, ok := v.(*ir.Function); ok {
+			x.stored[target]++
+		}
+	}
+}
+
+// forgetStored drops a stored record from the index.
+func (x *refIndex) forgetStored(rec *ir.Frozen) {
+	for _, v := range rec.Values() {
+		if target, ok := v.(*ir.Function); ok {
+			if x.stored[target]--; x.stored[target] == 0 {
+				delete(x.stored, target)
+			}
+		}
+	}
 }
 
 // isHead reports whether f heads a recorded family (never, in the nil
@@ -222,11 +303,12 @@ func (s *familySet) sizes() map[int]int {
 // hasExternalCallers reports whether anything outside fam's own member
 // thunks references fam.head: a stray live caller (user code calling a
 // generated merged function by hand), or — equally fatal — another
-// family's stored original body, which a later flatten would
-// re-merge into a call of the removed head. Either vetoes flattening
-// for this family. A reference is an operand identical to the head; a
-// live holder is excused iff it is the head or carries a member's name,
-// a stored body iff it is the family's own (those predate the head).
+// family's stored original, which a later flatten would re-merge into
+// a call of the removed head. Either vetoes flattening for this family.
+// A reference is an operand identical to the head; a live holder is
+// excused iff it is the head or carries a member's name. No stored
+// record needs an excuse: the family's own were frozen before the head
+// existed, so any record that holds the head is another family's.
 // A row's retained trial needs no entry: no trial input is a member thunk.
 func hasExternalCallers(m *ir.Module, families *familySet, fam *family) bool {
 	if fam == nil {
@@ -234,19 +316,13 @@ func hasExternalCallers(m *ir.Module, families *familySet, fam *family) bool {
 	}
 	refs := families.index(m)
 	found := false
-holders:
-	for h, stored := range refs.holders[fam.head] {
-		if !stored && h == fam.head {
-			continue
+	for h := range refs.holders[fam.head] {
+		if h != fam.head && !slices.ContainsFunc(fam.members, func(mb familyMember) bool { return mb.name == h.Name() }) {
+			found = true
+			break
 		}
-		for _, mb := range fam.members {
-			if stored && mb.body == h || !stored && mb.name == h.Name() {
-				continue holders
-			}
-		}
-		found = true
-		break
 	}
+	found = found || refs.stored[fam.head] > 0
 	if callerCheckHook != nil {
 		callerCheckHook(m, families, fam, found)
 	}
@@ -259,19 +335,21 @@ var callerCheckHook func(m *ir.Module, families *familySet, fam *family, got boo
 // memberPlan describes the members one merge commits: merge srcs
 // (original bodies in fid order) into a fresh head, rewrite the live
 // functions named names to thunk into it, and remove the consumed
-// heads. A flatten (flattenFor) unites a family's stored bodies with a
-// newcomer or another family; a pairwise merge is a family of two live
+// heads. A flatten (flattenFor) unites a family's stored originals with
+// a newcomer or another family; a pairwise merge is a family of two live
 // newcomers with no heads (pairPlan). The plan a trial was built from
 // rides on it into the commit-step.
 type memberPlan struct {
-	// srcs are the merge inputs in fid order: stored original bodies
-	// for existing members, live module functions for newcomers.
+	// srcs are the merge inputs in fid order: existing members' bodies
+	// thawed from their records (familySet.bodies), live module
+	// functions for newcomers.
 	srcs []*ir.Function
 	// names[i] is the live function that becomes srcs[i]'s thunk.
 	names []string
-	// newcomer[i] reports whether srcs[i] is a live newcomer, whose body
-	// moves into the registry before it is thunked.
-	newcomer []bool
+	// stored[i] is the record srcs[i] was thawed from, nil for a live
+	// newcomer, whose body is frozen into the registry before it is
+	// thunked.
+	stored []*ir.Frozen
 	// heads are the consumed family heads, removed at commit.
 	heads []*ir.Function
 	// pplan is the parameter plan shared by generator and thunks.
@@ -289,11 +367,11 @@ func pairPlan(f1, f2 *ir.Function) (*memberPlan, error) {
 	// allocation.
 	p := &struct {
 		memberPlan
-		srcs     [2]*ir.Function
-		names    [2]string
-		newcomer [2]bool
-	}{srcs: [2]*ir.Function{f1, f2}, names: [2]string{f1.Name(), f2.Name()}, newcomer: [2]bool{true, true}}
-	p.memberPlan = memberPlan{srcs: p.srcs[:], names: p.names[:], newcomer: p.newcomer[:], pplan: pplan}
+		srcs   [2]*ir.Function
+		names  [2]string
+		stored [2]*ir.Frozen
+	}{srcs: [2]*ir.Function{f1, f2}, names: [2]string{f1.Name(), f2.Name()}}
+	p.memberPlan = memberPlan{srcs: p.srcs[:], names: p.names[:], stored: p.stored[:], pplan: pplan}
 	return &p.memberPlan, nil
 }
 
@@ -305,7 +383,7 @@ func (mp *memberPlan) flattens() bool { return len(mp.heads) > 0 }
 // newcomer is its own source, an existing member's thunk is found by
 // name (validMembers checked it is there).
 func (mp *memberPlan) member(m *ir.Module, i int) *ir.Function {
-	if mp.newcomer[i] {
+	if mp.stored[i] == nil {
 		return mp.srcs[i]
 	}
 	return m.FuncByName(mp.names[i])
@@ -346,14 +424,14 @@ func flattenFor(m *ir.Module, families *familySet, maxFamily int, f1, f2 *ir.Fun
 		if fam == nil {
 			fp.srcs = append(fp.srcs, f)
 			fp.names = append(fp.names, f.Name())
-			fp.newcomer = append(fp.newcomer, true)
+			fp.stored = append(fp.stored, nil)
 			return
 		}
 		fp.heads = append(fp.heads, fam.head)
+		fp.srcs = append(fp.srcs, families.bodies(fam)...)
 		for _, mb := range fam.members {
-			fp.srcs = append(fp.srcs, mb.body)
 			fp.names = append(fp.names, mb.name)
-			fp.newcomer = append(fp.newcomer, false)
+			fp.stored = append(fp.stored, mb.rec)
 		}
 	}
 	add(f1, fam1)

@@ -224,7 +224,7 @@ func TestFlattenVetoedByRegistryCloneReference(t *testing.T) {
 		caller := ir.NewFunction("ext.caller", ir.FuncOf(head.Sig().Ret, head.Sig().Params...))
 		ir.BuildForwarder(caller, head, caller.ParamValues())
 		fakeHead := ir.NewFunction("fake.head", head.Sig())
-		s.families.record(fakeHead, []familyMember{{name: "ext.caller", body: caller}})
+		s.families.record(fakeHead, []familyMember{{name: "ext.caller", rec: ir.Freeze(caller)}})
 		if !hasExternalCallers(m, s.families, fam) {
 			t.Errorf("seed %d: registry body referencing the head did not veto flattening", seed)
 		}
@@ -356,11 +356,12 @@ func TestFamilyBreakForgetsHeadPairs(t *testing.T) {
 
 // TestCommitShapes pins what one commit path registers for each shape
 // of merge under family tracking: a pairwise merge of two plain
-// functions records a two-member family holding the originals' bodies;
-// a pairwise merge with a head on one side (a nest) records nothing and
-// leaves that head's family as it was; a flatten re-registers the
-// united members under the new head, keeps the stored bodies of the
-// members it already had, and drops the heads it consumed.
+// functions records a two-member family holding frozen records of the
+// originals' bodies; a pairwise merge with a head on one side (a nest)
+// records nothing and leaves that head's family as it was; a flatten
+// re-registers the united members under the new head, carries over the
+// records of the members it already had unchanged, freezes its
+// newcomer's body, and drops the heads it consumed.
 func TestCommitShapes(t *testing.T) {
 	ctx := context.Background()
 	sawPair, sawFlatten, sawNest := false, false, false
@@ -383,18 +384,18 @@ func TestCommitShapes(t *testing.T) {
 			}
 			for i, name := range []string{rec.F1, rec.F2} {
 				mb := fam.members[i]
-				if mb.name != name || mb.body.String() != base.FuncByName(name).String() {
-					t.Errorf("seed %d: member %d of @%s is @%s, not @%s's original body", seed, i, rec.Merged, mb.name, name)
+				if mb.name != name || mb.rec == nil || mb.rec.Thaw().String() != base.FuncByName(name).String() {
+					t.Errorf("seed %d: member %d of @%s is @%s, not a record of @%s's original body", seed, i, rec.Merged, mb.name, name)
 				}
 			}
 		}
 		// A flatten: the registry before the run says which stored
-		// bodies the new head must keep and which heads must go.
-		stored := map[string]*ir.Function{}
+		// records the new head must keep and which heads must go.
+		stored := map[string]*ir.Frozen{}
 		headOf := map[string]*ir.Function{}
 		for head, fam := range s.families.byHead {
 			for _, mb := range fam.members {
-				stored[mb.name], headOf[mb.name] = mb.body, head
+				stored[mb.name], headOf[mb.name] = mb.rec, head
 			}
 		}
 		texts := map[string]string{}
@@ -416,10 +417,10 @@ func TestCommitShapes(t *testing.T) {
 				switch old := stored[name]; {
 				case mb.name != name:
 					t.Errorf("seed %d: member %d of @%s is @%s, want @%s", seed, i, rec.Merged, mb.name, name)
-				case old != nil && mb.body != old:
-					t.Errorf("seed %d: flatten into @%s replaced @%s's stored body", seed, rec.Merged, name)
-				case old == nil && mb.body.String() != texts[name]:
-					t.Errorf("seed %d: newcomer @%s's stored body is not its body before the run", seed, name)
+				case old != nil && mb.rec != old:
+					t.Errorf("seed %d: flatten into @%s replaced @%s's stored record", seed, rec.Merged, name)
+				case old == nil && (mb.rec == nil || mb.rec.Thaw().String() != texts[name]):
+					t.Errorf("seed %d: newcomer @%s's record is not of its body before the run", seed, name)
 				}
 				if h := headOf[name]; h != nil && (s.families.isHead(h) || h.Parent() != nil) {
 					t.Errorf("seed %d: consumed head @%s survived the flatten into @%s", seed, h.Name(), rec.Merged)
@@ -432,7 +433,7 @@ func TestCommitShapes(t *testing.T) {
 		// suite nothing plain but thunks, which never pair, so the plain
 		// function is a fresh copy of one of the head's original bodies.
 		for head, fam := range s.families.byHead {
-			plain, _ := ir.CloneFunction(fam.members[0].body, "plain."+fam.members[0].name)
+			plain, _ := ir.CloneFunction(fam.members[0].rec.Thaw(), "plain."+fam.members[0].name)
 			m.AddFunc(plain)
 			if err := s.Update(ctx, plain.Name()); err != nil {
 				t.Fatal(err)

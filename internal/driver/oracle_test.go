@@ -478,9 +478,7 @@ func checkOneShot(o *oracle, input *ir.Module, cfg Config, refs []*run) {
 // must succeed; pristine is as for check.
 func (o *oracle) runOnce(m *ir.Module, cfg Config, pristine *ir.Module) *Result {
 	o.t.Helper()
-	one := cfg
-	one.MaxFamily = 0 // what RunContext runs under
-	return o.must(o.check(m, one, nil, pristine, func() (*Result, error) { return RunContext(context.Background(), m, cfg) }))
+	return o.must(o.check(m, cfg, nil, pristine, func() (*Result, error) { return RunContext(context.Background(), m, cfg) }))
 }
 
 // checkPlanApply: the Plan leaves the module text and every use list

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,7 +25,7 @@ func failSkip(pass string, f *ir.Function, b *ir.Block) {
 
 // naiveExternalCallers is the specification of hasExternalCallers: the
 // scan over every instruction operand of the module and of the other
-// families' stored bodies that the per-run reference index replaced.
+// families' stored records that the per-run reference index replaced.
 // An in-flight in-place trial body is in m.Funcs when a check runs, so
 // the scan reads it too, which the index does not: the two agree only
 // while no trial copies a head reference out of an excused holder.
@@ -49,7 +50,7 @@ func naiveExternalCallers(m *ir.Module, families *familySet, fam *family) bool {
 	}
 	for head, other := range families.byHead {
 		for _, mb := range other.members {
-			if head != fam.head && refsHead(mb.body) {
+			if head != fam.head && slices.Contains(mb.rec.Values(), ir.Value(fam.head)) {
 				return true
 			}
 		}

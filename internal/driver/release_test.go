@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/align"
 	"repro/internal/corpus"
 	"repro/internal/costmodel"
 	"repro/internal/ir"
@@ -116,11 +118,12 @@ func watchReleases(t *testing.T) *releaseWatch {
 }
 
 // check fails the test if anything the session holds reaches a released
-// block or instruction: a module function, a family head or a body the
-// registry keeps (as a block, instruction, operand or user), a record's
-// sequence, a function the reference index or the finder names. A
-// record's numbering is integers only, built with its sequence, so the
-// sequence answers for both.
+// block or instruction: a module function or a family head (as a block,
+// instruction, operand or user), a record's sequence, a function the
+// reference index or the finder names. A record's numbering is integers
+// only, built with its sequence, so the sequence answers for both. The
+// family registry's stored records reach no block, instruction or
+// parameter at all.
 func (w *releaseWatch) check(s *Session, when string) {
 	t := w.t
 	t.Helper()
@@ -160,10 +163,12 @@ func (w *releaseWatch) check(s *Session, when string) {
 	for head, fam := range fams.byHead {
 		body(head)
 		for _, mb := range fam.members {
-			if mb.body.IsDecl() {
-				t.Errorf("%s: the stored body of @%s was released", when, mb.name)
+			for _, v := range mb.rec.Values() {
+				switch v.(type) {
+				case *ir.Block, *ir.Instruction, *ir.Argument:
+					t.Errorf("%s: the record of @%s holds a %T", when, mb.name, v)
+				}
 			}
-			body(mb.body)
 		}
 	}
 	for f, r := range s.recs.of {
@@ -181,8 +186,11 @@ func (w *releaseWatch) check(s *Session, when string) {
 				body(holder)
 			}
 		}
-		for holder := range x.stamps {
-			body(holder)
+		for target := range x.stored {
+			body(target)
+		}
+		for f := range x.stamps {
+			body(f)
 		}
 	}
 	for _, f := range s.finder.Order() {
@@ -228,6 +236,89 @@ func TestReleasedBodiesUnreachable(t *testing.T) {
 		t.Logf("%d runs, %d flattens; %d blocks and %d instructions released, %d bodies replaced", runs, flattened, blocks, instrs, w.replaced)
 		if flattened == 0 || blocks == 0 || w.replaced == 0 {
 			t.Errorf("the churn flattened %d families, released %d blocks and replaced %d bodies; it no longer exercises release", flattened, blocks, w.replaced)
+		}
+	})
+	// A run thaws a family's stored members once, on its first flatten
+	// trial, and every trial of the run reads those bodies; the run's end
+	// (runDone, which every run's finishStats calls) or the family's
+	// death (drop) releases them, and nothing reaches one after.
+	t.Run("thawed", func(t *testing.T) {
+		w := watchReleases(t)
+		trials, dropped, ended := 0, 0, 0
+		// gone fails unless every body of bodies was released: an empty
+		// declaration whose former blocks the watch saw die.
+		gone := func(what string, bodies []*ir.Function, blocks []*ir.Block) {
+			for _, f := range bodies {
+				if !f.IsDecl() {
+					t.Errorf("%s: @%s's thawed body was not released", what, f.Name())
+				}
+			}
+			for _, b := range blocks {
+				if !w.dead[b] {
+					t.Errorf("%s: a thawed block was not released", what)
+					break
+				}
+			}
+		}
+		blocksOf := func(bodies []*ir.Function) (out []*ir.Block) {
+			for _, f := range bodies {
+				out = append(out, f.Blocks...)
+			}
+			return out
+		}
+		for seed := int64(1); seed <= 6; seed++ {
+			m := chainModule(t, seed)
+			s := open(t, m, Config{Algorithm: SalSSA, Threshold: 3, Target: costmodel.X86_64, MaxFamily: 4})
+			mustRun(t, s, nil)
+			s.sync()
+			first := map[*family][]*ir.Function{}
+			for head, fam := range s.families.byHead {
+				for _, f2 := range s.finder.Candidates(head, 3) {
+					fp := flattenFor(m, s.families, 4, head, f2)
+					if fp == nil {
+						continue
+					}
+					if prev, ok := first[fam]; ok && !slices.Equal(prev, fam.thawed) {
+						t.Errorf("seed %d: @%s's family was thawed twice in one run", seed, head.Name())
+					}
+					first[fam] = fam.thawed
+					tr := planTrial(ctx, m, s.recs, fp, head, f2, nil, s.cfg, noGate, &align.Result{})
+					if tr.err != nil {
+						t.Fatal(tr.err)
+					}
+					trials++
+					w.check(s, fmt.Sprintf("seed %d, trial of @%s + @%s", seed, head.Name(), f2.Name()))
+					m.RemoveFunc(tr.merged)
+					ir.Release(tr.merged)
+				}
+			}
+			// One family dies mid-run: drop releases its bodies at once.
+			for _, fam := range s.families.thawed {
+				bodies := fam.thawed
+				blocks := blocksOf(bodies)
+				s.families.drop(fam.head)
+				gone(fmt.Sprintf("seed %d, drop of @%s", seed, fam.head.Name()), bodies, blocks)
+				dropped++
+				break
+			}
+			var bodies []*ir.Function
+			for _, fam := range s.families.thawed {
+				bodies = append(bodies, fam.thawed...)
+			}
+			blocks := blocksOf(bodies)
+			s.families.runDone()
+			gone(fmt.Sprintf("seed %d, run end", seed), bodies, blocks)
+			ended += len(bodies)
+			for _, fam := range s.families.byHead {
+				if fam.thawed != nil {
+					t.Errorf("seed %d: @%s's family kept its thawed bodies past the run", seed, fam.head.Name())
+				}
+			}
+			w.check(s, fmt.Sprintf("seed %d, after the run", seed))
+		}
+		t.Logf("%d flatten trials built; %d families dropped mid-run, %d bodies released at run end", trials, dropped, ended)
+		if trials == 0 || dropped == 0 || ended == 0 {
+			t.Error("the chain suite no longer thaws, drops and ends a run with thawed bodies")
 		}
 	})
 	// Pairwise merges only: every member's body is thunked away, and no

@@ -370,24 +370,25 @@ func (r *runner) commitStep(t *trial) {
 // members mp describes — a pairwise merge is a family of two newcomers
 // (pairPlan). Every member's live definition becomes a thunk into the
 // head and is retired, the consumed heads leave the module, and under
-// family tracking the members' original bodies are registered behind
-// the head, each newcomer's moved out of its live definition first. A
+// family tracking the members' originals are registered behind the
+// head: each newcomer's body frozen (ir.Freeze) just before its thunk
+// releases it, each existing member's record carried over as it was. A
 // newcomer that already heads a family nests instead and registers
 // nothing: a nested chain beyond MaxFamily stays a chain.
 func (r *runner) commitMerge(mp *memberPlan, merged *ir.Function) {
 	track := r.families != nil
 	for i, src := range mp.srcs {
-		track = track && !(mp.newcomer[i] && r.families.isHead(src))
+		track = track && !(mp.stored[i] == nil && r.families.isHead(src))
 	}
 	var members []familyMember
 	for i, nm := range mp.names {
 		live := mp.member(r.m, i)
 		if track {
-			body := mp.srcs[i]
-			if mp.newcomer[i] {
-				body = live.DetachBody()
+			rec := mp.stored[i]
+			if rec == nil {
+				rec = ir.Freeze(live)
 			}
-			members = append(members, familyMember{name: nm, body: body})
+			members = append(members, familyMember{name: nm, rec: rec})
 		}
 		core.BuildThunk(live, merged, i, mp.pplan.Maps[i], mp.pplan)
 		r.retire(live)
@@ -396,7 +397,8 @@ func (r *runner) commitMerge(mp *memberPlan, merged *ir.Function) {
 		// Detached first: retire reports h to the reference index, which
 		// re-reads whatever is still in the module. Once every index has
 		// let go of it, the head's body is dead: its members thunk into
-		// the new head, and no stored body calls it (flattenFor checked).
+		// the new head, and no stored original calls it (flattenFor
+		// checked).
 		r.m.RemoveFunc(h)
 		r.retire(h)
 		r.families.drop(h)

@@ -511,12 +511,11 @@ func (s *Session) moduleBytes() int {
 
 // finishStats folds the per-run finder and sequence-request deltas
 // into res and moves the session baselines forward. Every run that got
-// as far as its walk ends here, leaving the reference index (family.go)
-// to be brought up to date by the next run's first caller check.
+// as far as its walk ends here, releasing the bodies its flattens
+// thawed and leaving the reference index (family.go) to be brought up
+// to date by the next run's first caller check.
 func (s *Session) finishStats(res *Result) {
-	if s.families != nil {
-		s.families.refsFresh = false
-	}
+	s.families.runDone()
 	cur := s.finder.Stats()
 	res.Search = search.Stats{
 		Queries:   cur.Queries - s.lastSearch.Queries,
@@ -571,6 +570,7 @@ func (s *Session) finishFamilies(res *Result) {
 	for _, n := range res.FamilySizes {
 		res.Families += n
 	}
+	res.FamilyBytes = s.families.bytes()
 }
 
 // optimizeFMSA is the FMSA run: register demotion rewrites every

@@ -5,7 +5,8 @@ package ir
 // returns void): the one builder of forwarding bodies, merge thunks
 // (core.BuildThunk) and fold forwarders alike. The body it replaces is
 // released (releaseBody), so nothing may point into it: a caller that
-// keeps the old body moves it out first (DetachBody).
+// keeps the old body freezes it first (Freeze) or moves it out
+// (DetachBody).
 func BuildForwarder(f, callee *Function, args []Value) {
 	f.releaseBody()
 	entry := f.NewBlockIn("entry")

@@ -23,13 +23,26 @@ type Function struct {
 // NewFunction returns a detached function with parameters named after
 // paramNames (padded with generated names when too short).
 func NewFunction(name string, sig *FuncType, paramNames ...string) *Function {
-	f := &Function{name: name, sig: sig, typ: PtrTo(sig)}
-	for i, pt := range sig.Params {
-		pn := fmt.Sprintf("arg%d", i)
+	f := newFunction(name, sig, PtrTo(sig))
+	for i, p := range f.params {
 		if i < len(paramNames) && paramNames[i] != "" {
-			pn = paramNames[i]
+			p.name = paramNames[i]
+		} else {
+			p.name = fmt.Sprintf("arg%d", i)
 		}
-		f.params = append(f.params, &Argument{name: pn, typ: pt, parent: f, index: i})
+	}
+	return f
+}
+
+// newFunction returns a detached function of pointer type typ with
+// unnamed parameters, all of them in one array.
+func newFunction(name string, sig *FuncType, typ *PointerType) *Function {
+	f := &Function{name: name, sig: sig, typ: typ}
+	args := make([]Argument, len(sig.Params))
+	f.params = make([]*Argument, len(sig.Params))
+	for i, pt := range sig.Params {
+		args[i] = Argument{typ: pt, parent: f, index: i}
+		f.params[i] = &args[i]
 	}
 	return f
 }

@@ -200,8 +200,8 @@ func WithFinder(k FinderKind) Option {
 // identifier and every member thunk is rewritten to target it — one
 // call hop and one dispatch layer no matter how often the family grew.
 // Beyond k members further partners nest pairwise, the historical
-// behaviour. k = 2 disables flattening (and the retention of original
-// bodies that powers it): every merge stays pairwise.
+// behaviour. k = 2 disables flattening (and the frozen records of
+// original bodies that power it): every merge stays pairwise.
 func WithMaxFamily(k int) Option {
 	return func(o *Optimizer) error {
 		if k < 2 {
